@@ -16,7 +16,7 @@
 //! JSON object per point when built with `--features json`.
 
 use dragonfly_bench::{file_slug, write_workload_job_csv, HarnessArgs};
-use dragonfly_core::{churn_sweep, ChurnSweep, FlowControlKind, RoutingKind, WorkloadReport};
+use dragonfly_core::{churn_sweep, ChurnSweep, FlowControlKind, Jobs, RoutingKind, WorkloadReport};
 use dragonfly_sched::scenarios::fragmentation_trace;
 use dragonfly_topology::DragonflyParams;
 
@@ -85,29 +85,14 @@ fn main() {
         params.num_nodes(),
         sweep.base.measure,
     );
-    let runner = args.runner("churn sweep");
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_workloads_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let trace = spec.traffic.churn().expect("churn traffic");
-                let prefix = format!(
-                    "churn_{}_{}",
-                    file_slug(spec.routing.name()),
-                    file_slug(&trace.name)
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report.aggregate),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("churn sweep", &specs, Jobs, |spec| {
+        let trace = spec.traffic.churn().expect("churn traffic");
+        format!(
+            "churn_{}_{}",
+            file_slug(spec.routing.name()),
+            file_slug(&trace.name)
+        )
+    });
 
     println!(
         "{:<12} {:<12} {:>11} {:>11} {:>12} {:>10} {:>9}",

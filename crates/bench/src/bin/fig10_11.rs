@@ -8,7 +8,7 @@
 
 use dragonfly_bench::{file_slug, HarnessArgs};
 use dragonfly_core::{
-    sweep::paper_thresholds, threshold_sweep, CsvWriter, FlowControlKind, RoutingKind,
+    sweep::paper_thresholds, threshold_sweep, CsvWriter, FlowControlKind, RoutingKind, Steady,
     ThresholdSweep, TrafficKind,
 };
 
@@ -31,28 +31,13 @@ fn run_figure(args: &HarnessArgs, traffic: TrafficKind, figure: &str, csv_name: 
         specs.len(),
         args.h
     );
-    let runner = args.runner(format!("figure {figure}"));
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_steady_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!(
-                    "fig{figure}_th{}_{}",
-                    file_slug(&format!("{:.2}", spec.threshold)),
-                    file_slug(&format!("{:.2}", spec.offered_load)),
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_steady(&specs),
-    };
+    let reports = args.run_points(format!("figure {figure}"), &specs, Steady, |spec| {
+        format!(
+            "fig{figure}_th{}_{}",
+            file_slug(&format!("{:.2}", spec.threshold)),
+            file_slug(&format!("{:.2}", spec.offered_load)),
+        )
+    });
 
     println!(
         "\n== Figure {figure}: RLM threshold sweep ({}) ==",

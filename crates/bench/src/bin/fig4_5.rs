@@ -14,7 +14,7 @@
 
 use dragonfly_bench::{file_slug, print_series, HarnessArgs};
 use dragonfly_core::{
-    load_sweep, CsvWriter, FlowControlKind, LoadSweep, RoutingKind, SimReport, TrafficKind,
+    load_sweep, CsvWriter, FlowControlKind, LoadSweep, RoutingKind, SimReport, Steady, TrafficKind,
 };
 
 fn mechanisms_for(pattern: &str) -> Vec<RoutingKind> {
@@ -58,30 +58,14 @@ fn run_pattern(args: &HarnessArgs, pattern: &str) -> Vec<SimReport> {
         specs.len(),
         args.h
     );
-    let runner = args.runner(format!("figure 4/5 [{pattern}]"));
-    match &args.probe {
-        Some(probes) => {
-            let pairs = runner.run_steady_probed(&specs, probes);
-            pairs
-                .into_iter()
-                .zip(&specs)
-                .map(|((report, probe), spec)| {
-                    let prefix = format!(
-                        "fig4_5_{pattern}_{}_{}",
-                        file_slug(spec.routing.name()),
-                        file_slug(&format!("{:.2}", spec.offered_load)),
-                    );
-                    args.write_probe(
-                        &probe,
-                        &prefix,
-                        &spec.manifest_with_report(&prefix, &report),
-                    );
-                    report
-                })
-                .collect()
-        }
-        None => runner.run_steady(&specs),
-    }
+    let label = format!("figure 4/5 [{pattern}]");
+    args.run_points(label, &specs, Steady, |spec| {
+        format!(
+            "fig4_5_{pattern}_{}_{}",
+            file_slug(spec.routing.name()),
+            file_slug(&format!("{:.2}", spec.offered_load)),
+        )
+    })
 }
 
 fn main() {

@@ -12,8 +12,8 @@
 
 use dragonfly_bench::{file_slug, HarnessArgs};
 use dragonfly_core::{
-    mix_sweep, sweep::paper_mix_percentages, CsvWriter, ExperimentSpec, FlowControlKind, MixSweep,
-    RoutingKind,
+    mix_sweep, sweep::paper_mix_percentages, Batch, CsvWriter, ExperimentSpec, FlowControlKind,
+    MixSweep, RoutingKind, Steady,
 };
 
 /// The mix point's ADVG percentage (every fig6 spec carries mixed traffic).
@@ -56,28 +56,13 @@ fn main() {
         specs.len(),
         args.h
     );
-    let reports = match &args.probe {
-        Some(probes) => args
-            .runner("figure 6a")
-            .run_steady_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!(
-                    "fig6a_{}_mix{}",
-                    file_slug(spec.routing.name()),
-                    global_pct(spec)
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report),
-                );
-                report
-            })
-            .collect(),
-        None => args.runner("figure 6a").run_steady(&specs),
-    };
+    let reports = args.run_points("figure 6a", &specs, Steady, |spec| {
+        format!(
+            "fig6a_{}_mix{}",
+            file_slug(spec.routing.name()),
+            global_pct(spec)
+        )
+    });
     println!("\n== Figure 6a: throughput vs. % of global traffic (VCT) ==");
     println!("{:<10} {:>10} {:>12}", "routing", "global%", "accepted");
     let path = args.csv_path("fig6a_mix_throughput.csv");
@@ -112,27 +97,17 @@ fn main() {
         "figure 6b: burst of {packets_per_node} packets/node, {} simulations",
         specs.len()
     );
-    let batch_reports = match &args.probe {
-        Some(probes) => args
-            .runner("figure 6b")
-            .run_batches_probed(&specs, packets_per_node, max_cycles, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!(
-                    "fig6b_{}_mix{}",
-                    file_slug(spec.routing.name()),
-                    global_pct(spec)
-                );
-                // Batch reports carry no peak telemetry; the manifest peaks stay 0.
-                args.write_probe(&probe, &prefix, &spec.manifest(&prefix));
-                report
-            })
-            .collect(),
-        None => args
-            .runner("figure 6b")
-            .run_batches(&specs, packets_per_node, max_cycles),
+    let batch = Batch {
+        packets_per_node,
+        max_cycles,
     };
+    let batch_reports = args.run_points("figure 6b", &specs, batch, |spec| {
+        format!(
+            "fig6b_{}_mix{}",
+            file_slug(spec.routing.name()),
+            global_pct(spec)
+        )
+    });
     println!("\n== Figure 6b: burst consumption time (VCT) ==");
     println!("{:<10} {:>10} {:>16}", "routing", "global%", "cycles");
     let path = args.csv_path("fig6b_burst_consumption.csv");

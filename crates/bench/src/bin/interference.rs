@@ -17,7 +17,9 @@
 //! heatmap localizes exactly which global channels the aggressor saturates.
 
 use dragonfly_bench::{file_slug, write_workload_phase_csv, HarnessArgs};
-use dragonfly_core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind, WorkloadSpec};
+use dragonfly_core::{
+    ExperimentSpec, FlowControlKind, Jobs, RoutingKind, TrafficKind, WorkloadSpec,
+};
 use dragonfly_topology::DragonflyParams;
 
 fn main() {
@@ -52,26 +54,9 @@ fn main() {
             spec
         })
         .collect();
-    let runner = args.runner("interference");
-    let reports = match &args.probe {
-        Some(probes) => {
-            let pairs = runner.run_workloads_probed(&specs, probes);
-            pairs
-                .into_iter()
-                .zip(&specs)
-                .map(|((report, probe), spec)| {
-                    let prefix = format!("interference_{}", file_slug(spec.routing.name()));
-                    args.write_probe(
-                        &probe,
-                        &prefix,
-                        &spec.manifest_with_report(&prefix, &report.aggregate),
-                    );
-                    report
-                })
-                .collect()
-        }
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("interference", &specs, Jobs, |spec| {
+        format!("interference_{}", file_slug(spec.routing.name()))
+    });
 
     println!(
         "{:<12} {:>12} {:>14} {:>14} {:>12} {:>12}",

@@ -17,7 +17,7 @@
 
 use dragonfly_bench::{file_slug, write_workload_phase_csv, HarnessArgs};
 use dragonfly_core::{
-    interference_sweep, FlowControlKind, InterferenceSweep, PlacementPolicy, RoutingKind,
+    interference_sweep, FlowControlKind, InterferenceSweep, Jobs, PlacementPolicy, RoutingKind,
     WorkloadReport,
 };
 use dragonfly_topology::DragonflyParams;
@@ -56,30 +56,15 @@ fn main() {
         args.h,
         params.num_nodes()
     );
-    let runner = args.runner("interference sweep");
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_workloads_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let workload = spec.traffic.workload().expect("workload traffic");
-                let prefix = format!(
-                    "intsweep_{}_{}_{}",
-                    file_slug(spec.routing.name()),
-                    file_slug(workload.jobs[0].placement.name()),
-                    file_slug(&format!("{:.4}", workload.jobs[0].phases[0].offered_load)),
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report.aggregate),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("interference sweep", &specs, Jobs, |spec| {
+        let workload = spec.traffic.workload().expect("workload traffic");
+        format!(
+            "intsweep_{}_{}_{}",
+            file_slug(spec.routing.name()),
+            file_slug(workload.jobs[0].placement.name()),
+            file_slug(&format!("{:.4}", workload.jobs[0].phases[0].offered_load)),
+        )
+    });
 
     println!(
         "{:<12} {:>6} {:>10} {:>12} {:>12} {:>12}",

@@ -25,7 +25,9 @@
 //! themselves are the parallelism being measured).
 
 use dragonfly_bench::HarnessArgs;
-use dragonfly_core::{CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly_core::{
+    CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, RunOptions, Steady, TrafficKind,
+};
 use std::io::Write;
 use std::time::Instant;
 
@@ -94,8 +96,13 @@ fn main() {
         // With --probe*, one extra sequential run outside the timed region
         // carries the probes, so the scaling numbers stay untouched while the
         // probe output (and its report-identity guarantee) is still exercised.
-        if let Some(probes) = &args.probe {
-            let (report, probe) = spec.run_probed(probes.clone());
+        if args.probe.is_some() {
+            let options = RunOptions {
+                shards: None,
+                probes: args.probe.clone(),
+            };
+            let (report, probe) = spec.run_with(Steady, &options);
+            let probe = probe.expect("probes were requested");
             assert!(
                 report == baseline,
                 "probed report diverged from the unprobed baseline at h = {h} — probes \
@@ -113,8 +120,12 @@ fn main() {
             if shards > groups || shards > cores {
                 continue;
             }
+            let options = RunOptions {
+                shards: Some(shards),
+                probes: None,
+            };
             let t0 = Instant::now();
-            let report = spec.run_sharded(shards);
+            let (report, _) = spec.run_with(Steady, &options);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             let identical = report == baseline;
             let speedup = seq_ms / ms;

@@ -11,7 +11,9 @@
 //! phase 0 is UN, phase 1 is ADVG+h.
 
 use dragonfly_bench::{file_slug, write_workload_phase_csv, HarnessArgs};
-use dragonfly_core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind, WorkloadSpec};
+use dragonfly_core::{
+    ExperimentSpec, FlowControlKind, Jobs, RoutingKind, TrafficKind, WorkloadSpec,
+};
 use dragonfly_topology::DragonflyParams;
 
 fn main() {
@@ -43,24 +45,9 @@ fn main() {
             spec
         })
         .collect();
-    let runner = args.runner("transient");
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_workloads_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!("transient_{}", file_slug(spec.routing.name()));
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report.aggregate),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("transient", &specs, Jobs, |spec| {
+        format!("transient_{}", file_slug(spec.routing.name()))
+    });
 
     println!(
         "{:<12} {:>6} {:>10} {:>12} {:>12} {:>12} {:>10}",

@@ -47,14 +47,17 @@
 //!                  (implies --probe)
 //! ```
 //!
-//! Every sweep executes through [`dragonfly_core::SweepRunner`] (built by
-//! [`HarnessArgs::runner`]): the points run on a worker pool with deterministic
-//! result ordering and a progress/ETA line on stderr; `--sequential` falls back to
-//! a plain in-order loop that produces byte-identical CSVs.
+//! Flag order never matters (presets apply first, explicit values second).
+//! Every sweep executes through [`HarnessArgs::run_points`]: the points run on
+//! a [`dragonfly_core::SweepRunner`] worker pool with deterministic result
+//! ordering and a progress/ETA line on stderr, under the engine options
+//! `--shards`/`--probe*` imply, and any probe file sets are written out;
+//! `--sequential` falls back to a plain in-order loop that produces
+//! byte-identical CSVs.
 
 use dragonfly_core::{
-    DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, RunManifest, SimReport,
-    SweepRunner, WorkloadReport,
+    DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, Protocol, RunManifest,
+    RunOptions, SimReport, SweepRunner, WorkloadReport,
 };
 use std::path::{Path, PathBuf};
 
@@ -81,7 +84,8 @@ pub struct HarnessArgs {
     pub out_dir: PathBuf,
     /// Offered-load points (figures 4/5/7/8/10/11).
     pub loads: Vec<f64>,
-    /// Whether `--loads` was passed explicitly (presets must not clobber it).
+    /// Whether `--loads` was passed explicitly (`churn_sweep` substitutes its
+    /// own default set otherwise).
     pub loads_explicit: bool,
     /// Traffic-pattern selector (figures 4/5/7/8): `un`, `advg1`, `advgh` or `all`.
     pub pattern: String,
@@ -117,12 +121,18 @@ impl Default for HarnessArgs {
 
 impl HarnessArgs {
     /// Parse from an explicit argument list (excluding the program name).
+    ///
+    /// Flag order never matters: the `--quick`/`--full` presets and the
+    /// `--measure` ⇒ drain default apply first, explicit `--h`, `--warmup`,
+    /// `--measure`, `--drain` and `--loads` values second.
     pub fn parse_from<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let mut out = Self::default();
+        // Explicit values, held back until every preset has been applied.
+        let (mut h, mut warmup, mut measure, mut drain, mut loads) = (None, None, None, None, None);
         let args: Vec<String> = args.into_iter().map(|a| a.as_ref().to_string()).collect();
         let mut i = 0;
         let value = |i: &mut usize| -> Result<String, String> {
@@ -133,23 +143,10 @@ impl HarnessArgs {
         };
         while i < args.len() {
             match args[i].as_str() {
-                "--h" => out.h = value(&mut i)?.parse().map_err(|e| format!("--h: {e}"))?,
-                "--warmup" => {
-                    out.warmup = value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--warmup: {e}"))?
-                }
-                "--measure" => {
-                    out.measure = value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--measure: {e}"))?;
-                    out.drain = out.measure;
-                }
-                "--drain" => {
-                    out.drain = value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--drain: {e}"))?
-                }
+                "--h" => h = Some(number("--h", value(&mut i)?)?),
+                "--warmup" => warmup = Some(number("--warmup", value(&mut i)?)?),
+                "--measure" => measure = Some(number("--measure", value(&mut i)?)?),
+                "--drain" => drain = Some(number("--drain", value(&mut i)?)?),
                 "--seed" => {
                     out.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?
                 }
@@ -228,11 +225,12 @@ impl HarnessArgs {
                 "--json" => out.json_out = Some(PathBuf::from(value(&mut i)?)),
                 "--pattern" => out.pattern = value(&mut i)?,
                 "--loads" => {
-                    out.loads = value(&mut i)?
-                        .split(',')
-                        .map(|s| s.trim().parse::<f64>().map_err(|e| format!("--loads: {e}")))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    out.loads_explicit = true;
+                    loads = Some(
+                        value(&mut i)?
+                            .split(',')
+                            .map(|s| s.trim().parse::<f64>().map_err(|e| format!("--loads: {e}")))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    )
                 }
                 "--full" => {
                     out.h = 8;
@@ -246,14 +244,34 @@ impl HarnessArgs {
                     out.warmup = 1_000;
                     out.measure = 2_000;
                     out.drain = 2_000;
-                    if !out.loads_explicit {
-                        out.loads = vec![0.1, 0.3, 0.5, 0.8];
-                    }
+                    out.loads = vec![0.1, 0.3, 0.5, 0.8];
                 }
                 "--help" | "-h" => return Err(usage()),
                 other => return Err(format!("unknown argument `{other}`\n{}", usage())),
             }
             i += 1;
+        }
+        out.h = h.unwrap_or(out.h);
+        out.warmup = warmup.unwrap_or(out.warmup);
+        if let Some(measure) = measure {
+            out.measure = measure;
+            out.drain = measure;
+        }
+        out.drain = drain.unwrap_or(out.drain);
+        out.loads_explicit = loads.is_some();
+        out.loads = loads.unwrap_or(out.loads);
+        // A shard owns at least one whole group, and there are 2h² + 1 of them.
+        let groups = out
+            .h
+            .saturating_mul(out.h)
+            .saturating_mul(2)
+            .saturating_add(1);
+        if out.shards > groups {
+            return Err(format!(
+                "--shards {} exceeds the {groups} groups of an h = {} dragonfly (a shard \
+                 owns at least one whole group)",
+                out.shards, out.h
+            ));
         }
         Ok(out)
     }
@@ -286,15 +304,46 @@ impl HarnessArgs {
         self.out_dir.join(name)
     }
 
-    /// The sweep runner implied by these arguments: `--jobs` workers (all cores by
-    /// default) or the `--sequential` in-order loop, with progress/ETA on stderr.
-    /// `--shards N` shards every point across N threads (byte-identical reports)
-    /// under the runner's workers × shards ≤ cores budget.
-    pub fn runner(&self, label: impl Into<String>) -> SweepRunner {
+    /// The engine options implied by these arguments: `--shards N` (N > 1)
+    /// shards every point across N threads, `--probe*` installs the probes.
+    pub fn run_options(&self) -> RunOptions {
+        RunOptions {
+            shards: (self.shards > 1).then_some(self.shards),
+            probes: self.probe.clone(),
+        }
+    }
+
+    /// Run `specs` under `protocol` through a [`SweepRunner`] — `--jobs` workers
+    /// (all cores by default) or the `--sequential` in-order loop, progress/ETA
+    /// on stderr — with [`HarnessArgs::run_options`], and return the reports in
+    /// spec order.  With `--probe*`, each point's probe file set is written into
+    /// the output directory under the prefix `probe_prefix` gives its spec.
+    pub fn run_points<P: Protocol>(
+        &self,
+        label: impl Into<String>,
+        specs: &[ExperimentSpec],
+        protocol: P,
+        probe_prefix: impl Fn(&ExperimentSpec) -> String,
+    ) -> Vec<P::Report> {
         SweepRunner::new(label)
             .jobs(self.threads)
-            .shards(self.shards)
             .sequential(self.sequential)
+            .run_with(specs, protocol, &self.run_options())
+            .into_iter()
+            .zip(specs)
+            .map(|((report, probe), spec)| {
+                if let Some(probe) = probe {
+                    let prefix = probe_prefix(spec);
+                    // Batch reports carry no peak telemetry; their manifest peaks stay 0.
+                    let manifest = match P::aggregate(&report) {
+                        Some(aggregate) => spec.manifest_with_report(&prefix, aggregate),
+                        None => spec.manifest(&prefix),
+                    };
+                    self.write_probe(&probe, &prefix, &manifest);
+                }
+                report
+            })
+            .collect()
     }
 
     /// Exit with usage status when `--json` was passed: binaries with no
@@ -327,6 +376,14 @@ impl HarnessArgs {
             println!("wrote {}", file.display());
         }
     }
+}
+
+/// Parse the value of a numeric flag, naming the flag in the error.
+fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// `--probe-detect*` helper: ensure probes exist and the detectors are armed
@@ -559,6 +616,37 @@ mod tests {
             assert_eq!(args.loads, vec![0.3, 0.9]);
             assert!(args.loads_explicit);
         }
+        // So does every other explicit value, under either preset.
+        for preset in ["--quick", "--full"] {
+            for argv in [
+                [preset, "--h", "4", "--warmup", "11", "--measure", "22"],
+                ["--h", "4", "--warmup", "11", "--measure", "22", preset],
+            ] {
+                let args = HarnessArgs::parse_from(argv).unwrap();
+                assert_eq!(
+                    (args.h, args.warmup, args.measure, args.drain),
+                    (4, 11, 22, 22),
+                    "{argv:?}"
+                );
+            }
+            for argv in [[preset, "--drain", "33"], ["--drain", "33", preset]] {
+                let args = HarnessArgs::parse_from(argv).unwrap();
+                assert_eq!(args.drain, 33, "{argv:?}");
+                assert_eq!(
+                    args.measure,
+                    if preset == "--quick" { 2_000 } else { 30_000 }
+                );
+            }
+        }
+        // --measure defaults the drain budget, an explicit --drain wins, in
+        // either order.
+        for argv in [
+            ["--drain", "500", "--measure", "1000"],
+            ["--measure", "1000", "--drain", "500"],
+        ] {
+            let args = HarnessArgs::parse_from(argv).unwrap();
+            assert_eq!((args.measure, args.drain), (1_000, 500), "{argv:?}");
+        }
     }
 
     #[test]
@@ -596,6 +684,64 @@ mod tests {
         assert!(content.starts_with("routing,job,phase,"));
         assert!(content.lines().skip(1).all(|l| l.starts_with("OLM,")));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn run_options_follow_the_flags() {
+        assert_eq!(
+            HarnessArgs::default().run_options(),
+            dragonfly_core::RunOptions::default()
+        );
+        // One shard is the sequential engine, as the flag has always meant.
+        let args = HarnessArgs::parse_from(["--shards", "1"]).unwrap();
+        assert_eq!(args.run_options().shards, None);
+        let args = HarnessArgs::parse_from(["--shards", "3", "--probe-stride", "16"]).unwrap();
+        let options = args.run_options();
+        assert_eq!(options.shards, Some(3));
+        assert_eq!(options.probes.unwrap().stride, 16);
+    }
+
+    #[test]
+    fn run_points_returns_reports_and_writes_probe_sets() {
+        use dragonfly_core::{Batch, RoutingKind, Steady};
+        let dir = std::env::temp_dir().join("dragonfly_bench_run_points_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_str().unwrap();
+        let plain = HarnessArgs::parse_from(["--quick", "--sequential", "--out", out]).unwrap();
+        let probed =
+            HarnessArgs::parse_from(["--quick", "--sequential", "--out", out, "--probe"]).unwrap();
+        let specs: Vec<ExperimentSpec> = [RoutingKind::Minimal, RoutingKind::Olm]
+            .into_iter()
+            .map(|routing| {
+                let mut spec = plain.base_spec(FlowControlKind::Vct);
+                spec.routing = routing;
+                (spec.warmup, spec.measure, spec.drain) = (200, 400, 400);
+                spec
+            })
+            .collect();
+        let prefix = |spec: &ExperimentSpec| format!("pt_{}", file_slug(spec.routing.name()));
+
+        // Without --probe nothing is written and the prefix is never asked for.
+        let reports = plain.run_points("t", &specs, Steady, |_| unreachable!());
+        assert!(!dir.exists());
+        // With it, the reports are unchanged and every point gets its file set.
+        assert_eq!(probed.run_points("t", &specs, Steady, prefix), reports);
+        for name in ["pt_minimal", "pt_olm"] {
+            assert!(dir.join(format!("{name}_series.csv")).exists());
+            let manifest =
+                std::fs::read_to_string(dir.join(format!("{name}_manifest.json"))).unwrap();
+            assert!(manifest.contains("\"in_flight_packets\""));
+        }
+        // Batch reports have no aggregate: their manifests keep zero peaks.
+        let batch = Batch {
+            packets_per_node: 2,
+            max_cycles: 100_000,
+        };
+        let bursts = probed.run_points("t", &specs[..1], batch, |_| "burst".to_string());
+        assert!(!bursts[0].timed_out);
+        let manifest = std::fs::read_to_string(dir.join("burst_manifest.json")).unwrap();
+        assert!(manifest.contains("\"in_flight_packets\": 0"), "{manifest}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -698,6 +844,22 @@ mod tests {
         assert!(HarnessArgs::parse_from(["--nope"]).is_err());
         assert!(HarnessArgs::parse_from(["--h"]).is_err());
         assert!(HarnessArgs::parse_from(["--h", "abc"]).is_err());
+        // h = 2 has 2h² + 1 = 9 groups: nine shards fit, ten do not, whichever
+        // flag (or preset) sets h and wherever it stands.
+        assert_eq!(
+            HarnessArgs::parse_from(["--h", "2", "--shards", "9"])
+                .unwrap()
+                .shards,
+            9
+        );
+        for argv in [
+            &["--h", "2", "--shards", "10"][..],
+            &["--shards", "10", "--h", "2"],
+            &["--shards", "10", "--quick"],
+        ] {
+            let err = HarnessArgs::parse_from(argv).unwrap_err();
+            assert!(err.contains("--shards 10 exceeds the 9 groups"), "{err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 #![cfg(feature = "json")]
 
-use dragonfly_core::{ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, TrafficKind};
+use dragonfly_core::{
+    ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, RunOptions, Steady, TrafficKind,
+};
 use dragonfly_stats::validate_json;
 
 /// Minimal routing under saturating ADVG+1 with a 100 % collapse threshold:
@@ -28,7 +30,12 @@ fn forced_trip_run() -> (ExperimentSpec, ProbeConfig) {
 #[test]
 fn trace_and_manifest_survive_a_real_json_parser() {
     let (spec, probes) = forced_trip_run();
-    let (report, probe) = spec.run_probed(probes);
+    let options = RunOptions {
+        probes: Some(probes),
+        ..RunOptions::default()
+    };
+    let (report, probe) = spec.run_with(Steady, &options);
+    let probe = probe.expect("probes were requested");
     assert!(
         !probe.trips().is_empty(),
         "the forced-anomaly run must trip, or the validation below is vacuous"

@@ -3,7 +3,8 @@
 use dragonfly_probe::{ProbeConfig, ProbeRecorder, RunManifest, MANIFEST_SCHEMA_VERSION};
 use dragonfly_routing::{AdaptiveParams, RoutingKind, RoutingVisitor};
 use dragonfly_sched::Trace;
-use dragonfly_sim::{RoutingAlgorithm, SimConfig, Simulation};
+use dragonfly_shard::{ShardPlan, ShardedSimulation};
+use dragonfly_sim::{protocol, EngineHost, RoutingAlgorithm, SimConfig, Simulation};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{
@@ -226,261 +227,98 @@ impl ExperimentSpec {
 
     /// Build the type-erased simulation (network + boxed routing + traffic) for this
     /// specification.  Kept for custom experiments that need to own a `Simulation`
-    /// without naming the mechanism type; the `run*` methods below use the
-    /// monomorphized engine instead.  A workload traffic kind is fully installed
-    /// (patterns, injection rates and per-job statistics).
+    /// without naming the mechanism type (and for the static-vs-dyn equivalence
+    /// tests, which drive its `run_*` protocols directly); the `run*` methods
+    /// below use the monomorphized engine instead.  A workload or churn traffic
+    /// kind is fully installed (patterns, injection rates and per-job statistics).
     pub fn build_simulation(&self) -> Simulation {
         let routing = self
             .routing
             .build_with(AdaptiveParams::with_threshold(self.threshold));
-        build_with_routing(self, routing)
+        let config = self.sim_config();
+        let traffic = self.construction_traffic(&config.params);
+        let mut sim = Simulation::with_routing(config, routing, traffic);
+        self.install_jobs(&mut sim);
+        sim
     }
 
-    /// Run the steady-state protocol and return the report.
-    ///
-    /// Dispatches to a simulation monomorphized over the concrete routing mechanism;
-    /// the result is bit-identical to the dynamic path ([`ExperimentSpec::run_dyn`]).
-    /// For workload traffic this is the aggregate half of
-    /// [`ExperimentSpec::run_workload`].
-    pub fn run(&self) -> SimReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            SteadyStateRun(self),
-        )
-    }
-
-    /// Run the steady-state protocol through the type-erased engine.  Same seed ⇒
-    /// same report as [`ExperimentSpec::run`]; exists for comparison benchmarks and
-    /// the equivalence tests.
-    pub fn run_dyn(&self) -> SimReport {
-        let mut sim = self.build_simulation();
-        if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, self).aggregate
+    /// The pattern an engine is constructed with.  Workloads and churn
+    /// schedules install their own destination side afterwards
+    /// ([`ExperimentSpec::install_jobs`]), so theirs is a throwaway.
+    fn construction_traffic(&self, params: &DragonflyParams) -> Box<dyn TrafficPattern> {
+        if self.traffic.has_jobs() {
+            Box::new(Uniform::new())
         } else {
-            sim.run_steady_state(self.offered_load, self.warmup, self.measure, self.drain)
+            self.traffic.build(params)
         }
     }
 
-    /// Run a workload or churn experiment and return the per-job (and, for static
-    /// workloads, per-phase) breakdown alongside the aggregate report.  Statically
-    /// dispatched like [`ExperimentSpec::run`].  Churn specs run the trace
-    /// protocol: jobs arrive, wait, run and depart; their reports carry lifecycle
-    /// columns (wait, completion, slowdown).
+    /// Install the spec's workload or churn schedule, if it has one.
+    fn install_jobs<H: EngineHost>(&self, sim: &mut H) {
+        if let Some(workload) = self.traffic.workload() {
+            sim.install_workload(workload);
+        } else if let Some(trace) = self.traffic.churn() {
+            sim.install_schedule(trace);
+        }
+    }
+
+    /// Run the steady-state protocol on the sequential engine and return the
+    /// report: [`ExperimentSpec::run_with`] with [`Steady`] and the default
+    /// options.  For workload or churn traffic this is the aggregate half of
+    /// [`ExperimentSpec::run_workload`].
+    pub fn run(&self) -> SimReport {
+        self.run_with(Steady, &RunOptions::default()).0
+    }
+
+    /// Run a workload or churn experiment on the sequential engine and return
+    /// the per-job (and, for static workloads, per-phase) breakdown alongside
+    /// the aggregate report: [`ExperimentSpec::run_with`] with [`Jobs`] and the
+    /// default options.
     ///
     /// # Panics
     ///
     /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
     /// [`TrafficKind::Churn`].
     pub fn run_workload(&self) -> WorkloadReport {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            WorkloadRun(self),
-        )
+        self.run_with(Jobs, &RunOptions::default()).0
     }
 
-    /// Run a workload or churn experiment through the type-erased engine (see
-    /// [`ExperimentSpec::run_dyn`]).  Same seed ⇒ same report as
-    /// [`ExperimentSpec::run_workload`].
-    pub fn run_workload_dyn(&self) -> WorkloadReport {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_dyn requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        let mut sim = self.build_simulation();
-        run_jobs_with(&mut sim, self)
-    }
-
-    /// Run the steady-state protocol on the sharded engine: the single
-    /// simulation is partitioned into `shards` per-group partitions stepping
-    /// concurrently under a cycle barrier (see `dragonfly_shard`).  The report
-    /// is byte-identical to [`ExperimentSpec::run`] — sharding only changes
-    /// wall-clock time.  `shards = 1` still uses the partitioned engine with a
-    /// single worker; workload and churn specs return the aggregate half of
-    /// [`ExperimentSpec::run_workload_sharded`].
-    pub fn run_sharded(&self, shards: usize) -> SimReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ShardedSteadyRun { spec: self, shards },
-        )
-    }
-
-    /// Run a workload or churn experiment on the sharded engine; byte-identical
-    /// to [`ExperimentSpec::run_workload`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_sharded(&self, shards: usize) -> WorkloadReport {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_sharded requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ShardedWorkloadRun { spec: self, shards },
-        )
-    }
-
-    /// Run the steady-state protocol with observability probes installed and
-    /// return the recorder alongside the report.
-    ///
-    /// Probes are read-only: the report is byte-identical to
-    /// [`ExperimentSpec::run`] (pinned by `tests/probe_invariance.rs`).  For
-    /// workload or churn traffic the report is the aggregate half of
-    /// [`ExperimentSpec::run_workload_probed`].
-    pub fn run_probed(&self, probes: ProbeConfig) -> (SimReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedSteadyRun { spec: self, probes },
-        )
-    }
-
-    /// Run the steady-state protocol on the sharded engine with probes
-    /// installed in every shard replica, returning the order-independently
-    /// merged recorder.  Both the report and the recorder's pinned outputs are
-    /// byte-identical to [`ExperimentSpec::run_probed`] (the diagnostics
-    /// series is the documented exception — see `dragonfly_probe`).
-    pub fn run_probed_sharded(
-        &self,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (SimReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedSteadyRun {
-                spec: self,
-                probes,
-                shards,
-            },
-        )
-    }
-
-    /// Run a workload or churn experiment with probes installed (see
-    /// [`ExperimentSpec::run_probed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_probed(&self, probes: ProbeConfig) -> (WorkloadReport, ProbeRecorder) {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_probed requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedWorkloadRun { spec: self, probes },
-        )
-    }
-
-    /// Run a workload or churn experiment on the sharded engine with probes
-    /// installed (see [`ExperimentSpec::run_probed_sharded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_probed_sharded(
-        &self,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (WorkloadReport, ProbeRecorder) {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_probed_sharded requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedWorkloadRun {
-                spec: self,
-                probes,
-                shards,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol: `packets_per_node` packets per node, with a
-    /// safety limit of `max_cycles`.  Statically dispatched like [`ExperimentSpec::run`].
+    /// Run the burst-consumption protocol on the sequential engine:
+    /// [`ExperimentSpec::run_with`] with [`Batch`] and the default options.
     pub fn run_batch(&self, packets_per_node: u64, max_cycles: u64) -> BatchReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            BatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-            },
-        )
+        let batch = Batch {
+            packets_per_node,
+            max_cycles,
+        };
+        self.run_with(batch, &RunOptions::default()).0
     }
 
-    /// Run the burst-consumption protocol through the type-erased engine (see
-    /// [`ExperimentSpec::run_dyn`]).
-    pub fn run_batch_dyn(&self, packets_per_node: u64, max_cycles: u64) -> BatchReport {
-        let mut sim = self.build_simulation();
-        let burst = BurstSpec::new(packets_per_node, self.flow_control.packet_size());
-        sim.run_batch(burst, max_cycles)
-    }
-
-    /// Run the burst-consumption protocol on the sharded engine; byte-identical
-    /// to [`ExperimentSpec::run_batch`].
-    pub fn run_batch_sharded(
+    /// Run `protocol` under `options`: the one pipeline behind every run.
+    ///
+    /// The engine is monomorphized over the concrete routing mechanism, built
+    /// sequential or sharded ([`RunOptions::shards`]), given the spec's
+    /// workload or schedule and the requested probes
+    /// ([`RunOptions::probes`]), and handed to the protocol.  Returns the
+    /// protocol's report and — when probes were requested — the run-wide
+    /// recorder (merged across shards).
+    ///
+    /// Neither option changes the report: sharded ≡ sequential and probed ≡
+    /// unprobed byte for byte (pinned by `tests/shard_equivalence.rs` and
+    /// `tests/probe_invariance.rs`), and so are the merged recorder's pinned
+    /// outputs (the diagnostics series is the documented exception — see
+    /// `dragonfly_probe`).
+    pub fn run_with<P: Protocol>(
         &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        shards: usize,
-    ) -> BatchReport {
+        protocol: P,
+        options: &RunOptions,
+    ) -> (P::Report, Option<Box<ProbeRecorder>>) {
+        protocol.check(self);
         self.routing.dispatch(
             AdaptiveParams::with_threshold(self.threshold),
-            ShardedBatchRun {
+            Run {
                 spec: self,
-                packets_per_node,
-                max_cycles,
-                shards,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol with probes installed (see
-    /// [`ExperimentSpec::run_probed`]).
-    pub fn run_batch_probed(
-        &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: ProbeConfig,
-    ) -> (BatchReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedBatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-                probes,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol on the sharded engine with probes
-    /// installed (see [`ExperimentSpec::run_probed_sharded`]).
-    pub fn run_batch_probed_sharded(
-        &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (BatchReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedBatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-                probes,
-                shards,
+                protocol,
+                options,
             },
         )
     }
@@ -520,315 +358,151 @@ impl ExperimentSpec {
     }
 }
 
-/// Build the monomorphized simulation for a spec, installing any workload or
-/// churn schedule.
-fn build_with_routing<R: RoutingAlgorithm + 'static>(
-    spec: &ExperimentSpec,
-    routing: R,
-) -> Simulation<R> {
-    let config = spec.sim_config();
-    let params = config.params;
-    if let Some(workload) = spec.traffic.workload() {
-        // install_workload compiles both the pattern and the runtime from one
-        // placement, so the construction-time pattern is a throwaway.
-        let mut sim = Simulation::with_routing(config, routing, Box::new(Uniform::new()));
-        sim.install_workload(workload);
-        sim
-    } else if let Some(trace) = spec.traffic.churn() {
-        // The schedule owns its destination side; the pattern is a throwaway too.
-        let mut sim = Simulation::with_routing(config, routing, Box::new(Uniform::new()));
-        sim.install_schedule(trace);
-        sim
-    } else {
-        Simulation::with_routing(config, routing, spec.traffic.build(&params))
-    }
+/// Which engine runs a spec and what is attached to it.  Both fields are
+/// orthogonal to the protocol and to each other, and neither changes a report.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunOptions {
+    /// `None` runs the sequential engine; `Some(n)` partitions the simulation
+    /// into `n` per-group shards stepping concurrently under a cycle barrier
+    /// (see `dragonfly_shard`; `Some(1)` is the partitioned engine with a
+    /// single worker).
+    pub shards: Option<usize>,
+    /// Observability probes to install (in every shard replica); `None` = off.
+    pub probes: Option<ProbeConfig>,
 }
 
-/// Run the per-job protocol an installed spec implies: the trace protocol for
-/// churn specs, the steady-state workload protocol otherwise.
-fn run_jobs_with<R: RoutingAlgorithm>(
-    sim: &mut Simulation<R>,
-    spec: &ExperimentSpec,
-) -> WorkloadReport {
-    if sim.network().schedule().is_some() {
-        sim.run_trace(spec.measure, spec.drain)
-    } else {
-        sim.run_steady_state_workload(spec.warmup, spec.measure, spec.drain)
-    }
+/// A run protocol, typed by the report it produces.
+pub trait Protocol: Copy + Sync {
+    /// The protocol's report.
+    type Report: Send;
+
+    /// Panic if the protocol cannot run `spec` (called before any engine is
+    /// built).  The default accepts every spec.
+    fn check(self, _spec: &ExperimentSpec) {}
+
+    /// Run the protocol for `spec` on a fully installed engine.
+    fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> Self::Report;
+
+    /// The machine-wide steady-state half of a report, if it has one (the
+    /// source of a run manifest's peak telemetry).
+    fn aggregate(report: &Self::Report) -> Option<&SimReport>;
 }
 
-/// Build the sharded simulation for a spec, installing any workload or churn
-/// schedule into every shard replica (the sharded sibling of
-/// [`build_with_routing`]).
-fn build_sharded_with_routing<R: RoutingAlgorithm + Clone>(
-    spec: &ExperimentSpec,
-    routing: R,
-    shards: usize,
-) -> dragonfly_shard::ShardedSimulation<R> {
-    use dragonfly_shard::{ShardPlan, ShardedSimulation};
-    let config = spec.sim_config();
-    let params = config.params;
-    let plan = ShardPlan::new(shards);
-    if let Some(workload) = spec.traffic.workload() {
-        let mut sim = ShardedSimulation::new(config, plan, routing, || Box::new(Uniform::new()));
-        sim.install_workload(workload);
-        sim
-    } else if let Some(trace) = spec.traffic.churn() {
-        let mut sim = ShardedSimulation::new(config, plan, routing, || Box::new(Uniform::new()));
-        sim.install_schedule(trace);
-        sim
-    } else {
-        ShardedSimulation::new(config, plan, routing, || spec.traffic.build(&params))
-    }
-}
+/// The steady-state protocol: warm-up, measurement window, drain.  For
+/// workload or churn traffic, the aggregate half of [`Jobs`].
+#[derive(Debug, Clone, Copy)]
+pub struct Steady;
 
-/// Visitor running the steady-state protocol on the sharded engine.
-struct ShardedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    shards: usize,
-}
+impl Protocol for Steady {
+    type Report = SimReport;
 
-impl RoutingVisitor for ShardedSteadyRun<'_> {
-    type Output = SimReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> SimReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
+    fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> SimReport {
         if spec.traffic.has_jobs() {
-            run_sharded_jobs_with(&mut sim, spec).aggregate
+            Jobs.run_on(spec, sim).aggregate
         } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
+            protocol::run_steady_state(
+                sim,
+                spec.offered_load,
+                spec.warmup,
+                spec.measure,
+                spec.drain,
+            )
+        }
+    }
+
+    fn aggregate(report: &SimReport) -> Option<&SimReport> {
+        Some(report)
+    }
+}
+
+/// The per-job protocol a spec's traffic implies: the trace protocol for
+/// [`TrafficKind::Churn`] (jobs arrive, wait, run and depart; reports carry
+/// lifecycle columns), the steady-state workload protocol for
+/// [`TrafficKind::Workload`].
+#[derive(Debug, Clone, Copy)]
+pub struct Jobs;
+
+impl Protocol for Jobs {
+    type Report = WorkloadReport;
+
+    fn check(self, spec: &ExperimentSpec) {
+        assert!(
+            spec.traffic.has_jobs(),
+            "a Jobs run requires TrafficKind::Workload or TrafficKind::Churn traffic"
+        );
+    }
+
+    fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> WorkloadReport {
+        if spec.traffic.churn().is_some() {
+            protocol::run_trace(sim, spec.measure, spec.drain)
+        } else {
+            protocol::run_steady_state_workload(sim, spec.warmup, spec.measure, spec.drain)
+        }
+    }
+
+    fn aggregate(report: &WorkloadReport) -> Option<&SimReport> {
+        Some(&report.aggregate)
+    }
+}
+
+/// The burst-consumption protocol: every node sends `packets_per_node`
+/// packets and the run lasts until all are delivered or `max_cycles` pass.
+#[derive(Debug, Clone, Copy)]
+pub struct Batch {
+    /// Packets preloaded into every node's source queue.
+    pub packets_per_node: u64,
+    /// Safety limit on the consumption time.
+    pub max_cycles: u64,
+}
+
+impl Protocol for Batch {
+    type Report = BatchReport;
+
+    fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> BatchReport {
+        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
+        protocol::run_batch(sim, burst, self.max_cycles)
+    }
+
+    fn aggregate(_: &BatchReport) -> Option<&SimReport> {
+        None
+    }
+}
+
+/// The one visitor behind [`ExperimentSpec::run_with`]: build the sequential
+/// or sharded engine over the concrete mechanism, install jobs and probes, run
+/// the protocol, collect the recorder.
+struct Run<'a, P> {
+    spec: &'a ExperimentSpec,
+    protocol: P,
+    options: &'a RunOptions,
+}
+
+impl<P: Protocol> RoutingVisitor for Run<'_, P> {
+    type Output = (P::Report, Option<Box<ProbeRecorder>>);
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
+        let spec = self.spec;
+        let config = spec.sim_config();
+        let params = config.params;
+        let traffic = || spec.construction_traffic(&params);
+        match self.options.shards {
+            None => self.run_on(Simulation::with_routing(config, routing, traffic())),
+            Some(shards) => {
+                let plan = ShardPlan::new(shards);
+                self.run_on(ShardedSimulation::new(config, plan, routing, traffic))
+            }
         }
     }
 }
 
-/// Visitor running a workload or churn run on the sharded engine.
-struct ShardedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    shards: usize,
-}
-
-impl RoutingVisitor for ShardedWorkloadRun<'_> {
-    type Output = WorkloadReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> WorkloadReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        run_sharded_jobs_with(&mut sim, spec)
-    }
-}
-
-/// Run the per-job protocol a sharded spec implies (the sharded sibling of
-/// [`run_jobs_with`]).
-fn run_sharded_jobs_with<R: RoutingAlgorithm + Clone>(
-    sim: &mut dragonfly_shard::ShardedSimulation<R>,
-    spec: &ExperimentSpec,
-) -> WorkloadReport {
-    if spec.traffic.churn().is_some() {
-        sim.run_trace(spec.measure, spec.drain)
-    } else {
-        sim.run_steady_state_workload(spec.warmup, spec.measure, spec.drain)
-    }
-}
-
-/// Visitor running the burst-consumption protocol on the sharded engine.
-struct ShardedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    shards: usize,
-}
-
-impl RoutingVisitor for ShardedBatchRun<'_> {
-    type Output = BatchReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> BatchReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        sim.run_batch(burst, self.max_cycles)
-    }
-}
-
-/// Visitor running the steady-state protocol with probes installed.
-struct ProbedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedSteadyRun<'_> {
-    type Output = (SimReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let report = if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
-        };
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the steady-state protocol on the sharded engine with probes
-/// installed in every replica.
-struct ProbedShardedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedSteadyRun<'_> {
-    type Output = (SimReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let report = if spec.traffic.has_jobs() {
-            run_sharded_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
-        };
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running a workload or churn experiment with probes installed.
-struct ProbedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedWorkloadRun<'_> {
-    type Output = (WorkloadReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let report = run_jobs_with(&mut sim, spec);
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running a workload or churn experiment on the sharded engine with
-/// probes installed in every replica.
-struct ProbedShardedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedWorkloadRun<'_> {
-    type Output = (WorkloadReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let report = run_sharded_jobs_with(&mut sim, spec);
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the burst-consumption protocol with probes installed.
-struct ProbedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedBatchRun<'_> {
-    type Output = (BatchReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        let report = sim.run_batch(burst, self.max_cycles);
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the burst-consumption protocol on the sharded engine with
-/// probes installed in every replica.
-struct ProbedShardedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedBatchRun<'_> {
-    type Output = (BatchReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        let report = sim.run_batch(burst, self.max_cycles);
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the steady-state protocol on a monomorphized simulation.
-struct SteadyStateRun<'a>(&'a ExperimentSpec);
-
-impl RoutingVisitor for SteadyStateRun<'_> {
-    type Output = SimReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> SimReport {
-        let spec = self.0;
-        let mut sim = build_with_routing(spec, routing);
-        if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
+impl<P: Protocol> Run<'_, P> {
+    fn run_on<H: EngineHost>(self, mut sim: H) -> (P::Report, Option<Box<ProbeRecorder>>) {
+        self.spec.install_jobs(&mut sim);
+        if let Some(probes) = &self.options.probes {
+            sim.install_probes(probes.clone());
         }
-    }
-}
-
-/// Visitor running a workload or churn run on a monomorphized simulation.
-struct WorkloadRun<'a>(&'a ExperimentSpec);
-
-impl RoutingVisitor for WorkloadRun<'_> {
-    type Output = WorkloadReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> WorkloadReport {
-        let spec = self.0;
-        let mut sim = build_with_routing(spec, routing);
-        run_jobs_with(&mut sim, spec)
-    }
-}
-
-/// Visitor running the burst-consumption protocol on a monomorphized simulation.
-struct BatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-}
-
-impl RoutingVisitor for BatchRun<'_> {
-    type Output = BatchReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> BatchReport {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        sim.run_batch(burst, self.max_cycles)
+        let report = self.protocol.run_on(self.spec, &mut sim);
+        (report, sim.collect_probe())
     }
 }
 
@@ -1080,9 +754,8 @@ mod tests {
         assert_eq!(b.arrival_cycle, 700);
         assert_eq!(b.placed_cycle, Some(700));
         // Static and dyn paths agree, and run() returns the same aggregate.
-        assert_eq!(spec.run_workload_dyn(), report);
+        assert_eq!(Jobs.run_on(&spec, &mut spec.build_simulation()), report);
         assert_eq!(spec.run(), report.aggregate);
-        assert_eq!(spec.run_dyn(), report.aggregate);
     }
 
     #[test]
@@ -1092,6 +765,27 @@ mod tests {
         spec.traffic = TrafficKind::AdversarialGlobal(1);
         spec.offered_load = 0.25;
         assert_eq!(spec.label(), "OLM VCT ADVG+1 @0.25");
+    }
+
+    fn probed(shards: Option<usize>, probes: ProbeConfig) -> RunOptions {
+        RunOptions {
+            shards,
+            probes: Some(probes),
+        }
+    }
+
+    #[test]
+    fn unprobed_runs_return_no_recorder() {
+        let mut spec = ExperimentSpec::new(2);
+        spec.warmup = 100;
+        spec.measure = 200;
+        spec.drain = 200;
+        assert!(spec.run_with(Steady, &RunOptions::default()).1.is_none());
+        let sharded = RunOptions {
+            shards: Some(2),
+            probes: None,
+        };
+        assert!(spec.run_with(Steady, &sharded).1.is_none());
     }
 
     #[test]
@@ -1106,11 +800,14 @@ mod tests {
         spec.seed = 23;
 
         let plain = spec.run();
-        let (probed_report, probe) = spec.run_probed(ProbeConfig::full(32));
+        let (probed_report, probe) = spec.run_with(Steady, &probed(None, ProbeConfig::full(32)));
+        let probe = probe.unwrap();
         assert_eq!(probed_report, plain, "probes must not perturb the run");
         assert!(probe.samples() > 0);
 
-        let (sharded_report, sharded_probe) = spec.run_probed_sharded(ProbeConfig::full(32), 3);
+        let (sharded_report, sharded_probe) =
+            spec.run_with(Steady, &probed(Some(3), ProbeConfig::full(32)));
+        let sharded_probe = sharded_probe.unwrap();
         assert_eq!(sharded_report, plain);
         assert_eq!(sharded_probe.samples(), probe.samples());
         assert_eq!(
@@ -1130,13 +827,15 @@ mod tests {
         spec.measure = 600;
         spec.drain = 900;
         let plain = spec.run_workload();
-        let (report, probe) = spec.run_workload_probed(ProbeConfig::default());
+        let (report, probe) = spec.run_with(Jobs, &probed(None, ProbeConfig::default()));
+        let probe = probe.unwrap();
         assert_eq!(report, plain);
         assert!(probe.samples() > 0);
-        let (sharded, sharded_probe) = spec.run_workload_probed_sharded(ProbeConfig::default(), 3);
+        let (sharded, sharded_probe) =
+            spec.run_with(Jobs, &probed(Some(3), ProbeConfig::default()));
         assert_eq!(sharded, plain);
         assert_eq!(
-            sharded_probe.series().delivered.samples(),
+            sharded_probe.unwrap().series().delivered.samples(),
             probe.series().delivered.samples()
         );
     }

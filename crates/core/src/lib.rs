@@ -3,15 +3,13 @@
 //! This crate glues the topology, simulator, routing mechanisms and traffic patterns
 //! into the experiment protocols of the paper:
 //!
-//! * [`ExperimentSpec`] / [`ExperimentBuilder`] — one steady-state or burst run,
+//! * [`ExperimentSpec`] / [`ExperimentBuilder`] — one run: a [`Protocol`]
+//!   ([`Steady`], [`Jobs`], [`Batch`]) under [`RunOptions`] (shards, probes),
 //! * [`sweep`] — the load, threshold, traffic-mix and workload-interference sweeps
 //!   behind each figure,
 //! * [`runner`] — [`SweepRunner`], the orchestration layer every figure/workload
 //!   binary routes its sweep through: worker pool, deterministic ordering,
 //!   progress/ETA reporting and a sequential escape hatch,
-//! * [`parallel`] — the underlying work-stealing executor that runs independent
-//!   simulations on scoped threads (each simulation itself stays single-threaded and
-//!   deterministic),
 //! * [`csv`] — small CSV emission helpers used by the figure binaries.
 //!
 //! ```
@@ -31,13 +29,15 @@
 
 pub mod csv;
 pub mod experiment;
-pub mod parallel;
+mod parallel;
 pub mod runner;
 pub mod sweep;
 
 pub use csv::CsvWriter;
-pub use experiment::{ExperimentBuilder, ExperimentSpec, FlowControlKind, TrafficKind};
-pub use parallel::{run_batches_parallel, run_parallel, run_workloads_parallel};
+pub use experiment::{
+    Batch, ExperimentBuilder, ExperimentSpec, FlowControlKind, Jobs, Protocol, RunOptions, Steady,
+    TrafficKind,
+};
 pub use runner::{effective_jobs, SweepRunner};
 pub use sweep::{
     churn_sweep, interference_sweep, load_sweep, mix_sweep, threshold_sweep, ChurnSweep,

@@ -1,32 +1,21 @@
 //! Parallel execution of independent simulations.
 //!
-//! Each simulation is single-threaded and deterministic; a sweep of tens of points is
-//! embarrassingly parallel.  The executor uses scoped threads pulling job indices from
-//! a shared atomic counter (a lock-free work queue over `0..jobs`), with a mutex-guarded
-//! result buffer and a progress callback invoked after every finished run.
+//! Each simulation is deterministic; a sweep of tens of points is embarrassingly
+//! parallel.  The executor uses scoped threads pulling job indices from a shared
+//! atomic counter (a lock-free work queue over `0..jobs`), with a mutex-guarded
+//! result buffer.
 
-use crate::experiment::ExperimentSpec;
-use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of worker threads to use when the caller passes `None`.
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
-/// Run `jobs` independent work items on scoped threads, preserving index order.
-/// Shared by the `run_*_parallel` entry points and [`crate::SweepRunner`].
-pub(crate) fn run_indexed<T, F>(jobs: usize, threads: Option<usize>, work: F) -> Vec<T>
+/// Run `jobs` independent work items on up to `threads` scoped threads,
+/// preserving index order (the executor under [`crate::SweepRunner`]).
+pub(crate) fn run_indexed<T, F>(jobs: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads
-        .unwrap_or_else(default_threads)
-        .clamp(1, jobs.max(1));
+    let threads = threads.clamp(1, jobs.max(1));
     let next_job = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..jobs).map(|_| None).collect());
 
@@ -54,158 +43,31 @@ where
         .collect()
 }
 
-/// Run `total` work items through [`run_indexed`], invoking `progress` with
-/// `(finished, total)` under a shared counter after each one.  The single body
-/// behind every `run_*_parallel` entry point.
-fn run_with_progress<T, F>(
-    total: usize,
-    threads: Option<usize>,
-    progress: impl Fn(usize, usize) + Sync,
-    work: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let done = Mutex::new(0usize);
-    run_indexed(total, threads, |i| {
-        let value = work(i);
-        let mut d = done.lock().expect("progress counter poisoned");
-        *d += 1;
-        progress(*d, total);
-        value
-    })
-}
-
-/// Run every steady-state specification, possibly in parallel, preserving order.
-///
-/// `threads = None` uses all available hardware threads.  `progress` is called after
-/// each finished run with `(finished, total)`.
-pub fn run_parallel(
-    specs: &[ExperimentSpec],
-    threads: Option<usize>,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<SimReport> {
-    run_with_progress(specs.len(), threads, progress, |i| specs[i].run())
-}
-
-/// Run every workload specification, possibly in parallel, preserving order and
-/// returning the full per-job/per-phase breakdowns.
-///
-/// The workload-aware sibling of [`run_parallel`]: each spec must carry
-/// [`crate::TrafficKind::Workload`] traffic (see [`ExperimentSpec::run_workload`]).
-pub fn run_workloads_parallel(
-    specs: &[ExperimentSpec],
-    threads: Option<usize>,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<WorkloadReport> {
-    run_with_progress(specs.len(), threads, progress, |i| specs[i].run_workload())
-}
-
-/// Run every specification in burst-consumption mode, possibly in parallel,
-/// preserving order.
-pub fn run_batches_parallel(
-    specs: &[ExperimentSpec],
-    packets_per_node: u64,
-    max_cycles: u64,
-    threads: Option<usize>,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<BatchReport> {
-    run_with_progress(specs.len(), threads, progress, |i| {
-        specs[i].run_batch(packets_per_node, max_cycles)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::TrafficKind;
-    use dragonfly_routing::RoutingKind;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn quick_spec(routing: RoutingKind, load: f64, seed: u64) -> ExperimentSpec {
-        let mut spec = ExperimentSpec::new(2);
-        spec.routing = routing;
-        spec.traffic = TrafficKind::Uniform;
-        spec.offered_load = load;
-        spec.warmup = 500;
-        spec.measure = 800;
-        spec.drain = 800;
-        spec.seed = seed;
-        spec
+    #[test]
+    fn results_come_back_in_index_order_for_any_thread_count() {
+        for threads in [0, 1, 3, 64] {
+            let out = run_indexed(17, threads, |i| i * i);
+            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
     }
 
     #[test]
-    fn parallel_preserves_order_and_counts_progress() {
-        let specs = vec![
-            quick_spec(RoutingKind::Minimal, 0.05, 1),
-            quick_spec(RoutingKind::Olm, 0.1, 2),
-            quick_spec(RoutingKind::Rlm, 0.15, 3),
-        ];
+    fn every_job_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let reports = run_parallel(&specs, Some(2), |_, total| {
-            assert_eq!(total, 3);
+        let out = run_indexed(40, 4, |i| {
             calls.fetch_add(1, Ordering::SeqCst);
+            i
         });
-        assert_eq!(reports.len(), 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!(reports[0].routing, "Minimal");
-        assert_eq!(reports[1].routing, "OLM");
-        assert_eq!(reports[2].routing, "RLM");
-        assert!((reports[2].offered_load - 0.15).abs() < 1e-12);
+        assert_eq!(out.len(), 40);
+        assert_eq!(calls.load(Ordering::SeqCst), 40);
     }
 
     #[test]
-    fn parallel_matches_sequential_results() {
-        // Determinism: the same spec run in parallel or alone yields identical numbers.
-        let spec = quick_spec(RoutingKind::Rlm, 0.2, 9);
-        let alone = spec.run();
-        let parallel = run_parallel(&vec![spec.clone(); 3], Some(3), |_, _| {});
-        for report in &parallel {
-            assert_eq!(report.packets_delivered, alone.packets_delivered);
-            assert!((report.accepted_load - alone.accepted_load).abs() < 1e-12);
-            assert!((report.avg_latency_cycles - alone.avg_latency_cycles).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn single_thread_fallback_works() {
-        let specs = vec![quick_spec(RoutingKind::Minimal, 0.05, 4)];
-        let reports = run_parallel(&specs, Some(1), |_, _| {});
-        assert_eq!(reports.len(), 1);
-    }
-
-    #[test]
-    fn workload_parallel_returns_breakdowns_in_order() {
-        use dragonfly_workload::WorkloadSpec;
-        let workload = WorkloadSpec::interference(72, 1, 0.3, 0.1);
-        let specs: Vec<ExperimentSpec> = [RoutingKind::Minimal, RoutingKind::Olm]
-            .into_iter()
-            .map(|routing| {
-                let mut spec = quick_spec(routing, 0.0, 5);
-                spec.traffic = TrafficKind::Workload(workload.clone());
-                spec
-            })
-            .collect();
-        let reports = run_workloads_parallel(&specs, Some(2), |_, _| {});
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].aggregate.routing, "Minimal");
-        assert_eq!(reports[1].aggregate.routing, "OLM");
-        // Parallel execution matches a plain sequential call, per spec.
-        assert_eq!(reports[1], specs[1].run_workload());
-    }
-
-    #[test]
-    fn batch_parallel_runs() {
-        let specs = vec![
-            quick_spec(RoutingKind::Olm, 1.0, 5),
-            quick_spec(RoutingKind::Rlm, 1.0, 6),
-        ];
-        let reports = run_batches_parallel(&specs, 2, 100_000, Some(2), |_, _| {});
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert!(!r.timed_out);
-            assert_eq!(r.packets_total, r.packets_delivered);
-        }
+    fn empty_job_list_is_fine() {
+        assert!(run_indexed(0, 2, |i| i).is_empty());
     }
 }

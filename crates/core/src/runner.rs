@@ -2,7 +2,8 @@
 //!
 //! A [`SweepRunner`] takes any list of [`ExperimentSpec`] points — a load sweep, a
 //! mechanism × pattern grid, a placement × aggressor-load workload grid — and
-//! executes them through the scoped-thread executor of [`crate::parallel`] with
+//! executes them on scoped worker threads pulling point indices from a shared
+//! counter, with
 //!
 //! * a configurable worker count ([`SweepRunner::jobs`], `None` = all cores),
 //! * a `--sequential` escape hatch that runs the same points in a plain in-order
@@ -14,9 +15,14 @@
 //!   dedicated collector thread fed by a channel, so reporting never contends
 //!   with the workers beyond two `send`s per point.
 //!
-//! Every simulation point is single-threaded and deterministic, so the parallel
-//! and sequential paths produce byte-identical reports for the same specs (pinned
-//! by `tests/sweep_equivalence.rs`).
+//! Every simulation point is deterministic, so the parallel and sequential paths
+//! produce byte-identical reports for the same specs (pinned by
+//! `tests/sweep_equivalence.rs`).
+//!
+//! [`SweepRunner::run_steady`], [`SweepRunner::run_workloads`] and
+//! [`SweepRunner::run_batches`] are the report-typed shorthands;
+//! [`SweepRunner::run_with`] takes the protocol and the [`RunOptions`] (shards,
+//! probes) explicitly.
 //!
 //! ```
 //! use dragonfly_core::{ExperimentSpec, SweepRunner};
@@ -31,9 +37,9 @@
 //! assert_eq!(reports[0], reports[1]);
 //! ```
 
-use crate::experiment::ExperimentSpec;
+use crate::experiment::{Batch, ExperimentSpec, Jobs, Protocol, RunOptions, Steady};
 use crate::parallel;
-use dragonfly_probe::{ProbeConfig, ProbeRecorder};
+use dragonfly_probe::ProbeRecorder;
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -45,8 +51,6 @@ pub struct SweepRunner {
     label: String,
     /// Worker-thread count; `None` uses every hardware thread.
     jobs: Option<usize>,
-    /// Shards per simulation point (1 = the sequential engine).
-    shards: usize,
     /// Run the points in a plain in-order loop on the calling thread.
     sequential: bool,
     /// Emit the progress/ETA line on stderr.
@@ -73,7 +77,6 @@ impl SweepRunner {
         Self {
             label: label.into(),
             jobs: None,
-            shards: 1,
             sequential: false,
             progress: true,
         }
@@ -82,17 +85,6 @@ impl SweepRunner {
     /// Set the worker-thread count (`None` = all hardware threads).
     pub fn jobs(mut self, jobs: Option<usize>) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Shard every simulation point across `shards` threads (the sharded
-    /// engine, see `dragonfly_shard`).  Reports are byte-identical to the
-    /// unsharded run; with `shards > 1` the sweep's worker count is capped so
-    /// that `workers × shards` never exceeds the available cores (a note is
-    /// printed when the cap bites).
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "a sweep point needs at least one shard");
-        self.shards = shards;
         self
     }
 
@@ -110,15 +102,8 @@ impl SweepRunner {
     }
 
     /// Run every steady-state point (see [`ExperimentSpec::run`]), in spec order.
-    /// With [`SweepRunner::shards`] > 1 each point runs on the sharded engine
-    /// ([`ExperimentSpec::run_sharded`]) with byte-identical reports.
     pub fn run_steady(&self, specs: &[ExperimentSpec]) -> Vec<SimReport> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| specs[i].run_sharded(self.shards))
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run())
-        }
+        self.reports(specs, Steady)
     }
 
     /// Run every workload or churn point (see [`ExperimentSpec::run_workload`]),
@@ -129,67 +114,7 @@ impl SweepRunner {
     /// Panics when any spec's traffic is neither [`crate::TrafficKind::Workload`]
     /// nor [`crate::TrafficKind::Churn`].
     pub fn run_workloads(&self, specs: &[ExperimentSpec]) -> Vec<WorkloadReport> {
-        assert!(
-            specs.iter().all(|s| s.traffic.has_jobs()),
-            "run_workloads requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic on every spec"
-        );
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_sharded(self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run_workload())
-        }
-    }
-
-    /// Run every steady-state point with observability probes installed (see
-    /// [`ExperimentSpec::run_probed`]), in spec order, returning each point's
-    /// recorder alongside its report.  Probes are read-only: the reports are
-    /// byte-identical to [`SweepRunner::run_steady`].
-    pub fn run_steady_probed(
-        &self,
-        specs: &[ExperimentSpec],
-        probes: &ProbeConfig,
-    ) -> Vec<(SimReport, ProbeRecorder)> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_probed_sharded(probes.clone(), self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run_probed(probes.clone()))
-        }
-    }
-
-    /// Run every workload or churn point with probes installed (see
-    /// [`ExperimentSpec::run_workload_probed`]), in spec order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any spec's traffic is neither [`crate::TrafficKind::Workload`]
-    /// nor [`crate::TrafficKind::Churn`].
-    pub fn run_workloads_probed(
-        &self,
-        specs: &[ExperimentSpec],
-        probes: &ProbeConfig,
-    ) -> Vec<(WorkloadReport, ProbeRecorder)> {
-        assert!(
-            specs.iter().all(|s| s.traffic.has_jobs()),
-            "run_workloads_probed requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic on every spec"
-        );
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_probed_sharded(probes.clone(), self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_probed(probes.clone())
-            })
-        }
+        self.reports(specs, Jobs)
     }
 
     /// Run every point in burst-consumption mode (see [`ExperimentSpec::run_batch`]),
@@ -200,52 +125,57 @@ impl SweepRunner {
         packets_per_node: u64,
         max_cycles: u64,
     ) -> Vec<BatchReport> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_sharded(packets_per_node, max_cycles, self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch(packets_per_node, max_cycles)
-            })
-        }
+        let batch = Batch {
+            packets_per_node,
+            max_cycles,
+        };
+        self.reports(specs, batch)
     }
 
-    /// Run every point in burst-consumption mode with probes installed (see
-    /// [`ExperimentSpec::run_batch_probed`]), in spec order.  Probes are
-    /// read-only: the reports are byte-identical to
-    /// [`SweepRunner::run_batches`].
-    pub fn run_batches_probed(
+    /// Run every point under `protocol` and `options` (see
+    /// [`ExperimentSpec::run_with`]), in spec order, returning each point's
+    /// report and — with [`RunOptions::probes`] — its recorder.  Neither
+    /// option changes a report.  With [`RunOptions::shards`] > 1 the sweep's
+    /// worker count is capped so that `workers × shards` never exceeds the
+    /// available cores (a note is printed when the cap bites).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `protocol` is [`Jobs`] and any spec's traffic is neither
+    /// [`crate::TrafficKind::Workload`] nor [`crate::TrafficKind::Churn`]
+    /// (checked up front, before any point runs).
+    pub fn run_with<P: Protocol>(
         &self,
         specs: &[ExperimentSpec],
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: &ProbeConfig,
-    ) -> Vec<(BatchReport, ProbeRecorder)> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_probed_sharded(
-                    packets_per_node,
-                    max_cycles,
-                    probes.clone(),
-                    self.shards,
-                )
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_probed(packets_per_node, max_cycles, probes.clone())
-            })
+        protocol: P,
+        options: &RunOptions,
+    ) -> Vec<(P::Report, Option<Box<ProbeRecorder>>)> {
+        for spec in specs {
+            protocol.check(spec);
         }
+        self.execute(
+            specs.len(),
+            options.shards.unwrap_or(1),
+            |i| specs[i].label(),
+            |i| specs[i].run_with(protocol, options),
+        )
     }
 
-    /// Execute `total` independent points, preserving index order.
+    /// [`SweepRunner::run_with`] under the default options, reports only.
+    fn reports<P: Protocol>(&self, specs: &[ExperimentSpec], protocol: P) -> Vec<P::Report> {
+        self.run_with(specs, protocol, &RunOptions::default())
+            .into_iter()
+            .map(|(report, _)| report)
+            .collect()
+    }
+
+    /// Execute `total` independent points of `shards` threads each, preserving
+    /// index order.
     ///
     /// The collector thread owns the progress state; workers (or the sequential
     /// loop) send one message when a point starts (carrying its label, so the
     /// line can show what is currently running) and one when it finishes.
-    fn execute<T, L, F>(&self, total: usize, point_label: L, work: F) -> Vec<T>
+    fn execute<T, L, F>(&self, total: usize, shards: usize, point_label: L, work: F) -> Vec<T>
     where
         T: Send,
         L: Fn(usize) -> String + Sync,
@@ -287,15 +217,15 @@ impl SweepRunner {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4);
-            let workers = effective_jobs(self.jobs, self.shards, cores);
-            if self.progress && self.shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
+            let workers = effective_jobs(self.jobs, shards, cores);
+            if self.progress && shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
                 eprintln!(
-                    "  {}: capping sweep workers to {workers} ({} shards/point on \
+                    "  {}: capping sweep workers to {workers} ({shards} shards/point on \
                      {cores} cores)",
-                    self.label, self.shards
+                    self.label
                 );
             }
-            parallel::run_indexed(total, Some(workers), |i| {
+            parallel::run_indexed(total, workers, |i| {
                 notify_start(i);
                 let value = work(i);
                 notify();
@@ -484,8 +414,39 @@ mod tests {
             quick_spec(RoutingKind::Olm, 0.2, 2),
         ];
         let plain = SweepRunner::new("t").quiet().run_steady(&specs);
-        let sharded = SweepRunner::new("t").quiet().shards(3).run_steady(&specs);
+        let options = RunOptions {
+            shards: Some(3),
+            probes: None,
+        };
+        let sharded = SweepRunner::new("t")
+            .quiet()
+            .run_with(&specs, Steady, &options);
+        assert!(sharded.iter().all(|(_, probe)| probe.is_none()));
+        let sharded: Vec<SimReport> = sharded.into_iter().map(|(report, _)| report).collect();
         assert_eq!(plain, sharded);
+    }
+
+    #[test]
+    fn probed_sweep_returns_each_points_recorder_in_spec_order() {
+        let specs = vec![
+            quick_spec(RoutingKind::Minimal, 0.1, 1),
+            quick_spec(RoutingKind::Olm, 0.3, 2),
+        ];
+        let options = RunOptions {
+            shards: None,
+            probes: Some(dragonfly_probe::ProbeConfig::default()),
+        };
+        let probed = SweepRunner::new("t")
+            .quiet()
+            .run_with(&specs, Steady, &options);
+        for (spec, (report, probe)) in specs.iter().zip(&probed) {
+            let (expected, recorder) = spec.run_with(Steady, &options);
+            assert_eq!(report, &expected);
+            assert_eq!(
+                probe.as_ref().unwrap().series().injected.samples(),
+                recorder.unwrap().series().injected.samples()
+            );
+        }
     }
 
     #[test]

@@ -65,18 +65,18 @@
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_sim::{
-    job_report, phase_report, sim_report, span_overlap, CreditInFlight, LinkEnd, Network, Packet,
-    PacketId, PhaseIdentity, PhitInFlight, RoutingAlgorithm, SimConfig, SimRunIdentity,
-    StatsCollector,
+    protocol, CreditInFlight, Engine, EngineHost, LinkEnd, Network, Packet, PacketId, PhitInFlight,
+    RoutingAlgorithm, SimConfig, StatsCollector,
 };
-use dragonfly_stats::{BatchReport, JobLifecycleReport, SimReport, WorkloadReport};
+use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
 use dragonfly_workload::WorkloadSpec;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// How to partition one simulation across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,10 +161,10 @@ enum Cmd {
     SetInjection(Option<BernoulliInjection>),
     /// Set whether newly generated packets are latency-tagged.
     TagMeasured(bool),
-    /// Open the measurement window at the given cycle.
-    BeginMeasurement(u64),
-    /// Close the measurement window at the given cycle.
-    EndMeasurement(u64),
+    /// Open the measurement window at the current cycle.
+    BeginMeasurement,
+    /// Close the measurement window at the current cycle.
+    EndMeasurement,
     /// Preload every owned source queue with a burst.
     PreloadBurst(u64),
     /// Halt the schedule replicas (drain phase of the trace protocol).
@@ -207,13 +207,16 @@ impl Conductor {
     }
 }
 
-/// Orchestrator-side handle over a running worker set.
-struct Driver<'a> {
-    c: &'a Conductor,
-    shards: usize,
+/// Orchestrator-side handle over a running worker set: the sharded
+/// [`Engine`], executing every control call by broadcasting it to the workers
+/// and answering every read from the flags and counters they publish.
+pub struct Driver {
+    c: Arc<Conductor>,
+    /// Cycles stepped so far (every shard's `net.cycle`, tracked locally).
+    cycle: u64,
 }
 
-impl Driver<'_> {
+impl Driver {
     /// Broadcast one command and wait for every worker to finish it.
     fn dispatch(&self, cmd: Cmd) {
         *self.c.cmd.lock().unwrap() = cmd;
@@ -221,46 +224,74 @@ impl Driver<'_> {
         self.c.outer.wait();
     }
 
-    fn step(&self) {
+    fn sum(&self, counter: impl Fn(&ShardSlot) -> &AtomicU64) -> u64 {
+        self.c
+            .slots
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl Engine for Driver {
+    fn step(&mut self) {
         self.dispatch(Cmd::Step);
+        self.cycle += 1;
     }
 
-    fn run(&self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
+    fn set_injection(&mut self, injection: Option<BernoulliInjection>) {
+        self.dispatch(Cmd::SetInjection(injection));
     }
 
-    fn total_generated(&self) -> u64 {
-        self.c
-            .slots
-            .iter()
-            .map(|s| s.generated.load(Ordering::Relaxed))
-            .sum()
+    fn set_tag_measured(&mut self, tag: bool) {
+        self.dispatch(Cmd::TagMeasured(tag));
     }
 
-    fn total_delivered(&self) -> u64 {
-        self.c
-            .slots
-            .iter()
-            .map(|s| s.delivered.load(Ordering::Relaxed))
-            .sum()
+    fn begin_measurement(&mut self) {
+        self.dispatch(Cmd::BeginMeasurement);
     }
 
-    fn deadlock(&self) -> bool {
+    fn end_measurement(&mut self) {
+        self.dispatch(Cmd::EndMeasurement);
+    }
+
+    fn preload_burst(&mut self, packets_per_node: u64) {
+        self.dispatch(Cmd::PreloadBurst(packets_per_node));
+    }
+
+    fn halt_schedule(&mut self) {
+        self.dispatch(Cmd::HaltSched);
+    }
+
+    fn drop_workload(&mut self) {
+        self.dispatch(Cmd::DropWorkload);
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn generated(&self) -> u64 {
+        self.sum(|s| &s.generated)
+    }
+
+    fn delivered(&self) -> u64 {
+        self.sum(|s| &s.delivered)
+    }
+
+    fn deadlocked(&self) -> bool {
         // The watchdog verdict is identical on every shard by construction.
         self.c.slots[0].deadlock.load(Ordering::Relaxed)
     }
 
-    fn all_drained(&self) -> bool {
+    fn drained(&self) -> bool {
         self.c
             .slots
             .iter()
-            .take(self.shards)
             .all(|s| s.drained.load(Ordering::Relaxed))
     }
 
-    fn all_complete(&self) -> bool {
+    fn schedule_complete(&self) -> bool {
         // Schedule replicas are in lockstep; shard 0 speaks for all of them.
         self.c.slots[0].all_complete.load(Ordering::Relaxed)
     }
@@ -431,18 +462,11 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 Cmd::Step => self.step(c),
                 Cmd::SetInjection(injection) => self.net.set_injection(injection),
                 Cmd::TagMeasured(tag) => self.net.tag_measured = tag,
-                Cmd::BeginMeasurement(cycle) => self.net.stats.begin_measurement(cycle),
-                Cmd::EndMeasurement(cycle) => self.net.stats.end_measurement(cycle),
+                Cmd::BeginMeasurement => self.net.begin_measurement(),
+                Cmd::EndMeasurement => self.net.end_measurement(),
                 Cmd::PreloadBurst(packets) => self.net.preload_burst(packets),
-                Cmd::HaltSched => {
-                    if let Some(sched) = self.net.schedule_mut() {
-                        sched.halt();
-                    }
-                }
-                Cmd::DropWorkload => {
-                    let _ = self.net.take_workload();
-                    self.net.set_injection(None);
-                }
+                Cmd::HaltSched => self.net.halt_schedule(),
+                Cmd::DropWorkload => self.net.drop_workload(),
                 Cmd::Exit => {
                     c.outer.wait();
                     return;
@@ -474,14 +498,14 @@ impl<R: RoutingAlgorithm> Shard<R> {
 /// A [`Simulation`](dragonfly_sim::Simulation) partitioned into per-group
 /// shards that step concurrently, producing byte-identical reports.
 ///
-/// The run protocols mirror the sequential engine's exactly —
-/// `run_steady_state`, `run_steady_state_workload`, `run_trace` and
-/// `run_batch` — and for the same configuration and seed return the very same
+/// The run protocols *are* the sequential engine's — `run_steady_state`,
+/// `run_steady_state_workload`, `run_trace` and `run_batch` delegate to the
+/// shared functions of [`dragonfly_sim::protocol`], driven through the
+/// [`Driver`] — and for the same configuration and seed return the very same
 /// bytes.  The routing mechanism must be `Clone` so that every shard can hold
 /// its own (stateless) instance.
 pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
     shards: Vec<Shard<R>>,
-    params: DragonflyParams,
     packet_size: usize,
     cycle: u64,
 }
@@ -554,7 +578,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
             .collect();
         Self {
             shards,
-            params,
             packet_size,
             cycle: 0,
         }
@@ -591,25 +614,24 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         }
     }
 
-    /// Spawn one scoped worker thread per shard, hand the orchestration
-    /// protocol `f` a [`Driver`], and tear the workers down when it returns.
-    fn with_workers<T>(&mut self, f: impl FnOnce(&Driver<'_>) -> T) -> T {
-        let shards = self.shards.len();
-        let conductor = Conductor::new(shards);
+    /// Spawn one scoped worker thread per shard, hand the protocol loop `f` a
+    /// [`Driver`], and tear the workers down when it returns.
+    fn with_workers<T>(&mut self, f: impl FnOnce(&mut Driver) -> T) -> T {
+        let conductor = Arc::new(Conductor::new(self.shards.len()));
+        let mut driver = Driver {
+            c: Arc::clone(&conductor),
+            cycle: self.cycle,
+        };
         let out = std::thread::scope(|scope| {
             for shard in self.shards.iter_mut() {
-                let c = &conductor;
+                let c = &*conductor;
                 scope.spawn(move || shard.worker(c));
             }
-            let driver = Driver {
-                c: &conductor,
-                shards,
-            };
-            let out = f(&driver);
+            let out = f(&mut driver);
             driver.dispatch(Cmd::Exit);
             out
         });
-        self.cycle = self.shards[0].net.cycle;
+        self.cycle = driver.cycle;
         out
     }
 
@@ -695,47 +717,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         measure: u64,
         drain: u64,
     ) -> SimReport {
-        let packet_size = self.packet_size;
-        let nodes = self.params.num_nodes();
-        let has_workload = self.shards[0].net.workload().is_some();
-        let start_cycle = self.cycle;
-        self.with_workers(|driver| {
-            if !has_workload {
-                driver.dispatch(Cmd::SetInjection(Some(BernoulliInjection::new(
-                    offered_load,
-                    packet_size,
-                ))));
-            }
-            driver.dispatch(Cmd::TagMeasured(false));
-            driver.run(warmup);
-            let start = start_cycle + warmup;
-            driver.dispatch(Cmd::BeginMeasurement(start));
-            driver.dispatch(Cmd::TagMeasured(true));
-            driver.run(measure);
-            driver.dispatch(Cmd::EndMeasurement(start + measure));
-            driver.dispatch(Cmd::TagMeasured(false));
-
-            let measured_goal = driver.total_generated();
-            let mut drained = 0;
-            while drained < drain && driver.total_delivered() < measured_goal && !driver.deadlock()
-            {
-                driver.step();
-                drained += 1;
-            }
-        });
-
-        sim_report(
-            &self.merged_stats(),
-            SimRunIdentity {
-                routing: self.shards[0].net.routing_name().to_string(),
-                traffic: self.shards[0].net.traffic_name(),
-                offered_load,
-                nodes,
-                warmup_cycles: warmup,
-                measure_cycles: measure,
-                deadlock_detected: self.shards[0].net.deadlock_detected,
-            },
-        )
+        protocol::run_steady_state(self, offered_load, warmup, measure, drain)
     }
 
     /// Run an installed workload's steady-state protocol; byte-identical to
@@ -746,206 +728,52 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         measure: u64,
         drain: u64,
     ) -> WorkloadReport {
-        let nodes = self.params.num_nodes();
-        let nominal = self.shards[0]
-            .net
-            .workload()
-            .expect("run_steady_state_workload requires an installed workload")
-            .nominal_offered_load(nodes);
-        let aggregate = self.run_steady_state(nominal, warmup, measure, drain);
-
-        let stats = self.merged_stats();
-        let meas_start = stats.meter.window_start;
-        let meas_end = stats.meter.window_end;
-        let meas_cycles = meas_end.saturating_sub(meas_start);
-        let runtime = self.shards[0].net.workload().unwrap();
-        let scoped = stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a workload is installed");
-
-        let jobs = (0..runtime.num_jobs())
-            .map(|j| {
-                let job = runtime.job(j as u16);
-                let phases = (0..job.phases())
-                    .map(|ph| {
-                        let overlap = span_overlap(
-                            (job.phase_start(ph), job.phase_end(ph)),
-                            (meas_start, meas_end),
-                        );
-                        phase_report(
-                            PhaseIdentity {
-                                job: job.name().to_string(),
-                                phase: ph,
-                                pattern: job.phase_pattern(ph).to_string(),
-                                offered_load: job.phase_load(ph),
-                                start_cycle: job.phase_start(ph),
-                                end_cycle: job.phase_end(ph),
-                            },
-                            &scoped.per_phase[j][ph],
-                            job.nodes(),
-                            overlap,
-                        )
-                    })
-                    .collect();
-                job_report(
-                    job.name().to_string(),
-                    &scoped.per_job[j],
-                    job.nodes(),
-                    meas_cycles,
-                    None,
-                    phases,
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
+        protocol::run_steady_state_workload(self, warmup, measure, drain)
     }
 
     /// Run an installed job schedule to completion or `horizon`; byte-identical
     /// to [`Simulation::run_trace`](dragonfly_sim::Simulation::run_trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics without an installed schedule, or if the simulation has already
-    /// stepped.
     pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
-        assert!(
-            self.shards[0].net.schedule().is_some(),
-            "run_trace requires an installed schedule"
-        );
-        assert_eq!(self.cycle, 0, "run_trace requires a fresh simulation");
-        let nodes = self.params.num_nodes();
-        let packet_size = self.packet_size;
-
-        let end = self.with_workers(|driver| {
-            driver.dispatch(Cmd::BeginMeasurement(0));
-            driver.dispatch(Cmd::TagMeasured(true));
-            let mut cycle = 0;
-            while cycle < horizon && !driver.deadlock() {
-                driver.step();
-                cycle += 1;
-                if driver.all_complete() && driver.all_drained() {
-                    break;
-                }
-            }
-            let end = cycle;
-            driver.dispatch(Cmd::EndMeasurement(end));
-            driver.dispatch(Cmd::TagMeasured(false));
-            driver.dispatch(Cmd::HaltSched);
-            let mut drained = 0;
-            while drained < drain && !driver.all_drained() && !driver.deadlock() {
-                driver.step();
-                drained += 1;
-            }
-            end
-        });
-
-        let stats = self.merged_stats();
-        let runtime = self.shards[0].net.schedule().unwrap();
-        let aggregate = sim_report(
-            &stats,
-            SimRunIdentity {
-                routing: self.shards[0].net.routing_name().to_string(),
-                traffic: runtime.label().to_string(),
-                offered_load: runtime.nominal_offered_load(nodes),
-                nodes,
-                warmup_cycles: 0,
-                measure_cycles: end,
-                deadlock_detected: self.shards[0].net.deadlock_detected,
-            },
-        );
-        let scoped = stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a schedule is installed");
-
-        let jobs = (0..runtime.num_jobs() as u16)
-            .map(|j| {
-                let spec = runtime.job_spec(j);
-                let lifetime = runtime.lifetime(j);
-                let start = lifetime.placed.unwrap_or(end);
-                let stop = lifetime.completed.unwrap_or(end);
-                let resident = span_overlap((start, stop), (0, end));
-                let slowdown = match (lifetime.wait_cycles(), lifetime.service_cycles()) {
-                    (Some(wait), Some(service)) => {
-                        let ideal = runtime.ideal_service_cycles(j, packet_size);
-                        Some((wait + service) as f64 / ideal.max(1) as f64)
-                    }
-                    _ => None,
-                };
-                let phase = phase_report(
-                    PhaseIdentity {
-                        job: spec.name.clone(),
-                        phase: 0,
-                        pattern: spec.pattern.name(),
-                        offered_load: spec.offered_load,
-                        start_cycle: start,
-                        end_cycle: stop,
-                    },
-                    &scoped.per_phase[j as usize][0],
-                    spec.size,
-                    resident,
-                );
-                job_report(
-                    spec.name.clone(),
-                    &scoped.per_job[j as usize],
-                    spec.size,
-                    resident,
-                    Some(JobLifecycleReport {
-                        arrival_cycle: lifetime.arrival,
-                        placed_cycle: lifetime.placed,
-                        completion_cycle: lifetime.completed,
-                        wait_cycles: lifetime.wait_cycles(),
-                        slowdown,
-                    }),
-                    vec![phase],
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
+        protocol::run_trace(self, horizon, drain)
     }
 
     /// Run the burst-consumption protocol; byte-identical to
     /// [`Simulation::run_batch`](dragonfly_sim::Simulation::run_batch).
     pub fn run_batch(&mut self, burst: BurstSpec, max_cycles: u64) -> BatchReport {
-        assert_eq!(
-            burst.packet_size(),
-            self.packet_size,
-            "burst packet size must match the configured packet size"
-        );
-        assert!(
-            self.shards[0].net.schedule().is_none(),
-            "burst runs do not support dynamic schedules"
-        );
-        let start = self.cycle;
-        let (total, consumption) = self.with_workers(|driver| {
-            driver.dispatch(Cmd::DropWorkload);
-            driver.dispatch(Cmd::BeginMeasurement(start));
-            driver.dispatch(Cmd::PreloadBurst(burst.packets_per_node()));
-            let total = driver.total_generated();
-            let mut cycle = start;
-            while !driver.all_drained() && cycle - start < max_cycles && !driver.deadlock() {
-                driver.step();
-                cycle += 1;
-            }
-            driver.dispatch(Cmd::EndMeasurement(cycle));
-            (total, cycle - start)
-        });
+        protocol::run_batch(self, burst, max_cycles)
+    }
+}
 
-        let stats = self.merged_stats();
-        let drained = self.shards.iter().all(|s| s.net.is_drained());
-        let deadlock = self.shards[0].net.deadlock_detected;
-        BatchReport {
-            routing: self.shards[0].net.routing_name().to_string(),
-            traffic: self.shards[0].net.traffic_name(),
-            packets_per_node: burst.packets_per_node(),
-            packets_total: total,
-            packets_delivered: stats.total_delivered,
-            consumption_cycles: consumption,
-            avg_latency_cycles: stats.latency.mean(),
-            timed_out: !drained && !deadlock,
-            deadlock_detected: deadlock,
-        }
+impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
+    type Routing = R;
+    type Engine = Driver;
+
+    fn drive<T>(&mut self, f: impl FnOnce(&mut Driver) -> T) -> T {
+        self.with_workers(f)
+    }
+
+    fn replica(&self) -> &Network<R> {
+        &self.shards[0].net
+    }
+
+    fn stats(&self) -> Cow<'_, StatsCollector> {
+        Cow::Owned(self.merged_stats())
+    }
+
+    fn install_workload(&mut self, workload: &WorkloadSpec) {
+        ShardedSimulation::install_workload(self, workload);
+    }
+
+    fn install_schedule(&mut self, trace: &Trace) {
+        ShardedSimulation::install_schedule(self, trace);
+    }
+
+    fn install_probes(&mut self, cfg: ProbeConfig) {
+        ShardedSimulation::install_probes(self, cfg);
+    }
+
+    fn collect_probe(&mut self) -> Option<Box<ProbeRecorder>> {
+        self.merged_probe().map(Box::new)
     }
 }
 
@@ -1087,6 +915,34 @@ mod tests {
             assert_eq!(merged.sorted_flight(), expected.sorted_flight());
             assert_eq!(merged.heat_windows(), expected.heat_windows());
         }
+    }
+
+    #[test]
+    fn back_to_back_protocols_resume_at_the_same_cycle() {
+        // A second protocol on the same engine continues from the cycle the
+        // first one stopped at, on both engines alike.
+        let mut sequential = Simulation::new(
+            config(5),
+            Box::new(BaselineMinimal::new()),
+            Box::new(Uniform::new()),
+        );
+        let mut sharded =
+            ShardedSimulation::new(config(5), ShardPlan::new(2), BaselineMinimal::new(), || {
+                Box::new(Uniform::new())
+            });
+        for load in [0.1, 0.3] {
+            let expected = sequential.run_steady_state(load, 200, 400, 600);
+            assert_eq!(sharded.run_steady_state(load, 200, 400, 600), expected);
+            for shard in 0..sharded.shards() {
+                assert_eq!(sharded.network(shard).cycle, sequential.network().cycle);
+            }
+        }
+        let burst = BurstSpec::new(2, 8);
+        assert_eq!(
+            sharded.run_batch(burst, 100_000),
+            sequential.run_batch(burst, 100_000)
+        );
+        assert_eq!(sharded.network(0).cycle, sequential.network().cycle);
     }
 
     #[test]

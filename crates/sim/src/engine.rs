@@ -1,15 +1,17 @@
-//! High-level simulation drivers: steady-state and burst-consumption runs.
+//! The sequential simulation: a [`Network`] hosting the run protocols of
+//! [`crate::protocol`].
 
 use crate::config::SimConfig;
 use crate::network::Network;
+use crate::protocol::{self, EngineHost};
 use crate::routing_iface::RoutingAlgorithm;
+use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sched::{ScheduleRuntime, Trace};
-use dragonfly_stats::{
-    BatchReport, JobLifecycleReport, JobReport, PhaseReport, ScopedStats, SimReport, WorkloadReport,
-};
-use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
+use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
+use dragonfly_traffic::{BurstSpec, TrafficPattern};
 use dragonfly_workload::WorkloadSpec;
+use std::borrow::Cow;
 
 /// A complete simulation: a [`Network`] plus the measurement protocol of the paper.
 ///
@@ -91,14 +93,7 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         self.net.run(cycles);
     }
 
-    /// Run the paper's steady-state protocol.
-    ///
-    /// The network is warmed up for `warmup` cycles under the given offered load, then
-    /// measured for `measure` cycles.  Packets generated inside the measurement window
-    /// are latency-tagged; after the window closes the simulation keeps running (with
-    /// injection still on, as in an open-loop measurement) for up to `drain` extra
-    /// cycles or until every tagged packet has been delivered, so latency statistics
-    /// are not truncated.
+    /// Run the paper's steady-state protocol (see [`protocol::run_steady_state`]).
     pub fn run_steady_state(
         &mut self,
         offered_load: f64,
@@ -106,52 +101,7 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         measure: u64,
         drain: u64,
     ) -> SimReport {
-        let packet_size = self.net.config.packet_size;
-        let nodes = self.net.params().num_nodes();
-        // With a workload installed the per-job phase schedules own the injection
-        // rates; otherwise the single global Bernoulli process drives every node.
-        if self.net.workload().is_none() {
-            self.net
-                .set_injection(Some(BernoulliInjection::new(offered_load, packet_size)));
-        }
-
-        // Warm-up.
-        self.net.tag_measured = false;
-        self.net.run(warmup);
-
-        // Measurement window.
-        let start = self.net.cycle;
-        self.net.stats.begin_measurement(start);
-        self.net.tag_measured = true;
-        self.net.run(measure);
-        let end = self.net.cycle;
-        self.net.stats.end_measurement(end);
-        self.net.tag_measured = false;
-
-        // Drain: let tagged packets finish, still under load, without extending the
-        // throughput window.
-        let measured_goal = self.net.stats.total_generated;
-        let mut drained = 0;
-        while drained < drain
-            && self.net.stats.total_delivered < measured_goal
-            && !self.net.deadlock_detected
-        {
-            self.net.step();
-            drained += 1;
-        }
-
-        sim_report(
-            &self.net.stats,
-            SimRunIdentity {
-                routing: self.net.routing_name().to_string(),
-                traffic: self.net.traffic_name(),
-                offered_load,
-                nodes,
-                warmup_cycles: warmup,
-                measure_cycles: measure,
-                deadlock_detected: self.net.deadlock_detected,
-            },
-        )
+        protocol::run_steady_state(self, offered_load, warmup, measure, drain)
     }
 
     /// Install `workload` into the network: compiles the destination-side pattern
@@ -164,73 +114,14 @@ impl<R: RoutingAlgorithm> Simulation<R> {
     }
 
     /// Run the steady-state protocol of an installed workload and break the result
-    /// down per job and per phase.
-    ///
-    /// The aggregate half follows [`Simulation::run_steady_state`] exactly (the
-    /// reported `offered_load` is the workload's nominal cycle-0 aggregate).  The
-    /// per-job/per-phase breakdowns attribute every packet to the job and phase that
-    /// *generated* it; loads are normalized by the job's node count and by each
-    /// phase's overlap with the measurement window.
+    /// down per job and per phase (see [`protocol::run_steady_state_workload`]).
     pub fn run_steady_state_workload(
         &mut self,
         warmup: u64,
         measure: u64,
         drain: u64,
     ) -> WorkloadReport {
-        let nodes = self.net.params().num_nodes();
-        let nominal = self
-            .net
-            .workload()
-            .expect("run_steady_state_workload requires an installed workload")
-            .nominal_offered_load(nodes);
-        let aggregate = self.run_steady_state(nominal, warmup, measure, drain);
-
-        let meas_start = self.net.stats.meter.window_start;
-        let meas_end = self.net.stats.meter.window_end;
-        let meas_cycles = meas_end.saturating_sub(meas_start);
-        let runtime = self.net.workload().unwrap();
-        let scoped = self
-            .net
-            .stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a workload is installed");
-
-        let jobs = (0..runtime.num_jobs())
-            .map(|j| {
-                let job = runtime.job(j as u16);
-                let phases = (0..job.phases())
-                    .map(|ph| {
-                        let overlap = span_overlap(
-                            (job.phase_start(ph), job.phase_end(ph)),
-                            (meas_start, meas_end),
-                        );
-                        phase_report(
-                            PhaseIdentity {
-                                job: job.name().to_string(),
-                                phase: ph,
-                                pattern: job.phase_pattern(ph).to_string(),
-                                offered_load: job.phase_load(ph),
-                                start_cycle: job.phase_start(ph),
-                                end_cycle: job.phase_end(ph),
-                            },
-                            &scoped.per_phase[j][ph],
-                            job.nodes(),
-                            overlap,
-                        )
-                    })
-                    .collect();
-                job_report(
-                    job.name().to_string(),
-                    &scoped.per_job[j],
-                    job.nodes(),
-                    meas_cycles,
-                    None,
-                    phases,
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
+        protocol::run_steady_state_workload(self, warmup, measure, drain)
     }
 
     /// Install a dynamic job schedule: compiles `trace` into a
@@ -241,292 +132,48 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         self.net.install_schedule(runtime);
     }
 
-    /// Run an installed job schedule to completion (or `horizon` cycles, whichever
-    /// comes first) and report per-job statistics and lifecycles.
-    ///
-    /// Churn runs have no steady state, so the whole run is the measurement
-    /// window: measurement starts at cycle 0 and ends when every trace job has
-    /// completed and the network has drained, or at `horizon`.  After the window
-    /// closes, generation and admission halt and the simulation drains for up to
-    /// `drain` extra cycles so in-flight latency samples are not truncated.
-    ///
-    /// In the report, each job carries a single phase spanning its residency
-    /// (placement to completion) — loads are normalized by that span — plus a
-    /// [`JobLifecycleReport`] with its wait time, completion cycle and slowdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics without an installed schedule, or if the simulation has already
-    /// stepped (the trace owns absolute cycles from 0).
+    /// Run an installed job schedule to completion or `horizon` and report
+    /// per-job statistics and lifecycles (see [`protocol::run_trace`]).
     pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
-        assert!(
-            self.net.schedule().is_some(),
-            "run_trace requires an installed schedule"
-        );
-        assert_eq!(self.net.cycle, 0, "run_trace requires a fresh simulation");
-        let nodes = self.net.params().num_nodes();
-        let packet_size = self.net.config.packet_size;
-
-        self.net.stats.begin_measurement(0);
-        self.net.tag_measured = true;
-        while self.net.cycle < horizon && !self.net.deadlock_detected {
-            self.net.step();
-            let complete = self
-                .net
-                .schedule()
-                .is_some_and(ScheduleRuntime::all_complete);
-            if complete && self.net.is_drained() {
-                break;
-            }
-        }
-        let end = self.net.cycle;
-        self.net.stats.end_measurement(end);
-        self.net.tag_measured = false;
-
-        // Halt generation and admissions, then let in-flight packets finish.
-        if let Some(sched) = self.net.schedule_mut() {
-            sched.halt();
-        }
-        let mut drained = 0;
-        while drained < drain && !self.net.is_drained() && !self.net.deadlock_detected {
-            self.net.step();
-            drained += 1;
-        }
-
-        let stats = &self.net.stats;
-        let runtime = self.net.schedule().unwrap();
-        let aggregate = sim_report(
-            stats,
-            SimRunIdentity {
-                routing: self.net.routing_name().to_string(),
-                traffic: runtime.label().to_string(),
-                offered_load: runtime.nominal_offered_load(nodes),
-                nodes,
-                warmup_cycles: 0,
-                measure_cycles: end,
-                deadlock_detected: self.net.deadlock_detected,
-            },
-        );
-        let scoped = stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a schedule is installed");
-
-        let jobs = (0..runtime.num_jobs() as u16)
-            .map(|j| {
-                let spec = runtime.job_spec(j);
-                let lifetime = runtime.lifetime(j);
-                // Residency span: placement to completion, clamped to the window.
-                let start = lifetime.placed.unwrap_or(end);
-                let stop = lifetime.completed.unwrap_or(end);
-                let resident = span_overlap((start, stop), (0, end));
-                let slowdown = match (lifetime.wait_cycles(), lifetime.service_cycles()) {
-                    (Some(wait), Some(service)) => {
-                        let ideal = runtime.ideal_service_cycles(j, packet_size);
-                        Some((wait + service) as f64 / ideal.max(1) as f64)
-                    }
-                    _ => None,
-                };
-                let phase = phase_report(
-                    PhaseIdentity {
-                        job: spec.name.clone(),
-                        phase: 0,
-                        pattern: spec.pattern.name(),
-                        offered_load: spec.offered_load,
-                        start_cycle: start,
-                        end_cycle: stop,
-                    },
-                    &scoped.per_phase[j as usize][0],
-                    spec.size,
-                    resident,
-                );
-                job_report(
-                    spec.name.clone(),
-                    &scoped.per_job[j as usize],
-                    spec.size,
-                    resident,
-                    Some(JobLifecycleReport {
-                        arrival_cycle: lifetime.arrival,
-                        placed_cycle: lifetime.placed,
-                        completion_cycle: lifetime.completed,
-                        wait_cycles: lifetime.wait_cycles(),
-                        slowdown,
-                    }),
-                    vec![phase],
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
+        protocol::run_trace(self, horizon, drain)
     }
 
-    /// Run the paper's burst-consumption protocol: every node sends
-    /// `burst.packets_per_node()` packets following the traffic pattern, and the
-    /// simulation runs until all of them are delivered (or `max_cycles` is reached).
+    /// Run the paper's burst-consumption protocol (see [`protocol::run_batch`]).
     pub fn run_batch(&mut self, burst: BurstSpec, max_cycles: u64) -> BatchReport {
-        assert_eq!(
-            burst.packet_size(),
-            self.net.config.packet_size,
-            "burst packet size must match the configured packet size"
-        );
-        assert!(
-            self.net.schedule().is_none(),
-            "burst runs do not support dynamic schedules"
-        );
-        // Burst mode preloads every packet at once: stop any workload injection but
-        // keep its pattern so the burst drains against workload destinations.
-        let _ = self.net.take_workload();
-        self.net.set_injection(None);
-        self.net.stats.begin_measurement(self.net.cycle);
-        let start = self.net.cycle;
-        self.net.preload_burst(burst.packets_per_node());
-        let total = self.net.stats.total_generated;
-
-        while !self.net.is_drained()
-            && self.net.cycle - start < max_cycles
-            && !self.net.deadlock_detected
-        {
-            self.net.step();
-        }
-        let consumption = self.net.cycle - start;
-        self.net.stats.end_measurement(self.net.cycle);
-
-        let stats = &self.net.stats;
-        BatchReport {
-            routing: self.net.routing_name().to_string(),
-            traffic: self.net.traffic_name(),
-            packets_per_node: burst.packets_per_node(),
-            packets_total: total,
-            packets_delivered: stats.total_delivered,
-            consumption_cycles: consumption,
-            avg_latency_cycles: stats.latency.mean(),
-            timed_out: !self.net.is_drained() && !self.net.deadlock_detected,
-            deadlock_detected: self.net.deadlock_detected,
-        }
+        protocol::run_batch(self, burst, max_cycles)
     }
 }
 
-/// Cycles of the half-open span `a` that fall inside the half-open span `b`.
-pub fn span_overlap(a: (u64, u64), b: (u64, u64)) -> u64 {
-    a.1.min(b.1).saturating_sub(a.0.max(b.0))
-}
+impl<R: RoutingAlgorithm> EngineHost for Simulation<R> {
+    type Routing = R;
+    type Engine = Network<R>;
 
-/// Everything in a [`SimReport`] that is not derived from the run's
-/// [`StatsCollector`](crate::StatsCollector) — names, parameters and the
-/// watchdog verdict.
-pub struct SimRunIdentity {
-    /// Routing mechanism display name.
-    pub routing: String,
-    /// Traffic pattern display name.
-    pub traffic: String,
-    /// Offered load requested, in phits/(node·cycle).
-    pub offered_load: f64,
-    /// Number of terminal nodes (load normalization).
-    pub nodes: usize,
-    /// Warm-up cycles simulated before measurement.
-    pub warmup_cycles: u64,
-    /// Measured cycles.
-    pub measure_cycles: u64,
-    /// Whether the deadlock watchdog fired.
-    pub deadlock_detected: bool,
-}
-
-/// Build a [`SimReport`] from an accumulated collector.  Shared by the
-/// sequential protocols here and the sharded engine (`dragonfly_shard`), which
-/// feeds the *merged* per-shard collector — keeping the two engines' report
-/// construction a single code path is part of the byte-identity argument.
-pub fn sim_report(stats: &crate::StatsCollector, id: SimRunIdentity) -> SimReport {
-    SimReport {
-        routing: id.routing,
-        traffic: id.traffic,
-        offered_load: id.offered_load,
-        injected_load: stats.meter.injected_load(id.nodes),
-        accepted_load: stats.meter.accepted_load(id.nodes),
-        avg_latency_cycles: stats.latency.mean(),
-        p99_latency_cycles: stats.latency_hist.percentile(0.99).unwrap_or(0.0),
-        max_latency_cycles: stats.latency.max().unwrap_or(0.0),
-        avg_hops: stats.hops.mean(),
-        global_misroute_fraction: stats.global_misroute_fraction(),
-        local_misroute_fraction: stats.local_misroute_fraction(),
-        packets_delivered: stats.meter.packets_delivered,
-        packets_measured: stats.measured_delivered,
-        warmup_cycles: id.warmup_cycles,
-        measure_cycles: id.measure_cycles,
-        deadlock_detected: id.deadlock_detected,
-        peak_in_flight_packets: stats.peak_in_flight_packets,
-        peak_buffered_phits: stats.peak_buffered_phits,
-        peak_vc_occupancy: stats.peak_vc_occupancy,
+    fn drive<T>(&mut self, f: impl FnOnce(&mut Network<R>) -> T) -> T {
+        f(&mut self.net)
     }
-}
 
-/// Identity of one phase row — everything in a [`PhaseReport`] that is not
-/// derived from its [`ScopedStats`] entry.
-pub struct PhaseIdentity {
-    /// Owning job's display name.
-    pub job: String,
-    /// Phase index within the job.
-    pub phase: usize,
-    /// Traffic pattern display name of the phase.
-    pub pattern: String,
-    /// Configured offered load of the phase.
-    pub offered_load: f64,
-    /// First cycle of the phase (absolute).
-    pub start_cycle: u64,
-    /// One past the last cycle of the phase (absolute; `u64::MAX` = open).
-    pub end_cycle: u64,
-}
-
-/// Build a [`PhaseReport`] from a scoped-stats entry: loads normalized over
-/// `nodes × cycles`, plus the latency/hops/misroute/packet fields.  Shared by
-/// the workload and trace protocols (and their sharded counterparts) so the
-/// stats mapping cannot diverge.
-pub fn phase_report(id: PhaseIdentity, s: &ScopedStats, nodes: usize, cycles: u64) -> PhaseReport {
-    PhaseReport {
-        job: id.job,
-        phase: id.phase,
-        pattern: id.pattern,
-        offered_load: id.offered_load,
-        start_cycle: id.start_cycle,
-        end_cycle: id.end_cycle,
-        measured_cycles: cycles,
-        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
-        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
-        avg_latency_cycles: s.latency.mean(),
-        p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
-        max_latency_cycles: s.latency.max().unwrap_or(0.0),
-        avg_hops: s.hops.mean(),
-        global_misroute_fraction: s.global_misroute_fraction(),
-        local_misroute_fraction: s.local_misroute_fraction(),
-        packets_generated: s.total_generated,
-        packets_delivered: s.total_delivered,
-        packets_measured: s.measured_delivered,
+    fn replica(&self) -> &Network<R> {
+        &self.net
     }
-}
 
-/// The job-level sibling of [`phase_report`].
-pub fn job_report(
-    name: String,
-    s: &ScopedStats,
-    nodes: usize,
-    cycles: u64,
-    lifecycle: Option<JobLifecycleReport>,
-    phases: Vec<PhaseReport>,
-) -> JobReport {
-    JobReport {
-        name,
-        nodes,
-        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
-        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
-        avg_latency_cycles: s.latency.mean(),
-        p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
-        max_latency_cycles: s.latency.max().unwrap_or(0.0),
-        avg_hops: s.hops.mean(),
-        global_misroute_fraction: s.global_misroute_fraction(),
-        local_misroute_fraction: s.local_misroute_fraction(),
-        packets_generated: s.total_generated,
-        packets_delivered: s.total_delivered,
-        packets_measured: s.measured_delivered,
-        lifecycle,
-        phases,
+    fn stats(&self) -> Cow<'_, StatsCollector> {
+        Cow::Borrowed(&self.net.stats)
+    }
+
+    fn install_workload(&mut self, workload: &WorkloadSpec) {
+        Simulation::install_workload(self, workload);
+    }
+
+    fn install_schedule(&mut self, trace: &Trace) {
+        Simulation::install_schedule(self, trace);
+    }
+
+    fn install_probes(&mut self, cfg: ProbeConfig) {
+        Simulation::install_probes(self, cfg);
+    }
+
+    fn collect_probe(&mut self) -> Option<Box<ProbeRecorder>> {
+        self.take_probe()
     }
 }
 
@@ -781,11 +428,10 @@ mod tests {
         let _ = sim.run_trace(1_000, 100);
     }
 
-    #[test]
-    fn install_workload_clears_a_previous_schedule() {
+    fn one_job_trace() -> dragonfly_sched::Trace {
         use dragonfly_sched::{Completion, Trace, TraceJob};
-        use dragonfly_workload::{JobPattern, PlacementPolicy, WorkloadSpec};
-        let trace = Trace::new(
+        use dragonfly_workload::{JobPattern, PlacementPolicy};
+        Trace::new(
             "t",
             vec![TraceJob {
                 name: "a".into(),
@@ -796,9 +442,38 @@ mod tests {
                 offered_load: 0.1,
                 completion: Completion::Duration(100),
             }],
-        );
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a fresh simulation")]
+    fn run_trace_rejects_a_stepped_simulation() {
         let mut sim = vct_sim(2, 1);
-        sim.install_schedule(&trace);
+        sim.install_schedule(&one_job_trace());
+        sim.run_cycles(1);
+        let _ = sim.run_trace(1_000, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not support dynamic schedules")]
+    fn batch_rejects_an_installed_schedule() {
+        let mut sim = vct_sim(2, 1);
+        sim.install_schedule(&one_job_trace());
+        let _ = sim.run_batch(BurstSpec::new(2, 8), 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "requires an installed workload")]
+    fn workload_run_requires_a_workload() {
+        let mut sim = vct_sim(2, 1);
+        let _ = sim.run_steady_state_workload(100, 100, 100);
+    }
+
+    #[test]
+    fn install_workload_clears_a_previous_schedule() {
+        use dragonfly_workload::WorkloadSpec;
+        let mut sim = vct_sim(2, 1);
+        sim.install_schedule(&one_job_trace());
         assert!(sim.network().schedule().is_some());
         sim.install_workload(&WorkloadSpec::transient(72, 0.1, 1_000, 2));
         assert!(sim.network().schedule().is_none());

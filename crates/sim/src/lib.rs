@@ -13,7 +13,8 @@
 //!   re-evaluated every cycle (on-the-fly adaptivity),
 //! * statistics follow the paper's methodology: warm-up, measurement window, latency
 //!   of packets generated inside the window, accepted load at the ejection ports
-//!   ([`stats_collect`], [`engine`]).
+//!   ([`stats_collect`]); the run protocols are written once in [`protocol`] and
+//!   hosted by [`engine::Simulation`].
 //!
 //! # Example
 //!
@@ -38,6 +39,7 @@ pub mod fabric;
 pub mod link;
 pub mod network;
 pub mod packet;
+pub mod protocol;
 pub mod ring;
 pub mod router;
 pub mod routing_iface;
@@ -46,16 +48,15 @@ pub mod stats_collect;
 pub use active_set::ActiveSet;
 pub use buffer::{PacketSlot, VcBuffer};
 pub use config::{FlowControl, SimConfig};
-pub use engine::{
-    job_report, phase_report, sim_report, span_overlap, PhaseIdentity, SimRunIdentity, Simulation,
-};
+pub use engine::Simulation;
 pub use fabric::{LinkFabric, LinkSpec};
 pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
 #[cfg(feature = "profile")]
 pub use network::PhaseProfile;
 pub use network::{GlobalStatusBoard, Network, SourceQueue};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
-pub use ring::{FixedRing, RingMeta};
+pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
+pub use ring::RingMeta;
 pub use router::{InputPort, InputVc, OutputPort, OutputVc, Router};
 pub use routing_iface::{
     BaselineMinimal, RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm,

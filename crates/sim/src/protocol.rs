@@ -1,0 +1,575 @@
+//! The run protocols, each written once.
+//!
+//! Two traits separate *what a protocol does* from *what executes it*:
+//!
+//! * [`Engine`] is the control surface a protocol's cycle loop drives — step,
+//!   open/close the measurement window, preload a burst, and read the handful
+//!   of run-wide facts the loop conditions need.  [`Network`] implements it
+//!   directly; the sharded engine implements it by broadcasting each call to
+//!   its workers.
+//! * [`EngineHost`] owns an engine: it lends it out for the duration of a
+//!   protocol loop ([`EngineHost::drive`]) and afterwards exposes what the
+//!   report is assembled from — a reference [`Network`] replica (names,
+//!   workload and schedule runtimes, the watchdog verdict) and the run-wide
+//!   [`StatsCollector`].
+//!
+//! [`run_steady_state`], [`run_steady_state_workload`], [`run_trace`] and
+//! [`run_batch`] are generic over the host, statically dispatched, and the
+//! only copies of their loops and report assembly in the workspace — which is
+//! what makes sequential ≡ sharded a property of the engines alone.
+
+use crate::network::Network;
+use crate::routing_iface::RoutingAlgorithm;
+use crate::stats_collect::StatsCollector;
+use dragonfly_probe::{ProbeConfig, ProbeRecorder};
+use dragonfly_sched::{ScheduleRuntime, Trace};
+use dragonfly_stats::{
+    BatchReport, JobLifecycleReport, JobReport, PhaseReport, ScopedStats, SimReport, WorkloadReport,
+};
+use dragonfly_traffic::{BernoulliInjection, BurstSpec};
+use dragonfly_workload::WorkloadSpec;
+use std::borrow::Cow;
+
+/// What a protocol's cycle loop needs from whatever executes the cycles.
+pub trait Engine {
+    /// Advance one cycle.
+    fn step(&mut self);
+
+    /// Advance `cycles` cycles.
+    fn run(&mut self, cycles: u64) {
+        for _ in 0..cycles {
+            self.step();
+        }
+    }
+
+    /// Set (or clear) the global Bernoulli injection process.
+    fn set_injection(&mut self, injection: Option<BernoulliInjection>);
+    /// Set whether newly generated packets are latency-tagged.
+    fn set_tag_measured(&mut self, tag: bool);
+    /// Open the measurement window at the current cycle.
+    fn begin_measurement(&mut self);
+    /// Close the measurement window at the current cycle.
+    fn end_measurement(&mut self);
+    /// Preload every source queue with `packets_per_node` packets.
+    fn preload_burst(&mut self, packets_per_node: u64);
+    /// Halt generation and admissions of an installed job schedule.
+    fn halt_schedule(&mut self);
+    /// Remove the workload runtime (keeping its pattern) and stop injection.
+    fn drop_workload(&mut self);
+
+    /// Cycles simulated so far.
+    fn cycle(&self) -> u64;
+    /// Packets generated so far.
+    fn generated(&self) -> u64;
+    /// Packets delivered so far.
+    fn delivered(&self) -> u64;
+    /// Whether the deadlock watchdog fired.
+    fn deadlocked(&self) -> bool;
+    /// Whether no packet exists anywhere (sources, buffers, links).
+    fn drained(&self) -> bool;
+    /// Whether every job of the installed schedule completed (`true` without one).
+    fn schedule_complete(&self) -> bool;
+}
+
+impl<R: RoutingAlgorithm> Engine for Network<R> {
+    fn step(&mut self) {
+        Network::step(self);
+    }
+
+    fn set_injection(&mut self, injection: Option<BernoulliInjection>) {
+        Network::set_injection(self, injection);
+    }
+
+    fn set_tag_measured(&mut self, tag: bool) {
+        self.tag_measured = tag;
+    }
+
+    fn begin_measurement(&mut self) {
+        self.stats.begin_measurement(self.cycle);
+    }
+
+    fn end_measurement(&mut self) {
+        self.stats.end_measurement(self.cycle);
+    }
+
+    fn preload_burst(&mut self, packets_per_node: u64) {
+        Network::preload_burst(self, packets_per_node);
+    }
+
+    fn halt_schedule(&mut self) {
+        if let Some(sched) = self.schedule_mut() {
+            sched.halt();
+        }
+    }
+
+    fn drop_workload(&mut self) {
+        let _ = self.take_workload();
+        Network::set_injection(self, None);
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn generated(&self) -> u64 {
+        self.stats.total_generated
+    }
+
+    fn delivered(&self) -> u64 {
+        self.stats.total_delivered
+    }
+
+    fn deadlocked(&self) -> bool {
+        self.deadlock_detected
+    }
+
+    fn drained(&self) -> bool {
+        self.is_drained()
+    }
+
+    fn schedule_complete(&self) -> bool {
+        self.schedule().is_none_or(ScheduleRuntime::all_complete)
+    }
+}
+
+/// A simulation the protocols can run on: the sequential
+/// [`Simulation`](crate::Simulation) and the sharded engine.
+pub trait EngineHost {
+    /// The routing mechanism the engine is monomorphized over.
+    type Routing: RoutingAlgorithm;
+    /// The control handle lent to a protocol loop.
+    type Engine: Engine;
+
+    /// Run `f` with the engine live.  The sharded engine spawns its workers
+    /// around the call and joins them before returning.
+    fn drive<T>(&mut self, f: impl FnOnce(&mut Self::Engine) -> T) -> T;
+    /// A network replica holding the run's names, configuration, workload and
+    /// schedule runtimes and watchdog verdict (identical on every shard).
+    fn replica(&self) -> &Network<Self::Routing>;
+    /// The run-wide statistics collector (merged across shards).
+    fn stats(&self) -> Cow<'_, StatsCollector>;
+
+    /// Compile `workload` against the topology and install it.
+    fn install_workload(&mut self, workload: &WorkloadSpec);
+    /// Compile `trace` into a schedule runtime and install it.
+    fn install_schedule(&mut self, trace: &Trace);
+    /// Install the observability probes.
+    fn install_probes(&mut self, cfg: ProbeConfig);
+    /// Remove the run-wide probe recorder (merged across shards), if probes
+    /// were installed.  Boxed: a recorder is ~2 kB inline, and sweeps hold one
+    /// slot per point whether or not probes are on.
+    fn collect_probe(&mut self) -> Option<Box<ProbeRecorder>>;
+}
+
+/// Run the paper's steady-state protocol.
+///
+/// The network is warmed up for `warmup` cycles under the given offered load, then
+/// measured for `measure` cycles.  Packets generated inside the measurement window
+/// are latency-tagged; after the window closes the simulation keeps running (with
+/// injection still on, as in an open-loop measurement) for up to `drain` extra
+/// cycles or until every tagged packet has been delivered, so latency statistics
+/// are not truncated.
+pub fn run_steady_state<H: EngineHost>(
+    host: &mut H,
+    offered_load: f64,
+    warmup: u64,
+    measure: u64,
+    drain: u64,
+) -> SimReport {
+    let net = host.replica();
+    // With a workload installed the per-job phase schedules own the injection
+    // rates; otherwise the single global Bernoulli process drives every node.
+    let injection = net
+        .workload()
+        .is_none()
+        .then(|| BernoulliInjection::new(offered_load, net.config.packet_size));
+    host.drive(|engine| {
+        if injection.is_some() {
+            engine.set_injection(injection);
+        }
+
+        engine.set_tag_measured(false);
+        engine.run(warmup);
+
+        engine.begin_measurement();
+        engine.set_tag_measured(true);
+        engine.run(measure);
+        engine.end_measurement();
+        engine.set_tag_measured(false);
+
+        // Drain: let tagged packets finish, still under load, without extending the
+        // throughput window.
+        let measured_goal = engine.generated();
+        let mut drained = 0;
+        while drained < drain && engine.delivered() < measured_goal && !engine.deadlocked() {
+            engine.step();
+            drained += 1;
+        }
+    });
+
+    let net = host.replica();
+    sim_report(
+        &host.stats(),
+        SimRunIdentity {
+            routing: net.routing_name().to_string(),
+            traffic: net.traffic_name(),
+            offered_load,
+            nodes: net.params().num_nodes(),
+            warmup_cycles: warmup,
+            measure_cycles: measure,
+            deadlock_detected: net.deadlock_detected,
+        },
+    )
+}
+
+/// Run the steady-state protocol of an installed workload and break the result
+/// down per job and per phase.
+///
+/// The aggregate half follows [`run_steady_state`] exactly (the reported
+/// `offered_load` is the workload's nominal cycle-0 aggregate).  The
+/// per-job/per-phase breakdowns attribute every packet to the job and phase that
+/// *generated* it; loads are normalized by the job's node count and by each
+/// phase's overlap with the measurement window.
+///
+/// # Panics
+///
+/// Panics without an installed workload.
+pub fn run_steady_state_workload<H: EngineHost>(
+    host: &mut H,
+    warmup: u64,
+    measure: u64,
+    drain: u64,
+) -> WorkloadReport {
+    let net = host.replica();
+    let nominal = net
+        .workload()
+        .expect("run_steady_state_workload requires an installed workload")
+        .nominal_offered_load(net.params().num_nodes());
+    let aggregate = run_steady_state(host, nominal, warmup, measure, drain);
+
+    let stats = host.stats();
+    let window = (stats.meter.window_start, stats.meter.window_end);
+    let meas_cycles = window.1.saturating_sub(window.0);
+    let runtime = host.replica().workload().unwrap();
+    let scoped = stats
+        .scoped
+        .as_ref()
+        .expect("scoped statistics are enabled when a workload is installed");
+
+    let jobs = (0..runtime.num_jobs())
+        .map(|j| {
+            let job = runtime.job(j as u16);
+            let phases = (0..job.phases())
+                .map(|ph| {
+                    let span = (job.phase_start(ph), job.phase_end(ph));
+                    phase_report(
+                        PhaseIdentity {
+                            job: job.name().to_string(),
+                            phase: ph,
+                            pattern: job.phase_pattern(ph).to_string(),
+                            offered_load: job.phase_load(ph),
+                            start_cycle: span.0,
+                            end_cycle: span.1,
+                        },
+                        &scoped.per_phase[j][ph],
+                        job.nodes(),
+                        span_overlap(span, window),
+                    )
+                })
+                .collect();
+            job_report(
+                job.name().to_string(),
+                &scoped.per_job[j],
+                job.nodes(),
+                meas_cycles,
+                None,
+                phases,
+            )
+        })
+        .collect();
+    WorkloadReport { aggregate, jobs }
+}
+
+/// Run an installed job schedule to completion (or `horizon` cycles, whichever
+/// comes first) and report per-job statistics and lifecycles.
+///
+/// Churn runs have no steady state, so the whole run is the measurement
+/// window: measurement starts at cycle 0 and ends when every trace job has
+/// completed and the network has drained, or at `horizon`.  After the window
+/// closes, generation and admission halt and the simulation drains for up to
+/// `drain` extra cycles so in-flight latency samples are not truncated.
+///
+/// In the report, each job carries a single phase spanning its residency
+/// (placement to completion) — loads are normalized by that span — plus a
+/// [`JobLifecycleReport`] with its wait time, completion cycle and slowdown.
+///
+/// # Panics
+///
+/// Panics without an installed schedule, or if the simulation has already
+/// stepped (the trace owns absolute cycles from 0).
+pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> WorkloadReport {
+    let net = host.replica();
+    assert!(
+        net.schedule().is_some(),
+        "run_trace requires an installed schedule"
+    );
+    assert_eq!(net.cycle, 0, "run_trace requires a fresh simulation");
+
+    let end = host.drive(|engine| {
+        engine.begin_measurement();
+        engine.set_tag_measured(true);
+        while engine.cycle() < horizon && !engine.deadlocked() {
+            engine.step();
+            if engine.schedule_complete() && engine.drained() {
+                break;
+            }
+        }
+        let end = engine.cycle();
+        engine.end_measurement();
+        engine.set_tag_measured(false);
+
+        // Halt generation and admissions, then let in-flight packets finish.
+        engine.halt_schedule();
+        let mut drained = 0;
+        while drained < drain && !engine.drained() && !engine.deadlocked() {
+            engine.step();
+            drained += 1;
+        }
+        end
+    });
+
+    let net = host.replica();
+    let stats = host.stats();
+    let nodes = net.params().num_nodes();
+    let packet_size = net.config.packet_size;
+    let runtime = net.schedule().unwrap();
+    let aggregate = sim_report(
+        &stats,
+        SimRunIdentity {
+            routing: net.routing_name().to_string(),
+            traffic: runtime.label().to_string(),
+            offered_load: runtime.nominal_offered_load(nodes),
+            nodes,
+            warmup_cycles: 0,
+            measure_cycles: end,
+            deadlock_detected: net.deadlock_detected,
+        },
+    );
+    let scoped = stats
+        .scoped
+        .as_ref()
+        .expect("scoped statistics are enabled when a schedule is installed");
+
+    let jobs = (0..runtime.num_jobs() as u16)
+        .map(|j| {
+            let spec = runtime.job_spec(j);
+            let lifetime = runtime.lifetime(j);
+            // Residency span: placement to completion, clamped to the window.
+            let start = lifetime.placed.unwrap_or(end);
+            let stop = lifetime.completed.unwrap_or(end);
+            let resident = span_overlap((start, stop), (0, end));
+            let slowdown = match (lifetime.wait_cycles(), lifetime.service_cycles()) {
+                (Some(wait), Some(service)) => {
+                    let ideal = runtime.ideal_service_cycles(j, packet_size);
+                    Some((wait + service) as f64 / ideal.max(1) as f64)
+                }
+                _ => None,
+            };
+            let phase = phase_report(
+                PhaseIdentity {
+                    job: spec.name.clone(),
+                    phase: 0,
+                    pattern: spec.pattern.name(),
+                    offered_load: spec.offered_load,
+                    start_cycle: start,
+                    end_cycle: stop,
+                },
+                &scoped.per_phase[j as usize][0],
+                spec.size,
+                resident,
+            );
+            job_report(
+                spec.name.clone(),
+                &scoped.per_job[j as usize],
+                spec.size,
+                resident,
+                Some(JobLifecycleReport {
+                    arrival_cycle: lifetime.arrival,
+                    placed_cycle: lifetime.placed,
+                    completion_cycle: lifetime.completed,
+                    wait_cycles: lifetime.wait_cycles(),
+                    slowdown,
+                }),
+                vec![phase],
+            )
+        })
+        .collect();
+    WorkloadReport { aggregate, jobs }
+}
+
+/// Run the paper's burst-consumption protocol: every node sends
+/// `burst.packets_per_node()` packets following the traffic pattern, and the
+/// simulation runs until all of them are delivered (or `max_cycles` is reached).
+///
+/// # Panics
+///
+/// Panics when the burst's packet size differs from the configured one, or
+/// with a dynamic schedule installed.
+pub fn run_batch<H: EngineHost>(host: &mut H, burst: BurstSpec, max_cycles: u64) -> BatchReport {
+    let net = host.replica();
+    assert_eq!(
+        burst.packet_size(),
+        net.config.packet_size,
+        "burst packet size must match the configured packet size"
+    );
+    assert!(
+        net.schedule().is_none(),
+        "burst runs do not support dynamic schedules"
+    );
+
+    let (total, consumption, drained) = host.drive(|engine| {
+        // Burst mode preloads every packet at once: stop any workload injection but
+        // keep its pattern so the burst drains against workload destinations.
+        engine.drop_workload();
+        engine.begin_measurement();
+        let start = engine.cycle();
+        engine.preload_burst(burst.packets_per_node());
+        let total = engine.generated();
+
+        while !engine.drained() && engine.cycle() - start < max_cycles && !engine.deadlocked() {
+            engine.step();
+        }
+        engine.end_measurement();
+        (total, engine.cycle() - start, engine.drained())
+    });
+
+    let net = host.replica();
+    let stats = host.stats();
+    BatchReport {
+        routing: net.routing_name().to_string(),
+        traffic: net.traffic_name(),
+        packets_per_node: burst.packets_per_node(),
+        packets_total: total,
+        packets_delivered: stats.total_delivered,
+        consumption_cycles: consumption,
+        avg_latency_cycles: stats.latency.mean(),
+        timed_out: !drained && !net.deadlock_detected,
+        deadlock_detected: net.deadlock_detected,
+    }
+}
+
+/// Cycles of the half-open span `a` that fall inside the half-open span `b`.
+fn span_overlap(a: (u64, u64), b: (u64, u64)) -> u64 {
+    a.1.min(b.1).saturating_sub(a.0.max(b.0))
+}
+
+/// Everything in a [`SimReport`] that is not derived from the run's
+/// [`StatsCollector`] — names, parameters and the watchdog verdict.
+pub struct SimRunIdentity {
+    /// Routing mechanism display name.
+    pub routing: String,
+    /// Traffic pattern display name.
+    pub traffic: String,
+    /// Offered load requested, in phits/(node·cycle).
+    pub offered_load: f64,
+    /// Number of terminal nodes (load normalization).
+    pub nodes: usize,
+    /// Warm-up cycles simulated before measurement.
+    pub warmup_cycles: u64,
+    /// Measured cycles.
+    pub measure_cycles: u64,
+    /// Whether the deadlock watchdog fired.
+    pub deadlock_detected: bool,
+}
+
+/// Build a [`SimReport`] from an accumulated collector (the run-wide one; a
+/// sharded run feeds the merged per-shard collectors).
+pub fn sim_report(stats: &StatsCollector, id: SimRunIdentity) -> SimReport {
+    SimReport {
+        routing: id.routing,
+        traffic: id.traffic,
+        offered_load: id.offered_load,
+        injected_load: stats.meter.injected_load(id.nodes),
+        accepted_load: stats.meter.accepted_load(id.nodes),
+        avg_latency_cycles: stats.latency.mean(),
+        p99_latency_cycles: stats.latency_hist.percentile(0.99).unwrap_or(0.0),
+        max_latency_cycles: stats.latency.max().unwrap_or(0.0),
+        avg_hops: stats.hops.mean(),
+        global_misroute_fraction: stats.global_misroute_fraction(),
+        local_misroute_fraction: stats.local_misroute_fraction(),
+        packets_delivered: stats.meter.packets_delivered,
+        packets_measured: stats.measured_delivered,
+        warmup_cycles: id.warmup_cycles,
+        measure_cycles: id.measure_cycles,
+        deadlock_detected: id.deadlock_detected,
+        peak_in_flight_packets: stats.peak_in_flight_packets,
+        peak_buffered_phits: stats.peak_buffered_phits,
+        peak_vc_occupancy: stats.peak_vc_occupancy,
+    }
+}
+
+/// Identity of one phase row — everything in a [`PhaseReport`] that is not
+/// derived from its [`ScopedStats`] entry.
+struct PhaseIdentity {
+    job: String,
+    phase: usize,
+    pattern: String,
+    offered_load: f64,
+    /// First cycle of the phase (absolute).
+    start_cycle: u64,
+    /// One past the last cycle of the phase (absolute; `u64::MAX` = open).
+    end_cycle: u64,
+}
+
+/// Build a [`PhaseReport`] from a scoped-stats entry: loads normalized over
+/// `nodes × cycles`, plus the latency/hops/misroute/packet fields.
+fn phase_report(id: PhaseIdentity, s: &ScopedStats, nodes: usize, cycles: u64) -> PhaseReport {
+    PhaseReport {
+        job: id.job,
+        phase: id.phase,
+        pattern: id.pattern,
+        offered_load: id.offered_load,
+        start_cycle: id.start_cycle,
+        end_cycle: id.end_cycle,
+        measured_cycles: cycles,
+        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
+        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
+        avg_latency_cycles: s.latency.mean(),
+        p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
+        max_latency_cycles: s.latency.max().unwrap_or(0.0),
+        avg_hops: s.hops.mean(),
+        global_misroute_fraction: s.global_misroute_fraction(),
+        local_misroute_fraction: s.local_misroute_fraction(),
+        packets_generated: s.total_generated,
+        packets_delivered: s.total_delivered,
+        packets_measured: s.measured_delivered,
+    }
+}
+
+/// The job-level sibling of [`phase_report`].
+fn job_report(
+    name: String,
+    s: &ScopedStats,
+    nodes: usize,
+    cycles: u64,
+    lifecycle: Option<JobLifecycleReport>,
+    phases: Vec<PhaseReport>,
+) -> JobReport {
+    JobReport {
+        name,
+        nodes,
+        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
+        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
+        avg_latency_cycles: s.latency.mean(),
+        p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
+        max_latency_cycles: s.latency.max().unwrap_or(0.0),
+        avg_hops: s.hops.mean(),
+        global_misroute_fraction: s.global_misroute_fraction(),
+        local_misroute_fraction: s.local_misroute_fraction(),
+        packets_generated: s.total_generated,
+        packets_delivered: s.total_delivered,
+        packets_measured: s.measured_delivered,
+        lifecycle,
+        phases,
+    }
+}

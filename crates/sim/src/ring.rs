@@ -3,19 +3,17 @@
 //! Every queue the cycle loop touches — VC buffer slots, link phit pipelines,
 //! link credit pipelines — has a capacity that is *provable at construction
 //! time* from the simulation configuration (buffer depth, link latency, VC
-//! count).  Two layers exploit that:
+//! count).
 //!
-//! * [`RingMeta`] is the metadata of one ring — head, length, high-water mark
-//!   and capacity — packed into a single `u64` word (16 bits each).  It owns
-//!   no storage: the ring's elements live in a caller-provided slice, which is
-//!   what lets the [`crate::fabric::LinkFabric`] keep *every* pipeline of the
-//!   network in two contiguous pools and every ring's metadata in one parallel
-//!   array, and lets all of a router's VC slot queues share one backing pool.
-//!   All four fields provably fit 16 bits: phit pipelines hold at most
-//!   `latency + 1 ≤ 101` entries, credit pipelines at most
-//!   `vcs × (latency + 1)`, and VC slot rings at most `capacity + 1 ≤ 257`.
-//! * [`FixedRing`] is the owning convenience wrapper — a `RingMeta` plus its
-//!   own `Vec` backing — for rings that do not share a pool.
+//! [`RingMeta`] is the metadata of one ring — head, length, high-water mark
+//! and capacity — packed into a single `u64` word (16 bits each).  It owns
+//! no storage: the ring's elements live in a caller-provided slice, which is
+//! what lets the [`crate::fabric::LinkFabric`] keep *every* pipeline of the
+//! network in two contiguous pools and every ring's metadata in one parallel
+//! array, and lets all of a router's VC slot queues share one backing pool.
+//! All four fields provably fit 16 bits: phit pipelines hold at most
+//! `latency + 1 ≤ 101` entries, credit pipelines at most
+//! `vcs × (latency + 1)`, and VC slot rings at most `capacity + 1 ≤ 257`.
 //!
 //! The backing storage is allocated *eagerly* at construction.  Lazy
 //! (first-push) allocation was tried and rejected: rarely-used VCs get their
@@ -229,122 +227,24 @@ impl RingMeta {
     }
 }
 
-/// A bounded FIFO ring over `Copy` elements that owns its backing storage: a
-/// [`RingMeta`] word plus a private `Vec`.
-///
-/// The index math and overflow policy are exactly the shared-pool ring view's
-/// (`RingMeta`); only the storage ownership differs.  Rings that belong to a
-/// family with a common element type should share a pool through `RingMeta`
-/// directly instead — that is what the link fabric and the router slot pools
-/// do.
-#[derive(Debug, Clone)]
-pub struct FixedRing<T: Copy> {
-    buf: Vec<T>,
-    meta: RingMeta,
-}
-
-impl<T: Copy> FixedRing<T> {
-    /// An empty ring that will never hold more than `cap` elements.  The
-    /// backing store is reserved here, up front — see the module docs.
-    pub fn new(cap: usize) -> Self {
-        let mut buf = Vec::new();
-        buf.reserve_exact(cap);
-        Self {
-            buf,
-            meta: RingMeta::new(cap),
-        }
-    }
-
-    /// Append an element; panics if the ring is full.
-    #[inline]
-    pub fn push_back(&mut self, value: T) {
-        let pos = self.meta.push_slot();
-        // The backing is materialized on first touch of each physical slot
-        // (the reservation is exact, so this never reallocates).
-        if pos == self.buf.len() {
-            self.buf.push(value);
-        } else {
-            self.buf[pos] = value;
-        }
-    }
-
-    /// Remove and return the oldest element.
-    #[inline]
-    pub fn pop_front(&mut self) -> Option<T> {
-        self.meta.pop_slot().map(|pos| self.buf[pos])
-    }
-
-    /// The oldest element, if any.
-    #[inline]
-    pub fn front(&self) -> Option<&T> {
-        self.meta.front(&self.buf)
-    }
-
-    /// Mutable access to the oldest element, if any.
-    #[inline]
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.meta.front_mut(&mut self.buf)
-    }
-
-    /// The newest element, if any.
-    #[inline]
-    pub fn back(&self) -> Option<&T> {
-        self.meta.back(&self.buf)
-    }
-
-    /// Mutable access to the newest element, if any.
-    #[inline]
-    pub fn back_mut(&mut self) -> Option<&mut T> {
-        self.meta.back_mut(&mut self.buf)
-    }
-
-    /// Number of elements currently held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// True when the ring holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
-    }
-
-    /// The fixed capacity the ring was built with.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.meta.capacity()
-    }
-
-    /// Highest occupancy the ring has ever reached.
-    #[inline]
-    pub fn high_water(&self) -> usize {
-        self.meta.high_water()
-    }
-
-    /// Iterate the elements oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.meta.iter(&self.buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fifo_order() {
-        let mut r = FixedRing::new(4);
-        r.push_back(1);
-        r.push_back(2);
-        r.push_back(3);
+        let mut buf = [0; 4];
+        let mut r = RingMeta::new(4);
+        r.push_back(&mut buf, 1);
+        r.push_back(&mut buf, 2);
+        r.push_back(&mut buf, 3);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.front(), Some(&1));
-        assert_eq!(r.back(), Some(&3));
-        assert_eq!(r.pop_front(), Some(1));
-        assert_eq!(r.pop_front(), Some(2));
-        assert_eq!(r.pop_front(), Some(3));
-        assert_eq!(r.pop_front(), None);
+        assert_eq!(r.front(&buf), Some(&1));
+        assert_eq!(r.back(&buf), Some(&3));
+        assert_eq!(r.pop_front(&buf), Some(1));
+        assert_eq!(r.pop_front(&buf), Some(2));
+        assert_eq!(r.pop_front(&buf), Some(3));
+        assert_eq!(r.pop_front(&buf), None);
         assert!(r.is_empty());
     }
 
@@ -353,98 +253,96 @@ mod tests {
         // Fill to capacity, drain, and refill repeatedly so head sweeps the
         // whole physical buffer and every push after the first lap lands on a
         // wrapped index.
-        let mut r = FixedRing::new(3);
+        let mut buf = [0u32; 3];
+        let mut r = RingMeta::new(3);
         for lap in 0..5u32 {
             for i in 0..3 {
-                r.push_back(lap * 10 + i);
+                r.push_back(&mut buf, lap * 10 + i);
             }
             assert_eq!(r.len(), r.capacity());
             for i in 0..3 {
-                assert_eq!(r.pop_front(), Some(lap * 10 + i));
+                assert_eq!(r.pop_front(&buf), Some(lap * 10 + i));
             }
         }
     }
 
     #[test]
     fn interleaved_push_pop_wraps() {
-        let mut r = FixedRing::new(2);
-        r.push_back(0);
+        let mut buf = [0; 2];
+        let mut r = RingMeta::new(2);
+        r.push_back(&mut buf, 0);
         for i in 1..100 {
-            r.push_back(i);
-            assert_eq!(r.pop_front(), Some(i - 1));
+            r.push_back(&mut buf, i);
+            assert_eq!(r.pop_front(&buf), Some(i - 1));
         }
-        assert_eq!(r.pop_front(), Some(99));
+        assert_eq!(r.pop_front(&buf), Some(99));
     }
 
     #[test]
     #[should_panic(expected = "ring overflow")]
     fn overflow_panics() {
-        let mut r = FixedRing::new(2);
-        r.push_back(1);
-        r.push_back(2);
-        r.push_back(3);
-    }
-
-    #[test]
-    fn backing_is_allocated_once_and_exactly() {
-        let mut r = FixedRing::new(8);
-        assert_eq!(r.buf.capacity(), 8, "backing is reserved at construction");
-        for i in 1u64..=8 {
-            r.push_back(i);
-        }
-        assert_eq!(r.buf.capacity(), 8, "pushes never grow the backing");
+        let mut buf = [0; 2];
+        let mut r = RingMeta::new(2);
+        r.push_back(&mut buf, 1);
+        r.push_back(&mut buf, 2);
+        r.push_back(&mut buf, 3);
     }
 
     #[test]
     fn iter_is_oldest_first_across_the_seam() {
-        let mut r = FixedRing::new(3);
-        r.push_back(1);
-        r.push_back(2);
-        r.push_back(3);
-        r.pop_front();
-        r.pop_front();
-        r.push_back(4);
-        r.push_back(5); // physically wrapped
-        let v: Vec<i32> = r.iter().copied().collect();
+        let mut buf = [0; 3];
+        let mut r = RingMeta::new(3);
+        r.push_back(&mut buf, 1);
+        r.push_back(&mut buf, 2);
+        r.push_back(&mut buf, 3);
+        r.pop_front(&buf);
+        r.pop_front(&buf);
+        r.push_back(&mut buf, 4);
+        r.push_back(&mut buf, 5); // physically wrapped
+        let v: Vec<i32> = r.iter(&buf).copied().collect();
         assert_eq!(v, vec![3, 4, 5]);
     }
 
     #[test]
     fn front_back_mut() {
-        let mut r = FixedRing::new(2);
-        r.push_back(10);
-        r.push_back(20);
-        *r.front_mut().unwrap() += 1;
-        *r.back_mut().unwrap() += 2;
-        assert_eq!(r.pop_front(), Some(11));
-        assert_eq!(r.pop_front(), Some(22));
+        let mut buf = [0; 2];
+        let mut r = RingMeta::new(2);
+        r.push_back(&mut buf, 10);
+        r.push_back(&mut buf, 20);
+        *r.front_mut(&mut buf).unwrap() += 1;
+        *r.back_mut(&mut buf).unwrap() += 2;
+        assert_eq!(r.pop_front(&buf), Some(11));
+        assert_eq!(r.pop_front(&buf), Some(22));
     }
 
     #[test]
     fn high_water_tracks_peak_occupancy_not_current() {
-        let mut r = FixedRing::new(4);
+        let mut buf = [0; 4];
+        let mut r = RingMeta::new(4);
         assert_eq!(r.high_water(), 0);
-        r.push_back(1);
-        r.push_back(2);
-        r.push_back(3);
+        r.push_back(&mut buf, 1);
+        r.push_back(&mut buf, 2);
+        r.push_back(&mut buf, 3);
         assert_eq!(r.high_water(), 3);
-        r.pop_front();
-        r.pop_front();
+        r.pop_front(&buf);
+        r.pop_front(&buf);
         assert_eq!(r.len(), 1);
         assert_eq!(r.high_water(), 3, "draining must not lower the mark");
-        r.push_back(4);
+        r.push_back(&mut buf, 4);
         assert_eq!(r.high_water(), 3, "refilling below the peak keeps it");
-        r.push_back(5);
-        r.push_back(6);
+        r.push_back(&mut buf, 5);
+        r.push_back(&mut buf, 6);
         assert_eq!(r.high_water(), 4);
     }
 
     #[test]
     fn zero_capacity_ring_is_empty_forever() {
-        let r: FixedRing<u8> = FixedRing::new(0);
+        let buf: [u8; 0] = [];
+        let r = RingMeta::new(0);
         assert!(r.is_empty());
         assert_eq!(r.capacity(), 0);
-        assert_eq!(r.front(), None);
+        assert_eq!(r.front(&buf), None);
+        assert_eq!(r.back(&buf), None);
     }
 
     // --- RingMeta slice-backed view ---------------------------------------

@@ -5,9 +5,9 @@ use serde::{Deserialize, Serialize};
 /// Mean/variance/min/max accumulator for *integer-valued* observations (cycle
 /// counts, hop counts) with exact integer internals.
 ///
-/// Unlike [`crate::RunningStats`] (Welford's algorithm, whose floating-point
-/// state depends on the order observations arrive in), this accumulator keeps
-/// exact `u128` sums, so
+/// Unlike a floating-point running mean (Welford's algorithm, whose state
+/// depends on the order observations arrive in), this accumulator keeps exact
+/// `u128` sums, so
 ///
 /// * accumulation is **order-independent**: any permutation of the same
 ///   observations produces bit-identical state, and

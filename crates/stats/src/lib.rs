@@ -3,7 +3,7 @@
 //! The simulator produces two kinds of measurements:
 //!
 //! * *per-packet* observations (latency, hop counts, misroute counts) which are
-//!   aggregated with [`RunningStats`] and [`Histogram`],
+//!   aggregated with [`ExactStats`] and [`Histogram`],
 //! * *per-cycle* throughput counters, aggregated over a measurement window by
 //!   [`ThroughputMeter`] and optionally sampled over time by [`TimeSeries`].
 //!
@@ -18,7 +18,6 @@ mod histogram;
 #[cfg(feature = "json")]
 mod json;
 mod report;
-mod running;
 mod scoped;
 mod timeseries;
 mod workload_report;
@@ -28,7 +27,6 @@ pub use histogram::Histogram;
 #[cfg(feature = "json")]
 pub use json::{time_series_from_json, validate_json};
 pub use report::{BatchReport, SimReport};
-pub use running::RunningStats;
 pub use scoped::ScopedStats;
 pub use timeseries::TimeSeries;
 pub use workload_report::{JobLifecycleReport, JobReport, PhaseReport, WorkloadReport};

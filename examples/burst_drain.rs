@@ -9,7 +9,7 @@
 //! local misrouting drain the burst far faster than Piggybacking, which is the
 //! paper's headline burst result (OLM needs ~36 % of PB's time at full scale).
 
-use dragonfly::core::{run_batches_parallel, ExperimentSpec, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, RoutingKind, SweepRunner, TrafficKind};
 
 fn main() {
     let h = 3;
@@ -38,7 +38,10 @@ fn main() {
     println!(
         "Draining a burst of {packets_per_node} packets/node (h = {h}, 50% ADVG+{h} / 50% ADVL+1)...",
     );
-    let reports = run_batches_parallel(&specs, packets_per_node, 10_000_000, None, |_, _| {});
+    let reports =
+        SweepRunner::new("burst drain")
+            .quiet()
+            .run_batches(&specs, packets_per_node, 10_000_000);
 
     println!(
         "\n{:<10} {:>18} {:>14} {:>12}",

@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, RunOptions, Steady, TrafficKind};
 use dragonfly::probe::{DelayLedger, DelayRow, DELAY_COMPONENT_NAMES};
 use dragonfly::topology::DragonflyParams;
 
@@ -46,7 +46,12 @@ fn run(kind: RoutingKind, h: usize, warmup: u64, measure: u64) -> Study {
         delay: true,
         ..ProbeConfig::full(64)
     };
-    let (report, probe) = spec.run_probed(probes);
+    let options = RunOptions {
+        probes: Some(probes),
+        ..RunOptions::default()
+    };
+    let (report, probe) = spec.run_with(Steady, &options);
+    let probe = probe.expect("probes were requested");
     let ledger: &DelayLedger = probe.delay_ledger().expect("delay ledger installed");
     assert!(ledger.folded() > 0, "{kind:?}: nothing delivered");
     assert_eq!(

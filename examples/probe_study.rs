@@ -20,7 +20,7 @@
 //!
 //! CI runs this example as the probe smoke test.
 
-use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, RunOptions, Steady, TrafficKind};
 use dragonfly::probe::{FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT};
 
 fn main() {
@@ -36,7 +36,12 @@ fn main() {
     println!("Running OLM under ADVG+1 (h = 2, load 0.3) with every probe instrument on...");
     let probes = ProbeConfig::full(128);
     let stride = probes.stride;
-    let (report, probe) = spec.run_probed(probes);
+    let options = RunOptions {
+        probes: Some(probes),
+        ..RunOptions::default()
+    };
+    let (report, probe) = spec.run_with(Steady, &options);
+    let probe = probe.expect("probes were requested");
 
     // The cardinal invariant, checked live: probes only read.
     assert_eq!(

@@ -3,8 +3,8 @@
 //! node-disjointness invariant under arrival/departure churn.
 
 use dragonfly::core::{
-    Completion, ExperimentSpec, JobPattern, PlacementPolicy, RoutingKind, SweepRunner, Trace,
-    TraceJob, TrafficKind,
+    Completion, ExperimentSpec, JobPattern, Jobs, PlacementPolicy, Protocol, RoutingKind,
+    SweepRunner, Trace, TraceJob, TrafficKind,
 };
 use dragonfly::sched::scenarios::fragmentation_trace;
 use dragonfly::sched::SyntheticTrace;
@@ -170,7 +170,7 @@ fn fixed_trace_and_seed_reproduce_byte_identical_reports_across_runs_and_jobs() 
     // type-erased engine agrees with the monomorphized one.
     let first = spec.run_workload();
     assert_eq!(first, spec.run_workload());
-    assert_eq!(first, spec.run_workload_dyn());
+    assert_eq!(first, Jobs.run_on(&spec, &mut spec.build_simulation()));
 
     // The parse → emit → parse round-trip preserves behaviour, not just shape.
     let reparsed = Trace::parse(&spec.traffic.churn().unwrap().to_text()).unwrap();

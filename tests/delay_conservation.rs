@@ -6,7 +6,8 @@
 //! from the pipeline timing.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind, TrafficKind,
+    ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind, RunOptions, Steady,
+    TrafficKind,
 };
 use dragonfly::probe::DelaySample;
 use dragonfly::rng::Rng;
@@ -19,6 +20,16 @@ fn delay_probes() -> ProbeConfig {
         delay: true,
         ..ProbeConfig::full(64)
     }
+}
+
+/// The recorder of a steady-state run of `spec` with the delay ledger on.
+fn run_probed(spec: &ExperimentSpec, shards: Option<usize>) -> ProbeRecorder {
+    let options = RunOptions {
+        shards,
+        probes: Some(delay_probes()),
+    };
+    let (_, probe) = spec.run_with(Steady, &options);
+    *probe.expect("probes were requested")
 }
 
 /// Assert the ledger of a finished run upholds conservation and is
@@ -61,7 +72,7 @@ fn components_conserve_across_mechanisms_and_flow_controls() {
             spec.measure = 600;
             spec.drain = 900;
             let label = format!("{routing:?}/{fc:?}");
-            let (_, probe) = spec.run_probed(delay_probes());
+            let probe = run_probed(&spec, None);
             assert_conserves(&probe, &label);
             let ledger = probe.delay_ledger().unwrap();
             if routing == RoutingKind::Minimal {
@@ -110,7 +121,7 @@ fn components_conserve_under_seeded_random_configs() {
         spec.measure = 400;
         spec.drain = 600;
         let label = format!("case {case}: {routing:?}/{fc:?}/{traffic:?}@{load}");
-        let (_, probe) = spec.run_probed(delay_probes());
+        let probe = run_probed(&spec, None);
         assert_conserves(&probe, &label);
     }
 }
@@ -126,10 +137,10 @@ fn sharded_merge_preserves_conservation_and_totals() {
     spec.warmup = 300;
     spec.measure = 600;
     spec.drain = 900;
-    let (_, sequential) = spec.run_probed(delay_probes());
+    let sequential = run_probed(&spec, None);
     let folded = assert_conserves(&sequential, "sequential");
     for shards in [2usize, 4] {
-        let (_, merged) = spec.run_probed_sharded(delay_probes(), shards);
+        let merged = run_probed(&spec, Some(shards));
         let label = format!("{shards} shards");
         assert_eq!(assert_conserves(&merged, &label), folded);
         assert_eq!(

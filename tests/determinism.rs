@@ -2,7 +2,7 @@
 //! give statistically consistent but distinct runs, and parallel execution does not
 //! change anything (each simulation owns its RNG).
 
-use dragonfly::core::{run_parallel, ExperimentSpec, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, RoutingKind, SweepRunner, TrafficKind};
 
 fn spec(seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -48,7 +48,10 @@ fn different_seeds_differ_but_agree_statistically() {
 fn parallel_execution_matches_sequential() {
     let specs = vec![spec(11), spec(12), spec(13)];
     let sequential: Vec<_> = specs.iter().map(|s| s.run()).collect();
-    let parallel = run_parallel(&specs, Some(3), |_, _| {});
+    let parallel = SweepRunner::new("determinism")
+        .quiet()
+        .jobs(Some(3))
+        .run_steady(&specs);
     for (s, p) in sequential.iter().zip(parallel.iter()) {
         assert_eq!(s.packets_delivered, p.packets_delivered);
         assert_eq!(s.accepted_load.to_bits(), p.accepted_load.to_bits());

@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, TrafficKind,
-    WorkloadSpec,
+    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, RunOptions, Steady,
+    TrafficKind, WorkloadSpec,
 };
 use dragonfly::sched::SyntheticTrace;
 use dragonfly::stats::{BatchReport, JobReport, PhaseReport, SimReport};
@@ -213,7 +213,11 @@ fn batch_matches_golden() {
 fn sharded_matches_sequential_and_golden() {
     let spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
     let sequential = spec.run();
-    let sharded = spec.run_sharded(2);
+    let options = RunOptions {
+        shards: Some(2),
+        probes: None,
+    };
+    let (sharded, _) = spec.run_with(Steady, &options);
     assert_eq!(sharded, sequential);
     check("steady_olm_vct", &render_sim(&sharded));
 }

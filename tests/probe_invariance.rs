@@ -12,11 +12,18 @@
 //!    emission sorts flight events into a canonical order.  The one documented
 //!    exception is the diagnostics series (`*_diag.csv`): arena growth and
 //!    ring high-water marks are genuinely engine-dependent.
+//!
+//! Shards and probes are orthogonal [`RunOptions`], so both invariants are
+//! also pinned as one table: every protocol × engine × probe combination goes
+//! through `ExperimentSpec::run_with` and must agree.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, ProbeConfig, RoutingKind, TrafficKind, WorkloadSpec,
+    Batch, Completion, ExperimentSpec, FlowControlKind, JobPattern, Jobs, PlacementPolicy,
+    ProbeConfig, ProbeRecorder, Protocol, RoutingKind, RunOptions, Steady, Trace, TraceJob,
+    TrafficKind, WorkloadSpec,
 };
 use dragonfly::probe::DelayLedger;
+use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
 fn steady_spec(routing: RoutingKind, fc: FlowControlKind) -> ExperimentSpec {
@@ -52,45 +59,31 @@ fn active_probes() -> ProbeConfig {
     }
 }
 
-#[test]
-fn probes_never_perturb_any_mechanism_or_flow_control() {
-    for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
-        for routing in RoutingKind::ALL {
-            if fc == FlowControlKind::Wormhole && !routing.supports_wormhole() {
-                continue;
-            }
-            let spec = steady_spec(routing, fc);
-            let plain = spec.run();
-            assert!(
-                plain.packets_measured > 0,
-                "{routing:?}/{fc:?}: nothing measured, the pin is vacuous"
-            );
-            let (probed, probe) = spec.run_probed(full_probes());
-            assert_eq!(
-                probed, plain,
-                "{routing:?}/{fc:?}: probes perturbed the report"
-            );
-            assert!(
-                probe.samples() > 0,
-                "{routing:?}/{fc:?}: probes recorded nothing"
-            );
-        }
-    }
+/// Run `spec` under `protocol` with `probes` installed, on the sequential
+/// engine (`shards = None`) or the sharded one.
+fn run_probed<P: Protocol>(
+    spec: &ExperimentSpec,
+    protocol: P,
+    probes: ProbeConfig,
+    shards: Option<usize>,
+) -> (P::Report, ProbeRecorder) {
+    let options = RunOptions {
+        shards,
+        probes: Some(probes),
+    };
+    let (report, probe) = spec.run_with(protocol, &options);
+    (report, *probe.expect("probes were requested"))
 }
 
-#[test]
-fn probes_never_perturb_workload_and_churn_runs() {
-    use dragonfly::core::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
+fn workload_spec() -> ExperimentSpec {
+    let mut spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
+    spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.4, 0.1));
+    spec
+}
 
-    let mut workload = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
-    workload.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.4, 0.1));
-    let plain = workload.run_workload();
-    let (probed, probe) = workload.run_workload_probed(full_probes());
-    assert_eq!(probed, plain, "probes perturbed the workload report");
-    assert!(probe.samples() > 0);
-
-    let mut churn = steady_spec(RoutingKind::Piggybacking, FlowControlKind::Vct);
-    churn.traffic = TrafficKind::Churn(Trace::new(
+fn churn_spec() -> ExperimentSpec {
+    let mut spec = steady_spec(RoutingKind::Piggybacking, FlowControlKind::Vct);
+    spec.traffic = TrafficKind::Churn(Trace::new(
         "probe-pin",
         vec![
             TraceJob {
@@ -113,10 +106,48 @@ fn probes_never_perturb_workload_and_churn_runs() {
             },
         ],
     ));
-    churn.measure = 4_000;
-    churn.drain = 2_000;
+    spec.measure = 4_000;
+    spec.drain = 2_000;
+    spec
+}
+
+#[test]
+fn probes_never_perturb_any_mechanism_or_flow_control() {
+    for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
+        for routing in RoutingKind::ALL {
+            if fc == FlowControlKind::Wormhole && !routing.supports_wormhole() {
+                continue;
+            }
+            let spec = steady_spec(routing, fc);
+            let plain = spec.run();
+            assert!(
+                plain.packets_measured > 0,
+                "{routing:?}/{fc:?}: nothing measured, the pin is vacuous"
+            );
+            let (probed, probe) = run_probed(&spec, Steady, full_probes(), None);
+            assert_eq!(
+                probed, plain,
+                "{routing:?}/{fc:?}: probes perturbed the report"
+            );
+            assert!(
+                probe.samples() > 0,
+                "{routing:?}/{fc:?}: probes recorded nothing"
+            );
+        }
+    }
+}
+
+#[test]
+fn probes_never_perturb_workload_and_churn_runs() {
+    let workload = workload_spec();
+    let plain = workload.run_workload();
+    let (probed, probe) = run_probed(&workload, Jobs, full_probes(), None);
+    assert_eq!(probed, plain, "probes perturbed the workload report");
+    assert!(probe.samples() > 0);
+
+    let churn = churn_spec();
     let plain = churn.run_workload();
-    let (probed, probe) = churn.run_workload_probed(full_probes());
+    let (probed, probe) = run_probed(&churn, Jobs, full_probes(), None);
     assert_eq!(probed, plain, "probes perturbed the churn report");
     assert!(probe.samples() > 0);
 }
@@ -157,7 +188,7 @@ fn probe_files_are_byte_identical_across_shard_counts() {
     let spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
     let plain = spec.run();
 
-    let (report, probe) = spec.run_probed(full_probes());
+    let (report, probe) = run_probed(&spec, Steady, full_probes(), None);
     assert_eq!(report, plain);
     let seq_dir = scratch("seq");
     probe.write_all(&seq_dir, "probe").unwrap();
@@ -187,7 +218,7 @@ fn probe_files_are_byte_identical_across_shard_counts() {
     assert_eq!(seq_diag, vec!["probe_diag.csv".to_string()]);
 
     for shards in [2, 4] {
-        let (report, probe) = spec.run_probed_sharded(full_probes(), shards);
+        let (report, probe) = run_probed(&spec, Steady, full_probes(), Some(shards));
         assert_eq!(report, plain, "{shards} shards: report diverged");
         let dir = scratch(&format!("shards{shards}"));
         probe.write_all(&dir, "probe").unwrap();
@@ -215,7 +246,7 @@ fn detectors_never_perturb_the_report() {
     for routing in [RoutingKind::Minimal, RoutingKind::Olm, RoutingKind::Rlm] {
         let spec = steady_spec(routing, FlowControlKind::Vct);
         let plain = spec.run();
-        let (probed, probe) = spec.run_probed(active_probes());
+        let (probed, probe) = run_probed(&spec, Steady, active_probes(), None);
         assert_eq!(
             probed, plain,
             "{routing:?}: armed detectors perturbed the report"
@@ -240,7 +271,7 @@ fn anomalous_spec() -> (ExperimentSpec, ProbeConfig) {
 #[test]
 fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
     let (spec, probes) = anomalous_spec();
-    let (report, probe) = spec.run_probed(probes.clone());
+    let (report, probe) = run_probed(&spec, Steady, probes.clone(), None);
     assert!(
         !probe.trips().is_empty(),
         "the forced-anomaly scenario must trip at least one detector, or this \
@@ -268,7 +299,7 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
     }
 
     for shards in [2, 4] {
-        let (sharded_report, probe) = spec.run_probed_sharded(probes.clone(), shards);
+        let (sharded_report, probe) = run_probed(&spec, Steady, probes.clone(), Some(shards));
         assert_eq!(sharded_report, report, "{shards} shards: report diverged");
         let dir = scratch(&format!("anomaly_shards{shards}"));
         probe
@@ -284,4 +315,77 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
             );
         }
     }
+}
+
+/// One row of the table below: `spec` under `protocol` on every engine
+/// (sequential, 1, 2 and 3 shards) with probes off and fully on.  All eight
+/// reports must equal the sequential unprobed one, and all four recorders'
+/// pinned outputs must equal the sequential recorder's.
+fn assert_engines_and_probes_agree<P: Protocol>(name: &str, spec: &ExperimentSpec, protocol: P)
+where
+    P::Report: PartialEq + Debug,
+{
+    let (reference, no_probe) = spec.run_with(protocol, &RunOptions::default());
+    assert!(no_probe.is_none(), "{name}: a recorder without probes");
+    let mut reference_files: Option<Vec<(String, Vec<u8>)>> = None;
+    for shards in [None, Some(1), Some(2), Some(3)] {
+        for probes in [None, Some(ProbeConfig::full_active(64))] {
+            let options = RunOptions { shards, probes };
+            let label = format!(
+                "{name}, shards {shards:?}, probed {}",
+                options.probes.is_some()
+            );
+            let (report, probe) = spec.run_with(protocol, &options);
+            assert_eq!(report, reference, "{label}: report diverged");
+            assert_eq!(probe.is_some(), options.probes.is_some(), "{label}");
+            let Some(probe) = probe else { continue };
+            assert!(probe.samples() > 0, "{label}: probes recorded nothing");
+            let dir = scratch(&format!("table_{name}_{}", shards.unwrap_or(0)));
+            probe.write_all(&dir, "probe").unwrap();
+            let (files, _) = read_outputs(&dir);
+            match &reference_files {
+                None => {
+                    assert!(
+                        files.iter().any(|(n, _)| n == "probe_series.csv"),
+                        "{label}"
+                    );
+                    reference_files = Some(files);
+                }
+                Some(expected) => {
+                    let names = |set: &[(String, Vec<u8>)]| -> Vec<String> {
+                        set.iter().map(|(n, _)| n.clone()).collect()
+                    };
+                    assert_eq!(names(&files), names(expected), "{label}: file set diverged");
+                    for ((file, bytes), (_, expected)) in files.iter().zip(expected) {
+                        assert!(bytes == expected, "{label}: {file} is not byte-identical");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// {steady, workload, churn, batch} × {sequential, 1, 2, 3 shards} ×
+/// {probes off, `ProbeConfig::full_active`}: one pipeline, one answer.
+#[test]
+fn every_protocol_engine_and_probe_combination_agrees() {
+    let steady = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
+    assert_engines_and_probes_agree("steady", &steady, Steady);
+    assert_engines_and_probes_agree("workload", &workload_spec(), Jobs);
+    assert_engines_and_probes_agree("churn", &churn_spec(), Jobs);
+
+    let mut burst = steady_spec(RoutingKind::Rlm, FlowControlKind::Wormhole);
+    burst.traffic = TrafficKind::Mixed {
+        global_fraction: 0.5,
+        global_offset: 2,
+        local_offset: 1,
+    };
+    let batch = Batch {
+        packets_per_node: 3,
+        max_cycles: 100_000,
+    };
+    assert!(!burst.run_batch(3, 100_000).timed_out);
+    assert_engines_and_probes_agree("batch", &burst, batch);
+    // Batch on a workload spec drops the runtime but drains against its pattern.
+    assert_engines_and_probes_agree("batch_workload", &workload_spec(), batch);
 }

@@ -5,10 +5,19 @@
 //! workload, churn trace), and independently of the shard count.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, TrafficKind,
-    WorkloadSpec,
+    Batch, ExperimentSpec, FlowControlKind, JobPattern, Jobs, PlacementPolicy, Protocol,
+    RoutingKind, RunOptions, Steady, TrafficKind, WorkloadSpec,
 };
 use dragonfly::sched::SyntheticTrace;
+
+/// The report of `spec` under `protocol` on the sharded engine.
+fn run_sharded<P: Protocol>(spec: &ExperimentSpec, protocol: P, shards: usize) -> P::Report {
+    let options = RunOptions {
+        shards: Some(shards),
+        probes: None,
+    };
+    spec.run_with(protocol, &options).0
+}
 
 fn steady_spec(routing: RoutingKind, fc: FlowControlKind) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -40,7 +49,7 @@ fn every_mechanism_and_flow_control_is_shard_invariant() {
                 "{routing:?}/{fc:?}: nothing measured, the pin is vacuous"
             );
             for shards in [1, 2, 4] {
-                let sharded = spec.run_sharded(shards);
+                let sharded = run_sharded(&spec, Steady, shards);
                 assert_eq!(
                     sharded, sequential,
                     "{routing:?} under {fc:?} diverged with {shards} shards"
@@ -61,7 +70,7 @@ fn telemetry_peaks_are_populated_and_shard_invariant() {
     assert!(sequential.peak_vc_occupancy > 0);
     // A single VC never exceeds the largest configured buffer.
     assert!(sequential.peak_vc_occupancy <= 256);
-    let sharded = spec.run_sharded(3);
+    let sharded = run_sharded(&spec, Steady, 3);
     assert_eq!(
         sharded.peak_in_flight_packets,
         sequential.peak_in_flight_packets
@@ -85,7 +94,7 @@ fn workload_reports_are_shard_invariant() {
     assert_eq!(sequential.jobs.len(), 2);
     for shards in [1, 2, 4] {
         assert_eq!(
-            spec.run_workload_sharded(shards),
+            run_sharded(&spec, Jobs, shards),
             sequential,
             "workload diverged with {shards} shards"
         );
@@ -124,8 +133,8 @@ fn churn_traces_are_shard_count_invariant() {
             .all(|j| j.lifecycle.as_ref().unwrap().completion_cycle.is_some()),
         "every synthetic job should finish inside the horizon"
     );
-    let two = spec.run_workload_sharded(2);
-    let four = spec.run_workload_sharded(4);
+    let two = run_sharded(&spec, Jobs, 2);
+    let four = run_sharded(&spec, Jobs, 4);
     assert_eq!(two, sequential, "churn diverged with 2 shards");
     assert_eq!(four, sequential, "churn diverged with 4 shards");
     // Shard-count invariance, stated directly.
@@ -146,9 +155,13 @@ fn batch_runs_are_shard_invariant() {
     spec.seed = 3;
     let sequential = spec.run_batch(3, 100_000);
     assert!(!sequential.timed_out);
+    let batch = Batch {
+        packets_per_node: 3,
+        max_cycles: 100_000,
+    };
     for shards in [2, 3] {
         assert_eq!(
-            spec.run_batch_sharded(3, 100_000, shards),
+            run_sharded(&spec, batch, shards),
             sequential,
             "batch diverged with {shards} shards"
         );

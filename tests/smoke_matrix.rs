@@ -3,7 +3,9 @@
 //! (static-dispatch) engine must produce byte-identical reports to the type-erased
 //! (`Box<dyn RoutingAlgorithm>`) engine for the same seed.
 
-use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly::core::{
+    Batch, ExperimentSpec, FlowControlKind, Jobs, Protocol, RoutingKind, Steady, TrafficKind,
+};
 use dragonfly::traffic::BernoulliInjection;
 
 const FLOW_CONTROLS: [FlowControlKind; 2] = [FlowControlKind::Vct, FlowControlKind::Wormhole];
@@ -69,7 +71,7 @@ fn static_and_dyn_dispatch_produce_identical_reports() {
             spec.measure = 800;
             spec.drain = 800;
             let static_report = spec.run();
-            let dyn_report = spec.run_dyn();
+            let dyn_report = Steady.run_on(&spec, &mut spec.build_simulation());
             assert_eq!(
                 static_report,
                 dyn_report,
@@ -214,7 +216,7 @@ fn workload_static_and_dyn_dispatch_agree() {
         spec.drain = 1_200;
         assert_eq!(
             spec.run_workload(),
-            spec.run_workload_dyn(),
+            Jobs.run_on(&spec, &mut spec.build_simulation()),
             "workload engines diverged for {}",
             kind.name()
         );
@@ -232,7 +234,11 @@ fn static_and_dyn_dispatch_produce_identical_batch_reports() {
     };
     spec.seed = 3;
     let static_report = spec.run_batch(2, 100_000);
-    let dyn_report = spec.run_batch_dyn(2, 100_000);
+    let batch = Batch {
+        packets_per_node: 2,
+        max_cycles: 100_000,
+    };
+    let dyn_report = batch.run_on(&spec, &mut spec.build_simulation());
     assert_eq!(static_report, dyn_report);
     assert!(!static_report.deadlock_detected);
     assert!(!static_report.timed_out);

@@ -3,8 +3,8 @@
 //! headline scenarios (interference, transient pattern switch).
 
 use dragonfly::core::{
-    ExperimentSpec, JobPattern, JobSpec, PlacementPolicy, RoutingKind, TrafficKind, WorkloadReport,
-    WorkloadSpec,
+    ExperimentSpec, JobPattern, JobSpec, Jobs, PlacementPolicy, Protocol, RoutingKind, Steady,
+    TrafficKind, WorkloadReport, WorkloadSpec,
 };
 use dragonfly::topology::DragonflyParams;
 use dragonfly::traffic::UNASSIGNED_SLOT;
@@ -106,11 +106,14 @@ fn workload_reports_are_deterministic_and_static_dyn_agree() {
     let first: WorkloadReport = spec.run_workload();
     let second = spec.run_workload();
     assert_eq!(first, second, "same seed must give byte-identical reports");
-    let dynamic = spec.run_workload_dyn();
+    let dynamic = Jobs.run_on(&spec, &mut spec.build_simulation());
     assert_eq!(first, dynamic, "static and dyn workload engines diverged");
     // The aggregate-only path agrees with the workload aggregate.
     assert_eq!(spec.run(), first.aggregate);
-    assert_eq!(spec.run_dyn(), first.aggregate);
+    assert_eq!(
+        Steady.run_on(&spec, &mut spec.build_simulation()),
+        first.aggregate
+    );
 }
 
 /// The headline interference result: a minimal-routing aggressor measurably degrades
