@@ -9,18 +9,18 @@
 //! * records the wall-clock time and the speedup over the sequential engine.
 //!
 //! Output: `results/shard_scaling.csv` (`h,shards,wall_ms,speedup,identical`;
-//! the `shards = 0` row is the sequential-engine baseline) and, with
-//! `--json FILE`, one `{"name": "shard_scaling/h4/shards2", "ns_per_iter": …}`
-//! object per point in the same shape the bench-trend tooling
-//! (`parse_bench_entries`, `bench_gate`, `BENCH_history.jsonl`) consumes.
+//! the `shards = 0` row is the sequential-engine baseline).  The perf ledger's
+//! `un_h8` / `un_h8_shard2` workloads (`benchmark/`) are the tracked record of
+//! the shard layer's cost; this binary is the wider one-off study.
 //!
 //! ```text
 //! cargo run --release -p dragonfly_bench --bin shard_scaling
 //! cargo run --release -p dragonfly_bench --bin shard_scaling -- --quick
-//! cargo run --release -p dragonfly_bench --bin shard_scaling -- --json shard.jsonl
 //! ```
 //!
-//! `--quick` shrinks to h ∈ {2, 4} with short windows for CI smoke runs.
+//! Without `--warmup`/`--measure` the windows are a deliberately modest
+//! 300/600/600 cycles: the study measures engine scaling, not steady-state
+//! convergence.  `--quick` shrinks to h ∈ {2, 4} for CI smoke runs.
 //! Points are timed one at a time (`--jobs` does not apply here: the shards
 //! themselves are the parallelism being measured).
 
@@ -28,7 +28,6 @@ use dragonfly_bench::HarnessArgs;
 use dragonfly_core::{
     CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, RunOptions, Steady, TrafficKind,
 };
-use std::io::Write;
 use std::time::Instant;
 
 /// Shard counts swept at every scale (clamped to cores and groups below).
@@ -40,20 +39,17 @@ fn point_spec(args: &HarnessArgs, h: usize) -> ExperimentSpec {
     spec.routing = RoutingKind::Olm;
     spec.traffic = TrafficKind::Uniform;
     spec.offered_load = 0.2;
-    // Fixed, deliberately modest windows: the study measures engine scaling,
-    // not steady-state convergence.  --warmup/--measure override as usual.
-    if args.warmup == HarnessArgs::default().warmup {
-        spec.warmup = 300;
-    }
-    if args.measure == HarnessArgs::default().measure {
-        spec.measure = 600;
-        spec.drain = 600;
-    }
     spec
 }
 
 fn main() {
-    let args = HarnessArgs::from_env();
+    let args = HarnessArgs::from_env_over(HarnessArgs {
+        warmup: 300,
+        measure: 600,
+        drain: 600,
+        ..HarnessArgs::default()
+    });
+    args.reject_json("shard_scaling");
     let scales: Vec<usize> = if args.quick {
         vec![2, 4]
     } else {
@@ -66,7 +62,6 @@ fn main() {
     let path = args.csv_path("shard_scaling.csv");
     let mut csv =
         CsvWriter::create(&path, "h,shards,wall_ms,speedup,identical").expect("cannot create CSV");
-    let mut json_entries: Vec<(String, f64)> = Vec::new();
 
     println!("== Sharded-engine strong scaling (OLM, UN, load 0.2) ==");
     println!(
@@ -91,7 +86,6 @@ fn main() {
         );
         csv.row(&format!("{h},0,{seq_ms:.3},1.0,true"))
             .expect("CSV write failed");
-        json_entries.push((format!("shard_scaling/h{h}/seq"), seq_ms * 1e6));
 
         // With --probe*, one extra sequential run outside the timed region
         // carries the probes, so the scaling numbers stay untouched while the
@@ -132,7 +126,6 @@ fn main() {
             println!("{h:>3} {shards:>7} {ms:>10.1} {speedup:>9.2} {identical:>10}");
             csv.row(&format!("{h},{shards},{ms:.3},{speedup:.4},{identical}"))
                 .expect("CSV write failed");
-            json_entries.push((format!("shard_scaling/h{h}/shards{shards}"), ms * 1e6));
             assert!(
                 identical,
                 "sharded report diverged from the sequential engine at h = {h}, \
@@ -142,18 +135,4 @@ fn main() {
     }
     csv.flush().expect("CSV flush failed");
     println!("\nwrote {path:?} ({} rows)", csv.rows_written());
-
-    // Bench-trend JSON: one object per line, the shape `parse_bench_entries`
-    // and the BENCH_history.jsonl tooling read.
-    if let Some(json_path) = &args.json_out {
-        let mut file = std::fs::File::create(json_path).expect("cannot create JSON output");
-        for (name, ns) in &json_entries {
-            writeln!(
-                file,
-                "{{\"name\":\"{name}\",\"ns_per_iter\":{ns:.0},\"iters\":1}}"
-            )
-            .expect("JSON write failed");
-        }
-        println!("wrote {json_path:?} ({} entries)", json_entries.len());
-    }
 }

@@ -18,8 +18,8 @@
 //! --out <DIR>      directory for CSV output (default: results/)
 //! --loads a,b,c    explicit offered-load points
 //! --pattern <P>    traffic pattern selector where applicable (un, advg1, advgh, all)
-//! --json <FILE>    structured JSON output (churn_sweep and shard_scaling only,
-//!                  needs the `json` feature for churn_sweep)
+//! --json <FILE>    structured JSON output (churn_sweep only, needs the `json`
+//!                  feature)
 //! --probe          install observability probes and write their output files
 //!                  next to the CSVs (all simulation binaries; table1 is
 //!                  closed-form and has nothing to probe)
@@ -120,17 +120,29 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from an explicit argument list (excluding the program name).
-    ///
-    /// Flag order never matters: the `--quick`/`--full` presets and the
-    /// `--measure` ⇒ drain default apply first, explicit `--h`, `--warmup`,
-    /// `--measure`, `--drain` and `--loads` values second.
+    /// Parse from an explicit argument list (excluding the program name) over
+    /// the global defaults.
     pub fn parse_from<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut out = Self::default();
+        Self::parse_over(Self::default(), args)
+    }
+
+    /// Parse `args` over `base`, the values a binary wants when a flag is not
+    /// passed (`shard_scaling` runs shorter windows than the figures).
+    ///
+    /// Flag order never matters: the `--quick`/`--full` presets and the
+    /// `--measure` ⇒ drain default apply first, explicit `--h`, `--warmup`,
+    /// `--measure`, `--drain` and `--loads` values second.  `--help`/`-h`
+    /// yields the bare usage text as the error.
+    pub fn parse_over<I, S>(base: Self, args: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut out = base;
         // Explicit values, held back until every preset has been applied.
         let (mut h, mut warmup, mut measure, mut drain, mut loads) = (None, None, None, None, None);
         let args: Vec<String> = args.into_iter().map(|a| a.as_ref().to_string()).collect();
@@ -276,10 +288,22 @@ impl HarnessArgs {
         Ok(out)
     }
 
-    /// Parse from the process arguments, exiting with a message on error.
+    /// Parse from the process arguments over the global defaults (see
+    /// [`HarnessArgs::from_env_over`]).
     pub fn from_env() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
+        Self::from_env_over(Self::default())
+    }
+
+    /// Parse from the process arguments over `base`: `--help` prints the usage
+    /// on stdout and exits 0, a bad argument prints a message on stderr and
+    /// exits 2.
+    pub fn from_env_over(base: Self) -> Self {
+        match Self::parse_over(base, std::env::args().skip(1)) {
             Ok(args) => args,
+            Err(msg) if msg == usage() => {
+                println!("{msg}");
+                std::process::exit(0);
+            }
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(2);
@@ -351,10 +375,7 @@ impl HarnessArgs {
     /// instead of being silently ignored.
     pub fn reject_json(&self, binary: &str) {
         if self.json_out.is_some() {
-            eprintln!(
-                "--json is not supported by {binary} (only churn_sweep and shard_scaling \
-                 emit JSON)"
-            );
+            eprintln!("--json is not supported by {binary} (only churn_sweep emits JSON)");
             std::process::exit(2);
         }
     }
@@ -415,60 +436,12 @@ pub fn file_slug(s: &str) -> String {
 fn usage() -> String {
     "usage: <figure-binary> [--h N] [--full] [--quick] [--warmup N] [--measure N] \
      [--drain N] [--seed N] [--jobs N] [--shards N] [--sequential] [--out DIR] \
-     [--loads a,b,c] [--pattern P] [--json FILE (churn_sweep, shard_scaling)] \
+     [--loads a,b,c] [--pattern P] [--json FILE (churn_sweep)] \
      [--probe] [--probe-stride N] [--probe-flight N] [--probe-heatmap N] \
      [--probe-top N] [--probe-detect] [--probe-detect-window N] \
      [--probe-detect-collapse PCT] [--probe-detect-stall N] [--probe-trace] \
      [--probe-delay]"
         .to_string()
-}
-
-/// Extract `(name, ns_per_iter)` pairs from bench JSON: either the pretty-printed
-/// `BENCH_baseline.json` (a `benchmarks` array of objects) or the one-object-per-line
-/// `CRITERION_SHIM_JSON` output of the vendored criterion shim.
-///
-/// The workspace has no JSON dependency (the vendored serde is a no-op), so this is
-/// a small scanner over the two known shapes: every `"name"` key is paired with the
-/// `"ns_per_iter"` key that follows it before the next `"name"`.
-pub fn parse_bench_entries(text: &str) -> Vec<(String, f64)> {
-    const NAME_KEY: &str = "\"name\"";
-    const NS_KEY: &str = "\"ns_per_iter\"";
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(NAME_KEY) {
-        rest = &rest[pos + NAME_KEY.len()..];
-        let Some((name, after_name)) = json_string_value(rest) else {
-            break;
-        };
-        rest = after_name;
-        let scope_end = rest.find(NAME_KEY).unwrap_or(rest.len());
-        let Some(key) = rest[..scope_end].find(NS_KEY) else {
-            continue;
-        };
-        if let Some((value, _)) = json_number_value(&rest[key + NS_KEY.len()..]) {
-            out.push((name, value));
-        }
-        rest = &rest[key + NS_KEY.len()..];
-    }
-    out
-}
-
-/// Parse `: "value"` after a JSON key, returning the value and the remaining text.
-fn json_string_value(s: &str) -> Option<(String, &str)> {
-    let s = s[s.find(':')? + 1..].trim_start();
-    let s = s.strip_prefix('"')?;
-    let end = s.find('"')?;
-    Some((s[..end].to_string(), &s[end + 1..]))
-}
-
-/// Parse `: number` after a JSON key, returning the value and the remaining text.
-fn json_number_value(s: &str) -> Option<(f64, &str)> {
-    let s = s[s.find(':')? + 1..].trim_start();
-    let end = s
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(s.len());
-    let value = s[..end].parse().ok()?;
-    Some((value, &s[end..]))
 }
 
 /// Pretty-print a set of steady-state reports as the latency/throughput series of a
@@ -647,6 +620,58 @@ mod tests {
             let args = HarnessArgs::parse_from(argv).unwrap();
             assert_eq!((args.measure, args.drain), (1_000, 500), "{argv:?}");
         }
+    }
+
+    #[test]
+    fn parse_over_keeps_explicit_values_equal_to_the_global_default() {
+        // shard_scaling's base: shorter windows than the figures.
+        let parse = |argv: &[&str]| {
+            let base = HarnessArgs {
+                warmup: 300,
+                measure: 600,
+                drain: 600,
+                ..HarnessArgs::default()
+            };
+            let args = HarnessArgs::parse_over(base, argv).unwrap();
+            (args.warmup, args.measure, args.drain)
+        };
+        assert_eq!(parse(&[]), (300, 600, 600));
+        // 6000 / 8000 are the *global* defaults: passing them is not "not passed".
+        assert_eq!(
+            parse(&["--warmup", "6000", "--measure", "8000"]),
+            (6_000, 8_000, 8_000)
+        );
+        assert_eq!(
+            parse(&["--measure", "8000", "--warmup", "6000"]),
+            (6_000, 8_000, 8_000)
+        );
+        assert_eq!(parse(&["--warmup", "6000"]), (6_000, 600, 600));
+        // Presets still replace the base, explicit values still beat presets.
+        assert_eq!(parse(&["--quick"]), (1_000, 2_000, 2_000));
+        assert_eq!(
+            parse(&["--quick", "--warmup", "6000"]),
+            (6_000, 2_000, 2_000)
+        );
+        assert_eq!(
+            parse(&["--warmup", "6000", "--quick"]),
+            (6_000, 2_000, 2_000)
+        );
+        // parse_from is parse_over the global defaults.
+        let args = HarnessArgs::parse_from::<[&str; 0], _>([]).unwrap();
+        assert_eq!(
+            (args.warmup, args.measure, args.drain),
+            (6_000, 8_000, 8_000)
+        );
+    }
+
+    #[test]
+    fn help_is_the_bare_usage_text() {
+        for flag in ["--help", "-h"] {
+            let err = HarnessArgs::parse_from(["--quick", flag]).unwrap_err();
+            assert_eq!(err, usage());
+        }
+        // A real error carries its own message, so `from_env` can tell them apart.
+        assert_ne!(HarnessArgs::parse_from(["--nope"]).unwrap_err(), usage());
     }
 
     #[test]
@@ -860,33 +885,6 @@ mod tests {
             let err = HarnessArgs::parse_from(argv).unwrap_err();
             assert!(err.contains("--shards 10 exceeds the 9 groups"), "{err}");
         }
-    }
-
-    #[test]
-    fn parse_bench_entries_reads_both_shapes() {
-        // One-object-per-line shim output.
-        let jsonl = "{\"name\":\"a/b\",\"ns_per_iter\":1500.0,\"iters\":10}\n\
-                     {\"name\":\"c/d\",\"ns_per_iter\":2e3,\"iters\":20}\n";
-        let entries = parse_bench_entries(jsonl);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, "a/b");
-        assert!((entries[0].1 - 1500.0).abs() < 1e-9);
-        assert!((entries[1].1 - 2000.0).abs() < 1e-9);
-
-        // Pretty-printed baseline with unrelated top-level keys.
-        let baseline = r#"{
-          "recorded": "2026-01-01",
-          "notes": "name dropping in prose is fine",
-          "benchmarks": [
-            { "name": "x/y", "ns_per_iter": 42, "iters": 7 }
-          ]
-        }"#;
-        let entries = parse_bench_entries(baseline);
-        assert_eq!(entries, vec![("x/y".to_string(), 42.0)]);
-
-        // An entry without ns_per_iter is skipped, later entries still parse.
-        let partial = r#"{"name":"no_ns"} {"name":"ok","ns_per_iter":5}"#;
-        assert_eq!(parse_bench_entries(partial), vec![("ok".to_string(), 5.0)]);
     }
 
     #[test]

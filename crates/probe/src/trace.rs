@@ -2,17 +2,15 @@
 //!
 //! [`TraceBuilder`] accumulates spans, instants and metadata records and
 //! renders the JSON-array trace format that `about://tracing` and
-//! [ui.perfetto.dev](https://ui.perfetto.dev) open directly.  Two producers
-//! feed it:
+//! [ui.perfetto.dev](https://ui.perfetto.dev) open directly.
 //!
-//! * [`crate::ProbeRecorder::trace`] — detector trips on a **cycle-as-
-//!   microsecond** timebase (1 simulated cycle = 1 µs), one track per
-//!   detector.  This content is a pure function of the trip list, so the
-//!   emitted `*_trace.json` is byte-identical between sequential and sharded
-//!   runs like the other determinism-pinned files.
-//! * `examples/phase_profile.rs` (`--features profile`) — wall-clock phase
-//!   spans and per-shard `barrier_wait_nanos`, which are genuinely
-//!   engine-dependent and therefore never emitted from `write_all`.
+//! [`crate::ProbeRecorder::trace`] feeds it detector trips on a **cycle-as-
+//! microsecond** timebase (1 simulated cycle = 1 µs), one track per detector.
+//! This content is a pure function of the trip list, so the emitted
+//! `*_trace.json` is byte-identical between sequential and sharded runs like
+//! the other determinism-pinned files.  Wall-clock phase spans are genuinely
+//! engine- and machine-dependent and therefore never emitted from
+//! `write_all`; the perf ledger (`benchmark -- trace`) records those.
 
 use std::io::{self, Write};
 

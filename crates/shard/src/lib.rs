@@ -314,8 +314,7 @@ struct Shard<R: RoutingAlgorithm> {
     credit_buf: Vec<CreditInFlight>,
     /// Wall-clock nanoseconds this shard spent waiting at the inner
     /// (export → import) barrier — the load-imbalance component of a sharded
-    /// run's wall time, read together with the per-phase profile.
-    #[cfg(feature = "profile")]
+    /// run's wall time.
     barrier_wait_nanos: u64,
 }
 
@@ -390,13 +389,9 @@ impl<R: RoutingAlgorithm> Shard<R> {
         );
 
         // Everyone has exported and published.
-        #[cfg(feature = "profile")]
         let wait_start = std::time::Instant::now();
         c.inner.wait();
-        #[cfg(feature = "profile")]
-        {
-            self.barrier_wait_nanos += wait_start.elapsed().as_nanos() as u64;
-        }
+        self.barrier_wait_nanos += wait_start.elapsed().as_nanos() as u64;
 
         // Import, in deterministic transmitter order.
         for src in 0..shards {
@@ -571,7 +566,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
                     xlat: HashMap::new(),
                     phit_buf: Vec::new(),
                     credit_buf: Vec::new(),
-                    #[cfg(feature = "profile")]
                     barrier_wait_nanos: 0,
                 }
             })
@@ -686,14 +680,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         Some(merged)
     }
 
-    /// Per-phase wall-clock profile of one shard's replica network.
-    #[cfg(feature = "profile")]
-    pub fn phase_profile(&self, shard: usize) -> &dragonfly_sim::PhaseProfile {
-        self.shards[shard].net.phase_profile()
-    }
-
     /// Nanoseconds `shard` spent waiting at the inner export → import barrier.
-    #[cfg(feature = "profile")]
     pub fn barrier_wait_nanos(&self, shard: usize) -> u64 {
         self.shards[shard].barrier_wait_nanos
     }
@@ -963,6 +950,9 @@ mod tests {
             );
             let got = sharded.run_steady_state(0.2, 500, 1_000, 1_500);
             assert_eq!(got, expected, "{shards} shards diverged");
+            // The barrier clock is always on and never shows in the report.
+            let waited: u64 = (0..shards).map(|s| sharded.barrier_wait_nanos(s)).sum();
+            assert!(waited > 0, "{shards} shards never waited at the barrier");
         }
     }
 }

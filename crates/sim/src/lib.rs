@@ -51,8 +51,6 @@ pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{LinkFabric, LinkSpec};
 pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
-#[cfg(feature = "profile")]
-pub use network::PhaseProfile;
 pub use network::{GlobalStatusBoard, Network, SourceQueue};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};

@@ -159,57 +159,6 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// [`Network::install_probes`].  Strictly read-only with respect to the
     /// simulation: no RNG stream is consumed and no report field changes.
     probe: Option<Box<ProbeRecorder>>,
-    /// Accumulated per-phase wall-clock time (`--features profile`).
-    #[cfg(feature = "profile")]
-    profile: PhaseProfile,
-}
-
-/// Accumulated wall-clock nanoseconds per pipeline phase, plus the cycle
-/// count they cover (`--features profile` only; see `dragonfly_probe`'s
-/// module docs for the phase profiler).
-#[cfg(feature = "profile")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseProfile {
-    /// Cycles the timers have covered.
-    pub cycles: u64,
-    /// Phase A: link and credit arrivals.
-    pub arrivals_nanos: u64,
-    /// Phase B: packet generation and injection.
-    pub injection_nanos: u64,
-    /// Phase C: routing and output-VC allocation.
-    pub routing_nanos: u64,
-    /// Phase D: switch traversal and link transmission.
-    pub switch_nanos: u64,
-    /// Per-cycle bookkeeping: stats tick, PB board update, probe sampling.
-    pub bookkeeping_nanos: u64,
-}
-
-#[cfg(feature = "profile")]
-impl PhaseProfile {
-    /// `(phase name, accumulated nanoseconds)` rows in pipeline order.
-    pub fn rows(&self) -> [(&'static str, u64); 5] {
-        [
-            ("arrivals", self.arrivals_nanos),
-            ("injection", self.injection_nanos),
-            ("routing", self.routing_nanos),
-            ("switch", self.switch_nanos),
-            ("bookkeeping", self.bookkeeping_nanos),
-        ]
-    }
-
-    /// Total nanoseconds across all five phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.rows().iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Nanoseconds elapsed since `prev`, advancing `prev` to now.
-    #[inline]
-    fn lap(prev: &mut std::time::Instant) -> u64 {
-        let now = std::time::Instant::now();
-        let nanos = now.duration_since(*prev).as_nanos() as u64;
-        *prev = now;
-        nanos
-    }
 }
 
 /// Type-erased construction path, kept so `RoutingKind::build()` and the experiment
@@ -363,8 +312,6 @@ impl<R: RoutingAlgorithm> Network<R> {
             owned_nodes: 0..params.num_nodes(),
             sched_delivery_log: None,
             probe: None,
-            #[cfg(feature = "profile")]
-            profile: PhaseProfile::default(),
         }
     }
 
@@ -524,44 +471,33 @@ impl<R: RoutingAlgorithm> Network<R> {
     pub fn step(&mut self) {
         self.advance_hooks();
         let activity = self.step_phases();
-        let live = self.packets.live() > 0;
-        self.apply_watchdog(activity, live);
-        self.stats
-            .note_cycle_peaks(self.stats.in_flight(), self.buffered_total);
-        self.finish_cycle();
+        self.close_cycle(activity);
     }
 
     /// Advance one cycle, invoking `hook` at every phase boundary with the
     /// name of the phase about to run (`"arrivals"`, `"injection"`,
     /// `"routing"`, `"switch"`, `"bookkeeping"`) and finally with `"done"`.
     ///
-    /// Behaviourally identical to [`Network::step`] — same phases, same order,
-    /// same watchdog and peak bookkeeping — the hook only brackets them.  The
-    /// zero-allocation tier uses this to attribute allocator activity to an
-    /// individual phase instead of a whole cycle; it is also the natural seam
-    /// for external phase-level instrumentation.
+    /// Behaviourally identical to [`Network::step`]: both run the one phase
+    /// body, this one with a hook that does something.  The zero-allocation
+    /// tier uses it to attribute allocator activity to an individual phase
+    /// instead of a whole cycle, and the perf ledger (`benchmark/`) to time the
+    /// phases from outside — it is the only phase-level instrumentation seam.
     pub fn step_with_phase_hook(&mut self, hook: &mut dyn FnMut(&'static str)) {
         self.advance_hooks();
-        let cycle = self.cycle;
-        let mut activity = false;
-        hook("arrivals");
-        activity |= self.phase_arrivals(cycle);
-        hook("injection");
-        activity |= self.phase_injection(cycle);
-        hook("routing");
-        self.phase_routing(cycle);
-        hook("switch");
-        activity |= self.phase_switch(cycle);
-        hook("bookkeeping");
-        self.stats.tick(cycle);
-        self.update_pb_board();
-        self.probe_sample(cycle);
+        let activity = self.phases(&mut *hook);
+        self.close_cycle(activity);
+        hook("done");
+    }
+
+    /// The sequential tail of a cycle: watchdog, occupancy peaks, cycle count.
+    #[inline]
+    fn close_cycle(&mut self, activity: bool) {
         let live = self.packets.live() > 0;
         self.apply_watchdog(activity, live);
         self.stats
             .note_cycle_peaks(self.stats.in_flight(), self.buffered_total);
         self.finish_cycle();
-        hook("done");
     }
 
     /// Run the per-cycle lifecycle hooks (dynamic scheduler, workload phase
@@ -592,35 +528,28 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// instance owns; the deadlock watchdog — which needs run-wide knowledge in
     /// a sharded run — is applied separately by [`Network::apply_watchdog`].
     pub fn step_phases(&mut self) -> bool {
+        self.phases(|_| {})
+    }
+
+    /// The five phases of the current cycle, written once: `hook` is called
+    /// with each phase's name just before it runs.  With the no-op closure of
+    /// [`Network::step_phases`] the calls vanish at compile time.
+    #[inline]
+    fn phases(&mut self, mut hook: impl FnMut(&'static str)) -> bool {
         let cycle = self.cycle;
         let mut activity = false;
-        #[cfg(feature = "profile")]
-        {
-            let mut lap = std::time::Instant::now();
-            activity |= self.phase_arrivals(cycle);
-            self.profile.arrivals_nanos += PhaseProfile::lap(&mut lap);
-            activity |= self.phase_injection(cycle);
-            self.profile.injection_nanos += PhaseProfile::lap(&mut lap);
-            self.phase_routing(cycle);
-            self.profile.routing_nanos += PhaseProfile::lap(&mut lap);
-            activity |= self.phase_switch(cycle);
-            self.profile.switch_nanos += PhaseProfile::lap(&mut lap);
-            self.stats.tick(cycle);
-            self.update_pb_board();
-            self.probe_sample(cycle);
-            self.profile.bookkeeping_nanos += PhaseProfile::lap(&mut lap);
-            self.profile.cycles += 1;
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            activity |= self.phase_arrivals(cycle);
-            activity |= self.phase_injection(cycle);
-            self.phase_routing(cycle);
-            activity |= self.phase_switch(cycle);
-            self.stats.tick(cycle);
-            self.update_pb_board();
-            self.probe_sample(cycle);
-        }
+        hook("arrivals");
+        activity |= self.phase_arrivals(cycle);
+        hook("injection");
+        activity |= self.phase_injection(cycle);
+        hook("routing");
+        self.phase_routing(cycle);
+        hook("switch");
+        activity |= self.phase_switch(cycle);
+        hook("bookkeeping");
+        self.stats.tick(cycle);
+        self.update_pb_board();
+        self.probe_sample(cycle);
         activity
     }
 
@@ -1436,12 +1365,6 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// the extracted recorder, outside the cycle loop).
     pub fn take_probe(&mut self) -> Option<Box<ProbeRecorder>> {
         self.probe.take()
-    }
-
-    /// Accumulated per-phase wall-clock timers (`--features profile`).
-    #[cfg(feature = "profile")]
-    pub fn phase_profile(&self) -> &PhaseProfile {
-        &self.profile
     }
 
     /// Probe bookkeeping at the tail of [`Network::step_phases`]: on stride
