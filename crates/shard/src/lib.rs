@@ -587,6 +587,11 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         &self.shards[shard].net
     }
 
+    /// Mutable access to one shard's network replica (hand-built test states).
+    pub fn network_mut(&mut self, shard: usize) -> &mut Network<R> {
+        &mut self.shards[shard].net
+    }
+
     /// Install `workload` into every shard replica (each compiles the same
     /// placement and pattern deterministically).
     pub fn install_workload(&mut self, workload: &WorkloadSpec) {

@@ -45,6 +45,10 @@ impl FlowControl {
     }
 }
 
+/// Most ports a router may have: the engine tracks each router's occupied
+/// input ports and owned output ports in one `u64` mask apiece.
+pub const MAX_PORTS_PER_ROUTER: usize = u64::BITS as usize;
+
 /// Full configuration of a simulation run.
 ///
 /// Defaults follow the paper's methodology section: local links of 10 cycles, global
@@ -209,6 +213,14 @@ impl SimConfig {
     /// inconsistent (e.g. VCT with buffers smaller than a packet).
     pub fn validate(&self) {
         assert!(self.packet_size >= 1, "packet size must be positive");
+        let ports = self.params.ports_per_router();
+        assert!(
+            ports <= MAX_PORTS_PER_ROUTER,
+            "h = {} gives {ports} ports per router, above the {MAX_PORTS_PER_ROUTER} \
+             a per-router port mask holds (h <= {})",
+            self.params.h(),
+            (MAX_PORTS_PER_ROUTER + 1) / 4
+        );
         assert!(
             self.local_vcs >= 1 && self.global_vcs >= 1,
             "need at least one VC"
@@ -259,6 +271,14 @@ mod tests {
         assert_eq!(c.global_vcs, 2);
         assert!(c.flow_control.is_vct());
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "h = 17 gives 67 ports per router, above the 64")]
+    fn port_mask_width_bounds_h() {
+        // 4h - 1 ports: h = 16 fills 63 of the 64 mask bits, h = 17 needs 67.
+        SimConfig::paper_vct(16).validate();
+        SimConfig::paper_vct(17).validate();
     }
 
     #[test]

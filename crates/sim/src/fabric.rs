@@ -11,6 +11,8 @@
 //! to:           [LinkEnd;    links]   far end of link i
 //! phit_meta:    [RingMeta;   links]   head|len|high_water|cap, one u64 word
 //! credit_meta:  [RingMeta;   links]
+//! next_due:     [u32;        links]   earliest arrival stamp on link i, in
+//!                                     either direction (NEVER when idle)
 //! phit_off:     [u32;    links + 1]   link i's phit ring is
 //!                                     phit_pool[phit_off[i]..phit_off[i+1]]
 //! credit_off:   [u32;    links + 1]
@@ -26,6 +28,13 @@
 //! rate.  Since links of equal class are built identically, consecutive links
 //! have consecutive ring storage, and an index-ordered sweep of the active
 //! set (see [`crate::active_set::ActiveSet`]) walks both pools front to back.
+//!
+//! Stamps are non-decreasing within a ring, so the earliest event of a link is
+//! the smaller of its two ring fronts.  `next_due` caches exactly that value:
+//! a launch or import lowers it, a drain or export recomputes it.  The arrival
+//! sweep reads this one dense array ([`LinkFabric::due`]) and passes over a
+//! link with nothing maturing without touching its metadata words or pools —
+//! a 100-cycle global link carrying one packet is due in ~16 of ~116 cycles.
 
 use crate::link::{CreditInFlight, LinkEnd, PhitInFlight};
 use crate::ring::RingMeta;
@@ -43,6 +52,36 @@ pub struct LinkSpec {
     pub credit_cap: usize,
 }
 
+/// `next_due` of a link with nothing in flight.
+const NEVER: u32 = u32::MAX;
+
+/// Pop every entry of one ring stamped `<= now` into `out`, in FIFO order, and
+/// return the stamp left at the front ([`NEVER`] when the ring emptied).
+/// Stamps are non-decreasing, so the drain stops at the first future one; the
+/// whole batch is one metadata write-back.
+#[inline]
+fn drain_ring<T: Copy>(
+    meta: &mut RingMeta,
+    ring: &[T],
+    now: u64,
+    stamp: impl Fn(&T) -> u32,
+    out: &mut Vec<T>,
+) -> u32 {
+    let mut m = *meta;
+    let front = loop {
+        match m.front(ring) {
+            None => break NEVER,
+            Some(entry) if stamp(entry) as u64 > now => break stamp(entry),
+            Some(entry) => {
+                out.push(*entry);
+                m.pop_slot();
+            }
+        }
+    };
+    *meta = m;
+    front
+}
+
 /// The pipelined state of every link in the network, struct-of-arrays.
 ///
 /// Phits inserted at cycle `t` become available at the far end at
@@ -55,6 +94,9 @@ pub struct LinkFabric {
     to: Vec<LinkEnd>,
     phit_meta: Vec<RingMeta>,
     credit_meta: Vec<RingMeta>,
+    /// Invariant: `next_due[i]` is the smaller of link `i`'s two ring-front
+    /// stamps ([`LinkFabric::check_next_due`] compares it with the rings).
+    next_due: Vec<u32>,
     phit_off: Vec<u32>,
     credit_off: Vec<u32>,
     phit_pool: Vec<PhitInFlight>,
@@ -91,6 +133,7 @@ impl LinkFabric {
             to,
             phit_meta,
             credit_meta,
+            next_due: vec![NEVER; n],
             phit_off,
             credit_off,
             phit_pool: vec![PhitInFlight::default(); pacc as usize],
@@ -140,6 +183,7 @@ impl LinkFabric {
         let arrive = now + self.latency[li] as u64;
         debug_assert!(arrive <= u32::MAX as u64, "cycle count exceeds u32 range");
         phit.arrive = arrive as u32;
+        self.next_due[li] = self.next_due[li].min(phit.arrive);
         let mut meta = self.phit_meta[li];
         let ring = self.phit_ring(li);
         debug_assert!(
@@ -157,6 +201,7 @@ impl LinkFabric {
     pub fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
         let arrive = now + self.latency[li] as u64;
         debug_assert!(arrive <= u32::MAX as u64, "cycle count exceeds u32 range");
+        self.next_due[li] = self.next_due[li].min(arrive as u32);
         let mut meta = self.credit_meta[li];
         let ring = self.credit_ring(li);
         meta.push_back(
@@ -169,60 +214,67 @@ impl LinkFabric {
         self.credit_meta[li] = meta;
     }
 
-    /// Drain every phit of link `li` that has arrived by `now` into `out`, in
-    /// FIFO order.  Arrival stamps are non-decreasing, so the drain stops at
-    /// the first future stamp; the whole batch is one metadata update plus a
-    /// contiguous (possibly two-piece) copy out of the pool.
+    /// True when something on link `li` — a phit or a credit — has arrived by
+    /// `now`.  One read of the dense `next_due` array.
     #[inline]
-    pub fn drain_arrived_phits(&mut self, li: usize, now: u64, out: &mut Vec<PhitInFlight>) {
-        let mut meta = self.phit_meta[li];
-        let ring = &self.phit_pool[self.phit_off[li] as usize..self.phit_off[li + 1] as usize];
-        while let Some(front) = meta.front(ring) {
-            if front.arrive as u64 > now {
-                break;
-            }
-            out.push(*front);
-            meta.pop_slot();
-        }
-        self.phit_meta[li] = meta;
+    pub fn due(&self, li: usize, now: u64) -> bool {
+        self.next_due[li] as u64 <= now
     }
 
-    /// Drain every credit of link `li` that has arrived by `now` into `out`.
+    /// The smaller of link `li`'s two ring-front stamps, read from the rings.
+    fn front_stamp(&self, li: usize) -> u32 {
+        let phits = &self.phit_pool[self.phit_off[li] as usize..self.phit_off[li + 1] as usize];
+        let credits =
+            &self.credit_pool[self.credit_off[li] as usize..self.credit_off[li + 1] as usize];
+        let phit = self.phit_meta[li].front(phits).map_or(NEVER, |p| p.arrive);
+        let credit = self.credit_meta[li]
+            .front(credits)
+            .map_or(NEVER, |c| c.arrive);
+        phit.min(credit)
+    }
+
+    /// Drain every credit and every phit of link `li` that has arrived by
+    /// `now` into `credits` / `phits`, each in FIFO order, and re-stamp the
+    /// link's `next_due` from what is left at the two ring fronts.
     #[inline]
-    pub fn drain_arrived_credits(&mut self, li: usize, now: u64, out: &mut Vec<CreditInFlight>) {
-        let mut meta = self.credit_meta[li];
+    pub fn drain_arrived(
+        &mut self,
+        li: usize,
+        now: u64,
+        credits: &mut Vec<CreditInFlight>,
+        phits: &mut Vec<PhitInFlight>,
+    ) {
         let ring =
             &self.credit_pool[self.credit_off[li] as usize..self.credit_off[li + 1] as usize];
-        while let Some(front) = meta.front(ring) {
-            if front.arrive as u64 > now {
-                break;
-            }
-            out.push(*front);
-            meta.pop_slot();
-        }
-        self.credit_meta[li] = meta;
+        let credit = drain_ring(&mut self.credit_meta[li], ring, now, |c| c.arrive, credits);
+        let ring = &self.phit_pool[self.phit_off[li] as usize..self.phit_off[li + 1] as usize];
+        let phit = drain_ring(&mut self.phit_meta[li], ring, now, |p| p.arrive, phits);
+        self.next_due[li] = credit.min(phit);
     }
 
-    /// Pop the next phit regardless of its arrival stamp (boundary-link
-    /// export: the phit continues its flight in the receiving shard's copy).
-    #[inline]
-    pub fn take_phit(&mut self, li: usize) -> Option<PhitInFlight> {
+    /// Move every phit queued on link `li` into `out` regardless of its
+    /// arrival stamp (boundary-link export: the phits continue their flight
+    /// in the receiving shard's copy).
+    pub fn take_phits(&mut self, li: usize, out: &mut Vec<PhitInFlight>) {
         let mut meta = self.phit_meta[li];
         let ring = self.phit_ring(li);
-        let phit = meta.pop_front(ring);
+        while let Some(phit) = meta.pop_front(ring) {
+            out.push(phit);
+        }
         self.phit_meta[li] = meta;
-        phit
+        self.next_due[li] = self.front_stamp(li);
     }
 
-    /// Pop the next credit regardless of its arrival stamp (boundary-link
-    /// export toward the transmitting shard).
-    #[inline]
-    pub fn take_credit(&mut self, li: usize) -> Option<CreditInFlight> {
+    /// Move every credit queued on link `li` into `out` regardless of its
+    /// arrival stamp (boundary-link export toward the transmitting shard).
+    pub fn take_credits(&mut self, li: usize, out: &mut Vec<CreditInFlight>) {
         let mut meta = self.credit_meta[li];
         let ring = self.credit_ring(li);
-        let credit = meta.pop_front(ring);
+        while let Some(credit) = meta.pop_front(ring) {
+            out.push(credit);
+        }
         self.credit_meta[li] = meta;
-        credit
+        self.next_due[li] = self.front_stamp(li);
     }
 
     /// Enqueue a phit that already carries its absolute arrival stamp
@@ -239,6 +291,7 @@ impl LinkFabric {
         );
         meta.push_back(ring, phit);
         self.phit_meta[li] = meta;
+        self.next_due[li] = self.next_due[li].min(phit.arrive);
     }
 
     /// Enqueue a credit that already carries its absolute arrival stamp
@@ -255,6 +308,7 @@ impl LinkFabric {
         );
         meta.push_back(ring, credit);
         self.credit_meta[li] = meta;
+        self.next_due[li] = self.next_due[li].min(credit.arrive);
     }
 
     /// Number of phits currently in flight on link `li` — one packed-word
@@ -302,6 +356,20 @@ impl LinkFabric {
         }
         (phit_hw, credit_hw)
     }
+
+    /// Compare every link's cached `next_due` with its ring fronts (the full
+    /// scan the cache replaces); `Err` names the first link that disagrees.
+    pub fn check_next_due(&self) -> Result<(), String> {
+        for li in 0..self.len() {
+            let (cached, fronts) = (self.next_due[li], self.front_stamp(li));
+            if cached != fronts {
+                return Err(format!(
+                    "link {li}: next_due is {cached} but the ring fronts say {fronts}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -327,18 +395,35 @@ mod tests {
         LinkFabric::build(&specs)
     }
 
+    /// Everything of link `li` that has arrived by `now`.
+    fn arrived(
+        f: &mut LinkFabric,
+        li: usize,
+        now: u64,
+    ) -> (Vec<CreditInFlight>, Vec<PhitInFlight>) {
+        let (mut credits, mut phits) = (Vec::new(), Vec::new());
+        f.drain_arrived(li, now, &mut credits, &mut phits);
+        f.check_next_due().unwrap();
+        (credits, phits)
+    }
+
+    fn packets(phits: &[PhitInFlight]) -> Vec<PacketId> {
+        phits.iter().map(|p| p.packet).collect()
+    }
+
     #[test]
     fn phit_arrives_after_latency() {
         let mut f = fabric_of(&[(10, LinkEnd::Node { node: NodeId(0) })]);
         f.send_phit(0, 5, phit(1));
-        let mut out = Vec::new();
-        f.drain_arrived_phits(0, 14, &mut out);
-        assert!(out.is_empty());
-        f.drain_arrived_phits(0, 15, &mut out);
+        assert!(!f.due(0, 14));
+        assert!(arrived(&mut f, 0, 14).1.is_empty());
+        assert!(f.due(0, 15));
+        let (_, out) = arrived(&mut f, 0, 15);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet, PacketId(1));
         assert_eq!(out[0].arrive, 15);
         assert!(f.is_idle(0));
+        assert!(!f.due(0, u32::MAX as u64 - 1), "an idle link is never due");
     }
 
     #[test]
@@ -348,13 +433,11 @@ mod tests {
         f.send_phit(0, 1, phit(2));
         f.send_phit(0, 2, phit(3));
         assert_eq!(f.phits_in_flight(0), 3);
-        let mut out = Vec::new();
-        f.drain_arrived_phits(0, 4, &mut out);
-        let ids: Vec<_> = out.iter().map(|p| p.packet).collect();
-        assert_eq!(ids, vec![PacketId(1), PacketId(2)]);
+        let (_, out) = arrived(&mut f, 0, 4);
+        assert_eq!(packets(&out), vec![PacketId(1), PacketId(2)]);
         assert_eq!(f.phits_in_flight(0), 1);
-        out.clear();
-        f.drain_arrived_phits(0, 5, &mut out);
+        assert!(!f.due(0, 4) && f.due(0, 5), "re-stamped from the new front");
+        let (_, out) = arrived(&mut f, 0, 5);
         assert_eq!(out[0].packet, PacketId(3));
         assert!(f.is_idle(0));
     }
@@ -363,13 +446,27 @@ mod tests {
     fn credits_travel_with_latency() {
         let mut f = fabric_of(&[(7, LinkEnd::Router { router: 0, port: 0 })]);
         f.send_credit(0, 100, 2);
-        let mut out = Vec::new();
-        f.drain_arrived_credits(0, 106, &mut out);
-        assert!(out.is_empty());
-        f.drain_arrived_credits(0, 107, &mut out);
+        assert!(arrived(&mut f, 0, 106).0.is_empty());
+        let (out, _) = arrived(&mut f, 0, 107);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].vc, 2);
         assert_eq!(f.credits_in_flight(0), 0);
+    }
+
+    #[test]
+    fn next_due_is_the_earlier_of_the_two_directions() {
+        let mut f = fabric_of(&[(7, LinkEnd::Router { router: 0, port: 0 })]);
+        f.send_phit(0, 10, phit(1)); // due at 17
+        f.send_credit(0, 4, 0); // due at 11: the credit leads
+        f.check_next_due().unwrap();
+        assert!(!f.due(0, 10) && f.due(0, 11));
+        let (credits, phits) = arrived(&mut f, 0, 11);
+        assert_eq!((credits.len(), phits.len()), (1, 0));
+        assert!(!f.due(0, 16) && f.due(0, 17), "now the phit leads");
+        // A launch behind the front never moves the stamp.
+        f.send_phit(0, 12, phit(2));
+        f.check_next_due().unwrap();
+        assert!(!f.due(0, 16) && f.due(0, 17));
     }
 
     #[test]
@@ -378,8 +475,7 @@ mod tests {
         assert!(f.is_idle(0));
         f.send_credit(0, 0, 0);
         assert!(!f.is_idle(0));
-        let mut out = Vec::new();
-        f.drain_arrived_credits(0, 2, &mut out);
+        arrived(&mut f, 0, 2);
         assert!(f.is_idle(0));
     }
 
@@ -408,18 +504,13 @@ mod tests {
         f.send_phit(1, 0, phit(20));
         f.send_phit(0, 1, phit(11));
         f.send_phit(1, 1, phit(21));
-        let mut out = Vec::new();
-        f.drain_arrived_phits(0, 1, &mut out);
+        let (_, out) = arrived(&mut f, 0, 1);
         assert_eq!(out[0].packet, PacketId(10));
         f.send_phit(0, 2, phit(12)); // wraps within link 0's slice
-        out.clear();
-        f.drain_arrived_phits(1, 10, &mut out);
-        let ids: Vec<_> = out.iter().map(|p| p.packet).collect();
-        assert_eq!(ids, vec![PacketId(20), PacketId(21)]);
-        out.clear();
-        f.drain_arrived_phits(0, 10, &mut out);
-        let ids: Vec<_> = out.iter().map(|p| p.packet).collect();
-        assert_eq!(ids, vec![PacketId(11), PacketId(12)]);
+        let (_, out) = arrived(&mut f, 1, 10);
+        assert_eq!(packets(&out), vec![PacketId(20), PacketId(21)]);
+        let (_, out) = arrived(&mut f, 0, 10);
+        assert_eq!(packets(&out), vec![PacketId(11), PacketId(12)]);
     }
 
     #[test]
@@ -427,16 +518,19 @@ mod tests {
         let mut f = fabric_of(&[(5, LinkEnd::Router { router: 3, port: 1 })]);
         f.send_phit(0, 0, phit(1));
         f.send_credit(0, 0, 1);
-        let p = f.take_phit(0).unwrap();
-        let c = f.take_credit(0).unwrap();
+        let (mut phits, mut credits) = (Vec::new(), Vec::new());
+        f.take_phits(0, &mut phits);
+        assert!(f.due(0, 5), "the credit is still queued");
+        f.take_credits(0, &mut credits);
         assert!(f.is_idle(0));
-        assert_eq!(p.arrive, 5);
-        f.push_arriving_phit(0, p);
-        f.push_arriving_credit(0, c);
+        assert!(!f.due(0, 5), "an exported link has nothing due");
+        assert_eq!(phits[0].arrive, 5);
+        f.push_arriving_phit(0, phits[0]);
+        f.push_arriving_credit(0, credits[0]);
         assert_eq!(f.phits_in_flight(0), 1);
         assert_eq!(f.credits_in_flight(0), 1);
-        let mut out = Vec::new();
-        f.drain_arrived_phits(0, 5, &mut out);
+        assert!(!f.due(0, 4) && f.due(0, 5), "imports keep their stamps");
+        let (_, out) = arrived(&mut f, 0, 5);
         assert_eq!(out[0].packet, PacketId(1));
     }
 
@@ -453,8 +547,7 @@ mod tests {
         assert_eq!(f.phit_high_water(1), 0);
         assert_eq!(f.credit_high_water(1), 1);
         assert_eq!(f.max_high_waters(), (2, 1));
-        let mut out = Vec::new();
-        f.drain_arrived_phits(0, 100, &mut out);
+        arrived(&mut f, 0, 100);
         assert_eq!(f.phit_high_water(0), 2, "draining keeps the mark");
     }
 }

@@ -51,7 +51,7 @@ pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{LinkFabric, LinkSpec};
 pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
-pub use network::{GlobalStatusBoard, Network, SourceQueue};
+pub use network::{GlobalStatusBoard, Network};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
 pub use ring::RingMeta;

@@ -21,17 +21,29 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Unbounded per-node source queue feeding the router's injection port.
-#[derive(Debug, Default)]
-pub struct SourceQueue {
+#[derive(Debug)]
+struct SourceQueue {
     /// Packets waiting to enter the injection buffer.
-    pub pending: VecDeque<PacketId>,
+    pending: VecDeque<PacketId>,
     /// Phits of the head packet already pushed into the injection buffer.
-    pub head_phits_sent: u16,
+    head_phits_sent: u16,
 }
 
 impl SourceQueue {
+    /// Slots reserved up front.  Below saturation a queue holds a packet or
+    /// two, and a node of a nearly idle machine may generate its first packet
+    /// arbitrarily late — a first-push allocation would never be "warmed up".
+    const RESERVED: usize = 4;
+
+    fn new() -> Self {
+        Self {
+            pending: VecDeque::with_capacity(Self::RESERVED),
+            head_phits_sent: 0,
+        }
+    }
+
     /// True when no packet is waiting.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 }
@@ -88,8 +100,9 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     incoming_link: Vec<usize>,
     /// Phits transmitted on each link since construction (indexed like `links`).
     link_phits: Vec<u64>,
-    /// Per-node source queues.
-    pub sources: Vec<SourceQueue>,
+    /// Per-node source queues, filled through [`Network::enqueue`] only (which
+    /// keeps `pending_sources` in step).
+    sources: Vec<SourceQueue>,
     /// Packet arena.
     pub packets: PacketArena,
     /// Current cycle.
@@ -120,17 +133,29 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     pub deadlock_detected: bool,
     /// Whether newly generated packets are tagged as measured.
     pub tag_measured: bool,
-    // --- Active-set scheduling state -------------------------------------------
-    // At low load almost every link and router is idle; the per-cycle phases only
-    // visit members of these sets instead of scanning the whole network.  Both
-    // sets are two-level bitmaps iterated in ascending index order, so the
-    // arrival sweep walks the fabric's pipeline pools front to back and the
-    // switch sweep walks the router array front to back — traversal order
-    // matches memory order.
+    // --- Due-work scheduling state ---------------------------------------------
+    // At low load almost every link, router, port and node has nothing to do in
+    // a given cycle; each phase visits only the members of these structures
+    // instead of scanning the network (the fourth, the per-link `next_due`
+    // stamp, lives in the fabric).  The sets are two-level bitmaps iterated in
+    // ascending index order, so the arrival sweep walks the fabric's pipeline
+    // pools front to back and the switch sweep walks the router array front to
+    // back — traversal order matches memory order.  `check_due_sets` compares
+    // all of them with the full scans they replace.
     /// Links with phits or credits currently in flight.
     active_links: ActiveSet,
     /// Routers with at least one phit buffered in an input VC.
     active_routers: ActiveSet,
+    /// Per router: bit `p` is set iff some VC of input port `p` holds a packet
+    /// slot.  Set where a phit is received (arrivals, injection feed), cleared
+    /// at the tail send that empties the port's last slot.
+    in_occupied: Vec<u64>,
+    /// Per router: bit `p` is set iff some VC of output port `p` has an owner.
+    /// Set at the grant, cleared at the tail send that frees the port's last
+    /// owned VC.
+    out_owned: Vec<u64>,
+    /// Nodes with a non-empty source queue.
+    pending_sources: ActiveSet,
     /// Phits currently stored in each router's input buffers.
     buffered_phits: Vec<u32>,
     /// Phits currently stored across *all* input buffers (memory telemetry).
@@ -262,7 +287,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         let fabric = LinkFabric::build(&specs);
 
         let sources = (0..params.num_nodes())
-            .map(|_| SourceQueue::default())
+            .map(|_| SourceQueue::new())
             .collect();
         let stats = StatsCollector::new(64 * 1024);
         let pb_board = GlobalStatusBoard::new(params.groups(), params.global_channels_per_group());
@@ -304,6 +329,9 @@ impl<R: RoutingAlgorithm> Network<R> {
             tag_measured: false,
             active_links: ActiveSet::new(num_links),
             active_routers: ActiveSet::new(num_routers),
+            in_occupied: vec![0; num_routers],
+            out_owned: vec![0; num_routers],
+            pending_sources: ActiveSet::new(params.num_nodes()),
             buffered_phits: vec![0; num_routers],
             buffered_total: 0,
             route_scratch: Vec::with_capacity(route_scratch_cap),
@@ -313,18 +341,6 @@ impl<R: RoutingAlgorithm> Network<R> {
             sched_delivery_log: None,
             probe: None,
         }
-    }
-
-    /// Add a link to the active set (idempotent).
-    #[inline]
-    fn mark_link_active(&mut self, li: usize) {
-        self.active_links.insert(li);
-    }
-
-    /// Add a router to the active set (idempotent).
-    #[inline]
-    fn mark_router_active(&mut self, r: usize) {
-        self.active_routers.insert(r);
     }
 
     /// Topology parameters of the network.
@@ -418,16 +434,26 @@ impl<R: RoutingAlgorithm> Network<R> {
                     .packets
                     .alloc(src, dst, self.config.packet_size as u16, self.cycle);
                 self.packets.get_mut(id).measured = true;
-                self.sources[n].pending.push_back(id);
+                self.enqueue(src, id);
                 self.stats
                     .record_generated(self.config.packet_size, self.cycle);
             }
         }
     }
 
+    /// Append packet `id` (allocated in [`Network::packets`]) to `node`'s source
+    /// queue: from the next injection phase on it is fed into the router's
+    /// injection buffer, one phit per cycle, behind whatever is already queued.
+    /// The way in for hand-built packets; generation and burst preloading go
+    /// through it too.
+    pub fn enqueue(&mut self, node: NodeId, id: PacketId) {
+        self.sources[node.index()].pending.push_back(id);
+        self.pending_sources.insert(node.index());
+    }
+
     /// True when no packet exists anywhere in the network.
     pub fn is_drained(&self) -> bool {
-        self.packets.live() == 0 && self.sources.iter().all(|s| s.is_empty())
+        self.packets.live() == 0 && self.pending_sources.is_empty()
     }
 
     /// Total phits currently stored in router buffers (conservation checks).
@@ -522,7 +548,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Run the five phases (arrivals → injection → routing → switch → local
-    /// bookkeeping) of the current cycle and return whether any phit moved.
+    /// bookkeeping) of the current cycle and return whether the cycle made
+    /// progress: a phit moved, or a phit or credit is still travelling on a
+    /// link (a 100-cycle global link is silent for 100 cycles without being
+    /// stalled).
     ///
     /// Everything here is local to the routers, links and nodes this network
     /// instance owns; the deadlock watchdog — which needs run-wide knowledge in
@@ -550,14 +579,16 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.stats.tick(cycle);
         self.update_pb_board();
         self.probe_sample(cycle);
-        activity
+        activity || !self.active_links.is_empty()
     }
 
-    /// Advance the deadlock watchdog with run-wide knowledge: whether *any*
-    /// phit moved this cycle and whether *any* packet is live anywhere.  A
-    /// sequential run passes its own activity and `packets.live() > 0`; a
-    /// sharded run passes the OR over all shards, so every shard reaches the
-    /// same verdict at the same cycle.
+    /// Advance the deadlock watchdog with run-wide knowledge: whether the cycle
+    /// made progress *anywhere* (what [`Network::step_phases`] returns) and
+    /// whether *any* packet is live anywhere.  A sequential run passes its own
+    /// activity and `packets.live() > 0`; a sharded run passes the OR over all
+    /// shards — every in-flight phit or credit sits in exactly one shard's
+    /// link copy, so the OR is the sequential value and every shard reaches
+    /// the same verdict at the same cycle.
     pub fn apply_watchdog(&mut self, global_activity: bool, global_live: bool) {
         let cycle = self.cycle;
         if global_activity {
@@ -569,6 +600,8 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// Close the current cycle (the last piece of the decomposed [`Network::step`]).
     pub fn finish_cycle(&mut self) {
+        #[cfg(debug_assertions)]
+        self.assert_due_sets_match_full_scan();
         self.cycle += 1;
     }
 
@@ -583,13 +616,17 @@ impl<R: RoutingAlgorithm> Network<R> {
     // Phase A: link and credit arrivals.
     // ------------------------------------------------------------------
     //
-    // Only links with phits or credits in flight are visited, in ascending
-    // link-index order (the sweep over the active-set bitmap), so the walk
-    // reads the fabric's struct-of-arrays pools front to back.  Each link is
-    // drained in one batch — a single packed-metadata write-back per pipeline
-    // per link — into a reused scratch buffer, then the copies are processed
-    // against the routers; a link leaves the active set as soon as both of
-    // its pipelines are empty.
+    // Only links with phits or credits in flight are swept, in ascending
+    // link-index order (the active-set bitmap), and of those only the links
+    // whose earliest stamp has matured are opened: the fabric's dense
+    // `next_due` array answers that without touching a ring, so a long link
+    // costs one `u32` read per cycle while its phits are still travelling.
+    // A due link is drained in one batch — a single packed-metadata write-back
+    // per pipeline — into reused scratch buffers, then the copies are
+    // processed against the routers; a link leaves the active set as soon as
+    // both of its pipelines are empty.  Links touch disjoint state (their own
+    // rings, one output port's credits, one input port's buffers), so passing
+    // over the ones with nothing due changes no outcome.
     fn phase_arrivals(&mut self, cycle: u64) -> bool {
         let ports = self.params.ports_per_router();
         let h = self.params.h();
@@ -599,9 +636,14 @@ impl<R: RoutingAlgorithm> Network<R> {
         let mut cursor = 0;
         while let Some(li) = self.active_links.next_at_or_after(cursor) {
             cursor = li + 1;
-            // Credits back to the transmitter (owner of this link).
+            if !self.fabric.due(li, cycle) {
+                continue;
+            }
             credits.clear();
-            self.fabric.drain_arrived_credits(li, cycle, &mut credits);
+            phits.clear();
+            self.fabric
+                .drain_arrived(li, cycle, &mut credits, &mut phits);
+            // Credits back to the transmitter (owner of this link).
             if !credits.is_empty() {
                 let router = li / ports;
                 let port = li % ports;
@@ -619,8 +661,6 @@ impl<R: RoutingAlgorithm> Network<R> {
                 }
             }
             // Phits forward to the receiver.
-            phits.clear();
-            self.fabric.drain_arrived_phits(li, cycle, &mut phits);
             if !phits.is_empty() {
                 activity = true;
                 match self.fabric.end(li) {
@@ -657,6 +697,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                         self.buffered_phits[router] += phits.len() as u32;
                         self.buffered_total += phits.len() as u64;
                         self.active_routers.insert(router);
+                        self.in_occupied[router] |= 1 << port;
                     }
                     LinkEnd::Node { node: _ } => {
                         for phit in &phits {
@@ -776,87 +817,137 @@ impl<R: RoutingAlgorithm> Network<R> {
     // ------------------------------------------------------------------
     // Phase B: packet generation and injection into the terminal input buffers.
     // ------------------------------------------------------------------
+    //
+    // Two passes.  *Generation* runs one Bernoulli trial per owned node — the
+    // only per-node work an idle machine has — with the choice between the
+    // scheduler's, the workload's and the global process made once per cycle.
+    // *Feeding* moves one phit per node with a queued packet and visits only
+    // those nodes.  The passes touch disjoint state (generation: the router
+    // RNG streams, the arena, the queue tails; feeding: the queue heads and
+    // the injection buffers), so running them back to back instead of
+    // interleaved per node changes no outcome.
     fn phase_injection(&mut self, cycle: u64) -> bool {
-        let mut activity = false;
-        for n in self.owned_nodes.start..self.owned_nodes.end {
-            let node = NodeId(n as u32);
-            // All random draws of a node use its router's stream, so the outcome
-            // is independent of how the node space is partitioned across shards.
-            let router = self.params.router_of_node(node).index();
-            // Generation: per-job scheduler or workload rates (tagged) or the
-            // global Bernoulli process (untagged).  Idle nodes never generate.
-            let generated = if let Some(sched) = self.sched.as_ref() {
-                match sched.source(n) {
-                    // Scheduled jobs have a single phase (index 0).
-                    Some(job) if sched.generate(job, &mut self.rngs[router]) => Some((job, 0)),
-                    _ => None,
-                }
-            } else if let Some(workload) = self.workload.as_ref() {
-                match workload.source(n) {
-                    Some((job, phase)) if workload.generate(job, &mut self.rngs[router]) => {
-                        Some((job, phase))
-                    }
-                    _ => None,
-                }
-            } else if let Some(injection) = self.injection {
-                injection
-                    .generate(&mut self.rngs[router])
-                    .then_some((UNTAGGED, UNTAGGED))
-            } else {
-                None
-            };
-            if let Some((job, phase)) = generated {
-                let src = node;
-                // Destinations: the scheduler's dynamic per-job patterns, or the
-                // network's (static, possibly time-aware) traffic pattern.
-                let dst = if let Some(sched) = self.sched.as_ref() {
-                    sched.destination(cycle, src, &self.params, &mut self.rngs[router])
-                } else {
-                    self.traffic
-                        .destination_at(cycle, src, &self.params, &mut self.rngs[router])
-                };
-                debug_assert_ne!(dst, src);
-                let id = self
-                    .packets
-                    .alloc(src, dst, self.config.packet_size as u16, cycle);
-                let packet = self.packets.get_mut(id);
-                packet.measured = self.tag_measured;
-                packet.job = job;
-                packet.phase = phase;
-                self.sources[n].pending.push_back(id);
-                self.stats
-                    .record_generated_tagged(self.config.packet_size, cycle, job, phase);
-                // Probe: generation happens at owned nodes only, so in a
-                // sharded run exactly one shard records it.  The flight key
-                // `(src, gen_cycle)` is a pure function of the packet.
-                if let Some(probe) = self.probe.as_deref_mut() {
-                    probe.record_injected(router);
-                    if probe.flight_sampled(src.0, cycle) {
-                        probe.record_flight(FlightEvent {
-                            cycle,
-                            gen_cycle: cycle,
-                            src: src.0,
-                            dst: dst.0,
-                            router: router as u32,
-                            port: NONE_U16,
-                            vc: NONE_U16,
-                            kind: FLIGHT_INJECT,
-                            class: u8::MAX,
-                            nonminimal: 2,
-                        });
-                    }
+        if self.sched.is_some() {
+            self.generate(cycle, |net, node, rng| {
+                let sched = net.sched.as_ref()?;
+                let job = sched.source(node)?;
+                // Scheduled jobs have a single phase (index 0).
+                sched.generate(job, rng).then_some((job, 0))
+            });
+        } else if self.workload.is_some() {
+            self.generate(cycle, |net, node, rng| {
+                let workload = net.workload.as_ref()?;
+                let (job, phase) = workload.source(node)?;
+                workload.generate(job, rng).then_some((job, phase))
+            });
+        } else if let Some(injection) = self.injection {
+            let probability = injection.packet_probability();
+            self.generate(cycle, |_, _, rng| {
+                rng.bernoulli(probability).then_some((UNTAGGED, UNTAGGED))
+            });
+        }
+        self.feed_sources(cycle)
+    }
+
+    /// Generation pass: `trial(self, node, rng)` decides whether `node`
+    /// generates a packet this cycle and with which `(job, phase)` tag.
+    ///
+    /// All draws of a node — the trial, then on success the destination — use
+    /// its router's stream, nodes of a router in ascending order, so the
+    /// outcome is independent of how the node space is partitioned across
+    /// shards.  The loop is router-major over the (router-aligned) owned range:
+    /// no per-node division, one stream lookup per router.
+    fn generate(
+        &mut self,
+        cycle: u64,
+        trial: impl Fn(&Self, usize, &mut Rng) -> Option<(u16, u16)>,
+    ) {
+        let per_router = self.params.nodes_per_router();
+        let routers = self.owned_nodes.start / per_router..self.owned_nodes.end / per_router;
+        // The streams step aside for the pass so a trial can read the network
+        // while drawing (the `route_scratch` idiom: no allocation, no copy).
+        let mut rngs = std::mem::take(&mut self.rngs);
+        for router in routers {
+            let rng = &mut rngs[router];
+            for node in router * per_router..(router + 1) * per_router {
+                if let Some((job, phase)) = trial(self, node, rng) {
+                    self.spawn(cycle, router, NodeId(node as u32), job, phase, rng);
                 }
             }
-            // Move at most one phit of the head packet into the injection buffer.
-            let source = &mut self.sources[n];
-            let Some(&head) = source.pending.front() else {
-                continue;
-            };
-            let term = self.params.node_index_in_router(node);
-            let port = Port::Terminal(term).flat(self.params.h());
+        }
+        self.rngs = rngs;
+    }
+
+    /// Create the packet a successful trial at `src` stands for: draw its
+    /// destination, allocate and tag it, queue it at the source.
+    fn spawn(
+        &mut self,
+        cycle: u64,
+        router: usize,
+        src: NodeId,
+        job: u16,
+        phase: u16,
+        rng: &mut Rng,
+    ) {
+        // Destinations: the scheduler's dynamic per-job patterns, or the
+        // network's (static, possibly time-aware) traffic pattern.
+        let dst = if let Some(sched) = self.sched.as_ref() {
+            sched.destination(cycle, src, &self.params, rng)
+        } else {
+            self.traffic.destination_at(cycle, src, &self.params, rng)
+        };
+        debug_assert_ne!(dst, src);
+        let id = self
+            .packets
+            .alloc(src, dst, self.config.packet_size as u16, cycle);
+        let packet = self.packets.get_mut(id);
+        packet.measured = self.tag_measured;
+        packet.job = job;
+        packet.phase = phase;
+        self.enqueue(src, id);
+        self.stats
+            .record_generated_tagged(self.config.packet_size, cycle, job, phase);
+        // Probe: generation happens at owned nodes only, so in a sharded run
+        // exactly one shard records it.  The flight key `(src, gen_cycle)` is
+        // a pure function of the packet.
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.record_injected(router);
+            if probe.flight_sampled(src.0, cycle) {
+                probe.record_flight(FlightEvent {
+                    cycle,
+                    gen_cycle: cycle,
+                    src: src.0,
+                    dst: dst.0,
+                    router: router as u32,
+                    port: NONE_U16,
+                    vc: NONE_U16,
+                    kind: FLIGHT_INJECT,
+                    class: u8::MAX,
+                    nonminimal: 2,
+                });
+            }
+        }
+    }
+
+    /// Feed pass: every node with a queued packet moves at most one phit of
+    /// its head packet into the injection buffer.
+    fn feed_sources(&mut self, cycle: u64) -> bool {
+        let per_router = self.params.nodes_per_router();
+        let h = self.params.h();
+        let mut activity = false;
+        let mut cursor = 0;
+        while let Some(n) = self.pending_sources.next_at_or_after(cursor) {
+            cursor = n + 1;
+            let router = n / per_router;
+            let port = Port::Terminal(n % per_router).flat(h);
             if self.routers[router].inputs[port].vcs[0].buffer.free_space() == 0 {
                 continue;
             }
+            let source = &mut self.sources[n];
+            let head = *source
+                .pending
+                .front()
+                .expect("a pending source has a queued packet");
             let packet = self.packets.get_mut(head);
             let is_head = source.head_phits_sent == 0;
             if is_head {
@@ -878,10 +969,15 @@ impl<R: RoutingAlgorithm> Network<R> {
             if source.head_phits_sent == size {
                 source.pending.pop_front();
                 source.head_phits_sent = 0;
+                if source.pending.is_empty() {
+                    // Safe mid-sweep: removal at the cursor never skips members.
+                    self.pending_sources.remove(n);
+                }
             }
             self.buffered_phits[router] += 1;
             self.buffered_total += 1;
-            self.mark_router_active(router);
+            self.active_routers.insert(router);
+            self.in_occupied[router] |= 1 << port;
         }
         activity
     }
@@ -893,6 +989,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     // sweeps the active-set bitmap in ascending router order (safe because every
     // router draws from its own RNG stream, so decisions are order-independent)
     // and the decision buffer is a reused scratch allocation owned by the network.
+    // Within a router only the occupied input ports are visited, in the rotated
+    // order a scan of all ports starting at `rr_alloc` would reach them — the
+    // skipped ports hold no head packet, so the sequence of `route()` calls,
+    // hence of the router's RNG draws, is the full scan's.
     fn phase_routing(&mut self, cycle: u64) {
         let ports = self.params.ports_per_router();
         let h = self.params.h();
@@ -916,10 +1016,11 @@ impl<R: RoutingAlgorithm> Network<R> {
                     params: &self.params,
                     config: &self.config,
                 };
-                // Rotate the service order of input ports for long-term fairness.
-                let offset = router.rr_alloc;
-                for i in 0..ports {
-                    let ip = (i + offset) % ports;
+                // Rotate the service order of input ports for long-term fairness:
+                // occupied ports from `rr_alloc` up, then the ones below it.
+                let occupied = self.in_occupied[r];
+                let below = occupied & ((1 << router.rr_alloc) - 1);
+                for ip in set_bits(occupied ^ below).chain(set_bits(below)) {
                     let input_port = &router.inputs[ip];
                     for (ivc, input) in input_port.vcs.iter().enumerate() {
                         if input.route.is_some() {
@@ -953,6 +1054,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                     continue;
                 }
                 out.owner = Some((ip as u16, ivc as u8));
+                self.out_owned[r] |= 1 << flat;
                 router.inputs[ip].vcs[ivc].route = Some((flat as u16, choice.vc));
                 // Delay stamp 3: the head waited in this input VC from enqueue
                 // until this grant.  Classified on the *pre-grant* route: a
@@ -1021,7 +1123,8 @@ impl<R: RoutingAlgorithm> Network<R> {
     // on links `r * ports + op`, so the fabric's send-side writes sweep forward
     // too); routers whose buffers drain during the sweep leave the active set
     // (and re-enter it from the arrival or injection phases when a new phit
-    // shows up).
+    // shows up).  Within a router only output ports with an owned VC are
+    // visited, ascending: an unowned port has nothing to send.
     fn phase_switch(&mut self, cycle: u64) -> bool {
         let ports = self.params.ports_per_router();
         let h = self.params.h();
@@ -1030,7 +1133,9 @@ impl<R: RoutingAlgorithm> Network<R> {
         let mut cursor = 0;
         while let Some(r) = self.active_routers.next_at_or_after(cursor) {
             cursor = r + 1;
-            for op in 0..ports {
+            // Grants happen in the routing phase only, so the mask read here
+            // covers every port that can send this cycle.
+            for op in set_bits(self.out_owned[r]) {
                 let vcs = self.routers[r].outputs[op].vcs.len();
                 let start = self.routers[r].outputs[op].rr_next;
                 let mut chosen: Option<usize> = None;
@@ -1086,13 +1191,22 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let size = head.size;
                 let grant_cycle = head.grant_cycle;
                 let (pid, is_tail) = buffer.send_phit(slot_pool);
-                let out = &mut outputs[op].vcs[vc];
-                out.credits -= 1;
-                out.rr_owner_advance(is_tail);
+                let output = &mut outputs[op];
+                output.rr_next = (vc + 1) % vcs;
+                output.vcs[vc].credits -= 1;
                 if is_tail {
+                    // The packet has left: release the output VC and the
+                    // input VC's route, and retire either port from its mask
+                    // when that was the port's last packet.
+                    output.vcs[vc].owner = None;
                     inputs[ip].vcs[ivc].route = None;
+                    if !output.has_owner() {
+                        self.out_owned[r] &= !(1 << op);
+                    }
+                    if !inputs[ip].has_packets() {
+                        self.in_occupied[r] &= !(1 << ip);
+                    }
                 }
-                outputs[op].rr_next = (vc + 1) % vcs;
                 // Delay stamp 4: the first phit crossing the switch ends the
                 // wait for downstream credits that began at the grant, and the
                 // head timestamp restarts for the link-transit leg.
@@ -1187,8 +1301,18 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// Restrict packet generation, injection and burst preloading to `nodes`
     /// (a shard's owned contiguous node range).  The default is every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the range covers whole routers (the generation pass walks
+    /// it router by router, and a router's nodes share its RNG stream).
     pub fn set_owned_nodes(&mut self, nodes: Range<usize>) {
         assert!(nodes.end <= self.params.num_nodes());
+        let per_router = self.params.nodes_per_router();
+        assert!(
+            nodes.start.is_multiple_of(per_router) && nodes.end.is_multiple_of(per_router),
+            "owned node range {nodes:?} must cover whole routers ({per_router} nodes each)"
+        );
         self.owned_nodes = nodes;
     }
 
@@ -1224,16 +1348,26 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Drain every phit queued on link `li` into `out` (a transmit-side
     /// boundary link: the phits travel to another shard at the cycle barrier).
     pub fn take_link_phits(&mut self, li: usize, out: &mut Vec<PhitInFlight>) {
-        while let Some(phit) = self.fabric.take_phit(li) {
-            out.push(phit);
+        if self.fabric.phits_in_flight(li) > 0 {
+            self.fabric.take_phits(li, out);
+            self.retire_link_if_idle(li);
         }
     }
 
     /// Drain every credit queued on link `li` into `out` (a receive-side
     /// boundary link: the credits travel back to the transmitting shard).
     pub fn take_link_credits(&mut self, li: usize, out: &mut Vec<CreditInFlight>) {
-        while let Some(credit) = self.fabric.take_credit(li) {
-            out.push(credit);
+        if self.fabric.credits_in_flight(li) > 0 {
+            self.fabric.take_credits(li, out);
+            self.retire_link_if_idle(li);
+        }
+    }
+
+    /// An exported link has nothing left to mature: the arrival sweep would
+    /// never open it again, so it leaves the active set here.
+    fn retire_link_if_idle(&mut self, li: usize) {
+        if self.fabric.is_idle(li) {
+            self.active_links.remove(li);
         }
     }
 
@@ -1241,14 +1375,14 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// link `li`, keeping its original arrival stamp.
     pub fn import_link_phit(&mut self, li: usize, phit: PhitInFlight) {
         self.fabric.push_arriving_phit(li, phit);
-        self.mark_link_active(li);
+        self.active_links.insert(li);
     }
 
     /// Deliver a credit from the receiving shard into this shard's copy of
     /// link `li`, keeping its original arrival stamp.
     pub fn import_link_credit(&mut self, li: usize, credit: CreditInFlight) {
         self.fabric.push_arriving_credit(li, credit);
-        self.mark_link_active(li);
+        self.active_links.insert(li);
     }
 
     /// Clone the full state of a live packet (shipped alongside the head phit
@@ -1415,6 +1549,68 @@ impl<R: RoutingAlgorithm> Network<R> {
         probe.sample(cycle, &self.link_phits, snap);
     }
 
+    /// Compare the due-work structures with the full scans they replace: both
+    /// port masks against every VC of every router, `pending_sources` against
+    /// every source queue, `active_links` and the fabric's `next_due` stamps
+    /// against every link's rings.  `Err` describes the first disagreement.
+    ///
+    /// Holds between cycles (and between the steps of a sharded cycle).  Debug
+    /// builds assert it at the close of every cycle; `tests/due_work.rs` steps
+    /// it in release builds too.
+    pub fn check_due_sets(&self) -> Result<(), String> {
+        for (r, router) in self.routers.iter().enumerate() {
+            let scan = |has: &dyn Fn(usize) -> bool| {
+                (0..router.inputs.len())
+                    .filter(|&p| has(p))
+                    .fold(0u64, |mask, p| mask | 1 << p)
+            };
+            let occupied = scan(&|p| router.inputs[p].has_packets());
+            if self.in_occupied[r] != occupied {
+                return Err(format!(
+                    "router {r}: in_occupied is {:#b} but the input VCs say {occupied:#b}",
+                    self.in_occupied[r]
+                ));
+            }
+            let owned = scan(&|p| router.outputs[p].has_owner());
+            if self.out_owned[r] != owned {
+                return Err(format!(
+                    "router {r}: out_owned is {:#b} but the output VCs say {owned:#b}",
+                    self.out_owned[r]
+                ));
+            }
+        }
+        for (n, source) in self.sources.iter().enumerate() {
+            if self.pending_sources.contains(n) == source.is_empty() {
+                return Err(format!(
+                    "node {n}: pending_sources membership is {} with {} packets queued",
+                    self.pending_sources.contains(n),
+                    source.pending.len()
+                ));
+            }
+        }
+        for li in 0..self.fabric.len() {
+            if self.active_links.contains(li) == self.fabric.is_idle(li) {
+                return Err(format!(
+                    "link {li}: active_links membership is {} with {} phits and {} credits \
+                     in flight",
+                    self.active_links.contains(li),
+                    self.fabric.phits_in_flight(li),
+                    self.fabric.credits_in_flight(li)
+                ));
+            }
+        }
+        self.fabric.check_next_due()
+    }
+
+    /// Debug-build check of the due-work structures against the full scans
+    /// they replaced.
+    #[cfg(debug_assertions)]
+    fn assert_due_sets_match_full_scan(&self) {
+        if let Err(diverged) = self.check_due_sets() {
+            panic!("due-work sets diverged at cycle {}: {diverged}", self.cycle);
+        }
+    }
+
     /// Debug-build equivalence check of the event-driven board against the full scan
     /// it replaced.
     #[cfg(debug_assertions)]
@@ -1442,14 +1638,16 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 }
 
-impl crate::router::OutputVc {
-    /// Release ownership when the tail phit has been sent.
-    #[inline]
-    fn rr_owner_advance(&mut self, is_tail: bool) {
-        if is_tail {
-            self.owner = None;
-        }
-    }
+/// Indices of the set bits of a port mask, ascending.
+#[inline]
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// Apply a granted routing decision to the packet state.
@@ -1575,7 +1773,7 @@ mod tests {
         let id = net.packets.alloc(src, dst, 8, 0);
         net.packets.get_mut(id).measured = true;
         net.stats.begin_measurement(0);
-        net.sources[0].pending.push_back(id);
+        net.enqueue(NodeId(0), id);
         net.stats.record_generated(8, 0);
         net.run(1_000);
         assert!(net.is_drained(), "packet should be delivered");
@@ -1600,7 +1798,7 @@ mod tests {
         let id = net.packets.alloc(NodeId(0), NodeId(1), 8, 0);
         net.packets.get_mut(id).measured = true;
         net.stats.begin_measurement(0);
-        net.sources[0].pending.push_back(id);
+        net.enqueue(NodeId(0), id);
         net.stats.record_generated(8, 0);
         net.run(200);
         assert!(net.is_drained());

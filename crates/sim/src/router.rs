@@ -21,6 +21,14 @@ pub struct InputPort {
     pub vcs: Vec<InputVc>,
 }
 
+impl InputPort {
+    /// True when some VC of this port holds a packet slot (phits present, or a
+    /// packet being cut through whose tail has not left yet).
+    pub fn has_packets(&self) -> bool {
+        self.vcs.iter().any(|vc| vc.buffer.packets() > 0)
+    }
+}
+
 /// One output virtual channel: the credit count of the downstream buffer and the input
 /// VC that currently owns it (a packet in transfer holds the VC from head to tail).
 #[derive(Debug, Clone)]
@@ -57,6 +65,11 @@ pub struct OutputPort {
 }
 
 impl OutputPort {
+    /// True when some VC of this port is owned by a packet in transfer.
+    pub fn has_owner(&self) -> bool {
+        self.vcs.iter().any(|vc| vc.owner.is_some())
+    }
+
     /// Total occupancy of the downstream buffers over all VCs of this port.
     pub fn total_occupancy(&self) -> usize {
         self.vcs.iter().map(|v| v.occupancy()).sum()

@@ -179,7 +179,7 @@ fn hand_built_packet_decomposition_is_pinned() {
     let id = net.packets.alloc(src, dst, 8, 0);
     net.packets.get_mut(id).measured = true;
     net.stats.begin_measurement(0);
-    net.sources[0].pending.push_back(id);
+    net.enqueue(NodeId(0), id);
     net.stats.record_generated(8, 0);
     net.run(1_000);
     assert!(net.is_drained(), "packet should be delivered");

@@ -62,57 +62,104 @@ fn parallel_execution_matches_sequential() {
     }
 }
 
-/// The deadlock watchdog's verdict is deterministic and pinned across the
-/// link-fabric layout: a packet crossing a global link is silent for the
-/// link's full latency (its phit sits in the pipeline, nothing "moves"), so a
-/// threshold below that latency fires the watchdog at a reproducible cycle
-/// while the default threshold never fires.  The in-flight counts the
-/// watchdog's idle checks rely on are packed-metadata reads, asserted here
-/// through the public accessors.
+/// The deadlock watchdog's verdict is pinned.  A packet crossing a global
+/// link is silent for the link's full latency — its phits sit in the pipeline
+/// and nothing "moves" — but a phit or credit on a link *is* progress, so a
+/// threshold far below that latency stays quiet and the packet is delivered.
+/// A true stall (a packet whose router has no downstream credit on the output
+/// it needs) still fires, at exactly `last_activity + threshold + 1`, on the sequential
+/// engine and on two shards alike.  The in-flight counts behind the idle
+/// checks are packed-metadata reads, asserted here through the public
+/// accessors.
 #[test]
 fn watchdog_verdict_is_pinned() {
-    use dragonfly::sim::{LinkEnd, SimConfig, Simulation};
-    use dragonfly::topology::NodeId;
+    use dragonfly::core::{ShardPlan, ShardedSimulation};
+    use dragonfly::routing::MinimalRouting;
+    use dragonfly::sim::{
+        Engine, EngineHost, LinkEnd, Network, RoutingAlgorithm, SimConfig, Simulation,
+    };
+    use dragonfly::topology::{NodeId, Port, PortKind};
     use dragonfly::traffic::Uniform;
 
-    let run = |threshold: u64| {
+    const THRESHOLD: u64 = 40;
+    let config = |threshold: u64| {
         let mut config = SimConfig::paper_vct(2).with_seed(5);
         config.deadlock_threshold = threshold;
-        let mut sim = Simulation::new(
-            config,
-            RoutingKind::Minimal.build(),
-            Box::new(Uniform::new()),
-        );
-        let net = sim.network_mut();
-        // One packet from node 0 to the last node: its route crosses a global
-        // link (latency ≫ the tiny threshold).
+        config
+    };
+    // One packet from node 0 to the last node: its route crosses a global
+    // link (latency ≫ the tiny threshold).
+    fn enqueue_one<R: RoutingAlgorithm>(net: &mut Network<R>) {
         let dst = NodeId((net.params().num_nodes() - 1) as u32);
         let id = net.packets.alloc(NodeId(0), dst, 8, 0);
-        net.sources[0].pending.push_back(id);
+        net.enqueue(NodeId(0), id);
         net.stats.record_generated(8, 0);
-        for _ in 0..2_000 {
-            sim.step();
-        }
-        (sim.network().deadlock_detected, sim.network().is_drained())
-    };
+    }
+    // Step until the watchdog fires; the cycle it fired in, if it did.
+    fn firing_cycle<H: EngineHost>(host: &mut H) -> Option<u64> {
+        host.drive(|engine| {
+            while engine.cycle() < 2_000 && !engine.deadlocked() {
+                engine.step();
+            }
+            engine.deadlocked().then(|| engine.cycle() - 1)
+        })
+    }
 
-    // Default threshold: the silence of a long link is not a deadlock.
-    let (fired, drained) = run(50_000);
-    assert!(!fired && drained, "default threshold must stay quiet");
-    // A threshold below the global-link latency mistakes in-flight silence
-    // for a stall — deterministically, every run.
-    let (fired_a, _) = run(40);
-    let (fired_b, _) = run(40);
-    assert!(fired_a, "threshold below link latency must fire");
-    assert_eq!(fired_a, fired_b, "the verdict must be reproducible");
+    // The silence of a long link is not a stall, whatever the threshold.
+    for threshold in [50_000, THRESHOLD] {
+        let mut sim = Simulation::with_routing(
+            config(threshold),
+            MinimalRouting::new(),
+            Box::new(Uniform::new()),
+        );
+        enqueue_one(sim.network_mut());
+        assert_eq!(firing_cycle(&mut sim), None, "threshold {threshold} fired");
+        assert!(sim.network().is_drained(), "threshold {threshold}");
+        assert_eq!(sim.network().stats.total_delivered, 1);
+    }
+
+    // A true stall: the packet's first hop is a local link (group 0 reaches the
+    // last group through another of its routers) and no local or terminal
+    // output VC of its router has a credit, so it is never granted.  Its eight
+    // phits enter the injection buffer in cycles 0..=7 — the last activity —
+    // and then nothing is due anywhere.  (Global outputs keep their credits:
+    // the piggybacking board is an event-driven copy of them, which a hand
+    // edit would desynchronise.)
+    fn starve_router_0<R: RoutingAlgorithm>(net: &mut Network<R>) {
+        let h = net.params().h();
+        for (flat, output) in net.routers[0].outputs.iter_mut().enumerate() {
+            if Port::from_flat(flat, h).kind() != PortKind::Global {
+                for vc in &mut output.vcs {
+                    vc.credits = 0;
+                }
+            }
+        }
+    }
+    let pinned = Some(7 + THRESHOLD + 1);
+    let mut sequential = Simulation::with_routing(
+        config(THRESHOLD),
+        MinimalRouting::new(),
+        Box::new(Uniform::new()),
+    );
+    starve_router_0(sequential.network_mut());
+    enqueue_one(sequential.network_mut());
+    assert_eq!(firing_cycle(&mut sequential), pinned);
+    let mut sharded = ShardedSimulation::new(
+        config(THRESHOLD),
+        ShardPlan::new(2),
+        MinimalRouting::new(),
+        || Box::new(Uniform::new()),
+    );
+    starve_router_0(sharded.network_mut(0));
+    enqueue_one(sharded.network_mut(0));
+    assert_eq!(firing_cycle(&mut sharded), pinned);
 
     // The in-flight accounting behind the idle checks is O(1) metadata: a
     // fresh network reports empty pipelines on every link without touching
     // the pools, and the terminal link of a loaded router reports its phits.
-    let config = SimConfig::paper_vct(2).with_seed(5);
-    let mut sim = Simulation::new(
-        config,
-        RoutingKind::Minimal.build(),
+    let mut sim = Simulation::with_routing(
+        config(50_000),
+        MinimalRouting::new(),
         Box::new(Uniform::new()),
     );
     let net = sim.network_mut();
@@ -120,10 +167,7 @@ fn watchdog_verdict_is_pinned() {
         assert_eq!(net.link_phits_in_flight(li), 0);
         assert_eq!(net.link_credits_in_flight(li), 0);
     }
-    let dst = NodeId((net.params().num_nodes() - 1) as u32);
-    let id = net.packets.alloc(NodeId(0), dst, 8, 0);
-    net.sources[0].pending.push_back(id);
-    net.stats.record_generated(8, 0);
+    enqueue_one(net);
     for _ in 0..40 {
         sim.step();
     }

@@ -1,0 +1,216 @@
+//! The due-work structures against the full scans they replace.
+//!
+//! Every phase of the cycle visits only what has work due: links whose
+//! `next_due` stamp has matured, input ports in `in_occupied`, output ports in
+//! `out_owned`, nodes in `pending_sources` (ARCHITECTURE.md, "The per-cycle
+//! pipeline").  A stale bit is a packet that is never routed, a phit that is
+//! never delivered, or a queue that is never fed — so after **every** cycle
+//! `Network::check_due_sets` rebuilds each structure from a scan of every VC,
+//! source queue and link ring and compares.
+//!
+//! Debug builds assert the same comparison at the close of every cycle of
+//! every test; this file steps it explicitly so the pin also holds in
+//! `--release` (CI runs `cargo test --release --test due_work`), over a matrix
+//! chosen to reach the regimes the structures exist for: a nearly idle
+//! machine, a loaded one, a saturated one whose source queues only grow, and a
+//! preloaded burst drained until every structure is empty again — for all
+//! seven mechanisms, both flow controls, benign and adversarial traffic,
+//! h ∈ {2, 3}, on the sequential engine and on two shards (where boundary
+//! links are emptied by export and refilled by import between cycles).  Every
+//! cell of the matrix runs under its own seed.
+
+use dragonfly::core::{
+    AdaptiveParams, ExperimentSpec, FlowControlKind, RoutingKind, ShardPlan, ShardedSimulation,
+    TrafficKind,
+};
+use dragonfly::routing::RoutingVisitor;
+use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
+use dragonfly::traffic::BernoulliInjection;
+
+/// What drives the engine.
+#[derive(Debug, Clone, Copy)]
+enum Regime {
+    /// Bernoulli injection at this offered load for [`STEADY_CYCLES`].
+    Steady(f64),
+    /// This many packets preloaded per node, stepped until drained.
+    Burst(u64),
+}
+
+const STEADY_CYCLES: u64 = 300;
+const BURST_LIMIT: u64 = 30_000;
+
+/// An engine whose every network replica can be checked between cycles.
+trait Checked: EngineHost {
+    fn check_due_sets(&self) -> Result<(), String>;
+}
+
+impl<R: RoutingAlgorithm> Checked for Simulation<R> {
+    fn check_due_sets(&self) -> Result<(), String> {
+        self.network().check_due_sets()
+    }
+}
+
+impl<R: RoutingAlgorithm + Clone> Checked for ShardedSimulation<R> {
+    fn check_due_sets(&self) -> Result<(), String> {
+        (0..self.shards()).try_for_each(|shard| {
+            self.network(shard)
+                .check_due_sets()
+                .map_err(|diverged| format!("shard {shard}: {diverged}"))
+        })
+    }
+}
+
+/// Drive `host` through `regime`, checking after the set-up and after every
+/// cycle.  Returns `(generated, delivered)`.
+fn run_checked<H: Checked>(
+    host: &mut H,
+    regime: Regime,
+    packet_size: usize,
+    case: &str,
+) -> (u64, u64) {
+    let check = |host: &H, at: &str| {
+        if let Err(diverged) = host.check_due_sets() {
+            panic!("{case}, {at}: {diverged}");
+        }
+    };
+    host.drive(|engine| match regime {
+        Regime::Steady(load) => {
+            engine.set_injection(Some(BernoulliInjection::new(load, packet_size)))
+        }
+        Regime::Burst(packets) => engine.preload_burst(packets),
+    });
+    check(host, "after set-up");
+    let limit = match regime {
+        Regime::Steady(_) => STEADY_CYCLES,
+        Regime::Burst(_) => BURST_LIMIT,
+    };
+    // Read inside the stepping call: a sharded engine's facts are published by
+    // its workers as they step.
+    let mut counts = (0, 0);
+    let mut drained = false;
+    for cycle in 0..limit {
+        (counts, drained) = host.drive(|engine| {
+            engine.step();
+            assert!(!engine.deadlocked(), "{case}: watchdog fired");
+            ((engine.generated(), engine.delivered()), engine.drained())
+        });
+        check(host, &format!("after cycle {cycle}"));
+        if drained && matches!(regime, Regime::Burst(_)) {
+            break;
+        }
+    }
+    if let Regime::Burst(_) = regime {
+        assert!(drained, "{case}: burst not drained in {BURST_LIMIT} cycles");
+        assert_eq!(counts.0, counts.1, "{case}: drained with packets missing");
+    }
+    counts
+}
+
+/// Builds the engine under test around the concrete mechanism and runs it.
+struct Case<'a> {
+    spec: &'a ExperimentSpec,
+    regime: Regime,
+    shards: Option<usize>,
+    name: &'a str,
+}
+
+impl RoutingVisitor for Case<'_> {
+    type Output = (u64, u64);
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> (u64, u64) {
+        let config = self.spec.sim_config();
+        let params = config.params;
+        let packet_size = config.packet_size;
+        let traffic = || self.spec.traffic.build(&params);
+        match self.shards {
+            None => {
+                let mut sim = Simulation::with_routing(config, routing, traffic());
+                run_checked(&mut sim, self.regime, packet_size, self.name)
+            }
+            Some(shards) => {
+                let mut sim =
+                    ShardedSimulation::new(config, ShardPlan::new(shards), routing, traffic);
+                run_checked(&mut sim, self.regime, packet_size, self.name)
+            }
+        }
+    }
+}
+
+/// The matrix on one engine kind: every mechanism × flow control × traffic ×
+/// regime, each cell with its own seed, h alternating between 2 and 3 from
+/// cell to cell so that every mechanism, traffic and regime meets both sizes.
+fn matrix(shards: Option<usize>) {
+    let traffics = [TrafficKind::Uniform, TrafficKind::AdversarialGlobal(1)];
+    let mut seed = 0xD0E_u64;
+    let mut moved = 0u64;
+    for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
+        // One 80-phit wormhole packet per node is already a long tail.
+        let burst = match fc {
+            FlowControlKind::Vct => 3,
+            FlowControlKind::Wormhole => 1,
+        };
+        let regimes = [
+            Regime::Steady(0.005),
+            Regime::Steady(0.2),
+            Regime::Steady(1.0),
+            Regime::Burst(burst),
+        ];
+        let mechanisms = RoutingKind::ALL
+            .into_iter()
+            .filter(|r| fc == FlowControlKind::Vct || r.supports_wormhole());
+        for (m, routing) in mechanisms.enumerate() {
+            for (t, traffic) in traffics.iter().enumerate() {
+                for (r, &regime) in regimes.iter().enumerate() {
+                    seed += 1;
+                    let mut spec = ExperimentSpec::new(2 + (m + t + r) % 2);
+                    spec.routing = routing;
+                    spec.flow_control = fc;
+                    spec.traffic = traffic.clone();
+                    spec.seed = seed;
+                    let name = format!(
+                        "h={} {} {} {} {regime:?} shards={shards:?} seed={seed}",
+                        spec.h,
+                        routing.name(),
+                        fc.name(),
+                        traffic.name()
+                    );
+                    let (generated, delivered) = routing.dispatch(
+                        AdaptiveParams::with_threshold(spec.threshold),
+                        Case {
+                            spec: &spec,
+                            regime,
+                            shards,
+                            name: &name,
+                        },
+                    );
+                    assert!(delivered <= generated, "{name}");
+                    // Every burst is delivered in full (asserted by the run);
+                    // a loaded window must at least have injected.
+                    if matches!(regime, Regime::Steady(load) if load > 0.1) {
+                        assert!(generated > 0, "{name}: nothing generated");
+                    }
+                    moved += delivered;
+                }
+            }
+        }
+    }
+    assert!(moved > 10_000, "the matrix moved only {moved} packets");
+}
+
+#[test]
+fn due_sets_match_a_full_scan_every_cycle_sequential() {
+    matrix(None);
+}
+
+/// Checking between the cycles of a sharded engine means joining and
+/// respawning its workers every cycle, which a debug build makes slower
+/// still — and a debug build already asserts the very same comparison inside
+/// every shard's `finish_cycle`, in this and every other test.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds assert this inside every cycle; run with --release"
+)]
+fn due_sets_match_a_full_scan_every_cycle_on_two_shards() {
+    matrix(Some(2));
+}

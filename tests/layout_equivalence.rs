@@ -7,7 +7,11 @@
 //! Coverage: every `RoutingKind` × `FlowControlKind` steady-state run, plus the
 //! workload, churn-trace, and batch protocols. Each scenario's fixture holds
 //! the full `Debug` rendering of the report *and* its CSV row(s), so both the
-//! in-memory struct and the emitted text surface are pinned.
+//! in-memory struct and the emitted text surface are pinned.  Two regimes those
+//! fixtures (loads 0.12–0.4) do not reach — a nearly idle machine and a burst's
+//! long tail — have fixtures of their own, captured on the engine as it stood
+//! before the cycle became work-proportional (`steady_minimal_idle`,
+//! `batch_tail_rlm_wormhole`).
 //!
 //! Regenerating fixtures (only when an *intentional* behaviour change lands):
 //!
@@ -205,6 +209,39 @@ fn batch_matches_golden() {
     let report = spec.run_batch(3, 100_000);
     assert!(!report.timed_out);
     check("batch_mixed_rlm", &render_batch(&report));
+}
+
+/// The near-idle regime (the perf ledger's `idle_h6` at h = 2): almost every
+/// router, link and source queue has nothing due in a given cycle, so the
+/// work-proportional sweeps skip nearly everything — and must not skip a
+/// single event that is due.
+#[test]
+fn steady_idle_matches_golden() {
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Minimal;
+    spec.offered_load = 0.005;
+    spec.seed = 17;
+    spec.warmup = 3_000;
+    spec.measure = 10_000;
+    spec.drain = 10_000;
+    let report = spec.run();
+    assert!(report.packets_measured > 0);
+    check("steady_minimal_idle", &render_sim(&report));
+}
+
+/// A wormhole burst drained to empty (the ledger's `burst_wh_h4` at h = 2):
+/// full source queues thinning to a long tail in which the due-work sets
+/// shrink to nothing.
+#[test]
+fn batch_tail_matches_golden() {
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Rlm;
+    spec.flow_control = FlowControlKind::Wormhole;
+    spec.traffic = TrafficKind::AdversarialGlobal(1);
+    spec.seed = 29;
+    let report = spec.run_batch(6, 400_000);
+    assert!(!report.timed_out);
+    check("batch_tail_rlm_wormhole", &render_batch(&report));
 }
 
 /// The sharded engine stays byte-identical to the (fixture-pinned) sequential

@@ -9,9 +9,12 @@
 //! `route_scratch`, candidate lists in `route()`, ...) lives in preallocated
 //! or stack-inline storage.
 //!
-//! The offered load (0.1 uniform) is deliberately below every mechanism's
-//! saturation point: above saturation the *source queues* grow without bound
-//! by design, which is a property of the load, not of the cycle loop.
+//! The offered loads (0.1 and 0.005 uniform) are deliberately below every
+//! mechanism's saturation point: above saturation the *source queues* grow
+//! without bound by design, which is a property of the load, not of the cycle
+//! loop.  The near-idle load is the regime the due-work structures exist for
+//! (port masks, `pending_sources`, the fabric's `next_due` stamps): members
+//! come and go every few cycles there, and none of it may allocate.
 //!
 //! Probes are installed with every instrument enabled (stride-64 time series,
 //! flight recorder, heatmaps) **and every anomaly detector armed**: all probe
@@ -70,6 +73,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 const WARMUP_CYCLES: u64 = 2_000;
+/// A loaded machine and a nearly idle one.
+const LOADS: [f64; 2] = [0.1, 0.005];
 const MEASURED_CYCLES: u64 = 500;
 
 #[test]
@@ -80,50 +85,46 @@ fn steady_state_cycle_loop_is_allocation_free() {
             if !kind.supports_wormhole() && fc == FlowControlKind::Wormhole {
                 continue;
             }
-            let mut spec = ExperimentSpec::new(2);
-            spec.routing = kind;
-            spec.flow_control = fc;
-            spec.traffic = TrafficKind::Uniform;
-            spec.seed = 42;
-            let mut sim = spec.build_simulation();
-            // Every probe instrument on and the detectors armed: the active
-            // observability layer must be allocation-free too (storage
-            // reserved here, before warm-up).
-            sim.install_probes(ProbeConfig {
-                delay: true,
-                ..ProbeConfig::full_active(64)
-            });
-            sim.network_mut()
-                .set_injection(Some(BernoulliInjection::new(0.1, fc.packet_size())));
+            for load in LOADS {
+                let mut spec = ExperimentSpec::new(2);
+                spec.routing = kind;
+                spec.flow_control = fc;
+                spec.traffic = TrafficKind::Uniform;
+                spec.seed = 42;
+                let mut sim = spec.build_simulation();
+                // Every probe instrument on and the detectors armed: the active
+                // observability layer must be allocation-free too (storage
+                // reserved here, before warm-up).
+                sim.install_probes(ProbeConfig {
+                    delay: true,
+                    ..ProbeConfig::full_active(64)
+                });
+                sim.network_mut()
+                    .set_injection(Some(BernoulliInjection::new(load, fc.packet_size())));
 
-            // Warm-up: source-queue high-water marks and any arena growth
-            // beyond the preallocation happen here.
-            sim.run_cycles(WARMUP_CYCLES);
+                // Warm-up: source-queue high-water marks and any arena growth
+                // beyond the preallocation happen here.
+                sim.run_cycles(WARMUP_CYCLES);
 
-            let before = ALLOCS.load(Ordering::Relaxed);
-            sim.run_cycles(MEASURED_CYCLES);
-            let delta = ALLOCS.load(Ordering::Relaxed) - before;
+                let before = ALLOCS.load(Ordering::Relaxed);
+                sim.run_cycles(MEASURED_CYCLES);
+                let delta = ALLOCS.load(Ordering::Relaxed) - before;
 
-            assert!(
-                sim.network().stats.total_delivered > 0,
-                "{} under {} delivered nothing — the run would pin an idle loop",
-                kind.name(),
-                fc.name()
-            );
-            assert!(
-                sim.probe().is_some_and(|p| p.samples() > 0),
-                "{} under {}: probes recorded nothing — the probe half of the pin is vacuous",
-                kind.name(),
-                fc.name()
-            );
-            assert_eq!(
-                delta,
-                0,
-                "{} under {}: {delta} heap allocations in {MEASURED_CYCLES} steady-state cycles \
-                 (probes enabled)",
-                kind.name(),
-                fc.name()
-            );
+                let case = format!("{} under {} at load {load}", kind.name(), fc.name());
+                assert!(
+                    sim.network().stats.total_delivered > 0,
+                    "{case} delivered nothing — the run would pin an idle loop"
+                );
+                assert!(
+                    sim.probe().is_some_and(|p| p.samples() > 0),
+                    "{case}: probes recorded nothing — the probe half of the pin is vacuous"
+                );
+                assert_eq!(
+                    delta, 0,
+                    "{case}: {delta} heap allocations in {MEASURED_CYCLES} steady-state cycles \
+                     (probes enabled)"
+                );
+            }
         }
     }
 
