@@ -13,24 +13,16 @@
 //! roughly `2 × load` phits/cycle on each +1 global channel, so loads around 0.5
 //! straddle saturation).  One CSV row per (mechanism, trace, aggressor load, job)
 //! with the lifecycle columns; `--json FILE` additionally emits one structured
-//! JSON object per point when built with `--features json`.
+//! JSON object per point.
 
 use dragonfly_bench::{file_slug, write_workload_job_csv, HarnessArgs};
 use dragonfly_core::{churn_sweep, ChurnSweep, FlowControlKind, Jobs, RoutingKind, WorkloadReport};
 use dragonfly_sched::scenarios::fragmentation_trace;
+use dragonfly_stats::json::{ToJson, Value};
 use dragonfly_topology::DragonflyParams;
 
 fn main() {
     let mut args = HarnessArgs::from_env();
-    // A `--json` on a feature-less build is a hard error before paying for the sweep.
-    #[cfg(not(feature = "json"))]
-    if args.json_out.is_some() {
-        eprintln!(
-            "--json requires the structured-emission feature; rebuild with \
-             `cargo run -p dragonfly_bench --features json --bin churn_sweep`"
-        );
-        std::process::exit(2);
-    }
     if !args.loads_explicit {
         // Churn points are whole-trace runs; default to a compact load set that
         // straddles the scattered aggressor's saturation point.
@@ -131,7 +123,6 @@ fn main() {
     write_workload_job_csv(&path, "routing,trace", &entries).expect("cannot write CSV");
     println!("wrote {}", path.display());
 
-    #[cfg(feature = "json")]
     if let Some(json_path) = &args.json_out {
         write_json(json_path, &entries);
     }
@@ -139,9 +130,7 @@ fn main() {
 
 /// Emit one structured JSON object per sweep point (jsonl), via the report types'
 /// `ToJson` impls.
-#[cfg(feature = "json")]
 fn write_json(path: &std::path::Path, entries: &[(String, &WorkloadReport)]) {
-    use serde_json::{ToJson, Value};
     let mut out = String::new();
     for (prefix, report) in entries {
         let (routing, trace) = prefix.split_once(',').expect("prefix is routing,trace");

@@ -1,16 +1,16 @@
-//! Validate emitted JSON artifacts (json feature only): each file argument
-//! must pass the full RFC 8259 syntax check, `*_manifest.json` files must
-//! additionally round-trip through [`RunManifest::from_json`], and `*.jsonl`
-//! files are validated line by line.
+//! Validate emitted JSON artifacts: each file argument must parse as one
+//! RFC 8259 document, `*_manifest.json` files must additionally round-trip
+//! through [`RunManifest::from_json`], and `*.jsonl` files are parsed line by
+//! line.
 //!
 //! ```text
-//! cargo run --release -p dragonfly_bench --features json --bin json_check -- \
-//!     results/run_trace.json results/run_manifest.json results/run_trigger.jsonl
+//! cargo run --release -p dragonfly_bench --bin json_check -- \
+//!     results/detect/*.json results/detect/*.jsonl
 //! ```
 //!
 //! Exit status 0 when every file validates; the first failure prints the file
-//! and the parse error and exits 1.  CI runs this over the detector smoke
-//! run's trace/manifest/trigger output.
+//! and the reader's error and exits 1.  CI runs this over every JSON file of
+//! the detector smoke run.
 
 use dragonfly_core::RunManifest;
 use dragonfly_stats::validate_json;
@@ -21,17 +21,15 @@ fn check(path: &str) -> Result<(), String> {
         for (i, line) in text.lines().enumerate() {
             validate_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         }
-    } else {
-        validate_json(&text)?;
-    }
-    if path.ends_with("_manifest.json") {
-        let (manifest, probe, files) =
-            RunManifest::from_json(&text).ok_or("manifest does not round-trip")?;
+    } else if path.ends_with("_manifest.json") {
+        let (manifest, probe, files) = RunManifest::from_json(&text)?;
         // The reader parses what the writer emits: re-emission is an identity.
         let reemitted = manifest.to_json(&probe, &files);
         if reemitted != text {
             return Err("manifest re-emission differs from the original".to_string());
         }
+    } else {
+        validate_json(&text)?;
     }
     Ok(())
 }

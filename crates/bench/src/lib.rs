@@ -18,8 +18,8 @@
 //! --out <DIR>      directory for CSV output (default: results/)
 //! --loads a,b,c    explicit offered-load points
 //! --pattern <P>    traffic pattern selector where applicable (un, advg1, advgh, all)
-//! --json <FILE>    structured JSON output (churn_sweep only, needs the `json`
-//!                  feature)
+//! --json <FILE>    structured JSON output, one object per point (churn_sweep
+//!                  only)
 //! --probe          install observability probes and write their output files
 //!                  next to the CSVs (all simulation binaries; table1 is
 //!                  closed-form and has nothing to probe)
@@ -91,7 +91,7 @@ pub struct HarnessArgs {
     pub pattern: String,
     /// Quick mode (CI smoke runs).
     pub quick: bool,
-    /// Structured JSON output file (binaries built with the `json` feature).
+    /// Structured JSON output file (`churn_sweep`; other binaries refuse it).
     pub json_out: Option<PathBuf>,
     /// Observability probe configuration (`--probe*` flags); `None` = off.
     pub probe: Option<ProbeConfig>,

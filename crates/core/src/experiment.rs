@@ -11,10 +11,9 @@ use dragonfly_traffic::{
     AdversarialGlobal, AdversarialLocal, BurstSpec, MixedGlobalLocal, TrafficPattern, Uniform,
 };
 use dragonfly_workload::WorkloadSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two flow-control setups to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowControlKind {
     /// Virtual Cut-Through with 8-phit packets (Cascade-like, Section IV-A).
     Vct,
@@ -41,7 +40,7 @@ impl FlowControlKind {
 }
 
 /// Which traffic pattern to drive the network with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficKind {
     /// Uniform random traffic.
     Uniform,
@@ -154,14 +153,13 @@ impl TrafficKind {
 }
 
 /// Full specification of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Dragonfly parameter `h`.
     pub h: usize,
     /// Flow control / packet-size setup.
     pub flow_control: FlowControlKind,
     /// Routing mechanism.
-    #[serde(skip, default = "default_routing")]
     pub routing: RoutingKind,
     /// Traffic pattern.
     pub traffic: TrafficKind,
@@ -177,13 +175,6 @@ pub struct ExperimentSpec {
     pub measure: u64,
     /// Extra drain cycles after the window.
     pub drain: u64,
-}
-
-// Referenced only by the `#[serde(default = "...")]` attribute above; the offline
-// serde stand-in expands derives to nothing, leaving it unused in that build.
-#[allow(dead_code)]
-fn default_routing() -> RoutingKind {
-    RoutingKind::Minimal
 }
 
 impl ExperimentSpec {

@@ -6,10 +6,12 @@
 //! The manifest deliberately records nothing engine-dependent — in
 //! particular, *not* the shard count — so the manifest of a sharded run is
 //! byte-identical to the sequential run's, like every other
-//! determinism-pinned probe file.  The vendored `serde_json` stand-in is
-//! emission-only, so both the writer and the narrow reader here are
-//! hand-rolled; [`RunManifest::from_json`] only parses what
-//! [`RunManifest::to_json`] emits (enough for the CI round-trip check).
+//! determinism-pinned probe file.  Both directions go through the workspace's
+//! JSON codec: [`RunManifest::to_json`] pretty-prints a [`Value`] tree and
+//! [`RunManifest::from_json`] walks the parsed tree by path, so it reads any
+//! well-formed document with the schema's fields, not only its own emission.
+
+use dragonfly_stats::json::{ToJson, Value};
 
 use crate::config::ProbeConfig;
 use crate::detect::DetectorConfig;
@@ -60,195 +62,165 @@ pub struct RunManifest {
     pub peak_vc_occupancy: u64,
 }
 
-/// Minimal JSON string escaping for the few free-text fields.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The member of `doc` at the dotted `path` (`probe.detect.window`).
+fn member<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))
 }
 
-fn unesc(s: &str) -> String {
-    s.replace("\\\"", "\"").replace("\\\\", "\\")
+/// The member at `path` read through `read`; the error names the path and
+/// says whether the member is missing or is not `what`.
+fn field<'a, T>(
+    doc: &'a Value,
+    path: &str,
+    what: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    let value = member(doc, path).ok_or_else(|| format!("{path}: missing"))?;
+    read(value).ok_or_else(|| format!("{path}: expected {what}"))
 }
 
-/// Value of `"key": <raw>` in `text`, as the raw token up to the next
-/// delimiter — or, for string values, the whole quoted token (workload and
-/// churn traffic labels legally contain commas and brackets).  Keys are
-/// matched with the leading quote, so nested objects may not reuse a key name
-/// (the manifest schema keeps all keys unique).
-fn raw_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    if let Some(body) = rest.strip_prefix('"') {
-        // String value: scan to the closing quote, honoring backslash escapes.
-        let mut escaped = false;
-        for (i, c) in body.char_indices() {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => return Some(&rest[..i + 2]),
-                _ => {}
-            }
-        }
-        return None;
-    }
-    let end = rest.find([',', '}', ']', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// The unsigned integer at `path`, which must fit `T`.
+fn uint<T: TryFrom<u64>>(doc: &Value, path: &str) -> Result<T, String> {
+    let n = field(doc, path, "an unsigned integer", Value::as_u64)?;
+    T::try_from(n).map_err(|_| format!("{path}: {n} exceeds {}", std::any::type_name::<T>()))
 }
 
-fn u64_field(text: &str, key: &str) -> Option<u64> {
-    raw_field(text, key)?.parse().ok()
+fn float(doc: &Value, path: &str) -> Result<f64, String> {
+    field(doc, path, "a number", Value::as_f64)
 }
 
-fn f64_field(text: &str, key: &str) -> Option<f64> {
-    raw_field(text, key)?.parse().ok()
+fn string(doc: &Value, path: &str) -> Result<String, String> {
+    field(doc, path, "a string", Value::as_str).map(str::to_string)
 }
 
-fn str_field(text: &str, key: &str) -> Option<String> {
-    let raw = raw_field(text, key)?;
-    Some(unesc(raw.strip_prefix('"')?.strip_suffix('"')?))
+fn boolean(doc: &Value, path: &str) -> Result<bool, String> {
+    field(doc, path, "a boolean", Value::as_bool)
 }
 
 impl RunManifest {
     /// Render the manifest, the probe configuration it was recorded under,
     /// and the emitted file list as a pretty-printed JSON document.
     pub fn to_json(&self, probe: &ProbeConfig, files: &[String]) -> String {
-        let mut s = String::with_capacity(1024);
-        let mut line = |indent: usize, text: String| {
-            s.push_str(&" ".repeat(indent));
-            s.push_str(&text);
-            s.push('\n');
-        };
-        line(0, "{".into());
-        line(2, format!("\"schema_version\": {},", self.schema_version));
-        line(2, format!("\"title\": \"{}\",", esc(&self.title)));
-        line(2, "\"experiment\": {".into());
-        line(4, format!("\"h\": {},", self.h));
-        line(4, format!("\"routing\": \"{}\",", esc(&self.routing)));
-        line(
-            4,
-            format!("\"flow_control\": \"{}\",", esc(&self.flow_control)),
-        );
-        line(4, format!("\"traffic\": \"{}\",", esc(&self.traffic)));
-        line(4, format!("\"offered_load\": {},", self.offered_load));
-        line(4, format!("\"threshold\": {},", self.threshold));
-        line(4, format!("\"seed\": {},", self.seed));
-        line(4, format!("\"warmup\": {},", self.warmup));
-        line(4, format!("\"measure\": {},", self.measure));
-        line(4, format!("\"drain\": {}", self.drain));
-        line(2, "},".into());
-        line(2, "\"peaks\": {".into());
-        line(
-            4,
-            format!("\"in_flight_packets\": {},", self.peak_in_flight_packets),
-        );
-        line(
-            4,
-            format!("\"buffered_phits\": {},", self.peak_buffered_phits),
-        );
-        line(4, format!("\"vc_occupancy\": {}", self.peak_vc_occupancy));
-        line(2, "},".into());
-        line(2, "\"probe\": {".into());
-        line(4, format!("\"stride\": {},", probe.stride));
-        line(4, format!("\"max_samples\": {},", probe.max_samples));
-        line(4, format!("\"top_k\": {},", probe.top_k));
-        line(4, format!("\"flight_every\": {},", probe.flight_every));
-        line(
-            4,
-            format!("\"flight_capacity\": {},", probe.flight_capacity),
-        );
-        line(4, format!("\"heatmap_window\": {},", probe.heatmap_window));
-        line(4, format!("\"max_windows\": {},", probe.max_windows));
-        line(4, format!("\"trace\": {},", probe.trace));
-        line(4, format!("\"delay\": {},", probe.delay));
-        line(4, "\"detect\": {".into());
-        line(6, format!("\"window\": {},", probe.detect.window));
-        line(
-            6,
-            format!("\"collapse_pct\": {},", probe.detect.collapse_pct),
-        );
-        line(
-            6,
-            format!(
-                "\"min_window_injected\": {},",
-                probe.detect.min_window_injected
+        let detect = &probe.detect;
+        let doc = Value::object([
+            ("schema_version", self.schema_version.to_json()),
+            ("title", self.title.to_json()),
+            (
+                "experiment",
+                Value::object([
+                    ("h", self.h.to_json()),
+                    ("routing", self.routing.to_json()),
+                    ("flow_control", self.flow_control.to_json()),
+                    ("traffic", self.traffic.to_json()),
+                    ("offered_load", self.offered_load.to_json()),
+                    ("threshold", self.threshold.to_json()),
+                    ("seed", self.seed.to_json()),
+                    ("warmup", self.warmup.to_json()),
+                    ("measure", self.measure.to_json()),
+                    ("drain", self.drain.to_json()),
+                ]),
             ),
-        );
-        line(
-            6,
-            format!("\"stall_samples\": {},", probe.detect.stall_samples),
-        );
-        line(
-            6,
-            format!("\"misroute_pct\": {},", probe.detect.misroute_pct),
-        );
-        line(6, format!("\"skew_pct\": {},", probe.detect.skew_pct));
-        line(6, format!("\"max_trips\": {}", probe.detect.max_trips));
-        line(4, "}".into());
-        line(2, "},".into());
-        let list = files
-            .iter()
-            .map(|f| format!("\"{}\"", esc(f)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        line(2, format!("\"files\": [{list}]"));
-        line(0, "}".into());
-        s
+            (
+                "peaks",
+                Value::object([
+                    ("in_flight_packets", self.peak_in_flight_packets.to_json()),
+                    ("buffered_phits", self.peak_buffered_phits.to_json()),
+                    ("vc_occupancy", self.peak_vc_occupancy.to_json()),
+                ]),
+            ),
+            (
+                "probe",
+                Value::object([
+                    ("stride", probe.stride.to_json()),
+                    ("max_samples", probe.max_samples.to_json()),
+                    ("top_k", probe.top_k.to_json()),
+                    ("flight_every", probe.flight_every.to_json()),
+                    ("flight_capacity", probe.flight_capacity.to_json()),
+                    ("heatmap_window", probe.heatmap_window.to_json()),
+                    ("max_windows", probe.max_windows.to_json()),
+                    ("trace", probe.trace.to_json()),
+                    ("delay", probe.delay.to_json()),
+                    (
+                        "detect",
+                        Value::object([
+                            ("window", detect.window.to_json()),
+                            ("collapse_pct", detect.collapse_pct.to_json()),
+                            ("min_window_injected", detect.min_window_injected.to_json()),
+                            ("stall_samples", detect.stall_samples.to_json()),
+                            ("misroute_pct", detect.misroute_pct.to_json()),
+                            ("skew_pct", detect.skew_pct.to_json()),
+                            ("max_trips", detect.max_trips.to_json()),
+                        ]),
+                    ),
+                ]),
+            ),
+            ("files", files.to_json()),
+        ]);
+        doc.dump_pretty() + "\n"
     }
 
-    /// Parse a document emitted by [`Self::to_json`] back into the manifest,
-    /// the probe configuration and the file list.  Returns `None` on any
-    /// missing field.
-    pub fn from_json(text: &str) -> Option<(RunManifest, ProbeConfig, Vec<String>)> {
+    /// Parse a manifest document back into the manifest, the probe
+    /// configuration and the file list.  The error names the path of the
+    /// first field that is missing, of the wrong type or out of range
+    /// (`probe.detect.window: 4294967297 exceeds u32`); a `schema_version`
+    /// newer than [`MANIFEST_SCHEMA_VERSION`] is refused rather than guessed at.
+    pub fn from_json(text: &str) -> Result<(RunManifest, ProbeConfig, Vec<String>), String> {
+        let doc = &Value::parse(text)?;
+        let schema_version: u32 = uint(doc, "schema_version")?;
+        if schema_version > MANIFEST_SCHEMA_VERSION {
+            return Err(format!(
+                "schema_version: {schema_version} is newer than the supported \
+                 {MANIFEST_SCHEMA_VERSION}"
+            ));
+        }
         let manifest = RunManifest {
-            schema_version: u64_field(text, "schema_version")? as u32,
-            title: str_field(text, "title")?,
-            h: u64_field(text, "h")?,
-            routing: str_field(text, "routing")?,
-            flow_control: str_field(text, "flow_control")?,
-            traffic: str_field(text, "traffic")?,
-            offered_load: f64_field(text, "offered_load")?,
-            threshold: f64_field(text, "threshold")?,
-            seed: u64_field(text, "seed")?,
-            warmup: u64_field(text, "warmup")?,
-            measure: u64_field(text, "measure")?,
-            drain: u64_field(text, "drain")?,
-            peak_in_flight_packets: u64_field(text, "in_flight_packets")?,
-            peak_buffered_phits: u64_field(text, "buffered_phits")?,
-            peak_vc_occupancy: u64_field(text, "vc_occupancy")?,
+            schema_version,
+            title: string(doc, "title")?,
+            h: uint(doc, "experiment.h")?,
+            routing: string(doc, "experiment.routing")?,
+            flow_control: string(doc, "experiment.flow_control")?,
+            traffic: string(doc, "experiment.traffic")?,
+            offered_load: float(doc, "experiment.offered_load")?,
+            threshold: float(doc, "experiment.threshold")?,
+            seed: uint(doc, "experiment.seed")?,
+            warmup: uint(doc, "experiment.warmup")?,
+            measure: uint(doc, "experiment.measure")?,
+            drain: uint(doc, "experiment.drain")?,
+            peak_in_flight_packets: uint(doc, "peaks.in_flight_packets")?,
+            peak_buffered_phits: uint(doc, "peaks.buffered_phits")?,
+            peak_vc_occupancy: uint(doc, "peaks.vc_occupancy")?,
         };
         let probe = ProbeConfig {
-            stride: u64_field(text, "stride")?,
-            max_samples: u64_field(text, "max_samples")? as usize,
-            top_k: u64_field(text, "top_k")? as usize,
-            flight_every: u64_field(text, "flight_every")?,
-            flight_capacity: u64_field(text, "flight_capacity")? as usize,
-            heatmap_window: u64_field(text, "heatmap_window")?,
-            max_windows: u64_field(text, "max_windows")? as usize,
-            trace: raw_field(text, "trace")? == "true",
+            stride: uint(doc, "probe.stride")?,
+            max_samples: uint(doc, "probe.max_samples")?,
+            top_k: uint(doc, "probe.top_k")?,
+            flight_every: uint(doc, "probe.flight_every")?,
+            flight_capacity: uint(doc, "probe.flight_capacity")?,
+            heatmap_window: uint(doc, "probe.heatmap_window")?,
+            max_windows: uint(doc, "probe.max_windows")?,
+            trace: boolean(doc, "probe.trace")?,
             // Version tolerance: schema-1 manifests predate the delay ledger,
             // so a missing key means the ledger was off.
-            delay: raw_field(text, "delay").is_some_and(|r| r == "true"),
+            delay: match member(doc, "probe.delay") {
+                Some(_) => boolean(doc, "probe.delay")?,
+                None => false,
+            },
             detect: DetectorConfig {
-                window: u64_field(text, "window")? as u32,
-                collapse_pct: u64_field(text, "collapse_pct")? as u32,
-                min_window_injected: u64_field(text, "min_window_injected")?,
-                stall_samples: u64_field(text, "stall_samples")? as u32,
-                misroute_pct: u64_field(text, "misroute_pct")? as u32,
-                skew_pct: u64_field(text, "skew_pct")? as u32,
-                max_trips: u64_field(text, "max_trips")? as usize,
+                window: uint(doc, "probe.detect.window")?,
+                collapse_pct: uint(doc, "probe.detect.collapse_pct")?,
+                min_window_injected: uint(doc, "probe.detect.min_window_injected")?,
+                stall_samples: uint(doc, "probe.detect.stall_samples")?,
+                misroute_pct: uint(doc, "probe.detect.misroute_pct")?,
+                skew_pct: uint(doc, "probe.detect.skew_pct")?,
+                max_trips: uint(doc, "probe.detect.max_trips")?,
             },
         };
-        let files_at = text.find("\"files\":")? + "\"files\":".len();
-        let rest = &text[files_at..];
-        let open = rest.find('[')?;
-        let close = rest.find(']')?;
-        let files = rest[open + 1..close]
-            .split(',')
-            .map(str::trim)
-            .filter(|f| !f.is_empty())
-            .map(|f| Some(unesc(f.strip_prefix('"')?.strip_suffix('"')?)))
-            .collect::<Option<Vec<String>>>()?;
-        Some((manifest, probe, files))
+        let files = field(doc, "files", "an array", Value::as_array)?
+            .iter()
+            .map(|f| f.as_str().map(str::to_string))
+            .collect::<Option<Vec<String>>>()
+            .ok_or("files: expected an array of strings")?;
+        Ok((manifest, probe, files))
     }
 }
 
@@ -288,20 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_with_commas_brackets_and_quotes_round_trip() {
-        // Workload/churn traffic labels legally contain commas and brackets,
-        // and free-text titles may carry quotes; none of them may confuse the
-        // narrow field parser.
-        let mut m = manifest();
-        m.title = "run \"A\", the one with [brackets]".to_string();
-        m.traffic = "WL[aggressor:ADVG+1@0.24,victim:UN@0.10]".to_string();
-        let text = m.to_json(&ProbeConfig::full_active(64), &["a_series.csv".to_string()]);
-        let (m2, _, f2) = RunManifest::from_json(&text).expect("parse own emission");
-        assert_eq!(m2, m);
-        assert_eq!(f2, vec!["a_series.csv".to_string()]);
-    }
-
-    #[test]
     fn schema_v1_documents_still_parse() {
         // A version-1 manifest has no "delay" key; the reader must accept it
         // and default the ledger to off.
@@ -328,6 +286,56 @@ mod tests {
         // The current schema round-trips the flag both ways.
         let (_, p2, _) = RunManifest::from_json(&v2).expect("parse schema-2 document");
         assert!(p2.delay);
+    }
+
+    #[test]
+    fn free_text_is_escaped_and_round_trips() {
+        // Titles are free text (a raw tab, newline or control byte inside a
+        // string is not JSON), workload/churn traffic labels legally contain
+        // commas and brackets, and so may file names: the list's own delimiters.
+        let mut m = manifest();
+        m.title = "a\tb\nc \u{1} \"q\" back\\slash \u{1f600}".to_string();
+        m.traffic = "WL[aggressor:ADVG+1@0.24,victim:UN@0.10]".to_string();
+        let files = vec!["a,b.csv".to_string(), "x]y.csv".to_string()];
+        let text = m.to_json(&ProbeConfig::full_active(64), &files);
+        assert!(!text.contains(['\t', '\u{1}']), "{text}");
+        let (m2, _, f2) = RunManifest::from_json(&text).expect("parse own emission");
+        assert_eq!(m2, m);
+        assert_eq!(f2, files);
+    }
+
+    #[test]
+    fn reader_names_the_field_it_refuses() {
+        let good = manifest().to_json(&ProbeConfig::full_active(64), &["t.csv".to_string()]);
+        let refused = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            RunManifest::from_json(&good.replacen(from, to, 1)).expect_err(to)
+        };
+        assert_eq!(
+            refused("\"window\": 8", "\"window\": 4294967297"),
+            "probe.detect.window: 4294967297 exceeds u32"
+        );
+        assert_eq!(
+            refused("\"schema_version\": 2", "\"schema_version\": 3"),
+            "schema_version: 3 is newer than the supported 2"
+        );
+        assert_eq!(
+            refused("\"seed\": 23", "\"seed\": -23"),
+            "experiment.seed: expected an unsigned integer"
+        );
+        assert_eq!(
+            refused("\"delay\": false", "\"delay\": 0"),
+            "probe.delay: expected a boolean"
+        );
+        assert_eq!(
+            refused("\"vc_occupancy\"", "\"vc\""),
+            "peaks.vc_occupancy: missing"
+        );
+        assert_eq!(
+            refused("[\"t.csv\"]", "[\"t.csv\", 1]"),
+            "files: expected an array of strings"
+        );
+        assert!(refused("\n}\n", "\n}\n{}").starts_with("trailing content at byte"));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 
 use std::io::{self, Write};
 
+use dragonfly_stats::json::ToJson;
+
 use crate::detect::{detector_name, NO_ROUTER};
 use crate::recorder::ProbeRecorder;
 
@@ -23,11 +25,13 @@ pub struct TraceBuilder {
     events: Vec<String>,
 }
 
-/// Render one `"key":value` argument list as a JSON object body.
+/// Render one `"key":value` argument list as a JSON object.  Keys, like every
+/// caller-supplied name, are free text and go through the codec's escaper;
+/// the values are already-rendered JSON numbers.
 fn render_args(args: &[(&str, String)]) -> String {
     let body = args
         .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .map(|(k, v)| format!("{}:{v}", k.to_json().dump()))
         .collect::<Vec<_>>()
         .join(",");
     format!("{{{body}}}")
@@ -54,7 +58,8 @@ impl TraceBuilder {
     pub fn name_process(&mut self, pid: u32, name: &str) {
         self.events.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{name}\"}}}}"
+             \"args\":{{\"name\":{}}}}}",
+            name.to_json().dump()
         ));
     }
 
@@ -63,7 +68,8 @@ impl TraceBuilder {
     pub fn name_thread(&mut self, pid: u32, tid: u32, name: &str) {
         self.events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{name}\"}}}}"
+             \"args\":{{\"name\":{}}}}}",
+            name.to_json().dump()
         ));
     }
 
@@ -79,8 +85,9 @@ impl TraceBuilder {
         args: &[(&str, String)],
     ) {
         self.events.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
              \"ts\":{ts_us},\"dur\":{dur_us},\"args\":{}}}",
+            name.to_json().dump(),
             render_args(args)
         ));
     }
@@ -88,8 +95,9 @@ impl TraceBuilder {
     /// An instant event (`ph:"i"`, thread scope) at `ts_us` on `(pid, tid)`.
     pub fn instant(&mut self, name: &str, pid: u32, tid: u32, ts_us: f64, args: &[(&str, String)]) {
         self.events.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
+            "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
              \"ts\":{ts_us},\"args\":{}}}",
+            name.to_json().dump(),
             render_args(args)
         ));
     }
@@ -169,5 +177,23 @@ mod tests {
         assert!(text.trim_end().ends_with("]}"), "{text}");
         assert_eq!(tb.len(), 4);
         assert!(!tb.is_empty());
+    }
+
+    #[test]
+    fn free_text_names_render_as_valid_json() {
+        use dragonfly_stats::json::Value;
+        let name = "a\"b\\c\u{1}\n";
+        let mut tb = TraceBuilder::new();
+        tb.name_process(0, name);
+        tb.name_thread(0, 1, name);
+        tb.span(name, 0, 1, 0.0, 1.0, &[(name, "7".to_string())]);
+        tb.instant(name, 0, 1, 2.0, &[]);
+        let doc = Value::parse(&tb.render()).expect("render() must be valid JSON");
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        let args: Vec<&Value> = events.iter().map(|e| e.get("args").unwrap()).collect();
+        for named in [args[0], args[1], &events[2], &events[3]] {
+            assert_eq!(named.get("name").and_then(Value::as_str), Some(name));
+        }
+        assert_eq!(args[2].get(name), Some(&Value::UInt(7)));
     }
 }

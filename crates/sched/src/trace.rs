@@ -2,10 +2,9 @@
 
 use dragonfly_rng::{derive_seed, Rng};
 use dragonfly_workload::{JobPattern, PlacementPolicy};
-use serde::{Deserialize, Serialize};
 
 /// When a running job is finished.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Completion {
     /// The job runs for this many cycles after being placed.
     Duration(u64),
@@ -14,7 +13,7 @@ pub enum Completion {
 }
 
 /// One job arrival of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJob {
     /// Display name (unique within the trace; used in per-job reports).
     pub name: String,
@@ -74,7 +73,7 @@ impl TraceJob {
 
 /// A job-arrival trace: named, sorted by arrival cycle (stable for ties, so the
 /// trace order breaks placement ties deterministically).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Display name of the trace (scenario label in sweeps and CSV rows).
     pub name: String,
@@ -300,7 +299,7 @@ fn parse_placement(text: &str) -> Result<PlacementPolicy, String> {
 /// Seeded synthetic arrival process: exponential inter-arrival times and durations,
 /// sizes and patterns drawn uniformly from the given menus.  The same spec always
 /// builds the same trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticTrace {
     /// Trace display name.
     pub name: String,

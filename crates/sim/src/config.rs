@@ -1,10 +1,9 @@
 //! Simulator configuration: flow control, buffer geometry, latencies and seeds.
 
 use dragonfly_topology::{DragonflyParams, Port, PortKind};
-use serde::{Deserialize, Serialize};
 
 /// Link-level flow control discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowControl {
     /// Virtual Cut-Through: a packet only starts moving to the next buffer when the
     /// whole packet fits there.
@@ -54,7 +53,7 @@ pub const MAX_PORTS_PER_ROUTER: usize = u64::BITS as usize;
 /// Defaults follow the paper's methodology section: local links of 10 cycles, global
 /// links of 100 cycles, 32-phit local FIFOs, 256-phit global FIFOs, 3 local / 2 global
 /// VCs, 8-phit packets under VCT and 80-phit packets (8 flits of 10 phits) under WH.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Topology parameters.
     pub params: DragonflyParams,

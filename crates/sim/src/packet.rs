@@ -1,7 +1,6 @@
 //! Packets and the per-packet adaptive routing state.
 
 use dragonfly_topology::{GroupId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Generational handle to a packet in the simulation's packet arena.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// freeing a slot bumps its generation, so stale ids (use-after-free,
 /// double-free) are caught by a single integer compare instead of an
 /// `Option` discriminant per slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PacketId(pub u64);
 
 impl PacketId {
@@ -43,7 +42,7 @@ pub const UNTAGGED: u16 = u16::MAX;
 /// intermediate group it chose, how many local hops it has taken in the current group,
 /// whether it has already misrouted locally in this group, the parity-sign class of
 /// its last local hop (for RLM) and the virtual channel it currently occupies.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RouteState {
     /// Virtual channel the packet currently occupies (index within its port class).
     pub vc: u8,
@@ -90,7 +89,7 @@ impl RouteState {
 /// boundary event, consumed by the next event.  Stamping is unconditional
 /// (plain integer writes on state the engine already touches), so the probe
 /// passivity invariant is untouched: nothing here feeds back into routing.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DelayState {
     /// Cycles between generation and the head phit entering the source VC.
     pub injection_queue: u64,
@@ -127,7 +126,7 @@ impl DelayState {
 }
 
 /// A packet in flight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Packet {
     /// Arena identifier.
     pub id: PacketId,

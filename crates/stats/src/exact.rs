@@ -1,7 +1,5 @@
 //! Exact, order-independent statistics over integer-valued observations.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean/variance/min/max accumulator for *integer-valued* observations (cycle
 /// counts, hop counts) with exact integer internals.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// The derived quantities ([`ExactStats::mean`], [`ExactStats::variance`]) are
 /// computed from the integer sums in one final floating-point step, which is a
 /// pure function of the accumulated state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExactStats {
     count: u64,
     sum: u128,

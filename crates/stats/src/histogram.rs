@@ -1,14 +1,12 @@
 //! Fixed-bin-width histogram with overflow bin, used for latency distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram over non-negative values with uniform bin width.
 ///
 /// Values above `bin_width * bins` fall into an overflow bin so that tail packets
 /// (e.g. latencies during congestion collapse) are still counted.  Percentiles are
 /// computed from the bin boundaries, which is accurate to one bin width — plenty for
 /// cycle-count latencies binned at 1 cycle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,

@@ -1,17 +1,486 @@
-//! Structured JSON emission of the report types (behind the `json` feature).
+//! The workspace's one JSON codec: the [`Value`] document tree, its compact and
+//! pretty writers, the [`Value::parse`] reader, and the structural [`ToJson`]
+//! trait with its impls for the report types.
 //!
-//! The workspace's default build uses the no-op `vendor/serde` stand-in, so the
-//! `#[derive(Serialize)]` annotations generate nothing and reports can only leave
-//! the process as hand-formatted CSV.  With the `json` feature enabled, these
-//! hand-written [`ToJson`] impls emit the same structures as real machine-readable
-//! JSON (correct escaping, `null` for absent values) through the functional
-//! vendored `serde_json` stand-in — and swap transparently for the real
-//! `serde_json` when building with network access.
+//! The reader accepts exactly the RFC 8259 grammar and reads everything the
+//! writers emit back to an equal tree.  Integers parse exactly (`u64`, then
+//! `i64`) before falling back to `f64`, because seeds and cycle counts use the
+//! full `u64` range.
+
+use std::fmt::Write;
 
 use crate::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport, TimeSeries, WorkloadReport,
 };
-use serde_json::{ToJson, Value};
+
+/// A JSON document tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A signed integer (the reader produces it for negative integers only).
+    Int(i64),
+    /// A floating-point number (non-finite values emit `null` per JSON).
+    Float(f64),
+    /// A string (escaped on emission).
+    Str(String),
+    /// An ordered array.
+    Array(Vec<Value>),
+    /// An object with insertion-ordered keys.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Build an object from `(key, value)` pairs, preserving order.
+    pub fn object(pairs: impl IntoIterator<Item = (&'static str, Value)>) -> Self {
+        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Member `key` of an object (the first, should a document repeat a key).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer, when it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::UInt(n) => Some(n),
+            Value::Int(n) => u64::try_from(n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a float; integers widen, so `1` reads where `1.0` is meant.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Value::UInt(n) => Some(n as f64),
+            Value::Int(n) => Some(n as f64),
+            Value::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean, when it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match *self {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, when it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The items of an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Serialize without whitespace.
+    pub fn dump(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, false, 0);
+        out
+    }
+
+    /// Serialize with two-space indentation; an array of scalars stays on one
+    /// line (`[1, 2]`).
+    pub fn dump_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, true, 0);
+        out
+    }
+
+    /// Parse one JSON document.  Trailing content, unescaped control bytes in
+    /// strings, lone surrogates, numbers beyond `f64` and nesting deeper than
+    /// 128 levels are errors; the message carries the byte offset.
+    pub fn parse(text: &str) -> Result<Value, String> {
+        let mut p = Parser { text, pos: 0 };
+        let value = p.value(0)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.error("trailing content"));
+        }
+        Ok(value)
+    }
+
+    fn write(&self, out: &mut String, pretty: bool, depth: usize) {
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        // In the pretty layout, break the line and indent to `depth`.
+        let newline = |out: &mut String, depth: usize| {
+            if pretty {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::UInt(n) => write!(out, "{n}").expect(INFALLIBLE),
+            Value::Int(n) => write!(out, "{n}").expect(INFALLIBLE),
+            Value::Float(f) if !f.is_finite() => out.push_str("null"),
+            Value::Float(f) => {
+                // Always keep a decimal point so the value reads back as a
+                // float (`1.0`, not `1`); `{}` never prints an exponent.
+                let start = out.len();
+                write!(out, "{f}").expect(INFALLIBLE);
+                if !out[start..].contains('.') {
+                    out.push_str(".0");
+                }
+            }
+            Value::Str(s) => write_escaped(out, s),
+            Value::Array(items) => {
+                let one_line = !items
+                    .iter()
+                    .any(|v| matches!(v, Value::Array(_) | Value::Object(_)));
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(if one_line && pretty { ", " } else { "," });
+                    }
+                    if !one_line {
+                        newline(out, depth + 1);
+                    }
+                    item.write(out, pretty, depth + 1);
+                }
+                if !one_line {
+                    newline(out, depth);
+                }
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    write_escaped(out, key);
+                    out.push_str(if pretty { ": " } else { ":" });
+                    value.write(out, pretty, depth + 1);
+                }
+                if !pairs.is_empty() {
+                    newline(out, depth);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Append `s` as a JSON string literal with the escapes RFC 8259 requires.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Nesting deeper than this is rejected rather than recursed into.
+const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent reader over the document's bytes.  Every position it
+/// slices `text` at sits next to an ASCII byte, so it is a `char` boundary.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consume `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self, what: &str) -> Result<(), String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error(what));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(self.error("bad literal"));
+        }
+        self.pos += word.len();
+        Ok(value)
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        if depth > MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.error("unexpected end of document")),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.sequence(b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.sequence(b'}', |p| {
+                    if p.peek() != Some(b'"') {
+                        return Err(p.error("expected object key string"));
+                    }
+                    let key = p.string()?;
+                    p.skip_ws();
+                    if !p.eat(b':') {
+                        return Err(p.error("expected ':'"));
+                    }
+                    pairs.push((key, p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(self.error(&format!("unexpected byte {c:#04x}"))),
+        }
+    }
+
+    /// The comma-separated body of an array or object, from its opening
+    /// bracket (at `pos`) through `close`.
+    fn sequence(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            if self.eat(close) {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err(self.error(&format!("expected ',' or '{}'", close as char)));
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        self.eat(b'-');
+        // Integer part: a single 0, or a nonzero digit followed by digits.
+        if !self.eat(b'0') {
+            self.digits("bad number")?;
+        }
+        let fraction = self.eat(b'.');
+        if fraction {
+            self.digits("bad fraction")?;
+        }
+        let exponent = self.eat(b'e') || self.eat(b'E');
+        if exponent {
+            let _sign = self.eat(b'+') || self.eat(b'-');
+            self.digits("bad exponent")?;
+        }
+        let token = &self.text[start..self.pos];
+        if !fraction && !exponent {
+            if let Ok(n) = token.parse::<u64>() {
+                return Ok(Value::UInt(n));
+            }
+            if let Ok(n) = token.parse::<i64>() {
+                return Ok(Value::Int(n));
+            }
+        }
+        match token.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(format!("number out of range at byte {start}")),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.pos += 1; // opening '"'
+        let mut out = String::new();
+        loop {
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0x00..=0x1f)) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => return Err(self.error("unescaped control byte")),
+            }
+        }
+    }
+
+    /// The character the escape sequence at `pos` stands for.
+    fn escape(&mut self) -> Result<char, String> {
+        self.pos += 2;
+        Ok(match self.text.as_bytes().get(self.pos - 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let code = match self.hex4()? {
+                    // A high surrogate must be followed by an escaped low one.
+                    high @ 0xd800..=0xdbff if self.eat(b'\\') && self.eat(b'u') => {
+                        match self.hex4()? {
+                            low @ 0xdc00..=0xdfff => {
+                                0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            _ => return Err(self.error("lone surrogate")),
+                        }
+                    }
+                    unit => unit,
+                };
+                // Fails for a surrogate that is not part of such a pair.
+                char::from_u32(code).ok_or_else(|| self.error("lone surrogate"))?
+            }
+            _ => return Err(self.error("bad escape")),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.error("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(u32::from_str_radix(digits, 16).expect("four hex digits"))
+    }
+}
+
+/// Check that `text` is one well-formed JSON document.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    Value::parse(text).map(drop)
+}
+
+/// Structural serialization into a [`Value`] tree.
+pub trait ToJson {
+    /// Convert `self` into a JSON document tree.
+    fn to_json(&self) -> Value;
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> Value {
+        Value::UInt(*self)
+    }
+}
+
+impl ToJson for u32 {
+    fn to_json(&self) -> Value {
+        Value::UInt(u64::from(*self))
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Value {
+        Value::UInt(*self as u64)
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        match self {
+            Some(v) => v.to_json(),
+            None => Value::Null,
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
 
 impl ToJson for TimeSeries {
     fn to_json(&self) -> Value {
@@ -22,85 +491,51 @@ impl ToJson for TimeSeries {
     }
 }
 
-/// Parse a [`TimeSeries`] back out of the JSON emitted by its [`ToJson`] impl.
-///
-/// The vendored `serde_json` stand-in is emission-only, so the read side of the
-/// round-trip lives here: a deliberately narrow parser for the exact
-/// `{"period":N,"samples":[..]}` shape — enough for tooling that post-processes
-/// probe output and for pinning the round-trip in tests.  Returns `None` on any
-/// shape mismatch.
-pub fn time_series_from_json(text: &str) -> Option<TimeSeries> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let rest = body.trim().strip_prefix("\"period\":")?;
-    let (period_text, rest) = rest.split_once(',')?;
-    let period: u64 = period_text.trim().parse().ok().filter(|&p| p >= 1)?;
-    let list = rest
-        .trim()
-        .strip_prefix("\"samples\":")?
-        .trim()
-        .strip_prefix('[')?
-        .strip_suffix(']')?;
-    let mut ts = TimeSeries::new(period);
-    for item in list.split(',') {
-        let item = item.trim();
-        if item.is_empty() {
-            continue;
+/// `ToJson` for a struct whose JSON keys are its field names, emitted in the
+/// order listed here.
+macro_rules! to_json_by_field {
+    ($type:ty { $($field:ident),+ $(,)? }) => {
+        impl ToJson for $type {
+            fn to_json(&self) -> Value {
+                Value::object([$((stringify!($field), self.$field.to_json())),+])
+            }
         }
-        ts.push(item.parse().ok()?);
-    }
-    Some(ts)
+    };
 }
 
-impl ToJson for SimReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("routing", self.routing.to_json()),
-            ("traffic", self.traffic.to_json()),
-            ("offered_load", self.offered_load.to_json()),
-            ("injected_load", self.injected_load.to_json()),
-            ("accepted_load", self.accepted_load.to_json()),
-            ("avg_latency_cycles", self.avg_latency_cycles.to_json()),
-            ("p99_latency_cycles", self.p99_latency_cycles.to_json()),
-            ("max_latency_cycles", self.max_latency_cycles.to_json()),
-            ("avg_hops", self.avg_hops.to_json()),
-            (
-                "global_misroute_fraction",
-                self.global_misroute_fraction.to_json(),
-            ),
-            (
-                "local_misroute_fraction",
-                self.local_misroute_fraction.to_json(),
-            ),
-            ("packets_delivered", self.packets_delivered.to_json()),
-            ("packets_measured", self.packets_measured.to_json()),
-            ("warmup_cycles", self.warmup_cycles.to_json()),
-            ("measure_cycles", self.measure_cycles.to_json()),
-            ("deadlock_detected", self.deadlock_detected.to_json()),
-            (
-                "peak_in_flight_packets",
-                self.peak_in_flight_packets.to_json(),
-            ),
-            ("peak_buffered_phits", self.peak_buffered_phits.to_json()),
-            ("peak_vc_occupancy", self.peak_vc_occupancy.to_json()),
-        ])
-    }
-}
+to_json_by_field!(SimReport {
+    routing,
+    traffic,
+    offered_load,
+    injected_load,
+    accepted_load,
+    avg_latency_cycles,
+    p99_latency_cycles,
+    max_latency_cycles,
+    avg_hops,
+    global_misroute_fraction,
+    local_misroute_fraction,
+    packets_delivered,
+    packets_measured,
+    warmup_cycles,
+    measure_cycles,
+    deadlock_detected,
+    peak_in_flight_packets,
+    peak_buffered_phits,
+    peak_vc_occupancy,
+});
 
-impl ToJson for BatchReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("routing", self.routing.to_json()),
-            ("traffic", self.traffic.to_json()),
-            ("packets_per_node", self.packets_per_node.to_json()),
-            ("packets_total", self.packets_total.to_json()),
-            ("packets_delivered", self.packets_delivered.to_json()),
-            ("consumption_cycles", self.consumption_cycles.to_json()),
-            ("avg_latency_cycles", self.avg_latency_cycles.to_json()),
-            ("timed_out", self.timed_out.to_json()),
-            ("deadlock_detected", self.deadlock_detected.to_json()),
-        ])
-    }
-}
+to_json_by_field!(BatchReport {
+    routing,
+    traffic,
+    packets_per_node,
+    packets_total,
+    packets_delivered,
+    consumption_cycles,
+    avg_latency_cycles,
+    timed_out,
+    deadlock_detected,
+});
 
 impl ToJson for PhaseReport {
     fn to_json(&self) -> Value {
@@ -141,241 +576,90 @@ impl ToJson for PhaseReport {
     }
 }
 
-impl ToJson for JobLifecycleReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("arrival_cycle", self.arrival_cycle.to_json()),
-            ("placed_cycle", self.placed_cycle.to_json()),
-            ("completion_cycle", self.completion_cycle.to_json()),
-            ("wait_cycles", self.wait_cycles.to_json()),
-            ("slowdown", self.slowdown.to_json()),
-        ])
-    }
-}
+to_json_by_field!(JobLifecycleReport {
+    arrival_cycle,
+    placed_cycle,
+    completion_cycle,
+    wait_cycles,
+    slowdown,
+});
 
-impl ToJson for JobReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("name", self.name.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("injected_load", self.injected_load.to_json()),
-            ("accepted_load", self.accepted_load.to_json()),
-            ("avg_latency_cycles", self.avg_latency_cycles.to_json()),
-            ("p99_latency_cycles", self.p99_latency_cycles.to_json()),
-            ("max_latency_cycles", self.max_latency_cycles.to_json()),
-            ("avg_hops", self.avg_hops.to_json()),
-            (
-                "global_misroute_fraction",
-                self.global_misroute_fraction.to_json(),
-            ),
-            (
-                "local_misroute_fraction",
-                self.local_misroute_fraction.to_json(),
-            ),
-            ("packets_generated", self.packets_generated.to_json()),
-            ("packets_delivered", self.packets_delivered.to_json()),
-            ("packets_measured", self.packets_measured.to_json()),
-            ("lifecycle", self.lifecycle.to_json()),
-            ("phases", self.phases.to_json()),
-        ])
-    }
-}
+to_json_by_field!(JobReport {
+    name,
+    nodes,
+    injected_load,
+    accepted_load,
+    avg_latency_cycles,
+    p99_latency_cycles,
+    max_latency_cycles,
+    avg_hops,
+    global_misroute_fraction,
+    local_misroute_fraction,
+    packets_generated,
+    packets_delivered,
+    packets_measured,
+    lifecycle,
+    phases,
+});
 
-impl ToJson for WorkloadReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("aggregate", self.aggregate.to_json()),
-            ("jobs", self.jobs.to_json()),
-        ])
-    }
-}
-
-/// Validate that `text` is one syntactically well-formed JSON document
-/// (RFC 8259 grammar), returning the error position on failure.
-///
-/// The vendored `serde_json` stand-in is emission-only, so this
-/// recursive-descent checker is the read-side complement: CI uses it to prove
-/// the hand-rolled emitters (probe manifests, Perfetto traces, report JSON)
-/// produce output a real JSON parser would accept.  It checks syntax only —
-/// no value tree is built, so arbitrarily large documents validate in one
-/// pass with O(depth) stack.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    validate_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
-const MAX_JSON_DEPTH: usize = 128;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn validate_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    if depth > MAX_JSON_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} at byte {pos}"
-        ));
-    }
-    match bytes.get(*pos) {
-        Some(b'{') => validate_object(bytes, pos, depth),
-        Some(b'[') => validate_array(bytes, pos, depth),
-        Some(b'"') => validate_string(bytes, pos),
-        Some(b't') => validate_literal(bytes, pos, b"true"),
-        Some(b'f') => validate_literal(bytes, pos, b"false"),
-        Some(b'n') => validate_literal(bytes, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => validate_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
-        None => Err("unexpected end of document".to_string()),
-    }
-}
-
-fn validate_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key string at byte {pos}"));
-        }
-        validate_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        validate_value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn validate_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        validate_value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn validate_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume opening '"'
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        for k in 1..=4 {
-                            if !bytes.get(*pos + k).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("unescaped control byte at {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn validate_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn validate_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    // Integer part: a single 0, or a nonzero digit followed by digits.
-    match bytes.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(c) if c.is_ascii_digit() => {
-            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-        }
-        _ => return Err(format!("bad number at byte {start}")),
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad fraction at byte {pos}"));
-        }
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad exponent at byte {pos}"));
-        }
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    Ok(())
-}
+to_json_by_field!(WorkloadReport { aggregate, jobs });
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn validate_json_accepts_well_formed_documents() {
+    fn compact_object_round_shapes() {
+        let v = Value::object([
+            ("name", Value::Str("a\"b\\c\n".to_string())),
+            ("count", Value::UInt(3)),
+            ("ratio", Value::Float(0.5)),
+            ("whole", Value::Float(2.0)),
+            ("bad", Value::Float(f64::NAN)),
+            ("items", Value::Array(vec![Value::Bool(true), Value::Null])),
+        ]);
+        assert_eq!(
+            v.dump(),
+            r#"{"name":"a\"b\\c\n","count":3,"ratio":0.5,"whole":2.0,"bad":null,"items":[true,null]}"#
+        );
+    }
+
+    #[test]
+    fn pretty_print_indents_and_keeps_scalar_arrays_on_one_line() {
+        let v = Value::object([
+            ("xs", [1u64, 2].to_json()),
+            ("rows", Value::Array(vec![[1u64].to_json(), Value::Null])),
+            ("none", Value::Array(vec![])),
+            ("empty", Value::Object(vec![])),
+        ]);
+        assert_eq!(
+            v.dump_pretty(),
+            "{\n  \"xs\": [1, 2],\n  \"rows\": [\n    [1],\n    null\n  ],\n  \"none\": [],\n  \"empty\": {}\n}"
+        );
+        assert_eq!(Value::parse(&v.dump_pretty()), Ok(v));
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        let mut out = String::new();
+        write_escaped(&mut out, "a\u{1}b\tc");
+        assert_eq!(out, "\"a\\u0001b\\tc\"");
+    }
+
+    #[test]
+    fn trait_impls_cover_the_workspace_types() {
+        assert_eq!(true.to_json().dump(), "true");
+        assert_eq!(42u64.to_json().dump(), "42");
+        assert_eq!(7usize.to_json().dump(), "7");
+        assert_eq!(3u32.to_json().dump(), "3");
+        assert_eq!("hi".to_json().dump(), "\"hi\"");
+        assert_eq!(Some(1u64).to_json().dump(), "1");
+        assert_eq!(None::<u64>.to_json().dump(), "null");
+        assert_eq!([1u64, 2].to_json().dump(), "[1,2]");
+    }
+
+    #[test]
+    fn parse_accepts_well_formed_documents() {
         for ok in [
             "{}",
             "[]",
@@ -390,33 +674,83 @@ mod tests {
     }
 
     #[test]
-    fn validate_json_rejects_malformed_documents() {
+    fn parse_rejects_malformed_documents() {
         for bad in [
             "",
             "{",
             "{\"a\":}",
             "{\"a\":1,}",
+            "{\"a\" 1}",
             "[1 2]",
             "{'a': 1}",
             "nul",
             "01",
             "1.",
             "1e",
+            "-",
+            "1e999",
             "\"unterminated",
             "\"bad escape \\q\"",
+            "\"short \\u12\"",
+            "\"lone high \\ud83d\"",
+            "\"high then not low \\ud83d\\u0041\"",
+            "\"lone low \\ude00\"",
             "{} trailing",
             "\"\u{1}\"",
         ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
+            assert!(Value::parse(bad).is_err(), "{bad}");
         }
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 2)).is_err());
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
-    fn validate_json_accepts_the_report_emitters() {
-        let mut ts = TimeSeries::new(64);
-        ts.push(1.0);
-        ts.push(2.0);
-        assert_eq!(validate_json(&ts.to_json().dump()), Ok(()));
+    fn integers_parse_exactly_before_falling_back_to_float() {
+        assert_eq!(
+            Value::parse("18446744073709551615"),
+            Ok(Value::UInt(u64::MAX))
+        );
+        assert_eq!(
+            Value::parse("-9223372036854775808"),
+            Ok(Value::Int(i64::MIN))
+        );
+        assert_eq!(Value::parse("0"), Ok(Value::UInt(0)));
+        assert_eq!(
+            Value::parse("18446744073709551616"),
+            Ok(Value::Float(18446744073709551616.0))
+        );
+        assert_eq!(Value::parse("1.0"), Ok(Value::Float(1.0)));
+        assert_eq!(Value::parse("1e2"), Ok(Value::Float(100.0)));
+    }
+
+    #[test]
+    fn escapes_decode_including_surrogate_pairs() {
+        assert_eq!(
+            Value::parse(r#""\u00e9 \ud83d\ude00 \/ \b\f\n\r\t \" \\""#),
+            Ok(Value::Str(
+                "\u{e9} \u{1f600} / \u{8}\u{c}\n\r\t \" \\".to_string()
+            ))
+        );
+    }
+
+    #[test]
+    fn typed_accessors_read_what_the_tree_holds() {
+        let v = Value::parse(r#"{"n":7,"neg":-7,"x":1.5,"ok":true,"s":"t","xs":[1],"n":8}"#)
+            .expect("well-formed");
+        let get = |key| v.get(key).expect("present");
+        assert_eq!(get("n").as_u64(), Some(7), "the first of a repeated key");
+        assert_eq!(get("n").as_f64(), Some(7.0));
+        assert_eq!(get("neg").as_u64(), None);
+        assert_eq!(get("neg").as_f64(), Some(-7.0));
+        assert_eq!(get("x").as_u64(), None);
+        assert_eq!(get("x").as_f64(), Some(1.5));
+        assert_eq!(get("ok").as_bool(), Some(true));
+        assert_eq!(get("s").as_str(), Some("t"));
+        assert_eq!(get("xs").as_array(), Some(&[Value::UInt(1)][..]));
+        assert_eq!(get("s").as_bool(), None);
+        assert!(v.get("missing").is_none() && get("xs").get("n").is_none());
     }
 
     #[test]
@@ -425,20 +759,17 @@ mod tests {
         for v in [0.0, 1.5, 123456789.0, 0.1 + 0.2] {
             ts.push(v);
         }
-        let text = serde_json::to_string(&ts);
-        assert!(text.starts_with("{\"period\":64,\"samples\":["), "{text}");
-        let back = time_series_from_json(&text).expect("emitted JSON must parse");
-        assert_eq!(back.period(), ts.period());
+        let text = ts.to_json().dump();
+        assert!(
+            text.starts_with("{\"period\":64,\"samples\":[0.0,1.5,"),
+            "{text}"
+        );
         // Bit-exact: the emitter prints shortest-round-trip floats.
-        assert_eq!(back.samples(), ts.samples());
-
-        let empty = serde_json::to_string(&TimeSeries::new(8));
-        let back = time_series_from_json(&empty).expect("empty series parses");
-        assert!(back.is_empty());
-        assert_eq!(back.period(), 8);
-
-        assert!(time_series_from_json("{\"period\":0,\"samples\":[]}").is_none());
-        assert!(time_series_from_json("not json").is_none());
+        assert_eq!(Value::parse(&text), Ok(ts.to_json()));
+        assert_eq!(
+            TimeSeries::new(8).to_json().dump(),
+            "{\"period\":8,\"samples\":[]}"
+        );
     }
 
     fn sim_report() -> SimReport {
@@ -466,21 +797,43 @@ mod tests {
     }
 
     #[test]
-    fn sim_report_emits_every_field_with_escaping() {
-        let text = serde_json::to_string(&sim_report());
-        assert!(text.starts_with("{\"routing\":\"OLM\""));
-        // The quote inside the traffic label is escaped.
-        assert!(text.contains(r#""traffic":"WL[\"x\"]""#), "{text}");
-        assert!(text.contains("\"deadlock_detected\":false"));
-        assert!(text.contains("\"accepted_load\":0.28"));
-        // Memory-footprint telemetry is part of the structured output.
-        assert!(text.contains("\"peak_in_flight_packets\":64"));
-        assert!(text.contains("\"peak_buffered_phits\":512"));
-        assert!(text.contains("\"peak_vc_occupancy\":8"));
-        assert_eq!(
-            text.matches(['{', '[']).count(),
-            text.matches(['}', ']']).count()
+    fn sim_report_round_trips_field_by_field() {
+        let report = sim_report();
+        let text = report.to_json().dump();
+        // Keys go out in declaration order; the quote in the label is escaped.
+        assert!(
+            text.starts_with(r#"{"routing":"OLM","traffic":"WL[\"x\"]","offered_load":0.3,"#),
+            "{text}"
         );
+        let doc = Value::parse(&text).expect("own emission parses");
+        let text = |key: &str| doc.get(key).and_then(Value::as_str).expect(key).to_string();
+        let float = |key: &str| doc.get(key).and_then(Value::as_f64).expect(key);
+        let count = |key: &str| doc.get(key).and_then(Value::as_u64).expect(key);
+        let back = SimReport {
+            routing: text("routing"),
+            traffic: text("traffic"),
+            offered_load: float("offered_load"),
+            injected_load: float("injected_load"),
+            accepted_load: float("accepted_load"),
+            avg_latency_cycles: float("avg_latency_cycles"),
+            p99_latency_cycles: float("p99_latency_cycles"),
+            max_latency_cycles: float("max_latency_cycles"),
+            avg_hops: float("avg_hops"),
+            global_misroute_fraction: float("global_misroute_fraction"),
+            local_misroute_fraction: float("local_misroute_fraction"),
+            packets_delivered: count("packets_delivered"),
+            packets_measured: count("packets_measured"),
+            warmup_cycles: count("warmup_cycles"),
+            measure_cycles: count("measure_cycles"),
+            deadlock_detected: doc
+                .get("deadlock_detected")
+                .and_then(Value::as_bool)
+                .expect("deadlock_detected"),
+            peak_in_flight_packets: count("peak_in_flight_packets"),
+            peak_buffered_phits: count("peak_buffered_phits"),
+            peak_vc_occupancy: count("peak_vc_occupancy"),
+        };
+        assert_eq!(back, report);
     }
 
     #[test]
@@ -530,14 +883,14 @@ mod tests {
                 }],
             }],
         };
-        let text = serde_json::to_string(&report);
+        let text = report.to_json().dump();
         assert!(text.contains("\"jobs\":[{\"name\":\"victim\""));
         // Absent lifecycle values and the open-ended phase print as null.
         assert!(text.contains("\"completion_cycle\":null"));
         assert!(text.contains("\"end_cycle\":null"));
         assert!(text.contains("\"placed_cycle\":700"));
         // Pretty output is the same tree, indented.
-        let pretty = serde_json::to_string_pretty(&report);
+        let pretty = report.to_json().dump_pretty();
         assert!(pretty.contains("\n  \"aggregate\": {"));
         assert_eq!(
             pretty.matches(['{', '[']).count(),

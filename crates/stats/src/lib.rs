@@ -8,15 +8,14 @@
 //!   [`ThroughputMeter`] and optionally sampled over time by [`TimeSeries`].
 //!
 //! The end product of a steady-state run is a [`SimReport`]; a batch ("burst
-//! consumption") run produces a [`BatchReport`].  Both serialize with `serde` and can
-//! be written as CSV rows by the experiment harness.
+//! consumption") run produces a [`BatchReport`].  Both can be written as CSV rows by
+//! the experiment harness and as JSON through [`json`], the workspace's one codec.
 
 #![warn(missing_docs)]
 
 mod exact;
 mod histogram;
-#[cfg(feature = "json")]
-mod json;
+pub mod json;
 mod report;
 mod scoped;
 mod timeseries;
@@ -24,17 +23,14 @@ mod workload_report;
 
 pub use exact::ExactStats;
 pub use histogram::Histogram;
-#[cfg(feature = "json")]
-pub use json::{time_series_from_json, validate_json};
+pub use json::validate_json;
 pub use report::{BatchReport, SimReport};
 pub use scoped::ScopedStats;
 pub use timeseries::TimeSeries;
 pub use workload_report::{JobLifecycleReport, JobReport, PhaseReport, WorkloadReport};
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates delivered traffic over a measurement window to compute accepted load.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputMeter {
     /// Phits delivered to destination nodes inside the window.
     pub phits_delivered: u64,

@@ -1,12 +1,10 @@
 //! End-of-run reports produced by the simulator and consumed by the harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a steady-state simulation (warm-up + measurement window).
 ///
 /// This is the unit of data behind every latency/throughput point of the paper's
 /// Figures 4, 5, 7, 8, 10 and 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Human-readable routing mechanism name (e.g. `"OLM"`).
     pub routing: String,
@@ -91,7 +89,7 @@ impl SimReport {
 /// of packets and the network runs until all of them are delivered.
 ///
 /// This is the unit of data behind Figures 6b and 9b.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Routing mechanism name.
     pub routing: String,
@@ -200,18 +198,5 @@ mod tests {
             report.csv_row().split(',').count()
         );
         assert!(report.csv_row().contains("42000"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let report = sample_report();
-        let json = serde_json_like(&report);
-        assert!(json.contains("OLM"));
-    }
-
-    // serde_json is intentionally not a dependency; a smoke check that Serialize is
-    // derived is enough (compile-time), so just format with Debug here.
-    fn serde_json_like(r: &SimReport) -> String {
-        format!("{r:?}")
     }
 }

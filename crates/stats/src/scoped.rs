@@ -1,7 +1,6 @@
 //! Per-scope (job or job-phase) statistics accumulator.
 
 use crate::{ExactStats, Histogram};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates the statistics of one *scope* — one job, or one (job, phase) pair —
 /// during a simulation run.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// the window is open.  Deliveries are attributed to the scope of the packet's
 /// *generation*, so a packet generated in phase `k` counts toward phase `k` even if
 /// it arrives after the phase boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScopedStats {
     /// Latency of measured packets, in cycles.
     pub latency: ExactStats,

@@ -1,12 +1,10 @@
 //! Periodic sampling of a scalar quantity over simulated time.
 
-use serde::{Deserialize, Serialize};
-
 /// A time series sampled every `period` cycles.
 ///
 /// Used by the harness to track e.g. accepted load over time, which lets tests verify
 /// that a run has actually reached steady state before the measurement window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     period: u64,
     samples: Vec<f64>,

@@ -1,7 +1,6 @@
 //! Per-job and per-phase reports of a workload run.
 
 use crate::SimReport;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one phase of one job, attributed by packet generation time.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// the job's node count and by the overlap of the phase's span with the measurement
 /// window (`measured_cycles`), so a phase that was only half inside the window still
 /// reports loads in phits/(node·cycle).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// Job display name.
     pub job: String,
@@ -93,7 +92,7 @@ impl PhaseReport {
 ///
 /// Produced only by trace-driven (churn) runs; jobs of a static workload have no
 /// lifecycle (they occupy their nodes for the whole run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobLifecycleReport {
     /// Absolute cycle at which the job arrived (entered the wait queue).
     pub arrival_cycle: u64,
@@ -128,7 +127,7 @@ impl JobLifecycleReport {
 }
 
 /// Statistics of one job over the whole measurement window, plus its phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Job display name.
     pub name: String,
@@ -197,7 +196,7 @@ impl JobReport {
 
 /// The full result of a workload run: the aggregate steady-state report plus the
 /// per-job (and nested per-phase) breakdowns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
     /// The machine-wide steady-state report (same semantics as a plain run).
     pub aggregate: SimReport,

@@ -3,19 +3,18 @@
 //! All identifiers are global (network-wide) indices wrapped in newtypes so that the
 //! compiler catches accidental mix-ups between e.g. a router index and a node index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a computing node (server) attached to a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a router (switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u32);
 
 /// Identifier of a group (supernode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 macro_rules! impl_id {

@@ -2,14 +2,13 @@
 
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::ports::{ports_per_router, Port};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a balanced, maximum-size Dragonfly network.
 ///
 /// The single integer `h` determines the whole system (see the crate docs).  All
 /// methods are cheap, branch-light integer arithmetic so routing code can call them on
 /// every hop of every packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DragonflyParams {
     h: usize,
 }

@@ -10,11 +10,10 @@
 //! The simulator indexes ports of a router with a single flat `usize` in the order
 //! `local | global | terminal`; [`Port`] is the typed view of that index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Class of a router port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortKind {
     /// Link to another router of the same group.
     Local,
@@ -25,7 +24,7 @@ pub enum PortKind {
 }
 
 /// Typed router port: the class plus the index *within* that class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
     /// Local port `0 ..= 2h-2`.
     Local(usize),

@@ -5,13 +5,12 @@ use crate::placement::Placement;
 use crate::runtime::{JobRuntime, WorkloadRuntime};
 use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{BoxedPattern, WorkloadPattern, UNASSIGNED_SLOT};
-use serde::{Deserialize, Serialize};
 
 /// How a job's nodes are chosen from the machine's free nodes.
 ///
 /// Jobs are placed in specification order; every policy draws only from nodes not
 /// taken by earlier jobs, so the per-job node sets are disjoint by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Lowest-indexed free nodes first: fills routers, then groups, contiguously —
     /// the classic "contiguous groups" allocation of batch schedulers.
@@ -43,7 +42,7 @@ impl PlacementPolicy {
 /// a packet targets the job's nodes in the group (router) at the configured offset
 /// from the source's group (router); if the job has no nodes there, the packet falls
 /// back to a uniform draw over the job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobPattern {
     /// Uniform over the job's nodes (excluding the source).
     Uniform,
@@ -160,7 +159,7 @@ impl JobPattern {
 
 /// One phase of a job: a pattern and an offered load, active from `start_cycle`
 /// (an absolute simulation cycle) until the next phase starts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpec {
     /// Absolute cycle at which the phase becomes active (the first phase must use 0).
     pub start_cycle: u64,
@@ -183,7 +182,7 @@ impl PhaseSpec {
 }
 
 /// One job: a name, a node count, a placement policy and a phase schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Display name (used in per-job reports).
     pub name: String,
@@ -253,7 +252,7 @@ impl JobSpec {
 }
 
 /// A complete workload: a list of jobs placed on the machine in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The jobs, in placement order.
     pub jobs: Vec<JobSpec>,

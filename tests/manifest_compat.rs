@@ -1,0 +1,44 @@
+//! Run manifests written by earlier releases keep reading.
+
+use dragonfly::probe::{ProbeConfig, RunManifest};
+
+/// `tests/golden/manifest/v2_parent.json` was emitted by the hand-formatted
+/// schema-2 writer (`fig4_5 --quick --pattern un --loads 1.0 --probe-delay
+/// --probe-detect`), which printed a whole `offered_load` as `1`; the codec
+/// prints `1.0`, reads both, and otherwise re-emits the document byte for byte.
+#[test]
+fn parent_emitted_v2_manifest_reads_and_re_emits() {
+    let text = include_str!("golden/manifest/v2_parent.json");
+    let (manifest, probe, files) = RunManifest::from_json(text).expect("parse parent emission");
+    assert_eq!(
+        manifest,
+        RunManifest {
+            schema_version: 2,
+            title: "fig4_5_un_olm_1-00".to_string(),
+            h: 2,
+            routing: "OLM".to_string(),
+            flow_control: "VCT".to_string(),
+            traffic: "UN".to_string(),
+            offered_load: 1.0,
+            threshold: 0.45,
+            seed: 1,
+            warmup: 1000,
+            measure: 2000,
+            drain: 2000,
+            peak_in_flight_packets: 23827,
+            peak_buffered_phits: 12932,
+            peak_vc_occupancy: 231,
+        }
+    );
+    let mut expected = ProbeConfig::full_active(64);
+    expected.heatmap_window = 0;
+    expected.trace = false;
+    expected.delay = true;
+    assert_eq!(probe, expected);
+    assert_eq!(files.len(), 11);
+    assert_eq!(files[0], "fig4_5_un_olm_1-00_series.csv");
+    assert_eq!(
+        manifest.to_json(&probe, &files),
+        text.replace("\"offered_load\": 1,", "\"offered_load\": 1.0,")
+    );
+}

@@ -224,3 +224,178 @@ fn ring_meta_high_water_is_monotone_max() {
         }
     }
 }
+
+/// A random string over the characters the codec must escape or pass through:
+/// controls, quote, backslash, ASCII, Latin-1, a line separator and astral
+/// characters.
+fn random_json_string(rng: &mut Rng) -> String {
+    const PALETTE: [char; 16] = [
+        '\u{0}',
+        '\u{1}',
+        '\u{8}',
+        '\t',
+        '\n',
+        '\r',
+        '\u{1f}',
+        '"',
+        '\\',
+        '/',
+        'a',
+        ' ',
+        '\u{e9}',
+        '\u{2028}',
+        '\u{1f600}',
+        '\u{10ffff}',
+    ];
+    (0..rng.gen_index(9))
+        .map(|_| *rng.choose(&PALETTE))
+        .collect()
+}
+
+/// A random canonical `Value` — the form `Value::parse` produces: `Int` only
+/// below zero, `Float` only finite — nested at most `depth` containers deep.
+fn random_json_value(rng: &mut Rng, depth: usize) -> dragonfly::stats::json::Value {
+    use dragonfly::stats::json::Value;
+    let word = rng.next_u64();
+    match rng.gen_range(if depth == 0 { 6 } else { 8 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.bernoulli(0.5)),
+        2 => Value::UInt(*rng.choose(&[0, 1, 1 << 53, u64::MAX, word])),
+        3 => Value::Int(*rng.choose(&[-1, i64::MIN, -((word >> 1) as i64) - 1])),
+        4 => {
+            let bits = f64::from_bits(word);
+            Value::Float(*rng.choose(&[
+                0.0,
+                -0.0,
+                -3.0,
+                1e300,
+                0.1 + 0.2,
+                f64::MIN_POSITIVE / 8.0,
+                f64::MAX,
+                (word >> 11) as f64,
+                if bits.is_finite() { bits } else { 0.5 },
+            ]))
+        }
+        5 => Value::Str(random_json_string(rng)),
+        6 => Value::Array(
+            (0..rng.gen_index(4))
+                .map(|_| random_json_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_index(4))
+                .map(|_| (random_json_string(rng), random_json_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The JSON reader reads back everything either writer emits: `parse(dump(v))`
+/// and `parse(dump_pretty(v))` equal `v` for random canonical trees.
+#[test]
+fn json_values_round_trip_through_both_writers() {
+    use dragonfly::stats::json::Value;
+    let mut rng = Rng::seed_from(0x1504A);
+    let mut containers = 0usize;
+    for _ in 0..2_000 {
+        let value = random_json_value(&mut rng, 6);
+        containers += usize::from(matches!(value, Value::Array(_) | Value::Object(_)));
+        assert_eq!(Value::parse(&value.dump()).as_ref(), Ok(&value));
+        assert_eq!(
+            Value::parse(&value.dump_pretty()).as_ref(),
+            Ok(&value),
+            "{}",
+            value.dump()
+        );
+    }
+    assert!(containers > 200, "the generator must reach nested trees");
+}
+
+/// ROADMAP fuzz property for the two JSON readers: 10⁵ byte-mutated manifests
+/// and report lines go through `Value::parse` and `RunManifest::from_json`,
+/// which answer `Ok` or `Err` — no panic, and the test returning shows no hang.
+#[test]
+fn mutated_json_documents_never_panic_the_readers() {
+    use dragonfly::probe::{ProbeConfig, RunManifest, MANIFEST_SCHEMA_VERSION};
+    use dragonfly::stats::json::{ToJson, Value};
+    use dragonfly::stats::SimReport;
+
+    let manifest = RunManifest {
+        schema_version: MANIFEST_SCHEMA_VERSION,
+        title: "run \"A\"\t[\u{1f600}]".to_string(),
+        h: 2,
+        routing: "olm".to_string(),
+        flow_control: "vct".to_string(),
+        traffic: "WL[aggressor:ADVG+1@0.24,victim:UN@0.10]".to_string(),
+        offered_load: 0.25,
+        threshold: 0.45,
+        seed: u64::MAX,
+        warmup: 300,
+        measure: 600,
+        drain: 900,
+        peak_in_flight_packets: 512,
+        peak_buffered_phits: 4096,
+        peak_vc_occupancy: 32,
+    };
+    let report = SimReport {
+        routing: "OLM".into(),
+        traffic: "ADVG+1".into(),
+        offered_load: 1.0,
+        injected_load: 0.49,
+        accepted_load: 0.48,
+        avg_latency_cycles: 130.5,
+        p99_latency_cycles: 300.0,
+        max_latency_cycles: 512.0,
+        avg_hops: 2.4,
+        global_misroute_fraction: 0.1,
+        local_misroute_fraction: 0.05,
+        packets_delivered: 10_000,
+        packets_measured: 9_500,
+        warmup_cycles: 5_000,
+        measure_cycles: 10_000,
+        deadlock_detected: false,
+        peak_in_flight_packets: 420,
+        peak_buffered_phits: 900,
+        peak_vc_occupancy: 32,
+    };
+    let seeds = [
+        manifest.to_json(
+            &ProbeConfig::full_active(64),
+            &["a,b.csv".to_string(), "x]y.jsonl".to_string()],
+        ),
+        report.to_json().dump(),
+        "{\"detector\":\"throughput_collapse\",\"cycle\":1216,\"sample\":19,\
+         \"window_start\":960,\"observed\":-3,\"bound\":1.5e3,\"router\":null}"
+            .to_string(),
+    ];
+    for seed in &seeds {
+        assert!(Value::parse(seed).is_ok(), "{seed}");
+    }
+    assert!(RunManifest::from_json(&seeds[0]).is_ok());
+
+    // Bytes that steer the grammar, so mutants reach past the first error.
+    const STRUCTURAL: &[u8] = b"{}[]\",:\\/-+.0123456789eEu tfn\n\x01\xf0\x9f";
+    let mut rng = Rng::seed_from(0xF022);
+    let (mut parsed, mut read) = (0usize, 0usize);
+    for _ in 0..100_000 {
+        let mut bytes = rng.choose(&seeds).clone().into_bytes();
+        for _ in 0..1 + rng.gen_index(4) {
+            let at = rng.gen_index(bytes.len());
+            match rng.gen_range(6) {
+                0 => bytes[at] = rng.next_u64() as u8,
+                1 => bytes[at] = *rng.choose(STRUCTURAL),
+                2 => bytes.insert(at, *rng.choose(STRUCTURAL)),
+                3 if bytes.len() > 1 => drop(bytes.remove(at)),
+                4 => bytes.truncate(at.max(1)),
+                _ => bytes[at] = bytes[rng.gen_index(bytes.len())],
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        parsed += usize::from(Value::parse(&text).is_ok());
+        read += usize::from(RunManifest::from_json(&text).is_ok());
+    }
+    // Both outcomes occur: the mutants are neither all rejected at byte 0 nor
+    // all harmless.
+    assert!(parsed > 1_000 && parsed < 99_000, "{parsed}");
+    assert!(read > 100 && read < parsed, "{read}");
+}
