@@ -1,35 +1,29 @@
-//! Building blocks shared by the adaptive routing mechanisms.
+//! What every routing mechanism shares: the packet's target, the productive hop,
+//! the 3/2 VC ladder, the misrouting trigger and the paper's eligibility rules.
 //!
-//! All in-transit adaptive mechanisms of the paper (PAR-6/2, RLM, OLM) share the same
-//! skeleton: prefer the minimal output; when it cannot be granted this cycle, consult
-//! the *misrouting trigger* and pick a random non-minimal output whose downstream
-//! occupancy is below a fraction of the minimal output's occupancy.  Global misrouting
-//! (committing to a Valiant intermediate group) is only allowed in the source group,
-//! at the injection router or after one minimal local hop (as in PAR); local
-//! misrouting is allowed once per intermediate/destination group.  The mechanisms
-//! differ in which local detours are legal and which virtual channels they may use.
+//! The mechanisms differ only in the policy handed to one of the two skeletons
+//! ([`crate::in_transit::InTransit`], [`crate::source_routed::SourceRouted`]); everything a
+//! policy does *not* get to choose lives here.  Global misrouting (committing to a
+//! Valiant intermediate group) is only allowed in the source group, at the injection
+//! router or after one minimal local hop (as in PAR); local misrouting is allowed
+//! once per intermediate/destination group; a non-minimal output is acceptable when
+//! its downstream occupancy is below a fraction of the minimal output's.
 
 use dragonfly_rng::Rng;
-use dragonfly_sim::{Packet, RouterView};
-use dragonfly_topology::{DragonflyParams, GroupId, Port, RouterId};
+use dragonfly_sim::{Packet, RouteState, RouteUpdate};
+use dragonfly_topology::{DragonflyParams, GroupId, NodeId, Port, RouterId};
 
-/// Tunable knobs of the adaptive mechanisms.
+/// The one tunable of the adaptive mechanisms.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveParams {
     /// Misrouting-trigger threshold: a non-minimal output is acceptable when its
     /// occupancy is below `threshold × occupancy(minimal output)`.
     pub threshold: f64,
-    /// Number of random intermediate groups examined when attempting a global
-    /// misroute.
-    pub global_candidates: usize,
 }
 
 impl Default for AdaptiveParams {
     fn default() -> Self {
-        Self {
-            threshold: 0.45,
-            global_candidates: 4,
-        }
+        Self { threshold: 0.45 }
     }
 }
 
@@ -38,12 +32,13 @@ impl AdaptiveParams {
     /// sweeps).
     pub fn with_threshold(threshold: f64) -> Self {
         assert!(threshold >= 0.0, "threshold must be non-negative");
-        Self {
-            threshold,
-            ..Self::default()
-        }
+        Self { threshold }
     }
 }
+
+/// Random intermediate groups an in-transit mechanism examines per global-misroute
+/// attempt (the paper's value).
+pub const GLOBAL_CANDIDATES: usize = 4;
 
 /// The credit-based misrouting trigger of the paper.
 #[derive(Debug, Clone, Copy)]
@@ -74,28 +69,33 @@ impl MisroutingTrigger {
     }
 }
 
-/// The group the packet should currently be heading to: its committed Valiant
-/// intermediate group while it has not reached it yet, the destination group
-/// otherwise.
-pub fn target_group(params: &DragonflyParams, packet: &Packet) -> GroupId {
-    if let Some(ig) = packet.route.intermediate_group {
-        if !packet.route.reached_intermediate {
-            return ig;
-        }
-    }
-    params.group_of_node(packet.dst)
+/// The Valiant intermediate group the packet has committed to and not reached yet.
+#[inline]
+pub fn pending_intermediate(packet: &Packet) -> Option<GroupId> {
+    packet
+        .route
+        .intermediate_group
+        .filter(|_| !packet.route.reached_intermediate)
 }
 
-/// The next hop of the minimal (productive) route from `router`, taking the committed
-/// intermediate group into account.  Returns a terminal port at the destination
-/// router.
-pub fn next_productive_port(params: &DragonflyParams, router: RouterId, packet: &Packet) -> Port {
-    let dest_router = params.router_of_node(packet.dst);
+/// The next hop of the minimal route from `router` to `dst`, heading to group `via`
+/// first when one is given.  Returns a terminal port at the destination router.
+///
+/// Taking `via` explicitly is what lets a mechanism ask "where would this packet go
+/// *if* it committed to intermediate group `g`" without cloning the packet.
+#[inline]
+pub fn productive_port(
+    params: &DragonflyParams,
+    router: RouterId,
+    dst: NodeId,
+    via: Option<GroupId>,
+) -> Port {
+    let dest_router = params.router_of_node(dst);
     if dest_router == router {
-        return Port::Terminal(params.node_index_in_router(packet.dst));
+        return Port::Terminal(params.node_index_in_router(dst));
     }
     let current_group = params.group_of_router(router);
-    let target = target_group(params, packet);
+    let target = via.unwrap_or_else(|| params.group_of_router(dest_router));
     if target != current_group {
         params.port_toward_group(router, target)
     } else {
@@ -105,25 +105,45 @@ pub fn next_productive_port(params: &DragonflyParams, router: RouterId, packet: 
     }
 }
 
-/// Ascending virtual-channel ladder used by the 3/2-VC mechanisms (Minimal, Valiant,
-/// Piggybacking and RLM): local and global hops both use the VC indexed by the number
-/// of global hops already taken.
-pub fn ladder_vc_3_2(port: Port, packet: &Packet) -> u8 {
+/// The packet's productive hop from `router`: [`productive_port`] toward its pending
+/// intermediate group, if any.
+#[inline]
+pub fn next_productive_port(params: &DragonflyParams, router: RouterId, packet: &Packet) -> Port {
+    productive_port(params, router, packet.dst, pending_intermediate(packet))
+}
+
+/// VC of a productive hop on `port`: ejection uses VC 0, a global hop the VC indexed
+/// by the global hops already taken (every mechanism's two global VCs are used this
+/// way), a local hop whatever the mechanism's `local` ladder says.
+#[inline]
+pub fn ladder_vc(port: Port, route: &RouteState, local: impl FnOnce(&RouteState) -> u8) -> u8 {
     match port {
-        Port::Global(_) => packet.route.global_hops.min(1),
-        Port::Local(_) => packet.route.global_hops.min(2),
+        Port::Global(_) => route.global_hops.min(1),
+        Port::Local(_) => local(route),
         Port::Terminal(_) => 0,
     }
 }
 
-/// Ascending ladder of the naïve PAR-6/2 mechanism: every local hop moves to a fresh
-/// local VC (`2·global_hops + local_hops_in_group`), every global hop to
-/// `global_hops`, reproducing the sequence `l1 l2 g1 l3 l4 g2 l5 l6`.
-pub fn ladder_vc_6_2(port: Port, packet: &Packet) -> u8 {
-    match port {
-        Port::Global(_) => packet.route.global_hops.min(1),
-        Port::Local(_) => (2 * packet.route.global_hops + packet.route.local_hops_in_group).min(5),
-        Port::Terminal(_) => 0,
+/// Local ladder of the 3/2-VC mechanisms (Minimal, Valiant, Piggybacking, RLM, OLM):
+/// the local VC indexed by the number of global hops already taken.
+#[inline]
+pub fn local_vc_3_2(route: &RouteState) -> u8 {
+    route.global_hops.min(2)
+}
+
+/// The full 3/2 ladder: `lVC_k` / `gVC_k` after `k` global hops.
+#[inline]
+pub fn ladder_vc_3_2(port: Port, packet: &Packet) -> u8 {
+    ladder_vc(port, &packet.route, local_vc_3_2)
+}
+
+/// The route-state commitment of a global misroute through intermediate group `ig`.
+#[inline]
+pub fn valiant_update(ig: GroupId) -> RouteUpdate {
+    RouteUpdate {
+        set_intermediate_group: Some(ig),
+        mark_global_misroute: true,
+        ..RouteUpdate::default()
     }
 }
 
@@ -148,19 +168,15 @@ pub fn global_misroute_eligible(
     }
 }
 
-/// Whether the packet may take a local misroute here: the minimal next hop must be a
-/// local hop, the packet must not have misrouted locally in this group already, and —
-/// per the paper — local misrouting is reserved for the intermediate and destination
-/// groups (which includes the source group when the traffic is group-local).
+/// Whether a packet whose productive hop is a local one may misroute locally here:
+/// it must not have taken a local hop in this group already, and — per the paper —
+/// local misrouting is reserved for the intermediate and destination groups (which
+/// includes the source group when the traffic is group-local).
 pub fn local_misroute_eligible(
     params: &DragonflyParams,
     view_group: GroupId,
-    minimal_port: Port,
     packet: &Packet,
 ) -> bool {
-    if !minimal_port.is_local() {
-        return false;
-    }
     if packet.route.local_misrouted_in_group || packet.route.local_hops_in_group != 0 {
         return false;
     }
@@ -168,118 +184,37 @@ pub fn local_misroute_eligible(
     packet.route.global_hops >= 1 || dest_group == view_group
 }
 
-/// A tiny stack-only vector for per-`route()` candidate lists.
+/// Draw up to `N` distinct candidate intermediate groups, excluding the source and
+/// destination groups, in draw order.
 ///
-/// `route()` is the hottest call of the cycle loop and must not touch the heap
-/// (the invariant pinned by `tests/zero_alloc.rs`); candidate sets are small
-/// and statically bounded, so they live in a fixed inline array.  `fill` is a
-/// throwaway value for the unused capacity — never observable, just what lets
-/// the buffer be initialised without `unsafe`.
-#[derive(Debug, Clone, Copy)]
-pub struct InlineVec<T: Copy, const N: usize> {
-    buf: [T; N],
-    len: usize,
-}
-
-impl<T: Copy, const N: usize> InlineVec<T, N> {
-    /// An empty list; `fill` initialises the unused slots.
-    #[inline]
-    pub fn new(fill: T) -> Self {
-        Self {
-            buf: [fill; N],
-            len: 0,
-        }
-    }
-
-    /// Append an element; panics if the inline capacity is exceeded (the
-    /// bounds below are sized to the topology limits, so this is a bug).
-    #[inline]
-    pub fn push(&mut self, value: T) {
-        assert!(self.len < N, "InlineVec overflow: capacity {N} exceeded");
-        self.buf[self.len] = value;
-        self.len += 1;
-    }
-
-    /// The populated prefix as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.buf[..self.len]
-    }
-
-    /// Number of elements pushed.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been pushed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The first element, if any.
-    #[inline]
-    pub fn first(&self) -> Option<&T> {
-        self.as_slice().first()
-    }
-
-    /// Membership test over the populated prefix.
-    #[inline]
-    pub fn contains(&self, value: &T) -> bool
-    where
-        T: PartialEq,
-    {
-        self.as_slice().contains(value)
-    }
-}
-
-impl<T: Copy, const N: usize> IntoIterator for InlineVec<T, N> {
-    type Item = T;
-    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.buf.into_iter().take(self.len)
-    }
-}
-
-/// Upper bound on `AdaptiveParams::global_candidates` (the paper uses 4).
-pub const MAX_GLOBAL_CANDIDATES: usize = 8;
-
-/// Upper bound on local-detour candidates per decision: `2h - 2` targets in a
-/// group of `2h` routers, so this covers every topology up to `h = 33`.
-pub const MAX_DETOUR_CANDIDATES: usize = 64;
-
-/// Draw up to `count` distinct candidate intermediate groups, excluding the source and
-/// destination groups.
-pub fn sample_intermediate_groups(
+/// `route()` is the hottest call of the cycle loop and must not touch the heap (the
+/// invariant pinned by `tests/zero_alloc.rs`), so the draws live in an inline array
+/// whose capacity *is* the count: no bound is checked on the routing path.
+pub fn sample_intermediate_groups<const N: usize>(
     params: &DragonflyParams,
     exclude_a: GroupId,
     exclude_b: GroupId,
-    count: usize,
     rng: &mut Rng,
-) -> InlineVec<GroupId, MAX_GLOBAL_CANDIDATES> {
-    assert!(
-        count <= MAX_GLOBAL_CANDIDATES,
-        "raise MAX_GLOBAL_CANDIDATES for more than {MAX_GLOBAL_CANDIDATES} candidates"
-    );
+) -> impl Iterator<Item = GroupId> {
     let groups = params.groups();
-    let mut out = InlineVec::new(GroupId(0));
+    let mut out = [GroupId(0); N];
+    let mut len = 0;
     let mut attempts = 0;
-    while out.len() < count && attempts < count * 4 {
+    while len < N && attempts < N * 4 {
         attempts += 1;
         let g = GroupId(rng.gen_index(groups) as u32);
-        if g == exclude_a || g == exclude_b || out.contains(&g) {
+        if g == exclude_a || g == exclude_b || out[..len].contains(&g) {
             continue;
         }
-        out.push(g);
+        out[len] = g;
+        len += 1;
     }
-    out
+    out.into_iter().take(len)
 }
 
 /// In-group router indices usable as a local detour between `from` and `to` (all
-/// routers except the two endpoints).  The mechanisms filter this further (parity-sign
-/// for RLM, VC space for OLM) and apply the misrouting trigger.
+/// routers except the two endpoints).  The policies filter this further (parity-sign
+/// for RLM, VC space for OLM) and the skeleton applies the misrouting trigger.
 pub fn local_detour_targets(
     params: &DragonflyParams,
     from: usize,
@@ -287,12 +222,6 @@ pub fn local_detour_targets(
 ) -> impl Iterator<Item = usize> {
     let routers = params.routers_per_group();
     (0..routers).filter(move |&k| k != from && k != to)
-}
-
-/// Convenience: occupancy of the downstream buffer behind (`port`, `vc`).
-#[inline]
-pub fn occupancy(view: &RouterView<'_>, port: Port, vc: u8) -> usize {
-    view.occupancy(port, vc as usize)
 }
 
 #[cfg(test)]
@@ -321,21 +250,19 @@ mod tests {
     fn adaptive_params_defaults_and_threshold() {
         let d = AdaptiveParams::default();
         assert!((d.threshold - 0.45).abs() < 1e-12);
-        assert_eq!(d.global_candidates, 4);
         let s = AdaptiveParams::with_threshold(0.3);
         assert!((s.threshold - 0.3).abs() < 1e-12);
     }
 
     #[test]
-    fn target_group_prefers_unreached_intermediate() {
+    fn intermediate_is_pending_until_reached() {
         let params = DragonflyParams::new(2);
         let mut p = packet(&params, 0, (params.num_nodes() - 1) as u32);
-        let dest_group = params.group_of_node(p.dst);
-        assert_eq!(target_group(&params, &p), dest_group);
+        assert_eq!(pending_intermediate(&p), None);
         p.route.intermediate_group = Some(GroupId(3));
-        assert_eq!(target_group(&params, &p), GroupId(3));
+        assert_eq!(pending_intermediate(&p), Some(GroupId(3)));
         p.route.reached_intermediate = true;
-        assert_eq!(target_group(&params, &p), dest_group);
+        assert_eq!(pending_intermediate(&p), None);
     }
 
     #[test]
@@ -364,28 +291,33 @@ mod tests {
         let src_router = params.router_of_node(NodeId(0));
         let port = next_productive_port(&params, src_router, &p);
         assert_eq!(port, params.port_toward_group(src_router, GroupId(4)));
+        // Asking "what if it committed to group 4" needs no packet at all.
+        assert_eq!(
+            productive_port(&params, src_router, dst, Some(GroupId(4))),
+            port
+        );
+        p.route.reached_intermediate = true;
+        assert_eq!(
+            next_productive_port(&params, src_router, &p),
+            productive_port(&params, src_router, dst, None)
+        );
     }
 
     #[test]
-    fn ladders_follow_hop_counters() {
+    fn ladder_3_2_follows_global_hops() {
         let params = DragonflyParams::new(4);
         let mut p = packet(&params, 0, (params.num_nodes() - 1) as u32);
         assert_eq!(ladder_vc_3_2(Port::Local(0), &p), 0);
-        assert_eq!(ladder_vc_6_2(Port::Local(0), &p), 0);
         p.route.local_hops_in_group = 1;
         assert_eq!(ladder_vc_3_2(Port::Local(0), &p), 0);
-        assert_eq!(ladder_vc_6_2(Port::Local(0), &p), 1);
         p.route.global_hops = 1;
         p.route.local_hops_in_group = 0;
         assert_eq!(ladder_vc_3_2(Port::Local(0), &p), 1);
         assert_eq!(ladder_vc_3_2(Port::Global(0), &p), 1);
-        assert_eq!(ladder_vc_6_2(Port::Local(0), &p), 2);
-        p.route.local_hops_in_group = 1;
-        assert_eq!(ladder_vc_6_2(Port::Local(0), &p), 3);
         p.route.global_hops = 2;
         p.route.local_hops_in_group = 1;
         assert_eq!(ladder_vc_3_2(Port::Local(0), &p), 2);
-        assert_eq!(ladder_vc_6_2(Port::Local(0), &p), 5);
+        assert_eq!(ladder_vc_3_2(Port::Global(0), &p), 1);
         assert_eq!(ladder_vc_3_2(Port::Terminal(0), &p), 0);
     }
 
@@ -421,48 +353,17 @@ mod tests {
         // Remote traffic in the source group: not eligible (that is global misrouting's
         // job).
         let p = packet(&params, 0, (params.num_nodes() - 1) as u32);
-        assert!(!local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Local(0),
-            &p
-        ));
-        // After a global hop (intermediate/destination group) it becomes eligible.
+        assert!(!local_misroute_eligible(&params, src_group, &p));
+        // After a global hop (intermediate/destination group) it becomes eligible,
+        // once per group.
         let mut q = packet(&params, 0, (params.num_nodes() - 1) as u32);
         q.route.global_hops = 1;
-        assert!(local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Local(0),
-            &q
-        ));
+        assert!(local_misroute_eligible(&params, src_group, &q));
         q.route.local_misrouted_in_group = true;
-        assert!(!local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Local(0),
-            &q
-        ));
-        // Group-local traffic is eligible straight away, but only for local next hops.
+        assert!(!local_misroute_eligible(&params, src_group, &q));
+        // Group-local traffic is eligible straight away.
         let r = packet(&params, 0, 2);
-        assert!(local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Local(0),
-            &r
-        ));
-        assert!(!local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Global(0),
-            &r
-        ));
-        assert!(!local_misroute_eligible(
-            &params,
-            src_group,
-            Port::Terminal(0),
-            &r
-        ));
+        assert!(local_misroute_eligible(&params, src_group, &r));
     }
 
     #[test]
@@ -470,14 +371,17 @@ mod tests {
         let params = DragonflyParams::new(2);
         let mut rng = Rng::seed_from(3);
         for _ in 0..100 {
-            let picks = sample_intermediate_groups(&params, GroupId(0), GroupId(5), 4, &mut rng);
+            let picks: Vec<GroupId> =
+                sample_intermediate_groups::<4>(&params, GroupId(0), GroupId(5), &mut rng)
+                    .collect();
             assert!(!picks.is_empty());
             assert!(picks.len() <= 4);
-            for g in picks.as_slice() {
+            for g in &picks {
                 assert_ne!(*g, GroupId(0));
                 assert_ne!(*g, GroupId(5));
             }
-            let mut dedup = picks.as_slice().to_vec();
+            let mut dedup = picks.clone();
+            dedup.sort_unstable();
             dedup.dedup();
             assert_eq!(dedup.len(), picks.len());
         }

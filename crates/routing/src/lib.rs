@@ -1,40 +1,45 @@
 //! Deadlock-free routing mechanisms for Dragonfly networks.
 //!
-//! This crate implements every mechanism evaluated by the paper:
+//! The paper evaluates seven mechanisms but only two routing *algorithms*; the crate
+//! is written the same way.  Each algorithm is one generic skeleton, statically
+//! dispatched over a small policy that states only what the paper says differs:
+//! [`InTransit<P>`] re-decides at every router (productive hop → local detours →
+//! global detours → stall), [`SourceRouted<D>`] decides once at injection.
 //!
-//! | Mechanism | VCs (local/global) | Flow control | Misrouting |
-//! |-----------|--------------------|--------------|------------|
-//! | [`MinimalRouting`] | 2/1 (fits 3/2) | VCT, WH | none |
-//! | [`ValiantRouting`] | 3/2 | VCT, WH | global (always) |
-//! | [`Piggybacking`]   | 3/2 | VCT, WH | global (source-adaptive) |
-//! | [`Par62`]          | 6/2 | VCT, WH | global + local (in-transit) |
-//! | [`Rlm`]            | 3/2 | VCT, WH | global + restricted local |
-//! | [`Olm`]            | 3/2 | VCT only | global + opportunistic local |
+//! | Mechanism | Skeleton · policy | VCs (l/g) | Productive local VC | Local detour `cur → k → to` | Non-productive local hop claims | Flow control | Paper |
+//! |-----------|-------------------|-----------|---------------------|------------------------------|---------------------------------|--------------|-------|
+//! | [`MinimalRouting`] | own `route()` | 2/1 (fits 3/2) | global hops | never | — | VCT, WH | §II |
+//! | [`ValiantRouting`] | [`SourceRouted`] · [`source_routed::Always`] | 3/2 | global hops | never | — | VCT, WH | §II |
+//! | [`Piggybacking`] | [`SourceRouted`] · [`source_routed::CongestionBoard`] | 3/2 | global hops | never | — | VCT, WH | §II |
+//! | [`Par`] | [`InTransit`] · [`in_transit::ParPolicy`] | 4/2 | `l1 l2 g1 l3 g2 l4` | never | flow control | VCT, WH | §II |
+//! | [`Par62`] | [`InTransit`] · [`in_transit::Par62Policy`] | 6/2 | 2·global hops + local hops | any `k`, the ladder's next VC | flow control | VCT, WH | §III |
+//! | [`Rlm`] | [`InTransit`] · [`rlm::RlmPolicy`] | 3/2 | global hops | `k` allowed by the parity-sign table, same VC | flow control | VCT, WH | §III |
+//! | [`Olm`] | [`InTransit`] · [`olm::OlmPolicy`] | 3/2 | global hops | any `k`, highest VC below the escape path from `k` | whole packet | VCT only | §III |
 //!
 //! The two contributions of the paper are [`Rlm`] (Restricted Local Misrouting, built
 //! on the parity-sign table of [`parity_sign`]) and [`Olm`] (Opportunistic Local
-//! Misrouting, built on ascending escape paths).  All adaptive mechanisms share the
-//! misrouting trigger and eligibility rules in [`common`].
+//! Misrouting, built on ascending escape paths): they keep PAR-6/2's routing freedom
+//! and change *only* the rule that keeps local misrouting deadlock-free, which is
+//! exactly what their [`MisroutePolicy`] impls say.  What no policy gets to choose
+//! (trigger, eligibility, productive hop, global VCs) is in [`common`].
 
-pub mod basic;
 pub mod common;
+pub mod in_transit;
 pub mod olm;
-pub mod par;
-pub mod par62;
 pub mod parity_sign;
-pub mod piggyback;
 pub mod rlm;
+pub mod source_routed;
 
-pub use basic::{MinimalRouting, ValiantRouting};
 pub use common::{AdaptiveParams, MisroutingTrigger};
+pub use in_transit::{InTransit, MisroutePolicy, Par, Par62};
 pub use olm::Olm;
-pub use par::Par;
-pub use par62::Par62;
 pub use parity_sign::{LinkClass, ParitySignTable};
-pub use piggyback::Piggybacking;
 pub use rlm::Rlm;
+pub use source_routed::{
+    MinimalRouting, Piggybacking, SourceDecision, SourceRouted, ValiantRouting,
+};
 
-use dragonfly_sim::RoutingAlgorithm;
+use dragonfly_sim::{FlowControl, RoutingAlgorithm};
 
 /// A generic visitor over the concrete mechanism type behind a [`RoutingKind`].
 ///
@@ -86,15 +91,7 @@ impl RoutingKind {
 
     /// Short display name matching the paper's legends.
     pub fn name(self) -> &'static str {
-        match self {
-            RoutingKind::Minimal => "Minimal",
-            RoutingKind::Valiant => "Valiant",
-            RoutingKind::Piggybacking => "PB",
-            RoutingKind::Par => "PAR",
-            RoutingKind::Par62 => "PAR-6/2",
-            RoutingKind::Rlm => "RLM",
-            RoutingKind::Olm => "OLM",
-        }
+        self.read(|m| m.name())
     }
 
     /// Parse a (case-insensitive) mechanism name.
@@ -111,18 +108,16 @@ impl RoutingKind {
         }
     }
 
-    /// Number of local VCs the mechanism needs.
+    /// Number of local VCs to build the network with: what the mechanism requires, but
+    /// never fewer than the paper's baseline router has.
     pub fn local_vcs(self) -> usize {
-        match self {
-            RoutingKind::Par62 => 6,
-            RoutingKind::Par => 4,
-            _ => 3,
-        }
+        self.read(|m| m.required_local_vcs())
+            .max(BASELINE_LOCAL_VCS)
     }
 
     /// Whether the mechanism is safe under Wormhole flow control.
     pub fn supports_wormhole(self) -> bool {
-        !matches!(self, RoutingKind::Olm)
+        self.read(|m| m.supports_flow_control(FlowControl::Wormhole { flit_size: 10 }))
     }
 
     /// Instantiate the mechanism with default adaptive parameters.
@@ -133,23 +128,22 @@ impl RoutingKind {
     /// Instantiate the mechanism with explicit adaptive parameters (the threshold is
     /// ignored by the oblivious mechanisms).
     pub fn build_with(self, params: AdaptiveParams) -> Box<dyn RoutingAlgorithm> {
-        match self {
-            RoutingKind::Minimal => Box::new(MinimalRouting::new()),
-            RoutingKind::Valiant => Box::new(ValiantRouting::new()),
-            RoutingKind::Piggybacking => Box::new(Piggybacking::new()),
-            RoutingKind::Par => Box::new(Par::new(params)),
-            RoutingKind::Par62 => Box::new(Par62::new(params)),
-            RoutingKind::Rlm => Box::new(Rlm::new(params)),
-            RoutingKind::Olm => Box::new(Olm::new(params)),
+        struct Boxed;
+        impl RoutingVisitor for Boxed {
+            type Output = Box<dyn RoutingAlgorithm>;
+            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
+                Box::new(routing)
+            }
         }
+        self.dispatch(params, Boxed)
     }
 
     /// Instantiate the mechanism as its *concrete* type and hand it to `visitor`.
     ///
-    /// This is the monomorphic counterpart of [`RoutingKind::build_with`]: instead of
-    /// a `Box<dyn RoutingAlgorithm>`, the visitor's generic `visit` is called with
-    /// the concrete mechanism, letting the simulation engine statically dispatch the
-    /// per-cycle routing call.
+    /// This is the crate's one table from kind to mechanism.  The visitor's generic
+    /// `visit` is called with the concrete mechanism, letting the simulation engine
+    /// statically dispatch the per-cycle routing call; [`RoutingKind::build_with`] is
+    /// the visitor that boxes it instead.
     pub fn dispatch<V: RoutingVisitor>(self, params: AdaptiveParams, visitor: V) -> V::Output {
         match self {
             RoutingKind::Minimal => visitor.visit(MinimalRouting::new()),
@@ -161,11 +155,205 @@ impl RoutingKind {
             RoutingKind::Olm => visitor.visit(Olm::new(params)),
         }
     }
+
+    /// Read one fact off the mechanism behind this kind, so that the kind's metadata
+    /// *is* the mechanism's (its policy constants) rather than a copy of it.
+    fn read<T>(self, fact: impl FnOnce(&dyn RoutingAlgorithm) -> T) -> T {
+        fact(self.build().as_ref())
+    }
 }
+
+/// Local VCs of the paper's baseline router (3 local / 2 global).
+const BASELINE_LOCAL_VCS: usize = 3;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_sim::{SimConfig, Simulation};
+    use dragonfly_traffic::{AdversarialGlobal, Uniform};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::OnceLock;
+
+    /// What the paper says about each mechanism, stated independently of the code
+    /// that implements it.
+    struct Expected {
+        kind: RoutingKind,
+        name: &'static str,
+        /// Required local / global VCs.
+        vcs: (usize, usize),
+        wormhole: bool,
+        /// Below-saturation uniform load and seed for the delivery check.
+        uniform: (f64, u64),
+    }
+
+    const fn expect(
+        kind: RoutingKind,
+        name: &'static str,
+        vcs: (usize, usize),
+        wormhole: bool,
+        uniform: (f64, u64),
+    ) -> Expected {
+        Expected {
+            kind,
+            name,
+            vcs,
+            wormhole,
+            uniform,
+        }
+    }
+
+    /// One row per mechanism, in [`RoutingKind::ALL`] order.
+    const EXPECTED: [Expected; 7] = [
+        expect(RoutingKind::Par62, "PAR-6/2", (6, 2), true, (0.3, 3)),
+        expect(RoutingKind::Olm, "OLM", (3, 2), false, (0.3, 3)),
+        expect(RoutingKind::Rlm, "RLM", (3, 2), true, (0.3, 3)),
+        expect(RoutingKind::Minimal, "Minimal", (2, 1), true, (0.15, 42)),
+        expect(RoutingKind::Valiant, "Valiant", (3, 2), true, (0.1, 42)),
+        expect(RoutingKind::Piggybacking, "PB", (3, 2), true, (0.15, 4)),
+        expect(RoutingKind::Par, "PAR", (4, 2), true, (0.3, 3)),
+    ];
+
+    /// Build a simulation, returning the constructor's panic message if it refuses.
+    fn try_sim(config: SimConfig, kind: RoutingKind) -> Result<Simulation, String> {
+        catch_unwind(AssertUnwindSafe(|| {
+            Simulation::new(config, kind.build(), Box::new(Uniform::new()))
+        }))
+        .map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic".to_string())
+        })
+    }
+
+    fn metadata_matches_the_paper(e: &Expected) {
+        let wormhole = FlowControl::Wormhole { flit_size: 10 };
+        let mech = e.kind.build();
+        assert_eq!(e.kind.name(), e.name);
+        assert_eq!(mech.name(), e.name);
+        assert_eq!(
+            (mech.required_local_vcs(), mech.required_global_vcs()),
+            e.vcs
+        );
+        assert_eq!(e.kind.local_vcs(), e.vcs.0.max(3));
+        assert!(mech.supports_flow_control(FlowControl::Vct));
+        assert_eq!(mech.supports_flow_control(wormhole), e.wormhole);
+        assert_eq!(e.kind.supports_wormhole(), e.wormhole);
+    }
+
+    fn too_few_local_vcs_are_rejected(e: &Expected) {
+        let config = SimConfig::paper_vct(2).with_local_vcs(e.vcs.0 - 1);
+        let refusal = try_sim(config, e.kind).err().unwrap_or_default();
+        let wanted = format!("requires {} local VCs", e.vcs.0);
+        assert!(refusal.contains(&wanted), "`{refusal}`");
+    }
+
+    fn uniform_vct_delivers_without_deadlock(e: &Expected) {
+        let (load, seed) = e.uniform;
+        let config = SimConfig::paper_vct(2)
+            .with_local_vcs(e.kind.local_vcs())
+            .with_seed(seed);
+        let mut sim = try_sim(config, e.kind).unwrap();
+        let report = sim.run_steady_state(load, 2_000, 3_000, 4_000);
+        assert!(!report.deadlock_detected);
+        assert!(
+            (report.accepted_load - load).abs() < (0.2 * load).max(0.04),
+            "accepted {} of {load}",
+            report.accepted_load
+        );
+        assert!(report.avg_hops <= 8.0);
+    }
+
+    fn wormhole_is_supported_or_refused(e: &Expected) {
+        let config = SimConfig::paper_wormhole(2)
+            .with_local_vcs(e.kind.local_vcs())
+            .with_seed(13);
+        match try_sim(config, e.kind) {
+            Ok(mut sim) => {
+                assert!(e.wormhole, "must refuse Wormhole");
+                let report = sim.run_steady_state(0.1, 2_000, 3_000, 6_000);
+                assert!(!report.deadlock_detected);
+                assert!(report.packets_measured > 20);
+            }
+            Err(refusal) => {
+                assert!(!e.wormhole, "`{refusal}`");
+                assert!(refusal.contains("does not support"), "`{refusal}`");
+            }
+        }
+    }
+
+    /// Accepted load and globally misrouted fraction under ADVG+1 at load 0.4.
+    fn advg_run(kind: RoutingKind) -> (f64, f64) {
+        let config = SimConfig::paper_vct(2)
+            .with_local_vcs(kind.local_vcs())
+            .with_seed(7);
+        let traffic = Box::new(AdversarialGlobal::new(1));
+        let mut sim = Simulation::new(config, kind.build(), traffic);
+        let report = sim.run_steady_state(0.4, 3_000, 4_000, 2_000);
+        assert!(!report.deadlock_detected, "{}", kind.name());
+        (report.accepted_load, report.global_misroute_fraction)
+    }
+
+    /// The defining property of global misrouting: under adversarial-global traffic
+    /// it sustains much more throughput than the single minimal link.
+    fn advg_beats_minimal(e: &Expected) {
+        static MINIMAL: OnceLock<(f64, f64)> = OnceLock::new();
+        let minimal = *MINIMAL.get_or_init(|| advg_run(RoutingKind::Minimal));
+        assert_eq!(minimal.1, 0.0, "Minimal never misroutes");
+        if e.kind == RoutingKind::Minimal {
+            return;
+        }
+        let (accepted, misrouted) = advg_run(e.kind);
+        assert!(
+            accepted > minimal.0 * 1.5 && accepted > 0.2,
+            "{accepted} vs minimal {}",
+            minimal.0
+        );
+        assert!(misrouted > 0.4, "misrouted only {misrouted}");
+    }
+
+    /// Instantiate the shared checks once per row of [`EXPECTED`], so a failure
+    /// names its mechanism.
+    macro_rules! per_mechanism {
+        ($($mechanism:ident => $row:expr),* $(,)?) => {$(
+            mod $mechanism {
+                use super::EXPECTED;
+
+                #[test]
+                fn metadata_matches_the_paper() {
+                    super::metadata_matches_the_paper(&EXPECTED[$row]);
+                }
+
+                #[test]
+                fn too_few_local_vcs_are_rejected() {
+                    super::too_few_local_vcs_are_rejected(&EXPECTED[$row]);
+                }
+
+                #[test]
+                fn uniform_vct_delivers_without_deadlock() {
+                    super::uniform_vct_delivers_without_deadlock(&EXPECTED[$row]);
+                }
+
+                #[test]
+                fn wormhole_is_supported_or_refused() {
+                    super::wormhole_is_supported_or_refused(&EXPECTED[$row]);
+                }
+
+                #[test]
+                fn advg_beats_minimal() {
+                    super::advg_beats_minimal(&EXPECTED[$row]);
+                }
+            }
+        )*};
+    }
+
+    per_mechanism!(par62 => 0, olm => 1, rlm => 2, minimal => 3, valiant => 4, pb => 5, par => 6);
+
+    #[test]
+    fn expectations_cover_all_in_figure_order() {
+        let kinds: Vec<RoutingKind> = EXPECTED.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, RoutingKind::ALL);
+    }
 
     #[test]
     fn kind_names_round_trip_through_parse() {
@@ -174,26 +362,5 @@ mod tests {
         }
         assert_eq!(RoutingKind::parse("olm"), Some(RoutingKind::Olm));
         assert_eq!(RoutingKind::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn kind_metadata_matches_mechanisms() {
-        for kind in RoutingKind::ALL {
-            let mech = kind.build();
-            assert_eq!(mech.name(), kind.name());
-            assert!(kind.local_vcs() >= mech.required_local_vcs());
-            assert_eq!(
-                kind.supports_wormhole(),
-                mech.supports_flow_control(dragonfly_sim::FlowControl::Wormhole { flit_size: 10 })
-            );
-        }
-    }
-
-    #[test]
-    fn all_list_has_every_variant_once() {
-        let mut names: Vec<&str> = RoutingKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 7);
     }
 }

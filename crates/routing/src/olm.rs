@@ -15,44 +15,17 @@
 //! ladder `lVC_k / gVC_k` indexed by the number of global hops taken, exactly as in
 //! the paper's Figure 3.
 
-use crate::common::{
-    global_misroute_eligible, ladder_vc_3_2, local_detour_targets, local_misroute_eligible,
-    next_productive_port, occupancy, sample_intermediate_groups, AdaptiveParams, InlineVec,
-    MisroutingTrigger, MAX_DETOUR_CANDIDATES,
-};
-use dragonfly_rng::Rng;
-use dragonfly_sim::{
-    FlowControl, Packet, RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm,
-};
-use dragonfly_topology::{Port, RouterId};
+use crate::common::{ladder_vc_3_2, local_vc_3_2, pending_intermediate, productive_port};
+use crate::in_transit::{InTransit, MisroutePolicy};
+use dragonfly_sim::{Packet, RouteState, RouterView};
+use dragonfly_topology::{GroupId, Port};
 
-/// The OLM mechanism.
-#[derive(Debug, Clone, Copy)]
-pub struct Olm {
-    params: AdaptiveParams,
-    trigger: MisroutingTrigger,
-}
+/// OLM's misroute policy: any detour whose VC keeps the escape ladder ascending, taken
+/// only when the whole packet fits (paper Section III, Figure 3).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OlmPolicy;
 
-impl Default for Olm {
-    fn default() -> Self {
-        Self::new(AdaptiveParams::default())
-    }
-}
-
-impl Olm {
-    /// Create the mechanism with the given adaptive parameters.
-    pub fn new(params: AdaptiveParams) -> Self {
-        Self {
-            params,
-            trigger: MisroutingTrigger::new(params.threshold),
-        }
-    }
-
-    /// Create the mechanism with an explicit misrouting threshold.
-    pub fn with_threshold(threshold: f64) -> Self {
-        Self::new(AdaptiveParams::with_threshold(threshold))
-    }
-
+impl OlmPolicy {
     /// Ladder position of a (port-class, VC) pair in the combined ascending order
     /// `lVC0 < gVC0 < lVC1 < gVC1 < lVC2`.
     fn ladder_position(port: Port, vc: u8) -> u8 {
@@ -63,173 +36,76 @@ impl Olm {
         }
     }
 
-    /// Ladder position of the *first hop of the escape path* a packet would have after
-    /// moving to `at`: its minimal continuation (toward the committed intermediate
-    /// group if not yet reached, the destination otherwise) in ascending-ladder VCs.
-    fn escape_first_hop_position(view: &RouterView<'_>, packet: &Packet, at: RouterId) -> u8 {
-        let port = next_productive_port(view.params, at, packet);
-        let vc = ladder_vc_3_2(port, packet);
-        Self::ladder_position(port, vc)
-    }
-
-    /// The highest local VC usable for a non-productive (detour) hop landing at
-    /// router `at`, or `None` if no VC keeps the escape ladder strictly ascending.
-    fn best_detour_vc(view: &RouterView<'_>, packet: &Packet, at: RouterId) -> Option<u8> {
-        let escape = Self::escape_first_hop_position(view, packet, at);
+    /// The highest local VC usable for a non-productive hop landing at in-group router
+    /// `at`, or `None` if no VC keeps the escape ladder strictly ascending.  The escape
+    /// path from `at` starts with the packet's productive hop there — toward group
+    /// `via` when given, the destination otherwise — in ascending-ladder VCs.
+    #[inline]
+    fn best_detour_vc(
+        view: &RouterView<'_>,
+        packet: &Packet,
+        at: usize,
+        via: Option<GroupId>,
+    ) -> Option<u8> {
+        let at = view.params.router_in_group(view.group(), at);
+        let port = productive_port(view.params, at, packet.dst, via);
+        let escape = Self::ladder_position(port, ladder_vc_3_2(port, packet));
         let max_local = (view.config.local_vcs - 1) as u8;
         // lVC_j has ladder position 2j; it must stay strictly below the escape hop.
         (0..=max_local).rev().find(|&j| 2 * j < escape)
     }
 }
 
-impl RoutingAlgorithm for Olm {
-    fn name(&self) -> &'static str {
-        "OLM"
-    }
-
-    fn required_local_vcs(&self) -> usize {
-        3
-    }
-
-    fn required_global_vcs(&self) -> usize {
-        2
-    }
-
+impl MisroutePolicy for OlmPolicy {
+    const NAME: &'static str = "OLM";
+    const LOCAL_VCS: usize = 3;
     /// OLM relies on whole-packet buffering for its opportunistic detours, so it is
     /// only safe under Virtual Cut-Through.
-    fn supports_flow_control(&self, fc: FlowControl) -> bool {
-        fc.is_vct()
+    const WHOLE_PACKET_DETOURS: bool = true;
+
+    /// Productive hops are the escape path: `lVC_k` after `k` global hops (Figure 3).
+    #[inline]
+    fn local_vc(route: &RouteState) -> u8 {
+        local_vc_3_2(route)
     }
 
-    fn route(
+    /// Any detour router is acceptable as long as a VC below its escape path exists.
+    #[inline]
+    fn local_detour_vc(
         &self,
-        _ctx: &RouteCtx<'_>,
-        packet: &Packet,
         view: &RouterView<'_>,
-        rng: &mut Rng,
-    ) -> Option<RouteChoice> {
-        let params = view.params;
-        let group = view.group();
-        let cur_idx = params.router_index_in_group(view.router);
+        packet: &Packet,
+        _cur: usize,
+        k: usize,
+        _to: usize,
+    ) -> Option<u8> {
+        Self::best_detour_vc(view, packet, k, pending_intermediate(packet))
+    }
 
-        // Productive hop first (this is also the escape path, so it is always legal).
-        let minimal_port = next_productive_port(params, view.router, packet);
-        let minimal_vc = if minimal_port.is_terminal() {
-            0
-        } else {
-            ladder_vc_3_2(minimal_port, packet)
-        };
-        if view.can_claim(minimal_port, minimal_vc as usize, packet) {
-            return Some(RouteChoice::plain(minimal_port, minimal_vc));
-        }
-        if minimal_port.is_terminal() {
-            return None;
-        }
-        let minimal_occ = occupancy(view, minimal_port, minimal_vc);
-
-        // 1. Opportunistic local misrouting: any detour router is acceptable as long
-        //    as the whole packet fits in a VC that keeps the escape ladder ascending.
-        if local_misroute_eligible(params, group, minimal_port, packet) {
-            let to_idx = params.local_neighbor_index(cur_idx, minimal_port.class_index());
-            let mut candidates: InlineVec<(Port, u8), MAX_DETOUR_CANDIDATES> =
-                InlineVec::new((Port::Local(0), 0));
-            for k in local_detour_targets(params, cur_idx, to_idx) {
-                let target = params.router_in_group(group, k);
-                let Some(vc) = Self::best_detour_vc(view, packet, target) else {
-                    continue;
-                };
-                let port = Port::Local(params.local_port_to(cur_idx, k));
-                if view.fits_whole_packet(port, vc as usize, packet)
-                    && self.trigger.allows(occupancy(view, port, vc), minimal_occ)
-                {
-                    candidates.push((port, vc));
-                }
-            }
-            if !candidates.is_empty() {
-                let &(port, vc) = rng.choose(candidates.as_slice());
-                return Some(RouteChoice {
-                    port,
-                    vc,
-                    update: RouteUpdate {
-                        mark_local_misroute: true,
-                        ..RouteUpdate::default()
-                    },
-                });
-            }
-        }
-
-        // 2. Global misrouting in the source group.  A direct detour uses the router's
-        //    own global port (ascending ladder); an indirect detour first takes a
-        //    local hop, which is non-productive and therefore follows the same
-        //    opportunistic rule as a local misroute.
-        if global_misroute_eligible(params, group, packet) {
-            let dst_group = params.group_of_node(packet.dst);
-            for ig in sample_intermediate_groups(
-                params,
-                group,
-                dst_group,
-                self.params.global_candidates,
-                rng,
-            ) {
-                let port = params.port_toward_group(view.router, ig);
-                let choice = match port {
-                    Port::Global(_) => {
-                        let vc = ladder_vc_3_2(port, packet);
-                        if view.can_claim(port, vc as usize, packet)
-                            && self.trigger.allows(occupancy(view, port, vc), minimal_occ)
-                        {
-                            Some((port, vc))
-                        } else {
-                            None
-                        }
-                    }
-                    Port::Local(p) => {
-                        let k = params.local_neighbor_index(cur_idx, p);
-                        let target = params.router_in_group(group, k);
-                        // The escape from the detour target is the global hop of the
-                        // committed Valiant path.
-                        let mut probe = packet.clone();
-                        probe.route.intermediate_group = Some(ig);
-                        probe.route.reached_intermediate = false;
-                        match Self::best_detour_vc(view, &probe, target) {
-                            Some(vc)
-                                if view.fits_whole_packet(port, vc as usize, packet)
-                                    && self
-                                        .trigger
-                                        .allows(occupancy(view, port, vc), minimal_occ) =>
-                            {
-                                Some((port, vc))
-                            }
-                            _ => None,
-                        }
-                    }
-                    Port::Terminal(_) => None,
-                };
-                if let Some((port, vc)) = choice {
-                    return Some(RouteChoice {
-                        port,
-                        vc,
-                        update: RouteUpdate {
-                            set_intermediate_group: Some(ig),
-                            mark_global_misroute: true,
-                            ..RouteUpdate::default()
-                        },
-                    });
-                }
-            }
-        }
-
-        None
+    /// The escape from the detour target is the global hop of the Valiant path being
+    /// committed to.
+    #[inline]
+    fn indirect_global_vc(
+        &self,
+        view: &RouterView<'_>,
+        packet: &Packet,
+        _cur: usize,
+        to: usize,
+        ig: GroupId,
+    ) -> Option<u8> {
+        Self::best_detour_vc(view, packet, to, Some(ig))
     }
 }
+
+/// The OLM mechanism.
+pub type Olm = InTransit<OlmPolicy>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic::{MinimalRouting, ValiantRouting};
-    use crate::piggyback::Piggybacking;
+    use crate::source_routed::{Piggybacking, ValiantRouting};
     use dragonfly_sim::{SimConfig, Simulation};
-    use dragonfly_traffic::{AdversarialGlobal, AdversarialLocal, MixedGlobalLocal, Uniform};
+    use dragonfly_traffic::{AdversarialGlobal, AdversarialLocal, MixedGlobalLocal};
 
     fn olm_sim(
         config: SimConfig,
@@ -239,68 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn metadata_and_flow_control() {
-        let o = Olm::default();
-        assert_eq!(o.name(), "OLM");
-        assert_eq!(o.required_local_vcs(), 3);
-        assert_eq!(o.required_global_vcs(), 2);
-        assert!(o.supports_flow_control(FlowControl::Vct));
-        assert!(!o.supports_flow_control(FlowControl::Wormhole { flit_size: 10 }));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support")]
-    fn rejects_wormhole() {
-        let _ = Simulation::new(
-            SimConfig::paper_wormhole(2),
-            Box::new(Olm::default()),
-            Box::new(Uniform::new()),
-        );
-    }
-
-    #[test]
     fn ladder_positions_follow_paper_order() {
         // lVC0 < gVC0 < lVC1 < gVC1 < lVC2
-        assert_eq!(Olm::ladder_position(Port::Local(0), 0), 0);
-        assert_eq!(Olm::ladder_position(Port::Global(0), 0), 1);
-        assert_eq!(Olm::ladder_position(Port::Local(0), 1), 2);
-        assert_eq!(Olm::ladder_position(Port::Global(0), 1), 3);
-        assert_eq!(Olm::ladder_position(Port::Local(0), 2), 4);
-    }
-
-    #[test]
-    fn uniform_traffic_vct() {
-        let mut sim = olm_sim(
-            SimConfig::paper_vct(2).with_seed(3),
-            Box::new(Uniform::new()),
-        );
-        let report = sim.run_steady_state(0.3, 2_000, 3_000, 4_000);
-        assert!(!report.deadlock_detected);
-        assert!(
-            (report.accepted_load - 0.3).abs() < 0.06,
-            "{}",
-            report.accepted_load
-        );
-        assert!(report.avg_hops <= 8.0);
-    }
-
-    #[test]
-    fn advg_traffic_beats_minimal() {
-        let adv = || Box::new(AdversarialGlobal::new(1));
-        let run = |routing: Box<dyn dragonfly_sim::RoutingAlgorithm>| {
-            let mut sim = Simulation::new(SimConfig::paper_vct(2).with_seed(19), routing, adv());
-            sim.run_steady_state(0.5, 3_000, 4_000, 2_000)
-        };
-        let minimal = run(Box::new(MinimalRouting::new()));
-        let olm = run(Box::<Olm>::default());
-        assert!(
-            olm.accepted_load > minimal.accepted_load * 1.5,
-            "OLM {} vs minimal {}",
-            olm.accepted_load,
-            minimal.accepted_load
-        );
-        assert!(olm.global_misroute_fraction > 0.3);
-        assert!(!olm.deadlock_detected);
+        assert_eq!(OlmPolicy::ladder_position(Port::Local(0), 0), 0);
+        assert_eq!(OlmPolicy::ladder_position(Port::Global(0), 0), 1);
+        assert_eq!(OlmPolicy::ladder_position(Port::Local(0), 1), 2);
+        assert_eq!(OlmPolicy::ladder_position(Port::Global(0), 1), 3);
+        assert_eq!(OlmPolicy::ladder_position(Port::Local(0), 2), 4);
     }
 
     #[test]

@@ -6,211 +6,90 @@
 //! the 2-hop combinations of the parity-sign table (Table I), which makes intra-group
 //! cyclic dependencies impossible by construction.  Because no cycle can ever form,
 //! RLM is safe under both Virtual Cut-Through and Wormhole flow control.
+//!
+//! As a [`MisroutePolicy`] that is the whole difference from PAR-6/2: the 3/2 ladder
+//! instead of 6/2, and a legality check on every local hop that follows another.
 
-use crate::common::{
-    global_misroute_eligible, ladder_vc_3_2, local_detour_targets, local_misroute_eligible,
-    next_productive_port, occupancy, sample_intermediate_groups, AdaptiveParams, InlineVec,
-    MisroutingTrigger, MAX_DETOUR_CANDIDATES,
-};
+use crate::common::local_vc_3_2;
+use crate::in_transit::{InTransit, MisroutePolicy};
 use crate::parity_sign::{LinkClass, ParitySignTable};
-use dragonfly_rng::Rng;
-use dragonfly_sim::{Packet, RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm};
-use dragonfly_topology::Port;
+use dragonfly_sim::{Packet, RouteState, RouterView};
+use dragonfly_topology::GroupId;
 
-/// The RLM mechanism.
-#[derive(Debug, Clone)]
-pub struct Rlm {
-    params: AdaptiveParams,
-    trigger: MisroutingTrigger,
+/// RLM's misroute policy: any local hop pair must be allowed by the parity-sign
+/// table (paper Section III, Table I).
+#[derive(Debug, Clone, Default)]
+pub struct RlmPolicy {
     table: ParitySignTable,
 }
 
-impl Default for Rlm {
-    fn default() -> Self {
-        Self::new(AdaptiveParams::default())
-    }
-}
+impl MisroutePolicy for RlmPolicy {
+    const NAME: &'static str = "RLM";
+    const LOCAL_VCS: usize = 3;
+    const WHOLE_PACKET_DETOURS: bool = false;
 
-impl Rlm {
-    /// Create the mechanism with the given adaptive parameters.
-    pub fn new(params: AdaptiveParams) -> Self {
-        Self {
-            params,
-            trigger: MisroutingTrigger::new(params.threshold),
-            table: ParitySignTable::new(),
-        }
+    #[inline]
+    fn local_vc(route: &RouteState) -> u8 {
+        local_vc_3_2(route)
     }
 
-    /// Create the mechanism with an explicit misrouting threshold (Figure 10/11).
-    pub fn with_threshold(threshold: f64) -> Self {
-        Self::new(AdaptiveParams::with_threshold(threshold))
-    }
-
-    /// The parity-sign table used by this instance.
-    pub fn table(&self) -> &ParitySignTable {
-        &self.table
-    }
-
-    /// Whether a local hop `from_idx → to_idx` is compatible with the packet's
-    /// previous local hop in this group (if any).
-    fn pair_ok(&self, packet: &Packet, from_idx: usize, to_idx: usize) -> bool {
+    /// Both local hops of a group share one VC, so the second must be a combination
+    /// the table allows after the first.
+    #[inline]
+    fn may_follow(&self, packet: &Packet, from: usize, to: usize) -> bool {
         match packet.route.last_local_class {
             None => true,
-            Some(code) => self.table.allowed(
-                LinkClass::from_code(code),
-                LinkClass::of_hop(from_idx, to_idx),
-            ),
+            Some(code) => self
+                .table
+                .allowed(LinkClass::from_code(code), LinkClass::of_hop(from, to)),
         }
     }
-}
 
-impl RoutingAlgorithm for Rlm {
-    fn name(&self) -> &'static str {
-        "RLM"
+    #[inline]
+    fn link_class(from: usize, to: usize) -> Option<u8> {
+        Some(LinkClass::of_hop(from, to).code())
     }
 
-    fn required_local_vcs(&self) -> usize {
-        3
-    }
-
-    fn required_global_vcs(&self) -> usize {
-        2
-    }
-
-    fn route(
+    /// The whole 2-hop detour `cur → k → to` must be an allowed combination, and it
+    /// must also compose with any previous local hop of this group (which cannot
+    /// exist here, but the check is kept for robustness).
+    #[inline]
+    fn local_detour_vc(
         &self,
-        _ctx: &RouteCtx<'_>,
+        _view: &RouterView<'_>,
         packet: &Packet,
-        view: &RouterView<'_>,
-        rng: &mut Rng,
-    ) -> Option<RouteChoice> {
-        let params = view.params;
-        let group = view.group();
-        let cur_idx = params.router_index_in_group(view.router);
+        cur: usize,
+        k: usize,
+        to: usize,
+    ) -> Option<u8> {
+        (self.table.path_allowed(cur, k, to) && self.may_follow(packet, cur, k))
+            .then(|| local_vc_3_2(&packet.route))
+    }
 
-        // Minimal (productive) hop first.
-        let minimal_port = next_productive_port(params, view.router, packet);
-        let minimal_vc = if minimal_port.is_terminal() {
-            0
-        } else {
-            ladder_vc_3_2(minimal_port, packet)
-        };
-        let minimal_pair_ok = match minimal_port {
-            Port::Local(p) => {
-                let to_idx = params.local_neighbor_index(cur_idx, p);
-                self.pair_ok(packet, cur_idx, to_idx)
-            }
-            _ => true,
-        };
-        if minimal_pair_ok && view.can_claim(minimal_port, minimal_vc as usize, packet) {
-            let local_class = match minimal_port {
-                Port::Local(p) => {
-                    let to_idx = params.local_neighbor_index(cur_idx, p);
-                    Some(LinkClass::of_hop(cur_idx, to_idx).code())
-                }
-                _ => None,
-            };
-            return Some(RouteChoice {
-                port: minimal_port,
-                vc: minimal_vc,
-                update: RouteUpdate {
-                    local_link_class: local_class,
-                    ..RouteUpdate::default()
-                },
-            });
-        }
-        if minimal_port.is_terminal() {
-            return None;
-        }
-        let minimal_occ = occupancy(view, minimal_port, minimal_vc);
-
-        // 1. Local misrouting restricted by the parity-sign table.
-        if local_misroute_eligible(params, group, minimal_port, packet) {
-            let to_idx = params.local_neighbor_index(cur_idx, minimal_port.class_index());
-            let mut candidates: InlineVec<(Port, u8, u8), MAX_DETOUR_CANDIDATES> =
-                InlineVec::new((Port::Local(0), 0, 0));
-            for k in local_detour_targets(params, cur_idx, to_idx) {
-                // The whole 2-hop detour (current -> k -> to) must be an allowed
-                // combination, and it must also compose with any previous local hop of
-                // this group (which cannot exist here, but the check is kept for
-                // robustness).
-                if !self.table.path_allowed(cur_idx, k, to_idx) || !self.pair_ok(packet, cur_idx, k)
-                {
-                    continue;
-                }
-                let port = Port::Local(params.local_port_to(cur_idx, k));
-                let vc = ladder_vc_3_2(port, packet);
-                if view.can_claim(port, vc as usize, packet)
-                    && self.trigger.allows(occupancy(view, port, vc), minimal_occ)
-                {
-                    candidates.push((port, vc, LinkClass::of_hop(cur_idx, k).code()));
-                }
-            }
-            if !candidates.is_empty() {
-                let &(port, vc, class) = rng.choose(candidates.as_slice());
-                return Some(RouteChoice {
-                    port,
-                    vc,
-                    update: RouteUpdate {
-                        mark_local_misroute: true,
-                        local_link_class: Some(class),
-                        ..RouteUpdate::default()
-                    },
-                });
-            }
-        }
-
-        // 2. Global misrouting in the source group.  An indirect detour (a local hop
-        // to the router owning the chosen global channel) is itself a local hop of
-        // this group and must respect the parity-sign restriction too.
-        if global_misroute_eligible(params, group, packet) {
-            let dst_group = params.group_of_node(packet.dst);
-            for ig in sample_intermediate_groups(
-                params,
-                group,
-                dst_group,
-                self.params.global_candidates,
-                rng,
-            ) {
-                let port = params.port_toward_group(view.router, ig);
-                let class = match port {
-                    Port::Local(p) => {
-                        let to_idx = params.local_neighbor_index(cur_idx, p);
-                        if !self.pair_ok(packet, cur_idx, to_idx) {
-                            continue;
-                        }
-                        Some(LinkClass::of_hop(cur_idx, to_idx).code())
-                    }
-                    _ => None,
-                };
-                let vc = ladder_vc_3_2(port, packet);
-                if view.can_claim(port, vc as usize, packet)
-                    && self.trigger.allows(occupancy(view, port, vc), minimal_occ)
-                {
-                    return Some(RouteChoice {
-                        port,
-                        vc,
-                        update: RouteUpdate {
-                            set_intermediate_group: Some(ig),
-                            mark_global_misroute: true,
-                            local_link_class: class,
-                            ..RouteUpdate::default()
-                        },
-                    });
-                }
-            }
-        }
-
-        None
+    /// The local hop of an indirect global detour is itself a local hop of this group
+    /// and must respect the restriction too.
+    #[inline]
+    fn indirect_global_vc(
+        &self,
+        _view: &RouterView<'_>,
+        packet: &Packet,
+        cur: usize,
+        to: usize,
+        _ig: GroupId,
+    ) -> Option<u8> {
+        self.may_follow(packet, cur, to)
+            .then(|| local_vc_3_2(&packet.route))
     }
 }
+
+/// The RLM mechanism.
+pub type Rlm = InTransit<RlmPolicy>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic::{MinimalRouting, ValiantRouting};
-    use crate::piggyback::Piggybacking;
-    use dragonfly_sim::{FlowControl, SimConfig, Simulation};
+    use crate::source_routed::{Piggybacking, ValiantRouting};
+    use dragonfly_sim::{SimConfig, Simulation};
     use dragonfly_traffic::{AdversarialGlobal, AdversarialLocal, Uniform};
 
     fn rlm_sim(
@@ -221,19 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn metadata_uses_baseline_vcs() {
-        let r = Rlm::default();
-        assert_eq!(r.name(), "RLM");
-        assert_eq!(r.required_local_vcs(), 3);
-        assert_eq!(r.required_global_vcs(), 2);
-        assert!(r.supports_flow_control(FlowControl::Vct));
-        assert!(r.supports_flow_control(FlowControl::Wormhole { flit_size: 10 }));
-        assert_eq!(r.table().rows().len(), 16);
-    }
-
-    #[test]
     fn pair_check_uses_previous_class() {
-        let r = Rlm::default();
+        let r = RlmPolicy::default();
+        assert_eq!(r.table.rows().len(), 16);
         let mut p = dragonfly_sim::Packet::new(
             dragonfly_sim::PacketId(0),
             dragonfly_topology::NodeId(0),
@@ -241,50 +110,16 @@ mod tests {
             8,
             0,
         );
-        assert!(r.pair_ok(&p, 5, 1));
+        assert!(r.may_follow(&p, 5, 1));
         // Previous hop even- (e.g. 7 -> 5); next hop 5 -> 0 is odd-, which Table I
         // forbids after even-.
         p.route.last_local_class = Some(LinkClass::of_hop(7, 5).code());
-        assert!(!r.pair_ok(&p, 5, 0));
+        assert!(!r.may_follow(&p, 5, 0));
         // 5 -> 2 is odd-, still forbidden; 5 -> 7 is even+, also forbidden after even-;
         // 5 -> 3 is even-, allowed (same class).
-        assert!(!r.pair_ok(&p, 5, 2));
-        assert!(!r.pair_ok(&p, 5, 7));
-        assert!(r.pair_ok(&p, 5, 3));
-    }
-
-    #[test]
-    fn uniform_traffic_vct() {
-        let mut sim = rlm_sim(
-            SimConfig::paper_vct(2).with_seed(3),
-            Box::new(Uniform::new()),
-        );
-        let report = sim.run_steady_state(0.3, 2_000, 3_000, 4_000);
-        assert!(!report.deadlock_detected);
-        assert!(
-            (report.accepted_load - 0.3).abs() < 0.06,
-            "{}",
-            report.accepted_load
-        );
-    }
-
-    #[test]
-    fn advg_traffic_beats_minimal_and_pb() {
-        let adv = || Box::new(AdversarialGlobal::new(1));
-        let run = |routing: Box<dyn dragonfly_sim::RoutingAlgorithm>| {
-            let mut sim = Simulation::new(SimConfig::paper_vct(2).with_seed(17), routing, adv());
-            sim.run_steady_state(0.5, 3_000, 4_000, 2_000)
-        };
-        let minimal = run(Box::new(MinimalRouting::new()));
-        let rlm = run(Box::<Rlm>::default());
-        assert!(
-            rlm.accepted_load > minimal.accepted_load * 1.5,
-            "RLM {} vs minimal {}",
-            rlm.accepted_load,
-            minimal.accepted_load
-        );
-        assert!(rlm.global_misroute_fraction > 0.3);
-        assert!(!rlm.deadlock_detected);
+        assert!(!r.may_follow(&p, 5, 2));
+        assert!(!r.may_follow(&p, 5, 7));
+        assert!(r.may_follow(&p, 5, 3));
     }
 
     #[test]

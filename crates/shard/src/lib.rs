@@ -374,7 +374,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
         let slot = &c.slots[self.id];
         slot.activity.store(activity, Ordering::Relaxed);
         slot.live
-            .store(net.packets.live() > 0 || exported > 0, Ordering::Relaxed);
+            .store(!net.is_drained() || exported > 0, Ordering::Relaxed);
         slot.drained
             .store(net.is_drained() && exported == 0, Ordering::Relaxed);
         slot.generated
@@ -473,8 +473,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
             // stale default from before the first step.
             let slot = &c.slots[self.id];
             slot.drained.store(self.net.is_drained(), Ordering::Relaxed);
-            slot.live
-                .store(self.net.packets.live() > 0, Ordering::Relaxed);
+            slot.live.store(!self.net.is_drained(), Ordering::Relaxed);
             slot.all_complete.store(
                 self.net
                     .schedule()

@@ -162,9 +162,10 @@ impl SimConfig {
     /// terminal nodes.
     ///
     /// The heuristic is 8 packets per owned node (clamped to at least 1024
-    /// slots): in-flight packets are bounded by network buffering plus the
-    /// source queues, and 8/node comfortably covers every steady-state load
-    /// below saturation in the paper's configurations.  Overflowing the
+    /// slots): the arena holds the packets whose head phit has entered the
+    /// network (a source's backlog waits outside it), which the buffers bound,
+    /// and 8/node comfortably covers every steady-state load below saturation
+    /// in the paper's configurations.  Overflowing the
     /// preallocation is *not* an error — the slab grows and counts the event
     /// in [`crate::PacketArena::grows`].
     #[inline]

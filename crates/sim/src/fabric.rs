@@ -35,9 +35,91 @@
 //! sweep reads this one dense array ([`LinkFabric::due`]) and passes over a
 //! link with nothing maturing without touching its metadata words or pools —
 //! a 100-cycle global link carrying one packet is due in ~16 of ~116 cycles.
+//!
+//! The pools' entry types ([`PhitInFlight`], [`CreditInFlight`]) and the addressing
+//! of a link's far end ([`LinkEnd`]) are defined here too.
 
-use crate::link::{CreditInFlight, LinkEnd, PhitInFlight};
+use crate::packet::PacketId;
 use crate::ring::RingMeta;
+use dragonfly_topology::NodeId;
+
+/// A phit travelling on a link.
+///
+/// Kept to 16 bytes — every link materializes `latency + 1` of these in the
+/// fabric's shared phit pool, and an h = 8 network has ~64 k links.  Arrival
+/// cycles are stored as `u32` (runs beyond `u32::MAX` cycles are unsupported
+/// and debug-asserted at launch) and the head/tail markers share one flags
+/// byte behind accessors.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PhitInFlight {
+    /// The packet it belongs to.
+    pub packet: PacketId,
+    /// Cycle at which the phit reaches the far end.
+    pub arrive: u32,
+    /// Size of the packet in phits (needed to open the downstream slot).
+    pub size: u16,
+    /// Virtual channel it will be stored in at the far end.
+    pub vc: u8,
+    flags: u8,
+}
+
+const PHIT_HEAD: u8 = 1;
+const PHIT_TAIL: u8 = 2;
+
+impl PhitInFlight {
+    /// A phit of `packet` bound for `vc`, with a zero arrival stamp (filled
+    /// in by [`LinkFabric::send_phit`]).
+    #[inline]
+    pub fn new(packet: PacketId, vc: u8, is_head: bool, is_tail: bool, size: u16) -> Self {
+        Self {
+            packet,
+            arrive: 0,
+            size,
+            vc,
+            flags: ((is_head as u8) * PHIT_HEAD) | ((is_tail as u8) * PHIT_TAIL),
+        }
+    }
+
+    /// First phit of the packet.
+    #[inline]
+    pub fn is_head(&self) -> bool {
+        self.flags & PHIT_HEAD != 0
+    }
+
+    /// Last phit of the packet.
+    #[inline]
+    pub fn is_tail(&self) -> bool {
+        self.flags & PHIT_TAIL != 0
+    }
+}
+
+/// A credit travelling back to the transmitter of a link.
+///
+/// 8 bytes, for the same footprint reason as [`PhitInFlight`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CreditInFlight {
+    /// Cycle at which the credit reaches the transmitter.
+    pub arrive: u32,
+    /// Virtual channel the credit belongs to.
+    pub vc: u8,
+}
+
+/// The far end of a link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkEnd {
+    /// Another router: `(router index, flat input port)`.
+    Router {
+        /// Destination router index.
+        router: usize,
+        /// Flat input port at the destination router.
+        port: usize,
+    },
+    /// A terminal node (ejection).
+    Node {
+        /// The consuming node.
+        node: NodeId,
+    },
+}
 
 /// Construction-time description of one link.
 #[derive(Debug, Clone, Copy)]
@@ -375,8 +457,24 @@ impl LinkFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketId;
-    use dragonfly_topology::NodeId;
+
+    #[test]
+    fn pipeline_entries_stay_compact() {
+        // ~64k links at h = 8 each materialize latency+1 of these in the
+        // fabric pools; the footprint argument in the docs relies on these.
+        assert_eq!(std::mem::size_of::<PhitInFlight>(), 16);
+        assert_eq!(std::mem::size_of::<CreditInFlight>(), 8);
+    }
+
+    #[test]
+    fn phit_flags_roundtrip() {
+        let p = PhitInFlight::new(PacketId(9), 2, true, false, 8);
+        assert!(p.is_head() && !p.is_tail());
+        let t = PhitInFlight::new(PacketId(9), 2, false, true, 8);
+        assert!(!t.is_head() && t.is_tail());
+        let single = PhitInFlight::new(PacketId(9), 2, true, true, 1);
+        assert!(single.is_head() && single.is_tail());
+    }
 
     fn phit(packet: u32) -> PhitInFlight {
         PhitInFlight::new(PacketId(packet as u64), 0, true, false, 8)

@@ -6,8 +6,8 @@
 //!
 //! * routers are input-buffered with per-port virtual channels ([`router`]),
 //! * links are pipelined and carry one phit per cycle, with credit-based backpressure;
-//!   per-link state lives in the struct-of-arrays [`fabric::LinkFabric`] and the wire
-//!   types in [`link`],
+//!   per-link state and the wire types live in the struct-of-arrays
+//!   [`fabric::LinkFabric`],
 //! * flow control is Virtual Cut-Through or Wormhole ([`config::FlowControl`]),
 //! * routing is pluggable through the [`routing_iface::RoutingAlgorithm`] trait and is
 //!   re-evaluated every cycle (on-the-fly adaptivity),
@@ -36,7 +36,6 @@ pub mod buffer;
 pub mod config;
 pub mod engine;
 pub mod fabric;
-pub mod link;
 pub mod network;
 pub mod packet;
 pub mod protocol;
@@ -49,8 +48,7 @@ pub use active_set::ActiveSet;
 pub use buffer::{PacketSlot, VcBuffer};
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
-pub use fabric::{LinkFabric, LinkSpec};
-pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
+pub use fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 pub use network::{GlobalStatusBoard, Network};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};

@@ -2,8 +2,7 @@
 
 use crate::active_set::ActiveSet;
 use crate::config::SimConfig;
-use crate::fabric::{LinkFabric, LinkSpec};
-use crate::link::{CreditInFlight, LinkEnd, PhitInFlight};
+use crate::fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 use crate::packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 use crate::router::Router;
 use crate::routing_iface::{RouteChoice, RouteCtx, RouterView, RoutingAlgorithm};
@@ -20,11 +19,28 @@ use dragonfly_workload::WorkloadRuntime;
 use std::collections::VecDeque;
 use std::ops::Range;
 
+/// A generated packet that has not started injecting: everything generation
+/// decided about it, in 24 bytes.  A [`Packet`] is five times that, so the
+/// arena slot is taken only when the head phit enters the injection buffer —
+/// the backlog of a saturated source costs a queue entry per packet, and the
+/// arena holds what is in the network, which the buffers bound.
+#[derive(Debug, Clone, Copy)]
+struct Generated {
+    dst: NodeId,
+    gen_cycle: u64,
+    job: u16,
+    phase: u16,
+    measured: bool,
+}
+
 /// Unbounded per-node source queue feeding the router's injection port.
 #[derive(Debug)]
 struct SourceQueue {
-    /// Packets waiting to enter the injection buffer.
-    pending: VecDeque<PacketId>,
+    /// Packets waiting to enter the injection buffer; the front one may be
+    /// part-way in.
+    pending: VecDeque<Generated>,
+    /// Arena slot of the front packet, valid while `head_phits_sent > 0`.
+    head: PacketId,
     /// Phits of the head packet already pushed into the injection buffer.
     head_phits_sent: u16,
 }
@@ -38,6 +54,7 @@ impl SourceQueue {
     fn new() -> Self {
         Self {
             pending: VecDeque::with_capacity(Self::RESERVED),
+            head: PacketId::default(),
             head_phits_sent: 0,
         }
     }
@@ -100,7 +117,7 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     incoming_link: Vec<usize>,
     /// Phits transmitted on each link since construction (indexed like `links`).
     link_phits: Vec<u64>,
-    /// Per-node source queues, filled through [`Network::enqueue`] only (which
+    /// Per-node source queues, filled through `push_generated` only (which
     /// keeps `pending_sources` in step).
     sources: Vec<SourceQueue>,
     /// Packet arena.
@@ -430,25 +447,35 @@ impl<R: RoutingAlgorithm> Network<R> {
                     &mut self.rngs[router],
                 );
                 debug_assert_ne!(dst, src);
-                let id = self
-                    .packets
-                    .alloc(src, dst, self.config.packet_size as u16, self.cycle);
-                self.packets.get_mut(id).measured = true;
-                self.enqueue(src, id);
+                self.enqueue(src, dst, true);
                 self.stats
                     .record_generated(self.config.packet_size, self.cycle);
             }
         }
     }
 
-    /// Append packet `id` (allocated in [`Network::packets`]) to `node`'s source
-    /// queue: from the next injection phase on it is fed into the router's
-    /// injection buffer, one phit per cycle, behind whatever is already queued.
-    /// The way in for hand-built packets; generation and burst preloading go
+    /// Queue an untagged packet from `src` to `dst`, generated this cycle, at
+    /// `src`'s source: from the next injection phase on it is fed into the
+    /// router's injection buffer, one phit per cycle, behind whatever is already
+    /// queued.  The way in for hand-built packets; burst preloading goes
     /// through it too.
-    pub fn enqueue(&mut self, node: NodeId, id: PacketId) {
-        self.sources[node.index()].pending.push_back(id);
-        self.pending_sources.insert(node.index());
+    pub fn enqueue(&mut self, src: NodeId, dst: NodeId, measured: bool) {
+        self.push_generated(
+            src,
+            Generated {
+                dst,
+                gen_cycle: self.cycle,
+                job: UNTAGGED,
+                phase: UNTAGGED,
+                measured,
+            },
+        );
+    }
+
+    /// The one way into a source queue.
+    fn push_generated(&mut self, src: NodeId, packet: Generated) {
+        self.sources[src.index()].pending.push_back(packet);
+        self.pending_sources.insert(src.index());
     }
 
     /// True when no packet exists anywhere in the network.
@@ -519,7 +546,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// The sequential tail of a cycle: watchdog, occupancy peaks, cycle count.
     #[inline]
     fn close_cycle(&mut self, activity: bool) {
-        let live = self.packets.live() > 0;
+        let live = !self.is_drained();
         self.apply_watchdog(activity, live);
         self.stats
             .note_cycle_peaks(self.stats.in_flight(), self.buffered_total);
@@ -585,7 +612,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Advance the deadlock watchdog with run-wide knowledge: whether the cycle
     /// made progress *anywhere* (what [`Network::step_phases`] returns) and
     /// whether *any* packet is live anywhere.  A sequential run passes its own
-    /// activity and `packets.live() > 0`; a sharded run passes the OR over all
+    /// activity and `!is_drained()`; a sharded run passes the OR over all
     /// shards — every in-flight phit or credit sits in exactly one shard's
     /// link copy, so the OR is the sequential value and every shard reaches
     /// the same verdict at the same cycle.
@@ -879,7 +906,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Create the packet a successful trial at `src` stands for: draw its
-    /// destination, allocate and tag it, queue it at the source.
+    /// destination, tag it, queue it at the source.
     fn spawn(
         &mut self,
         cycle: u64,
@@ -897,14 +924,16 @@ impl<R: RoutingAlgorithm> Network<R> {
             self.traffic.destination_at(cycle, src, &self.params, rng)
         };
         debug_assert_ne!(dst, src);
-        let id = self
-            .packets
-            .alloc(src, dst, self.config.packet_size as u16, cycle);
-        let packet = self.packets.get_mut(id);
-        packet.measured = self.tag_measured;
-        packet.job = job;
-        packet.phase = phase;
-        self.enqueue(src, id);
+        self.push_generated(
+            src,
+            Generated {
+                dst,
+                gen_cycle: cycle,
+                job,
+                phase,
+                measured: self.tag_measured,
+            },
+        );
         self.stats
             .record_generated_tagged(self.config.packet_size, cycle, job, phase);
         // Probe: generation happens at owned nodes only, so in a sharded run
@@ -934,6 +963,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     fn feed_sources(&mut self, cycle: u64) -> bool {
         let per_router = self.params.nodes_per_router();
         let h = self.params.h();
+        let size = self.config.packet_size as u16;
         let mut activity = false;
         let mut cursor = 0;
         while let Some(n) = self.pending_sources.next_at_or_after(cursor) {
@@ -944,19 +974,25 @@ impl<R: RoutingAlgorithm> Network<R> {
                 continue;
             }
             let source = &mut self.sources[n];
-            let head = *source
-                .pending
-                .front()
-                .expect("a pending source has a queued packet");
-            let packet = self.packets.get_mut(head);
             let is_head = source.head_phits_sent == 0;
             if is_head {
+                let generated = *source
+                    .pending
+                    .front()
+                    .expect("a pending source has a queued packet");
+                source.head =
+                    self.packets
+                        .alloc(NodeId(n as u32), generated.dst, size, generated.gen_cycle);
+                let packet = self.packets.get_mut(source.head);
+                packet.measured = generated.measured;
+                packet.job = generated.job;
+                packet.phase = generated.phase;
                 packet.inject_cycle = cycle;
                 // Delay stamp 1: time spent queued at the source NIC before the
                 // head phit enters the injection buffer.
-                packet.delay.injection_queue = cycle - packet.gen_cycle;
+                packet.delay.injection_queue = cycle - generated.gen_cycle;
             }
-            let size = packet.size;
+            let head = source.head;
             let Router {
                 inputs, slot_pool, ..
             } = &mut self.routers[router];
@@ -1770,10 +1806,8 @@ mod tests {
         // Send one packet from node 0 to a node in another group.
         let src = NodeId(0);
         let dst = NodeId((net.params.num_nodes() - 1) as u32);
-        let id = net.packets.alloc(src, dst, 8, 0);
-        net.packets.get_mut(id).measured = true;
         net.stats.begin_measurement(0);
-        net.enqueue(NodeId(0), id);
+        net.enqueue(src, dst, true);
         net.stats.record_generated(8, 0);
         net.run(1_000);
         assert!(net.is_drained(), "packet should be delivered");
@@ -1795,10 +1829,8 @@ mod tests {
     fn same_router_packet_needs_no_network_hop() {
         let mut net = tiny_network();
         // Nodes 0 and 1 share router 0 when h = 2.
-        let id = net.packets.alloc(NodeId(0), NodeId(1), 8, 0);
-        net.packets.get_mut(id).measured = true;
         net.stats.begin_measurement(0);
-        net.enqueue(NodeId(0), id);
+        net.enqueue(NodeId(0), NodeId(1), true);
         net.stats.record_generated(8, 0);
         net.run(200);
         assert!(net.is_drained());

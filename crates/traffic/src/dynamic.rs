@@ -112,14 +112,14 @@ impl DynamicSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeShift;
+    use crate::Shift;
 
     fn params() -> DragonflyParams {
         DragonflyParams::new(2)
     }
 
     fn shift(offset: usize) -> BoxedPattern {
-        Box::new(NodeShift::new(offset))
+        Box::new(Shift(offset))
     }
 
     #[test]

@@ -18,13 +18,11 @@
 mod dynamic;
 mod injection;
 mod patterns;
-mod patterns_extra;
 mod workload_adapter;
 
 pub use dynamic::DynamicSlots;
 pub use injection::{BernoulliInjection, BurstSpec};
-pub use patterns::{AdversarialGlobal, AdversarialLocal, MixedGlobalLocal, Permutation, Uniform};
-pub use patterns_extra::{BitComplement, Hotspot, NodeShift};
+pub use patterns::{AdversarialGlobal, AdversarialLocal, MixedGlobalLocal, Uniform};
 pub use workload_adapter::{WorkloadPattern, UNASSIGNED_SLOT};
 
 use dragonfly_rng::Rng;
@@ -62,6 +60,21 @@ pub trait TrafficPattern: Send {
 
 /// Boxed pattern alias used throughout the workspace.
 pub type BoxedPattern = Box<dyn TrafficPattern>;
+
+/// Deterministic test double: node `i` sends to node `i + offset`.
+#[cfg(test)]
+pub(crate) struct Shift(pub usize);
+
+#[cfg(test)]
+impl TrafficPattern for Shift {
+    fn name(&self) -> String {
+        format!("SHIFT+{}", self.0)
+    }
+
+    fn destination(&self, src: NodeId, params: &DragonflyParams, _rng: &mut Rng) -> NodeId {
+        NodeId(((src.index() + self.0) % params.num_nodes()) as u32)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -165,49 +165,6 @@ impl TrafficPattern for MixedGlobalLocal {
     }
 }
 
-/// A fixed node permutation: node `i` always sends to `perm[i]`.
-///
-/// Not used by the paper's figures but handy for regression tests and for users who
-/// want to replay application-derived communication patterns.
-#[derive(Debug, Clone)]
-pub struct Permutation {
-    perm: Vec<u32>,
-}
-
-impl Permutation {
-    /// Build from an explicit permutation vector. `perm[i]` must be a valid node and
-    /// must differ from `i`.
-    pub fn new(perm: Vec<u32>) -> Self {
-        for (i, &d) in perm.iter().enumerate() {
-            assert_ne!(i as u32, d, "permutation maps node {i} to itself");
-        }
-        Self { perm }
-    }
-
-    /// A random derangement-ish permutation (random shuffle re-rolled until no fixed
-    /// points remain) over `n` nodes.
-    pub fn random(n: usize, rng: &mut Rng) -> Self {
-        assert!(n >= 2);
-        loop {
-            let mut v: Vec<u32> = (0..n as u32).collect();
-            rng.shuffle(&mut v);
-            if v.iter().enumerate().all(|(i, &d)| i as u32 != d) {
-                return Self { perm: v };
-            }
-        }
-    }
-}
-
-impl TrafficPattern for Permutation {
-    fn name(&self) -> String {
-        "PERM".to_string()
-    }
-
-    fn destination(&self, src: NodeId, _params: &DragonflyParams, _rng: &mut Rng) -> NodeId {
-        NodeId(self.perm[src.index()])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,26 +324,6 @@ mod tests {
         let m = MixedGlobalLocal::new(0.25, 8, 1);
         assert_eq!(m.name(), "MIX25%(ADVG+8/ADVL+1)");
         assert!((m.global_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn permutation_is_deterministic_and_fixed_point_free() {
-        let p = DragonflyParams::new(2);
-        let mut rng = Rng::seed_from(19);
-        let perm = Permutation::random(p.num_nodes(), &mut rng);
-        for i in 0..p.num_nodes() {
-            let src = NodeId(i as u32);
-            let d1 = perm.destination(src, &p, &mut rng);
-            let d2 = perm.destination(src, &p, &mut rng);
-            assert_eq!(d1, d2);
-            assert_ne!(d1, src);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "maps node")]
-    fn permutation_rejects_fixed_points() {
-        Permutation::new(vec![0, 2, 1]);
     }
 
     #[test]

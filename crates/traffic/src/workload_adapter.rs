@@ -128,14 +128,14 @@ impl TrafficPattern for WorkloadPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdversarialGlobal, NodeShift};
+    use crate::{AdversarialGlobal, Shift};
 
     fn params() -> DragonflyParams {
         DragonflyParams::new(2)
     }
 
     fn shift(offset: usize) -> BoxedPattern {
-        Box::new(NodeShift::new(offset))
+        Box::new(Shift(offset))
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * the balanced maximum-size Dragonfly topology ([`topology`]),
 //! * a cycle-accurate phit-level network simulator with Virtual Cut-Through and
 //!   Wormhole flow control ([`sim`]),
-//! * the six routing mechanisms evaluated in the paper — Minimal, Valiant,
-//!   Piggybacking, PAR-6/2, Restricted Local Misrouting (RLM) and Opportunistic Local
-//!   Misrouting (OLM) ([`routing`]),
+//! * the seven routing mechanisms evaluated in the paper — Minimal, Valiant,
+//!   Piggybacking, PAR, PAR-6/2, Restricted Local Misrouting (RLM) and Opportunistic
+//!   Local Misrouting (OLM) ([`routing`]),
 //! * the synthetic traffic patterns of the evaluation ([`traffic`]),
 //! * and a high-level experiment harness that regenerates every figure and table of
 //!   the paper ([`core`]).

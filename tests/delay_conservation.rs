@@ -176,10 +176,8 @@ fn hand_built_packet_decomposition_is_pinned() {
     net.install_probes(delay_probes());
     let src = NodeId(0);
     let dst = NodeId((net.params().num_nodes() - 1) as u32);
-    let id = net.packets.alloc(src, dst, 8, 0);
-    net.packets.get_mut(id).measured = true;
     net.stats.begin_measurement(0);
-    net.enqueue(NodeId(0), id);
+    net.enqueue(src, dst, true);
     net.stats.record_generated(8, 0);
     net.run(1_000);
     assert!(net.is_drained(), "packet should be delivered");

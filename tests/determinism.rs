@@ -91,8 +91,7 @@ fn watchdog_verdict_is_pinned() {
     // link (latency ≫ the tiny threshold).
     fn enqueue_one<R: RoutingAlgorithm>(net: &mut Network<R>) {
         let dst = NodeId((net.params().num_nodes() - 1) as u32);
-        let id = net.packets.alloc(NodeId(0), dst, 8, 0);
-        net.enqueue(NodeId(0), id);
+        net.enqueue(NodeId(0), dst, false);
         net.stats.record_generated(8, 0);
     }
     // Step until the watchdog fires; the cycle it fired in, if it did.
