@@ -13,9 +13,9 @@
 //!
 //! # How a sharded cycle works
 //!
-//! Each shard owns a contiguous range of groups inside a full
-//! [`Network`] replica (buffers outside the owned range stay empty, so the
-//! replicas are cheap) and runs on its own scoped thread:
+//! Each shard owns a contiguous range of groups, holds the [`Network`] built
+//! for exactly those routers (see *What a shard allocates* below) and runs on
+//! its own scoped thread:
 //!
 //! 1. **Compute** — run the sequential engine's five phases
 //!    ([`Network::advance_hooks`] + [`Network::step_phases`]) over the owned
@@ -59,21 +59,39 @@
 //!
 //! `tests/shard_equivalence.rs` pins sharded ≡ sequential byte-identity for
 //! every routing mechanism × flow control combination and across shard counts.
+//!
+//! # What a shard allocates
+//!
+//! Ids are global on every shard and every id-indexed array has its full
+//! length; the storage behind the ids is sized by ownership
+//! ([`Network::with_owned_routers`]):
+//!
+//! | | state |
+//! |---|---|
+//! | partitioned (the shards' sum is the sequential network's) | router slot pools and per-port vectors, link rings, the packet arena, source-queue reservations |
+//! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit per VC on the receiving one — it is exported at the same cycle's barrier.  The ring it *imports* into is held in full by the importing shard alone |
+//! | full length on every shard | per-link and per-router metadata arrays, RNG streams, the `StatsCollector` and the probe recorder (the known remaining per-shard full-size state) |
+//!
+//! The shard layer's own state is sized at construction too — the packet-id
+//! translation table (one entry per receive-side boundary link and VC), the
+//! mailbox batches (one phit per boundary link, one credit per VC of it, one
+//! delivery per owned node) — so the sharded cycle loop allocates nothing,
+//! like the sequential one (`tests/zero_alloc.rs` pins both).
+//! `tests/shard_memory.rs` pins the partition in bytes.
 
 #![warn(missing_docs)]
 
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_sim::{
-    protocol, CreditInFlight, Engine, EngineHost, LinkEnd, Network, Packet, PacketId, PhitInFlight,
+    protocol, CreditInFlight, Engine, EngineHost, Network, Packet, PacketId, PhitInFlight,
     RoutingAlgorithm, SimConfig, StatsCollector,
 };
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
-use dragonfly_topology::DragonflyParams;
+use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
 use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
 use dragonfly_workload::WorkloadSpec;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -114,13 +132,15 @@ impl ShardPlan {
 }
 
 /// One boundary message batch between an ordered pair of shards, exchanged at
-/// the per-cycle barrier.
-#[derive(Default)]
+/// the per-cycle barrier.  Every vector is reserved at what one cycle can put
+/// in it ([`Shard::batch_to`]), so filling it never allocates.
 struct BoundaryBatch {
-    /// Phits crossing a boundary link: `(flat link index, phit, full packet
-    /// state when the phit is the head)`.  Arrival stamps are absolute cycles.
+    /// Phits crossing a boundary link: `(the link's slot in the receiver's
+    /// `rx_links`, phit, full packet state when the phit is the head)`.
+    /// Arrival stamps are absolute cycles.
     phits: Vec<(u32, PhitInFlight, Option<Packet>)>,
-    /// Credits returning to the transmitting shard of a boundary link.
+    /// Credits returning to the transmitting shard of a boundary link:
+    /// `(flat link index, credit)`.
     credits: Vec<(u32, CreditInFlight)>,
     /// Job ids of packets delivered on the sending shard this cycle (volume
     /// feedback for every schedule replica).
@@ -190,19 +210,20 @@ struct Conductor {
 }
 
 impl Conductor {
-    fn new(shards: usize) -> Self {
+    fn new<R: RoutingAlgorithm>(shards: &[Shard<R>]) -> Self {
         Self {
-            outer: Barrier::new(shards + 1),
-            inner: Barrier::new(shards),
+            outer: Barrier::new(shards.len() + 1),
+            inner: Barrier::new(shards.len()),
             cmd: Mutex::new(Cmd::Step),
-            mail: (0..shards)
-                .map(|_| {
-                    (0..shards)
-                        .map(|_| Mutex::new(BoundaryBatch::default()))
+            mail: shards
+                .iter()
+                .map(|from| {
+                    (0..shards.len())
+                        .map(|to| Mutex::new(from.batch_to(to)))
                         .collect()
                 })
                 .collect(),
-            slots: (0..shards).map(|_| ShardSlot::default()).collect(),
+            slots: shards.iter().map(|_| ShardSlot::default()).collect(),
         }
     }
 }
@@ -297,19 +318,34 @@ impl Engine for Driver {
     }
 }
 
-/// One partition of the simulation: a full network replica plus its boundary
-/// wiring.
+/// A boundary link a shard transmits on.
+struct TxLink {
+    /// Flat link index.
+    link: usize,
+    /// The shard owning the receiving router.
+    peer: usize,
+    /// The link's position in the peer's `rx_links` (how its phits are
+    /// addressed on the wire).
+    peer_slot: u32,
+}
+
+/// One partition of the simulation: the network of its own router range
+/// ([`Network::with_owned_routers`]) plus its boundary wiring.
 struct Shard<R: RoutingAlgorithm> {
     id: usize,
     net: Network<R>,
-    /// Boundary links this shard transmits on: `(flat link index, receiver)`.
-    tx_links: Vec<(usize, usize)>,
+    /// Boundary links this shard transmits on.
+    tx_links: Vec<TxLink>,
     /// Boundary links this shard receives on: `(flat link index, transmitter)`.
     rx_links: Vec<(usize, usize)>,
-    /// In-transit packet-id translation: `(flat link, vc)` → local arena id,
-    /// installed at head import and removed at tail import.
-    xlat: HashMap<(u32, u8), PacketId>,
-    /// Reused export scratch buffers.
+    /// VCs of a boundary (global) link.
+    vcs: usize,
+    /// In-transit packet-id translation, `rx_links` slot × `vcs` + VC → local
+    /// arena id: installed at head import, cleared at tail import (phits of
+    /// different packets never interleave within one VC of a link).
+    xlat: Vec<Option<PacketId>>,
+    /// Reused export scratch buffers, reserved at what one link yields per
+    /// cycle (one phit, one credit per VC).
     phit_buf: Vec<PhitInFlight>,
     credit_buf: Vec<CreditInFlight>,
     /// Wall-clock nanoseconds this shard spent waiting at the inner
@@ -319,6 +355,20 @@ struct Shard<R: RoutingAlgorithm> {
 }
 
 impl<R: RoutingAlgorithm> Shard<R> {
+    /// An empty mailbox batch for this shard's traffic to shard `to`, reserved
+    /// at the most one cycle can produce: a phit per link transmitted towards
+    /// `to`, a credit per VC of every link received from it, a delivery per
+    /// owned node.
+    fn batch_to(&self, to: usize) -> BoundaryBatch {
+        let links_out = self.tx_links.iter().filter(|tx| tx.peer == to).count();
+        let links_back = self.rx_links.iter().filter(|&&(_, tx)| tx == to).count();
+        BoundaryBatch {
+            phits: Vec::with_capacity(links_out),
+            credits: Vec::with_capacity(links_back * self.vcs),
+            deliveries: Vec::with_capacity(self.net.owned_nodes().len()),
+        }
+    }
+
     /// One full simulation cycle of this shard (see the module docs).
     fn step(&mut self, c: &Conductor) {
         let shards = c.slots.len();
@@ -328,12 +378,12 @@ impl<R: RoutingAlgorithm> Shard<R> {
 
         // Export: boundary phits (with packet payloads on heads) and credits.
         let mut exported = 0usize;
-        for &(li, dst) in &self.tx_links {
-            net.take_link_phits(li, &mut self.phit_buf);
+        for tx in &self.tx_links {
+            net.take_link_phits(tx.link, &mut self.phit_buf);
             if self.phit_buf.is_empty() {
                 continue;
             }
-            let mut batch = c.mail[self.id][dst].lock().unwrap();
+            let mut batch = c.mail[self.id][tx.peer].lock().unwrap();
             for phit in self.phit_buf.drain(..) {
                 exported += 1;
                 let payload = phit.is_head().then(|| net.export_packet(phit.packet));
@@ -342,7 +392,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
                     // import on; nothing on this shard references it any more.
                     net.release_exported_packet(phit.packet);
                 }
-                batch.phits.push((li as u32, phit, payload));
+                batch.phits.push((tx.peer_slot, phit, payload));
             }
         }
         for &(li, src) in &self.rx_links {
@@ -355,7 +405,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 batch.credits.push((li as u32, credit));
             }
         }
-        let deliveries = net.take_sched_deliveries();
+        let deliveries = net.sched_deliveries();
         if !deliveries.is_empty() {
             for dst in 0..shards {
                 if dst != self.id {
@@ -363,9 +413,10 @@ impl<R: RoutingAlgorithm> Shard<R> {
                         .lock()
                         .unwrap()
                         .deliveries
-                        .extend_from_slice(&deliveries);
+                        .extend_from_slice(deliveries);
                 }
             }
+            net.clear_sched_deliveries();
         }
 
         // Publish this shard's flags for the global views below.  A packet
@@ -399,24 +450,17 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 continue;
             }
             let mut batch = c.mail[src][self.id].lock().unwrap();
-            for (li, mut phit, payload) in batch.phits.drain(..) {
-                let key = (li, phit.vc);
-                let local = match payload {
-                    Some(packet) => {
-                        let id = net.adopt_packet(&packet);
-                        self.xlat.insert(key, id);
-                        id
-                    }
-                    None => *self
-                        .xlat
-                        .get(&key)
-                        .expect("boundary body phit without a translated head"),
-                };
-                if phit.is_tail() {
-                    self.xlat.remove(&key);
+            for (slot, mut phit, payload) in batch.phits.drain(..) {
+                let slot = slot as usize;
+                let local = &mut self.xlat[slot * self.vcs + phit.vc as usize];
+                if let Some(packet) = payload {
+                    *local = Some(net.adopt_packet(&packet));
                 }
-                phit.packet = local;
-                net.import_link_phit(li as usize, phit);
+                phit.packet = local.expect("boundary body phit without a translated head");
+                if phit.is_tail() {
+                    *local = None;
+                }
+                net.import_link_phit(self.rx_links[slot].0, phit);
             }
             for (li, credit) in batch.credits.drain(..) {
                 net.import_link_credit(li as usize, credit);
@@ -505,11 +549,12 @@ pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
 }
 
 impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
-    /// Build a sharded simulation: `plan.shards` full network replicas, each
-    /// owning a contiguous range of groups, wired up through their boundary
-    /// global links.  `traffic` is called once per shard and must produce
-    /// identical pattern instances (it always does for the deterministic
-    /// pattern constructors used throughout the workspace).
+    /// Build a sharded simulation: `plan.shards` networks, each built for
+    /// the routers of its own contiguous range of groups
+    /// ([`Network::with_owned_routers`]) and wired to the others through
+    /// their boundary global links.  `traffic` is called once per shard and
+    /// must produce identical pattern instances (it always does for the
+    /// deterministic pattern constructors used throughout the workspace).
     pub fn new(
         config: SimConfig,
         plan: ShardPlan,
@@ -518,19 +563,43 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     ) -> Self {
         let params = config.params;
         let packet_size = config.packet_size;
-        let group_ranges = plan.group_ranges(&params);
         let rpg = params.routers_per_group();
-        let npr = params.nodes_per_router();
         let ports = params.ports_per_router();
-        let router_ranges: Vec<Range<usize>> = group_ranges
+        let h = params.h();
+        let vcs = config.vcs_for(PortKind::Global);
+        let router_ranges: Vec<Range<usize>> = plan
+            .group_ranges(&params)
             .iter()
             .map(|g| g.start * rpg..g.end * rpg)
             .collect();
-        // Group index → owning shard, for the boundary wiring below.
         let mut shard_of_router = vec![0usize; params.num_routers()];
         for (s, rr) in router_ranges.iter().enumerate() {
-            for r in rr.clone() {
-                shard_of_router[r] = s;
+            shard_of_router[rr.clone()].fill(s);
+        }
+
+        // Boundary wiring, read off the global ports of a shard's own routers
+        // (groups are never split, so no other port leaves a shard): a port
+        // whose neighbour lives in another shard transmits on its own link
+        // and receives on the neighbour's link back.  Yields `(own link, link
+        // back, peer)` in ascending (router, port) order.
+        let boundary_ports = |s: usize| {
+            let shard_of_router = &shard_of_router;
+            router_ranges[s].clone().flat_map(move |r| {
+                (0..h).filter_map(move |g| {
+                    let port = Port::Global(g);
+                    let (nbr, back) = params.neighbor(RouterId(r as u32), port);
+                    let peer = shard_of_router[nbr.index()];
+                    let own = r * ports + port.flat(h);
+                    (peer != s).then(|| (own, nbr.index() * ports + back.flat(h), peer))
+                })
+            })
+        };
+        // A receive link's slot is its position in its shard's list; the
+        // transmitting side addresses phits by it.
+        let mut rx_slot = vec![u32::MAX; params.num_routers() * ports];
+        for s in 0..router_ranges.len() {
+            for (slot, (_, back, _)) in boundary_ports(s).enumerate() {
+                rx_slot[back] = slot as u32;
             }
         }
 
@@ -538,33 +607,31 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
             .iter()
             .enumerate()
             .map(|(id, rr)| {
-                let mut net = Network::with_routing(config.clone(), routing.clone(), traffic());
-                net.set_owned_nodes(rr.start * npr..rr.end * npr);
-                let mut tx_links = Vec::new();
-                let mut rx_links = Vec::new();
-                for li in 0..net.num_links() {
-                    let transmitter = li / ports;
-                    if let LinkEnd::Router { router, .. } = net.link_end(li) {
-                        let tx = shard_of_router[transmitter];
-                        let rx = shard_of_router[router];
-                        if tx == rx {
-                            continue;
-                        }
-                        if tx == id {
-                            tx_links.push((li, rx));
-                        } else if rx == id {
-                            rx_links.push((li, tx));
-                        }
-                    }
-                }
+                let net = Network::with_owned_routers(
+                    config.clone(),
+                    routing.clone(),
+                    traffic(),
+                    rr.clone(),
+                );
+                let (tx_links, rx_links): (Vec<_>, Vec<_>) = boundary_ports(id)
+                    .map(|(own, back, peer)| {
+                        let tx = TxLink {
+                            link: own,
+                            peer,
+                            peer_slot: rx_slot[own],
+                        };
+                        (tx, (back, peer))
+                    })
+                    .unzip();
                 Shard {
                     id,
                     net,
+                    xlat: vec![None; rx_links.len() * vcs],
                     tx_links,
                     rx_links,
-                    xlat: HashMap::new(),
-                    phit_buf: Vec::new(),
-                    credit_buf: Vec::new(),
+                    vcs,
+                    phit_buf: Vec::with_capacity(1),
+                    credit_buf: Vec::with_capacity(vcs),
                     barrier_wait_nanos: 0,
                 }
             })
@@ -615,7 +682,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     /// Spawn one scoped worker thread per shard, hand the protocol loop `f` a
     /// [`Driver`], and tear the workers down when it returns.
     fn with_workers<T>(&mut self, f: impl FnOnce(&mut Driver) -> T) -> T {
-        let conductor = Arc::new(Conductor::new(self.shards.len()));
+        let conductor = Arc::new(Conductor::new(&self.shards));
         let mut driver = Driver {
             c: Arc::clone(&conductor),
             cycle: self.cycle,
@@ -771,7 +838,7 @@ impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dragonfly_sim::{BaselineMinimal, Simulation};
+    use dragonfly_sim::{BaselineMinimal, LinkEnd, Simulation};
     use dragonfly_traffic::Uniform;
 
     fn config(seed: u64) -> SimConfig {
@@ -808,30 +875,58 @@ mod tests {
             });
         let params = DragonflyParams::new(2);
         let ports = params.ports_per_router();
-        let mut tx_total = 0;
-        let mut rx_total = 0;
+        let owns_router = |s: usize, router: usize| {
+            sim.shards[s]
+                .net
+                .owned_nodes()
+                .contains(&(router * params.nodes_per_router()))
+        };
+        // How often each link shows up on either side, over all shards.
+        let mut as_tx = vec![0; sim.network(0).num_links()];
+        let mut as_rx = as_tx.clone();
         for s in 0..sim.shards() {
             let shard = &sim.shards[s];
-            tx_total += shard.tx_links.len();
-            rx_total += shard.rx_links.len();
-            for &(li, peer) in &shard.tx_links {
-                assert_ne!(peer, s);
-                // The transmitting router must be owned by this shard...
-                let tx_router = li / ports;
-                assert!(sim.shards[s]
-                    .net
-                    .owned_nodes()
-                    .contains(&(tx_router * params.nodes_per_router())));
-                // ...and the link must appear in the peer's receive list.
-                assert!(sim.shards[peer]
-                    .rx_links
-                    .iter()
-                    .any(|&(l, p)| l == li && p == s));
+            assert_eq!(shard.tx_links.len(), shard.rx_links.len());
+            for tx in &shard.tx_links {
+                as_tx[tx.link] += 1;
+                assert_ne!(tx.peer, s);
+                assert_eq!(
+                    Port::from_flat(tx.link % ports, params.h()).kind(),
+                    PortKind::Global
+                );
+                // The transmitting router must be owned by this shard, the
+                // receiving one by the peer...
+                assert!(owns_router(s, tx.link / ports));
+                let LinkEnd::Router { router, .. } = shard.net.link_end(tx.link) else {
+                    panic!("boundary link {} ends at a node", tx.link);
+                };
+                assert!(owns_router(tx.peer, router));
+                // ...and the slot the phits are addressed by must be this
+                // link's entry in the peer's receive list.
+                assert_eq!(
+                    sim.shards[tx.peer].rx_links[tx.peer_slot as usize],
+                    (tx.link, s)
+                );
+            }
+            for &(li, _) in &shard.rx_links {
+                as_rx[li] += 1;
             }
         }
-        assert_eq!(tx_total, rx_total);
+        // Every link between routers of different shards appears exactly once
+        // as a transmit link and once as a receive link; no other link does.
+        let mut boundary = 0;
+        for li in 0..as_tx.len() {
+            let crosses = match sim.network(0).link_end(li) {
+                LinkEnd::Router { router, .. } => {
+                    (0..sim.shards()).any(|s| owns_router(s, li / ports) != owns_router(s, router))
+                }
+                LinkEnd::Node { .. } => false,
+            };
+            assert_eq!((as_tx[li], as_rx[li]), (crosses as usize, crosses as usize));
+            boundary += crosses as usize;
+        }
         assert!(
-            tx_total > 0,
+            boundary > 0,
             "3 shards of a 9-group machine must share links"
         );
     }

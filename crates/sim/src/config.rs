@@ -158,10 +158,11 @@ impl SimConfig {
         self
     }
 
-    /// Packet-arena slots to preallocate for an engine owning `nodes`
-    /// terminal nodes.
+    /// Packet-arena slots to preallocate for a machine of `nodes` terminal
+    /// nodes (a network instance owning part of it takes that part's share,
+    /// see `Network::with_owned_routers`).
     ///
-    /// The heuristic is 8 packets per owned node (clamped to at least 1024
+    /// The heuristic is 8 packets per node (clamped to at least 1024
     /// slots): the arena holds the packets whose head phit has entered the
     /// network (a source's backlog waits outside it), which the buffers bound,
     /// and 8/node comfortably covers every steady-state load below saturation

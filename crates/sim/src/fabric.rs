@@ -28,6 +28,10 @@
 //! rate.  Since links of equal class are built identically, consecutive links
 //! have consecutive ring storage, and an index-ordered sweep of the active
 //! set (see [`crate::active_set::ActiveSet`]) walks both pools front to back.
+//! Those are the capacities of a network instance that owns both ends of the
+//! link; one partition of a sharded run keeps a ring in full only when it
+//! owns the end the ring drains at, and the offsets simply skip what it does
+//! not hold (see [`LinkSpec`]).
 //!
 //! Stamps are non-decreasing within a ring, so the earliest event of a link is
 //! the smaller of its two ring fronts.  `next_due` caches exactly that value:
@@ -122,13 +126,19 @@ pub enum LinkEnd {
 }
 
 /// Construction-time description of one link.
+///
+/// The two capacities are what the network instance being built can ever
+/// hold on this link, which depends on which of the link's ends it owns (see
+/// `Network::with_owned_routers`): the full bounds above when it owns the end
+/// a pipeline drains at, one cycle's worth when it only launches into the
+/// pipeline and exports it at the barrier, zero when it owns neither end.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
     /// Latency in cycles.
     pub latency: u64,
     /// Where the link ends.
     pub to: LinkEnd,
-    /// Capacity of the forward phit pipeline (`latency + 1`).
+    /// Capacity of the forward phit pipeline (at most `latency + 1`).
     pub phit_cap: usize,
     /// Capacity of the backward credit pipeline.
     pub credit_cap: usize,
@@ -391,6 +401,21 @@ impl LinkFabric {
         meta.push_back(ring, credit);
         self.credit_meta[li] = meta;
         self.next_due[li] = self.next_due[li].min(credit.arrive);
+    }
+
+    /// Capacities of link `li`'s `(phit, credit)` rings as built.
+    #[inline]
+    pub fn capacities(&self, li: usize) -> (usize, usize) {
+        (
+            self.phit_meta[li].capacity(),
+            self.credit_meta[li].capacity(),
+        )
+    }
+
+    /// Bytes held by the two pipeline pools (capacity × entry size).
+    pub fn pool_bytes(&self) -> usize {
+        self.phit_pool.capacity() * std::mem::size_of::<PhitInFlight>()
+            + self.credit_pool.capacity() * std::mem::size_of::<CreditInFlight>()
     }
 
     /// Number of phits currently in flight on link `li` — one packed-word

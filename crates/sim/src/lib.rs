@@ -49,7 +49,7 @@ pub use buffer::{PacketSlot, VcBuffer};
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
-pub use network::{GlobalStatusBoard, Network};
+pub use network::{GlobalStatusBoard, Network, PoolBytes};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
 pub use ring::RingMeta;

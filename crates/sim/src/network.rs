@@ -51,9 +51,12 @@ impl SourceQueue {
     /// arbitrarily late — a first-push allocation would never be "warmed up".
     const RESERVED: usize = 4;
 
-    fn new() -> Self {
+    /// The queue of a node this network instance injects for (`owned`), or
+    /// the placeholder of one it does not: same place in the node array,
+    /// nothing reserved.
+    fn new(owned: bool) -> Self {
         Self {
-            pending: VecDeque::with_capacity(Self::RESERVED),
+            pending: VecDeque::with_capacity(if owned { Self::RESERVED } else { 0 }),
             head: PacketId::default(),
             head_phits_sent: 0,
         }
@@ -94,6 +97,27 @@ impl GlobalStatusBoard {
     fn set(&mut self, group: usize, channel: usize, value: bool) {
         self.flags[group * self.channels_per_group + channel] = value;
     }
+}
+
+/// What a [`Network`] allocated for its pools, in bytes of capacity
+/// ([`Network::allocated_bytes`]).
+///
+/// Over the shards of a sharded run `slot_pools`, `port_vectors`, `arena` and
+/// `source_queues` sum to exactly the sequential network's values; so does
+/// `fabric_pools`, up to the one-cycle export ring each boundary link keeps on
+/// the side that launches into it (`tests/shard_memory.rs`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolBytes {
+    /// Packet-slot pools of the routers.
+    pub slot_pools: usize,
+    /// The routers' per-port vectors (ports and their VCs, both directions).
+    pub port_vectors: usize,
+    /// The link fabric's phit and credit pools.
+    pub fabric_pools: usize,
+    /// Packet arena slots and free list.
+    pub arena: usize,
+    /// Source-queue reservations.
+    pub source_queues: usize,
 }
 
 /// The simulated network and all of its per-cycle state.
@@ -189,10 +213,12 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// Reused scratch for one link's arrived credits (see `arrivals_phits`).
     arrivals_credits: Vec<CreditInFlight>,
     // --- Sharding support -------------------------------------------------------
-    /// Nodes this network instance generates and injects for.  The full range in
-    /// a sequential run; a shard's owned range when this network is one partition
-    /// of a sharded run (see `dragonfly_shard`).
-    owned_nodes: Range<usize>,
+    /// Routers this network instance owns: it buffers, routes and switches at
+    /// them and generates for their nodes.  Every router in a sequential run; a
+    /// shard's contiguous range when this network is one partition of a sharded
+    /// run (see `dragonfly_shard`).  Fixed at construction, where it sizes
+    /// every pool ([`Network::with_owned_routers`]).
+    owned_routers: Range<usize>,
     /// When present, every job id fed to `ScheduleRuntime::note_delivered` is
     /// also appended here, so a sharded run can broadcast delivery feedback to
     /// the other shards' schedule replicas at the cycle barrier.
@@ -219,6 +245,42 @@ impl Network {
 impl<R: RoutingAlgorithm> Network<R> {
     /// Build an idle network with a statically known routing mechanism.
     pub fn with_routing(config: SimConfig, routing: R, traffic: Box<dyn TrafficPattern>) -> Self {
+        let every_router = 0..config.params.num_routers();
+        Self::with_owned_routers(config, routing, traffic, every_router)
+    }
+
+    /// Build the part of the network that owns the routers in `owned` (and
+    /// their nodes and links): the whole machine for the full range, one
+    /// partition of a sharded run (`dragonfly_shard`) otherwise.
+    ///
+    /// Ownership decides what is *allocated*, never how it is addressed: router,
+    /// node and link ids stay global and every id-indexed array keeps its full
+    /// length, so no phase translates an index.  What shrinks is the storage
+    /// behind the ids —
+    ///
+    /// * an un-owned router is a [`Router::husk`]: no ports, no slot pool;
+    /// * a pipeline is drained where it matures (phits at the receiving end,
+    ///   credits at the transmitting end), and the instance owning that end
+    ///   holds it at its full bound.  An instance owning only the *launching*
+    ///   end exports what it launched at the same cycle's barrier
+    ///   ([`Network::take_link_phits`] / [`Network::take_link_credits`]), so it
+    ///   holds one cycle's worth: one phit, or one credit per VC.  A link with
+    ///   neither end owned holds nothing;
+    /// * source queues reserve their slots, and the arena its share of the
+    ///   machine-wide preallocation, for owned nodes only.
+    ///
+    /// [`Network::check_due_sets`] checks that nothing un-owned is ever
+    /// scheduled; [`Network::allocated_bytes`] reports what was allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `owned` reaches beyond the last router.
+    pub fn with_owned_routers(
+        config: SimConfig,
+        routing: R,
+        traffic: Box<dyn TrafficPattern>,
+        owned: Range<usize>,
+    ) -> Self {
         config.validate();
         assert!(
             config.local_vcs >= routing.required_local_vcs(),
@@ -242,6 +304,11 @@ impl<R: RoutingAlgorithm> Network<R> {
         let params = config.params;
         let ports = params.ports_per_router();
         let num_routers = params.num_routers();
+        let num_nodes = params.num_nodes();
+        assert!(
+            owned.start <= owned.end && owned.end <= num_routers,
+            "owned router range {owned:?} reaches beyond the {num_routers} routers"
+        );
         let ejection_capacity = (config.packet_size * 4).max(config.injection_buffer);
 
         // Downstream capacities per output port are identical for every router.
@@ -258,30 +325,46 @@ impl<R: RoutingAlgorithm> Network<R> {
         let mut specs = Vec::with_capacity(num_routers * ports);
         for r in 0..num_routers {
             let rid = RouterId(r as u32);
-            routers.push(Router::new(rid, &config, &downstream));
+            let tx_owned = owned.contains(&r);
+            routers.push(if tx_owned {
+                Router::new(rid, &config, &downstream)
+            } else {
+                Router::husk(rid)
+            });
             for (flat, &down) in downstream.iter().enumerate() {
                 let port = Port::from_flat(flat, h);
                 let latency = config.latency_for_port(port);
-                let to = match port {
+                let (to, rx_owned) = match port {
                     Port::Local(_) | Port::Global(_) => {
                         let (nbr, back) = params.neighbor(rid, port);
-                        LinkEnd::Router {
+                        let end = LinkEnd::Router {
                             router: nbr.index(),
                             port: back.flat(h),
-                        }
+                        };
+                        (end, owned.contains(&nbr.index()))
                     }
-                    Port::Terminal(t) => LinkEnd::Node {
-                        node: params.node_of_router(rid, t),
-                    },
+                    Port::Terminal(t) => {
+                        let node = params.node_of_router(rid, t);
+                        (LinkEnd::Node { node }, tx_owned)
+                    }
                 };
-                // Fixed pipeline capacities (see `LinkFabric`): at most one
-                // phit is launched per cycle and arrivals drain every cycle,
-                // bounding the forward ring by `latency + 1`; in-flight
-                // credits are bounded both by the downstream buffer space they
-                // stand for and by one credit per downstream VC per cycle.
-                let phit_cap = latency as usize + 1;
+                // Full pipeline bounds (see `LinkFabric`): at most one phit is
+                // launched per cycle and arrivals drain every cycle, bounding
+                // the forward ring by `latency + 1`; in-flight credits are
+                // bounded both by the downstream buffer space they stand for
+                // and by one credit per downstream VC per cycle.
+                let full_phits = latency as usize + 1;
                 let vcs = config.vcs_for(port.kind());
-                let credit_cap = (vcs * down).min(vcs * phit_cap);
+                let full_credits = (vcs * down).min(vcs * full_phits);
+                // Held in full by the owner of the end the pipeline drains at;
+                // for one cycle (one launch per link, one credit per VC) by an
+                // owner of the launching end alone.
+                let (phit_cap, credit_cap) = match (tx_owned, rx_owned) {
+                    (true, true) => (full_phits, full_credits),
+                    (true, false) => (1, full_credits),
+                    (false, true) => (full_phits, vcs),
+                    (false, false) => (0, 0),
+                };
                 specs.push(LinkSpec {
                     latency,
                     to,
@@ -303,8 +386,10 @@ impl<R: RoutingAlgorithm> Network<R> {
         let max_credit_cap = specs.iter().map(|s| s.credit_cap).max().unwrap_or(0);
         let fabric = LinkFabric::build(&specs);
 
-        let sources = (0..params.num_nodes())
-            .map(|_| SourceQueue::new())
+        let per_router = params.nodes_per_router();
+        let owned_nodes = owned.start * per_router..owned.end * per_router;
+        let sources = (0..num_nodes)
+            .map(|n| SourceQueue::new(owned_nodes.contains(&n)))
             .collect();
         let stats = StatsCollector::new(64 * 1024);
         let pb_board = GlobalStatusBoard::new(params.groups(), params.global_channels_per_group());
@@ -315,7 +400,12 @@ impl<R: RoutingAlgorithm> Network<R> {
         let rngs = (0..num_routers)
             .map(|r| Rng::seed_from(derive_seed(config.seed, r as u64)))
             .collect();
-        let arena_prealloc = config.arena_prealloc_for(params.num_nodes());
+        // The owned nodes' share of the machine-wide preallocation, cut at the
+        // same points whatever the partition: the shares of a set of ranges
+        // covering the machine sum to exactly the sequential arena.
+        let arena_total = config.arena_prealloc_for(num_nodes);
+        let arena_prealloc =
+            arena_total * owned_nodes.end / num_nodes - arena_total * owned_nodes.start / num_nodes;
         // Worst case per router: one pending decision per input VC.
         let route_scratch_cap = ports * config.local_vcs.max(config.global_vcs);
         Self {
@@ -348,13 +438,13 @@ impl<R: RoutingAlgorithm> Network<R> {
             active_routers: ActiveSet::new(num_routers),
             in_occupied: vec![0; num_routers],
             out_owned: vec![0; num_routers],
-            pending_sources: ActiveSet::new(params.num_nodes()),
+            pending_sources: ActiveSet::new(num_nodes),
             buffered_phits: vec![0; num_routers],
             buffered_total: 0,
             route_scratch: Vec::with_capacity(route_scratch_cap),
             arrivals_phits: Vec::with_capacity(max_phit_cap),
             arrivals_credits: Vec::with_capacity(max_credit_cap),
-            owned_nodes: 0..params.num_nodes(),
+            owned_routers: owned,
             sched_delivery_log: None,
             probe: None,
         }
@@ -436,7 +526,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Pre-load every owned node's source queue with `packets_per_node` packets
     /// (burst mode).
     pub fn preload_burst(&mut self, packets_per_node: u64) {
-        for n in self.owned_nodes.start..self.owned_nodes.end {
+        for n in self.owned_nodes() {
             let src = NodeId(n as u32);
             let router = self.params.router_of_node(src).index();
             for _ in 0..packets_per_node {
@@ -474,6 +564,11 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// The one way into a source queue.
     fn push_generated(&mut self, src: NodeId, packet: Generated) {
+        debug_assert!(
+            self.owned_nodes().contains(&src.index()),
+            "node {} is not owned by this network instance",
+            src.index()
+        );
         self.sources[src.index()].pending.push_back(packet);
         self.pending_sources.insert(src.index());
     }
@@ -882,19 +977,18 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// All draws of a node — the trial, then on success the destination — use
     /// its router's stream, nodes of a router in ascending order, so the
     /// outcome is independent of how the node space is partitioned across
-    /// shards.  The loop is router-major over the (router-aligned) owned range:
-    /// no per-node division, one stream lookup per router.
+    /// shards.  The loop is router-major over the owned routers: no per-node
+    /// division, one stream lookup per router.
     fn generate(
         &mut self,
         cycle: u64,
         trial: impl Fn(&Self, usize, &mut Rng) -> Option<(u16, u16)>,
     ) {
         let per_router = self.params.nodes_per_router();
-        let routers = self.owned_nodes.start / per_router..self.owned_nodes.end / per_router;
         // The streams step aside for the pass so a trial can read the network
         // while drawing (the `route_scratch` idiom: no allocation, no copy).
         let mut rngs = std::mem::take(&mut self.rngs);
-        for router in routers {
+        for router in self.owned_routers.clone() {
             let rng = &mut rngs[router];
             for node in router * per_router..(router + 1) * per_router {
                 if let Some((job, phase)) = trial(self, node, rng) {
@@ -1328,33 +1422,40 @@ impl<R: RoutingAlgorithm> Network<R> {
     // Sharding support (see `dragonfly_shard`).
     // ------------------------------------------------------------------
     //
-    // A sharded run partitions the groups across several full `Network`
-    // replicas.  Each replica restricts injection to its owned node range and
-    // steps `advance_hooks` / `step_phases` / `apply_watchdog` / `finish_cycle`
+    // A sharded run partitions the groups across several `Network`s, each
+    // built by `with_owned_routers` for its own range of routers.  Each steps
+    // `advance_hooks` / `step_phases` / `apply_watchdog` / `finish_cycle`
     // under an external per-cycle barrier; global links whose two ends live in
     // different shards exchange their phits and credits (with their absolute
     // delivery stamps) through the methods below.
 
-    /// Restrict packet generation, injection and burst preloading to `nodes`
-    /// (a shard's owned contiguous node range).  The default is every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the range covers whole routers (the generation pass walks
-    /// it router by router, and a router's nodes share its RNG stream).
-    pub fn set_owned_nodes(&mut self, nodes: Range<usize>) {
-        assert!(nodes.end <= self.params.num_nodes());
-        let per_router = self.params.nodes_per_router();
-        assert!(
-            nodes.start.is_multiple_of(per_router) && nodes.end.is_multiple_of(per_router),
-            "owned node range {nodes:?} must cover whole routers ({per_router} nodes each)"
-        );
-        self.owned_nodes = nodes;
+    /// The routers this network instance owns (every router unless it was
+    /// built as one partition of a sharded run).
+    pub fn owned_routers(&self) -> Range<usize> {
+        self.owned_routers.clone()
     }
 
-    /// The node range this network instance generates packets for.
+    /// The node range this network instance generates packets for: the nodes
+    /// of its owned routers.
     pub fn owned_nodes(&self) -> Range<usize> {
-        self.owned_nodes.clone()
+        let per_router = self.params.nodes_per_router();
+        self.owned_routers.start * per_router..self.owned_routers.end * per_router
+    }
+
+    /// Whether this instance owns the router link `li` starts at (where its
+    /// credits mature).
+    fn owns_transmitter(&self, li: usize) -> bool {
+        self.owned_routers
+            .contains(&(li / self.params.ports_per_router()))
+    }
+
+    /// Whether this instance owns the router link `li` ends at (where its
+    /// phits mature); an ejection link ends at a node of its own router.
+    fn owns_receiver(&self, li: usize) -> bool {
+        match self.fabric.end(li) {
+            LinkEnd::Router { router, .. } => self.owned_routers.contains(&router),
+            LinkEnd::Node { .. } => self.owns_transmitter(li),
+        }
     }
 
     /// Number of links (every router's output ports, flat-indexed as
@@ -1409,14 +1510,37 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// Deliver a phit from the transmitting shard into this shard's copy of
     /// link `li`, keeping its original arrival stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, unless this instance owns the router the link
+    /// ends at — the only instance that can ever deliver the phit.  A
+    /// mis-wired boundary fails here instead of dropping traffic.
     pub fn import_link_phit(&mut self, li: usize, phit: PhitInFlight) {
+        assert!(
+            self.owns_receiver(li),
+            "link {li}: phit imported by a network that does not own the link's receiving \
+             router (it owns routers {:?})",
+            self.owned_routers
+        );
         self.fabric.push_arriving_phit(li, phit);
         self.active_links.insert(li);
     }
 
     /// Deliver a credit from the receiving shard into this shard's copy of
     /// link `li`, keeping its original arrival stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, unless this instance owns the router the link
+    /// starts at (the credit's destination).
     pub fn import_link_credit(&mut self, li: usize, credit: CreditInFlight) {
+        assert!(
+            self.owns_transmitter(li),
+            "link {li}: credit imported by a network that does not own the link's \
+             transmitting router (it owns routers {:?})",
+            self.owned_routers
+        );
         self.fabric.push_arriving_credit(li, credit);
         self.active_links.insert(li);
     }
@@ -1440,17 +1564,25 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Start logging delivery feedback so a sharded run can broadcast it (see
-    /// [`Network::take_sched_deliveries`]).
+    /// [`Network::sched_deliveries`]).  The log is reserved at its
+    /// per-cycle bound — an ejection link delivers at most one tail per cycle,
+    /// so one entry per owned node — and never grows.
     pub fn enable_sched_delivery_log(&mut self) {
-        self.sched_delivery_log = Some(Vec::new());
+        self.sched_delivery_log = Some(Vec::with_capacity(self.owned_nodes().len()));
     }
 
-    /// Take the job ids delivered on this shard since the last call (delivery
-    /// feedback broadcast to the other shards' schedule replicas).
-    pub fn take_sched_deliveries(&mut self) -> Vec<u16> {
-        match self.sched_delivery_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
+    /// The job ids delivered on this shard since the log was last cleared
+    /// (delivery feedback a sharded run broadcasts to the other shards'
+    /// schedule replicas); empty without a log.
+    pub fn sched_deliveries(&self) -> &[u16] {
+        self.sched_delivery_log.as_deref().unwrap_or(&[])
+    }
+
+    /// Forget the logged deliveries once they have been broadcast.  The log
+    /// keeps its storage.
+    pub fn clear_sched_deliveries(&mut self) {
+        if let Some(log) = self.sched_delivery_log.as_mut() {
+            log.clear();
         }
     }
 
@@ -1476,6 +1608,27 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// byte-identity of sequential and sharded reports).
     pub fn arena_grows(&self) -> u64 {
         self.packets.grows()
+    }
+
+    /// Heap bytes this network instance allocated for its pools, as capacity ×
+    /// element size (engine-local diagnostic, like [`Network::arena_grows`]).
+    /// The partition of a sharded run is exact in these terms: see
+    /// [`PoolBytes`].
+    pub fn allocated_bytes(&self) -> PoolBytes {
+        let mut bytes = PoolBytes {
+            fabric_pools: self.fabric.pool_bytes(),
+            arena: self.packets.allocated_bytes(),
+            ..PoolBytes::default()
+        };
+        for router in &self.routers {
+            let (slots, ports) = router.allocated_bytes();
+            bytes.slot_pools += slots;
+            bytes.port_vectors += ports;
+        }
+        for source in &self.sources {
+            bytes.source_queues += source.pending.capacity() * std::mem::size_of::<Generated>();
+        }
+        bytes
     }
 
     /// Update the run-wide memory-footprint peaks for the current cycle.  The
@@ -1551,8 +1704,8 @@ impl<R: RoutingAlgorithm> Network<R> {
         let ports = self.params.ports_per_router();
         if heatmap {
             // Occupancy is attributed to the link *feeding* each input VC.
-            // Non-owned replica routers of a sharded run never buffer phits,
-            // so every cell is accumulated by exactly one shard.
+            // Routers another shard owns never buffer phits here, so every
+            // cell is accumulated by exactly one shard.
             let probe = self.probe.as_deref_mut().unwrap();
             for (r, router) in self.routers.iter().enumerate() {
                 if self.buffered_phits[r] == 0 {
@@ -1588,13 +1741,28 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Compare the due-work structures with the full scans they replace: both
     /// port masks against every VC of every router, `pending_sources` against
     /// every source queue, `active_links` and the fabric's `next_due` stamps
-    /// against every link's rings.  `Err` describes the first disagreement.
+    /// against every link's rings.  And check ownership, the other thing the
+    /// phases assume instead of testing: a router, node or link this instance
+    /// does not own is in none of those sets and has no storage behind it.
+    /// `Err` describes the first disagreement.
     ///
     /// Holds between cycles (and between the steps of a sharded cycle).  Debug
     /// builds assert it at the close of every cycle; `tests/due_work.rs` steps
     /// it in release builds too.
     pub fn check_due_sets(&self) -> Result<(), String> {
         for (r, router) in self.routers.iter().enumerate() {
+            if !self.owned_routers.contains(&r) {
+                if router.allocated_bytes() != (0, 0) {
+                    return Err(format!("router {r} is not owned but has buffers"));
+                }
+                if self.active_routers.contains(r)
+                    || self.in_occupied[r] != 0
+                    || self.out_owned[r] != 0
+                    || self.buffered_phits[r] != 0
+                {
+                    return Err(format!("router {r} is not owned but is scheduled"));
+                }
+            }
             let scan = |has: &dyn Fn(usize) -> bool| {
                 (0..router.inputs.len())
                     .filter(|&p| has(p))
@@ -1615,7 +1783,13 @@ impl<R: RoutingAlgorithm> Network<R> {
                 ));
             }
         }
+        let owned_nodes = self.owned_nodes();
         for (n, source) in self.sources.iter().enumerate() {
+            if !owned_nodes.contains(&n)
+                && (self.pending_sources.contains(n) || source.pending.capacity() != 0)
+            {
+                return Err(format!("node {n} is not owned but has a source queue"));
+            }
             if self.pending_sources.contains(n) == source.is_empty() {
                 return Err(format!(
                     "node {n}: pending_sources membership is {} with {} packets queued",
@@ -1625,6 +1799,15 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
         }
         for li in 0..self.fabric.len() {
+            if !self.owns_transmitter(li)
+                && !self.owns_receiver(li)
+                && (self.active_links.contains(li) || self.fabric.capacities(li) != (0, 0))
+            {
+                return Err(format!(
+                    "link {li} has no owned end but is scheduled or has ring capacity {:?}",
+                    self.fabric.capacities(li)
+                ));
+            }
             if self.active_links.contains(li) == self.fabric.is_idle(li) {
                 return Err(format!(
                     "link {li}: active_links membership is {} with {} phits and {} credits \
@@ -1659,6 +1842,12 @@ impl<R: RoutingAlgorithm> Network<R> {
             for d in 0..channels {
                 let (ridx, gport) = self.params.global_channel_owner(d);
                 let router = g * per_group_routers + ridx;
+                if !self.owned_routers.contains(&router) {
+                    // Another shard's channel: no output to scan, and nothing
+                    // here ever marks it dirty, so its flag stays clear.
+                    assert!(!self.pb_board.group(g)[d]);
+                    continue;
+                }
                 let out = &self.routers[router].outputs[Port::Global(gport).flat(h)];
                 let expected =
                     out.total_occupancy() as f64 > threshold * out.total_capacity() as f64;

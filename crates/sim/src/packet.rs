@@ -307,6 +307,12 @@ impl PacketArena {
         self.grows
     }
 
+    /// Bytes held by the slab and its free list (capacity × element size).
+    pub fn allocated_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Packet>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Capacity of the underlying slot vector (diagnostic).
     pub fn capacity_slots(&self) -> usize {
         self.slots.len()

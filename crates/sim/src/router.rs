@@ -149,6 +149,38 @@ impl Router {
         }
     }
 
+    /// A router this network instance does not own (another shard does): it
+    /// keeps its place in the router array, so ids stay global, and allocates
+    /// nothing — no ports, no buffers, no slot pool.
+    pub fn husk(id: RouterId) -> Self {
+        Self {
+            id,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            slot_pool: Vec::new(),
+            rr_alloc: 0,
+        }
+    }
+
+    /// Bytes of heap this router holds: `(slot pool, per-port vectors)`, each
+    /// as capacity × element size.
+    pub fn allocated_bytes(&self) -> (usize, usize) {
+        use std::mem::size_of;
+        let ports = self.inputs.capacity() * size_of::<InputPort>()
+            + self.outputs.capacity() * size_of::<OutputPort>()
+            + self
+                .inputs
+                .iter()
+                .map(|p| p.vcs.capacity() * size_of::<InputVc>())
+                .sum::<usize>()
+            + self
+                .outputs
+                .iter()
+                .map(|p| p.vcs.capacity() * size_of::<OutputVc>())
+                .sum::<usize>();
+        (self.slot_pool.capacity() * size_of::<PacketSlot>(), ports)
+    }
+
     /// Total phits stored across all input buffers (diagnostics / conservation tests).
     pub fn stored_phits(&self) -> usize {
         self.inputs
@@ -253,6 +285,23 @@ mod tests {
         let r = Router::new(RouterId(0), &config, &downstream(&config));
         assert!(r.is_idle());
         assert_eq!(r.stored_phits(), 0);
+    }
+
+    #[test]
+    fn a_husk_allocates_nothing() {
+        let r = Router::husk(RouterId(5));
+        assert_eq!(r.id, RouterId(5));
+        assert_eq!(r.allocated_bytes(), (0, 0));
+        assert!(r.is_idle());
+        assert_eq!(r.stored_phits(), 0);
+        let config = test_config();
+        let built = Router::new(RouterId(5), &config, &downstream(&config));
+        let (slots, ports) = built.allocated_bytes();
+        assert_eq!(
+            slots,
+            built.slot_pool.len() * std::mem::size_of::<PacketSlot>()
+        );
+        assert!(ports > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! pipeline").  A stale bit is a packet that is never routed, a phit that is
 //! never delivered, or a queue that is never fed — so after **every** cycle
 //! `Network::check_due_sets` rebuilds each structure from a scan of every VC,
-//! source queue and link ring and compares.
+//! source queue and link ring and compares.  The same call checks ownership:
+//! on a shard, nothing outside its router range is ever a member of a
+//! structure or has storage behind it (husk routers, zero-capacity rings).
 //!
 //! Debug builds assert the same comparison at the close of every cycle of
 //! every test; this file steps it explicitly so the pin also holds in

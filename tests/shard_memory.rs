@@ -1,0 +1,201 @@
+//! What a shard allocates: an exact partition of the sequential network.
+//!
+//! Each shard of a `ShardedSimulation` is a `Network` built for its own router
+//! range (`Network::with_owned_routers`).  Ids stay global, so the id-indexed
+//! arrays keep their full length on every shard, but the pools behind them —
+//! router slot pools and port vectors, link pipelines, the packet arena,
+//! source-queue reservations — are sized by ownership.  This file pins that in
+//! bytes of requested capacity (`Network::allocated_bytes`), which is exact and
+//! repeatable where a resident-set sample is neither:
+//!
+//! * summed over the shards, every pool equals the sequential network's;
+//! * except the fabric pools, which exceed it by exactly the one-cycle export
+//!   ring each boundary link keeps on its launching side — one phit on the
+//!   transmitting shard, one credit per VC on the receiving shard — counted
+//!   here from the topology;
+//! * and the full-range network allocates what the constructor's sizing rules
+//!   say, written out below independently of the constructor.
+//!
+//! The end-to-end counterpart (`peak_rss_mb` of `un_h8_shard2` against
+//! `un_h8`) is the perf ledger's `shard.rss_ratio`.
+
+use std::mem::size_of;
+
+use dragonfly::core::{ShardPlan, ShardedSimulation};
+use dragonfly::routing::MinimalRouting;
+use dragonfly::sim::{
+    InputPort, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot,
+    PhitInFlight, PoolBytes, SimConfig, VcBuffer,
+};
+use dragonfly::topology::{Port, PortKind};
+use dragonfly::traffic::Uniform;
+
+/// Bytes of a phit-ring entry and a credit-ring entry (pinned by
+/// `fabric::tests::pipeline_entries_stay_compact`).
+const PHIT: usize = 16;
+const CREDIT: usize = 8;
+/// A source queue reserves four 24-byte entries per node.
+const SOURCE_QUEUE: usize = 4 * 24;
+
+fn sharded(config: &SimConfig, shards: usize) -> ShardedSimulation<MinimalRouting> {
+    ShardedSimulation::new(
+        config.clone(),
+        ShardPlan::new(shards),
+        MinimalRouting::new(),
+        || Box::new(Uniform::new()),
+    )
+}
+
+fn sequential(config: &SimConfig) -> Network<MinimalRouting> {
+    Network::with_routing(
+        config.clone(),
+        MinimalRouting::new(),
+        Box::new(Uniform::new()),
+    )
+}
+
+/// The sizing rules of the whole machine, from the configuration alone.
+fn whole_machine(config: &SimConfig) -> PoolBytes {
+    let params = config.params;
+    let h = params.h();
+    let mut per_router = PoolBytes::default();
+    for flat in 0..params.ports_per_router() {
+        let kind = Port::from_flat(flat, h).kind();
+        let vcs = config.vcs_for(kind);
+        per_router.slot_pools += vcs
+            * VcBuffer::slot_bound(config.buffer_for(kind), config.packet_size)
+            * size_of::<PacketSlot>();
+        per_router.port_vectors += size_of::<InputPort>()
+            + size_of::<OutputPort>()
+            + vcs * (size_of::<InputVc>() + size_of::<OutputVc>());
+        // The link behind this output port: `latency + 1` phits; credits
+        // bounded by the downstream buffers and by one per VC per cycle.
+        let downstream = match kind {
+            PortKind::Local => config.local_buffer,
+            PortKind::Global => config.global_buffer,
+            PortKind::Terminal => (config.packet_size * 4).max(config.injection_buffer),
+        };
+        let phits = config.latency_for(kind) as usize + 1;
+        per_router.fabric_pools += phits * PHIT + vcs * downstream.min(phits) * CREDIT;
+    }
+    let (routers, nodes) = (params.num_routers(), params.num_nodes());
+    PoolBytes {
+        slot_pools: routers * per_router.slot_pools,
+        port_vectors: routers * per_router.port_vectors,
+        fabric_pools: routers * per_router.fabric_pools,
+        arena: config.arena_prealloc_for(nodes) * (size_of::<Packet>() + size_of::<u32>()),
+        source_queues: nodes * SOURCE_QUEUE,
+    }
+}
+
+#[test]
+fn shards_partition_the_sequential_pools_exactly() {
+    for h in [3, 4] {
+        let config = SimConfig::paper_vct(h).with_seed(3);
+        let params = config.params;
+        let ports = params.ports_per_router();
+        let rpg = params.routers_per_group();
+        let whole = sequential(&config);
+        let expected = whole.allocated_bytes();
+        assert_eq!(expected, whole_machine(&config), "h={h}: full-range sizing");
+
+        for shards in 1..=4 {
+            let case = format!("h={h}, {shards} shards");
+            let sim = sharded(&config, shards);
+            let mut sum = PoolBytes::default();
+            for s in 0..shards {
+                let bytes = sim.network(s).allocated_bytes();
+                sum.slot_pools += bytes.slot_pools;
+                sum.port_vectors += bytes.port_vectors;
+                sum.fabric_pools += bytes.fabric_pools;
+                sum.arena += bytes.arena;
+                sum.source_queues += bytes.source_queues;
+            }
+
+            // The export rings of the boundary links, from the topology: a
+            // link is a boundary link when its two routers' groups fall into
+            // different ranges of the plan.
+            let ranges = ShardPlan::new(shards).group_ranges(&params);
+            let shard_of = |router: usize| {
+                ranges
+                    .iter()
+                    .position(|g| g.contains(&(router / rpg)))
+                    .unwrap()
+            };
+            let mut export_rings = 0;
+            let mut boundary = 0;
+            for li in 0..whole.num_links() {
+                if let LinkEnd::Router { router, .. } = whole.link_end(li) {
+                    if shard_of(li / ports) != shard_of(router) {
+                        let kind = Port::from_flat(li % ports, h).kind();
+                        assert_eq!(kind, PortKind::Global, "{case}: link {li}");
+                        export_rings += PHIT + config.vcs_for(kind) * CREDIT;
+                        boundary += 1;
+                    }
+                }
+            }
+            assert_eq!(boundary == 0, shards == 1, "{case}");
+
+            assert_eq!(sum.slot_pools, expected.slot_pools, "{case}: slot pools");
+            assert_eq!(
+                sum.port_vectors, expected.port_vectors,
+                "{case}: port vectors"
+            );
+            assert_eq!(sum.arena, expected.arena, "{case}: arena");
+            assert_eq!(
+                sum.source_queues, expected.source_queues,
+                "{case}: source queues"
+            );
+            assert_eq!(
+                sum.fabric_pools,
+                expected.fabric_pools + export_rings,
+                "{case}: fabric pools ({boundary} boundary links)"
+            );
+        }
+    }
+}
+
+/// A phit handed to a network that owns neither end of the link must not
+/// vanish into a zero-capacity ring or sit in a pipeline nothing drains: the
+/// import names the link and panics.
+#[test]
+fn importing_onto_a_link_with_no_owned_end_panics_with_the_link_id() {
+    let config = SimConfig::paper_vct(2).with_seed(3);
+    let ports = config.params.ports_per_router();
+    let mut sim = sharded(&config, 3);
+    let owns = |sim: &ShardedSimulation<MinimalRouting>, s: usize, router: usize| {
+        sim.network(s).owned_routers().contains(&router)
+    };
+    // A link from shard 0 into shard 1: shard 2 owns neither end.
+    let li = (0..sim.network(0).num_links())
+        .find(|&li| match sim.network(0).link_end(li) {
+            LinkEnd::Router { router, .. } => owns(&sim, 0, li / ports) && owns(&sim, 1, router),
+            LinkEnd::Node { .. } => false,
+        })
+        .expect("shards 0 and 1 share a link");
+    let phit = PhitInFlight::new(PacketId(0), 0, true, true, 1);
+
+    let bystander = sim.network_mut(2);
+    assert!(bystander.check_due_sets().is_ok());
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        bystander.import_link_phit(li, phit)
+    }))
+    .expect_err("the import must panic");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(message.contains(&format!("link {li}:")), "{message}");
+
+    // The transmitting shard cannot import its own launch back either (its
+    // export ring has room for one phit, so this would otherwise succeed).
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sim.network_mut(0).import_link_phit(li, phit)
+    }))
+    .expect_err("the import must panic");
+    let message = panic.downcast_ref::<String>().unwrap();
+    assert!(message.contains(&format!("link {li}:")), "{message}");
+
+    // The owner of the receiving router takes it.
+    sim.network_mut(1).import_link_phit(li, phit);
+    assert_eq!(sim.network(1).link_phits_in_flight(li), 1);
+}

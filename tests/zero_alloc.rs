@@ -32,13 +32,26 @@
 //! separately for arrivals, injection, routing, switch and bookkeeping — a
 //! regression that allocates in exactly one phase fails with that phase's
 //! name, not just "some cycle allocated".
+//!
+//! The sharded engine's cycle is the same five phases plus export, barrier
+//! and import, and owes the same zero: the counter is process-global, so it
+//! sees the worker threads.  Two 2-shard cases — Bernoulli injection, and a
+//! job trace whose delivery feedback is broadcast every cycle — warm up and
+//! measure inside one `drive` call (spawning the workers allocates; stepping
+//! them must not).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly::core::{
+    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, ShardPlan,
+    ShardedSimulation, TrafficKind,
+};
 use dragonfly::probe::ProbeConfig;
-use dragonfly::traffic::BernoulliInjection;
+use dragonfly::routing::Olm;
+use dragonfly::sched::{Completion, Trace, TraceJob};
+use dragonfly::sim::{Engine, EngineHost};
+use dragonfly::traffic::{BernoulliInjection, Uniform};
 
 /// Forwards to the system allocator, counting every call that can return a
 /// fresh heap block (alloc, alloc_zeroed, realloc).  Deallocations are not
@@ -129,6 +142,7 @@ fn steady_state_cycle_loop_is_allocation_free() {
     }
 
     per_phase_attribution();
+    sharded_cycle_loop();
 }
 
 /// Phase names in pipeline order, as reported by `step_with_phase_hook`.
@@ -177,6 +191,83 @@ fn per_phase_attribution() {
         assert_eq!(
             allocs, 0,
             "phase `{phase}` performed {allocs} heap allocations in {MEASURED_CYCLES} \
+             steady-state cycles (probes enabled)"
+        );
+    }
+}
+
+/// The 2-shard cycle loop — compute, export, barrier, import — allocates
+/// nothing either, with Bernoulli injection and with a scheduled trace.
+fn sharded_cycle_loop() {
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Olm;
+    spec.flow_control = FlowControlKind::Vct;
+    spec.seed = 42;
+    let config = spec.sim_config();
+    let nodes = config.params.num_nodes();
+    let packet_size = config.packet_size;
+    // Two jobs covering most of the machine, placed round-robin over the
+    // routers so both straddle the shard boundary, running past the end of
+    // the measured window: deliveries (and their broadcast) every cycle, no
+    // placement or retirement inside the window.
+    let job = |name: &str, size| TraceJob {
+        name: name.into(),
+        arrival: 0,
+        size,
+        placement: PlacementPolicy::RoundRobinRouters,
+        pattern: JobPattern::Uniform,
+        offered_load: 0.2,
+        completion: Completion::Duration(10 * (WARMUP_CYCLES + MEASURED_CYCLES)),
+    };
+    let trace = Trace::new("steady", vec![job("a", nodes / 2), job("b", nodes / 3)]);
+
+    for scheduled in [false, true] {
+        let mut sim =
+            ShardedSimulation::new(config.clone(), ShardPlan::new(2), Olm::default(), || {
+                Box::new(Uniform::new())
+            });
+        sim.install_probes(ProbeConfig {
+            delay: true,
+            ..ProbeConfig::full_active(64)
+        });
+        if scheduled {
+            sim.install_schedule(&trace);
+        }
+        let (delta, delivered) = sim.drive(|engine| {
+            if !scheduled {
+                engine.set_injection(Some(BernoulliInjection::new(0.1, packet_size)));
+            }
+            for _ in 0..WARMUP_CYCLES {
+                engine.step();
+            }
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let delivered = engine.delivered();
+            for _ in 0..MEASURED_CYCLES {
+                engine.step();
+            }
+            (
+                ALLOCS.load(Ordering::Relaxed) - before,
+                engine.delivered() - delivered,
+            )
+        });
+        let case = if scheduled {
+            "a job trace"
+        } else {
+            "Bernoulli injection"
+        };
+        assert!(
+            delivered > 0,
+            "2 shards under {case} delivered nothing in the measured window"
+        );
+        for s in 0..sim.shards() {
+            assert!(
+                sim.network(s).stats.total_delivered > 0,
+                "2 shards under {case}: shard {s} delivered nothing"
+            );
+        }
+        assert_eq!(
+            delta, 0,
+            "2 shards under {case}: {delta} heap allocations in {MEASURED_CYCLES} \
              steady-state cycles (probes enabled)"
         );
     }
