@@ -17,9 +17,9 @@
 
 use dragonfly_bench::{file_slug, write_workload_job_csv, HarnessArgs};
 use dragonfly_core::{churn_sweep, ChurnSweep, FlowControlKind, Jobs, RoutingKind, WorkloadReport};
-use dragonfly_sched::scenarios::fragmentation_trace;
 use dragonfly_stats::json::{ToJson, Value};
 use dragonfly_topology::DragonflyParams;
+use dragonfly_workload::scenarios::fragmentation_trace;
 
 fn main() {
     let mut args = HarnessArgs::from_env();

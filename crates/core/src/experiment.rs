@@ -2,7 +2,6 @@
 
 use dragonfly_probe::{ProbeConfig, ProbeRecorder, RunManifest, MANIFEST_SCHEMA_VERSION};
 use dragonfly_routing::{AdaptiveParams, RoutingKind, RoutingVisitor};
-use dragonfly_sched::Trace;
 use dragonfly_shard::{ShardPlan, ShardedSimulation};
 use dragonfly_sim::{protocol, EngineHost, RoutingAlgorithm, SimConfig, Simulation};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
@@ -10,7 +9,7 @@ use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{
     AdversarialGlobal, AdversarialLocal, BurstSpec, MixedGlobalLocal, TrafficPattern, Uniform,
 };
-use dragonfly_workload::WorkloadSpec;
+use dragonfly_workload::{JobList, Trace, WorkloadSpec};
 
 /// Which of the paper's two flow-control setups to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +62,8 @@ pub enum TrafficKind {
     /// the spec's `offered_load` field is ignored; [`ExperimentSpec::run_workload`]
     /// additionally returns the per-job/per-phase breakdown.
     Workload(WorkloadSpec),
-    /// A dynamic job schedule: trace-driven arrivals/departures with re-placement
-    /// of freed nodes (see [`Trace`]).  Like workloads, the jobs carry their own
+    /// A churn trace: jobs arriving, waiting, departing and re-placed onto
+    /// freed nodes (see [`Trace`]).  Like workloads, the jobs carry their own
     /// loads; the run protocol is `Simulation::run_trace` with the spec's
     /// `measure` as the horizon and `drain` as the drain budget (`warmup` and
     /// `offered_load` are ignored — churn runs measure from cycle 0).
@@ -77,18 +76,16 @@ impl TrafficKind {
         TrafficKind::AdversarialGlobal(h)
     }
 
-    /// Instantiate the pattern against a topology.
-    ///
-    /// The paper's synthetic patterns ignore `params`; workloads compile their
-    /// node-indexed, phase-switching pattern against it.
+    /// Instantiate the pattern (the paper's synthetic patterns ignore
+    /// `params`).
     ///
     /// # Panics
     ///
-    /// Panics for [`TrafficKind::Churn`]: a churn schedule owns its destination
-    /// side (the scheduler's dynamic per-job patterns), so there is no
-    /// standalone pattern to build — install the trace with
-    /// `Simulation::install_schedule` (as [`ExperimentSpec::run_workload`] does).
-    pub fn build(&self, params: &DragonflyParams) -> Box<dyn TrafficPattern> {
+    /// Panics for [`TrafficKind::Workload`] and [`TrafficKind::Churn`]: their
+    /// jobs own their destinations, so there is no standalone pattern to
+    /// build — install them with `Simulation::install_jobs` (as
+    /// [`ExperimentSpec::run_workload`] does).
+    pub fn build(&self, _params: &DragonflyParams) -> Box<dyn TrafficPattern> {
         match self {
             TrafficKind::Uniform => Box::new(Uniform::new()),
             TrafficKind::AdversarialGlobal(n) => Box::new(AdversarialGlobal::new(*n)),
@@ -102,10 +99,10 @@ impl TrafficKind {
                 *global_offset,
                 *local_offset,
             )),
-            TrafficKind::Workload(spec) => Box::new(spec.build_pattern(params)),
-            TrafficKind::Churn(_) => panic!(
-                "TrafficKind::Churn has no standalone traffic pattern; install the \
-                 trace with Simulation::install_schedule instead"
+            TrafficKind::Workload(_) | TrafficKind::Churn(_) => panic!(
+                "{} has no standalone traffic pattern; install its jobs with \
+                 Simulation::install_jobs instead",
+                self.name()
             ),
         }
     }
@@ -145,10 +142,14 @@ impl TrafficKind {
         }
     }
 
-    /// Whether this traffic kind produces per-job breakdowns
-    /// ([`TrafficKind::Workload`] or [`TrafficKind::Churn`]).
-    pub fn has_jobs(&self) -> bool {
-        matches!(self, TrafficKind::Workload(_) | TrafficKind::Churn(_))
+    /// The jobs to install, when this is [`TrafficKind::Workload`] or
+    /// [`TrafficKind::Churn`].
+    pub fn jobs(&self) -> Option<&dyn JobList> {
+        match self {
+            TrafficKind::Workload(spec) => Some(spec),
+            TrafficKind::Churn(trace) => Some(trace),
+            _ => None,
+        }
     }
 }
 
@@ -233,23 +234,21 @@ impl ExperimentSpec {
         sim
     }
 
-    /// The pattern an engine is constructed with.  Workloads and churn
-    /// schedules install their own destination side afterwards
+    /// The pattern an engine is constructed with.  Workloads and churn traces
+    /// install jobs that own their destinations afterwards
     /// ([`ExperimentSpec::install_jobs`]), so theirs is a throwaway.
     fn construction_traffic(&self, params: &DragonflyParams) -> Box<dyn TrafficPattern> {
-        if self.traffic.has_jobs() {
+        if self.traffic.jobs().is_some() {
             Box::new(Uniform::new())
         } else {
             self.traffic.build(params)
         }
     }
 
-    /// Install the spec's workload or churn schedule, if it has one.
+    /// Install the spec's workload or churn trace, if it has one.
     fn install_jobs<H: EngineHost>(&self, sim: &mut H) {
-        if let Some(workload) = self.traffic.workload() {
-            sim.install_workload(workload);
-        } else if let Some(trace) = self.traffic.churn() {
-            sim.install_schedule(trace);
+        if let Some(jobs) = self.traffic.jobs() {
+            sim.install_jobs(jobs);
         }
     }
 
@@ -388,7 +387,7 @@ impl Protocol for Steady {
     type Report = SimReport;
 
     fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> SimReport {
-        if spec.traffic.has_jobs() {
+        if spec.traffic.jobs().is_some() {
             Jobs.run_on(spec, sim).aggregate
         } else {
             protocol::run_steady_state(
@@ -418,7 +417,7 @@ impl Protocol for Jobs {
 
     fn check(self, spec: &ExperimentSpec) {
         assert!(
-            spec.traffic.has_jobs(),
+            spec.traffic.jobs().is_some(),
             "a Jobs run requires TrafficKind::Workload or TrafficKind::Churn traffic"
         );
     }
@@ -701,8 +700,7 @@ mod tests {
 
     #[test]
     fn churn_traffic_kind_builds_and_runs() {
-        use dragonfly_sched::{Completion, Trace, TraceJob};
-        use dragonfly_workload::{JobPattern, PlacementPolicy};
+        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, TraceJob};
         let trace = Trace::new(
             "mini",
             vec![
@@ -729,7 +727,7 @@ mod tests {
         let kind = TrafficKind::Churn(trace.clone());
         assert_eq!(kind.name(), "CHURN[mini:2jobs]");
         assert_eq!(kind.churn(), Some(&trace));
-        assert!(kind.has_jobs());
+        assert!(kind.jobs().is_some());
         assert!(TrafficKind::Uniform.churn().is_none());
 
         let mut spec = ExperimentSpec::new(2);
@@ -747,6 +745,29 @@ mod tests {
         // Static and dyn paths agree, and run() returns the same aggregate.
         assert_eq!(Jobs.run_on(&spec, &mut spec.build_simulation()), report);
         assert_eq!(spec.run(), report.aggregate);
+    }
+
+    #[test]
+    fn reports_name_the_installed_jobs() {
+        // An engine is built with a throwaway pattern and then given its jobs;
+        // every report must name the jobs, whichever protocol reads it.
+        let line = "job a arrive=100 size=16 place=cont pattern=UN load=0.1 duration=300";
+        let trace = Trace::parse(line).unwrap();
+        let mut spec = ExperimentSpec::new(2);
+        spec.warmup = 200;
+        spec.measure = 400;
+        spec.drain = 400;
+        for traffic in [
+            TrafficKind::Churn(trace),
+            TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.2, 0.1)),
+        ] {
+            spec.traffic = traffic;
+            let label = spec.traffic.name();
+            let mut sim = spec.build_simulation();
+            assert_eq!(sim.network().traffic_name(), label);
+            let report = sim.run_steady_state(0.1, spec.warmup, spec.measure, spec.drain);
+            assert_eq!(report.traffic, label);
+        }
     }
 
     #[test]

@@ -49,9 +49,11 @@ pub use dragonfly_probe::{
     RunManifest, TraceBuilder, TripRecord, DELAY_COMPONENT_NAMES,
 };
 pub use dragonfly_routing::{AdaptiveParams, RoutingKind};
-pub use dragonfly_sched::{Completion, SyntheticTrace, Trace, TraceJob};
 pub use dragonfly_shard::{ShardPlan, ShardedSimulation};
 pub use dragonfly_stats::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport, WorkloadReport,
 };
-pub use dragonfly_workload::{JobPattern, JobSpec, PhaseSpec, PlacementPolicy, WorkloadSpec};
+pub use dragonfly_workload::{
+    Completion, JobPattern, JobSpec, PhaseSpec, PlacementPolicy, SyntheticTrace, Trace, TraceJob,
+    WorkloadSpec,
+};

@@ -2,9 +2,8 @@
 
 use crate::experiment::{ExperimentSpec, FlowControlKind, TrafficKind};
 use dragonfly_routing::RoutingKind;
-use dragonfly_sched::Trace;
 use dragonfly_topology::DragonflyParams;
-use dragonfly_workload::{PlacementPolicy, WorkloadSpec};
+use dragonfly_workload::{PlacementPolicy, Trace, WorkloadSpec};
 
 /// A sweep over offered load for a fixed set of mechanisms (Figures 4, 5, 7, 8).
 #[derive(Debug, Clone)]
@@ -144,9 +143,9 @@ pub fn interference_sweep(sweep: &InterferenceSweep) -> Vec<ExperimentSpec> {
     specs
 }
 
-/// A churn grid: mechanism × job-arrival trace, each point a full dynamic-schedule
+/// A churn grid: mechanism × job-arrival trace, each point a full churn
 /// run through `Simulation::run_trace`.  The traces are typically scenario
-/// variants (e.g. [`dragonfly_sched::scenarios::fragmentation_trace`] at several
+/// variants (e.g. [`dragonfly_workload::scenarios::fragmentation_trace`] at several
 /// aggressor loads, fragmented and fresh), so a row compares how each routing
 /// mechanism copes with the same churn history.
 #[derive(Debug, Clone)]
@@ -296,7 +295,7 @@ mod tests {
 
     #[test]
     fn churn_sweep_builds_trace_grid() {
-        use dragonfly_sched::scenarios::fragmentation_trace;
+        use dragonfly_workload::scenarios::fragmentation_trace;
         let p = DragonflyParams::new(2);
         let traces = vec![
             fragmentation_trace(&p, false, 0.5, 0.1, 1_000, 4_000, 1),
@@ -313,7 +312,7 @@ mod tests {
         assert_eq!(specs[0].traffic.churn().unwrap().name, "fresh");
         assert_eq!(specs[1].traffic.churn().unwrap().name, "frag");
         assert_eq!(specs[3].routing, RoutingKind::Olm);
-        assert!(specs.iter().all(|s| s.traffic.has_jobs()));
+        assert!(specs.iter().all(|s| s.traffic.jobs().is_some()));
     }
 
     #[test]

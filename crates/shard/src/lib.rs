@@ -6,7 +6,7 @@
 //! naturally partitionable: local links and ejection links never leave a
 //! group, so partitioning whole groups across shards means the **only** state
 //! crossing a shard boundary is (a) phits and credits on inter-group global
-//! links and (b) the dynamic scheduler's delivery feedback.  Both are
+//! links and (b) the job runtime's delivery feedback.  Both are
 //! exchanged once per cycle at a barrier, stamped with their absolute delivery
 //! cycles, so the receiving shard observes exactly the timing the sequential
 //! engine would have produced.
@@ -28,7 +28,7 @@
 //! 4. **Import** — append the incoming phits/credits (original arrival stamps)
 //!    to the local copies of the boundary links, adopt head packets into the
 //!    local arena, and apply remote delivery feedback to the local
-//!    [`ScheduleRuntime`] replica.  Then
+//!    [`Schedule`](dragonfly_workload::Schedule) replica.  Then
 //!    derive the *global* activity/liveness view from the published flags and
 //!    advance the deadlock watchdog and memory-telemetry peaks with it
 //!    ([`Network::apply_watchdog`]), so every shard reaches the sequential
@@ -82,7 +82,6 @@
 #![warn(missing_docs)]
 
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
-use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_sim::{
     protocol, CreditInFlight, Engine, EngineHost, Network, Packet, PacketId, PhitInFlight,
     RoutingAlgorithm, SimConfig, StatsCollector,
@@ -90,7 +89,7 @@ use dragonfly_sim::{
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
 use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
-use dragonfly_workload::WorkloadSpec;
+use dragonfly_workload::JobList;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,7 +142,7 @@ struct BoundaryBatch {
     /// `(flat link index, credit)`.
     credits: Vec<(u32, CreditInFlight)>,
     /// Job ids of packets delivered on the sending shard this cycle (volume
-    /// feedback for every schedule replica).
+    /// feedback for every job runtime replica).
     deliveries: Vec<u16>,
 }
 
@@ -161,8 +160,8 @@ struct ShardSlot {
     drained: AtomicBool,
     /// The shard's watchdog fired (identical on every shard by construction).
     deadlock: AtomicBool,
-    /// Every job of the shard's schedule replica completed (`true` without a
-    /// schedule).
+    /// Every job of the shard's job runtime replica completed (`true` without
+    /// one).
     all_complete: AtomicBool,
     /// Packets generated on this shard so far.
     generated: AtomicU64,
@@ -187,10 +186,8 @@ enum Cmd {
     EndMeasurement,
     /// Preload every owned source queue with a burst.
     PreloadBurst(u64),
-    /// Halt the schedule replicas (drain phase of the trace protocol).
-    HaltSched,
-    /// Remove the workload runtime and stop injection (burst protocol).
-    DropWorkload,
+    /// Stop generation: halt the job runtime replicas and clear injection.
+    HaltGeneration,
     /// Leave the worker loop.
     Exit,
 }
@@ -280,12 +277,8 @@ impl Engine for Driver {
         self.dispatch(Cmd::PreloadBurst(packets_per_node));
     }
 
-    fn halt_schedule(&mut self) {
-        self.dispatch(Cmd::HaltSched);
-    }
-
-    fn drop_workload(&mut self) {
-        self.dispatch(Cmd::DropWorkload);
+    fn halt_generation(&mut self) {
+        self.dispatch(Cmd::HaltGeneration);
     }
 
     fn cycle(&self) -> u64 {
@@ -312,8 +305,8 @@ impl Engine for Driver {
             .all(|s| s.drained.load(Ordering::Relaxed))
     }
 
-    fn schedule_complete(&self) -> bool {
-        // Schedule replicas are in lockstep; shard 0 speaks for all of them.
+    fn jobs_complete(&self) -> bool {
+        // Job runtime replicas are in lockstep; shard 0 speaks for all of them.
         self.c.slots[0].all_complete.load(Ordering::Relaxed)
     }
 }
@@ -405,7 +398,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 batch.credits.push((li as u32, credit));
             }
         }
-        let deliveries = net.sched_deliveries();
+        let deliveries = net.job_deliveries();
         if !deliveries.is_empty() {
             for dst in 0..shards {
                 if dst != self.id {
@@ -416,7 +409,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
                         .extend_from_slice(deliveries);
                 }
             }
-            net.clear_sched_deliveries();
+            net.clear_job_deliveries();
         }
 
         // Publish this shard's flags for the global views below.  A packet
@@ -434,10 +427,8 @@ impl<R: RoutingAlgorithm> Shard<R> {
             .store(net.stats.total_delivered, Ordering::Relaxed);
         slot.buffered
             .store(net.buffered_phits_total(), Ordering::Relaxed);
-        slot.all_complete.store(
-            net.schedule().is_none_or(ScheduleRuntime::all_complete),
-            Ordering::Relaxed,
-        );
+        slot.all_complete
+            .store(net.jobs_complete(), Ordering::Relaxed);
 
         // Everyone has exported and published.
         let wait_start = std::time::Instant::now();
@@ -504,8 +495,7 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 Cmd::BeginMeasurement => self.net.begin_measurement(),
                 Cmd::EndMeasurement => self.net.end_measurement(),
                 Cmd::PreloadBurst(packets) => self.net.preload_burst(packets),
-                Cmd::HaltSched => self.net.halt_schedule(),
-                Cmd::DropWorkload => self.net.drop_workload(),
+                Cmd::HaltGeneration => self.net.halt_generation(),
                 Cmd::Exit => {
                     c.outer.wait();
                     return;
@@ -518,12 +508,8 @@ impl<R: RoutingAlgorithm> Shard<R> {
             let slot = &c.slots[self.id];
             slot.drained.store(self.net.is_drained(), Ordering::Relaxed);
             slot.live.store(!self.net.is_drained(), Ordering::Relaxed);
-            slot.all_complete.store(
-                self.net
-                    .schedule()
-                    .is_none_or(ScheduleRuntime::all_complete),
-                Ordering::Relaxed,
-            );
+            slot.all_complete
+                .store(self.net.jobs_complete(), Ordering::Relaxed);
             slot.generated
                 .store(self.net.stats.total_generated, Ordering::Relaxed);
             slot.delivered
@@ -658,24 +644,15 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         &mut self.shards[shard].net
     }
 
-    /// Install `workload` into every shard replica (each compiles the same
-    /// placement and pattern deterministically).
-    pub fn install_workload(&mut self, workload: &WorkloadSpec) {
+    /// Install `jobs` — a static workload or a trace — into every shard
+    /// replica (each compiles the same placement and patterns
+    /// deterministically) and enable the delivery-feedback broadcast that
+    /// keeps the replicas' volume counters in lockstep.
+    pub fn install_jobs(&mut self, jobs: &dyn JobList) {
         for shard in &mut self.shards {
-            let params = *shard.net.params();
-            let (runtime, pattern) = workload.compile(&params, self.packet_size);
-            shard.net.install_workload(runtime, Box::new(pattern));
-        }
-    }
-
-    /// Install a dynamic job schedule into every shard replica and enable the
-    /// delivery-feedback broadcast that keeps the replicas in lockstep.
-    pub fn install_schedule(&mut self, trace: &Trace) {
-        for shard in &mut self.shards {
-            let params = *shard.net.params();
-            let runtime = ScheduleRuntime::new(trace, params, self.packet_size);
-            shard.net.install_schedule(runtime);
-            shard.net.enable_sched_delivery_log();
+            let schedule = jobs.schedule(shard.net.params(), self.packet_size);
+            shard.net.install_jobs(schedule);
+            shard.net.enable_delivery_log();
         }
     }
 
@@ -789,7 +766,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         protocol::run_steady_state_workload(self, warmup, measure, drain)
     }
 
-    /// Run an installed job schedule to completion or `horizon`; byte-identical
+    /// Run the installed jobs to completion or `horizon`; byte-identical
     /// to [`Simulation::run_trace`](dragonfly_sim::Simulation::run_trace).
     pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
         protocol::run_trace(self, horizon, drain)
@@ -818,12 +795,8 @@ impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
         Cow::Owned(self.merged_stats())
     }
 
-    fn install_workload(&mut self, workload: &WorkloadSpec) {
-        ShardedSimulation::install_workload(self, workload);
-    }
-
-    fn install_schedule(&mut self, trace: &Trace) {
-        ShardedSimulation::install_schedule(self, trace);
+    fn install_jobs(&mut self, jobs: &dyn JobList) {
+        ShardedSimulation::install_jobs(self, jobs);
     }
 
     fn install_probes(&mut self, cfg: ProbeConfig) {

@@ -7,10 +7,9 @@ use crate::protocol::{self, EngineHost};
 use crate::routing_iface::RoutingAlgorithm;
 use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
-use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_traffic::{BurstSpec, TrafficPattern};
-use dragonfly_workload::WorkloadSpec;
+use dragonfly_workload::JobList;
 use std::borrow::Cow;
 
 /// A complete simulation: a [`Network`] plus the measurement protocol of the paper.
@@ -104,17 +103,17 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         protocol::run_steady_state(self, offered_load, warmup, measure, drain)
     }
 
-    /// Install `workload` into the network: compiles the destination-side pattern
-    /// and the injection-side runtime against this simulation's topology and packet
-    /// size, and enables per-job statistics.
-    pub fn install_workload(&mut self, workload: &WorkloadSpec) {
-        let params = *self.net.params();
-        let (runtime, pattern) = workload.compile(&params, self.net.config.packet_size);
-        self.net.install_workload(runtime, Box::new(pattern));
+    /// Install `jobs` — a static workload or a trace — into the network:
+    /// compiles them against this simulation's topology and packet size and
+    /// installs the runtime ([`Network::install_jobs`]).
+    pub fn install_jobs(&mut self, jobs: &dyn JobList) {
+        let schedule = jobs.schedule(self.net.params(), self.net.config.packet_size);
+        self.net.install_jobs(schedule);
     }
 
-    /// Run the steady-state protocol of an installed workload and break the result
-    /// down per job and per phase (see [`protocol::run_steady_state_workload`]).
+    /// Run the steady-state protocol over the installed jobs and break the
+    /// result down per job and per phase (see
+    /// [`protocol::run_steady_state_workload`]).
     pub fn run_steady_state_workload(
         &mut self,
         warmup: u64,
@@ -124,16 +123,8 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         protocol::run_steady_state_workload(self, warmup, measure, drain)
     }
 
-    /// Install a dynamic job schedule: compiles `trace` into a
-    /// [`ScheduleRuntime`] against this simulation's topology and packet size.
-    pub fn install_schedule(&mut self, trace: &Trace) {
-        let params = *self.net.params();
-        let runtime = ScheduleRuntime::new(trace, params, self.net.config.packet_size);
-        self.net.install_schedule(runtime);
-    }
-
-    /// Run an installed job schedule to completion or `horizon` and report
-    /// per-job statistics and lifecycles (see [`protocol::run_trace`]).
+    /// Run the installed jobs to completion or `horizon` and report per-job
+    /// statistics and lifecycles (see [`protocol::run_trace`]).
     pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
         protocol::run_trace(self, horizon, drain)
     }
@@ -160,12 +151,8 @@ impl<R: RoutingAlgorithm> EngineHost for Simulation<R> {
         Cow::Borrowed(&self.net.stats)
     }
 
-    fn install_workload(&mut self, workload: &WorkloadSpec) {
-        Simulation::install_workload(self, workload);
-    }
-
-    fn install_schedule(&mut self, trace: &Trace) {
-        Simulation::install_schedule(self, trace);
+    fn install_jobs(&mut self, jobs: &dyn JobList) {
+        Simulation::install_jobs(self, jobs);
     }
 
     fn install_probes(&mut self, cfg: ProbeConfig) {
@@ -293,7 +280,7 @@ mod tests {
             ),
         ]);
         let mut sim = vct_sim(2, 33);
-        sim.install_workload(&spec);
+        sim.install_jobs(&spec);
         let report = sim.run_steady_state_workload(1_000, 3_000, 4_000);
         assert!(!report.aggregate.deadlock_detected);
         assert_eq!(report.jobs.len(), 2);
@@ -341,8 +328,7 @@ mod tests {
 
     #[test]
     fn trace_run_reports_lifecycles_and_per_job_loads() {
-        use dragonfly_sched::{Completion, Trace, TraceJob};
-        use dragonfly_workload::{JobPattern, PlacementPolicy};
+        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
         let job = |name: &str, arrival, size, pattern, completion| TraceJob {
             name: name.into(),
             arrival,
@@ -373,7 +359,7 @@ mod tests {
             ],
         );
         let mut sim = vct_sim(2, 77);
-        sim.install_schedule(&trace);
+        sim.install_jobs(&trace);
         let report = sim.run_trace(40_000, 5_000);
         assert!(!report.aggregate.deadlock_detected);
         assert_eq!(report.aggregate.traffic, "CHURN[t:2jobs]");
@@ -422,15 +408,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires an installed schedule")]
+    #[should_panic(expected = "run_trace requires installed jobs")]
     fn run_trace_requires_schedule() {
         let mut sim = vct_sim(2, 1);
         let _ = sim.run_trace(1_000, 100);
     }
 
-    fn one_job_trace() -> dragonfly_sched::Trace {
-        use dragonfly_sched::{Completion, Trace, TraceJob};
-        use dragonfly_workload::{JobPattern, PlacementPolicy};
+    fn one_job_trace() -> dragonfly_workload::Trace {
+        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
         Trace::new(
             "t",
             vec![TraceJob {
@@ -449,7 +434,7 @@ mod tests {
     #[should_panic(expected = "requires a fresh simulation")]
     fn run_trace_rejects_a_stepped_simulation() {
         let mut sim = vct_sim(2, 1);
-        sim.install_schedule(&one_job_trace());
+        sim.install_jobs(&one_job_trace());
         sim.run_cycles(1);
         let _ = sim.run_trace(1_000, 100);
     }
@@ -458,12 +443,12 @@ mod tests {
     #[should_panic(expected = "do not support dynamic schedules")]
     fn batch_rejects_an_installed_schedule() {
         let mut sim = vct_sim(2, 1);
-        sim.install_schedule(&one_job_trace());
+        sim.install_jobs(&one_job_trace());
         let _ = sim.run_batch(BurstSpec::new(2, 8), 1_000);
     }
 
     #[test]
-    #[should_panic(expected = "requires an installed workload")]
+    #[should_panic(expected = "run_steady_state_workload requires installed jobs")]
     fn workload_run_requires_a_workload() {
         let mut sim = vct_sim(2, 1);
         let _ = sim.run_steady_state_workload(100, 100, 100);
@@ -473,17 +458,19 @@ mod tests {
     fn install_workload_clears_a_previous_schedule() {
         use dragonfly_workload::WorkloadSpec;
         let mut sim = vct_sim(2, 1);
-        sim.install_schedule(&one_job_trace());
-        assert!(sim.network().schedule().is_some());
-        sim.install_workload(&WorkloadSpec::transient(72, 0.1, 1_000, 2));
-        assert!(sim.network().schedule().is_none());
-        assert!(sim.network().workload().is_some());
+        sim.install_jobs(&one_job_trace());
+        assert_eq!(sim.network().traffic_name(), "CHURN[t:1jobs]");
+        let workload = WorkloadSpec::transient(72, 0.1, 1_000, 2);
+        sim.install_jobs(&workload);
+        let jobs = sim.network().jobs().unwrap();
+        assert_eq!(jobs.label(), workload.label());
+        assert_eq!(jobs.phase_counts(), vec![2]);
+        assert_eq!(sim.network().traffic_name(), workload.label());
     }
 
     #[test]
     fn horizon_truncated_jobs_stay_incomplete_regardless_of_drain() {
-        use dragonfly_sched::{Completion, Trace, TraceJob};
-        use dragonfly_workload::{JobPattern, PlacementPolicy};
+        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
         // The job's duration extends past the horizon: the lifecycle freezes at
         // halt(), so no drain budget can make it report a completion.
         let trace = Trace::new(
@@ -500,7 +487,7 @@ mod tests {
         );
         for drain in [100, 20_000] {
             let mut sim = vct_sim(2, 7);
-            sim.install_schedule(&trace);
+            sim.install_jobs(&trace);
             let report = sim.run_trace(2_000, drain);
             let lc = report.job("spans").unwrap().lifecycle.unwrap();
             assert_eq!(lc.placed_cycle, Some(0));

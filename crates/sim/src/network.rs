@@ -12,10 +12,9 @@ use dragonfly_probe::{
     CLASS_LOCAL, CLASS_TERMINAL, FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT, NONE_U16,
 };
 use dragonfly_rng::{derive_seed, Rng};
-use dragonfly_sched::ScheduleRuntime;
 use dragonfly_topology::{DragonflyParams, NodeId, Port, PortKind, RouterId};
 use dragonfly_traffic::{BernoulliInjection, TrafficPattern};
-use dragonfly_workload::WorkloadRuntime;
+use dragonfly_workload::Schedule;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -155,12 +154,13 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// sharded engine (`dragonfly_shard`) reproduce sequential runs exactly.
     rngs: Vec<Rng>,
     routing: R,
+    /// Destinations of the global Bernoulli process (and of bursts) while no
+    /// jobs are installed.
     traffic: Box<dyn TrafficPattern>,
     injection: Option<BernoulliInjection>,
-    /// Injection-side workload runtime: per-job phase rates and job/phase tags.
-    workload: Option<WorkloadRuntime>,
-    /// Dynamic job scheduler: trace-driven arrivals/departures with re-placement.
-    sched: Option<ScheduleRuntime>,
+    /// The job runtime: a static workload or a trace, compiled into one
+    /// [`Schedule`] that owns injection rates, tags and destinations.
+    jobs: Option<Schedule>,
     /// Statistics collector.
     pub stats: StatsCollector,
     pb_board: GlobalStatusBoard,
@@ -219,10 +219,10 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// run (see `dragonfly_shard`).  Fixed at construction, where it sizes
     /// every pool ([`Network::with_owned_routers`]).
     owned_routers: Range<usize>,
-    /// When present, every job id fed to `ScheduleRuntime::note_delivered` is
-    /// also appended here, so a sharded run can broadcast delivery feedback to
-    /// the other shards' schedule replicas at the cycle barrier.
-    sched_delivery_log: Option<Vec<u16>>,
+    /// When present, every job id fed to `Schedule::note_delivered` is also
+    /// appended here, so a sharded run can broadcast delivery feedback to the
+    /// other shards' job runtime replicas at the cycle barrier.
+    delivery_log: Option<Vec<u16>>,
     /// Observability probes (see `dragonfly_probe`), installed through
     /// [`Network::install_probes`].  Strictly read-only with respect to the
     /// simulation: no RNG stream is consumed and no report field changes.
@@ -422,8 +422,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             routing,
             traffic,
             injection: None,
-            workload: None,
-            sched: None,
+            jobs: None,
             stats,
             pb_board,
             // The active sets and scratch buffers are preallocated at their
@@ -445,7 +444,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             arrivals_phits: Vec::with_capacity(max_phit_cap),
             arrivals_credits: Vec::with_capacity(max_credit_cap),
             owned_routers: owned,
-            sched_delivery_log: None,
+            delivery_log: None,
             probe: None,
         }
     }
@@ -460,9 +459,13 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.routing.name()
     }
 
-    /// Name of the traffic pattern.
+    /// Name of the traffic that runs: the installed jobs' label, or the
+    /// traffic pattern's name.
     pub fn traffic_name(&self) -> String {
-        self.traffic.name()
+        match &self.jobs {
+            Some(jobs) => jobs.label().to_string(),
+            None => self.traffic.name(),
+        }
     }
 
     /// Set (or clear) the Bernoulli injection process.
@@ -470,78 +473,50 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.injection = injection;
     }
 
-    /// Install a workload: `runtime` drives per-node injection rates, job/phase tags
-    /// and the phase-boundary hook; `pattern` (usually the paired
-    /// `WorkloadSpec::build_pattern`) replaces the network's traffic pattern.
+    /// Install a job runtime: from now on `jobs` owns injection — per-node
+    /// rates, job/phase tags and destinations — and its lifecycle hook runs at
+    /// the top of every cycle.  The runtime is brought to the current cycle
+    /// right away, so the jobs arriving by now are placed before anything is
+    /// generated (a burst preloaded before the first step included).
     ///
-    /// Per-job statistics are enabled, and any global Bernoulli process or dynamic
-    /// schedule is cleared — with a workload installed each job's phases carry
-    /// their own offered loads.
-    pub fn install_workload(&mut self, runtime: WorkloadRuntime, pattern: Box<dyn TrafficPattern>) {
-        self.stats.enable_scoped(&runtime.phase_counts());
-        self.traffic = pattern;
+    /// Per-job and per-phase statistics are enabled, and the global Bernoulli
+    /// process and any earlier runtime are cleared.
+    pub fn install_jobs(&mut self, mut jobs: Schedule) {
+        self.stats.enable_scoped(&jobs.phase_counts());
         self.injection = None;
-        self.sched = None;
-        self.workload = Some(runtime);
+        jobs.advance_to(self.cycle);
+        self.jobs = Some(jobs);
     }
 
-    /// The installed workload runtime, if any.
-    pub fn workload(&self) -> Option<&WorkloadRuntime> {
-        self.workload.as_ref()
+    /// The installed job runtime, if any.
+    pub fn jobs(&self) -> Option<&Schedule> {
+        self.jobs.as_ref()
     }
 
-    /// Remove the workload runtime, stopping its injection while keeping the
-    /// (node-indexed, time-aware) traffic pattern in place.  Burst runs use this so
-    /// a preloaded burst can drain against workload destinations.
-    pub fn take_workload(&mut self) -> Option<WorkloadRuntime> {
-        self.workload.take()
-    }
-
-    /// Install a dynamic job schedule: `runtime` owns the whole lifecycle — the
-    /// per-cycle install/teardown hook at the top of [`Network::step`], per-node
-    /// injection rates and job tags, and (unlike a static workload) the
-    /// destination side too, through its internal
-    /// [`dragonfly_traffic::DynamicSlots`] adapter.
-    ///
-    /// Per-job statistics are enabled (one phase per job), and any Bernoulli
-    /// process or static workload is cleared.
-    pub fn install_schedule(&mut self, runtime: ScheduleRuntime) {
-        self.stats.enable_scoped(&vec![1; runtime.num_jobs()]);
+    /// Stop all generation: halt the job runtime (its destinations stay, so a
+    /// preloaded burst drains against them) and clear the Bernoulli process.
+    pub fn halt_generation(&mut self) {
+        if let Some(jobs) = &mut self.jobs {
+            jobs.halt();
+        }
         self.injection = None;
-        self.workload = None;
-        self.sched = Some(runtime);
-    }
-
-    /// The installed dynamic schedule, if any.
-    pub fn schedule(&self) -> Option<&ScheduleRuntime> {
-        self.sched.as_ref()
-    }
-
-    /// Mutable access to the installed dynamic schedule (the engine uses it to
-    /// halt generation at the measurement horizon).
-    pub fn schedule_mut(&mut self) -> Option<&mut ScheduleRuntime> {
-        self.sched.as_mut()
     }
 
     /// Pre-load every owned node's source queue with `packets_per_node` packets
     /// (burst mode).
     pub fn preload_burst(&mut self, packets_per_node: u64) {
+        let mut rngs = std::mem::take(&mut self.rngs);
         for n in self.owned_nodes() {
             let src = NodeId(n as u32);
-            let router = self.params.router_of_node(src).index();
+            let rng = &mut rngs[self.params.router_of_node(src).index()];
             for _ in 0..packets_per_node {
-                let dst = self.traffic.destination_at(
-                    self.cycle,
-                    src,
-                    &self.params,
-                    &mut self.rngs[router],
-                );
-                debug_assert_ne!(dst, src);
+                let dst = self.destination(self.cycle, src, rng);
                 self.enqueue(src, dst, true);
                 self.stats
                     .record_generated(self.config.packet_size, self.cycle);
             }
         }
+        self.rngs = rngs;
     }
 
     /// Queue an untagged packet from `src` to `dst`, generated this cycle, at
@@ -648,24 +623,17 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.finish_cycle();
     }
 
-    /// Run the per-cycle lifecycle hooks (dynamic scheduler, workload phase
-    /// boundaries) for the current cycle, before any packet is generated.
+    /// Run the job runtime's lifecycle hook for the current cycle, before any
+    /// packet is generated: arrivals are admitted, finished jobs retire,
+    /// waiting jobs are placed and running jobs switch phase, so a job placed
+    /// (or switching) at cycle N injects under its new state from cycle N on.
     ///
     /// Part of the decomposed [`Network::step`] used by the sharded engine; a
     /// sequential step is `advance_hooks` → `step_phases` → `apply_watchdog` →
     /// `finish_cycle`.
     pub fn advance_hooks(&mut self) {
-        let cycle = self.cycle;
-        // Lifecycle hook: the dynamic scheduler admits arrivals, retires finished
-        // jobs and re-places waiting ones before any packet of the cycle is
-        // generated (a job placed at cycle N injects from cycle N on).
-        if let Some(sched) = &mut self.sched {
-            sched.advance_to(cycle);
-        }
-        // Phase-boundary hook: jobs switch pattern/load at cycle boundaries before
-        // any packet of the cycle is generated.
-        if let Some(workload) = &mut self.workload {
-            workload.advance_to(cycle);
+        if let Some(jobs) = &mut self.jobs {
+            jobs.advance_to(self.cycle);
         }
     }
 
@@ -846,14 +814,14 @@ impl<R: RoutingAlgorithm> Network<R> {
                                     let packet = self.packets.get_mut(phit.packet);
                                     packet.delay.serialization = cycle - packet.delay.head_stamp;
                                 }
-                                // Delivery feedback for volume-bound scheduled jobs.
-                                // Only the job tag is needed here, and the stats
+                                // Delivery feedback for volume-bound jobs.  Only
+                                // the job tag is needed here, and the stats
                                 // collector reads the packet in place — no clone.
                                 let job = self.packets.get(phit.packet).job;
                                 if job != UNTAGGED {
-                                    if let Some(sched) = self.sched.as_mut() {
-                                        sched.note_delivered(job);
-                                        if let Some(log) = self.sched_delivery_log.as_mut() {
+                                    if let Some(jobs) = self.jobs.as_mut() {
+                                        jobs.note_delivered(job);
+                                        if let Some(log) = self.delivery_log.as_mut() {
                                             log.push(job);
                                         }
                                     }
@@ -941,26 +909,19 @@ impl<R: RoutingAlgorithm> Network<R> {
     // ------------------------------------------------------------------
     //
     // Two passes.  *Generation* runs one Bernoulli trial per owned node — the
-    // only per-node work an idle machine has — with the choice between the
-    // scheduler's, the workload's and the global process made once per cycle.
+    // only per-node work an idle machine has — with the choice between the job
+    // runtime's per-job rates and the global process made once per cycle.
     // *Feeding* moves one phit per node with a queued packet and visits only
     // those nodes.  The passes touch disjoint state (generation: the router
     // RNG streams, the arena, the queue tails; feeding: the queue heads and
     // the injection buffers), so running them back to back instead of
     // interleaved per node changes no outcome.
     fn phase_injection(&mut self, cycle: u64) -> bool {
-        if self.sched.is_some() {
+        if self.jobs.is_some() {
             self.generate(cycle, |net, node, rng| {
-                let sched = net.sched.as_ref()?;
-                let job = sched.source(node)?;
-                // Scheduled jobs have a single phase (index 0).
-                sched.generate(job, rng).then_some((job, 0))
-            });
-        } else if self.workload.is_some() {
-            self.generate(cycle, |net, node, rng| {
-                let workload = net.workload.as_ref()?;
-                let (job, phase) = workload.source(node)?;
-                workload.generate(job, rng).then_some((job, phase))
+                let jobs = net.jobs.as_ref()?;
+                let (job, phase) = jobs.source(node)?;
+                jobs.generate(job, rng).then_some((job, phase))
             });
         } else if let Some(injection) = self.injection {
             let probability = injection.packet_probability();
@@ -1010,14 +971,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         phase: u16,
         rng: &mut Rng,
     ) {
-        // Destinations: the scheduler's dynamic per-job patterns, or the
-        // network's (static, possibly time-aware) traffic pattern.
-        let dst = if let Some(sched) = self.sched.as_ref() {
-            sched.destination(cycle, src, &self.params, rng)
-        } else {
-            self.traffic.destination_at(cycle, src, &self.params, rng)
-        };
-        debug_assert_ne!(dst, src);
+        let dst = self.destination(cycle, src, rng);
         self.push_generated(
             src,
             Generated {
@@ -1050,6 +1004,18 @@ impl<R: RoutingAlgorithm> Network<R> {
                 });
             }
         }
+    }
+
+    /// Destination of a packet generated at `src` during `cycle`: the
+    /// installed jobs decide, or else the traffic pattern.
+    #[inline]
+    fn destination(&self, cycle: u64, src: NodeId, rng: &mut Rng) -> NodeId {
+        let dst = match &self.jobs {
+            Some(jobs) => jobs.destination(cycle, src, rng),
+            None => self.traffic.destination(src, &self.params, rng),
+        };
+        debug_assert_ne!(dst, src);
+        dst
     }
 
     /// Feed pass: every node with a queued packet moves at most one phit of
@@ -1564,34 +1530,35 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Start logging delivery feedback so a sharded run can broadcast it (see
-    /// [`Network::sched_deliveries`]).  The log is reserved at its
+    /// [`Network::job_deliveries`]).  The log is reserved at its
     /// per-cycle bound — an ejection link delivers at most one tail per cycle,
     /// so one entry per owned node — and never grows.
-    pub fn enable_sched_delivery_log(&mut self) {
-        self.sched_delivery_log = Some(Vec::with_capacity(self.owned_nodes().len()));
+    pub fn enable_delivery_log(&mut self) {
+        self.delivery_log = Some(Vec::with_capacity(self.owned_nodes().len()));
     }
 
     /// The job ids delivered on this shard since the log was last cleared
     /// (delivery feedback a sharded run broadcasts to the other shards'
-    /// schedule replicas); empty without a log.
-    pub fn sched_deliveries(&self) -> &[u16] {
-        self.sched_delivery_log.as_deref().unwrap_or(&[])
+    /// job runtime replicas); empty without a log.
+    pub fn job_deliveries(&self) -> &[u16] {
+        self.delivery_log.as_deref().unwrap_or(&[])
     }
 
     /// Forget the logged deliveries once they have been broadcast.  The log
     /// keeps its storage.
-    pub fn clear_sched_deliveries(&mut self) {
-        if let Some(log) = self.sched_delivery_log.as_mut() {
+    pub fn clear_job_deliveries(&mut self) {
+        if let Some(log) = self.delivery_log.as_mut() {
             log.clear();
         }
     }
 
     /// Apply delivery feedback observed on *another* shard to this shard's
-    /// schedule replica, keeping every replica's volume counters in lockstep.
-    pub fn apply_remote_deliveries(&mut self, jobs: &[u16]) {
-        if let Some(sched) = self.sched.as_mut() {
-            for &job in jobs {
-                sched.note_delivered(job);
+    /// job runtime replica, keeping every replica's volume counters in
+    /// lockstep.
+    pub fn apply_remote_deliveries(&mut self, deliveries: &[u16]) {
+        if let Some(jobs) = self.jobs.as_mut() {
+            for &job in deliveries {
+                jobs.note_delivered(job);
             }
         }
     }

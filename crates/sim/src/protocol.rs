@@ -9,9 +9,8 @@
 //!   its workers.
 //! * [`EngineHost`] owns an engine: it lends it out for the duration of a
 //!   protocol loop ([`EngineHost::drive`]) and afterwards exposes what the
-//!   report is assembled from — a reference [`Network`] replica (names,
-//!   workload and schedule runtimes, the watchdog verdict) and the run-wide
-//!   [`StatsCollector`].
+//!   report is assembled from — a reference [`Network`] replica (names, the
+//!   job runtime, the watchdog verdict) and the run-wide [`StatsCollector`].
 //!
 //! [`run_steady_state`], [`run_steady_state_workload`], [`run_trace`] and
 //! [`run_batch`] are generic over the host, statically dispatched, and the
@@ -22,12 +21,11 @@ use crate::network::Network;
 use crate::routing_iface::RoutingAlgorithm;
 use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
-use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_stats::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, ScopedStats, SimReport, WorkloadReport,
 };
 use dragonfly_traffic::{BernoulliInjection, BurstSpec};
-use dragonfly_workload::WorkloadSpec;
+use dragonfly_workload::{JobList, Schedule};
 use std::borrow::Cow;
 
 /// What a protocol's cycle loop needs from whatever executes the cycles.
@@ -52,10 +50,9 @@ pub trait Engine {
     fn end_measurement(&mut self);
     /// Preload every source queue with `packets_per_node` packets.
     fn preload_burst(&mut self, packets_per_node: u64);
-    /// Halt generation and admissions of an installed job schedule.
-    fn halt_schedule(&mut self);
-    /// Remove the workload runtime (keeping its pattern) and stop injection.
-    fn drop_workload(&mut self);
+    /// Stop all packet generation: halt the job runtime (freezing its
+    /// lifecycle, keeping its destinations) and clear the Bernoulli process.
+    fn halt_generation(&mut self);
 
     /// Cycles simulated so far.
     fn cycle(&self) -> u64;
@@ -67,8 +64,8 @@ pub trait Engine {
     fn deadlocked(&self) -> bool;
     /// Whether no packet exists anywhere (sources, buffers, links).
     fn drained(&self) -> bool;
-    /// Whether every job of the installed schedule completed (`true` without one).
-    fn schedule_complete(&self) -> bool;
+    /// Whether every installed job completed (`true` without a job runtime).
+    fn jobs_complete(&self) -> bool;
 }
 
 impl<R: RoutingAlgorithm> Engine for Network<R> {
@@ -96,15 +93,8 @@ impl<R: RoutingAlgorithm> Engine for Network<R> {
         Network::preload_burst(self, packets_per_node);
     }
 
-    fn halt_schedule(&mut self) {
-        if let Some(sched) = self.schedule_mut() {
-            sched.halt();
-        }
-    }
-
-    fn drop_workload(&mut self) {
-        let _ = self.take_workload();
-        Network::set_injection(self, None);
+    fn halt_generation(&mut self) {
+        Network::halt_generation(self);
     }
 
     fn cycle(&self) -> u64 {
@@ -127,8 +117,8 @@ impl<R: RoutingAlgorithm> Engine for Network<R> {
         self.is_drained()
     }
 
-    fn schedule_complete(&self) -> bool {
-        self.schedule().is_none_or(ScheduleRuntime::all_complete)
+    fn jobs_complete(&self) -> bool {
+        self.jobs().is_none_or(Schedule::all_complete)
     }
 }
 
@@ -143,16 +133,15 @@ pub trait EngineHost {
     /// Run `f` with the engine live.  The sharded engine spawns its workers
     /// around the call and joins them before returning.
     fn drive<T>(&mut self, f: impl FnOnce(&mut Self::Engine) -> T) -> T;
-    /// A network replica holding the run's names, configuration, workload and
-    /// schedule runtimes and watchdog verdict (identical on every shard).
+    /// A network replica holding the run's names, configuration, job runtime
+    /// and watchdog verdict (identical on every shard).
     fn replica(&self) -> &Network<Self::Routing>;
     /// The run-wide statistics collector (merged across shards).
     fn stats(&self) -> Cow<'_, StatsCollector>;
 
-    /// Compile `workload` against the topology and install it.
-    fn install_workload(&mut self, workload: &WorkloadSpec);
-    /// Compile `trace` into a schedule runtime and install it.
-    fn install_schedule(&mut self, trace: &Trace);
+    /// Compile `jobs` — a static workload or a trace — against the topology
+    /// and packet size and install the runtime ([`Network::install_jobs`]).
+    fn install_jobs(&mut self, jobs: &dyn JobList);
     /// Install the observability probes.
     fn install_probes(&mut self, cfg: ProbeConfig);
     /// Remove the run-wide probe recorder (merged across shards), if probes
@@ -177,10 +166,10 @@ pub fn run_steady_state<H: EngineHost>(
     drain: u64,
 ) -> SimReport {
     let net = host.replica();
-    // With a workload installed the per-job phase schedules own the injection
-    // rates; otherwise the single global Bernoulli process drives every node.
+    // With jobs installed their phase tables own the injection rates;
+    // otherwise the single global Bernoulli process drives every node.
     let injection = net
-        .workload()
+        .jobs()
         .is_none()
         .then(|| BernoulliInjection::new(offered_load, net.config.packet_size));
     host.drive(|engine| {
@@ -222,18 +211,18 @@ pub fn run_steady_state<H: EngineHost>(
     )
 }
 
-/// Run the steady-state protocol of an installed workload and break the result
+/// Run the steady-state protocol over the installed jobs and break the result
 /// down per job and per phase.
 ///
 /// The aggregate half follows [`run_steady_state`] exactly (the reported
-/// `offered_load` is the workload's nominal cycle-0 aggregate).  The
+/// `offered_load` is the jobs' nominal cycle-0 aggregate).  The
 /// per-job/per-phase breakdowns attribute every packet to the job and phase that
 /// *generated* it; loads are normalized by the job's node count and by each
 /// phase's overlap with the measurement window.
 ///
 /// # Panics
 ///
-/// Panics without an installed workload.
+/// Panics without installed jobs.
 pub fn run_steady_state_workload<H: EngineHost>(
     host: &mut H,
     warmup: u64,
@@ -242,37 +231,43 @@ pub fn run_steady_state_workload<H: EngineHost>(
 ) -> WorkloadReport {
     let net = host.replica();
     let nominal = net
-        .workload()
-        .expect("run_steady_state_workload requires an installed workload")
+        .jobs()
+        .expect("run_steady_state_workload requires installed jobs")
         .nominal_offered_load(net.params().num_nodes());
     let aggregate = run_steady_state(host, nominal, warmup, measure, drain);
 
     let stats = host.stats();
     let window = (stats.meter.window_start, stats.meter.window_end);
     let meas_cycles = window.1.saturating_sub(window.0);
-    let runtime = host.replica().workload().unwrap();
+    let runtime = host.replica().jobs().unwrap();
     let scoped = stats
         .scoped
         .as_ref()
-        .expect("scoped statistics are enabled when a workload is installed");
+        .expect("scoped statistics are enabled when jobs are installed");
 
     let jobs = (0..runtime.num_jobs())
         .map(|j| {
             let job = runtime.job(j as u16);
-            let phases = (0..job.phases())
-                .map(|ph| {
-                    let span = (job.phase_start(ph), job.phase_end(ph));
+            // A phase runs until the next one starts; the last never ends.
+            let ends = job.phases()[1..].iter().map(|next| next.start_cycle);
+            let phases = job
+                .phases()
+                .iter()
+                .zip(ends.chain([u64::MAX]))
+                .enumerate()
+                .map(|(ph, (phase, end))| {
+                    let span = (phase.start_cycle, end);
                     phase_report(
                         PhaseIdentity {
                             job: job.name().to_string(),
                             phase: ph,
-                            pattern: job.phase_pattern(ph).to_string(),
-                            offered_load: job.phase_load(ph),
+                            pattern: phase.pattern.name(),
+                            offered_load: phase.offered_load,
                             start_cycle: span.0,
                             end_cycle: span.1,
                         },
                         &scoped.per_phase[j][ph],
-                        job.nodes(),
+                        job.size(),
                         span_overlap(span, window),
                     )
                 })
@@ -280,7 +275,7 @@ pub fn run_steady_state_workload<H: EngineHost>(
             job_report(
                 job.name().to_string(),
                 &scoped.per_job[j],
-                job.nodes(),
+                job.size(),
                 meas_cycles,
                 None,
                 phases,
@@ -290,8 +285,8 @@ pub fn run_steady_state_workload<H: EngineHost>(
     WorkloadReport { aggregate, jobs }
 }
 
-/// Run an installed job schedule to completion (or `horizon` cycles, whichever
-/// comes first) and report per-job statistics and lifecycles.
+/// Run the installed jobs to completion (or `horizon` cycles, whichever comes
+/// first) and report per-job statistics and lifecycles.
 ///
 /// Churn runs have no steady state, so the whole run is the measurement
 /// window: measurement starts at cycle 0 and ends when every trace job has
@@ -305,14 +300,11 @@ pub fn run_steady_state_workload<H: EngineHost>(
 ///
 /// # Panics
 ///
-/// Panics without an installed schedule, or if the simulation has already
-/// stepped (the trace owns absolute cycles from 0).
+/// Panics without installed jobs, or if the simulation has already stepped
+/// (the jobs' cycles are absolute, from 0).
 pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> WorkloadReport {
     let net = host.replica();
-    assert!(
-        net.schedule().is_some(),
-        "run_trace requires an installed schedule"
-    );
+    assert!(net.jobs().is_some(), "run_trace requires installed jobs");
     assert_eq!(net.cycle, 0, "run_trace requires a fresh simulation");
 
     let end = host.drive(|engine| {
@@ -320,7 +312,7 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
         engine.set_tag_measured(true);
         while engine.cycle() < horizon && !engine.deadlocked() {
             engine.step();
-            if engine.schedule_complete() && engine.drained() {
+            if engine.jobs_complete() && engine.drained() {
                 break;
             }
         }
@@ -328,8 +320,8 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
         engine.end_measurement();
         engine.set_tag_measured(false);
 
-        // Halt generation and admissions, then let in-flight packets finish.
-        engine.halt_schedule();
+        // Halt generation and the lifecycle, then let in-flight packets finish.
+        engine.halt_generation();
         let mut drained = 0;
         while drained < drain && !engine.drained() && !engine.deadlocked() {
             engine.step();
@@ -342,12 +334,12 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
     let stats = host.stats();
     let nodes = net.params().num_nodes();
     let packet_size = net.config.packet_size;
-    let runtime = net.schedule().unwrap();
+    let runtime = net.jobs().unwrap();
     let aggregate = sim_report(
         &stats,
         SimRunIdentity {
             routing: net.routing_name().to_string(),
-            traffic: runtime.label().to_string(),
+            traffic: net.traffic_name(),
             offered_load: runtime.nominal_offered_load(nodes),
             nodes,
             warmup_cycles: 0,
@@ -358,40 +350,41 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
     let scoped = stats
         .scoped
         .as_ref()
-        .expect("scoped statistics are enabled when a schedule is installed");
+        .expect("scoped statistics are enabled when jobs are installed");
 
     let jobs = (0..runtime.num_jobs() as u16)
         .map(|j| {
-            let spec = runtime.job_spec(j);
-            let lifetime = runtime.lifetime(j);
+            let job = runtime.job(j);
+            let lifetime = job.lifetime();
             // Residency span: placement to completion, clamped to the window.
             let start = lifetime.placed.unwrap_or(end);
             let stop = lifetime.completed.unwrap_or(end);
             let resident = span_overlap((start, stop), (0, end));
             let slowdown = match (lifetime.wait_cycles(), lifetime.service_cycles()) {
                 (Some(wait), Some(service)) => {
-                    let ideal = runtime.ideal_service_cycles(j, packet_size);
+                    let ideal = job.ideal_service_cycles(packet_size);
                     Some((wait + service) as f64 / ideal.max(1) as f64)
                 }
                 _ => None,
             };
+            let only = job.phases()[0];
             let phase = phase_report(
                 PhaseIdentity {
-                    job: spec.name.clone(),
+                    job: job.name().to_string(),
                     phase: 0,
-                    pattern: spec.pattern.name(),
-                    offered_load: spec.offered_load,
+                    pattern: only.pattern.name(),
+                    offered_load: only.offered_load,
                     start_cycle: start,
                     end_cycle: stop,
                 },
                 &scoped.per_phase[j as usize][0],
-                spec.size,
+                job.size(),
                 resident,
             );
             job_report(
-                spec.name.clone(),
+                job.name().to_string(),
                 &scoped.per_job[j as usize],
-                spec.size,
+                job.size(),
                 resident,
                 Some(JobLifecycleReport {
                     arrival_cycle: lifetime.arrival,
@@ -414,7 +407,8 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
 /// # Panics
 ///
 /// Panics when the burst's packet size differs from the configured one, or
-/// with a dynamic schedule installed.
+/// with jobs installed that arrive later or depart (a burst is drawn against
+/// the jobs resident when it is preloaded).
 pub fn run_batch<H: EngineHost>(host: &mut H, burst: BurstSpec, max_cycles: u64) -> BatchReport {
     let net = host.replica();
     assert_eq!(
@@ -423,14 +417,14 @@ pub fn run_batch<H: EngineHost>(host: &mut H, burst: BurstSpec, max_cycles: u64)
         "burst packet size must match the configured packet size"
     );
     assert!(
-        net.schedule().is_none(),
+        net.jobs().is_none_or(Schedule::is_static),
         "burst runs do not support dynamic schedules"
     );
 
     let (total, consumption, drained) = host.drive(|engine| {
-        // Burst mode preloads every packet at once: stop any workload injection but
-        // keep its pattern so the burst drains against workload destinations.
-        engine.drop_workload();
+        // Burst mode preloads every packet at once: stop generation but keep
+        // any jobs' destinations, so the burst drains against them.
+        engine.halt_generation();
         engine.begin_measurement();
         let start = engine.cycle();
         engine.preload_burst(burst.packets_per_node());

@@ -7,7 +7,7 @@ use dragonfly_stats::{ExactStats, Histogram, ScopedStats, ThroughputMeter};
 /// aggregate histogram; p99 above this many cycles saturates at the bin range).
 const SCOPED_LATENCY_BINS: usize = 32 * 1024;
 
-/// Per-job and per-(job, phase) breakdowns, enabled when a workload is installed.
+/// Per-job and per-(job, phase) breakdowns, enabled when jobs are installed.
 #[derive(Debug, Clone)]
 pub struct ScopedCollector {
     /// One accumulator per job, covering the whole run.
@@ -80,7 +80,7 @@ pub struct StatsCollector {
     pub meter: ThroughputMeter,
     /// Whether the measurement window is currently open.
     pub measuring: bool,
-    /// Per-job/per-phase breakdowns (present when a workload is installed).
+    /// Per-job/per-phase breakdowns (present when jobs are installed).
     pub scoped: Option<ScopedCollector>,
     /// Peak packets simultaneously in flight (generated − delivered), sampled
     /// once per cycle ([`StatsCollector::note_cycle_peaks`]).
@@ -144,7 +144,7 @@ impl StatsCollector {
         }
     }
 
-    /// Record the generation of a workload packet of `size` phits, attributed to
+    /// Record the generation of a job packet of `size` phits, attributed to
     /// `(job, phase)` (both [`UNTAGGED`] degrades to [`StatsCollector::record_generated`]).
     pub fn record_generated_tagged(&mut self, size: usize, cycle: u64, job: u16, phase: u16) {
         self.record_generated(size, cycle);

@@ -15,15 +15,11 @@
 //! used for the steady-state experiments and the fixed-size burst used for the burst
 //! consumption experiments.
 
-mod dynamic;
 mod injection;
 mod patterns;
-mod workload_adapter;
 
-pub use dynamic::DynamicSlots;
 pub use injection::{BernoulliInjection, BurstSpec};
 pub use patterns::{AdversarialGlobal, AdversarialLocal, MixedGlobalLocal, Uniform};
-pub use workload_adapter::{WorkloadPattern, UNASSIGNED_SLOT};
 
 use dragonfly_rng::Rng;
 use dragonfly_topology::{DragonflyParams, NodeId};
@@ -38,43 +34,10 @@ pub trait TrafficPattern: Send {
     /// Implementations must never return `src` itself (a node does not send packets to
     /// itself through the network).
     fn destination(&self, src: NodeId, params: &DragonflyParams, rng: &mut Rng) -> NodeId;
-
-    /// Time-aware variant of [`TrafficPattern::destination`]: pick the destination for
-    /// a packet generated at `src` during `cycle`.
-    ///
-    /// The synthetic patterns of the paper are stationary and ignore the cycle, which
-    /// is the default.  Composite patterns (phase schedules, workloads) override this
-    /// to switch behaviour at cycle boundaries; the simulation engine always generates
-    /// destinations through this method.
-    fn destination_at(
-        &self,
-        cycle: u64,
-        src: NodeId,
-        params: &DragonflyParams,
-        rng: &mut Rng,
-    ) -> NodeId {
-        let _ = cycle;
-        self.destination(src, params, rng)
-    }
 }
 
 /// Boxed pattern alias used throughout the workspace.
 pub type BoxedPattern = Box<dyn TrafficPattern>;
-
-/// Deterministic test double: node `i` sends to node `i + offset`.
-#[cfg(test)]
-pub(crate) struct Shift(pub usize);
-
-#[cfg(test)]
-impl TrafficPattern for Shift {
-    fn name(&self) -> String {
-        format!("SHIFT+{}", self.0)
-    }
-
-    fn destination(&self, src: NodeId, params: &DragonflyParams, _rng: &mut Rng) -> NodeId {
-        NodeId(((src.index() + self.0) % params.num_nodes()) as u32)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@ use dragonfly_traffic::{BoxedPattern, TrafficPattern};
 use std::cell::Cell;
 
 /// Build the boxed pattern for one job phase over the job's (sorted) node set.
-pub fn build_job_pattern(
+pub(crate) fn build_job_pattern(
     pattern: JobPattern,
     members: &[NodeId],
     params: &DragonflyParams,

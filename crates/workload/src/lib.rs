@@ -1,38 +1,36 @@
-//! Multi-job workload scenarios for the Dragonfly simulator.
+//! Multi-job workloads for the Dragonfly simulator.
 //!
 //! The paper evaluates its routing mechanisms under single, static synthetic
 //! patterns.  Real systems run several *jobs* at once, each placed on a subset of
-//! the nodes and each going through *phases* of different communication behaviour —
-//! the regime where adaptive routing matters most (workload interference, transient
-//! adaptation).  This crate models that:
+//! the nodes, going through *phases* of different communication behaviour, and
+//! arriving and departing over time — the regime where adaptive routing matters
+//! most (workload interference, transient adaptation, churn).  This crate models
+//! it:
 //!
-//! * a [`WorkloadSpec`] is a list of [`JobSpec`]s, placed on the machine in order by
-//!   a [`PlacementPolicy`] (contiguous nodes, round-robin over routers, or seeded
-//!   random),
-//! * each job runs a schedule of [`PhaseSpec`]s, switching its [`JobPattern`] and
-//!   offered load at absolute cycle boundaries,
-//! * job traffic stays inside the job: the job-scoped patterns (uniform,
-//!   adversarial-global, adversarial-local, mixes) pick destinations among the
-//!   job's own nodes, using the physical topology to preserve the adversarial
-//!   structure of the paper's patterns,
-//! * [`WorkloadSpec::build_pattern`] compiles the destination side into a
-//!   [`dragonfly_traffic::WorkloadPattern`] (a plain `TrafficPattern` the engine
-//!   drives unchanged), and [`WorkloadSpec::runtime`] compiles the injection side
-//!   into a [`WorkloadRuntime`] (per-job Bernoulli rates, phase tracking and the
-//!   job/phase tags the statistics layer groups by).
+//! * a [`WorkloadSpec`] is a static list of [`JobSpec`]s, each switching its
+//!   [`JobPattern`] and load at [`PhaseSpec`] boundaries; a [`Trace`] is a list
+//!   of [`TraceJob`] arrivals (text format or [`SyntheticTrace`]) that leave on
+//!   a [`Completion`],
+//! * a [`PlacementPolicy`] allocates every job from the current free set of a
+//!   [`FreePool`]; job-scoped patterns keep a job's traffic on its own nodes,
+//! * both spec types are a [`JobList`] compiling into one runtime, a
+//!   [`Schedule`], that the simulation engine drives every cycle.
 //!
-//! Two headline scenarios ship as constructors: [`WorkloadSpec::interference`]
-//! (an adversarial aggressor job against a uniform victim job) and
-//! [`WorkloadSpec::transient`] (a single job switching pattern mid-run).
+//! Headline scenarios: [`WorkloadSpec::interference`],
+//! [`WorkloadSpec::transient`] and [`scenarios::fragmentation_trace`].
 
 #![warn(missing_docs)]
 
 mod job_patterns;
 mod placement;
 mod runtime;
+pub mod scenarios;
 mod spec;
+mod trace;
+mod workload_adapter;
 
-pub use job_patterns::build_job_pattern;
-pub use placement::{FreePool, Placement};
-pub use runtime::{JobRuntime, WorkloadRuntime};
+pub use placement::FreePool;
+pub use runtime::{Job, JobLifetime, Schedule};
 pub use spec::{JobPattern, JobSpec, PhaseSpec, PlacementPolicy, WorkloadSpec};
+pub use trace::{Completion, SyntheticTrace, Trace, TraceJob};
+pub use workload_adapter::JobList;

@@ -1,17 +1,14 @@
-//! Deterministic node placement of a workload's jobs, over an explicit free-node
-//! pool.
+//! Deterministic node placement over an explicit free-node pool.
 //!
-//! [`FreePool`] is the allocation substrate shared by static workloads and the
-//! dynamic job scheduler (`dragonfly_sched`): every [`PlacementPolicy`] draws from
-//! whatever nodes are currently free — a virgin machine, or an arbitrarily
-//! fragmented set left behind by earlier arrivals and departures — and departing
-//! jobs return their nodes with [`FreePool::release`].  [`Placement`] keeps the
-//! one-shot "place every job of a spec" view used by [`WorkloadSpec`].
+//! [`FreePool`] is the allocation substrate of the job runtime
+//! ([`crate::Schedule`]): every [`PlacementPolicy`] draws from whatever nodes
+//! are currently free — a virgin machine, or an arbitrarily fragmented set left
+//! behind by earlier arrivals and departures — and departing jobs return their
+//! nodes with [`FreePool::release`].
 
-use crate::spec::{PlacementPolicy, WorkloadSpec};
+use crate::spec::PlacementPolicy;
 use dragonfly_rng::{derive_seed, Rng};
 use dragonfly_topology::{DragonflyParams, NodeId};
-use dragonfly_traffic::UNASSIGNED_SLOT;
 
 /// The machine's free-node pool: the mutable substrate every placement policy
 /// allocates from.
@@ -53,8 +50,8 @@ impl FreePool {
     /// free set cannot satisfy the request.
     ///
     /// `stream` decorrelates the seeded [`PlacementPolicy::Random`] draws of
-    /// different jobs sharing one policy seed (static workloads pass the job index;
-    /// the scheduler passes the trace index).  The returned nodes are sorted
+    /// different jobs sharing one policy seed (the runtime passes the job's
+    /// index in its job list).  The returned nodes are sorted
     /// ascending and marked taken.
     pub fn allocate(
         &mut self,
@@ -97,53 +94,6 @@ impl FreePool {
             self.free[node.index()] = true;
         }
         self.free_count += nodes.len();
-    }
-}
-
-/// The result of placing every job of a workload: disjoint per-job node sets and the
-/// inverse node→job map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Placement {
-    /// For every node: the index of its job, or [`UNASSIGNED_SLOT`] if idle.
-    pub job_of_node: Vec<u16>,
-    /// For every job: its nodes in ascending order.
-    pub jobs: Vec<Vec<NodeId>>,
-}
-
-impl Placement {
-    /// Place every job of `spec` in order, each drawing from the still-free nodes.
-    pub fn compute(spec: &WorkloadSpec, params: &DragonflyParams) -> Self {
-        let num_nodes = params.num_nodes();
-        let total: usize = spec.jobs.iter().map(|j| j.size).sum();
-        assert!(
-            total <= num_nodes,
-            "workload needs {total} nodes but the machine has {num_nodes}"
-        );
-        let mut pool = FreePool::all_free(num_nodes);
-        let mut job_of_node = vec![UNASSIGNED_SLOT; num_nodes];
-        let mut jobs = Vec::with_capacity(spec.jobs.len());
-        for (j, job) in spec.jobs.iter().enumerate() {
-            let nodes = pool
-                .allocate(job.placement, job.size, params, j as u64)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "job '{}' ({} nodes, {}) does not fit the free set",
-                        job.name,
-                        job.size,
-                        job.placement.name()
-                    )
-                });
-            for &node in &nodes {
-                job_of_node[node.index()] = j as u16;
-            }
-            jobs.push(nodes);
-        }
-        Self { job_of_node, jobs }
-    }
-
-    /// Total nodes assigned to any job.
-    pub fn assigned_nodes(&self) -> usize {
-        self.jobs.iter().map(Vec::len).sum()
     }
 }
 
@@ -211,7 +161,8 @@ fn take_random(free: &[bool], size: usize, seed: u64) -> Option<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JobPattern, JobSpec};
+    use crate::spec::{JobPattern, JobSpec, WorkloadSpec};
+    use crate::{JobList, Schedule};
 
     fn params() -> DragonflyParams {
         DragonflyParams::new(2)
@@ -221,33 +172,46 @@ mod tests {
         JobSpec::new(name, size, placement, JobPattern::Uniform, 0.1)
     }
 
+    /// A static workload placed the way the runtime places it: every job at
+    /// cycle 0, in specification order.
+    fn placed(jobs: Vec<JobSpec>) -> Schedule {
+        let mut schedule = WorkloadSpec::new(jobs).schedule(&params(), 8);
+        schedule.advance_to(0);
+        schedule
+    }
+
+    /// The node set of every job of `schedule`.
+    fn nodes_of(schedule: &Schedule) -> Vec<Vec<NodeId>> {
+        (0..schedule.num_jobs() as u16)
+            .map(|j| schedule.job(j).nodes().to_vec())
+            .collect()
+    }
+
     #[test]
     fn contiguous_takes_lowest_nodes() {
-        let p = params();
-        let spec = WorkloadSpec::new(vec![
+        let schedule = placed(vec![
             job("a", 8, PlacementPolicy::Contiguous),
             job("b", 8, PlacementPolicy::Contiguous),
         ]);
-        let placement = spec.place(&p);
-        assert_eq!(placement.jobs[0], (0..8).map(NodeId).collect::<Vec<_>>());
-        assert_eq!(placement.jobs[1], (8..16).map(NodeId).collect::<Vec<_>>());
-        assert_eq!(placement.assigned_nodes(), 16);
+        let jobs = nodes_of(&schedule);
+        assert_eq!(jobs[0], (0..8).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(jobs[1], (8..16).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(schedule.free_nodes(), params().num_nodes() - 16);
     }
 
     #[test]
     fn round_robin_spreads_over_routers() {
-        let p = params(); // 36 routers × 2 nodes
-        let spec = WorkloadSpec::new(vec![
+        // 36 routers × 2 nodes.
+        let jobs = nodes_of(&placed(vec![
             job("a", 36, PlacementPolicy::RoundRobinRouters),
             job("b", 36, PlacementPolicy::RoundRobinRouters),
-        ]);
-        let placement = spec.place(&p);
+        ]));
         // First sweep: node 0 of every router.
-        for (i, node) in placement.jobs[0].iter().enumerate() {
+        for (i, node) in jobs[0].iter().enumerate() {
             assert_eq!(node.index(), i * 2, "job a node {i}");
         }
         // Second job gets node 1 of every router.
-        for (i, node) in placement.jobs[1].iter().enumerate() {
+        for (i, node) in jobs[1].iter().enumerate() {
             assert_eq!(node.index(), i * 2 + 1, "job b node {i}");
         }
     }
@@ -255,12 +219,15 @@ mod tests {
     #[test]
     fn round_robin_wraps_to_second_terminal() {
         let p = params();
-        let spec = WorkloadSpec::new(vec![job("a", 40, PlacementPolicy::RoundRobinRouters)]);
-        let placement = spec.place(&p);
+        let jobs = nodes_of(&placed(vec![job(
+            "a",
+            40,
+            PlacementPolicy::RoundRobinRouters,
+        )]));
         // 36 routers: the first 36 nodes are one per router, then it wraps.
         let per_router_counts: Vec<usize> = (0..p.num_routers())
             .map(|r| {
-                placement.jobs[0]
+                jobs[0]
                     .iter()
                     .filter(|n| n.index() / p.nodes_per_router() == r)
                     .count()
@@ -272,45 +239,51 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let p = params();
-        let spec = WorkloadSpec::new(vec![job("a", 20, PlacementPolicy::Random { seed: 7 })]);
-        let one = spec.place(&p);
-        let two = spec.place(&p);
-        assert_eq!(one, two);
-        let other = WorkloadSpec::new(vec![job("a", 20, PlacementPolicy::Random { seed: 8 })]);
-        assert_ne!(one.jobs[0], other.place(&p).jobs[0]);
+        let random = |seed| {
+            nodes_of(&placed(vec![job(
+                "a",
+                20,
+                PlacementPolicy::Random { seed },
+            )]))
+        };
+        let one = random(7);
+        assert_eq!(one, random(7));
+        assert_ne!(one, random(8));
     }
 
     #[test]
     fn jobs_are_disjoint_and_inverse_map_agrees() {
         let p = params();
-        let spec = WorkloadSpec::new(vec![
+        let schedule = placed(vec![
             job("a", 10, PlacementPolicy::Random { seed: 1 }),
             job("b", 20, PlacementPolicy::RoundRobinRouters),
             job("c", 30, PlacementPolicy::Contiguous),
         ]);
-        let placement = spec.place(&p);
         let mut seen = vec![false; p.num_nodes()];
-        for (j, nodes) in placement.jobs.iter().enumerate() {
+        for (j, nodes) in nodes_of(&schedule).iter().enumerate() {
+            assert_eq!(nodes.len(), schedule.job(j as u16).size());
             for node in nodes {
                 assert!(!seen[node.index()], "node {node:?} assigned twice");
                 seen[node.index()] = true;
-                assert_eq!(placement.job_of_node[node.index()], j as u16);
+                assert_eq!(schedule.source(node.index()), Some((j as u16, 0)));
             }
         }
         for (n, &taken) in seen.iter().enumerate() {
             if !taken {
-                assert_eq!(placement.job_of_node[n], UNASSIGNED_SLOT);
+                assert_eq!(schedule.source(n), None);
             }
         }
+        schedule.assert_disjoint();
     }
 
     #[test]
     #[should_panic(expected = "machine has")]
     fn oversubscription_rejected() {
-        let p = params();
-        let spec = WorkloadSpec::new(vec![job("a", 100, PlacementPolicy::Contiguous)]);
-        let _ = spec.place(&p);
+        let spec = WorkloadSpec::new(vec![
+            job("a", 40, PlacementPolicy::Contiguous),
+            job("b", 40, PlacementPolicy::Contiguous),
+        ]);
+        let _ = spec.schedule(&params(), 8);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Canonical churn scenarios shared by the `churn_sweep` binary, the
 //! `churn_study` example and the pinned integration tests.
 
+use crate::spec::{JobPattern, PlacementPolicy};
 use crate::trace::{Completion, Trace, TraceJob};
 use dragonfly_topology::DragonflyParams;
-use dragonfly_workload::{JobPattern, PlacementPolicy};
 
 /// Offered load of the background filler jobs: enough to keep their queues warm,
 /// small enough that the victim's tail is dominated by the aggressor.

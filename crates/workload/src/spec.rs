@@ -1,10 +1,7 @@
-//! Workload specifications: jobs, placements, phases and job-scoped patterns.
+//! Workload specifications: jobs, placements, phases and job-scoped patterns,
+//! and the job checks a workload shares with a [`crate::Trace`].
 
-use crate::job_patterns::build_job_pattern;
-use crate::placement::Placement;
-use crate::runtime::{JobRuntime, WorkloadRuntime};
-use dragonfly_topology::DragonflyParams;
-use dragonfly_traffic::{BoxedPattern, WorkloadPattern, UNASSIGNED_SLOT};
+use std::collections::HashSet;
 
 /// How a job's nodes are chosen from the machine's free nodes.
 ///
@@ -218,25 +215,28 @@ impl JobSpec {
         self
     }
 
-    fn validate(&self) {
-        assert!(self.size >= 2, "job '{}' needs at least 2 nodes", self.name);
-        assert!(
-            !self.phases.is_empty(),
-            "job '{}' needs at least one phase",
-            self.name
-        );
-        assert_eq!(
-            self.phases[0].start_cycle, 0,
-            "job '{}': the first phase must start at cycle 0",
-            self.name
-        );
-        assert!(
-            self.phases
-                .windows(2)
-                .all(|w| w[0].start_cycle < w[1].start_cycle),
-            "job '{}': phase start cycles must be strictly increasing",
-            self.name
-        );
+    /// The checks only a phase table needs (see [`check_jobs`] for the rest).
+    fn check_phases(&self) -> Result<(), String> {
+        let name = &self.name;
+        match self.phases.first() {
+            None => return Err(format!("job `{name}` needs at least one phase")),
+            Some(first) if first.start_cycle != 0 => {
+                return Err(format!(
+                    "job `{name}`: the first phase must start at cycle 0"
+                ))
+            }
+            _ => {}
+        }
+        if self
+            .phases
+            .windows(2)
+            .any(|w| w[0].start_cycle >= w[1].start_cycle)
+        {
+            return Err(format!(
+                "job `{name}`: phase start cycles must be strictly increasing"
+            ));
+        }
+        Ok(())
     }
 
     /// Compact label: `name(size,placement)=PH0→PH1…` with per-phase loads.
@@ -260,17 +260,33 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// A workload from an explicit job list.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid job list — what [`crate::Trace::try_new`] rejects
+    /// too (no jobs; a name that is empty, holds whitespace or a comma, or
+    /// repeats; fewer than 2 nodes; a non-finite or negative load) — or on a
+    /// phase table that does not start at cycle 0 with strictly increasing
+    /// start cycles.
     pub fn new(jobs: Vec<JobSpec>) -> Self {
-        assert!(!jobs.is_empty(), "a workload needs at least one job");
-        assert!(
-            jobs.len() < UNASSIGNED_SLOT as usize,
-            "too many jobs for the u16 job tag"
-        );
         let spec = Self { jobs };
-        for job in &spec.jobs {
-            job.validate();
-        }
+        spec.assert_valid();
         spec
+    }
+
+    /// Panic unless the job list passes what [`WorkloadSpec::new`] checks.
+    /// The fields are public, so a spec can be built or edited without `new`;
+    /// compiling it into a runtime checks again.
+    pub(crate) fn assert_valid(&self) {
+        let shared = self.jobs.iter().map(|job| {
+            let loads = job.phases.iter().map(|p| p.offered_load);
+            (job.name.as_str(), job.size, loads)
+        });
+        let checked =
+            check_jobs(shared).and_then(|()| self.jobs.iter().try_for_each(JobSpec::check_phases));
+        if let Err(msg) = checked {
+            panic!("invalid workload: {msg}");
+        }
     }
 
     /// The headline interference scenario: an adversarial *aggressor* job and a
@@ -361,74 +377,47 @@ impl WorkloadSpec {
             .join(",");
         format!("WL[{jobs}]")
     }
+}
 
-    /// Compute the node placement of every job (deterministic).
-    pub fn place(&self, params: &DragonflyParams) -> Placement {
-        Placement::compute(self, params)
+/// The checks both job spec kinds share — a [`WorkloadSpec`] panics on a
+/// failure, a [`crate::Trace`] returns it — over `(name, size, loads)` per
+/// job: at least one job and few enough for the `u16` packet tag; names usable
+/// as raw CSV cells and trace-file tokens, and unique; at least 2 nodes (so a
+/// job can communicate); finite, non-negative loads.
+pub(crate) fn check_jobs<'a, L: IntoIterator<Item = f64>>(
+    jobs: impl ExactSizeIterator<Item = (&'a str, usize, L)>,
+) -> Result<(), String> {
+    if jobs.len() == 0 {
+        return Err("a job list needs at least one job".to_string());
     }
+    if jobs.len() >= u16::MAX as usize {
+        return Err("too many jobs for the u16 job tag".to_string());
+    }
+    let mut names = HashSet::new();
+    for (name, size, loads) in jobs {
+        if !name_is_clean(name) {
+            return Err(format!("bad job name `{name}`"));
+        }
+        if !names.insert(name) {
+            return Err(format!("duplicate job name `{name}`"));
+        }
+        if size < 2 {
+            return Err(format!("job `{name}` needs at least 2 nodes"));
+        }
+        if loads
+            .into_iter()
+            .any(|load| !load.is_finite() || load < 0.0)
+        {
+            return Err(format!("job `{name}` has a bad load"));
+        }
+    }
+    Ok(())
+}
 
-    /// Compile the destination side: a node-indexed, time-aware
-    /// [`WorkloadPattern`] ready to drive the simulation engine.
-    pub fn build_pattern(&self, params: &DragonflyParams) -> WorkloadPattern {
-        self.build_pattern_with(&self.place(params), params)
-    }
-
-    /// Compile the injection side: per-job phase rates, phase tracking and tags.
-    ///
-    /// `packet_size` (phits) converts each phase's offered load into a per-cycle
-    /// Bernoulli packet probability, exactly like
-    /// [`dragonfly_traffic::BernoulliInjection`].
-    pub fn runtime(&self, params: &DragonflyParams, packet_size: usize) -> WorkloadRuntime {
-        self.runtime_with(&self.place(params), packet_size)
-    }
-
-    /// Compile both sides at once, computing the placement a single time — the
-    /// path the simulation engine uses when installing a workload.
-    pub fn compile(
-        &self,
-        params: &DragonflyParams,
-        packet_size: usize,
-    ) -> (WorkloadRuntime, WorkloadPattern) {
-        let placement = self.place(params);
-        (
-            self.runtime_with(&placement, packet_size),
-            self.build_pattern_with(&placement, params),
-        )
-    }
-
-    fn build_pattern_with(
-        &self,
-        placement: &Placement,
-        params: &DragonflyParams,
-    ) -> WorkloadPattern {
-        let schedules = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| {
-                job.phases
-                    .iter()
-                    .map(|phase| {
-                        let pattern: BoxedPattern =
-                            build_job_pattern(phase.pattern, &placement.jobs[j], params);
-                        (phase.start_cycle, pattern)
-                    })
-                    .collect()
-            })
-            .collect();
-        WorkloadPattern::new(self.label(), placement.job_of_node.clone(), schedules)
-    }
-
-    fn runtime_with(&self, placement: &Placement, packet_size: usize) -> WorkloadRuntime {
-        assert!(packet_size >= 1, "packet size must be at least one phit");
-        let jobs = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| JobRuntime::new(job, placement.jobs[j].len(), packet_size))
-            .collect();
-        WorkloadRuntime::new(self.label(), placement.job_of_node.clone(), jobs)
-    }
+/// Job and trace names end up as whitespace-delimited trace-file tokens and raw
+/// CSV cells, so they must be non-empty and free of whitespace and commas.
+pub(crate) fn name_is_clean(name: &str) -> bool {
+    !name.is_empty() && !name.contains(|c: char| c.is_whitespace() || c == ',')
 }
 
 #[cfg(test)]
@@ -535,5 +524,37 @@ mod tests {
             placement: PlacementPolicy::Contiguous,
             phases: vec![PhaseSpec::new(10, JobPattern::Uniform, 0.1)],
         }]);
+    }
+
+    fn job(name: &str, load: f64) -> JobSpec {
+        JobSpec::new(
+            name,
+            4,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            load,
+        )
+    }
+
+    // A workload rejects what a trace rejects (`trace::tests`): names are raw
+    // CSV cells, `WorkloadReport::job` looks jobs up by name, and an infinite
+    // load would become a generation probability of 1.
+
+    #[test]
+    #[should_panic(expected = "bad job name `a,b`")]
+    fn csv_unsafe_job_name_rejected() {
+        WorkloadSpec::new(vec![job("a,b", 0.1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate job name `x`")]
+    fn duplicate_job_names_rejected() {
+        WorkloadSpec::new(vec![job("x", 0.1), job("x", 0.2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "job `inf` has a bad load")]
+    fn non_finite_load_rejected() {
+        WorkloadSpec::new(vec![job("inf", f64::INFINITY)]);
     }
 }

@@ -1,7 +1,7 @@
-//! Job-arrival traces: the parseable input of the dynamic scheduler.
+//! Job-arrival traces: jobs that arrive over time, run, and depart.
 
+use crate::spec::{check_jobs, name_is_clean, JobPattern, PlacementPolicy};
 use dragonfly_rng::{derive_seed, Rng};
-use dragonfly_workload::{JobPattern, PlacementPolicy};
 
 /// When a running job is finished.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,16 +53,8 @@ impl TraceJob {
         )
     }
 
-    fn validate(&self) -> Result<(), String> {
-        if !name_is_clean(&self.name) {
-            return Err(format!("bad job name `{}`", self.name));
-        }
-        if self.size < 2 {
-            return Err(format!("job `{}` needs at least 2 nodes", self.name));
-        }
-        if !self.offered_load.is_finite() || self.offered_load < 0.0 {
-            return Err(format!("job `{}` has a bad load", self.name));
-        }
+    /// The check only a trace job needs (see [`check_jobs`] for the rest).
+    fn check_completion(&self) -> Result<(), String> {
         match self.completion {
             Completion::Duration(0) => Err(format!("job `{}` has zero duration", self.name)),
             Completion::Volume(0) => Err(format!("job `{}` has zero volume", self.name)),
@@ -100,19 +92,11 @@ impl Trace {
         if !name_is_clean(&name) {
             return Err(format!("bad trace name `{name}`"));
         }
-        if jobs.is_empty() {
-            return Err("a trace needs at least one job".to_string());
-        }
-        if jobs.len() >= u16::MAX as usize {
-            return Err("too many jobs for the u16 job tag".to_string());
-        }
-        let mut names = std::collections::HashSet::new();
-        for job in &jobs {
-            job.validate()?;
-            if !names.insert(job.name.clone()) {
-                return Err(format!("duplicate job name `{}`", job.name));
-            }
-        }
+        check_jobs(
+            jobs.iter()
+                .map(|j| (j.name.as_str(), j.size, [j.offered_load])),
+        )?;
+        jobs.iter().try_for_each(TraceJob::check_completion)?;
         jobs.sort_by_key(|j| j.arrival);
         Ok(Self { name, jobs })
     }
@@ -238,15 +222,9 @@ impl Trace {
         out
     }
 
-    /// Aggregate nominal demand in phits/(node·cycle) as if every job of the trace
-    /// were resident at once (an upper bound; the actual offered load varies as
-    /// jobs come and go).
-    pub fn nominal_offered_load(&self, num_nodes: usize) -> f64 {
-        nominal_load_of(&self.jobs, num_nodes)
-    }
-
     /// The display label used as the traffic name wherever this trace drives a
-    /// run (`TrafficKind::Churn`, `ScheduleRuntime`, report aggregates).
+    /// run (`TrafficKind::Churn`, the compiled [`crate::Schedule`], report
+    /// aggregates).
     pub fn label(&self) -> String {
         format!("CHURN[{}:{}jobs]", self.name, self.jobs.len())
     }
@@ -255,27 +233,6 @@ impl Trace {
     pub fn last_arrival(&self) -> u64 {
         self.jobs.last().map_or(0, |j| j.arrival)
     }
-}
-
-/// Shared formula behind [`Trace::nominal_offered_load`] and
-/// `ScheduleRuntime::nominal_offered_load`: `Σ load·size / num_nodes`.
-pub(crate) fn nominal_load_of<'a>(
-    jobs: impl IntoIterator<Item = &'a TraceJob>,
-    num_nodes: usize,
-) -> f64 {
-    if num_nodes == 0 {
-        return 0.0;
-    }
-    jobs.into_iter()
-        .map(|j| j.offered_load * j.size as f64)
-        .sum::<f64>()
-        / num_nodes as f64
-}
-
-/// Trace and job names end up as whitespace-delimited trace-file tokens and raw
-/// CSV cells, so they must be non-empty and free of whitespace and commas.
-fn name_is_clean(name: &str) -> bool {
-    !name.is_empty() && !name.contains(|c: char| c.is_whitespace() || c == ',')
 }
 
 fn parse_placement(text: &str) -> Result<PlacementPolicy, String> {
@@ -356,6 +313,7 @@ fn exponential(rng: &mut Rng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_topology::DragonflyParams;
 
     fn sample_trace() -> Trace {
         Trace::new(
@@ -458,6 +416,11 @@ mod tests {
         assert!(Trace::try_new("t", vec![job("dup"), job("dup")])
             .unwrap_err()
             .contains("duplicate"));
+        let mut inf = job("inf");
+        inf.offered_load = f64::INFINITY;
+        assert!(Trace::try_new("t", vec![inf])
+            .unwrap_err()
+            .contains("bad load"));
         // Names become raw CSV cells: commas would shift every column after them.
         assert!(Trace::try_new("t", vec![job("a,b")])
             .unwrap_err()
@@ -471,7 +434,8 @@ mod tests {
     fn nominal_load_weighs_sizes() {
         let trace = sample_trace();
         let want = (0.25 * 8.0 + 0.4 * 16.0) / 72.0;
-        assert!((trace.nominal_offered_load(72) - want).abs() < 1e-12);
+        let schedule = crate::JobList::schedule(&trace, &DragonflyParams::new(2), 8);
+        assert!((schedule.nominal_offered_load(72) - want).abs() < 1e-12);
         assert_eq!(trace.last_arrival(), 500);
     }
 

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Two job-arrival traces share the same shape (see
-//! `dragonfly_sched::scenarios::fragmentation_trace`): fillers pack the machine,
+//! `dragonfly_workload::scenarios::fragmentation_trace`): fillers pack the machine,
 //! churn at a fixed cycle frees nodes, and an aggressor/victim pair arrives into
 //! the free set.  In the *fresh* trace every filler departs and the pair is placed
 //! contiguously; in the *frag* trace only every other filler departs and the pair
@@ -15,8 +15,8 @@
 //! quantify the fragmentation penalty per routing mechanism.
 
 use dragonfly::core::{churn_sweep, ChurnSweep, ExperimentSpec, RoutingKind, SweepRunner};
-use dragonfly::sched::scenarios::fragmentation_trace;
 use dragonfly::topology::DragonflyParams;
+use dragonfly::workload::scenarios::fragmentation_trace;
 
 fn main() {
     let h = 2;

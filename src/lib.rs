@@ -36,7 +36,6 @@ pub use dragonfly_core as core;
 pub use dragonfly_probe as probe;
 pub use dragonfly_rng as rng;
 pub use dragonfly_routing as routing;
-pub use dragonfly_sched as sched;
 pub use dragonfly_shard as shard;
 pub use dragonfly_sim as sim;
 pub use dragonfly_stats as stats;

@@ -6,10 +6,10 @@ use dragonfly::core::{
     Completion, ExperimentSpec, JobPattern, Jobs, PlacementPolicy, Protocol, RoutingKind,
     SweepRunner, Trace, TraceJob, TrafficKind,
 };
-use dragonfly::sched::scenarios::fragmentation_trace;
-use dragonfly::sched::SyntheticTrace;
 use dragonfly::sim::Simulation;
 use dragonfly::topology::DragonflyParams;
+use dragonfly::workload::scenarios::fragmentation_trace;
+use dragonfly::workload::SyntheticTrace;
 
 fn churn_spec(routing: RoutingKind, trace: Trace, horizon: u64, drain: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -232,8 +232,9 @@ fn node_disjointness_holds_under_synthetic_churn() {
     let mut placements = 0usize;
     for _ in 0..300 {
         sim.run_cycles(200);
-        let sched = sim.network().schedule().unwrap();
-        // The invariant: no node ever belongs to two jobs, pool and slot map agree.
+        let sched = sim.network().jobs().unwrap();
+        // The invariant: no node ever belongs to two jobs, pool and node→job map
+        // agree.
         sched.assert_disjoint();
         assert!(sched.free_nodes() <= params.num_nodes());
         placements = placements.max(sched.running_jobs());
@@ -241,13 +242,13 @@ fn node_disjointness_holds_under_synthetic_churn() {
             break;
         }
     }
-    let sched = sim.network().schedule().unwrap();
+    let sched = sim.network().jobs().unwrap();
     assert!(sched.all_complete(), "synthetic churn must finish in time");
     assert!(placements >= 2, "churn should overlap jobs");
     // All nodes returned to the pool, and every lifecycle is well-ordered.
     assert_eq!(sched.free_nodes(), params.num_nodes());
     for j in 0..sched.num_jobs() as u16 {
-        let lifetime = sched.lifetime(j);
+        let lifetime = sched.job(j).lifetime();
         let placed = lifetime.placed.expect("every job ran");
         let completed = lifetime.completed.expect("every job finished");
         assert!(lifetime.arrival <= placed);

@@ -20,14 +20,19 @@
 //! h ∈ {2, 3}, on the sequential engine and on two shards (where boundary
 //! links are emptied by export and refilled by import between cycles).  Every
 //! cell of the matrix runs under its own seed.
+//!
+//! Jobs get the same treatment: a static workload whose aggressor switches
+//! phase mid-run, and a churn trace whose departures leave holes that a new
+//! pair is re-placed into, for every mechanism.
 
 use dragonfly::core::{
-    AdaptiveParams, ExperimentSpec, FlowControlKind, RoutingKind, ShardPlan, ShardedSimulation,
-    TrafficKind,
+    AdaptiveParams, ExperimentSpec, FlowControlKind, JobPattern, RoutingKind, ShardPlan,
+    ShardedSimulation, TrafficKind, WorkloadSpec,
 };
 use dragonfly::routing::RoutingVisitor;
 use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
-use dragonfly::traffic::BernoulliInjection;
+use dragonfly::traffic::{BernoulliInjection, TrafficPattern, Uniform};
+use dragonfly::workload::scenarios::fragmentation_trace;
 
 /// What drives the engine.
 #[derive(Debug, Clone, Copy)]
@@ -36,10 +41,15 @@ enum Regime {
     Steady(f64),
     /// This many packets preloaded per node, stepped until drained.
     Burst(u64),
+    /// The spec's jobs, stepped for [`JOB_CYCLES`].
+    Jobs,
 }
 
 const STEADY_CYCLES: u64 = 300;
 const BURST_LIMIT: u64 = 30_000;
+/// Long enough for the jobs regime's phase switch, departures and
+/// re-placement ([`jobs_matrix`]).
+const JOB_CYCLES: u64 = 900;
 
 /// An engine whose every network replica can be checked between cycles.
 trait Checked: EngineHost {
@@ -62,12 +72,12 @@ impl<R: RoutingAlgorithm + Clone> Checked for ShardedSimulation<R> {
     }
 }
 
-/// Drive `host` through `regime`, checking after the set-up and after every
-/// cycle.  Returns `(generated, delivered)`.
+/// Install `spec`'s jobs, if any, and drive `host` through `regime`, checking
+/// after the set-up and after every cycle.  Returns `(generated, delivered)`.
 fn run_checked<H: Checked>(
     host: &mut H,
     regime: Regime,
-    packet_size: usize,
+    spec: &ExperimentSpec,
     case: &str,
 ) -> (u64, u64) {
     let check = |host: &H, at: &str| {
@@ -75,16 +85,22 @@ fn run_checked<H: Checked>(
             panic!("{case}, {at}: {diverged}");
         }
     };
+    if let Some(jobs) = spec.traffic.jobs() {
+        host.install_jobs(jobs);
+    }
+    let packet_size = spec.sim_config().packet_size;
     host.drive(|engine| match regime {
         Regime::Steady(load) => {
             engine.set_injection(Some(BernoulliInjection::new(load, packet_size)))
         }
         Regime::Burst(packets) => engine.preload_burst(packets),
+        Regime::Jobs => {}
     });
     check(host, "after set-up");
     let limit = match regime {
         Regime::Steady(_) => STEADY_CYCLES,
         Regime::Burst(_) => BURST_LIMIT,
+        Regime::Jobs => JOB_CYCLES,
     };
     // Read inside the stepping call: a sharded engine's facts are published by
     // its workers as they step.
@@ -105,6 +121,25 @@ fn run_checked<H: Checked>(
         assert!(drained, "{case}: burst not drained in {BURST_LIMIT} cycles");
         assert_eq!(counts.0, counts.1, "{case}: drained with packets missing");
     }
+    if let Some(jobs) = host.replica().jobs() {
+        // The run reached what the regime is for: a phase switch (the static
+        // aggressor's first node is in phase 1), or departures and placements
+        // after cycle 0.
+        let lifetimes: Vec<_> = (0..jobs.num_jobs() as u16)
+            .map(|j| jobs.job(j).lifetime())
+            .collect();
+        let reached = if jobs.is_static() {
+            jobs.source(jobs.job(0).nodes()[0].index()) == Some((0, 1))
+        } else {
+            lifetimes
+                .iter()
+                .any(|l| l.placed > Some(0) && l.completed.is_some())
+        };
+        assert!(
+            reached,
+            "{case}: no phase switch or re-placement: {lifetimes:?}"
+        );
+    }
     counts
 }
 
@@ -122,17 +157,21 @@ impl RoutingVisitor for Case<'_> {
     fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> (u64, u64) {
         let config = self.spec.sim_config();
         let params = config.params;
-        let packet_size = config.packet_size;
-        let traffic = || self.spec.traffic.build(&params);
+        let traffic = || -> Box<dyn TrafficPattern> {
+            match self.spec.traffic.jobs() {
+                Some(_) => Box::new(Uniform::new()),
+                None => self.spec.traffic.build(&params),
+            }
+        };
         match self.shards {
             None => {
                 let mut sim = Simulation::with_routing(config, routing, traffic());
-                run_checked(&mut sim, self.regime, packet_size, self.name)
+                run_checked(&mut sim, self.regime, self.spec, self.name)
             }
             Some(shards) => {
                 let mut sim =
                     ShardedSimulation::new(config, ShardPlan::new(shards), routing, traffic);
-                run_checked(&mut sim, self.regime, packet_size, self.name)
+                run_checked(&mut sim, self.regime, self.spec, self.name)
             }
         }
     }
@@ -199,9 +238,49 @@ fn matrix(shards: Option<usize>) {
     assert!(moved > 10_000, "the matrix moved only {moved} packets");
 }
 
+/// The jobs regime for every mechanism (VCT), h alternating between 2 and 3:
+/// the interference workload with its aggressor switching from ADVG+1 to
+/// all-to-all at cycle 450, and a fragmenting churn trace — half the fillers
+/// depart at cycle 300, an aggressor/victim pair is placed into their holes,
+/// and everything departs at cycle 700.
+fn jobs_matrix(shards: Option<usize>) {
+    let mut seed = 0x10B5_u64;
+    let mut moved = 0u64;
+    for (m, routing) in RoutingKind::ALL.into_iter().enumerate() {
+        for churn in [false, true] {
+            seed += 1;
+            let mut spec = ExperimentSpec::new(2 + (m + churn as usize) % 2);
+            let params = spec.sim_config().params;
+            spec.routing = routing;
+            spec.seed = seed;
+            let mut jobs = WorkloadSpec::interference(params.num_nodes(), 1, 0.3, 0.1).jobs;
+            jobs[0] = jobs[0].clone().then_at(450, JobPattern::AllToAll, 0.2);
+            spec.traffic = if churn {
+                TrafficKind::Churn(fragmentation_trace(&params, true, 0.3, 0.1, 300, 700, seed))
+            } else {
+                TrafficKind::Workload(WorkloadSpec::new(jobs))
+            };
+            let name = format!("h={} {routing:?} churn={churn} shards={shards:?}", spec.h);
+            let (generated, delivered) = routing.dispatch(
+                AdaptiveParams::with_threshold(spec.threshold),
+                Case {
+                    spec: &spec,
+                    regime: Regime::Jobs,
+                    shards,
+                    name: &name,
+                },
+            );
+            assert!(generated > 0 && delivered <= generated, "{name}");
+            moved += delivered;
+        }
+    }
+    assert!(moved > 10_000, "the jobs matrix moved only {moved} packets");
+}
+
 #[test]
 fn due_sets_match_a_full_scan_every_cycle_sequential() {
     matrix(None);
+    jobs_matrix(None);
 }
 
 /// Checking between the cycles of a sharded engine means joining and
@@ -215,4 +294,5 @@ fn due_sets_match_a_full_scan_every_cycle_sequential() {
 )]
 fn due_sets_match_a_full_scan_every_cycle_on_two_shards() {
     matrix(Some(2));
+    jobs_matrix(Some(2));
 }

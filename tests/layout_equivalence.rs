@@ -26,8 +26,8 @@ use dragonfly::core::{
     ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, RunOptions, Steady,
     TrafficKind, WorkloadSpec,
 };
-use dragonfly::sched::SyntheticTrace;
 use dragonfly::stats::{BatchReport, JobReport, PhaseReport, SimReport};
+use dragonfly::workload::SyntheticTrace;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -8,7 +8,7 @@ use dragonfly::core::{
     Batch, ExperimentSpec, FlowControlKind, JobPattern, Jobs, PlacementPolicy, Protocol,
     RoutingKind, RunOptions, Steady, TrafficKind, WorkloadSpec,
 };
-use dragonfly::sched::SyntheticTrace;
+use dragonfly::workload::SyntheticTrace;
 
 /// The report of `spec` under `protocol` on the sharded engine.
 fn run_sharded<P: Protocol>(spec: &ExperimentSpec, protocol: P, shards: usize) -> P::Report {

@@ -9,8 +9,8 @@
 //! ```
 
 use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind, WorkloadSpec};
-use dragonfly::sched::scenarios::fragmentation_trace;
 use dragonfly::topology::DragonflyParams;
+use dragonfly::workload::scenarios::fragmentation_trace;
 
 fn stress_spec(h: usize, workload: WorkloadSpec) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(h);

@@ -7,7 +7,7 @@ use dragonfly::core::{
     TrafficKind, WorkloadReport, WorkloadSpec,
 };
 use dragonfly::topology::DragonflyParams;
-use dragonfly::traffic::UNASSIGNED_SLOT;
+use dragonfly::workload::{JobList, Schedule};
 
 fn workload_spec(routing: RoutingKind, workload: WorkloadSpec, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -51,30 +51,42 @@ fn mixed_placement_workload() -> WorkloadSpec {
 fn placement_is_disjoint_covers_at_most_the_machine_and_is_deterministic() {
     let params = DragonflyParams::new(2);
     let workload = mixed_placement_workload();
-    let placement = workload.place(&params);
+    let placed = || {
+        let mut schedule = workload.schedule(&params, 8);
+        schedule.advance_to(0);
+        schedule
+    };
+    let schedule = placed();
+    let nodes = |schedule: &Schedule| {
+        (0..schedule.num_jobs() as u16)
+            .map(|j| schedule.job(j).nodes().to_vec())
+            .collect::<Vec<_>>()
+    };
 
     // Disjoint: every node belongs to at most one job, and the inverse map agrees.
     let mut owner = vec![None; params.num_nodes()];
-    for (j, nodes) in placement.jobs.iter().enumerate() {
-        for node in nodes {
+    for (j, job_nodes) in nodes(&schedule).iter().enumerate() {
+        for node in job_nodes {
             assert!(
                 owner[node.index()].is_none(),
                 "node {node:?} owned by two jobs"
             );
             owner[node.index()] = Some(j);
-            assert_eq!(placement.job_of_node[node.index()], j as u16);
+            assert_eq!(schedule.source(node.index()), Some((j as u16, 0)));
         }
     }
     for (n, job) in owner.iter().enumerate() {
         if job.is_none() {
-            assert_eq!(placement.job_of_node[n], UNASSIGNED_SLOT);
+            assert_eq!(schedule.source(n), None);
         }
     }
+    schedule.assert_disjoint();
     // Coverage never exceeds the machine.
-    assert!(placement.assigned_nodes() <= params.num_nodes());
-    assert_eq!(placement.assigned_nodes(), 16 + 24 + 16);
+    let assigned = params.num_nodes() - schedule.free_nodes();
+    assert_eq!(assigned, owner.iter().flatten().count());
+    assert_eq!(assigned, 16 + 24 + 16);
     // Deterministic under a fixed seed: recomputing yields the identical placement.
-    assert_eq!(placement, workload.place(&params));
+    assert_eq!(nodes(&schedule), nodes(&placed()));
 }
 
 #[test]

@@ -35,23 +35,24 @@
 //!
 //! The sharded engine's cycle is the same five phases plus export, barrier
 //! and import, and owes the same zero: the counter is process-global, so it
-//! sees the worker threads.  Two 2-shard cases — Bernoulli injection, and a
-//! job trace whose delivery feedback is broadcast every cycle — warm up and
-//! measure inside one `drive` call (spawning the workers allocates; stepping
-//! them must not).
+//! sees the worker threads.  Three 2-shard cases — Bernoulli injection, a job
+//! trace whose delivery feedback is broadcast every cycle, and a static
+//! workload whose job switches phase inside the measured window (run
+//! sequentially too) — warm up and measure inside one `drive` call (spawning
+//! the workers allocates; stepping them must not).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, ShardPlan,
-    ShardedSimulation, TrafficKind,
+    Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, PlacementPolicy, RoutingKind,
+    ShardPlan, ShardedSimulation, Trace, TraceJob, TrafficKind, WorkloadSpec,
 };
 use dragonfly::probe::ProbeConfig;
 use dragonfly::routing::Olm;
-use dragonfly::sched::{Completion, Trace, TraceJob};
-use dragonfly::sim::{Engine, EngineHost};
+use dragonfly::sim::{Engine, EngineHost, Simulation};
 use dragonfly::traffic::{BernoulliInjection, Uniform};
+use dragonfly::workload::JobList;
 
 /// Forwards to the system allocator, counting every call that can return a
 /// fresh heap block (alloc, alloc_zeroed, realloc).  Deallocations are not
@@ -142,7 +143,7 @@ fn steady_state_cycle_loop_is_allocation_free() {
     }
 
     per_phase_attribution();
-    sharded_cycle_loop();
+    job_and_sharded_cycle_loops();
 }
 
 /// Phase names in pipeline order, as reported by `step_with_phase_hook`.
@@ -196,79 +197,109 @@ fn per_phase_attribution() {
     }
 }
 
-/// The 2-shard cycle loop — compute, export, barrier, import — allocates
-/// nothing either, with Bernoulli injection and with a scheduled trace.
-fn sharded_cycle_loop() {
+/// The job runtime and the 2-shard cycle loop — compute, export, barrier,
+/// import — allocate nothing either.  On 2 shards: Bernoulli injection, a job
+/// trace whose delivery feedback is broadcast every cycle, and a static
+/// workload; the workload also on the sequential engine.  Both the trace's
+/// and the workload's jobs cover most of the machine, round-robin over the
+/// routers so they straddle the shard boundary, and run past the measured
+/// window; the workload's first job switches phase in its middle.
+fn job_and_sharded_cycle_loops() {
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Olm;
-    spec.flow_control = FlowControlKind::Vct;
     spec.seed = 42;
     let config = spec.sim_config();
     let nodes = config.params.num_nodes();
-    let packet_size = config.packet_size;
-    // Two jobs covering most of the machine, placed round-robin over the
-    // routers so both straddle the shard boundary, running past the end of
-    // the measured window: deliveries (and their broadcast) every cycle, no
-    // placement or retirement inside the window.
+    let placement = PlacementPolicy::RoundRobinRouters;
     let job = |name: &str, size| TraceJob {
         name: name.into(),
         arrival: 0,
         size,
-        placement: PlacementPolicy::RoundRobinRouters,
+        placement,
         pattern: JobPattern::Uniform,
         offered_load: 0.2,
         completion: Completion::Duration(10 * (WARMUP_CYCLES + MEASURED_CYCLES)),
     };
     let trace = Trace::new("steady", vec![job("a", nodes / 2), job("b", nodes / 3)]);
-
-    for scheduled in [false, true] {
-        let mut sim =
-            ShardedSimulation::new(config.clone(), ShardPlan::new(2), Olm::default(), || {
-                Box::new(Uniform::new())
-            });
-        sim.install_probes(ProbeConfig {
-            delay: true,
-            ..ProbeConfig::full_active(64)
+    let switch = WARMUP_CYCLES + MEASURED_CYCLES / 2;
+    let workload = WorkloadSpec::new(vec![
+        JobSpec::new("app", nodes / 2, placement, JobPattern::Uniform, 0.1).then_at(
+            switch,
+            JobPattern::RingExchange,
+            0.1,
+        ),
+        JobSpec::new("bg", nodes / 3, placement, JobPattern::AllToAll, 0.05),
+    ]);
+    let cases: [(&str, Option<&dyn JobList>); 3] = [
+        ("Bernoulli injection", None),
+        ("a job trace", Some(&trace)),
+        ("a static workload switching phase", Some(&workload)),
+    ];
+    for (case, jobs) in cases {
+        let plan = ShardPlan::new(2);
+        let mut sim = ShardedSimulation::new(config.clone(), plan, Olm::default(), || {
+            Box::new(Uniform::new())
         });
-        if scheduled {
-            sim.install_schedule(&trace);
-        }
-        let (delta, delivered) = sim.drive(|engine| {
-            if !scheduled {
-                engine.set_injection(Some(BernoulliInjection::new(0.1, packet_size)));
-            }
-            for _ in 0..WARMUP_CYCLES {
-                engine.step();
-            }
-            let before = ALLOCS.load(Ordering::Relaxed);
-            let delivered = engine.delivered();
-            for _ in 0..MEASURED_CYCLES {
-                engine.step();
-            }
-            (
-                ALLOCS.load(Ordering::Relaxed) - before,
-                engine.delivered() - delivered,
-            )
-        });
-        let case = if scheduled {
-            "a job trace"
-        } else {
-            "Bernoulli injection"
-        };
-        assert!(
-            delivered > 0,
-            "2 shards under {case} delivered nothing in the measured window"
-        );
+        assert_loop_allocation_free(&mut sim, jobs, &format!("2 shards under {case}"));
         for s in 0..sim.shards() {
+            let delivered = sim.network(s).stats.total_delivered;
             assert!(
-                sim.network(s).stats.total_delivered > 0,
+                delivered > 0,
                 "2 shards under {case}: shard {s} delivered nothing"
             );
         }
-        assert_eq!(
-            delta, 0,
-            "2 shards under {case}: {delta} heap allocations in {MEASURED_CYCLES} \
-             steady-state cycles (probes enabled)"
-        );
     }
+    let uniform = Box::new(Uniform::new());
+    let mut sim = Simulation::with_routing(config, Olm::default(), uniform);
+    assert_loop_allocation_free(
+        &mut sim,
+        Some(&workload),
+        "a static workload switching phase",
+    );
+    let now = sim.network().jobs().unwrap().source(0);
+    assert_eq!(
+        now,
+        Some((0, 1)),
+        "the measured window must contain the switch"
+    );
+}
+
+/// Install `jobs` (or Bernoulli injection without them) and every probe on
+/// `sim`, warm up, and assert that the measured cycles allocate nothing and
+/// deliver something.
+fn assert_loop_allocation_free<H: EngineHost>(sim: &mut H, jobs: Option<&dyn JobList>, case: &str) {
+    sim.install_probes(ProbeConfig {
+        delay: true,
+        ..ProbeConfig::full_active(64)
+    });
+    if let Some(jobs) = jobs {
+        sim.install_jobs(jobs);
+    }
+    let packet_size = sim.replica().config.packet_size;
+    let (delta, delivered) = sim.drive(|engine| {
+        if jobs.is_none() {
+            engine.set_injection(Some(BernoulliInjection::new(0.1, packet_size)));
+        }
+        for _ in 0..WARMUP_CYCLES {
+            engine.step();
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let delivered = engine.delivered();
+        for _ in 0..MEASURED_CYCLES {
+            engine.step();
+        }
+        (
+            ALLOCS.load(Ordering::Relaxed) - before,
+            engine.delivered() - delivered,
+        )
+    });
+    assert!(
+        delivered > 0,
+        "{case} delivered nothing in the measured window"
+    );
+    assert_eq!(
+        delta, 0,
+        "{case}: {delta} heap allocations in {MEASURED_CYCLES} steady-state cycles \
+         (probes enabled)"
+    );
 }
