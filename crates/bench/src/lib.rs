@@ -30,7 +30,7 @@
 //! --probe-heatmap N  per-(link, VC) heatmap window in cycles (0 = off; implies
 //!                    --probe)
 //! --probe-top N      routers in the per-router time-series cut (implies --probe)
-//! --probe-detect     arm the online anomaly detectors (implies --probe); trips
+//! --probe-detect     arm the anomaly detectors (implies --probe); trips
 //!                    land in <prefix>_trigger.jsonl plus a black-box bundle
 //!                    around the first trip
 //! --probe-detect-window N    detector evaluation window in samples (implies
@@ -38,8 +38,8 @@
 //! --probe-detect-collapse P  throughput-collapse threshold: trip when delivered
 //!                            < P% of injected over a window (implies
 //!                            --probe-detect)
-//! --probe-detect-stall N     credit-stall run length in samples (implies
-//!                            --probe-detect)
+//! --probe-detect-stall N     credit-stall run length in samples, ≥ 1
+//!                            (implies --probe-detect)
 //! --probe-trace    export detector trips as Chrome trace_event / Perfetto JSON
 //!                  (<prefix>_trace.json; implies --probe)
 //! --probe-delay    fold every delivered packet's delay decomposition into the
@@ -223,9 +223,13 @@ impl HarnessArgs {
                         .map_err(|e| format!("--probe-detect-collapse: {e}"))?;
                 }
                 "--probe-detect-stall" => {
-                    armed_detect(&mut out.probe).stall_samples = value(&mut i)?
+                    let stall = value(&mut i)?
                         .parse()
                         .map_err(|e| format!("--probe-detect-stall: {e}"))?;
+                    if stall == 0 {
+                        return Err("--probe-detect-stall must be at least 1 sample".to_string());
+                    }
+                    armed_detect(&mut out.probe).stall_samples = stall;
                 }
                 "--probe-trace" => {
                     out.probe.get_or_insert_with(ProbeConfig::default).trace = true;
@@ -838,8 +842,9 @@ mod tests {
         );
         assert!(tuned.trace);
         assert!(tuned.detect_enabled());
-        // A zero window is rejected at parse time.
+        // A zero window or stall run length is rejected at parse time.
         assert!(HarnessArgs::parse_from(["--probe-detect-window", "0"]).is_err());
+        assert!(HarnessArgs::parse_from(["--probe-detect-stall", "0"]).is_err());
     }
 
     #[test]

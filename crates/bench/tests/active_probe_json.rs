@@ -3,7 +3,8 @@
 //! and a run manifest that round-trips through its own reader.
 
 use dragonfly_core::{
-    ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, RunOptions, Steady, TrafficKind,
+    write_trigger_jsonl, ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, RunOptions, Steady,
+    TraceBuilder, TrafficKind,
 };
 use dragonfly_stats::validate_json;
 
@@ -34,13 +35,14 @@ fn trace_and_manifest_survive_a_real_json_parser() {
     };
     let (report, probe) = spec.run_with(Steady, &options);
     let probe = probe.expect("probes were requested");
+    let (trips, dropped) = probe.trips();
     assert!(
-        !probe.trips().is_empty(),
+        !trips.is_empty(),
         "the forced-anomaly run must trip, or the validation below is vacuous"
     );
 
     // The Perfetto trace is syntactically valid JSON.
-    let trace = probe.trace().render();
+    let trace = TraceBuilder::from_trips(&trips).render();
     validate_json(&trace).expect("trace.json must parse as JSON");
     assert!(trace.contains("\"throughput_collapse\""));
 
@@ -55,7 +57,7 @@ fn trace_and_manifest_survive_a_real_json_parser() {
 
     // Every line of the trigger log is itself a JSON object.
     let mut jsonl = Vec::new();
-    probe.write_trigger_jsonl(&mut jsonl).unwrap();
+    write_trigger_jsonl(&mut jsonl, &trips, dropped).unwrap();
     let jsonl = String::from_utf8(jsonl).unwrap();
     assert!(jsonl.lines().count() >= 2, "trips plus the trailer line");
     for line in jsonl.lines() {

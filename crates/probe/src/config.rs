@@ -31,9 +31,9 @@ pub struct ProbeConfig {
     pub heatmap_window: u64,
     /// Maximum heatmap windows stored; later windows are dropped and counted.
     pub max_windows: usize,
-    /// Online anomaly detectors ([`DetectorConfig::off`] by default; armed
-    /// detectors trip on the recorded sample stream and gate the trigger
-    /// bundle emission).
+    /// Anomaly detectors ([`DetectorConfig::off`] by default; armed detectors
+    /// are evaluated over the recorded sample stream when the file set is
+    /// written and gate the trigger bundle emission).
     pub detect: DetectorConfig,
     /// Emit a Chrome `trace_event` / Perfetto JSON file (detector trips on a
     /// cycle-as-microsecond timebase) next to the other probe files.
@@ -83,7 +83,7 @@ impl ProbeConfig {
         }
     }
 
-    /// True when the online detector bank runs.
+    /// True when the detectors are evaluated.
     #[inline]
     pub fn detect_enabled(&self) -> bool {
         self.detect.enabled()
@@ -107,9 +107,14 @@ impl ProbeConfig {
         self.delay
     }
 
-    /// Panics on nonsensical values (a zero stride).
+    /// Panics on nonsensical values (a zero stride, or armed detectors with
+    /// a zero stall run length).
     pub fn validate(&self) {
         assert!(self.stride >= 1, "probe stride must be at least 1 cycle");
+        assert!(
+            !self.detect.enabled() || self.detect.stall_samples >= 1,
+            "detector stall_samples must be at least 1 sample"
+        );
     }
 }
 
@@ -138,5 +143,13 @@ mod tests {
             ..ProbeConfig::default()
         }
         .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "stall_samples")]
+    fn armed_zero_stall_rejected() {
+        let mut cfg = ProbeConfig::full_active(64);
+        cfg.detect.stall_samples = 0;
+        cfg.validate();
     }
 }

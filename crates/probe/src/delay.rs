@@ -42,8 +42,8 @@ pub const DELAY_UNTAGGED: u16 = u16::MAX;
 /// `cycles` totals.
 const DELAY_HIST_CYCLES: usize = 4096;
 
-/// Bounded number of distinct (job, phase) scope slots; further keys are
-/// dropped and counted.
+/// Bounded number of distinct (job, phase) scope slots: the table keeps the
+/// smallest keys, and the packets of every other key are dropped and counted.
 const MAX_DELAY_SCOPES: usize = 32;
 
 /// One delivered packet's completed decomposition, in
@@ -219,30 +219,40 @@ impl DelayLedger {
         };
         class.fold(&sample.components);
         if sample.job != DELAY_UNTAGGED {
-            self.fold_scope(sample);
-        }
-    }
-
-    #[inline]
-    fn fold_scope(&mut self, sample: &DelaySample) {
-        if let Some(slot) = self
-            .scopes
-            .iter_mut()
-            .find(|s| s.job == sample.job && s.phase == sample.phase)
-        {
-            slot.packets += 1;
-            for (dst, src) in slot.cycles.iter_mut().zip(&sample.components) {
-                *dst += src;
-            }
-        } else if self.scopes.len() < MAX_DELAY_SCOPES {
-            self.scopes.push(ScopeSlot {
+            self.fold_scope(ScopeSlot {
                 job: sample.job,
                 phase: sample.phase,
                 packets: 1,
                 cycles: sample.components,
             });
+        }
+    }
+
+    /// Add `add` to its key's slot.  A full table keeps its
+    /// `MAX_DELAY_SCOPES` smallest keys: a smaller new key evicts the
+    /// largest, and the packets of the key left out move to `scope_dropped`.
+    /// The kept keys are therefore the smallest ones ever seen, each with all
+    /// of its packets — whatever the fold or merge order.
+    #[inline]
+    fn fold_scope(&mut self, add: ScopeSlot) {
+        let key = |s: &ScopeSlot| (s.job, s.phase);
+        if let Some(slot) = self.scopes.iter_mut().find(|s| key(s) == key(&add)) {
+            slot.packets += add.packets;
+            for (dst, src) in slot.cycles.iter_mut().zip(&add.cycles) {
+                *dst += src;
+            }
+        } else if self.scopes.len() < MAX_DELAY_SCOPES {
+            self.scopes.push(add);
         } else {
-            self.scope_dropped += 1;
+            let largest = (0..self.scopes.len())
+                .max_by_key(|&i| key(&self.scopes[i]))
+                .expect("a full table is not empty");
+            let out = if key(&add) < key(&self.scopes[largest]) {
+                std::mem::replace(&mut self.scopes[largest], add)
+            } else {
+                add
+            };
+            self.scope_dropped += out.packets;
         }
     }
 
@@ -300,21 +310,8 @@ impl DelayLedger {
     pub fn merge(&mut self, other: &DelayLedger) {
         self.minimal.merge(&other.minimal);
         self.misrouted.merge(&other.misrouted);
-        for slot in &other.scopes {
-            if let Some(dst) = self
-                .scopes
-                .iter_mut()
-                .find(|s| s.job == slot.job && s.phase == slot.phase)
-            {
-                dst.packets += slot.packets;
-                for (d, s) in dst.cycles.iter_mut().zip(&slot.cycles) {
-                    *d += s;
-                }
-            } else if self.scopes.len() < MAX_DELAY_SCOPES {
-                self.scopes.push(*slot);
-            } else {
-                self.scope_dropped += slot.packets;
-            }
+        for &slot in &other.scopes {
+            self.fold_scope(slot);
         }
         self.scope_dropped += other.scope_dropped;
         self.folded += other.folded;
@@ -443,7 +440,8 @@ mod tests {
             s.phase = 0;
             ledger.fold(&s, job as u64);
         }
-        // Only the first MAX_DELAY_SCOPES distinct keys kept (jobs 39..8).
+        // The MAX_DELAY_SCOPES smallest keys kept (jobs 0..=31): each of the
+        // eight smaller keys arriving late evicted the largest one.
         assert_eq!(ledger.scope_dropped(), 8);
         let rows = ledger.rows();
         let job_rows: Vec<&DelayRow> = rows
@@ -452,7 +450,8 @@ mod tests {
             .collect();
         assert_eq!(job_rows.len(), 32 * DELAY_COMPONENTS);
         // Sorted by key, regardless of fold order.
-        assert_eq!(job_rows[0].scope, "job=8/phase=0");
+        assert_eq!(job_rows[0].scope, "job=0/phase=0");
+        assert_eq!(job_rows.last().unwrap().scope, "job=31/phase=0");
         assert!(job_rows[0].p50.is_none());
         assert!(job_rows[0].csv().ends_with(",,,"));
         assert!(job_rows[0].json().contains("\"p50\":null"));

@@ -1,21 +1,18 @@
-//! Online anomaly detectors: fixed-state, cycle-indexed machines fed from the
-//! recorder's counter stream.
+//! Anomaly detectors: one pure function of the recorded sample stream,
+//! evaluated once after the run.
 //!
-//! Each detector is a deterministic state machine over the *sampled* series
-//! (one step per recorded time-series sample, never per cycle), so its
-//! verdicts are a pure function of the sample stream.  That purity is the
-//! whole determinism story: a sequential run steps the bank online inside
-//! [`crate::ProbeRecorder::sample`], while a sharded run discards the
-//! shard-local verdicts and replays the identical machine over the *merged*
-//! series — and because merged series are byte-identical to sequential series
-//! (the pinned shard-invariance of the passive layer), replay and online
-//! stepping produce identical [`TripRecord`]s.
+//! [`detect`] reads the series the recorder already keeps (one row per
+//! recorded time-series sample, never per cycle) and returns the verdicts.
+//! Nothing in the cycle loop steps a detector, so a sharded run needs no
+//! special handling: its merged series are byte-identical to the sequential
+//! run's (the pinned shard-invariance of the passive layer), and the same
+//! function of the same series gives the same [`TripRecord`]s.
 //!
 //! All evidence is kept as exact integers (numerator/denominator pairs, never
-//! ratios), so trigger files format identically everywhere.  All detector
-//! state is sized at construction and the trip list is bounded by
-//! [`DetectorConfig::max_trips`] (overflow drops and counts), which keeps the
-//! zero-allocation pin intact with every detector armed.
+//! ratios), so trigger files format identically everywhere.  The trip list is
+//! bounded by [`DetectorConfig::max_trips`]; the overflow is counted.
+
+use dragonfly_stats::TimeSeries;
 
 /// Detector id: accepted/injected throughput ratio collapsed below
 /// `collapse_pct` over an evaluation window.
@@ -46,13 +43,13 @@ pub fn detector_name(detector: u8) -> &'static str {
     }
 }
 
-/// Configuration of the online detector bank.  `window == 0` disables every
-/// detector (the default); [`DetectorConfig::armed`] gives the tuned-on
-/// defaults the `--probe-detect` flag installs.
+/// Configuration of the detectors.  `window == 0` disables every detector
+/// (the default); [`DetectorConfig::armed`] gives the tuned-on defaults the
+/// `--probe-detect` flag installs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Samples per evaluation window of the windowed detectors (collapse,
-    /// storm, skew).  `0` disables the whole bank.
+    /// storm, skew).  `0` disables every detector.
     pub window: u32,
     /// Throughput-collapse threshold: trip when
     /// `delivered × 100 < collapse_pct × injected` over a window.
@@ -61,7 +58,7 @@ pub struct DetectorConfig {
     /// to evaluate at all (suppresses verdicts on idle or draining windows).
     pub min_window_injected: u64,
     /// Consecutive samples with buffered phits and zero deliveries before the
-    /// credit-stall detector trips.
+    /// credit-stall detector trips (`≥ 1` when armed).
     pub stall_samples: u32,
     /// Misroute-storm threshold: trip when
     /// `misroutes × 100 > misroute_pct × injected` over a window.
@@ -70,7 +67,7 @@ pub struct DetectorConfig {
     /// deliveries exceed `skew_pct`% of the per-router mean
     /// (`max × routers × 100 > skew_pct × total`).
     pub skew_pct: u32,
-    /// Maximum trip records stored; later trips are dropped and counted.
+    /// Maximum trip records kept; later trips are dropped and counted.
     pub max_trips: usize,
 }
 
@@ -105,7 +102,7 @@ impl DetectorConfig {
         }
     }
 
-    /// True when the detector bank runs.
+    /// True when the detectors are evaluated.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.window > 0
@@ -137,12 +134,10 @@ pub struct TripRecord {
     pub router: u32,
 }
 
-/// One step of detector input: the cumulative counters at a sample point.
-/// Built either from the live hot counters (sequential online stepping) or
-/// from row `i` of the recorded series (replay after a shard merge) — the two
-/// sources carry identical values by construction.
+/// The network-wide counters of one recorded sample, as the detectors read
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DetectorSample<'a> {
+pub struct DetectorSample {
     /// Cycle of the sample.
     pub cycle: u64,
     /// Cumulative packets injected.
@@ -155,212 +150,125 @@ pub struct DetectorSample<'a> {
     pub local_misroutes: u64,
     /// Phits buffered at the sample point (instantaneous gauge).
     pub buffered_phits: u64,
-    /// Cumulative per-router deliveries, when per-router recording is on
-    /// (`top_k > 0`); `None` disables the fairness-skew detector for this
-    /// step, identically online and in replay.
-    pub router_delivered: Option<&'a [u64]>,
 }
 
-/// The four detector state machines sharing one window clock.  All storage is
-/// sized at construction; [`DetectorBank::step`] never allocates.
-#[derive(Debug, Clone)]
-pub struct DetectorBank {
-    cfg: DetectorConfig,
-
-    // Window clock.
-    window_fill: u32,
-    window_start_cycle: u64,
-
-    // Cumulative baselines at the previous window boundary.
-    base_injected: u64,
-    base_delivered: u64,
-    base_misroutes: u64,
-    router_base_delivered: Vec<u64>,
-
-    // Credit-stall run-length machine.
-    stall_run: u32,
-    stall_start_cycle: u64,
-    prev_delivered: u64,
-
-    // Re-arm latches: a detector that tripped stays quiet until one clean
-    // evaluation (or, for stall, until progress resumes).
-    armed: [bool; 4],
-
-    samples_seen: u32,
-    trips: Vec<TripRecord>,
-    trips_dropped: u64,
-}
-
-impl DetectorBank {
-    /// Build a bank.  `skew_routers` is the router count when per-router
-    /// deliveries will be fed in (arming the fairness-skew detector) and `0`
-    /// otherwise.
-    pub fn new(cfg: &DetectorConfig, skew_routers: usize) -> Self {
-        let mut trips = Vec::new();
-        trips.reserve_exact(if cfg.enabled() { cfg.max_trips } else { 0 });
-        Self {
-            cfg: cfg.clone(),
-            window_fill: 0,
-            window_start_cycle: 0,
-            base_injected: 0,
-            base_delivered: 0,
-            base_misroutes: 0,
-            router_base_delivered: vec![0; skew_routers],
-            stall_run: 0,
-            stall_start_cycle: 0,
-            prev_delivered: 0,
-            armed: [true; 4],
-            samples_seen: 0,
-            trips,
-            trips_dropped: 0,
-        }
+/// Evaluate every armed detector over a recorded sample stream.
+///
+/// `rows` holds the network-wide counters of each sample;
+/// `router_delivered[r]` is router `r`'s cumulative deliveries over the same
+/// samples, read only at window boundaries (an empty slice disarms the
+/// fairness-skew detector).  Returns the kept trips in firing order — by
+/// sample, then stall < collapse < storm < skew — and the number dropped past
+/// [`DetectorConfig::max_trips`].
+///
+/// * The credit stall trips once per maximal run of samples with phits
+///   buffered and deliveries flat, at the run's `stall_samples`-th sample.
+/// * Collapse, storm and skew evaluate each complete non-overlapping window
+///   of `window` samples at its last sample, from the cumulative counters at
+///   its boundaries, and fire when their condition holds in this window and
+///   did not hold in the previous one (a persistent anomaly trips once).
+pub fn detect(
+    cfg: &DetectorConfig,
+    rows: &[DetectorSample],
+    router_delivered: &[TimeSeries],
+) -> (Vec<TripRecord>, u64) {
+    let mut trips = Vec::new();
+    if !cfg.enabled() {
+        return (trips, 0);
     }
-
-    /// Trips recorded so far, in firing order (which is cycle order).
-    pub fn trips(&self) -> &[TripRecord] {
-        &self.trips
-    }
-
-    /// Trips dropped after the bounded list filled.
-    pub fn trips_dropped(&self) -> u64 {
-        self.trips_dropped
-    }
-
-    fn trip(&mut self, record: TripRecord) {
-        if self.trips.len() < self.cfg.max_trips {
-            self.trips.push(record);
+    let w = cfg.window as usize;
+    let routers = router_delivered.len() as u64;
+    let (mut run, mut run_start) = (0u32, 0u64);
+    // Whether each windowed detector's condition held in the previous window.
+    let mut held = [false; 4];
+    for (i, row) in rows.iter().enumerate() {
+        let prev = if i == 0 {
+            DetectorSample::default()
         } else {
-            self.trips_dropped += 1;
-        }
-    }
-
-    /// Advance every machine by one sample.  Allocation-free.
-    pub fn step(&mut self, s: DetectorSample<'_>) {
-        if !self.cfg.enabled() {
-            return;
-        }
-        let sample = self.samples_seen;
-        self.samples_seen += 1;
-        if self.window_fill == 0 {
-            self.window_start_cycle = s.cycle;
-        }
-
-        // Credit stall: buffered traffic with zero forward progress.
-        if s.buffered_phits > 0 && s.delivered == self.prev_delivered {
-            if self.stall_run == 0 {
-                self.stall_start_cycle = s.cycle;
+            rows[i - 1]
+        };
+        if row.buffered_phits > 0 && row.delivered == prev.delivered {
+            if run == 0 {
+                run_start = row.cycle;
             }
-            self.stall_run += 1;
-            if self.stall_run >= self.cfg.stall_samples && self.armed[DETECT_STALL as usize] {
-                self.armed[DETECT_STALL as usize] = false;
-                self.trip(TripRecord {
+            run += 1;
+            if run == cfg.stall_samples {
+                trips.push(TripRecord {
                     detector: DETECT_STALL,
-                    cycle: s.cycle,
-                    sample,
-                    window_start_cycle: self.stall_start_cycle,
-                    observed: s.buffered_phits,
-                    bound: u64::from(self.cfg.stall_samples),
+                    cycle: row.cycle,
+                    sample: i as u32,
+                    window_start_cycle: run_start,
+                    observed: row.buffered_phits,
+                    bound: u64::from(cfg.stall_samples),
                     router: NO_ROUTER,
                 });
             }
         } else {
-            self.stall_run = 0;
-            self.armed[DETECT_STALL as usize] = true;
+            run = 0;
         }
-        self.prev_delivered = s.delivered;
 
-        // Windowed ratio detectors evaluate on non-overlapping windows.
-        self.window_fill += 1;
-        if self.window_fill < self.cfg.window {
-            return;
+        if (i + 1) % w != 0 {
+            continue;
         }
-        self.window_fill = 0;
-        let d_inj = s.injected - self.base_injected;
-        let d_del = s.delivered - self.base_delivered;
-        let misroutes = s.global_misroutes + s.local_misroutes;
-        let d_mis = misroutes - self.base_misroutes;
-        let window_start_cycle = self.window_start_cycle;
-
-        if d_inj >= self.cfg.min_window_injected {
-            if d_del * 100 < u64::from(self.cfg.collapse_pct) * d_inj {
-                if self.armed[DETECT_COLLAPSE as usize] {
-                    self.armed[DETECT_COLLAPSE as usize] = false;
-                    self.trip(TripRecord {
-                        detector: DETECT_COLLAPSE,
-                        cycle: s.cycle,
-                        sample,
-                        window_start_cycle,
-                        observed: d_del,
-                        bound: d_inj,
-                        router: NO_ROUTER,
-                    });
-                }
-            } else {
-                self.armed[DETECT_COLLAPSE as usize] = true;
-            }
-            if d_mis * 100 > u64::from(self.cfg.misroute_pct) * d_inj {
-                if self.armed[DETECT_STORM as usize] {
-                    self.armed[DETECT_STORM as usize] = false;
-                    self.trip(TripRecord {
-                        detector: DETECT_STORM,
-                        cycle: s.cycle,
-                        sample,
-                        window_start_cycle,
-                        observed: d_mis,
-                        bound: d_inj,
-                        router: NO_ROUTER,
-                    });
-                }
-            } else {
-                self.armed[DETECT_STORM as usize] = true;
-            }
+        let first = i + 1 - w;
+        let base = if first == 0 {
+            DetectorSample::default()
         } else {
-            // Idle window: no verdicts either way, and tripped ratio
-            // detectors re-arm.
-            self.armed[DETECT_COLLAPSE as usize] = true;
-            self.armed[DETECT_STORM as usize] = true;
-        }
+            rows[first - 1]
+        };
+        let d_inj = row.injected - base.injected;
+        let d_del = row.delivered - base.delivered;
+        let d_mis = row.global_misroutes + row.local_misroutes
+            - (base.global_misroutes + base.local_misroutes);
+        let busy = d_inj >= cfg.min_window_injected;
 
-        if let Some(rd) = s.router_delivered {
-            if !rd.is_empty() && rd.len() == self.router_base_delivered.len() {
-                let n = rd.len() as u64;
-                let mut max_delta = 0u64;
-                let mut max_router = NO_ROUTER;
-                let mut total = 0u64;
-                for (r, (&cur, &base)) in rd.iter().zip(&self.router_base_delivered).enumerate() {
-                    let delta = cur - base;
-                    total += delta;
-                    if delta > max_delta {
-                        max_delta = delta;
-                        max_router = r as u32;
-                    }
-                }
-                if total >= self.cfg.min_window_injected
-                    && max_delta * n * 100 > u64::from(self.cfg.skew_pct) * total
-                {
-                    if self.armed[DETECT_SKEW as usize] {
-                        self.armed[DETECT_SKEW as usize] = false;
-                        self.trip(TripRecord {
-                            detector: DETECT_SKEW,
-                            cycle: s.cycle,
-                            sample,
-                            window_start_cycle,
-                            observed: max_delta * n,
-                            bound: total,
-                            router: max_router,
-                        });
-                    }
-                } else {
-                    self.armed[DETECT_SKEW as usize] = true;
-                }
-                self.router_base_delivered.copy_from_slice(rd);
+        let (mut total, mut max_delta, mut max_router) = (0u64, 0u64, NO_ROUTER);
+        for (r, series) in router_delivered.iter().enumerate() {
+            let at = |s: usize| series.samples()[s] as u64;
+            let delta = at(i) - if first == 0 { 0 } else { at(first - 1) };
+            total += delta;
+            if delta > max_delta {
+                max_delta = delta;
+                max_router = r as u32;
             }
         }
+        let skewed = total >= cfg.min_window_injected
+            && max_delta * routers * 100 > u64::from(cfg.skew_pct) * total;
 
-        self.base_injected = s.injected;
-        self.base_delivered = s.delivered;
-        self.base_misroutes = misroutes;
+        for (detector, holds, observed, bound, router) in [
+            (
+                DETECT_COLLAPSE,
+                busy && d_del * 100 < u64::from(cfg.collapse_pct) * d_inj,
+                d_del,
+                d_inj,
+                NO_ROUTER,
+            ),
+            (
+                DETECT_STORM,
+                busy && d_mis * 100 > u64::from(cfg.misroute_pct) * d_inj,
+                d_mis,
+                d_inj,
+                NO_ROUTER,
+            ),
+            (DETECT_SKEW, skewed, max_delta * routers, total, max_router),
+        ] {
+            if holds && !held[detector as usize] {
+                trips.push(TripRecord {
+                    detector,
+                    cycle: row.cycle,
+                    sample: i as u32,
+                    window_start_cycle: rows[first].cycle,
+                    observed,
+                    bound,
+                    router,
+                });
+            }
+            held[detector as usize] = holds;
+        }
     }
+    let dropped = trips.len().saturating_sub(cfg.max_trips) as u64;
+    trips.truncate(cfg.max_trips);
+    (trips, dropped)
 }
 
 #[cfg(test)]
@@ -379,25 +287,30 @@ mod tests {
         }
     }
 
-    fn feed(bank: &mut DetectorBank, rows: &[(u64, u64, u64, u64, u64)]) {
-        for &(cycle, injected, delivered, misroutes, buffered) in rows {
-            bank.step(DetectorSample {
-                cycle,
-                injected,
-                delivered,
-                global_misroutes: misroutes,
-                local_misroutes: 0,
-                buffered_phits: buffered,
-                router_delivered: None,
-            });
-        }
+    /// `(cycle, injected, delivered, misroutes, buffered)` rows.
+    fn rows(rows: &[(u64, u64, u64, u64, u64)]) -> Vec<DetectorSample> {
+        rows.iter()
+            .map(
+                |&(cycle, injected, delivered, misroutes, buffered)| DetectorSample {
+                    cycle,
+                    injected,
+                    delivered,
+                    global_misroutes: misroutes,
+                    local_misroutes: 0,
+                    buffered_phits: buffered,
+                },
+            )
+            .collect()
+    }
+
+    fn run(cfg: &DetectorConfig, stream: &[(u64, u64, u64, u64, u64)]) -> (Vec<TripRecord>, u64) {
+        detect(cfg, &rows(stream), &[])
     }
 
     #[test]
     fn collapse_trips_once_then_rearms_after_a_clean_window() {
-        let mut bank = DetectorBank::new(&cfg(), 0);
-        feed(
-            &mut bank,
+        let (trips, _) = run(
+            &cfg(),
             &[
                 // Window 1: 20 injected, 4 delivered — 20% < 50% → trip.
                 (0, 10, 2, 0, 0),
@@ -413,7 +326,6 @@ mod tests {
                 (28, 80, 30, 0, 0),
             ],
         );
-        let trips = bank.trips();
         assert_eq!(trips.len(), 2);
         assert_eq!(trips[0].detector, DETECT_COLLAPSE);
         assert_eq!(
@@ -426,28 +338,25 @@ mod tests {
 
     #[test]
     fn idle_windows_never_trip_ratio_detectors() {
-        let mut bank = DetectorBank::new(&cfg(), 0);
         // 4 injected per window, below min_window_injected = 10, all lost.
-        feed(&mut bank, &[(0, 2, 0, 2, 0), (4, 4, 0, 4, 0)]);
-        assert!(bank.trips().is_empty());
+        let (trips, _) = run(&cfg(), &[(0, 2, 0, 2, 0), (4, 4, 0, 4, 0)]);
+        assert!(trips.is_empty());
     }
 
     #[test]
     fn stall_needs_buffered_phits_and_flat_deliveries() {
-        let mut bank = DetectorBank::new(&cfg(), 0);
-        feed(
-            &mut bank,
+        let (trips, _) = run(
+            &cfg(),
             &[
                 (0, 50, 5, 0, 9),  // delivery count moves here → run starts after
                 (4, 60, 5, 0, 9),  // flat #1
                 (8, 70, 5, 0, 9),  // flat #2
                 (12, 80, 5, 0, 9), // flat #3 → trip
-                (16, 90, 6, 0, 0), // progress resumes → machine resets
+                (16, 90, 6, 0, 0), // progress resumes → run ends
                 (20, 99, 6, 0, 0), // flat but nothing buffered → no stall
             ],
         );
-        let stalls: Vec<_> = bank
-            .trips()
+        let stalls: Vec<_> = trips
             .iter()
             .filter(|t| t.detector == DETECT_STALL)
             .collect();
@@ -459,23 +368,23 @@ mod tests {
 
     #[test]
     fn storm_and_skew_evidence_is_exact() {
-        let mut bank = DetectorBank::new(&cfg(), 4);
-        let step = |bank: &mut DetectorBank, cycle, inj, del, mis, rd: [u64; 4]| {
-            bank.step(DetectorSample {
-                cycle,
-                injected: inj,
-                delivered: del,
-                global_misroutes: mis,
-                local_misroutes: 0,
-                buffered_phits: 0,
-                router_delivered: Some(&rd),
-            });
-        };
         // Window: 20 injected, 13 misroutes (65% > 60%); router 2 delivers 10
         // of 12 (skew 10*4*100 = 4000 > 300*12 = 3600).
-        step(&mut bank, 0, 10, 6, 6, [1, 0, 5, 0]);
-        step(&mut bank, 4, 20, 12, 13, [1, 0, 10, 1]);
-        let trips = bank.trips();
+        let per_router = [[1, 0, 5, 0], [1, 0, 10, 1]];
+        let router_delivered: Vec<TimeSeries> = (0..4)
+            .map(|r| {
+                let mut series = TimeSeries::new(4);
+                for sample in &per_router {
+                    series.push(sample[r] as f64);
+                }
+                series
+            })
+            .collect();
+        let (trips, _) = detect(
+            &cfg(),
+            &rows(&[(0, 10, 6, 6, 0), (4, 20, 12, 13, 0)]),
+            &router_delivered,
+        );
         assert_eq!(trips.len(), 2);
         assert_eq!(trips[0].detector, DETECT_STORM);
         assert_eq!((trips[0].observed, trips[0].bound), (13, 20));
@@ -486,32 +395,30 @@ mod tests {
 
     #[test]
     fn trip_list_is_bounded() {
-        let mut bank = DetectorBank::new(
-            &DetectorConfig {
-                max_trips: 1,
-                ..cfg()
-            },
-            0,
-        );
         // Alternate collapsed and clean windows so the latch re-arms.
         let (mut inj, mut del) = (0u64, 0u64);
+        let mut stream = Vec::new();
         for w in 0..6u64 {
             let healthy = w % 2 == 1;
             for half in 0..2u64 {
                 inj += 50;
                 del += if healthy { 48 } else { 5 };
-                feed(&mut bank, &[(w * 8 + half * 4, inj, del, 0, 0)]);
+                stream.push((w * 8 + half * 4, inj, del, 0, 0));
             }
         }
-        assert_eq!(bank.trips().len(), 1);
-        assert!(bank.trips_dropped() > 0);
+        let bounded = DetectorConfig {
+            max_trips: 1,
+            ..cfg()
+        };
+        let (trips, dropped) = run(&bounded, &stream);
+        assert_eq!(trips.len(), 1);
+        assert_eq!(dropped, 2, "three collapsed windows, one kept");
     }
 
     #[test]
     fn disabled_bank_records_nothing() {
-        let mut bank = DetectorBank::new(&DetectorConfig::off(), 0);
-        feed(&mut bank, &[(0, 100, 0, 100, 50); 32]);
-        assert!(bank.trips().is_empty());
-        assert_eq!(bank.trips_dropped(), 0);
+        let (trips, dropped) = run(&DetectorConfig::off(), &[(0, 100, 0, 100, 50); 32]);
+        assert!(trips.is_empty());
+        assert_eq!(dropped, 0);
     }
 }

@@ -12,6 +12,13 @@ use std::path::{Path, PathBuf};
 
 use crate::flight::{FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT, NONE_U16};
 use crate::recorder::{class_name, ProbeRecorder};
+use crate::trace::TraceBuilder;
+use crate::trigger::write_trigger_jsonl;
+use dragonfly_stats::TimeSeries;
+
+/// The cycle range `(lo, hi)` covering a whole run, for the range-filtered
+/// writers.
+pub(crate) const ALL_CYCLES: (u64, u64) = (0, u64::MAX);
 
 fn kind_name(kind: u8) -> &'static str {
     match kind {
@@ -33,7 +40,9 @@ fn opt_u16(v: u16) -> String {
 
 impl ProbeRecorder {
     /// Write every enabled instrument's output into `dir`, with file names
-    /// `<prefix>_<instrument>.<ext>`.  Returns the paths written.
+    /// `<prefix>_<instrument>.<ext>`.  Returns the paths written.  The
+    /// detectors are evaluated here, once, and their verdicts feed the
+    /// trigger, bundle and trace files.
     pub fn write_all(&self, dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
@@ -45,7 +54,11 @@ impl ProbeRecorder {
             written.push(path);
             Ok::<(), io::Error>(())
         };
-        emit("series.csv", &|out| self.write_series_csv(out))?;
+        let (trips, trips_dropped) = self.trips();
+        let series = self.series.columns();
+        emit("series.csv", &|out| {
+            write_columns_csv(out, &series, ALL_CYCLES)
+        })?;
         emit("series.jsonl", &|out| self.write_series_jsonl(out))?;
         if self.cfg.top_k > 0 {
             emit("routers.csv", &|out| self.write_router_series_csv(out))?;
@@ -54,40 +67,49 @@ impl ProbeRecorder {
             emit("flight.jsonl", &|out| self.write_flight_jsonl(out))?;
         }
         if self.cfg.heatmap_enabled() {
-            emit("heatmap.csv", &|out| self.write_heatmap_csv(out))?;
+            emit("heatmap.csv", &|out| {
+                self.write_heatmap_csv(out, ALL_CYCLES)
+            })?;
         }
         if self.cfg.delay_enabled() {
             emit("delay.csv", &|out| self.write_delay_csv(out))?;
             emit("delay.jsonl", &|out| self.write_delay_jsonl(out))?;
         }
         if self.cfg.detect_enabled() {
-            emit("trigger.jsonl", &|out| self.write_trigger_jsonl(out))?;
+            emit("trigger.jsonl", &|out| {
+                write_trigger_jsonl(out, &trips, trips_dropped)
+            })?;
             // The black-box bundle slices around the first verdict.
-            if let Some(&first) = self.trips().first() {
+            if let Some(first) = trips.first() {
+                let range = self.bundle_range(first);
                 emit("trigger_series.csv", &|out| {
-                    self.write_bundle_series_csv(out, &first)
+                    write_columns_csv(out, &series, range)
                 })?;
                 if self.cfg.flight_enabled() {
                     emit("trigger_flight.jsonl", &|out| {
-                        self.write_bundle_flight_jsonl(out, &first)
+                        self.write_bundle_flight_jsonl(out, first)
                     })?;
                 }
                 if self.cfg.heatmap_enabled() {
                     emit("trigger_heatmap.csv", &|out| {
-                        self.write_bundle_heatmap_csv(out, &first)
+                        self.write_heatmap_csv(out, range)
                     })?;
                 }
                 if self.cfg.delay_enabled() {
                     emit("trigger_delay.csv", &|out| {
-                        self.write_bundle_delay_csv(out, &first)
+                        self.write_bundle_delay_csv(out, first)
                     })?;
                 }
             }
         }
         if self.cfg.trace {
-            emit("trace.json", &|out| self.write_trace(out))?;
+            emit("trace.json", &|out| {
+                TraceBuilder::from_trips(&trips).write_to(out)
+            })?;
         }
-        emit("diag.csv", &|out| self.write_diag_csv(out))?;
+        emit("diag.csv", &|out| {
+            write_columns_csv(out, &self.diag.columns(), ALL_CYCLES)
+        })?;
         Ok(written)
     }
 
@@ -116,24 +138,6 @@ impl ProbeRecorder {
         out.flush()?;
         written.push(path);
         Ok(written)
-    }
-
-    /// The network-wide time series as a CSV table, one row per sample.
-    pub fn write_series_csv(&self, out: &mut impl Write) -> io::Result<()> {
-        let columns = self.series.columns();
-        write!(out, "cycle")?;
-        for (name, _) in &columns {
-            write!(out, ",{name}")?;
-        }
-        writeln!(out)?;
-        for i in 0..self.samples {
-            write!(out, "{}", self.series.injected.cycle_of(i))?;
-            for (_, series) in &columns {
-                write!(out, ",{}", series.samples()[i] as u64)?;
-            }
-            writeln!(out)?;
-        }
-        Ok(())
     }
 
     /// The network-wide time series as JSONL, one object per sample.
@@ -201,14 +205,21 @@ impl ProbeRecorder {
         Ok(())
     }
 
-    /// The per-(link, VC) heatmap in long CSV form, all-zero cells skipped.
-    pub fn write_heatmap_csv(&self, out: &mut impl Write) -> io::Result<()> {
+    /// The per-(link, VC) heatmap in long CSV form, restricted to the windows
+    /// overlapping the cycle range `lo..=hi` (`(0, u64::MAX)` for the whole
+    /// run), all-zero cells skipped.
+    pub fn write_heatmap_csv(&self, out: &mut impl Write, (lo, hi): (u64, u64)) -> io::Result<()> {
         writeln!(
             out,
             "window_start,router,port,class,vc,phits,credit_stalls,occupancy_phits"
         )?;
         let links = self.dims.links();
+        let hw = self.cfg.heatmap_window;
         for w in 0..self.heat_windows {
+            let w_start = w as u64 * hw;
+            if w_start > hi || w_start + hw <= lo {
+                continue;
+            }
             for li in 0..links {
                 for vc in 0..self.dims.vcs {
                     let cell = (w * links + li) * self.dims.vcs + vc;
@@ -222,8 +233,7 @@ impl ProbeRecorder {
                     }
                     writeln!(
                         out,
-                        "{},{},{},{},{vc},{p},{s},{o}",
-                        w as u64 * self.cfg.heatmap_window,
+                        "{w_start},{},{},{},{vc},{p},{s},{o}",
                         li / self.dims.ports,
                         li % self.dims.ports,
                         class_name(self.dims.link_class[li]),
@@ -255,26 +265,38 @@ impl ProbeRecorder {
         writeln!(out, "{}", ledger.meta_json())?;
         Ok(())
     }
+}
 
-    /// The engine-dependent diagnostic series (arena growth, ring high-water
-    /// marks).  Not covered by the sequential-vs-sharded byte-identity
-    /// guarantee — see the module docs.
-    pub fn write_diag_csv(&self, out: &mut impl Write) -> io::Result<()> {
-        let columns = self.diag.columns();
-        write!(out, "cycle")?;
-        for (name, _) in &columns {
-            write!(out, ",{name}")?;
+/// `(name, series)` columns (e.g. `recorder.series().columns()`) as a CSV
+/// table — a `cycle` column, then one per series — restricted to the samples
+/// whose cycle lies in `lo..=hi`.  Writes `series.csv`, `diag.csv` (whose
+/// engine-dependent values sit outside the byte-identity guarantee) and the
+/// trigger bundle's series slice.
+pub(crate) fn write_columns_csv(
+    out: &mut impl Write,
+    columns: &[(&str, &TimeSeries)],
+    (lo, hi): (u64, u64),
+) -> io::Result<()> {
+    write!(out, "cycle")?;
+    for (name, _) in columns {
+        write!(out, ",{name}")?;
+    }
+    writeln!(out)?;
+    let Some((_, first)) = columns.first() else {
+        return Ok(());
+    };
+    for i in 0..first.len() {
+        let cycle = first.cycle_of(i);
+        if cycle < lo || cycle > hi {
+            continue;
+        }
+        write!(out, "{cycle}")?;
+        for (_, series) in columns {
+            write!(out, ",{}", series.samples()[i] as u64)?;
         }
         writeln!(out)?;
-        for i in 0..self.samples {
-            write!(out, "{}", self.diag.arena_grows.cycle_of(i))?;
-            for (_, series) in &columns {
-                write!(out, ",{}", series.samples()[i] as u64)?;
-            }
-            writeln!(out)?;
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -333,7 +355,7 @@ mod tests {
     fn csv_and_jsonl_shapes() {
         let p = recorder();
         let mut series = Vec::new();
-        p.write_series_csv(&mut series).unwrap();
+        write_columns_csv(&mut series, &p.series().columns(), ALL_CYCLES).unwrap();
         let text = String::from_utf8(series).unwrap();
         assert!(text.starts_with("cycle,injected,delivered"), "{text}");
         assert!(text.contains("\n0,1,0,"), "{text}");
@@ -356,7 +378,7 @@ mod tests {
         );
 
         let mut heat = Vec::new();
-        p.write_heatmap_csv(&mut heat).unwrap();
+        p.write_heatmap_csv(&mut heat, ALL_CYCLES).unwrap();
         let text = String::from_utf8(heat).unwrap();
         // One nonzero cell: window 0, router 0, port 1 (global), vc 0, 1 phit.
         assert_eq!(
@@ -397,7 +419,7 @@ mod tests {
         );
 
         let mut diag = Vec::new();
-        p.write_diag_csv(&mut diag).unwrap();
+        write_columns_csv(&mut diag, &p.diag().columns(), ALL_CYCLES).unwrap();
         assert!(String::from_utf8(diag)
             .unwrap()
             .starts_with("cycle,arena_grows,"));
@@ -461,7 +483,7 @@ mod tests {
             }
             p.sample(i * 4, &[0], SampleSnapshot::default());
         }
-        assert!(!p.trips().is_empty(), "collapse must trip");
+        assert!(!p.trips().0.is_empty(), "collapse must trip");
 
         let manifest = RunManifest {
             schema_version: crate::manifest::MANIFEST_SCHEMA_VERSION,

@@ -35,10 +35,14 @@
 //! Every counter is attributed to exactly one router/link owner, so the
 //! per-shard recorders of a sharded run merge by plain element-wise addition
 //! ([`ProbeRecorder::merge`]) — commutative and associative like
-//! `ExactStats`, hence shard-count-invariant.  Flight events are sorted into
-//! a canonical total order at emission time, so the emitted files (except the
-//! diagnostics series) are byte-identical between sequential and sharded runs
-//! of the same spec (pinned by `tests/shard_equivalence.rs`).
+//! `ExactStats`, hence shard-count-invariant.  The two bounded buffers keep
+//! sets defined by the whole run — the flight ring whole cycles, the delay
+//! ledger's scope table the smallest keys — and their merge applies the same
+//! bound to the union, so even an overflowing run merges to the sequential
+//! recorder's contents.  Flight events are sorted into a canonical total
+//! order at emission time, so the emitted files (except the diagnostics
+//! series) are byte-identical between sequential and sharded runs of the same
+//! spec (pinned by `tests/shard_equivalence.rs`).
 //!
 //! # Zero allocation
 //!
@@ -52,12 +56,11 @@
 //! On top of the passive instruments sits an *active diagnostics layer* that
 //! preserves all three invariants above:
 //!
-//! * **online detectors** ([`DetectorBank`]) — four fixed-state anomaly
-//!   machines (throughput collapse, credit stall, misroute storm, fairness
-//!   skew) stepped once per recorded sample.  A sequential engine steps them
-//!   online; a sharded engine defers and replays the identical machine over
-//!   the merged series, which is byte-identical to the sequential stream —
-//!   so the verdicts are too,
+//! * **detectors** ([`detect()`]) — four anomaly verdicts (throughput
+//!   collapse, credit stall, misroute storm, fairness skew) computed once,
+//!   when the file set is written, as one function of the recorded series.
+//!   Merged series are byte-identical to sequential ones, so the verdicts
+//!   are too, and the cycle loop never steps a detector,
 //! * **triggered black-box capture** — when a detector trips, `write_all`
 //!   slices the already-recorded series/flight/heatmap data into a bounded
 //!   diagnostic bundle around the first trip (`*_trigger*` files),
@@ -83,7 +86,7 @@ pub use delay::{
     DELAY_UNTAGGED,
 };
 pub use detect::{
-    detector_name, DetectorBank, DetectorConfig, DetectorSample, TripRecord, DETECT_COLLAPSE,
+    detect, detector_name, DetectorConfig, DetectorSample, TripRecord, DETECT_COLLAPSE,
     DETECT_SKEW, DETECT_STALL, DETECT_STORM, NO_ROUTER,
 };
 pub use flight::{flight_hash, FlightEvent, FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT, NONE_U16};
@@ -92,3 +95,4 @@ pub use recorder::{
     ProbeDims, ProbeRecorder, SampleSnapshot, CLASS_GLOBAL, CLASS_LOCAL, CLASS_TERMINAL,
 };
 pub use trace::TraceBuilder;
+pub use trigger::write_trigger_jsonl;

@@ -2,7 +2,7 @@
 
 use crate::config::ProbeConfig;
 use crate::delay::{DelayLedger, DelaySample};
-use crate::detect::{DetectorBank, DetectorSample, TripRecord};
+use crate::detect::{detect, DetectorSample, TripRecord};
 use crate::flight::{flight_hash, FlightEvent};
 use dragonfly_stats::TimeSeries;
 
@@ -244,9 +244,11 @@ pub struct ProbeRecorder {
     pub(crate) samples: usize,
     pub(crate) samples_dropped: u64,
 
-    // Flight recorder.
+    // Flight recorder: the events of every cycle before `flight_cutoff`, the
+    // first cycle at which the ring overflowed (`u64::MAX` until it does).
     pub(crate) flight: Vec<FlightEvent>,
     pub(crate) flight_dropped: u64,
+    pub(crate) flight_cutoff: u64,
 
     // Heatmaps, window-major: `(w * links + li) * vcs + vc`.
     pub(crate) heat_phits: Vec<u32>,
@@ -257,14 +259,6 @@ pub struct ProbeRecorder {
 
     // Delay-attribution ledger (`None` when `cfg.delay` is off).
     pub(crate) ledger: Option<DelayLedger>,
-
-    // Online detector bank (`None` when `cfg.detect` is off).
-    pub(crate) detect: Option<DetectorBank>,
-    // True on the replicas of a sharded engine: shard-local counter streams
-    // are meaningless to the network-wide detectors, so online stepping is
-    // skipped and [`Self::merge`] recomputes the verdicts by replaying the
-    // merged series instead.
-    pub(crate) detect_deferred: bool,
 }
 
 impl ProbeRecorder {
@@ -315,6 +309,7 @@ impl ProbeRecorder {
             samples_dropped: 0,
             flight,
             flight_dropped: 0,
+            flight_cutoff: u64::MAX,
             heat_phits: vec![0; heat_cells],
             heat_stalls: vec![0; heat_cells],
             heat_occupancy: vec![0; heat_cells],
@@ -323,12 +318,6 @@ impl ProbeRecorder {
             ledger: cfg
                 .delay_enabled()
                 .then(|| DelayLedger::new(cfg.stride, cfg.max_samples)),
-            detect: cfg.detect.enabled().then(|| {
-                // The fairness-skew detector replays over the per-router
-                // series, so it arms only when those are recorded.
-                DetectorBank::new(&cfg.detect, if cfg.top_k > 0 { routers } else { 0 })
-            }),
-            detect_deferred: false,
             cfg,
             dims,
         }
@@ -415,14 +404,25 @@ impl ProbeRecorder {
         }
     }
 
-    /// Append a flight event for a packet that passed [`Self::flight_sampled`];
-    /// drops (and counts) once the ring is full.
+    /// Append a flight event for a packet that passed [`Self::flight_sampled`].
+    ///
+    /// The ring keeps whole cycles: the event that would overflow it drops
+    /// itself, every event already kept from its cycle, and every later
+    /// event (all counted in `flight_dropped`).  Events arrive in cycle order,
+    /// so the kept set is the events of every cycle before the first one at
+    /// which the run's recorded total exceeds `flight_capacity` — a function
+    /// of the event multiset, not of which engine recorded it.
     #[inline]
     pub fn record_flight(&mut self, event: FlightEvent) {
-        if self.flight.len() < self.cfg.flight_capacity {
+        if event.cycle >= self.flight_cutoff {
+            self.flight_dropped += 1;
+        } else if self.flight.len() < self.cfg.flight_capacity {
             self.flight.push(event);
         } else {
-            self.flight_dropped += 1;
+            self.flight_cutoff = event.cycle;
+            let kept = self.flight.len();
+            self.flight.retain(|e| e.cycle < event.cycle);
+            self.flight_dropped += (kept - self.flight.len()) as u64 + 1;
         }
     }
 
@@ -528,22 +528,6 @@ impl ProbeRecorder {
         if let Some(ledger) = self.ledger.as_mut() {
             ledger.sample();
         }
-        // Step the detector bank on exactly the values this sample recorded,
-        // indexed by the sample's canonical cycle — the same stream a replay
-        // over the series reconstructs.
-        if !self.detect_deferred {
-            if let Some(bank) = self.detect.as_mut() {
-                bank.step(DetectorSample {
-                    cycle: self.series.injected.cycle_of(self.samples - 1),
-                    injected: self.injected_total,
-                    delivered: self.delivered_total,
-                    global_misroutes: self.global_mis_total,
-                    local_misroutes: self.local_mis_total,
-                    buffered_phits: snap.buffered_phits,
-                    router_delivered: (self.cfg.top_k > 0).then_some(&self.router_delivered[..]),
-                });
-            }
-        }
     }
 
     /// Number of time-series samples recorded.
@@ -603,60 +587,24 @@ impl ProbeRecorder {
         order
     }
 
-    /// Detector verdicts recorded so far (empty when detectors are off, and
-    /// on the replicas of a sharded engine until [`Self::merge`] replays the
-    /// merged series).
-    pub fn trips(&self) -> &[TripRecord] {
-        self.detect.as_ref().map_or(&[], DetectorBank::trips)
-    }
-
-    /// Detector verdicts dropped after the bounded trip list filled.
-    pub fn trips_dropped(&self) -> u64 {
-        self.detect.as_ref().map_or(0, DetectorBank::trips_dropped)
-    }
-
-    /// Skip online detector stepping on this recorder (sharded engines call
-    /// this on every replica: shard-local streams carry partial counts, so
-    /// the verdicts are recomputed from the merged series instead).
-    pub fn defer_detection(&mut self) {
-        self.detect_deferred = true;
-    }
-
-    /// Recompute the detector verdicts by replaying the bank over the
-    /// recorded series.  Because the bank is a pure function of the sample
-    /// stream and merged series are byte-identical to sequential series, the
-    /// replayed trips equal the online trips of an equivalent sequential run
-    /// (pinned by `online_and_replayed_trips_agree` below).
-    pub fn replay_detectors(&mut self) {
-        if self.detect.take().is_none() {
-            return;
-        }
-        let mut bank = DetectorBank::new(
-            &self.cfg.detect,
-            if self.cfg.top_k > 0 {
-                self.dims.routers
-            } else {
-                0
-            },
-        );
-        let mut router_scratch = vec![0u64; self.router_delivered_series.len()];
-        let per_router = !self.router_delivered_series.is_empty();
-        for i in 0..self.samples {
-            for (r, series) in self.router_delivered_series.iter().enumerate() {
-                router_scratch[r] = series.samples()[i] as u64;
-            }
-            bank.step(DetectorSample {
-                cycle: self.series.injected.cycle_of(i),
-                injected: self.series.injected.samples()[i] as u64,
-                delivered: self.series.delivered.samples()[i] as u64,
-                global_misroutes: self.series.global_misroute_decisions.samples()[i] as u64,
-                local_misroutes: self.series.local_misroute_decisions.samples()[i] as u64,
-                buffered_phits: self.series.buffered_phits.samples()[i] as u64,
-                router_delivered: per_router.then_some(&router_scratch[..]),
-            });
-        }
-        self.detect_deferred = false;
-        self.detect = Some(bank);
+    /// The detector verdicts over the recorded series (see
+    /// [`crate::detect()`]) and the number dropped past `max_trips`.  Empty
+    /// when the detectors are off; the fairness-skew detector is armed only
+    /// when per-router series are recorded (`top_k > 0`).
+    pub fn trips(&self) -> (Vec<TripRecord>, u64) {
+        let s = &self.series;
+        let at = |series: &TimeSeries, i: usize| series.samples()[i] as u64;
+        let rows: Vec<DetectorSample> = (0..self.samples)
+            .map(|i| DetectorSample {
+                cycle: s.injected.cycle_of(i),
+                injected: at(&s.injected, i),
+                delivered: at(&s.delivered, i),
+                global_misroutes: at(&s.global_misroute_decisions, i),
+                local_misroutes: at(&s.local_misroute_decisions, i),
+                buffered_phits: at(&s.buffered_phits, i),
+            })
+            .collect();
+        detect(&self.cfg.detect, &rows, &self.router_delivered_series)
     }
 
     /// Merge another partition's recorder into this one (element-wise sums,
@@ -723,8 +671,22 @@ impl ProbeRecorder {
         }
         self.samples = self.samples.max(other.samples);
         self.samples_dropped += other.samples_dropped;
+        // The flight ring's bound applied to the sorted union: the events of
+        // every cycle before both sides' cutoffs and before the cycle of the
+        // `flight_capacity + 1`-th event — exactly what one recorder seeing
+        // every event in cycle order keeps.
+        let recorded = (self.flight.len() + other.flight.len()) as u64
+            + self.flight_dropped
+            + other.flight_dropped;
         self.flight.extend_from_slice(&other.flight);
-        self.flight_dropped += other.flight_dropped;
+        self.flight.sort_by_key(FlightEvent::sort_key);
+        self.flight_cutoff = self.flight_cutoff.min(other.flight_cutoff);
+        if let Some(overflow) = self.flight.get(self.cfg.flight_capacity) {
+            self.flight_cutoff = self.flight_cutoff.min(overflow.cycle);
+        }
+        let cutoff = self.flight_cutoff;
+        self.flight.retain(|e| e.cycle < cutoff);
+        self.flight_dropped = recorded - self.flight.len() as u64;
         for (dst, src) in self.heat_phits.iter_mut().zip(&other.heat_phits) {
             *dst += src;
         }
@@ -739,11 +701,6 @@ impl ProbeRecorder {
         if let (Some(dst), Some(src)) = (self.ledger.as_mut(), other.ledger.as_ref()) {
             dst.merge(src);
         }
-        // Detector verdicts are not summable — they are a nonlinear function
-        // of the global stream — so the merged recorder recomputes them from
-        // the merged series, which this merge just made byte-identical to the
-        // sequential stream.
-        self.replay_detectors();
     }
 }
 
@@ -829,17 +786,50 @@ mod tests {
         assert_eq!(p.samples_dropped, 4);
     }
 
+    /// Six events over cycles 0, 1, 1, 2, 2, 2 (sources descending, so
+    /// recording order is not canonical order).
+    const EVENTS: [(u64, u32); 6] = [(0, 5), (1, 4), (1, 3), (2, 2), (2, 1), (2, 0)];
+
+    fn recorder_of(events: &[(u64, u32)]) -> ProbeRecorder {
+        let mut p = ProbeRecorder::new(cfg(), dims());
+        for &(cycle, src) in events {
+            p.record_flight(hop(cycle, src));
+        }
+        p
+    }
+
     #[test]
     fn flight_ring_caps_and_sorts_canonically() {
-        let mut p = ProbeRecorder::new(cfg(), dims());
-        for i in (0..6u64).rev() {
-            p.record_flight(hop(i, i as u32));
-        }
-        assert_eq!(p.flight_events().len(), 4);
-        assert_eq!(p.flight_dropped(), 2);
+        // Capacity 4: the fifth event (cycle 2) overflows, so cycle 2 is
+        // dropped whole — the cycle-2 event already kept included.
+        let p = recorder_of(&EVENTS);
+        assert_eq!(p.flight_events().len(), 3);
+        assert_eq!(p.flight_dropped(), 3);
         let sorted = p.sorted_flight();
+        assert!(sorted.iter().all(|e| e.cycle < 2));
         for w in sorted.windows(2) {
             assert!(w[0].sort_key() <= w[1].sort_key());
+        }
+    }
+
+    #[test]
+    fn flight_merge_bounds_the_union_like_one_recorder() {
+        let whole = recorder_of(&EVENTS);
+        // One side fits without overflowing; one side overflows on its own.
+        for split in [&[0, 3, 4, 5][..], &[0, 1, 2, 3, 4]] {
+            let side = |inside: bool| -> Vec<(u64, u32)> {
+                (0..EVENTS.len())
+                    .filter(|i| split.contains(i) == inside)
+                    .map(|i| EVENTS[i])
+                    .collect()
+            };
+            let (a, b) = (side(true), side(false));
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let mut merged = recorder_of(x);
+                merged.merge(&recorder_of(y));
+                assert_eq!(merged.sorted_flight(), whole.sorted_flight(), "{split:?}");
+                assert_eq!(merged.flight_dropped(), whole.flight_dropped(), "{split:?}");
+            }
         }
     }
 
@@ -906,46 +896,6 @@ mod tests {
         }
         let hits = (0..1000u32).filter(|&s| p.flight_sampled(s, 5)).count();
         assert!(hits > 60 && hits < 250, "{hits} of 1000 sampled at 1/8");
-    }
-
-    #[test]
-    fn online_and_replayed_trips_agree() {
-        let mut p = ProbeRecorder::new(
-            ProbeConfig {
-                detect: crate::detect::DetectorConfig {
-                    window: 2,
-                    min_window_injected: 4,
-                    ..crate::detect::DetectorConfig::armed()
-                },
-                ..cfg()
-            },
-            dims(),
-        );
-        // Inject without delivering: throughput collapse plus a credit stall
-        // (buffered phits, flat deliveries) fire online.
-        for i in 0..8u64 {
-            for _ in 0..3 {
-                p.record_injected((i % 2) as usize);
-            }
-            p.sample(
-                i * 4,
-                &[0; 6],
-                SampleSnapshot {
-                    buffered_phits: 10,
-                    ..SampleSnapshot::default()
-                },
-            );
-        }
-        let online = p.trips().to_vec();
-        assert!(!online.is_empty(), "scenario must trip at least once");
-        p.replay_detectors();
-        assert_eq!(p.trips(), &online[..], "replay must equal online verdicts");
-
-        // A deferred replica records nothing until merge-time replay.
-        let mut deferred = ProbeRecorder::new(p.cfg.clone(), dims());
-        deferred.defer_detection();
-        deferred.sample(0, &[0; 6], SampleSnapshot::default());
-        assert!(deferred.trips().is_empty());
     }
 
     #[test]

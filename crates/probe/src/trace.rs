@@ -4,7 +4,7 @@
 //! renders the JSON-array trace format that `about://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) open directly.
 //!
-//! [`crate::ProbeRecorder::trace`] feeds it detector trips on a **cycle-as-
+//! [`TraceBuilder::from_trips`] feeds it detector trips on a **cycle-as-
 //! microsecond** timebase (1 simulated cycle = 1 µs), one track per detector.
 //! This content is a pure function of the trip list, so the emitted
 //! `*_trace.json` is byte-identical between sequential and sharded runs like
@@ -16,8 +16,7 @@ use std::io::{self, Write};
 
 use dragonfly_stats::json::ToJson;
 
-use crate::detect::{detector_name, NO_ROUTER};
-use crate::recorder::ProbeRecorder;
+use crate::detect::{detector_name, TripRecord, NO_ROUTER};
 
 /// Incremental builder of a Chrome `trace_event` JSON document.
 #[derive(Debug, Clone, Default)]
@@ -114,19 +113,17 @@ impl TraceBuilder {
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
         out.write_all(self.render().as_bytes())
     }
-}
 
-impl ProbeRecorder {
-    /// Build the detector-trip trace: one track per detector (1 cycle = 1 µs),
-    /// a span over each trip's evaluated window and an instant at the trip
+    /// The detector-trip trace: one track per detector (1 cycle = 1 µs), a
+    /// span over each trip's evaluated window and an instant at the trip
     /// cycle carrying the integer evidence.
-    pub fn trace(&self) -> TraceBuilder {
-        let mut tb = TraceBuilder::new();
+    pub fn from_trips(trips: &[TripRecord]) -> Self {
+        let mut tb = Self::new();
         tb.name_process(0, "dragonfly-sim");
         for d in 0u8..4 {
             tb.name_thread(0, u32::from(d) + 1, detector_name(d));
         }
-        for t in self.trips() {
+        for t in trips {
             let tid = u32::from(t.detector) + 1;
             let name = detector_name(t.detector);
             let mut args = vec![
@@ -148,11 +145,6 @@ impl ProbeRecorder {
             tb.instant(name, 0, tid, t.cycle as f64, &args);
         }
         tb
-    }
-
-    /// Write the detector-trip trace as Perfetto-openable JSON.
-    pub fn write_trace(&self, out: &mut impl Write) -> io::Result<()> {
-        self.trace().write_to(out)
     }
 }
 

@@ -53,59 +53,6 @@ impl ProbeRecorder {
         }
     }
 
-    /// Every trip as one JSON object per line, with a trailing
-    /// `{"trips":N,"trips_dropped":N}` metadata object.
-    pub fn write_trigger_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
-        for t in self.trips() {
-            writeln!(
-                out,
-                "{{\"detector\":\"{}\",\"cycle\":{},\"sample\":{},\"window_start\":{},\
-                 \"observed\":{},\"bound\":{},\"router\":{}}}",
-                detector_name(t.detector),
-                t.cycle,
-                t.sample,
-                t.window_start_cycle,
-                t.observed,
-                t.bound,
-                opt_router(t.router),
-            )?;
-        }
-        writeln!(
-            out,
-            "{{\"trips\":{},\"trips_dropped\":{}}}",
-            self.trips().len(),
-            self.trips_dropped()
-        )?;
-        Ok(())
-    }
-
-    /// The time-series slice of the bundle, in the `series.csv` schema.
-    pub fn write_bundle_series_csv(
-        &self,
-        out: &mut impl Write,
-        trip: &TripRecord,
-    ) -> io::Result<()> {
-        let (lo, hi) = self.bundle_range(trip);
-        let columns = self.series.columns();
-        write!(out, "cycle")?;
-        for (name, _) in &columns {
-            write!(out, ",{name}")?;
-        }
-        writeln!(out)?;
-        for i in 0..self.samples {
-            let cycle = self.series.injected.cycle_of(i);
-            if cycle < lo || cycle > hi {
-                continue;
-            }
-            write!(out, "{cycle}")?;
-            for (_, series) in &columns {
-                write!(out, ",{}", series.samples()[i] as u64)?;
-            }
-            writeln!(out)?;
-        }
-        Ok(())
-    }
-
     /// The flight slice of the bundle: canonical-order events inside the
     /// bundle range at the implicated routers, with a trailing
     /// `{"bundle_lo":..,"bundle_hi":..,"events":N}` metadata object.
@@ -132,49 +79,6 @@ impl ProbeRecorder {
             out,
             "{{\"bundle_lo\":{lo},\"bundle_hi\":{hi},\"events\":{events}}}"
         )?;
-        Ok(())
-    }
-
-    /// The heatmap slice of the bundle: the windows overlapping the bundle
-    /// range, in the `heatmap.csv` schema.
-    pub fn write_bundle_heatmap_csv(
-        &self,
-        out: &mut impl Write,
-        trip: &TripRecord,
-    ) -> io::Result<()> {
-        let (lo, hi) = self.bundle_range(trip);
-        writeln!(
-            out,
-            "window_start,router,port,class,vc,phits,credit_stalls,occupancy_phits"
-        )?;
-        let links = self.dims.links();
-        let hw = self.cfg.heatmap_window.max(1);
-        for w in 0..self.heat_windows {
-            let w_start = w as u64 * hw;
-            if w_start > hi || w_start + hw <= lo {
-                continue;
-            }
-            for li in 0..links {
-                for vc in 0..self.dims.vcs {
-                    let cell = (w * links + li) * self.dims.vcs + vc;
-                    let (p, s, o) = (
-                        self.heat_phits[cell],
-                        self.heat_stalls[cell],
-                        self.heat_occupancy[cell],
-                    );
-                    if p == 0 && s == 0 && o == 0 {
-                        continue;
-                    }
-                    writeln!(
-                        out,
-                        "{w_start},{},{},{},{vc},{p},{s},{o}",
-                        li / self.dims.ports,
-                        li % self.dims.ports,
-                        crate::recorder::class_name(self.dims.link_class[li]),
-                    )?;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -215,10 +119,41 @@ impl ProbeRecorder {
     }
 }
 
+/// Every trip as one JSON object per line, with a trailing
+/// `{"trips":N,"trips_dropped":N}` metadata object (`dropped` trips fell past
+/// `max_trips`).
+pub fn write_trigger_jsonl(
+    out: &mut impl Write,
+    trips: &[TripRecord],
+    dropped: u64,
+) -> io::Result<()> {
+    for t in trips {
+        writeln!(
+            out,
+            "{{\"detector\":\"{}\",\"cycle\":{},\"sample\":{},\"window_start\":{},\
+             \"observed\":{},\"bound\":{},\"router\":{}}}",
+            detector_name(t.detector),
+            t.cycle,
+            t.sample,
+            t.window_start_cycle,
+            t.observed,
+            t.bound,
+            opt_router(t.router),
+        )?;
+    }
+    writeln!(
+        out,
+        "{{\"trips\":{},\"trips_dropped\":{dropped}}}",
+        trips.len()
+    )?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detect::{DetectorConfig, DETECT_COLLAPSE};
+    use crate::emit::write_columns_csv;
     use crate::recorder::{ProbeDims, SampleSnapshot, CLASS_GLOBAL, CLASS_LOCAL, CLASS_TERMINAL};
     use crate::{FlightEvent, ProbeConfig, FLIGHT_HOP};
 
@@ -288,14 +223,14 @@ mod tests {
     #[test]
     fn trigger_and_bundle_slices() {
         let p = tripped_recorder();
-        let trips = p.trips();
+        let (trips, dropped) = p.trips();
         assert!(!trips.is_empty());
         let first = trips[0];
         assert_eq!(first.detector, DETECT_COLLAPSE);
         assert_eq!(first.cycle, 4);
 
         let mut buf = Vec::new();
-        p.write_trigger_jsonl(&mut buf).unwrap();
+        write_trigger_jsonl(&mut buf, &trips, dropped).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(
             text.starts_with("{\"detector\":\"throughput_collapse\",\"cycle\":4,"),
@@ -307,7 +242,7 @@ mod tests {
         // Series slice: trip at cycle 4, window start 0, one window of
         // context → cycles 0 and 4 only.
         let mut buf = Vec::new();
-        p.write_bundle_series_csv(&mut buf, &first).unwrap();
+        write_columns_csv(&mut buf, &p.series().columns(), p.bundle_range(&first)).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 3, "{text}");
         assert!(text.contains("\n0,") && text.contains("\n4,"), "{text}");
@@ -327,7 +262,8 @@ mod tests {
         // Heatmap slice: window 0 overlaps [0, 4]; window 8 (cycle 70) does
         // not appear.
         let mut buf = Vec::new();
-        p.write_bundle_heatmap_csv(&mut buf, &first).unwrap();
+        p.write_heatmap_csv(&mut buf, p.bundle_range(&first))
+            .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 2, "{text}");
         assert!(text.contains("\n0,0,1,global,0,1,0,0"), "{text}");

@@ -684,17 +684,9 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     /// routers, and only owned routers hold buffered phits), so every counter
     /// is accumulated by exactly one shard and [`Self::merged_probe`]
     /// reproduces the sequential recorder by plain element-wise merging.
-    ///
-    /// Online detector stepping is deferred on every replica: the detectors
-    /// are machines over the *network-wide* counter stream, which no single
-    /// shard sees, so their verdicts are recomputed by replaying the merged
-    /// series inside [`ProbeRecorder::merge`] instead.
     pub fn install_probes(&mut self, cfg: ProbeConfig) {
         for shard in &mut self.shards {
             shard.net.install_probes(cfg.clone());
-            if let Some(probe) = shard.net.probe_mut() {
-                probe.defer_detection();
-            }
         }
     }
 
@@ -706,11 +698,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     /// Merge the per-shard probe recorders into the run-wide recorder, exactly
     /// like `merged_stats` merges the statistics collectors.  Returns
     /// `None` when probes were never installed.
-    ///
-    /// Detector verdicts are recomputed here by replaying the detector bank
-    /// over the merged series (which the passive shard-invariance makes
-    /// byte-identical to a sequential run's), so the merged recorder's trips
-    /// equal the sequential engine's online trips.
     pub fn merged_probe(&self) -> Option<ProbeRecorder> {
         let mut merged = self.shards[0].net.probe()?.clone();
         for shard in &self.shards[1..] {
@@ -721,10 +708,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
                     .expect("probes are installed on every shard"),
             );
         }
-        // `merge` replays the detectors itself, but a single-shard plan never
-        // merges — replay explicitly (idempotent) so deferral is always
-        // resolved.
-        merged.replay_detectors();
         Some(merged)
     }
 

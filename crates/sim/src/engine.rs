@@ -64,11 +64,6 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         self.net.probe()
     }
 
-    /// Mutable access to the installed probe recorder.
-    pub fn probe_mut(&mut self) -> Option<&mut ProbeRecorder> {
-        self.net.probe_mut()
-    }
-
     /// Remove and return the installed probe recorder.
     pub fn take_probe(&mut self) -> Option<Box<ProbeRecorder>> {
         self.net.take_probe()

@@ -1645,12 +1645,6 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.probe.as_deref()
     }
 
-    /// Mutable access to the installed probe recorder (the sharded engine
-    /// uses this to defer detector stepping on its replicas).
-    pub fn probe_mut(&mut self) -> Option<&mut ProbeRecorder> {
-        self.probe.as_deref_mut()
-    }
-
     /// Remove and return the installed probe recorder (emission happens on
     /// the extracted recorder, outside the cycle loop).
     pub fn take_probe(&mut self) -> Option<Box<ProbeRecorder>> {

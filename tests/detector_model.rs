@@ -1,24 +1,27 @@
-//! Model-checks the online anomaly detectors against a naive reference.
+//! Model-checks the anomaly detectors against a naive reference.
 //!
-//! The production [`DetectorBank`] is an incremental state machine: one pass,
-//! cumulative baselines, re-arm latches, allocation-free.  The reference model
-//! here recomputes every verdict *from whole slices of the stream* — each
-//! window's deltas are taken directly from the cumulative counters at its
-//! boundaries, the latch is expressed as "fires iff the condition holds now
-//! and did not hold in the previous window", and stall trips are derived from
-//! maximal flat runs.  Agreement over seeded random streams pins the
-//! incremental bookkeeping (baseline updates, window clock, latch resets)
-//! against an independent formulation of the same semantics.
+//! The production [`detect`] is one pass over the recorded series: it reads
+//! the per-router series only at window boundaries, carries the latches and
+//! the stall run across samples, and emits trips in firing order.  The
+//! reference model here is written independently for obviousness — each
+//! detector's trips are collected separately from whole slices of the stream
+//! (window deltas from the cumulative counters at its boundaries, the latch
+//! as "fires iff the condition holds now and did not hold in the previous
+//! window", stall trips from maximal flat runs), then sorted into firing
+//! order and truncated.  Agreement over seeded random streams pins the
+//! production bookkeeping (window clock, latches, ordering, the bound)
+//! against that formulation.
 //!
 //! Originally a `proptest` suite; the build environment has no registry
 //! access, so the properties run over seeded random cases drawn from the
 //! workspace's own deterministic RNG (the `proptest_invariants.rs` idiom).
 
 use dragonfly::probe::{
-    DetectorBank, DetectorConfig, DetectorSample, TripRecord, DETECT_COLLAPSE, DETECT_SKEW,
-    DETECT_STALL, DETECT_STORM, NO_ROUTER,
+    detect, DetectorConfig, DetectorSample, TripRecord, DETECT_COLLAPSE, DETECT_SKEW, DETECT_STALL,
+    DETECT_STORM, NO_ROUTER,
 };
 use dragonfly::rng::Rng;
+use dragonfly::stats::TimeSeries;
 
 /// One generated sample row of cumulative counters.
 #[derive(Debug, Clone)]
@@ -77,21 +80,30 @@ fn random_stream(rng: &mut Rng, len: usize, routers: usize) -> Vec<Row> {
     rows
 }
 
-/// Feed a stream through the production bank.
+/// Evaluate a stream with the production [`detect`], the per-router
+/// deliveries laid out as the recorder keeps them (one series per router).
 fn run_bank(cfg: &DetectorConfig, rows: &[Row], routers: usize) -> (Vec<TripRecord>, u64) {
-    let mut bank = DetectorBank::new(cfg, routers);
-    for row in rows {
-        bank.step(DetectorSample {
+    let samples: Vec<DetectorSample> = rows
+        .iter()
+        .map(|row| DetectorSample {
             cycle: row.cycle,
             injected: row.injected,
             delivered: row.delivered,
             global_misroutes: row.gmis,
             local_misroutes: row.lmis,
             buffered_phits: row.buffered,
-            router_delivered: (routers > 0).then_some(&row.router_delivered[..]),
-        });
-    }
-    (bank.trips().to_vec(), bank.trips_dropped())
+        })
+        .collect();
+    let router_delivered: Vec<TimeSeries> = (0..routers)
+        .map(|r| {
+            let mut series = TimeSeries::new(1);
+            for row in rows {
+                series.push(row.router_delivered[r] as f64);
+            }
+            series
+        })
+        .collect();
+    detect(cfg, &samples, &router_delivered)
 }
 
 /// The naive reference: recompute every trip from whole slices of the stream.

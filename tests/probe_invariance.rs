@@ -273,7 +273,7 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
     let (spec, probes) = anomalous_spec();
     let (report, probe) = run_probed(&spec, Steady, probes.clone(), None);
     assert!(
-        !probe.trips().is_empty(),
+        !probe.trips().0.is_empty(),
         "the forced-anomaly scenario must trip at least one detector, or this \
          pin is vacuous"
     );
@@ -298,7 +298,9 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
         );
     }
 
-    for shards in [2, 4] {
+    // One shard included: a single-shard plan never merges, so its trips come
+    // from the same after-the-run evaluation with no merge in between.
+    for shards in [1, 2, 4] {
         let (sharded_report, probe) = run_probed(&spec, Steady, probes.clone(), Some(shards));
         assert_eq!(sharded_report, report, "{shards} shards: report diverged");
         let dir = scratch(&format!("anomaly_shards{shards}"));
@@ -388,4 +390,113 @@ fn every_protocol_engine_and_probe_combination_agrees() {
     assert_engines_and_probes_agree("batch", &burst, batch);
     // Batch on a workload spec drops the runtime but drains against its pattern.
     assert_engines_and_probes_agree("batch_workload", &workload_spec(), batch);
+}
+
+/// Write the file set of `spec` under `protocol` with `probes`, sequentially
+/// and on each of `shards`, and require every pinned file to match the
+/// sequential run's byte for byte.  Returns the sequential pinned files.
+fn assert_files_shard_invariant<P: Protocol>(
+    name: &str,
+    spec: &ExperimentSpec,
+    protocol: P,
+    probes: &ProbeConfig,
+    shards: &[usize],
+) -> Vec<(String, Vec<u8>)>
+where
+    P::Report: PartialEq + Debug,
+{
+    let files = |shards: Option<usize>| {
+        let (report, probe) = run_probed(spec, protocol, probes.clone(), shards);
+        let dir = scratch(&format!("{name}_{}", shards.unwrap_or(0)));
+        probe.write_all(&dir, name).unwrap();
+        (report, read_outputs(&dir).0)
+    };
+    let (report, sequential) = files(None);
+    for &n in shards {
+        let (sharded_report, sharded) = files(Some(n));
+        assert_eq!(
+            sharded_report, report,
+            "{name}, {n} shards: report diverged"
+        );
+        assert_eq!(sharded.len(), sequential.len(), "{name}, {n} shards");
+        for ((file, bytes), (seq_file, seq_bytes)) in sharded.iter().zip(&sequential) {
+            assert_eq!(file, seq_file);
+            assert!(
+                bytes == seq_bytes,
+                "{name}, {n} shards: {file} is not byte-identical to the sequential run"
+            );
+        }
+    }
+    sequential
+}
+
+/// The text of the pinned file whose name ends in `suffix`.
+fn file_text<'a>(files: &'a [(String, Vec<u8>)], suffix: &str) -> &'a str {
+    let (_, bytes) = files
+        .iter()
+        .find(|(name, _)| name.ends_with(suffix))
+        .unwrap_or_else(|| panic!("no {suffix} file"));
+    std::str::from_utf8(bytes).unwrap()
+}
+
+#[test]
+fn a_full_flight_ring_keeps_the_same_events_on_every_shard_count() {
+    // Every packet sampled into a 64-event ring: the ring overflows within
+    // the first few cycles, on every shard as well as sequentially.
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Olm;
+    spec.traffic = TrafficKind::Uniform;
+    spec.offered_load = 0.3;
+    spec.warmup = 200;
+    spec.measure = 400;
+    spec.drain = 400;
+    let probes = ProbeConfig {
+        flight_every: 1,
+        flight_capacity: 64,
+        ..ProbeConfig::default()
+    };
+    let files = assert_files_shard_invariant("flight_ring", &spec, Steady, &probes, &[1, 2, 4]);
+    let flight = file_text(&files, "_flight.jsonl");
+    assert!(
+        !flight.trim_end().ends_with("{\"flight_dropped\":0}"),
+        "the ring must overflow, or this pin is vacuous"
+    );
+}
+
+#[test]
+fn a_full_delay_scope_table_keeps_the_same_scopes_on_every_shard_count() {
+    // 40 two-node jobs, 10 cycles apart and 600 cycles long: more (job,
+    // phase) keys than the ledger's 32 scope slots, and more nodes than the
+    // 72 of h = 2, so jobs 36-39 wait and land on the nodes job 0-3 free —
+    // the first shard's — long after jobs 28-35 started elsewhere.
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Olm;
+    spec.warmup = 0;
+    spec.measure = 2_000;
+    spec.drain = 1_000;
+    spec.traffic = TrafficKind::Churn(Trace::new(
+        "scope-overflow",
+        (0..40u64)
+            .map(|j| TraceJob {
+                name: format!("j{j}"),
+                arrival: 10 * j,
+                size: 2,
+                placement: PlacementPolicy::Contiguous,
+                pattern: JobPattern::Uniform,
+                offered_load: 0.3,
+                completion: Completion::Duration(600),
+            })
+            .collect(),
+    ));
+    let probes = ProbeConfig {
+        delay: true,
+        ..ProbeConfig::default()
+    };
+    let files = assert_files_shard_invariant("scopes", &spec, Jobs, &probes, &[1, 2, 3]);
+    let delay = file_text(&files, "_delay.jsonl");
+    assert!(
+        !delay.trim_end().ends_with("\"scope_dropped\":0}"),
+        "the scope table must overflow, or this pin is vacuous"
+    );
+    assert!(file_text(&files, "_delay.csv").contains("job=0/phase=0"));
 }

@@ -18,9 +18,9 @@
 //!
 //! Probes are installed with every instrument enabled (stride-64 time series,
 //! flight recorder, heatmaps) **and every anomaly detector armed**: all probe
-//! storage — including the detector bank's trip list — is reserved at
-//! installation and overflow drops-and-counts, so the observability layer must
-//! not cost a single allocation on the hot path either.
+//! storage is reserved at installation, overflow drops-and-counts, and the
+//! detectors run only when the file set is written, so the observability
+//! layer must not cost a single allocation on the hot path either.
 //!
 //! The counting allocator is process-global, so this file deliberately holds a
 //! SINGLE test function: a second test running in parallel would pollute the
