@@ -68,7 +68,7 @@
 //!
 //! | | state |
 //! |---|---|
-//! | partitioned (the shards' sum is the sequential network's) | router slot pools and per-port vectors, link rings, the packet arena, source-queue reservations |
+//! | partitioned (the shards' sum is the sequential network's) | the input fabric (input VCs and packet slots), output ports, link rings, the packet arena, source-queue reservations |
 //! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit per VC on the receiving one — it is exported at the same cycle's barrier.  The ring it *imports* into is held in full by the importing shard alone |
 //! | full length on every shard | per-link and per-router metadata arrays, RNG streams, the `StatsCollector` and the probe recorder (the known remaining per-shard full-size state) |
 //!

@@ -48,6 +48,9 @@ impl FlowControl {
 /// input ports and owned output ports in one `u64` mask apiece.
 pub const MAX_PORTS_PER_ROUTER: usize = u64::BITS as usize;
 
+/// Most VCs a port may have: a VC index is a `u8` wherever it is stored.
+pub const MAX_VCS_PER_PORT: usize = u8::MAX as usize + 1;
+
 /// Full configuration of a simulation run.
 ///
 /// Defaults follow the paper's methodology section: local links of 10 cycles, global
@@ -211,9 +214,44 @@ impl SimConfig {
     }
 
     /// Sanity-check the configuration, panicking with a descriptive message if it is
-    /// inconsistent (e.g. VCT with buffers smaller than a packet).
+    /// inconsistent (e.g. VCT with buffers smaller than a packet) or beyond a
+    /// bound of the engine's packed state (each message names the field, the
+    /// value and the bound).
     pub fn validate(&self) {
         assert!(self.packet_size >= 1, "packet size must be positive");
+        // Phit counters of a buffered packet (`PacketSlot`) and of a packet
+        // are `u16`.
+        assert!(
+            self.packet_size <= u16::MAX as usize,
+            "packet_size = {} phits exceeds the {} a u16 phit counter holds",
+            self.packet_size,
+            u16::MAX
+        );
+        // A VC index travels as a `u8`: in phits, credits, and the packed
+        // `(port, VC)` words of an input VC's route and an output VC's owner.
+        for (field, vcs) in [
+            ("local_vcs", self.local_vcs),
+            ("global_vcs", self.global_vcs),
+        ] {
+            assert!(
+                vcs <= MAX_VCS_PER_PORT,
+                "{field} = {vcs} exceeds the {MAX_VCS_PER_PORT} VCs a u8 VC index addresses"
+            );
+        }
+        for (field, phits) in [
+            ("local_buffer", self.local_buffer),
+            ("global_buffer", self.global_buffer),
+            ("injection_buffer", self.injection_buffer),
+        ] {
+            // Output VCs count credits in a `u32` (the ejection side's
+            // `max(4 × packet_size, injection_buffer)` is bounded with the
+            // injection buffer, the packet size being a `u16`).
+            assert!(
+                phits <= u32::MAX as usize,
+                "{field} = {phits} phits exceeds the {} a u32 credit counter holds",
+                u32::MAX
+            );
+        }
         let ports = self.params.ports_per_router();
         assert!(
             ports <= MAX_PORTS_PER_ROUTER,
@@ -246,6 +284,12 @@ impl SimConfig {
             assert!(
                 self.local_buffer >= flit_size,
                 "WH requires local buffers to hold at least one flit"
+            );
+            assert!(
+                self.global_buffer >= flit_size,
+                "WH requires global buffers (global_buffer = {} phits) to hold at least one \
+                 flit ({flit_size} phits)",
+                self.global_buffer
             );
             assert!(
                 self.packet_size.is_multiple_of(flit_size),
@@ -330,6 +374,26 @@ mod tests {
         let mut c = SimConfig::paper_vct(2);
         c.local_buffer = 4;
         c.validate();
+    }
+
+    /// A global buffer smaller than a flit would starve every inter-group
+    /// packet while intra-group traffic keeps the deadlock watchdog fed.
+    #[test]
+    #[should_panic(
+        expected = "WH requires global buffers (global_buffer = 8 phits) to hold \
+                               at least one flit (10 phits)"
+    )]
+    fn wormhole_small_global_buffer_rejected() {
+        let mut c = SimConfig::paper_wormhole(2);
+        c.global_buffer = 8;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "local_vcs = 257 exceeds the 256 VCs a u8 VC index addresses")]
+    fn vc_count_bounded_by_the_u8_index() {
+        SimConfig::paper_vct(2).with_local_vcs(256).validate();
+        SimConfig::paper_vct(2).with_local_vcs(257).validate();
     }
 
     #[test]

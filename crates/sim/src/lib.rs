@@ -4,7 +4,9 @@
 //! simulator that models FIFO input-buffered routers with VCT or WH flow-control".
 //! It simulates every phit of every packet:
 //!
-//! * routers are input-buffered with per-port virtual channels ([`router`]),
+//! * routers are input-buffered with per-port virtual channels: every input VC
+//!   of the network lives in the flat [`buffer::InputFabric`], the output side
+//!   in [`router`],
 //! * links are pipelined and carry one phit per cycle, with credit-based backpressure;
 //!   per-link state and the wire types live in the struct-of-arrays
 //!   [`fabric::LinkFabric`],
@@ -45,7 +47,7 @@ pub mod routing_iface;
 pub mod stats_collect;
 
 pub use active_set::ActiveSet;
-pub use buffer::{PacketSlot, VcBuffer};
+pub use buffer::{InputVc, PacketSlot};
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
@@ -53,7 +55,7 @@ pub use network::{GlobalStatusBoard, Network, PoolBytes};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
 pub use ring::RingMeta;
-pub use router::{InputPort, InputVc, OutputPort, OutputVc, Router};
+pub use router::{OutputPort, OutputVc, Router};
 pub use routing_iface::{
     BaselineMinimal, RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm,
 };

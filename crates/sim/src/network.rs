@@ -1,6 +1,7 @@
 //! The network: routers, the link fabric, sources and the per-cycle phases.
 
 use crate::active_set::ActiveSet;
+use crate::buffer::InputFabric;
 use crate::config::SimConfig;
 use crate::fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 use crate::packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
@@ -19,7 +20,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A generated packet that has not started injecting: everything generation
-/// decided about it, in 24 bytes.  A [`Packet`] is five times that, so the
+/// decided about it, in 24 bytes.  A [`Packet`] is over four times that, so the
 /// arena slot is taken only when the head phit enters the injection buffer —
 /// the backlog of a saturated source costs a queue entry per packet, and the
 /// arena holds what is in the network, which the buffers bound.
@@ -101,15 +102,15 @@ impl GlobalStatusBoard {
 /// What a [`Network`] allocated for its pools, in bytes of capacity
 /// ([`Network::allocated_bytes`]).
 ///
-/// Over the shards of a sharded run `slot_pools`, `port_vectors`, `arena` and
-/// `source_queues` sum to exactly the sequential network's values; so does
-/// `fabric_pools`, up to the one-cycle export ring each boundary link keeps on
-/// the side that launches into it (`tests/shard_memory.rs`).
+/// Over the shards of a sharded run `input_fabric`, `port_vectors`, `arena`
+/// and `source_queues` sum to exactly the sequential network's values; so
+/// does `fabric_pools`, up to the one-cycle export ring each boundary link
+/// keeps on the side that launches into it (`tests/shard_memory.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBytes {
-    /// Packet-slot pools of the routers.
-    pub slot_pools: usize,
-    /// The routers' per-port vectors (ports and their VCs, both directions).
+    /// The input fabric: every owned input VC and its packet-slot pool.
+    pub input_fabric: usize,
+    /// The routers' output ports and their VCs.
     pub port_vectors: usize,
     /// The link fabric's phit and credit pools.
     pub fabric_pools: usize,
@@ -130,8 +131,11 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// Configuration of this run.
     pub config: SimConfig,
     params: DragonflyParams,
-    /// All routers, indexed by router id.
+    /// All routers (their output side), indexed by router id.
     pub routers: Vec<Router>,
+    /// Every input VC of the owned routers and its packet slots, addressed
+    /// by router id through the port geometry all routers share.
+    inputs: InputFabric,
     /// Struct-of-arrays link state: every link's phit/credit pipeline lives in
     /// two shared pools, addressed by link index (see [`LinkFabric`]).
     fabric: LinkFabric,
@@ -258,7 +262,9 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// length, so no phase translates an index.  What shrinks is the storage
     /// behind the ids —
     ///
-    /// * an un-owned router is a [`Router::husk`]: no ports, no slot pool;
+    /// * an un-owned router is a [`Router::husk`] with no output ports, and
+    ///   the [`InputFabric`] holds input VCs and slots for the owned range
+    ///   only (the one structure that offsets a router id, internally);
     /// * a pipeline is drained where it matures (phits at the receiving end,
     ///   credits at the transmitting end), and the instance owning that end
     ///   holds it at its full bound.  An instance owning only the *launching*
@@ -408,11 +414,13 @@ impl<R: RoutingAlgorithm> Network<R> {
             arena_total * owned_nodes.end / num_nodes - arena_total * owned_nodes.start / num_nodes;
         // Worst case per router: one pending decision per input VC.
         let route_scratch_cap = ports * config.local_vcs.max(config.global_vcs);
+        let inputs = InputFabric::new(&config, owned.clone());
         Self {
             rngs,
             config,
             params,
             routers,
+            inputs,
             fabric,
             incoming_link,
             link_phits,
@@ -555,7 +563,7 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// Total phits currently stored in router buffers (conservation checks).
     pub fn stored_phits(&self) -> usize {
-        self.routers.iter().map(|r| r.stored_phits()).sum()
+        self.inputs.stored_phits()
     }
 
     /// Phits transmitted so far on the link behind `(router, flat output port)`.
@@ -755,16 +763,11 @@ impl<R: RoutingAlgorithm> Network<R> {
                 activity = true;
                 match self.fabric.end(li) {
                     LinkEnd::Router { router, port } => {
-                        // The whole batch lands at one (router, port); split the
-                        // borrow once so the per-phit work is pure buffer pushes.
-                        let Router {
-                            inputs, slot_pool, ..
-                        } = &mut self.routers[router];
-                        let vcs = &mut inputs[port].vcs;
                         for phit in &phits {
                             if phit.is_head() {
                                 // Delay attribution: arrival ends this hop's
-                                // link transit (first phit out → head in).
+                                // link transit (first phit out → head in) and
+                                // starts the wait for a grant.
                                 let packet = self.packets.get_mut(phit.packet);
                                 let transit = cycle - packet.delay.head_stamp;
                                 if on_detour(&packet.route) {
@@ -772,16 +775,16 @@ impl<R: RoutingAlgorithm> Network<R> {
                                 } else {
                                     packet.delay.link_transit += transit;
                                 }
+                                packet.delay.head_stamp = cycle;
                             }
-                            let buffer = &mut vcs[phit.vc as usize].buffer;
-                            buffer.receive_phit(
-                                slot_pool,
+                            let occupancy = self.inputs.receive_phit(
+                                router,
+                                port,
+                                phit.vc as usize,
                                 phit.packet,
                                 phit.size,
                                 phit.is_head(),
-                                cycle,
                             );
-                            let occupancy = buffer.occupancy();
                             self.stats.note_vc_occupancy(occupancy);
                         }
                         self.buffered_phits[router] += phits.len() as u32;
@@ -1030,7 +1033,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             cursor = n + 1;
             let router = n / per_router;
             let port = Port::Terminal(n % per_router).flat(h);
-            if self.routers[router].inputs[port].vcs[0].buffer.free_space() == 0 {
+            if self.inputs.free_space(router, port, 0) == 0 {
                 continue;
             }
             let source = &mut self.sources[n];
@@ -1047,18 +1050,15 @@ impl<R: RoutingAlgorithm> Network<R> {
                 packet.measured = generated.measured;
                 packet.job = generated.job;
                 packet.phase = generated.phase;
-                packet.inject_cycle = cycle;
                 // Delay stamp 1: time spent queued at the source NIC before the
-                // head phit enters the injection buffer.
+                // head phit enters the injection buffer, where the wait for a
+                // grant starts.
                 packet.delay.injection_queue = cycle - generated.gen_cycle;
+                packet.delay.head_stamp = cycle;
             }
-            let head = source.head;
-            let Router {
-                inputs, slot_pool, ..
-            } = &mut self.routers[router];
-            let buffer = &mut inputs[port].vcs[0].buffer;
-            buffer.receive_phit(slot_pool, head, size, is_head, cycle);
-            let occupancy = buffer.occupancy();
+            let occupancy = self
+                .inputs
+                .receive_phit(router, port, 0, source.head, size, is_head);
             self.stats.note_vc_occupancy(occupancy);
             source.head_phits_sent += 1;
             activity = true;
@@ -1117,14 +1117,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let occupied = self.in_occupied[r];
                 let below = occupied & ((1 << router.rr_alloc) - 1);
                 for ip in set_bits(occupied ^ below).chain(set_bits(below)) {
-                    let input_port = &router.inputs[ip];
-                    for (ivc, input) in input_port.vcs.iter().enumerate() {
-                        if input.route.is_some() {
-                            continue;
-                        }
-                        let Some(slot) = input.buffer.head(&router.slot_pool) else {
-                            continue;
-                        };
+                    for (ivc, slot) in self.inputs.unrouted_heads(r, ip) {
                         let packet = self.packets.get(slot.packet);
                         if let Some(choice) =
                             self.routing.route(&ctx, packet, &view, &mut self.rngs[r])
@@ -1146,35 +1139,27 @@ impl<R: RoutingAlgorithm> Network<R> {
                     .flow_control
                     .claim_phits(self.packets.get(pid).size_phits());
                 let out = &mut router.outputs[flat].vcs[choice.vc as usize];
-                if out.owner.is_some() || out.credits < needed {
+                if !out.is_free() || (out.credits as usize) < needed {
                     continue;
                 }
-                out.owner = Some((ip as u16, ivc as u8));
+                out.set_owner(Some((ip as u16, ivc as u8)));
                 self.out_owned[r] |= 1 << flat;
-                router.inputs[ip].vcs[ivc].route = Some((flat as u16, choice.vc));
-                // Delay stamp 3: the head waited in this input VC from enqueue
-                // until this grant.  Classified on the *pre-grant* route: a
-                // packet still travelling its detour books the wait against
-                // the detour component instead of `vc_wait`.
-                let waited = {
-                    let Router {
-                        inputs, slot_pool, ..
-                    } = &mut *router;
-                    let buffer = &mut inputs[ip].vcs[ivc].buffer;
-                    let enqueued = buffer
-                        .head(slot_pool)
-                        .expect("granted VC holds a head packet")
-                        .enqueue_cycle;
-                    buffer.stamp_grant(slot_pool, cycle);
-                    cycle - enqueued
-                };
+                self.inputs
+                    .set_route(r, ip, ivc, Some((flat as u16, choice.vc)));
+                // Delay stamp 3: the head waited in this input VC from its
+                // arrival until this grant, which starts the wait for
+                // credits.  Classified on the *pre-grant* route: a packet
+                // still travelling its detour books the wait against the
+                // detour component instead of `vc_wait`.
                 {
                     let packet = self.packets.get_mut(pid);
+                    let waited = cycle - packet.delay.head_stamp;
                     if on_detour(&packet.route) {
                         packet.delay.detour += waited;
                     } else {
                         packet.delay.vc_wait += waited;
                     }
+                    packet.delay.head_stamp = cycle;
                 }
                 apply_grant(self.packets.get_mut(pid), &choice, &self.params, router.id);
                 // Probe: grants only happen at routers holding buffered phits,
@@ -1237,7 +1222,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let mut chosen: Option<usize> = None;
                 for k in 0..vcs {
                     let vc = (start + k) % vcs;
-                    let Some((ip, ivc)) = self.routers[r].outputs[op].vcs[vc].owner else {
+                    let Some((ip, ivc)) = self.routers[r].outputs[op].vcs[vc].owner() else {
                         continue;
                     };
                     let out = &self.routers[r].outputs[op].vcs[vc];
@@ -1249,9 +1234,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                         }
                         continue;
                     }
-                    let router = &self.routers[r];
-                    let buffer = &router.inputs[ip as usize].vcs[ivc as usize].buffer;
-                    let Some(head) = buffer.head(&router.slot_pool) else {
+                    let Some(head) = self.inputs.head(r, ip as usize, ivc as usize) else {
                         continue;
                     };
                     if !head.has_phit() {
@@ -1262,7 +1245,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                     let fl = flow_control.flit_phits(size);
                     if fl > 1 && (head.phits_sent as usize).is_multiple_of(fl) {
                         let remaining = size - head.phits_sent as usize;
-                        if out.credits < fl.min(remaining) {
+                        if (out.credits as usize) < fl.min(remaining) {
                             continue;
                         }
                     }
@@ -1273,33 +1256,24 @@ impl<R: RoutingAlgorithm> Network<R> {
                 activity = true;
                 self.buffered_phits[r] -= 1;
                 self.buffered_total -= 1;
-                let (ip, ivc) = self.routers[r].outputs[op].vcs[vc].owner.unwrap();
+                let (ip, ivc) = self.routers[r].outputs[op].vcs[vc].owner().unwrap();
                 let (ip, ivc) = (ip as usize, ivc as usize);
-                let Router {
-                    inputs,
-                    outputs,
-                    slot_pool,
-                    ..
-                } = &mut self.routers[r];
-                let buffer = &mut inputs[ip].vcs[ivc].buffer;
-                let head = buffer.head(slot_pool).unwrap();
-                let sent_before = head.phits_sent;
-                let size = head.size;
-                let grant_cycle = head.grant_cycle;
-                let (pid, is_tail) = buffer.send_phit(slot_pool);
-                let output = &mut outputs[op];
+                let head = *self.inputs.head(r, ip, ivc).unwrap();
+                let (sent_before, size) = (head.phits_sent, head.size);
+                let (pid, is_tail) = self.inputs.send_phit(r, ip, ivc);
+                let output = &mut self.routers[r].outputs[op];
                 output.rr_next = (vc + 1) % vcs;
                 output.vcs[vc].credits -= 1;
                 if is_tail {
                     // The packet has left: release the output VC and the
                     // input VC's route, and retire either port from its mask
                     // when that was the port's last packet.
-                    output.vcs[vc].owner = None;
-                    inputs[ip].vcs[ivc].route = None;
+                    output.vcs[vc].set_owner(None);
+                    self.inputs.set_route(r, ip, ivc, None);
                     if !output.has_owner() {
                         self.out_owned[r] &= !(1 << op);
                     }
-                    if !inputs[ip].has_packets() {
+                    if !self.inputs.port_has_packets(r, ip) {
                         self.in_occupied[r] &= !(1 << ip);
                     }
                 }
@@ -1308,7 +1282,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 // head timestamp restarts for the link-transit leg.
                 if sent_before == 0 {
                     let packet = self.packets.get_mut(pid);
-                    let waited = cycle - grant_cycle;
+                    let waited = cycle - packet.delay.head_stamp;
                     if on_detour(&packet.route) {
                         packet.delay.detour += waited;
                     } else {
@@ -1583,15 +1557,12 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// [`PoolBytes`].
     pub fn allocated_bytes(&self) -> PoolBytes {
         let mut bytes = PoolBytes {
+            input_fabric: self.inputs.allocated_bytes(),
+            port_vectors: self.routers.iter().map(Router::allocated_bytes).sum(),
             fabric_pools: self.fabric.pool_bytes(),
             arena: self.packets.allocated_bytes(),
             ..PoolBytes::default()
         };
-        for router in &self.routers {
-            let (slots, ports) = router.allocated_bytes();
-            bytes.slot_pools += slots;
-            bytes.port_vectors += ports;
-        }
         for source in &self.sources {
             bytes.source_queues += source.pending.capacity() * std::mem::size_of::<Generated>();
         }
@@ -1668,17 +1639,17 @@ impl<R: RoutingAlgorithm> Network<R> {
             // Routers another shard owns never buffer phits here, so every
             // cell is accumulated by exactly one shard.
             let probe = self.probe.as_deref_mut().unwrap();
-            for (r, router) in self.routers.iter().enumerate() {
+            for r in self.owned_routers.clone() {
                 if self.buffered_phits[r] == 0 {
                     continue;
                 }
-                for (p, input) in router.inputs.iter().enumerate() {
+                for p in 0..ports {
                     let li = self.incoming_link[r * ports + p];
                     if li == usize::MAX {
                         continue;
                     }
-                    for (vc, ivc) in input.vcs.iter().enumerate() {
-                        probe.add_occupancy(cycle, li, vc, ivc.buffer.occupancy() as u32);
+                    for (vc, ivc) in self.inputs.port_vcs(r, p).iter().enumerate() {
+                        probe.add_occupancy(cycle, li, vc, ivc.occupancy() as u32);
                     }
                 }
             }
@@ -1711,10 +1682,11 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// builds assert it at the close of every cycle; `tests/due_work.rs` steps
     /// it in release builds too.
     pub fn check_due_sets(&self) -> Result<(), String> {
+        let ports = self.params.ports_per_router();
         for (r, router) in self.routers.iter().enumerate() {
             if !self.owned_routers.contains(&r) {
-                if router.allocated_bytes() != (0, 0) {
-                    return Err(format!("router {r} is not owned but has buffers"));
+                if router.allocated_bytes() != 0 {
+                    return Err(format!("router {r} is not owned but has output ports"));
                 }
                 if self.active_routers.contains(r)
                     || self.in_occupied[r] != 0
@@ -1723,13 +1695,16 @@ impl<R: RoutingAlgorithm> Network<R> {
                 {
                     return Err(format!("router {r} is not owned but is scheduled"));
                 }
+                // No input VCs to scan: the input fabric covers the owned
+                // range only.
+                continue;
             }
             let scan = |has: &dyn Fn(usize) -> bool| {
-                (0..router.inputs.len())
+                (0..ports)
                     .filter(|&p| has(p))
                     .fold(0u64, |mask, p| mask | 1 << p)
             };
-            let occupied = scan(&|p| router.inputs[p].has_packets());
+            let occupied = scan(&|p| self.inputs.port_has_packets(r, p));
             if self.in_occupied[r] != occupied {
                 return Err(format!(
                     "router {r}: in_occupied is {:#b} but the input VCs say {occupied:#b}",
@@ -1915,6 +1890,30 @@ mod tests {
         assert!(net.is_drained());
     }
 
+    /// The per-entry sizes the eagerly reserved state is priced in.  Each
+    /// comment gives what the entry costs on the h = 8 paper machine
+    /// (2 064 routers: 958 packet slots, 85 input and 85 output VCs, 989
+    /// phit and 2 159 credit pipeline entries per router; 132 096 arena
+    /// slots).
+    #[test]
+    fn hot_path_layout_is_pinned() {
+        use crate::buffer::{InputVc, PacketSlot};
+        use crate::router::OutputVc;
+        use std::mem::size_of;
+        // 1 977 312 slots: 31.6 MB (63.3 MB with the two u64 delay stamps).
+        assert_eq!(size_of::<PacketSlot>(), 16);
+        // 175 440 input VCs: 2.8 MB.
+        assert!(size_of::<InputVc>() <= 16);
+        // 175 440 output VCs: 2.1 MB.
+        assert!(size_of::<OutputVc>() <= 12);
+        // 2 041 296 phit pipeline entries: 32.7 MB.
+        assert_eq!(size_of::<PhitInFlight>(), 16);
+        // 4 456 176 credit pipeline entries: 35.6 MB.
+        assert_eq!(size_of::<CreditInFlight>(), 8);
+        // 132 096 preallocated arena slots: 14.8 MB.
+        assert!(size_of::<Packet>() <= 112);
+    }
+
     #[test]
     fn incoming_link_map_is_consistent() {
         let net = tiny_network();
@@ -2095,7 +2094,7 @@ mod tests {
                         vc.credits, vc.downstream_capacity,
                         "credits must return to capacity once the network drains"
                     );
-                    assert!(vc.owner.is_none());
+                    assert!(vc.is_free());
                 }
             }
         }

@@ -85,8 +85,11 @@ impl RouteState {
 /// between generation and tail delivery lands in exactly one accumulator, so
 /// their sum equals the end-to-end latency with no residual (the delay
 /// layer's cardinal invariant, pinned by `tests/delay_conservation.rs`).
-/// `head_stamp` is the one transient field: the cycle of the packet's latest
-/// boundary event, consumed by the next event.  Stamping is unconditional
+/// `head_stamp` is the one transient field, and the only per-hop stamp the
+/// engine keeps: the cycle of the packet's latest boundary event (head enters
+/// a buffer, head granted, first phit out, head reaches the node), consumed
+/// and rewritten by the next one.  A packet has one head, so one stamp
+/// serves every hop and the VC buffers carry none.  Stamping is unconditional
 /// (plain integer writes on state the engine already touches), so the probe
 /// passivity invariant is untouched: nothing here feeds back into routing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,8 +110,10 @@ pub struct DelayState {
     pub detour: u64,
     /// Cycles between the head and the tail phit arriving at the destination.
     pub serialization: u64,
-    /// Cycle of the latest boundary event (transient bookkeeping, not a
-    /// component).
+    /// Cycle of the latest boundary event: written when the head enters a
+    /// buffer (injection feed or link arrival), read and rewritten at the
+    /// grant and at the first phit out, read at the node (transient
+    /// bookkeeping, not a component).
     pub head_stamp: u64,
 }
 
@@ -138,8 +143,6 @@ pub struct Packet {
     pub size: u16,
     /// Cycle at which the source generated the packet (start of latency measurement).
     pub gen_cycle: u64,
-    /// Cycle at which the first phit entered the injection queue.
-    pub inject_cycle: u64,
     /// Whether the packet was generated inside the measurement window.
     pub measured: bool,
     /// Workload job that generated the packet ([`UNTAGGED`] outside workloads).
@@ -162,7 +165,6 @@ impl Packet {
             dst,
             size,
             gen_cycle,
-            inject_cycle: gen_cycle,
             measured: false,
             job: UNTAGGED,
             phase: UNTAGGED,
@@ -426,7 +428,6 @@ mod tests {
     fn packet_constructor_defaults() {
         let p = Packet::new(PacketId(3), NodeId(1), NodeId(2), 8, 42);
         assert_eq!(p.gen_cycle, 42);
-        assert_eq!(p.inject_cycle, 42);
         assert!(!p.measured);
         assert_eq!(p.job, UNTAGGED);
         assert_eq!(p.phase, UNTAGGED);

@@ -10,7 +10,9 @@
 //! no storage: the ring's elements live in a caller-provided slice, which is
 //! what lets the [`crate::fabric::LinkFabric`] keep *every* pipeline of the
 //! network in two contiguous pools and every ring's metadata in one parallel
-//! array, and lets all of a router's VC slot queues share one backing pool.
+//! array, and lets the [`crate::buffer::InputFabric`] keep every input VC's
+//! slot queue in one backing pool, the ring word inside the 16-byte
+//! [`crate::buffer::InputVc`].
 //! All four fields provably fit 16 bits: phit pipelines hold at most
 //! `latency + 1 ≤ 101` entries, credit pipelines at most
 //! `vcs × (latency + 1)`, and VC slot rings at most `capacity + 1 ≤ 257`.

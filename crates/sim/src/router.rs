@@ -1,57 +1,61 @@
-//! Input-buffered virtual-channel routers.
+//! Input-buffered virtual-channel routers: the output side of each router.
+//!
+//! A router's input VCs are not here: every input VC of the network lives in
+//! the network-level [`crate::buffer::InputFabric`], addressed by router id
+//! through the [`crate::buffer::PortGeometry`] all routers share.
 
-use crate::buffer::{PacketSlot, VcBuffer};
+use crate::buffer::{pack_port_vc, unpack_port_vc};
 use crate::config::SimConfig;
 use dragonfly_topology::{Port, RouterId};
 
-/// One input virtual channel: its FIFO plus the output (port, VC) currently granted to
-/// the packet at its head, if any.
-#[derive(Debug)]
-pub struct InputVc {
-    /// The phit FIFO (a ring view over the router's shared [`Router::slot_pool`]).
-    pub buffer: VcBuffer,
-    /// Output assignment of the head packet: `(flat output port, output VC)`.
-    pub route: Option<(u16, u8)>,
-}
-
-/// An input port: one [`InputVc`] per virtual channel.
-#[derive(Debug)]
-pub struct InputPort {
-    /// Virtual channels of this input port.
-    pub vcs: Vec<InputVc>,
-}
-
-impl InputPort {
-    /// True when some VC of this port holds a packet slot (phits present, or a
-    /// packet being cut through whose tail has not left yet).
-    pub fn has_packets(&self) -> bool {
-        self.vcs.iter().any(|vc| vc.buffer.packets() > 0)
-    }
-}
-
 /// One output virtual channel: the credit count of the downstream buffer and the input
 /// VC that currently owns it (a packet in transfer holds the VC from head to tail).
+///
+/// Twelve bytes: two `u32` phit counts (`SimConfig::validate` bounds every
+/// buffer by `u32::MAX`) and the owner packed into a `u32`.
 #[derive(Debug, Clone)]
 pub struct OutputVc {
     /// Free phits currently available in the downstream input VC buffer.
-    pub credits: usize,
+    pub credits: u32,
     /// Capacity of the downstream buffer in phits.
-    pub downstream_capacity: usize,
-    /// Input `(flat port, VC)` whose head packet currently owns this output VC.
-    pub owner: Option<(u16, u8)>,
+    pub downstream_capacity: u32,
+    /// Packed input `(flat port, VC)` owning this output VC (see [`OutputVc::owner`]).
+    owner: u32,
 }
 
 impl OutputVc {
+    /// A free output VC facing a downstream buffer of `capacity` phits, all
+    /// of them credited.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            credits: capacity as u32,
+            downstream_capacity: capacity as u32,
+            owner: pack_port_vc(None),
+        }
+    }
+
+    /// Input `(flat port, VC)` whose head packet currently owns this output VC.
+    #[inline]
+    pub fn owner(&self) -> Option<(u16, u8)> {
+        unpack_port_vc(self.owner)
+    }
+
+    /// Assign (`Some`) or release (`None`) this output VC.
+    #[inline]
+    pub fn set_owner(&mut self, owner: Option<(u16, u8)>) {
+        self.owner = pack_port_vc(owner);
+    }
+
     /// Occupancy of the downstream buffer as seen through the credit counter.
     #[inline]
     pub fn occupancy(&self) -> usize {
-        self.downstream_capacity - self.credits
+        (self.downstream_capacity - self.credits) as usize
     }
 
     /// True when the VC is not currently assigned to a packet.
     #[inline]
     pub fn is_free(&self) -> bool {
-        self.owner.is_none()
+        self.owner().is_none()
     }
 }
 
@@ -67,7 +71,7 @@ pub struct OutputPort {
 impl OutputPort {
     /// True when some VC of this port is owned by a packet in transfer.
     pub fn has_owner(&self) -> bool {
-        self.vcs.iter().any(|vc| vc.owner.is_some())
+        self.vcs.iter().any(|vc| !vc.is_free())
     }
 
     /// Total occupancy of the downstream buffers over all VCs of this port.
@@ -77,135 +81,74 @@ impl OutputPort {
 
     /// Total downstream capacity over all VCs of this port.
     pub fn total_capacity(&self) -> usize {
-        self.vcs.iter().map(|v| v.downstream_capacity).sum()
+        self.vcs
+            .iter()
+            .map(|v| v.downstream_capacity as usize)
+            .sum()
     }
 }
 
-/// One router: input units, output units and allocation round-robin state.
+/// One router: output units and the allocation round-robin state.
 #[derive(Debug)]
 pub struct Router {
     /// Router identifier.
     pub id: RouterId,
-    /// Input ports, indexed by flat port index.
-    pub inputs: Vec<InputPort>,
     /// Output ports, indexed by flat port index.
     pub outputs: Vec<OutputPort>,
-    /// Packet-slot backing storage shared by every input VC buffer of this
-    /// router.  Each [`VcBuffer`] is a ring view over its own contiguous
-    /// region of this pool; sizing comes from [`VcBuffer::slot_bound`], so
-    /// the pool is one exact allocation per router instead of one `Vec` per
-    /// VC.  Buffer methods take it explicitly (`vc.buffer.head(&r.slot_pool)`)
-    /// so the borrow checker can see it is disjoint from `inputs`.
-    pub slot_pool: Vec<PacketSlot>,
     /// Rotating offset used to vary the order in which input VCs are served.
     pub rr_alloc: usize,
 }
 
 impl Router {
-    /// Build a router with the buffer geometry dictated by `config`.
+    /// Build a router with the output geometry dictated by `config`.
     ///
     /// `downstream_capacity` must give, for every flat output port, the per-VC capacity
     /// of the input buffer at the far end of that port's link.
     pub fn new(id: RouterId, config: &SimConfig, downstream_capacity: &[usize]) -> Self {
         let h = config.params.h();
-        let ports = config.params.ports_per_router();
-        assert_eq!(downstream_capacity.len(), ports);
-        let mut inputs = Vec::with_capacity(ports);
-        let mut outputs = Vec::with_capacity(ports);
-        let mut pool_len = 0usize;
-        for (flat, &down) in downstream_capacity.iter().enumerate() {
-            let port = Port::from_flat(flat, h);
-            let vcs = config.vcs_for(port.kind());
-            let in_capacity = config.buffer_for(port.kind());
-            inputs.push(InputPort {
-                vcs: (0..vcs)
-                    .map(|_| {
-                        let buffer = VcBuffer::new(in_capacity, config.packet_size, pool_len);
-                        pool_len += VcBuffer::slot_bound(in_capacity, config.packet_size);
-                        InputVc {
-                            buffer,
-                            route: None,
-                        }
-                    })
-                    .collect(),
-            });
-            outputs.push(OutputPort {
-                vcs: (0..vcs)
-                    .map(|_| OutputVc {
-                        credits: down,
-                        downstream_capacity: down,
-                        owner: None,
-                    })
-                    .collect(),
+        assert_eq!(downstream_capacity.len(), config.params.ports_per_router());
+        let outputs = downstream_capacity
+            .iter()
+            .enumerate()
+            .map(|(flat, &down)| OutputPort {
+                vcs: vec![OutputVc::new(down); config.vcs_for(Port::from_flat(flat, h).kind())],
                 rr_next: 0,
-            });
-        }
+            })
+            .collect();
         Self {
             id,
-            inputs,
             outputs,
-            slot_pool: vec![PacketSlot::default(); pool_len],
             rr_alloc: 0,
         }
     }
 
     /// A router this network instance does not own (another shard does): it
     /// keeps its place in the router array, so ids stay global, and allocates
-    /// nothing — no ports, no buffers, no slot pool.
+    /// nothing.
     pub fn husk(id: RouterId) -> Self {
         Self {
             id,
-            inputs: Vec::new(),
             outputs: Vec::new(),
-            slot_pool: Vec::new(),
             rr_alloc: 0,
         }
     }
 
-    /// Bytes of heap this router holds: `(slot pool, per-port vectors)`, each
-    /// as capacity × element size.
-    pub fn allocated_bytes(&self) -> (usize, usize) {
+    /// Bytes of heap this router's output ports hold (capacity × element size).
+    pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
-        let ports = self.inputs.capacity() * size_of::<InputPort>()
-            + self.outputs.capacity() * size_of::<OutputPort>()
-            + self
-                .inputs
-                .iter()
-                .map(|p| p.vcs.capacity() * size_of::<InputVc>())
-                .sum::<usize>()
+        self.outputs.capacity() * size_of::<OutputPort>()
             + self
                 .outputs
                 .iter()
                 .map(|p| p.vcs.capacity() * size_of::<OutputVc>())
-                .sum::<usize>();
-        (self.slot_pool.capacity() * size_of::<PacketSlot>(), ports)
-    }
-
-    /// Total phits stored across all input buffers (diagnostics / conservation tests).
-    pub fn stored_phits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|vc| vc.buffer.occupancy())
-            .sum()
-    }
-
-    /// True when every input buffer is empty and every output VC is free.
-    pub fn is_idle(&self) -> bool {
-        self.inputs.iter().all(|p| {
-            p.vcs
-                .iter()
-                .all(|vc| vc.buffer.is_empty() && vc.route.is_none())
-        }) && self
-            .outputs
-            .iter()
-            .all(|p| p.vcs.iter().all(|vc| vc.owner.is_none()))
+                .sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::{InputFabric, InputVc, PacketSlot};
     use crate::packet::PacketId;
     use dragonfly_topology::PortKind;
 
@@ -224,22 +167,27 @@ mod tests {
             .collect()
     }
 
+    fn router(id: u32, config: &SimConfig) -> Router {
+        Router::new(RouterId(id), config, &downstream(config))
+    }
+
     #[test]
     fn router_construction_geometry() {
         let config = test_config();
-        let r = Router::new(RouterId(3), &config, &downstream(&config));
-        assert_eq!(r.inputs.len(), config.params.ports_per_router());
+        let r = router(3, &config);
+        let inputs = InputFabric::new(&config, 3..4);
         assert_eq!(r.outputs.len(), config.params.ports_per_router());
         // Local ports have 3 VCs of 32 phits; global ports 2 VCs of 256 phits.
-        let local = &r.inputs[Port::Local(0).flat(2)];
-        assert_eq!(local.vcs.len(), 3);
-        assert_eq!(local.vcs[0].buffer.capacity(), 32);
-        let global = &r.inputs[Port::Global(0).flat(2)];
-        assert_eq!(global.vcs.len(), 2);
-        assert_eq!(global.vcs[0].buffer.capacity(), 256);
+        let local = Port::Local(0).flat(2);
+        assert_eq!(inputs.port_vcs(3, local).len(), 3);
+        assert_eq!(inputs.geometry().capacity(local, 0), 32);
+        assert_eq!(inputs.free_space(3, local, 0), 32);
+        let global = Port::Global(0).flat(2);
+        assert_eq!(inputs.port_vcs(3, global).len(), 2);
+        assert_eq!(inputs.geometry().capacity(global, 0), 256);
         // Output credits start at the downstream capacity.
         let gout = &r.outputs[Port::Global(1).flat(2)];
-        assert_eq!(gout.vcs[0].credits, config.global_buffer);
+        assert_eq!(gout.vcs[0].credits as usize, config.global_buffer);
         assert_eq!(gout.vcs[0].occupancy(), 0);
         assert!(gout.vcs[0].is_free());
     }
@@ -247,72 +195,99 @@ mod tests {
     #[test]
     fn slot_pool_covers_every_vc_exactly() {
         let config = test_config();
-        let r = Router::new(RouterId(1), &config, &downstream(&config));
-        let expected: usize = r
-            .inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|vc| VcBuffer::slot_bound(vc.buffer.capacity(), config.packet_size))
+        let inputs = InputFabric::new(&config, 0..2);
+        let geometry = inputs.geometry();
+        let h = config.params.h();
+        let expected: usize = (0..config.params.ports_per_router())
+            .map(|p| {
+                let kind = Port::from_flat(p, h).kind();
+                config.vcs_for(kind)
+                    * InputVc::slot_bound(config.buffer_for(kind), config.packet_size)
+            })
             .sum();
-        assert_eq!(r.slot_pool.len(), expected);
+        assert_eq!(geometry.slots_per_router(), expected);
+        let vcs = geometry.vcs_per_router();
+        assert_eq!(
+            inputs.allocated_bytes(),
+            2 * (vcs * std::mem::size_of::<InputVc>()
+                + expected * std::mem::size_of::<PacketSlot>())
+        );
     }
 
     #[test]
     fn vcs_use_disjoint_pool_regions() {
-        // Fill two VCs of the same port through the shared pool and check
-        // that neither sees the other's packet.
+        // Fill two VCs of the same port, and the same VC of the next router,
+        // through the shared pool and check that none sees another's packet.
         let config = test_config();
-        let mut r = Router::new(RouterId(0), &config, &downstream(&config));
+        let mut inputs = InputFabric::new(&config, 4..6);
         let flat = Port::Local(0).flat(2);
-        let Router {
-            inputs, slot_pool, ..
-        } = &mut r;
-        let vcs = &mut inputs[flat].vcs;
-        vcs[0]
-            .buffer
-            .receive_phit(slot_pool, PacketId(10), config.packet_size as u16, true, 0);
-        vcs[1]
-            .buffer
-            .receive_phit(slot_pool, PacketId(11), config.packet_size as u16, true, 0);
-        assert_eq!(vcs[0].buffer.head(slot_pool).unwrap().packet, PacketId(10));
-        assert_eq!(vcs[1].buffer.head(slot_pool).unwrap().packet, PacketId(11));
-        assert_eq!(r.stored_phits(), 2);
+        let size = config.packet_size as u16;
+        assert_eq!(inputs.receive_phit(4, flat, 0, PacketId(10), size, true), 1);
+        assert_eq!(inputs.receive_phit(4, flat, 1, PacketId(11), size, true), 1);
+        assert_eq!(inputs.receive_phit(5, flat, 0, PacketId(12), size, true), 1);
+        assert_eq!(inputs.head(4, flat, 0).unwrap().packet, PacketId(10));
+        assert_eq!(inputs.head(4, flat, 1).unwrap().packet, PacketId(11));
+        assert_eq!(inputs.head(5, flat, 0).unwrap().packet, PacketId(12));
+        assert!(inputs.head(5, flat, 1).is_none());
+        assert_eq!(inputs.stored_phits(), 3);
+        let heads: Vec<_> = inputs
+            .unrouted_heads(4, flat)
+            .map(|(vc, slot)| (vc, slot.packet))
+            .collect();
+        assert_eq!(heads, [(0, PacketId(10)), (1, PacketId(11))]);
+        inputs.set_route(4, flat, 0, Some((2, 1)));
+        assert_eq!(inputs.vc(4, flat, 0).route(), Some((2, 1)));
+        assert_eq!(inputs.unrouted_heads(4, flat).count(), 1);
+        assert!(inputs.port_has_packets(4, flat));
+        assert!(!inputs.port_has_packets(4, Port::Local(1).flat(2)));
     }
 
     #[test]
     fn fresh_router_is_idle() {
         let config = test_config();
-        let r = Router::new(RouterId(0), &config, &downstream(&config));
-        assert!(r.is_idle());
-        assert_eq!(r.stored_phits(), 0);
+        let r = router(0, &config);
+        let inputs = InputFabric::new(&config, 0..1);
+        assert!(r.outputs.iter().all(|p| !p.has_owner()));
+        for p in 0..config.params.ports_per_router() {
+            assert!(inputs
+                .port_vcs(0, p)
+                .iter()
+                .all(|vc| vc.is_empty() && vc.route().is_none()));
+        }
+        assert_eq!(inputs.stored_phits(), 0);
     }
 
     #[test]
     fn a_husk_allocates_nothing() {
         let r = Router::husk(RouterId(5));
         assert_eq!(r.id, RouterId(5));
-        assert_eq!(r.allocated_bytes(), (0, 0));
-        assert!(r.is_idle());
-        assert_eq!(r.stored_phits(), 0);
+        assert_eq!(r.allocated_bytes(), 0);
         let config = test_config();
-        let built = Router::new(RouterId(5), &config, &downstream(&config));
-        let (slots, ports) = built.allocated_bytes();
+        let none = InputFabric::new(&config, 5..5);
+        assert_eq!(none.allocated_bytes(), 0);
+        let built = router(5, &config);
+        let vcs: usize = built.outputs.iter().map(|p| p.vcs.len()).sum();
         assert_eq!(
-            slots,
-            built.slot_pool.len() * std::mem::size_of::<PacketSlot>()
+            built.allocated_bytes(),
+            built.outputs.len() * std::mem::size_of::<OutputPort>()
+                + vcs * std::mem::size_of::<OutputVc>()
         );
-        assert!(ports > 0);
     }
 
     #[test]
     fn output_port_aggregates() {
         let config = test_config();
-        let mut r = Router::new(RouterId(0), &config, &downstream(&config));
+        let mut r = router(0, &config);
         let flat = Port::Local(1).flat(2);
         r.outputs[flat].vcs[0].credits -= 5;
         r.outputs[flat].vcs[1].credits -= 2;
         assert_eq!(r.outputs[flat].total_occupancy(), 7);
         assert_eq!(r.outputs[flat].total_capacity(), 3 * config.local_buffer);
-        assert!(!r.is_idle() || r.stored_phits() == 0);
+        assert!(!r.outputs[flat].has_owner());
+        r.outputs[flat].vcs[2].set_owner(Some((4, 1)));
+        assert_eq!(r.outputs[flat].vcs[2].owner(), Some((4, 1)));
+        assert!(r.outputs[flat].has_owner());
+        r.outputs[flat].vcs[2].set_owner(None);
+        assert!(!r.outputs[flat].has_owner());
     }
 }

@@ -60,7 +60,7 @@ impl<'a> RouterView<'a> {
     #[inline]
     pub fn can_claim(&self, port: Port, vc: usize, packet: &Packet) -> bool {
         let out = self.output(port, vc);
-        out.is_free() && out.credits >= self.claim_phits(packet)
+        out.is_free() && out.credits as usize >= self.claim_phits(packet)
     }
 
     /// Whether a whole packet currently fits in the downstream buffer of `port`/`vc`
@@ -68,7 +68,7 @@ impl<'a> RouterView<'a> {
     #[inline]
     pub fn fits_whole_packet(&self, port: Port, vc: usize, packet: &Packet) -> bool {
         let out = self.output(port, vc);
-        out.is_free() && out.credits >= packet.size_phits()
+        out.is_free() && out.credits as usize >= packet.size_phits()
     }
 
     /// The group this router belongs to.

@@ -202,6 +202,69 @@ fn hand_built_packet_decomposition_is_pinned() {
     assert_eq!(total as f64, latency, "components must sum to the latency");
 }
 
+/// Two packets from the two nodes of router 0, sent to the same destination
+/// at cycle 0 through the otherwise idle network of
+/// `hand_built_packet_decomposition_is_pinned`, so both request the same
+/// output VC (local port, VC 0) in the same routing phase:
+///
+/// * both heads enter their injection buffers in phase B of cycle 0 (zero
+///   injection queue).  Node 0's terminal port comes first in the rotated
+///   port order, so its packet wins the grant of cycle 0 and crosses the
+///   switch at once: waits 0, exactly as the single packet did;
+/// * under VCT the winner owns the output VC from head to tail: its eighth
+///   phit leaves in cycle 7, so node 1's packet is granted in cycle 8 and
+///   books `vc_wait` = 8 − 0 = 8.  Its first phit crosses the switch in the
+///   same cycle (the VC has 24 of its 32 credits left), so `credit_wait`
+///   stays 0 — a grant stamp left behind would book 8 here instead;
+/// * from then on it trails the winner by 8 cycles, one more than the
+///   winner's 7-cycle serialization, so no later hop makes it wait: 121
+///   cycles of link transit and 7 of serialization for each packet.
+///
+/// Summed over the two packets: `[0, 8, 0, 242, 0, 14]`, latencies 128 and
+/// 136.
+#[test]
+fn contending_packets_decomposition_is_pinned() {
+    let config = SimConfig::paper_vct(2).with_seed(7);
+    let mut net: Network = Network::new(
+        config,
+        Box::new(BaselineMinimal::new()),
+        Box::new(Uniform::new()),
+    );
+    net.install_probes(delay_probes());
+    let dst = NodeId((net.params().num_nodes() - 1) as u32);
+    net.stats.begin_measurement(0);
+    for src in [NodeId(0), NodeId(1)] {
+        assert_eq!(net.params().router_of_node(src).index(), 0);
+        net.enqueue(src, dst, true);
+        net.stats.record_generated(8, 0);
+    }
+    net.run(1_000);
+    assert!(net.is_drained(), "both packets should be delivered");
+
+    let probe = net.take_probe().unwrap();
+    let ledger = probe.delay_ledger().expect("delay ledger installed");
+    assert_eq!(ledger.folded(), 2);
+    assert_eq!(ledger.violations(), 0);
+    assert_eq!(ledger.misrouted().packets, 0);
+    let minimal = ledger.minimal();
+    assert_eq!(minimal.packets, 2);
+    // [injection_queue, vc_wait, credit_wait, link_transit, detour,
+    //  serialization], summed over both packets — see the doc comment.
+    assert_eq!(
+        minimal.cycles,
+        [0, 8, 0, 242, 0, 14],
+        "hand-computed decomposition diverged"
+    );
+    assert_eq!(net.stats.measured_delivered, 2);
+    let total: u64 = minimal.cycles.iter().sum();
+    assert_eq!(total, 128 + 136);
+    assert_eq!(
+        total as f64,
+        2.0 * net.stats.latency.mean(),
+        "components must sum to the recorded latencies"
+    );
+}
+
 #[test]
 fn delay_sample_total_matches_component_sum() {
     let sample = DelaySample {

@@ -328,10 +328,10 @@ fn congestion_flags<R: RoutingAlgorithm>(net: &Network<R>) -> Vec<Vec<bool>> {
 /// (a nearly full local port under PB, an owned-but-empty VC, ...).
 fn scramble(outputs: &mut [OutputPort], flags: &mut [bool], rng: &mut Rng) {
     for vc in outputs.iter_mut().flat_map(|o| o.vcs.iter_mut()) {
-        vc.owner = (rng.gen_index(4) == 0).then_some((0, 0));
+        vc.set_owner((rng.gen_index(4) == 0).then_some((0, 0)));
         vc.credits = match rng.gen_index(4) {
             0 => vc.downstream_capacity,
-            _ => rng.gen_index(vc.downstream_capacity + 1),
+            _ => rng.gen_index(vc.downstream_capacity as usize + 1) as u32,
         };
     }
     for flag in flags {

@@ -3,8 +3,9 @@
 //! Each shard of a `ShardedSimulation` is a `Network` built for its own router
 //! range (`Network::with_owned_routers`).  Ids stay global, so the id-indexed
 //! arrays keep their full length on every shard, but the pools behind them —
-//! router slot pools and port vectors, link pipelines, the packet arena,
-//! source-queue reservations — are sized by ownership.  This file pins that in
+//! the input fabric (input VCs and their packet slots), the routers' output
+//! ports, link pipelines, the packet arena, source-queue reservations — are
+//! sized by ownership.  This file pins that in
 //! bytes of requested capacity (`Network::allocated_bytes`), which is exact and
 //! repeatable where a resident-set sample is neither:
 //!
@@ -24,8 +25,8 @@ use std::mem::size_of;
 use dragonfly::core::{ShardPlan, ShardedSimulation};
 use dragonfly::routing::MinimalRouting;
 use dragonfly::sim::{
-    InputPort, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot,
-    PhitInFlight, PoolBytes, SimConfig, VcBuffer,
+    InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot, PhitInFlight,
+    PoolBytes, SimConfig,
 };
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;
@@ -62,12 +63,9 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
     for flat in 0..params.ports_per_router() {
         let kind = Port::from_flat(flat, h).kind();
         let vcs = config.vcs_for(kind);
-        per_router.slot_pools += vcs
-            * VcBuffer::slot_bound(config.buffer_for(kind), config.packet_size)
-            * size_of::<PacketSlot>();
-        per_router.port_vectors += size_of::<InputPort>()
-            + size_of::<OutputPort>()
-            + vcs * (size_of::<InputVc>() + size_of::<OutputVc>());
+        let slots = InputVc::slot_bound(config.buffer_for(kind), config.packet_size);
+        per_router.input_fabric += vcs * (size_of::<InputVc>() + slots * size_of::<PacketSlot>());
+        per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
         // The link behind this output port: `latency + 1` phits; credits
         // bounded by the downstream buffers and by one per VC per cycle.
         let downstream = match kind {
@@ -80,7 +78,7 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
     }
     let (routers, nodes) = (params.num_routers(), params.num_nodes());
     PoolBytes {
-        slot_pools: routers * per_router.slot_pools,
+        input_fabric: routers * per_router.input_fabric,
         port_vectors: routers * per_router.port_vectors,
         fabric_pools: routers * per_router.fabric_pools,
         arena: config.arena_prealloc_for(nodes) * (size_of::<Packet>() + size_of::<u32>()),
@@ -105,7 +103,7 @@ fn shards_partition_the_sequential_pools_exactly() {
             let mut sum = PoolBytes::default();
             for s in 0..shards {
                 let bytes = sim.network(s).allocated_bytes();
-                sum.slot_pools += bytes.slot_pools;
+                sum.input_fabric += bytes.input_fabric;
                 sum.port_vectors += bytes.port_vectors;
                 sum.fabric_pools += bytes.fabric_pools;
                 sum.arena += bytes.arena;
@@ -136,7 +134,10 @@ fn shards_partition_the_sequential_pools_exactly() {
             }
             assert_eq!(boundary == 0, shards == 1, "{case}");
 
-            assert_eq!(sum.slot_pools, expected.slot_pools, "{case}: slot pools");
+            assert_eq!(
+                sum.input_fabric, expected.input_fabric,
+                "{case}: input fabric"
+            );
             assert_eq!(
                 sum.port_vectors, expected.port_vectors,
                 "{case}: port vectors"
@@ -153,6 +154,20 @@ fn shards_partition_the_sequential_pools_exactly() {
             );
         }
     }
+}
+
+/// The paper-scale machine (h = 8: 2 064 routers, 16 512 nodes) allocates
+/// exactly what the sizing rules say — the layout the hot-path size pins in
+/// `dragonfly_sim` price per entry, summed at the scale the `un_h8` perf
+/// workload runs.
+#[test]
+#[ignore = "paper scale (16k nodes); run in release mode"]
+fn paper_scale_pools_match_the_size_formula() {
+    let config = SimConfig::paper_vct(8);
+    let bytes = sequential(&config).allocated_bytes();
+    assert_eq!(bytes, whole_machine(&config));
+    // 958 slots and 85 input VCs per router; 16 × 958 + 16 × 85 bytes.
+    assert_eq!(bytes.input_fabric, 2_064 * (958 + 85) * 16);
 }
 
 /// A phit handed to a network that owns neither end of the link must not
