@@ -1,0 +1,412 @@
+//! Regenerates the paper's figures and Table I: one row of the `ROWS` table per CSV file.
+//!
+//! ```text
+//! cargo run --release -p dragonfly_bench --bin repro -- --quick            # every row
+//! cargo run --release -p dragonfly_bench --bin repro -- fig4_5 fig6 --full # two figures
+//! cargo run --release -p dragonfly_bench --bin repro -- fig7_8_advgh       # one row
+//! ```
+//!
+//! A name selects the row of that name, or every row of that figure (`fig4_5`,
+//! `fig6`, `fig7_8`, `fig9`, `fig10_11`, `table1`); no name runs every row, and an
+//! unknown name prints the valid ones and exits 2.  Each row expands its grid with
+//! one of the sweep builders of `dragonfly_core::sweep`, runs it through
+//! `HarnessArgs::run_points` and writes one CSV; with `--probe` every point also
+//! writes its probe file set under the prefix `<row>_<point>` (for example
+//! `fig4_5_un_olm_0-30`, `fig6b_rlm_mix50`, `fig10_th0-45_0-50`).
+
+use dragonfly_bench::{file_slug, HarnessArgs};
+use dragonfly_core::{
+    load_sweep, mix_sweep, sweep::paper_mix_percentages, sweep::paper_thresholds, threshold_sweep,
+    Batch, CsvWriter, ExperimentSpec, FlowControlKind, LoadSweep, MixSweep, RoutingKind, SimReport,
+    ThresholdSweep, TrafficKind,
+};
+use dragonfly_routing::ParitySignTable;
+use FlowControlKind::{Vct, Wormhole};
+use Grid::{Load, Mix, ParitySign, Threshold};
+use RoutingKind::{Minimal, Olm, Par62, Piggybacking, Rlm, Valiant};
+use Run::{Burst, Steady};
+use Traffic::{Advg1, Advgh, Un};
+
+/// The paper plots Minimal only under UN and Valiant only under the adversarial
+/// patterns.  OLM needs Virtual Cut-Through: the sweep builders drop it from the
+/// wormhole rows, which leaves the paper's Figure 7–9 sets.
+const UN: &[RoutingKind] = &[Par62, Olm, Rlm, Minimal, Piggybacking];
+const ADV: &[RoutingKind] = &[Par62, Olm, Rlm, Valiant, Piggybacking];
+const MIX: &[RoutingKind] = &[Par62, Olm, Rlm, Piggybacking];
+
+/// A row's traffic pattern, resolved against `h` for ADVG+h.
+#[derive(Clone, Copy)]
+enum Traffic {
+    Un,
+    Advg1,
+    Advgh,
+}
+
+impl Traffic {
+    fn kind(self, h: usize) -> TrafficKind {
+        match self {
+            Traffic::Un => TrafficKind::Uniform,
+            Traffic::Advg1 => TrafficKind::AdversarialGlobal(1),
+            Traffic::Advgh => TrafficKind::AdversarialGlobal(h),
+        }
+    }
+}
+
+/// What a row sweeps, and so the columns of its CSV.
+#[derive(Clone, Copy)]
+enum Grid {
+    /// Mechanism × offered load (`load_sweep`): the `SimReport` columns.
+    Load(Traffic),
+    /// Mechanism × ADVG+h share of an ADVG+h / ADVL+1 mix at offered load 1
+    /// (`mix_sweep`).
+    Mix,
+    /// RLM's misrouting threshold × offered load (`threshold_sweep`).
+    Threshold(Traffic),
+    /// Table I, the parity-sign rule: closed-form, no simulation.
+    ParitySign,
+}
+
+/// How a row's points run: to steady state, or as a burst drained to empty.
+#[derive(Clone, Copy)]
+enum Run {
+    Steady,
+    Burst,
+}
+
+/// One CSV file of the paper's results.
+struct Row {
+    name: &'static str,
+    /// The figure the row belongs to; it selects the row too.
+    figure: &'static str,
+    flow: FlowControlKind,
+    mechanisms: &'static [RoutingKind],
+    grid: Grid,
+    run: Run,
+    csv: &'static str,
+}
+
+const fn row(
+    name: &'static str,
+    figure: &'static str,
+    flow: FlowControlKind,
+    mechanisms: &'static [RoutingKind],
+    grid: Grid,
+    run: Run,
+    csv: &'static str,
+) -> Row {
+    Row {
+        name,
+        figure,
+        flow,
+        mechanisms,
+        grid,
+        run,
+        csv,
+    }
+}
+
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    row("fig4_5_un", "fig4_5", Vct, UN, Load(Un), Steady, "fig4_5_un.csv"),
+    row("fig4_5_advg1", "fig4_5", Vct, ADV, Load(Advg1), Steady, "fig4_5_advg1.csv"),
+    row("fig4_5_advgh", "fig4_5", Vct, ADV, Load(Advgh), Steady, "fig4_5_advgh.csv"),
+    row("fig6a", "fig6", Vct, MIX, Mix, Steady, "fig6a_mix_throughput.csv"),
+    row("fig6b", "fig6", Vct, MIX, Mix, Burst, "fig6b_burst_consumption.csv"),
+    row("fig7_8_un", "fig7_8", Wormhole, UN, Load(Un), Steady, "fig7_8_un.csv"),
+    row("fig7_8_advg1", "fig7_8", Wormhole, ADV, Load(Advg1), Steady, "fig7_8_advg1.csv"),
+    row("fig7_8_advgh", "fig7_8", Wormhole, ADV, Load(Advgh), Steady, "fig7_8_advgh.csv"),
+    row("fig9a", "fig9", Wormhole, MIX, Mix, Steady, "fig9a_mix_throughput_wh.csv"),
+    row("fig9b", "fig9", Wormhole, MIX, Mix, Burst, "fig9b_burst_consumption_wh.csv"),
+    row("fig10", "fig10_11", Vct, &[Rlm], Threshold(Un), Steady, "fig10_rlm_threshold_un.csv"),
+    row("fig11", "fig10_11", Vct, &[Rlm], Threshold(Advg1), Steady, "fig11_rlm_threshold_advg1.csv"),
+    row("table1", "table1", Vct, &[], ParitySign, Steady, "table1_parity_sign.csv"),
+];
+
+impl Row {
+    /// The row's points, in the sweep builder's row-major order.
+    fn specs(&self, args: &HarnessArgs) -> Vec<ExperimentSpec> {
+        let mut base = args.base_spec(self.flow);
+        let mechanisms = self.mechanisms.to_vec();
+        match self.grid {
+            Load(traffic) => {
+                base.traffic = traffic.kind(args.h);
+                let loads = args.loads.clone();
+                load_sweep(&LoadSweep {
+                    base,
+                    mechanisms,
+                    loads,
+                })
+            }
+            Mix => {
+                base.offered_load = 1.0;
+                let global_percentages = if args.quick {
+                    vec![0, 50, 100]
+                } else {
+                    paper_mix_percentages()
+                };
+                mix_sweep(&MixSweep {
+                    base,
+                    mechanisms,
+                    global_percentages,
+                    global_offset: args.h,
+                    local_offset: 1,
+                })
+            }
+            Threshold(traffic) => {
+                base.routing = mechanisms[0];
+                base.traffic = traffic.kind(args.h);
+                let thresholds = if args.quick {
+                    vec![0.30, 0.45, 0.60]
+                } else {
+                    paper_thresholds()
+                };
+                let loads = args.loads.clone();
+                threshold_sweep(&ThresholdSweep {
+                    base,
+                    thresholds,
+                    loads,
+                })
+            }
+            ParitySign => Vec::new(),
+        }
+    }
+
+    /// The probe file-set prefix of one point: the row name, then the point.
+    fn prefix(&self, spec: &ExperimentSpec) -> String {
+        let two = |x: f64| file_slug(&format!("{x:.2}"));
+        let routing = file_slug(spec.routing.name());
+        let point = match self.grid {
+            Load(_) => format!("{routing}_{}", two(spec.offered_load)),
+            Mix => format!("{routing}_mix{}", global_pct(spec)),
+            Threshold(_) => format!("th{}_{}", two(spec.threshold), two(spec.offered_load)),
+            ParitySign => unreachable!("Table I has no simulation points"),
+        };
+        format!("{}_{point}", self.name)
+    }
+
+    /// Run the row and return its CSV header and rows.
+    fn table(&self, args: &HarnessArgs) -> (&'static str, Vec<String>) {
+        let specs = self.specs(args);
+        let prefix = |spec: &ExperimentSpec| self.prefix(spec);
+        let steady = || args.run_points(self.name, &specs, dragonfly_core::Steady, prefix);
+        match (self.grid, self.run) {
+            (ParitySign, _) => {
+                let rows = ParitySignTable::new().rows().into_iter();
+                let rows = rows.map(|(first, second, allowed)| {
+                    let allowed = if allowed { "yes" } else { "no" };
+                    format!("{},{},{allowed}", first.label(), second.label())
+                });
+                ("first_hop,second_hop,allowed", rows.collect())
+            }
+            (_, Burst) => {
+                let batch = Batch {
+                    packets_per_node: burst_packets(args, self.flow),
+                    max_cycles: 4_000_000,
+                };
+                eprintln!(
+                    "{}: burst of {} packets/node",
+                    self.name, batch.packets_per_node
+                );
+                let reports = args.run_points(self.name, &specs, batch, prefix);
+                let rows = specs.iter().zip(&reports).map(|(spec, r)| {
+                    let pct = global_pct(spec);
+                    format!(
+                        "{},{pct},{},{}",
+                        r.routing, r.consumption_cycles, r.timed_out
+                    )
+                });
+                (
+                    "routing,global_pct,consumption_cycles,timed_out",
+                    rows.collect(),
+                )
+            }
+            (Load(_), Steady) => (
+                SimReport::csv_header(),
+                steady().iter().map(SimReport::csv_row).collect(),
+            ),
+            (Mix, Steady) => {
+                let rows = specs.iter().zip(steady()).map(|(spec, r)| {
+                    let pct = global_pct(spec);
+                    let (accepted, latency) = (r.accepted_load, r.avg_latency_cycles);
+                    format!("{},{pct},{accepted:.4},{latency:.2}", r.routing)
+                });
+                (
+                    "routing,global_pct,accepted_load,avg_latency",
+                    rows.collect(),
+                )
+            }
+            (Threshold(_), Steady) => {
+                let rows = specs.iter().zip(steady()).map(|(spec, r)| {
+                    format!(
+                        "{:.2},{:.3},{:.4},{:.2},{:.2}",
+                        spec.threshold,
+                        r.offered_load,
+                        r.accepted_load,
+                        r.avg_latency_cycles,
+                        r.p99_latency_cycles
+                    )
+                });
+                let header = "threshold,offered_load,accepted_load,avg_latency,p99_latency";
+                (header, rows.collect())
+            }
+        }
+    }
+}
+
+/// The ADVG percentage of a mix point.
+fn global_pct(spec: &ExperimentSpec) -> u32 {
+    match spec.traffic {
+        TrafficKind::Mixed {
+            global_fraction, ..
+        } => (global_fraction * 100.0).round() as u32,
+        _ => unreachable!("mix sweep produces mixed traffic only"),
+    }
+}
+
+/// Packets per node of the 6b/9b burst.  The paper sends 1000 8-phit packets per
+/// node at h = 8; smaller networks send `1000 · h / 8`, and a wormhole burst carries
+/// the same payload in 80-phit packets (the paper's 89 at h = 8).
+fn burst_packets(args: &HarnessArgs, flow: FlowControlKind) -> u64 {
+    let vct = if args.quick {
+        20
+    } else {
+        1000 * args.h.min(8) as u64 / 8
+    };
+    match flow {
+        Vct => vct,
+        Wormhole => ((vct * 8) as f64 / 80.0).round().max(1.0) as u64,
+    }
+}
+
+/// The rows `names` select, in table order: all of them when `names` is empty.
+fn select(names: &[String]) -> Result<Vec<&'static Row>, String> {
+    let picks = |row: &Row, name: &str| name == row.name || name == row.figure;
+    if let Some(bad) = names.iter().find(|n| !ROWS.iter().any(|row| picks(row, n))) {
+        let mut valid: Vec<&str> = Vec::new();
+        for row in ROWS {
+            for name in [row.figure, row.name] {
+                if !valid.contains(&name) {
+                    valid.push(name);
+                }
+            }
+        }
+        return Err(format!(
+            "unknown row `{bad}`; valid names: {}",
+            valid.join(" ")
+        ));
+    }
+    let chosen = |row: &&Row| names.is_empty() || names.iter().any(|n| picks(row, n));
+    Ok(ROWS.iter().filter(chosen).collect())
+}
+
+fn main() {
+    let (args, names) = HarnessArgs::from_env_with_names();
+    args.reject_json("repro");
+    let rows = select(&names).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    for row in rows {
+        let (header, lines) = row.table(&args);
+        let path = args.csv_path(row.csv);
+        let mut csv = CsvWriter::create(&path, header).expect("cannot create the CSV output");
+        println!("\n== {} ==\n{header}", row.name);
+        for line in &lines {
+            println!("{line}");
+            csv.row(line).expect("cannot write a CSV row");
+        }
+        csv.flush().expect("cannot flush the CSV output");
+        println!("wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every row, the CSV it writes and its `--quick` point count (Table I: its
+    /// rows).  A row dropped or re-gridded by accident fails here by name.
+    #[test]
+    fn the_row_table_is_pinned() {
+        let quick = HarnessArgs::parse_from(["--quick"]).unwrap();
+        let table: Vec<(&str, &str, usize)> = ROWS
+            .iter()
+            .map(|row| {
+                let points = match row.grid {
+                    ParitySign => ParitySignTable::new().rows().len(),
+                    _ => row.specs(&quick).len(),
+                };
+                (row.name, row.csv, points)
+            })
+            .collect();
+        assert_eq!(
+            table,
+            [
+                ("fig4_5_un", "fig4_5_un.csv", 20),
+                ("fig4_5_advg1", "fig4_5_advg1.csv", 20),
+                ("fig4_5_advgh", "fig4_5_advgh.csv", 20),
+                ("fig6a", "fig6a_mix_throughput.csv", 12),
+                ("fig6b", "fig6b_burst_consumption.csv", 12),
+                ("fig7_8_un", "fig7_8_un.csv", 16),
+                ("fig7_8_advg1", "fig7_8_advg1.csv", 16),
+                ("fig7_8_advgh", "fig7_8_advgh.csv", 16),
+                ("fig9a", "fig9a_mix_throughput_wh.csv", 9),
+                ("fig9b", "fig9b_burst_consumption_wh.csv", 9),
+                ("fig10", "fig10_rlm_threshold_un.csv", 12),
+                ("fig11", "fig11_rlm_threshold_advg1.csv", 12),
+                ("table1", "table1_parity_sign.csv", 16),
+            ]
+        );
+        // No wormhole row runs OLM: it needs Virtual Cut-Through.
+        for row in ROWS.iter().filter(|row| row.flow == Wormhole) {
+            assert!(row.specs(&quick).iter().all(|spec| spec.routing != Olm));
+        }
+    }
+
+    #[test]
+    fn names_select_rows_and_figures() {
+        let names = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|n| n.to_string()).collect();
+            select(&argv).map(|rows| rows.iter().map(|row| row.name).collect::<Vec<_>>())
+        };
+        assert_eq!(names(&[]).unwrap().len(), ROWS.len());
+        // A figure name selects its rows; rows come back in table order, once.
+        assert_eq!(
+            names(&["table1", "fig6", "fig4_5_un", "fig6a"]).unwrap(),
+            ["fig4_5_un", "fig6a", "fig6b", "table1"]
+        );
+        assert_eq!(names(&["fig10_11"]).unwrap(), ["fig10", "fig11"]);
+        // An unknown name is an error that lists every valid name.
+        let err = names(&["fig4_5", "foo"]).unwrap_err();
+        assert!(
+            err.starts_with("unknown row `foo`; valid names: fig4_5 fig4_5_un"),
+            "{err}"
+        );
+        assert!(err.ends_with("fig11 table1"), "{err}");
+    }
+
+    /// The 6b/9b burst grows linearly with h up to the paper's 1000 packets at
+    /// h = 8; the wormhole burst carries the same payload in 80-phit packets.
+    #[test]
+    fn burst_scales_linearly_with_h() {
+        let burst = |h: usize, flow| {
+            burst_packets(
+                &HarnessArgs {
+                    h,
+                    ..HarnessArgs::default()
+                },
+                flow,
+            )
+        };
+        let vct: Vec<u64> = (2..=8).map(|h| burst(h, Vct)).collect();
+        assert_eq!(vct, [250, 375, 500, 625, 750, 875, 1000]);
+        let wormhole: Vec<u64> = (2..=8).map(|h| burst(h, Wormhole)).collect();
+        assert_eq!(wormhole, [25, 38, 50, 63, 75, 88, 100]);
+        assert_eq!(burst(16, Vct), 1000);
+        let quick = HarnessArgs::parse_from(["--quick", "--h", "6"]).unwrap();
+        assert_eq!(
+            (burst_packets(&quick, Vct), burst_packets(&quick, Wormhole)),
+            (20, 2)
+        );
+    }
+}

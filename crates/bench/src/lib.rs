@@ -1,10 +1,12 @@
 //! Shared harness utilities for the figure-regeneration binaries.
 //!
-//! Every binary under `src/bin/` regenerates one table or figure of the paper.  They
-//! all accept the same command-line switches, parsed by [`HarnessArgs`]:
+//! `repro` regenerates the paper's figures and Table I from a table of rows, one
+//! row per CSV file, chosen by name (`repro fig4_5 fig6`; no name runs every
+//! row); the workload and shard binaries under `src/bin/` run one study each.
+//! They all accept the same command-line switches, parsed by [`HarnessArgs`]:
 //!
 //! ```text
-//! --h <N>          Dragonfly parameter h (default 4; the paper uses 8)
+//! --h <N>          Dragonfly parameter h, at least 1 (default 4; the paper uses 8)
 //! --full           paper scale: h = 8 and the paper's cycle counts
 //! --quick          reduced scale for smoke runs (h = 2, short windows, fewer points)
 //! --warmup <N>     warm-up cycles
@@ -17,12 +19,11 @@
 //! --sequential     run the sweep points in order on one thread (same results)
 //! --out <DIR>      directory for CSV output (default: results/)
 //! --loads a,b,c    explicit offered-load points
-//! --pattern <P>    traffic pattern selector where applicable (un, advg1, advgh, all)
 //! --json <FILE>    structured JSON output, one object per point (churn_sweep
 //!                  only)
 //! --probe          install observability probes and write their output files
-//!                  next to the CSVs (all simulation binaries; table1 is
-//!                  closed-form and has nothing to probe)
+//!                  next to the CSVs (every simulating row and binary; Table I
+//!                  is closed-form and has nothing to probe)
 //! --probe-stride N   time-series sampling stride in cycles (default 64; implies
 //!                    --probe)
 //! --probe-flight N   sample ~1/N packets into the flight recorder (0 = off;
@@ -57,7 +58,7 @@
 
 use dragonfly_core::{
     DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, Protocol, RunManifest,
-    RunOptions, SimReport, SweepRunner, WorkloadReport,
+    RunOptions, SweepRunner, WorkloadReport,
 };
 use std::path::{Path, PathBuf};
 
@@ -87,8 +88,6 @@ pub struct HarnessArgs {
     /// Whether `--loads` was passed explicitly (`churn_sweep` substitutes its
     /// own default set otherwise).
     pub loads_explicit: bool,
-    /// Traffic-pattern selector (figures 4/5/7/8): `un`, `advg1`, `advgh` or `all`.
-    pub pattern: String,
     /// Quick mode (CI smoke runs).
     pub quick: bool,
     /// Structured JSON output file (`churn_sweep`; other binaries refuse it).
@@ -111,7 +110,6 @@ impl Default for HarnessArgs {
             out_dir: PathBuf::from("results"),
             loads: dragonfly_core::sweep::default_loads(),
             loads_explicit: false,
-            pattern: "all".to_string(),
             quick: false,
             json_out: None,
             probe: None,
@@ -136,13 +134,28 @@ impl HarnessArgs {
     /// Flag order never matters: the `--quick`/`--full` presets and the
     /// `--measure` ⇒ drain default apply first, explicit `--h`, `--warmup`,
     /// `--measure`, `--drain` and `--loads` values second.  `--help`/`-h`
-    /// yields the bare usage text as the error.
+    /// yields the bare usage text as the error.  A positional argument is an
+    /// error here; only `repro` takes them (see [`HarnessArgs::parse_with_names`]).
     pub fn parse_over<I, S>(base: Self, args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        match Self::parse_with_names(base, args)? {
+            (out, names) if names.is_empty() => Ok(out),
+            (_, names) => Err(format!("unknown argument `{}`\n{}", names[0], usage())),
+        }
+    }
+
+    /// [`HarnessArgs::parse_over`], with the positional arguments (the row names
+    /// `repro` selects) returned in order next to the flags.
+    pub fn parse_with_names<I, S>(base: Self, args: I) -> Result<(Self, Vec<String>), String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
         let mut out = base;
+        let mut names = Vec::new();
         // Explicit values, held back until every preset has been applied.
         let (mut h, mut warmup, mut measure, mut drain, mut loads) = (None, None, None, None, None);
         let args: Vec<String> = args.into_iter().map(|a| a.as_ref().to_string()).collect();
@@ -239,7 +252,6 @@ impl HarnessArgs {
                 }
                 "--out" => out.out_dir = PathBuf::from(value(&mut i)?),
                 "--json" => out.json_out = Some(PathBuf::from(value(&mut i)?)),
-                "--pattern" => out.pattern = value(&mut i)?,
                 "--loads" => {
                     loads = Some(
                         value(&mut i)?
@@ -263,6 +275,7 @@ impl HarnessArgs {
                     out.loads = vec![0.1, 0.3, 0.5, 0.8];
                 }
                 "--help" | "-h" => return Err(usage()),
+                name if !name.starts_with('-') => names.push(name.to_string()),
                 other => return Err(format!("unknown argument `{other}`\n{}", usage())),
             }
             i += 1;
@@ -276,6 +289,9 @@ impl HarnessArgs {
         out.drain = drain.unwrap_or(out.drain);
         out.loads_explicit = loads.is_some();
         out.loads = loads.unwrap_or(out.loads);
+        if out.h == 0 {
+            return Err("--h must be at least 1".to_string());
+        }
         // A shard owns at least one whole group, and there are 2h² + 1 of them.
         let groups = out
             .h
@@ -289,7 +305,7 @@ impl HarnessArgs {
                 out.shards, out.h
             ));
         }
-        Ok(out)
+        Ok((out, names))
     }
 
     /// Parse from the process arguments over the global defaults (see
@@ -302,17 +318,16 @@ impl HarnessArgs {
     /// on stdout and exits 0, a bad argument prints a message on stderr and
     /// exits 2.
     pub fn from_env_over(base: Self) -> Self {
-        match Self::parse_over(base, std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) if msg == usage() => {
-                println!("{msg}");
-                std::process::exit(0);
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        exit_on_error(Self::parse_over(base, std::env::args().skip(1)))
+    }
+
+    /// Parse the flags and the positional names from the process arguments over
+    /// the global defaults, exiting as [`HarnessArgs::from_env_over`] does.
+    pub fn from_env_with_names() -> (Self, Vec<String>) {
+        exit_on_error(Self::parse_with_names(
+            Self::default(),
+            std::env::args().skip(1),
+        ))
     }
 
     /// The base experiment specification implied by these arguments.
@@ -403,6 +418,22 @@ impl HarnessArgs {
     }
 }
 
+/// A parse result, or the process exit that reports it: the usage on stdout
+/// with status 0 for `--help`, the message on stderr with status 2 otherwise.
+fn exit_on_error<T>(parsed: Result<T, String>) -> T {
+    match parsed {
+        Ok(parsed) => parsed,
+        Err(msg) if msg == usage() => {
+            println!("{msg}");
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Parse the value of a numeric flag, naming the flag in the error.
 fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
 where
@@ -438,37 +469,15 @@ pub fn file_slug(s: &str) -> String {
 }
 
 fn usage() -> String {
-    "usage: <figure-binary> [--h N] [--full] [--quick] [--warmup N] [--measure N] \
+    "usage: <binary> [--h N] [--full] [--quick] [--warmup N] [--measure N] \
      [--drain N] [--seed N] [--jobs N] [--shards N] [--sequential] [--out DIR] \
-     [--loads a,b,c] [--pattern P] [--json FILE (churn_sweep)] \
+     [--loads a,b,c] [--json FILE (churn_sweep)] \
      [--probe] [--probe-stride N] [--probe-flight N] [--probe-heatmap N] \
      [--probe-top N] [--probe-detect] [--probe-detect-window N] \
      [--probe-detect-collapse PCT] [--probe-detect-stall N] [--probe-trace] \
-     [--probe-delay]"
+     [--probe-delay]; repro also takes row names (repro fig4_5 fig6; none = \
+     every row)"
         .to_string()
-}
-
-/// Pretty-print a set of steady-state reports as the latency/throughput series of a
-/// figure, grouped by mechanism.
-pub fn print_series(title: &str, reports: &[SimReport]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<10} {:>8} {:>10} {:>12} {:>12} {:>10} {:>9} {:>9}",
-        "routing", "offered", "accepted", "avg_lat", "p99_lat", "hops", "gmis%", "lmis%"
-    );
-    for r in reports {
-        println!(
-            "{:<10} {:>8.3} {:>10.4} {:>12.1} {:>12.1} {:>10.2} {:>8.1}% {:>8.1}%",
-            r.routing,
-            r.offered_load,
-            r.accepted_load,
-            r.avg_latency_cycles,
-            r.p99_latency_cycles,
-            r.avg_hops,
-            r.global_misroute_fraction * 100.0,
-            r.local_misroute_fraction * 100.0
-        );
-    }
 }
 
 /// Write the per-phase CSV shared by the workload binaries: one row per
@@ -539,7 +548,6 @@ mod tests {
         let args = HarnessArgs::default();
         assert_eq!(args.h, 4);
         assert!(!args.loads.is_empty());
-        assert_eq!(args.pattern, "all");
     }
 
     #[test]
@@ -559,8 +567,6 @@ mod tests {
             "/tmp/x",
             "--loads",
             "0.1,0.2",
-            "--pattern",
-            "advg1",
         ])
         .unwrap();
         assert_eq!(args.h, 3);
@@ -571,7 +577,6 @@ mod tests {
         assert_eq!(args.threads, Some(2));
         assert_eq!(args.out_dir, PathBuf::from("/tmp/x"));
         assert_eq!(args.loads, vec![0.1, 0.2]);
-        assert_eq!(args.pattern, "advg1");
     }
 
     #[test]
@@ -874,6 +879,20 @@ mod tests {
         assert!(HarnessArgs::parse_from(["--nope"]).is_err());
         assert!(HarnessArgs::parse_from(["--h"]).is_err());
         assert!(HarnessArgs::parse_from(["--h", "abc"]).is_err());
+        // h = 0 is no dragonfly: rejected at parse time, not inside a sweep worker.
+        for argv in [&["--h", "0"][..], &["--h", "0", "--quick"]] {
+            let err = HarnessArgs::parse_from(argv).unwrap_err();
+            assert!(err.contains("--h must be at least 1"), "{err}");
+        }
+        // A positional argument is a row name for `repro` and an error elsewhere,
+        // with the flags around it parsed either way.
+        let err = HarnessArgs::parse_from(["--quick", "fig4_5"]).unwrap_err();
+        assert!(err.starts_with("unknown argument `fig4_5`"), "{err}");
+        let (args, names) =
+            HarnessArgs::parse_with_names(HarnessArgs::default(), ["fig6", "--quick", "fig9a"])
+                .unwrap();
+        assert!(args.quick);
+        assert_eq!(names, ["fig6", "fig9a"]);
         // h = 2 has 2h² + 1 = 9 groups: nine shards fit, ten do not, whichever
         // flag (or preset) sets h and wherever it stands.
         assert_eq!(

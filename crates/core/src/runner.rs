@@ -47,7 +47,7 @@ use std::time::Instant;
 /// Orchestrates a set of independent simulation points (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
-    /// Label prefixed to progress lines (e.g. `"figure 4/5 [un]"`).
+    /// Label prefixed to progress lines (e.g. `"fig4_5_un"`).
     label: String,
     /// Worker-thread count; `None` uses every hardware thread.
     jobs: Option<usize>,

@@ -53,6 +53,24 @@ fn advg_minimal_saturates_while_adaptive_mechanisms_do_not() {
     }
 }
 
+/// Under ADVG+h, Valiant routing saturates one local link in every intermediate
+/// group, so the mechanisms with local misrouting beat it (paper Figure 5c).
+#[test]
+fn advgh_local_misrouting_beats_valiant() {
+    let h = 2;
+    let advgh = TrafficKind::AdversarialGlobal(h);
+    let valiant = spec(h, RoutingKind::Valiant, advgh.clone(), 0.9).run();
+    for kind in [RoutingKind::Rlm, RoutingKind::Par62] {
+        let report = spec(h, kind, advgh.clone(), 0.9).run();
+        assert!(
+            report.accepted_load > valiant.accepted_load,
+            "{kind:?} accepted {} should beat Valiant's {}",
+            report.accepted_load,
+            valiant.accepted_load
+        );
+    }
+}
+
 /// Under uniform traffic the adaptive mechanisms stay competitive with minimal
 /// routing (paper Figure 5a: they even exceed it at saturation) and do not collapse
 /// from excessive misrouting.
