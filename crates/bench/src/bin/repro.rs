@@ -1,30 +1,38 @@
-//! Regenerates the paper's figures and Table I: one row of the `ROWS` table per CSV file.
+//! Regenerates the paper's figures, Table I and the workload studies: one row of
+//! the `ROWS` table per CSV file.
 //!
 //! ```text
 //! cargo run --release -p dragonfly_bench --bin repro -- --quick            # every row
 //! cargo run --release -p dragonfly_bench --bin repro -- fig4_5 fig6 --full # two figures
 //! cargo run --release -p dragonfly_bench --bin repro -- fig7_8_advgh       # one row
+//! cargo run --release -p dragonfly_bench --bin repro -- churn_sweep --h 4  # one study
 //! ```
 //!
 //! A name selects the row of that name, or every row of that figure (`fig4_5`,
-//! `fig6`, `fig7_8`, `fig9`, `fig10_11`, `table1`); no name runs every row, and an
-//! unknown name prints the valid ones and exits 2.  Each row expands its grid with
-//! one of the sweep builders of `dragonfly_core::sweep`, runs it through
-//! `HarnessArgs::run_points` and writes one CSV; with `--probe` every point also
-//! writes its probe file set under the prefix `<row>_<point>` (for example
-//! `fig4_5_un_olm_0-30`, `fig6b_rlm_mix50`, `fig10_th0-45_0-50`).
+//! `fig6`, `fig7_8`, `fig9`, `fig10_11`, `table1`, and the studies `interference`,
+//! `transient`, `interference_sweep`, `churn_sweep`); no name runs every row, and
+//! an unknown name prints the valid ones and exits 2.  Each row expands its grid
+//! with one of the sweep builders of `dragonfly_core::sweep` (or one workload per
+//! mechanism), runs it through `HarnessArgs::run_points` and writes one CSV; with
+//! `--probe` every point also writes its probe file set under the prefix
+//! `<row>_<point>` (for example `fig4_5_un_olm_0-30`, `fig6b_rlm_mix50`,
+//! `fig10_th0-45_0-50`, `intsweep_minimal_cont_0-0250`, `churn_olm_frag-0-75`).
 
 use dragonfly_bench::{file_slug, HarnessArgs};
 use dragonfly_core::{
-    load_sweep, mix_sweep, sweep::paper_mix_percentages, sweep::paper_thresholds, threshold_sweep,
-    Batch, CsvWriter, ExperimentSpec, FlowControlKind, LoadSweep, MixSweep, RoutingKind, SimReport,
-    ThresholdSweep, TrafficKind,
+    churn_sweep, interference_sweep, load_sweep, mix_sweep, sweep::default_loads,
+    sweep::paper_mix_percentages, sweep::paper_thresholds, threshold_sweep, Batch, ChurnSweep,
+    CsvWriter, ExperimentSpec, FlowControlKind, InterferenceSweep, JobReport, LoadSweep, MixSweep,
+    PhaseReport, PlacementPolicy, RoutingKind, SimReport, ThresholdSweep, TrafficKind,
+    WorkloadReport, WorkloadSpec,
 };
 use dragonfly_routing::ParitySignTable;
+use dragonfly_topology::DragonflyParams;
+use dragonfly_workload::scenarios::fragmentation_trace;
 use FlowControlKind::{Vct, Wormhole};
-use Grid::{Load, Mix, ParitySign, Threshold};
+use Grid::{Churn, IntSweep, Interference, Load, Mix, ParitySign, Threshold, Transient};
 use RoutingKind::{Minimal, Olm, Par62, Piggybacking, Rlm, Valiant};
-use Run::{Burst, Steady};
+use Run::{Burst, Jobs, Steady};
 use Traffic::{Advg1, Advgh, Un};
 
 /// The paper plots Minimal only under UN and Valiant only under the adversarial
@@ -33,6 +41,10 @@ use Traffic::{Advg1, Advgh, Un};
 const UN: &[RoutingKind] = &[Par62, Olm, Rlm, Minimal, Piggybacking];
 const ADV: &[RoutingKind] = &[Par62, Olm, Rlm, Valiant, Piggybacking];
 const MIX: &[RoutingKind] = &[Par62, Olm, Rlm, Piggybacking];
+/// The workload studies: every adaptive mechanism against Minimal, and the
+/// three-mechanism cut of the two grid studies.
+const STUDY: &[RoutingKind] = &[Minimal, Piggybacking, Par62, Rlm, Olm];
+const GRID_STUDY: &[RoutingKind] = &[Minimal, Piggybacking, Olm];
 
 /// A row's traffic pattern, resolved against `h` for ADVG+h.
 #[derive(Clone, Copy)]
@@ -64,13 +76,30 @@ enum Grid {
     Threshold(Traffic),
     /// Table I, the parity-sign rule: closed-form, no simulation.
     ParitySign,
+    /// An ADVG+1 aggressor job against a uniform victim job at load 0.1, both
+    /// interleaved over every router, the aggressor at ~96 % of the +1 global
+    /// channel's saturation: one point per mechanism.
+    Interference,
+    /// One machine-wide job at load 0.25 that switches from UN to ADVG+h halfway
+    /// through the measurement window: one point per mechanism.
+    Transient,
+    /// Mechanism × placement × aggressor load of the interference workload
+    /// (`interference_sweep`); `--loads` are fractions of the +1 global
+    /// channel's saturation.
+    IntSweep,
+    /// Mechanism × fresh/fragmented × aggressor load of the
+    /// `fragmentation_trace` churn scenario (`churn_sweep`); `--loads` are
+    /// absolute aggressor loads.
+    Churn,
 }
 
-/// How a row's points run: to steady state, or as a burst drained to empty.
+/// How a row's points run: to steady state, as a burst drained to empty, or as
+/// a job workload with per-job statistics.
 #[derive(Clone, Copy)]
 enum Run {
     Steady,
     Burst,
+    Jobs,
 }
 
 /// One CSV file of the paper's results.
@@ -120,6 +149,10 @@ const ROWS: &[Row] = &[
     row("fig10", "fig10_11", Vct, &[Rlm], Threshold(Un), Steady, "fig10_rlm_threshold_un.csv"),
     row("fig11", "fig10_11", Vct, &[Rlm], Threshold(Advg1), Steady, "fig11_rlm_threshold_advg1.csv"),
     row("table1", "table1", Vct, &[], ParitySign, Steady, "table1_parity_sign.csv"),
+    row("interference", "interference", Vct, STUDY, Interference, Jobs, "interference.csv"),
+    row("transient", "transient", Vct, STUDY, Transient, Jobs, "transient.csv"),
+    row("intsweep", "interference_sweep", Vct, GRID_STUDY, IntSweep, Jobs, "interference_sweep.csv"),
+    row("churn", "churn_sweep", Vct, GRID_STUDY, Churn, Jobs, "churn_sweep.csv"),
 ];
 
 impl Row {
@@ -130,7 +163,7 @@ impl Row {
         match self.grid {
             Load(traffic) => {
                 base.traffic = traffic.kind(args.h);
-                let loads = args.loads.clone();
+                let loads = figure_loads(args);
                 load_sweep(&LoadSweep {
                     base,
                     mechanisms,
@@ -160,7 +193,7 @@ impl Row {
                 } else {
                     paper_thresholds()
                 };
-                let loads = args.loads.clone();
+                let loads = figure_loads(args);
                 threshold_sweep(&ThresholdSweep {
                     base,
                     thresholds,
@@ -168,6 +201,80 @@ impl Row {
                 })
             }
             ParitySign => Vec::new(),
+            Interference | Transient => {
+                let params = DragonflyParams::new(args.h);
+                let workload = match self.grid {
+                    // nodes_per_group / 2 aggressor nodes share one +1 global
+                    // channel, which saturates at 2 / nodes_per_group.
+                    Interference => {
+                        let aggressor_load = 0.96 * 2.0 / params.nodes_per_group() as f64;
+                        WorkloadSpec::interference(params.num_nodes(), 1, aggressor_load, 0.1)
+                    }
+                    _ => {
+                        let switch_cycle = args.warmup + args.measure / 2;
+                        WorkloadSpec::transient(params.num_nodes(), 0.25, switch_cycle, args.h)
+                    }
+                };
+                base.traffic = TrafficKind::Workload(workload);
+                let points = mechanisms.into_iter().map(|routing| ExperimentSpec {
+                    routing,
+                    ..base.clone()
+                });
+                points.collect()
+            }
+            IntSweep => {
+                let saturation = 2.0 / DragonflyParams::new(args.h).nodes_per_group() as f64;
+                let aggressor_loads = figure_loads(args).into_iter().map(|f| f * saturation);
+                interference_sweep(&InterferenceSweep {
+                    base,
+                    mechanisms,
+                    placements: vec![
+                        PlacementPolicy::Contiguous,
+                        PlacementPolicy::RoundRobinRouters,
+                        PlacementPolicy::Random { seed: args.seed },
+                    ],
+                    aggressor_loads: aggressor_loads.collect(),
+                    aggressor_offset: 1,
+                    victim_load: 0.1,
+                })
+            }
+            Churn => {
+                // Whole-trace runs: a compact load set that straddles the
+                // scattered aggressor's saturation (≈ 2 × load phits/cycle on
+                // each +1 global channel).
+                let loads = args.loads.clone().unwrap_or_else(|| {
+                    if args.quick {
+                        vec![0.75]
+                    } else {
+                        vec![0.3, 0.5, 0.75, 0.9]
+                    }
+                });
+                let params = DragonflyParams::new(args.h);
+                let run_cycles = args.measure;
+                // The horizon runs past the last departure.
+                base.measure = run_cycles + (run_cycles / 4).max(1_000);
+                let mut traces = Vec::with_capacity(2 * loads.len());
+                for load in loads {
+                    for fragmented in [false, true] {
+                        let mut trace = fragmentation_trace(
+                            &params,
+                            fragmented,
+                            load,
+                            0.1,
+                            run_cycles / 4,
+                            run_cycles,
+                            args.seed,
+                        );
+                        trace.name = format!("{}@{load:.2}", trace.name);
+                        traces.push(trace);
+                    }
+                }
+                churn_sweep(&ChurnSweep {
+                    base,
+                    mechanisms,
+                    traces,
+                })
+            }
         }
     }
 
@@ -180,12 +287,17 @@ impl Row {
             Mix => format!("{routing}_mix{}", global_pct(spec)),
             Threshold(_) => format!("th{}_{}", two(spec.threshold), two(spec.offered_load)),
             ParitySign => unreachable!("Table I has no simulation points"),
+            Interference | Transient | IntSweep | Churn => {
+                let slugs: Vec<String> =
+                    self.job_point(spec).iter().map(|c| file_slug(c)).collect();
+                slugs.join("_")
+            }
         };
         format!("{}_{point}", self.name)
     }
 
     /// Run the row and return its CSV header and rows.
-    fn table(&self, args: &HarnessArgs) -> (&'static str, Vec<String>) {
+    fn table(&self, args: &HarnessArgs) -> (String, Vec<String>) {
         let specs = self.specs(args);
         let prefix = |spec: &ExperimentSpec| self.prefix(spec);
         let steady = || args.run_points(self.name, &specs, dragonfly_core::Steady, prefix);
@@ -196,7 +308,7 @@ impl Row {
                     let allowed = if allowed { "yes" } else { "no" };
                     format!("{},{},{allowed}", first.label(), second.label())
                 });
-                ("first_hop,second_hop,allowed", rows.collect())
+                ("first_hop,second_hop,allowed".into(), rows.collect())
             }
             (_, Burst) => {
                 let batch = Batch {
@@ -216,12 +328,16 @@ impl Row {
                     )
                 });
                 (
-                    "routing,global_pct,consumption_cycles,timed_out",
+                    "routing,global_pct,consumption_cycles,timed_out".into(),
                     rows.collect(),
                 )
             }
+            (_, Jobs) => {
+                let reports = args.run_points(self.name, &specs, dragonfly_core::Jobs, prefix);
+                self.jobs_table(&specs, &reports)
+            }
             (Load(_), Steady) => (
-                SimReport::csv_header(),
+                SimReport::csv_header().into(),
                 steady().iter().map(SimReport::csv_row).collect(),
             ),
             (Mix, Steady) => {
@@ -231,7 +347,7 @@ impl Row {
                     format!("{},{pct},{accepted:.4},{latency:.2}", r.routing)
                 });
                 (
-                    "routing,global_pct,accepted_load,avg_latency",
+                    "routing,global_pct,accepted_load,avg_latency".into(),
                     rows.collect(),
                 )
             }
@@ -247,10 +363,85 @@ impl Row {
                     )
                 });
                 let header = "threshold,offered_load,accepted_load,avg_latency,p99_latency";
-                (header, rows.collect())
+                (header.into(), rows.collect())
             }
+            (_, Steady) => unreachable!("every steady row sweeps loads, mixes or thresholds"),
         }
     }
+
+    /// The CSV of a job row: each point's own columns, then one row per phase
+    /// of every job (`PhaseReport`), or per job with its lifecycle (`JobReport`)
+    /// for a churn trace.
+    fn jobs_table(
+        &self,
+        specs: &[ExperimentSpec],
+        reports: &[WorkloadReport],
+    ) -> (String, Vec<String>) {
+        let (columns, report_columns, report_rows): (_, _, fn(&WorkloadReport) -> Vec<String>) =
+            match self.grid {
+                IntSweep => (
+                    "routing,placement,aggressor_load",
+                    PhaseReport::csv_header(),
+                    WorkloadReport::phase_csv_rows,
+                ),
+                Churn => (
+                    "routing,trace",
+                    JobReport::csv_header(),
+                    WorkloadReport::job_csv_rows,
+                ),
+                _ => (
+                    "routing",
+                    PhaseReport::csv_header(),
+                    WorkloadReport::phase_csv_rows,
+                ),
+            };
+        let mut rows = Vec::new();
+        for (spec, report) in specs.iter().zip(reports) {
+            let routing = &report.aggregate.routing;
+            assert!(!report.aggregate.deadlock_detected, "{routing} deadlocked");
+            let point = self.job_point(spec).join(",");
+            rows.extend(
+                report_rows(report)
+                    .iter()
+                    .map(|row| format!("{point},{row}")),
+            );
+        }
+        (format!("{columns},{report_columns}"), rows)
+    }
+
+    /// A job point's own CSV columns, read back from its spec so the CSV
+    /// cannot drift from the grid's construction order; slugged and joined
+    /// by `_`, they are also its probe prefix after the row name.
+    fn job_point(&self, spec: &ExperimentSpec) -> Vec<String> {
+        let routing = spec.routing.name().to_string();
+        match self.grid {
+            IntSweep => {
+                let aggressor = &spec.traffic.workload().expect("workload traffic").jobs[0];
+                let load = aggressor.phases[0].offered_load;
+                vec![
+                    routing,
+                    aggressor.placement.name().into(),
+                    format!("{load:.4}"),
+                ]
+            }
+            Churn => vec![
+                routing,
+                spec.traffic.churn().expect("churn traffic").name.clone(),
+            ],
+            _ => vec![routing],
+        }
+    }
+}
+
+/// The offered loads of a load-swept row: `--loads`, else the figures' grid.
+fn figure_loads(args: &HarnessArgs) -> Vec<f64> {
+    args.loads.clone().unwrap_or_else(|| {
+        if args.quick {
+            vec![0.1, 0.3, 0.5, 0.8]
+        } else {
+            default_loads()
+        }
+    })
 }
 
 /// The ADVG percentage of a mix point.
@@ -301,7 +492,6 @@ fn select(names: &[String]) -> Result<Vec<&'static Row>, String> {
 
 fn main() {
     let (args, names) = HarnessArgs::from_env_with_names();
-    args.reject_json("repro");
     let rows = select(&names).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2);
@@ -309,7 +499,7 @@ fn main() {
     for row in rows {
         let (header, lines) = row.table(&args);
         let path = args.csv_path(row.csv);
-        let mut csv = CsvWriter::create(&path, header).expect("cannot create the CSV output");
+        let mut csv = CsvWriter::create(&path, &header).expect("cannot create the CSV output");
         println!("\n== {} ==\n{header}", row.name);
         for line in &lines {
             println!("{line}");
@@ -355,6 +545,10 @@ mod tests {
                 ("fig10", "fig10_rlm_threshold_un.csv", 12),
                 ("fig11", "fig11_rlm_threshold_advg1.csv", 12),
                 ("table1", "table1_parity_sign.csv", 16),
+                ("interference", "interference.csv", 5),
+                ("transient", "transient.csv", 5),
+                ("intsweep", "interference_sweep.csv", 36),
+                ("churn", "churn_sweep.csv", 6),
             ]
         );
         // No wormhole row runs OLM: it needs Virtual Cut-Through.
@@ -376,13 +570,67 @@ mod tests {
             ["fig4_5_un", "fig6a", "fig6b", "table1"]
         );
         assert_eq!(names(&["fig10_11"]).unwrap(), ["fig10", "fig11"]);
+        // A study's figure name selects its row (`churn_sweep` runs `churn`).
+        assert_eq!(
+            names(&["churn_sweep", "interference_sweep"]).unwrap(),
+            ["intsweep", "churn"]
+        );
+        assert_eq!(names(&["interference"]).unwrap(), ["interference"]);
         // An unknown name is an error that lists every valid name.
         let err = names(&["fig4_5", "foo"]).unwrap_err();
         assert!(
             err.starts_with("unknown row `foo`; valid names: fig4_5 fig4_5_un"),
             "{err}"
         );
-        assert!(err.ends_with("fig11 table1"), "{err}");
+        assert!(
+            err.ends_with(
+                "table1 interference transient interference_sweep intsweep churn_sweep churn"
+            ),
+            "{err}"
+        );
+    }
+
+    fn named(name: &str) -> &'static Row {
+        ROWS.iter().find(|row| row.name == name).unwrap()
+    }
+
+    /// One probe prefix per job row at `--quick`: `<row>_<point>`, with the
+    /// aggressor load as a fraction of saturation (0.1 × 0.25 at h = 2) and the
+    /// churn trace named after its variant and load.
+    #[test]
+    fn job_rows_pin_their_probe_prefixes() {
+        let quick = HarnessArgs::parse_from(["--quick"]).unwrap();
+        let prefix = |name: &str, point: usize| {
+            let row = named(name);
+            row.prefix(&row.specs(&quick)[point])
+        };
+        assert_eq!(prefix("interference", 0), "interference_minimal");
+        assert_eq!(prefix("transient", 2), "transient_par-6-2");
+        assert_eq!(prefix("intsweep", 0), "intsweep_minimal_cont_0-0250");
+        assert_eq!(prefix("churn", 1), "churn_minimal_frag-0-75");
+    }
+
+    /// A job row's CSV prefixes every report row with the point's own columns.
+    #[test]
+    fn workload_phase_csv_prefixes_rows() {
+        let mut spec = ExperimentSpec::new(2);
+        spec.routing = Olm;
+        spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.3, 0.1));
+        spec.warmup = 300;
+        spec.measure = 600;
+        spec.drain = 600;
+        let report = spec.run_workload();
+        let (header, rows) = named("interference").jobs_table(&[spec], &[report]);
+        assert_eq!(rows.len(), 2, "one row per (job, phase)");
+        assert!(header.starts_with("routing,job,phase,"), "{header}");
+        assert!(rows.iter().all(|l| l.starts_with("OLM,")), "{rows:?}");
+        // The grid studies name their coordinates, the churn row its lifecycle.
+        let header = |name: &str| named(name).jobs_table(&[], &[]).0;
+        assert!(header("intsweep").starts_with("routing,placement,aggressor_load,job,phase,"));
+        assert_eq!(
+            header("churn"),
+            format!("routing,trace,{}", JobReport::csv_header())
+        );
     }
 
     /// The 6b/9b burst grows linearly with h up to the paper's 1000 packets at

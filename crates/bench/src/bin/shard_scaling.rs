@@ -49,7 +49,6 @@ fn main() {
         drain: 600,
         ..HarnessArgs::default()
     });
-    args.reject_json("shard_scaling");
     let scales: Vec<usize> = if args.quick {
         vec![2, 4]
     } else {

@@ -1,9 +1,9 @@
-//! Shared harness utilities for the figure-regeneration binaries.
+//! Shared harness utilities for the experiment binaries.
 //!
-//! `repro` regenerates the paper's figures and Table I from a table of rows, one
-//! row per CSV file, chosen by name (`repro fig4_5 fig6`; no name runs every
-//! row); the workload and shard binaries under `src/bin/` run one study each.
-//! They all accept the same command-line switches, parsed by [`HarnessArgs`]:
+//! `repro` regenerates the paper's figures, Table I and the workload studies from
+//! a table of rows, one row per CSV file, chosen by name (`repro fig4_5 churn`;
+//! no name runs every row); `shard_scaling` runs the sharded engine's scaling
+//! study.  Both accept the same command-line switches, parsed by [`HarnessArgs`]:
 //!
 //! ```text
 //! --h <N>          Dragonfly parameter h, at least 1 (default 4; the paper uses 8)
@@ -18,9 +18,8 @@
 //!                  reports; sweep workers are capped so workers × shards ≤ cores)
 //! --sequential     run the sweep points in order on one thread (same results)
 //! --out <DIR>      directory for CSV output (default: results/)
-//! --loads a,b,c    explicit offered-load points
-//! --json <FILE>    structured JSON output, one object per point (churn_sweep
-//!                  only)
+//! --loads a,b,c    explicit offered-load points, each finite and ≥ 0 (every
+//!                  row that sweeps a load has its own default grid)
 //! --probe          install observability probes and write their output files
 //!                  next to the CSVs (every simulating row and binary; Table I
 //!                  is closed-form and has nothing to probe)
@@ -58,9 +57,9 @@
 
 use dragonfly_core::{
     DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, Protocol, RunManifest,
-    RunOptions, SweepRunner, WorkloadReport,
+    RunOptions, SweepRunner,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Parsed command-line arguments shared by all harness binaries.
 #[derive(Debug, Clone)]
@@ -83,15 +82,11 @@ pub struct HarnessArgs {
     pub sequential: bool,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
-    /// Offered-load points (figures 4/5/7/8/10/11).
-    pub loads: Vec<f64>,
-    /// Whether `--loads` was passed explicitly (`churn_sweep` substitutes its
-    /// own default set otherwise).
-    pub loads_explicit: bool,
+    /// Offered-load points passed with `--loads`; `None` leaves each row its
+    /// own default grid.
+    pub loads: Option<Vec<f64>>,
     /// Quick mode (CI smoke runs).
     pub quick: bool,
-    /// Structured JSON output file (`churn_sweep`; other binaries refuse it).
-    pub json_out: Option<PathBuf>,
     /// Observability probe configuration (`--probe*` flags); `None` = off.
     pub probe: Option<ProbeConfig>,
 }
@@ -108,10 +103,8 @@ impl Default for HarnessArgs {
             shards: 1,
             sequential: false,
             out_dir: PathBuf::from("results"),
-            loads: dragonfly_core::sweep::default_loads(),
-            loads_explicit: false,
+            loads: None,
             quick: false,
-            json_out: None,
             probe: None,
         }
     }
@@ -133,7 +126,7 @@ impl HarnessArgs {
     ///
     /// Flag order never matters: the `--quick`/`--full` presets and the
     /// `--measure` ⇒ drain default apply first, explicit `--h`, `--warmup`,
-    /// `--measure`, `--drain` and `--loads` values second.  `--help`/`-h`
+    /// `--measure` and `--drain` values second (no preset sets `--loads`).  `--help`/`-h`
     /// yields the bare usage text as the error.  A positional argument is an
     /// error here; only `repro` takes them (see [`HarnessArgs::parse_with_names`]).
     pub fn parse_over<I, S>(base: Self, args: I) -> Result<Self, String>
@@ -157,7 +150,7 @@ impl HarnessArgs {
         let mut out = base;
         let mut names = Vec::new();
         // Explicit values, held back until every preset has been applied.
-        let (mut h, mut warmup, mut measure, mut drain, mut loads) = (None, None, None, None, None);
+        let (mut h, mut warmup, mut measure, mut drain) = (None, None, None, None);
         let args: Vec<String> = args.into_iter().map(|a| a.as_ref().to_string()).collect();
         let mut i = 0;
         let value = |i: &mut usize| -> Result<String, String> {
@@ -251,12 +244,11 @@ impl HarnessArgs {
                     out.probe.get_or_insert_with(ProbeConfig::default).delay = true;
                 }
                 "--out" => out.out_dir = PathBuf::from(value(&mut i)?),
-                "--json" => out.json_out = Some(PathBuf::from(value(&mut i)?)),
                 "--loads" => {
-                    loads = Some(
+                    out.loads = Some(
                         value(&mut i)?
                             .split(',')
-                            .map(|s| s.trim().parse::<f64>().map_err(|e| format!("--loads: {e}")))
+                            .map(|s| load(s.trim()))
                             .collect::<Result<Vec<_>, _>>()?,
                     )
                 }
@@ -272,7 +264,6 @@ impl HarnessArgs {
                     out.warmup = 1_000;
                     out.measure = 2_000;
                     out.drain = 2_000;
-                    out.loads = vec![0.1, 0.3, 0.5, 0.8];
                 }
                 "--help" | "-h" => return Err(usage()),
                 name if !name.starts_with('-') => names.push(name.to_string()),
@@ -287,8 +278,6 @@ impl HarnessArgs {
             out.drain = measure;
         }
         out.drain = drain.unwrap_or(out.drain);
-        out.loads_explicit = loads.is_some();
-        out.loads = loads.unwrap_or(out.loads);
         if out.h == 0 {
             return Err("--h must be at least 1".to_string());
         }
@@ -389,16 +378,6 @@ impl HarnessArgs {
             .collect()
     }
 
-    /// Exit with usage status when `--json` was passed: binaries with no
-    /// structured output call this right after parsing, so the flag fails fast
-    /// instead of being silently ignored.
-    pub fn reject_json(&self, binary: &str) {
-        if self.json_out.is_some() {
-            eprintln!("--json is not supported by {binary} (only churn_sweep emits JSON)");
-            std::process::exit(2);
-        }
-    }
-
     /// Write a probe recorder's full output set into the output directory with
     /// the given file-name prefix — including the self-describing
     /// `<prefix>_manifest.json` — printing what was written.
@@ -442,6 +421,17 @@ where
     text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
+/// Parse one `--loads` point: an offered load is a finite, non-negative rate.
+fn load(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(load) if load.is_finite() && load >= 0.0 => Ok(load),
+        Ok(_) => Err(format!(
+            "--loads: `{text}` is not a finite, non-negative offered load"
+        )),
+        Err(e) => Err(format!("--loads: `{text}`: {e}")),
+    }
+}
+
 /// `--probe-detect*` helper: ensure probes exist and the detectors are armed
 /// (idempotently, so later `--probe-detect-*` knobs refine rather than reset).
 fn armed_detect(probe: &mut Option<ProbeConfig>) -> &mut DetectorConfig {
@@ -471,72 +461,13 @@ pub fn file_slug(s: &str) -> String {
 fn usage() -> String {
     "usage: <binary> [--h N] [--full] [--quick] [--warmup N] [--measure N] \
      [--drain N] [--seed N] [--jobs N] [--shards N] [--sequential] [--out DIR] \
-     [--loads a,b,c] [--json FILE (churn_sweep)] \
+     [--loads a,b,c] \
      [--probe] [--probe-stride N] [--probe-flight N] [--probe-heatmap N] \
      [--probe-top N] [--probe-detect] [--probe-detect-window N] \
      [--probe-detect-collapse PCT] [--probe-detect-stall N] [--probe-trace] \
-     [--probe-delay]; repro also takes row names (repro fig4_5 fig6; none = \
+     [--probe-delay]; repro also takes row names (repro fig4_5 churn; none = \
      every row)"
         .to_string()
-}
-
-/// Write the per-phase CSV shared by the workload binaries: one row per
-/// (entry, job, phase), each prefixed with the entry's own columns (at least the
-/// routing name; sweep grids add placement/load columns).
-///
-/// `prefix_header` names the prefix columns (e.g. `"routing"` or
-/// `"routing,placement,aggressor_load"`); each entry pairs the matching prefix
-/// values with its report.  Returns the number of data rows written.
-pub fn write_workload_phase_csv(
-    path: &Path,
-    prefix_header: &str,
-    entries: &[(String, &WorkloadReport)],
-) -> std::io::Result<usize> {
-    write_prefixed_csv(
-        path,
-        prefix_header,
-        dragonfly_core::PhaseReport::csv_header(),
-        entries,
-        WorkloadReport::phase_csv_rows,
-    )
-}
-
-/// Write the per-job CSV of the churn binaries: one row per (entry, job), each
-/// prefixed with the entry's own columns and carrying the lifecycle columns
-/// (arrival/placed/completion/wait/slowdown).  The job-level sibling of
-/// [`write_workload_phase_csv`]; returns the number of data rows written.
-pub fn write_workload_job_csv(
-    path: &Path,
-    prefix_header: &str,
-    entries: &[(String, &WorkloadReport)],
-) -> std::io::Result<usize> {
-    write_prefixed_csv(
-        path,
-        prefix_header,
-        dragonfly_core::JobReport::csv_header(),
-        entries,
-        WorkloadReport::job_csv_rows,
-    )
-}
-
-/// Shared body of the workload CSV writers: each entry's rows, prefixed with the
-/// entry's own columns.
-fn write_prefixed_csv(
-    path: &Path,
-    prefix_header: &str,
-    row_header: &str,
-    entries: &[(String, &WorkloadReport)],
-    rows: impl Fn(&WorkloadReport) -> Vec<String>,
-) -> std::io::Result<usize> {
-    use dragonfly_core::CsvWriter;
-    let mut csv = CsvWriter::create(path, &format!("{prefix_header},{row_header}"))?;
-    for (prefix, report) in entries {
-        for row in rows(report) {
-            csv.row(&format!("{prefix},{row}"))?;
-        }
-    }
-    csv.flush()?;
-    Ok(csv.rows_written())
 }
 
 #[cfg(test)]
@@ -547,7 +478,7 @@ mod tests {
     fn defaults_are_sensible() {
         let args = HarnessArgs::default();
         assert_eq!(args.h, 4);
-        assert!(!args.loads.is_empty());
+        assert_eq!(args.loads, None);
     }
 
     #[test]
@@ -576,7 +507,7 @@ mod tests {
         assert_eq!(args.seed, 9);
         assert_eq!(args.threads, Some(2));
         assert_eq!(args.out_dir, PathBuf::from("/tmp/x"));
-        assert_eq!(args.loads, vec![0.1, 0.2]);
+        assert_eq!(args.loads, Some(vec![0.1, 0.2]));
     }
 
     #[test]
@@ -587,16 +518,14 @@ mod tests {
         let quick = HarnessArgs::parse_from(["--quick"]).unwrap();
         assert_eq!(quick.h, 2);
         assert!(quick.quick);
-        assert!(quick.loads.len() <= 5);
-        assert!(!quick.loads_explicit);
+        assert_eq!(quick.loads, None);
         // An explicit --loads survives the --quick preset, in either order.
         for argv in [
             ["--quick", "--loads", "0.3,0.9"],
             ["--loads", "0.3,0.9", "--quick"],
         ] {
             let args = HarnessArgs::parse_from(argv).unwrap();
-            assert_eq!(args.loads, vec![0.3, 0.9]);
-            assert!(args.loads_explicit);
+            assert_eq!(args.loads, Some(vec![0.3, 0.9]));
         }
         // So does every other explicit value, under either preset.
         for preset in ["--quick", "--full"] {
@@ -692,32 +621,6 @@ mod tests {
         let args = HarnessArgs::parse_from(["--threads", "5"]).unwrap();
         assert_eq!(args.threads, Some(5));
         assert!(!args.sequential);
-    }
-
-    #[test]
-    fn workload_phase_csv_prefixes_rows() {
-        use dragonfly_core::{RoutingKind, TrafficKind, WorkloadSpec};
-        let mut spec = ExperimentSpec::new(2);
-        spec.routing = RoutingKind::Olm;
-        spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.3, 0.1));
-        spec.warmup = 300;
-        spec.measure = 600;
-        spec.drain = 600;
-        let report = spec.run_workload();
-        let dir = std::env::temp_dir().join("dragonfly_bench_phase_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("phases.csv");
-        let rows = write_workload_phase_csv(
-            &path,
-            "routing",
-            &[(report.aggregate.routing.clone(), &report)],
-        )
-        .unwrap();
-        assert_eq!(rows, 2, "one row per (job, phase)");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("routing,job,phase,"));
-        assert!(content.lines().skip(1).all(|l| l.starts_with("OLM,")));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -879,6 +782,18 @@ mod tests {
         assert!(HarnessArgs::parse_from(["--nope"]).is_err());
         assert!(HarnessArgs::parse_from(["--h"]).is_err());
         assert!(HarnessArgs::parse_from(["--h", "abc"]).is_err());
+        // A load is a finite, non-negative rate: anything else is a usage error
+        // naming the flag and the value, not a panic inside a sweep worker or an
+        // `inf` row in a CSV.
+        for bad in ["-0.5", "nan", "inf"] {
+            let err =
+                HarnessArgs::parse_from(["--quick", "--loads", &format!("0.3,{bad}")]).unwrap_err();
+            assert!(err.starts_with(&format!("--loads: `{bad}`")), "{err}");
+        }
+        assert_eq!(
+            HarnessArgs::parse_from(["--loads", "0,0.5"]).unwrap().loads,
+            Some(vec![0.0, 0.5])
+        );
         // h = 0 is no dragonfly: rejected at parse time, not inside a sweep worker.
         for argv in [&["--h", "0"][..], &["--h", "0", "--quick"]] {
             let err = HarnessArgs::parse_from(argv).unwrap_err();

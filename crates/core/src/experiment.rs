@@ -496,104 +496,6 @@ impl<P: Protocol> Run<'_, P> {
     }
 }
 
-/// Fluent builder over [`ExperimentSpec`] for one-off runs and examples.
-#[derive(Debug, Clone)]
-pub struct ExperimentBuilder {
-    spec: ExperimentSpec,
-}
-
-impl ExperimentBuilder {
-    /// Start from the defaults for parameter `h`.
-    pub fn new(h: usize) -> Self {
-        Self {
-            spec: ExperimentSpec::new(h),
-        }
-    }
-
-    /// Select the routing mechanism.
-    pub fn routing(mut self, routing: RoutingKind) -> Self {
-        self.spec.routing = routing;
-        self
-    }
-
-    /// Select the traffic pattern.
-    pub fn traffic(mut self, traffic: TrafficKind) -> Self {
-        self.spec.traffic = traffic;
-        self
-    }
-
-    /// Select the flow control.
-    pub fn flow_control(mut self, fc: FlowControlKind) -> Self {
-        self.spec.flow_control = fc;
-        self
-    }
-
-    /// Set the offered load in phits/(node·cycle).
-    pub fn offered_load(mut self, load: f64) -> Self {
-        self.spec.offered_load = load;
-        self
-    }
-
-    /// Set the misrouting threshold.
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.spec.threshold = threshold;
-        self
-    }
-
-    /// Set the random seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Set the warm-up length in cycles.
-    pub fn warmup_cycles(mut self, cycles: u64) -> Self {
-        self.spec.warmup = cycles;
-        self
-    }
-
-    /// Set the measurement window length in cycles.
-    pub fn measure_cycles(mut self, cycles: u64) -> Self {
-        self.spec.measure = cycles;
-        self.spec.drain = cycles;
-        self
-    }
-
-    /// The underlying specification.
-    pub fn spec(&self) -> &ExperimentSpec {
-        &self.spec
-    }
-
-    /// Consume the builder into its specification.
-    pub fn into_spec(self) -> ExperimentSpec {
-        self.spec
-    }
-
-    /// Run the steady-state experiment.
-    pub fn run(self) -> SimReport {
-        self.spec.run()
-    }
-
-    /// Select a workload as the traffic (shorthand for
-    /// `.traffic(TrafficKind::Workload(spec))`).
-    pub fn workload(mut self, workload: WorkloadSpec) -> Self {
-        self.spec.traffic = TrafficKind::Workload(workload);
-        self
-    }
-
-    /// Select a churn trace as the traffic (shorthand for
-    /// `.traffic(TrafficKind::Churn(trace))`).
-    pub fn churn(mut self, trace: Trace) -> Self {
-        self.spec.traffic = TrafficKind::Churn(trace);
-        self
-    }
-
-    /// Run the workload experiment with the per-job/per-phase breakdown.
-    pub fn run_workload(self) -> WorkloadReport {
-        self.spec.run_workload()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,37 +534,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trip() {
-        let builder = ExperimentBuilder::new(2)
-            .routing(RoutingKind::Olm)
-            .traffic(TrafficKind::AdversarialGlobal(1))
-            .flow_control(FlowControlKind::Vct)
-            .offered_load(0.25)
-            .threshold(0.5)
-            .seed(77)
-            .warmup_cycles(500)
-            .measure_cycles(800);
-        let spec = builder.spec();
-        assert_eq!(spec.routing, RoutingKind::Olm);
-        assert_eq!(spec.offered_load, 0.25);
-        assert_eq!(spec.threshold, 0.5);
-        assert_eq!(spec.seed, 77);
-        assert_eq!(spec.warmup, 500);
-        assert_eq!(spec.measure, 800);
-        assert_eq!(spec.drain, 800);
-        let spec = builder.into_spec();
-        assert_eq!(spec.traffic, TrafficKind::AdversarialGlobal(1));
-    }
-
-    #[test]
     fn builder_runs_small_experiment() {
-        let report = ExperimentBuilder::new(2)
-            .routing(RoutingKind::Olm)
-            .traffic(TrafficKind::Uniform)
-            .offered_load(0.15)
-            .warmup_cycles(800)
-            .measure_cycles(1_500)
-            .run();
+        let mut spec = ExperimentSpec::new(2);
+        spec.routing = RoutingKind::Olm;
+        spec.traffic = TrafficKind::Uniform;
+        spec.offered_load = 0.15;
+        spec.warmup = 800;
+        spec.measure = 1_500;
+        spec.drain = 1_500;
+        let report = spec.run();
         assert!(!report.deadlock_detected);
         assert!(report.accepted_load > 0.05);
         assert_eq!(report.routing, "OLM");

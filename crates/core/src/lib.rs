@@ -3,25 +3,26 @@
 //! This crate glues the topology, simulator, routing mechanisms and traffic patterns
 //! into the experiment protocols of the paper:
 //!
-//! * [`ExperimentSpec`] / [`ExperimentBuilder`] — one run: a [`Protocol`]
+//! * [`ExperimentSpec`] — one run: a [`Protocol`]
 //!   ([`Steady`], [`Jobs`], [`Batch`]) under [`RunOptions`] (shards, probes),
-//! * [`sweep`] — the load, threshold, traffic-mix and workload-interference sweeps
-//!   behind each figure,
-//! * [`runner`] — [`SweepRunner`], the orchestration layer every figure/workload
-//!   binary routes its sweep through: worker pool, deterministic ordering,
+//! * [`sweep`] — the load, threshold, traffic-mix, workload-interference and
+//!   churn sweeps behind each figure and study,
+//! * [`runner`] — [`SweepRunner`], the orchestration layer every figure and
+//!   workload row routes its sweep through: worker pool, deterministic ordering,
 //!   progress/ETA reporting and a sequential escape hatch,
-//! * [`csv`] — small CSV emission helpers used by the figure binaries.
+//! * [`csv`] — small CSV emission helpers used by the harness binaries.
 //!
 //! ```
-//! use dragonfly_core::{ExperimentBuilder, RoutingKind, TrafficKind};
+//! use dragonfly_core::{ExperimentSpec, RoutingKind, TrafficKind};
 //!
-//! let report = ExperimentBuilder::new(2)
-//!     .routing(RoutingKind::Rlm)
-//!     .traffic(TrafficKind::AdversarialGlobal(1))
-//!     .offered_load(0.3)
-//!     .warmup_cycles(1_000)
-//!     .measure_cycles(2_000)
-//!     .run();
+//! let mut spec = ExperimentSpec::new(2);
+//! spec.routing = RoutingKind::Rlm;
+//! spec.traffic = TrafficKind::AdversarialGlobal(1);
+//! spec.offered_load = 0.3;
+//! spec.warmup = 1_000;
+//! spec.measure = 2_000;
+//! spec.drain = 2_000;
+//! let report = spec.run();
 //! assert!(report.accepted_load > 0.0);
 //! ```
 
@@ -35,8 +36,7 @@ pub mod sweep;
 
 pub use csv::CsvWriter;
 pub use experiment::{
-    Batch, ExperimentBuilder, ExperimentSpec, FlowControlKind, Jobs, Protocol, RunOptions, Steady,
-    TrafficKind,
+    Batch, ExperimentSpec, FlowControlKind, Jobs, Protocol, RunOptions, Steady, TrafficKind,
 };
 pub use runner::{effective_jobs, SweepRunner};
 pub use sweep::{

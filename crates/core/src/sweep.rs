@@ -175,7 +175,7 @@ pub fn churn_sweep(sweep: &ChurnSweep) -> Vec<ExperimentSpec> {
     specs
 }
 
-/// The offered-load points used by the figure binaries when none are given.
+/// The offered-load points of the figure rows when none are given.
 pub fn default_loads() -> Vec<f64> {
     vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 }

@@ -1,5 +1,5 @@
-//! Canonical churn scenarios shared by the `churn_sweep` binary, the
-//! `churn_study` example and the pinned integration tests.
+//! Canonical churn scenarios shared by `repro`'s `churn` row and the pinned
+//! integration tests.
 
 use crate::spec::{JobPattern, PlacementPolicy};
 use crate::trace::{Completion, Trace, TraceJob};

@@ -8,20 +8,21 @@
 //! drives it with uniform random traffic at 30 % load under Virtual Cut-Through, and
 //! prints the steady-state latency/throughput report.
 
-use dragonfly::core::{ExperimentBuilder, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind};
 
 fn main() {
     let h = 4;
     println!("Building a balanced Dragonfly with h = {h} and running OLM under uniform traffic...");
 
-    let report = ExperimentBuilder::new(h)
-        .routing(RoutingKind::Olm)
-        .traffic(TrafficKind::Uniform)
-        .offered_load(0.3)
-        .seed(42)
-        .warmup_cycles(3_000)
-        .measure_cycles(5_000)
-        .run();
+    let mut spec = ExperimentSpec::new(h);
+    spec.routing = RoutingKind::Olm;
+    spec.traffic = TrafficKind::Uniform;
+    spec.offered_load = 0.3;
+    spec.seed = 42;
+    spec.warmup = 3_000;
+    spec.measure = 5_000;
+    spec.drain = 5_000;
+    let report = spec.run();
 
     println!("\n--- steady-state report ---");
     println!("routing mechanism     : {}", report.routing);

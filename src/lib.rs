@@ -15,19 +15,20 @@
 //! * and a high-level experiment harness that regenerates every figure and table of
 //!   the paper ([`core`]).
 //!
-//! Most users should start from [`core::ExperimentBuilder`] or from the examples in
+//! Most users should start from [`core::ExperimentSpec`] or from the examples in
 //! `examples/`.
 //!
 //! ```
-//! use dragonfly::core::{ExperimentBuilder, RoutingKind, TrafficKind};
+//! use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind};
 //!
-//! let report = ExperimentBuilder::new(2)          // h = 2: a tiny 72-node Dragonfly
-//!     .routing(RoutingKind::Olm)
-//!     .traffic(TrafficKind::Uniform)
-//!     .offered_load(0.2)
-//!     .warmup_cycles(2_000)
-//!     .measure_cycles(3_000)
-//!     .run();
+//! let mut spec = ExperimentSpec::new(2); // h = 2: a tiny 72-node Dragonfly
+//! spec.routing = RoutingKind::Olm;
+//! spec.traffic = TrafficKind::Uniform;
+//! spec.offered_load = 0.2;
+//! spec.warmup = 2_000;
+//! spec.measure = 3_000;
+//! spec.drain = 3_000;
+//! let report = spec.run();
 //! assert!(report.accepted_load > 0.1);
 //! assert!(report.avg_latency_cycles > 0.0);
 //! ```

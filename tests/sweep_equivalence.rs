@@ -83,7 +83,7 @@ fn workload_parallel_matches_sequential() {
     assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
     // The per-job/per-phase breakdowns (not just the aggregates) are identical
-    // down to the CSV rows the workload binaries write.
+    // down to the CSV rows the workload rows of `repro` write.
     for (a, b) in parallel.iter().zip(plain.iter()) {
         assert_eq!(a.phase_csv_rows(), b.phase_csv_rows());
         assert_eq!(a.jobs.len(), 2);
