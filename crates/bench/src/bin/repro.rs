@@ -12,19 +12,18 @@
 //! `fig6`, `fig7_8`, `fig9`, `fig10_11`, `table1`, and the studies `interference`,
 //! `transient`, `interference_sweep`, `churn_sweep`); no name runs every row, and
 //! an unknown name prints the valid ones and exits 2.  Each row expands its grid
-//! with one of the sweep builders of `dragonfly_core::sweep` (or one workload per
-//! mechanism), runs it through `HarnessArgs::run_points` and writes one CSV; with
+//! with one of the sweep builders of `dragonfly_core::sweep`, runs it through
+//! `HarnessArgs::run_points` and writes one CSV; with
 //! `--probe` every point also writes its probe file set under the prefix
 //! `<row>_<point>` (for example `fig4_5_un_olm_0-30`, `fig6b_rlm_mix50`,
 //! `fig10_th0-45_0-50`, `intsweep_minimal_cont_0-0250`, `churn_olm_frag-0-75`).
 
 use dragonfly_bench::{file_slug, HarnessArgs};
 use dragonfly_core::{
-    churn_sweep, interference_sweep, load_sweep, mix_sweep, sweep::default_loads,
-    sweep::paper_mix_percentages, sweep::paper_thresholds, threshold_sweep, Batch, ChurnSweep,
-    CsvWriter, ExperimentSpec, FlowControlKind, InterferenceSweep, JobReport, LoadSweep, MixSweep,
-    PhaseReport, PlacementPolicy, RoutingKind, SimReport, ThresholdSweep, TrafficKind,
-    WorkloadReport, WorkloadSpec,
+    job_sweep, load_sweep, mix_sweep, sweep::default_loads, sweep::paper_mix_percentages,
+    sweep::paper_thresholds, threshold_sweep, Batch, CsvWriter, ExperimentSpec, FlowControlKind,
+    JobReport, JobSweep, LoadSweep, MixSweep, PhaseReport, PlacementPolicy, RoutingKind, SimReport,
+    ThresholdSweep, Trace, TrafficKind, WorkloadReport,
 };
 use dragonfly_routing::ParitySignTable;
 use dragonfly_topology::DragonflyParams;
@@ -83,13 +82,12 @@ enum Grid {
     /// One machine-wide job at load 0.25 that switches from UN to ADVG+h halfway
     /// through the measurement window: one point per mechanism.
     Transient,
-    /// Mechanism × placement × aggressor load of the interference workload
-    /// (`interference_sweep`); `--loads` are fractions of the +1 global
-    /// channel's saturation.
+    /// Mechanism × placement × aggressor load of the interference workload;
+    /// `--loads` are fractions of the +1 global channel's saturation.
     IntSweep,
     /// Mechanism × fresh/fragmented × aggressor load of the
-    /// `fragmentation_trace` churn scenario (`churn_sweep`); `--loads` are
-    /// absolute aggressor loads.
+    /// `fragmentation_trace` churn scenario; `--loads` are absolute aggressor
+    /// loads.
     Churn,
 }
 
@@ -201,42 +199,48 @@ impl Row {
                 })
             }
             ParitySign => Vec::new(),
-            Interference | Transient => {
-                let params = DragonflyParams::new(args.h);
-                let workload = match self.grid {
-                    // nodes_per_group / 2 aggressor nodes share one +1 global
-                    // channel, which saturates at 2 / nodes_per_group.
-                    Interference => {
-                        let aggressor_load = 0.96 * 2.0 / params.nodes_per_group() as f64;
-                        WorkloadSpec::interference(params.num_nodes(), 1, aggressor_load, 0.1)
-                    }
-                    _ => {
-                        let switch_cycle = args.warmup + args.measure / 2;
-                        WorkloadSpec::transient(params.num_nodes(), 0.25, switch_cycle, args.h)
-                    }
-                };
-                base.traffic = TrafficKind::Workload(workload);
-                let points = mechanisms.into_iter().map(|routing| ExperimentSpec {
-                    routing,
-                    ..base.clone()
-                });
-                points.collect()
-            }
-            IntSweep => {
-                let saturation = 2.0 / DragonflyParams::new(args.h).nodes_per_group() as f64;
-                let aggressor_loads = figure_loads(args).into_iter().map(|f| f * saturation);
-                interference_sweep(&InterferenceSweep {
+            Interference | Transient | IntSweep | Churn => {
+                let traces = self.traces(args, &mut base);
+                job_sweep(&JobSweep {
                     base,
                     mechanisms,
-                    placements: vec![
-                        PlacementPolicy::Contiguous,
-                        PlacementPolicy::RoundRobinRouters,
-                        PlacementPolicy::Random { seed: args.seed },
-                    ],
-                    aggressor_loads: aggressor_loads.collect(),
-                    aggressor_offset: 1,
-                    victim_load: 0.1,
+                    traces,
                 })
+            }
+        }
+    }
+
+    /// The job lists of a job row, in grid order; a churn row also sets the
+    /// run horizon on `base`.
+    fn traces(&self, args: &HarnessArgs, base: &mut ExperimentSpec) -> Vec<Trace> {
+        let params = DragonflyParams::new(args.h);
+        let nodes = params.num_nodes();
+        // nodes_per_group / 2 aggressor nodes share one +1 global channel,
+        // which saturates at 2 / nodes_per_group.
+        match self.grid {
+            Interference => {
+                let aggressor_load = 0.96 * 2.0 / params.nodes_per_group() as f64;
+                vec![Trace::interference(nodes, 1, aggressor_load, 0.1)]
+            }
+            Transient => {
+                let switch_cycle = args.warmup + args.measure / 2;
+                vec![Trace::transient(nodes, 0.25, switch_cycle, args.h)]
+            }
+            IntSweep => {
+                let saturation = 2.0 / params.nodes_per_group() as f64;
+                let placements = [
+                    PlacementPolicy::Contiguous,
+                    PlacementPolicy::RoundRobinRouters,
+                    PlacementPolicy::Random { seed: args.seed },
+                ];
+                let mut traces = Vec::new();
+                for placement in placements {
+                    for fraction in figure_loads(args) {
+                        let load = fraction * saturation;
+                        traces.push(Trace::interference_placed(nodes, 1, load, 0.1, placement));
+                    }
+                }
+                traces
             }
             Churn => {
                 // Whole-trace runs: a compact load set that straddles the
@@ -249,7 +253,6 @@ impl Row {
                         vec![0.3, 0.5, 0.75, 0.9]
                     }
                 });
-                let params = DragonflyParams::new(args.h);
                 let run_cycles = args.measure;
                 // The horizon runs past the last departure.
                 base.measure = run_cycles + (run_cycles / 4).max(1_000);
@@ -269,12 +272,9 @@ impl Row {
                         traces.push(trace);
                     }
                 }
-                churn_sweep(&ChurnSweep {
-                    base,
-                    mechanisms,
-                    traces,
-                })
+                traces
             }
+            _ => unreachable!("only the job rows have job lists"),
         }
     }
 
@@ -416,7 +416,7 @@ impl Row {
         let routing = spec.routing.name().to_string();
         match self.grid {
             IntSweep => {
-                let aggressor = &spec.traffic.workload().expect("workload traffic").jobs[0];
+                let aggressor = &spec.traffic.jobs().expect("job traffic").jobs[0];
                 let load = aggressor.phases[0].offered_load;
                 vec![
                     routing,
@@ -426,7 +426,7 @@ impl Row {
             }
             Churn => vec![
                 routing,
-                spec.traffic.churn().expect("churn traffic").name.clone(),
+                spec.traffic.jobs().expect("job traffic").name.clone(),
             ],
             _ => vec![routing],
         }
@@ -615,7 +615,7 @@ mod tests {
     fn workload_phase_csv_prefixes_rows() {
         let mut spec = ExperimentSpec::new(2);
         spec.routing = Olm;
-        spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.3, 0.1));
+        spec.traffic = TrafficKind::Jobs(Trace::interference(72, 1, 0.3, 0.1));
         spec.warmup = 300;
         spec.measure = 600;
         spec.drain = 600;

@@ -12,11 +12,10 @@
 //! --warmup <N>     warm-up cycles
 //! --measure <N>    measurement cycles
 //! --seed <N>       base random seed
-//! --jobs <N>       worker threads for the sweep (default: all cores; --threads is
-//!                  an alias)
+//! --jobs <N>       worker threads for the sweep (default: all cores; 1 runs the
+//!                  points one at a time, with the same results)
 //! --shards <N>     shard every simulation point across N threads (byte-identical
 //!                  reports; sweep workers are capped so workers × shards ≤ cores)
-//! --sequential     run the sweep points in order on one thread (same results)
 //! --out <DIR>      directory for CSV output (default: results/)
 //! --loads a,b,c    explicit offered-load points, each finite and ≥ 0 (every
 //!                  row that sweeps a load has its own default grid)
@@ -51,9 +50,8 @@
 //! Every sweep executes through [`HarnessArgs::run_points`]: the points run on
 //! a [`dragonfly_core::SweepRunner`] worker pool with deterministic result
 //! ordering and a progress/ETA line on stderr, under the engine options
-//! `--shards`/`--probe*` imply, and any probe file sets are written out;
-//! `--sequential` falls back to a plain in-order loop that produces
-//! byte-identical CSVs.
+//! `--shards`/`--probe*` imply, and any probe file sets are written out; every
+//! worker count writes byte-identical CSVs.
 
 use dragonfly_core::{
     DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, Protocol, RunManifest,
@@ -78,8 +76,6 @@ pub struct HarnessArgs {
     pub threads: Option<usize>,
     /// Shards per simulation point (1 = the sequential engine).
     pub shards: usize,
-    /// Run sweep points sequentially on the calling thread.
-    pub sequential: bool,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
     /// Offered-load points passed with `--loads`; `None` leaves each row its
@@ -101,7 +97,6 @@ impl Default for HarnessArgs {
             seed: 1,
             threads: None,
             shards: 1,
-            sequential: false,
             out_dir: PathBuf::from("results"),
             loads: None,
             quick: false,
@@ -168,7 +163,7 @@ impl HarnessArgs {
                 "--seed" => {
                     out.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?
                 }
-                "--jobs" | "--threads" => {
+                "--jobs" => {
                     out.threads = Some(value(&mut i)?.parse().map_err(|e| format!("--jobs: {e}"))?)
                 }
                 "--shards" => {
@@ -179,7 +174,6 @@ impl HarnessArgs {
                         return Err("--shards must be at least 1".to_string());
                     }
                 }
-                "--sequential" => out.sequential = true,
                 "--probe" => {
                     out.probe.get_or_insert_with(ProbeConfig::default);
                 }
@@ -346,8 +340,8 @@ impl HarnessArgs {
     }
 
     /// Run `specs` under `protocol` through a [`SweepRunner`] — `--jobs` workers
-    /// (all cores by default) or the `--sequential` in-order loop, progress/ETA
-    /// on stderr — with [`HarnessArgs::run_options`], and return the reports in
+    /// (all cores by default), progress/ETA on stderr — with
+    /// [`HarnessArgs::run_options`], and return the reports in
     /// spec order.  With `--probe*`, each point's probe file set is written into
     /// the output directory under the prefix `probe_prefix` gives its spec.
     pub fn run_points<P: Protocol>(
@@ -359,7 +353,6 @@ impl HarnessArgs {
     ) -> Vec<P::Report> {
         SweepRunner::new(label)
             .jobs(self.threads)
-            .sequential(self.sequential)
             .run_with(specs, protocol, &self.run_options())
             .into_iter()
             .zip(specs)
@@ -460,7 +453,7 @@ pub fn file_slug(s: &str) -> String {
 
 fn usage() -> String {
     "usage: <binary> [--h N] [--full] [--quick] [--warmup N] [--measure N] \
-     [--drain N] [--seed N] [--jobs N] [--shards N] [--sequential] [--out DIR] \
+     [--drain N] [--seed N] [--jobs N] [--shards N] [--out DIR] \
      [--loads a,b,c] \
      [--probe] [--probe-stride N] [--probe-flight N] [--probe-heatmap N] \
      [--probe-top N] [--probe-detect] [--probe-detect-window N] \
@@ -492,7 +485,7 @@ mod tests {
             "200",
             "--seed",
             "9",
-            "--threads",
+            "--jobs",
             "2",
             "--out",
             "/tmp/x",
@@ -614,13 +607,12 @@ mod tests {
 
     #[test]
     fn parse_jobs_and_sequential() {
-        let args = HarnessArgs::parse_from(["--jobs", "3", "--sequential"]).unwrap();
+        let args = HarnessArgs::parse_from(["--jobs", "3"]).unwrap();
         assert_eq!(args.threads, Some(3));
-        assert!(args.sequential);
-        // --threads stays as an alias for scripts written against the old flag.
-        let args = HarnessArgs::parse_from(["--threads", "5"]).unwrap();
-        assert_eq!(args.threads, Some(5));
-        assert!(!args.sequential);
+        // One worker is the sequential run.
+        let args = HarnessArgs::parse_from(["--jobs", "1"]).unwrap();
+        assert_eq!(args.threads, Some(1));
+        assert_eq!(HarnessArgs::default().threads, None);
     }
 
     #[test]
@@ -644,9 +636,9 @@ mod tests {
         let dir = std::env::temp_dir().join("dragonfly_bench_run_points_test");
         let _ = std::fs::remove_dir_all(&dir);
         let out = dir.to_str().unwrap();
-        let plain = HarnessArgs::parse_from(["--quick", "--sequential", "--out", out]).unwrap();
+        let plain = HarnessArgs::parse_from(["--quick", "--jobs", "1", "--out", out]).unwrap();
         let probed =
-            HarnessArgs::parse_from(["--quick", "--sequential", "--out", out, "--probe"]).unwrap();
+            HarnessArgs::parse_from(["--quick", "--jobs", "1", "--out", out, "--probe"]).unwrap();
         let specs: Vec<ExperimentSpec> = [RoutingKind::Minimal, RoutingKind::Olm]
             .into_iter()
             .map(|routing| {

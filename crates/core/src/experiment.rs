@@ -9,7 +9,7 @@ use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{
     AdversarialGlobal, AdversarialLocal, BurstSpec, MixedGlobalLocal, TrafficPattern, Uniform,
 };
-use dragonfly_workload::{JobList, Trace, WorkloadSpec};
+use dragonfly_workload::Trace;
 
 /// Which of the paper's two flow-control setups to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,17 +57,15 @@ pub enum TrafficKind {
         /// Router offset of the local component.
         local_offset: usize,
     },
-    /// A multi-job workload: per-job placements, patterns, offered loads and phase
-    /// schedules (see [`WorkloadSpec`]).  The jobs' phases carry their own loads, so
-    /// the spec's `offered_load` field is ignored; [`ExperimentSpec::run_workload`]
-    /// additionally returns the per-job/per-phase breakdown.
-    Workload(WorkloadSpec),
-    /// A churn trace: jobs arriving, waiting, departing and re-placed onto
-    /// freed nodes (see [`Trace`]).  Like workloads, the jobs carry their own
-    /// loads; the run protocol is `Simulation::run_trace` with the spec's
-    /// `measure` as the horizon and `drain` as the drain budget (`warmup` and
-    /// `offered_load` are ignored — churn runs measure from cycle 0).
-    Churn(Trace),
+    /// A job list (see [`Trace`]): a static workload — per-job placements,
+    /// patterns, offered loads and phase schedules, every job present from
+    /// cycle 0 — or a churn trace of jobs arriving, waiting, departing and
+    /// re-placed onto freed nodes.  The jobs carry their own loads, so the
+    /// spec's `offered_load` is ignored.  [`Jobs`] runs a static workload to
+    /// steady state and a churn trace with `Simulation::run_trace`, the
+    /// spec's `measure` as the horizon and `drain` as the drain budget
+    /// (`warmup` is ignored — churn runs measure from cycle 0).
+    Jobs(Trace),
 }
 
 impl TrafficKind {
@@ -81,10 +79,9 @@ impl TrafficKind {
     ///
     /// # Panics
     ///
-    /// Panics for [`TrafficKind::Workload`] and [`TrafficKind::Churn`]: their
-    /// jobs own their destinations, so there is no standalone pattern to
-    /// build — install them with `Simulation::install_jobs` (as
-    /// [`ExperimentSpec::run_workload`] does).
+    /// Panics for [`TrafficKind::Jobs`]: its jobs own their destinations, so
+    /// there is no standalone pattern to build — install them with
+    /// `Simulation::install_jobs` (as [`ExperimentSpec::run_workload`] does).
     pub fn build(&self, _params: &DragonflyParams) -> Box<dyn TrafficPattern> {
         match self {
             TrafficKind::Uniform => Box::new(Uniform::new()),
@@ -99,7 +96,7 @@ impl TrafficKind {
                 *global_offset,
                 *local_offset,
             )),
-            TrafficKind::Workload(_) | TrafficKind::Churn(_) => panic!(
+            TrafficKind::Jobs(_) => panic!(
                 "{} has no standalone traffic pattern; install its jobs with \
                  Simulation::install_jobs instead",
                 self.name()
@@ -121,33 +118,14 @@ impl TrafficKind {
                 "MIX{}%(ADVG+{global_offset}/ADVL+{local_offset})",
                 (global_fraction * 100.0).round() as u32
             ),
-            TrafficKind::Workload(spec) => spec.label(),
-            TrafficKind::Churn(trace) => trace.label(),
+            TrafficKind::Jobs(trace) => trace.label(),
         }
     }
 
-    /// The workload specification, when this is [`TrafficKind::Workload`].
-    pub fn workload(&self) -> Option<&WorkloadSpec> {
+    /// The job list, when this is [`TrafficKind::Jobs`].
+    pub fn jobs(&self) -> Option<&Trace> {
         match self {
-            TrafficKind::Workload(spec) => Some(spec),
-            _ => None,
-        }
-    }
-
-    /// The job-arrival trace, when this is [`TrafficKind::Churn`].
-    pub fn churn(&self) -> Option<&Trace> {
-        match self {
-            TrafficKind::Churn(trace) => Some(trace),
-            _ => None,
-        }
-    }
-
-    /// The jobs to install, when this is [`TrafficKind::Workload`] or
-    /// [`TrafficKind::Churn`].
-    pub fn jobs(&self) -> Option<&dyn JobList> {
-        match self {
-            TrafficKind::Workload(spec) => Some(spec),
-            TrafficKind::Churn(trace) => Some(trace),
+            TrafficKind::Jobs(trace) => Some(trace),
             _ => None,
         }
     }
@@ -221,8 +199,8 @@ impl ExperimentSpec {
     /// specification.  Kept for custom experiments that need to own a `Simulation`
     /// without naming the mechanism type (and for the static-vs-dyn equivalence
     /// tests, which drive its `run_*` protocols directly); the `run*` methods
-    /// below use the monomorphized engine instead.  A workload or churn traffic
-    /// kind is fully installed (patterns, injection rates and per-job statistics).
+    /// below use the monomorphized engine instead.  A job list is fully
+    /// installed (patterns, injection rates and per-job statistics).
     pub fn build_simulation(&self) -> Simulation {
         let routing = self
             .routing
@@ -234,8 +212,8 @@ impl ExperimentSpec {
         sim
     }
 
-    /// The pattern an engine is constructed with.  Workloads and churn traces
-    /// install jobs that own their destinations afterwards
+    /// The pattern an engine is constructed with.  A job list installs jobs
+    /// that own their destinations afterwards
     /// ([`ExperimentSpec::install_jobs`]), so theirs is a throwaway.
     fn construction_traffic(&self, params: &DragonflyParams) -> Box<dyn TrafficPattern> {
         if self.traffic.jobs().is_some() {
@@ -245,7 +223,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// Install the spec's workload or churn trace, if it has one.
+    /// Install the spec's job list, if it has one.
     fn install_jobs<H: EngineHost>(&self, sim: &mut H) {
         if let Some(jobs) = self.traffic.jobs() {
             sim.install_jobs(jobs);
@@ -254,21 +232,20 @@ impl ExperimentSpec {
 
     /// Run the steady-state protocol on the sequential engine and return the
     /// report: [`ExperimentSpec::run_with`] with [`Steady`] and the default
-    /// options.  For workload or churn traffic this is the aggregate half of
+    /// options.  For a job list this is the aggregate half of
     /// [`ExperimentSpec::run_workload`].
     pub fn run(&self) -> SimReport {
         self.run_with(Steady, &RunOptions::default()).0
     }
 
-    /// Run a workload or churn experiment on the sequential engine and return
-    /// the per-job (and, for static workloads, per-phase) breakdown alongside
-    /// the aggregate report: [`ExperimentSpec::run_with`] with [`Jobs`] and the
-    /// default options.
+    /// Run a job list on the sequential engine and return the per-job (and,
+    /// for static workloads, per-phase) breakdown alongside the aggregate
+    /// report: [`ExperimentSpec::run_with`] with [`Jobs`] and the default
+    /// options.
     ///
     /// # Panics
     ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
+    /// Panics when the traffic kind is not [`TrafficKind::Jobs`].
     pub fn run_workload(&self) -> WorkloadReport {
         self.run_with(Jobs, &RunOptions::default()).0
     }
@@ -287,7 +264,7 @@ impl ExperimentSpec {
     ///
     /// The engine is monomorphized over the concrete routing mechanism, built
     /// sequential or sharded ([`RunOptions::shards`]), given the spec's
-    /// workload or schedule and the requested probes
+    /// job list and the requested probes
     /// ([`RunOptions::probes`]), and handed to the protocol.  Returns the
     /// protocol's report and — when probes were requested — the run-wide
     /// recorder (merged across shards).
@@ -378,8 +355,8 @@ pub trait Protocol: Copy + Sync {
     fn aggregate(report: &Self::Report) -> Option<&SimReport>;
 }
 
-/// The steady-state protocol: warm-up, measurement window, drain.  For
-/// workload or churn traffic, the aggregate half of [`Jobs`].
+/// The steady-state protocol: warm-up, measurement window, drain.  For a job
+/// list, the aggregate half of [`Jobs`].
 #[derive(Debug, Clone, Copy)]
 pub struct Steady;
 
@@ -405,10 +382,10 @@ impl Protocol for Steady {
     }
 }
 
-/// The per-job protocol a spec's traffic implies: the trace protocol for
-/// [`TrafficKind::Churn`] (jobs arrive, wait, run and depart; reports carry
-/// lifecycle columns), the steady-state workload protocol for
-/// [`TrafficKind::Workload`].
+/// The per-job protocol a spec's job list implies: the steady-state workload
+/// protocol for a static list ([`Trace::is_static`]), the trace protocol
+/// otherwise (jobs arrive, wait, run and depart; reports carry lifecycle
+/// columns).
 #[derive(Debug, Clone, Copy)]
 pub struct Jobs;
 
@@ -418,12 +395,12 @@ impl Protocol for Jobs {
     fn check(self, spec: &ExperimentSpec) {
         assert!(
             spec.traffic.jobs().is_some(),
-            "a Jobs run requires TrafficKind::Workload or TrafficKind::Churn traffic"
+            "a Jobs run requires TrafficKind::Jobs traffic"
         );
     }
 
     fn run_on<H: EngineHost>(self, spec: &ExperimentSpec, sim: &mut H) -> WorkloadReport {
-        if spec.traffic.churn().is_some() {
+        if spec.traffic.jobs().is_some_and(|jobs| !jobs.is_static()) {
             protocol::run_trace(sim, spec.measure, spec.drain)
         } else {
             protocol::run_steady_state_workload(sim, spec.warmup, spec.measure, spec.drain)
@@ -550,12 +527,11 @@ mod tests {
 
     #[test]
     fn workload_traffic_kind_builds_and_runs() {
-        use dragonfly_workload::WorkloadSpec;
-        let workload = WorkloadSpec::interference(72, 1, 0.4, 0.1);
-        let kind = TrafficKind::Workload(workload.clone());
+        let workload = Trace::interference(72, 1, 0.4, 0.1);
+        let kind = TrafficKind::Jobs(workload.clone());
         assert!(kind.name().starts_with("WL[aggressor:ADVG+1@0.40"));
-        assert_eq!(kind.workload(), Some(&workload));
-        assert!(TrafficKind::Uniform.workload().is_none());
+        assert_eq!(kind.jobs(), Some(&workload));
+        assert!(TrafficKind::Uniform.jobs().is_none());
 
         let mut spec = ExperimentSpec::new(2);
         spec.routing = RoutingKind::Olm;
@@ -572,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires TrafficKind::Workload")]
+    #[should_panic(expected = "requires TrafficKind::Jobs")]
     fn run_workload_rejects_plain_traffic() {
         let spec = ExperimentSpec::new(2);
         let _ = spec.run_workload();
@@ -580,35 +556,31 @@ mod tests {
 
     #[test]
     fn churn_traffic_kind_builds_and_runs() {
-        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, TraceJob};
+        use dragonfly_workload::{Completion, JobPattern, JobSpec, PlacementPolicy};
+        let a = JobSpec::new(
+            "a",
+            24,
+            PlacementPolicy::Contiguous,
+            JobPattern::AllToAll,
+            0.15,
+        );
+        let b = JobSpec::new(
+            "b",
+            24,
+            PlacementPolicy::Random { seed: 5 },
+            JobPattern::Uniform,
+            0.1,
+        );
         let trace = Trace::new(
             "mini",
             vec![
-                TraceJob {
-                    name: "a".into(),
-                    arrival: 0,
-                    size: 24,
-                    placement: PlacementPolicy::Contiguous,
-                    pattern: JobPattern::AllToAll,
-                    offered_load: 0.15,
-                    completion: Completion::Duration(1_500),
-                },
-                TraceJob {
-                    name: "b".into(),
-                    arrival: 700,
-                    size: 24,
-                    placement: PlacementPolicy::Random { seed: 5 },
-                    pattern: JobPattern::Uniform,
-                    offered_load: 0.1,
-                    completion: Completion::Duration(1_000),
-                },
+                a.complete_on(Completion::Duration(1_500)),
+                b.arrive_at(700).complete_on(Completion::Duration(1_000)),
             ],
         );
-        let kind = TrafficKind::Churn(trace.clone());
+        let kind = TrafficKind::Jobs(trace.clone());
         assert_eq!(kind.name(), "CHURN[mini:2jobs]");
-        assert_eq!(kind.churn(), Some(&trace));
-        assert!(kind.jobs().is_some());
-        assert!(TrafficKind::Uniform.churn().is_none());
+        assert_eq!(kind.jobs(), Some(&trace));
 
         let mut spec = ExperimentSpec::new(2);
         spec.routing = RoutingKind::Olm;
@@ -638,8 +610,8 @@ mod tests {
         spec.measure = 400;
         spec.drain = 400;
         for traffic in [
-            TrafficKind::Churn(trace),
-            TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.2, 0.1)),
+            TrafficKind::Jobs(trace),
+            TrafficKind::Jobs(Trace::interference(72, 1, 0.2, 0.1)),
         ] {
             spec.traffic = traffic;
             let label = spec.traffic.name();
@@ -711,10 +683,9 @@ mod tests {
 
     #[test]
     fn workload_probed_run_matches_unprobed() {
-        use dragonfly_workload::WorkloadSpec;
         let mut spec = ExperimentSpec::new(2);
         spec.routing = RoutingKind::Olm;
-        spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.4, 0.1));
+        spec.traffic = TrafficKind::Jobs(Trace::interference(72, 1, 0.4, 0.1));
         spec.warmup = 300;
         spec.measure = 600;
         spec.drain = 900;

@@ -5,11 +5,11 @@
 //!
 //! * [`ExperimentSpec`] — one run: a [`Protocol`]
 //!   ([`Steady`], [`Jobs`], [`Batch`]) under [`RunOptions`] (shards, probes),
-//! * [`sweep`] — the load, threshold, traffic-mix, workload-interference and
-//!   churn sweeps behind each figure and study,
+//! * [`sweep`] — the load, threshold, traffic-mix and job-list sweeps behind
+//!   each figure and study,
 //! * [`runner`] — [`SweepRunner`], the orchestration layer every figure and
-//!   workload row routes its sweep through: worker pool, deterministic ordering,
-//!   progress/ETA reporting and a sequential escape hatch,
+//!   workload row routes its sweep through: worker pool, deterministic ordering
+//!   and progress/ETA reporting,
 //! * [`csv`] — small CSV emission helpers used by the harness binaries.
 //!
 //! ```
@@ -40,8 +40,8 @@ pub use experiment::{
 };
 pub use runner::{effective_jobs, SweepRunner};
 pub use sweep::{
-    churn_sweep, interference_sweep, load_sweep, mix_sweep, threshold_sweep, ChurnSweep,
-    InterferenceSweep, LoadSweep, MixSweep, ThresholdSweep,
+    job_sweep, load_sweep, mix_sweep, threshold_sweep, JobSweep, LoadSweep, MixSweep,
+    ThresholdSweep,
 };
 
 pub use dragonfly_probe::{
@@ -54,6 +54,5 @@ pub use dragonfly_stats::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport, WorkloadReport,
 };
 pub use dragonfly_workload::{
-    Completion, JobPattern, JobSpec, PhaseSpec, PlacementPolicy, SyntheticTrace, Trace, TraceJob,
-    WorkloadSpec,
+    Completion, JobPattern, JobSpec, PhaseSpec, PlacementPolicy, SyntheticTrace, Trace,
 };

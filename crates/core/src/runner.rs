@@ -5,9 +5,8 @@
 //! executes them on scoped worker threads pulling point indices from a shared
 //! counter, with
 //!
-//! * a configurable worker count ([`SweepRunner::jobs`], `None` = all cores),
-//! * a `--sequential` escape hatch that runs the same points in a plain in-order
-//!   loop on the calling thread ([`SweepRunner::sequential`]),
+//! * a configurable worker count ([`SweepRunner::jobs`], `None` = all cores;
+//!   `Some(1)` is the one-thread run),
 //! * deterministic result ordering (results always come back in spec order,
 //!   regardless of which worker finished first), and
 //! * a progress/ETA line (points done, points/sec, estimated time remaining and
@@ -15,8 +14,8 @@
 //!   dedicated collector thread fed by a channel, so reporting never contends
 //!   with the workers beyond two `send`s per point.
 //!
-//! Every simulation point is deterministic, so the parallel and sequential paths
-//! produce byte-identical reports for the same specs (pinned by
+//! Every simulation point is deterministic, so any worker count produces the
+//! reports a plain in-order loop over the specs does, byte for byte (pinned by
 //! `tests/sweep_equivalence.rs`).
 //!
 //! [`SweepRunner::run_steady`], [`SweepRunner::run_workloads`] and
@@ -51,8 +50,6 @@ pub struct SweepRunner {
     label: String,
     /// Worker-thread count; `None` uses every hardware thread.
     jobs: Option<usize>,
-    /// Run the points in a plain in-order loop on the calling thread.
-    sequential: bool,
     /// Emit the progress/ETA line on stderr.
     progress: bool,
 }
@@ -77,7 +74,6 @@ impl SweepRunner {
         Self {
             label: label.into(),
             jobs: None,
-            sequential: false,
             progress: true,
         }
     }
@@ -85,13 +81,6 @@ impl SweepRunner {
     /// Set the worker-thread count (`None` = all hardware threads).
     pub fn jobs(mut self, jobs: Option<usize>) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Run sequentially on the calling thread (the `--sequential` escape hatch).
-    /// Results are identical to the parallel path, just slower.
-    pub fn sequential(mut self, sequential: bool) -> Self {
-        self.sequential = sequential;
         self
     }
 
@@ -106,13 +95,12 @@ impl SweepRunner {
         self.reports(specs, Steady)
     }
 
-    /// Run every workload or churn point (see [`ExperimentSpec::run_workload`]),
-    /// in spec order, returning the per-job breakdowns.
+    /// Run every job-list point (see [`ExperimentSpec::run_workload`]), in
+    /// spec order, returning the per-job breakdowns.
     ///
     /// # Panics
     ///
-    /// Panics when any spec's traffic is neither [`crate::TrafficKind::Workload`]
-    /// nor [`crate::TrafficKind::Churn`].
+    /// Panics when any spec's traffic is not [`crate::TrafficKind::Jobs`].
     pub fn run_workloads(&self, specs: &[ExperimentSpec]) -> Vec<WorkloadReport> {
         self.reports(specs, Jobs)
     }
@@ -141,9 +129,8 @@ impl SweepRunner {
     ///
     /// # Panics
     ///
-    /// Panics when `protocol` is [`Jobs`] and any spec's traffic is neither
-    /// [`crate::TrafficKind::Workload`] nor [`crate::TrafficKind::Churn`]
-    /// (checked up front, before any point runs).
+    /// Panics when `protocol` is [`Jobs`] and any spec's traffic is not
+    /// [`crate::TrafficKind::Jobs`] (checked up front, before any point runs).
     pub fn run_with<P: Protocol>(
         &self,
         specs: &[ExperimentSpec],
@@ -172,9 +159,9 @@ impl SweepRunner {
     /// Execute `total` independent points of `shards` threads each, preserving
     /// index order.
     ///
-    /// The collector thread owns the progress state; workers (or the sequential
-    /// loop) send one message when a point starts (carrying its label, so the
-    /// line can show what is currently running) and one when it finishes.
+    /// The collector thread owns the progress state; workers send one message
+    /// when a point starts (carrying its label, so the line can show what is
+    /// currently running) and one when it finishes.
     fn execute<T, L, F>(&self, total: usize, shards: usize, point_label: L, work: F) -> Vec<T>
     where
         T: Send,
@@ -202,36 +189,25 @@ impl SweepRunner {
             }
         };
 
-        let results: Vec<T> = if self.sequential {
-            (0..total)
-                .map(|i| {
-                    notify_start(i);
-                    let value = work(i);
-                    notify();
-                    value
-                })
-                .collect()
-        } else {
-            // Nested-parallelism budget: with sharded points, cap the worker
-            // count so workers × shards never exceeds the available cores.
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            let workers = effective_jobs(self.jobs, shards, cores);
-            if self.progress && shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
-                eprintln!(
-                    "  {}: capping sweep workers to {workers} ({shards} shards/point on \
-                     {cores} cores)",
-                    self.label
-                );
-            }
-            parallel::run_indexed(total, workers, |i| {
-                notify_start(i);
-                let value = work(i);
-                notify();
-                value
-            })
-        };
+        // Nested-parallelism budget: with sharded points, cap the worker
+        // count so workers × shards never exceeds the available cores.
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4);
+        let workers = effective_jobs(self.jobs, shards, cores);
+        if self.progress && shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
+            eprintln!(
+                "  {}: capping sweep workers to {workers} ({shards} shards/point on \
+                 {cores} cores)",
+                self.label
+            );
+        }
+        let results = parallel::run_indexed(total, workers, |i| {
+            notify_start(i);
+            let value = work(i);
+            notify();
+            value
+        });
 
         drop(sender);
         if let Some(handle) = collector {
@@ -308,7 +284,7 @@ mod tests {
     use super::*;
     use crate::experiment::TrafficKind;
     use dragonfly_routing::RoutingKind;
-    use dragonfly_workload::WorkloadSpec;
+    use dragonfly_workload::Trace;
 
     fn quick_spec(routing: RoutingKind, load: f64, seed: u64) -> ExperimentSpec {
         let mut spec = ExperimentSpec::new(2);
@@ -332,22 +308,19 @@ mod tests {
             .quiet()
             .jobs(Some(3))
             .run_steady(&specs);
-        let seq = SweepRunner::new("t")
-            .quiet()
-            .sequential(true)
-            .run_steady(&specs);
+        let seq: Vec<SimReport> = specs.iter().map(ExperimentSpec::run).collect();
         assert_eq!(par, seq);
         assert_eq!(par[1].routing, "OLM");
     }
 
     #[test]
     fn workload_points_return_breakdowns_in_order() {
-        let workload = WorkloadSpec::interference(72, 1, 0.3, 0.1);
+        let workload = Trace::interference(72, 1, 0.3, 0.1);
         let specs: Vec<ExperimentSpec> = [RoutingKind::Minimal, RoutingKind::Olm]
             .into_iter()
             .map(|routing| {
                 let mut spec = quick_spec(routing, 0.0, 5);
-                spec.traffic = TrafficKind::Workload(workload.clone());
+                spec.traffic = TrafficKind::Jobs(workload.clone());
                 spec
             })
             .collect();
@@ -359,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires TrafficKind::Workload")]
+    #[should_panic(expected = "requires TrafficKind::Jobs")]
     fn run_workloads_rejects_plain_traffic() {
         let specs = vec![quick_spec(RoutingKind::Minimal, 0.1, 1)];
         let _ = SweepRunner::new("t").quiet().run_workloads(&specs);
@@ -374,10 +347,7 @@ mod tests {
         let par = SweepRunner::new("t")
             .quiet()
             .run_batches(&specs, 2, 100_000);
-        let seq = SweepRunner::new("t")
-            .quiet()
-            .sequential(true)
-            .run_batches(&specs, 2, 100_000);
+        let seq: Vec<BatchReport> = specs.iter().map(|s| s.run_batch(2, 100_000)).collect();
         assert_eq!(par, seq);
         assert!(par.iter().all(|r| !r.timed_out));
     }

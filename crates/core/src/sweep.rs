@@ -2,8 +2,7 @@
 
 use crate::experiment::{ExperimentSpec, FlowControlKind, TrafficKind};
 use dragonfly_routing::RoutingKind;
-use dragonfly_topology::DragonflyParams;
-use dragonfly_workload::{PlacementPolicy, Trace, WorkloadSpec};
+use dragonfly_workload::Trace;
 
 /// A sweep over offered load for a fixed set of mechanisms (Figures 4, 5, 7, 8).
 #[derive(Debug, Clone)]
@@ -96,79 +95,33 @@ pub fn mix_sweep(sweep: &MixSweep) -> Vec<ExperimentSpec> {
     specs
 }
 
-/// A caminos-style workload-interference grid: mechanism × placement policy ×
-/// aggressor load, each point an aggressor/victim workload (see
-/// [`WorkloadSpec::interference_placed`]).
+/// A job grid: mechanism × job list, each point one [`TrafficKind::Jobs`]
+/// run.  The lists are typically scenario variants — interference workloads
+/// at several placements and aggressor loads ([`Trace::interference_placed`]),
+/// or [`dragonfly_workload::scenarios::fragmentation_trace`] fragmented and
+/// fresh — so a row compares how each routing mechanism copes with the same
+/// jobs.
 #[derive(Debug, Clone)]
-pub struct InterferenceSweep {
-    /// Base specification (h, flow control, cycles, seed).
+pub struct JobSweep {
+    /// Base specification (h, flow control, cycles, seed; a churn trace's
+    /// horizon is `measure` and its post-horizon drain budget `drain`).
     pub base: ExperimentSpec,
     /// Mechanisms to compare.
     pub mechanisms: Vec<RoutingKind>,
-    /// Placement policies applied to both jobs.
-    pub placements: Vec<PlacementPolicy>,
-    /// Aggressor offered loads in phits/(node·cycle).
-    pub aggressor_loads: Vec<f64>,
-    /// Group offset of the aggressor's ADVG pattern.
-    pub aggressor_offset: usize,
-    /// Victim offered load in phits/(node·cycle).
-    pub victim_load: f64,
-}
-
-/// Build the interference-grid specification list, row-major (mechanism outer,
-/// placement middle, aggressor load inner).  Every spec carries
-/// [`TrafficKind::Workload`] traffic, so the points run through
-/// [`crate::SweepRunner::run_workloads`].
-pub fn interference_sweep(sweep: &InterferenceSweep) -> Vec<ExperimentSpec> {
-    let num_nodes = DragonflyParams::new(sweep.base.h).num_nodes();
-    let mut specs = Vec::with_capacity(
-        sweep.mechanisms.len() * sweep.placements.len() * sweep.aggressor_loads.len(),
-    );
-    for &mechanism in &sweep.mechanisms {
-        for &placement in &sweep.placements {
-            for &load in &sweep.aggressor_loads {
-                let mut spec = sweep.base.clone();
-                spec.routing = mechanism;
-                spec.traffic = TrafficKind::Workload(WorkloadSpec::interference_placed(
-                    num_nodes,
-                    sweep.aggressor_offset,
-                    load,
-                    sweep.victim_load,
-                    placement,
-                ));
-                specs.push(spec);
-            }
-        }
-    }
-    specs
-}
-
-/// A churn grid: mechanism × job-arrival trace, each point a full churn
-/// run through `Simulation::run_trace`.  The traces are typically scenario
-/// variants (e.g. [`dragonfly_workload::scenarios::fragmentation_trace`] at several
-/// aggressor loads, fragmented and fresh), so a row compares how each routing
-/// mechanism copes with the same churn history.
-#[derive(Debug, Clone)]
-pub struct ChurnSweep {
-    /// Base specification (h, flow control, seed; `measure` is the run horizon and
-    /// `drain` the post-horizon drain budget).
-    pub base: ExperimentSpec,
-    /// Mechanisms to compare.
-    pub mechanisms: Vec<RoutingKind>,
-    /// Job-arrival traces (scenario variants), labelled by [`Trace::name`].
+    /// The job lists (scenario variants).
     pub traces: Vec<Trace>,
 }
 
-/// Build the churn-grid specification list, row-major (mechanism outer, trace
-/// inner).  Every spec carries [`TrafficKind::Churn`] traffic, so the points run
-/// through [`crate::SweepRunner::run_workloads`].
-pub fn churn_sweep(sweep: &ChurnSweep) -> Vec<ExperimentSpec> {
+/// Build the job-grid specification list, row-major (mechanism outer, job
+/// list inner).  Every spec carries [`TrafficKind::Jobs`] traffic, so the
+/// points run through [`crate::SweepRunner::run_workloads`].
+pub fn job_sweep(sweep: &JobSweep) -> Vec<ExperimentSpec> {
     let mut specs = Vec::with_capacity(sweep.mechanisms.len() * sweep.traces.len());
     for &mechanism in &sweep.mechanisms {
         for trace in &sweep.traces {
             let mut spec = sweep.base.clone();
             spec.routing = mechanism;
-            spec.traffic = TrafficKind::Churn(trace.clone());
+            spec.traffic = TrafficKind::Jobs(trace.clone());
             specs.push(spec);
         }
     }
@@ -268,51 +221,53 @@ mod tests {
 
     #[test]
     fn interference_sweep_builds_workload_grid() {
-        let sweep = InterferenceSweep {
+        use dragonfly_workload::PlacementPolicy;
+        let placements = [
+            PlacementPolicy::Contiguous,
+            PlacementPolicy::RoundRobinRouters,
+        ];
+        let traces = placements.iter().flat_map(|&placement| {
+            [0.1, 0.3, 0.5].map(|load| Trace::interference_placed(72, 1, load, 0.1, placement))
+        });
+        let sweep = JobSweep {
             base: base(),
             mechanisms: vec![RoutingKind::Minimal, RoutingKind::Olm],
-            placements: vec![
-                PlacementPolicy::Contiguous,
-                PlacementPolicy::RoundRobinRouters,
-            ],
-            aggressor_loads: vec![0.1, 0.3, 0.5],
-            aggressor_offset: 1,
-            victim_load: 0.1,
+            traces: traces.collect(),
         };
-        let specs = interference_sweep(&sweep);
+        let specs = job_sweep(&sweep);
         assert_eq!(specs.len(), 12);
         assert_eq!(specs[0].routing, RoutingKind::Minimal);
         assert_eq!(specs[11].routing, RoutingKind::Olm);
-        let workload = specs[3].traffic.workload().expect("workload traffic");
+        let workload = specs[3].traffic.jobs().expect("job traffic");
         assert_eq!(
             workload.jobs[0].placement,
             PlacementPolicy::RoundRobinRouters
         );
         assert!((workload.jobs[0].phases[0].offered_load - 0.1).abs() < 1e-12);
-        let last = specs[11].traffic.workload().expect("workload traffic");
+        let last = specs[11].traffic.jobs().expect("job traffic");
         assert!((last.jobs[0].phases[0].offered_load - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn churn_sweep_builds_trace_grid() {
+        use dragonfly_topology::DragonflyParams;
         use dragonfly_workload::scenarios::fragmentation_trace;
         let p = DragonflyParams::new(2);
         let traces = vec![
             fragmentation_trace(&p, false, 0.5, 0.1, 1_000, 4_000, 1),
             fragmentation_trace(&p, true, 0.5, 0.1, 1_000, 4_000, 1),
         ];
-        let sweep = ChurnSweep {
+        let sweep = JobSweep {
             base: base(),
             mechanisms: vec![RoutingKind::Minimal, RoutingKind::Olm],
             traces,
         };
-        let specs = churn_sweep(&sweep);
+        let specs = job_sweep(&sweep);
         assert_eq!(specs.len(), 4);
         assert_eq!(specs[0].routing, RoutingKind::Minimal);
-        assert_eq!(specs[0].traffic.churn().unwrap().name, "fresh");
-        assert_eq!(specs[1].traffic.churn().unwrap().name, "frag");
+        assert_eq!(specs[0].traffic.jobs().unwrap().name, "fresh");
+        assert_eq!(specs[1].traffic.jobs().unwrap().name, "frag");
         assert_eq!(specs[3].routing, RoutingKind::Olm);
-        assert!(specs.iter().all(|s| s.traffic.jobs().is_some()));
     }
 
     #[test]

@@ -89,7 +89,7 @@ use dragonfly_sim::{
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
 use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
-use dragonfly_workload::JobList;
+use dragonfly_workload::Trace;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -644,11 +644,11 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         &mut self.shards[shard].net
     }
 
-    /// Install `jobs` — a static workload or a trace — into every shard
+    /// Install `jobs` — a static workload or an arrival trace — into every shard
     /// replica (each compiles the same placement and patterns
     /// deterministically) and enable the delivery-feedback broadcast that
     /// keeps the replicas' volume counters in lockstep.
-    pub fn install_jobs(&mut self, jobs: &dyn JobList) {
+    pub fn install_jobs(&mut self, jobs: &Trace) {
         for shard in &mut self.shards {
             let schedule = jobs.schedule(shard.net.params(), self.packet_size);
             shard.net.install_jobs(schedule);
@@ -778,7 +778,7 @@ impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
         Cow::Owned(self.merged_stats())
     }
 
-    fn install_jobs(&mut self, jobs: &dyn JobList) {
+    fn install_jobs(&mut self, jobs: &Trace) {
         ShardedSimulation::install_jobs(self, jobs);
     }
 

@@ -9,7 +9,7 @@ use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_traffic::{BurstSpec, TrafficPattern};
-use dragonfly_workload::JobList;
+use dragonfly_workload::Trace;
 use std::borrow::Cow;
 
 /// A complete simulation: a [`Network`] plus the measurement protocol of the paper.
@@ -98,10 +98,10 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         protocol::run_steady_state(self, offered_load, warmup, measure, drain)
     }
 
-    /// Install `jobs` — a static workload or a trace — into the network:
-    /// compiles them against this simulation's topology and packet size and
-    /// installs the runtime ([`Network::install_jobs`]).
-    pub fn install_jobs(&mut self, jobs: &dyn JobList) {
+    /// Install `jobs` — a static workload or an arrival trace — into the
+    /// network: compiles them against this simulation's topology and packet
+    /// size and installs the runtime ([`Network::install_jobs`]).
+    pub fn install_jobs(&mut self, jobs: &Trace) {
         let schedule = jobs.schedule(self.net.params(), self.net.config.packet_size);
         self.net.install_jobs(schedule);
     }
@@ -146,7 +146,7 @@ impl<R: RoutingAlgorithm> EngineHost for Simulation<R> {
         Cow::Borrowed(&self.net.stats)
     }
 
-    fn install_jobs(&mut self, jobs: &dyn JobList) {
+    fn install_jobs(&mut self, jobs: &Trace) {
         Simulation::install_jobs(self, jobs);
     }
 
@@ -256,24 +256,27 @@ mod tests {
 
     #[test]
     fn workload_run_breaks_stats_down_per_job_and_phase() {
-        use dragonfly_workload::{JobPattern, JobSpec, PlacementPolicy, WorkloadSpec};
-        let spec = WorkloadSpec::new(vec![
-            JobSpec::new(
-                "left",
-                36,
-                PlacementPolicy::Contiguous,
-                JobPattern::Uniform,
-                0.2,
-            )
-            .then_at(2_500, JobPattern::Uniform, 0.05),
-            JobSpec::new(
-                "right",
-                36,
-                PlacementPolicy::Contiguous,
-                JobPattern::Uniform,
-                0.1,
-            ),
-        ]);
+        use dragonfly_workload::{JobPattern, JobSpec, PlacementPolicy};
+        let spec = Trace::new(
+            "wl",
+            vec![
+                JobSpec::new(
+                    "left",
+                    36,
+                    PlacementPolicy::Contiguous,
+                    JobPattern::Uniform,
+                    0.2,
+                )
+                .then_at(2_500, JobPattern::Uniform, 0.05),
+                JobSpec::new(
+                    "right",
+                    36,
+                    PlacementPolicy::Contiguous,
+                    JobPattern::Uniform,
+                    0.1,
+                ),
+            ],
+        );
         let mut sim = vct_sim(2, 33);
         sim.install_jobs(&spec);
         let report = sim.run_steady_state_workload(1_000, 3_000, 4_000);
@@ -323,15 +326,11 @@ mod tests {
 
     #[test]
     fn trace_run_reports_lifecycles_and_per_job_loads() {
-        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
-        let job = |name: &str, arrival, size, pattern, completion| TraceJob {
-            name: name.into(),
-            arrival,
-            size,
-            placement: PlacementPolicy::Contiguous,
-            pattern,
-            offered_load: 0.2,
-            completion,
+        use dragonfly_workload::{Completion, JobPattern, JobSpec, PlacementPolicy};
+        let job = |name: &str, arrival, size, pattern, completion| {
+            JobSpec::new(name, size, PlacementPolicy::Contiguous, pattern, 0.2)
+                .arrive_at(arrival)
+                .complete_on(completion)
         };
         let trace = Trace::new(
             "t",
@@ -409,20 +408,16 @@ mod tests {
         let _ = sim.run_trace(1_000, 100);
     }
 
-    fn one_job_trace() -> dragonfly_workload::Trace {
-        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
-        Trace::new(
-            "t",
-            vec![TraceJob {
-                name: "a".into(),
-                arrival: 0,
-                size: 4,
-                placement: PlacementPolicy::Contiguous,
-                pattern: JobPattern::Uniform,
-                offered_load: 0.1,
-                completion: Completion::Duration(100),
-            }],
-        )
+    fn one_job_trace() -> Trace {
+        use dragonfly_workload::{Completion, JobPattern, JobSpec, PlacementPolicy};
+        let job = JobSpec::new(
+            "a",
+            4,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            0.1,
+        );
+        Trace::new("t", vec![job.complete_on(Completion::Duration(100))])
     }
 
     #[test]
@@ -451,11 +446,10 @@ mod tests {
 
     #[test]
     fn install_workload_clears_a_previous_schedule() {
-        use dragonfly_workload::WorkloadSpec;
         let mut sim = vct_sim(2, 1);
         sim.install_jobs(&one_job_trace());
         assert_eq!(sim.network().traffic_name(), "CHURN[t:1jobs]");
-        let workload = WorkloadSpec::transient(72, 0.1, 1_000, 2);
+        let workload = Trace::transient(72, 0.1, 1_000, 2);
         sim.install_jobs(&workload);
         let jobs = sim.network().jobs().unwrap();
         assert_eq!(jobs.label(), workload.label());
@@ -465,21 +459,17 @@ mod tests {
 
     #[test]
     fn horizon_truncated_jobs_stay_incomplete_regardless_of_drain() {
-        use dragonfly_workload::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
+        use dragonfly_workload::{Completion, JobPattern, JobSpec, PlacementPolicy};
         // The job's duration extends past the horizon: the lifecycle freezes at
         // halt(), so no drain budget can make it report a completion.
-        let trace = Trace::new(
-            "long",
-            vec![TraceJob {
-                name: "spans".into(),
-                arrival: 0,
-                size: 8,
-                placement: PlacementPolicy::Contiguous,
-                pattern: JobPattern::Uniform,
-                offered_load: 0.1,
-                completion: Completion::Duration(5_000),
-            }],
+        let job = JobSpec::new(
+            "spans",
+            8,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            0.1,
         );
+        let trace = Trace::new("long", vec![job.complete_on(Completion::Duration(5_000))]);
         for drain in [100, 20_000] {
             let mut sim = vct_sim(2, 7);
             sim.install_jobs(&trace);

@@ -25,7 +25,7 @@ use dragonfly_stats::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, ScopedStats, SimReport, WorkloadReport,
 };
 use dragonfly_traffic::{BernoulliInjection, BurstSpec};
-use dragonfly_workload::{JobList, Schedule};
+use dragonfly_workload::{Schedule, Trace};
 use std::borrow::Cow;
 
 /// What a protocol's cycle loop needs from whatever executes the cycles.
@@ -139,9 +139,10 @@ pub trait EngineHost {
     /// The run-wide statistics collector (merged across shards).
     fn stats(&self) -> Cow<'_, StatsCollector>;
 
-    /// Compile `jobs` — a static workload or a trace — against the topology
-    /// and packet size and install the runtime ([`Network::install_jobs`]).
-    fn install_jobs(&mut self, jobs: &dyn JobList);
+    /// Compile `jobs` — a static workload or an arrival trace — against the
+    /// topology and packet size and install the runtime
+    /// ([`Network::install_jobs`]).
+    fn install_jobs(&mut self, jobs: &Trace);
     /// Install the observability probes.
     fn install_probes(&mut self, cfg: ProbeConfig);
     /// Remove the run-wide probe recorder (merged across shards), if probes

@@ -1,6 +1,6 @@
 //! The workspace's one JSON codec: the [`Value`] document tree, its compact and
 //! pretty writers, the [`Value::parse`] reader, and the structural [`ToJson`]
-//! trait with its impls for the report types.
+//! trait with its impls for the scalars and slices a manifest is made of.
 //!
 //! The reader accepts exactly the RFC 8259 grammar and reads everything the
 //! writers emit back to an equal tree.  Integers parse exactly (`u64`, then
@@ -8,10 +8,6 @@
 //! full `u64` range.
 
 use std::fmt::Write;
-
-use crate::{
-    BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport, TimeSeries, WorkloadReport,
-};
 
 /// A JSON document tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -467,142 +463,11 @@ impl ToJson for String {
     }
 }
 
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        match self {
-            Some(v) => v.to_json(),
-            None => Value::Null,
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
     }
 }
-
-impl ToJson for TimeSeries {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("period", self.period().to_json()),
-            ("samples", self.samples().to_json()),
-        ])
-    }
-}
-
-/// `ToJson` for a struct whose JSON keys are its field names, emitted in the
-/// order listed here.
-macro_rules! to_json_by_field {
-    ($type:ty { $($field:ident),+ $(,)? }) => {
-        impl ToJson for $type {
-            fn to_json(&self) -> Value {
-                Value::object([$((stringify!($field), self.$field.to_json())),+])
-            }
-        }
-    };
-}
-
-to_json_by_field!(SimReport {
-    routing,
-    traffic,
-    offered_load,
-    injected_load,
-    accepted_load,
-    avg_latency_cycles,
-    p99_latency_cycles,
-    max_latency_cycles,
-    avg_hops,
-    global_misroute_fraction,
-    local_misroute_fraction,
-    packets_delivered,
-    packets_measured,
-    warmup_cycles,
-    measure_cycles,
-    deadlock_detected,
-    peak_in_flight_packets,
-    peak_buffered_phits,
-    peak_vc_occupancy,
-});
-
-to_json_by_field!(BatchReport {
-    routing,
-    traffic,
-    packets_per_node,
-    packets_total,
-    packets_delivered,
-    consumption_cycles,
-    avg_latency_cycles,
-    timed_out,
-    deadlock_detected,
-});
-
-impl ToJson for PhaseReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("job", self.job.to_json()),
-            ("phase", self.phase.to_json()),
-            ("pattern", self.pattern.to_json()),
-            ("offered_load", self.offered_load.to_json()),
-            ("start_cycle", self.start_cycle.to_json()),
-            // u64::MAX means "runs to the end of the simulation".
-            (
-                "end_cycle",
-                if self.end_cycle == u64::MAX {
-                    Value::Null
-                } else {
-                    self.end_cycle.to_json()
-                },
-            ),
-            ("measured_cycles", self.measured_cycles.to_json()),
-            ("injected_load", self.injected_load.to_json()),
-            ("accepted_load", self.accepted_load.to_json()),
-            ("avg_latency_cycles", self.avg_latency_cycles.to_json()),
-            ("p99_latency_cycles", self.p99_latency_cycles.to_json()),
-            ("max_latency_cycles", self.max_latency_cycles.to_json()),
-            ("avg_hops", self.avg_hops.to_json()),
-            (
-                "global_misroute_fraction",
-                self.global_misroute_fraction.to_json(),
-            ),
-            (
-                "local_misroute_fraction",
-                self.local_misroute_fraction.to_json(),
-            ),
-            ("packets_generated", self.packets_generated.to_json()),
-            ("packets_delivered", self.packets_delivered.to_json()),
-            ("packets_measured", self.packets_measured.to_json()),
-        ])
-    }
-}
-
-to_json_by_field!(JobLifecycleReport {
-    arrival_cycle,
-    placed_cycle,
-    completion_cycle,
-    wait_cycles,
-    slowdown,
-});
-
-to_json_by_field!(JobReport {
-    name,
-    nodes,
-    injected_load,
-    accepted_load,
-    avg_latency_cycles,
-    p99_latency_cycles,
-    max_latency_cycles,
-    avg_hops,
-    global_misroute_fraction,
-    local_misroute_fraction,
-    packets_generated,
-    packets_delivered,
-    packets_measured,
-    lifecycle,
-    phases,
-});
-
-to_json_by_field!(WorkloadReport { aggregate, jobs });
 
 #[cfg(test)]
 mod tests {
@@ -653,8 +518,6 @@ mod tests {
         assert_eq!(7usize.to_json().dump(), "7");
         assert_eq!(3u32.to_json().dump(), "3");
         assert_eq!("hi".to_json().dump(), "\"hi\"");
-        assert_eq!(Some(1u64).to_json().dump(), "1");
-        assert_eq!(None::<u64>.to_json().dump(), "null");
         assert_eq!([1u64, 2].to_json().dump(), "[1,2]");
     }
 
@@ -751,150 +614,5 @@ mod tests {
         assert_eq!(get("xs").as_array(), Some(&[Value::UInt(1)][..]));
         assert_eq!(get("s").as_bool(), None);
         assert!(v.get("missing").is_none() && get("xs").get("n").is_none());
-    }
-
-    #[test]
-    fn time_series_round_trips_through_json() {
-        let mut ts = TimeSeries::new(64);
-        for v in [0.0, 1.5, 123456789.0, 0.1 + 0.2] {
-            ts.push(v);
-        }
-        let text = ts.to_json().dump();
-        assert!(
-            text.starts_with("{\"period\":64,\"samples\":[0.0,1.5,"),
-            "{text}"
-        );
-        // Bit-exact: the emitter prints shortest-round-trip floats.
-        assert_eq!(Value::parse(&text), Ok(ts.to_json()));
-        assert_eq!(
-            TimeSeries::new(8).to_json().dump(),
-            "{\"period\":8,\"samples\":[]}"
-        );
-    }
-
-    fn sim_report() -> SimReport {
-        SimReport {
-            routing: "OLM".into(),
-            traffic: "WL[\"x\"]".into(),
-            offered_load: 0.3,
-            injected_load: 0.29,
-            accepted_load: 0.28,
-            avg_latency_cycles: 200.0,
-            p99_latency_cycles: 400.0,
-            max_latency_cycles: 500.0,
-            avg_hops: 2.0,
-            global_misroute_fraction: 0.2,
-            local_misroute_fraction: 0.1,
-            packets_delivered: 1000,
-            packets_measured: 900,
-            warmup_cycles: 1000,
-            measure_cycles: 2000,
-            deadlock_detected: false,
-            peak_in_flight_packets: 64,
-            peak_buffered_phits: 512,
-            peak_vc_occupancy: 8,
-        }
-    }
-
-    #[test]
-    fn sim_report_round_trips_field_by_field() {
-        let report = sim_report();
-        let text = report.to_json().dump();
-        // Keys go out in declaration order; the quote in the label is escaped.
-        assert!(
-            text.starts_with(r#"{"routing":"OLM","traffic":"WL[\"x\"]","offered_load":0.3,"#),
-            "{text}"
-        );
-        let doc = Value::parse(&text).expect("own emission parses");
-        let text = |key: &str| doc.get(key).and_then(Value::as_str).expect(key).to_string();
-        let float = |key: &str| doc.get(key).and_then(Value::as_f64).expect(key);
-        let count = |key: &str| doc.get(key).and_then(Value::as_u64).expect(key);
-        let back = SimReport {
-            routing: text("routing"),
-            traffic: text("traffic"),
-            offered_load: float("offered_load"),
-            injected_load: float("injected_load"),
-            accepted_load: float("accepted_load"),
-            avg_latency_cycles: float("avg_latency_cycles"),
-            p99_latency_cycles: float("p99_latency_cycles"),
-            max_latency_cycles: float("max_latency_cycles"),
-            avg_hops: float("avg_hops"),
-            global_misroute_fraction: float("global_misroute_fraction"),
-            local_misroute_fraction: float("local_misroute_fraction"),
-            packets_delivered: count("packets_delivered"),
-            packets_measured: count("packets_measured"),
-            warmup_cycles: count("warmup_cycles"),
-            measure_cycles: count("measure_cycles"),
-            deadlock_detected: doc
-                .get("deadlock_detected")
-                .and_then(Value::as_bool)
-                .expect("deadlock_detected"),
-            peak_in_flight_packets: count("peak_in_flight_packets"),
-            peak_buffered_phits: count("peak_buffered_phits"),
-            peak_vc_occupancy: count("peak_vc_occupancy"),
-        };
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn workload_report_nests_jobs_phases_and_lifecycle() {
-        let report = WorkloadReport {
-            aggregate: sim_report(),
-            jobs: vec![JobReport {
-                name: "victim".into(),
-                nodes: 16,
-                injected_load: 0.1,
-                accepted_load: 0.1,
-                avg_latency_cycles: 150.0,
-                p99_latency_cycles: 300.0,
-                max_latency_cycles: 350.0,
-                avg_hops: 2.0,
-                global_misroute_fraction: 0.0,
-                local_misroute_fraction: 0.0,
-                packets_generated: 100,
-                packets_delivered: 100,
-                packets_measured: 90,
-                lifecycle: Some(JobLifecycleReport {
-                    arrival_cycle: 500,
-                    placed_cycle: Some(700),
-                    completion_cycle: None,
-                    wait_cycles: Some(200),
-                    slowdown: None,
-                }),
-                phases: vec![PhaseReport {
-                    job: "victim".into(),
-                    phase: 0,
-                    pattern: "UN".into(),
-                    offered_load: 0.1,
-                    start_cycle: 700,
-                    end_cycle: u64::MAX,
-                    measured_cycles: 4_000,
-                    injected_load: 0.1,
-                    accepted_load: 0.1,
-                    avg_latency_cycles: 150.0,
-                    p99_latency_cycles: 300.0,
-                    max_latency_cycles: 350.0,
-                    avg_hops: 2.0,
-                    global_misroute_fraction: 0.0,
-                    local_misroute_fraction: 0.0,
-                    packets_generated: 100,
-                    packets_delivered: 100,
-                    packets_measured: 90,
-                }],
-            }],
-        };
-        let text = report.to_json().dump();
-        assert!(text.contains("\"jobs\":[{\"name\":\"victim\""));
-        // Absent lifecycle values and the open-ended phase print as null.
-        assert!(text.contains("\"completion_cycle\":null"));
-        assert!(text.contains("\"end_cycle\":null"));
-        assert!(text.contains("\"placed_cycle\":700"));
-        // Pretty output is the same tree, indented.
-        let pretty = report.to_json().dump_pretty();
-        assert!(pretty.contains("\n  \"aggregate\": {"));
-        assert_eq!(
-            pretty.matches(['{', '[']).count(),
-            pretty.matches(['}', ']']).count()
-        );
     }
 }

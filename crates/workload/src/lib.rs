@@ -7,17 +7,19 @@
 //! most (workload interference, transient adaptation, churn).  This crate models
 //! it:
 //!
-//! * a [`WorkloadSpec`] is a static list of [`JobSpec`]s, each switching its
-//!   [`JobPattern`] and load at [`PhaseSpec`] boundaries; a [`Trace`] is a list
-//!   of [`TraceJob`] arrivals (text format or [`SyntheticTrace`]) that leave on
-//!   a [`Completion`],
+//! * a [`JobSpec`] is one job: it arrives at a cycle, switches its
+//!   [`JobPattern`] and load at [`PhaseSpec`] boundaries, and leaves on a
+//!   [`Completion`] (or never),
+//! * a [`Trace`] is a named list of jobs (text format or [`SyntheticTrace`]);
+//!   a static workload is the list whose jobs all arrive at cycle 0 and never
+//!   leave ([`Trace::is_static`]),
 //! * a [`PlacementPolicy`] allocates every job from the current free set of a
 //!   [`FreePool`]; job-scoped patterns keep a job's traffic on its own nodes,
-//! * both spec types are a [`JobList`] compiling into one runtime, a
+//! * [`Trace::schedule`] compiles a list into the one runtime, a
 //!   [`Schedule`], that the simulation engine drives every cycle.
 //!
-//! Headline scenarios: [`WorkloadSpec::interference`],
-//! [`WorkloadSpec::transient`] and [`scenarios::fragmentation_trace`].
+//! Headline scenarios: [`Trace::interference`], [`Trace::transient`] and
+//! [`scenarios::fragmentation_trace`].
 
 #![warn(missing_docs)]
 
@@ -27,10 +29,8 @@ mod runtime;
 pub mod scenarios;
 mod spec;
 mod trace;
-mod workload_adapter;
 
 pub use placement::FreePool;
 pub use runtime::{Job, JobLifetime, Schedule};
-pub use spec::{JobPattern, JobSpec, PhaseSpec, PlacementPolicy, WorkloadSpec};
-pub use trace::{Completion, SyntheticTrace, Trace, TraceJob};
-pub use workload_adapter::JobList;
+pub use spec::{Completion, JobPattern, JobSpec, PhaseSpec, PlacementPolicy};
+pub use trace::{SyntheticTrace, Trace};

@@ -161,8 +161,8 @@ fn take_random(free: &[bool], size: usize, seed: u64) -> Option<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JobPattern, JobSpec, WorkloadSpec};
-    use crate::{JobList, Schedule};
+    use crate::spec::{JobPattern, JobSpec};
+    use crate::{Schedule, Trace};
 
     fn params() -> DragonflyParams {
         DragonflyParams::new(2)
@@ -175,7 +175,7 @@ mod tests {
     /// A static workload placed the way the runtime places it: every job at
     /// cycle 0, in specification order.
     fn placed(jobs: Vec<JobSpec>) -> Schedule {
-        let mut schedule = WorkloadSpec::new(jobs).schedule(&params(), 8);
+        let mut schedule = Trace::new("wl", jobs).schedule(&params(), 8);
         schedule.advance_to(0);
         schedule
     }
@@ -279,10 +279,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "machine has")]
     fn oversubscription_rejected() {
-        let spec = WorkloadSpec::new(vec![
-            job("a", 40, PlacementPolicy::Contiguous),
-            job("b", 40, PlacementPolicy::Contiguous),
-        ]);
+        let spec = Trace::new(
+            "wl",
+            vec![
+                job("a", 40, PlacementPolicy::Contiguous),
+                job("b", 40, PlacementPolicy::Contiguous),
+            ],
+        );
         let _ = spec.schedule(&params(), 8);
     }
 

@@ -1,10 +1,9 @@
 //! The job runtime: the one [`Schedule`] behind every multi-job run.
 //!
-//! Both job spec kinds are a [`crate::JobList`] and compile into a
-//! [`Schedule`]: a static [`crate::WorkloadSpec`] is the schedule whose jobs
-//! all arrive at cycle 0, carry a phase table and never complete; the jobs of
-//! an arrival [`crate::Trace`] arrive over time, run one phase and leave on
-//! their [`Completion`].  The engine calls [`Schedule::advance_to`] at the top
+//! A [`crate::Trace`] compiles into a [`Schedule`] ([`crate::Trace::schedule`]):
+//! a static workload is the schedule whose jobs all arrive at cycle 0, carry
+//! a phase table and never complete; the jobs of an arrival trace arrive over
+//! time and leave on their [`Completion`].  The engine calls [`Schedule::advance_to`] at the top
 //! of every cycle (admission, FIFO placement onto the [`FreePool`],
 //! retirement, phase switches) and asks [`Schedule::source`],
 //! [`Schedule::generate`] and [`Schedule::destination`] for every node's
@@ -12,8 +11,7 @@
 
 use crate::job_patterns::build_job_pattern;
 use crate::placement::FreePool;
-use crate::spec::{PhaseSpec, PlacementPolicy};
-use crate::trace::Completion;
+use crate::spec::{Completion, JobSpec, PhaseSpec, PlacementPolicy};
 use dragonfly_rng::Rng;
 use dragonfly_topology::{DragonflyParams, NodeId};
 use dragonfly_traffic::{BoxedPattern, TrafficPattern, Uniform};
@@ -73,25 +71,18 @@ pub struct Job {
 }
 
 impl Job {
-    pub(crate) fn new(
-        name: &str,
-        arrival: u64,
-        size: usize,
-        placement: PlacementPolicy,
-        phases: &[PhaseSpec],
-        completion: Option<Completion>,
-    ) -> Self {
+    pub(crate) fn new(spec: &JobSpec) -> Self {
         Self {
-            name: name.to_string(),
-            size,
-            placement,
-            completion,
-            phases: phases.to_vec(),
+            name: spec.name.clone(),
+            size: spec.size,
+            placement: spec.placement,
+            completion: spec.completion,
+            phases: spec.phases.clone(),
             probs: Vec::new(),
             patterns: Vec::new(),
             current: 0,
             lifetime: JobLifetime {
-                arrival,
+                arrival: spec.arrival,
                 placed: None,
                 completed: None,
             },
@@ -120,8 +111,7 @@ impl Job {
         self.lifetime
     }
 
-    /// The phase table: start cycles strictly increasing, the first at 0 (a
-    /// trace job has one phase).
+    /// The phase table: start cycles strictly increasing, the first at 0.
     pub fn phases(&self) -> &[PhaseSpec] {
         &self.phases
     }
@@ -182,7 +172,7 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The one compile step behind [`crate::JobList::schedule`].
+    /// The one compile step behind [`crate::Trace::schedule`].
     pub(crate) fn new(
         label: String,
         mut jobs: Vec<Job>,
@@ -493,9 +483,8 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JobPattern, JobSpec, WorkloadSpec};
-    use crate::trace::{Trace, TraceJob};
-    use crate::JobList;
+    use crate::spec::JobPattern;
+    use crate::trace::Trace;
 
     const CONT: PlacementPolicy = PlacementPolicy::Contiguous;
 
@@ -507,19 +496,13 @@ mod tests {
         let a = JobSpec::new("a", 8, CONT, JobPattern::Uniform, 0.4);
         let b = JobSpec::new("b", 8, CONT, JobPattern::Uniform, 0.1);
         let a = a.then_at(1_000, JobPattern::AdversarialGlobal(1), 0.2);
-        WorkloadSpec::new(vec![a, b]).schedule(&params(), 8)
+        Trace::new("wl", vec![a, b]).schedule(&params(), 8)
     }
 
-    fn job(name: &str, arrival: u64, size: usize, completion: Completion) -> TraceJob {
-        TraceJob {
-            name: name.into(),
-            arrival,
-            size,
-            placement: CONT,
-            pattern: JobPattern::Uniform,
-            offered_load: 0.2,
-            completion,
-        }
+    fn job(name: &str, arrival: u64, size: usize, completion: Completion) -> JobSpec {
+        JobSpec::new(name, size, CONT, JobPattern::Uniform, 0.2)
+            .arrive_at(arrival)
+            .complete_on(completion)
     }
 
     #[test]
@@ -586,7 +569,7 @@ mod tests {
         // Nodes 0..8 fill routers 0..4 of group 0, two nodes per router.
         let local = JobSpec::new("local", 8, CONT, JobPattern::AdversarialLocal(1), 0.1);
         let local = local.then_at(100, JobPattern::AdversarialLocal(2), 0.1);
-        let mut rt = WorkloadSpec::new(vec![local]).schedule(&params(), 8);
+        let mut rt = Trace::new("wl", vec![local]).schedule(&params(), 8);
         rt.advance_to(0);
         let mut rng = Rng::seed_from(1);
         let mut draw = |rt: &Schedule, cycle| rt.destination(cycle, NodeId(0), &mut rng).index();

@@ -1,8 +1,8 @@
 //! Canonical churn scenarios shared by `repro`'s `churn` row and the pinned
 //! integration tests.
 
-use crate::spec::{JobPattern, PlacementPolicy};
-use crate::trace::{Completion, Trace, TraceJob};
+use crate::spec::{Completion, JobPattern, JobSpec, PlacementPolicy};
+use crate::trace::Trace;
 use dragonfly_topology::DragonflyParams;
 
 /// Offered load of the background filler jobs: enough to keep their queues warm,
@@ -50,40 +50,34 @@ pub fn fragmentation_trace(
     let mut jobs = Vec::with_capacity(FILLERS + 2);
     for i in 0..FILLERS {
         let departs = if fragmented { i % 2 == 1 } else { true };
-        jobs.push(TraceJob {
-            name: format!("filler{i:02}"),
-            arrival: 0,
-            size: filler_size,
-            placement: PlacementPolicy::Contiguous,
-            pattern: JobPattern::Uniform,
-            offered_load: FILLER_LOAD,
-            completion: Completion::Duration(if departs { churn_cycle } else { run_cycles }),
-        });
+        let filler = JobSpec::new(
+            format!("filler{i:02}"),
+            filler_size,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            FILLER_LOAD,
+        );
+        let duration = if departs { churn_cycle } else { run_cycles };
+        jobs.push(filler.complete_on(Completion::Duration(duration)));
     }
     let pair_placement = if fragmented {
         PlacementPolicy::Random { seed }
     } else {
         PlacementPolicy::Contiguous
     };
-    let pair_duration = run_cycles - churn_cycle;
-    jobs.push(TraceJob {
-        name: "aggressor".into(),
-        arrival: churn_cycle,
-        size: pair_size,
-        placement: pair_placement,
-        pattern: JobPattern::AdversarialGlobal(1),
-        offered_load: aggressor_load,
-        completion: Completion::Duration(pair_duration),
-    });
-    jobs.push(TraceJob {
-        name: "victim".into(),
-        arrival: churn_cycle,
-        size: pair_size,
-        placement: pair_placement,
-        pattern: JobPattern::Uniform,
-        offered_load: victim_load,
-        completion: Completion::Duration(pair_duration),
-    });
+    let pair = [
+        (
+            "aggressor",
+            JobPattern::AdversarialGlobal(1),
+            aggressor_load,
+        ),
+        ("victim", JobPattern::Uniform, victim_load),
+    ];
+    for (name, pattern, load) in pair {
+        let job = JobSpec::new(name, pair_size, pair_placement, pattern, load);
+        let duration = Completion::Duration(run_cycles - churn_cycle);
+        jobs.push(job.arrive_at(churn_cycle).complete_on(duration));
+    }
     let label = if fragmented { "frag" } else { "fresh" };
     Trace::new(label, jobs)
 }
@@ -106,7 +100,7 @@ mod tests {
             t.jobs
                 .iter()
                 .filter(|j| j.name.starts_with("filler"))
-                .filter(|j| j.completion == Completion::Duration(12_000))
+                .filter(|j| j.completion == Some(Completion::Duration(12_000)))
                 .count()
         };
         assert_eq!(persists(&frag), FILLERS / 2);

@@ -1,5 +1,5 @@
-//! Workload specifications: jobs, placements, phases and job-scoped patterns,
-//! and the job checks a workload shares with a [`crate::Trace`].
+//! Job specifications: jobs, placements, phases, completions and job-scoped
+//! patterns, and the checks every job list of a [`crate::Trace`] passes.
 
 use std::collections::HashSet;
 
@@ -178,21 +178,36 @@ impl PhaseSpec {
     }
 }
 
-/// One job: a name, a node count, a placement policy and a phase schedule.
+/// When a running job is finished.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Completion {
+    /// The job runs for this many cycles after being placed.
+    Duration(u64),
+    /// The job runs until this many of its packets have been delivered.
+    Volume(u64),
+}
+
+/// One job: a name, an arrival cycle, a node count, a placement policy, a
+/// phase schedule and a completion condition.  A static workload's job
+/// arrives at cycle 0 and never completes, as [`JobSpec::new`] builds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Display name (used in per-job reports).
+    /// Display name (unique within its [`crate::Trace`]; used in per-job reports).
     pub name: String,
+    /// Absolute cycle at which the job arrives (enters the wait queue).
+    pub arrival: u64,
     /// Number of nodes the job occupies (at least 2, so it can communicate).
     pub size: usize,
-    /// How the job's nodes are chosen.
+    /// How the job's nodes are chosen from the free set at placement time.
     pub placement: PlacementPolicy,
     /// Phase schedule: non-empty, strictly increasing start cycles, first at 0.
     pub phases: Vec<PhaseSpec>,
+    /// When the job leaves; `None` = it never does.
+    pub completion: Option<Completion>,
 }
 
 impl JobSpec {
-    /// A single-phase job.
+    /// A single-phase job that arrives at cycle 0 and never completes.
     pub fn new(
         name: impl Into<String>,
         size: usize,
@@ -202,9 +217,11 @@ impl JobSpec {
     ) -> Self {
         Self {
             name: name.into(),
+            arrival: 0,
             size,
             placement,
             phases: vec![PhaseSpec::new(0, pattern, offered_load)],
+            completion: None,
         }
     }
 
@@ -215,32 +232,20 @@ impl JobSpec {
         self
     }
 
-    /// The checks only a phase table needs (see [`check_jobs`] for the rest).
-    fn check_phases(&self) -> Result<(), String> {
-        let name = &self.name;
-        match self.phases.first() {
-            None => return Err(format!("job `{name}` needs at least one phase")),
-            Some(first) if first.start_cycle != 0 => {
-                return Err(format!(
-                    "job `{name}`: the first phase must start at cycle 0"
-                ))
-            }
-            _ => {}
-        }
-        if self
-            .phases
-            .windows(2)
-            .any(|w| w[0].start_cycle >= w[1].start_cycle)
-        {
-            return Err(format!(
-                "job `{name}`: phase start cycles must be strictly increasing"
-            ));
-        }
-        Ok(())
+    /// The same job, arriving at `cycle`.
+    pub fn arrive_at(mut self, cycle: u64) -> Self {
+        self.arrival = cycle;
+        self
     }
 
-    /// Compact label: `name(size,placement)=PH0→PH1…` with per-phase loads.
-    fn label(&self) -> String {
+    /// The same job, leaving on `completion`.
+    pub fn complete_on(mut self, completion: Completion) -> Self {
+        self.completion = Some(completion);
+        self
+    }
+
+    /// Compact label: `name:PH0→PH1…` with per-phase loads.
+    pub(crate) fn label(&self) -> String {
         let phases = self
             .phases
             .iter()
@@ -251,164 +256,56 @@ impl JobSpec {
     }
 }
 
-/// A complete workload: a list of jobs placed on the machine in order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSpec {
-    /// The jobs, in placement order.
-    pub jobs: Vec<JobSpec>,
-}
-
-impl WorkloadSpec {
-    /// A workload from an explicit job list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid job list — what [`crate::Trace::try_new`] rejects
-    /// too (no jobs; a name that is empty, holds whitespace or a comma, or
-    /// repeats; fewer than 2 nodes; a non-finite or negative load) — or on a
-    /// phase table that does not start at cycle 0 with strictly increasing
-    /// start cycles.
-    pub fn new(jobs: Vec<JobSpec>) -> Self {
-        let spec = Self { jobs };
-        spec.assert_valid();
-        spec
-    }
-
-    /// Panic unless the job list passes what [`WorkloadSpec::new`] checks.
-    /// The fields are public, so a spec can be built or edited without `new`;
-    /// compiling it into a runtime checks again.
-    pub(crate) fn assert_valid(&self) {
-        let shared = self.jobs.iter().map(|job| {
-            let loads = job.phases.iter().map(|p| p.offered_load);
-            (job.name.as_str(), job.size, loads)
-        });
-        let checked =
-            check_jobs(shared).and_then(|()| self.jobs.iter().try_for_each(JobSpec::check_phases));
-        if let Err(msg) = checked {
-            panic!("invalid workload: {msg}");
-        }
-    }
-
-    /// The headline interference scenario: an adversarial *aggressor* job and a
-    /// uniform *victim* job, each on half of the machine, interleaved over every
-    /// router (round-robin placement) so they share local and global channels.
-    ///
-    /// The aggressor drives ADVG+`aggressor_offset` at `aggressor_load`; the victim
-    /// drives job-uniform traffic at `victim_load`.  Under minimal routing the
-    /// aggressor saturates one global channel per group and the victim's packets
-    /// queue behind it; adaptive mechanisms (OLM, PB, PAR) divert around the hot
-    /// channels and shield the victim.
-    pub fn interference(
-        num_nodes: usize,
-        aggressor_offset: usize,
-        aggressor_load: f64,
-        victim_load: f64,
-    ) -> Self {
-        Self::interference_placed(
-            num_nodes,
-            aggressor_offset,
-            aggressor_load,
-            victim_load,
-            PlacementPolicy::RoundRobinRouters,
-        )
-    }
-
-    /// The interference scenario with an explicit placement policy for both jobs —
-    /// the knob behind placement × aggressor-load interference sweeps.  Contiguous
-    /// placement isolates the jobs into separate groups (victim traffic rarely
-    /// crosses the aggressor's hot channels); round-robin placement interleaves
-    /// them over every router, maximizing the shared channels.
-    pub fn interference_placed(
-        num_nodes: usize,
-        aggressor_offset: usize,
-        aggressor_load: f64,
-        victim_load: f64,
-        placement: PlacementPolicy,
-    ) -> Self {
-        let half = num_nodes / 2;
-        Self::new(vec![
-            JobSpec::new(
-                "aggressor",
-                half,
-                placement,
-                JobPattern::AdversarialGlobal(aggressor_offset),
-                aggressor_load,
-            ),
-            JobSpec::new(
-                "victim",
-                num_nodes - half,
-                placement,
-                JobPattern::Uniform,
-                victim_load,
-            ),
-        ])
-    }
-
-    /// The headline transient scenario: one job covering the whole machine that
-    /// switches from uniform traffic to ADVG+`advg_offset` at `switch_cycle`,
-    /// exposing the reaction time of adaptive routing in the per-phase breakdown.
-    pub fn transient(
-        num_nodes: usize,
-        offered_load: f64,
-        switch_cycle: u64,
-        advg_offset: usize,
-    ) -> Self {
-        Self::new(vec![JobSpec::new(
-            "app",
-            num_nodes,
-            PlacementPolicy::Contiguous,
-            JobPattern::Uniform,
-            offered_load,
-        )
-        .then_at(
-            switch_cycle,
-            JobPattern::AdversarialGlobal(advg_offset),
-            offered_load,
-        )])
-    }
-
-    /// Compact display label, e.g. `WL[aggressor:ADVG+1@0.60,victim:UN@0.10]`.
-    pub fn label(&self) -> String {
-        let jobs = self
-            .jobs
-            .iter()
-            .map(JobSpec::label)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("WL[{jobs}]")
-    }
-}
-
-/// The checks both job spec kinds share — a [`WorkloadSpec`] panics on a
-/// failure, a [`crate::Trace`] returns it — over `(name, size, loads)` per
-/// job: at least one job and few enough for the `u16` packet tag; names usable
-/// as raw CSV cells and trace-file tokens, and unique; at least 2 nodes (so a
-/// job can communicate); finite, non-negative loads.
-pub(crate) fn check_jobs<'a, L: IntoIterator<Item = f64>>(
-    jobs: impl ExactSizeIterator<Item = (&'a str, usize, L)>,
-) -> Result<(), String> {
-    if jobs.len() == 0 {
+/// Every check a job list passes, reporting the first failure: at least one
+/// job and few enough for the `u16` packet tag; names usable as raw CSV cells
+/// and trace-file tokens, and unique; at least 2 nodes (so a job can
+/// communicate); finite, non-negative loads; a phase table that starts at
+/// cycle 0 with strictly increasing start cycles; a non-zero completion.
+pub(crate) fn check_jobs(jobs: &[JobSpec]) -> Result<(), String> {
+    if jobs.is_empty() {
         return Err("a job list needs at least one job".to_string());
     }
     if jobs.len() >= u16::MAX as usize {
         return Err("too many jobs for the u16 job tag".to_string());
     }
     let mut names = HashSet::new();
-    for (name, size, loads) in jobs {
+    for job in jobs {
+        let name = job.name.as_str();
         if !name_is_clean(name) {
             return Err(format!("bad job name `{name}`"));
         }
         if !names.insert(name) {
             return Err(format!("duplicate job name `{name}`"));
         }
-        if size < 2 {
+        if job.size < 2 {
             return Err(format!("job `{name}` needs at least 2 nodes"));
         }
-        if loads
-            .into_iter()
-            .any(|load| !load.is_finite() || load < 0.0)
-        {
+        let bad_load = |p: &PhaseSpec| !p.offered_load.is_finite() || p.offered_load < 0.0;
+        if job.phases.iter().any(bad_load) {
             return Err(format!("job `{name}` has a bad load"));
+        }
+        match job.phases.first() {
+            None => return Err(format!("job `{name}` needs at least one phase")),
+            Some(first) if first.start_cycle != 0 => {
+                return Err(format!(
+                    "job `{name}`: the first phase must start at cycle 0"
+                ))
+            }
+            _ => {}
+        }
+        if job
+            .phases
+            .windows(2)
+            .any(|w| w[0].start_cycle >= w[1].start_cycle)
+        {
+            return Err(format!(
+                "job `{name}`: phase start cycles must be strictly increasing"
+            ));
+        }
+        match job.completion {
+            Some(Completion::Duration(0)) => return Err(format!("job `{name}` has zero duration")),
+            Some(Completion::Volume(0)) => return Err(format!("job `{name}` has zero volume")),
+            _ => {}
         }
     }
     Ok(())
@@ -423,6 +320,7 @@ pub(crate) fn name_is_clean(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
 
     #[test]
     fn job_pattern_names() {
@@ -475,7 +373,7 @@ mod tests {
 
     #[test]
     fn workload_label_mentions_jobs_and_phases() {
-        let spec = WorkloadSpec::transient(72, 0.15, 10_000, 2);
+        let spec = Trace::transient(72, 0.15, 10_000, 2);
         let label = spec.label();
         assert!(label.starts_with("WL[app:UN@0.15"), "{label}");
         assert!(label.contains("ADVG+2@0.15"), "{label}");
@@ -483,7 +381,7 @@ mod tests {
 
     #[test]
     fn interference_splits_the_machine() {
-        let spec = WorkloadSpec::interference(72, 1, 0.6, 0.1);
+        let spec = Trace::interference(72, 1, 0.6, 0.1);
         assert_eq!(spec.jobs.len(), 2);
         assert_eq!(spec.jobs[0].size + spec.jobs[1].size, 72);
         assert_eq!(spec.jobs[0].phases.len(), 1);
@@ -492,38 +390,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2 nodes")]
     fn tiny_job_rejected() {
-        WorkloadSpec::new(vec![JobSpec::new(
-            "solo",
-            1,
-            PlacementPolicy::Contiguous,
-            JobPattern::Uniform,
-            0.1,
-        )]);
+        Trace::new(
+            "wl",
+            vec![JobSpec::new(
+                "solo",
+                1,
+                PlacementPolicy::Contiguous,
+                JobPattern::Uniform,
+                0.1,
+            )],
+        );
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_phases_rejected() {
-        WorkloadSpec::new(vec![JobSpec::new(
-            "bad",
-            4,
-            PlacementPolicy::Contiguous,
-            JobPattern::Uniform,
-            0.1,
-        )
-        .then_at(100, JobPattern::Uniform, 0.2)
-        .then_at(100, JobPattern::Uniform, 0.3)]);
+        Trace::new(
+            "wl",
+            vec![JobSpec::new(
+                "bad",
+                4,
+                PlacementPolicy::Contiguous,
+                JobPattern::Uniform,
+                0.1,
+            )
+            .then_at(100, JobPattern::Uniform, 0.2)
+            .then_at(100, JobPattern::Uniform, 0.3)],
+        );
     }
 
     #[test]
     #[should_panic(expected = "start at cycle 0")]
     fn late_first_phase_rejected() {
-        WorkloadSpec::new(vec![JobSpec {
-            name: "bad".into(),
-            size: 4,
-            placement: PlacementPolicy::Contiguous,
-            phases: vec![PhaseSpec::new(10, JobPattern::Uniform, 0.1)],
-        }]);
+        Trace::new(
+            "wl",
+            vec![JobSpec {
+                phases: vec![PhaseSpec::new(10, JobPattern::Uniform, 0.1)],
+                ..JobSpec::new(
+                    "bad",
+                    4,
+                    PlacementPolicy::Contiguous,
+                    JobPattern::Uniform,
+                    0.1,
+                )
+            }],
+        );
     }
 
     fn job(name: &str, load: f64) -> JobSpec {
@@ -536,25 +447,25 @@ mod tests {
         )
     }
 
-    // A workload rejects what a trace rejects (`trace::tests`): names are raw
-    // CSV cells, `WorkloadReport::job` looks jobs up by name, and an infinite
-    // load would become a generation probability of 1.
+    // A static job list rejects what an arrival list rejects (`trace::tests`):
+    // names are raw CSV cells, `WorkloadReport::job` looks jobs up by name,
+    // and an infinite load would become a generation probability of 1.
 
     #[test]
     #[should_panic(expected = "bad job name `a,b`")]
     fn csv_unsafe_job_name_rejected() {
-        WorkloadSpec::new(vec![job("a,b", 0.1)]);
+        Trace::new("wl", vec![job("a,b", 0.1)]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate job name `x`")]
     fn duplicate_job_names_rejected() {
-        WorkloadSpec::new(vec![job("x", 0.1), job("x", 0.2)]);
+        Trace::new("wl", vec![job("x", 0.1), job("x", 0.2)]);
     }
 
     #[test]
     #[should_panic(expected = "job `inf` has a bad load")]
     fn non_finite_load_rejected() {
-        WorkloadSpec::new(vec![job("inf", f64::INFINITY)]);
+        Trace::new("wl", vec![job("inf", f64::INFINITY)]);
     }
 }

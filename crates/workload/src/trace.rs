@@ -1,104 +1,136 @@
-//! Job-arrival traces: jobs that arrive over time, run, and depart.
+//! Job lists: static workloads, and traces of jobs that arrive over time,
+//! run, and depart.
 
-use crate::spec::{check_jobs, name_is_clean, JobPattern, PlacementPolicy};
+use crate::runtime::{Job, Schedule};
+use crate::spec::PlacementPolicy;
+use crate::spec::{check_jobs, name_is_clean, Completion, JobPattern, JobSpec, PhaseSpec};
 use dragonfly_rng::{derive_seed, Rng};
+use dragonfly_topology::DragonflyParams;
 
-/// When a running job is finished.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Completion {
-    /// The job runs for this many cycles after being placed.
-    Duration(u64),
-    /// The job runs until this many of its packets have been delivered.
-    Volume(u64),
-}
-
-/// One job arrival of a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceJob {
-    /// Display name (unique within the trace; used in per-job reports).
-    pub name: String,
-    /// Absolute cycle at which the job arrives (enters the wait queue).
-    pub arrival: u64,
-    /// Number of nodes the job needs (at least 2, so it can communicate).
-    pub size: usize,
-    /// How the job's nodes are chosen from the free set at placement time.
-    pub placement: PlacementPolicy,
-    /// Traffic pattern over the job's nodes while it runs.
-    pub pattern: JobPattern,
-    /// Offered load while running, in phits/(node·cycle).
-    pub offered_load: f64,
-    /// Completion condition.
-    pub completion: Completion,
-}
-
-impl TraceJob {
-    /// One canonical trace-file line (see [`Trace::to_text`]).
-    fn to_line(&self) -> String {
-        let place = match self.placement {
-            PlacementPolicy::Contiguous => "cont".to_string(),
-            PlacementPolicy::RoundRobinRouters => "rr".to_string(),
-            PlacementPolicy::Random { seed } => format!("rand#{seed}"),
-        };
-        let completion = match self.completion {
-            Completion::Duration(cycles) => format!("duration={cycles}"),
-            Completion::Volume(packets) => format!("volume={packets}"),
-        };
-        format!(
-            "job {} arrive={} size={} place={place} pattern={} load={} {completion}",
-            self.name,
-            self.arrival,
-            self.size,
-            self.pattern.name(),
-            self.offered_load,
-        )
-    }
-
-    /// The check only a trace job needs (see [`check_jobs`] for the rest).
-    fn check_completion(&self) -> Result<(), String> {
-        match self.completion {
-            Completion::Duration(0) => Err(format!("job `{}` has zero duration", self.name)),
-            Completion::Volume(0) => Err(format!("job `{}` has zero volume", self.name)),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A job-arrival trace: named, sorted by arrival cycle (stable for ties, so the
-/// trace order breaks placement ties deterministically).
+/// A named job list, sorted by arrival cycle (stable for ties, so the list
+/// order breaks placement ties deterministically).  A static workload is the
+/// list whose jobs all arrive at cycle 0 and never leave
+/// ([`Trace::is_static`]); an arrival trace's jobs arrive over time and leave
+/// on their [`Completion`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    /// Display name of the trace (scenario label in sweeps and CSV rows).
+    /// Display name of the list (scenario label in sweeps and CSV rows).
     pub name: String,
-    /// The arrivals, sorted by arrival cycle.
-    pub jobs: Vec<TraceJob>,
+    /// The jobs, sorted by arrival cycle.
+    pub jobs: Vec<JobSpec>,
 }
 
 impl Trace {
-    /// Build a validated trace (jobs are stably sorted by arrival cycle).
+    /// Build a validated job list (jobs are stably sorted by arrival cycle).
     ///
     /// # Panics
     ///
-    /// Panics on an invalid job (see [`Trace::try_new`]).
-    pub fn new(name: impl Into<String>, jobs: Vec<TraceJob>) -> Self {
+    /// Panics on what [`Trace::try_new`] rejects.
+    pub fn new(name: impl Into<String>, jobs: Vec<JobSpec>) -> Self {
         match Self::try_new(name, jobs) {
             Ok(trace) => trace,
             Err(msg) => panic!("invalid trace: {msg}"),
         }
     }
 
-    /// Build a validated trace, reporting the first problem instead of panicking.
-    pub fn try_new(name: impl Into<String>, mut jobs: Vec<TraceJob>) -> Result<Self, String> {
-        let name = name.into();
-        if !name_is_clean(&name) {
-            return Err(format!("bad trace name `{name}`"));
+    /// Build a validated job list, reporting the first problem instead of
+    /// panicking: a name that is empty or holds whitespace or a comma; no
+    /// jobs; a job name that is not clean or repeats; fewer than 2 nodes; a
+    /// non-finite or negative load; a phase table that does not start at
+    /// cycle 0 with strictly increasing start cycles; a zero completion.
+    pub fn try_new(name: impl Into<String>, jobs: Vec<JobSpec>) -> Result<Self, String> {
+        let mut trace = Self {
+            name: name.into(),
+            jobs,
+        };
+        trace.check()?;
+        trace.jobs.sort_by_key(|j| j.arrival);
+        Ok(trace)
+    }
+
+    /// What [`Trace::try_new`] checks.  The fields are public, so a list can
+    /// be edited after construction; [`Trace::schedule`] checks again.
+    fn check(&self) -> Result<(), String> {
+        if !name_is_clean(&self.name) {
+            return Err(format!("bad trace name `{}`", self.name));
         }
-        check_jobs(
-            jobs.iter()
-                .map(|j| (j.name.as_str(), j.size, [j.offered_load])),
-        )?;
-        jobs.iter().try_for_each(TraceJob::check_completion)?;
-        jobs.sort_by_key(|j| j.arrival);
-        Ok(Self { name, jobs })
+        check_jobs(&self.jobs)
+    }
+
+    /// The headline interference scenario: an adversarial *aggressor* job and a
+    /// uniform *victim* job, each on half of the machine, interleaved over every
+    /// router (round-robin placement) so they share local and global channels.
+    ///
+    /// The aggressor drives ADVG+`aggressor_offset` at `aggressor_load`; the victim
+    /// drives job-uniform traffic at `victim_load`.  Under minimal routing the
+    /// aggressor saturates one global channel per group and the victim's packets
+    /// queue behind it; adaptive mechanisms (OLM, PB, PAR) divert around the hot
+    /// channels and shield the victim.
+    pub fn interference(
+        num_nodes: usize,
+        aggressor_offset: usize,
+        aggressor_load: f64,
+        victim_load: f64,
+    ) -> Self {
+        Self::interference_placed(
+            num_nodes,
+            aggressor_offset,
+            aggressor_load,
+            victim_load,
+            PlacementPolicy::RoundRobinRouters,
+        )
+    }
+
+    /// The interference scenario with an explicit placement policy for both jobs —
+    /// the knob behind placement × aggressor-load interference sweeps.  Contiguous
+    /// placement isolates the jobs into separate groups (victim traffic rarely
+    /// crosses the aggressor's hot channels); round-robin placement interleaves
+    /// them over every router, maximizing the shared channels.
+    pub fn interference_placed(
+        num_nodes: usize,
+        aggressor_offset: usize,
+        aggressor_load: f64,
+        victim_load: f64,
+        placement: PlacementPolicy,
+    ) -> Self {
+        let half = num_nodes / 2;
+        let aggressor = JobPattern::AdversarialGlobal(aggressor_offset);
+        Self::new(
+            "interference",
+            vec![
+                JobSpec::new("aggressor", half, placement, aggressor, aggressor_load),
+                JobSpec::new(
+                    "victim",
+                    num_nodes - half,
+                    placement,
+                    JobPattern::Uniform,
+                    victim_load,
+                ),
+            ],
+        )
+    }
+
+    /// The headline transient scenario: one job covering the whole machine that
+    /// switches from uniform traffic to ADVG+`advg_offset` at `switch_cycle`,
+    /// exposing the reaction time of adaptive routing in the per-phase breakdown.
+    pub fn transient(
+        num_nodes: usize,
+        offered_load: f64,
+        switch_cycle: u64,
+        advg_offset: usize,
+    ) -> Self {
+        let app = JobSpec::new(
+            "app",
+            num_nodes,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            offered_load,
+        );
+        let advg = JobPattern::AdversarialGlobal(advg_offset);
+        Self::new(
+            "transient",
+            vec![app.then_at(switch_cycle, advg, offered_load)],
+        )
     }
 
     /// Parse the text format emitted by [`Trace::to_text`]:
@@ -199,39 +231,115 @@ impl Trace {
                 }
             }
             let missing = |what: &str| err(format!("job `{job_name}` is missing {what}"));
-            jobs.push(TraceJob {
-                name: job_name.clone(),
-                arrival: arrive.ok_or_else(|| missing("arrive="))?,
-                size: size.ok_or_else(|| missing("size="))?,
-                placement: place.ok_or_else(|| missing("place="))?,
+            let arrival = arrive.ok_or_else(|| missing("arrive="))?;
+            let size = size.ok_or_else(|| missing("size="))?;
+            let placement = place.ok_or_else(|| missing("place="))?;
+            // A struct literal, not `PhaseSpec::new`: a bad load is an `Err`
+            // from `try_new`, never a panic.
+            let phase = PhaseSpec {
+                start_cycle: 0,
                 pattern: pattern.ok_or_else(|| missing("pattern="))?,
                 offered_load: load.ok_or_else(|| missing("load="))?,
-                completion: completion.ok_or_else(|| missing("duration= or volume="))?,
+            };
+            let completion = completion.ok_or_else(|| missing("duration= or volume="))?;
+            jobs.push(JobSpec {
+                name: job_name.clone(),
+                arrival,
+                size,
+                placement,
+                phases: vec![phase],
+                completion: Some(completion),
             });
         }
         Self::try_new(name, jobs)
     }
 
     /// Emit the canonical text form ([`Trace::parse`] round-trips it).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the job, on a job the text grammar cannot express: one
+    /// with more than one phase or without a completion.
     pub fn to_text(&self) -> String {
         let mut out = format!("trace {}\n", self.name);
         for job in &self.jobs {
-            out.push_str(&job.to_line());
-            out.push('\n');
+            let (Some(completion), [phase]) = (job.completion, job.phases.as_slice()) else {
+                panic!(
+                    "job `{}` has no trace-file line: it needs one phase and a completion",
+                    job.name
+                );
+            };
+            let place = match job.placement {
+                PlacementPolicy::Random { seed } => format!("rand#{seed}"),
+                other => other.name().to_string(),
+            };
+            let completion = match completion {
+                Completion::Duration(cycles) => format!("duration={cycles}"),
+                Completion::Volume(packets) => format!("volume={packets}"),
+            };
+            out.push_str(&format!(
+                "job {} arrive={} size={} place={place} pattern={} load={} {completion}\n",
+                job.name,
+                job.arrival,
+                job.size,
+                phase.pattern.name(),
+                phase.offered_load,
+            ));
         }
         out
     }
 
-    /// The display label used as the traffic name wherever this trace drives a
-    /// run (`TrafficKind::Churn`, the compiled [`crate::Schedule`], report
-    /// aggregates).
-    pub fn label(&self) -> String {
-        format!("CHURN[{}:{}jobs]", self.name, self.jobs.len())
+    /// Whether every job arrives at cycle 0 and none completes: a static
+    /// workload, run to steady state rather than through its lifecycle.
+    pub fn is_static(&self) -> bool {
+        self.jobs
+            .iter()
+            .all(|j| j.arrival == 0 && j.completion.is_none())
     }
 
-    /// The largest arrival cycle of the trace.
+    /// The display label used as the traffic name wherever this list drives a
+    /// run (`TrafficKind::Jobs`, the compiled [`Schedule`], report
+    /// aggregates): `WL[aggressor:ADVG+1@0.60,victim:UN@0.10]` for a static
+    /// workload, `CHURN[name:Njobs]` otherwise.
+    pub fn label(&self) -> String {
+        if self.is_static() {
+            let jobs: Vec<String> = self.jobs.iter().map(JobSpec::label).collect();
+            format!("WL[{}]", jobs.join(","))
+        } else {
+            format!("CHURN[{}:{}jobs]", self.name, self.jobs.len())
+        }
+    }
+
+    /// The largest arrival cycle of the list.
     pub fn last_arrival(&self) -> u64 {
         self.jobs.last().map_or(0, |j| j.arrival)
+    }
+
+    /// Compile the jobs against a topology and a packet size in phits, which
+    /// turns every phase's offered load into a per-node, per-cycle packet
+    /// probability exactly like [`dragonfly_traffic::BernoulliInjection`].
+    /// The jobs are placed in list order as they arrive.
+    ///
+    /// # Panics
+    ///
+    /// Panics on what [`Trace::try_new`] rejects (so a list edited after
+    /// construction cannot reach the runtime unchecked), and when the jobs
+    /// could never all be placed: a job larger than the machine, or a static
+    /// workload needing more nodes than it has.
+    pub fn schedule(&self, params: &DragonflyParams, packet_size: usize) -> Schedule {
+        if let Err(msg) = self.check() {
+            panic!("invalid trace: {msg}");
+        }
+        if self.is_static() {
+            let total: usize = self.jobs.iter().map(|j| j.size).sum();
+            let num_nodes = params.num_nodes();
+            assert!(
+                total <= num_nodes,
+                "workload needs {total} nodes but the machine has {num_nodes}"
+            );
+        }
+        let jobs = self.jobs.iter().map(Job::new).collect();
+        Schedule::new(self.label(), jobs, params, packet_size)
     }
 }
 
@@ -289,15 +397,18 @@ impl SyntheticTrace {
         let jobs = (0..self.jobs)
             .map(|i| {
                 arrival += exponential(&mut rng, self.mean_interarrival);
-                TraceJob {
-                    name: format!("j{i:03}"),
-                    arrival,
-                    size: *rng.choose(&self.sizes),
-                    placement: self.placement,
-                    pattern: *rng.choose(&self.patterns),
-                    offered_load: self.offered_load,
-                    completion: Completion::Duration(exponential(&mut rng, self.mean_duration)),
-                }
+                let size = *rng.choose(&self.sizes);
+                let pattern = *rng.choose(&self.patterns);
+                let duration = exponential(&mut rng, self.mean_duration);
+                let job = JobSpec::new(
+                    format!("j{i:03}"),
+                    size,
+                    self.placement,
+                    pattern,
+                    self.offered_load,
+                );
+                job.arrive_at(arrival)
+                    .complete_on(Completion::Duration(duration))
             })
             .collect();
         Trace::new(self.name.clone(), jobs)
@@ -319,24 +430,23 @@ mod tests {
         Trace::new(
             "sample",
             vec![
-                TraceJob {
-                    name: "late".into(),
-                    arrival: 500,
-                    size: 8,
-                    placement: PlacementPolicy::Random { seed: 3 },
-                    pattern: JobPattern::Permutation { seed: 7 },
-                    offered_load: 0.25,
-                    completion: Completion::Volume(2_000),
-                },
-                TraceJob {
-                    name: "early".into(),
-                    arrival: 0,
-                    size: 16,
-                    placement: PlacementPolicy::Contiguous,
-                    pattern: JobPattern::AdversarialGlobal(1),
-                    offered_load: 0.4,
-                    completion: Completion::Duration(3_000),
-                },
+                JobSpec::new(
+                    "late",
+                    8,
+                    PlacementPolicy::Random { seed: 3 },
+                    JobPattern::Permutation { seed: 7 },
+                    0.25,
+                )
+                .arrive_at(500)
+                .complete_on(Completion::Volume(2_000)),
+                JobSpec::new(
+                    "early",
+                    16,
+                    PlacementPolicy::Contiguous,
+                    JobPattern::AdversarialGlobal(1),
+                    0.4,
+                )
+                .complete_on(Completion::Duration(3_000)),
             ],
         )
     }
@@ -363,9 +473,9 @@ mod tests {
         assert_eq!(trace.name, "t");
         assert_eq!(trace.jobs.len(), 1);
         // Both pattern= and place= are case-insensitive.
-        assert_eq!(trace.jobs[0].pattern, JobPattern::RingExchange);
+        assert_eq!(trace.jobs[0].phases[0].pattern, JobPattern::RingExchange);
         assert_eq!(trace.jobs[0].placement, PlacementPolicy::RoundRobinRouters);
-        assert_eq!(trace.jobs[0].completion, Completion::Duration(100));
+        assert_eq!(trace.jobs[0].completion, Some(Completion::Duration(100)));
     }
 
     #[test]
@@ -393,14 +503,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_jobs() {
-        let job = |name: &str| TraceJob {
-            name: name.into(),
-            arrival: 0,
-            size: 4,
-            placement: PlacementPolicy::Contiguous,
-            pattern: JobPattern::Uniform,
-            offered_load: 0.1,
-            completion: Completion::Duration(10),
+        let job = |name: &str| {
+            JobSpec::new(
+                name,
+                4,
+                PlacementPolicy::Contiguous,
+                JobPattern::Uniform,
+                0.1,
+            )
+            .complete_on(Completion::Duration(10))
         };
         assert!(Trace::try_new("t", vec![]).is_err());
         let mut tiny = job("tiny");
@@ -409,7 +520,7 @@ mod tests {
             .unwrap_err()
             .contains("at least 2"));
         let mut dead = job("dead");
-        dead.completion = Completion::Duration(0);
+        dead.completion = Some(Completion::Duration(0));
         assert!(Trace::try_new("t", vec![dead])
             .unwrap_err()
             .contains("zero duration"));
@@ -417,7 +528,7 @@ mod tests {
             .unwrap_err()
             .contains("duplicate"));
         let mut inf = job("inf");
-        inf.offered_load = f64::INFINITY;
+        inf.phases[0].offered_load = f64::INFINITY;
         assert!(Trace::try_new("t", vec![inf])
             .unwrap_err()
             .contains("bad load"));
@@ -434,7 +545,7 @@ mod tests {
     fn nominal_load_weighs_sizes() {
         let trace = sample_trace();
         let want = (0.25 * 8.0 + 0.4 * 16.0) / 72.0;
-        let schedule = crate::JobList::schedule(&trace, &DragonflyParams::new(2), 8);
+        let schedule = trace.schedule(&DragonflyParams::new(2), 8);
         assert!((schedule.nominal_offered_load(72) - want).abs() < 1e-12);
         assert_eq!(trace.last_arrival(), 500);
     }
@@ -462,5 +573,49 @@ mod tests {
         assert_ne!(one, other.build());
         // The synthetic trace survives the text round-trip too.
         assert_eq!(Trace::parse(&one.to_text()).unwrap(), one);
+    }
+
+    /// A valid two-phase static workload whose phase table the tests then
+    /// break, the way a caller can through the public fields.
+    fn two_phase() -> Trace {
+        let job = JobSpec::new(
+            "a",
+            8,
+            PlacementPolicy::Contiguous,
+            JobPattern::Uniform,
+            0.1,
+        )
+        .then_at(50, JobPattern::AdversarialGlobal(1), 0.1);
+        Trace::new("wl", vec![job])
+    }
+
+    #[test]
+    #[should_panic(expected = "first phase must start at cycle 0")]
+    fn rejects_late_first_phase() {
+        let mut spec = two_phase();
+        spec.jobs[0].phases[0].start_cycle = 5;
+        spec.schedule(&DragonflyParams::new(2), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn rejects_unsorted_phases() {
+        let mut spec = two_phase();
+        let repeat = PhaseSpec::new(50, JobPattern::Uniform, 0.1);
+        spec.jobs[0].phases.push(repeat);
+        spec.schedule(&DragonflyParams::new(2), 8);
+    }
+
+    #[test]
+    fn static_lists_label_as_workloads_and_have_no_text_form() {
+        let static_list = two_phase();
+        assert!(static_list.is_static());
+        assert_eq!(static_list.label(), "WL[a:UN@0.10→ADVG+1@0.10]");
+        let trace = sample_trace();
+        assert!(!trace.is_static());
+        assert_eq!(trace.label(), "CHURN[sample:2jobs]");
+        let text = std::panic::catch_unwind(|| static_list.to_text());
+        let msg = *text.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.starts_with("job `a` has no trace-file line"), "{msg}");
     }
 }

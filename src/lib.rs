@@ -44,6 +44,12 @@ pub use dragonfly_topology as topology;
 pub use dragonfly_traffic as traffic;
 pub use dragonfly_workload as workload;
 
+/// README.md's Rust snippets, compiled (not run) as doctests so the README
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// Workspace version, mirrored from Cargo metadata.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 

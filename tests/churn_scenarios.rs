@@ -3,8 +3,8 @@
 //! node-disjointness invariant under arrival/departure churn.
 
 use dragonfly::core::{
-    Completion, ExperimentSpec, JobPattern, Jobs, PlacementPolicy, Protocol, RoutingKind,
-    SweepRunner, Trace, TraceJob, TrafficKind,
+    Completion, ExperimentSpec, JobPattern, JobSpec, Jobs, PlacementPolicy, Protocol, RoutingKind,
+    SweepRunner, Trace, TrafficKind,
 };
 use dragonfly::sim::Simulation;
 use dragonfly::topology::DragonflyParams;
@@ -14,7 +14,7 @@ use dragonfly::workload::SyntheticTrace;
 fn churn_spec(routing: RoutingKind, trace: Trace, horizon: u64, drain: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
     spec.routing = routing;
-    spec.traffic = TrafficKind::Churn(trace);
+    spec.traffic = TrafficKind::Jobs(trace);
     // The h = 2 machine is small enough that the exact penalty ratios below are
     // seed-sensitive; re-pinned when the engine moved to per-router RNG streams.
     spec.seed = 41;
@@ -113,14 +113,10 @@ fn fragmentation_degrades_victim_p99_and_adaptive_routing_narrows_the_gap() {
 
 /// A mixed trace exercising volume-bound completion and every collective pattern.
 fn collective_trace() -> Trace {
-    let job = |name: &str, arrival, size, placement, pattern, completion| TraceJob {
-        name: name.into(),
-        arrival,
-        size,
-        placement,
-        pattern,
-        offered_load: 0.15,
-        completion,
+    let job = |name: &str, arrival, size, placement, pattern, completion| {
+        JobSpec::new(name, size, placement, pattern, 0.15)
+            .arrive_at(arrival)
+            .complete_on(completion)
     };
     Trace::new(
         "mixed",
@@ -173,24 +169,23 @@ fn fixed_trace_and_seed_reproduce_byte_identical_reports_across_runs_and_jobs() 
     assert_eq!(first, Jobs.run_on(&spec, &mut spec.build_simulation()));
 
     // The parse → emit → parse round-trip preserves behaviour, not just shape.
-    let reparsed = Trace::parse(&spec.traffic.churn().unwrap().to_text()).unwrap();
+    let reparsed = Trace::parse(&spec.traffic.jobs().unwrap().to_text()).unwrap();
     let respec = churn_spec(RoutingKind::Olm, reparsed, 12_000, 4_000);
     assert_eq!(first, respec.run_workload());
 
     // Worker count is presentation only: --jobs 1/2/4 give identical reports.
     let specs = vec![spec.clone(), spec.clone(), spec.clone()];
-    let sequential = SweepRunner::new("churn determinism")
-        .quiet()
-        .sequential(true)
-        .run_workloads(&specs);
     for jobs in [1, 2, 4] {
         let parallel = SweepRunner::new("churn determinism")
             .quiet()
             .jobs(Some(jobs))
             .run_workloads(&specs);
-        assert_eq!(parallel, sequential, "--jobs {jobs} changed the reports");
+        assert_eq!(
+            parallel,
+            vec![first.clone(); 3],
+            "--jobs {jobs} changed the reports"
+        );
     }
-    assert_eq!(sequential[0], first);
 
     // The waiting job's lifecycle shows the queueing the trace forces.
     let late = first.job("late").unwrap().lifecycle.unwrap();

@@ -27,7 +27,7 @@
 
 use dragonfly::core::{
     AdaptiveParams, ExperimentSpec, FlowControlKind, JobPattern, RoutingKind, ShardPlan,
-    ShardedSimulation, TrafficKind, WorkloadSpec,
+    ShardedSimulation, Trace, TrafficKind,
 };
 use dragonfly::routing::RoutingVisitor;
 use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
@@ -253,12 +253,12 @@ fn jobs_matrix(shards: Option<usize>) {
             let params = spec.sim_config().params;
             spec.routing = routing;
             spec.seed = seed;
-            let mut jobs = WorkloadSpec::interference(params.num_nodes(), 1, 0.3, 0.1).jobs;
+            let mut jobs = Trace::interference(params.num_nodes(), 1, 0.3, 0.1).jobs;
             jobs[0] = jobs[0].clone().then_at(450, JobPattern::AllToAll, 0.2);
             spec.traffic = if churn {
-                TrafficKind::Churn(fragmentation_trace(&params, true, 0.3, 0.1, 300, 700, seed))
+                TrafficKind::Jobs(fragmentation_trace(&params, true, 0.3, 0.1, 300, 700, seed))
             } else {
-                TrafficKind::Workload(WorkloadSpec::new(jobs))
+                TrafficKind::Jobs(Trace::new("wl", jobs))
             };
             let name = format!("h={} {routing:?} churn={churn} shards={shards:?}", spec.h);
             let (generated, delivered) = routing.dispatch(

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use dragonfly::core::{
     ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, RunOptions, Steady,
-    TrafficKind, WorkloadSpec,
+    Trace, TrafficKind,
 };
 use dragonfly::stats::{BatchReport, JobReport, PhaseReport, SimReport};
 use dragonfly::workload::SyntheticTrace;
@@ -150,10 +150,10 @@ fn steady_state_uniform_matches_golden() {
 /// Workload protocol: per-job and per-phase breakdowns are byte-stable.
 #[test]
 fn workload_matches_golden() {
-    let workload = WorkloadSpec::interference(72, 1, 0.4, 0.1);
+    let workload = Trace::interference(72, 1, 0.4, 0.1);
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Piggybacking;
-    spec.traffic = TrafficKind::Workload(workload);
+    spec.traffic = TrafficKind::Jobs(workload);
     spec.seed = 5;
     spec.warmup = 400;
     spec.measure = 800;
@@ -180,7 +180,7 @@ fn churn_matches_golden() {
     .build();
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Olm;
-    spec.traffic = TrafficKind::Churn(trace);
+    spec.traffic = TrafficKind::Jobs(trace);
     spec.seed = 13;
     spec.measure = 12_000;
     spec.drain = 3_000;

@@ -18,9 +18,8 @@
 //! through `ExperimentSpec::run_with` and must agree.
 
 use dragonfly::core::{
-    Batch, Completion, ExperimentSpec, FlowControlKind, JobPattern, Jobs, PlacementPolicy,
-    ProbeConfig, ProbeRecorder, Protocol, RoutingKind, RunOptions, Steady, Trace, TraceJob,
-    TrafficKind, WorkloadSpec,
+    Batch, Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, Jobs, PlacementPolicy,
+    ProbeConfig, ProbeRecorder, Protocol, RoutingKind, RunOptions, Steady, Trace, TrafficKind,
 };
 use dragonfly::probe::DelayLedger;
 use std::fmt::Debug;
@@ -77,33 +76,32 @@ fn run_probed<P: Protocol>(
 
 fn workload_spec() -> ExperimentSpec {
     let mut spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
-    spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.4, 0.1));
+    spec.traffic = TrafficKind::Jobs(Trace::interference(72, 1, 0.4, 0.1));
     spec
 }
 
 fn churn_spec() -> ExperimentSpec {
     let mut spec = steady_spec(RoutingKind::Piggybacking, FlowControlKind::Vct);
-    spec.traffic = TrafficKind::Churn(Trace::new(
+    spec.traffic = TrafficKind::Jobs(Trace::new(
         "probe-pin",
         vec![
-            TraceJob {
-                name: "a".into(),
-                arrival: 0,
-                size: 24,
-                placement: PlacementPolicy::Contiguous,
-                pattern: JobPattern::AllToAll,
-                offered_load: 0.15,
-                completion: Completion::Duration(1_200),
-            },
-            TraceJob {
-                name: "b".into(),
-                arrival: 500,
-                size: 24,
-                placement: PlacementPolicy::Random { seed: 5 },
-                pattern: JobPattern::Uniform,
-                offered_load: 0.1,
-                completion: Completion::Duration(800),
-            },
+            JobSpec::new(
+                "a",
+                24,
+                PlacementPolicy::Contiguous,
+                JobPattern::AllToAll,
+                0.15,
+            )
+            .complete_on(Completion::Duration(1_200)),
+            JobSpec::new(
+                "b",
+                24,
+                PlacementPolicy::Random { seed: 5 },
+                JobPattern::Uniform,
+                0.1,
+            )
+            .arrive_at(500)
+            .complete_on(Completion::Duration(800)),
         ],
     ));
     spec.measure = 4_000;
@@ -474,17 +472,19 @@ fn a_full_delay_scope_table_keeps_the_same_scopes_on_every_shard_count() {
     spec.warmup = 0;
     spec.measure = 2_000;
     spec.drain = 1_000;
-    spec.traffic = TrafficKind::Churn(Trace::new(
+    spec.traffic = TrafficKind::Jobs(Trace::new(
         "scope-overflow",
         (0..40u64)
-            .map(|j| TraceJob {
-                name: format!("j{j}"),
-                arrival: 10 * j,
-                size: 2,
-                placement: PlacementPolicy::Contiguous,
-                pattern: JobPattern::Uniform,
-                offered_load: 0.3,
-                completion: Completion::Duration(600),
+            .map(|j| {
+                JobSpec::new(
+                    format!("j{j}"),
+                    2,
+                    PlacementPolicy::Contiguous,
+                    JobPattern::Uniform,
+                    0.3,
+                )
+                .arrive_at(10 * j)
+                .complete_on(Completion::Duration(600))
             })
             .collect(),
     ));

@@ -317,8 +317,7 @@ fn json_values_round_trip_through_both_writers() {
 #[test]
 fn mutated_json_documents_never_panic_the_readers() {
     use dragonfly::probe::{ProbeConfig, RunManifest, MANIFEST_SCHEMA_VERSION};
-    use dragonfly::stats::json::{ToJson, Value};
-    use dragonfly::stats::SimReport;
+    use dragonfly::stats::json::Value;
 
     let manifest = RunManifest {
         schema_version: MANIFEST_SCHEMA_VERSION,
@@ -337,33 +336,21 @@ fn mutated_json_documents_never_panic_the_readers() {
         peak_buffered_phits: 4096,
         peak_vc_occupancy: 32,
     };
-    let report = SimReport {
-        routing: "OLM".into(),
-        traffic: "ADVG+1".into(),
-        offered_load: 1.0,
-        injected_load: 0.49,
-        accepted_load: 0.48,
-        avg_latency_cycles: 130.5,
-        p99_latency_cycles: 300.0,
-        max_latency_cycles: 512.0,
-        avg_hops: 2.4,
-        global_misroute_fraction: 0.1,
-        local_misroute_fraction: 0.05,
-        packets_delivered: 10_000,
-        packets_measured: 9_500,
-        warmup_cycles: 5_000,
-        measure_cycles: 10_000,
-        deadlock_detected: false,
-        peak_in_flight_packets: 420,
-        peak_buffered_phits: 900,
-        peak_vc_occupancy: 32,
-    };
     let seeds = [
         manifest.to_json(
             &ProbeConfig::full_active(64),
             &["a,b.csv".to_string(), "x]y.jsonl".to_string()],
         ),
-        report.to_json().dump(),
+        // A `SimReport` as the report writers used to emit it.
+        "{\"routing\":\"OLM\",\"traffic\":\"ADVG+1\",\"offered_load\":1.0,\
+         \"injected_load\":0.49,\"accepted_load\":0.48,\"avg_latency_cycles\":130.5,\
+         \"p99_latency_cycles\":300.0,\"max_latency_cycles\":512.0,\"avg_hops\":2.4,\
+         \"global_misroute_fraction\":0.1,\"local_misroute_fraction\":0.05,\
+         \"packets_delivered\":10000,\"packets_measured\":9500,\"warmup_cycles\":5000,\
+         \"measure_cycles\":10000,\"deadlock_detected\":false,\
+         \"peak_in_flight_packets\":420,\"peak_buffered_phits\":900,\
+         \"peak_vc_occupancy\":32}"
+            .to_string(),
         "{\"detector\":\"throughput_collapse\",\"cycle\":1216,\"sample\":19,\
          \"window_start\":960,\"observed\":-3,\"bound\":1.5e3,\"router\":null}"
             .to_string(),
@@ -398,4 +385,106 @@ fn mutated_json_documents_never_panic_the_readers() {
     // all harmless.
     assert!(parsed > 1_000 && parsed < 99_000, "{parsed}");
     assert!(read > 100 && read < parsed, "{read}");
+}
+
+/// The text readers of the job layer — `Trace::parse` and `JobPattern::parse`
+/// — return `Ok` or `Err` on any input and never panic: 10⁵ seeded mutants of
+/// a canonical trace file and of every pattern name, with bytes and whole
+/// values swapped for ones that steer the grammar (negative, non-finite,
+/// zero and overflowing numbers among them, and valid ones).  A parsed trace always has a
+/// text form that parses again.
+#[test]
+fn mutated_trace_files_never_panic_the_parsers() {
+    use dragonfly::workload::{JobPattern, Trace};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let trace = "# churn\ntrace mixed\n\
+                 job a2a arrive=0 size=24 place=cont pattern=A2A load=0.15 duration=2500\n\
+                 job ring arrive=400 size=24 place=rr pattern=RING load=0.15 volume=600\n\
+                 job perm arrive=800 size=16 place=rand#9 pattern=PERM#5 load=0.1 duration=1500\n\
+                 job mix arrive=900 size=8 place=RAND#2 pattern=MIX40%(ADVG+2/ADVL+1) \
+                 load=0.2 duration=700\n\
+                 job adv arrive=1000 size=4 place=cont pattern=advg+1 load=1e-3 volume=9\n";
+    let patterns = [
+        "UN",
+        "ADVG+3",
+        "ADVL+1",
+        "A2A",
+        "RING",
+        "PERM#42",
+        "MIX40%(ADVG+2/ADVL+1)",
+    ];
+    const STRUCTURAL: &[u8] = b"=#%()/+-.,0123456789eE \n\tjobtraceUNADVGLMIXRP";
+    const VALUES: &[&str] = &[
+        "-1",
+        "nan",
+        "inf",
+        "-inf",
+        "0",
+        "",
+        "1e309",
+        "18446744073709551616",
+        "MIX250%(ADVG+1/ADVL+1)",
+        "MIXnan%(ADVG+1/ADVL+1)",
+        "rand#",
+        "PERM#-1",
+        // Valid values, so a mutant often survives to the next check.
+        "7",
+        "0.5",
+        "rr",
+        "UN",
+        "rand#3",
+        "MIX50%(ADVG+1/ADVL+2)",
+    ];
+    let mut rng = Rng::seed_from(0x7AC3);
+    let (mut traces, mut pattern_oks) = (0usize, 0usize);
+    for i in 0..100_000 {
+        let seed = if i % 2 == 0 {
+            trace
+        } else {
+            *rng.choose(&patterns)
+        };
+        let mut text = seed.to_string();
+        for _ in 0..1 + rng.gen_index(3) {
+            // Swap one `key=value` value (or a whole pattern) for a steering one.
+            if rng.gen_range(3) == 0 {
+                let cut = match text.match_indices('=').nth(rng.gen_index(8)) {
+                    Some((at, _)) => at + 1,
+                    None => 0,
+                };
+                let end = text[cut..]
+                    .find(char::is_whitespace)
+                    .map_or(text.len(), |n| cut + n);
+                let value: &str = VALUES[rng.gen_index(VALUES.len())];
+                text.replace_range(cut..end, value);
+                continue;
+            }
+            let mut bytes = std::mem::take(&mut text).into_bytes();
+            let at = rng.gen_index(bytes.len().max(1));
+            match rng.gen_range(5) {
+                0 if at < bytes.len() => bytes[at] = *rng.choose(STRUCTURAL),
+                1 => bytes.insert(at.min(bytes.len()), *rng.choose(STRUCTURAL)),
+                2 if at < bytes.len() => drop(bytes.remove(at)),
+                3 => bytes.truncate(at),
+                _ if !bytes.is_empty() => bytes[at] = rng.next_u64() as u8,
+                _ => {}
+            }
+            text = String::from_utf8_lossy(&bytes).into_owned();
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let parsed = Trace::parse(&text);
+            if let Ok(trace) = &parsed {
+                assert!(Trace::parse(&trace.to_text()).is_ok(), "{text:?}");
+            }
+            (parsed.is_ok(), JobPattern::parse(&text).is_ok())
+        }));
+        let (trace_ok, pattern_ok) =
+            outcome.unwrap_or_else(|_| panic!("parse panicked on {text:?}"));
+        traces += usize::from(trace_ok);
+        pattern_oks += usize::from(pattern_ok);
+    }
+    // Both outcomes occur for both readers: the mutants are neither all
+    // rejected nor all harmless.
+    assert!(traces > 1_000 && traces < 99_000, "{traces}");
+    assert!(pattern_oks > 1_000 && pattern_oks < 99_000, "{pattern_oks}");
 }

@@ -6,7 +6,7 @@
 
 use dragonfly::core::{
     Batch, ExperimentSpec, FlowControlKind, JobPattern, Jobs, PlacementPolicy, Protocol,
-    RoutingKind, RunOptions, Steady, TrafficKind, WorkloadSpec,
+    RoutingKind, RunOptions, Steady, Trace, TrafficKind,
 };
 use dragonfly::workload::SyntheticTrace;
 
@@ -82,10 +82,10 @@ fn telemetry_peaks_are_populated_and_shard_invariant() {
 /// Workload protocol: per-job and per-phase breakdowns survive sharding.
 #[test]
 fn workload_reports_are_shard_invariant() {
-    let workload = WorkloadSpec::interference(72, 1, 0.4, 0.1);
+    let workload = Trace::interference(72, 1, 0.4, 0.1);
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Piggybacking;
-    spec.traffic = TrafficKind::Workload(workload);
+    spec.traffic = TrafficKind::Jobs(workload);
     spec.seed = 5;
     spec.warmup = 400;
     spec.measure = 800;
@@ -120,7 +120,7 @@ fn churn_traces_are_shard_count_invariant() {
     .build();
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Olm;
-    spec.traffic = TrafficKind::Churn(trace);
+    spec.traffic = TrafficKind::Jobs(trace);
     spec.seed = 13;
     spec.measure = 12_000; // horizon
     spec.drain = 3_000;

@@ -205,11 +205,11 @@ fn too_few_global_vcs_is_a_clear_construction_error() {
 /// monomorphized and the type-erased engines, like every other traffic kind.
 #[test]
 fn workload_static_and_dyn_dispatch_agree() {
-    use dragonfly::core::WorkloadSpec;
+    use dragonfly::core::Trace;
     for kind in [RoutingKind::Minimal, RoutingKind::Olm] {
         let mut spec = ExperimentSpec::new(2);
         spec.routing = kind;
-        spec.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.2, 0.05));
+        spec.traffic = TrafficKind::Jobs(Trace::interference(72, 1, 0.2, 0.05));
         spec.seed = 23;
         spec.warmup = 400;
         spec.measure = 800;

@@ -8,14 +8,14 @@
 //! cargo test --release --test stress_large -- --ignored
 //! ```
 
-use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind, WorkloadSpec};
+use dragonfly::core::{ExperimentSpec, RoutingKind, Trace, TrafficKind};
 use dragonfly::topology::DragonflyParams;
 use dragonfly::workload::scenarios::fragmentation_trace;
 
-fn stress_spec(h: usize, workload: WorkloadSpec) -> ExperimentSpec {
+fn stress_spec(h: usize, workload: Trace) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(h);
     spec.routing = RoutingKind::Olm;
-    spec.traffic = TrafficKind::Workload(workload);
+    spec.traffic = TrafficKind::Jobs(workload);
     spec.seed = 4242;
     spec.warmup = 2_000;
     spec.measure = 3_000;
@@ -31,7 +31,7 @@ fn workload_interference_stress_h4() {
     let params = DragonflyParams::new(4);
     assert_eq!(params.num_nodes(), 1_056);
     let aggressor_load = 0.9 * 2.0 / params.nodes_per_group() as f64;
-    let workload = WorkloadSpec::interference(params.num_nodes(), 1, aggressor_load, 0.1);
+    let workload = Trace::interference(params.num_nodes(), 1, aggressor_load, 0.1);
     let report = stress_spec(4, workload).run_workload();
     assert!(!report.aggregate.deadlock_detected);
     assert_eq!(report.jobs.len(), 2);
@@ -52,10 +52,7 @@ fn workload_interference_stress_h4() {
 fn workload_transient_stress_h6_over_4k_nodes() {
     let params = DragonflyParams::new(6);
     assert_eq!(params.num_nodes(), 5_256);
-    let mut spec = stress_spec(
-        6,
-        WorkloadSpec::transient(params.num_nodes(), 0.2, 3_500, 6),
-    );
+    let mut spec = stress_spec(6, Trace::transient(params.num_nodes(), 0.2, 3_500, 6));
     spec.warmup = 2_000;
     spec.measure = 3_000;
     spec.drain = 5_000;
@@ -84,7 +81,7 @@ fn churn_fragmentation_stress_h8() {
     let trace = fragmentation_trace(&params, true, 0.75, 0.1, 1_500, 6_000, 4242);
     let mut spec = ExperimentSpec::new(8);
     spec.routing = RoutingKind::Olm;
-    spec.traffic = TrafficKind::Churn(trace);
+    spec.traffic = TrafficKind::Jobs(trace);
     spec.seed = 4242;
     spec.measure = 7_500; // horizon past the pair's departure at 6 000
     spec.drain = 4_000;

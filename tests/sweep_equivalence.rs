@@ -1,12 +1,12 @@
 //! Parallel vs. sequential sweep equivalence: the same specs routed through
-//! `SweepRunner` on a worker pool, through its `--sequential` escape hatch, and
-//! through a plain hand-rolled loop must yield byte-identical reports — for the
-//! steady-state, workload and burst protocols alike.  This is the contract that
-//! lets every figure binary default to the parallel path.
+//! `SweepRunner` on a worker pool and through a plain hand-rolled loop must
+//! yield byte-identical reports — for the steady-state, workload and burst
+//! protocols alike.  This is the contract that lets every figure binary
+//! default to the parallel path.
 
 use dragonfly::core::{
-    interference_sweep, load_sweep, ExperimentSpec, FlowControlKind, InterferenceSweep, LoadSweep,
-    PlacementPolicy, RoutingKind, SweepRunner, TrafficKind,
+    job_sweep, load_sweep, ExperimentSpec, FlowControlKind, JobSweep, LoadSweep, PlacementPolicy,
+    RoutingKind, SweepRunner, Trace, TrafficKind,
 };
 
 fn quick_base() -> ExperimentSpec {
@@ -33,16 +33,16 @@ fn steady_specs() -> Vec<ExperimentSpec> {
 }
 
 fn workload_specs() -> Vec<ExperimentSpec> {
-    interference_sweep(&InterferenceSweep {
+    let placements = [
+        PlacementPolicy::Contiguous,
+        PlacementPolicy::RoundRobinRouters,
+    ];
+    job_sweep(&JobSweep {
         base: quick_base(),
         mechanisms: vec![RoutingKind::Minimal, RoutingKind::Olm],
-        placements: vec![
-            PlacementPolicy::Contiguous,
-            PlacementPolicy::RoundRobinRouters,
-        ],
-        aggressor_loads: vec![0.2],
-        aggressor_offset: 1,
-        victim_load: 0.1,
+        traces: placements
+            .map(|placement| Trace::interference_placed(72, 1, 0.2, 0.1, placement))
+            .to_vec(),
     })
 }
 
@@ -54,12 +54,7 @@ fn steady_state_parallel_matches_sequential() {
         .quiet()
         .jobs(Some(4))
         .run_steady(&specs);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_steady(&specs);
     let plain: Vec<_> = specs.iter().map(ExperimentSpec::run).collect();
-    assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
     // Byte-identical down to the CSV rows the figure binaries write.
     for (a, b) in parallel.iter().zip(plain.iter()) {
@@ -75,12 +70,7 @@ fn workload_parallel_matches_sequential() {
         .quiet()
         .jobs(Some(4))
         .run_workloads(&specs);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_workloads(&specs);
     let plain: Vec<_> = specs.iter().map(ExperimentSpec::run_workload).collect();
-    assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
     // The per-job/per-phase breakdowns (not just the aggregates) are identical
     // down to the CSV rows the workload rows of `repro` write.
@@ -111,12 +101,7 @@ fn batch_parallel_matches_sequential() {
     let parallel = SweepRunner::new("equiv")
         .quiet()
         .run_batches(&specs, 3, 200_000);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_batches(&specs, 3, 200_000);
     let plain: Vec<_> = specs.iter().map(|s| s.run_batch(3, 200_000)).collect();
-    assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
     assert!(parallel.iter().all(|r| !r.timed_out));
 }

@@ -4,15 +4,15 @@
 
 use dragonfly::core::{
     ExperimentSpec, JobPattern, JobSpec, Jobs, PlacementPolicy, Protocol, RoutingKind, Steady,
-    TrafficKind, WorkloadReport, WorkloadSpec,
+    Trace, TrafficKind, WorkloadReport,
 };
 use dragonfly::topology::DragonflyParams;
-use dragonfly::workload::{JobList, Schedule};
+use dragonfly::workload::Schedule;
 
-fn workload_spec(routing: RoutingKind, workload: WorkloadSpec, seed: u64) -> ExperimentSpec {
+fn workload_spec(routing: RoutingKind, workload: Trace, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
     spec.routing = routing;
-    spec.traffic = TrafficKind::Workload(workload);
+    spec.traffic = TrafficKind::Jobs(workload);
     spec.seed = seed;
     spec.warmup = 1_500;
     spec.measure = 4_000;
@@ -21,30 +21,33 @@ fn workload_spec(routing: RoutingKind, workload: WorkloadSpec, seed: u64) -> Exp
 }
 
 /// A three-job workload exercising every placement policy at once.
-fn mixed_placement_workload() -> WorkloadSpec {
-    WorkloadSpec::new(vec![
-        JobSpec::new(
-            "random",
-            16,
-            PlacementPolicy::Random { seed: 5 },
-            JobPattern::Uniform,
-            0.1,
-        ),
-        JobSpec::new(
-            "spread",
-            24,
-            PlacementPolicy::RoundRobinRouters,
-            JobPattern::AdversarialLocal(1),
-            0.15,
-        ),
-        JobSpec::new(
-            "block",
-            16,
-            PlacementPolicy::Contiguous,
-            JobPattern::AdversarialGlobal(1),
-            0.1,
-        ),
-    ])
+fn mixed_placement_workload() -> Trace {
+    Trace::new(
+        "wl",
+        vec![
+            JobSpec::new(
+                "random",
+                16,
+                PlacementPolicy::Random { seed: 5 },
+                JobPattern::Uniform,
+                0.1,
+            ),
+            JobSpec::new(
+                "spread",
+                24,
+                PlacementPolicy::RoundRobinRouters,
+                JobPattern::AdversarialLocal(1),
+                0.15,
+            ),
+            JobSpec::new(
+                "block",
+                16,
+                PlacementPolicy::Contiguous,
+                JobPattern::AdversarialGlobal(1),
+                0.1,
+            ),
+        ],
+    )
 }
 
 #[test]
@@ -113,7 +116,7 @@ fn per_job_packet_counts_sum_to_the_aggregate() {
 
 #[test]
 fn workload_reports_are_deterministic_and_static_dyn_agree() {
-    let workload = WorkloadSpec::interference(72, 1, 0.24, 0.1);
+    let workload = Trace::interference(72, 1, 0.24, 0.1);
     let spec = workload_spec(RoutingKind::Piggybacking, workload, 7);
     let first: WorkloadReport = spec.run_workload();
     let second = spec.run_workload();
@@ -133,7 +136,7 @@ fn workload_reports_are_deterministic_and_static_dyn_agree() {
 #[test]
 fn interference_minimal_hurts_victim_and_adaptive_routing_shields_it() {
     // ADVG+1 at 0.24 phits/(node·cycle) loads each group's +1 channel to ~96 %.
-    let workload = WorkloadSpec::interference(72, 1, 0.24, 0.1);
+    let workload = Trace::interference(72, 1, 0.24, 0.1);
     // The near-saturated channel needs a few thousand cycles of queue build-up
     // before the interference shows at full strength.
     let windows = |routing| {
@@ -192,7 +195,7 @@ fn transient_switch_shows_up_in_per_phase_stats() {
     let warmup = 1_500u64;
     let measure = 5_000u64;
     let switch_cycle = warmup + measure / 2;
-    let workload = WorkloadSpec::transient(params.num_nodes(), 0.25, switch_cycle, h);
+    let workload = Trace::transient(params.num_nodes(), 0.25, switch_cycle, h);
 
     let mut reports = Vec::new();
     for routing in [RoutingKind::Minimal, RoutingKind::Olm] {

@@ -1,19 +1,16 @@
 //! A static workload is a schedule whose jobs arrive at cycle 0 and never
-//! leave: the interference [`WorkloadSpec`] and the [`Trace`] listing the same
-//! jobs — arriving at cycle 0, single-phase, with a duration no run reaches —
+//! leave: the interference workload and the [`Trace`] listing the same jobs —
+//! arriving at cycle 0, single-phase, with a duration no run reaches —
 //! compile into the same job runtime.  On the same engine, for the same cycles,
 //! both must give the same bytes: the full run-wide `StatsCollector` (totals,
 //! latency histograms, per-job and per-phase scoped statistics) and the report
 //! of either job protocol, except for the traffic label naming the spec.
 
-use dragonfly::core::{
-    Completion, ExperimentSpec, ShardPlan, ShardedSimulation, Trace, TraceJob, WorkloadSpec,
-};
+use dragonfly::core::{Completion, ExperimentSpec, ShardPlan, ShardedSimulation, Trace};
 use dragonfly::routing::{MinimalRouting, Olm, Piggybacking};
 use dragonfly::sim::{protocol, EngineHost, RoutingAlgorithm, Simulation};
 use dragonfly::stats::WorkloadReport;
 use dragonfly::traffic::Uniform;
-use dragonfly::workload::JobList;
 
 const WARMUP: u64 = 500;
 const MEASURE: u64 = 1_000;
@@ -21,7 +18,7 @@ const DRAIN: u64 = 1_500;
 
 /// Install `jobs`, run one job protocol, and return its report with the
 /// traffic label blanked, plus the run-wide statistics rendered in full.
-fn run<H: EngineHost>(mut host: H, jobs: &dyn JobList, steady: bool) -> (WorkloadReport, String) {
+fn run<H: EngineHost>(mut host: H, jobs: &Trace, steady: bool) -> (WorkloadReport, String) {
     host.install_jobs(jobs);
     let mut report = if steady {
         protocol::run_steady_state_workload(&mut host, WARMUP, MEASURE, DRAIN)
@@ -35,21 +32,16 @@ fn run<H: EngineHost>(mut host: H, jobs: &dyn JobList, steady: bool) -> (Workloa
 /// Run the interference workload and its trace through both job protocols
 /// on the sequential engine or on `shards` shards, and compare.
 fn differential<R: RoutingAlgorithm + Clone>(routing: R, seed: u64, shards: Option<usize>) {
-    let workload = WorkloadSpec::interference(72, 1, 0.24, 0.1);
-    let jobs = workload.jobs.iter().map(|job| TraceJob {
-        name: job.name.clone(),
-        arrival: 0,
-        size: job.size,
-        placement: job.placement,
-        pattern: job.phases[0].pattern,
-        offered_load: job.phases[0].offered_load,
-        completion: Completion::Duration(100 * (WARMUP + MEASURE + DRAIN)),
+    let workload = Trace::interference(72, 1, 0.24, 0.1);
+    let jobs = workload.jobs.iter().map(|job| {
+        let never = Completion::Duration(100 * (WARMUP + MEASURE + DRAIN));
+        job.clone().complete_on(never)
     });
     let trace = Trace::new("interference", jobs.collect());
     let mut spec = ExperimentSpec::new(2);
     spec.seed = seed;
     for steady in [true, false] {
-        let run_on = |jobs: &dyn JobList| {
+        let run_on = |jobs: &Trace| {
             let (config, traffic) = (spec.sim_config(), || Box::new(Uniform::new()));
             match shards {
                 None => run(

@@ -46,13 +46,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dragonfly::core::{
     Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, PlacementPolicy, RoutingKind,
-    ShardPlan, ShardedSimulation, Trace, TraceJob, TrafficKind, WorkloadSpec,
+    ShardPlan, ShardedSimulation, Trace, TrafficKind,
 };
 use dragonfly::probe::ProbeConfig;
 use dragonfly::routing::Olm;
 use dragonfly::sim::{Engine, EngineHost, Simulation};
 use dragonfly::traffic::{BernoulliInjection, Uniform};
-use dragonfly::workload::JobList;
 
 /// Forwards to the system allocator, counting every call that can return a
 /// fresh heap block (alloc, alloc_zeroed, realloc).  Deallocations are not
@@ -211,26 +210,24 @@ fn job_and_sharded_cycle_loops() {
     let config = spec.sim_config();
     let nodes = config.params.num_nodes();
     let placement = PlacementPolicy::RoundRobinRouters;
-    let job = |name: &str, size| TraceJob {
-        name: name.into(),
-        arrival: 0,
-        size,
-        placement,
-        pattern: JobPattern::Uniform,
-        offered_load: 0.2,
-        completion: Completion::Duration(10 * (WARMUP_CYCLES + MEASURED_CYCLES)),
+    let job = |name: &str, size| {
+        let completion = Completion::Duration(10 * (WARMUP_CYCLES + MEASURED_CYCLES));
+        JobSpec::new(name, size, placement, JobPattern::Uniform, 0.2).complete_on(completion)
     };
     let trace = Trace::new("steady", vec![job("a", nodes / 2), job("b", nodes / 3)]);
     let switch = WARMUP_CYCLES + MEASURED_CYCLES / 2;
-    let workload = WorkloadSpec::new(vec![
-        JobSpec::new("app", nodes / 2, placement, JobPattern::Uniform, 0.1).then_at(
-            switch,
-            JobPattern::RingExchange,
-            0.1,
-        ),
-        JobSpec::new("bg", nodes / 3, placement, JobPattern::AllToAll, 0.05),
-    ]);
-    let cases: [(&str, Option<&dyn JobList>); 3] = [
+    let workload = Trace::new(
+        "wl",
+        vec![
+            JobSpec::new("app", nodes / 2, placement, JobPattern::Uniform, 0.1).then_at(
+                switch,
+                JobPattern::RingExchange,
+                0.1,
+            ),
+            JobSpec::new("bg", nodes / 3, placement, JobPattern::AllToAll, 0.05),
+        ],
+    );
+    let cases: [(&str, Option<&Trace>); 3] = [
         ("Bernoulli injection", None),
         ("a job trace", Some(&trace)),
         ("a static workload switching phase", Some(&workload)),
@@ -267,7 +264,7 @@ fn job_and_sharded_cycle_loops() {
 /// Install `jobs` (or Bernoulli injection without them) and every probe on
 /// `sim`, warm up, and assert that the measured cycles allocate nothing and
 /// deliver something.
-fn assert_loop_allocation_free<H: EngineHost>(sim: &mut H, jobs: Option<&dyn JobList>, case: &str) {
+fn assert_loop_allocation_free<H: EngineHost>(sim: &mut H, jobs: Option<&Trace>, case: &str) {
     sim.install_probes(ProbeConfig {
         delay: true,
         ..ProbeConfig::full_active(64)
