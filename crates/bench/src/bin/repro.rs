@@ -27,7 +27,7 @@ use dragonfly_core::{
 };
 use dragonfly_routing::ParitySignTable;
 use dragonfly_topology::DragonflyParams;
-use dragonfly_workload::scenarios::fragmentation_trace;
+use dragonfly_workload::scenarios::{fragmentation_fits, fragmentation_trace};
 use FlowControlKind::{Vct, Wormhole};
 use Grid::{Churn, IntSweep, Interference, Load, Mix, ParitySign, Threshold, Transient};
 use RoutingKind::{Minimal, Olm, Par62, Piggybacking, Rlm, Valiant};
@@ -278,6 +278,17 @@ impl Row {
         }
     }
 
+    /// The smallest `h` the row's points can be built at: the churn row's
+    /// fragmentation scenario needs room for the holes its fillers leave.
+    fn min_h(&self) -> usize {
+        match self.grid {
+            Churn => (1..)
+                .find(|&h| fragmentation_fits(&DragonflyParams::new(h)))
+                .expect("some h fits the fragmentation scenario"),
+            _ => 1,
+        }
+    }
+
     /// The probe file-set prefix of one point: the row name, then the point.
     fn prefix(&self, spec: &ExperimentSpec) -> String {
         let two = |x: f64| file_slug(&format!("{x:.2}"));
@@ -454,6 +465,19 @@ fn global_pct(spec: &ExperimentSpec) -> u32 {
     }
 }
 
+/// `rows`, if every one of them can be built at `h` (checked before any row
+/// runs, so a refused `--h` writes nothing).
+fn check_h(rows: Vec<&'static Row>, h: usize) -> Result<Vec<&'static Row>, String> {
+    match rows.iter().find(|row| h < row.min_h()) {
+        Some(row) => Err(format!(
+            "row `{}` needs --h {} or more (got --h {h})",
+            row.name,
+            row.min_h()
+        )),
+        None => Ok(rows),
+    }
+}
+
 /// Packets per node of the 6b/9b burst.  The paper sends 1000 8-phit packets per
 /// node at h = 8; smaller networks send `1000 · h / 8`, and a wormhole burst carries
 /// the same payload in 80-phit packets (the paper's 89 at h = 8).
@@ -492,10 +516,12 @@ fn select(names: &[String]) -> Result<Vec<&'static Row>, String> {
 
 fn main() {
     let (args, names) = HarnessArgs::from_env_with_names();
-    let rows = select(&names).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    });
+    let rows = select(&names)
+        .and_then(|rows| check_h(rows, args.h))
+        .unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        });
     for row in rows {
         let (header, lines) = row.table(&args);
         let path = args.csv_path(row.csv);
@@ -554,6 +580,21 @@ mod tests {
         // No wormhole row runs OLM: it needs Virtual Cut-Through.
         for row in ROWS.iter().filter(|row| row.flow == Wormhole) {
             assert!(row.specs(&quick).iter().all(|spec| spec.routing != Olm));
+        }
+    }
+
+    /// An `--h` a selected row cannot be built at is a usage error naming the
+    /// row and its smallest `h`, raised before any row runs; every other row
+    /// builds its points at h = 1.
+    #[test]
+    fn rows_refuse_an_h_below_their_minimum() {
+        let err = check_h(select(&[]).unwrap(), 1).err().unwrap();
+        assert_eq!(err, "row `churn` needs --h 2 or more (got --h 1)");
+        assert!(check_h(select(&["churn".to_string()]).unwrap(), 2).is_ok());
+        let h1 = HarnessArgs::parse_from(["--quick", "--h", "1"]).unwrap();
+        for row in ROWS.iter().filter(|row| row.name != "churn") {
+            assert_eq!(row.min_h(), 1, "{}", row.name);
+            let _ = row.specs(&h1);
         }
     }
 

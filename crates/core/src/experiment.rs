@@ -62,7 +62,7 @@ pub enum TrafficKind {
     /// cycle 0 — or a churn trace of jobs arriving, waiting, departing and
     /// re-placed onto freed nodes.  The jobs carry their own loads, so the
     /// spec's `offered_load` is ignored.  [`Jobs`] runs a static workload to
-    /// steady state and a churn trace with `Simulation::run_trace`, the
+    /// steady state and a churn trace with `protocol::run_trace`, the
     /// spec's `measure` as the horizon and `drain` as the drain budget
     /// (`warmup` is ignored — churn runs measure from cycle 0).
     Jobs(Trace),
@@ -193,23 +193,6 @@ impl ExperimentSpec {
         };
         base.with_local_vcs(self.routing.local_vcs())
             .with_seed(self.seed)
-    }
-
-    /// Build the type-erased simulation (network + boxed routing + traffic) for this
-    /// specification.  Kept for custom experiments that need to own a `Simulation`
-    /// without naming the mechanism type (and for the static-vs-dyn equivalence
-    /// tests, which drive its `run_*` protocols directly); the `run*` methods
-    /// below use the monomorphized engine instead.  A job list is fully
-    /// installed (patterns, injection rates and per-job statistics).
-    pub fn build_simulation(&self) -> Simulation {
-        let routing = self
-            .routing
-            .build_with(AdaptiveParams::with_threshold(self.threshold));
-        let config = self.sim_config();
-        let traffic = self.construction_traffic(&config.params);
-        let mut sim = Simulation::with_routing(config, routing, traffic);
-        self.install_jobs(&mut sim);
-        sim
     }
 
     /// The pattern an engine is constructed with.  A job list installs jobs
@@ -476,6 +459,7 @@ impl<P: Protocol> Run<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_routing::MinimalRouting;
 
     #[test]
     fn flow_control_kind_metadata() {
@@ -594,8 +578,7 @@ mod tests {
         let b = report.job("b").unwrap().lifecycle.unwrap();
         assert_eq!(b.arrival_cycle, 700);
         assert_eq!(b.placed_cycle, Some(700));
-        // Static and dyn paths agree, and run() returns the same aggregate.
-        assert_eq!(Jobs.run_on(&spec, &mut spec.build_simulation()), report);
+        // run() returns the same aggregate.
         assert_eq!(spec.run(), report.aggregate);
     }
 
@@ -615,7 +598,10 @@ mod tests {
         ] {
             spec.traffic = traffic;
             let label = spec.traffic.name();
-            let mut sim = spec.build_simulation();
+            let config = spec.sim_config();
+            let traffic = spec.construction_traffic(&config.params);
+            let mut sim = Simulation::with_routing(config, MinimalRouting::new(), traffic);
+            spec.install_jobs(&mut sim);
             assert_eq!(sim.network().traffic_name(), label);
             let report = sim.run_steady_state(0.1, spec.warmup, spec.measure, spec.drain);
             assert_eq!(report.traffic, label);

@@ -188,35 +188,13 @@ impl DiagSeries {
     fn merge(&mut self, other: &DiagSeries) {
         // Growth and population counts add; high-water marks take the maximum.
         self.arena_grows.merge(&other.arena_grows);
-        merge_max(&mut self.phit_ring_high_water, &other.phit_ring_high_water);
-        merge_max(
-            &mut self.credit_ring_high_water,
-            &other.credit_ring_high_water,
-        );
+        self.phit_ring_high_water
+            .merge_max(&other.phit_ring_high_water);
+        self.credit_ring_high_water
+            .merge_max(&other.credit_ring_high_water);
         self.active_links.merge(&other.active_links);
         self.active_routers.merge(&other.active_routers);
     }
-}
-
-/// Element-wise maximum of two series (same merge contract as
-/// [`TimeSeries::merge`] but for high-water marks).
-fn merge_max(dst: &mut TimeSeries, src: &TimeSeries) {
-    assert_eq!(dst.period(), src.period());
-    let extra: Vec<f64> = src.samples().iter().skip(dst.len()).copied().collect();
-    let n = dst.len().min(src.len());
-    // TimeSeries exposes no mutable sample access by design; rebuild the
-    // prefix via merge-with-delta: max(a, b) = a + max(0, b - a).
-    let deltas: Vec<f64> = (0..n)
-        .map(|i| (src.samples()[i] - dst.samples()[i]).max(0.0))
-        .collect();
-    let mut delta_series = TimeSeries::new(dst.period());
-    for d in deltas {
-        delta_series.push(d);
-    }
-    for e in extra {
-        delta_series.push(e);
-    }
-    dst.merge(&delta_series);
 }
 
 /// The probe state of one engine partition: all storage preallocated at

@@ -379,9 +379,9 @@ mod tests {
     fn par_never_misroutes_locally() {
         // PAR has no local misrouting; under ADVL+1 it can only escape through full
         // Valiant detours.
-        let mut sim = Simulation::new(
+        let mut sim = Simulation::with_routing(
             SimConfig::paper_vct(2).with_local_vcs(4).with_seed(7),
-            Box::new(Par::default()),
+            Par::default(),
             Box::new(AdversarialLocal::new(1)),
         );
         let report = sim.run_steady_state(0.9, 3_000, 4_000, 2_000);
@@ -396,10 +396,10 @@ mod tests {
         h: usize,
         seed: u64,
         traffic: Box<dyn dragonfly_traffic::TrafficPattern>,
-    ) -> Simulation {
-        Simulation::new(
+    ) -> Simulation<Par62> {
+        Simulation::with_routing(
             SimConfig::paper_vct(h).with_local_vcs(6).with_seed(seed),
-            Box::new(Par62::default()),
+            Par62::default(),
             traffic,
         )
     }
@@ -430,9 +430,9 @@ mod tests {
         let adv = || Box::new(AdversarialGlobal::new(h));
         let mut par = par62_sim(h, 11, adv());
         let par_report = par.run_steady_state(0.6, 3_000, 5_000, 2_000);
-        let mut valiant = Simulation::new(
+        let mut valiant = Simulation::with_routing(
             SimConfig::paper_vct(h).with_seed(11),
-            Box::new(ValiantRouting::new()),
+            ValiantRouting::new(),
             adv(),
         );
         let valiant_report = valiant.run_steady_state(0.6, 3_000, 5_000, 2_000);

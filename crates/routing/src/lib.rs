@@ -46,7 +46,7 @@ use dragonfly_sim::{FlowControl, RoutingAlgorithm};
 /// [`RoutingKind::dispatch`] turns a runtime mechanism selection into a call of
 /// [`RoutingVisitor::visit`] with the *concrete* mechanism type, so callers can build
 /// monomorphized engines (`Network<Olm>`, `Simulation<Rlm>`, ...) from a runtime
-/// `RoutingKind` without going through `Box<dyn RoutingAlgorithm>`.
+/// `RoutingKind`: every engine is built over a concrete mechanism.
 pub trait RoutingVisitor {
     /// Result produced by the visit.
     type Output;
@@ -120,30 +120,11 @@ impl RoutingKind {
         self.read(|m| m.supports_flow_control(FlowControl::Wormhole { flit_size: 10 }))
     }
 
-    /// Instantiate the mechanism with default adaptive parameters.
-    pub fn build(self) -> Box<dyn RoutingAlgorithm> {
-        self.build_with(AdaptiveParams::default())
-    }
-
-    /// Instantiate the mechanism with explicit adaptive parameters (the threshold is
-    /// ignored by the oblivious mechanisms).
-    pub fn build_with(self, params: AdaptiveParams) -> Box<dyn RoutingAlgorithm> {
-        struct Boxed;
-        impl RoutingVisitor for Boxed {
-            type Output = Box<dyn RoutingAlgorithm>;
-            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-                Box::new(routing)
-            }
-        }
-        self.dispatch(params, Boxed)
-    }
-
     /// Instantiate the mechanism as its *concrete* type and hand it to `visitor`.
     ///
     /// This is the crate's one table from kind to mechanism.  The visitor's generic
     /// `visit` is called with the concrete mechanism, letting the simulation engine
-    /// statically dispatch the per-cycle routing call; [`RoutingKind::build_with`] is
-    /// the visitor that boxes it instead.
+    /// statically dispatch the per-cycle routing call.
     pub fn dispatch<V: RoutingVisitor>(self, params: AdaptiveParams, visitor: V) -> V::Output {
         match self {
             RoutingKind::Minimal => visitor.visit(MinimalRouting::new()),
@@ -159,7 +140,14 @@ impl RoutingKind {
     /// Read one fact off the mechanism behind this kind, so that the kind's metadata
     /// *is* the mechanism's (its policy constants) rather than a copy of it.
     fn read<T>(self, fact: impl FnOnce(&dyn RoutingAlgorithm) -> T) -> T {
-        fact(self.build().as_ref())
+        struct Read<F>(F);
+        impl<T, F: FnOnce(&dyn RoutingAlgorithm) -> T> RoutingVisitor for Read<F> {
+            type Output = T;
+            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> T {
+                (self.0)(&routing)
+            }
+        }
+        self.dispatch(AdaptiveParams::default(), Read(fact))
     }
 }
 
@@ -170,7 +158,7 @@ const BASELINE_LOCAL_VCS: usize = 3;
 mod tests {
     use super::*;
     use dragonfly_sim::{SimConfig, Simulation};
-    use dragonfly_traffic::{AdversarialGlobal, Uniform};
+    use dragonfly_traffic::{AdversarialGlobal, TrafficPattern, Uniform};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::OnceLock;
 
@@ -213,37 +201,68 @@ mod tests {
         expect(RoutingKind::Par, "PAR", (4, 2), true, (0.3, 3)),
     ];
 
-    /// Build a simulation, returning the constructor's panic message if it refuses.
-    fn try_sim(config: SimConfig, kind: RoutingKind) -> Result<Simulation, String> {
-        catch_unwind(AssertUnwindSafe(|| {
-            Simulation::new(config, kind.build(), Box::new(Uniform::new()))
-        }))
-        .map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic".to_string())
-        })
+    /// The report fields the checks below read.
+    struct Outcome {
+        deadlock_detected: bool,
+        accepted_load: f64,
+        avg_hops: f64,
+        packets_measured: u64,
+        global_misroute_fraction: f64,
+    }
+
+    /// Build the monomorphized engine of `kind` and run the steady-state protocol
+    /// `(load, warmup, measure, drain)` on it, returning the constructor's panic
+    /// message if it refuses.
+    fn try_run(
+        kind: RoutingKind,
+        config: SimConfig,
+        traffic: Box<dyn TrafficPattern>,
+        window: (f64, u64, u64, u64),
+    ) -> Result<Outcome, String> {
+        struct Run(SimConfig, Box<dyn TrafficPattern>, (f64, u64, u64, u64));
+        impl RoutingVisitor for Run {
+            type Output = Result<Outcome, String>;
+            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
+                let Run(config, traffic, (load, warmup, measure, drain)) = self;
+                let build = || Simulation::with_routing(config, routing, traffic);
+                let mut sim = catch_unwind(AssertUnwindSafe(build)).map_err(|payload| {
+                    let message = payload.downcast_ref::<String>().cloned();
+                    message.unwrap_or_else(|| "non-string panic".to_string())
+                })?;
+                let report = sim.run_steady_state(load, warmup, measure, drain);
+                Ok(Outcome {
+                    deadlock_detected: report.deadlock_detected,
+                    accepted_load: report.accepted_load,
+                    avg_hops: report.avg_hops,
+                    packets_measured: report.packets_measured,
+                    global_misroute_fraction: report.global_misroute_fraction,
+                })
+            }
+        }
+        kind.dispatch(AdaptiveParams::default(), Run(config, traffic, window))
     }
 
     fn metadata_matches_the_paper(e: &Expected) {
         let wormhole = FlowControl::Wormhole { flit_size: 10 };
-        let mech = e.kind.build();
+        let (name, vcs, vct, wh) = e.kind.read(|m| {
+            let vcs = (m.required_local_vcs(), m.required_global_vcs());
+            let vct = m.supports_flow_control(FlowControl::Vct);
+            (m.name(), vcs, vct, m.supports_flow_control(wormhole))
+        });
         assert_eq!(e.kind.name(), e.name);
-        assert_eq!(mech.name(), e.name);
-        assert_eq!(
-            (mech.required_local_vcs(), mech.required_global_vcs()),
-            e.vcs
-        );
+        assert_eq!(name, e.name);
+        assert_eq!(vcs, e.vcs);
         assert_eq!(e.kind.local_vcs(), e.vcs.0.max(3));
-        assert!(mech.supports_flow_control(FlowControl::Vct));
-        assert_eq!(mech.supports_flow_control(wormhole), e.wormhole);
+        assert!(vct);
+        assert_eq!(wh, e.wormhole);
         assert_eq!(e.kind.supports_wormhole(), e.wormhole);
     }
 
     fn too_few_local_vcs_are_rejected(e: &Expected) {
         let config = SimConfig::paper_vct(2).with_local_vcs(e.vcs.0 - 1);
-        let refusal = try_sim(config, e.kind).err().unwrap_or_default();
+        let refusal = try_run(e.kind, config, Box::new(Uniform::new()), (0.0, 0, 0, 0))
+            .err()
+            .unwrap_or_default();
         let wanted = format!("requires {} local VCs", e.vcs.0);
         assert!(refusal.contains(&wanted), "`{refusal}`");
     }
@@ -253,8 +272,8 @@ mod tests {
         let config = SimConfig::paper_vct(2)
             .with_local_vcs(e.kind.local_vcs())
             .with_seed(seed);
-        let mut sim = try_sim(config, e.kind).unwrap();
-        let report = sim.run_steady_state(load, 2_000, 3_000, 4_000);
+        let window = (load, 2_000, 3_000, 4_000);
+        let report = try_run(e.kind, config, Box::new(Uniform::new()), window).unwrap();
         assert!(!report.deadlock_detected);
         assert!(
             (report.accepted_load - load).abs() < (0.2 * load).max(0.04),
@@ -268,10 +287,10 @@ mod tests {
         let config = SimConfig::paper_wormhole(2)
             .with_local_vcs(e.kind.local_vcs())
             .with_seed(13);
-        match try_sim(config, e.kind) {
-            Ok(mut sim) => {
+        let window = (0.1, 2_000, 3_000, 6_000);
+        match try_run(e.kind, config, Box::new(Uniform::new()), window) {
+            Ok(report) => {
                 assert!(e.wormhole, "must refuse Wormhole");
-                let report = sim.run_steady_state(0.1, 2_000, 3_000, 6_000);
                 assert!(!report.deadlock_detected);
                 assert!(report.packets_measured > 20);
             }
@@ -288,8 +307,7 @@ mod tests {
             .with_local_vcs(kind.local_vcs())
             .with_seed(7);
         let traffic = Box::new(AdversarialGlobal::new(1));
-        let mut sim = Simulation::new(config, kind.build(), traffic);
-        let report = sim.run_steady_state(0.4, 3_000, 4_000, 2_000);
+        let report = try_run(kind, config, traffic, (0.4, 3_000, 4_000, 2_000)).unwrap();
         assert!(!report.deadlock_detected, "{}", kind.name());
         (report.accepted_load, report.global_misroute_fraction)
     }

@@ -110,8 +110,8 @@ mod tests {
     fn olm_sim(
         config: SimConfig,
         traffic: Box<dyn dragonfly_traffic::TrafficPattern>,
-    ) -> Simulation {
-        Simulation::new(config, Box::new(Olm::default()), traffic)
+    ) -> Simulation<Olm> {
+        Simulation::with_routing(config, Olm::default(), traffic)
     }
 
     #[test]
@@ -146,9 +146,9 @@ mod tests {
         let adv = || Box::new(AdversarialGlobal::new(h));
         let mut olm = olm_sim(SimConfig::paper_vct(h).with_seed(29), adv());
         let olm_report = olm.run_steady_state(0.6, 3_000, 5_000, 2_000);
-        let mut valiant = Simulation::new(
+        let mut valiant = Simulation::with_routing(
             SimConfig::paper_vct(h).with_seed(29),
-            Box::new(ValiantRouting::new()),
+            ValiantRouting::new(),
             adv(),
         );
         let valiant_report = valiant.run_steady_state(0.6, 3_000, 5_000, 2_000);
@@ -165,13 +165,12 @@ mod tests {
     fn mixed_traffic_beats_piggybacking() {
         // Figure 6a of the paper: under the ADVG+h / ADVL+1 mix the mechanisms with
         // local misrouting clearly beat PB.
+        let config = SimConfig::paper_vct(2).with_seed(31);
         let mix = || Box::new(MixedGlobalLocal::new(0.5, 2, 1));
-        let run = |routing: Box<dyn dragonfly_sim::RoutingAlgorithm>| {
-            let mut sim = Simulation::new(SimConfig::paper_vct(2).with_seed(31), routing, mix());
-            sim.run_steady_state(0.9, 3_000, 4_000, 2_000)
-        };
-        let olm = run(Box::<Olm>::default());
-        let pb = run(Box::new(Piggybacking::new()));
+        let olm = Simulation::with_routing(config.clone(), Olm::default(), mix())
+            .run_steady_state(0.9, 3_000, 4_000, 2_000);
+        let pb = Simulation::with_routing(config, Piggybacking::new(), mix())
+            .run_steady_state(0.9, 3_000, 4_000, 2_000);
         assert!(
             olm.accepted_load > pb.accepted_load,
             "OLM {} should beat PB {} on the mixed pattern",

@@ -95,8 +95,8 @@ mod tests {
     fn rlm_sim(
         config: SimConfig,
         traffic: Box<dyn dragonfly_traffic::TrafficPattern>,
-    ) -> Simulation {
-        Simulation::new(config, Box::new(Rlm::default()), traffic)
+    ) -> Simulation<Rlm> {
+        Simulation::with_routing(config, Rlm::default(), traffic)
     }
 
     #[test]
@@ -143,9 +143,9 @@ mod tests {
         let adv = || Box::new(AdversarialGlobal::new(h));
         let mut rlm = rlm_sim(SimConfig::paper_vct(h).with_seed(29), adv());
         let rlm_report = rlm.run_steady_state(0.6, 3_000, 5_000, 2_000);
-        let mut valiant = Simulation::new(
+        let mut valiant = Simulation::with_routing(
             SimConfig::paper_vct(h).with_seed(29),
-            Box::new(ValiantRouting::new()),
+            ValiantRouting::new(),
             adv(),
         );
         let valiant_report = valiant.run_steady_state(0.6, 3_000, 5_000, 2_000);
@@ -175,16 +175,12 @@ mod tests {
 
     #[test]
     fn pb_comparison_under_uniform_is_close() {
-        let run = |routing: Box<dyn dragonfly_sim::RoutingAlgorithm>| {
-            let mut sim = Simulation::new(
-                SimConfig::paper_vct(2).with_seed(37),
-                routing,
-                Box::new(Uniform::new()),
-            );
-            sim.run_steady_state(0.4, 2_000, 3_000, 3_000)
-        };
-        let rlm = run(Box::<Rlm>::default());
-        let pb = run(Box::new(Piggybacking::new()));
+        let config = SimConfig::paper_vct(2).with_seed(37);
+        let uniform = || Box::new(Uniform::new());
+        let rlm = Simulation::with_routing(config.clone(), Rlm::default(), uniform())
+            .run_steady_state(0.4, 2_000, 3_000, 3_000);
+        let pb = Simulation::with_routing(config, Piggybacking::new(), uniform())
+            .run_steady_state(0.4, 2_000, 3_000, 3_000);
         // Under uniform traffic at moderate load both should accept close to the
         // offered load; RLM must not collapse.
         assert!(rlm.accepted_load > pb.accepted_load * 0.85);

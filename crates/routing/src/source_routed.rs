@@ -235,8 +235,8 @@ mod tests {
     use dragonfly_sim::{SimConfig, Simulation};
     use dragonfly_traffic::{AdversarialGlobal, Uniform};
 
-    fn un_sim(routing: Box<dyn RoutingAlgorithm>, seed: u64) -> Simulation {
-        Simulation::new(
+    fn un_sim<R: RoutingAlgorithm>(routing: R, seed: u64) -> Simulation<R> {
+        Simulation::with_routing(
             SimConfig::paper_vct(2).with_seed(seed),
             routing,
             Box::new(Uniform::new()),
@@ -245,8 +245,7 @@ mod tests {
 
     #[test]
     fn minimal_never_misroutes_and_stays_within_three_hops() {
-        let report =
-            un_sim(Box::new(MinimalRouting::new()), 42).run_steady_state(0.15, 2_000, 3_000, 4_000);
+        let report = un_sim(MinimalRouting::new(), 42).run_steady_state(0.15, 2_000, 3_000, 4_000);
         assert!(report.avg_hops <= 3.0);
         assert_eq!(report.global_misroute_fraction, 0.0);
         assert_eq!(report.local_misroute_fraction, 0.0);
@@ -254,8 +253,7 @@ mod tests {
 
     #[test]
     fn valiant_uniform_traffic_uses_longer_paths() {
-        let report =
-            un_sim(Box::new(ValiantRouting::new()), 42).run_steady_state(0.1, 2_000, 3_000, 4_000);
+        let report = un_sim(ValiantRouting::new(), 42).run_steady_state(0.1, 2_000, 3_000, 4_000);
         // Essentially every packet is globally misrouted under Valiant.
         assert!(
             report.global_misroute_fraction > 0.9,
@@ -267,8 +265,7 @@ mod tests {
 
     #[test]
     fn pb_uniform_traffic_mostly_minimal() {
-        let report =
-            un_sim(Box::new(Piggybacking::new()), 4).run_steady_state(0.15, 2_000, 3_000, 4_000);
+        let report = un_sim(Piggybacking::new(), 4).run_steady_state(0.15, 2_000, 3_000, 4_000);
         // Uniform traffic at moderate load keeps global queues below the congestion
         // threshold, so PB rarely misroutes and behaves like minimal routing.
         assert!(
@@ -281,16 +278,12 @@ mod tests {
 
     #[test]
     fn pb_advg_tracks_valiant() {
-        let run = |routing: Box<dyn RoutingAlgorithm>| {
-            let mut sim = Simulation::new(
-                SimConfig::paper_vct(2).with_seed(9),
-                routing,
-                Box::new(AdversarialGlobal::new(1)),
-            );
-            sim.run_steady_state(0.4, 3_000, 4_000, 2_000)
-        };
-        let pb = run(Box::new(Piggybacking::new()));
-        let valiant = run(Box::new(ValiantRouting::new()));
+        let config = SimConfig::paper_vct(2).with_seed(9);
+        let adv = || Box::new(AdversarialGlobal::new(1));
+        let pb = Simulation::with_routing(config.clone(), Piggybacking::new(), adv())
+            .run_steady_state(0.4, 3_000, 4_000, 2_000);
+        let valiant = Simulation::with_routing(config, ValiantRouting::new(), adv())
+            .run_steady_state(0.4, 3_000, 4_000, 2_000);
         // PB adapts: it should deliver at least ~70% of pure Valiant under ADVG.
         assert!(
             pb.accepted_load > valiant.accepted_load * 0.7,

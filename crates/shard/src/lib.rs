@@ -86,9 +86,9 @@ use dragonfly_sim::{
     protocol, CreditInFlight, Engine, EngineHost, Network, Packet, PacketId, PhitInFlight,
     RoutingAlgorithm, SimConfig, StatsCollector,
 };
-use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
+use dragonfly_stats::SimReport;
 use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
-use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
+use dragonfly_traffic::{BernoulliInjection, TrafficPattern};
 use dragonfly_workload::Trace;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -522,12 +522,12 @@ impl<R: RoutingAlgorithm> Shard<R> {
 /// A [`Simulation`](dragonfly_sim::Simulation) partitioned into per-group
 /// shards that step concurrently, producing byte-identical reports.
 ///
-/// The run protocols *are* the sequential engine's — `run_steady_state`,
-/// `run_steady_state_workload`, `run_trace` and `run_batch` delegate to the
-/// shared functions of [`dragonfly_sim::protocol`], driven through the
-/// [`Driver`] — and for the same configuration and seed return the very same
-/// bytes.  The routing mechanism must be `Clone` so that every shard can hold
-/// its own (stateless) instance.
+/// The run protocols *are* the sequential engine's: each function of
+/// [`dragonfly_sim::protocol`] takes either engine as its [`EngineHost`],
+/// drives this one through the [`Driver`], and for the same configuration and
+/// seed returns the very same bytes (`run_steady_state` is also a method).
+/// The routing mechanism must be `Clone` so that every shard can hold its own
+/// (stateless) instance.
 pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
     shards: Vec<Shard<R>>,
     packet_size: usize,
@@ -737,29 +737,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     ) -> SimReport {
         protocol::run_steady_state(self, offered_load, warmup, measure, drain)
     }
-
-    /// Run an installed workload's steady-state protocol; byte-identical to
-    /// [`Simulation::run_steady_state_workload`](dragonfly_sim::Simulation::run_steady_state_workload).
-    pub fn run_steady_state_workload(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        drain: u64,
-    ) -> WorkloadReport {
-        protocol::run_steady_state_workload(self, warmup, measure, drain)
-    }
-
-    /// Run the installed jobs to completion or `horizon`; byte-identical
-    /// to [`Simulation::run_trace`](dragonfly_sim::Simulation::run_trace).
-    pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
-        protocol::run_trace(self, horizon, drain)
-    }
-
-    /// Run the burst-consumption protocol; byte-identical to
-    /// [`Simulation::run_batch`](dragonfly_sim::Simulation::run_batch).
-    pub fn run_batch(&mut self, burst: BurstSpec, max_cycles: u64) -> BatchReport {
-        protocol::run_batch(self, burst, max_cycles)
-    }
 }
 
 impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
@@ -794,8 +771,9 @@ impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dragonfly_sim::{BaselineMinimal, LinkEnd, Simulation};
-    use dragonfly_traffic::Uniform;
+    use dragonfly_routing::MinimalRouting;
+    use dragonfly_sim::{LinkEnd, Simulation};
+    use dragonfly_traffic::{BurstSpec, Uniform};
 
     fn config(seed: u64) -> SimConfig {
         SimConfig::paper_vct(2).with_seed(seed)
@@ -826,7 +804,7 @@ mod tests {
     #[test]
     fn boundary_wiring_is_symmetric_and_global_only() {
         let sim =
-            ShardedSimulation::new(config(1), ShardPlan::new(3), BaselineMinimal::new(), || {
+            ShardedSimulation::new(config(1), ShardPlan::new(3), MinimalRouting::new(), || {
                 Box::new(Uniform::new())
             });
         let params = DragonflyParams::new(2);
@@ -889,15 +867,12 @@ mod tests {
 
     #[test]
     fn single_shard_steady_state_matches_sequential() {
-        let mut sequential = Simulation::new(
-            config(7),
-            Box::new(BaselineMinimal::new()),
-            Box::new(Uniform::new()),
-        );
+        let mut sequential =
+            Simulation::with_routing(config(7), MinimalRouting::new(), Box::new(Uniform::new()));
         let expected = sequential.run_steady_state(0.15, 400, 800, 1_200);
 
         let mut sharded =
-            ShardedSimulation::new(config(7), ShardPlan::new(1), BaselineMinimal::new(), || {
+            ShardedSimulation::new(config(7), ShardPlan::new(1), MinimalRouting::new(), || {
                 Box::new(Uniform::new())
             });
         let got = sharded.run_steady_state(0.15, 400, 800, 1_200);
@@ -906,11 +881,8 @@ mod tests {
 
     #[test]
     fn merged_probe_matches_sequential_recorder() {
-        let mut sequential = Simulation::new(
-            config(11),
-            Box::new(BaselineMinimal::new()),
-            Box::new(Uniform::new()),
-        );
+        let mut sequential =
+            Simulation::with_routing(config(11), MinimalRouting::new(), Box::new(Uniform::new()));
         sequential.install_probes(ProbeConfig::full(32));
         let expected_report = sequential.run_steady_state(0.2, 300, 600, 900);
         let expected = sequential.take_probe().unwrap();
@@ -919,7 +891,7 @@ mod tests {
             let mut sharded = ShardedSimulation::new(
                 config(11),
                 ShardPlan::new(shards),
-                BaselineMinimal::new(),
+                MinimalRouting::new(),
                 || Box::new(Uniform::new()),
             );
             sharded.install_probes(ProbeConfig::full(32));
@@ -963,13 +935,10 @@ mod tests {
     fn back_to_back_protocols_resume_at_the_same_cycle() {
         // A second protocol on the same engine continues from the cycle the
         // first one stopped at, on both engines alike.
-        let mut sequential = Simulation::new(
-            config(5),
-            Box::new(BaselineMinimal::new()),
-            Box::new(Uniform::new()),
-        );
+        let mut sequential =
+            Simulation::with_routing(config(5), MinimalRouting::new(), Box::new(Uniform::new()));
         let mut sharded =
-            ShardedSimulation::new(config(5), ShardPlan::new(2), BaselineMinimal::new(), || {
+            ShardedSimulation::new(config(5), ShardPlan::new(2), MinimalRouting::new(), || {
                 Box::new(Uniform::new())
             });
         for load in [0.1, 0.3] {
@@ -981,7 +950,7 @@ mod tests {
         }
         let burst = BurstSpec::new(2, 8);
         assert_eq!(
-            sharded.run_batch(burst, 100_000),
+            protocol::run_batch(&mut sharded, burst, 100_000),
             sequential.run_batch(burst, 100_000)
         );
         assert_eq!(sharded.network(0).cycle, sequential.network().cycle);
@@ -989,18 +958,15 @@ mod tests {
 
     #[test]
     fn multi_shard_steady_state_matches_sequential() {
-        let mut sequential = Simulation::new(
-            config(9),
-            Box::new(BaselineMinimal::new()),
-            Box::new(Uniform::new()),
-        );
+        let mut sequential =
+            Simulation::with_routing(config(9), MinimalRouting::new(), Box::new(Uniform::new()));
         let expected = sequential.run_steady_state(0.2, 500, 1_000, 1_500);
 
         for shards in [2, 3] {
             let mut sharded = ShardedSimulation::new(
                 config(9),
                 ShardPlan::new(shards),
-                BaselineMinimal::new(),
+                MinimalRouting::new(),
                 || Box::new(Uniform::new()),
             );
             let got = sharded.run_steady_state(0.2, 500, 1_000, 1_500);

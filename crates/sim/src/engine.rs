@@ -7,31 +7,18 @@ use crate::protocol::{self, EngineHost};
 use crate::routing_iface::RoutingAlgorithm;
 use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
-use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
+use dragonfly_stats::{BatchReport, SimReport};
 use dragonfly_traffic::{BurstSpec, TrafficPattern};
 use dragonfly_workload::Trace;
 use std::borrow::Cow;
 
 /// A complete simulation: a [`Network`] plus the measurement protocol of the paper.
 ///
-/// Like [`Network`], the simulation is generic over the routing mechanism: a plain
-/// `Simulation` is the type-erased `Simulation<Box<dyn RoutingAlgorithm>>`, while
-/// [`Simulation::with_routing`] monomorphizes the whole engine over a concrete
-/// mechanism for statically dispatched (inlinable) routing.
-pub struct Simulation<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
+/// Like [`Network`], the simulation is monomorphized over its concrete routing
+/// mechanism `R`, so the per-cycle routing call is statically dispatched
+/// (inlinable).
+pub struct Simulation<R: RoutingAlgorithm> {
     net: Network<R>,
-}
-
-impl Simulation {
-    /// Build a simulation from a configuration, a boxed routing mechanism and a
-    /// traffic pattern (dynamic dispatch).
-    pub fn new(
-        config: SimConfig,
-        routing: Box<dyn RoutingAlgorithm>,
-        traffic: Box<dyn TrafficPattern>,
-    ) -> Self {
-        Self::with_routing(config, routing, traffic)
-    }
 }
 
 impl<R: RoutingAlgorithm> Simulation<R> {
@@ -106,24 +93,6 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         self.net.install_jobs(schedule);
     }
 
-    /// Run the steady-state protocol over the installed jobs and break the
-    /// result down per job and per phase (see
-    /// [`protocol::run_steady_state_workload`]).
-    pub fn run_steady_state_workload(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        drain: u64,
-    ) -> WorkloadReport {
-        protocol::run_steady_state_workload(self, warmup, measure, drain)
-    }
-
-    /// Run the installed jobs to completion or `horizon` and report per-job
-    /// statistics and lifecycles (see [`protocol::run_trace`]).
-    pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
-        protocol::run_trace(self, horizon, drain)
-    }
-
     /// Run the paper's burst-consumption protocol (see [`protocol::run_batch`]).
     pub fn run_batch(&mut self, burst: BurstSpec, max_cycles: u64) -> BatchReport {
         protocol::run_batch(self, burst, max_cycles)
@@ -165,10 +134,10 @@ mod tests {
     use crate::routing_iface::BaselineMinimal;
     use dragonfly_traffic::{AdversarialGlobal, Uniform};
 
-    fn vct_sim(h: usize, seed: u64) -> Simulation {
-        Simulation::new(
+    fn vct_sim(h: usize, seed: u64) -> Simulation<BaselineMinimal> {
+        Simulation::with_routing(
             SimConfig::paper_vct(h).with_seed(seed),
-            Box::new(BaselineMinimal::new()),
+            BaselineMinimal::new(),
             Box::new(Uniform::new()),
         )
     }
@@ -219,9 +188,9 @@ mod tests {
     fn adversarial_minimal_saturates_at_group_bound() {
         // Under ADVG+1 with minimal routing the single global channel between
         // consecutive groups caps throughput around 1/(2h^2+1).
-        let mut sim = Simulation::new(
+        let mut sim = Simulation::with_routing(
             SimConfig::paper_vct(2).with_seed(5),
-            Box::new(BaselineMinimal::new()),
+            BaselineMinimal::new(),
             Box::new(AdversarialGlobal::new(1)),
         );
         let report = sim.run_steady_state(0.5, 3_000, 4_000, 2_000);
@@ -279,7 +248,7 @@ mod tests {
         );
         let mut sim = vct_sim(2, 33);
         sim.install_jobs(&spec);
-        let report = sim.run_steady_state_workload(1_000, 3_000, 4_000);
+        let report = protocol::run_steady_state_workload(&mut sim, 1_000, 3_000, 4_000);
         assert!(!report.aggregate.deadlock_detected);
         assert_eq!(report.jobs.len(), 2);
 
@@ -354,7 +323,7 @@ mod tests {
         );
         let mut sim = vct_sim(2, 77);
         sim.install_jobs(&trace);
-        let report = sim.run_trace(40_000, 5_000);
+        let report = protocol::run_trace(&mut sim, 40_000, 5_000);
         assert!(!report.aggregate.deadlock_detected);
         assert_eq!(report.aggregate.traffic, "CHURN[t:2jobs]");
         assert_eq!(report.jobs.len(), 2);
@@ -405,7 +374,7 @@ mod tests {
     #[should_panic(expected = "run_trace requires installed jobs")]
     fn run_trace_requires_schedule() {
         let mut sim = vct_sim(2, 1);
-        let _ = sim.run_trace(1_000, 100);
+        let _ = protocol::run_trace(&mut sim, 1_000, 100);
     }
 
     fn one_job_trace() -> Trace {
@@ -426,7 +395,7 @@ mod tests {
         let mut sim = vct_sim(2, 1);
         sim.install_jobs(&one_job_trace());
         sim.run_cycles(1);
-        let _ = sim.run_trace(1_000, 100);
+        let _ = protocol::run_trace(&mut sim, 1_000, 100);
     }
 
     #[test]
@@ -441,7 +410,7 @@ mod tests {
     #[should_panic(expected = "run_steady_state_workload requires installed jobs")]
     fn workload_run_requires_a_workload() {
         let mut sim = vct_sim(2, 1);
-        let _ = sim.run_steady_state_workload(100, 100, 100);
+        let _ = protocol::run_steady_state_workload(&mut sim, 100, 100, 100);
     }
 
     #[test]
@@ -473,7 +442,7 @@ mod tests {
         for drain in [100, 20_000] {
             let mut sim = vct_sim(2, 7);
             sim.install_jobs(&trace);
-            let report = sim.run_trace(2_000, drain);
+            let report = protocol::run_trace(&mut sim, 2_000, drain);
             let lc = report.job("spans").unwrap().lifecycle.unwrap();
             assert_eq!(lc.placed_cycle, Some(0));
             assert_eq!(lc.completion_cycle, None, "drain = {drain}");
@@ -483,9 +452,9 @@ mod tests {
 
     #[test]
     fn wormhole_uniform_delivers() {
-        let mut sim = Simulation::new(
+        let mut sim = Simulation::with_routing(
             SimConfig::paper_wormhole(2).with_seed(13),
-            Box::new(BaselineMinimal::new()),
+            BaselineMinimal::new(),
             Box::new(Uniform::new()),
         );
         let report = sim.run_steady_state(0.1, 2_000, 3_000, 6_000);

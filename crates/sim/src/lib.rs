@@ -20,15 +20,32 @@
 //!
 //! # Example
 //!
+//! The engine is monomorphized over the routing mechanism it is built with
+//! (the paper's seven live in `dragonfly_routing`); here minimal routing:
+//!
 //! ```
-//! use dragonfly_sim::{Simulation, SimConfig, BaselineMinimal};
+//! use dragonfly_rng::Rng;
+//! use dragonfly_sim::{Packet, RouteChoice, RouteCtx, RouterView, RoutingAlgorithm};
+//! use dragonfly_sim::{SimConfig, Simulation};
 //! use dragonfly_traffic::Uniform;
 //!
-//! let mut sim = Simulation::new(
-//!     SimConfig::paper_vct(2),
-//!     Box::new(BaselineMinimal::new()),
-//!     Box::new(Uniform::new()),
-//! );
+//! /// The minimal path `l – g – l`, one VC up per global hop taken.
+//! struct Minimal;
+//!
+//! impl RoutingAlgorithm for Minimal {
+//!     fn name(&self) -> &'static str { "Minimal" }
+//!     fn required_local_vcs(&self) -> usize { 2 }
+//!     fn required_global_vcs(&self) -> usize { 1 }
+//!     fn route(&self, _: &RouteCtx<'_>, packet: &Packet, view: &RouterView<'_>, _: &mut Rng)
+//!         -> Option<RouteChoice> {
+//!         let port = view.params.minimal_port(view.router, packet.dst);
+//!         let vc = if port.is_terminal() { 0 } else { packet.route.global_hops };
+//!         Some(RouteChoice::plain(port, vc))
+//!     }
+//! }
+//!
+//! let traffic = Box::new(Uniform::new());
+//! let mut sim = Simulation::with_routing(SimConfig::paper_vct(2), Minimal, traffic);
 //! let report = sim.run_steady_state(0.1, 500, 1_000, 1_000);
 //! assert!(report.accepted_load > 0.0);
 //! ```
@@ -56,8 +73,6 @@ pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
 pub use ring::RingMeta;
 pub use router::{OutputPort, OutputVc, Router};
-pub use routing_iface::{
-    BaselineMinimal, RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm,
-};
+pub use routing_iface::{RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm};
 pub use stats_collect::ScopedCollector;
 pub use stats_collect::StatsCollector;

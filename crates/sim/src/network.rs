@@ -122,12 +122,10 @@ pub struct PoolBytes {
 
 /// The simulated network and all of its per-cycle state.
 ///
-/// The engine is generic over the routing mechanism `R`, so the per-cycle `route()`
-/// call in the routing phase of [`Network::step`] is statically dispatched (and inlinable) when a
-/// concrete mechanism type is used.  The default parameter keeps the type-erased
-/// path: a plain `Network` is `Network<Box<dyn RoutingAlgorithm>>`, built through
-/// [`Network::new`] from e.g. `RoutingKind::build()`.
-pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
+/// The engine is monomorphized over its concrete routing mechanism `R`, so the
+/// per-cycle `route()` call in the routing phase of [`Network::step`] is
+/// statically dispatched (and inlinable).
+pub struct Network<R: RoutingAlgorithm> {
     /// Configuration of this run.
     pub config: SimConfig,
     params: DragonflyParams,
@@ -231,19 +229,6 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// [`Network::install_probes`].  Strictly read-only with respect to the
     /// simulation: no RNG stream is consumed and no report field changes.
     probe: Option<Box<ProbeRecorder>>,
-}
-
-/// Type-erased construction path, kept so `RoutingKind::build()` and the experiment
-/// harness keep working unchanged.
-impl Network {
-    /// Build an idle network from a boxed routing mechanism (dynamic dispatch).
-    pub fn new(
-        config: SimConfig,
-        routing: Box<dyn RoutingAlgorithm>,
-        traffic: Box<dyn TrafficPattern>,
-    ) -> Self {
-        Self::with_routing(config, routing, traffic)
-    }
 }
 
 impl<R: RoutingAlgorithm> Network<R> {
@@ -1870,13 +1855,9 @@ mod tests {
     use crate::routing_iface::BaselineMinimal;
     use dragonfly_traffic::Uniform;
 
-    fn tiny_network() -> Network {
+    fn tiny_network() -> Network<BaselineMinimal> {
         let config = SimConfig::paper_vct(2).with_seed(7);
-        Network::new(
-            config,
-            Box::new(BaselineMinimal::new()),
-            Box::new(Uniform::new()),
-        )
+        Network::with_routing(config, BaselineMinimal::new(), Box::new(Uniform::new()))
     }
 
     #[test]

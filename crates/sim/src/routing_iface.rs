@@ -156,56 +156,24 @@ pub trait RoutingAlgorithm: Send {
     ) -> Option<RouteChoice>;
 }
 
-/// Forwarding impl so `Box<dyn RoutingAlgorithm>` (and any boxed concrete mechanism)
-/// is itself a [`RoutingAlgorithm`].  This is what lets the monomorphized
-/// [`Network<R>`](crate::network::Network) keep a type-erased construction path:
-/// `Network<Box<dyn RoutingAlgorithm>>` is the dynamic-dispatch engine, while
-/// `Network<ConcreteMechanism>` statically dispatches and inlines the per-cycle
-/// `route()` call.
-impl<T: RoutingAlgorithm + ?Sized> RoutingAlgorithm for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn required_local_vcs(&self) -> usize {
-        (**self).required_local_vcs()
-    }
-
-    fn required_global_vcs(&self) -> usize {
-        (**self).required_global_vcs()
-    }
-
-    fn supports_flow_control(&self, fc: FlowControl) -> bool {
-        (**self).supports_flow_control(fc)
-    }
-
-    fn route(
-        &self,
-        ctx: &RouteCtx<'_>,
-        packet: &Packet,
-        view: &RouterView<'_>,
-        rng: &mut Rng,
-    ) -> Option<RouteChoice> {
-        (**self).route(ctx, packet, view, rng)
-    }
-}
-
-/// Minimal routing with an ascending VC ladder.
+/// Minimal routing with an ascending VC ladder: the engine's own test fixture
+/// (the mechanisms live in `dragonfly_routing`, which depends on this crate).
 ///
-/// This is the baseline mechanism of the paper (and doubles as the simulator's
-/// built-in self-test routing): always follow the minimal path `l – g – l`, using
-/// local VC 0 before the global hop, global VC 0, and local VC 1 in the destination
-/// group, which is deadlock-free by Günther's argument.
+/// Always follow the minimal path `l – g – l`, using local VC 0 before the global
+/// hop, global VC 0, and local VC 1 in the destination group, which is
+/// deadlock-free by Günther's argument.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineMinimal;
+pub(crate) struct BaselineMinimal;
 
+#[cfg(test)]
 impl BaselineMinimal {
     /// Create the baseline minimal routing.
     pub fn new() -> Self {
         Self
     }
 
-    /// The ascending-ladder VC for a minimal hop, shared with other mechanisms.
+    /// The ascending-ladder VC for a minimal hop.
     pub fn ladder_vc(port: Port, global_hops: u8) -> u8 {
         match port {
             Port::Global(_) => global_hops,
@@ -215,6 +183,7 @@ impl BaselineMinimal {
     }
 }
 
+#[cfg(test)]
 impl RoutingAlgorithm for BaselineMinimal {
     fn name(&self) -> &'static str {
         "Minimal"

@@ -89,6 +89,22 @@ impl TimeSeries {
         }
     }
 
+    /// Element-wise maximum of another series into this one: [`TimeSeries::merge`]
+    /// for high-water marks (the longer side's tail is kept as is).
+    pub fn merge_max(&mut self, other: &TimeSeries) {
+        assert_eq!(
+            self.period, other.period,
+            "cannot merge time series with different sampling periods"
+        );
+        let shared = self.samples.len();
+        for (dst, src) in self.samples.iter_mut().zip(other.samples.iter()) {
+            *dst = dst.max(*src);
+        }
+        if other.samples.len() > shared {
+            self.samples.extend_from_slice(&other.samples[shared..]);
+        }
+    }
+
     /// All samples in order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -185,6 +201,18 @@ mod tests {
             ts.push(0.0);
         }
         assert_eq!(ts.drift(20), 0.0);
+    }
+
+    #[test]
+    fn merge_max_keeps_the_larger_sample_and_the_longer_tail() {
+        let (mut short, mut long) = (TimeSeries::new(8), TimeSeries::new(8));
+        [3.0, 1.0].iter().for_each(|&x| short.push(x));
+        [2.0, 5.0, 4.0, 0.0].iter().for_each(|&x| long.push(x));
+        let mut merged = short.clone();
+        merged.merge_max(&long);
+        assert_eq!(merged.samples(), &[3.0, 5.0, 4.0, 0.0]);
+        long.merge_max(&short);
+        assert_eq!(long.samples(), merged.samples());
     }
 
     #[test]

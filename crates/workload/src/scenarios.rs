@@ -12,6 +12,17 @@ const FILLER_LOAD: f64 = 0.02;
 /// Number of filler jobs the machine is carved into during the churn prologue.
 const FILLERS: usize = 12;
 
+/// Whether the machine of `params` is large enough for [`fragmentation_trace`]:
+/// the odd fillers free `FILLERS / 2` blocks, and the pair must fit into them.
+pub fn fragmentation_fits(params: &DragonflyParams) -> bool {
+    (FILLERS / 2) * (params.num_nodes() / FILLERS) >= 2 * fragmentation_pair_size(params)
+}
+
+/// Nodes of each of the fragmentation scenario's aggressor and victim jobs.
+fn fragmentation_pair_size(params: &DragonflyParams) -> usize {
+    2 * params.nodes_per_group()
+}
+
 /// The headline fragmentation scenario: does churn-induced fragmentation hurt a
 /// newly placed job, and how much of the damage does adaptive routing undo?
 ///
@@ -39,14 +50,12 @@ pub fn fragmentation_trace(
     seed: u64,
 ) -> Trace {
     assert!(churn_cycle < run_cycles);
-    let nodes = params.num_nodes();
-    let filler_size = nodes / FILLERS;
-    let pair_size = 2 * params.nodes_per_group();
-    // Odd fillers free FILLERS/2 blocks; the pair must fit into them.
     assert!(
-        (FILLERS / 2) * filler_size >= 2 * pair_size,
+        fragmentation_fits(params),
         "machine too small for the fragmentation scenario"
     );
+    let filler_size = params.num_nodes() / FILLERS;
+    let pair_size = fragmentation_pair_size(params);
     let mut jobs = Vec::with_capacity(FILLERS + 2);
     for i in 0..FILLERS {
         let departs = if fragmented { i % 2 == 1 } else { true };

@@ -11,7 +11,8 @@ use dragonfly::core::{
 };
 use dragonfly::probe::DelaySample;
 use dragonfly::rng::Rng;
-use dragonfly::sim::{BaselineMinimal, Network, SimConfig};
+use dragonfly::routing::MinimalRouting;
+use dragonfly::sim::{Network, SimConfig};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
 
@@ -168,11 +169,7 @@ fn sharded_merge_preserves_conservation_and_totals() {
 #[test]
 fn hand_built_packet_decomposition_is_pinned() {
     let config = SimConfig::paper_vct(2).with_seed(7);
-    let mut net: Network = Network::new(
-        config,
-        Box::new(BaselineMinimal::new()),
-        Box::new(Uniform::new()),
-    );
+    let mut net = Network::with_routing(config, MinimalRouting::new(), Box::new(Uniform::new()));
     net.install_probes(delay_probes());
     let src = NodeId(0);
     let dst = NodeId((net.params().num_nodes() - 1) as u32);
@@ -225,11 +222,7 @@ fn hand_built_packet_decomposition_is_pinned() {
 #[test]
 fn contending_packets_decomposition_is_pinned() {
     let config = SimConfig::paper_vct(2).with_seed(7);
-    let mut net: Network = Network::new(
-        config,
-        Box::new(BaselineMinimal::new()),
-        Box::new(Uniform::new()),
-    );
+    let mut net = Network::with_routing(config, MinimalRouting::new(), Box::new(Uniform::new()));
     net.install_probes(delay_probes());
     let dst = NodeId((net.params().num_nodes() - 1) as u32);
     net.stats.begin_measurement(0);

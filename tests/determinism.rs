@@ -192,6 +192,7 @@ fn watchdog_verdict_is_pinned() {
 /// order whether a slot was preallocated or pushed by growth).
 #[test]
 fn arena_preallocation_never_changes_results() {
+    use dragonfly::routing::Olm;
     use dragonfly::sim::{SimConfig, Simulation};
     use dragonfly::traffic::Uniform;
 
@@ -200,7 +201,7 @@ fn arena_preallocation_never_changes_results() {
         if let Some(slots) = prealloc {
             config = config.with_arena_prealloc(slots);
         }
-        let mut sim = Simulation::new(config, RoutingKind::Olm.build(), Box::new(Uniform::new()));
+        let mut sim = Simulation::with_routing(config, Olm::default(), Box::new(Uniform::new()));
         let report = sim.run_steady_state(0.3, 800, 1_200, 1_200);
         (report, sim.network().arena_grows())
     };
@@ -230,79 +231,104 @@ fn arena_preallocation_never_changes_results() {
 
 /// `step()` and `step_with_phase_hook` are one body with two hooks: twin
 /// engines, one driven through each, stay in lockstep under steady load and
-/// while draining a preloaded burst, for both flow controls — and the hook
-/// sees the six boundaries exactly once per cycle, in pipeline order.
+/// while draining a preloaded burst, for every mechanism and both flow
+/// controls — and the hook sees the six boundaries exactly once per cycle, in
+/// pipeline order.
 #[test]
 fn hooked_step_is_the_plain_step() {
-    use dragonfly::core::FlowControlKind;
-    use dragonfly::sim::{sim_report, Engine, SimRunIdentity};
-    use dragonfly::traffic::BernoulliInjection;
+    use dragonfly::core::{AdaptiveParams, FlowControlKind};
 
-    const CYCLES: u64 = 1_200;
-    const BOUNDARIES: [&str; 6] = [
-        "arrivals",
-        "injection",
-        "routing",
-        "switch",
-        "bookkeeping",
-        "done",
-    ];
-    const LOAD: f64 = 0.3;
-
-    for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
-        for burst in [false, true] {
-            let case = format!("{} / {}", fc.name(), if burst { "burst" } else { "steady" });
-            let build = || {
-                let mut spec = spec(23);
-                spec.routing = RoutingKind::Rlm;
-                spec.flow_control = fc;
-                let mut sim = spec.build_simulation();
-                let net = sim.network_mut();
-                net.begin_measurement();
-                net.set_tag_measured(true);
-                if burst {
-                    net.preload_burst(4);
-                } else {
-                    net.set_injection(Some(BernoulliInjection::new(LOAD, fc.packet_size())));
-                }
-                sim
-            };
-            let (mut plain, mut hooked) = (build(), build());
-            let mut seen: Vec<&'static str> = Vec::with_capacity(BOUNDARIES.len());
-            for _ in 0..CYCLES {
-                plain.network_mut().step();
-                seen.clear();
-                hooked
-                    .network_mut()
-                    .step_with_phase_hook(&mut |boundary| seen.push(boundary));
-                assert_eq!(seen, BOUNDARIES, "{case}");
+    for kind in RoutingKind::ALL {
+        for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
+            if fc == FlowControlKind::Wormhole && !kind.supports_wormhole() {
+                continue;
             }
-            let finish = |sim: &mut dragonfly::sim::Simulation| {
-                let net = sim.network_mut();
-                net.end_measurement();
-                let report = sim_report(
-                    &net.stats,
-                    SimRunIdentity {
-                        routing: net.routing_name().to_string(),
-                        traffic: net.traffic_name(),
-                        offered_load: LOAD,
-                        nodes: net.params().num_nodes(),
-                        warmup_cycles: 0,
-                        measure_cycles: CYCLES,
-                        deadlock_detected: net.deadlock_detected,
-                    },
-                );
-                (
-                    net.cycle(),
-                    net.stats.total_generated,
-                    net.stats.total_delivered,
-                    report,
-                )
-            };
-            let (plain, hooked) = (finish(&mut plain), finish(&mut hooked));
-            assert_eq!(plain.0, CYCLES, "{case}");
-            assert!(plain.2 > 0, "{case}: nothing was delivered");
-            assert_eq!(plain, hooked, "{case}");
+            for burst in [false, true] {
+                let mut spec = spec(23);
+                spec.routing = kind;
+                spec.flow_control = fc;
+                kind.dispatch(AdaptiveParams::default(), Lockstep { spec, burst });
+            }
         }
+    }
+}
+
+/// One case of [`hooked_step_is_the_plain_step`], on the spec's mechanism.
+struct Lockstep {
+    spec: ExperimentSpec,
+    burst: bool,
+}
+
+impl dragonfly::routing::RoutingVisitor for Lockstep {
+    type Output = ();
+
+    fn visit<R: dragonfly::sim::RoutingAlgorithm + Clone + 'static>(self, routing: R) {
+        use dragonfly::sim::{sim_report, Engine, SimRunIdentity, Simulation};
+        use dragonfly::traffic::BernoulliInjection;
+
+        const CYCLES: u64 = 1_200;
+        const BOUNDARIES: [&str; 6] = [
+            "arrivals",
+            "injection",
+            "routing",
+            "switch",
+            "bookkeeping",
+            "done",
+        ];
+        const LOAD: f64 = 0.3;
+
+        let (spec, burst) = (&self.spec, self.burst);
+        let fc = spec.flow_control;
+        let case = format!("{} / {} / burst {burst}", spec.routing.name(), fc.name());
+        let build = || {
+            let config = spec.sim_config();
+            let traffic = spec.traffic.build(&config.params);
+            let mut sim = Simulation::with_routing(config, routing.clone(), traffic);
+            let net = sim.network_mut();
+            net.begin_measurement();
+            net.set_tag_measured(true);
+            if burst {
+                net.preload_burst(4);
+            } else {
+                net.set_injection(Some(BernoulliInjection::new(LOAD, fc.packet_size())));
+            }
+            sim
+        };
+        let (mut plain, mut hooked) = (build(), build());
+        let mut seen: Vec<&'static str> = Vec::with_capacity(BOUNDARIES.len());
+        for _ in 0..CYCLES {
+            plain.network_mut().step();
+            seen.clear();
+            hooked
+                .network_mut()
+                .step_with_phase_hook(&mut |boundary| seen.push(boundary));
+            assert_eq!(seen, BOUNDARIES, "{case}");
+        }
+        let finish = |sim: &mut Simulation<R>| {
+            let net = sim.network_mut();
+            net.end_measurement();
+            let report = sim_report(
+                &net.stats,
+                SimRunIdentity {
+                    routing: net.routing_name().to_string(),
+                    traffic: net.traffic_name(),
+                    offered_load: LOAD,
+                    nodes: net.params().num_nodes(),
+                    warmup_cycles: 0,
+                    measure_cycles: CYCLES,
+                    deadlock_detected: net.deadlock_detected,
+                },
+            );
+            (
+                net.cycle(),
+                net.stats.total_generated,
+                net.stats.total_delivered,
+                report,
+            )
+        };
+        let (plain, hooked) = (finish(&mut plain), finish(&mut hooked));
+        assert_eq!(plain.0, CYCLES, "{case}");
+        assert!(plain.2 > 0, "{case}: nothing was delivered");
+        assert_eq!(plain, hooked, "{case}");
     }
 }

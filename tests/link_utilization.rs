@@ -6,16 +6,15 @@
 //! links run near saturation while the average local link stays mostly idle.  With
 //! OLM, local misrouting spreads that load over the other local links of the group.
 
-use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind};
+use dragonfly::routing::{Olm, ValiantRouting};
+use dragonfly::sim::{RoutingAlgorithm, SimConfig, Simulation};
 use dragonfly::topology::{DragonflyParams, PortKind};
+use dragonfly::traffic::AdversarialGlobal;
 
-fn run_and_summarize(routing: RoutingKind, h: usize) -> (f64, f64, f64) {
-    let mut spec = ExperimentSpec::new(h);
-    spec.routing = routing;
-    spec.traffic = TrafficKind::AdversarialGlobal(h);
-    spec.offered_load = 0.8;
-    spec.seed = 3;
-    let mut sim = spec.build_simulation();
+fn run_and_summarize<R: RoutingAlgorithm>(routing: R, h: usize) -> (f64, f64, f64) {
+    let config = SimConfig::paper_vct(h).with_seed(3);
+    let traffic = Box::new(AdversarialGlobal::new(h));
+    let mut sim = Simulation::with_routing(config, routing, traffic);
     sim.network_mut()
         .set_injection(Some(dragonfly::traffic::BernoulliInjection::new(0.8, 8)));
     sim.run_cycles(6_000);
@@ -27,8 +26,8 @@ fn run_and_summarize(routing: RoutingKind, h: usize) -> (f64, f64, f64) {
 #[test]
 fn advg_h_concentrates_local_load_under_valiant_but_not_under_olm() {
     let h = 3;
-    let (valiant_max, valiant_mean, valiant_global) = run_and_summarize(RoutingKind::Valiant, h);
-    let (olm_max, olm_mean, _) = run_and_summarize(RoutingKind::Olm, h);
+    let (valiant_max, valiant_mean, valiant_global) = run_and_summarize(ValiantRouting::new(), h);
+    let (olm_max, olm_mean, _) = run_and_summarize(Olm::default(), h);
 
     // Valiant: the hottest local link runs near saturation and carries far more than
     // the average local link (the paper's intermediate-group pathology).

@@ -156,9 +156,9 @@ fn vc_budget_claims_hold() {
     // Building PAR-6/2 with only 3 local VCs must be rejected by the simulator.
     let result = std::panic::catch_unwind(|| {
         let config = dragonfly::sim::SimConfig::paper_vct(2); // 3 local VCs
-        dragonfly::sim::Simulation::new(
+        dragonfly::sim::Simulation::with_routing(
             config,
-            RoutingKind::Par62.build(),
+            dragonfly::routing::Par62::default(),
             Box::new(dragonfly::traffic::Uniform::new()),
         )
     });

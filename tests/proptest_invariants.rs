@@ -5,10 +5,12 @@
 //! own deterministic RNG, covering the same input domains.
 
 use dragonfly::rng::Rng;
-use dragonfly::routing::{LinkClass, ParitySignTable, RoutingKind};
-use dragonfly::sim::{BaselineMinimal, Packet, PacketId, RouteCtx, RouterView};
+use dragonfly::routing::{
+    AdaptiveParams, LinkClass, MinimalRouting, ParitySignTable, RoutingKind, RoutingVisitor,
+};
 use dragonfly::sim::{Network, SimConfig};
-use dragonfly::topology::{DragonflyParams, NodeId};
+use dragonfly::sim::{Packet, PacketId, RouteCtx, RouterView, RoutingAlgorithm};
+use dragonfly::topology::{DragonflyParams, NodeId, Port};
 use dragonfly::traffic::{AdversarialGlobal, AdversarialLocal, TrafficPattern, Uniform};
 
 /// Every traffic pattern produces valid, non-self destinations for any source.
@@ -58,6 +60,25 @@ fn parity_sign_detour_guarantee() {
     }
 }
 
+/// The port a mechanism, called as its concrete type, picks for one packet.
+struct Decision<'a>(
+    &'a RouteCtx<'a>,
+    &'a Packet,
+    &'a RouterView<'a>,
+    &'a mut Rng,
+);
+
+impl RoutingVisitor for Decision<'_> {
+    type Output = Port;
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Port {
+        let choice = routing.route(self.0, self.1, self.2, self.3);
+        choice
+            .expect("idle network must always produce a decision")
+            .port
+    }
+}
+
 /// For a freshly-built (idle) network, every mechanism's first routing decision for
 /// any packet is the minimal port: with empty queues there is never a reason to
 /// misroute.
@@ -66,9 +87,9 @@ fn idle_network_first_decision_is_minimal() {
     let mut meta = Rng::seed_from(500);
     let params = DragonflyParams::new(2);
     let config = SimConfig::paper_vct(2).with_local_vcs(6);
-    let network = Network::new(
+    let network = Network::with_routing(
         config.clone(),
-        Box::new(BaselineMinimal::new()),
+        MinimalRouting::new(),
         Box::new(Uniform::new()),
     );
     for _ in 0..48 {
@@ -98,12 +119,9 @@ fn idle_network_first_decision_is_minimal() {
                 // Valiant is oblivious: it always detours through a random group.
                 continue;
             }
-            let mechanism = kind.build();
-            let choice = mechanism
-                .route(&ctx, &packet, &view, &mut rng)
-                .expect("idle network must always produce a decision");
+            let decision = Decision(&ctx, &packet, &view, &mut rng);
             assert_eq!(
-                choice.port,
+                kind.dispatch(AdaptiveParams::default(), decision),
                 minimal,
                 "{} did not choose the minimal port on an idle network",
                 kind.name()

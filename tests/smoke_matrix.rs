@@ -1,18 +1,42 @@
 //! Cross-cutting smoke matrix: every routing mechanism × flow control combination
-//! must run under load without panicking or deadlocking, and the monomorphized
-//! (static-dispatch) engine must produce byte-identical reports to the type-erased
-//! (`Box<dyn RoutingAlgorithm>`) engine for the same seed.
+//! must run under load without panicking or deadlocking.  Each mechanism runs as
+//! its own monomorphized engine, built through [`RoutingKind::dispatch`].
 
-use dragonfly::core::{
-    Batch, ExperimentSpec, FlowControlKind, Jobs, Protocol, RoutingKind, Steady, TrafficKind,
-};
-use dragonfly::traffic::BernoulliInjection;
+use dragonfly::core::{AdaptiveParams, ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly::routing::RoutingVisitor;
+use dragonfly::sim::{RoutingAlgorithm, SimConfig, Simulation};
+use dragonfly::stats::SimReport;
+use dragonfly::traffic::{BernoulliInjection, TrafficPattern};
 
 const FLOW_CONTROLS: [FlowControlKind; 2] = [FlowControlKind::Vct, FlowControlKind::Wormhole];
 
 /// OLM requires VCT; every other (mechanism, flow control) pair is supported.
 fn supported(kind: RoutingKind, fc: FlowControlKind) -> bool {
     kind.supports_wormhole() || fc != FlowControlKind::Wormhole
+}
+
+/// Run a mechanism's engine for 2 000 cycles of Bernoulli injection at load 0.1;
+/// returns the deadlock verdict and the generated and delivered packet counts.
+struct UnderLoad(ExperimentSpec);
+
+impl RoutingVisitor for UnderLoad {
+    type Output = (bool, u64, u64);
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
+        let config = self.0.sim_config();
+        let packet_size = config.packet_size;
+        let traffic = self.0.traffic.build(&config.params);
+        let mut sim = Simulation::with_routing(config, routing, traffic);
+        sim.network_mut()
+            .set_injection(Some(BernoulliInjection::new(0.1, packet_size)));
+        sim.run_cycles(2_000);
+        let net = sim.network();
+        (
+            net.deadlock_detected,
+            net.stats.total_generated,
+            net.stats.total_delivered,
+        )
+    }
 }
 
 #[test]
@@ -27,55 +51,23 @@ fn every_mechanism_times_flow_control_runs_under_load() {
             spec.flow_control = fc;
             spec.traffic = TrafficKind::Uniform;
             spec.seed = 42;
-            let mut sim = spec.build_simulation();
-            sim.network_mut()
-                .set_injection(Some(BernoulliInjection::new(0.1, fc.packet_size())));
-            sim.run_cycles(2_000);
-            let net = sim.network();
+            let (deadlocked, generated, delivered) =
+                kind.dispatch(AdaptiveParams::default(), UnderLoad(spec));
             assert!(
-                !net.deadlock_detected,
+                !deadlocked,
                 "{} under {} deadlocked",
                 kind.name(),
                 fc.name()
             );
             assert!(
-                net.stats.total_generated > 0,
+                generated > 0,
                 "{} under {} generated no traffic",
                 kind.name(),
                 fc.name()
             );
             assert!(
-                net.stats.total_delivered > 0,
+                delivered > 0,
                 "{} under {} delivered nothing in 2k cycles",
-                kind.name(),
-                fc.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn static_and_dyn_dispatch_produce_identical_reports() {
-    for kind in RoutingKind::ALL {
-        for fc in FLOW_CONTROLS {
-            if !supported(kind, fc) {
-                continue;
-            }
-            let mut spec = ExperimentSpec::new(2);
-            spec.routing = kind;
-            spec.flow_control = fc;
-            spec.traffic = TrafficKind::AdversarialGlobal(1);
-            spec.offered_load = 0.15;
-            spec.seed = 7;
-            spec.warmup = 400;
-            spec.measure = 800;
-            spec.drain = 800;
-            let static_report = spec.run();
-            let dyn_report = Steady.run_on(&spec, &mut spec.build_simulation());
-            assert_eq!(
-                static_report,
-                dyn_report,
-                "static and dyn engines diverged for {} under {}",
                 kind.name(),
                 fc.name()
             );
@@ -128,13 +120,28 @@ fn wormhole_survives_advl_and_mixed_traffic() {
     }
 }
 
+/// The steady-state report of a mechanism's engine built on `config` with `traffic`
+/// at load 0.2 (warm-up 600, measurement 1 200, drain 2 400).
+struct SteadyOn {
+    config: SimConfig,
+    traffic: Box<dyn TrafficPattern>,
+}
+
+impl RoutingVisitor for SteadyOn {
+    type Output = SimReport;
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> SimReport {
+        Simulation::with_routing(self.config, routing, self.traffic)
+            .run_steady_state(0.2, 600, 1_200, 2_400)
+    }
+}
+
 /// Head-of-line coverage beyond the paper's 2 global VCs: every wormhole-capable
 /// mechanism accepts configurations with 3 and 4 global VCs (extra VCs only relax
 /// the deadlock-avoidance ladder) and keeps delivering under adversarial traffic,
 /// where blocked packets spanning routers make HOL blocking visible.
 #[test]
 fn wormhole_accepts_three_and_four_global_vcs() {
-    use dragonfly::sim::Simulation;
     use dragonfly::traffic::AdversarialGlobal;
     let mut baseline = Vec::new();
     for global_vcs in [2, 3, 4] {
@@ -142,13 +149,12 @@ fn wormhole_accepts_three_and_four_global_vcs() {
             if !kind.supports_wormhole() {
                 continue;
             }
-            let config = dragonfly::sim::SimConfig::paper_wormhole(2)
+            let config = SimConfig::paper_wormhole(2)
                 .with_local_vcs(kind.local_vcs())
                 .with_global_vcs(global_vcs)
                 .with_seed(29);
-            let mut sim =
-                Simulation::new(config, kind.build(), Box::new(AdversarialGlobal::new(1)));
-            let report = sim.run_steady_state(0.2, 600, 1_200, 2_400);
+            let traffic = Box::new(AdversarialGlobal::new(1));
+            let report = kind.dispatch(AdaptiveParams::default(), SteadyOn { config, traffic });
             assert!(
                 !report.deadlock_detected,
                 "{} deadlocked under WH with {global_vcs} global VCs",
@@ -189,42 +195,17 @@ fn wormhole_accepts_three_and_four_global_vcs() {
 #[test]
 #[should_panic(expected = "requires 2 global VCs but the configuration provides 1")]
 fn too_few_global_vcs_is_a_clear_construction_error() {
-    use dragonfly::sim::Simulation;
+    use dragonfly::routing::ValiantRouting;
     use dragonfly::traffic::Uniform;
-    let config = dragonfly::sim::SimConfig::paper_wormhole(2)
+    let config = SimConfig::paper_wormhole(2)
         .with_local_vcs(RoutingKind::Valiant.local_vcs())
         .with_global_vcs(1);
-    let _ = Simulation::new(
-        config,
-        RoutingKind::Valiant.build(),
-        Box::new(Uniform::new()),
-    );
+    let _ = Simulation::with_routing(config, ValiantRouting::new(), Box::new(Uniform::new()));
 }
 
-/// A workload (multi-job, phase-switching) run must be byte-identical between the
-/// monomorphized and the type-erased engines, like every other traffic kind.
+/// A mixed-traffic burst drains completely, without deadlock or time-out.
 #[test]
-fn workload_static_and_dyn_dispatch_agree() {
-    use dragonfly::core::Trace;
-    for kind in [RoutingKind::Minimal, RoutingKind::Olm] {
-        let mut spec = ExperimentSpec::new(2);
-        spec.routing = kind;
-        spec.traffic = TrafficKind::Jobs(Trace::interference(72, 1, 0.2, 0.05));
-        spec.seed = 23;
-        spec.warmup = 400;
-        spec.measure = 800;
-        spec.drain = 1_200;
-        assert_eq!(
-            spec.run_workload(),
-            Jobs.run_on(&spec, &mut spec.build_simulation()),
-            "workload engines diverged for {}",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn static_and_dyn_dispatch_produce_identical_batch_reports() {
+fn mixed_burst_drains_without_deadlock() {
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Olm;
     spec.traffic = TrafficKind::Mixed {
@@ -233,13 +214,7 @@ fn static_and_dyn_dispatch_produce_identical_batch_reports() {
         local_offset: 1,
     };
     spec.seed = 3;
-    let static_report = spec.run_batch(2, 100_000);
-    let batch = Batch {
-        packets_per_node: 2,
-        max_cycles: 100_000,
-    };
-    let dyn_report = batch.run_on(&spec, &mut spec.build_simulation());
-    assert_eq!(static_report, dyn_report);
-    assert!(!static_report.deadlock_detected);
-    assert!(!static_report.timed_out);
+    let report = spec.run_batch(2, 100_000);
+    assert!(!report.deadlock_detected);
+    assert!(!report.timed_out);
 }

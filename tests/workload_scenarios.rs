@@ -3,10 +3,13 @@
 //! headline scenarios (interference, transient pattern switch).
 
 use dragonfly::core::{
-    ExperimentSpec, JobPattern, JobSpec, Jobs, PlacementPolicy, Protocol, RoutingKind, Steady,
-    Trace, TrafficKind, WorkloadReport,
+    ExperimentSpec, JobPattern, JobSpec, PlacementPolicy, RoutingKind, Trace, TrafficKind,
+    WorkloadReport,
 };
+use dragonfly::routing::Olm;
+use dragonfly::sim::{protocol, Simulation};
 use dragonfly::topology::DragonflyParams;
+use dragonfly::traffic::Uniform;
 use dragonfly::workload::Schedule;
 
 fn workload_spec(routing: RoutingKind, workload: Trace, seed: u64) -> ExperimentSpec {
@@ -95,8 +98,11 @@ fn placement_is_disjoint_covers_at_most_the_machine_and_is_deterministic() {
 #[test]
 fn per_job_packet_counts_sum_to_the_aggregate() {
     let spec = workload_spec(RoutingKind::Olm, mixed_placement_workload(), 11);
-    let mut sim = spec.build_simulation();
-    let report = sim.run_steady_state_workload(spec.warmup, spec.measure, spec.drain);
+    let uniform = Box::new(Uniform::new());
+    let mut sim = Simulation::with_routing(spec.sim_config(), Olm::default(), uniform);
+    sim.install_jobs(spec.traffic.jobs().unwrap());
+    let report =
+        protocol::run_steady_state_workload(&mut sim, spec.warmup, spec.measure, spec.drain);
     let stats = &sim.network().stats;
 
     let generated: u64 = report.jobs.iter().map(|j| j.packets_generated).sum();
@@ -115,20 +121,14 @@ fn per_job_packet_counts_sum_to_the_aggregate() {
 }
 
 #[test]
-fn workload_reports_are_deterministic_and_static_dyn_agree() {
+fn workload_reports_are_deterministic() {
     let workload = Trace::interference(72, 1, 0.24, 0.1);
     let spec = workload_spec(RoutingKind::Piggybacking, workload, 7);
     let first: WorkloadReport = spec.run_workload();
     let second = spec.run_workload();
     assert_eq!(first, second, "same seed must give byte-identical reports");
-    let dynamic = Jobs.run_on(&spec, &mut spec.build_simulation());
-    assert_eq!(first, dynamic, "static and dyn workload engines diverged");
     // The aggregate-only path agrees with the workload aggregate.
     assert_eq!(spec.run(), first.aggregate);
-    assert_eq!(
-        Steady.run_on(&spec, &mut spec.build_simulation()),
-        first.aggregate
-    );
 }
 
 /// The headline interference result: a minimal-routing aggressor measurably degrades

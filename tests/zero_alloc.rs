@@ -27,7 +27,9 @@
 //! counter and make the assertion meaningless.  Runs are fully deterministic
 //! (fixed seeds), so a pass here is reproducible, not probabilistic.
 //!
-//! Beyond the whole-cycle zero, the test attributes allocator activity to the
+//! Every mechanism runs as the engine the binaries build for it, monomorphized
+//! over its concrete type (through `RoutingKind::dispatch`).  Beyond the
+//! whole-cycle zero, each case attributes allocator activity to the
 //! individual phases through `step_with_phase_hook` and asserts the zero
 //! separately for arrivals, injection, routing, switch and bookkeeping — a
 //! regression that allocates in exactly one phase fails with that phase's
@@ -45,12 +47,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dragonfly::core::{
-    Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, PlacementPolicy, RoutingKind,
-    ShardPlan, ShardedSimulation, Trace, TrafficKind,
+    AdaptiveParams, Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec,
+    PlacementPolicy, RoutingKind, ShardPlan, ShardedSimulation, Trace, TrafficKind,
 };
 use dragonfly::probe::ProbeConfig;
-use dragonfly::routing::Olm;
-use dragonfly::sim::{Engine, EngineHost, Simulation};
+use dragonfly::routing::{Olm, RoutingVisitor};
+use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
 use dragonfly::traffic::{BernoulliInjection, Uniform};
 
 /// Forwards to the system allocator, counting every call that can return a
@@ -104,95 +106,92 @@ fn steady_state_cycle_loop_is_allocation_free() {
                 spec.flow_control = fc;
                 spec.traffic = TrafficKind::Uniform;
                 spec.seed = 42;
-                let mut sim = spec.build_simulation();
-                // Every probe instrument on and the detectors armed: the active
-                // observability layer must be allocation-free too (storage
-                // reserved here, before warm-up).
-                sim.install_probes(ProbeConfig {
-                    delay: true,
-                    ..ProbeConfig::full_active(64)
-                });
-                sim.network_mut()
-                    .set_injection(Some(BernoulliInjection::new(load, fc.packet_size())));
-
-                // Warm-up: source-queue high-water marks and any arena growth
-                // beyond the preallocation happen here.
-                sim.run_cycles(WARMUP_CYCLES);
-
-                let before = ALLOCS.load(Ordering::Relaxed);
-                sim.run_cycles(MEASURED_CYCLES);
-                let delta = ALLOCS.load(Ordering::Relaxed) - before;
-
-                let case = format!("{} under {} at load {load}", kind.name(), fc.name());
-                assert!(
-                    sim.network().stats.total_delivered > 0,
-                    "{case} delivered nothing — the run would pin an idle loop"
-                );
-                assert!(
-                    sim.probe().is_some_and(|p| p.samples() > 0),
-                    "{case}: probes recorded nothing — the probe half of the pin is vacuous"
-                );
-                assert_eq!(
-                    delta, 0,
-                    "{case}: {delta} heap allocations in {MEASURED_CYCLES} steady-state cycles \
-                     (probes enabled)"
-                );
+                kind.dispatch(AdaptiveParams::default(), CycleLoop { spec, load });
             }
         }
     }
-
-    per_phase_attribution();
     job_and_sharded_cycle_loops();
 }
 
 /// Phase names in pipeline order, as reported by `step_with_phase_hook`.
 const PHASES: [&str; 5] = ["arrivals", "injection", "routing", "switch", "bookkeeping"];
 
-/// Attribute steady-state allocator activity to individual phases and assert
-/// the zero for each one separately (probes installed, so the arrival and
-/// switch paths include their probe recording).
-fn per_phase_attribution() {
-    let mut spec = ExperimentSpec::new(2);
-    spec.routing = RoutingKind::Olm;
-    spec.flow_control = FlowControlKind::Vct;
-    spec.traffic = TrafficKind::Uniform;
-    spec.seed = 42;
-    let mut sim = spec.build_simulation();
-    sim.install_probes(ProbeConfig {
-        delay: true,
-        ..ProbeConfig::full_active(64)
-    });
-    sim.network_mut()
-        .set_injection(Some(BernoulliInjection::new(
-            0.1,
-            FlowControlKind::Vct.packet_size(),
-        )));
-    sim.run_cycles(WARMUP_CYCLES);
+/// One mechanism × flow control × load on the mechanism's monomorphized
+/// engine: the whole-cycle zero over `MEASURED_CYCLES` plain steps, then the
+/// zero per phase over as many hooked steps (probes installed, so the arrival
+/// and switch paths include their probe recording).
+struct CycleLoop {
+    spec: ExperimentSpec,
+    load: f64,
+}
 
-    let mut per_phase = [0u64; 5];
-    let mut current: Option<usize> = None;
-    let mut last = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_CYCLES {
-        let mut hook = |name: &'static str| {
-            let now = ALLOCS.load(Ordering::Relaxed);
-            if let Some(idx) = current {
-                per_phase[idx] += now - last;
-            }
-            last = now;
-            current = PHASES.iter().position(|&p| p == name);
-        };
-        sim.network_mut().step_with_phase_hook(&mut hook);
-    }
-    assert!(
-        sim.network().stats.total_delivered > 0,
-        "per-phase pin ran an idle loop"
-    );
-    for (phase, &allocs) in PHASES.iter().zip(&per_phase) {
-        assert_eq!(
-            allocs, 0,
-            "phase `{phase}` performed {allocs} heap allocations in {MEASURED_CYCLES} \
-             steady-state cycles (probes enabled)"
+impl RoutingVisitor for CycleLoop {
+    type Output = ();
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) {
+        let (spec, load) = (&self.spec, self.load);
+        let config = spec.sim_config();
+        let packet_size = config.packet_size;
+        let traffic = spec.traffic.build(&config.params);
+        let mut sim = Simulation::with_routing(config, routing, traffic);
+        // Every probe instrument on and the detectors armed: the active
+        // observability layer must be allocation-free too (storage reserved
+        // here, before warm-up).
+        sim.install_probes(ProbeConfig {
+            delay: true,
+            ..ProbeConfig::full_active(64)
+        });
+        sim.network_mut()
+            .set_injection(Some(BernoulliInjection::new(load, packet_size)));
+
+        // Warm-up: source-queue high-water marks and any arena growth
+        // beyond the preallocation happen here.
+        sim.run_cycles(WARMUP_CYCLES);
+
+        let before = ALLOCS.load(Ordering::Relaxed);
+        sim.run_cycles(MEASURED_CYCLES);
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+
+        let case = format!(
+            "{} under {} at load {load}",
+            spec.routing.name(),
+            spec.flow_control.name()
         );
+        assert!(
+            sim.network().stats.total_delivered > 0,
+            "{case} delivered nothing — the run would pin an idle loop"
+        );
+        assert!(
+            sim.probe().is_some_and(|p| p.samples() > 0),
+            "{case}: probes recorded nothing — the probe half of the pin is vacuous"
+        );
+        assert_eq!(
+            delta, 0,
+            "{case}: {delta} heap allocations in {MEASURED_CYCLES} steady-state cycles \
+             (probes enabled)"
+        );
+
+        let mut per_phase = [0u64; 5];
+        let mut current: Option<usize> = None;
+        let mut last = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..MEASURED_CYCLES {
+            let mut hook = |name: &'static str| {
+                let now = ALLOCS.load(Ordering::Relaxed);
+                if let Some(idx) = current {
+                    per_phase[idx] += now - last;
+                }
+                last = now;
+                current = PHASES.iter().position(|&p| p == name);
+            };
+            sim.network_mut().step_with_phase_hook(&mut hook);
+        }
+        for (phase, &allocs) in PHASES.iter().zip(&per_phase) {
+            assert_eq!(
+                allocs, 0,
+                "{case}: phase `{phase}` performed {allocs} heap allocations in \
+                 {MEASURED_CYCLES} steady-state cycles (probes enabled)"
+            );
+        }
     }
 }
 
