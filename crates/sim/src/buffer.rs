@@ -166,8 +166,9 @@ impl InputVc {
     }
 
     /// Receive one phit of `packet` into this VC's slot `region`, whose
-    /// buffer holds `capacity` phits.  `is_head` marks the first phit of the
-    /// packet, which opens a new slot at the tail of the FIFO.
+    /// buffer holds `capacity` phits.  `opens` is the packet's size when
+    /// this is its first phit, which opens a new slot at the tail of the
+    /// FIFO, and `None` for the phits after it.
     ///
     /// Panics if the buffer would overflow (the credit scheme must prevent this) or if
     /// a non-head phit arrives for a packet that is not the most recent slot.
@@ -176,14 +177,13 @@ impl InputVc {
         region: &mut [PacketSlot],
         capacity: usize,
         packet: PacketId,
-        size: u16,
-        is_head: bool,
+        opens: Option<u16>,
     ) {
         assert!(
             (self.occupancy as usize) < capacity,
             "VC buffer overflow: credit accounting is broken"
         );
-        if is_head {
+        if let Some(size) = opens {
             self.slots.push_back(
                 region,
                 PacketSlot {
@@ -424,14 +424,13 @@ impl InputFabric {
         port: usize,
         vc: usize,
         packet: PacketId,
-        size: u16,
-        is_head: bool,
+        opens: Option<u16>,
     ) -> usize {
         let (i, start) = self.locate(router, port, vc);
         let capacity = self.geometry.capacity(port, vc);
         let ivc = &mut self.vcs[i];
         let region = &mut self.slots[start..start + ivc.slot_count()];
-        ivc.receive_phit(region, capacity, packet, size, is_head);
+        ivc.receive_phit(region, capacity, packet, opens);
         ivc.occupancy()
     }
 
@@ -500,8 +499,12 @@ mod tests {
 
     impl Fifo {
         fn receive(&mut self, packet: PacketId, size: u16, is_head: bool) {
-            self.vc
-                .receive_phit(&mut self.pool, self.capacity, packet, size, is_head);
+            self.vc.receive_phit(
+                &mut self.pool,
+                self.capacity,
+                packet,
+                is_head.then_some(size),
+            );
         }
 
         fn send(&mut self) -> (PacketId, bool) {
@@ -596,9 +599,9 @@ mod tests {
         let bound = InputVc::slot_bound(8, 4);
         let mut pool = vec![PacketSlot::default(); bound * 2];
         let (pa, pb) = pool.split_at_mut(bound);
-        a.receive_phit(pa, 8, pid(1), 4, true);
-        b.receive_phit(pb, 8, pid(2), 4, true);
-        a.receive_phit(pa, 8, pid(1), 4, false);
+        a.receive_phit(pa, 8, pid(1), Some(4));
+        b.receive_phit(pb, 8, pid(2), Some(4));
+        a.receive_phit(pa, 8, pid(1), None);
         assert_eq!(a.head(pa).unwrap().packet, pid(1));
         assert_eq!(b.head(pb).unwrap().packet, pid(2));
         assert_eq!(a.occupancy(), 2);

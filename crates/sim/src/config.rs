@@ -48,8 +48,14 @@ impl FlowControl {
 /// input ports and owned output ports in one `u64` mask apiece.
 pub const MAX_PORTS_PER_ROUTER: usize = u64::BITS as usize;
 
-/// Most VCs a port may have: a VC index is a `u8` wherever it is stored.
-pub const MAX_VCS_PER_PORT: usize = u8::MAX as usize + 1;
+/// Most VCs a port may have: a link's credit slot is a `u8` mask with one
+/// bit per VC (the largest VC count any mechanism needs is 6).
+pub const MAX_VCS_PER_PORT: usize = u8::BITS as usize;
+
+/// Longest link latency, in cycles: a link pipeline is a ring of
+/// `latency + 1` slots, one per arrival cycle, and counts the up to
+/// `MAX_VCS_PER_PORT × (latency + 1)` credits in flight in 16 bits.
+pub const MAX_LINK_LATENCY: u64 = u16::MAX as u64 / MAX_VCS_PER_PORT as u64 - 1;
 
 /// Full configuration of a simulation run.
 ///
@@ -227,15 +233,29 @@ impl SimConfig {
             self.packet_size,
             u16::MAX
         );
-        // A VC index travels as a `u8`: in phits, credits, and the packed
-        // `(port, VC)` words of an input VC's route and an output VC's owner.
+        // A link's credit slot holds one bit per VC in a `u8` mask (which
+        // also keeps every VC index a `u8`).
         for (field, vcs) in [
             ("local_vcs", self.local_vcs),
             ("global_vcs", self.global_vcs),
         ] {
             assert!(
                 vcs <= MAX_VCS_PER_PORT,
-                "{field} = {vcs} exceeds the {MAX_VCS_PER_PORT} VCs a u8 VC index addresses"
+                "{field} = {vcs} exceeds the {MAX_VCS_PER_PORT} VCs a u8 credit mask holds"
+            );
+        }
+        // A link takes at least one cycle (the arrivals of a cycle are
+        // drained before its launches), and its slot ring and counters
+        // address at most `MAX_LINK_LATENCY` cycles.
+        for (field, cycles) in [
+            ("local_latency", self.local_latency),
+            ("global_latency", self.global_latency),
+            ("terminal_latency", self.terminal_latency),
+        ] {
+            assert!(
+                (1..=MAX_LINK_LATENCY).contains(&cycles),
+                "{field} = {cycles} cycles is outside the 1..={MAX_LINK_LATENCY} a link's \
+                 slot ring and 16-bit credit counter address"
             );
         }
         for (field, phits) in [
@@ -259,6 +279,22 @@ impl SimConfig {
              a per-router port mask holds (h <= {})",
             self.params.h(),
             (MAX_PORTS_PER_ROUTER + 1) / 4
+        );
+        // Every link direction's slots sit in one pool addressed by `u32`
+        // offsets.
+        let h = self.params.h();
+        let slots = self.params.num_routers() as u64
+            * (0..ports)
+                .map(|flat| self.latency_for_port(Port::from_flat(flat, h)) + 1)
+                .sum::<u64>();
+        assert!(
+            slots <= u32::MAX as u64,
+            "h = {h} with local_latency = {}, global_latency = {} and terminal_latency = {} \
+             needs {slots} link slots, above the {} a u32 pool offset addresses",
+            self.local_latency,
+            self.global_latency,
+            self.terminal_latency,
+            u32::MAX
         );
         assert!(
             self.local_vcs >= 1 && self.global_vcs >= 1,
@@ -390,10 +426,63 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "local_vcs = 257 exceeds the 256 VCs a u8 VC index addresses")]
+    #[should_panic(expected = "local_vcs = 9 exceeds the 8 VCs a u8 credit mask holds")]
     fn vc_count_bounded_by_the_u8_index() {
-        SimConfig::paper_vct(2).with_local_vcs(256).validate();
-        SimConfig::paper_vct(2).with_local_vcs(257).validate();
+        SimConfig::paper_vct(2).with_local_vcs(8).validate();
+        SimConfig::paper_vct(2).with_local_vcs(9).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "global_vcs = 9 exceeds the 8 VCs a u8 credit mask holds")]
+    fn global_vc_count_bounded_by_the_credit_mask() {
+        let mut c = SimConfig::paper_vct(2);
+        c.global_vcs = 8;
+        c.validate();
+        c.global_vcs = 9;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "global_latency = 8191 cycles is outside the 1..=8190 a link's \
+                               slot ring and 16-bit credit counter address"
+    )]
+    fn link_latency_bounded_by_the_slot_counters() {
+        let mut c = SimConfig::paper_vct(2);
+        c.global_latency = MAX_LINK_LATENCY;
+        c.validate();
+        c.global_latency = MAX_LINK_LATENCY + 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "local_latency = 0 cycles is outside the 1..=8190")]
+    fn link_latency_is_at_least_one_cycle() {
+        let mut c = SimConfig::paper_vct(2);
+        c.local_latency = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "terminal_latency = 70000 cycles is outside the 1..=8190")]
+    fn terminal_latency_bounded_by_the_slot_counters() {
+        let mut c = SimConfig::paper_vct(2);
+        c.terminal_latency = 70_000;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "needs 8471197728 link slots, above the 4294967295 a u32 pool \
+                               offset addresses"
+    )]
+    fn link_slots_bounded_by_the_pool_offsets() {
+        let mut c = SimConfig::paper_vct(16);
+        c.global_latency = MAX_LINK_LATENCY;
+        c.validate();
+        c.local_latency = MAX_LINK_LATENCY;
+        c.terminal_latency = MAX_LINK_LATENCY;
+        c.validate();
     }
 
     #[test]

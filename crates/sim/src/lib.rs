@@ -8,8 +8,8 @@
 //!   of the network lives in the flat [`buffer::InputFabric`], the output side
 //!   in [`router`],
 //! * links are pipelined and carry one phit per cycle, with credit-based backpressure;
-//!   per-link state and the wire types live in the struct-of-arrays
-//!   [`fabric::LinkFabric`],
+//!   every pipeline is a ring of slots indexed by cycle in the struct-of-arrays
+//!   [`fabric::LinkFabric`], which also defines the shard-boundary records,
 //! * flow control is Virtual Cut-Through or Wormhole ([`config::FlowControl`]),
 //! * routing is pluggable through the [`routing_iface::RoutingAlgorithm`] trait and is
 //!   re-evaluated every cycle (on-the-fly adaptivity),
@@ -67,7 +67,7 @@ pub use active_set::ActiveSet;
 pub use buffer::{InputVc, PacketSlot};
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
-pub use fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
+pub use fabric::{Arrived, CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 pub use network::{GlobalStatusBoard, Network, PoolBytes};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};

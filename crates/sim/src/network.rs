@@ -206,14 +206,6 @@ pub struct Network<R: RoutingAlgorithm> {
     /// Reused scratch buffer for the per-router routing decisions (avoids a per-cycle
     /// allocation in `phase_routing`).
     route_scratch: Vec<(usize, usize, PacketId, RouteChoice)>,
-    /// Reused scratch for one link's arrived phits: `phase_arrivals` drains a
-    /// whole link in one batch (one metadata write-back per link per cycle)
-    /// and then processes the copies, so the fabric borrow never overlaps the
-    /// router/ejection mutations.  Capacity is the largest phit ring, fixed at
-    /// construction.
-    arrivals_phits: Vec<PhitInFlight>,
-    /// Reused scratch for one link's arrived credits (see `arrivals_phits`).
-    arrivals_credits: Vec<CreditInFlight>,
     // --- Sharding support -------------------------------------------------------
     /// Routers this network instance owns: it buffers, routes and switches at
     /// them and generates for their nodes.  Every router in a sequential run; a
@@ -252,11 +244,11 @@ impl<R: RoutingAlgorithm> Network<R> {
     ///   only (the one structure that offsets a router id, internally);
     /// * a pipeline is drained where it matures (phits at the receiving end,
     ///   credits at the transmitting end), and the instance owning that end
-    ///   holds it at its full bound.  An instance owning only the *launching*
-    ///   end exports what it launched at the same cycle's barrier
+    ///   holds all `latency + 1` of its slots.  An instance owning only the
+    ///   *launching* end exports what it launched at the same cycle's barrier
     ///   ([`Network::take_link_phits`] / [`Network::take_link_credits`]), so it
-    ///   holds one cycle's worth: one phit, or one credit per VC.  A link with
-    ///   neither end owned holds nothing;
+    ///   holds one cycle's slot: one phit, or one mask of credits.  A link
+    ///   with neither end owned holds nothing;
     /// * source queues reserve their slots, and the arena its share of the
     ///   machine-wide preallocation, for owned nodes only.
     ///
@@ -322,7 +314,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             } else {
                 Router::husk(rid)
             });
-            for (flat, &down) in downstream.iter().enumerate() {
+            for flat in 0..ports {
                 let port = Port::from_flat(flat, h);
                 let latency = config.latency_for_port(port);
                 let (to, rx_owned) = match port {
@@ -339,28 +331,24 @@ impl<R: RoutingAlgorithm> Network<R> {
                         (LinkEnd::Node { node }, tx_owned)
                     }
                 };
-                // Full pipeline bounds (see `LinkFabric`): at most one phit is
-                // launched per cycle and arrivals drain every cycle, bounding
-                // the forward ring by `latency + 1`; in-flight credits are
-                // bounded both by the downstream buffer space they stand for
-                // and by one credit per downstream VC per cycle.
-                let full_phits = latency as usize + 1;
-                let vcs = config.vcs_for(port.kind());
-                let full_credits = (vcs * down).min(vcs * full_phits);
-                // Held in full by the owner of the end the pipeline drains at;
-                // for one cycle (one launch per link, one credit per VC) by an
-                // owner of the launching end alone.
-                let (phit_cap, credit_cap) = match (tx_owned, rx_owned) {
-                    (true, true) => (full_phits, full_credits),
-                    (true, false) => (1, full_credits),
-                    (false, true) => (full_phits, vcs),
+                // Slots (see `LinkFabric`): a link launches at most one phit,
+                // and returns at most one credit per VC, per cycle, so each
+                // pipeline is one slot per arrival cycle in flight —
+                // `latency + 1` — in the instance that owns the end it drains
+                // at.  An instance owning only the launching end exports what
+                // it launched at the same cycle's barrier: one slot.
+                let full = latency as usize + 1;
+                let (phit_slots, credit_slots) = match (tx_owned, rx_owned) {
+                    (true, true) => (full, full),
+                    (true, false) => (1, full),
+                    (false, true) => (full, 1),
                     (false, false) => (0, 0),
                 };
                 specs.push(LinkSpec {
                     latency,
                     to,
-                    phit_cap,
-                    credit_cap,
+                    phit_slots,
+                    credit_slots,
                 });
             }
         }
@@ -372,9 +360,6 @@ impl<R: RoutingAlgorithm> Network<R> {
                 incoming_link[router * ports + port] = li;
             }
         }
-        // Per-link arrival batches are bounded by the ring capacities.
-        let max_phit_cap = specs.iter().map(|s| s.phit_cap).max().unwrap_or(0);
-        let max_credit_cap = specs.iter().map(|s| s.credit_cap).max().unwrap_or(0);
         let fabric = LinkFabric::build(&specs);
 
         let per_router = params.nodes_per_router();
@@ -434,8 +419,6 @@ impl<R: RoutingAlgorithm> Network<R> {
             buffered_phits: vec![0; num_routers],
             buffered_total: 0,
             route_scratch: Vec::with_capacity(route_scratch_cap),
-            arrivals_phits: Vec::with_capacity(max_phit_cap),
-            arrivals_credits: Vec::with_capacity(max_credit_cap),
             owned_routers: owned,
             delivery_log: None,
             probe: None,
@@ -683,9 +666,9 @@ impl<R: RoutingAlgorithm> Network<R> {
 
     /// Close the current cycle (the last piece of the decomposed [`Network::step`]).
     pub fn finish_cycle(&mut self) {
+        self.cycle += 1;
         #[cfg(debug_assertions)]
         self.assert_due_sets_match_full_scan();
-        self.cycle += 1;
     }
 
     /// Run `cycles` simulation cycles.
@@ -701,37 +684,35 @@ impl<R: RoutingAlgorithm> Network<R> {
     //
     // Only links with phits or credits in flight are swept, in ascending
     // link-index order (the active-set bitmap), and of those only the links
-    // whose earliest stamp has matured are opened: the fabric's dense
-    // `next_due` array answers that without touching a ring, so a long link
+    // whose earliest arrival has matured are opened: the fabric's dense
+    // `next_due` array answers that without touching a slot, so a long link
     // costs one `u32` read per cycle while its phits are still travelling.
-    // A due link is drained in one batch — a single packed-metadata write-back
-    // per pipeline — into reused scratch buffers, then the copies are
-    // processed against the routers; a link leaves the active set as soon as
-    // both of its pipelines are empty.  Links touch disjoint state (their own
-    // rings, one output port's credits, one input port's buffers), so passing
-    // over the ones with nothing due changes no outcome.
+    // A due link yields this cycle's slot of each pipeline — at most one
+    // phit and one mask of credited VCs — and the copies are processed
+    // against the routers; a link leaves the active set as soon as both of
+    // its pipelines are empty.  Links touch disjoint state (their own slots,
+    // one output port's credits, one input port's buffers), so passing over
+    // the ones with nothing due changes no outcome.
     fn phase_arrivals(&mut self, cycle: u64) -> bool {
         let ports = self.params.ports_per_router();
         let h = self.params.h();
         let mut activity = false;
-        let mut credits = std::mem::take(&mut self.arrivals_credits);
-        let mut phits = std::mem::take(&mut self.arrivals_phits);
         let mut cursor = 0;
         while let Some(li) = self.active_links.next_at_or_after(cursor) {
             cursor = li + 1;
             if !self.fabric.due(li, cycle) {
                 continue;
             }
-            credits.clear();
-            phits.clear();
-            self.fabric
-                .drain_arrived(li, cycle, &mut credits, &mut phits);
+            let arrived = self.fabric.drain_arrived(li, cycle);
             // Credits back to the transmitter (owner of this link).
-            if !credits.is_empty() {
+            if arrived.credits != 0 {
                 let router = li / ports;
                 let port = li % ports;
-                for credit in &credits {
-                    let out = &mut self.routers[router].outputs[port].vcs[credit.vc as usize];
+                let mut credits = arrived.credits;
+                while credits != 0 {
+                    let vc = credits.trailing_zeros() as usize;
+                    credits &= credits - 1;
+                    let out = &mut self.routers[router].outputs[port].vcs[vc];
                     out.credits += 1;
                     debug_assert!(
                         out.credits <= out.downstream_capacity,
@@ -743,141 +724,138 @@ impl<R: RoutingAlgorithm> Network<R> {
                     self.mark_pb_dirty(router, gport);
                 }
             }
-            // Phits forward to the receiver.
-            if !phits.is_empty() {
+            // A phit forward to the receiver.
+            if let Some(phit) = arrived.phit {
                 activity = true;
                 match self.fabric.end(li) {
                     LinkEnd::Router { router, port } => {
-                        for phit in &phits {
-                            if phit.is_head() {
-                                // Delay attribution: arrival ends this hop's
-                                // link transit (first phit out → head in) and
-                                // starts the wait for a grant.
-                                let packet = self.packets.get_mut(phit.packet);
-                                let transit = cycle - packet.delay.head_stamp;
-                                if on_detour(&packet.route) {
-                                    packet.delay.detour += transit;
-                                } else {
-                                    packet.delay.link_transit += transit;
-                                }
-                                packet.delay.head_stamp = cycle;
+                        // The head opens a slot of the packet's size.
+                        let opens = phit.is_head().then(|| {
+                            // Delay attribution: arrival ends this hop's link
+                            // transit (first phit out → head in) and starts
+                            // the wait for a grant.
+                            let packet = self.packets.get_mut(phit.packet);
+                            let transit = cycle - packet.delay.head_stamp;
+                            if on_detour(&packet.route) {
+                                packet.delay.detour += transit;
+                            } else {
+                                packet.delay.link_transit += transit;
                             }
-                            let occupancy = self.inputs.receive_phit(
-                                router,
-                                port,
-                                phit.vc as usize,
-                                phit.packet,
-                                phit.size,
-                                phit.is_head(),
-                            );
-                            self.stats.note_vc_occupancy(occupancy);
-                        }
-                        self.buffered_phits[router] += phits.len() as u32;
-                        self.buffered_total += phits.len() as u64;
+                            packet.delay.head_stamp = cycle;
+                            packet.size
+                        });
+                        let occupancy = self.inputs.receive_phit(
+                            router,
+                            port,
+                            phit.vc as usize,
+                            phit.packet,
+                            opens,
+                        );
+                        self.stats.note_vc_occupancy(occupancy);
+                        self.buffered_phits[router] += 1;
+                        self.buffered_total += 1;
                         self.active_routers.insert(router);
                         self.in_occupied[router] |= 1 << port;
                     }
                     LinkEnd::Node { node: _ } => {
-                        for phit in &phits {
-                            // Ejection: the node consumes the phit immediately and
-                            // returns the credit so the ejection VC never backs up
-                            // artificially.
-                            self.fabric.send_credit(li, cycle, phit.vc);
-                            if phit.is_head() {
-                                // Delay attribution: the head reaching the node
-                                // ends the final link transit and starts the
-                                // serialization tail (head before tail, so a
-                                // one-phit packet serializes in zero cycles).
+                        // Ejection: the node consumes the phit immediately and
+                        // returns the credit so the ejection VC never backs up
+                        // artificially.
+                        self.fabric.send_credit(li, cycle, phit.vc);
+                        if phit.is_head() {
+                            // Delay attribution: the head reaching the node
+                            // ends the final link transit and starts the
+                            // serialization tail (head before tail, so a
+                            // one-phit packet serializes in zero cycles).
+                            let packet = self.packets.get_mut(phit.packet);
+                            let transit = cycle - packet.delay.head_stamp;
+                            if on_detour(&packet.route) {
+                                packet.delay.detour += transit;
+                            } else {
+                                packet.delay.link_transit += transit;
+                            }
+                            packet.delay.head_stamp = cycle;
+                        }
+                        if phit.is_tail() {
+                            {
                                 let packet = self.packets.get_mut(phit.packet);
-                                let transit = cycle - packet.delay.head_stamp;
-                                if on_detour(&packet.route) {
-                                    packet.delay.detour += transit;
-                                } else {
-                                    packet.delay.link_transit += transit;
-                                }
-                                packet.delay.head_stamp = cycle;
+                                packet.delay.serialization = cycle - packet.delay.head_stamp;
                             }
-                            if phit.is_tail() {
-                                {
-                                    let packet = self.packets.get_mut(phit.packet);
-                                    packet.delay.serialization = cycle - packet.delay.head_stamp;
-                                }
-                                // Delivery feedback for volume-bound jobs.  Only
-                                // the job tag is needed here, and the stats
-                                // collector reads the packet in place — no clone.
-                                let job = self.packets.get(phit.packet).job;
-                                if job != UNTAGGED {
-                                    if let Some(jobs) = self.jobs.as_mut() {
-                                        jobs.note_delivered(job);
-                                        if let Some(log) = self.delivery_log.as_mut() {
-                                            log.push(job);
-                                        }
+                            // Delivery feedback for volume-bound jobs.  Only
+                            // the job tag is needed here, and the stats
+                            // collector reads the packet in place — no clone.
+                            let job = self.packets.get(phit.packet).job;
+                            if job != UNTAGGED {
+                                if let Some(jobs) = self.jobs.as_mut() {
+                                    jobs.note_delivered(job);
+                                    if let Some(log) = self.delivery_log.as_mut() {
+                                        log.push(job);
                                     }
                                 }
-                                // Probe: delivery happens at the ejection link of
-                                // the (owned) destination router, so in a sharded
-                                // run exactly one shard records it.
-                                if self.probe.is_some() {
-                                    let pkt = self.packets.get(phit.packet);
-                                    let (src, dst, gen) = (pkt.src.0, pkt.dst.0, pkt.gen_cycle);
-                                    let router = li / ports;
-                                    let probe = self.probe.as_deref_mut().unwrap();
-                                    probe.record_delivered(router);
-                                    if probe.flight_sampled(src, gen) {
-                                        probe.record_flight(FlightEvent {
-                                            cycle,
-                                            gen_cycle: gen,
-                                            src,
-                                            dst,
-                                            router: router as u32,
-                                            port: NONE_U16,
-                                            vc: NONE_U16,
-                                            kind: FLIGHT_DELIVER,
-                                            class: u8::MAX,
-                                            nonminimal: 2,
-                                        });
-                                    }
-                                }
-                                // Delay ledger: fold the completed decomposition
-                                // at the destination's ejection link (exactly one
-                                // shard owns it), before the packet is freed.
-                                if self
-                                    .probe
-                                    .as_deref()
-                                    .is_some_and(ProbeRecorder::delay_enabled)
-                                {
-                                    let pkt = self.packets.get(phit.packet);
-                                    let d = &pkt.delay;
-                                    let sample = DelaySample {
-                                        components: [
-                                            d.injection_queue,
-                                            d.vc_wait,
-                                            d.credit_wait,
-                                            d.link_transit,
-                                            d.detour,
-                                            d.serialization,
-                                        ],
-                                        misrouted: pkt.route.global_misrouted
-                                            || pkt.route.local_misrouted_ever,
-                                        job: pkt.job,
-                                        phase: pkt.phase,
-                                    };
-                                    let latency = cycle - pkt.gen_cycle;
-                                    debug_assert_eq!(
-                                        sample.total(),
-                                        latency,
-                                        "delay components must sum to the \
-                                         end-to-end latency"
-                                    );
-                                    self.probe
-                                        .as_deref_mut()
-                                        .unwrap()
-                                        .record_delay(&sample, latency);
-                                }
-                                self.stats
-                                    .record_delivery(self.packets.get(phit.packet), cycle);
-                                self.packets.free(phit.packet);
                             }
+                            // Probe: delivery happens at the ejection link of
+                            // the (owned) destination router, so in a sharded
+                            // run exactly one shard records it.
+                            if self.probe.is_some() {
+                                let pkt = self.packets.get(phit.packet);
+                                let (src, dst, gen) = (pkt.src.0, pkt.dst.0, pkt.gen_cycle);
+                                let router = li / ports;
+                                let probe = self.probe.as_deref_mut().unwrap();
+                                probe.record_delivered(router);
+                                if probe.flight_sampled(src, gen) {
+                                    probe.record_flight(FlightEvent {
+                                        cycle,
+                                        gen_cycle: gen,
+                                        src,
+                                        dst,
+                                        router: router as u32,
+                                        port: NONE_U16,
+                                        vc: NONE_U16,
+                                        kind: FLIGHT_DELIVER,
+                                        class: u8::MAX,
+                                        nonminimal: 2,
+                                    });
+                                }
+                            }
+                            // Delay ledger: fold the completed decomposition
+                            // at the destination's ejection link (exactly one
+                            // shard owns it), before the packet is freed.
+                            if self
+                                .probe
+                                .as_deref()
+                                .is_some_and(ProbeRecorder::delay_enabled)
+                            {
+                                let pkt = self.packets.get(phit.packet);
+                                let d = &pkt.delay;
+                                let sample = DelaySample {
+                                    components: [
+                                        d.injection_queue,
+                                        d.vc_wait,
+                                        d.credit_wait,
+                                        d.link_transit,
+                                        d.detour,
+                                        d.serialization,
+                                    ],
+                                    misrouted: pkt.route.global_misrouted
+                                        || pkt.route.local_misrouted_ever,
+                                    job: pkt.job,
+                                    phase: pkt.phase,
+                                };
+                                let latency = cycle - pkt.gen_cycle;
+                                debug_assert_eq!(
+                                    sample.total(),
+                                    latency,
+                                    "delay components must sum to the \
+                                     end-to-end latency"
+                                );
+                                self.probe
+                                    .as_deref_mut()
+                                    .unwrap()
+                                    .record_delay(&sample, latency);
+                            }
+                            self.stats
+                                .record_delivery(self.packets.get(phit.packet), cycle);
+                            self.packets.free(phit.packet);
                         }
                     }
                 }
@@ -887,8 +865,6 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.active_links.remove(li);
             }
         }
-        self.arrivals_credits = credits;
-        self.arrivals_phits = phits;
         activity
     }
 
@@ -1041,9 +1017,9 @@ impl<R: RoutingAlgorithm> Network<R> {
                 packet.delay.injection_queue = cycle - generated.gen_cycle;
                 packet.delay.head_stamp = cycle;
             }
-            let occupancy = self
-                .inputs
-                .receive_phit(router, port, 0, source.head, size, is_head);
+            let occupancy =
+                self.inputs
+                    .receive_phit(router, port, 0, source.head, is_head.then_some(size));
             self.stats.note_vc_occupancy(occupancy);
             source.head_phits_sent += 1;
             activity = true;
@@ -1244,7 +1220,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let (ip, ivc) = self.routers[r].outputs[op].vcs[vc].owner().unwrap();
                 let (ip, ivc) = (ip as usize, ivc as usize);
                 let head = *self.inputs.head(r, ip, ivc).unwrap();
-                let (sent_before, size) = (head.phits_sent, head.size);
+                let sent_before = head.phits_sent;
                 let (pid, is_tail) = self.inputs.send_phit(r, ip, ivc);
                 let output = &mut self.routers[r].outputs[op];
                 output.rr_next = (vc + 1) % vcs;
@@ -1286,7 +1262,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.fabric.send_phit(
                     r * ports + op,
                     cycle,
-                    PhitInFlight::new(pid, vc as u8, sent_before == 0, is_tail, size),
+                    PhitInFlight::new(pid, vc as u8, sent_before == 0, is_tail),
                 );
                 self.active_links.insert(r * ports + op);
                 // Return a credit to the upstream transmitter of the input buffer that
@@ -1394,33 +1370,34 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.fabric.end(li)
     }
 
-    /// Phits currently queued on link `li`'s forward pipeline.  A single
-    /// packed-metadata read (the `len` field of the ring word) — the watchdog
-    /// and idle checks never walk the pipeline pools.
+    /// Phits currently in flight on link `li`'s forward pipeline.  A single
+    /// counter read — the watchdog and idle checks never scan the slots.
     pub fn link_phits_in_flight(&self, li: usize) -> usize {
         self.fabric.phits_in_flight(li)
     }
 
-    /// Credits currently queued on link `li`'s return pipeline (one packed
-    /// `len`-field read, like [`Network::link_phits_in_flight`]).
+    /// Credits currently in flight on link `li`'s return pipeline (one
+    /// counter read, like [`Network::link_phits_in_flight`]).
     pub fn link_credits_in_flight(&self, li: usize) -> usize {
         self.fabric.credits_in_flight(li)
     }
 
-    /// Drain every phit queued on link `li` into `out` (a transmit-side
-    /// boundary link: the phits travel to another shard at the cycle barrier).
+    /// Move every phit in flight on link `li` into `out`, stamped with its
+    /// arrival cycle (a transmit-side boundary link: the phits travel to
+    /// another shard at the barrier of the current cycle).
     pub fn take_link_phits(&mut self, li: usize, out: &mut Vec<PhitInFlight>) {
         if self.fabric.phits_in_flight(li) > 0 {
-            self.fabric.take_phits(li, out);
+            self.fabric.take_phits(li, self.cycle, out);
             self.retire_link_if_idle(li);
         }
     }
 
-    /// Drain every credit queued on link `li` into `out` (a receive-side
-    /// boundary link: the credits travel back to the transmitting shard).
+    /// Move every credit in flight on link `li` into `out`, stamped with its
+    /// arrival cycle (a receive-side boundary link: the credits travel back
+    /// to the transmitting shard at the barrier of the current cycle).
     pub fn take_link_credits(&mut self, li: usize, out: &mut Vec<CreditInFlight>) {
         if self.fabric.credits_in_flight(li) > 0 {
-            self.fabric.take_credits(li, out);
+            self.fabric.take_credits(li, self.cycle, out);
             self.retire_link_if_idle(li);
         }
     }
@@ -1434,7 +1411,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Deliver a phit from the transmitting shard into this shard's copy of
-    /// link `li`, keeping its original arrival stamp.
+    /// link `li`, into the slot of its original arrival stamp.
     ///
     /// # Panics
     ///
@@ -1453,7 +1430,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Deliver a credit from the receiving shard into this shard's copy of
-    /// link `li`, keeping its original arrival stamp.
+    /// link `li`, into the slot of its original arrival stamp.
     ///
     /// # Panics
     ///
@@ -1639,8 +1616,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                 }
             }
         }
-        // The high-water scan reads only the fabric's packed metadata words
-        // (two cache lines per 8 links), never the pipeline pools themselves.
+        // The high-water scan reads only the fabric's per-link counter words
+        // (one cache line per 8 links), never the slot pools themselves.
         let (phit_hw, credit_hw) = self.fabric.max_high_waters();
         let snap = SampleSnapshot {
             buffered_phits: self.buffered_total,
@@ -1658,12 +1635,13 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Compare the due-work structures with the full scans they replace: both
     /// port masks against every VC of every router, `pending_sources` against
     /// every source queue, `active_links` and the fabric's `next_due` stamps
-    /// against every link's rings.  And check ownership, the other thing the
+    /// against every link's slots.  And check ownership, the other thing the
     /// phases assume instead of testing: a router, node or link this instance
     /// does not own is in none of those sets and has no storage behind it.
     /// `Err` describes the first disagreement.
     ///
-    /// Holds between cycles (and between the steps of a sharded cycle).  Debug
+    /// Holds between cycles (of a sharded run: after the barrier's export and
+    /// import), when every slot before `cycle` has been drained.  Debug
     /// builds assert it at the close of every cycle; `tests/due_work.rs` steps
     /// it in release builds too.
     pub fn check_due_sets(&self) -> Result<(), String> {
@@ -1725,7 +1703,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 && (self.active_links.contains(li) || self.fabric.capacities(li) != (0, 0))
             {
                 return Err(format!(
-                    "link {li} has no owned end but is scheduled or has ring capacity {:?}",
+                    "link {li} has no owned end but is scheduled or has slots {:?}",
                     self.fabric.capacities(li)
                 ));
             }
@@ -1739,7 +1717,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                 ));
             }
         }
-        self.fabric.check_next_due()
+        // Everything before `self.cycle` has been drained.
+        self.fabric.check_next_due(self.cycle.saturating_sub(1))
     }
 
     /// Debug-build check of the due-work structures against the full scans
@@ -1747,7 +1726,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     #[cfg(debug_assertions)]
     fn assert_due_sets_match_full_scan(&self) {
         if let Err(diverged) = self.check_due_sets() {
-            panic!("due-work sets diverged at cycle {}: {diverged}", self.cycle);
+            panic!(
+                "due-work sets diverged at the close of cycle {}: {diverged}",
+                self.cycle - 1
+            );
         }
     }
 
@@ -1874,8 +1856,7 @@ mod tests {
     /// The per-entry sizes the eagerly reserved state is priced in.  Each
     /// comment gives what the entry costs on the h = 8 paper machine
     /// (2 064 routers: 958 packet slots, 85 input and 85 output VCs, 989
-    /// phit and 2 159 credit pipeline entries per router; 132 096 arena
-    /// slots).
+    /// phit and 989 credit pipeline slots per router; 132 096 arena slots).
     #[test]
     fn hot_path_layout_is_pinned() {
         use crate::buffer::{InputVc, PacketSlot};
@@ -1887,9 +1868,13 @@ mod tests {
         assert!(size_of::<InputVc>() <= 16);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
-        // 2 041 296 phit pipeline entries: 32.7 MB.
+        // 2 041 296 phit pipeline slots, a packet id and a tag byte each:
+        // 18.4 MB.
+        assert_eq!(size_of::<PacketId>() + size_of::<u8>(), 9);
+        // 2 041 296 credit pipeline slots, a VC mask byte each: 2.0 MB.
+        assert_eq!(crate::config::MAX_VCS_PER_PORT, u8::BITS as usize);
+        // The records only a shard boundary carries.
         assert_eq!(size_of::<PhitInFlight>(), 16);
-        // 4 456 176 credit pipeline entries: 35.6 MB.
         assert_eq!(size_of::<CreditInFlight>(), 8);
         // 132 096 preallocated arena slots: 14.8 MB.
         assert!(size_of::<Packet>() <= 112);

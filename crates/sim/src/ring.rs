@@ -1,21 +1,18 @@
-//! Fixed-capacity ring buffers for the hot-path pipelines.
+//! Fixed-capacity ring buffers for the hot-path FIFOs.
 //!
-//! Every queue the cycle loop touches — VC buffer slots, link phit pipelines,
-//! link credit pipelines — has a capacity that is *provable at construction
-//! time* from the simulation configuration (buffer depth, link latency, VC
-//! count).
+//! An input VC's queue of packet slots has a capacity that is *provable at
+//! construction time* from the simulation configuration (buffer depth,
+//! packet size).
 //!
 //! [`RingMeta`] is the metadata of one ring — head, length, high-water mark
 //! and capacity — packed into a single `u64` word (16 bits each).  It owns
 //! no storage: the ring's elements live in a caller-provided slice, which is
-//! what lets the [`crate::fabric::LinkFabric`] keep *every* pipeline of the
-//! network in two contiguous pools and every ring's metadata in one parallel
-//! array, and lets the [`crate::buffer::InputFabric`] keep every input VC's
-//! slot queue in one backing pool, the ring word inside the 16-byte
-//! [`crate::buffer::InputVc`].
-//! All four fields provably fit 16 bits: phit pipelines hold at most
-//! `latency + 1 ≤ 101` entries, credit pipelines at most
-//! `vcs × (latency + 1)`, and VC slot rings at most `capacity + 1 ≤ 257`.
+//! what lets the [`crate::buffer::InputFabric`] keep every input VC's slot
+//! queue in one backing pool, the ring word inside the 16-byte
+//! [`crate::buffer::InputVc`].  All four fields provably fit 16 bits: a VC
+//! slot ring holds at most `capacity + 1 ≤ 257` entries.  (The link
+//! pipelines are not FIFOs of stamped entries but rings of slots indexed by
+//! cycle, with their own counters: see [`crate::fabric`].)
 //!
 //! The backing storage is allocated *eagerly* at construction.  Lazy
 //! (first-push) allocation was tried and rejected: rarely-used VCs get their

@@ -222,9 +222,9 @@ mod tests {
         let mut inputs = InputFabric::new(&config, 4..6);
         let flat = Port::Local(0).flat(2);
         let size = config.packet_size as u16;
-        assert_eq!(inputs.receive_phit(4, flat, 0, PacketId(10), size, true), 1);
-        assert_eq!(inputs.receive_phit(4, flat, 1, PacketId(11), size, true), 1);
-        assert_eq!(inputs.receive_phit(5, flat, 0, PacketId(12), size, true), 1);
+        assert_eq!(inputs.receive_phit(4, flat, 0, PacketId(10), Some(size)), 1);
+        assert_eq!(inputs.receive_phit(4, flat, 1, PacketId(11), Some(size)), 1);
+        assert_eq!(inputs.receive_phit(5, flat, 0, PacketId(12), Some(size)), 1);
         assert_eq!(inputs.head(4, flat, 0).unwrap().packet, PacketId(10));
         assert_eq!(inputs.head(4, flat, 1).unwrap().packet, PacketId(11));
         assert_eq!(inputs.head(5, flat, 0).unwrap().packet, PacketId(12));

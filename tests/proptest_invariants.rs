@@ -163,6 +163,239 @@ fn ring_meta_view_matches_vecdeque_model() {
     }
 }
 
+/// One pipeline of the naive link model: what is in flight, oldest first,
+/// with its arrival cycle, and the most it ever held.
+struct Pipe<T> {
+    queue: std::collections::VecDeque<(u64, T)>,
+    high_water: usize,
+}
+
+impl<T: Copy> Pipe<T> {
+    fn new() -> Self {
+        Self {
+            queue: std::collections::VecDeque::new(),
+            high_water: 0,
+        }
+    }
+
+    fn push(&mut self, arrive: u64, item: T) {
+        assert!(self.queue.back().is_none_or(|&(a, _)| a <= arrive));
+        self.queue.push_back((arrive, item));
+        self.high_water = self.high_water.max(self.queue.len());
+    }
+
+    /// Everything arriving by `now`, oldest first.
+    fn pop_due(&mut self, now: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        while let Some(&(arrive, item)) = self.queue.front() {
+            if arrive > now {
+                break;
+            }
+            assert_eq!(arrive, now, "the model is drained every cycle");
+            out.push(item);
+            self.queue.pop_front();
+        }
+        out
+    }
+
+    fn front(&self) -> Option<u64> {
+        self.queue.front().map(|&(arrive, _)| arrive)
+    }
+}
+
+/// The slot-per-cycle link fabric against a naive model with one
+/// `VecDeque<(arrive, item)>` per pipeline, over random sequences of
+/// launches, drains, exports and imports.  Links mix latencies; some are
+/// whole, some are boundary pairs — the transmitting shard's copy (a
+/// one-slot phit ring it exports every cycle, a full credit ring it imports
+/// into) next to the receiving shard's (the mirror image) — exercised the
+/// way the sharded engine does it.  After every step the drained phits and
+/// credit masks, `due` and `next_due`, the in-flight counts and the
+/// high-water marks must agree.
+#[test]
+fn link_fabric_slots_match_a_vecdeque_model() {
+    use dragonfly::sim::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Kind {
+        Whole,
+        Export,
+        Import,
+    }
+    struct Model {
+        phits: Pipe<PhitInFlight>,
+        credits: Pipe<u8>,
+    }
+    fn stamped(mut phit: PhitInFlight, arrive: u64) -> PhitInFlight {
+        phit.arrive = arrive as u32;
+        phit
+    }
+    fn compare(f: &LinkFabric, m: &[Model], li: usize, now: u64, at: &str) {
+        let model = &m[li];
+        let next = model
+            .phits
+            .front()
+            .into_iter()
+            .chain(model.credits.front())
+            .min();
+        let case = format!("link {li}, cycle {now}, {at}");
+        assert_eq!(f.next_due(li), next, "{case}: next_due");
+        assert_eq!(f.due(li, now), next.is_some_and(|a| a <= now), "{case}");
+        assert_eq!(f.phits_in_flight(li), model.phits.queue.len(), "{case}");
+        assert_eq!(f.credits_in_flight(li), model.credits.queue.len(), "{case}");
+        assert_eq!(f.phit_high_water(li), model.phits.high_water, "{case}");
+        assert_eq!(f.credit_high_water(li), model.credits.high_water, "{case}");
+        assert_eq!(f.is_idle(li), next.is_none(), "{case}");
+    }
+
+    let mut meta = Rng::seed_from(0x5107);
+    for case in 0..24 {
+        let mut rng = Rng::seed_from(meta.next_u64());
+        // (latency, VCs, kind) per link; boundary pairs sit side by side.
+        let mut links = Vec::new();
+        for _ in 0..1 + rng.gen_index(3) {
+            let latency = *rng.choose(&[1u64, 2, 3, 7, 10, 100]);
+            let vcs = 1 + rng.gen_index(8);
+            if rng.bernoulli(0.5) {
+                links.push((latency, vcs, Kind::Whole));
+            } else {
+                links.push((latency, vcs, Kind::Export));
+                links.push((latency, vcs, Kind::Import));
+            }
+        }
+        let specs: Vec<LinkSpec> = links
+            .iter()
+            .map(|&(latency, _, kind)| {
+                let full = latency as usize + 1;
+                let (phit_slots, credit_slots) = match kind {
+                    Kind::Whole => (full, full),
+                    Kind::Export => (1, full),
+                    Kind::Import => (full, 1),
+                };
+                LinkSpec {
+                    latency,
+                    to: LinkEnd::Router { router: 0, port: 0 },
+                    phit_slots,
+                    credit_slots,
+                }
+            })
+            .collect();
+        let mut f = LinkFabric::build(&specs);
+        let mut m: Vec<Model> = links
+            .iter()
+            .map(|_| Model {
+                phits: Pipe::new(),
+                credits: Pipe::new(),
+            })
+            .collect();
+        let (load, credit_load) = (0.1 + rng.next_f64() * 0.9, rng.next_f64());
+        let mut next_packet = 0u64;
+        let mut buffer_phits = Vec::new();
+        let mut buffer_credits = Vec::new();
+        for now in 0..400u64 {
+            // Arrivals: every due link yields this cycle's slots.
+            for li in 0..links.len() {
+                if !f.due(li, now) {
+                    continue;
+                }
+                let got = f.drain_arrived(li, now);
+                let phits = m[li].phits.pop_due(now);
+                let credits = m[li].credits.pop_due(now);
+                let mask = credits.iter().fold(0u8, |mask, &vc| mask | 1 << vc);
+                assert_eq!(credits.len(), mask.count_ones() as usize);
+                assert!(phits.len() <= 1, "case {case}: one phit per link per cycle");
+                let want = phits.first().map(|&p| stamped(p, now));
+                assert_eq!(got.phit, want, "case {case}, link {li}, cycle {now}: phit");
+                assert_eq!(
+                    got.credits, mask,
+                    "case {case}, link {li}, cycle {now}: credits"
+                );
+                compare(&f, &m, li, now, "after a drain");
+            }
+            // Launches: phits on links whose transmitter is here, credits on
+            // links whose receiver is.
+            for (li, &(latency, vcs, kind)) in links.iter().enumerate() {
+                if kind != Kind::Import && rng.bernoulli(load) {
+                    let vc = rng.gen_index(vcs) as u8;
+                    let phit = PhitInFlight::new(
+                        PacketId(next_packet),
+                        vc,
+                        rng.bernoulli(0.5),
+                        rng.bernoulli(0.5),
+                    );
+                    next_packet += 1;
+                    f.send_phit(li, now, phit);
+                    m[li].phits.push(now + latency, phit);
+                    compare(&f, &m, li, now, "after a phit launch");
+                }
+                if kind != Kind::Export {
+                    for vc in 0..vcs as u8 {
+                        if rng.bernoulli(credit_load) {
+                            f.send_credit(li, now, vc);
+                            m[li].credits.push(now + latency, vc);
+                            compare(&f, &m, li, now, "after a credit launch");
+                        }
+                    }
+                }
+            }
+            // The barrier: each boundary pair exports what was launched on
+            // its one-slot rings and imports it into the other copy.
+            let exports = links
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.2 == Kind::Export);
+            for (tx, _) in exports {
+                let rx = tx + 1;
+                buffer_phits.clear();
+                f.take_phits(tx, now, &mut buffer_phits);
+                let want: Vec<PhitInFlight> = m[tx]
+                    .phits
+                    .queue
+                    .drain(..)
+                    .map(|(arrive, p)| stamped(p, arrive))
+                    .collect();
+                assert_eq!(
+                    buffer_phits, want,
+                    "case {case}, link {tx}, cycle {now}: export"
+                );
+                compare(&f, &m, tx, now, "after a phit export");
+                for &phit in &buffer_phits {
+                    f.push_arriving_phit(rx, phit);
+                    m[rx].phits.push(phit.arrive as u64, phit);
+                    compare(&f, &m, rx, now, "after a phit import");
+                }
+                buffer_credits.clear();
+                f.take_credits(rx, now, &mut buffer_credits);
+                let mut want: Vec<CreditInFlight> = m[rx]
+                    .credits
+                    .queue
+                    .drain(..)
+                    .map(|(arrive, vc)| CreditInFlight {
+                        arrive: arrive as u32,
+                        vc,
+                    })
+                    .collect();
+                want.sort_by_key(|c| (c.arrive, c.vc));
+                assert_eq!(
+                    buffer_credits, want,
+                    "case {case}, link {rx}, cycle {now}: export"
+                );
+                compare(&f, &m, rx, now, "after a credit export");
+                for &credit in &buffer_credits {
+                    f.push_arriving_credit(tx, credit);
+                    m[tx].credits.push(credit.arrive as u64, credit.vc);
+                    compare(&f, &m, tx, now, "after a credit import");
+                }
+            }
+            for li in 0..links.len() {
+                compare(&f, &m, li, now, "at the close of the cycle");
+            }
+            f.check_next_due(now)
+                .unwrap_or_else(|e| panic!("case {case}, cycle {now}: {e}"));
+        }
+    }
+}
+
 /// Filling a ring to capacity and wrapping it many times never corrupts FIFO
 /// order: the head index wraps by compare-and-subtract, not a power-of-two
 /// mask, so every capacity — not just powers of two — must survive.

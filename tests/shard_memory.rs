@@ -10,10 +10,10 @@
 //! repeatable where a resident-set sample is neither:
 //!
 //! * summed over the shards, every pool equals the sequential network's;
-//! * except the fabric pools, which exceed it by exactly the one-cycle export
-//!   ring each boundary link keeps on its launching side — one phit on the
-//!   transmitting shard, one credit per VC on the receiving shard — counted
-//!   here from the topology;
+//! * except the fabric pools, which exceed it by exactly the one-slot export
+//!   ring each boundary link keeps on its launching side — one phit slot on
+//!   the transmitting shard, one credit-mask slot on the receiving shard —
+//!   counted here from the topology;
 //! * and the full-range network allocates what the constructor's sizing rules
 //!   say, written out below independently of the constructor.
 //!
@@ -31,10 +31,10 @@ use dragonfly::sim::{
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;
 
-/// Bytes of a phit-ring entry and a credit-ring entry (pinned by
-/// `fabric::tests::pipeline_entries_stay_compact`).
-const PHIT: usize = 16;
-const CREDIT: usize = 8;
+/// Bytes of a phit slot (a packet id and a tag byte) and of a credit slot (a
+/// VC mask byte), pinned by `fabric::tests::pipeline_entries_stay_compact`.
+const PHIT: usize = 9;
+const CREDIT: usize = 1;
 /// A source queue reserves four 24-byte entries per node.
 const SOURCE_QUEUE: usize = 4 * 24;
 
@@ -66,15 +66,10 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         let slots = InputVc::slot_bound(config.buffer_for(kind), config.packet_size);
         per_router.input_fabric += vcs * (size_of::<InputVc>() + slots * size_of::<PacketSlot>());
         per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
-        // The link behind this output port: `latency + 1` phits; credits
-        // bounded by the downstream buffers and by one per VC per cycle.
-        let downstream = match kind {
-            PortKind::Local => config.local_buffer,
-            PortKind::Global => config.global_buffer,
-            PortKind::Terminal => (config.packet_size * 4).max(config.injection_buffer),
-        };
-        let phits = config.latency_for(kind) as usize + 1;
-        per_router.fabric_pools += phits * PHIT + vcs * downstream.min(phits) * CREDIT;
+        // The link behind this output port: one phit slot and one credit
+        // slot per arrival cycle in flight, `latency + 1` of each.
+        let slots = config.latency_for(kind) as usize + 1;
+        per_router.fabric_pools += slots * (PHIT + CREDIT);
     }
     let (routers, nodes) = (params.num_routers(), params.num_nodes());
     PoolBytes {
@@ -127,7 +122,7 @@ fn shards_partition_the_sequential_pools_exactly() {
                     if shard_of(li / ports) != shard_of(router) {
                         let kind = Port::from_flat(li % ports, h).kind();
                         assert_eq!(kind, PortKind::Global, "{case}: link {li}");
-                        export_rings += PHIT + config.vcs_for(kind) * CREDIT;
+                        export_rings += PHIT + CREDIT;
                         boundary += 1;
                     }
                 }
@@ -168,6 +163,9 @@ fn paper_scale_pools_match_the_size_formula() {
     assert_eq!(bytes, whole_machine(&config));
     // 958 slots and 85 input VCs per router; 16 × 958 + 16 × 85 bytes.
     assert_eq!(bytes.input_fabric, 2_064 * (958 + 85) * 16);
+    // 989 phit slots (9 bytes) and 989 credit slots (1 byte) per router.
+    assert_eq!(bytes.fabric_pools, 2_064 * 989 * (9 + 1));
+    assert_eq!(bytes.fabric_pools, 20_412_960);
 }
 
 /// A phit handed to a network that owns neither end of the link must not
@@ -188,7 +186,7 @@ fn importing_onto_a_link_with_no_owned_end_panics_with_the_link_id() {
             LinkEnd::Node { .. } => false,
         })
         .expect("shards 0 and 1 share a link");
-    let phit = PhitInFlight::new(PacketId(0), 0, true, true, 1);
+    let phit = PhitInFlight::new(PacketId(0), 0, true, true);
 
     let bystander = sim.network_mut(2);
     assert!(bystander.check_due_sets().is_ok());
@@ -202,7 +200,7 @@ fn importing_onto_a_link_with_no_owned_end_panics_with_the_link_id() {
     assert!(message.contains(&format!("link {li}:")), "{message}");
 
     // The transmitting shard cannot import its own launch back either (its
-    // export ring has room for one phit, so this would otherwise succeed).
+    // export ring has a slot for one phit, so this would otherwise succeed).
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sim.network_mut(0).import_link_phit(li, phit)
     }))
