@@ -91,7 +91,7 @@ impl RoutingKind {
 
     /// Short display name matching the paper's legends.
     pub fn name(self) -> &'static str {
-        self.read(|m| m.name())
+        self.facts().name
     }
 
     /// Parse a (case-insensitive) mechanism name.
@@ -111,13 +111,12 @@ impl RoutingKind {
     /// Number of local VCs to build the network with: what the mechanism requires, but
     /// never fewer than the paper's baseline router has.
     pub fn local_vcs(self) -> usize {
-        self.read(|m| m.required_local_vcs())
-            .max(BASELINE_LOCAL_VCS)
+        self.facts().local_vcs.max(BASELINE_LOCAL_VCS)
     }
 
     /// Whether the mechanism is safe under Wormhole flow control.
     pub fn supports_wormhole(self) -> bool {
-        self.read(|m| m.supports_flow_control(FlowControl::Wormhole { flit_size: 10 }))
+        self.facts().wormhole
     }
 
     /// Instantiate the mechanism as its *concrete* type and hand it to `visitor`.
@@ -137,18 +136,30 @@ impl RoutingKind {
         }
     }
 
-    /// Read one fact off the mechanism behind this kind, so that the kind's metadata
+    /// Read the facts off the mechanism behind this kind, so that the kind's metadata
     /// *is* the mechanism's (its policy constants) rather than a copy of it.
-    fn read<T>(self, fact: impl FnOnce(&dyn RoutingAlgorithm) -> T) -> T {
-        struct Read<F>(F);
-        impl<T, F: FnOnce(&dyn RoutingAlgorithm) -> T> RoutingVisitor for Read<F> {
-            type Output = T;
-            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> T {
-                (self.0)(&routing)
+    fn facts(self) -> Facts {
+        struct Read;
+        impl RoutingVisitor for Read {
+            type Output = Facts;
+            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Facts {
+                Facts {
+                    name: routing.name(),
+                    local_vcs: routing.required_local_vcs(),
+                    wormhole: routing
+                        .supports_flow_control(FlowControl::Wormhole { flit_size: 10 }),
+                }
             }
         }
-        self.dispatch(AdaptiveParams::default(), Read(fact))
+        self.dispatch(AdaptiveParams::default(), Read)
     }
+}
+
+/// What [`RoutingKind`] reads off its mechanism.
+struct Facts {
+    name: &'static str,
+    local_vcs: usize,
+    wormhole: bool,
 }
 
 /// Local VCs of the paper's baseline router (3 local / 2 global).
@@ -170,6 +181,8 @@ mod tests {
         /// Required local / global VCs.
         vcs: (usize, usize),
         wormhole: bool,
+        /// Reads the piggybacking board (PB's source decision only).
+        reads_board: bool,
         /// Below-saturation uniform load and seed for the delivery check.
         uniform: (f64, u64),
     }
@@ -186,6 +199,7 @@ mod tests {
             name,
             vcs,
             wormhole,
+            reads_board: matches!(kind, RoutingKind::Piggybacking),
             uniform,
         }
     }
@@ -243,12 +257,19 @@ mod tests {
     }
 
     fn metadata_matches_the_paper(e: &Expected) {
-        let wormhole = FlowControl::Wormhole { flit_size: 10 };
-        let (name, vcs, vct, wh) = e.kind.read(|m| {
-            let vcs = (m.required_local_vcs(), m.required_global_vcs());
-            let vct = m.supports_flow_control(FlowControl::Vct);
-            (m.name(), vcs, vct, m.supports_flow_control(wormhole))
-        });
+        /// `(name, VCs, VCT, wormhole, reads the board)` off the mechanism.
+        struct Read;
+        impl RoutingVisitor for Read {
+            type Output = (&'static str, (usize, usize), bool, bool, bool);
+            fn visit<R: RoutingAlgorithm + Clone + 'static>(self, m: R) -> Self::Output {
+                let vcs = (m.required_local_vcs(), m.required_global_vcs());
+                let wormhole = FlowControl::Wormhole { flit_size: 10 };
+                let vct = m.supports_flow_control(FlowControl::Vct);
+                let wh = m.supports_flow_control(wormhole);
+                (m.name(), vcs, vct, wh, R::READS_GLOBAL_BOARD)
+            }
+        }
+        let (name, vcs, vct, wh, reads_board) = e.kind.dispatch(AdaptiveParams::default(), Read);
         assert_eq!(e.kind.name(), e.name);
         assert_eq!(name, e.name);
         assert_eq!(vcs, e.vcs);
@@ -256,6 +277,7 @@ mod tests {
         assert!(vct);
         assert_eq!(wh, e.wormhole);
         assert_eq!(e.kind.supports_wormhole(), e.wormhole);
+        assert_eq!(reads_board, e.reads_board);
     }
 
     fn too_few_local_vcs_are_rejected(e: &Expected) {

@@ -62,6 +62,10 @@ pub trait SourceDecision: Send {
     /// Display name of the mechanism.
     const NAME: &'static str;
 
+    /// Whether [`SourceDecision::commit`] reads the piggybacking board
+    /// ([`RoutingAlgorithm::READS_GLOBAL_BOARD`]).
+    const READS_GLOBAL_BOARD: bool = false;
+
     /// The route-state commitment to make for `packet`, fresh at its injection router
     /// with productive hop `minimal_port`, given the drawn `candidate` intermediate
     /// group: an update that sets an intermediate group takes the Valiant path through
@@ -90,6 +94,8 @@ impl<D: Default> SourceRouted<D> {
 }
 
 impl<D: SourceDecision> RoutingAlgorithm for SourceRouted<D> {
+    const READS_GLOBAL_BOARD: bool = D::READS_GLOBAL_BOARD;
+
     fn name(&self) -> &'static str {
         D::NAME
     }
@@ -186,6 +192,7 @@ const LOCAL_DIVERT_THRESHOLD: f64 = 0.3;
 
 impl SourceDecision for CongestionBoard {
     const NAME: &'static str = "PB";
+    const READS_GLOBAL_BOARD: bool = true;
 
     #[inline]
     fn commit(
@@ -198,7 +205,9 @@ impl SourceDecision for CongestionBoard {
         let params = view.params;
         let src_group = view.group();
         let dst_group = params.group_of_node(packet.dst);
-        let flags = view.global_congested.unwrap_or(&[]);
+        let flags = view.global_congested.expect(
+            "PB reads the piggybacking board: a view for it must carry one (READS_GLOBAL_BOARD)",
+        );
         let congested = |toward: GroupId| {
             let channel = params.channel_to_group(src_group, toward);
             flags.get(channel).copied().unwrap_or(false)
@@ -274,6 +283,34 @@ mod tests {
             report.global_misroute_fraction
         );
         assert_eq!(report.local_misroute_fraction, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "READS_GLOBAL_BOARD")]
+    fn pb_refuses_a_view_without_the_board() {
+        // A view without a board is a contract violation, not "nothing is
+        // congested": the source decision must fail loudly.
+        let config = SimConfig::paper_vct(2);
+        let params = config.params;
+        let sim = un_sim(Piggybacking::new(), 1);
+        let src = dragonfly_topology::NodeId(0);
+        let dst = dragonfly_topology::NodeId((params.num_nodes() - 1) as u32);
+        assert_ne!(params.group_of_node(src), params.group_of_node(dst));
+        let router = params.router_of_node(src);
+        let view = RouterView {
+            router,
+            outputs: &sim.network().routers[router.index()].outputs,
+            params: &params,
+            config: &config,
+            global_congested: None,
+        };
+        let ctx = RouteCtx {
+            cycle: 0,
+            params: &params,
+            config: &config,
+        };
+        let packet = Packet::new(dragonfly_sim::PacketId(0), src, dst, 8, 0);
+        Piggybacking::new().route(&ctx, &packet, &view, &mut Rng::seed_from(1));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!    routers, links and nodes.
 //! 2. **Export** — drain phits launched on transmit-side boundary links (and
 //!    credits launched on receive-side boundary links) into per-pair
-//!    mailboxes, shipping the full [`Packet`] state alongside each head phit;
+//!    mailboxes, shipping the full [`Packet`] state alongside each head phit
+//!    (and its [`DelayState`] while the delay probe is armed);
 //!    publish the shard's activity/liveness/drain flags and packet counters.
 //! 3. **Barrier** — every shard's exports and flags are now visible.
 //! 4. **Import** — append the incoming phits/credits (original arrival stamps)
@@ -52,7 +53,8 @@
 //!   global-output occupancies of that group's routers.  Groups are never
 //!   split, so the sharded board needs no exchange at all: each shard's dirty
 //!   list updates exactly the entries its own routers would have updated
-//!   sequentially.
+//!   sequentially.  A shard keeps the board exactly when the sequential
+//!   engine would (the same mechanism, probes installed on every shard).
 //! * **Statistics** — per-shard collectors use exact integer accumulators
 //!   ([`dragonfly_stats::ExactStats`], histograms, counters), so merging them
 //!   is associative and reproduces the sequential collector bit-for-bit.
@@ -68,7 +70,7 @@
 //!
 //! | | state |
 //! |---|---|
-//! | partitioned (the shards' sum is the sequential network's) | the input fabric (input VCs and packet slots), output ports, link rings, the packet arena, source-queue reservations |
+//! | partitioned (the shards' sum is the sequential network's) | the input fabric (input VCs and packet slots), output ports, link rings, the packet arena, the per-packet delay table (only with the delay probe armed), source-queue reservations |
 //! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit per VC on the receiving one — it is exported at the same cycle's barrier.  The ring it *imports* into is held in full by the importing shard alone |
 //! | full length on every shard | per-link and per-router metadata arrays, RNG streams, the `StatsCollector` and the probe recorder (the known remaining per-shard full-size state) |
 //!
@@ -83,8 +85,8 @@
 
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sim::{
-    protocol, CreditInFlight, Engine, EngineHost, Network, Packet, PacketId, PhitInFlight,
-    RoutingAlgorithm, SimConfig, StatsCollector,
+    protocol, CreditInFlight, DelayState, Engine, EngineHost, Network, Packet, PacketId,
+    PhitInFlight, RoutingAlgorithm, SimConfig, StatsCollector,
 };
 use dragonfly_stats::SimReport;
 use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
@@ -130,14 +132,18 @@ impl ShardPlan {
     }
 }
 
+/// What a head phit carries across a boundary: the packet, and its delay
+/// ledger while the delay probe is armed ([`Network::export_packet`]).
+type Payload = (Packet, Option<DelayState>);
+
 /// One boundary message batch between an ordered pair of shards, exchanged at
 /// the per-cycle barrier.  Every vector is reserved at what one cycle can put
 /// in it ([`Shard::batch_to`]), so filling it never allocates.
 struct BoundaryBatch {
     /// Phits crossing a boundary link: `(the link's slot in the receiver's
-    /// `rx_links`, phit, full packet state when the phit is the head)`.
-    /// Arrival stamps are absolute cycles.
-    phits: Vec<(u32, PhitInFlight, Option<Packet>)>,
+    /// `rx_links`, phit, payload when the phit is the head)`.  Arrival stamps
+    /// are absolute cycles.
+    phits: Vec<(u32, PhitInFlight, Option<Payload>)>,
     /// Credits returning to the transmitting shard of a boundary link:
     /// `(flat link index, credit)`.
     credits: Vec<(u32, CreditInFlight)>,
@@ -444,8 +450,8 @@ impl<R: RoutingAlgorithm> Shard<R> {
             for (slot, mut phit, payload) in batch.phits.drain(..) {
                 let slot = slot as usize;
                 let local = &mut self.xlat[slot * self.vcs + phit.vc as usize];
-                if let Some(packet) = payload {
-                    *local = Some(net.adopt_packet(&packet));
+                if let Some((packet, delay)) = payload {
+                    *local = Some(net.adopt_packet(&packet, delay));
                 }
                 phit.packet = local.expect("boundary body phit without a translated head");
                 if phit.is_tail() {

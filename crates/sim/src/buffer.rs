@@ -10,9 +10,9 @@ use std::ops::Range;
 /// Bookkeeping for one packet currently (partially) stored in a VC buffer:
 /// the packet and three phit counters, 16 bytes.
 ///
-/// A packet has one head, so the per-hop delay stamps (head buffered, head
-/// granted) ride the packet ([`crate::packet::DelayState::head_stamp`]), not
-/// the slot the switch scans.
+/// A packet has one head, so the per-hop delay stamp (head buffered, head
+/// granted) is per packet ([`crate::packet::DelayState::head_stamp`], in the
+/// delay table the delay probe arms), not in the slot the switch scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketSlot {
     /// The packet.
@@ -255,7 +255,7 @@ pub struct PortGeometry {
 }
 
 impl PortGeometry {
-    /// The geometry `config` dictates: `vcs_for(kind)` VCs of
+    /// The geometry `config` dictates: `input_vcs_for(kind)` VCs of
     /// `buffer_for(kind)` phits per port, slot regions at
     /// [`InputVc::slot_bound`] for `packet_size`-phit packets.
     pub fn new(config: &SimConfig) -> Self {
@@ -268,7 +268,7 @@ impl PortGeometry {
             first_vc.push(shapes.len() as u32);
             let kind = Port::from_flat(flat, h).kind();
             let capacity = config.buffer_for(kind);
-            for _ in 0..config.vcs_for(kind) {
+            for _ in 0..config.input_vcs_for(kind) {
                 shapes.push(VcShape {
                     slot_start: slots as u32,
                     capacity: capacity as u32,

@@ -183,13 +183,24 @@ impl SimConfig {
         self.arena_prealloc.unwrap_or_else(|| (nodes * 8).max(1024))
     }
 
-    /// Number of virtual channels of an *input or output* port of the given kind.
+    /// Number of virtual channels of an output port of the given kind (and
+    /// of the input port at the far end of its link).
     #[inline]
     pub fn vcs_for(&self, kind: PortKind) -> usize {
         match kind {
             PortKind::Local => self.local_vcs,
             PortKind::Global => self.global_vcs,
             PortKind::Terminal => self.local_vcs,
+        }
+    }
+
+    /// Number of virtual channels of an input port of the given kind.  An
+    /// injection (terminal) port has one: its node feeds a single FIFO.
+    #[inline]
+    pub fn input_vcs_for(&self, kind: PortKind) -> usize {
+        match kind {
+            PortKind::Terminal => 1,
+            kind => self.vcs_for(kind),
         }
     }
 

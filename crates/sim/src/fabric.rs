@@ -11,7 +11,8 @@
 //! link id through offset arrays:
 //!
 //! ```text
-//! to:           [LinkEnd;  links]      far end of link i
+//! to:           [u32;      links]      far end of link i, packed: router << 8
+//!                                      | port, or NODE_END | node
 //! latency:      [u8;       links]      latency class of link i (3 in a network)
 //! counts:       [u64;      links]      phits|credits in flight, and their
 //!                                      high-water marks, 16 bits each
@@ -161,6 +162,53 @@ pub enum LinkEnd {
     },
 }
 
+/// A packed link end whose low 31 bits are a node id (ejection); without
+/// the flag, `router << 8 | flat port`.
+const NODE_END: u32 = 1 << 31;
+
+impl LinkEnd {
+    /// Pack into one `u32`.  `SimConfig::validate`'s h ≤ 16 bound keeps a
+    /// router id below 2²³ and a flat port below 2⁸, and a node id below 2³¹.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a field is out of that range.
+    fn pack(self) -> u32 {
+        match self {
+            LinkEnd::Router { router, port } => {
+                assert!(
+                    router < 1 << 23 && port < 1 << 8,
+                    "link end router {router} port {port} beyond the packed range"
+                );
+                (router as u32) << 8 | port as u32
+            }
+            LinkEnd::Node { node } => {
+                assert!(
+                    node.0 < NODE_END,
+                    "link end node {} beyond the packed range",
+                    node.0
+                );
+                NODE_END | node.0
+            }
+        }
+    }
+
+    /// Inverse of [`LinkEnd::pack`].
+    #[inline]
+    fn unpack(word: u32) -> Self {
+        if word & NODE_END != 0 {
+            LinkEnd::Node {
+                node: NodeId(word & !NODE_END),
+            }
+        } else {
+            LinkEnd::Router {
+                router: (word >> 8) as usize,
+                port: (word & 0xFF) as usize,
+            }
+        }
+    }
+}
+
 /// Construction-time description of one link.
 ///
 /// The two slot counts are what the network instance being built can ever
@@ -298,7 +346,8 @@ fn earliest(ring: &[u8], start: usize, first: u32) -> u32 {
 /// paper's methodology.
 #[derive(Debug)]
 pub struct LinkFabric {
-    to: Vec<LinkEnd>,
+    /// Far end of each link, [`LinkEnd::pack`]ed.
+    to: Vec<u32>,
     latency: Vec<u8>,
     classes: Vec<Latency>,
     counts: Vec<LinkCounts>,
@@ -352,7 +401,7 @@ impl LinkFabric {
                 }
             };
             latency.push(u8::try_from(class).expect("more than 256 link latencies"));
-            to.push(spec.to);
+            to.push(spec.to.pack());
             phit_off.push(phits as u32);
             credit_off.push(credits as u32);
             phits += spec.phit_slots;
@@ -398,7 +447,7 @@ impl LinkFabric {
     /// Where link `li` ends.
     #[inline]
     pub fn end(&self, li: usize) -> LinkEnd {
-        self.to[li]
+        LinkEnd::unpack(self.to[li])
     }
 
     #[inline]
@@ -791,6 +840,35 @@ mod tests {
         // The shard-boundary records.
         assert_eq!(std::mem::size_of::<PhitInFlight>(), 16);
         assert_eq!(std::mem::size_of::<CreditInFlight>(), 8);
+    }
+
+    #[test]
+    fn link_ends_pack_into_one_word() {
+        // h = 16, the largest machine `SimConfig::validate` admits: 16 416
+        // routers of 63 ports, 262 656 nodes.
+        for end in [
+            LinkEnd::Router { router: 0, port: 0 },
+            LinkEnd::Router {
+                router: 16_415,
+                port: 62,
+            },
+            LinkEnd::Node { node: NodeId(0) },
+            LinkEnd::Node {
+                node: NodeId(262_655),
+            },
+        ] {
+            assert_eq!(LinkEnd::unpack(end.pack()), end);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the packed range")]
+    fn a_port_beyond_a_byte_does_not_pack() {
+        LinkEnd::Router {
+            router: 1,
+            port: 256,
+        }
+        .pack();
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{Arrived, CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 pub use network::{GlobalStatusBoard, Network, PoolBytes};
-pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
+pub use packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
 pub use ring::RingMeta;
 pub use router::{OutputPort, OutputVc, Router};

@@ -4,7 +4,7 @@ use crate::active_set::ActiveSet;
 use crate::buffer::InputFabric;
 use crate::config::SimConfig;
 use crate::fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
-use crate::packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
+use crate::packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 use crate::router::Router;
 use crate::routing_iface::{RouteChoice, RouteCtx, RouterView, RoutingAlgorithm};
 use crate::stats_collect::StatsCollector;
@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A generated packet that has not started injecting: everything generation
-/// decided about it, in 24 bytes.  A [`Packet`] is over four times that, so the
+/// decided about it, in 24 bytes.  A [`Packet`] is over twice that, so the
 /// arena slot is taken only when the head phit enters the injection buffer —
 /// the backlog of a saturated source costs a queue entry per packet, and the
 /// arena holds what is in the network, which the buffers bound.
@@ -102,8 +102,9 @@ impl GlobalStatusBoard {
 /// What a [`Network`] allocated for its pools, in bytes of capacity
 /// ([`Network::allocated_bytes`]).
 ///
-/// Over the shards of a sharded run `input_fabric`, `port_vectors`, `arena`
-/// and `source_queues` sum to exactly the sequential network's values; so
+/// Over the shards of a sharded run `input_fabric`, `port_vectors`, `arena`,
+/// `delay_table` and `source_queues` sum to exactly the sequential network's
+/// values (the delay table as preallocated: it grows with the arena); so
 /// does `fabric_pools`, up to the one-cycle export ring each boundary link
 /// keeps on the side that launches into it (`tests/shard_memory.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,6 +117,9 @@ pub struct PoolBytes {
     pub fabric_pools: usize,
     /// Packet arena slots and free list.
     pub arena: usize,
+    /// The per-packet delay table: one [`DelayState`] per arena slot while
+    /// the delay probe is armed, nothing otherwise.
+    pub delay_table: usize,
     /// Source-queue reservations.
     pub source_queues: usize,
 }
@@ -137,9 +141,9 @@ pub struct Network<R: RoutingAlgorithm> {
     /// Struct-of-arrays link state: every link's phit/credit pipeline lives in
     /// two shared pools, addressed by link index (see [`LinkFabric`]).
     fabric: LinkFabric,
-    /// For every (router, input port): index of the link feeding it (usize::MAX for
-    /// terminal/injection ports).
-    incoming_link: Vec<usize>,
+    /// For every (router, input port): index of the link feeding it
+    /// ([`NO_LINK`] for terminal/injection ports).
+    incoming_link: Vec<u32>,
     /// Phits transmitted on each link since construction (indexed like `links`).
     link_phits: Vec<u64>,
     /// Per-node source queues, filled through `push_generated` only (which
@@ -147,6 +151,11 @@ pub struct Network<R: RoutingAlgorithm> {
     sources: Vec<SourceQueue>,
     /// Packet arena.
     pub packets: PacketArena,
+    /// The per-packet delay table, indexed by arena slot: present only while
+    /// the delay probe is armed ([`Network::install_probes`]), and grown in
+    /// step with the arena.  Every delay-attribution stamp goes through
+    /// [`Network::close_leg`], a no-op without it.
+    delay: Option<Vec<DelayState>>,
     /// Current cycle.
     pub cycle: u64,
     /// One RNG stream per router, derived deterministically from the master
@@ -165,6 +174,10 @@ pub struct Network<R: RoutingAlgorithm> {
     jobs: Option<Schedule>,
     /// Statistics collector.
     pub stats: StatsCollector,
+    /// The piggybacking board, kept up to date only while something reads it
+    /// ([`Network::keeps_board`]): a mechanism that declares
+    /// [`RoutingAlgorithm::READS_GLOBAL_BOARD`], or an installed probe (its
+    /// `pb_congested` series).
     pb_board: GlobalStatusBoard,
     /// Global channels whose downstream occupancy changed since the last board
     /// update, as flat `group * channels_per_group + channel` indices.
@@ -354,10 +367,11 @@ impl<R: RoutingAlgorithm> Network<R> {
         }
 
         // Reverse map: which link feeds each (router, input port)?
-        let mut incoming_link = vec![usize::MAX; num_routers * ports];
+        let mut incoming_link = vec![NO_LINK; num_routers * ports];
         for (li, spec) in specs.iter().enumerate() {
             if let LinkEnd::Router { router, port } = spec.to {
-                incoming_link[router * ports + port] = li;
+                incoming_link[router * ports + port] =
+                    u32::try_from(li).expect("`validate` bounds h, so a link id fits a u32");
             }
         }
         let fabric = LinkFabric::build(&specs);
@@ -396,6 +410,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             link_phits,
             sources,
             packets: PacketArena::with_capacity(arena_prealloc),
+            delay: None,
             cycle: 0,
             routing,
             traffic,
@@ -720,8 +735,10 @@ impl<R: RoutingAlgorithm> Network<R> {
                     );
                 }
                 // A credit on a global output changes its advertised occupancy.
-                if let Port::Global(gport) = Port::from_flat(port, h) {
-                    self.mark_pb_dirty(router, gport);
+                if self.keeps_board() {
+                    if let Port::Global(gport) = Port::from_flat(port, h) {
+                        self.mark_pb_dirty(router, gport);
+                    }
                 }
             }
             // A phit forward to the receiver.
@@ -734,15 +751,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                             // Delay attribution: arrival ends this hop's link
                             // transit (first phit out → head in) and starts
                             // the wait for a grant.
-                            let packet = self.packets.get_mut(phit.packet);
-                            let transit = cycle - packet.delay.head_stamp;
-                            if on_detour(&packet.route) {
-                                packet.delay.detour += transit;
-                            } else {
-                                packet.delay.link_transit += transit;
-                            }
-                            packet.delay.head_stamp = cycle;
-                            packet.size
+                            self.close_leg(phit.packet, Leg::LinkTransit, cycle);
+                            self.packets.get(phit.packet).size
                         });
                         let occupancy = self.inputs.receive_phit(
                             router,
@@ -767,20 +777,10 @@ impl<R: RoutingAlgorithm> Network<R> {
                             // ends the final link transit and starts the
                             // serialization tail (head before tail, so a
                             // one-phit packet serializes in zero cycles).
-                            let packet = self.packets.get_mut(phit.packet);
-                            let transit = cycle - packet.delay.head_stamp;
-                            if on_detour(&packet.route) {
-                                packet.delay.detour += transit;
-                            } else {
-                                packet.delay.link_transit += transit;
-                            }
-                            packet.delay.head_stamp = cycle;
+                            self.close_leg(phit.packet, Leg::LinkTransit, cycle);
                         }
                         if phit.is_tail() {
-                            {
-                                let packet = self.packets.get_mut(phit.packet);
-                                packet.delay.serialization = cycle - packet.delay.head_stamp;
-                            }
+                            self.close_leg(phit.packet, Leg::Serialization, cycle);
                             // Delivery feedback for volume-bound jobs.  Only
                             // the job tag is needed here, and the stats
                             // collector reads the packet in place — no clone.
@@ -820,22 +820,10 @@ impl<R: RoutingAlgorithm> Network<R> {
                             // Delay ledger: fold the completed decomposition
                             // at the destination's ejection link (exactly one
                             // shard owns it), before the packet is freed.
-                            if self
-                                .probe
-                                .as_deref()
-                                .is_some_and(ProbeRecorder::delay_enabled)
-                            {
+                            if let Some(table) = &self.delay {
                                 let pkt = self.packets.get(phit.packet);
-                                let d = &pkt.delay;
                                 let sample = DelaySample {
-                                    components: [
-                                        d.injection_queue,
-                                        d.vc_wait,
-                                        d.credit_wait,
-                                        d.link_transit,
-                                        d.detour,
-                                        d.serialization,
-                                    ],
+                                    components: table[phit.packet.index()].components(),
                                     misrouted: pkt.route.global_misrouted
                                         || pkt.route.local_misrouted_ever,
                                     job: pkt.job,
@@ -1007,16 +995,18 @@ impl<R: RoutingAlgorithm> Network<R> {
                 source.head =
                     self.packets
                         .alloc(NodeId(n as u32), generated.dst, size, generated.gen_cycle);
-                let packet = self.packets.get_mut(source.head);
+                let head = source.head;
+                let packet = self.packets.get_mut(head);
                 packet.measured = generated.measured;
                 packet.job = generated.job;
                 packet.phase = generated.phase;
-                // Delay stamp 1: time spent queued at the source NIC before the
-                // head phit enters the injection buffer, where the wait for a
-                // grant starts.
-                packet.delay.injection_queue = cycle - generated.gen_cycle;
-                packet.delay.head_stamp = cycle;
+                // Delay attribution: time spent queued at the source NIC
+                // before the head phit enters the injection buffer, where the
+                // wait for a grant starts.
+                self.open_ledger(head, DelayState::generated_at(generated.gen_cycle));
+                self.close_leg(head, Leg::InjectionQueue, cycle);
             }
+            let source = &mut self.sources[n];
             let occupancy =
                 self.inputs
                     .receive_phit(router, port, 0, source.head, is_head.then_some(size));
@@ -1066,7 +1056,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                     outputs: &router.outputs,
                     params: &self.params,
                     config: &self.config,
-                    global_congested: Some(self.pb_board.group(group)),
+                    global_congested: self.keeps_board().then(|| self.pb_board.group(group)),
                 };
                 let ctx = RouteCtx {
                     cycle,
@@ -1093,13 +1083,14 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
             let router = &mut self.routers[r];
             router.rr_alloc = (router.rr_alloc + 1) % ports;
+            let router_id = router.id;
             for &(ip, ivc, pid, choice) in decisions.iter() {
                 let flat = choice.port.flat(h);
                 let needed = self
                     .config
                     .flow_control
                     .claim_phits(self.packets.get(pid).size_phits());
-                let out = &mut router.outputs[flat].vcs[choice.vc as usize];
+                let out = &mut self.routers[r].outputs[flat].vcs[choice.vc as usize];
                 if !out.is_free() || (out.credits as usize) < needed {
                     continue;
                 }
@@ -1107,22 +1098,13 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.out_owned[r] |= 1 << flat;
                 self.inputs
                     .set_route(r, ip, ivc, Some((flat as u16, choice.vc)));
-                // Delay stamp 3: the head waited in this input VC from its
-                // arrival until this grant, which starts the wait for
+                // Delay attribution: the head waited in this input VC from
+                // its arrival until this grant, which starts the wait for
                 // credits.  Classified on the *pre-grant* route: a packet
                 // still travelling its detour books the wait against the
                 // detour component instead of `vc_wait`.
-                {
-                    let packet = self.packets.get_mut(pid);
-                    let waited = cycle - packet.delay.head_stamp;
-                    if on_detour(&packet.route) {
-                        packet.delay.detour += waited;
-                    } else {
-                        packet.delay.vc_wait += waited;
-                    }
-                    packet.delay.head_stamp = cycle;
-                }
-                apply_grant(self.packets.get_mut(pid), &choice, &self.params, router.id);
+                self.close_leg(pid, Leg::VcWait, cycle);
+                apply_grant(self.packets.get_mut(pid), &choice, &self.params, router_id);
                 // Probe: grants only happen at routers holding buffered phits,
                 // which in a sharded run are exactly the owned routers.
                 if self.probe.is_some() {
@@ -1238,22 +1220,17 @@ impl<R: RoutingAlgorithm> Network<R> {
                         self.in_occupied[r] &= !(1 << ip);
                     }
                 }
-                // Delay stamp 4: the first phit crossing the switch ends the
-                // wait for downstream credits that began at the grant, and the
-                // head timestamp restarts for the link-transit leg.
+                // Delay attribution: the first phit crossing the switch ends
+                // the wait for downstream credits that began at the grant, and
+                // opens the link-transit leg.
                 if sent_before == 0 {
-                    let packet = self.packets.get_mut(pid);
-                    let waited = cycle - packet.delay.head_stamp;
-                    if on_detour(&packet.route) {
-                        packet.delay.detour += waited;
-                    } else {
-                        packet.delay.credit_wait += waited;
-                    }
-                    packet.delay.head_stamp = cycle;
+                    self.close_leg(pid, Leg::CreditWait, cycle);
                 }
                 // A phit leaving a global output changes its advertised occupancy.
-                if let Port::Global(gport) = Port::from_flat(op, h) {
-                    self.mark_pb_dirty(r, gport);
+                if self.keeps_board() {
+                    if let Port::Global(gport) = Port::from_flat(op, h) {
+                        self.mark_pb_dirty(r, gport);
+                    }
                 }
                 self.link_phits[r * ports + op] += 1;
                 if let Some(probe) = self.probe.as_deref_mut() {
@@ -1268,7 +1245,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                 // Return a credit to the upstream transmitter of the input buffer that
                 // just freed one phit (injection ports have no upstream link).
                 let upstream = self.incoming_link[r * ports + ip];
-                if upstream != usize::MAX {
+                if upstream != NO_LINK {
+                    let upstream = upstream as usize;
                     self.fabric.send_credit(upstream, cycle, ivc as u8);
                     self.active_links.insert(upstream);
                 }
@@ -1279,6 +1257,40 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
         }
         activity
+    }
+
+    /// Delay attribution: close `id`'s open leg at `cycle`, booked to `leg`
+    /// — or to the detour component while the packet travels one (all but
+    /// the serialization tail).  A no-op unless the delay probe is armed.
+    #[inline]
+    fn close_leg(&mut self, id: PacketId, leg: Leg, cycle: u64) {
+        if let Some(table) = self.delay.as_mut() {
+            let detour = leg != Leg::Serialization && on_detour(&self.packets.get(id).route);
+            table[id.index()].close_leg(if detour { Leg::Detour } else { leg }, cycle);
+        }
+    }
+
+    /// Start the delay ledger of the packet just allocated at `id`, growing
+    /// the table to the arena's slot count first.  A no-op unless the delay
+    /// probe is armed.
+    #[inline]
+    fn open_ledger(&mut self, id: PacketId, state: DelayState) {
+        if let Some(table) = self.delay.as_mut() {
+            let slots = self.packets.capacity_slots();
+            if table.len() < slots {
+                table.resize(slots, DelayState::default());
+            }
+            table[id.index()] = state;
+        }
+    }
+
+    /// Whether the piggybacking board is kept up to date: something reads
+    /// it, either the mechanism ([`RoutingAlgorithm::READS_GLOBAL_BOARD`])
+    /// or an installed probe.  Otherwise no phase marks or re-evaluates a
+    /// channel, and [`RouterView::global_congested`] is `None`.
+    #[inline]
+    fn keeps_board(&self) -> bool {
+        R::READS_GLOBAL_BOARD || self.probe.is_some()
     }
 
     /// Mark the global channel behind `(router, global port)` for re-evaluation.
@@ -1298,25 +1310,36 @@ impl<R: RoutingAlgorithm> Network<R> {
     // change when the downstream occupancy of its global output changes, i.e. when a
     // phit is transmitted (phase D) or a credit returns (phase A).  Both places mark
     // the channel dirty and only dirty channels are re-evaluated here, mirroring the
-    // active-set scheduling of links and routers.
+    // active-set scheduling of links and routers.  While the board is not kept
+    // nothing is marked, so the list is empty.
     fn update_pb_board(&mut self) {
         let channels = self.params.global_channels_per_group();
-        let per_group_routers = self.params.routers_per_group();
-        let h = self.params.h();
-        let threshold = self.config.pb_congestion_threshold;
         while let Some(flat) = self.pb_dirty_list.pop() {
             let flat = flat as usize;
             self.pb_dirty[flat] = false;
             let (g, d) = (flat / channels, flat % channels);
-            let (ridx, gport) = self.params.global_channel_owner(d);
-            let router = g * per_group_routers + ridx;
-            let out = &self.routers[router].outputs[Port::Global(gport).flat(h)];
-            let occupancy = out.total_occupancy() as f64;
-            let capacity = out.total_capacity() as f64;
-            self.pb_board.set(g, d, occupancy > threshold * capacity);
+            let congested = self.scan_pb_channel(g, d);
+            self.pb_board.set(g, d, congested);
         }
         #[cfg(debug_assertions)]
-        self.assert_pb_board_matches_full_scan();
+        if let Err(diverged) = self.check_pb_board() {
+            panic!("{diverged}");
+        }
+    }
+
+    /// The congestion flag of channel `d` of group `g` from a scan of the
+    /// global output behind it: its downstream occupancy is above the
+    /// threshold share of its capacity.  Clear for a channel whose router
+    /// another shard owns — no output to scan, and nothing here ever marks it.
+    fn scan_pb_channel(&self, g: usize, d: usize) -> bool {
+        let (ridx, gport) = self.params.global_channel_owner(d);
+        let router = g * self.params.routers_per_group() + ridx;
+        if !self.owned_routers.contains(&router) {
+            return false;
+        }
+        let out = &self.routers[router].outputs[Port::Global(gport).flat(self.params.h())];
+        out.total_occupancy() as f64
+            > self.config.pb_congestion_threshold * out.total_capacity() as f64
     }
 
     // ------------------------------------------------------------------
@@ -1447,10 +1470,12 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.active_links.insert(li);
     }
 
-    /// Clone the full state of a live packet (shipped alongside the head phit
-    /// when a packet crosses a shard boundary).
-    pub fn export_packet(&self, id: PacketId) -> Packet {
-        self.packets.get(id).clone()
+    /// Clone the full state of a live packet, and its delay ledger while the
+    /// delay probe is armed (shipped alongside the head phit when a packet
+    /// crosses a shard boundary).
+    pub fn export_packet(&self, id: PacketId) -> (Packet, Option<DelayState>) {
+        let delay = self.delay.as_ref().map(|table| table[id.index()]);
+        (self.packets.get(id).clone(), delay)
     }
 
     /// Free a packet whose tail phit has left this shard (the receiving shard
@@ -1459,10 +1484,20 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.packets.free(id);
     }
 
-    /// Adopt a packet arriving from another shard into the local arena and
-    /// return its local id.
-    pub fn adopt_packet(&mut self, packet: &Packet) -> PacketId {
-        self.packets.adopt(packet)
+    /// Adopt a packet arriving from another shard, with its delay ledger
+    /// when the delay probe is armed ([`Network::export_packet`]), into the
+    /// local arena and return its local id.
+    pub fn adopt_packet(&mut self, packet: &Packet, delay: Option<DelayState>) -> PacketId {
+        debug_assert_eq!(
+            delay.is_some(),
+            self.delay.is_some(),
+            "a packet's delay ledger crosses a boundary exactly when both shards keep one"
+        );
+        let id = self.packets.adopt(packet);
+        if let Some(state) = delay {
+            self.open_ledger(id, state);
+        }
+        id
     }
 
     /// Start logging delivery feedback so a sharded run can broadcast it (see
@@ -1523,6 +1558,9 @@ impl<R: RoutingAlgorithm> Network<R> {
             port_vectors: self.routers.iter().map(Router::allocated_bytes).sum(),
             fabric_pools: self.fabric.pool_bytes(),
             arena: self.packets.allocated_bytes(),
+            delay_table: self.delay.as_ref().map_or(0, |table| {
+                table.capacity() * std::mem::size_of::<DelayState>()
+            }),
             ..PoolBytes::default()
         };
         for source in &self.sources {
@@ -1550,7 +1588,24 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Probes are read-only: they consume no RNG draws and change no report
     /// field, and all their storage is preallocated here, so the zero-alloc
     /// guarantee of the cycle loop holds with probes enabled.
+    ///
+    /// Two engine layers exist only for the probe.  The piggybacking board is
+    /// kept from here on (the `pb_congested` series reads it), rebuilt now
+    /// from a full scan.  With `cfg.delay` the per-packet delay table is
+    /// allocated at the arena's slot count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg.delay` is set while packets are in the network: their
+    /// ledgers would have missed legs, so no stamp could sum to a latency.
     pub fn install_probes(&mut self, cfg: ProbeConfig) {
+        assert!(
+            !cfg.delay || self.packets.live() == 0,
+            "the delay ledger must be armed before the first packet enters the network"
+        );
+        self.delay = cfg
+            .delay
+            .then(|| vec![DelayState::default(); self.packets.capacity_slots()]);
         let ports = self.params.ports_per_router();
         let h = self.params.h();
         let link_class = (0..self.fabric.len())
@@ -1571,6 +1626,13 @@ impl<R: RoutingAlgorithm> Network<R> {
             link_class,
         };
         self.probe = Some(Box::new(ProbeRecorder::new(cfg, dims)));
+        let channels = self.params.global_channels_per_group();
+        for g in 0..self.params.groups() {
+            for d in 0..channels {
+                let congested = self.scan_pb_channel(g, d);
+                self.pb_board.set(g, d, congested);
+            }
+        }
     }
 
     /// The installed probe recorder, if any.
@@ -1579,8 +1641,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Remove and return the installed probe recorder (emission happens on
-    /// the extracted recorder, outside the cycle loop).
+    /// the extracted recorder, outside the cycle loop).  The delay table goes
+    /// with it.
     pub fn take_probe(&mut self) -> Option<Box<ProbeRecorder>> {
+        self.delay = None;
         self.probe.take()
     }
 
@@ -1607,11 +1671,11 @@ impl<R: RoutingAlgorithm> Network<R> {
                 }
                 for p in 0..ports {
                     let li = self.incoming_link[r * ports + p];
-                    if li == usize::MAX {
+                    if li == NO_LINK {
                         continue;
                     }
                     for (vc, ivc) in self.inputs.port_vcs(r, p).iter().enumerate() {
-                        probe.add_occupancy(cycle, li, vc, ivc.occupancy() as u32);
+                        probe.add_occupancy(cycle, li as usize, vc, ivc.occupancy() as u32);
                     }
                 }
             }
@@ -1733,38 +1797,38 @@ impl<R: RoutingAlgorithm> Network<R> {
         }
     }
 
-    /// Debug-build equivalence check of the event-driven board against the full scan
-    /// it replaced.
-    #[cfg(debug_assertions)]
-    fn assert_pb_board_matches_full_scan(&self) {
-        let channels = self.params.global_channels_per_group();
-        let per_group_routers = self.params.routers_per_group();
-        let h = self.params.h();
-        let threshold = self.config.pb_congestion_threshold;
+    /// Compare the piggybacking board with the full scan it replaces: every
+    /// flag against the occupancy of the global output behind it
+    /// (`scan_pb_channel`, the scan [`Network::install_probes`] rebuilds the
+    /// board with).  `Err` names the first channel that disagrees.  A board
+    /// that is not kept ([`RoutingAlgorithm::READS_GLOBAL_BOARD`] unset and
+    /// no probe installed) is read by nothing and checks `Ok`.
+    ///
+    /// Holds between cycles, like [`Network::check_due_sets`]: debug builds
+    /// assert it after every board update; `tests/due_work.rs` steps it in
+    /// release builds too.
+    pub fn check_pb_board(&self) -> Result<(), String> {
+        if !self.keeps_board() {
+            return Ok(());
+        }
         for g in 0..self.params.groups() {
-            for d in 0..channels {
-                let (ridx, gport) = self.params.global_channel_owner(d);
-                let router = g * per_group_routers + ridx;
-                if !self.owned_routers.contains(&router) {
-                    // Another shard's channel: no output to scan, and nothing
-                    // here ever marks it dirty, so its flag stays clear.
-                    assert!(!self.pb_board.group(g)[d]);
-                    continue;
+            for d in 0..self.params.global_channels_per_group() {
+                let (kept, scanned) = (self.pb_board.group(g)[d], self.scan_pb_channel(g, d));
+                if kept != scanned {
+                    return Err(format!(
+                        "PB board diverged from the full scan at group {g} channel {d} \
+                         (cycle {}): the board says {kept}, the outputs {scanned}",
+                        self.cycle
+                    ));
                 }
-                let out = &self.routers[router].outputs[Port::Global(gport).flat(h)];
-                let expected =
-                    out.total_occupancy() as f64 > threshold * out.total_capacity() as f64;
-                assert_eq!(
-                    self.pb_board.group(g)[d],
-                    expected,
-                    "PB board diverged from the full scan at group {g} channel {d} \
-                     (cycle {})",
-                    self.cycle
-                );
             }
         }
+        Ok(())
     }
 }
+
+/// `incoming_link` of a port no link feeds (a terminal/injection port).
+const NO_LINK: u32 = u32::MAX;
 
 /// Indices of the set bits of a port mask, ascending.
 #[inline]
@@ -1855,16 +1919,16 @@ mod tests {
 
     /// The per-entry sizes the eagerly reserved state is priced in.  Each
     /// comment gives what the entry costs on the h = 8 paper machine
-    /// (2 064 routers: 958 packet slots, 85 input and 85 output VCs, 989
+    /// (2 064 routers: 862 packet slots, 69 input and 85 output VCs, 989
     /// phit and 989 credit pipeline slots per router; 132 096 arena slots).
     #[test]
     fn hot_path_layout_is_pinned() {
         use crate::buffer::{InputVc, PacketSlot};
         use crate::router::OutputVc;
         use std::mem::size_of;
-        // 1 977 312 slots: 31.6 MB (63.3 MB with the two u64 delay stamps).
+        // 1 779 168 slots: 28.5 MB.
         assert_eq!(size_of::<PacketSlot>(), 16);
-        // 175 440 input VCs: 2.8 MB.
+        // 142 416 input VCs: 2.3 MB.
         assert!(size_of::<InputVc>() <= 16);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
@@ -1876,8 +1940,9 @@ mod tests {
         // The records only a shard boundary carries.
         assert_eq!(size_of::<PhitInFlight>(), 16);
         assert_eq!(size_of::<CreditInFlight>(), 8);
-        // 132 096 preallocated arena slots: 14.8 MB.
-        assert!(size_of::<Packet>() <= 112);
+        // 132 096 preallocated arena slots: 7.4 MB (the delay table, only
+        // while the delay probe is armed, as much again).
+        assert_eq!(size_of::<DelayState>(), 56);
     }
 
     #[test]
@@ -1889,10 +1954,10 @@ mod tests {
                 let port = Port::from_flat(p, net.params.h());
                 let li = net.incoming_link[r * ports + p];
                 match port.kind() {
-                    PortKind::Terminal => assert_eq!(li, usize::MAX),
+                    PortKind::Terminal => assert_eq!(li, NO_LINK),
                     _ => {
-                        assert_ne!(li, usize::MAX, "network port without an incoming link");
-                        match net.link_end(li) {
+                        assert_ne!(li, NO_LINK, "network port without an incoming link");
+                        match net.link_end(li as usize) {
                             LinkEnd::Router { router, port } => {
                                 assert_eq!(router, r);
                                 assert_eq!(port, p);

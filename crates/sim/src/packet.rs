@@ -77,7 +77,25 @@ impl RouteState {
     }
 }
 
-/// Per-packet delay-attribution ledger: integer cycle accumulators stamped by
+/// One leg of a packet's lifetime, closed at a boundary event: the component
+/// of [`DelayState`] its cycles are booked to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leg {
+    /// Generation until the head phit enters the source VC.
+    InjectionQueue,
+    /// Head buffered until granted an output VC.
+    VcWait,
+    /// Grant until the first phit crosses the switch.
+    CreditWait,
+    /// First phit out until the head reaches the next buffer or the node.
+    LinkTransit,
+    /// A wait or transit taken while on a misrouting detour.
+    Detour,
+    /// Head until tail at the destination node.
+    Serialization,
+}
+
+/// Per-packet delay-attribution ledger: integer cycle accumulators closed by
 /// the engine at component boundaries and folded by the probe layer on
 /// delivery.
 ///
@@ -85,13 +103,16 @@ impl RouteState {
 /// between generation and tail delivery lands in exactly one accumulator, so
 /// their sum equals the end-to-end latency with no residual (the delay
 /// layer's cardinal invariant, pinned by `tests/delay_conservation.rs`).
-/// `head_stamp` is the one transient field, and the only per-hop stamp the
-/// engine keeps: the cycle of the packet's latest boundary event (head enters
-/// a buffer, head granted, first phit out, head reaches the node), consumed
-/// and rewritten by the next one.  A packet has one head, so one stamp
-/// serves every hop and the VC buffers carry none.  Stamping is unconditional
-/// (plain integer writes on state the engine already touches), so the probe
-/// passivity invariant is untouched: nothing here feeds back into routing.
+/// `head_stamp` is the one transient field: the cycle of the packet's latest
+/// boundary event (generation, head enters a buffer, head granted, first phit
+/// out, head reaches the node), consumed and rewritten by the next one
+/// ([`DelayState::close_leg`]).  A packet has one head, so one stamp serves
+/// every hop and the VC buffers carry none.
+///
+/// The states live in the network's per-packet delay table, indexed by arena
+/// slot, which exists only while the delay probe is armed: a run that does
+/// not read the ledger never writes it.  Nothing here feeds back into
+/// routing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DelayState {
     /// Cycles between generation and the head phit entering the source VC.
@@ -110,27 +131,54 @@ pub struct DelayState {
     pub detour: u64,
     /// Cycles between the head and the tail phit arriving at the destination.
     pub serialization: u64,
-    /// Cycle of the latest boundary event: written when the head enters a
-    /// buffer (injection feed or link arrival), read and rewritten at the
-    /// grant and at the first phit out, read at the node (transient
-    /// bookkeeping, not a component).
+    /// Cycle of the latest boundary event (transient bookkeeping, not a
+    /// component).
     pub head_stamp: u64,
 }
 
 impl DelayState {
-    /// Sum of all components — equals the delivered end-to-end latency.
+    /// The ledger of a packet generated at `gen_cycle`: every component zero,
+    /// the first leg (the source queue) open since generation.
     #[inline]
-    pub fn total(&self) -> u64 {
-        self.injection_queue
-            + self.vc_wait
-            + self.credit_wait
-            + self.link_transit
-            + self.detour
-            + self.serialization
+    pub fn generated_at(gen_cycle: u64) -> Self {
+        Self {
+            head_stamp: gen_cycle,
+            ..Self::default()
+        }
+    }
+
+    /// Close the leg open since `head_stamp` at `cycle`: book its cycles to
+    /// `leg` and open the next one.
+    #[inline]
+    pub fn close_leg(&mut self, leg: Leg, cycle: u64) {
+        let cycles = cycle - self.head_stamp;
+        *match leg {
+            Leg::InjectionQueue => &mut self.injection_queue,
+            Leg::VcWait => &mut self.vc_wait,
+            Leg::CreditWait => &mut self.credit_wait,
+            Leg::LinkTransit => &mut self.link_transit,
+            Leg::Detour => &mut self.detour,
+            Leg::Serialization => &mut self.serialization,
+        } += cycles;
+        self.head_stamp = cycle;
+    }
+
+    /// The six components, in the probe's column order.
+    #[inline]
+    pub fn components(&self) -> [u64; 6] {
+        [
+            self.injection_queue,
+            self.vc_wait,
+            self.credit_wait,
+            self.link_transit,
+            self.detour,
+            self.serialization,
+        ]
     }
 }
 
-/// A packet in flight.
+/// A packet in flight: what routing and the statistics read, 56 bytes.  The
+/// delay ledger is not here (see [`DelayState`]).
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Arena identifier.
@@ -151,9 +199,6 @@ pub struct Packet {
     pub phase: u16,
     /// Adaptive routing state.
     pub route: RouteState,
-    /// Delay-attribution accumulators (stamped unconditionally, read only on
-    /// delivery when the delay probe is armed).
-    pub delay: DelayState,
 }
 
 impl Packet {
@@ -169,7 +214,6 @@ impl Packet {
             job: UNTAGGED,
             phase: UNTAGGED,
             route: RouteState::default(),
-            delay: DelayState::default(),
         }
     }
 
@@ -342,6 +386,20 @@ mod tests {
         // Global state is preserved.
         assert_eq!(rs.global_hops, 1);
         assert_eq!(rs.total_hops, 3);
+    }
+
+    #[test]
+    fn closed_legs_telescope_to_the_lifetime() {
+        let mut d = DelayState::generated_at(5);
+        d.close_leg(Leg::InjectionQueue, 7);
+        d.close_leg(Leg::VcWait, 7);
+        d.close_leg(Leg::CreditWait, 9);
+        d.close_leg(Leg::Detour, 20);
+        d.close_leg(Leg::LinkTransit, 30);
+        d.close_leg(Leg::Serialization, 37);
+        assert_eq!(d.components(), [2, 0, 2, 10, 11, 7]);
+        assert_eq!(d.components().iter().sum::<u64>(), 37 - 5);
+        assert_eq!(d.head_stamp, 37);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
         let expected: usize = (0..config.params.ports_per_router())
             .map(|p| {
                 let kind = Port::from_flat(p, h).kind();
-                config.vcs_for(kind)
+                config.input_vcs_for(kind)
                     * InputVc::slot_bound(config.buffer_for(kind), config.packet_size)
             })
             .sum();

@@ -25,8 +25,11 @@ pub struct RouterView<'a> {
     pub params: &'a DragonflyParams,
     /// Simulation configuration (packet size, flow control, VC counts).
     pub config: &'a SimConfig,
-    /// Piggybacked per-global-channel congestion flags of this router's group, when
-    /// the mechanism uses them (indexed by global channel).
+    /// Piggybacked per-global-channel congestion flags of this router's group
+    /// (indexed by global channel).  The engine keeps the board, and passes
+    /// `Some`, for a mechanism that declares
+    /// [`RoutingAlgorithm::READS_GLOBAL_BOARD`] (or while a probe reads it);
+    /// otherwise `None`.
     pub global_congested: Option<&'a [bool]>,
 }
 
@@ -129,6 +132,12 @@ pub struct RouteCtx<'a> {
 
 /// A deadlock-free routing mechanism.
 pub trait RoutingAlgorithm: Send {
+    /// Whether [`RoutingAlgorithm::route`] reads
+    /// [`RouterView::global_congested`].  The engine keeps the piggybacking
+    /// board up to date only for a mechanism that declares it (or while a
+    /// probe reads the board); every other view carries `None`.
+    const READS_GLOBAL_BOARD: bool = false;
+
     /// Short display name (e.g. `"OLM"`).
     fn name(&self) -> &'static str;
 

@@ -6,13 +6,13 @@
 //! from the pipeline timing.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind, RunOptions, Steady,
-    TrafficKind,
+    AdaptiveParams, ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind,
+    RunOptions, ShardPlan, ShardedSimulation, Steady, TrafficKind,
 };
 use dragonfly::probe::DelaySample;
 use dragonfly::rng::Rng;
-use dragonfly::routing::MinimalRouting;
-use dragonfly::sim::{Network, SimConfig};
+use dragonfly::routing::{MinimalRouting, Olm};
+use dragonfly::sim::{protocol, EngineHost, Network, SimConfig, Simulation};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
 
@@ -143,6 +143,55 @@ fn sharded_merge_preserves_conservation_and_totals() {
     for shards in [2usize, 4] {
         let merged = run_probed(&spec, Some(shards));
         let label = format!("{shards} shards");
+        assert_eq!(assert_conserves(&merged, &label), folded);
+        assert_eq!(
+            merged.delay_ledger().unwrap().rows(),
+            sequential.delay_ledger().unwrap().rows(),
+            "{label}: merged delay rows diverged from the sequential run"
+        );
+    }
+}
+
+/// The delay table is indexed by arena slot and grows in step with the
+/// arena.  With a 64-slot preallocation both grow mid-run, on the sequential
+/// engine and on every shard; every component must still sum exactly to the
+/// latency, and the rows merged from 2 and 4 shards — whose arenas grow at
+/// different points, and whose boundary packets carry their ledgers across —
+/// must equal the sequential ones.
+#[test]
+fn components_conserve_while_the_arena_grows() {
+    let mut spec = ExperimentSpec::new(2);
+    spec.routing = RoutingKind::Olm;
+    spec.traffic = TrafficKind::AdversarialGlobal(1);
+    spec.seed = 23;
+    let config = spec.sim_config().with_arena_prealloc(64);
+    let params = config.params;
+    let routing = Olm::new(AdaptiveParams::with_threshold(spec.threshold));
+    let traffic = || spec.traffic.build(&params);
+
+    let mut sequential = Simulation::with_routing(config.clone(), routing, traffic());
+    sequential.install_probes(delay_probes());
+    protocol::run_steady_state(&mut sequential, 0.25, 300, 600, 900);
+    assert!(
+        sequential.network().arena_grows() > 0,
+        "the arena never grew"
+    );
+    let sequential = *sequential.collect_probe().unwrap();
+    let folded = assert_conserves(&sequential, "sequential, growing arena");
+
+    for shards in [2usize, 4] {
+        let mut sim =
+            ShardedSimulation::new(config.clone(), ShardPlan::new(shards), routing, traffic);
+        sim.install_probes(delay_probes());
+        protocol::run_steady_state(&mut sim, 0.25, 300, 600, 900);
+        let label = format!("{shards} shards, growing arenas");
+        for s in 0..shards {
+            assert!(
+                sim.network(s).arena_grows() > 0,
+                "{label}: shard {s} never grew"
+            );
+        }
+        let merged = *sim.collect_probe().unwrap();
         assert_eq!(assert_conserves(&merged, &label), folded);
         assert_eq!(
             merged.delay_ledger().unwrap().rows(),

@@ -24,13 +24,20 @@
 //! Jobs get the same treatment: a static workload whose aggressor switches
 //! phase mid-run, and a churn trace whose departures leave holes that a new
 //! pair is re-placed into, for every mechanism.
+//!
+//! The piggybacking board is event-driven too — only channels whose global
+//! output changed occupancy are re-evaluated — so `Network::check_pb_board`
+//! compares it with a full scan of the outputs after every cycle of the same
+//! matrix (PB keeps the board; for the other mechanisms it is not kept and
+//! the check is trivially `Ok`), and after every cycle of an OLM run whose
+//! probe, which reads the board, is installed mid-run.
 
 use dragonfly::core::{
-    AdaptiveParams, ExperimentSpec, FlowControlKind, JobPattern, RoutingKind, ShardPlan,
-    ShardedSimulation, Trace, TrafficKind,
+    AdaptiveParams, ExperimentSpec, FlowControlKind, JobPattern, ProbeConfig, RoutingKind,
+    ShardPlan, ShardedSimulation, Trace, TrafficKind,
 };
-use dragonfly::routing::RoutingVisitor;
-use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
+use dragonfly::routing::{Olm, RoutingVisitor};
+use dragonfly::sim::{Engine, EngineHost, Network, RoutingAlgorithm, Simulation};
 use dragonfly::traffic::{BernoulliInjection, TrafficPattern, Uniform};
 use dragonfly::workload::scenarios::fragmentation_trace;
 
@@ -51,22 +58,27 @@ const BURST_LIMIT: u64 = 30_000;
 /// re-placement ([`jobs_matrix`]).
 const JOB_CYCLES: u64 = 900;
 
-/// An engine whose every network replica can be checked between cycles.
+/// An engine whose every network replica can be checked between cycles:
+/// the due-work sets and the piggybacking board.
 trait Checked: EngineHost {
-    fn check_due_sets(&self) -> Result<(), String>;
+    fn check(&self) -> Result<(), String>;
+}
+
+fn check_network<R: RoutingAlgorithm>(net: &Network<R>) -> Result<(), String> {
+    net.check_due_sets()?;
+    net.check_pb_board()
 }
 
 impl<R: RoutingAlgorithm> Checked for Simulation<R> {
-    fn check_due_sets(&self) -> Result<(), String> {
-        self.network().check_due_sets()
+    fn check(&self) -> Result<(), String> {
+        check_network(self.network())
     }
 }
 
 impl<R: RoutingAlgorithm + Clone> Checked for ShardedSimulation<R> {
-    fn check_due_sets(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         (0..self.shards()).try_for_each(|shard| {
-            self.network(shard)
-                .check_due_sets()
+            check_network(self.network(shard))
                 .map_err(|diverged| format!("shard {shard}: {diverged}"))
         })
     }
@@ -81,7 +93,7 @@ fn run_checked<H: Checked>(
     case: &str,
 ) -> (u64, u64) {
     let check = |host: &H, at: &str| {
-        if let Err(diverged) = host.check_due_sets() {
+        if let Err(diverged) = host.check() {
             panic!("{case}, {at}: {diverged}");
         }
     };
@@ -295,4 +307,75 @@ fn due_sets_match_a_full_scan_every_cycle_sequential() {
 fn due_sets_match_a_full_scan_every_cycle_on_two_shards() {
     matrix(Some(2));
     jobs_matrix(Some(2));
+}
+
+/// OLM does not read the piggybacking board, so nothing keeps it until a
+/// probe — whose `pb_congested` series reads it — is installed after 500
+/// cycles of ADVG+1 traffic.  The install rebuilds the board from a full
+/// scan, and from then on every cycle must leave it equal to the scan:
+/// sequentially and on two shards.
+fn olm_board_from_a_mid_run_probe(shards: Option<usize>) {
+    let mut spec = ExperimentSpec::new(3);
+    spec.routing = RoutingKind::Olm;
+    spec.traffic = TrafficKind::AdversarialGlobal(1);
+    spec.seed = 0xB0A2D;
+    let config = spec.sim_config();
+    let traffic = || spec.traffic.build(&config.params);
+    let routing = Olm::new(AdaptiveParams::with_threshold(spec.threshold));
+    let case = format!("OLM, probe installed at cycle 500, shards={shards:?}");
+    let peak = match shards {
+        None => drive_probed_late(
+            &mut Simulation::with_routing(config.clone(), routing, traffic()),
+            &case,
+        ),
+        Some(shards) => drive_probed_late(
+            &mut ShardedSimulation::new(config.clone(), ShardPlan::new(shards), routing, traffic),
+            &case,
+        ),
+    };
+    assert!(peak > 0.0, "{case}: no global channel ever congested");
+}
+
+/// Run 500 cycles at saturation, install the probes, run 400 more checking
+/// after every cycle; returns the peak of the probe's `pb_congested` series.
+fn drive_probed_late<H: Checked>(host: &mut H, case: &str) -> f64 {
+    let packet_size = host.replica().config.packet_size;
+    host.drive(|engine| {
+        engine.set_injection(Some(BernoulliInjection::new(0.6, packet_size)));
+        for _ in 0..500 {
+            engine.step();
+        }
+    });
+    host.install_probes(ProbeConfig::full(8));
+    if let Err(diverged) = host.check() {
+        panic!("{case}, after the install: {diverged}");
+    }
+    for cycle in 500..900 {
+        host.drive(|engine| engine.step());
+        if let Err(diverged) = host.check() {
+            panic!("{case}, after cycle {cycle}: {diverged}");
+        }
+    }
+    let probe = host.collect_probe().expect("probes were installed");
+    probe
+        .series()
+        .pb_congested
+        .samples()
+        .iter()
+        .copied()
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn pb_board_matches_a_full_scan_after_a_mid_run_probe_sequential() {
+    olm_board_from_a_mid_run_probe(None);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds assert this inside every cycle; run with --release"
+)]
+fn pb_board_matches_a_full_scan_after_a_mid_run_probe_on_two_shards() {
+    olm_board_from_a_mid_run_probe(Some(2));
 }

@@ -92,6 +92,9 @@ fn idle_network_first_decision_is_minimal() {
         MinimalRouting::new(),
         Box::new(Uniform::new()),
     );
+    // An idle network's piggybacking board: nothing congested (PB reads it;
+    // the other mechanisms ignore it).
+    let board = vec![false; params.global_channels_per_group()];
     for _ in 0..48 {
         let src = NodeId((meta.next_u64() % params.num_nodes() as u64) as u32);
         let dst = NodeId((meta.next_u64() % params.num_nodes() as u64) as u32);
@@ -106,7 +109,7 @@ fn idle_network_first_decision_is_minimal() {
             outputs: &network.routers[src_router.index()].outputs,
             params: &params,
             config: &config,
-            global_congested: None,
+            global_congested: Some(&board),
         };
         let ctx = RouteCtx {
             cycle: 0,

@@ -4,8 +4,9 @@
 //! range (`Network::with_owned_routers`).  Ids stay global, so the id-indexed
 //! arrays keep their full length on every shard, but the pools behind them —
 //! the input fabric (input VCs and their packet slots), the routers' output
-//! ports, link pipelines, the packet arena, source-queue reservations — are
-//! sized by ownership.  This file pins that in
+//! ports, link pipelines, the packet arena, the delay table when the delay
+//! probe is armed, source-queue reservations — are sized by ownership.  This
+//! file pins that in
 //! bytes of requested capacity (`Network::allocated_bytes`), which is exact and
 //! repeatable where a resident-set sample is neither:
 //!
@@ -22,11 +23,11 @@
 
 use std::mem::size_of;
 
-use dragonfly::core::{ShardPlan, ShardedSimulation};
+use dragonfly::core::{ProbeConfig, ShardPlan, ShardedSimulation};
 use dragonfly::routing::MinimalRouting;
 use dragonfly::sim::{
-    InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot, PhitInFlight,
-    PoolBytes, SimConfig,
+    DelayState, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot,
+    PhitInFlight, PoolBytes, SimConfig,
 };
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;
@@ -37,6 +38,22 @@ const PHIT: usize = 9;
 const CREDIT: usize = 1;
 /// A source queue reserves four 24-byte entries per node.
 const SOURCE_QUEUE: usize = 4 * 24;
+
+/// The delay probe alone: what arms the per-packet delay table.
+fn delay_probe() -> ProbeConfig {
+    ProbeConfig {
+        delay: true,
+        ..ProbeConfig::default()
+    }
+}
+
+/// A packet carries only what routing and the statistics read; the delay
+/// ledger lives in the delay table, which the delay probe arms.
+#[test]
+fn a_packet_is_56_bytes() {
+    assert_eq!(size_of::<Packet>(), 56);
+    assert_eq!(size_of::<DelayState>(), 56);
+}
 
 fn sharded(config: &SimConfig, shards: usize) -> ShardedSimulation<MinimalRouting> {
     ShardedSimulation::new(
@@ -63,8 +80,11 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
     for flat in 0..params.ports_per_router() {
         let kind = Port::from_flat(flat, h).kind();
         let vcs = config.vcs_for(kind);
+        // A node feeds its injection port through one FIFO.
+        let input_vcs = if kind == PortKind::Terminal { 1 } else { vcs };
         let slots = InputVc::slot_bound(config.buffer_for(kind), config.packet_size);
-        per_router.input_fabric += vcs * (size_of::<InputVc>() + slots * size_of::<PacketSlot>());
+        per_router.input_fabric +=
+            input_vcs * (size_of::<InputVc>() + slots * size_of::<PacketSlot>());
         per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
         // The link behind this output port: one phit slot and one credit
         // slot per arrival cycle in flight, `latency + 1` of each.
@@ -77,8 +97,24 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         port_vectors: routers * per_router.port_vectors,
         fabric_pools: routers * per_router.fabric_pools,
         arena: config.arena_prealloc_for(nodes) * (size_of::<Packet>() + size_of::<u32>()),
+        delay_table: 0,
         source_queues: nodes * SOURCE_QUEUE,
     }
+}
+
+/// Field-wise sum of the pools of a sharded run.
+fn sum_over_shards(sim: &ShardedSimulation<MinimalRouting>) -> PoolBytes {
+    let mut sum = PoolBytes::default();
+    for s in 0..sim.shards() {
+        let bytes = sim.network(s).allocated_bytes();
+        sum.input_fabric += bytes.input_fabric;
+        sum.port_vectors += bytes.port_vectors;
+        sum.fabric_pools += bytes.fabric_pools;
+        sum.arena += bytes.arena;
+        sum.delay_table += bytes.delay_table;
+        sum.source_queues += bytes.source_queues;
+    }
+    sum
 }
 
 #[test]
@@ -95,15 +131,7 @@ fn shards_partition_the_sequential_pools_exactly() {
         for shards in 1..=4 {
             let case = format!("h={h}, {shards} shards");
             let sim = sharded(&config, shards);
-            let mut sum = PoolBytes::default();
-            for s in 0..shards {
-                let bytes = sim.network(s).allocated_bytes();
-                sum.input_fabric += bytes.input_fabric;
-                sum.port_vectors += bytes.port_vectors;
-                sum.fabric_pools += bytes.fabric_pools;
-                sum.arena += bytes.arena;
-                sum.source_queues += bytes.source_queues;
-            }
+            let sum = sum_over_shards(&sim);
 
             // The export rings of the boundary links, from the topology: a
             // link is a boundary link when its two routers' groups fall into
@@ -138,6 +166,7 @@ fn shards_partition_the_sequential_pools_exactly() {
                 "{case}: port vectors"
             );
             assert_eq!(sum.arena, expected.arena, "{case}: arena");
+            assert_eq!(sum.delay_table, 0, "{case}: delay table without the probe");
             assert_eq!(
                 sum.source_queues, expected.source_queues,
                 "{case}: source queues"
@@ -146,6 +175,36 @@ fn shards_partition_the_sequential_pools_exactly() {
                 sum.fabric_pools,
                 expected.fabric_pools + export_rings,
                 "{case}: fabric pools ({boundary} boundary links)"
+            );
+        }
+    }
+}
+
+/// The delay table exists only while the delay probe is armed: one
+/// `DelayState` per arena slot, partitioned across shards like the arena.
+#[test]
+fn the_delay_probe_arms_one_ledger_per_arena_slot() {
+    for h in [3, 4] {
+        let config = SimConfig::paper_vct(h).with_seed(3);
+        let slots = config.arena_prealloc_for(config.params.num_nodes());
+        let mut whole = sequential(&config);
+        assert_eq!(whole.allocated_bytes().delay_table, 0, "h={h}: probe off");
+        whole.install_probes(ProbeConfig::default());
+        assert_eq!(
+            whole.allocated_bytes().delay_table,
+            0,
+            "h={h}: probe on, delay ledger off"
+        );
+        whole.install_probes(delay_probe());
+        let expected = slots * size_of::<DelayState>();
+        assert_eq!(whole.allocated_bytes().delay_table, expected, "h={h}");
+        for shards in 1..=4 {
+            let mut sim = sharded(&config, shards);
+            sim.install_probes(delay_probe());
+            assert_eq!(
+                sum_over_shards(&sim).delay_table,
+                expected,
+                "h={h}, {shards} shards"
             );
         }
     }
@@ -161,8 +220,14 @@ fn paper_scale_pools_match_the_size_formula() {
     let config = SimConfig::paper_vct(8);
     let bytes = sequential(&config).allocated_bytes();
     assert_eq!(bytes, whole_machine(&config));
-    // 958 slots and 85 input VCs per router; 16 × 958 + 16 × 85 bytes.
-    assert_eq!(bytes.input_fabric, 2_064 * (958 + 85) * 16);
+    // 862 slots and 69 input VCs per router (one VC per injection port);
+    // 16 × 862 + 16 × 69 bytes.
+    assert_eq!(bytes.input_fabric, 2_064 * (862 + 69) * 16);
+    assert_eq!(bytes.input_fabric, 30_745_344);
+    // 132 096 arena slots of a 56-byte packet and a 4-byte free-list entry.
+    assert_eq!(bytes.arena, 132_096 * 60);
+    assert_eq!(bytes.arena, 7_925_760);
+    assert_eq!(bytes.delay_table, 0);
     // 989 phit slots (9 bytes) and 989 credit slots (1 byte) per router.
     assert_eq!(bytes.fabric_pools, 2_064 * 989 * (9 + 1));
     assert_eq!(bytes.fabric_pools, 20_412_960);
