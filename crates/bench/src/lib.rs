@@ -29,9 +29,9 @@
 //! --probe-heatmap N  per-(link, VC) heatmap window in cycles (0 = off; implies
 //!                    --probe)
 //! --probe-top N      routers in the per-router time-series cut (implies --probe)
-//! --probe-detect     arm the anomaly detectors (implies --probe); trips
-//!                    land in <prefix>_trigger.jsonl plus a black-box bundle
-//!                    around the first trip
+//! --probe-detect     arm the anomaly detectors (implies --probe); each trip
+//!                    is a line of <prefix>_trigger.jsonl naming the cycle
+//!                    range and routers of its window
 //! --probe-detect-window N    detector evaluation window in samples (implies
 //!                            --probe-detect)
 //! --probe-detect-collapse P  throughput-collapse threshold: trip when delivered
@@ -39,10 +39,9 @@
 //!                            --probe-detect)
 //! --probe-detect-stall N     credit-stall run length in samples, ≥ 1
 //!                            (implies --probe-detect)
-//! --probe-trace    export detector trips as Chrome trace_event / Perfetto JSON
-//!                  (<prefix>_trace.json; implies --probe)
 //! --probe-delay    fold every delivered packet's delay decomposition into the
-//!                  per-component ledger and emit <prefix>_delay.csv/.jsonl
+//!                  per-component ledger, emit <prefix>_delay.jsonl and add
+//!                  the ledger's cumulative columns to <prefix>_series.csv
 //!                  (implies --probe)
 //! ```
 //!
@@ -230,9 +229,6 @@ impl HarnessArgs {
                         return Err("--probe-detect-stall must be at least 1 sample".to_string());
                     }
                     armed_detect(&mut out.probe).stall_samples = stall;
-                }
-                "--probe-trace" => {
-                    out.probe.get_or_insert_with(ProbeConfig::default).trace = true;
                 }
                 "--probe-delay" => {
                     out.probe.get_or_insert_with(ProbeConfig::default).delay = true;
@@ -457,8 +453,8 @@ fn usage() -> String {
      [--loads a,b,c] \
      [--probe] [--probe-stride N] [--probe-flight N] [--probe-heatmap N] \
      [--probe-top N] [--probe-detect] [--probe-detect-window N] \
-     [--probe-detect-collapse PCT] [--probe-detect-stall N] [--probe-trace] \
-     [--probe-delay]; repro also takes row names (repro fig4_5 churn; none = \
+     [--probe-detect-collapse PCT] [--probe-detect-stall N] [--probe-delay]; \
+     repro also takes row names (repro fig4_5 churn; none = \
      every row)"
         .to_string()
 }
@@ -707,20 +703,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_detect_and_trace_flags() {
-        // --probe alone leaves the detectors off and the trace export off.
+    fn parse_detect_flags() {
+        // --probe alone leaves the detectors off.
         let plain = HarnessArgs::parse_from(["--probe"]).unwrap().probe.unwrap();
         assert!(!plain.detect.enabled());
-        assert!(!plain.trace);
         // --probe-detect implies --probe and arms the default detector set.
         let armed = HarnessArgs::parse_from(["--probe-detect"])
             .unwrap()
             .probe
             .unwrap();
         assert_eq!(armed.detect, dragonfly_core::DetectorConfig::armed());
-        assert!(!armed.trace);
         // The detect knobs refine the armed defaults instead of resetting them,
-        // in any order, and --probe-trace composes.
+        // in any order.
         let tuned = HarnessArgs::parse_from([
             "--probe-detect-collapse",
             "95",
@@ -728,7 +722,6 @@ mod tests {
             "4",
             "--probe-detect-stall",
             "3",
-            "--probe-trace",
         ])
         .unwrap()
         .probe
@@ -740,7 +733,6 @@ mod tests {
             tuned.detect.misroute_pct,
             dragonfly_core::DetectorConfig::armed().misroute_pct
         );
-        assert!(tuned.trace);
         assert!(tuned.detect_enabled());
         // A zero window or stall run length is rejected at parse time.
         assert!(HarnessArgs::parse_from(["--probe-detect-window", "0"]).is_err());
@@ -772,6 +764,9 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_and_missing() {
         assert!(HarnessArgs::parse_from(["--nope"]).is_err());
+        // A removed flag is an unknown argument, not a silent no-op.
+        let err = HarnessArgs::parse_from(["--probe-detect", "--probe-trace"]).unwrap_err();
+        assert!(err.starts_with("unknown argument `--probe-trace`"), "{err}");
         assert!(HarnessArgs::parse_from(["--h"]).is_err());
         assert!(HarnessArgs::parse_from(["--h", "abc"]).is_err());
         // A load is a finite, non-negative rate: anything else is a usage error

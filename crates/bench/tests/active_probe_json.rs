@@ -1,14 +1,14 @@
 //! CI validation of the active-layer emitters: a forced anomaly run must
-//! produce a Perfetto trace and trigger lines that the codec's reader accepts
-//! and a run manifest that round-trips through its own reader — both for one
+//! produce trigger lines that the codec's reader accepts and a run manifest
+//! that round-trips through its own reader — both for one
 //! recorder in memory and for every JSON file the harness writes for the
 //! detector smoke run (`repro interference` with the detectors forced to trip),
 //! sequentially and on two shards.
 
 use dragonfly_bench::{file_slug, HarnessArgs};
 use dragonfly_core::{
-    job_sweep, write_trigger_jsonl, ExperimentSpec, FlowControlKind, JobSweep, Jobs, ProbeConfig,
-    RoutingKind, RunManifest, RunOptions, Steady, Trace, TraceBuilder, TrafficKind,
+    job_sweep, ExperimentSpec, FlowControlKind, JobSweep, Jobs, ProbeConfig, RoutingKind,
+    RunManifest, RunOptions, Steady, Trace, TrafficKind,
 };
 use dragonfly_stats::validate_json;
 use dragonfly_topology::DragonflyParams;
@@ -47,11 +47,6 @@ fn trace_and_manifest_survive_a_real_json_parser() {
         "the forced-anomaly run must trip, or the validation below is vacuous"
     );
 
-    // The Perfetto trace is syntactically valid JSON.
-    let trace = TraceBuilder::from_trips(&trips).render();
-    validate_json(&trace).expect("trace.json must parse as JSON");
-    assert!(trace.contains("\"throughput_collapse\""));
-
     // The manifest round-trips through its reader.
     let manifest = spec.manifest_with_report("forced_trip", &report);
     let files = vec!["forced_trip_trigger.jsonl".to_string()];
@@ -63,9 +58,12 @@ fn trace_and_manifest_survive_a_real_json_parser() {
 
     // Every line of the trigger log is itself a JSON object.
     let mut jsonl = Vec::new();
-    write_trigger_jsonl(&mut jsonl, &trips, dropped).unwrap();
+    probe
+        .write_trigger_jsonl(&mut jsonl, &trips, dropped)
+        .unwrap();
     let jsonl = String::from_utf8(jsonl).unwrap();
     assert!(jsonl.lines().count() >= 2, "trips plus the trailer line");
+    assert!(jsonl.contains("\"throughput_collapse\""));
     for line in jsonl.lines() {
         validate_json(line).expect("every trigger line must parse as JSON");
     }
@@ -73,32 +71,29 @@ fn trace_and_manifest_survive_a_real_json_parser() {
 
 /// Check one emitted JSON artifact: a `.jsonl` file is one JSON document per
 /// line, a `*_manifest.json` file round-trips through [`RunManifest::from_json`]
-/// and re-emits to the same bytes, any other `.json` file is one JSON document.
+/// and re-emits to the same bytes.
 fn check_json_file(name: &str, text: &str) -> Result<(), String> {
     if name.ends_with(".jsonl") {
         for (i, line) in text.lines().enumerate() {
             validate_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         }
-    } else if name.ends_with("_manifest.json") {
+    } else {
         let (manifest, probe, files) = RunManifest::from_json(text)?;
         if manifest.to_json(&probe, &files) != text {
             return Err("manifest re-emission differs from the original".to_string());
         }
-    } else {
-        validate_json(text)?;
     }
     Ok(())
 }
 
 /// CI's detector smoke run — the `interference` study at `--quick` with the
-/// collapse threshold forced to 100 %, the Perfetto trace, the delay ledger
-/// and the heatmap on — through [`HarnessArgs::run_points`], sequentially and
+/// collapse threshold forced to 100 %, the delay ledger and the heatmap on — through [`HarnessArgs::run_points`], sequentially and
 /// on two shards: every `.json`/`.jsonl` file it writes passes
 /// [`check_json_file`].
 #[test]
 fn every_json_file_of_the_detector_smoke_run_parses() {
     let flags = "--quick --probe-detect-window 4 --probe-detect-collapse 100 \
-                 --probe-trace --probe-delay --probe-heatmap 64";
+                 --probe-delay --probe-heatmap 64";
     for shards in ["1", "2"] {
         let dir = std::env::temp_dir().join(format!("df_json_{}_{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -132,14 +127,13 @@ fn every_json_file_of_the_detector_smoke_run_parses() {
             }
         }
         // The forced trip must have written the files the checks are about.
-        for file in [
-            "trigger.jsonl",
-            "trace.json",
-            "manifest.json",
-            "delay.jsonl",
-        ] {
+        for file in ["trigger.jsonl", "manifest.json", "delay.jsonl"] {
             let name = format!("interference_minimal_{file}");
             assert!(checked.contains(&name), "{shards} shard(s): no {name}");
+        }
+        for gone in ["trace.json", "trigger_flight.jsonl", "series.jsonl"] {
+            let name = format!("interference_minimal_{gone}");
+            assert!(!checked.contains(&name), "{shards} shard(s): {name}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

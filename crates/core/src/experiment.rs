@@ -274,8 +274,9 @@ impl ExperimentSpec {
     }
 
     /// Build the [`RunManifest`] describing this spec, with zeroed peak
-    /// telemetry.  Use [`ExperimentSpec::manifest_with_report`] when a
-    /// [`SimReport`] is at hand.
+    /// telemetry and drop counts.  Use [`ExperimentSpec::manifest_with_report`]
+    /// when a [`SimReport`] is at hand; `ProbeRecorder::write_all_with_manifest`
+    /// fills the drop counts.
     pub fn manifest(&self, title: &str) -> RunManifest {
         RunManifest {
             schema_version: MANIFEST_SCHEMA_VERSION,
@@ -293,6 +294,8 @@ impl ExperimentSpec {
             peak_in_flight_packets: 0,
             peak_buffered_phits: 0,
             peak_vc_occupancy: 0,
+            samples_dropped: 0,
+            heatmap_events_dropped: 0,
         }
     }
 

@@ -45,8 +45,8 @@ pub use sweep::{
 };
 
 pub use dragonfly_probe::{
-    detector_name, write_trigger_jsonl, DelayLedger, DelaySample, DetectorConfig, ProbeConfig,
-    ProbeRecorder, RunManifest, TraceBuilder, TripRecord, DELAY_COMPONENT_NAMES,
+    detector_name, DelayLedger, DelaySample, DetectorConfig, ProbeConfig, ProbeRecorder,
+    RunManifest, TripRecord, DELAY_COMPONENT_NAMES,
 };
 pub use dragonfly_routing::{AdaptiveParams, RoutingKind};
 pub use dragonfly_shard::{ShardPlan, ShardedSimulation};

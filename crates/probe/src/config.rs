@@ -1,5 +1,5 @@
-//! Probe configuration: one struct gates all four passive instruments plus
-//! the active diagnostics layer (detectors and trace export).
+//! Probe configuration: one struct gates the passive instruments plus the
+//! active diagnostics layer (the detectors).
 
 use crate::detect::DetectorConfig;
 
@@ -33,14 +33,12 @@ pub struct ProbeConfig {
     pub max_windows: usize,
     /// Anomaly detectors ([`DetectorConfig::off`] by default; armed detectors
     /// are evaluated over the recorded sample stream when the file set is
-    /// written and gate the trigger bundle emission).
+    /// written and gate the `*_trigger.jsonl` trip log).
     pub detect: DetectorConfig,
-    /// Emit a Chrome `trace_event` / Perfetto JSON file (detector trips on a
-    /// cycle-as-microsecond timebase) next to the other probe files.
-    pub trace: bool,
     /// Fold every delivered packet's delay decomposition into the per-component
-    /// ledger and emit `*_delay.csv`/`*_delay.jsonl` (exact, not sampled; off
-    /// by default — the stamps themselves are always captured by the engine).
+    /// ledger, emit `*_delay.jsonl` and add the ledger's cumulative columns to
+    /// `*_series.csv` (exact, not sampled; off by default — the engine arms
+    /// its per-packet stamp table only then).
     pub delay: bool,
 }
 
@@ -55,7 +53,6 @@ impl Default for ProbeConfig {
             heatmap_window: 0,
             max_windows: 64,
             detect: DetectorConfig::off(),
-            trace: false,
             delay: false,
         }
     }
@@ -72,13 +69,11 @@ impl ProbeConfig {
     }
 
     /// [`Self::full`] plus the whole active layer: every detector armed at
-    /// the [`DetectorConfig::armed`] defaults and trace export on — the
-    /// configuration of the detectors-armed bench point and the invariance
-    /// tests.
+    /// the [`DetectorConfig::armed`] defaults — the configuration of the
+    /// detectors-armed bench point and the invariance tests.
     pub fn full_active(window: u64) -> Self {
         Self {
             detect: DetectorConfig::armed(),
-            trace: true,
             ..Self::full(window)
         }
     }
@@ -132,7 +127,7 @@ mod tests {
         assert!(!cfg.delay_enabled(), "the delay ledger is opt-in");
         assert!(ProbeConfig::full(1024).heatmap_enabled());
         let active = ProbeConfig::full_active(1024);
-        assert!(active.heatmap_enabled() && active.detect_enabled() && active.trace);
+        assert!(active.heatmap_enabled() && active.detect_enabled());
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //! Like every other probe instrument the ledger is preallocated at
 //! construction, allocation-free on the fold path, and merges associatively
 //! across shards (histograms, totals and cumulative series are all sums), so
-//! sequential and sharded runs emit byte-identical `*_delay.*` files.
+//! sequential and sharded runs emit byte-identical `*_delay.jsonl` files and
+//! `*_series.csv` delay columns.
+//!
+//! The cumulative series are the ledger's time axis: `series.csv` carries
+//! them as `delay_folded` plus one `delay_<component>` column each, so the
+//! split of any cycle range is the difference of two rows.
 
 use dragonfly_stats::{Histogram, TimeSeries};
 
@@ -116,7 +121,7 @@ struct ScopeSlot {
     cycles: [u64; DELAY_COMPONENTS],
 }
 
-/// One emitted row of the `*_delay.csv` / JSONL file set.
+/// One emitted row of `*_delay.jsonl`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayRow {
     /// Scope label: `net`, `minimal`, `misrouted`, or `job=J/phase=P`.
@@ -137,21 +142,6 @@ pub struct DelayRow {
 }
 
 impl DelayRow {
-    /// The row as a CSV line under [`DelayLedger::CSV_HEADER`].
-    pub fn csv(&self) -> String {
-        let cell = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_default();
-        format!(
-            "{},{},{},{},{},{},{}",
-            self.scope,
-            self.component,
-            self.packets,
-            self.cycles,
-            cell(self.p50),
-            cell(self.p95),
-            cell(self.p99)
-        )
-    }
-
     /// The row as a JSON object (percentiles are `null` for job scopes).
     pub fn json(&self) -> String {
         let cell = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
@@ -170,7 +160,7 @@ impl DelayRow {
 }
 
 /// The per-partition delay ledger: class histograms, bounded job/phase
-/// totals, and cumulative per-component time series for the trigger bundles.
+/// totals, and cumulative per-component time series for `series.csv`.
 #[derive(Debug, Clone)]
 pub struct DelayLedger {
     minimal: ClassLedger,
@@ -184,9 +174,6 @@ pub struct DelayLedger {
 }
 
 impl DelayLedger {
-    /// Header of the `*_delay.csv` emission.
-    pub const CSV_HEADER: &'static str = "scope,component,packets,cycles,p50,p95,p99";
-
     /// Build a ledger sampling its cumulative series every `stride` cycles
     /// with at most `max_samples` points, all storage preallocated.
     pub fn new(stride: u64, max_samples: usize) -> Self {
@@ -293,15 +280,24 @@ impl DelayLedger {
         &self.misrouted
     }
 
-    /// Cumulative per-component cycle series, in canonical component order
-    /// (one sample per recorder stride; used by the trigger bundles).
-    pub fn series(&self) -> &[TimeSeries; DELAY_COMPONENTS] {
-        &self.series
-    }
-
-    /// Cumulative folded-packet count series.
-    pub fn series_folded(&self) -> &TimeSeries {
-        &self.series_folded
+    /// `(column name, series)` pairs of the cumulative series, one sample
+    /// per recorder stride: the folded-packet count, then each component's
+    /// cycles in canonical order.  `series.csv` appends them to the network
+    /// columns.
+    pub fn columns(&self) -> [(&'static str, &TimeSeries); DELAY_COMPONENTS + 1] {
+        const NAMES: [&str; DELAY_COMPONENTS] = [
+            "delay_injection_queue",
+            "delay_vc_wait",
+            "delay_credit_wait",
+            "delay_link_transit",
+            "delay_detour",
+            "delay_serialization",
+        ];
+        let mut columns = [("delay_folded", &self.series_folded); DELAY_COMPONENTS + 1];
+        for (i, series) in self.series.iter().enumerate() {
+            columns[i + 1] = (NAMES[i], series);
+        }
+        columns
     }
 
     /// Merge another partition's ledger (element-wise sums everywhere —
@@ -453,7 +449,6 @@ mod tests {
         assert_eq!(job_rows[0].scope, "job=0/phase=0");
         assert_eq!(job_rows.last().unwrap().scope, "job=31/phase=0");
         assert!(job_rows[0].p50.is_none());
-        assert!(job_rows[0].csv().ends_with(",,,"));
         assert!(job_rows[0].json().contains("\"p50\":null"));
     }
 
@@ -478,7 +473,7 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.rows(), ba.rows());
         assert_eq!(ab.meta_json(), ba.meta_json());
-        assert_eq!(ab.series()[0].samples(), ba.series()[0].samples());
+        assert_eq!(ab.columns()[1].1.samples(), ba.columns()[1].1.samples());
         assert_eq!(ab.folded(), 3);
     }
 
@@ -488,8 +483,13 @@ mod tests {
         ledger.sample();
         ledger.fold(&sample([1, 0, 0, 2, 0, 0], false), 3);
         ledger.sample();
-        assert_eq!(ledger.series_folded().samples(), &[0.0, 1.0]);
-        assert_eq!(ledger.series()[0].samples(), &[0.0, 1.0]);
-        assert_eq!(ledger.series()[3].samples(), &[0.0, 2.0]);
+        let columns = ledger.columns();
+        assert_eq!(columns[0].0, "delay_folded");
+        assert_eq!(columns[0].1.samples(), &[0.0, 1.0]);
+        for (i, (name, series)) in columns[1..].iter().enumerate() {
+            assert_eq!(*name, format!("delay_{}", DELAY_COMPONENT_NAMES[i]));
+            let want = [0.0, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0][i]];
+            assert_eq!(series.samples(), &want, "{name}");
+        }
     }
 }

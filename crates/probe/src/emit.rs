@@ -11,14 +11,9 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::flight::{FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT, NONE_U16};
+use crate::manifest::RunManifest;
 use crate::recorder::{class_name, ProbeRecorder};
-use crate::trace::TraceBuilder;
-use crate::trigger::write_trigger_jsonl;
 use dragonfly_stats::TimeSeries;
-
-/// The cycle range `(lo, hi)` covering a whole run, for the range-filtered
-/// writers.
-pub(crate) const ALL_CYCLES: (u64, u64) = (0, u64::MAX);
 
 fn kind_name(kind: u8) -> &'static str {
     match kind {
@@ -40,9 +35,9 @@ fn opt_u16(v: u16) -> String {
 
 impl ProbeRecorder {
     /// Write every enabled instrument's output into `dir`, with file names
-    /// `<prefix>_<instrument>.<ext>`.  Returns the paths written.  The
-    /// detectors are evaluated here, once, and their verdicts feed the
-    /// trigger, bundle and trace files.
+    /// `<prefix>_<instrument>.<ext>`, one file per datum.  Returns the paths
+    /// written.  The detectors are evaluated here, once, and their verdicts
+    /// feed the trigger file.
     pub fn write_all(&self, dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
@@ -54,12 +49,9 @@ impl ProbeRecorder {
             written.push(path);
             Ok::<(), io::Error>(())
         };
-        let (trips, trips_dropped) = self.trips();
-        let series = self.series.columns();
         emit("series.csv", &|out| {
-            write_columns_csv(out, &series, ALL_CYCLES)
+            write_columns_csv(out, &self.series_columns())
         })?;
-        emit("series.jsonl", &|out| self.write_series_jsonl(out))?;
         if self.cfg.top_k > 0 {
             emit("routers.csv", &|out| self.write_router_series_csv(out))?;
         }
@@ -67,60 +59,31 @@ impl ProbeRecorder {
             emit("flight.jsonl", &|out| self.write_flight_jsonl(out))?;
         }
         if self.cfg.heatmap_enabled() {
-            emit("heatmap.csv", &|out| {
-                self.write_heatmap_csv(out, ALL_CYCLES)
-            })?;
+            emit("heatmap.csv", &|out| self.write_heatmap_csv(out))?;
         }
         if self.cfg.delay_enabled() {
-            emit("delay.csv", &|out| self.write_delay_csv(out))?;
             emit("delay.jsonl", &|out| self.write_delay_jsonl(out))?;
         }
         if self.cfg.detect_enabled() {
+            let (trips, dropped) = self.trips();
             emit("trigger.jsonl", &|out| {
-                write_trigger_jsonl(out, &trips, trips_dropped)
-            })?;
-            // The black-box bundle slices around the first verdict.
-            if let Some(first) = trips.first() {
-                let range = self.bundle_range(first);
-                emit("trigger_series.csv", &|out| {
-                    write_columns_csv(out, &series, range)
-                })?;
-                if self.cfg.flight_enabled() {
-                    emit("trigger_flight.jsonl", &|out| {
-                        self.write_bundle_flight_jsonl(out, first)
-                    })?;
-                }
-                if self.cfg.heatmap_enabled() {
-                    emit("trigger_heatmap.csv", &|out| {
-                        self.write_heatmap_csv(out, range)
-                    })?;
-                }
-                if self.cfg.delay_enabled() {
-                    emit("trigger_delay.csv", &|out| {
-                        self.write_bundle_delay_csv(out, first)
-                    })?;
-                }
-            }
-        }
-        if self.cfg.trace {
-            emit("trace.json", &|out| {
-                TraceBuilder::from_trips(&trips).write_to(out)
+                self.write_trigger_jsonl(out, &trips, dropped)
             })?;
         }
         emit("diag.csv", &|out| {
-            write_columns_csv(out, &self.diag.columns(), ALL_CYCLES)
+            write_columns_csv(out, &self.diag.columns())
         })?;
         Ok(written)
     }
 
     /// [`Self::write_all`] plus a `<prefix>_manifest.json` self-description
-    /// listing the written files.  Returns every path written, the manifest
-    /// last.
+    /// listing the written files, with the manifest's drop counters taken
+    /// from this recorder.  Returns every path written, the manifest last.
     pub fn write_all_with_manifest(
         &self,
         dir: &Path,
         prefix: &str,
-        manifest: &crate::manifest::RunManifest,
+        manifest: &RunManifest,
     ) -> io::Result<Vec<PathBuf>> {
         let mut written = self.write_all(dir, prefix)?;
         let names: Vec<String> = written
@@ -132,6 +95,11 @@ impl ProbeRecorder {
                     .into_owned()
             })
             .collect();
+        let manifest = RunManifest {
+            samples_dropped: self.samples_dropped,
+            heatmap_events_dropped: self.heat_dropped,
+            ..manifest.clone()
+        };
         let path = dir.join(format!("{prefix}_manifest.json"));
         let mut out = BufWriter::new(File::create(&path)?);
         out.write_all(manifest.to_json(&self.cfg, &names).as_bytes())?;
@@ -140,17 +108,14 @@ impl ProbeRecorder {
         Ok(written)
     }
 
-    /// The network-wide time series as JSONL, one object per sample.
-    pub fn write_series_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
-        let columns = self.series.columns();
-        for i in 0..self.samples {
-            write!(out, "{{\"cycle\":{}", self.series.injected.cycle_of(i))?;
-            for (name, series) in &columns {
-                write!(out, ",\"{name}\":{}", series.samples()[i] as u64)?;
-            }
-            writeln!(out, "}}")?;
+    /// The columns of `series.csv`: the network series, then the delay
+    /// ledger's cumulative series when it is armed.
+    pub(crate) fn series_columns(&self) -> Vec<(&'static str, &TimeSeries)> {
+        let mut columns = self.series.columns().to_vec();
+        if let Some(ledger) = &self.ledger {
+            columns.extend(ledger.columns());
         }
-        Ok(())
+        columns
     }
 
     /// Per-router time series of the top-K routers by total activity.
@@ -205,10 +170,8 @@ impl ProbeRecorder {
         Ok(())
     }
 
-    /// The per-(link, VC) heatmap in long CSV form, restricted to the windows
-    /// overlapping the cycle range `lo..=hi` (`(0, u64::MAX)` for the whole
-    /// run), all-zero cells skipped.
-    pub fn write_heatmap_csv(&self, out: &mut impl Write, (lo, hi): (u64, u64)) -> io::Result<()> {
+    /// The per-(link, VC) heatmap in long CSV form, all-zero cells skipped.
+    pub fn write_heatmap_csv(&self, out: &mut impl Write) -> io::Result<()> {
         writeln!(
             out,
             "window_start,router,port,class,vc,phits,credit_stalls,occupancy_phits"
@@ -217,9 +180,6 @@ impl ProbeRecorder {
         let hw = self.cfg.heatmap_window;
         for w in 0..self.heat_windows {
             let w_start = w as u64 * hw;
-            if w_start > hi || w_start + hw <= lo {
-                continue;
-            }
             for li in 0..links {
                 for vc in 0..self.dims.vcs {
                     let cell = (w * links + li) * self.dims.vcs + vc;
@@ -244,18 +204,8 @@ impl ProbeRecorder {
         Ok(())
     }
 
-    /// The delay-attribution ledger as a CSV table, one row per
-    /// (scope, component).
-    pub fn write_delay_csv(&self, out: &mut impl Write) -> io::Result<()> {
-        let ledger = self.ledger.as_ref().expect("delay ledger enabled");
-        writeln!(out, "{}", crate::delay::DelayLedger::CSV_HEADER)?;
-        for row in ledger.rows() {
-            writeln!(out, "{}", row.csv())?;
-        }
-        Ok(())
-    }
-
-    /// The delay-attribution ledger as JSONL: one object per row, then a
+    /// The delay-attribution ledger as JSONL: one object per
+    /// (scope, component) row, then a
     /// trailing metadata object with the folded / violation / dropped counts.
     pub fn write_delay_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
         let ledger = self.ledger.as_ref().expect("delay ledger enabled");
@@ -268,14 +218,12 @@ impl ProbeRecorder {
 }
 
 /// `(name, series)` columns (e.g. `recorder.series().columns()`) as a CSV
-/// table — a `cycle` column, then one per series — restricted to the samples
-/// whose cycle lies in `lo..=hi`.  Writes `series.csv`, `diag.csv` (whose
-/// engine-dependent values sit outside the byte-identity guarantee) and the
-/// trigger bundle's series slice.
+/// table — a `cycle` column, then one per series.  Writes `series.csv` and
+/// `diag.csv` (whose engine-dependent values sit outside the byte-identity
+/// guarantee).
 pub(crate) fn write_columns_csv(
     out: &mut impl Write,
     columns: &[(&str, &TimeSeries)],
-    (lo, hi): (u64, u64),
 ) -> io::Result<()> {
     write!(out, "cycle")?;
     for (name, _) in columns {
@@ -286,11 +234,7 @@ pub(crate) fn write_columns_csv(
         return Ok(());
     };
     for i in 0..first.len() {
-        let cycle = first.cycle_of(i);
-        if cycle < lo || cycle > hi {
-            continue;
-        }
-        write!(out, "{cycle}")?;
+        write!(out, "{}", first.cycle_of(i))?;
         for (_, series) in columns {
             write!(out, ",{}", series.samples()[i] as u64)?;
         }
@@ -355,15 +299,10 @@ mod tests {
     fn csv_and_jsonl_shapes() {
         let p = recorder();
         let mut series = Vec::new();
-        write_columns_csv(&mut series, &p.series().columns(), ALL_CYCLES).unwrap();
+        write_columns_csv(&mut series, &p.series().columns()).unwrap();
         let text = String::from_utf8(series).unwrap();
         assert!(text.starts_with("cycle,injected,delivered"), "{text}");
         assert!(text.contains("\n0,1,0,"), "{text}");
-
-        let mut jsonl = Vec::new();
-        p.write_series_jsonl(&mut jsonl).unwrap();
-        let text = String::from_utf8(jsonl).unwrap();
-        assert!(text.starts_with("{\"cycle\":0,\"injected\":1,"), "{text}");
 
         let mut flight = Vec::new();
         p.write_flight_jsonl(&mut flight).unwrap();
@@ -378,7 +317,7 @@ mod tests {
         );
 
         let mut heat = Vec::new();
-        p.write_heatmap_csv(&mut heat, ALL_CYCLES).unwrap();
+        p.write_heatmap_csv(&mut heat).unwrap();
         let text = String::from_utf8(heat).unwrap();
         // One nonzero cell: window 0, router 0, port 1 (global), vc 0, 1 phit.
         assert_eq!(
@@ -388,21 +327,25 @@ mod tests {
         );
 
         let mut delay = Vec::new();
-        p.write_delay_csv(&mut delay).unwrap();
+        p.write_delay_jsonl(&mut delay).unwrap();
         let text = String::from_utf8(delay).unwrap();
-        assert!(
-            text.starts_with("scope,component,packets,cycles,p50,p95,p99\n"),
-            "{text}"
-        );
         // One minimal packet [1,0,0,2,0,1]: net and minimal rows agree,
         // the misrouted scope is empty and skipped.
-        assert!(text.contains("net,injection_queue,1,1,2,2,2"), "{text}");
-        assert!(text.contains("minimal,link_transit,1,2,3,3,3"), "{text}");
-        assert!(!text.contains("misrouted,"), "{text}");
-
-        let mut delay_jsonl = Vec::new();
-        p.write_delay_jsonl(&mut delay_jsonl).unwrap();
-        let text = String::from_utf8(delay_jsonl).unwrap();
+        assert!(
+            text.starts_with(
+                "{\"scope\":\"net\",\"component\":\"injection_queue\",\"packets\":1,\
+                 \"cycles\":1,\"p50\":2,\"p95\":2,\"p99\":2}\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "{\"scope\":\"minimal\",\"component\":\"link_transit\",\"packets\":1,\
+                 \"cycles\":2,\"p50\":3,\"p95\":3,\"p99\":3}"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("misrouted"), "{text}");
         assert!(
             text.trim_end().ends_with(
                 "{\"delay_folded\":1,\"conservation_violations\":0,\"scope_dropped\":0}"
@@ -419,7 +362,7 @@ mod tests {
         );
 
         let mut diag = Vec::new();
-        write_columns_csv(&mut diag, &p.diag().columns(), ALL_CYCLES).unwrap();
+        write_columns_csv(&mut diag, &p.diag().columns()).unwrap();
         assert!(String::from_utf8(diag)
             .unwrap()
             .starts_with("cycle,arena_grows,"));
@@ -438,14 +381,23 @@ mod tests {
             names,
             vec![
                 "t_series.csv",
-                "t_series.jsonl",
                 "t_routers.csv",
                 "t_flight.jsonl",
                 "t_heatmap.csv",
-                "t_delay.csv",
                 "t_delay.jsonl",
                 "t_diag.csv"
             ]
+        );
+        // The delay ledger's cumulative columns follow the network series:
+        // one packet folded before the cycle-0 sample, split [1,0,0,2,0,1].
+        assert_eq!(
+            std::fs::read_to_string(&written[0]).unwrap(),
+            "cycle,injected,delivered,global_misroute_decisions,\
+             local_misroute_decisions,buffered_phits,pb_congested,link_local_phits,\
+             link_global_phits,link_terminal_phits,delay_folded,delay_injection_queue,\
+             delay_vc_wait,delay_credit_wait,delay_link_transit,delay_detour,\
+             delay_serialization\n\
+             0,1,0,0,0,0,0,1,2,3,1,1,0,0,2,0,1\n"
         );
         for path in &written {
             assert!(path.exists());
@@ -472,7 +424,6 @@ mod tests {
                 min_window_injected: 4,
                 ..DetectorConfig::armed()
             },
-            trace: true,
             delay: true,
             ..ProbeConfig::full(8)
         };
@@ -484,6 +435,8 @@ mod tests {
             p.sample(i * 4, &[0], SampleSnapshot::default());
         }
         assert!(!p.trips().0.is_empty(), "collapse must trip");
+        // One phit past the last of the 64 heatmap windows is dropped.
+        p.record_link_phit(8 * 64, 0, 0);
 
         let manifest = RunManifest {
             schema_version: crate::manifest::MANIFEST_SCHEMA_VERSION,
@@ -501,6 +454,8 @@ mod tests {
             peak_in_flight_packets: 0,
             peak_buffered_phits: 0,
             peak_vc_occupancy: 0,
+            samples_dropped: 0,
+            heatmap_events_dropped: 0,
         };
         let dir = std::env::temp_dir().join("dragonfly_probe_emit_active_test");
         let written = p.write_all_with_manifest(&dir, "t", &manifest).unwrap();
@@ -512,25 +467,25 @@ mod tests {
             names,
             vec![
                 "t_series.csv",
-                "t_series.jsonl",
                 "t_routers.csv",
                 "t_flight.jsonl",
                 "t_heatmap.csv",
-                "t_delay.csv",
                 "t_delay.jsonl",
                 "t_trigger.jsonl",
-                "t_trigger_series.csv",
-                "t_trigger_flight.jsonl",
-                "t_trigger_heatmap.csv",
-                "t_trigger_delay.csv",
-                "t_trace.json",
                 "t_diag.csv",
                 "t_manifest.json",
             ]
         );
         let text = std::fs::read_to_string(written.last().unwrap()).unwrap();
         let (m2, p2, files) = RunManifest::from_json(&text).expect("manifest parses");
-        assert_eq!(m2, manifest);
+        assert_eq!(
+            m2,
+            RunManifest {
+                heatmap_events_dropped: 1,
+                ..manifest
+            },
+            "the drop counters are the recorder's"
+        );
         assert_eq!(p2, cfg);
         assert_eq!(files.len(), names.len() - 1, "manifest lists the set");
         for path in &written {

@@ -30,26 +30,34 @@
 //!   per-component histograms whose integer sum equals the end-to-end latency
 //!   for every packet (the conservation invariant).
 //!
+//! Every datum is written once, in one encoding: the network series (and,
+//! with the delay ledger on, its cumulative per-component columns) in
+//! `series.csv`, the ledger's table in `delay.jsonl`, the flight events in
+//! `flight.jsonl`, the heatmap cells in `heatmap.csv`.
+//!
 //! # Determinism
 //!
 //! Every counter is attributed to exactly one router/link owner, so the
 //! per-shard recorders of a sharded run merge by plain element-wise addition
-//! ([`ProbeRecorder::merge`]) — commutative and associative like
-//! `ExactStats`, hence shard-count-invariant.  The two bounded buffers keep
+//! ([`ProbeRecorder::merge`]; the sample counts, which every partition
+//! shares, by maximum) — commutative and associative like `ExactStats`,
+//! hence shard-count-invariant.  The two bounded buffers keep
 //! sets defined by the whole run — the flight ring whole cycles, the delay
 //! ledger's scope table the smallest keys — and their merge applies the same
 //! bound to the union, so even an overflowing run merges to the sequential
 //! recorder's contents.  Flight events are sorted into a canonical total
 //! order at emission time, so the emitted files (except the diagnostics
 //! series) are byte-identical between sequential and sharded runs of the same
-//! spec (pinned by `tests/shard_equivalence.rs`).
+//! spec (pinned by `tests/probe_invariance.rs`).
 //!
 //! # Zero allocation
 //!
 //! All probe storage is sized and reserved at installation time; the hot-path
 //! record methods only index into it.  Overflow (more samples, events or
 //! windows than configured) *drops and counts* instead of growing, which
-//! keeps `tests/zero_alloc.rs` green with probes enabled.
+//! keeps `tests/zero_alloc.rs` green with probes enabled.  Every drop count
+//! is written: the flight ring's and the delay scope table's in their files'
+//! trailers, the samples' and heatmap events' in the manifest.
 //!
 //! # The active layer
 //!
@@ -61,12 +69,13 @@
 //!   when the file set is written, as one function of the recorded series.
 //!   Merged series are byte-identical to sequential ones, so the verdicts
 //!   are too, and the cycle loop never steps a detector,
-//! * **triggered black-box capture** — when a detector trips, `write_all`
-//!   slices the already-recorded series/flight/heatmap data into a bounded
-//!   diagnostic bundle around the first trip (`*_trigger*` files),
-//! * **trace + manifest export** — detector trips as Chrome
-//!   `trace_event`/Perfetto JSON ([`TraceBuilder`]), and a self-describing
-//!   [`RunManifest`] JSON naming the run and its emitted files.
+//! * **trip log** — every trip is one line of `*_trigger.jsonl`, carrying
+//!   the cycle range (`bundle_lo`..=`bundle_hi`) and the implicated
+//!   `routers` that select its window's rows, heatmap windows and flight
+//!   events out of the files already written,
+//! * **manifest export** — a self-describing [`RunManifest`] JSON naming the
+//!   run, its emitted files and the samples and heatmap events the bounded
+//!   buffers dropped.
 
 #![warn(missing_docs)]
 
@@ -77,7 +86,6 @@ mod emit;
 mod flight;
 mod manifest;
 mod recorder;
-mod trace;
 mod trigger;
 
 pub use config::ProbeConfig;
@@ -94,5 +102,3 @@ pub use manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use recorder::{
     ProbeDims, ProbeRecorder, SampleSnapshot, CLASS_GLOBAL, CLASS_LOCAL, CLASS_TERMINAL,
 };
-pub use trace::TraceBuilder;
-pub use trigger::write_trigger_jsonl;

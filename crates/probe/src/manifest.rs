@@ -1,7 +1,7 @@
 //! Self-describing run manifests: one JSON document per probe file set, so
 //! downstream tooling learns what a run was (topology, mechanism, flow
-//! control, seed, probe configuration, peak telemetry, emitted files) without
-//! parsing CSV headers.
+//! control, seed, probe configuration, peak telemetry, drop counts, emitted
+//! files) without parsing CSV headers.
 //!
 //! The manifest deliberately records nothing engine-dependent — in
 //! particular, *not* the shard count — so the manifest of a sharded run is
@@ -21,10 +21,13 @@ use crate::detect::DetectorConfig;
 /// * **1** — initial schema (no `delay` key in the probe section),
 /// * **2** — adds the boolean `"delay"` probe key (the per-packet delay
 ///   ledger).  [`RunManifest::from_json`] still reads version-1 documents;
-///   a missing `delay` key parses as `false`.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
+///   a missing `delay` key parses as `false`,
+/// * **3** — drops the `"trace"` probe key and adds the `"dropped"` section: the samples and heatmap events the
+///   bounded buffers dropped.  Version-1 and -2 documents still read; their
+///   `trace` key is ignored and their drop counts read as 0.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 3;
 
-/// Experiment identity and peak telemetry of one probe file set.
+/// Experiment identity, peak telemetry and drop counts of one probe file set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Manifest schema version (bump on field changes; see
@@ -60,6 +63,13 @@ pub struct RunManifest {
     pub peak_buffered_phits: u64,
     /// Peak occupancy of any single VC, in phits.
     pub peak_vc_occupancy: u64,
+    /// Sample points dropped past `max_samples` (every series stops there).
+    /// [`crate::ProbeRecorder::write_all_with_manifest`] fills it from the
+    /// recorder.
+    pub samples_dropped: u64,
+    /// Heatmap events (phits, credit stalls, occupancy samples) dropped past
+    /// `max_windows`; filled from the recorder like `samples_dropped`.
+    pub heatmap_events_dropped: u64,
 }
 
 /// The member of `doc` at the dotted `path` (`probe.detect.window`).
@@ -129,6 +139,13 @@ impl RunManifest {
                 ]),
             ),
             (
+                "dropped",
+                Value::object([
+                    ("samples", self.samples_dropped.to_json()),
+                    ("heatmap_events", self.heatmap_events_dropped.to_json()),
+                ]),
+            ),
+            (
                 "probe",
                 Value::object([
                     ("stride", probe.stride.to_json()),
@@ -138,7 +155,6 @@ impl RunManifest {
                     ("flight_capacity", probe.flight_capacity.to_json()),
                     ("heatmap_window", probe.heatmap_window.to_json()),
                     ("max_windows", probe.max_windows.to_json()),
-                    ("trace", probe.trace.to_json()),
                     ("delay", probe.delay.to_json()),
                     (
                         "detect",
@@ -164,6 +180,7 @@ impl RunManifest {
     /// first field that is missing, of the wrong type or out of range
     /// (`probe.detect.window: 4294967297 exceeds u32`); a `schema_version`
     /// newer than [`MANIFEST_SCHEMA_VERSION`] is refused rather than guessed at.
+    /// Older versions read as described there.
     pub fn from_json(text: &str) -> Result<(RunManifest, ProbeConfig, Vec<String>), String> {
         let doc = &Value::parse(text)?;
         let schema_version: u32 = uint(doc, "schema_version")?;
@@ -173,6 +190,11 @@ impl RunManifest {
                  {MANIFEST_SCHEMA_VERSION}"
             ));
         }
+        // Version tolerance: schema-1/2 manifests predate the drop counters.
+        let dropped = |path| match schema_version {
+            ..=2 => Ok(0),
+            _ => uint(doc, path),
+        };
         let manifest = RunManifest {
             schema_version,
             title: string(doc, "title")?,
@@ -189,6 +211,8 @@ impl RunManifest {
             peak_in_flight_packets: uint(doc, "peaks.in_flight_packets")?,
             peak_buffered_phits: uint(doc, "peaks.buffered_phits")?,
             peak_vc_occupancy: uint(doc, "peaks.vc_occupancy")?,
+            samples_dropped: dropped("dropped.samples")?,
+            heatmap_events_dropped: dropped("dropped.heatmap_events")?,
         };
         let probe = ProbeConfig {
             stride: uint(doc, "probe.stride")?,
@@ -198,7 +222,6 @@ impl RunManifest {
             flight_capacity: uint(doc, "probe.flight_capacity")?,
             heatmap_window: uint(doc, "probe.heatmap_window")?,
             max_windows: uint(doc, "probe.max_windows")?,
-            trace: boolean(doc, "probe.trace")?,
             // Version tolerance: schema-1 manifests predate the delay ledger,
             // so a missing key means the ledger was off.
             delay: match member(doc, "probe.delay") {
@@ -245,6 +268,8 @@ mod tests {
             peak_in_flight_packets: 512,
             peak_buffered_phits: 4096,
             peak_vc_occupancy: 32,
+            samples_dropped: 7,
+            heatmap_events_dropped: 1_234,
         }
     }
 
@@ -261,31 +286,52 @@ mod tests {
 
     #[test]
     fn schema_v1_documents_still_parse() {
-        // A version-1 manifest has no "delay" key; the reader must accept it
-        // and default the ledger to off.
+        // A version-2 manifest has a "trace" key and no "dropped" section; a
+        // version-1 manifest has no "delay" key either.  The reader ignores
+        // the trace key, reads the drop counts as 0 and the ledger as off.
         let mut probe = ProbeConfig::full_active(64);
         probe.delay = true;
-        let v2 = manifest().to_json(&probe, &["t_delay.csv".to_string()]);
+        let files = ["t_delay.jsonl".to_string()];
+        let v3 = manifest().to_json(&probe, &files);
+        let dropped = "  \"dropped\": {\n    \"samples\": 7,\n    \
+                       \"heatmap_events\": 1234\n  },\n";
+        assert!(v3.contains(dropped), "{v3}");
+        let v2 = v3
+            .replace(dropped, "")
+            .replace("\"schema_version\": 3", "\"schema_version\": 2")
+            .replace("\"delay\": true", "\"trace\": true,\n    \"delay\": true");
         let v1 = v2
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"delay\":"))
-            .map(|l| {
-                if l.trim_start().starts_with("\"schema_version\":") {
-                    "  \"schema_version\": 1,".to_string()
-                } else {
-                    l.to_string()
+            .replace("\"schema_version\": 2", "\"schema_version\": 1")
+            .replace(",\n    \"delay\": true", "");
+        let older = RunManifest {
+            samples_dropped: 0,
+            heatmap_events_dropped: 0,
+            ..manifest()
+        };
+        for (version, text, delay) in [(2, &v2, true), (1, &v1, false)] {
+            let (m, p, f) = RunManifest::from_json(text).expect("parse an older document");
+            assert_eq!(
+                m,
+                RunManifest {
+                    schema_version: version,
+                    ..older.clone()
                 }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let (m1, p1, f1) = RunManifest::from_json(&v1).expect("parse schema-1 document");
-        assert_eq!(m1.schema_version, 1);
-        assert!(!p1.delay, "missing delay key must read as off");
-        assert_eq!(f1, vec!["t_delay.csv".to_string()]);
+            );
+            assert_eq!(
+                p,
+                ProbeConfig {
+                    delay,
+                    ..probe.clone()
+                },
+                "v{version}"
+            );
+            assert_eq!(f, files);
+        }
 
-        // The current schema round-trips the flag both ways.
-        let (_, p2, _) = RunManifest::from_json(&v2).expect("parse schema-2 document");
-        assert!(p2.delay);
+        // The current schema round-trips the flag and the counts.
+        let (m3, p3, _) = RunManifest::from_json(&v3).expect("parse schema-3 document");
+        assert_eq!(m3, manifest());
+        assert!(p3.delay);
     }
 
     #[test]
@@ -316,8 +362,8 @@ mod tests {
             "probe.detect.window: 4294967297 exceeds u32"
         );
         assert_eq!(
-            refused("\"schema_version\": 2", "\"schema_version\": 3"),
-            "schema_version: 3 is newer than the supported 2"
+            refused("\"schema_version\": 3", "\"schema_version\": 4"),
+            "schema_version: 4 is newer than the supported 3"
         );
         assert_eq!(
             refused("\"seed\": 23", "\"seed\": -23"),
@@ -330,6 +376,10 @@ mod tests {
         assert_eq!(
             refused("\"vc_occupancy\"", "\"vc\""),
             "peaks.vc_occupancy: missing"
+        );
+        assert_eq!(
+            refused("\"heatmap_events\"", "\"heat\""),
+            "dropped.heatmap_events: missing"
         );
         assert_eq!(
             refused("[\"t.csv\"]", "[\"t.csv\", 1]"),

@@ -647,8 +647,10 @@ impl ProbeRecorder {
         {
             dst.merge(src);
         }
+        // Every partition samples the same cycles, so both counts are the
+        // same number seen once per shard: maxima, not sums.
         self.samples = self.samples.max(other.samples);
-        self.samples_dropped += other.samples_dropped;
+        self.samples_dropped = self.samples_dropped.max(other.samples_dropped);
         // The flight ring's bound applied to the sorted union: the events of
         // every cycle before both sides' cutoffs and before the cycle of the
         // `flight_capacity + 1`-th event — exactly what one recorder seeing
@@ -762,6 +764,24 @@ mod tests {
         }
         assert_eq!(p.samples(), 8);
         assert_eq!(p.samples_dropped, 4);
+    }
+
+    #[test]
+    fn merged_partitions_count_dropped_samples_once() {
+        let past_cap = || {
+            let mut p = ProbeRecorder::new(cfg(), dims());
+            for i in 0..12u64 {
+                p.sample(i * 4, &[0; 6], SampleSnapshot::default());
+            }
+            p
+        };
+        let mut merged = past_cap();
+        merged.merge(&past_cap());
+        assert_eq!(merged.samples(), 8);
+        assert_eq!(
+            merged.samples_dropped, 4,
+            "one recorder's count, not the sum"
+        );
     }
 
     /// Six events over cycles 0, 1, 1, 2, 2, 2 (sources descending, so

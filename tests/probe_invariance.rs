@@ -21,7 +21,7 @@ use dragonfly::core::{
     Batch, Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, Jobs, PlacementPolicy,
     ProbeConfig, ProbeRecorder, Protocol, RoutingKind, RunOptions, Steady, Trace, TrafficKind,
 };
-use dragonfly::probe::DelayLedger;
+use dragonfly::probe::RunManifest;
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
@@ -49,8 +49,8 @@ fn full_probes() -> ProbeConfig {
     }
 }
 
-/// Every instrument on **plus** the armed anomaly detectors and the trace
-/// export — the active layer on top of the passive recorder.
+/// Every instrument on **plus** the armed anomaly detectors — the active
+/// layer on top of the passive recorder.
 fn active_probes() -> ProbeConfig {
     ProbeConfig {
         delay: true,
@@ -204,14 +204,12 @@ fn probe_files_are_byte_identical_across_shard_counts() {
         "heatmap output missing"
     );
     assert!(
-        sequential
-            .iter()
-            .any(|(n, b)| n == "probe_delay.csv" && b.len() > DelayLedger::CSV_HEADER.len() + 1),
-        "delay output missing or empty — the delay half of the pin is vacuous"
+        file_text(&sequential, "probe_delay.jsonl").lines().count() > 1,
+        "delay rows missing — the delay half of the pin is vacuous"
     );
     assert!(
-        sequential.iter().any(|(n, _)| n == "probe_delay.jsonl"),
-        "delay JSONL output missing"
+        file_text(&sequential, "probe_series.csv").contains(",delay_folded,"),
+        "the delay ledger's series columns are missing"
     );
     assert_eq!(seq_diag, vec!["probe_diag.csv".to_string()]);
 
@@ -239,8 +237,8 @@ fn probe_files_are_byte_identical_across_shard_counts() {
 
 #[test]
 fn detectors_never_perturb_the_report() {
-    // Armed detectors (and the trace export) ride the same read-only hooks as
-    // the passive instruments: every report field must stay byte-identical.
+    // Armed detectors ride the same read-only hooks as the passive
+    // instruments: every report field must stay byte-identical.
     for routing in [RoutingKind::Minimal, RoutingKind::Olm, RoutingKind::Rlm] {
         let spec = steady_spec(routing, FlowControlKind::Vct);
         let plain = spec.run();
@@ -281,20 +279,24 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
         .write_all_with_manifest(&seq_dir, "anomaly", &manifest)
         .unwrap();
     let (sequential, _) = read_outputs(&seq_dir);
-    for required in [
-        "anomaly_trigger.jsonl",
-        "anomaly_trigger_series.csv",
-        "anomaly_trigger_flight.jsonl",
-        "anomaly_trigger_heatmap.csv",
-        "anomaly_trigger_delay.csv",
-        "anomaly_trace.json",
-        "anomaly_manifest.json",
-    ] {
-        assert!(
-            sequential.iter().any(|(n, _)| n == required),
-            "{required} missing from the trigger bundle"
-        );
-    }
+    let names: Vec<&str> = sequential.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "anomaly_delay.jsonl",
+            "anomaly_flight.jsonl",
+            "anomaly_heatmap.csv",
+            "anomaly_manifest.json",
+            "anomaly_routers.csv",
+            "anomaly_series.csv",
+            "anomaly_trigger.jsonl",
+        ],
+        "one file per datum: no trigger_* copies, no trace"
+    );
+    assert!(
+        file_text(&sequential, "anomaly_trigger.jsonl").contains("\"bundle_lo\":"),
+        "trip lines must name their window"
+    );
 
     // One shard included: a single-shard plan never merges, so its trips come
     // from the same after-the-run evaluation with no merge in between.
@@ -498,5 +500,39 @@ fn a_full_delay_scope_table_keeps_the_same_scopes_on_every_shard_count() {
         !delay.trim_end().ends_with("\"scope_dropped\":0}"),
         "the scope table must overflow, or this pin is vacuous"
     );
-    assert!(file_text(&files, "_delay.csv").contains("job=0/phase=0"));
+    assert!(file_text(&files, "_delay.jsonl").contains("\"scope\":\"job=0/phase=0\""));
+}
+
+#[test]
+fn dropped_samples_and_heatmap_events_agree_on_every_shard_count() {
+    // 1 800 cycles at a stride of 16 offer 113 sample points to a 32-sample
+    // cap, and 64-cycle heatmap windows past the fourth drop every later
+    // phit, stall and occupancy sample.
+    let spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
+    let probes = ProbeConfig {
+        stride: 16,
+        max_samples: 32,
+        heatmap_window: 64,
+        max_windows: 4,
+        ..ProbeConfig::default()
+    };
+    let dropped = |shards: Option<usize>| {
+        let (report, probe) = run_probed(&spec, Steady, probes.clone(), shards);
+        let manifest = spec.manifest_with_report("dropped", &report);
+        let dir = scratch(&format!("dropped_{}", shards.unwrap_or(0)));
+        probe
+            .write_all_with_manifest(&dir, "dropped", &manifest)
+            .unwrap();
+        let (m, _, _) = RunManifest::from_json(file_text(&read_outputs(&dir).0, "_manifest.json"))
+            .expect("the manifest reads back");
+        (m.samples_dropped, m.heatmap_events_dropped)
+    };
+    let sequential = dropped(None);
+    assert!(
+        sequential.0 > 0 && sequential.1 > 0,
+        "both caps must overflow, or this pin is vacuous: {sequential:?}"
+    );
+    for shards in [2, 4] {
+        assert_eq!(dropped(Some(shards)), sequential, "{shards} shards");
+    }
 }

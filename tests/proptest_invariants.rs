@@ -589,6 +589,8 @@ fn mutated_json_documents_never_panic_the_readers() {
         peak_in_flight_packets: 512,
         peak_buffered_phits: 4096,
         peak_vc_occupancy: 32,
+        samples_dropped: 3,
+        heatmap_events_dropped: 0,
     };
     let seeds = [
         manifest.to_json(
