@@ -24,15 +24,6 @@ impl Xoshiro256 {
         Self { s }
     }
 
-    /// Construct from a full 256-bit state.  The state must not be all zero.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro state must not be all zero"
-        );
-        Self { s }
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -45,12 +36,6 @@ impl Xoshiro256 {
         self.s[2] ^= t;
         self.s[3] = rotl(self.s[3], 45);
         result
-    }
-
-    /// Next 32-bit output (upper bits of the 64-bit output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -81,13 +66,6 @@ impl Xoshiro256 {
     #[inline]
     pub fn gen_index(&mut self, bound: usize) -> usize {
         self.gen_range(bound as u64) as usize
-    }
-
-    /// Uniform integer in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(hi > lo, "empty range");
-        lo + self.gen_range(hi - lo)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
@@ -146,12 +124,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "all zero")]
-    fn zero_state_rejected() {
-        let _ = Xoshiro256::from_state([0; 4]);
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut rng = Xoshiro256::seed_from(7);
         for _ in 0..10_000 {
@@ -195,15 +167,6 @@ mod tests {
                 (c as i64 - expected as i64).abs() < (expected / 10) as i64,
                 "count {c} too far from {expected}"
             );
-        }
-    }
-
-    #[test]
-    fn gen_range_between_respects_bounds() {
-        let mut rng = Xoshiro256::seed_from(5);
-        for _ in 0..1000 {
-            let v = rng.gen_range_between(100, 110);
-            assert!((100..110).contains(&v));
         }
     }
 

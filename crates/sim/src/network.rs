@@ -503,8 +503,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             for _ in 0..packets_per_node {
                 let dst = self.destination(self.cycle, src, rng);
                 self.enqueue(src, dst, true);
-                self.stats
-                    .record_generated(self.config.packet_size, self.cycle);
+                self.stats.record_generated(self.config.packet_size);
             }
         }
         self.rngs = rngs;
@@ -657,7 +656,6 @@ impl<R: RoutingAlgorithm> Network<R> {
         hook("switch");
         activity |= self.phase_switch(cycle);
         hook("bookkeeping");
-        self.stats.tick(cycle);
         self.update_pb_board();
         self.probe_sample(cycle);
         activity || !self.active_links.is_empty()
@@ -935,7 +933,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             },
         );
         self.stats
-            .record_generated_tagged(self.config.packet_size, cycle, job, phase);
+            .record_generated_tagged(self.config.packet_size, job, phase);
         // Probe: generation happens at owned nodes only, so in a sharded run
         // exactly one shard records it.  The flight key `(src, gen_cycle)` is
         // a pure function of the packet.
@@ -1988,7 +1986,7 @@ mod tests {
         let dst = NodeId((net.params.num_nodes() - 1) as u32);
         net.stats.begin_measurement(0);
         net.enqueue(src, dst, true);
-        net.stats.record_generated(8, 0);
+        net.stats.record_generated(8);
         net.run(1_000);
         assert!(net.is_drained(), "packet should be delivered");
         assert_eq!(net.stats.total_delivered, 1);
@@ -2011,7 +2009,7 @@ mod tests {
         // Nodes 0 and 1 share router 0 when h = 2.
         net.stats.begin_measurement(0);
         net.enqueue(NodeId(0), NodeId(1), true);
-        net.stats.record_generated(8, 0);
+        net.stats.record_generated(8);
         net.run(200);
         assert!(net.is_drained());
         assert_eq!(net.stats.hops.mean(), 0.0);

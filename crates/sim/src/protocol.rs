@@ -22,7 +22,8 @@ use crate::routing_iface::RoutingAlgorithm;
 use crate::stats_collect::StatsCollector;
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_stats::{
-    BatchReport, JobLifecycleReport, JobReport, PhaseReport, ScopedStats, SimReport, WorkloadReport,
+    phits_per_node_cycle, BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport,
+    WorkloadReport,
 };
 use dragonfly_traffic::{BernoulliInjection, BurstSpec};
 use dragonfly_workload::{Schedule, Trace};
@@ -238,8 +239,7 @@ pub fn run_steady_state_workload<H: EngineHost>(
     let aggregate = run_steady_state(host, nominal, warmup, measure, drain);
 
     let stats = host.stats();
-    let window = (stats.meter.window_start, stats.meter.window_end);
-    let meas_cycles = window.1.saturating_sub(window.0);
+    let window = (stats.window_start, stats.window_end);
     let runtime = host.replica().jobs().unwrap();
     let scoped = stats
         .scoped
@@ -277,7 +277,7 @@ pub fn run_steady_state_workload<H: EngineHost>(
                 job.name().to_string(),
                 &scoped.per_job[j],
                 job.size(),
-                meas_cycles,
+                stats.window_cycles(),
                 None,
                 phases,
             )
@@ -480,19 +480,20 @@ pub struct SimRunIdentity {
 /// Build a [`SimReport`] from an accumulated collector (the run-wide one; a
 /// sharded run feeds the merged per-shard collectors).
 pub fn sim_report(stats: &StatsCollector, id: SimRunIdentity) -> SimReport {
+    let cycles = stats.window_cycles();
     SimReport {
         routing: id.routing,
         traffic: id.traffic,
         offered_load: id.offered_load,
-        injected_load: stats.meter.injected_load(id.nodes),
-        accepted_load: stats.meter.accepted_load(id.nodes),
+        injected_load: phits_per_node_cycle(stats.window_phits_injected, id.nodes, cycles),
+        accepted_load: phits_per_node_cycle(stats.window_phits_delivered, id.nodes, cycles),
         avg_latency_cycles: stats.latency.mean(),
         p99_latency_cycles: stats.latency_hist.percentile(0.99).unwrap_or(0.0),
         max_latency_cycles: stats.latency.max().unwrap_or(0.0),
         avg_hops: stats.hops.mean(),
         global_misroute_fraction: stats.global_misroute_fraction(),
         local_misroute_fraction: stats.local_misroute_fraction(),
-        packets_delivered: stats.meter.packets_delivered,
+        packets_delivered: stats.window_packets_delivered,
         packets_measured: stats.measured_delivered,
         warmup_cycles: id.warmup_cycles,
         measure_cycles: id.measure_cycles,
@@ -504,7 +505,7 @@ pub fn sim_report(stats: &StatsCollector, id: SimRunIdentity) -> SimReport {
 }
 
 /// Identity of one phase row — everything in a [`PhaseReport`] that is not
-/// derived from its [`ScopedStats`] entry.
+/// derived from its scope's [`StatsCollector`].
 struct PhaseIdentity {
     job: String,
     phase: usize,
@@ -516,9 +517,9 @@ struct PhaseIdentity {
     end_cycle: u64,
 }
 
-/// Build a [`PhaseReport`] from a scoped-stats entry: loads normalized over
+/// Build a [`PhaseReport`] from a phase's scope: loads normalized over
 /// `nodes × cycles`, plus the latency/hops/misroute/packet fields.
-fn phase_report(id: PhaseIdentity, s: &ScopedStats, nodes: usize, cycles: u64) -> PhaseReport {
+fn phase_report(id: PhaseIdentity, s: &StatsCollector, nodes: usize, cycles: u64) -> PhaseReport {
     PhaseReport {
         job: id.job,
         phase: id.phase,
@@ -527,8 +528,8 @@ fn phase_report(id: PhaseIdentity, s: &ScopedStats, nodes: usize, cycles: u64) -
         start_cycle: id.start_cycle,
         end_cycle: id.end_cycle,
         measured_cycles: cycles,
-        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
-        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
+        injected_load: phits_per_node_cycle(s.window_phits_injected, nodes, cycles),
+        accepted_load: phits_per_node_cycle(s.window_phits_delivered, nodes, cycles),
         avg_latency_cycles: s.latency.mean(),
         p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
         max_latency_cycles: s.latency.max().unwrap_or(0.0),
@@ -544,7 +545,7 @@ fn phase_report(id: PhaseIdentity, s: &ScopedStats, nodes: usize, cycles: u64) -
 /// The job-level sibling of [`phase_report`].
 fn job_report(
     name: String,
-    s: &ScopedStats,
+    s: &StatsCollector,
     nodes: usize,
     cycles: u64,
     lifecycle: Option<JobLifecycleReport>,
@@ -553,8 +554,8 @@ fn job_report(
     JobReport {
         name,
         nodes,
-        injected_load: ScopedStats::load_over(s.phits_injected_in_window, nodes, cycles),
-        accepted_load: ScopedStats::load_over(s.phits_delivered_in_window, nodes, cycles),
+        injected_load: phits_per_node_cycle(s.window_phits_injected, nodes, cycles),
+        accepted_load: phits_per_node_cycle(s.window_phits_delivered, nodes, cycles),
         avg_latency_cycles: s.latency.mean(),
         p99_latency_cycles: s.latency_hist.percentile(0.99).unwrap_or(0.0),
         max_latency_cycles: s.latency.max().unwrap_or(0.0),

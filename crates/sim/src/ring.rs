@@ -4,12 +4,12 @@
 //! construction time* from the simulation configuration (buffer depth,
 //! packet size).
 //!
-//! [`RingMeta`] is the metadata of one ring — head, length, high-water mark
-//! and capacity — packed into a single `u64` word (16 bits each).  It owns
+//! [`RingMeta`] is the metadata of one ring — head, length and capacity —
+//! packed into a single `u64` word (16 bits each).  It owns
 //! no storage: the ring's elements live in a caller-provided slice, which is
 //! what lets the [`crate::buffer::InputFabric`] keep every input VC's slot
 //! queue in one backing pool, the ring word inside the 16-byte
-//! [`crate::buffer::InputVc`].  All four fields provably fit 16 bits: a VC
+//! [`crate::buffer::InputVc`].  All three fields provably fit 16 bits: a VC
 //! slot ring holds at most `capacity + 1 ≤ 257` entries.  (The link
 //! pipelines are not FIFOs of stamped entries but rings of slots indexed by
 //! cycle, with their own counters: see [`crate::fabric`].)
@@ -23,8 +23,8 @@
 //! power-of-two rounding), that footprint is the tight sum of the provable
 //! bounds.
 
-/// Packed metadata of one bounded FIFO ring: `head | len | high_water | cap`,
-/// 16 bits each, in one `u64` word.
+/// Packed metadata of one bounded FIFO ring: `head | len | cap`, 16 bits
+/// each, in one `u64` word.
 ///
 /// The word is the only per-ring state; the elements live in a caller-provided
 /// slice of exactly `cap` elements.  Pushing beyond the capacity panics: the
@@ -40,8 +40,7 @@ pub struct RingMeta(u64);
 
 const SHIFT_HEAD: u32 = 0;
 const SHIFT_LEN: u32 = 16;
-const SHIFT_HW: u32 = 32;
-const SHIFT_CAP: u32 = 48;
+const SHIFT_CAP: u32 = 32;
 const FIELD: u64 = 0xFFFF;
 
 impl RingMeta {
@@ -66,12 +65,6 @@ impl RingMeta {
         ((self.0 >> SHIFT_LEN) & FIELD) as usize
     }
 
-    /// Highest occupancy the ring has ever reached.
-    #[inline]
-    pub fn high_water(self) -> usize {
-        ((self.0 >> SHIFT_HW) & FIELD) as usize
-    }
-
     /// The fixed capacity the ring was built with.
     #[inline]
     pub fn capacity(self) -> usize {
@@ -84,18 +77,6 @@ impl RingMeta {
         self.len() == 0
     }
 
-    /// Raw packed word (diagnostics and the metadata round-trip tests).
-    #[inline]
-    pub fn to_bits(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuild from a raw packed word produced by [`RingMeta::to_bits`].
-    #[inline]
-    pub fn from_bits(bits: u64) -> Self {
-        Self(bits)
-    }
-
     #[inline]
     fn set_head(&mut self, head: usize) {
         self.0 = (self.0 & !(FIELD << SHIFT_HEAD)) | ((head as u64) << SHIFT_HEAD);
@@ -104,11 +85,6 @@ impl RingMeta {
     #[inline]
     fn set_len(&mut self, len: usize) {
         self.0 = (self.0 & !(FIELD << SHIFT_LEN)) | ((len as u64) << SHIFT_LEN);
-    }
-
-    #[inline]
-    fn set_high_water(&mut self, hw: usize) {
-        self.0 = (self.0 & !(FIELD << SHIFT_HW)) | ((hw as u64) << SHIFT_HW);
     }
 
     /// Physical index of logical position `i` (caller guarantees `i < len`).
@@ -124,7 +100,7 @@ impl RingMeta {
     }
 
     /// Reserve the next tail slot: asserts the ring is not full, bumps `len`
-    /// (and the high-water mark), and returns the physical index the new
+    /// and returns the physical index the new
     /// element must be written to.  Storage-agnostic core of every push.
     #[inline]
     pub fn push_slot(&mut self) -> usize {
@@ -136,9 +112,6 @@ impl RingMeta {
         );
         let pos = self.phys(len);
         self.set_len(len + 1);
-        if len + 1 > self.high_water() {
-            self.set_high_water(len + 1);
-        }
         pos
     }
 
@@ -315,26 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn high_water_tracks_peak_occupancy_not_current() {
-        let mut buf = [0; 4];
-        let mut r = RingMeta::new(4);
-        assert_eq!(r.high_water(), 0);
-        r.push_back(&mut buf, 1);
-        r.push_back(&mut buf, 2);
-        r.push_back(&mut buf, 3);
-        assert_eq!(r.high_water(), 3);
-        r.pop_front(&buf);
-        r.pop_front(&buf);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.high_water(), 3, "draining must not lower the mark");
-        r.push_back(&mut buf, 4);
-        assert_eq!(r.high_water(), 3, "refilling below the peak keeps it");
-        r.push_back(&mut buf, 5);
-        r.push_back(&mut buf, 6);
-        assert_eq!(r.high_water(), 4);
-    }
-
-    #[test]
     fn zero_capacity_ring_is_empty_forever() {
         let buf: [u8; 0] = [];
         let r = RingMeta::new(0);
@@ -362,8 +315,6 @@ mod tests {
         assert_eq!(b.pop_front(pb), Some(20));
         assert_eq!(b.pop_front(pb), Some(21));
         assert!(a.is_empty() && b.is_empty());
-        assert_eq!(a.high_water(), 2);
-        assert_eq!(b.high_water(), 2);
     }
 
     #[test]
@@ -373,13 +324,10 @@ mod tests {
         m.push_back(&mut pool, 1);
         m.push_back(&mut pool, 2);
         m.pop_front(&pool);
-        let bits = m.to_bits();
-        let back = RingMeta::from_bits(bits);
-        assert_eq!(back, m);
-        assert_eq!(back.head(), 1);
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.high_water(), 2);
-        assert_eq!(back.capacity(), 3);
+        // Each lane reads back what the pushes and the pop wrote into it.
+        assert_eq!(m.head(), 1);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.capacity(), 3);
         assert_eq!(std::mem::size_of::<RingMeta>(), 8);
     }
 

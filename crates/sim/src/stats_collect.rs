@@ -1,39 +1,48 @@
 //! In-simulation statistics collection.
+//!
+//! [`StatsCollector`] is the one statistics accumulator of a run: the run-wide
+//! record and every per-job and per-(job, phase) scope of a [`ScopedCollector`]
+//! are `StatsCollector`s, recorded by the same code under the same rules.
+//!
+//! * **Window.** [`StatsCollector::begin_measurement`] opens the measurement
+//!   window at a cycle and [`StatsCollector::end_measurement`] closes it at a
+//!   later one; the window is the half-open span `[window_start, window_end)`
+//!   of those two stamps.  Every event recorded while it is open happens at a
+//!   cycle inside it.
+//! * **Throughput** counts the phits generated and the phits and packets
+//!   delivered while the window is open, whenever the packet was generated.
+//! * **Latency, hops and misroutes** come only from *measured* packets (those
+//!   generated inside the window, [`Packet::measured`]), whenever they are
+//!   delivered: the drain after the window lets them finish.
+//! * **Totals** count every generation and delivery of the run.
+//! * **Scopes.** A job packet's generation and delivery are recorded into the
+//!   run-wide collector and then into the scopes of the job and the phase that
+//!   *generated* it, so a packet generated in phase `k` counts toward phase
+//!   `k` even if it arrives after the phase boundary.  Every scope's window
+//!   moves with the run-wide one.  Merging ([`StatsCollector::merge`]) the
+//!   per-job scopes therefore gives the run-wide record of the job packets,
+//!   and merging a job's phases gives the job (pinned by
+//!   `tests/workload_scenarios.rs`).
+//! * **Peaks** (packets in flight, buffered phits, one VC's occupancy) are
+//!   run-wide: a scope leaves them at zero.
 
 use crate::packet::{Packet, UNTAGGED};
-use dragonfly_stats::{ExactStats, Histogram, ScopedStats, ThroughputMeter};
+use dragonfly_stats::{ExactStats, Histogram};
 
-/// Latency-histogram bins of the per-job/per-phase accumulators (smaller than the
-/// aggregate histogram; p99 above this many cycles saturates at the bin range).
+/// Latency-histogram bins of the per-job/per-phase scopes (smaller than the
+/// run-wide histogram; p99 above this many cycles saturates at the bin range).
 const SCOPED_LATENCY_BINS: usize = 32 * 1024;
 
-/// Per-job and per-(job, phase) breakdowns, enabled when jobs are installed.
+/// Per-job and per-(job, phase) scopes, enabled when jobs are installed.
 #[derive(Debug, Clone)]
 pub struct ScopedCollector {
-    /// One accumulator per job, covering the whole run.
-    pub per_job: Vec<ScopedStats>,
-    /// One accumulator per (job, phase), attributed by generation phase.
-    pub per_phase: Vec<Vec<ScopedStats>>,
+    /// One scope per job, covering the whole run.
+    pub per_job: Vec<StatsCollector>,
+    /// One scope per (job, phase), attributed by generation phase.
+    pub per_phase: Vec<Vec<StatsCollector>>,
 }
 
 impl ScopedCollector {
-    fn new(phase_counts: &[usize]) -> Self {
-        Self {
-            per_job: phase_counts
-                .iter()
-                .map(|_| ScopedStats::new(SCOPED_LATENCY_BINS))
-                .collect(),
-            per_phase: phase_counts
-                .iter()
-                .map(|&phases| {
-                    (0..phases)
-                        .map(|_| ScopedStats::new(SCOPED_LATENCY_BINS))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
     /// Merge another collector with the same job/phase shape into this one.
     fn merge(&mut self, other: &ScopedCollector) {
         assert_eq!(
@@ -41,23 +50,20 @@ impl ScopedCollector {
             other.per_job.len(),
             "scoped collectors must cover the same jobs to merge"
         );
-        for (a, b) in self.per_job.iter_mut().zip(other.per_job.iter()) {
+        for (a, b) in self.per_job.iter_mut().zip(&other.per_job) {
             a.merge(b);
         }
-        for (a, b) in self.per_phase.iter_mut().zip(other.per_phase.iter()) {
+        for (a, b) in self.per_phase.iter_mut().zip(&other.per_phase) {
             assert_eq!(a.len(), b.len(), "phase counts must match to merge");
-            for (x, y) in a.iter_mut().zip(b.iter()) {
+            for (x, y) in a.iter_mut().zip(b) {
                 x.merge(y);
             }
         }
     }
 }
 
-/// Collects per-packet and per-window statistics during a run.
-///
-/// Latency, hop and misroute statistics only consider packets *generated inside the
-/// measurement window* (standard steady-state methodology); throughput counts every
-/// delivery that happens inside the window.
+/// Collects per-packet and per-window statistics during a run, under the
+/// rules of the [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct StatsCollector {
     /// Latency of measured packets, in cycles.
@@ -76,11 +82,20 @@ pub struct StatsCollector {
     pub total_generated: u64,
     /// All packets ever delivered.
     pub total_delivered: u64,
-    /// Throughput meter over the measurement window.
-    pub meter: ThroughputMeter,
+    /// First cycle of the measurement window (inclusive).
+    pub window_start: u64,
+    /// End of the measurement window (exclusive): the cycle
+    /// [`StatsCollector::end_measurement`] received.
+    pub window_end: u64,
+    /// Phits generated while the window was open.
+    pub window_phits_injected: u64,
+    /// Phits delivered while the window was open.
+    pub window_phits_delivered: u64,
+    /// Packets delivered while the window was open.
+    pub window_packets_delivered: u64,
     /// Whether the measurement window is currently open.
     pub measuring: bool,
-    /// Per-job/per-phase breakdowns (present when jobs are installed).
+    /// Per-job/per-phase scopes (present when jobs are installed).
     pub scoped: Option<ScopedCollector>,
     /// Peak packets simultaneously in flight (generated − delivered), sampled
     /// once per cycle ([`StatsCollector::note_cycle_peaks`]).
@@ -103,7 +118,11 @@ impl StatsCollector {
             measured_delivered: 0,
             total_generated: 0,
             total_delivered: 0,
-            meter: ThroughputMeter::new(0),
+            window_start: 0,
+            window_end: 0,
+            window_phits_injected: 0,
+            window_phits_delivered: 0,
+            window_packets_delivered: 0,
             measuring: false,
             scoped: None,
             peak_in_flight_packets: 0,
@@ -112,57 +131,80 @@ impl StatsCollector {
         }
     }
 
-    /// Enable per-job/per-phase breakdowns for jobs with the given phase counts.
+    /// Enable per-job/per-phase scopes for jobs with the given phase counts.
+    /// Each scope starts empty, with the run-wide window state.
     pub fn enable_scoped(&mut self, phase_counts: &[usize]) {
-        self.scoped = Some(ScopedCollector::new(phase_counts));
+        let scope = || {
+            let mut s = StatsCollector::new(SCOPED_LATENCY_BINS);
+            (s.window_start, s.window_end) = (self.window_start, self.window_end);
+            s.measuring = self.measuring;
+            s
+        };
+        self.scoped = Some(ScopedCollector {
+            per_job: phase_counts.iter().map(|_| scope()).collect(),
+            per_phase: phase_counts
+                .iter()
+                .map(|&phases| (0..phases).map(|_| scope()).collect())
+                .collect(),
+        });
     }
 
-    /// Open the measurement window at `cycle`.
+    /// Open the measurement window at `cycle` (here and in every scope),
+    /// clearing the in-window counters.
     pub fn begin_measurement(&mut self, cycle: u64) {
-        self.meter = ThroughputMeter::new(cycle);
+        (self.window_start, self.window_end) = (cycle, cycle);
+        self.window_phits_injected = 0;
+        self.window_phits_delivered = 0;
+        self.window_packets_delivered = 0;
         self.measuring = true;
+        self.scopes_mut().for_each(|s| s.begin_measurement(cycle));
     }
 
-    /// Close the measurement window at `cycle`.
+    /// Close the measurement window at `cycle` (here and in every scope).
     pub fn end_measurement(&mut self, cycle: u64) {
-        self.meter.tick(cycle.saturating_sub(1));
+        self.window_end = cycle;
         self.measuring = false;
+        self.scopes_mut().for_each(|s| s.end_measurement(cycle));
     }
 
-    /// Advance the throughput window (call once per cycle while measuring).
-    pub fn tick(&mut self, cycle: u64) {
-        if self.measuring {
-            self.meter.tick(cycle);
-        }
+    /// Length of the measurement window in cycles.
+    pub fn window_cycles(&self) -> u64 {
+        self.window_end.saturating_sub(self.window_start)
     }
 
     /// Record the generation of a packet of `size` phits.
-    pub fn record_generated(&mut self, size: usize, cycle: u64) {
+    pub fn record_generated(&mut self, size: usize) {
         self.total_generated += 1;
         if self.measuring {
-            self.meter.record_injection(size as u64, cycle);
+            self.window_phits_injected += size as u64;
         }
     }
 
     /// Record the generation of a job packet of `size` phits, attributed to
     /// `(job, phase)` (both [`UNTAGGED`] degrades to [`StatsCollector::record_generated`]).
-    pub fn record_generated_tagged(&mut self, size: usize, cycle: u64, job: u16, phase: u16) {
-        self.record_generated(size, cycle);
-        if job == UNTAGGED {
-            return;
-        }
-        let measuring = self.measuring;
-        if let Some(scoped) = &mut self.scoped {
-            scoped.per_job[job as usize].record_generated(size, measuring);
-            scoped.per_phase[job as usize][phase as usize].record_generated(size, measuring);
+    pub fn record_generated_tagged(&mut self, size: usize, job: u16, phase: u16) {
+        self.record_generated(size);
+        if let Some((job, phase)) = self.scopes_of(job, phase) {
+            job.record_generated(size);
+            phase.record_generated(size);
         }
     }
 
     /// Record the delivery of `packet` at `cycle`.
     pub fn record_delivery(&mut self, packet: &Packet, cycle: u64) {
+        self.record_delivered(packet, cycle);
+        if let Some((job, phase)) = self.scopes_of(packet.job, packet.phase) {
+            job.record_delivered(packet, cycle);
+            phase.record_delivered(packet, cycle);
+        }
+    }
+
+    /// Record a delivery into this collector alone.
+    fn record_delivered(&mut self, packet: &Packet, cycle: u64) {
         self.total_delivered += 1;
         if self.measuring {
-            self.meter.record_delivery(packet.size as u64, cycle);
+            self.window_phits_delivered += packet.size as u64;
+            self.window_packets_delivered += 1;
         }
         if packet.measured {
             self.measured_delivered += 1;
@@ -177,23 +219,30 @@ impl StatsCollector {
                 self.delivered_local_misrouted += 1;
             }
         }
-        if packet.job != UNTAGGED {
-            let measuring = self.measuring;
-            if let Some(scoped) = &mut self.scoped {
-                let measured = packet.measured.then(|| {
-                    (
-                        cycle - packet.gen_cycle,
-                        packet.route.total_hops as u64,
-                        packet.route.global_misrouted,
-                        packet.route.local_misrouted_ever,
-                    )
-                });
-                let size = packet.size as usize;
-                scoped.per_job[packet.job as usize].record_delivered(size, measuring, measured);
-                scoped.per_phase[packet.job as usize][packet.phase as usize]
-                    .record_delivered(size, measuring, measured);
-            }
+    }
+
+    /// The job and phase scopes of a `(job, phase)` tag (`None` for an
+    /// untagged packet or without scopes).
+    fn scopes_of(&mut self, job: u16, phase: u16) -> Option<(&mut Self, &mut Self)> {
+        if job == UNTAGGED {
+            return None;
         }
+        let scoped = self.scoped.as_mut()?;
+        let job = job as usize;
+        Some((
+            &mut scoped.per_job[job],
+            &mut scoped.per_phase[job][phase as usize],
+        ))
+    }
+
+    /// Every scope (none without installed jobs).
+    fn scopes_mut(&mut self) -> impl Iterator<Item = &mut StatsCollector> {
+        self.scoped.iter_mut().flat_map(|scoped| {
+            scoped
+                .per_job
+                .iter_mut()
+                .chain(scoped.per_phase.iter_mut().flatten())
+        })
     }
 
     /// Fraction of measured packets that took a global misroute.
@@ -245,12 +294,18 @@ impl StatsCollector {
     /// Merge another collector into this one.
     ///
     /// Used by the sharded engine to combine per-shard collectors into the
-    /// run-wide collector the reports are built from.  Every merged quantity is
-    /// either an exact integer sum ([`ExactStats`], [`Histogram`], the packet
-    /// and phit counters), a maximum (the peaks), or asserted equal (the
-    /// measurement-window state), so the merged collector is byte-identical to
-    /// the one a sequential run over the same events would have produced.
+    /// run-wide collector the reports are built from, and scope by scope.
+    /// Every merged quantity is either an exact integer sum ([`ExactStats`],
+    /// [`Histogram`], the packet and phit counters), a maximum (the peaks), or
+    /// asserted equal (the measurement window), so the merged collector is
+    /// byte-identical to the one a sequential run over the same events would
+    /// have produced.
     pub fn merge(&mut self, other: &StatsCollector) {
+        assert_eq!(
+            (self.window_start, self.window_end, self.measuring),
+            (other.window_start, other.window_end, other.measuring),
+            "collectors must agree on the measurement window to merge"
+        );
         self.latency.merge(&other.latency);
         self.latency_hist.merge(&other.latency_hist);
         self.hops.merge(&other.hops);
@@ -259,11 +314,9 @@ impl StatsCollector {
         self.measured_delivered += other.measured_delivered;
         self.total_generated += other.total_generated;
         self.total_delivered += other.total_delivered;
-        self.meter.merge(&other.meter);
-        assert_eq!(
-            self.measuring, other.measuring,
-            "collectors must agree on the measurement state to merge"
-        );
+        self.window_phits_injected += other.window_phits_injected;
+        self.window_phits_delivered += other.window_phits_delivered;
+        self.window_packets_delivered += other.window_packets_delivered;
         match (&mut self.scoped, &other.scoped) {
             (Some(a), Some(b)) => a.merge(b),
             (None, None) => {}
@@ -296,20 +349,28 @@ mod tests {
     fn measurement_window_controls_throughput() {
         let mut s = StatsCollector::new(1000);
         // Before the window: counted as totals only.
-        s.record_generated(8, 10);
+        s.record_generated(8);
         s.record_delivery(&delivered_packet(false, 0, 3, false, false), 50);
-        assert_eq!(s.meter.phits_delivered, 0);
+        assert_eq!(s.window_phits_delivered, 0);
         s.begin_measurement(100);
-        s.record_generated(8, 120);
+        s.record_generated(8);
         s.record_delivery(&delivered_packet(false, 10, 3, false, false), 150);
         s.end_measurement(200);
-        assert_eq!(s.meter.phits_delivered, 8);
-        assert_eq!(s.meter.phits_injected, 8);
-        assert_eq!(s.total_generated, 2);
-        assert_eq!(s.total_delivered, 2);
+        // After the window: counted as totals only.
+        s.record_generated(8);
+        s.record_delivery(&delivered_packet(false, 120, 3, false, false), 250);
+        assert_eq!(s.window_phits_delivered, 8);
+        assert_eq!(s.window_packets_delivered, 1);
+        assert_eq!(s.window_phits_injected, 8);
+        assert_eq!(s.total_generated, 3);
+        assert_eq!(s.total_delivered, 3);
         assert_eq!(s.in_flight(), 0);
         // Window length covers [100, 200).
-        assert_eq!(s.meter.window_cycles(), 100);
+        assert_eq!(s.window_cycles(), 100);
+        // Reopening the window clears its counters.
+        s.begin_measurement(300);
+        assert_eq!(s.window_phits_injected, 0);
+        assert_eq!(s.window_cycles(), 0);
     }
 
     #[test]
@@ -332,11 +393,11 @@ mod tests {
         let mut s = StatsCollector::new(1000);
         s.enable_scoped(&[2, 1]); // job 0 has 2 phases, job 1 has 1
         s.begin_measurement(0);
-        s.record_generated_tagged(8, 10, 0, 0);
-        s.record_generated_tagged(8, 20, 0, 1);
-        s.record_generated_tagged(8, 30, 1, 0);
-        // Untagged generation leaves the scoped accumulators alone.
-        s.record_generated_tagged(8, 40, UNTAGGED, UNTAGGED);
+        s.record_generated_tagged(8, 0, 0);
+        s.record_generated_tagged(8, 0, 1);
+        s.record_generated_tagged(8, 1, 0);
+        // Untagged generation leaves the scopes alone.
+        s.record_generated_tagged(8, UNTAGGED, UNTAGGED);
         let mut p = delivered_packet(true, 10, 3, true, false);
         p.job = 0;
         p.phase = 1;
@@ -350,10 +411,41 @@ mod tests {
         assert_eq!(scoped.per_phase[0][1].measured_delivered, 1);
         assert_eq!(scoped.per_phase[0][0].measured_delivered, 0);
         assert!((scoped.per_phase[0][1].latency.mean() - 140.0).abs() < 1e-9);
-        assert_eq!(scoped.per_job[0].phits_delivered_in_window, 8);
+        assert_eq!(scoped.per_job[0].window_phits_delivered, 8);
         // Aggregate totals include everything.
         assert_eq!(s.total_generated, 4);
         assert_eq!(s.total_delivered, 1);
+    }
+
+    #[test]
+    fn scopes_keep_their_window_in_step() {
+        let mut s = StatsCollector::new(1000);
+        s.begin_measurement(40);
+        // Jobs installed inside an open window start in it.
+        s.enable_scoped(&[1, 2]);
+        s.record_generated_tagged(8, 1, 1);
+        s.end_measurement(90);
+        s.record_generated_tagged(8, 1, 1);
+        let scoped = s.scoped.as_ref().unwrap();
+        for scope in scoped
+            .per_job
+            .iter()
+            .chain(scoped.per_phase.iter().flatten())
+        {
+            assert_eq!((scope.window_start, scope.window_end), (40, 90));
+            assert!(!scope.measuring);
+        }
+        assert_eq!(scoped.per_phase[1][1].window_phits_injected, 8);
+        assert_eq!(scoped.per_phase[1][1].total_generated, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "agree on the measurement window")]
+    fn merge_refuses_collectors_of_different_windows() {
+        let (mut a, mut b) = (StatsCollector::new(10), StatsCollector::new(10));
+        a.begin_measurement(5);
+        b.begin_measurement(6);
+        a.merge(&b);
     }
 
     #[test]

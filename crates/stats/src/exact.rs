@@ -1,11 +1,11 @@
 //! Exact, order-independent statistics over integer-valued observations.
 
-/// Mean/variance/min/max accumulator for *integer-valued* observations (cycle
+/// Count/mean/min/max accumulator for *integer-valued* observations (cycle
 /// counts, hop counts) with exact integer internals.
 ///
 /// Unlike a floating-point running mean (Welford's algorithm, whose state
-/// depends on the order observations arrive in), this accumulator keeps exact
-/// `u128` sums, so
+/// depends on the order observations arrive in), this accumulator keeps an
+/// exact `u128` sum, so
 ///
 /// * accumulation is **order-independent**: any permutation of the same
 ///   observations produces bit-identical state, and
@@ -14,14 +14,12 @@
 ///
 /// Both properties are what lets the sharded simulation engine produce
 /// byte-identical reports to the sequential engine (see `dragonfly_shard`).
-/// The derived quantities ([`ExactStats::mean`], [`ExactStats::variance`]) are
-/// computed from the integer sums in one final floating-point step, which is a
-/// pure function of the accumulated state.
+/// The mean is computed from the integer sum in one final floating-point step,
+/// which is a pure function of the accumulated state.
 #[derive(Debug, Clone)]
 pub struct ExactStats {
     count: u64,
     sum: u128,
-    sum_sq: u128,
     min: u64,
     max: u64,
 }
@@ -38,7 +36,6 @@ impl ExactStats {
         Self {
             count: 0,
             sum: 0,
-            sum_sq: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -49,7 +46,6 @@ impl ExactStats {
     pub fn push(&mut self, x: u64) {
         self.count += 1;
         self.sum += x as u128;
-        self.sum_sq += (x as u128) * (x as u128);
         if x < self.min {
             self.min = x;
         }
@@ -72,22 +68,6 @@ impl ExactStats {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Population variance (0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.sum as f64 / n;
-        // E[x²] − E[x]²; clamp tiny negative rounding residue.
-        (self.sum_sq as f64 / n - mean * mean).max(0.0)
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`None` when empty).
@@ -116,7 +96,6 @@ impl ExactStats {
     pub fn merge(&mut self, other: &ExactStats) {
         self.count += other.count;
         self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -131,7 +110,6 @@ mod tests {
         let s = ExactStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert!(s.min().is_none());
         assert!(s.max().is_none());
     }
@@ -144,8 +122,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -169,7 +145,6 @@ mod tests {
         assert_eq!(merged.count(), all.count());
         // Bit-identical, not just approximately equal.
         assert_eq!(merged.mean().to_bits(), all.mean().to_bits());
-        assert_eq!(merged.variance().to_bits(), all.variance().to_bits());
         assert_eq!(merged.min(), all.min());
         assert_eq!(merged.max(), all.max());
     }
@@ -186,7 +161,7 @@ mod tests {
             rev.push(x);
         }
         assert_eq!(fwd.mean().to_bits(), rev.mean().to_bits());
-        assert_eq!(fwd.variance().to_bits(), rev.variance().to_bits());
+        assert_eq!((fwd.min(), fwd.max()), (rev.min(), rev.max()));
     }
 
     #[test]
@@ -211,7 +186,7 @@ mod tests {
         for _ in 0..1_000 {
             s.push(u32::MAX as u64);
         }
-        assert!((s.mean() - u32::MAX as f64).abs() < 1.0);
-        assert!(s.variance() < 1e-6);
+        assert_eq!(s.mean(), u32::MAX as f64);
+        assert_eq!(s.max(), Some(u32::MAX as f64));
     }
 }

@@ -57,11 +57,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Count in a specific bin.
-    pub fn bin_count(&self, bin: usize) -> u64 {
-        self.counts.get(bin).copied().unwrap_or(0)
-    }
-
     /// Number of regular bins.
     pub fn bins(&self) -> usize {
         self.counts.len()
@@ -84,11 +79,6 @@ impl Histogram {
         }
         // Requested rank lies in the overflow region; report the histogram range.
         Some(self.counts.len() as f64 * self.bin_width)
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<f64> {
-        self.percentile(0.5)
     }
 
     /// Merge another histogram with identical geometry into this one.
@@ -115,9 +105,11 @@ mod tests {
         h.record(10.0);
         h.record(49.9);
         h.record(50.0); // overflow
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(4), 1);
+
+        // Ranks 1–2 fall in bin 0, rank 3 in bin 1, rank 4 in bin 4.
+        assert_eq!(h.percentile(0.3), Some(10.0));
+        assert_eq!(h.percentile(0.5), Some(20.0));
+        assert_eq!(h.percentile(0.7), Some(50.0));
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 5);
     }
@@ -139,7 +131,6 @@ mod tests {
     fn percentile_empty_is_none() {
         let h = Histogram::new(1.0, 10);
         assert!(h.percentile(0.5).is_none());
-        assert!(h.median().is_none());
     }
 
     #[test]
@@ -160,7 +151,8 @@ mod tests {
         b.record(100.0);
         a.merge(&b);
         assert_eq!(a.total(), 3);
-        assert_eq!(a.bin_count(0), 2);
+        // Both in-range observations share bin 0 (upper edge 2.0).
+        assert_eq!(a.percentile(0.6), Some(2.0));
         assert_eq!(a.overflow(), 1);
     }
 

@@ -2,8 +2,10 @@
 
 /// A time series sampled every `period` cycles.
 ///
-/// Used by the harness to track e.g. accepted load over time, which lets tests verify
-/// that a run has actually reached steady state before the measurement window.
+/// The probe recorder keeps one per observed quantity (injected and delivered
+/// phits, buffered phits, link occupancy, …) and the delay ledger one per
+/// delay component; per-shard series merge element-wise
+/// ([`TimeSeries::merge`], [`TimeSeries::merge_max`]).
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     period: u64,
@@ -45,17 +47,6 @@ impl TimeSeries {
     /// exceeding the horizon — there is no partial final sample.
     pub fn cycle_of(&self, index: usize) -> u64 {
         index as u64 * self.period
-    }
-
-    /// Number of samples a run of `horizon` cycles produces when cycle 0 is
-    /// sampled and the run ends *before* cycle `horizon`.
-    pub fn samples_for_horizon(period: u64, horizon: u64) -> usize {
-        assert!(period >= 1, "sampling period must be at least 1 cycle");
-        if horizon == 0 {
-            0
-        } else {
-            ((horizon - 1) / period + 1) as usize
-        }
     }
 
     /// Append a sample.
@@ -119,34 +110,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Mean of the most recent `n` samples (or all of them if fewer exist).
-    pub fn recent_mean(&self, n: usize) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let start = self.samples.len().saturating_sub(n);
-        let slice = &self.samples[start..];
-        slice.iter().sum::<f64>() / slice.len() as f64
-    }
-
-    /// Relative change between the mean of the first and second half of the most
-    /// recent `window` samples.  Values close to zero indicate steady state.
-    pub fn drift(&self, window: usize) -> f64 {
-        let n = window.min(self.samples.len());
-        if n < 4 {
-            return f64::INFINITY;
-        }
-        let start = self.samples.len() - n;
-        let half = n / 2;
-        let first: f64 = self.samples[start..start + half].iter().sum::<f64>() / half as f64;
-        let second: f64 = self.samples[start + half..].iter().sum::<f64>() / (n - half) as f64;
-        if first.abs() < 1e-12 && second.abs() < 1e-12 {
-            return 0.0;
-        }
-        let base = first.abs().max(second.abs());
-        (second - first).abs() / base
-    }
 }
 
 #[cfg(test)]
@@ -162,45 +125,6 @@ mod tests {
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.samples(), &[1.0, 2.0]);
         assert_eq!(ts.period(), 100);
-    }
-
-    #[test]
-    fn recent_mean_uses_tail() {
-        let mut ts = TimeSeries::new(1);
-        for x in [10.0, 10.0, 2.0, 4.0] {
-            ts.push(x);
-        }
-        assert!((ts.recent_mean(2) - 3.0).abs() < 1e-12);
-        assert!((ts.recent_mean(100) - 6.5).abs() < 1e-12);
-        assert_eq!(TimeSeries::new(1).recent_mean(10), 0.0);
-    }
-
-    #[test]
-    fn drift_detects_steady_state() {
-        let mut steady = TimeSeries::new(1);
-        let mut ramping = TimeSeries::new(1);
-        for i in 0..100 {
-            steady.push(5.0 + (i % 2) as f64 * 0.01);
-            ramping.push(i as f64);
-        }
-        assert!(steady.drift(50) < 0.01);
-        assert!(ramping.drift(50) > 0.1);
-    }
-
-    #[test]
-    fn drift_on_short_series_is_infinite() {
-        let mut ts = TimeSeries::new(1);
-        ts.push(1.0);
-        assert!(ts.drift(10).is_infinite());
-    }
-
-    #[test]
-    fn drift_all_zero_is_zero() {
-        let mut ts = TimeSeries::new(1);
-        for _ in 0..20 {
-            ts.push(0.0);
-        }
-        assert_eq!(ts.drift(20), 0.0);
     }
 
     #[test]
@@ -284,17 +208,10 @@ mod tests {
     fn stride_alignment_at_non_divisor_horizons() {
         // A 1000-cycle run sampled every 64 cycles: cycle 0 plus every later
         // multiple of 64 below 1000 — 16 samples, the last at cycle 960.
-        assert_eq!(TimeSeries::samples_for_horizon(64, 1000), 16);
         let ts = TimeSeries::new(64);
         assert_eq!(ts.cycle_of(0), 0);
         assert_eq!(ts.cycle_of(15), 960);
-        // Exact-divisor horizon: the boundary cycle itself is never sampled
-        // (runs end before it), so 1024 cycles also yield 16 samples.
-        assert_eq!(TimeSeries::samples_for_horizon(64, 1024), 16);
-        assert_eq!(TimeSeries::samples_for_horizon(64, 1025), 17);
-        // Degenerate cases.
-        assert_eq!(TimeSeries::samples_for_horizon(64, 0), 0);
-        assert_eq!(TimeSeries::samples_for_horizon(64, 1), 1);
-        assert_eq!(TimeSeries::samples_for_horizon(1, 5), 5);
+        assert_eq!(ts.cycle_of(16), 1024);
+        assert_eq!(TimeSeries::new(1).cycle_of(4), 4);
     }
 }

@@ -74,12 +74,6 @@ impl DragonflyParams {
         self.h
     }
 
-    /// Terminal ports per router: `h`.
-    #[inline]
-    pub fn terminal_ports(&self) -> usize {
-        self.h
-    }
-
     /// Total flat ports per router (`4h − 1`).
     #[inline]
     pub fn ports_per_router(&self) -> usize {

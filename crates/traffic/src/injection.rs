@@ -83,15 +83,6 @@ impl BurstSpec {
     pub fn phits_per_node(&self) -> u64 {
         self.packets_per_node * self.packet_size as u64
     }
-
-    /// Scale the per-node packet count so that the total payload matches a reference
-    /// burst with a different packet size (the paper sends 1000×8-phit packets under
-    /// VCT but 89×80-phit packets under WH to keep the payload comparable).
-    pub fn with_equivalent_payload(reference: &BurstSpec, packet_size: usize) -> Self {
-        let total_phits = reference.phits_per_node();
-        let packets = (total_phits as f64 / packet_size as f64).round().max(1.0) as u64;
-        Self::new(packets, packet_size)
-    }
 }
 
 #[cfg(test)]
@@ -141,19 +132,6 @@ mod tests {
         assert_eq!(b.phits_per_node(), 8000);
         assert_eq!(b.packets_per_node(), 1000);
         assert_eq!(b.packet_size(), 8);
-    }
-
-    #[test]
-    fn equivalent_payload_matches_paper_scaling() {
-        // The paper: 1000 packets of 8 phits (VCT) versus 89 packets of 80 phits (WH),
-        // chosen so the total payload is as close as possible.
-        let vct = BurstSpec::new(1000, 8);
-        let wh = BurstSpec::with_equivalent_payload(&vct, 80);
-        assert_eq!(wh.packets_per_node(), 100);
-        // With the paper's 89 the totals differ slightly; our rounding gives the exact
-        // equivalent. Check that both are within 12% of the reference payload.
-        let ratio = wh.phits_per_node() as f64 / vct.phits_per_node() as f64;
-        assert!((ratio - 1.0).abs() < 0.12);
     }
 
     #[test]

@@ -227,7 +227,8 @@ impl Schedule {
         &self.jobs[job as usize]
     }
 
-    /// Phase counts of every job, in job order (used to size the scoped stats).
+    /// Phase counts of every job, in job order (used to size the per-job and
+    /// per-phase statistics scopes).
     pub fn phase_counts(&self) -> Vec<usize> {
         self.jobs.iter().map(|j| j.phases.len()).collect()
     }

@@ -7,7 +7,9 @@ use dragonfly::core::{
     WorkloadReport,
 };
 use dragonfly::routing::Olm;
-use dragonfly::sim::{protocol, Simulation};
+use dragonfly::shard::{ShardPlan, ShardedSimulation};
+use dragonfly::sim::{protocol, EngineHost, Simulation, StatsCollector};
+use dragonfly::stats::ExactStats;
 use dragonfly::topology::DragonflyParams;
 use dragonfly::traffic::Uniform;
 use dragonfly::workload::Schedule;
@@ -95,28 +97,94 @@ fn placement_is_disjoint_covers_at_most_the_machine_and_is_deterministic() {
     assert_eq!(nodes(&schedule), nodes(&placed()));
 }
 
+/// What a statistics record must agree on to count as the same record: the
+/// window, the latency and hop summaries, the misroute and measured counts,
+/// the in-window counters, the histogram total and the packet totals.
+fn record_of(s: &StatsCollector) -> impl PartialEq + std::fmt::Debug {
+    let summary = |e: &ExactStats| (e.count(), e.mean().to_bits(), e.min(), e.max());
+    (
+        (s.window_start, s.window_end, s.measuring),
+        summary(&s.latency),
+        summary(&s.hops),
+        (s.delivered_global_misrouted, s.delivered_local_misrouted),
+        s.measured_delivered,
+        (
+            s.window_phits_injected,
+            s.window_phits_delivered,
+            s.window_packets_delivered,
+        ),
+        s.latency_hist.total(),
+        (s.total_generated, s.total_delivered),
+    )
+}
+
+/// Scopes merged with [`StatsCollector::merge`].
+fn merged(scopes: &[StatsCollector]) -> StatsCollector {
+    let mut all = scopes[0].clone();
+    for scope in &scopes[1..] {
+        all.merge(scope);
+    }
+    all
+}
+
+/// The scope law: every packet of a jobs run belongs to one job and one of
+/// its phases, and every scope is recorded by the run-wide collector's own
+/// code over the run-wide window, so the per-job scopes merge into the
+/// run-wide record and each job's phases merge into the job.  A scope whose
+/// window drifts from the run-wide one (one that missed `begin_measurement`,
+/// say) fails the merge or the comparison.  Checked on the sequential engine
+/// and on 2 shards, with the report's per-job packet counts.
 #[test]
 fn per_job_packet_counts_sum_to_the_aggregate() {
     let spec = workload_spec(RoutingKind::Olm, mixed_placement_workload(), 11);
-    let uniform = Box::new(Uniform::new());
-    let mut sim = Simulation::with_routing(spec.sim_config(), Olm::default(), uniform);
-    sim.install_jobs(spec.traffic.jobs().unwrap());
-    let report =
-        protocol::run_steady_state_workload(&mut sim, spec.warmup, spec.measure, spec.drain);
-    let stats = &sim.network().stats;
+    let jobs = spec.traffic.jobs().unwrap();
+    let sequential = {
+        let uniform = Box::new(Uniform::new());
+        let mut sim = Simulation::with_routing(spec.sim_config(), Olm::default(), uniform);
+        sim.install_jobs(jobs);
+        let report =
+            protocol::run_steady_state_workload(&mut sim, spec.warmup, spec.measure, spec.drain);
+        (report, sim.stats().into_owned())
+    };
+    let sharded = {
+        let mut sim =
+            ShardedSimulation::new(spec.sim_config(), ShardPlan::new(2), Olm::default(), || {
+                Box::new(Uniform::new())
+            });
+        sim.install_jobs(jobs);
+        let report =
+            protocol::run_steady_state_workload(&mut sim, spec.warmup, spec.measure, spec.drain);
+        (report, sim.stats().into_owned())
+    };
 
-    let generated: u64 = report.jobs.iter().map(|j| j.packets_generated).sum();
-    let delivered: u64 = report.jobs.iter().map(|j| j.packets_delivered).sum();
-    let measured: u64 = report.jobs.iter().map(|j| j.packets_measured).sum();
-    assert_eq!(generated, stats.total_generated);
-    assert_eq!(delivered, stats.total_delivered);
-    assert_eq!(measured, stats.measured_delivered);
-    assert!(generated > 500, "workload generated too little traffic");
+    for (engine, (report, stats)) in [("sequential", sequential), ("2 shards", sharded)] {
+        let generated: u64 = report.jobs.iter().map(|j| j.packets_generated).sum();
+        let delivered: u64 = report.jobs.iter().map(|j| j.packets_delivered).sum();
+        let measured: u64 = report.jobs.iter().map(|j| j.packets_measured).sum();
+        assert_eq!(generated, stats.total_generated, "{engine}");
+        assert_eq!(delivered, stats.total_delivered, "{engine}");
+        assert_eq!(measured, stats.measured_delivered, "{engine}");
+        assert!(generated > 500, "workload generated too little traffic");
+        assert!(stats.window_packets_delivered > 0 && stats.measured_delivered > 0);
 
-    // Phases nest inside jobs the same way.
-    for job in &report.jobs {
-        let by_phase: u64 = job.phases.iter().map(|p| p.packets_generated).sum();
-        assert_eq!(by_phase, job.packets_generated, "job {}", job.name);
+        let scoped = stats.scoped.as_ref().expect("jobs enable the scopes");
+        assert_eq!(
+            record_of(&merged(&scoped.per_job)),
+            record_of(&stats),
+            "{engine}: the jobs merge into the run-wide record"
+        );
+        for (j, (job, phases)) in scoped.per_job.iter().zip(&scoped.per_phase).enumerate() {
+            assert_eq!(
+                record_of(&merged(phases)),
+                record_of(job),
+                "{engine}: the phases of job {j} merge into the job"
+            );
+        }
+        // Phases nest inside jobs the same way in the report.
+        for job in &report.jobs {
+            let by_phase: u64 = job.phases.iter().map(|p| p.packets_generated).sum();
+            assert_eq!(by_phase, job.packets_generated, "job {}", job.name);
+        }
     }
 }
 
