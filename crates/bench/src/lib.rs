@@ -287,12 +287,6 @@ impl HarnessArgs {
         Ok((out, names))
     }
 
-    /// Parse from the process arguments over the global defaults (see
-    /// [`HarnessArgs::from_env_over`]).
-    pub fn from_env() -> Self {
-        Self::from_env_over(Self::default())
-    }
-
     /// Parse from the process arguments over `base`: `--help` prints the usage
     /// on stdout and exits 0, a bad argument prints a message on stderr and
     /// exits 2.

@@ -663,10 +663,7 @@ mod tests {
         let sharded_probe = sharded_probe.unwrap();
         assert_eq!(sharded_report, plain);
         assert_eq!(sharded_probe.samples(), probe.samples());
-        assert_eq!(
-            sharded_probe.series().injected.samples(),
-            probe.series().injected.samples()
-        );
+        assert_eq!(sharded_probe.column("injected"), probe.column("injected"));
         assert_eq!(sharded_probe.sorted_flight(), probe.sorted_flight());
     }
 
@@ -687,8 +684,8 @@ mod tests {
             spec.run_with(Jobs, &probed(Some(3), ProbeConfig::default()));
         assert_eq!(sharded, plain);
         assert_eq!(
-            sharded_probe.unwrap().series().delivered.samples(),
-            probe.series().delivered.samples()
+            sharded_probe.unwrap().column("delivered"),
+            probe.column("delivered")
         );
     }
 

@@ -413,8 +413,8 @@ mod tests {
             let (expected, recorder) = spec.run_with(Steady, &options);
             assert_eq!(report, &expected);
             assert_eq!(
-                probe.as_ref().unwrap().series().injected.samples(),
-                recorder.unwrap().series().injected.samples()
+                probe.as_ref().unwrap().column("injected"),
+                recorder.unwrap().column("injected")
             );
         }
     }

@@ -5,18 +5,19 @@ use crate::detect::DetectorConfig;
 
 /// Configuration of a [`crate::ProbeRecorder`].
 ///
-/// The defaults enable the time series and the flight recorder at moderate
+/// The defaults enable the sample table and the flight recorder at moderate
 /// cost and leave the heatmaps off (their footprint scales with
 /// `links × VCs × windows`); sweep binaries expose every knob as a
 /// `--probe-*` flag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeConfig {
-    /// Sampling stride of the time series in cycles (`≥ 1`).
+    /// Sampling stride of the sample table in cycles (`≥ 1`): samples are
+    /// taken at the multiples of `stride`.
     pub stride: u64,
-    /// Maximum samples any one series stores; later sample points are dropped
+    /// Maximum rows the sample table stores; later sample points are dropped
     /// and counted rather than allocated.
     pub max_samples: usize,
-    /// Routers emitted in the per-router time-series output (ranked by total
+    /// Routers emitted from the per-router table (ranked by total
     /// activity at emission time; `0` disables per-router recording and its
     /// storage entirely).
     pub top_k: usize,

@@ -15,15 +15,16 @@
 //!
 //! Like every other probe instrument the ledger is preallocated at
 //! construction, allocation-free on the fold path, and merges associatively
-//! across shards (histograms, totals and cumulative series are all sums), so
-//! sequential and sharded runs emit byte-identical `*_delay.jsonl` files and
-//! `*_series.csv` delay columns.
+//! across shards (histograms and totals are all sums), so sequential and
+//! sharded runs emit byte-identical `*_delay.jsonl` files.
 //!
-//! The cumulative series are the ledger's time axis: `series.csv` carries
-//! them as `delay_folded` plus one `delay_<component>` column each, so the
-//! split of any cycle range is the difference of two rows.
+//! The ledger's time axis is the recorder's sample table: each sample row
+//! copies the folded-packet count and the six component totals, which
+//! `series.csv` carries as `delay_folded` plus one `delay_<component>`
+//! column each, so the split of any cycle range is the difference of two
+//! rows.
 
-use dragonfly_stats::{Histogram, TimeSeries};
+use dragonfly_stats::Histogram;
 
 /// Number of delay components.
 pub const DELAY_COMPONENTS: usize = 6;
@@ -159,8 +160,8 @@ impl DelayRow {
     }
 }
 
-/// The per-partition delay ledger: class histograms, bounded job/phase
-/// totals, and cumulative per-component time series for `series.csv`.
+/// The per-partition delay ledger: class histograms and bounded job/phase
+/// totals.
 #[derive(Debug, Clone)]
 pub struct DelayLedger {
     minimal: ClassLedger,
@@ -169,14 +170,17 @@ pub struct DelayLedger {
     scope_dropped: u64,
     folded: u64,
     violations: u64,
-    series: [TimeSeries; DELAY_COMPONENTS],
-    series_folded: TimeSeries,
+}
+
+impl Default for DelayLedger {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DelayLedger {
-    /// Build a ledger sampling its cumulative series every `stride` cycles
-    /// with at most `max_samples` points, all storage preallocated.
-    pub fn new(stride: u64, max_samples: usize) -> Self {
+    /// Build an empty ledger, all storage preallocated.
+    pub fn new() -> Self {
         Self {
             minimal: ClassLedger::new(),
             misrouted: ClassLedger::new(),
@@ -184,8 +188,6 @@ impl DelayLedger {
             scope_dropped: 0,
             folded: 0,
             violations: 0,
-            series: std::array::from_fn(|_| TimeSeries::with_capacity(stride, max_samples)),
-            series_folded: TimeSeries::with_capacity(stride, max_samples),
         }
     }
 
@@ -243,18 +245,6 @@ impl DelayLedger {
         }
     }
 
-    /// Take a cumulative time-series sample (the recorder calls this from its
-    /// own accepted `sample` branch, so the delay series share the stride,
-    /// capacity and drop policy of every other series).
-    pub fn sample(&mut self) {
-        let total: [u64; DELAY_COMPONENTS] =
-            std::array::from_fn(|i| self.minimal.cycles[i] + self.misrouted.cycles[i]);
-        for (series, cycles) in self.series.iter_mut().zip(total) {
-            series.push(cycles as f64);
-        }
-        self.series_folded.push(self.folded as f64);
-    }
-
     /// Packets folded so far.
     pub fn folded(&self) -> u64 {
         self.folded
@@ -280,24 +270,10 @@ impl DelayLedger {
         &self.misrouted
     }
 
-    /// `(column name, series)` pairs of the cumulative series, one sample
-    /// per recorder stride: the folded-packet count, then each component's
-    /// cycles in canonical order.  `series.csv` appends them to the network
-    /// columns.
-    pub fn columns(&self) -> [(&'static str, &TimeSeries); DELAY_COMPONENTS + 1] {
-        const NAMES: [&str; DELAY_COMPONENTS] = [
-            "delay_injection_queue",
-            "delay_vc_wait",
-            "delay_credit_wait",
-            "delay_link_transit",
-            "delay_detour",
-            "delay_serialization",
-        ];
-        let mut columns = [("delay_folded", &self.series_folded); DELAY_COMPONENTS + 1];
-        for (i, series) in self.series.iter().enumerate() {
-            columns[i + 1] = (NAMES[i], series);
-        }
-        columns
+    /// Exact per-component cycle totals over every folded packet, in
+    /// [`DELAY_COMPONENT_NAMES`] order.
+    pub fn cycles(&self) -> [u64; DELAY_COMPONENTS] {
+        std::array::from_fn(|i| self.minimal.cycles[i] + self.misrouted.cycles[i])
     }
 
     /// Merge another partition's ledger (element-wise sums everywhere —
@@ -312,10 +288,6 @@ impl DelayLedger {
         self.scope_dropped += other.scope_dropped;
         self.folded += other.folded;
         self.violations += other.violations;
-        for (dst, src) in self.series.iter_mut().zip(&other.series) {
-            dst.merge(src);
-        }
-        self.series_folded.merge(&other.series_folded);
     }
 
     /// The emitted rows in canonical order: `net`, `minimal`, `misrouted`
@@ -391,7 +363,7 @@ mod tests {
 
     #[test]
     fn fold_routes_by_class_and_counts_conservation() {
-        let mut ledger = DelayLedger::new(4, 8);
+        let mut ledger = DelayLedger::new();
         let s = sample([1, 2, 3, 4, 0, 5], false);
         ledger.fold(&s, 15);
         let m = sample([0, 1, 0, 9, 7, 3], true);
@@ -408,7 +380,7 @@ mod tests {
 
     #[test]
     fn rows_emit_net_then_classes_with_exact_percentiles() {
-        let mut ledger = DelayLedger::new(4, 8);
+        let mut ledger = DelayLedger::new();
         ledger.fold(&sample([10, 0, 0, 100, 0, 7], false), 117);
         ledger.fold(&sample([20, 0, 0, 100, 30, 7], true), 157);
         let rows = ledger.rows();
@@ -429,7 +401,7 @@ mod tests {
 
     #[test]
     fn job_scopes_are_bounded_sorted_and_percentile_free() {
-        let mut ledger = DelayLedger::new(4, 8);
+        let mut ledger = DelayLedger::new();
         for job in (0..40u16).rev() {
             let mut s = sample([job as u64, 0, 0, 0, 0, 0], false);
             s.job = job;
@@ -455,14 +427,13 @@ mod tests {
     #[test]
     fn merge_is_associative_and_order_independent() {
         let build = |packets: &[(u64, bool, u16)]| {
-            let mut ledger = DelayLedger::new(4, 8);
+            let mut ledger = DelayLedger::new();
             for &(c, mis, job) in packets {
                 let mut s = sample([c, 0, 0, c, 0, 0], mis);
                 s.job = job;
                 s.phase = 1;
                 ledger.fold(&s, 2 * c);
             }
-            ledger.sample();
             ledger
         };
         let a = build(&[(3, false, 0), (5, true, 1)]);
@@ -473,23 +444,8 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.rows(), ba.rows());
         assert_eq!(ab.meta_json(), ba.meta_json());
-        assert_eq!(ab.columns()[1].1.samples(), ba.columns()[1].1.samples());
+        assert_eq!(ab.cycles(), ba.cycles());
+        assert_eq!(ab.cycles(), [15, 0, 0, 15, 0, 0]);
         assert_eq!(ab.folded(), 3);
-    }
-
-    #[test]
-    fn cumulative_series_track_folds() {
-        let mut ledger = DelayLedger::new(4, 8);
-        ledger.sample();
-        ledger.fold(&sample([1, 0, 0, 2, 0, 0], false), 3);
-        ledger.sample();
-        let columns = ledger.columns();
-        assert_eq!(columns[0].0, "delay_folded");
-        assert_eq!(columns[0].1.samples(), &[0.0, 1.0]);
-        for (i, (name, series)) in columns[1..].iter().enumerate() {
-            assert_eq!(*name, format!("delay_{}", DELAY_COMPONENT_NAMES[i]));
-            let want = [0.0, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0][i]];
-            assert_eq!(series.samples(), &want, "{name}");
-        }
     }
 }

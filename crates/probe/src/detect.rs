@@ -1,18 +1,16 @@
 //! Anomaly detectors: one pure function of the recorded sample stream,
 //! evaluated once after the run.
 //!
-//! [`detect`] reads the series the recorder already keeps (one row per
-//! recorded time-series sample, never per cycle) and returns the verdicts.
-//! Nothing in the cycle loop steps a detector, so a sharded run needs no
-//! special handling: its merged series are byte-identical to the sequential
-//! run's (the pinned shard-invariance of the passive layer), and the same
-//! function of the same series gives the same [`TripRecord`]s.
+//! [`detect`] reads the tables the recorder already keeps (one row per
+//! recorded sample, never per cycle) and returns the verdicts.  Nothing in
+//! the cycle loop steps a detector, so a sharded run needs no special
+//! handling: its merged tables are byte-identical to the sequential run's
+//! (the pinned shard-invariance of the passive layer), and the same function
+//! of the same tables gives the same [`TripRecord`]s.
 //!
 //! All evidence is kept as exact integers (numerator/denominator pairs, never
 //! ratios), so trigger files format identically everywhere.  The trip list is
 //! bounded by [`DetectorConfig::max_trips`]; the overflow is counted.
-
-use dragonfly_stats::TimeSeries;
 
 /// Detector id: accepted/injected throughput ratio collapsed below
 /// `collapse_pct` over an evaluation window.
@@ -155,8 +153,8 @@ pub struct DetectorSample {
 /// Evaluate every armed detector over a recorded sample stream.
 ///
 /// `rows` holds the network-wide counters of each sample;
-/// `router_delivered[r]` is router `r`'s cumulative deliveries over the same
-/// samples, read only at window boundaries (an empty slice disarms the
+/// `router_delivered[i * routers + r]` is router `r`'s cumulative deliveries
+/// at sample `i`, read only at window boundaries (`routers == 0` disarms the
 /// fairness-skew detector).  Returns the kept trips in firing order — by
 /// sample, then stall < collapse < storm < skew — and the number dropped past
 /// [`DetectorConfig::max_trips`].
@@ -167,17 +165,27 @@ pub struct DetectorSample {
 ///   of `window` samples at its last sample, from the cumulative counters at
 ///   its boundaries, and fire when their condition holds in this window and
 ///   did not hold in the previous one (a persistent anomaly trips once).
+///
+/// # Panics
+///
+/// Panics unless `router_delivered` holds `rows.len() * routers` counts.
 pub fn detect(
     cfg: &DetectorConfig,
     rows: &[DetectorSample],
-    router_delivered: &[TimeSeries],
+    router_delivered: &[u64],
+    routers: usize,
 ) -> (Vec<TripRecord>, u64) {
+    assert_eq!(
+        router_delivered.len(),
+        rows.len() * routers,
+        "one delivered count per router and sample"
+    );
     let mut trips = Vec::new();
     if !cfg.enabled() {
         return (trips, 0);
     }
     let w = cfg.window as usize;
-    let routers = router_delivered.len() as u64;
+    let at = |i: usize, r: usize| router_delivered[i * routers + r];
     let (mut run, mut run_start) = (0u32, 0u64);
     // Whether each windowed detector's condition held in the previous window.
     let mut held = [false; 4];
@@ -223,9 +231,8 @@ pub fn detect(
         let busy = d_inj >= cfg.min_window_injected;
 
         let (mut total, mut max_delta, mut max_router) = (0u64, 0u64, NO_ROUTER);
-        for (r, series) in router_delivered.iter().enumerate() {
-            let at = |s: usize| series.samples()[s] as u64;
-            let delta = at(i) - if first == 0 { 0 } else { at(first - 1) };
+        for r in 0..routers {
+            let delta = at(i, r) - if first == 0 { 0 } else { at(first - 1, r) };
             total += delta;
             if delta > max_delta {
                 max_delta = delta;
@@ -233,7 +240,7 @@ pub fn detect(
             }
         }
         let skewed = total >= cfg.min_window_injected
-            && max_delta * routers * 100 > u64::from(cfg.skew_pct) * total;
+            && max_delta * routers as u64 * 100 > u64::from(cfg.skew_pct) * total;
 
         for (detector, holds, observed, bound, router) in [
             (
@@ -250,7 +257,13 @@ pub fn detect(
                 d_inj,
                 NO_ROUTER,
             ),
-            (DETECT_SKEW, skewed, max_delta * routers, total, max_router),
+            (
+                DETECT_SKEW,
+                skewed,
+                max_delta * routers as u64,
+                total,
+                max_router,
+            ),
         ] {
             if holds && !held[detector as usize] {
                 trips.push(TripRecord {
@@ -304,7 +317,7 @@ mod tests {
     }
 
     fn run(cfg: &DetectorConfig, stream: &[(u64, u64, u64, u64, u64)]) -> (Vec<TripRecord>, u64) {
-        detect(cfg, &rows(stream), &[])
+        detect(cfg, &rows(stream), &[], 0)
     }
 
     #[test]
@@ -370,20 +383,12 @@ mod tests {
     fn storm_and_skew_evidence_is_exact() {
         // Window: 20 injected, 13 misroutes (65% > 60%); router 2 delivers 10
         // of 12 (skew 10*4*100 = 4000 > 300*12 = 3600).
-        let per_router = [[1, 0, 5, 0], [1, 0, 10, 1]];
-        let router_delivered: Vec<TimeSeries> = (0..4)
-            .map(|r| {
-                let mut series = TimeSeries::new(4);
-                for sample in &per_router {
-                    series.push(sample[r] as f64);
-                }
-                series
-            })
-            .collect();
+        let router_delivered = [1, 0, 5, 0, 1, 0, 10, 1];
         let (trips, _) = detect(
             &cfg(),
             &rows(&[(0, 10, 6, 6, 0), (4, 20, 12, 13, 0)]),
             &router_delivered,
+            4,
         );
         assert_eq!(trips.len(), 2);
         assert_eq!(trips[0].detector, DETECT_STORM);

@@ -3,17 +3,19 @@
 //! Every emitted number is an exact integer count, so the byte output of a
 //! merged sharded recorder is identical to the sequential recorder's — no
 //! float formatting is involved anywhere on the determinism-pinned paths.
-//! The diagnostics file (`*_diag.csv`) is the deliberate exception: its
-//! values are engine-dependent (see [`crate::recorder::DiagSeries`]).
+//! `series.csv` and `diag.csv` are two column ranges of the one sample
+//! table, each row led by the cycle it was taken at; the diagnostics file is
+//! the deliberate exception to byte identity, its values being
+//! engine-dependent (see [`crate::recorder::COLUMNS`]).
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::flight::{FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT, NONE_U16};
 use crate::manifest::RunManifest;
-use crate::recorder::{class_name, ProbeRecorder};
-use dragonfly_stats::TimeSeries;
+use crate::recorder::{class_name, ProbeRecorder, COLUMNS, DELAY, DIAG, NETWORK};
 
 fn kind_name(kind: u8) -> &'static str {
     match kind {
@@ -49,9 +51,7 @@ impl ProbeRecorder {
             written.push(path);
             Ok::<(), io::Error>(())
         };
-        emit("series.csv", &|out| {
-            write_columns_csv(out, &self.series_columns())
-        })?;
+        emit("series.csv", &|out| self.write_series_csv(out))?;
         if self.cfg.top_k > 0 {
             emit("routers.csv", &|out| self.write_router_series_csv(out))?;
         }
@@ -70,9 +70,7 @@ impl ProbeRecorder {
                 self.write_trigger_jsonl(out, &trips, dropped)
             })?;
         }
-        emit("diag.csv", &|out| {
-            write_columns_csv(out, &self.diag.columns())
-        })?;
+        emit("diag.csv", &|out| self.write_table_csv(out, &[DIAG]))?;
         Ok(written)
     }
 
@@ -108,29 +106,38 @@ impl ProbeRecorder {
         Ok(written)
     }
 
-    /// The columns of `series.csv`: the network series, then the delay
-    /// ledger's cumulative series when it is armed.
-    pub(crate) fn series_columns(&self) -> Vec<(&'static str, &TimeSeries)> {
-        let mut columns = self.series.columns().to_vec();
-        if let Some(ledger) = &self.ledger {
-            columns.extend(ledger.columns());
-        }
-        columns
+    /// `series.csv`: the network series, then the delay ledger's totals
+    /// when it is armed.
+    pub(crate) fn write_series_csv(&self, out: &mut impl Write) -> io::Result<()> {
+        self.write_table_csv(out, &[NETWORK, DELAY.start..self.width()])
     }
 
-    /// Per-router time series of the top-K routers by total activity.
+    /// The sample table as CSV: a `cycle` column, then the `ranges` of
+    /// [`COLUMNS`], one line per sample.
+    fn write_table_csv(&self, out: &mut impl Write, ranges: &[Range<usize>]) -> io::Result<()> {
+        let columns = || ranges.iter().cloned().flatten();
+        write!(out, "cycle")?;
+        for k in columns() {
+            write!(out, ",{}", COLUMNS[k].0)?;
+        }
+        writeln!(out)?;
+        for row in self.table() {
+            write!(out, "{}", row[0])?;
+            for k in columns() {
+                write!(out, ",{}", row[k])?;
+            }
+            writeln!(out)?;
+        }
+        Ok(())
+    }
+
+    /// The router table of the top-K routers by total activity.
     pub fn write_router_series_csv(&self, out: &mut impl Write) -> io::Result<()> {
         writeln!(out, "router,cycle,injected,delivered,misrouted")?;
         for r in self.top_routers(self.cfg.top_k) {
-            for i in 0..self.samples {
-                writeln!(
-                    out,
-                    "{r},{},{},{},{}",
-                    self.series.injected.cycle_of(i),
-                    self.router_injected_series[r].samples()[i] as u64,
-                    self.router_delivered_series[r].samples()[i] as u64,
-                    self.router_misrouted_series[r].samples()[i] as u64,
-                )?;
+            for (i, row) in self.table().enumerate() {
+                let [injected, delivered, misrouted] = self.router_counts(i, r);
+                writeln!(out, "{r},{},{injected},{delivered},{misrouted}", row[0])?;
             }
         }
         Ok(())
@@ -217,32 +224,6 @@ impl ProbeRecorder {
     }
 }
 
-/// `(name, series)` columns (e.g. `recorder.series().columns()`) as a CSV
-/// table — a `cycle` column, then one per series.  Writes `series.csv` and
-/// `diag.csv` (whose engine-dependent values sit outside the byte-identity
-/// guarantee).
-pub(crate) fn write_columns_csv(
-    out: &mut impl Write,
-    columns: &[(&str, &TimeSeries)],
-) -> io::Result<()> {
-    write!(out, "cycle")?;
-    for (name, _) in columns {
-        write!(out, ",{name}")?;
-    }
-    writeln!(out)?;
-    let Some((_, first)) = columns.first() else {
-        return Ok(());
-    };
-    for i in 0..first.len() {
-        write!(out, "{}", first.cycle_of(i))?;
-        for (_, series) in columns {
-            write!(out, ",{}", series.samples()[i] as u64)?;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +280,7 @@ mod tests {
     fn csv_and_jsonl_shapes() {
         let p = recorder();
         let mut series = Vec::new();
-        write_columns_csv(&mut series, &p.series().columns()).unwrap();
+        p.write_series_csv(&mut series).unwrap();
         let text = String::from_utf8(series).unwrap();
         assert!(text.starts_with("cycle,injected,delivered"), "{text}");
         assert!(text.contains("\n0,1,0,"), "{text}");
@@ -362,7 +343,7 @@ mod tests {
         );
 
         let mut diag = Vec::new();
-        write_columns_csv(&mut diag, &p.diag().columns()).unwrap();
+        p.write_table_csv(&mut diag, &[DIAG]).unwrap();
         assert!(String::from_utf8(diag)
             .unwrap()
             .starts_with("cycle,arena_grows,"));

@@ -8,11 +8,12 @@
 //!
 //! Five instruments share one [`ProbeConfig`]:
 //!
-//! * **time series** — network-wide counters (injected / delivered packets,
-//!   misroute decisions, buffered phits, per-class link phits, Piggybacking
-//!   congested-flag count) sampled every `stride` cycles into preallocated
-//!   [`dragonfly_stats::TimeSeries`] buffers, plus per-router counters for a
-//!   top-K cut,
+//! * **sample table** — every `stride` cycles, one preallocated row of
+//!   exact integers: the cycle it was taken at, the network-wide counters
+//!   (injected / delivered packets, misroute decisions, buffered phits,
+//!   per-class link phits, Piggybacking congested-flag count), the delay
+//!   ledger's totals when it is armed and the diagnostics below; plus a
+//!   router table of per-router counters for a top-K cut,
 //! * **flight recorder** — a deterministic ~1/N sample of packets (pure hash
 //!   of `(source, generation cycle)`, *not* RNG) whose per-hop events land in
 //!   a fixed-capacity ring,
@@ -30,24 +31,26 @@
 //!   per-component histograms whose integer sum equals the end-to-end latency
 //!   for every packet (the conservation invariant).
 //!
-//! Every datum is written once, in one encoding: the network series (and,
-//! with the delay ledger on, its cumulative per-component columns) in
-//! `series.csv`, the ledger's table in `delay.jsonl`, the flight events in
-//! `flight.jsonl`, the heatmap cells in `heatmap.csv`.
+//! Every datum is written once, in one encoding: the sample table's network
+//! (and, with the delay ledger on, cumulative per-component) columns in
+//! `series.csv` and its diagnostics columns in `diag.csv`, the router table
+//! in `routers.csv`, the ledger's histograms in `delay.jsonl`, the flight
+//! events in `flight.jsonl`, the heatmap cells in `heatmap.csv`.
 //!
 //! # Determinism
 //!
 //! Every counter is attributed to exactly one router/link owner, so the
 //! per-shard recorders of a sharded run merge by plain element-wise addition
-//! ([`ProbeRecorder::merge`]; the sample counts, which every partition
-//! shares, by maximum) — commutative and associative like `ExactStats`,
+//! ([`ProbeRecorder::merge`]: each sample-table column by its stated rule —
+//! the cycle asserted equal, the two ring high-water marks by maximum, every
+//! other column summed) — commutative and associative like `ExactStats`,
 //! hence shard-count-invariant.  The two bounded buffers keep
 //! sets defined by the whole run — the flight ring whole cycles, the delay
 //! ledger's scope table the smallest keys — and their merge applies the same
 //! bound to the union, so even an overflowing run merges to the sequential
 //! recorder's contents.  Flight events are sorted into a canonical total
 //! order at emission time, so the emitted files (except the diagnostics
-//! series) are byte-identical between sequential and sharded runs of the same
+//! file) are byte-identical between sequential and sharded runs of the same
 //! spec (pinned by `tests/probe_invariance.rs`).
 //!
 //! # Zero allocation
@@ -66,8 +69,8 @@
 //!
 //! * **detectors** ([`detect()`]) — four anomaly verdicts (throughput
 //!   collapse, credit stall, misroute storm, fairness skew) computed once,
-//!   when the file set is written, as one function of the recorded series.
-//!   Merged series are byte-identical to sequential ones, so the verdicts
+//!   when the file set is written, as one function of the recorded tables.
+//!   Merged tables are byte-identical to sequential ones, so the verdicts
 //!   are too, and the cycle loop never steps a detector,
 //! * **trip log** — every trip is one line of `*_trigger.jsonl`, carrying
 //!   the cycle range (`bundle_lo`..=`bundle_hi`) and the implicated

@@ -63,7 +63,7 @@ pub struct RunManifest {
     pub peak_buffered_phits: u64,
     /// Peak occupancy of any single VC, in phits.
     pub peak_vc_occupancy: u64,
-    /// Sample points dropped past `max_samples` (every series stops there).
+    /// Sample points dropped past `max_samples` (the sample table stops there).
     /// [`crate::ProbeRecorder::write_all_with_manifest`] fills it from the
     /// recorder.
     pub samples_dropped: u64,

@@ -4,7 +4,7 @@ use crate::config::ProbeConfig;
 use crate::delay::{DelayLedger, DelaySample};
 use crate::detect::{detect, DetectorSample, TripRecord};
 use crate::flight::{flight_hash, FlightEvent};
-use dragonfly_stats::TimeSeries;
+use std::ops::Range;
 
 /// Link class: a local (intra-group) channel.
 pub const CLASS_LOCAL: u8 = 0;
@@ -71,131 +71,65 @@ pub struct SampleSnapshot {
     pub active_routers: u64,
 }
 
-/// The network-wide deterministic time series, one [`TimeSeries`] per counter.
-///
-/// All values are exact cumulative counts stored as `f64` (lossless below
-/// 2^53), so per-shard series merge by element-wise addition.
-#[derive(Debug, Clone)]
-pub struct SeriesSet {
-    /// Packets generated.
-    pub injected: TimeSeries,
-    /// Packets delivered.
-    pub delivered: TimeSeries,
-    /// Route grants that took a non-minimal global hop (the OLM/RLM/PB
-    /// threshold comparison crossed in favour of misrouting).
-    pub global_misroute_decisions: TimeSeries,
-    /// Route grants that took a non-minimal local hop.
-    pub local_misroute_decisions: TimeSeries,
-    /// Phits buffered in input VCs at the sample point.
-    pub buffered_phits: TimeSeries,
-    /// Piggybacking congested flags set at the sample point.
-    pub pb_congested: TimeSeries,
-    /// Phits sent on local links.
-    pub link_local_phits: TimeSeries,
-    /// Phits sent on global links.
-    pub link_global_phits: TimeSeries,
-    /// Phits sent on terminal links.
-    pub link_terminal_phits: TimeSeries,
+/// How two engine partitions' values of one sample-table column combine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merge {
+    /// The same on every partition (the sample's cycle): asserted equal.
+    Equal,
+    /// Each partition counts only what it owns: added.
+    Sum,
+    /// A high-water mark: the larger value.
+    Max,
 }
 
-impl SeriesSet {
-    fn new(stride: u64, capacity: usize) -> Self {
-        let mk = || TimeSeries::with_capacity(stride, capacity);
-        Self {
-            injected: mk(),
-            delivered: mk(),
-            global_misroute_decisions: mk(),
-            local_misroute_decisions: mk(),
-            buffered_phits: mk(),
-            pb_congested: mk(),
-            link_local_phits: mk(),
-            link_global_phits: mk(),
-            link_terminal_phits: mk(),
-        }
-    }
+/// The sample table's columns in row order, each with its merge rule.  A row
+/// holds the first [`DELAY`]`.start` of them, plus the delay columns when the
+/// delay ledger is armed.  Every value is an exact integer.
+pub(crate) const COLUMNS: [(&str, Merge); 22] = [
+    ("cycle", Merge::Equal),
+    // The network series (`series.csv`): cumulative counts, then the gauges
+    // read at the sample point.
+    ("injected", Merge::Sum),
+    ("delivered", Merge::Sum),
+    // Route grants whose threshold comparison chose a non-minimal global
+    // (local) hop.
+    ("global_misroute_decisions", Merge::Sum),
+    ("local_misroute_decisions", Merge::Sum),
+    ("buffered_phits", Merge::Sum),
+    ("pb_congested", Merge::Sum),
+    ("link_local_phits", Merge::Sum),
+    ("link_global_phits", Merge::Sum),
+    ("link_terminal_phits", Merge::Sum),
+    // Engine diagnostics (`diag.csv`): memory counters whose values
+    // legitimately differ between the sequential and sharded engines (each
+    // shard has its own arena and drains its boundary rings every cycle), so
+    // they sit outside the byte-identity guarantee.
+    ("arena_grows", Merge::Sum),
+    ("phit_ring_high_water", Merge::Max),
+    ("credit_ring_high_water", Merge::Max),
+    ("active_links", Merge::Sum),
+    ("active_routers", Merge::Sum),
+    // The delay ledger's totals (`series.csv`, delay probe only): packets
+    // folded, then each component's cycles, so the delay split of any cycle
+    // range is the difference of two rows.
+    ("delay_folded", Merge::Sum),
+    ("delay_injection_queue", Merge::Sum),
+    ("delay_vc_wait", Merge::Sum),
+    ("delay_credit_wait", Merge::Sum),
+    ("delay_link_transit", Merge::Sum),
+    ("delay_detour", Merge::Sum),
+    ("delay_serialization", Merge::Sum),
+];
 
-    /// `(column name, series)` pairs in emission order.
-    pub fn columns(&self) -> [(&'static str, &TimeSeries); 9] {
-        [
-            ("injected", &self.injected),
-            ("delivered", &self.delivered),
-            ("global_misroute_decisions", &self.global_misroute_decisions),
-            ("local_misroute_decisions", &self.local_misroute_decisions),
-            ("buffered_phits", &self.buffered_phits),
-            ("pb_congested", &self.pb_congested),
-            ("link_local_phits", &self.link_local_phits),
-            ("link_global_phits", &self.link_global_phits),
-            ("link_terminal_phits", &self.link_terminal_phits),
-        ]
-    }
+/// The network series' columns of [`COLUMNS`].
+pub(crate) const NETWORK: Range<usize> = 1..10;
+/// The engine diagnostics' columns of [`COLUMNS`].
+pub(crate) const DIAG: Range<usize> = 10..15;
+/// The delay ledger's columns of [`COLUMNS`].
+pub(crate) const DELAY: Range<usize> = 15..22;
 
-    fn merge(&mut self, other: &SeriesSet) {
-        self.injected.merge(&other.injected);
-        self.delivered.merge(&other.delivered);
-        self.global_misroute_decisions
-            .merge(&other.global_misroute_decisions);
-        self.local_misroute_decisions
-            .merge(&other.local_misroute_decisions);
-        self.buffered_phits.merge(&other.buffered_phits);
-        self.pb_congested.merge(&other.pb_congested);
-        self.link_local_phits.merge(&other.link_local_phits);
-        self.link_global_phits.merge(&other.link_global_phits);
-        self.link_terminal_phits.merge(&other.link_terminal_phits);
-    }
-}
-
-/// Engine-dependent diagnostic series: memory counters whose values
-/// legitimately differ between the sequential and sharded engines (each shard
-/// has its own arena and drains its boundary rings every cycle).  Emitted to a
-/// separate file excluded from the byte-identity guarantee.
-#[derive(Debug, Clone)]
-pub struct DiagSeries {
-    /// Packet-arena growths beyond the preallocation (summed across shards).
-    pub arena_grows: TimeSeries,
-    /// Maximum link phit-ring occupancy (maxed across shards).
-    pub phit_ring_high_water: TimeSeries,
-    /// Maximum link credit-ring occupancy (maxed across shards).
-    pub credit_ring_high_water: TimeSeries,
-    /// Active-set link population (summed across shards).
-    pub active_links: TimeSeries,
-    /// Active-set router population (summed across shards).
-    pub active_routers: TimeSeries,
-}
-
-impl DiagSeries {
-    fn new(stride: u64, capacity: usize) -> Self {
-        let mk = || TimeSeries::with_capacity(stride, capacity);
-        Self {
-            arena_grows: mk(),
-            phit_ring_high_water: mk(),
-            credit_ring_high_water: mk(),
-            active_links: mk(),
-            active_routers: mk(),
-        }
-    }
-
-    /// `(column name, series)` pairs in emission order.
-    pub fn columns(&self) -> [(&'static str, &TimeSeries); 5] {
-        [
-            ("arena_grows", &self.arena_grows),
-            ("phit_ring_high_water", &self.phit_ring_high_water),
-            ("credit_ring_high_water", &self.credit_ring_high_water),
-            ("active_links", &self.active_links),
-            ("active_routers", &self.active_routers),
-        ]
-    }
-
-    fn merge(&mut self, other: &DiagSeries) {
-        // Growth and population counts add; high-water marks take the maximum.
-        self.arena_grows.merge(&other.arena_grows);
-        self.phit_ring_high_water
-            .merge_max(&other.phit_ring_high_water);
-        self.credit_ring_high_water
-            .merge_max(&other.credit_ring_high_water);
-        self.active_links.merge(&other.active_links);
-        self.active_routers.merge(&other.active_routers);
-    }
-}
+/// Counters per router in a router-table row: injected, delivered, misrouted.
+const ROUTER_COUNTERS: usize = 3;
 
 /// The probe state of one engine partition: all storage preallocated at
 /// construction, all record methods allocation-free.
@@ -213,13 +147,14 @@ pub struct ProbeRecorder {
     pub(crate) router_delivered: Vec<u64>,
     pub(crate) router_misrouted: Vec<u64>,
 
-    // Sampled series.
-    pub(crate) series: SeriesSet,
-    pub(crate) diag: DiagSeries,
-    pub(crate) router_injected_series: Vec<TimeSeries>,
-    pub(crate) router_delivered_series: Vec<TimeSeries>,
-    pub(crate) router_misrouted_series: Vec<TimeSeries>,
-    pub(crate) samples: usize,
+    // The sample table: one row of `width()` `COLUMNS` per accepted sample,
+    // reserved for `max_samples` rows.
+    pub(crate) rows: Vec<u64>,
+    // The router table (`top_k > 0` only): per accepted sample, one row of
+    // `ROUTER_COUNTERS × routers` cumulative counts — every router's
+    // injected, then delivered, then misrouted — reserved for `max_samples`
+    // rows.
+    pub(crate) router_rows: Vec<u64>,
     pub(crate) samples_dropped: u64,
 
     // Flight recorder: the events of every cycle before `flight_cutoff`, the
@@ -249,41 +184,31 @@ impl ProbeRecorder {
             dims.links(),
             "link_class must cover every link"
         );
-        let routers = dims.routers;
         let heat_cells = if cfg.heatmap_enabled() {
             cfg.max_windows * dims.links() * dims.vcs
         } else {
             0
         };
-        let per_router_series = |enabled: bool| {
-            if enabled {
-                (0..routers)
-                    .map(|_| TimeSeries::with_capacity(cfg.stride, cfg.max_samples))
-                    .collect()
-            } else {
-                Vec::new()
-            }
-        };
+        let mut router_rows = Vec::new();
+        if cfg.top_k > 0 {
+            router_rows.reserve_exact(cfg.max_samples * ROUTER_COUNTERS * dims.routers);
+        }
         let mut flight = Vec::new();
         flight.reserve_exact(if cfg.flight_enabled() {
             cfg.flight_capacity
         } else {
             0
         });
-        Self {
-            series: SeriesSet::new(cfg.stride, cfg.max_samples),
-            diag: DiagSeries::new(cfg.stride, cfg.max_samples),
-            router_injected_series: per_router_series(cfg.top_k > 0),
-            router_delivered_series: per_router_series(cfg.top_k > 0),
-            router_misrouted_series: per_router_series(cfg.top_k > 0),
-            router_injected: vec![0; routers],
-            router_delivered: vec![0; routers],
-            router_misrouted: vec![0; routers],
+        let mut recorder = Self {
+            rows: Vec::new(),
+            router_rows,
+            router_injected: vec![0; dims.routers],
+            router_delivered: vec![0; dims.routers],
+            router_misrouted: vec![0; dims.routers],
             injected_total: 0,
             delivered_total: 0,
             global_mis_total: 0,
             local_mis_total: 0,
-            samples: 0,
             samples_dropped: 0,
             flight,
             flight_dropped: 0,
@@ -293,12 +218,13 @@ impl ProbeRecorder {
             heat_occupancy: vec![0; heat_cells],
             heat_windows: 0,
             heat_dropped: 0,
-            ledger: cfg
-                .delay_enabled()
-                .then(|| DelayLedger::new(cfg.stride, cfg.max_samples)),
+            ledger: cfg.delay_enabled().then(DelayLedger::new),
             cfg,
             dims,
-        }
+        };
+        let cells = recorder.cfg.max_samples * recorder.width();
+        recorder.rows.reserve_exact(cells);
+        recorder
     }
 
     /// The configuration the recorder was built with.
@@ -454,73 +380,85 @@ impl ProbeRecorder {
         }
     }
 
-    /// Take a time-series sample at `cycle` (the engine calls this every
-    /// `stride` cycles, after its per-cycle bookkeeping).  `link_phits` is the
+    /// Take a sample at `cycle` (the engine calls this every `stride`
+    /// cycles, after its per-cycle bookkeeping): one row of the sample table
+    /// and, with `top_k > 0`, one of the router table.  `link_phits` is the
     /// engine's cumulative per-link phit counter, classified via
     /// [`ProbeDims::link_class`].
-    pub fn sample(&mut self, _cycle: u64, link_phits: &[u64], snap: SampleSnapshot) {
-        if self.samples >= self.cfg.max_samples {
+    pub fn sample(&mut self, cycle: u64, link_phits: &[u64], snap: SampleSnapshot) {
+        if self.samples() >= self.cfg.max_samples {
             self.samples_dropped += 1;
             return;
         }
-        self.samples += 1;
         let mut by_class = [0u64; 3];
         for (li, &phits) in link_phits.iter().enumerate() {
             by_class[self.dims.link_class[li] as usize] += phits;
         }
-        self.series.injected.push(self.injected_total as f64);
-        self.series.delivered.push(self.delivered_total as f64);
-        self.series
-            .global_misroute_decisions
-            .push(self.global_mis_total as f64);
-        self.series
-            .local_misroute_decisions
-            .push(self.local_mis_total as f64);
-        self.series.buffered_phits.push(snap.buffered_phits as f64);
-        self.series.pb_congested.push(snap.pb_congested as f64);
-        self.series
-            .link_local_phits
-            .push(by_class[CLASS_LOCAL as usize] as f64);
-        self.series
-            .link_global_phits
-            .push(by_class[CLASS_GLOBAL as usize] as f64);
-        self.series
-            .link_terminal_phits
-            .push(by_class[CLASS_TERMINAL as usize] as f64);
-        self.diag.arena_grows.push(snap.arena_grows as f64);
-        self.diag
-            .phit_ring_high_water
-            .push(snap.phit_ring_high_water as f64);
-        self.diag
-            .credit_ring_high_water
-            .push(snap.credit_ring_high_water as f64);
-        self.diag.active_links.push(snap.active_links as f64);
-        self.diag.active_routers.push(snap.active_routers as f64);
+        // In `COLUMNS` order.
+        self.rows.extend_from_slice(&[
+            cycle,
+            self.injected_total,
+            self.delivered_total,
+            self.global_mis_total,
+            self.local_mis_total,
+            snap.buffered_phits,
+            snap.pb_congested,
+            by_class[CLASS_LOCAL as usize],
+            by_class[CLASS_GLOBAL as usize],
+            by_class[CLASS_TERMINAL as usize],
+            snap.arena_grows,
+            snap.phit_ring_high_water,
+            snap.credit_ring_high_water,
+            snap.active_links,
+            snap.active_routers,
+        ]);
+        if let Some(ledger) = &self.ledger {
+            self.rows.push(ledger.folded());
+            self.rows.extend_from_slice(&ledger.cycles());
+        }
         if self.cfg.top_k > 0 {
-            for r in 0..self.dims.routers {
-                self.router_injected_series[r].push(self.router_injected[r] as f64);
-                self.router_delivered_series[r].push(self.router_delivered[r] as f64);
-                self.router_misrouted_series[r].push(self.router_misrouted[r] as f64);
-            }
-        }
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.sample();
+            self.router_rows.extend_from_slice(&self.router_injected);
+            self.router_rows.extend_from_slice(&self.router_delivered);
+            self.router_rows.extend_from_slice(&self.router_misrouted);
         }
     }
 
-    /// Number of time-series samples recorded.
+    /// Columns per sample-table row: every [`COLUMNS`] entry with the delay
+    /// ledger armed, the ones before [`DELAY`] without.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        if self.ledger.is_some() {
+            COLUMNS.len()
+        } else {
+            DELAY.start
+        }
+    }
+
+    /// Number of samples recorded.
     pub fn samples(&self) -> usize {
-        self.samples
+        self.rows.len() / self.width()
     }
 
-    /// The network-wide deterministic series.
-    pub fn series(&self) -> &SeriesSet {
-        &self.series
+    /// The sample table's rows, oldest first.
+    pub(crate) fn table(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.rows.chunks_exact(self.width())
     }
 
-    /// The engine-dependent diagnostic series.
-    pub fn diag(&self) -> &DiagSeries {
-        &self.diag
+    /// One column of the sample table by name (`cycle`, a `series.csv` or a
+    /// `diag.csv` column), one value per sample; `None` for a name the
+    /// table does not hold (the delay columns without the delay ledger).
+    pub fn column(&self, name: &str) -> Option<Vec<u64>> {
+        let k = COLUMNS[..self.width()]
+            .iter()
+            .position(|&(column, _)| column == name)?;
+        Some(self.table().map(|row| row[k]).collect())
+    }
+
+    /// Router `r`'s cumulative counts at sample `i`: injected, delivered,
+    /// misrouted.
+    pub(crate) fn router_counts(&self, i: usize, r: usize) -> [u64; ROUTER_COUNTERS] {
+        let row = &self.router_rows[i * ROUTER_COUNTERS * self.dims.routers..];
+        std::array::from_fn(|k| row[k * self.dims.routers + r])
     }
 
     /// Recorded flight events, in recording order (use
@@ -565,35 +503,50 @@ impl ProbeRecorder {
         order
     }
 
-    /// The detector verdicts over the recorded series (see
-    /// [`crate::detect()`]) and the number dropped past `max_trips`.  Empty
-    /// when the detectors are off; the fairness-skew detector is armed only
-    /// when per-router series are recorded (`top_k > 0`).
+    /// The detector verdicts over the sample table (see [`crate::detect()`])
+    /// and the number dropped past `max_trips`.  Empty when the detectors are
+    /// off; the fairness-skew detector is armed only when the router table
+    /// is recorded (`top_k > 0`).
     pub fn trips(&self) -> (Vec<TripRecord>, u64) {
-        let s = &self.series;
-        let at = |series: &TimeSeries, i: usize| series.samples()[i] as u64;
-        let rows: Vec<DetectorSample> = (0..self.samples)
-            .map(|i| DetectorSample {
-                cycle: s.injected.cycle_of(i),
-                injected: at(&s.injected, i),
-                delivered: at(&s.delivered, i),
-                global_misroutes: at(&s.global_misroute_decisions, i),
-                local_misroutes: at(&s.local_misroute_decisions, i),
-                buffered_phits: at(&s.buffered_phits, i),
+        // The first six `COLUMNS`: cycle, the cumulative counts, the gauge.
+        let rows: Vec<DetectorSample> = self
+            .table()
+            .map(|row| DetectorSample {
+                cycle: row[0],
+                injected: row[1],
+                delivered: row[2],
+                global_misroutes: row[3],
+                local_misroutes: row[4],
+                buffered_phits: row[5],
             })
             .collect();
-        detect(&self.cfg.detect, &rows, &self.router_delivered_series)
+        let routers = if self.cfg.top_k > 0 {
+            self.dims.routers
+        } else {
+            0
+        };
+        // The router table's delivered counts, sample-major.
+        let delivered: Vec<u64> = (0..rows.len())
+            .flat_map(|i| {
+                (0..routers).map(move |r| {
+                    let [_, delivered, _] = self.router_counts(i, r);
+                    delivered
+                })
+            })
+            .collect();
+        detect(&self.cfg.detect, &rows, &delivered, routers)
     }
 
-    /// Merge another partition's recorder into this one (element-wise sums,
-    /// plus maxima for the diagnostic high-water marks).  Commutative and
+    /// Merge another partition's recorder into this one: element-wise sums,
+    /// except that each sample's cycle must be equal on both sides and the
+    /// two ring high-water columns take the maximum.  Commutative and
     /// associative, so the result is independent of shard count and merge
     /// order.
     ///
     /// # Panics
     ///
     /// Panics when the two recorders were built with different configurations
-    /// or for different network dimensions.
+    /// or for different network dimensions, or sampled different cycles.
     pub fn merge(&mut self, other: &ProbeRecorder) {
         assert_eq!(
             self.cfg, other.cfg,
@@ -624,32 +577,28 @@ impl ProbeRecorder {
         {
             *dst += src;
         }
-        self.series.merge(&other.series);
-        self.diag.merge(&other.diag);
-        for (dst, src) in self
-            .router_injected_series
-            .iter_mut()
-            .zip(&other.router_injected_series)
-        {
-            dst.merge(src);
+        // Every partition samples the same cycles.
+        assert_eq!(
+            self.rows.len(),
+            other.rows.len(),
+            "cannot merge probes sampled at different cycles"
+        );
+        let width = self.width();
+        for (i, (dst, &src)) in self.rows.iter_mut().zip(&other.rows).enumerate() {
+            match COLUMNS[i % width].1 {
+                Merge::Equal => {
+                    assert_eq!(*dst, src, "cannot merge probes sampled at different cycles")
+                }
+                Merge::Sum => *dst += src,
+                Merge::Max => *dst = (*dst).max(src),
+            }
         }
-        for (dst, src) in self
-            .router_delivered_series
-            .iter_mut()
-            .zip(&other.router_delivered_series)
-        {
-            dst.merge(src);
+        // Equal sample counts, so equally long router tables.
+        for (dst, src) in self.router_rows.iter_mut().zip(&other.router_rows) {
+            *dst += src;
         }
-        for (dst, src) in self
-            .router_misrouted_series
-            .iter_mut()
-            .zip(&other.router_misrouted_series)
-        {
-            dst.merge(src);
-        }
-        // Every partition samples the same cycles, so both counts are the
-        // same number seen once per shard: maxima, not sums.
-        self.samples = self.samples.max(other.samples);
+        // The drop count is the same number seen once per shard: the
+        // maximum, not the sum.
         self.samples_dropped = self.samples_dropped.max(other.samples_dropped);
         // The flight ring's bound applied to the sorted union: the events of
         // every cycle before both sides' cutoffs and before the cycle of the
@@ -745,15 +694,73 @@ mod tests {
         let link_phits = [5u64, 7, 1, 0, 2, 3];
         p.sample(0, &link_phits, SampleSnapshot::default());
         assert_eq!(p.samples(), 1);
-        assert_eq!(p.series().injected.samples(), &[2.0]);
-        assert_eq!(p.series().delivered.samples(), &[1.0]);
-        assert_eq!(p.series().global_misroute_decisions.samples(), &[1.0]);
-        assert_eq!(p.series().local_misroute_decisions.samples(), &[1.0]);
-        assert_eq!(p.series().link_local_phits.samples(), &[5.0]);
-        assert_eq!(p.series().link_global_phits.samples(), &[9.0]);
-        assert_eq!(p.series().link_terminal_phits.samples(), &[4.0]);
+        let column = |name| p.column(name).unwrap();
+        assert_eq!(column("injected"), [2]);
+        assert_eq!(column("delivered"), [1]);
+        assert_eq!(column("global_misroute_decisions"), [1]);
+        assert_eq!(column("local_misroute_decisions"), [1]);
+        assert_eq!(column("link_local_phits"), [5]);
+        assert_eq!(column("link_global_phits"), [9]);
+        assert_eq!(column("link_terminal_phits"), [4]);
+        assert_eq!(p.column("delay_folded"), None, "the delay probe is off");
+        // Router 0 injected twice and misrouted once; router 1 delivered once
+        // and misrouted once.
+        assert_eq!(p.router_counts(0, 0), [2, 0, 1]);
+        assert_eq!(p.router_counts(0, 1), [0, 1, 1]);
         // Router 0 saw 2 injections + 1 misroute; router 1 saw 1 delivery + 1.
         assert_eq!(p.top_routers(2), vec![0, 1]);
+    }
+
+    #[test]
+    fn samples_carry_their_own_cycle() {
+        let mut p = ProbeRecorder::new(cfg(), dims());
+        for cycle in [512, 516, 520] {
+            p.sample(cycle, &[0; 6], SampleSnapshot::default());
+        }
+        assert_eq!(p.column("cycle").unwrap(), [512, 516, 520]);
+    }
+
+    #[test]
+    fn sample_rows_are_preallocated() {
+        let mut p = ProbeRecorder::new(
+            ProbeConfig {
+                delay: true,
+                ..cfg()
+            },
+            dims(),
+        );
+        let (rows, routers) = (p.rows.capacity(), p.router_rows.capacity());
+        for i in 0..8u64 {
+            p.sample(i * 4, &[0; 6], SampleSnapshot::default());
+        }
+        assert_eq!(p.samples(), 8);
+        assert_eq!(p.rows.capacity(), rows, "rows must not grow");
+        assert_eq!(p.router_rows.capacity(), routers);
+    }
+
+    #[test]
+    fn delay_columns_track_folds() {
+        let mut p = ProbeRecorder::new(
+            ProbeConfig {
+                delay: true,
+                ..cfg()
+            },
+            dims(),
+        );
+        p.sample(0, &[0; 6], SampleSnapshot::default());
+        let folded = DelaySample {
+            components: [1, 0, 0, 2, 0, 0],
+            misrouted: false,
+            job: crate::DELAY_UNTAGGED,
+            phase: crate::DELAY_UNTAGGED,
+        };
+        p.record_delay(&folded, 3);
+        p.sample(4, &[0; 6], SampleSnapshot::default());
+        assert_eq!(p.column("delay_folded").unwrap(), [0, 1]);
+        for (i, name) in crate::DELAY_COMPONENT_NAMES.iter().enumerate() {
+            let column = p.column(&format!("delay_{name}")).unwrap();
+            assert_eq!(column, [0, folded.components[i]], "{name}");
+        }
     }
 
     #[test]
@@ -869,10 +876,7 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.injected_total, 3);
         assert_eq!(ab.injected_total, ba.injected_total);
-        assert_eq!(
-            ab.series().injected.samples(),
-            ba.series().injected.samples()
-        );
+        assert_eq!(ab.column("injected"), ba.column("injected"));
         assert_eq!(ab.sorted_flight(), ba.sorted_flight());
         assert_eq!(ab.heat_phits, ba.heat_phits);
         assert_eq!(ab.router_injected, ba.router_injected);
@@ -919,7 +923,18 @@ mod tests {
             },
         );
         a.merge(&b);
-        assert_eq!(a.diag().phit_ring_high_water.samples(), &[9.0]);
-        assert_eq!(a.diag().arena_grows.samples(), &[3.0]);
+        assert_eq!(a.column("phit_ring_high_water").unwrap(), [9]);
+        assert_eq!(a.column("arena_grows").unwrap(), [3]);
+        assert_eq!(a.column("cycle").unwrap(), [0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled at different cycles")]
+    fn merge_rejects_different_sample_cycles() {
+        let mut a = ProbeRecorder::new(cfg(), dims());
+        let mut b = ProbeRecorder::new(cfg(), dims());
+        a.sample(0, &[0; 6], SampleSnapshot::default());
+        b.sample(4, &[0; 6], SampleSnapshot::default());
+        a.merge(&b);
     }
 }

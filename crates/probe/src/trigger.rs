@@ -98,7 +98,6 @@ impl ProbeRecorder {
 mod tests {
     use super::*;
     use crate::detect::{DetectorConfig, DETECT_COLLAPSE};
-    use crate::emit::write_columns_csv;
     use crate::recorder::{ProbeDims, SampleSnapshot, CLASS_GLOBAL, CLASS_LOCAL, CLASS_TERMINAL};
     use crate::ProbeConfig;
 
@@ -177,7 +176,7 @@ mod tests {
 
         // The series.csv rows in 0..=4 are cycles 0 and 4.
         let mut buf = Vec::new();
-        write_columns_csv(&mut buf, &p.series_columns()).unwrap();
+        p.write_series_csv(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut lines = text.lines();
         let header: Vec<&str> = lines.next().unwrap().split(',').collect();

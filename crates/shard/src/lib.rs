@@ -906,29 +906,22 @@ mod tests {
 
             let merged = sharded.merged_probe().unwrap();
             assert_eq!(merged.samples(), expected.samples());
-            // Every time-series column is accumulated by exactly one shard, so
+            // Every network column is accumulated by exactly one shard, so
             // the element-wise merge reproduces the sequential samples.
-            assert_eq!(
-                merged.series().injected.samples(),
-                expected.series().injected.samples(),
-                "{shards} shards: injected series diverged"
-            );
-            assert_eq!(
-                merged.series().delivered.samples(),
-                expected.series().delivered.samples()
-            );
-            assert_eq!(
-                merged.series().buffered_phits.samples(),
-                expected.series().buffered_phits.samples()
-            );
-            assert_eq!(
-                merged.series().pb_congested.samples(),
-                expected.series().pb_congested.samples()
-            );
-            assert_eq!(
-                merged.series().link_global_phits.samples(),
-                expected.series().link_global_phits.samples()
-            );
+            for name in [
+                "cycle",
+                "injected",
+                "delivered",
+                "buffered_phits",
+                "pb_congested",
+                "link_global_phits",
+            ] {
+                assert_eq!(
+                    merged.column(name),
+                    expected.column(name),
+                    "{shards} shards: {name} diverged"
+                );
+            }
             // The deterministic packet sample is a pure hash of
             // (source, generation cycle), so both engines pick the same
             // packets; sorting recovers a canonical order.

@@ -153,13 +153,6 @@ impl SimConfig {
         self
     }
 
-    /// Override the packet size.
-    pub fn with_packet_size(mut self, phits: usize) -> Self {
-        assert!(phits >= 1);
-        self.packet_size = phits;
-        self
-    }
-
     /// Override the packet-arena preallocation (slots).  `0` forces a cold
     /// arena that grows on demand, exactly like the pre-preallocation engine.
     pub fn with_arena_prealloc(mut self, slots: usize) -> Self {
@@ -393,13 +386,9 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let c = SimConfig::paper_vct(4)
-            .with_local_vcs(6)
-            .with_seed(99)
-            .with_packet_size(16);
+        let c = SimConfig::paper_vct(4).with_local_vcs(6).with_seed(99);
         assert_eq!(c.local_vcs, 6);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.packet_size, 16);
     }
 
     #[test]

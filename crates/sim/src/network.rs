@@ -2091,15 +2091,13 @@ mod tests {
         let probe = probed.take_probe().unwrap();
         // Cycles 0, 64, …, 960 at stride 64 over 1 000 cycles: 16 samples.
         assert_eq!(probe.samples(), 16);
-        let last = |s: &dragonfly_stats::TimeSeries| s.samples().last().copied().unwrap();
+        let last = |name| *probe.column(name).unwrap().last().unwrap();
+        assert_eq!(last("cycle"), 960);
         // The last sample (cycle 960) is a prefix of the full run's counters.
-        let inj = last(&probe.series().injected);
-        assert!(
-            inj > 0.0 && inj <= probed.stats.total_generated as f64,
-            "{inj}"
-        );
-        assert!(last(&probe.series().delivered) <= inj);
-        assert!(last(&probe.series().link_terminal_phits) > 0.0);
+        let inj = last("injected");
+        assert!(inj > 0 && inj <= probed.stats.total_generated, "{inj}");
+        assert!(last("delivered") <= inj);
+        assert!(last("link_terminal_phits") > 0);
         assert!(!probe.flight_events().is_empty());
         assert!(probe.heat_windows() > 0);
     }

@@ -167,6 +167,19 @@ pub fn run_steady_state<H: EngineHost>(
     measure: u64,
     drain: u64,
 ) -> SimReport {
+    drive_steady_state(host, offered_load, warmup, measure, drain);
+    steady_report(host, &host.stats(), offered_load, warmup, measure)
+}
+
+/// The cycles of [`run_steady_state`]: warm-up, the measurement window and
+/// the drain.
+fn drive_steady_state<H: EngineHost>(
+    host: &mut H,
+    offered_load: f64,
+    warmup: u64,
+    measure: u64,
+    drain: u64,
+) {
     let net = host.replica();
     // With jobs installed their phase tables own the injection rates;
     // otherwise the single global Bernoulli process drives every node.
@@ -197,10 +210,20 @@ pub fn run_steady_state<H: EngineHost>(
             drained += 1;
         }
     });
+}
 
+/// The aggregate report of a steady-state run whose merged statistics are
+/// `stats`.
+fn steady_report<H: EngineHost>(
+    host: &H,
+    stats: &StatsCollector,
+    offered_load: f64,
+    warmup: u64,
+    measure: u64,
+) -> SimReport {
     let net = host.replica();
     sim_report(
-        &host.stats(),
+        stats,
         SimRunIdentity {
             routing: net.routing_name().to_string(),
             traffic: net.traffic_name(),
@@ -236,9 +259,11 @@ pub fn run_steady_state_workload<H: EngineHost>(
         .jobs()
         .expect("run_steady_state_workload requires installed jobs")
         .nominal_offered_load(net.params().num_nodes());
-    let aggregate = run_steady_state(host, nominal, warmup, measure, drain);
-
+    drive_steady_state(host, nominal, warmup, measure, drain);
+    // One read of the merged statistics serves the aggregate and every
+    // breakdown (a sharded host merges its shards' collectors per read).
     let stats = host.stats();
+    let aggregate = steady_report(host, &stats, nominal, warmup, measure);
     let window = (stats.window_start, stats.window_end);
     let runtime = host.replica().jobs().unwrap();
     let scoped = stats

@@ -170,17 +170,6 @@ impl RingMeta {
         }
     }
 
-    /// The newest element, if any.
-    #[inline]
-    pub fn back<'a, T>(&self, buf: &'a [T]) -> Option<&'a T> {
-        let len = self.len();
-        if len == 0 {
-            None
-        } else {
-            Some(&buf[self.phys(len - 1)])
-        }
-    }
-
     /// Mutable access to the newest element, if any.
     #[inline]
     pub fn back_mut<'a, T>(&self, buf: &'a mut [T]) -> Option<&'a mut T> {
@@ -190,12 +179,6 @@ impl RingMeta {
         } else {
             Some(&mut buf[self.phys(len - 1)])
         }
-    }
-
-    /// Iterate the elements oldest-first.
-    pub fn iter<'a, T>(&self, buf: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
-        let meta = *self;
-        (0..meta.len()).map(move |i| &buf[meta.phys(i)])
     }
 }
 
@@ -212,7 +195,6 @@ mod tests {
         r.push_back(&mut buf, 3);
         assert_eq!(r.len(), 3);
         assert_eq!(r.front(&buf), Some(&1));
-        assert_eq!(r.back(&buf), Some(&3));
         assert_eq!(r.pop_front(&buf), Some(1));
         assert_eq!(r.pop_front(&buf), Some(2));
         assert_eq!(r.pop_front(&buf), Some(3));
@@ -261,21 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_is_oldest_first_across_the_seam() {
-        let mut buf = [0; 3];
-        let mut r = RingMeta::new(3);
-        r.push_back(&mut buf, 1);
-        r.push_back(&mut buf, 2);
-        r.push_back(&mut buf, 3);
-        r.pop_front(&buf);
-        r.pop_front(&buf);
-        r.push_back(&mut buf, 4);
-        r.push_back(&mut buf, 5); // physically wrapped
-        let v: Vec<i32> = r.iter(&buf).copied().collect();
-        assert_eq!(v, vec![3, 4, 5]);
-    }
-
-    #[test]
     fn front_back_mut() {
         let mut buf = [0; 2];
         let mut r = RingMeta::new(2);
@@ -294,7 +261,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.capacity(), 0);
         assert_eq!(r.front(&buf), None);
-        assert_eq!(r.back(&buf), None);
     }
 
     // --- RingMeta slice-backed view ---------------------------------------
@@ -348,7 +314,7 @@ mod tests {
         m.pop_front(&pool);
         m.push_back(&mut pool, 3); // physically wraps to index 0
         assert_eq!(pool[0], 3);
-        let v: Vec<i32> = m.iter(&pool).copied().collect();
+        let v: Vec<i32> = std::iter::from_fn(|| m.pop_front(&pool)).collect();
         assert_eq!(v, vec![1, 2, 3]);
     }
 }

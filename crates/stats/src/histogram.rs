@@ -1,16 +1,17 @@
-//! Fixed-bin-width histogram with overflow bin, used for latency distributions.
+//! Fixed-bin-width histogram, used for latency distributions.
 
 /// Histogram over non-negative values with uniform bin width.
 ///
-/// Values above `bin_width * bins` fall into an overflow bin so that tail packets
-/// (e.g. latencies during congestion collapse) are still counted.  Percentiles are
+/// Values above `bin_width * bins` fall in no bin but still count towards the
+/// total, so tail packets (e.g. latencies during congestion collapse) are still
+/// counted; a percentile whose rank lies among them reports the histogram's
+/// range.  Percentiles are
 /// computed from the bin boundaries, which is accurate to one bin width — plenty for
 /// cycle-count latencies binned at 1 cycle.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,
-    overflow: u64,
     total: u64,
 }
 
@@ -22,7 +23,6 @@ impl Histogram {
         Self {
             bin_width,
             counts: vec![0; bins],
-            overflow: 0,
             total: 0,
         }
     }
@@ -37,29 +37,16 @@ impl Histogram {
     pub fn record(&mut self, value: f64) {
         debug_assert!(value >= 0.0, "histogram values must be non-negative");
         let bin = (value / self.bin_width) as usize;
-        if bin < self.counts.len() {
-            self.counts[bin] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(count) = self.counts.get_mut(bin) {
+            *count += 1;
         }
         self.total += 1;
     }
 
-    /// Total number of observations (including overflow).
+    /// Total number of observations (including those beyond the last bin).
     #[inline]
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of observations in the overflow bin.
-    #[inline]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Number of regular bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
     }
 
     /// Approximate percentile (`0.0 ..= 1.0`) using the upper edge of the bin that
@@ -88,7 +75,6 @@ impl Histogram {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
-        self.overflow += other.overflow;
         self.total += other.total;
     }
 }
@@ -110,7 +96,8 @@ mod tests {
         assert_eq!(h.percentile(0.3), Some(10.0));
         assert_eq!(h.percentile(0.5), Some(20.0));
         assert_eq!(h.percentile(0.7), Some(50.0));
-        assert_eq!(h.overflow(), 1);
+        // Rank 5 lies beyond the last bin: the histogram's range.
+        assert_eq!(h.percentile(1.0), Some(50.0));
         assert_eq!(h.total(), 5);
     }
 
@@ -153,7 +140,8 @@ mod tests {
         assert_eq!(a.total(), 3);
         // Both in-range observations share bin 0 (upper edge 2.0).
         assert_eq!(a.percentile(0.6), Some(2.0));
-        assert_eq!(a.overflow(), 1);
+        // The third, beyond the last bin, reports the range.
+        assert_eq!(a.percentile(1.0), Some(8.0));
     }
 
     #[test]
@@ -172,7 +160,9 @@ mod tests {
 
     #[test]
     fn latency_constructor() {
-        let h = Histogram::for_latency(500);
-        assert_eq!(h.bins(), 500);
+        let mut h = Histogram::for_latency(500);
+        h.record(499.0);
+        // 1-cycle bins up to 500: the last bin's upper edge.
+        assert_eq!(h.percentile(1.0), Some(500.0));
     }
 }

@@ -1,12 +1,9 @@
 //! Statistics primitives for network simulation.
 //!
-//! The simulator produces two kinds of measurements:
-//!
-//! * *per-packet* observations (latency, hop counts), aggregated exactly by
-//!   [`ExactStats`] and [`Histogram`], whose merges make per-shard
-//!   accumulators combine into exactly the sequential result;
-//! * *per-cycle* samples of a scalar (injected phits, buffered phits, …),
-//!   recorded at a fixed stride by [`TimeSeries`] for the probe layer.
+//! Per-packet observations (latency, hop counts) are aggregated exactly by
+//! [`ExactStats`] and [`Histogram`], whose merges make per-shard accumulators
+//! combine into exactly the sequential result.  (Samples over time are the
+//! probe layer's: `dragonfly_probe` keeps them as one integer table.)
 //!
 //! The simulator's collector (`dragonfly_sim::StatsCollector`) is built from
 //! these and counts the phits of a measurement window; [`phits_per_node_cycle`]
@@ -22,14 +19,12 @@ mod exact;
 mod histogram;
 pub mod json;
 mod report;
-mod timeseries;
 mod workload_report;
 
 pub use exact::ExactStats;
 pub use histogram::Histogram;
 pub use json::validate_json;
 pub use report::{BatchReport, SimReport};
-pub use timeseries::TimeSeries;
 pub use workload_report::{JobLifecycleReport, JobReport, PhaseReport, WorkloadReport};
 
 /// Load in phits/(node·cycle): `phits` spread over `nodes` nodes and `cycles`

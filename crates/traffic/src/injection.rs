@@ -78,11 +78,6 @@ impl BurstSpec {
     pub fn packet_size(&self) -> usize {
         self.packet_size
     }
-
-    /// Total phits a node will send.
-    pub fn phits_per_node(&self) -> u64 {
-        self.packets_per_node * self.packet_size as u64
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn burst_phits_per_node() {
         let b = BurstSpec::new(1000, 8);
-        assert_eq!(b.phits_per_node(), 8000);
+        assert_eq!(b.packets_per_node() * b.packet_size() as u64, 8000);
         assert_eq!(b.packets_per_node(), 1000);
         assert_eq!(b.packet_size(), 8);
     }

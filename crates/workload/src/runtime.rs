@@ -265,11 +265,6 @@ impl Schedule {
         self.running.len()
     }
 
-    /// Number of jobs waiting for nodes.
-    pub fn waiting_jobs(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Whether every job has completed (never, for a static workload).
     pub fn all_complete(&self) -> bool {
         self.completed_count == self.jobs.len()
@@ -682,14 +677,12 @@ mod tests {
 
         // `late` arrives but 30 > 12 free: it waits.
         rt.advance_to(100);
-        assert_eq!(rt.waiting_jobs(), 1);
         assert_eq!(rt.running_jobs(), 1);
         assert_eq!(rt.job(1).lifetime().placed, None);
 
         // At 1 000 `big` retires; `late` is placed the same cycle.
         rt.advance_to(1_000);
         assert_eq!(rt.running_jobs(), 1);
-        assert_eq!(rt.waiting_jobs(), 0);
         assert_eq!(rt.job(0).lifetime().completed, Some(1_000));
         assert_eq!(rt.job(1).lifetime().placed, Some(1_000));
         assert_eq!(rt.job(1).lifetime().wait_cycles(), Some(900));
@@ -737,7 +730,8 @@ mod tests {
         rt.advance_to(20);
         // `small` would fit (32 free) but FIFO order keeps it behind `blocked`.
         assert_eq!(rt.running_jobs(), 1);
-        assert_eq!(rt.waiting_jobs(), 2);
+        assert_eq!(rt.job(1).lifetime().placed, None);
+        assert_eq!(rt.job(2).lifetime().placed, None);
         rt.advance_to(2_000);
         // `a` retires; `blocked` then `small` are placed together.
         assert_eq!(rt.running_jobs(), 2);

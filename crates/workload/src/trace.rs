@@ -310,11 +310,6 @@ impl Trace {
         }
     }
 
-    /// The largest arrival cycle of the list.
-    pub fn last_arrival(&self) -> u64 {
-        self.jobs.last().map_or(0, |j| j.arrival)
-    }
-
     /// Compile the jobs against a topology and a packet size in phits, which
     /// turns every phase's offered load into a per-node, per-cycle packet
     /// probability exactly like [`dragonfly_traffic::BernoulliInjection`].
@@ -547,7 +542,7 @@ mod tests {
         let want = (0.25 * 8.0 + 0.4 * 16.0) / 72.0;
         let schedule = trace.schedule(&DragonflyParams::new(2), 8);
         assert!((schedule.nominal_offered_load(72) - want).abs() < 1e-12);
-        assert_eq!(trace.last_arrival(), 500);
+        assert_eq!(trace.jobs.last().map(|j| j.arrival), Some(500));
     }
 
     #[test]
@@ -568,7 +563,7 @@ mod tests {
         assert_eq!(one.jobs.len(), 20);
         assert!(one.jobs.iter().all(|j| [4, 8, 16].contains(&j.size)));
         assert!(one.jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        assert!(one.last_arrival() > 0);
+        assert!(one.jobs.last().unwrap().arrival > 0);
         let other = SyntheticTrace { seed: 10, ..spec };
         assert_ne!(one, other.build());
         // The synthetic trace survives the text round-trip too.

@@ -55,34 +55,24 @@ fn main() {
     );
 
     // --- time series -----------------------------------------------------
-    let series = probe.series();
+    let column = |name| probe.column(name).expect("a sample-table column");
+    let (cycle, inj, del) = (column("cycle"), column("injected"), column("delivered"));
+    let (buffered, pb) = (column("buffered_phits"), column("pb_congested"));
     let n = probe.samples();
     println!("--- time series ({n} samples, every {stride} cycles) ---");
-    let inj = series.injected.samples();
-    let del = series.delivered.samples();
     for i in [0, n / 4, n / 2, 3 * n / 4, n - 1] {
         println!(
             "cycle {:>5}: injected {:>6}  delivered {:>6}  buffered {:>5} phits  \
              PB-congested {:>2} channels",
-            series.injected.cycle_of(i),
-            inj[i] as u64,
-            del[i] as u64,
-            series.buffered_phits.samples()[i] as u64,
-            series.pb_congested.samples()[i] as u64,
+            cycle[i], inj[i], del[i], buffered[i], pb[i],
         );
     }
-    let (peak_i, peak) = series
-        .buffered_phits
-        .samples()
+    let (peak_i, peak) = buffered
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
+        .max_by_key(|&(_, phits)| phits)
         .expect("run produced no samples");
-    println!(
-        "peak buffering: {} phits at cycle {}",
-        *peak as u64,
-        series.buffered_phits.cycle_of(peak_i)
-    );
+    println!("peak buffering: {peak} phits at cycle {}", cycle[peak_i]);
 
     let top = probe.top_routers(4);
     println!("busiest routers by activity: {top:?}");

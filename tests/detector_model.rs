@@ -1,8 +1,8 @@
 //! Model-checks the anomaly detectors against a naive reference.
 //!
-//! The production [`detect`] is one pass over the recorded series: it reads
-//! the per-router series only at window boundaries, carries the latches and
-//! the stall run across samples, and emits trips in firing order.  The
+//! The production [`detect`] is one pass over the recorded samples: it reads
+//! the per-router deliveries only at window boundaries, carries the latches
+//! and the stall run across samples, and emits trips in firing order.  The
 //! reference model here is written independently for obviousness — each
 //! detector's trips are collected separately from whole slices of the stream
 //! (window deltas from the cumulative counters at its boundaries, the latch
@@ -21,7 +21,6 @@ use dragonfly::probe::{
     DETECT_STORM, NO_ROUTER,
 };
 use dragonfly::rng::Rng;
-use dragonfly::stats::TimeSeries;
 
 /// One generated sample row of cumulative counters.
 #[derive(Debug, Clone)]
@@ -81,7 +80,8 @@ fn random_stream(rng: &mut Rng, len: usize, routers: usize) -> Vec<Row> {
 }
 
 /// Evaluate a stream with the production [`detect`], the per-router
-/// deliveries laid out as the recorder keeps them (one series per router).
+/// deliveries laid out as the recorder keeps them (sample-major, one column
+/// per router).
 fn run_bank(cfg: &DetectorConfig, rows: &[Row], routers: usize) -> (Vec<TripRecord>, u64) {
     let samples: Vec<DetectorSample> = rows
         .iter()
@@ -94,16 +94,11 @@ fn run_bank(cfg: &DetectorConfig, rows: &[Row], routers: usize) -> (Vec<TripReco
             buffered_phits: row.buffered,
         })
         .collect();
-    let router_delivered: Vec<TimeSeries> = (0..routers)
-        .map(|r| {
-            let mut series = TimeSeries::new(1);
-            for row in rows {
-                series.push(row.router_delivered[r] as f64);
-            }
-            series
-        })
+    let router_delivered: Vec<u64> = rows
+        .iter()
+        .flat_map(|row| row.router_delivered.iter().copied())
         .collect();
-    detect(cfg, &samples, &router_delivered)
+    detect(cfg, &samples, &router_delivered, routers)
 }
 
 /// The naive reference: recompute every trip from whole slices of the stream.

@@ -333,12 +333,12 @@ fn olm_board_from_a_mid_run_probe(shards: Option<usize>) {
             &case,
         ),
     };
-    assert!(peak > 0.0, "{case}: no global channel ever congested");
+    assert!(peak > 0, "{case}: no global channel ever congested");
 }
 
 /// Run 500 cycles at saturation, install the probes, run 400 more checking
-/// after every cycle; returns the peak of the probe's `pb_congested` series.
-fn drive_probed_late<H: Checked>(host: &mut H, case: &str) -> f64 {
+/// after every cycle; returns the peak of the probe's `pb_congested` column.
+fn drive_probed_late<H: Checked>(host: &mut H, case: &str) -> u64 {
     let packet_size = host.replica().config.packet_size;
     host.drive(|engine| {
         engine.set_injection(Some(BernoulliInjection::new(0.6, packet_size)));
@@ -357,13 +357,8 @@ fn drive_probed_late<H: Checked>(host: &mut H, case: &str) -> f64 {
         }
     }
     let probe = host.collect_probe().expect("probes were installed");
-    probe
-        .series()
-        .pb_congested
-        .samples()
-        .iter()
-        .copied()
-        .fold(0.0, f64::max)
+    let pb_congested = probe.column("pb_congested").unwrap();
+    pb_congested.into_iter().max().unwrap_or(0)
 }
 
 #[test]

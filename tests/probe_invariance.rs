@@ -21,7 +21,11 @@ use dragonfly::core::{
     Batch, Completion, ExperimentSpec, FlowControlKind, JobPattern, JobSpec, Jobs, PlacementPolicy,
     ProbeConfig, ProbeRecorder, Protocol, RoutingKind, RunOptions, Steady, Trace, TrafficKind,
 };
-use dragonfly::probe::RunManifest;
+use dragonfly::probe::{DetectorConfig, RunManifest};
+use dragonfly::routing::MinimalRouting;
+use dragonfly::shard::{ShardPlan, ShardedSimulation};
+use dragonfly::sim::{Engine, EngineHost, SimConfig, Simulation};
+use dragonfly::traffic::{BernoulliInjection, Uniform};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
@@ -535,4 +539,85 @@ fn dropped_samples_and_heatmap_events_agree_on_every_shard_count() {
     for shards in [2, 4] {
         assert_eq!(dropped(Some(shards)), sequential, "{shards} shards");
     }
+}
+
+/// Run 500 cycles, install `probes`, run 200 more and write the file set.
+fn probe_late<H: EngineHost>(mut host: H, probes: ProbeConfig, dir: &Path) {
+    host.drive(|engine| {
+        engine.set_injection(Some(BernoulliInjection::new(0.3, 8)));
+        engine.run(500);
+    });
+    host.install_probes(probes);
+    host.drive(|engine| engine.run(200));
+    let probe = host.collect_probe().expect("probes were installed");
+    probe.write_all(dir, "late").unwrap();
+}
+
+#[test]
+fn a_probe_installed_mid_run_labels_rows_with_their_own_cycles() {
+    // Samples fall on the absolute multiples of the stride: installed at
+    // cycle 500 and stepped through cycle 699, a 64-cycle stride samples
+    // cycles 512, 576 and 640 — and every file, and every trip, says so.
+    let probes = ProbeConfig {
+        detect: DetectorConfig {
+            window: 1,
+            collapse_pct: 100,
+            min_window_injected: 1,
+            ..DetectorConfig::armed()
+        },
+        ..ProbeConfig::default()
+    };
+    let config = SimConfig::paper_vct(2).with_seed(5);
+    let files = |shards: Option<usize>| {
+        let dir = scratch(&format!("late_{}", shards.unwrap_or(0)));
+        match shards {
+            None => probe_late(
+                Simulation::with_routing(
+                    config.clone(),
+                    MinimalRouting::new(),
+                    Box::new(Uniform::new()),
+                ),
+                probes.clone(),
+                &dir,
+            ),
+            Some(n) => probe_late(
+                ShardedSimulation::new(
+                    config.clone(),
+                    ShardPlan::new(n),
+                    MinimalRouting::new(),
+                    || Box::new(Uniform::new()),
+                ),
+                probes.clone(),
+                &dir,
+            ),
+        }
+        (read_outputs(&dir).0, dir)
+    };
+    let (sequential, dir) = files(None);
+    let diag = std::fs::read_to_string(dir.join("late_diag.csv")).unwrap();
+    // The cycles in column `at` of every data row of the file ending `suffix`.
+    let cycles = |suffix: &str, at: usize| -> Vec<u64> {
+        let text = match suffix {
+            "_diag.csv" => &diag,
+            _ => file_text(&sequential, suffix),
+        };
+        text.lines()
+            .skip(1)
+            .map(|row| row.split(',').nth(at).unwrap().parse().unwrap())
+            .collect()
+    };
+    assert_eq!(cycles("_series.csv", 0), [512, 576, 640]);
+    assert_eq!(cycles("_diag.csv", 0), [512, 576, 640]);
+    assert_eq!(cycles("_routers.csv", 1), [512, 576, 640].repeat(4));
+    let trips: Vec<&str> = file_text(&sequential, "_trigger.jsonl").lines().collect();
+    assert!(trips.len() > 1, "no trip, so this pin is vacuous");
+    for trip in &trips[..trips.len() - 1] {
+        assert!(
+            [512, 576, 640]
+                .iter()
+                .any(|c| trip.contains(&format!("\"cycle\":{c},"))),
+            "{trip}"
+        );
+    }
+    assert_eq!(files(Some(2)).0, sequential, "2 shards");
 }

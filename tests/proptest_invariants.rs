@@ -160,8 +160,6 @@ fn ring_meta_view_matches_vecdeque_model() {
             assert_eq!(ring.len(), model.len());
             assert_eq!(ring.is_empty(), model.is_empty());
             assert_eq!(ring.front(&pool), model.front());
-            assert_eq!(ring.back(&pool), model.back());
-            assert!(ring.iter(&pool).copied().eq(model.iter().copied()));
         }
     }
 }
