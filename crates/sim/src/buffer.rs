@@ -2,54 +2,9 @@
 //! that holds every input VC of the network.
 
 use crate::config::SimConfig;
-use crate::packet::PacketId;
-use crate::ring::RingMeta;
+use crate::packet::{PacketArena, PacketId};
 use dragonfly_topology::Port;
 use std::ops::Range;
-
-/// Bookkeeping for one packet currently (partially) stored in a VC buffer:
-/// the packet and three phit counters, 16 bytes.
-///
-/// A packet has one head, so the per-hop delay stamp (head buffered, head
-/// granted) is per packet ([`crate::packet::DelayState::head_stamp`], in the
-/// delay table the delay probe arms), not in the slot the switch scans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PacketSlot {
-    /// The packet.
-    pub packet: PacketId,
-    /// Total packet size in phits.
-    pub size: u16,
-    /// Phits of this packet received into the buffer so far.
-    pub phits_received: u16,
-    /// Phits of this packet forwarded out of the buffer so far.
-    pub phits_sent: u16,
-}
-
-impl PacketSlot {
-    /// Phits physically present in the buffer.
-    #[inline]
-    pub fn phits_present(&self) -> u16 {
-        self.phits_received - self.phits_sent
-    }
-
-    /// True when at least one phit is available to forward.
-    #[inline]
-    pub fn has_phit(&self) -> bool {
-        self.phits_present() > 0
-    }
-
-    /// True when every phit of the packet has been forwarded.
-    #[inline]
-    pub fn fully_sent(&self) -> bool {
-        self.phits_sent == self.size
-    }
-
-    /// True when every phit of the packet has been received.
-    #[inline]
-    pub fn fully_received(&self) -> bool {
-        self.phits_received == self.size
-    }
-}
 
 /// The packed "nothing" of a `(flat port, VC)` word: no route granted, no
 /// owner.  A real pair packs to at most `0x00FF_FFFF`.
@@ -70,64 +25,53 @@ pub(crate) fn unpack_port_vc(word: u32) -> Option<(u16, u8)> {
     (word != NO_PORT_VC).then_some(((word >> 8) as u16, word as u8))
 }
 
-/// One input virtual channel: a phit FIFO plus the output `(flat port, VC)`
-/// granted to the packet at its head, if any.
+/// The head and tail of an empty VC.  Its index half is past any arena slot
+/// (`PacketArena` never hands out index `u32::MAX`).
+const NO_PACKET: PacketId = PacketId(u64::MAX);
+
+/// One input virtual channel: a FIFO of packets, counted in phits, plus the
+/// output `(flat port, VC)` granted to the packet at its head, if any.
 ///
-/// The buffer stores per-packet slots rather than individual phits: phits of a packet
-/// arrive in order and cannot interleave with other packets inside a single VC, so a
-/// `(received, sent)` pair per packet captures the exact FIFO content while staying
-/// O(packets) instead of O(phits).
-///
-/// Only what varies is stored, in 16 bytes: the slot ring's packed
-/// [`RingMeta`] word, the occupancy in phits and the packed route.  What is
-/// fixed by the configuration — where the VC's slot region starts and how
-/// many phits it holds — is the [`PortGeometry`] every router shares, and
-/// the slots themselves live in the [`InputFabric`]'s one pool, so every
-/// operation takes its slot region (and a receive its capacity) as
-/// arguments.  The region is sized from two invariants of the FIFO: phits
-/// arrive in order, so only the *newest* slot can be partially received,
-/// and only the *head* slot forwards, so every interior slot is fully
-/// received with nothing sent — it holds exactly `size >= min_packet`
-/// present phits.  With `k` slots, `(k - 2) * min_packet <= occupancy <=
-/// capacity`, so `k <= capacity / min_packet + 2` (and `k <= capacity + 1`
-/// always, since every slot behind the head holds at least one phit).  The
-/// ring is built at the tighter bound; deep buffers sized in phits (a
-/// 256-phit global port) only pay for the handful of whole packets they can
-/// actually hold.
+/// Phits of a packet arrive in order and never interleave with another
+/// packet's inside one VC, and only the head forwards.  So only the *head*
+/// packet has sent phits, only the *tail* packet can be partly received, and
+/// every packet in between is whole: received in full, nothing sent.  The VC
+/// keeps the two ends and their counters — the head's size and phits sent,
+/// the tail's size and phits received — plus its occupancy and packed
+/// route, in 32 bytes; the packets in between are a list threaded through
+/// the [`PacketArena`]'s links (see there for why a packet is linked in one
+/// VC at most).  A body phit, sent or received, touches only this word; the
+/// arena is read or written at packet boundaries only: a head appended
+/// behind a tail links the two, and a tail sent unlinks the head and reads
+/// its successor's id and size.
 #[derive(Debug, Clone, Copy)]
 pub struct InputVc {
-    slots: RingMeta,
+    head: PacketId,
+    tail: PacketId,
+    head_size: u16,
+    head_sent: u16,
+    tail_size: u16,
+    tail_received: u16,
     occupancy: u32,
     route: u32,
 }
 
-impl InputVc {
-    /// Number of packet slots a buffer of `capacity` phits needs for packets
-    /// no smaller than `min_packet` phits (the length of its slot region).
-    pub fn slot_bound(capacity: usize, min_packet: usize) -> usize {
-        assert!(capacity >= 1, "buffer capacity must be at least one phit");
-        assert!(min_packet >= 1, "packets are at least one phit");
-        (capacity + 1).min(capacity / min_packet + 2)
-    }
-
-    /// An empty VC of `capacity` phits for packets no smaller than
-    /// `min_packet` phits (a smaller packet would overflow the slot ring and
-    /// panic rather than corrupt state), whose slot region is
-    /// [`InputVc::slot_bound`] slots long.
-    pub fn new(capacity: usize, min_packet: usize) -> Self {
+impl Default for InputVc {
+    fn default() -> Self {
         Self {
-            slots: RingMeta::new(Self::slot_bound(capacity, min_packet)),
+            head: NO_PACKET,
+            tail: NO_PACKET,
+            head_size: 0,
+            head_sent: 0,
+            tail_size: 0,
+            tail_received: 0,
             occupancy: 0,
             route: NO_PORT_VC,
         }
     }
+}
 
-    /// Length of this VC's slot region.
-    #[inline]
-    pub fn slot_count(&self) -> usize {
-        self.slots.capacity()
-    }
-
+impl InputVc {
     /// Phits currently stored.
     #[inline]
     pub fn occupancy(&self) -> usize {
@@ -137,14 +81,7 @@ impl InputVc {
     /// True when no phit is stored and no packet is being cut through.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.occupancy == 0 && self.slots.is_empty()
-    }
-
-    /// Number of packet slots currently tracked (packets partially or fully present,
-    /// or being cut through).
-    #[inline]
-    pub fn packets(&self) -> usize {
-        self.slots.len()
+        self.head == NO_PACKET
     }
 
     /// Output assignment of the head packet: `(flat output port, output VC)`.
@@ -159,22 +96,48 @@ impl InputVc {
         self.route = pack_port_vc(route);
     }
 
-    /// The packet at the head of the FIFO, read from this VC's slot region.
+    /// The packet at the head of the FIFO (partly or fully present, or
+    /// being cut through).
     #[inline]
-    pub fn head<'a>(&self, region: &'a [PacketSlot]) -> Option<&'a PacketSlot> {
-        self.slots.front(region)
+    pub fn head(&self) -> Option<PacketId> {
+        (self.head != NO_PACKET).then_some(self.head)
     }
 
-    /// Receive one phit of `packet` into this VC's slot `region`, whose
-    /// buffer holds `capacity` phits.  `opens` is the packet's size when
-    /// this is its first phit, which opens a new slot at the tail of the
-    /// FIFO, and `None` for the phits after it.
+    /// Size in phits of the head packet (0 when empty).
+    #[inline]
+    pub fn head_size(&self) -> u16 {
+        self.head_size
+    }
+
+    /// Phits of the head packet forwarded so far.
+    #[inline]
+    pub fn head_sent(&self) -> u16 {
+        self.head_sent
+    }
+
+    /// Phits of the head packet present in the buffer, ready to forward.
+    #[inline]
+    pub fn head_present(&self) -> u16 {
+        // A head with a packet behind it is received in full.
+        let received = if self.head == self.tail {
+            self.tail_received
+        } else {
+            self.head_size
+        };
+        received - self.head_sent
+    }
+
+    /// Receive one phit of `packet`, through a buffer of `capacity` phits.
+    /// `opens` is the packet's size when this is its first phit, which
+    /// appends the packet at the tail of the FIFO (linking it behind the old
+    /// tail in `arena`), and `None` for the phits after it.
     ///
-    /// Panics if the buffer would overflow (the credit scheme must prevent this) or if
-    /// a non-head phit arrives for a packet that is not the most recent slot.
+    /// Panics if the buffer would overflow (the credit scheme must prevent
+    /// this) or if a phit arrives for a packet other than the tail while the
+    /// tail is partly received.
     pub fn receive_phit(
         &mut self,
-        region: &mut [PacketSlot],
+        arena: &mut PacketArena,
         capacity: usize,
         packet: PacketId,
         opens: Option<u16>,
@@ -184,116 +147,114 @@ impl InputVc {
             "VC buffer overflow: credit accounting is broken"
         );
         if let Some(size) = opens {
-            self.slots.push_back(
-                region,
-                PacketSlot {
-                    packet,
-                    size,
-                    phits_received: 1,
-                    phits_sent: 0,
-                },
-            );
+            if self.head == NO_PACKET {
+                self.head = packet;
+                self.head_size = size;
+                self.head_sent = 0;
+            } else {
+                assert!(
+                    self.tail_received == self.tail_size,
+                    "phits of different packets interleaved within one VC"
+                );
+                arena.link_behind(self.tail, packet);
+            }
+            self.tail = packet;
+            self.tail_size = size;
+            self.tail_received = 1;
         } else {
-            let slot = self
-                .slots
-                .back_mut(region)
-                .expect("body phit arrived with no open packet slot");
+            assert!(
+                self.head != NO_PACKET,
+                "body phit arrived with no open packet"
+            );
             assert_eq!(
-                slot.packet, packet,
+                self.tail, packet,
                 "phits of different packets interleaved within one VC"
             );
             assert!(
-                slot.phits_received < slot.size,
+                self.tail_received < self.tail_size,
                 "received more phits than packet size"
             );
-            slot.phits_received += 1;
+            self.tail_received += 1;
         }
         self.occupancy += 1;
     }
 
-    /// Forward one phit of the head packet out of this VC's slot `region`.
+    /// Forward one phit of the head packet.
     ///
-    /// Returns the packet id and whether the forwarded phit was the tail (last) phit;
-    /// when it is, the slot is popped.  Panics if no phit is available.
-    pub fn send_phit(&mut self, region: &mut [PacketSlot]) -> (PacketId, bool) {
-        let slot = self
-            .slots
-            .front_mut(region)
-            .expect("send from an empty VC buffer");
-        assert!(slot.has_phit(), "no phit of the head packet is present yet");
-        slot.phits_sent += 1;
+    /// Returns the packet id and whether the forwarded phit was the tail
+    /// (last) phit; when it is, the packet leaves the FIFO: it is unlinked
+    /// in `arena` and the packet behind it, if any, becomes the head.
+    /// Panics if no phit is available.
+    pub fn send_phit(&mut self, arena: &mut PacketArena) -> (PacketId, bool) {
+        assert!(self.head != NO_PACKET, "send from an empty VC buffer");
+        assert!(
+            self.head_present() > 0,
+            "no phit of the head packet is present yet"
+        );
+        self.head_sent += 1;
         self.occupancy -= 1;
-        let packet = slot.packet;
-        let is_tail = slot.fully_sent();
+        let packet = self.head;
+        let is_tail = self.head_sent == self.head_size;
         if is_tail {
-            debug_assert!(slot.fully_received());
-            self.slots.pop_slot();
+            self.head_sent = 0;
+            match arena.take_successor(packet) {
+                Some(next) => {
+                    self.head = next;
+                    self.head_size = arena.get(next).size;
+                }
+                None => {
+                    debug_assert_eq!(packet, self.tail);
+                    *self = Self {
+                        route: self.route,
+                        ..Self::default()
+                    };
+                }
+            }
         }
         (packet, is_tail)
     }
 }
 
-/// Where one router-local input VC's slot region starts in its router's
-/// slot block, and how many phits its buffer holds.
-#[derive(Debug, Clone, Copy)]
-struct VcShape {
-    slot_start: u32,
-    capacity: u32,
-}
-
 /// The input-side shape every router shares, built once from the
 /// configuration: for each flat port its first router-local VC, and for each
-/// router-local VC its slot-region start and phit capacity.  A router's VCs
-/// are numbered port by port, VCs ascending, and their slot regions packed
-/// back to back in the same order.
+/// router-local VC its phit capacity.  A router's VCs are numbered port by
+/// port, VCs ascending.
 #[derive(Debug, Clone)]
 pub struct PortGeometry {
     /// First router-local VC of each flat port, then the VCs per router.
     first_vc: Vec<u32>,
-    shapes: Vec<VcShape>,
-    slots_per_router: usize,
+    capacities: Vec<u32>,
 }
 
 impl PortGeometry {
     /// The geometry `config` dictates: `input_vcs_for(kind)` VCs of
-    /// `buffer_for(kind)` phits per port, slot regions at
-    /// [`InputVc::slot_bound`] for `packet_size`-phit packets.
+    /// `buffer_for(kind)` phits per port.
     pub fn new(config: &SimConfig) -> Self {
         let h = config.params.h();
         let ports = config.params.ports_per_router();
         let mut first_vc = Vec::with_capacity(ports + 1);
-        let mut shapes = Vec::new();
-        let mut slots = 0usize;
+        let mut capacities = Vec::new();
         for flat in 0..ports {
-            first_vc.push(shapes.len() as u32);
+            first_vc.push(capacities.len() as u32);
             let kind = Port::from_flat(flat, h).kind();
             let capacity = config.buffer_for(kind);
-            for _ in 0..config.input_vcs_for(kind) {
-                shapes.push(VcShape {
-                    slot_start: slots as u32,
-                    capacity: capacity as u32,
-                });
-                slots += InputVc::slot_bound(capacity, config.packet_size);
-            }
+            assert!(capacity >= 1, "buffer capacity must be at least one phit");
+            capacities.extend(std::iter::repeat_n(
+                capacity as u32,
+                config.input_vcs_for(kind),
+            ));
         }
-        first_vc.push(shapes.len() as u32);
+        first_vc.push(capacities.len() as u32);
         Self {
             first_vc,
-            shapes,
-            slots_per_router: slots,
+            capacities,
         }
     }
 
     /// Input VCs per router, over all ports.
     #[inline]
     pub fn vcs_per_router(&self) -> usize {
-        self.shapes.len()
-    }
-
-    /// Packet slots per router, over all VCs.
-    #[inline]
-    pub fn slots_per_router(&self) -> usize {
-        self.slots_per_router
+        self.capacities.len()
     }
 
     /// Router-local indices of the VCs of flat `port`.
@@ -305,16 +266,17 @@ impl PortGeometry {
     /// Capacity in phits of VC `vc` of flat `port`.
     #[inline]
     pub fn capacity(&self, port: usize, vc: usize) -> usize {
-        self.shapes[self.first_vc[port] as usize + vc].capacity as usize
+        self.capacities[self.first_vc[port] as usize + vc] as usize
     }
 }
 
-/// Every input VC of the routers a network instance owns, struct-of-arrays:
-/// one `Vec<InputVc>` and one `Vec<PacketSlot>`, each a run of identical
-/// per-router blocks laid out by the shared [`PortGeometry`] — what
-/// [`crate::fabric::LinkFabric`] is for links.
+/// Every input VC of the routers a network instance owns: one
+/// `Vec<InputVc>`, a run of identical per-router blocks laid out by the
+/// shared [`PortGeometry`] — what [`crate::fabric::LinkFabric`] is for
+/// links.  The packets a VC holds are listed through the [`PacketArena`],
+/// which every receive and send takes.
 ///
-/// Router ids stay global; owned router `r`'s blocks sit at `r - base`.  A
+/// Router ids stay global; owned router `r`'s block sits at `r - base`.  A
 /// router outside the owned range has no block, and addressing one panics.
 #[derive(Debug)]
 pub struct InputFabric {
@@ -322,26 +284,17 @@ pub struct InputFabric {
     /// First owned router.
     base: usize,
     vcs: Vec<InputVc>,
-    slots: Vec<PacketSlot>,
 }
 
 impl InputFabric {
     /// Empty input VCs for the routers in `owned`, shaped by `config`.
     pub fn new(config: &SimConfig, owned: Range<usize>) -> Self {
         let geometry = PortGeometry::new(config);
-        let routers = owned.len();
-        let block: Vec<InputVc> = geometry
-            .shapes
-            .iter()
-            .map(|s| InputVc::new(s.capacity as usize, config.packet_size))
-            .collect();
-        let vcs = block.repeat(routers);
-        let slots = vec![PacketSlot::default(); routers * geometry.slots_per_router];
+        let vcs = vec![InputVc::default(); owned.len() * geometry.vcs_per_router()];
         Self {
             geometry,
             base: owned.start,
             vcs,
-            slots,
         }
     }
 
@@ -350,17 +303,12 @@ impl InputFabric {
         &self.geometry
     }
 
-    /// Index into `vcs` of VC `vc` of `port` at `router`, and the start of
-    /// its slot region in `slots`.
+    /// Index into `vcs` of VC `vc` of `port` at `router`.
     #[inline]
-    fn locate(&self, router: usize, port: usize, vc: usize) -> (usize, usize) {
-        let local = self.geometry.first_vc[port] as usize + vc;
-        let block = router - self.base;
-        (
-            block * self.geometry.vcs_per_router() + local,
-            block * self.geometry.slots_per_router
-                + self.geometry.shapes[local].slot_start as usize,
-        )
+    fn locate(&self, router: usize, port: usize, vc: usize) -> usize {
+        (router - self.base) * self.geometry.vcs_per_router()
+            + self.geometry.first_vc[port] as usize
+            + vc
     }
 
     /// The VCs of `port` at `router`, VC 0 first.
@@ -374,21 +322,13 @@ impl InputFabric {
     /// VC `vc` of `port` at `router`.
     #[inline]
     pub fn vc(&self, router: usize, port: usize, vc: usize) -> &InputVc {
-        &self.vcs[self.locate(router, port, vc).0]
+        &self.vcs[self.locate(router, port, vc)]
     }
 
     /// Free space in phits of VC `vc` of `port` at `router`.
     #[inline]
     pub fn free_space(&self, router: usize, port: usize, vc: usize) -> usize {
         self.geometry.capacity(port, vc) - self.vc(router, port, vc).occupancy()
-    }
-
-    /// The head packet of VC `vc` of `port` at `router`.
-    #[inline]
-    pub fn head(&self, router: usize, port: usize, vc: usize) -> Option<&PacketSlot> {
-        let (i, start) = self.locate(router, port, vc);
-        let ivc = &self.vcs[i];
-        ivc.head(&self.slots[start..start + ivc.slot_count()])
     }
 
     /// The VCs of `port` at `router` whose head packet has no output granted
@@ -398,21 +338,12 @@ impl InputFabric {
         &self,
         router: usize,
         port: usize,
-    ) -> impl Iterator<Item = (usize, &PacketSlot)> {
-        let block = router - self.base;
-        let first = self.geometry.first_vc[port] as usize;
-        let vcs = self.port_vcs(router, port);
-        let slots = &self.slots[block * self.geometry.slots_per_router..];
-        let shapes = &self.geometry.shapes[first..first + vcs.len()];
-        vcs.iter()
-            .zip(shapes)
+    ) -> impl Iterator<Item = (usize, PacketId)> + '_ {
+        self.port_vcs(router, port)
+            .iter()
             .enumerate()
-            .filter(|(_, (ivc, _))| ivc.route == NO_PORT_VC)
-            .filter_map(move |(vc, (ivc, shape))| {
-                let start = shape.slot_start as usize;
-                ivc.head(&slots[start..start + ivc.slot_count()])
-                    .map(|slot| (vc, slot))
-            })
+            .filter(|(_, ivc)| ivc.route == NO_PORT_VC)
+            .filter_map(|(vc, ivc)| ivc.head().map(|head| (vc, head)))
     }
 
     /// Receive one phit into VC `vc` of `port` at `router` (see
@@ -420,44 +351,47 @@ impl InputFabric {
     #[inline]
     pub fn receive_phit(
         &mut self,
+        arena: &mut PacketArena,
         router: usize,
         port: usize,
         vc: usize,
         packet: PacketId,
         opens: Option<u16>,
     ) -> usize {
-        let (i, start) = self.locate(router, port, vc);
         let capacity = self.geometry.capacity(port, vc);
+        let i = self.locate(router, port, vc);
         let ivc = &mut self.vcs[i];
-        let region = &mut self.slots[start..start + ivc.slot_count()];
-        ivc.receive_phit(region, capacity, packet, opens);
+        ivc.receive_phit(arena, capacity, packet, opens);
         ivc.occupancy()
     }
 
     /// Forward one phit of the head packet of VC `vc` of `port` at `router`
     /// (see [`InputVc::send_phit`]).
     #[inline]
-    pub fn send_phit(&mut self, router: usize, port: usize, vc: usize) -> (PacketId, bool) {
-        let (i, start) = self.locate(router, port, vc);
-        let ivc = &mut self.vcs[i];
-        ivc.send_phit(&mut self.slots[start..start + ivc.slot_count()])
+    pub fn send_phit(
+        &mut self,
+        arena: &mut PacketArena,
+        router: usize,
+        port: usize,
+        vc: usize,
+    ) -> (PacketId, bool) {
+        let i = self.locate(router, port, vc);
+        self.vcs[i].send_phit(arena)
     }
 
     /// Grant (`Some`) or release (`None`) the output of the head packet of
     /// VC `vc` of `port` at `router`.
     #[inline]
     pub fn set_route(&mut self, router: usize, port: usize, vc: usize, route: Option<(u16, u8)>) {
-        let i = self.locate(router, port, vc).0;
+        let i = self.locate(router, port, vc);
         self.vcs[i].set_route(route);
     }
 
-    /// True when some VC of `port` at `router` holds a packet slot (phits
+    /// True when some VC of `port` at `router` holds a packet (phits
     /// present, or a packet being cut through whose tail has not left yet).
     #[inline]
     pub fn port_has_packets(&self, router: usize, port: usize) -> bool {
-        self.port_vcs(router, port)
-            .iter()
-            .any(|vc| vc.packets() > 0)
+        self.port_vcs(router, port).iter().any(|vc| !vc.is_empty())
     }
 
     /// Total phits stored across every owned input buffer.
@@ -465,58 +399,55 @@ impl InputFabric {
         self.vcs.iter().map(InputVc::occupancy).sum()
     }
 
-    /// Heap bytes of the VC array and the slot pool (capacity × element size).
+    /// Heap bytes of the VC array (capacity × element size).
     pub fn allocated_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.vcs.capacity() * size_of::<InputVc>() + self.slots.capacity() * size_of::<PacketSlot>()
+        self.vcs.capacity() * std::mem::size_of::<InputVc>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dragonfly_topology::NodeId;
 
-    fn pid(i: u32) -> PacketId {
-        PacketId(i as u64)
-    }
-
-    /// One VC of `capacity` phits plus a standalone pool exactly covering
-    /// its slot region.
+    /// One VC of `capacity` phits and the arena its packets live in.
     struct Fifo {
         vc: InputVc,
-        pool: Vec<PacketSlot>,
+        arena: PacketArena,
         capacity: usize,
     }
 
-    fn with_pool(capacity: usize, min_packet: usize) -> Fifo {
-        let vc = InputVc::new(capacity, min_packet);
+    fn fifo(capacity: usize) -> Fifo {
         Fifo {
-            pool: vec![PacketSlot::default(); vc.slot_count()],
-            vc,
+            vc: InputVc::default(),
+            arena: PacketArena::with_capacity(8),
             capacity,
         }
     }
 
     impl Fifo {
-        fn receive(&mut self, packet: PacketId, size: u16, is_head: bool) {
+        fn packet(&mut self, size: u16) -> PacketId {
+            self.arena.alloc(NodeId(0), NodeId(1), size, 0)
+        }
+
+        fn receive(&mut self, packet: PacketId, is_head: bool) {
+            let size = self.arena.get(packet).size;
             self.vc.receive_phit(
-                &mut self.pool,
+                &mut self.arena,
                 self.capacity,
                 packet,
                 is_head.then_some(size),
             );
         }
 
+        fn receive_whole(&mut self, packet: PacketId) {
+            for i in 0..self.arena.get(packet).size {
+                self.receive(packet, i == 0);
+            }
+        }
+
         fn send(&mut self) -> (PacketId, bool) {
-            self.vc.send_phit(&mut self.pool)
-        }
-
-        fn head(&self) -> Option<&PacketSlot> {
-            self.vc.head(&self.pool)
-        }
-
-        fn head_has_phit(&self) -> bool {
-            self.head().is_some_and(PacketSlot::has_phit)
+            self.vc.send_phit(&mut self.arena)
         }
 
         fn free_space(&self) -> usize {
@@ -526,16 +457,15 @@ mod tests {
 
     #[test]
     fn receive_then_send_whole_packet() {
-        let mut b = with_pool(16, 4);
-        for i in 0..4u16 {
-            b.receive(pid(1), 4, i == 0);
-        }
+        let mut b = fifo(16);
+        let p = b.packet(4);
+        b.receive_whole(p);
         assert_eq!(b.vc.occupancy(), 4);
-        assert_eq!(b.vc.packets(), 1);
-        assert!(b.head().unwrap().fully_received());
+        assert_eq!(b.vc.head(), Some(p));
+        assert_eq!(b.vc.head_present(), 4);
         for i in 0..4 {
-            let (p, tail) = b.send();
-            assert_eq!(p, pid(1));
+            let (sent, tail) = b.send();
+            assert_eq!(sent, p);
             assert_eq!(tail, i == 3);
         }
         assert!(b.vc.is_empty());
@@ -544,103 +474,118 @@ mod tests {
 
     #[test]
     fn cut_through_send_while_receiving() {
-        let mut b = with_pool(8, 4);
-        b.receive(pid(7), 4, true);
-        assert!(b.head_has_phit());
+        let mut b = fifo(8);
+        let p = b.packet(4);
+        b.receive(p, true);
+        assert_eq!(b.vc.head_present(), 1);
         let (_, tail) = b.send();
         assert!(!tail);
         assert_eq!(b.vc.occupancy(), 0);
-        assert!(!b.head_has_phit());
-        assert_eq!(b.vc.packets(), 1, "slot stays open until the tail is sent");
-        b.receive(pid(7), 4, false);
-        b.receive(pid(7), 4, false);
-        b.receive(pid(7), 4, false);
-        let mut tails = 0;
+        assert_eq!(b.vc.head_present(), 0);
+        assert_eq!(
+            b.vc.head(),
+            Some(p),
+            "the packet stays until its tail is sent"
+        );
         for _ in 0..3 {
-            let (_, t) = b.send();
-            if t {
-                tails += 1;
-            }
+            b.receive(p, false);
         }
+        let tails = (0..3).filter(|_| b.send().1).count();
         assert_eq!(tails, 1);
         assert!(b.vc.is_empty());
     }
 
     #[test]
     fn multiple_packets_fifo_order() {
-        let mut b = with_pool(16, 2);
-        for i in 0..3u16 {
-            b.receive(pid(1), 3, i == 0);
-        }
-        for i in 0..2u16 {
-            b.receive(pid(2), 2, i == 0);
-        }
-        assert_eq!(b.vc.packets(), 2);
+        let mut b = fifo(16);
+        let (p1, p2) = (b.packet(3), b.packet(2));
+        b.receive_whole(p1);
+        b.receive_whole(p2);
         assert_eq!(b.vc.occupancy(), 5);
+        assert_eq!(b.arena.successor(p1), Some(p2));
         // Head is packet 1; it must drain before packet 2.
         for _ in 0..3 {
-            let (p, _) = b.send();
-            assert_eq!(p, pid(1));
+            assert_eq!(b.send().0, p1);
         }
-        let (p, tail) = b.send();
-        assert_eq!(p, pid(2));
-        assert!(!tail);
-        let (p, tail) = b.send();
-        assert_eq!(p, pid(2));
-        assert!(tail);
+        assert_eq!(b.arena.successor(p1), None, "a popped packet is unlinked");
+        assert_eq!(b.vc.head(), Some(p2));
+        assert_eq!(b.vc.head_size(), 2);
+        assert_eq!(b.send(), (p2, false));
+        assert_eq!(b.send(), (p2, true));
         assert!(b.vc.is_empty());
     }
 
     #[test]
     fn buffers_share_one_pool_without_interference() {
-        // Two VCs whose slot regions sit back to back in a single pool.
-        let mut a = InputVc::new(8, 4);
-        let mut b = InputVc::new(8, 4);
-        let bound = InputVc::slot_bound(8, 4);
-        let mut pool = vec![PacketSlot::default(); bound * 2];
-        let (pa, pb) = pool.split_at_mut(bound);
-        a.receive_phit(pa, 8, pid(1), Some(4));
-        b.receive_phit(pb, 8, pid(2), Some(4));
-        a.receive_phit(pa, 8, pid(1), None);
-        assert_eq!(a.head(pa).unwrap().packet, pid(1));
-        assert_eq!(b.head(pb).unwrap().packet, pid(2));
-        assert_eq!(a.occupancy(), 2);
-        assert_eq!(b.occupancy(), 1);
-        let (p, _) = b.send_phit(pb);
-        assert_eq!(p, pid(2));
+        // Two VCs whose packets are listed through one arena.
+        let mut arena = PacketArena::new();
+        let (mut a, mut b) = (InputVc::default(), InputVc::default());
+        let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
+        a.receive_phit(&mut arena, 8, p1, Some(1));
+        b.receive_phit(&mut arena, 8, p2, Some(1));
+        a.receive_phit(&mut arena, 8, p3, Some(1));
+        assert_eq!(a.head(), Some(p1));
+        assert_eq!(b.head(), Some(p2));
+        assert_eq!((a.occupancy(), b.occupancy()), (2, 1));
+        assert_eq!(b.send_phit(&mut arena), (p2, true));
         assert_eq!(a.occupancy(), 2, "sibling buffer is untouched");
-        assert_eq!(a.head(pa).unwrap().phits_received, 2);
+        assert_eq!(a.send_phit(&mut arena), (p1, true));
+        assert_eq!(a.head(), Some(p3));
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut b = with_pool(2, 4);
-        b.receive(pid(1), 4, true);
-        b.receive(pid(1), 4, false);
-        b.receive(pid(1), 4, false);
+        let mut b = fifo(2);
+        let p = b.packet(4);
+        b.receive_whole(p);
     }
 
     #[test]
     #[should_panic(expected = "interleaved")]
     fn interleaved_packets_rejected() {
-        let mut b = with_pool(8, 4);
-        b.receive(pid(1), 4, true);
-        b.receive(pid(2), 4, false);
+        let mut b = fifo(8);
+        let (p1, p2) = (b.packet(4), b.packet(4));
+        b.receive(p1, true);
+        b.receive(p2, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "interleaved")]
+    fn a_head_behind_a_partly_received_tail_is_rejected() {
+        let mut b = fifo(8);
+        let (p1, p2) = (b.packet(4), b.packet(4));
+        b.receive(p1, true);
+        b.receive(p2, true);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has a successor")]
+    fn a_packet_is_linked_in_one_vc_at_most() {
+        let mut arena = PacketArena::new();
+        let (mut a, mut b) = (InputVc::default(), InputVc::default());
+        let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
+        a.receive_phit(&mut arena, 8, p1, Some(1));
+        a.receive_phit(&mut arena, 8, p2, Some(1));
+        // `p1` still heads `a`, so it cannot be a whole packet in `b`.
+        b.receive_phit(&mut arena, 8, p1, Some(1));
+        b.receive_phit(&mut arena, 8, p3, Some(1));
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn send_from_empty_panics() {
-        let mut b = with_pool(4, 1);
+        let mut b = fifo(4);
         b.send();
     }
 
     #[test]
     #[should_panic(expected = "no phit of the head packet")]
     fn send_without_present_phit_panics() {
-        let mut b = with_pool(8, 4);
-        b.receive(pid(1), 4, true);
+        let mut b = fifo(8);
+        let p = b.packet(4);
+        b.receive(p, true);
         let _ = b.send();
         let _ = b.send();
     }
@@ -648,24 +593,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one phit")]
     fn zero_capacity_rejected() {
-        InputVc::new(0, 1);
+        let mut config = SimConfig::paper_vct(2);
+        config.local_buffer = 0;
+        PortGeometry::new(&config);
     }
 
     #[test]
     fn occupancy_tracks_present_phits_only() {
-        let mut b = with_pool(8, 8);
-        b.receive(pid(1), 8, true);
-        b.receive(pid(1), 8, false);
+        let mut b = fifo(8);
+        let p = b.packet(8);
+        b.receive(p, true);
+        b.receive(p, false);
         let _ = b.send();
         assert_eq!(b.vc.occupancy(), 1);
         assert_eq!(b.free_space(), 7);
-        assert_eq!(b.head().unwrap().phits_present(), 1);
-        assert_eq!(b.head().unwrap().phits_sent, 1);
+        assert_eq!(b.vc.head_present(), 1);
+        assert_eq!(b.vc.head_sent(), 1);
     }
 
     #[test]
     fn route_word_round_trips() {
-        let mut vc = InputVc::new(8, 4);
+        let mut vc = InputVc::default();
         assert_eq!(vc.route(), None);
         for pair in [(0, 0), (63, 2), (u16::MAX, u8::MAX)] {
             vc.set_route(Some(pair));

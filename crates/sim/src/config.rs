@@ -229,8 +229,8 @@ impl SimConfig {
     /// value and the bound).
     pub fn validate(&self) {
         assert!(self.packet_size >= 1, "packet size must be positive");
-        // Phit counters of a buffered packet (`PacketSlot`) and of a packet
-        // are `u16`.
+        // A packet's size and the phit counters of an input VC's head and
+        // tail (`InputVc`) are `u16`.
         assert!(
             self.packet_size <= u16::MAX as usize,
             "packet_size = {} phits exceeds the {} a u16 phit counter holds",

@@ -807,6 +807,21 @@ impl LinkFabric {
         })
     }
 
+    /// Phits bound for VC `vc` and credits for VC `vc` in flight on link
+    /// `li`, counted from the slots of its two rings (a check's full scan,
+    /// not a hot-path read).
+    pub fn vc_in_flight(&self, li: usize, vc: u8) -> (usize, usize) {
+        let tags = &self.phit_tags[self.phit_off[li] as usize..self.phit_off[li + 1] as usize];
+        let masks =
+            &self.credit_masks[self.credit_off[li] as usize..self.credit_off[li + 1] as usize];
+        (
+            tags.iter()
+                .filter(|&&tag| tag != 0 && tag & TAG_VC == vc)
+                .count(),
+            masks.iter().filter(|&&mask| mask >> vc & 1 != 0).count(),
+        )
+    }
+
     /// Compare every link's cached `next_due` with the earliest occupied slot
     /// of its two rings (the full scan the cache replaces), at the close of
     /// cycle `now`; `Err` names the first link that disagrees.

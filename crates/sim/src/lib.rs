@@ -64,7 +64,7 @@ pub mod routing_iface;
 pub mod stats_collect;
 
 pub use active_set::ActiveSet;
-pub use buffer::{InputVc, PacketSlot};
+pub use buffer::InputVc;
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
 pub use fabric::{Arrived, CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};

@@ -109,13 +109,13 @@ impl GlobalStatusBoard {
 /// keeps on the side that launches into it (`tests/shard_memory.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBytes {
-    /// The input fabric: every owned input VC and its packet-slot pool.
+    /// The input fabric: every owned input VC.
     pub input_fabric: usize,
     /// The routers' output ports and their VCs.
     pub port_vectors: usize,
     /// The link fabric's phit and credit pools.
     pub fabric_pools: usize,
-    /// Packet arena slots and free list.
+    /// Packet arena slots and their links (free list and VC lists).
     pub arena: usize,
     /// The per-packet delay table: one [`DelayState`] per arena slot while
     /// the delay probe is armed, nothing otherwise.
@@ -135,8 +135,9 @@ pub struct Network<R: RoutingAlgorithm> {
     params: DragonflyParams,
     /// All routers (their output side), indexed by router id.
     pub routers: Vec<Router>,
-    /// Every input VC of the owned routers and its packet slots, addressed
-    /// by router id through the port geometry all routers share.
+    /// Every input VC of the owned routers, addressed by router id through
+    /// the port geometry all routers share; the packets each holds are
+    /// listed through the arena's links.
     inputs: InputFabric,
     /// Struct-of-arrays link state: every link's phit/credit pipeline lives in
     /// two shared pools, addressed by link index (see [`LinkFabric`]).
@@ -202,9 +203,9 @@ pub struct Network<R: RoutingAlgorithm> {
     active_links: ActiveSet,
     /// Routers with at least one phit buffered in an input VC.
     active_routers: ActiveSet,
-    /// Per router: bit `p` is set iff some VC of input port `p` holds a packet
-    /// slot.  Set where a phit is received (arrivals, injection feed), cleared
-    /// at the tail send that empties the port's last slot.
+    /// Per router: bit `p` is set iff some VC of input port `p` holds a
+    /// packet.  Set where a phit is received (arrivals, injection feed),
+    /// cleared at the tail send that empties the port's last VC.
     in_occupied: Vec<u64>,
     /// Per router: bit `p` is set iff some VC of output port `p` has an owner.
     /// Set at the grant, cleared at the tail send that frees the port's last
@@ -253,8 +254,8 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// behind the ids —
     ///
     /// * an un-owned router is a [`Router::husk`] with no output ports, and
-    ///   the [`InputFabric`] holds input VCs and slots for the owned range
-    ///   only (the one structure that offsets a router id, internally);
+    ///   the [`InputFabric`] holds input VCs for the owned range only (the
+    ///   one structure that offsets a router id, internally);
     /// * a pipeline is drained where it matures (phits at the receiving end,
     ///   credits at the transmitting end), and the instance owning that end
     ///   holds all `latency + 1` of its slots.  An instance owning only the
@@ -753,6 +754,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                             self.packets.get(phit.packet).size
                         });
                         let occupancy = self.inputs.receive_phit(
+                            &mut self.packets,
                             router,
                             port,
                             phit.vc as usize,
@@ -1005,9 +1007,14 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.close_leg(head, Leg::InjectionQueue, cycle);
             }
             let source = &mut self.sources[n];
-            let occupancy =
-                self.inputs
-                    .receive_phit(router, port, 0, source.head, is_head.then_some(size));
+            let occupancy = self.inputs.receive_phit(
+                &mut self.packets,
+                router,
+                port,
+                0,
+                source.head,
+                is_head.then_some(size),
+            );
             self.stats.note_vc_occupancy(occupancy);
             source.head_phits_sent += 1;
             activity = true;
@@ -1066,12 +1073,12 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let occupied = self.in_occupied[r];
                 let below = occupied & ((1 << router.rr_alloc) - 1);
                 for ip in set_bits(occupied ^ below).chain(set_bits(below)) {
-                    for (ivc, slot) in self.inputs.unrouted_heads(r, ip) {
-                        let packet = self.packets.get(slot.packet);
+                    for (ivc, head) in self.inputs.unrouted_heads(r, ip) {
+                        let packet = self.packets.get(head);
                         if let Some(choice) =
                             self.routing.route(&ctx, packet, &view, &mut self.rngs[r])
                         {
-                            decisions.push((ip, ivc, slot.packet, choice));
+                            decisions.push((ip, ivc, head, choice));
                         }
                     }
                 }
@@ -1175,17 +1182,16 @@ impl<R: RoutingAlgorithm> Network<R> {
                         }
                         continue;
                     }
-                    let Some(head) = self.inputs.head(r, ip as usize, ivc as usize) else {
-                        continue;
-                    };
-                    if !head.has_phit() {
+                    let input = self.inputs.vc(r, ip as usize, ivc as usize);
+                    if input.head_present() == 0 {
                         continue;
                     }
                     // At a flit boundary, wormhole needs space for the whole flit.
-                    let size = head.size as usize;
+                    let size = input.head_size() as usize;
+                    let sent = input.head_sent() as usize;
                     let fl = flow_control.flit_phits(size);
-                    if fl > 1 && (head.phits_sent as usize).is_multiple_of(fl) {
-                        let remaining = size - head.phits_sent as usize;
+                    if fl > 1 && sent.is_multiple_of(fl) {
+                        let remaining = size - sent;
                         if (out.credits as usize) < fl.min(remaining) {
                             continue;
                         }
@@ -1199,9 +1205,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.buffered_total -= 1;
                 let (ip, ivc) = self.routers[r].outputs[op].vcs[vc].owner().unwrap();
                 let (ip, ivc) = (ip as usize, ivc as usize);
-                let head = *self.inputs.head(r, ip, ivc).unwrap();
-                let sent_before = head.phits_sent;
-                let (pid, is_tail) = self.inputs.send_phit(r, ip, ivc);
+                let sent_before = self.inputs.vc(r, ip, ivc).head_sent();
+                let (pid, is_tail) = self.inputs.send_phit(&mut self.packets, r, ip, ivc);
                 let output = &mut self.routers[r].outputs[op];
                 output.rr_next = (vc + 1) % vcs;
                 output.vcs[vc].credits -= 1;
@@ -1823,6 +1828,55 @@ impl<R: RoutingAlgorithm> Network<R> {
         }
         Ok(())
     }
+
+    /// Check credit conservation on every output VC whose link this instance
+    /// owns at both ends (every link of a sequential run; a shard's
+    /// boundary links are exported at the barrier and skipped):
+    ///
+    /// `credits` + the VC's phits on the forward link + the downstream input
+    /// VC's occupancy + the VC's credits on the return link
+    /// = `downstream_capacity`.
+    ///
+    /// Every phit the transmitter launches takes a credit, and the credit
+    /// comes back only once the phit has left the downstream buffer, so each
+    /// phit of capacity is in exactly one of the four places.  An ejection
+    /// link's node consumes a phit on arrival and returns its credit at
+    /// once, so the occupancy term is 0 there.  `Err` names the first VC
+    /// that breaks the law.
+    ///
+    /// Holds between cycles, like [`Network::check_due_sets`];
+    /// `tests/credit_conservation.rs` steps it in release builds.
+    pub fn check_credit_conservation(&self) -> Result<(), String> {
+        let ports = self.params.ports_per_router();
+        for r in self.owned_routers.clone() {
+            for (op, output) in self.routers[r].outputs.iter().enumerate() {
+                let li = r * ports + op;
+                if !self.owns_receiver(li) {
+                    continue;
+                }
+                let end = self.fabric.end(li);
+                for (vc, out) in output.vcs.iter().enumerate() {
+                    let (phits, returning) = self.fabric.vc_in_flight(li, vc as u8);
+                    let buffered = match end {
+                        LinkEnd::Router { router, port } => {
+                            self.inputs.vc(router, port, vc).occupancy()
+                        }
+                        LinkEnd::Node { .. } => 0,
+                    };
+                    let total = out.credits as usize + phits + buffered + returning;
+                    if total != out.downstream_capacity as usize {
+                        return Err(format!(
+                            "router {r} port {op} VC {vc} (cycle {}): {} credits + {phits} \
+                             phits on the link + {buffered} buffered + {returning} credits \
+                             returning = {total}, not the capacity {}",
+                            self.cycle, out.credits, out.downstream_capacity
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// `incoming_link` of a port no link feeds (a terminal/injection port).
@@ -1917,17 +1971,16 @@ mod tests {
 
     /// The per-entry sizes the eagerly reserved state is priced in.  Each
     /// comment gives what the entry costs on the h = 8 paper machine
-    /// (2 064 routers: 862 packet slots, 69 input and 85 output VCs, 989
-    /// phit and 989 credit pipeline slots per router; 132 096 arena slots).
+    /// (2 064 routers: 69 input and 85 output VCs, 989 phit and 989 credit
+    /// pipeline slots per router; 132 096 arena slots).
     #[test]
     fn hot_path_layout_is_pinned() {
-        use crate::buffer::{InputVc, PacketSlot};
+        use crate::buffer::InputVc;
         use crate::router::OutputVc;
         use std::mem::size_of;
-        // 1 779 168 slots: 28.5 MB.
-        assert_eq!(size_of::<PacketSlot>(), 16);
-        // 142 416 input VCs: 2.3 MB.
-        assert!(size_of::<InputVc>() <= 16);
+        // 142 416 input VCs, each two packet ids, four phit counters, the
+        // occupancy and the route word: 4.6 MB.
+        assert_eq!(size_of::<InputVc>(), 32);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
         // 2 041 296 phit pipeline slots, a packet id and a tag byte each:
@@ -1938,8 +1991,10 @@ mod tests {
         // The records only a shard boundary carries.
         assert_eq!(size_of::<PhitInFlight>(), 16);
         assert_eq!(size_of::<CreditInFlight>(), 8);
-        // 132 096 preallocated arena slots: 7.4 MB (the delay table, only
-        // while the delay probe is armed, as much again).
+        // 132 096 preallocated arena slots of a packet and a 4-byte link:
+        // 7.9 MB (the delay table, only while the delay probe is armed,
+        // 7.4 MB more).
+        assert_eq!(size_of::<Packet>(), 56);
         assert_eq!(size_of::<DelayState>(), 56);
     }
 

@@ -224,7 +224,12 @@ impl Packet {
     }
 }
 
-/// Dense generational slab of packets with slot reuse.
+/// The link that ends a list: the last free slot, or a buffered packet with
+/// no successor in its VC.
+const NO_LINK: u32 = u32::MAX;
+
+/// Dense generational slab of packets with slot reuse, and the links that
+/// thread both the free slots and every input VC's packets through it.
 ///
 /// Slots are a plain `Vec<Packet>`; the authoritative generation of a slot
 /// lives *inside the slot*, as the generation half of its `id` field, so a
@@ -236,20 +241,46 @@ impl Packet {
 /// `Vec<Option<Packet>>` caught (use-after-free, double free) still panic,
 /// now via the id mismatch.
 ///
+/// **Links.**  Beside the slots is one `u32` link per slot, which means one
+/// of two things.  A free slot links to the next free slot: the free list is
+/// a LIFO stack threaded through the links, headed by `free`.  A live slot
+/// links to the packet behind it in the one input VC where it is *not* the
+/// tail ([`crate::buffer::InputVc`] keeps only its head and tail; the
+/// packets between are found through these links).  That VC is unique: a
+/// packet gains a successor in VC *Y* only once it is fully received there
+/// (phits of two packets never interleave in a VC), so its tail has left
+/// every upstream VC, and leaving a VC — the tail phit's send pops the
+/// packet — resets its link.  Upstream of *Y* it has no link left; downstream
+/// it is at most partly received, so the tail of every VC it occupies there.
+/// Appending behind a tail asserts, in debug builds, that the tail's link is
+/// unset.  A packet adopted from another shard ([`PacketArena::adopt`]) gets
+/// a fresh slot whose link `alloc` resets; the exporting shard's copy is
+/// popped from its VC before the tail phit leaves and freed after.
+///
 /// The slab is preallocated at construction (the engine sizes it from
 /// [`crate::SimConfig::arena_prealloc_for`]); growth beyond the preallocation
 /// still works but is counted in [`PacketArena::grows`] so capacity planning
 /// mistakes are visible.  Freed slots are reused LIFO, and the preallocated
-/// free list is ordered so a fresh arena hands out indices `0, 1, 2, …` —
+/// free list is threaded so a fresh arena hands out indices `0, 1, 2, …` —
 /// exactly the sequence a cold (unpreallocated) arena produces, which keeps
 /// reports byte-identical regardless of preallocation.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketArena {
     slots: Vec<Packet>,
-    free: Vec<u32>,
+    /// One per slot: the next free slot of a free one, the successor in its
+    /// VC of a buffered one; [`NO_LINK`] ends either list.
+    links: Vec<u32>,
+    /// First free slot ([`NO_LINK`] when every slot is live).
+    free: u32,
     live: usize,
     allocated_total: u64,
     grows: u64,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl PacketArena {
@@ -265,9 +296,14 @@ impl PacketArena {
         let slots = (0..slots)
             .map(|i| Packet::new(PacketId::new(i, 0), NodeId(0), NodeId(0), 0, 0))
             .collect::<Vec<_>>();
+        // Free list 0 → 1 → … → last, so pops yield 0, 1, 2, …
+        let mut links: Vec<u32> = (1..=slots.len() as u32).collect();
+        if let Some(last) = links.last_mut() {
+            *last = NO_LINK;
+        }
         Self {
-            // LIFO free list: store indices descending so pops yield 0, 1, 2, …
-            free: (0..slots.len() as u32).rev().collect(),
+            free: if slots.is_empty() { NO_LINK } else { 0 },
+            links,
             slots,
             live: 0,
             allocated_total: 0,
@@ -275,12 +311,13 @@ impl PacketArena {
         }
     }
 
-    /// Allocate a new packet and return its id.
+    /// Allocate a new packet and return its id.  Its link is unset.
     pub fn alloc(&mut self, src: NodeId, dst: NodeId, size: u16, gen_cycle: u64) -> PacketId {
         self.allocated_total += 1;
         self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            let idx = idx as usize;
+        if self.free != NO_LINK {
+            let idx = self.free as usize;
+            self.free = std::mem::replace(&mut self.links[idx], NO_LINK);
             // The free slot's own id field carries its current generation.
             let id = self.slots[idx].id;
             debug_assert_eq!(id.index(), idx);
@@ -289,8 +326,10 @@ impl PacketArena {
         } else {
             self.grows += 1;
             let idx = self.slots.len();
+            assert!(idx < NO_LINK as usize, "packet arena full");
             let id = PacketId::new(idx, 0);
             self.slots.push(Packet::new(id, src, dst, size, gen_cycle));
+            self.links.push(NO_LINK);
             id
         }
     }
@@ -313,7 +352,8 @@ impl PacketArena {
 
     /// Adopt a packet arriving from another shard's arena: allocate a local
     /// slot, copy every field of `packet` and return the *local* id (the
-    /// packet's `id` field is rewritten to match).
+    /// packet's `id` field is rewritten to match).  The local slot's link is
+    /// unset, whatever the exporting shard's copy links to.
     pub fn adopt(&mut self, packet: &Packet) -> PacketId {
         let id = self.alloc(packet.src, packet.dst, packet.size, packet.gen_cycle);
         let slot = self.get_mut(id);
@@ -327,9 +367,41 @@ impl PacketArena {
     pub fn free(&mut self, id: PacketId) {
         let idx = id.index();
         assert!(self.slots[idx].id == id, "double free of packet {id:?}");
+        debug_assert_eq!(
+            self.links[idx], NO_LINK,
+            "packet {id:?} freed while linked into an input VC"
+        );
         self.slots[idx].id = PacketId::new(idx, id.generation().wrapping_add(1));
-        self.free.push(idx as u32);
+        self.links[idx] = self.free;
+        self.free = idx as u32;
         self.live -= 1;
+    }
+
+    /// The packet behind live packet `id` in the input VC where `id` is not
+    /// the tail, if any.
+    #[inline]
+    pub fn successor(&self, id: PacketId) -> Option<PacketId> {
+        let link = self.links[self.get(id).id.index()];
+        (link != NO_LINK).then(|| self.slots[link as usize].id)
+    }
+
+    /// Link `next` behind `tail` in their input VC.
+    #[inline]
+    pub(crate) fn link_behind(&mut self, tail: PacketId, next: PacketId) {
+        let link = &mut self.links[tail.index()];
+        debug_assert_eq!(
+            *link, NO_LINK,
+            "packet {tail:?} already has a successor in another VC"
+        );
+        *link = next.index() as u32;
+    }
+
+    /// Unlink `head`, which is leaving its input VC, from the packet behind
+    /// it and return that packet, if any.
+    #[inline]
+    pub(crate) fn take_successor(&mut self, head: PacketId) -> Option<PacketId> {
+        let link = std::mem::replace(&mut self.links[head.index()], NO_LINK);
+        (link != NO_LINK).then(|| self.slots[link as usize].id)
     }
 
     /// Number of live (allocated, not yet freed) packets.
@@ -353,10 +425,10 @@ impl PacketArena {
         self.grows
     }
 
-    /// Bytes held by the slab and its free list (capacity × element size).
+    /// Bytes held by the slab and its links (capacity × element size).
     pub fn allocated_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Packet>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.links.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Capacity of the underlying slot vector (diagnostic).

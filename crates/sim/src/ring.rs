@@ -1,35 +1,23 @@
-//! Fixed-capacity ring buffers for the hot-path FIFOs.
-//!
-//! An input VC's queue of packet slots has a capacity that is *provable at
-//! construction time* from the simulation configuration (buffer depth,
-//! packet size).
+//! Packed metadata of a fixed-capacity ring over caller-provided storage.
 //!
 //! [`RingMeta`] is the metadata of one ring — head, length and capacity —
-//! packed into a single `u64` word (16 bits each).  It owns
-//! no storage: the ring's elements live in a caller-provided slice, which is
-//! what lets the [`crate::buffer::InputFabric`] keep every input VC's slot
-//! queue in one backing pool, the ring word inside the 16-byte
-//! [`crate::buffer::InputVc`].  All three fields provably fit 16 bits: a VC
-//! slot ring holds at most `capacity + 1 ≤ 257` entries.  (The link
-//! pipelines are not FIFOs of stamped entries but rings of slots indexed by
-//! cycle, with their own counters: see [`crate::fabric`].)
+//! packed into a single `u64` word (16 bits each).  It owns no storage: the
+//! ring's elements live in a caller-provided slice, so any number of rings
+//! can share one backing pool at exact capacities.
 //!
-//! The backing storage is allocated *eagerly* at construction.  Lazy
-//! (first-push) allocation was tried and rejected: rarely-used VCs get their
-//! first packet at unbounded, load-dependent times, so "zero allocations
-//! after warm-up" would never actually converge.  Eager reservation makes the
-//! whole-network footprint `Σ capacities` up front — and because the pooled
-//! layout packs rings back to back at their *exact* capacities (no
-//! power-of-two rounding), that footprint is the tight sum of the provable
-//! bounds.
+//! `RingMeta` is off the hot path.  Input VCs used to keep their packet slots
+//! in such rings; they are now packet lists threaded through the arena (see
+//! [`crate::buffer::InputVc`]), and the link pipelines are rings of slots
+//! indexed by cycle with their own counters (see [`crate::fabric`]).  The
+//! type is kept for the perf ledger's `sim.ring_push_pop_ns` primitive row,
+//! which `benchmark/` times through the public API, and for its tests.
 
 /// Packed metadata of one bounded FIFO ring: `head | len | cap`, 16 bits
 /// each, in one `u64` word.
 ///
 /// The word is the only per-ring state; the elements live in a caller-provided
-/// slice of exactly `cap` elements.  Pushing beyond the capacity panics: the
-/// capacities are sized from conservation arguments (see `ARCHITECTURE.md`,
-/// "Memory layout of the hot path"), so an overflow is a simulator bug, not a
+/// slice of exactly `cap` elements.  Pushing beyond the capacity panics: a
+/// ring's capacity is a bound its user proves, so an overflow is a bug, not a
 /// load condition.
 ///
 /// Wrap-around is a compare-and-subtract rather than a power-of-two mask:

@@ -148,8 +148,9 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{InputFabric, InputVc, PacketSlot};
-    use crate::packet::PacketId;
+    use crate::buffer::{InputFabric, InputVc};
+    use crate::packet::PacketArena;
+    use dragonfly_topology::NodeId;
     use dragonfly_topology::PortKind;
 
     fn test_config() -> SimConfig {
@@ -193,53 +194,38 @@ mod tests {
     }
 
     #[test]
-    fn slot_pool_covers_every_vc_exactly() {
-        let config = test_config();
-        let inputs = InputFabric::new(&config, 0..2);
-        let geometry = inputs.geometry();
-        let h = config.params.h();
-        let expected: usize = (0..config.params.ports_per_router())
-            .map(|p| {
-                let kind = Port::from_flat(p, h).kind();
-                config.input_vcs_for(kind)
-                    * InputVc::slot_bound(config.buffer_for(kind), config.packet_size)
-            })
-            .sum();
-        assert_eq!(geometry.slots_per_router(), expected);
-        let vcs = geometry.vcs_per_router();
-        assert_eq!(
-            inputs.allocated_bytes(),
-            2 * (vcs * std::mem::size_of::<InputVc>()
-                + expected * std::mem::size_of::<PacketSlot>())
-        );
-    }
-
-    #[test]
-    fn vcs_use_disjoint_pool_regions() {
+    fn vcs_are_addressed_independently() {
         // Fill two VCs of the same port, and the same VC of the next router,
-        // through the shared pool and check that none sees another's packet.
+        // and check that none sees another's packet.
         let config = test_config();
         let mut inputs = InputFabric::new(&config, 4..6);
+        let mut arena = PacketArena::new();
         let flat = Port::Local(0).flat(2);
         let size = config.packet_size as u16;
-        assert_eq!(inputs.receive_phit(4, flat, 0, PacketId(10), Some(size)), 1);
-        assert_eq!(inputs.receive_phit(4, flat, 1, PacketId(11), Some(size)), 1);
-        assert_eq!(inputs.receive_phit(5, flat, 0, PacketId(12), Some(size)), 1);
-        assert_eq!(inputs.head(4, flat, 0).unwrap().packet, PacketId(10));
-        assert_eq!(inputs.head(4, flat, 1).unwrap().packet, PacketId(11));
-        assert_eq!(inputs.head(5, flat, 0).unwrap().packet, PacketId(12));
-        assert!(inputs.head(5, flat, 1).is_none());
+        let [p10, p11, p12] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), size, 0));
+        for (router, vc, packet) in [(4, 0, p10), (4, 1, p11), (5, 0, p12)] {
+            let occupancy = inputs.receive_phit(&mut arena, router, flat, vc, packet, Some(size));
+            assert_eq!(occupancy, 1);
+        }
+        assert_eq!(inputs.vc(4, flat, 0).head(), Some(p10));
+        assert_eq!(inputs.vc(4, flat, 1).head(), Some(p11));
+        assert_eq!(inputs.vc(5, flat, 0).head(), Some(p12));
+        assert!(inputs.vc(5, flat, 1).head().is_none());
         assert_eq!(inputs.stored_phits(), 3);
-        let heads: Vec<_> = inputs
-            .unrouted_heads(4, flat)
-            .map(|(vc, slot)| (vc, slot.packet))
-            .collect();
-        assert_eq!(heads, [(0, PacketId(10)), (1, PacketId(11))]);
+        assert_eq!(
+            inputs.unrouted_heads(4, flat).collect::<Vec<_>>(),
+            [(0, p10), (1, p11)]
+        );
         inputs.set_route(4, flat, 0, Some((2, 1)));
         assert_eq!(inputs.vc(4, flat, 0).route(), Some((2, 1)));
         assert_eq!(inputs.unrouted_heads(4, flat).count(), 1);
         assert!(inputs.port_has_packets(4, flat));
         assert!(!inputs.port_has_packets(4, Port::Local(1).flat(2)));
+        // Two routers' blocks of VCs and nothing else.
+        assert_eq!(
+            inputs.allocated_bytes(),
+            2 * inputs.geometry().vcs_per_router() * std::mem::size_of::<InputVc>()
+        );
     }
 
     #[test]

@@ -188,8 +188,8 @@ fn watchdog_verdict_is_pinned() {
 /// Arena preallocation is a pure capacity hint: a cold arena (grows from
 /// empty), a tiny preallocation that is outgrown mid-run, and the default
 /// heuristic must all produce byte-identical reports.  This pins the
-/// descending-free-list construction (slot ids are handed out in the same
-/// order whether a slot was preallocated or pushed by growth).
+/// free-list construction (slot ids are handed out in the same order whether
+/// a slot was preallocated or pushed by growth).
 #[test]
 fn arena_preallocation_never_changes_results() {
     use dragonfly::routing::Olm;

@@ -164,6 +164,107 @@ fn ring_meta_view_matches_vecdeque_model() {
     }
 }
 
+/// Input VCs as packet lists threaded through the arena behave exactly like
+/// one `VecDeque<(packet, size, received, sent)>` per VC.  Three VCs form a
+/// path — a source feeds VC 0, each VC forwards into the next, and VC 2
+/// ejects — so a packet is cut through several VCs at once, as in the
+/// engine: the head of one VC while the tail of the next, and head = tail
+/// within one.  Sizes are 1..=80 phits and capacities 1..=96, so packets
+/// span VCs both ways.  After every move the head id, its present phits,
+/// the occupancy and every interior link agree with the model, each tail
+/// sent pops the model's front, and a popped packet's link is reset.
+#[test]
+fn input_vc_lists_match_a_vecdeque_model() {
+    use dragonfly::sim::{InputVc, PacketArena};
+    use std::collections::VecDeque;
+
+    /// `(packet, size, received, sent)`, front = head.
+    type Model = VecDeque<(PacketId, u16, u16, u16)>;
+    const VCS: usize = 3;
+
+    let mut meta_rng = Rng::seed_from(0x11575);
+    let (mut tails, mut cut_through) = (0, 0);
+    for case in 0..64 {
+        let capacity: [usize; VCS] = std::array::from_fn(|_| 1 + meta_rng.gen_index(96));
+        let mut rng = Rng::seed_from(0x1157 + case);
+        let mut arena = PacketArena::with_capacity(4);
+        let mut vcs = [InputVc::default(); VCS];
+        let mut model: [Model; VCS] = Default::default();
+        // The packet the source is feeding: (id, size, phits fed).
+        let mut source: Option<(PacketId, u16, u16)> = None;
+        for _ in 0..3_000 {
+            let hop = rng.gen_index(VCS + 1);
+            if hop == 0 {
+                // The source feeds one phit into VC 0.
+                if vcs[0].occupancy() == capacity[0] {
+                    continue;
+                }
+                let (id, size, fed) = *source.get_or_insert_with(|| {
+                    let size = 1 + rng.gen_index(80) as u16;
+                    (arena.alloc(NodeId(0), NodeId(1), size, 0), size, 0)
+                });
+                vcs[0].receive_phit(&mut arena, capacity[0], id, (fed == 0).then_some(size));
+                receive_into(&mut model[0], id, size, fed == 0);
+                source = (fed + 1 < size).then_some((id, size, fed + 1));
+            } else {
+                // VC `hop - 1` forwards one phit into VC `hop`, or ejects.
+                let from = hop - 1;
+                if vcs[from].head_present() == 0
+                    || (hop < VCS && vcs[hop].occupancy() == capacity[hop])
+                {
+                    continue;
+                }
+                let &(id, size, received, sent) = model[from].front().unwrap();
+                cut_through += (received < size) as u32;
+                let (packet, is_tail) = vcs[from].send_phit(&mut arena);
+                assert_eq!((packet, is_tail), (id, sent + 1 == size));
+                model[from][0].3 += 1;
+                if is_tail {
+                    model[from].pop_front();
+                    tails += 1;
+                    assert_eq!(arena.successor(id), None, "a popped packet is unlinked");
+                }
+                if hop < VCS {
+                    vcs[hop].receive_phit(
+                        &mut arena,
+                        capacity[hop],
+                        id,
+                        (sent == 0).then_some(size),
+                    );
+                    receive_into(&mut model[hop], id, size, sent == 0);
+                } else if is_tail {
+                    arena.free(id);
+                }
+            }
+            for (vc, model) in vcs.iter().zip(&model) {
+                let present: u16 = model.iter().map(|&(_, _, r, s)| r - s).sum();
+                assert_eq!(vc.occupancy(), present as usize);
+                assert_eq!(vc.is_empty(), model.is_empty());
+                assert_eq!(vc.head(), model.front().map(|m| m.0));
+                assert_eq!(vc.head_present(), model.front().map_or(0, |m| m.2 - m.3));
+                for pair in model.iter().collect::<Vec<_>>().windows(2) {
+                    assert_eq!(arena.successor(pair[0].0), Some(pair[1].0));
+                }
+            }
+        }
+    }
+    assert!(tails > 2_000, "only {tails} packets left a VC");
+    assert!(
+        cut_through > 10_000,
+        "only {cut_through} phits were cut through"
+    );
+
+    fn receive_into(model: &mut Model, id: PacketId, size: u16, opens: bool) {
+        if opens {
+            model.push_back((id, size, 1, 0));
+        } else {
+            let tail = model.back_mut().unwrap();
+            assert_eq!(tail.0, id);
+            tail.2 += 1;
+        }
+    }
+}
+
 /// One pipeline of the naive link model: what is in flight, oldest first,
 /// with its arrival cycle, and the most it ever held.
 struct Pipe<T> {

@@ -3,7 +3,7 @@
 //! Each shard of a `ShardedSimulation` is a `Network` built for its own router
 //! range (`Network::with_owned_routers`).  Ids stay global, so the id-indexed
 //! arrays keep their full length on every shard, but the pools behind them —
-//! the input fabric (input VCs and their packet slots), the routers' output
+//! the input fabric (every input VC), the routers' output
 //! ports, link pipelines, the packet arena, the delay table when the delay
 //! probe is armed, source-queue reservations — are sized by ownership.  This
 //! file pins that in
@@ -26,8 +26,8 @@ use std::mem::size_of;
 use dragonfly::core::{ProbeConfig, ShardPlan, ShardedSimulation};
 use dragonfly::routing::MinimalRouting;
 use dragonfly::sim::{
-    DelayState, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PacketSlot,
-    PhitInFlight, PoolBytes, SimConfig,
+    DelayState, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PhitInFlight,
+    PoolBytes, SimConfig,
 };
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;
@@ -82,9 +82,8 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         let vcs = config.vcs_for(kind);
         // A node feeds its injection port through one FIFO.
         let input_vcs = if kind == PortKind::Terminal { 1 } else { vcs };
-        let slots = InputVc::slot_bound(config.buffer_for(kind), config.packet_size);
-        per_router.input_fabric +=
-            input_vcs * (size_of::<InputVc>() + slots * size_of::<PacketSlot>());
+        // The packets a VC holds are listed through the arena's links.
+        per_router.input_fabric += input_vcs * size_of::<InputVc>();
         per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
         // The link behind this output port: one phit slot and one credit
         // slot per arrival cycle in flight, `latency + 1` of each.
@@ -220,11 +219,11 @@ fn paper_scale_pools_match_the_size_formula() {
     let config = SimConfig::paper_vct(8);
     let bytes = sequential(&config).allocated_bytes();
     assert_eq!(bytes, whole_machine(&config));
-    // 862 slots and 69 input VCs per router (one VC per injection port);
-    // 16 × 862 + 16 × 69 bytes.
-    assert_eq!(bytes.input_fabric, 2_064 * (862 + 69) * 16);
-    assert_eq!(bytes.input_fabric, 30_745_344);
-    // 132 096 arena slots of a 56-byte packet and a 4-byte free-list entry.
+    // 69 input VCs per router (one VC per injection port) of 32 bytes.
+    assert_eq!(bytes.input_fabric, 2_064 * 69 * size_of::<InputVc>());
+    assert_eq!(bytes.input_fabric, 4_557_312);
+    // 132 096 arena slots of a 56-byte packet and a 4-byte link (the free
+    // list, and the input VCs' packet lists).
     assert_eq!(bytes.arena, 132_096 * 60);
     assert_eq!(bytes.arena, 7_925_760);
     assert_eq!(bytes.delay_table, 0);
