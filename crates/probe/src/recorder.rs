@@ -56,7 +56,7 @@ pub struct SampleSnapshot {
     pub buffered_phits: u64,
     /// Piggybacking global-channel congested flags currently set.
     pub pb_congested: u64,
-    /// Packet-arena growths beyond the preallocation so far (diagnostic).
+    /// Packet-arena slots pushed beyond its reservation so far (diagnostic).
     pub arena_grows: u64,
     /// Highest occupancy any link phit ring has reached (diagnostic).
     pub phit_ring_high_water: u64,

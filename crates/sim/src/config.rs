@@ -94,11 +94,6 @@ pub struct SimConfig {
     /// Occupancy fraction above which a global channel is advertised as congested to
     /// the Piggybacking mechanism.
     pub pb_congestion_threshold: f64,
-    /// Explicit packet-arena preallocation in slots (`None` applies the
-    /// [`SimConfig::arena_prealloc_for`] heuristic).  `Some(0)` forces a cold
-    /// arena, which is useful for testing that preallocation never changes
-    /// results.
-    pub arena_prealloc: Option<usize>,
 }
 
 impl SimConfig {
@@ -119,7 +114,6 @@ impl SimConfig {
             seed: 1,
             deadlock_threshold: 50_000,
             pb_congestion_threshold: 0.3,
-            arena_prealloc: None,
         }
     }
 
@@ -151,29 +145,6 @@ impl SimConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Override the packet-arena preallocation (slots).  `0` forces a cold
-    /// arena that grows on demand, exactly like the pre-preallocation engine.
-    pub fn with_arena_prealloc(mut self, slots: usize) -> Self {
-        self.arena_prealloc = Some(slots);
-        self
-    }
-
-    /// Packet-arena slots to preallocate for a machine of `nodes` terminal
-    /// nodes (a network instance owning part of it takes that part's share,
-    /// see `Network::with_owned_routers`).
-    ///
-    /// The heuristic is 8 packets per node (clamped to at least 1024
-    /// slots): the arena holds the packets whose head phit has entered the
-    /// network (a source's backlog waits outside it), which the buffers bound,
-    /// and 8/node comfortably covers every steady-state load below saturation
-    /// in the paper's configurations.  Overflowing the
-    /// preallocation is *not* an error — the slab grows and counts the event
-    /// in [`crate::PacketArena::grows`].
-    #[inline]
-    pub fn arena_prealloc_for(&self, nodes: usize) -> usize {
-        self.arena_prealloc.unwrap_or_else(|| (nodes * 8).max(1024))
     }
 
     /// Number of virtual channels of an output port of the given kind (and

@@ -1,7 +1,7 @@
 //! The network: routers, the link fabric, sources and the per-cycle phases.
 
 use crate::active_set::ActiveSet;
-use crate::buffer::InputFabric;
+use crate::buffer::{InputFabric, PortGeometry};
 use crate::config::SimConfig;
 use crate::fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 use crate::packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
@@ -102,11 +102,12 @@ impl GlobalStatusBoard {
 /// What a [`Network`] allocated for its pools, in bytes of capacity
 /// ([`Network::allocated_bytes`]).
 ///
-/// Over the shards of a sharded run `input_fabric`, `port_vectors`, `arena`,
-/// `delay_table` and `source_queues` sum to exactly the sequential network's
-/// values (the delay table as preallocated: it grows with the arena); so
-/// does `fabric_pools`, up to the one-cycle export ring each boundary link
-/// keeps on the side that launches into it (`tests/shard_memory.rs`).
+/// Over the shards of a sharded run `input_fabric`, `port_vectors` and
+/// `source_queues` sum to exactly the sequential network's values; so does
+/// `fabric_pools`, up to the one-cycle export ring each boundary link keeps
+/// on the side that launches into it (`tests/shard_memory.rs`).  `arena`
+/// and `delay_table` are reserved at [`Network::arena_bound`], which the
+/// shards partition, but never below [`MIN_RESERVED_SLOTS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBytes {
     /// The input fabric: every owned input VC.
@@ -115,10 +116,11 @@ pub struct PoolBytes {
     pub port_vectors: usize,
     /// The link fabric's phit and credit pools.
     pub fabric_pools: usize,
-    /// Packet arena slots and their links (free list and VC lists).
+    /// Packet arena slots and their links (free list and VC lists), as
+    /// reserved.
     pub arena: usize,
-    /// The per-packet delay table: one [`DelayState`] per arena slot while
-    /// the delay probe is armed, nothing otherwise.
+    /// The per-packet delay table, reserved like the arena while the delay
+    /// probe is armed, nothing otherwise.
     pub delay_table: usize,
     /// Source-queue reservations.
     pub source_queues: usize,
@@ -150,8 +152,12 @@ pub struct Network<R: RoutingAlgorithm> {
     /// Per-node source queues, filled through `push_generated` only (which
     /// keeps `pending_sources` in step).
     sources: Vec<SourceQueue>,
-    /// Packet arena.
+    /// Packet arena, reserved at `arena_bound` (at least
+    /// [`MIN_RESERVED_SLOTS`]).
     pub packets: PacketArena,
+    /// The most packets this instance's buffers can hold at once
+    /// ([`Network::arena_bound`]).
+    arena_bound: usize,
     /// The per-packet delay table, indexed by arena slot: present only while
     /// the delay probe is armed ([`Network::install_probes`]), and grown in
     /// step with the arena.  Every delay-attribution stamp goes through
@@ -263,8 +269,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     ///   ([`Network::take_link_phits`] / [`Network::take_link_credits`]), so it
     ///   holds one cycle's slot: one phit, or one mask of credits.  A link
     ///   with neither end owned holds nothing;
-    /// * source queues reserve their slots, and the arena its share of the
-    ///   machine-wide preallocation, for owned nodes only.
+    /// * source queues reserve their slots for owned nodes only, and the
+    ///   arena (and the delay table, once armed) reserves what the owned
+    ///   routers' buffers can hold ([`Network::arena_bound`], at least
+    ///   [`MIN_RESERVED_SLOTS`]).
     ///
     /// [`Network::check_due_sets`] checks that nothing un-owned is ever
     /// scheduled; [`Network::allocated_bytes`] reports what was allocated.
@@ -391,15 +399,10 @@ impl<R: RoutingAlgorithm> Network<R> {
         let rngs = (0..num_routers)
             .map(|r| Rng::seed_from(derive_seed(config.seed, r as u64)))
             .collect();
-        // The owned nodes' share of the machine-wide preallocation, cut at the
-        // same points whatever the partition: the shares of a set of ranges
-        // covering the machine sum to exactly the sequential arena.
-        let arena_total = config.arena_prealloc_for(num_nodes);
-        let arena_prealloc =
-            arena_total * owned_nodes.end / num_nodes - arena_total * owned_nodes.start / num_nodes;
         // Worst case per router: one pending decision per input VC.
         let route_scratch_cap = ports * config.local_vcs.max(config.global_vcs);
         let inputs = InputFabric::new(&config, owned.clone());
+        let arena_bound = owned.len() * packets_per_router(&config, inputs.geometry(), &downstream);
         Self {
             rngs,
             config,
@@ -410,7 +413,8 @@ impl<R: RoutingAlgorithm> Network<R> {
             incoming_link,
             link_phits,
             sources,
-            packets: PacketArena::with_capacity(arena_prealloc),
+            packets: PacketArena::with_capacity(arena_bound.max(MIN_RESERVED_SLOTS)),
+            arena_bound,
             delay: None,
             cycle: 0,
             routing,
@@ -1274,14 +1278,14 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Start the delay ledger of the packet just allocated at `id`, growing
-    /// the table to the arena's slot count first.  A no-op unless the delay
-    /// probe is armed.
+    /// the table in step with the arena: a slot's first use pushes its entry
+    /// (and, after an install that found used slots, the entries of the ones
+    /// before it).  A no-op unless the delay probe is armed.
     #[inline]
     fn open_ledger(&mut self, id: PacketId, state: DelayState) {
         if let Some(table) = self.delay.as_mut() {
-            let slots = self.packets.capacity_slots();
-            if table.len() < slots {
-                table.resize(slots, DelayState::default());
+            if table.len() <= id.index() {
+                table.resize(id.index() + 1, DelayState::default());
             }
             table[id.index()] = state;
         }
@@ -1543,12 +1547,57 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.buffered_total
     }
 
-    /// Times the packet arena grew beyond its preallocation (engine-local
+    /// Slots the packet arena pushed beyond its construction-time
+    /// reservation: 0 while [`Network::arena_bound`] holds (engine-local
     /// diagnostic; deliberately *not* part of `SimReport`, because each shard
-    /// of a sharded run grows its own arena and the value would break the
+    /// of a sharded run keeps its own arena and the value would break the
     /// byte-identity of sequential and sharded reports).
     pub fn arena_grows(&self) -> u64 {
         self.packets.grows()
+    }
+
+    /// The most packets the buffers of the routers this instance owns can
+    /// hold at once: what the arena and the delay table are reserved at
+    /// (never below [`MIN_RESERVED_SLOTS`]).  A sum over the owned routers,
+    /// so the bounds of a sharded run's shards add up to the sequential one
+    /// exactly (the derivation is on `packets_per_router`).
+    pub fn arena_bound(&self) -> usize {
+        self.arena_bound
+    }
+
+    /// Generated packets waiting at this instance's sources that hold no
+    /// arena slot yet.  A queue's front packet takes its slot with its first
+    /// phit, so a part-fed one is live in the arena and not counted here.
+    pub fn queued_packets(&self) -> usize {
+        self.sources
+            .iter()
+            .map(|source| source.pending.len() - usize::from(source.head_phits_sent > 0))
+            .sum()
+    }
+
+    /// Packets this instance still holds whose head has crossed a boundary
+    /// link into another shard's arena: each is live in two arenas until
+    /// its tail leaves this one (0 on a sequential run).  Between cycles
+    /// they are exactly the input-VC heads with phits sent on a link whose
+    /// receiving router another instance owns.
+    pub fn exporting_packets(&self) -> usize {
+        let ports = self.params.ports_per_router();
+        self.owned_routers
+            .clone()
+            .flat_map(|r| (0..ports).map(move |p| (r, p)))
+            .map(|(r, p)| {
+                self.inputs
+                    .port_vcs(r, p)
+                    .iter()
+                    .filter(|vc| {
+                        vc.head_sent() > 0
+                            && vc.route().is_some_and(|(out, _)| {
+                                !self.owns_receiver(r * ports + out as usize)
+                            })
+                    })
+                    .count()
+            })
+            .sum()
     }
 
     /// Heap bytes this network instance allocated for its pools, as capacity ×
@@ -1589,13 +1638,14 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// (so the sequential and sharded engines sample at the identical point).
     ///
     /// Probes are read-only: they consume no RNG draws and change no report
-    /// field, and all their storage is preallocated here, so the zero-alloc
+    /// field, and all their storage is reserved here, so the zero-alloc
     /// guarantee of the cycle loop holds with probes enabled.
     ///
     /// Two engine layers exist only for the probe.  The piggybacking board is
     /// kept from here on (the `pb_congested` series reads it), rebuilt now
     /// from a full scan.  With `cfg.delay` the per-packet delay table is
-    /// allocated at the arena's slot count.
+    /// reserved like the arena, at [`Network::arena_bound`] (at least
+    /// [`MIN_RESERVED_SLOTS`]), and grows in step with it.
     ///
     /// # Panics
     ///
@@ -1608,7 +1658,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         );
         self.delay = cfg
             .delay
-            .then(|| vec![DelayState::default(); self.packets.capacity_slots()]);
+            .then(|| Vec::with_capacity(self.arena_bound.max(MIN_RESERVED_SLOTS)));
         let ports = self.params.ports_per_router();
         let h = self.params.h();
         let link_class = (0..self.fabric.len())
@@ -1877,7 +1927,86 @@ impl<R: RoutingAlgorithm> Network<R> {
         }
         Ok(())
     }
+
+    /// Check that the arena holds no more packets than the buffers bound:
+    /// `live` ≤ [`Network::arena_bound`].  `Err` gives both counts.
+    ///
+    /// Holds between cycles, like [`Network::check_credit_conservation`];
+    /// `tests/credit_conservation.rs` steps it in release builds.
+    pub fn check_arena_bound(&self) -> Result<(), String> {
+        let live = self.packets.live();
+        if live > self.arena_bound {
+            return Err(format!(
+                "cycle {}: {live} live packets above the arena bound {}",
+                self.cycle, self.arena_bound
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// The most packets one router's buffers can hold at once, and so the
+/// arena slots each owned router reserves: `⌊c / packet_size⌋ + 2` summed
+/// over its input VCs (`inputs`) and its ejection VCs (the terminal output
+/// ports' VCs, whose downstream capacities are in `downstream`).
+///
+/// A packet holds its slot from the cycle its head phit enters the
+/// injection VC until its tail phit reaches the destination node.  Give
+/// every VC a *domain*: an input VC's domain is its buffer plus the phits
+/// on the link feeding it (an injection VC is fed by its node directly), an
+/// ejection VC's is the phits on the ejection link (the node consumes each
+/// on arrival).  A phit enters a domain only on a credit of the VC and
+/// returns the credit when it leaves, so a domain of a `c`-phit VC holds at
+/// most `c` phits.  Phits of two packets never interleave in a VC or on a
+/// VC of a link, so the packets with a phit in a domain form a FIFO run in
+/// which every packet but the first and the last is whole: at most
+/// `⌊c / packet_size⌋ + 2` of them.  Between cycles every live packet has a
+/// phit in some domain: its tail is not delivered yet (that frees the
+/// slot), and while its node is still feeding it, it is the last packet of
+/// its injection VC, which the node feeds whenever there is room, so its
+/// latest phit is still in the network.  The sum over the domains bounds
+/// the live packets.
+///
+/// Each domain belongs to one router (an input VC to the router it buffers
+/// at, an ejection VC to the router it leaves), so the bound is a sum over
+/// routers and a shard's share is the sum over the routers it owns: a
+/// packet crossing a boundary link is live in the receiving shard's arena
+/// from its head's import on, with a phit in that shard's domain, and in
+/// the sending shard's until its tail leaves, with a phit still buffered
+/// there.
+///
+/// At the paper's VCT configuration (8-phit packets; 32-phit local,
+/// injection and ejection buffers, 256-phit global ones; 3 local and 2
+/// global VCs) the input side is `6h + 18(2h − 1) + 68h = 110h − 18` and
+/// the ejection side `18h`: `128h − 18` per router, 1 006 at h = 8.
+fn packets_per_router(config: &SimConfig, inputs: &PortGeometry, downstream: &[usize]) -> usize {
+    let packets = |capacity: usize| capacity / config.packet_size + 2;
+    let h = config.params.h();
+    (0..downstream.len())
+        .map(|flat| {
+            let input: usize = (0..inputs.port_vcs(flat).len())
+                .map(|vc| packets(inputs.capacity(flat, vc)))
+                .sum();
+            let kind = Port::from_flat(flat, h).kind();
+            let ejection = if kind == PortKind::Terminal {
+                config.vcs_for(kind) * packets(downstream[flat])
+            } else {
+                0
+            };
+            input + ejection
+        })
+        .sum()
+}
+
+/// The fewest slots the arena and the delay table reserve: 32 MiB of
+/// 56-byte entries, the largest mmap threshold of glibc's `malloc`.  A
+/// reservation that large is always a fresh mapping, resident only where
+/// written.  A smaller one is carved from the recycled heap, where its
+/// unwritten pages are pages a later network's allocations write: a sweep
+/// running one h = 2 network after another on two threads peaked at
+/// 8.2 MB of RSS with its arenas reserved at the bare bound (8 568 slots)
+/// and at 7.5 MB with this floor.  From h = 6 on the bound is larger.
+pub const MIN_RESERVED_SLOTS: usize = (32 << 20) / std::mem::size_of::<Packet>() + 1;
 
 /// `incoming_link` of a port no link feeds (a terminal/injection port).
 const NO_LINK: u32 = u32::MAX;
@@ -1972,7 +2101,9 @@ mod tests {
     /// The per-entry sizes the eagerly reserved state is priced in.  Each
     /// comment gives what the entry costs on the h = 8 paper machine
     /// (2 064 routers: 69 input and 85 output VCs, 989 phit and 989 credit
-    /// pipeline slots per router; 132 096 arena slots).
+    /// pipeline slots per router; 1 006 arena slots per router, 128h − 18 by
+    /// `packets_per_router`: 6 for each of the 8 injection VCs, the 45 local
+    /// and the 24 ejection VCs, 34 for each of the 16 global VCs).
     #[test]
     fn hot_path_layout_is_pinned() {
         use crate::buffer::InputVc;
@@ -1991,9 +2122,10 @@ mod tests {
         // The records only a shard boundary carries.
         assert_eq!(size_of::<PhitInFlight>(), 16);
         assert_eq!(size_of::<CreditInFlight>(), 8);
-        // 132 096 preallocated arena slots of a packet and a 4-byte link:
-        // 7.9 MB (the delay table, only while the delay probe is armed,
-        // 7.4 MB more).
+        // 2 064 × 1 006 = 2 076 384 arena slots of a packet and a 4-byte
+        // link: 124.6 MB reserved (the delay table, only while the delay
+        // probe is armed, 116.3 MB more), resident ≈ the live high-water
+        // times the entry size.
         assert_eq!(size_of::<Packet>(), 56);
         assert_eq!(size_of::<DelayState>(), 56);
     }

@@ -257,13 +257,16 @@ const NO_LINK: u32 = u32::MAX;
 /// a fresh slot whose link `alloc` resets; the exporting shard's copy is
 /// popped from its VC before the tail phit leaves and freed after.
 ///
-/// The slab is preallocated at construction (the engine sizes it from
-/// [`crate::SimConfig::arena_prealloc_for`]); growth beyond the preallocation
-/// still works but is counted in [`PacketArena::grows`] so capacity planning
-/// mistakes are visible.  Freed slots are reused LIFO, and the preallocated
-/// free list is threaded so a fresh arena hands out indices `0, 1, 2, …` —
-/// exactly the sequence a cold (unpreallocated) arena produces, which keeps
-/// reports byte-identical regardless of preallocation.
+/// **Growth.**  A slot's first use is a push; the free list holds only slots
+/// that were freed, reused LIFO.  So a fresh arena hands out `0, 1, 2, …`
+/// whatever its reservation, and reports never depend on it.  The engine
+/// reserves the slab and its links at the bound the buffers put on the
+/// packets in flight ([`crate::Network::arena_bound`], never below
+/// [`crate::network::MIN_RESERVED_SLOTS`], which makes the reservation a
+/// fresh mapping): untouched capacity is address space, not resident
+/// memory, and a push inside the reservation never calls the allocator.  A
+/// push beyond it still works but is counted in [`PacketArena::grows`], so
+/// a bound that does not hold is visible.
 #[derive(Debug)]
 pub struct PacketArena {
     slots: Vec<Packet>,
@@ -273,8 +276,8 @@ pub struct PacketArena {
     /// First free slot ([`NO_LINK`] when every slot is live).
     free: u32,
     live: usize,
-    allocated_total: u64,
-    grows: u64,
+    /// Slots reserved at construction.
+    reserved: usize,
 }
 
 impl Default for PacketArena {
@@ -284,36 +287,26 @@ impl Default for PacketArena {
 }
 
 impl PacketArena {
-    /// Create an empty arena (every allocation will grow the slab).
+    /// Create an empty arena (every first use of a slot grows the slab).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create an arena with `slots` preallocated, reuse-ordered so the id
-    /// sequence matches a cold arena exactly.
+    /// Create an empty arena with `slots` reserved: the slab and its links
+    /// are allocated but not written, and the first `slots` pushes never
+    /// reallocate.
     pub fn with_capacity(slots: usize) -> Self {
-        // Each free slot's `id` records its own index at generation 0.
-        let slots = (0..slots)
-            .map(|i| Packet::new(PacketId::new(i, 0), NodeId(0), NodeId(0), 0, 0))
-            .collect::<Vec<_>>();
-        // Free list 0 → 1 → … → last, so pops yield 0, 1, 2, …
-        let mut links: Vec<u32> = (1..=slots.len() as u32).collect();
-        if let Some(last) = links.last_mut() {
-            *last = NO_LINK;
-        }
         Self {
-            free: if slots.is_empty() { NO_LINK } else { 0 },
-            links,
-            slots,
+            slots: Vec::with_capacity(slots),
+            links: Vec::with_capacity(slots),
+            free: NO_LINK,
             live: 0,
-            allocated_total: 0,
-            grows: 0,
+            reserved: slots,
         }
     }
 
     /// Allocate a new packet and return its id.  Its link is unset.
     pub fn alloc(&mut self, src: NodeId, dst: NodeId, size: u16, gen_cycle: u64) -> PacketId {
-        self.allocated_total += 1;
         self.live += 1;
         if self.free != NO_LINK {
             let idx = self.free as usize;
@@ -324,7 +317,6 @@ impl PacketArena {
             self.slots[idx] = Packet::new(id, src, dst, size, gen_cycle);
             id
         } else {
-            self.grows += 1;
             let idx = self.slots.len();
             assert!(idx < NO_LINK as usize, "packet arena full");
             let id = PacketId::new(idx, 0);
@@ -410,30 +402,20 @@ impl PacketArena {
         self.live
     }
 
-    /// Total packets ever allocated.
-    #[inline]
-    pub fn allocated_total(&self) -> u64 {
-        self.allocated_total
-    }
-
-    /// Times the slab grew beyond its preallocation (telemetry: a non-zero
-    /// value after a run means `SimConfig::arena_prealloc_for` under-sized
-    /// the arena; see `RESULTS.md` for why this is deliberately *not* a
-    /// report column).
+    /// Pushes beyond the construction-time reservation: slots first used
+    /// past it (telemetry: an engine-built arena is reserved at the bound
+    /// the buffers set, so a non-zero value means the bound failed; see
+    /// `RESULTS.md` for why this is deliberately *not* a report column).
     #[inline]
     pub fn grows(&self) -> u64 {
-        self.grows
+        self.slots.len().saturating_sub(self.reserved) as u64
     }
 
-    /// Bytes held by the slab and its links (capacity × element size).
+    /// Bytes reserved for the slab and its links (capacity × element size);
+    /// resident only as far as slots have been used.
     pub fn allocated_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Packet>()
             + self.links.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Capacity of the underlying slot vector (diagnostic).
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -486,7 +468,6 @@ mod tests {
         assert_eq!(arena.get(a).route.global_hops, 2);
         arena.free(a);
         assert_eq!(arena.live(), 1);
-        assert_eq!(arena.allocated_total(), 2);
     }
 
     #[test]
@@ -502,7 +483,7 @@ mod tests {
             "reuse must issue a fresh generation"
         );
         assert_ne!(a, b);
-        assert_eq!(arena.capacity_slots(), 1);
+        assert_eq!(arena.grows(), 1, "one slot pushed, then reused");
         assert_eq!(arena.get(b).src, NodeId(2));
     }
 
@@ -524,16 +505,20 @@ mod tests {
     fn preallocated_arena_matches_cold_id_sequence() {
         let mut cold = PacketArena::new();
         let mut warm = PacketArena::with_capacity(4);
-        assert_eq!(warm.capacity_slots(), 4);
         for i in 0..6 {
             let c = cold.alloc(NodeId(i), NodeId(i + 1), 8, i as u64);
             let w = warm.alloc(NodeId(i), NodeId(i + 1), 8, i as u64);
-            assert_eq!(c, w, "id sequence must not depend on preallocation");
+            assert_eq!(c, w, "id sequence must not depend on the reservation");
         }
-        // Four preallocated slots, six allocations: the slab grew twice.
+        // Four reserved slots, six first uses: two pushes beyond it.
         assert_eq!(warm.grows(), 2);
         assert_eq!(cold.grows(), 6);
-        assert_eq!(warm.capacity_slots(), 6);
+        // A freed slot is reused before another one is pushed.
+        let seventh = warm.alloc(NodeId(0), NodeId(1), 8, 6);
+        assert_eq!(seventh.index(), 6);
+        warm.free(seventh);
+        assert_eq!(warm.alloc(NodeId(0), NodeId(1), 8, 7).index(), 6);
+        assert_eq!(warm.grows(), 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Credit conservation, checked every cycle against the engine's own state.
+//! Three laws, checked every cycle against the engine's own state: credit
+//! conservation, the arena bound and packet conservation.
 //!
 //! For every output VC, at the close of every cycle:
 //!
@@ -13,6 +14,13 @@
 //! updated at a different phase, and `Network::check_credit_conservation`
 //! reads them all from their slots.  A dropped or duplicated credit, a phit
 //! lost or counted twice in a buffer, breaks it at the cycle it happens.
+//!
+//! The arena bound: the live packets never exceed what the buffers can hold
+//! (`Network::check_arena_bound`), and the arena, reserved at that bound,
+//! never pushes a slot beyond it (`Network::arena_grows` stays 0).  Packet
+//! conservation: every packet generated is delivered, live in an arena, or
+//! queued at its source without a slot (the terms are on `Checked::check`).
+//! A slot never freed, or freed twice, breaks it at once.
 //!
 //! The matrix: all seven mechanisms × VCT and wormhole (where the mechanism
 //! supports it) × uniform and ADVG+1 traffic, loaded past saturation and
@@ -37,32 +45,92 @@ const DRAIN_LIMIT: u64 = 20_000;
 
 /// An engine whose network replicas are checked between cycles.
 trait Checked: EngineHost {
-    fn check(&self) -> Result<(), String>;
+    /// Check the three laws on every network replica and return the largest
+    /// ratio of live packets to `Network::arena_bound` among them.
+    ///
+    /// Packet conservation, summed over the replicas (one sequential
+    /// network, or every shard):
+    ///
+    /// Σ `stats.total_generated` = Σ `stats.total_delivered`
+    /// + Σ `packets.live()` − Σ `exporting_packets()` + Σ `queued_packets()`.
+    ///
+    /// A replica generates for and delivers to the nodes it owns, so each
+    /// packet is generated once and delivered once.  `queued_packets` counts
+    /// the packets waiting at a source with no slot yet; a source's part-fed
+    /// front packet holds a slot and is counted in `live`.  A packet whose
+    /// head has crossed a boundary link is live in the receiving shard's
+    /// arena from the head's import on, and still in the sending shard's
+    /// until its tail leaves (both happen at the barrier of the cycle the
+    /// phit is sent, so between cycles the sending copy is an input-VC head
+    /// with phits sent towards a router the shard does not own):
+    /// `exporting_packets` subtracts that second copy.  It is 0 on the
+    /// sequential engine.
+    fn check(&self) -> Result<f64, String>;
+}
+
+/// The per-replica laws: credits, the arena bound, no push beyond the
+/// arena's reservation.  Returns live / bound.
+fn check_replica<R: RoutingAlgorithm>(net: &Network<R>) -> Result<f64, String> {
+    net.check_credit_conservation()?;
+    net.check_arena_bound()?;
+    if net.arena_grows() != 0 {
+        return Err(format!(
+            "the arena pushed {} slots beyond its reservation",
+            net.arena_grows()
+        ));
+    }
+    Ok(net.packets.live() as f64 / net.arena_bound() as f64)
+}
+
+/// Packet conservation over `nets`, the replicas of one run.
+fn check_packets<'a, R: RoutingAlgorithm + 'a>(
+    nets: impl Iterator<Item = &'a Network<R>>,
+) -> Result<(), String> {
+    let (mut generated, mut delivered, mut held, mut queued) = (0, 0, 0, 0);
+    for net in nets {
+        generated += net.stats.total_generated;
+        delivered += net.stats.total_delivered;
+        held += (net.packets.live() - net.exporting_packets()) as u64;
+        queued += net.queued_packets() as u64;
+    }
+    if generated != delivered + held + queued {
+        return Err(format!(
+            "{generated} generated, but {delivered} delivered + {held} in the network + \
+             {queued} queued = {}",
+            delivered + held + queued
+        ));
+    }
+    Ok(())
 }
 
 impl<R: RoutingAlgorithm> Checked for Simulation<R> {
-    fn check(&self) -> Result<(), String> {
-        self.network().check_credit_conservation()
+    fn check(&self) -> Result<f64, String> {
+        let ratio = check_replica(self.network())?;
+        check_packets(std::iter::once(self.network()))?;
+        Ok(ratio)
     }
 }
 
 impl<R: RoutingAlgorithm + Clone> Checked for ShardedSimulation<R> {
-    fn check(&self) -> Result<(), String> {
-        (0..self.shards()).try_for_each(|shard| {
+    fn check(&self) -> Result<f64, String> {
+        let mut ratio = 0f64;
+        for shard in 0..self.shards() {
             let net: &Network<R> = self.network(shard);
-            net.check_credit_conservation()
-                .map_err(|broken| format!("shard {shard}: {broken}"))
-        })
+            ratio =
+                ratio.max(check_replica(net).map_err(|broken| format!("shard {shard}: {broken}"))?);
+        }
+        check_packets((0..self.shards()).map(|shard| self.network(shard)))?;
+        Ok(ratio)
     }
 }
 
 /// Load `host`, stop generation, drain it, checking after every cycle.
-/// Returns the packets delivered.
-fn run_checked<H: Checked>(host: &mut H, case: &str) -> u64 {
-    let check = |host: &H, at: u64| {
-        if let Err(broken) = host.check() {
-            panic!("{case}, after cycle {at}: {broken}");
-        }
+/// Returns the packets delivered and the largest live / bound ratio seen.
+fn run_checked<H: Checked>(host: &mut H, case: &str) -> (u64, f64) {
+    let mut ratio = 0f64;
+    let mut check = |host: &H, at: u64| match host.check() {
+        Ok(seen) => ratio = ratio.max(seen),
+        Err(broken) => panic!("{case}, after cycle {at}: {broken}"),
     };
     let packet_size = host.replica().config.packet_size;
     host.drive(|engine| {
@@ -79,7 +147,7 @@ fn run_checked<H: Checked>(host: &mut H, case: &str) -> u64 {
         });
         check(host, cycle);
         if drained && cycle >= LOADED_CYCLES {
-            return delivered;
+            return (delivered, ratio);
         }
     }
     panic!("{case}: not drained {DRAIN_LIMIT} cycles after generation stopped");
@@ -92,9 +160,9 @@ struct Case<'a> {
 }
 
 impl RoutingVisitor for Case<'_> {
-    type Output = u64;
+    type Output = (u64, f64);
 
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> u64 {
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> (u64, f64) {
         let config = self.spec.sim_config();
         let params = config.params;
         match self.shards {
@@ -118,6 +186,7 @@ impl RoutingVisitor for Case<'_> {
 fn matrix(shards: Option<usize>) {
     let mut seed = 0xC4ED_u64;
     let mut delivered = 0;
+    let mut ratio = 0f64;
     for fc in [FlowControlKind::Vct, FlowControlKind::Wormhole] {
         let mechanisms = RoutingKind::ALL
             .into_iter()
@@ -141,9 +210,11 @@ fn matrix(shards: Option<usize>) {
                     shards,
                     name: &name,
                 };
-                let moved = routing.dispatch(AdaptiveParams::with_threshold(spec.threshold), case);
+                let (moved, seen) =
+                    routing.dispatch(AdaptiveParams::with_threshold(spec.threshold), case);
                 assert!(moved > 0, "{name}: nothing delivered");
                 delivered += moved;
+                ratio = ratio.max(seen);
             }
         }
     }
@@ -151,6 +222,7 @@ fn matrix(shards: Option<usize>) {
         delivered > 10_000,
         "the matrix moved only {delivered} packets"
     );
+    println!("largest live / arena bound: {ratio:.3}");
 }
 
 #[test]

@@ -12,7 +12,7 @@ use dragonfly::core::{
 use dragonfly::probe::DelaySample;
 use dragonfly::rng::Rng;
 use dragonfly::routing::{MinimalRouting, Olm};
-use dragonfly::sim::{protocol, EngineHost, Network, SimConfig, Simulation};
+use dragonfly::sim::{protocol, EngineHost, Network, PacketArena, SimConfig, Simulation};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
 
@@ -153,23 +153,25 @@ fn sharded_merge_preserves_conservation_and_totals() {
 }
 
 /// The delay table is indexed by arena slot and grows in step with the
-/// arena.  With a 64-slot preallocation both grow mid-run, on the sequential
-/// engine and on every shard; every component must still sum exactly to the
-/// latency, and the rows merged from 2 and 4 shards — whose arenas grow at
-/// different points, and whose boundary packets carry their ledgers across —
-/// must equal the sequential ones.
+/// arena.  With a 64-slot arena put into the sequential network and into
+/// every shard, both grow mid-run past the arena's reservation; every
+/// component must still sum exactly to the latency, and the rows merged
+/// from 2 and 4 shards — whose arenas grow at different points, and whose
+/// boundary packets carry their ledgers across — must equal the sequential
+/// ones.
 #[test]
 fn components_conserve_while_the_arena_grows() {
     let mut spec = ExperimentSpec::new(2);
     spec.routing = RoutingKind::Olm;
     spec.traffic = TrafficKind::AdversarialGlobal(1);
     spec.seed = 23;
-    let config = spec.sim_config().with_arena_prealloc(64);
+    let config = spec.sim_config();
     let params = config.params;
     let routing = Olm::new(AdaptiveParams::with_threshold(spec.threshold));
     let traffic = || spec.traffic.build(&params);
 
     let mut sequential = Simulation::with_routing(config.clone(), routing, traffic());
+    sequential.network_mut().packets = PacketArena::with_capacity(64);
     sequential.install_probes(delay_probes());
     protocol::run_steady_state(&mut sequential, 0.25, 300, 600, 900);
     assert!(
@@ -182,6 +184,9 @@ fn components_conserve_while_the_arena_grows() {
     for shards in [2usize, 4] {
         let mut sim =
             ShardedSimulation::new(config.clone(), ShardPlan::new(shards), routing, traffic);
+        for s in 0..shards {
+            sim.network_mut(s).packets = PacketArena::with_capacity(64);
+        }
         sim.install_probes(delay_probes());
         protocol::run_steady_state(&mut sim, 0.25, 300, 600, 900);
         let label = format!("{shards} shards, growing arenas");

@@ -185,30 +185,30 @@ fn watchdog_verdict_is_pinned() {
     }
 }
 
-/// Arena preallocation is a pure capacity hint: a cold arena (grows from
-/// empty), a tiny preallocation that is outgrown mid-run, and the default
-/// heuristic must all produce byte-identical reports.  This pins the
-/// free-list construction (slot ids are handed out in the same order whether
-/// a slot was preallocated or pushed by growth).
+/// The arena's reservation is a pure capacity hint: the engine's arena
+/// (reserved at the bound the buffers set), a cold one (grows from empty)
+/// and a tiny one that is outgrown mid-run must all produce byte-identical
+/// reports.  A slot's first use is a push and only freed slots are reused,
+/// so ids come out in the same order whatever was reserved.
 #[test]
-fn arena_preallocation_never_changes_results() {
+fn arena_reservation_never_changes_results() {
     use dragonfly::routing::Olm;
-    use dragonfly::sim::{SimConfig, Simulation};
+    use dragonfly::sim::{PacketArena, SimConfig, Simulation};
     use dragonfly::traffic::Uniform;
 
-    let run = |prealloc: Option<usize>| {
-        let mut config = SimConfig::paper_vct(2).with_seed(31);
-        if let Some(slots) = prealloc {
-            config = config.with_arena_prealloc(slots);
-        }
+    let run = |arena: Option<PacketArena>| {
+        let config = SimConfig::paper_vct(2).with_seed(31);
         let mut sim = Simulation::with_routing(config, Olm::default(), Box::new(Uniform::new()));
+        if let Some(arena) = arena {
+            sim.network_mut().packets = arena;
+        }
         let report = sim.run_steady_state(0.3, 800, 1_200, 1_200);
         (report, sim.network().arena_grows())
     };
 
-    let (cold, cold_grows) = run(Some(0));
-    let (tiny, tiny_grows) = run(Some(16));
-    let (default_heuristic, default_grows) = run(None);
+    let (reserved, reserved_grows) = run(None);
+    let (cold, cold_grows) = run(Some(PacketArena::new()));
+    let (tiny, tiny_grows) = run(Some(PacketArena::with_capacity(16)));
 
     assert!(
         cold_grows > 16,
@@ -216,17 +216,14 @@ fn arena_preallocation_never_changes_results() {
     );
     assert!(
         tiny_grows > 0 && tiny_grows < cold_grows,
-        "tiny preallocation must be outgrown mid-run (grew {tiny_grows})"
+        "tiny reservation must be outgrown mid-run (grew {tiny_grows})"
     );
     assert_eq!(
-        default_grows, 0,
-        "the default heuristic should cover this load without growing"
+        reserved_grows, 0,
+        "the arena is reserved at the bound the buffers set"
     );
     assert_eq!(cold, tiny, "cold and outgrown arenas diverged");
-    assert_eq!(
-        cold, default_heuristic,
-        "cold and preallocated arenas diverged"
-    );
+    assert_eq!(cold, reserved, "cold and reserved arenas diverged");
 }
 
 /// `step()` and `step_with_phase_hook` are one body with two hooks: twin

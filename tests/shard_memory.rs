@@ -15,6 +15,9 @@
 //!   ring each boundary link keeps on its launching side — one phit slot on
 //!   the transmitting shard, one credit-mask slot on the receiving shard —
 //!   counted here from the topology;
+//! * and the arena (and the delay table), reserved at each instance's arena
+//!   bound, which the shards partition exactly, but never below the
+//!   reservation floor;
 //! * and the full-range network allocates what the constructor's sizing rules
 //!   say, written out below independently of the constructor.
 //!
@@ -38,6 +41,11 @@ const PHIT: usize = 9;
 const CREDIT: usize = 1;
 /// A source queue reserves four 24-byte entries per node.
 const SOURCE_QUEUE: usize = 4 * 24;
+/// The fewest slots an arena reserves: ⌊32 MiB / 56 B⌋ + 1, so the slab is
+/// at least 32 MiB, the size from which glibc always maps fresh memory.
+const MIN_RESERVED: usize = 599_187;
+/// Bytes of one arena slot: a 56-byte packet and its 4-byte link.
+const SLOT: usize = 56 + 4;
 
 /// The delay probe alone: what arms the per-packet delay table.
 fn delay_probe() -> ProbeConfig {
@@ -72,6 +80,32 @@ fn sequential(config: &SimConfig) -> Network<MinimalRouting> {
     )
 }
 
+/// The arena slots the whole machine reserves: per router, `⌊c / p⌋ + 2`
+/// for each input VC of `c` phits and each ejection VC (`p`-phit packets).
+/// An ejection VC faces its node with `max(4p, injection_buffer)` phits.
+///
+/// At the paper's VCT configuration (p = 8; 32-phit local and injection
+/// buffers, 256-phit global ones; 3 local and 2 global VCs) a router has
+/// h injection VCs of 6 slots, 3(2h − 1) local VCs of 6, 2h global VCs of
+/// 34 and 3h ejection VCs of 32 / 8 + 2 = 6: 6h + 36h − 18 + 68h + 18h =
+/// 128h − 18 slots, which is 366 at h = 3, 494 at h = 4 and 1 006 at h = 8.
+fn arena_slots(config: &SimConfig) -> usize {
+    let params = config.params;
+    let h = params.h();
+    let packets = |phits: usize| phits / config.packet_size + 2;
+    let ejection = (4 * config.packet_size).max(config.injection_buffer);
+    let per_router: usize = (0..params.ports_per_router())
+        .map(|flat| match Port::from_flat(flat, h).kind() {
+            PortKind::Terminal => {
+                packets(config.injection_buffer) + config.local_vcs * packets(ejection)
+            }
+            PortKind::Local => config.local_vcs * packets(config.local_buffer),
+            PortKind::Global => config.global_vcs * packets(config.global_buffer),
+        })
+        .sum();
+    params.num_routers() * per_router
+}
+
 /// The sizing rules of the whole machine, from the configuration alone.
 fn whole_machine(config: &SimConfig) -> PoolBytes {
     let params = config.params;
@@ -95,7 +129,7 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         input_fabric: routers * per_router.input_fabric,
         port_vectors: routers * per_router.port_vectors,
         fabric_pools: routers * per_router.fabric_pools,
-        arena: config.arena_prealloc_for(nodes) * (size_of::<Packet>() + size_of::<u32>()),
+        arena: arena_slots(config).max(MIN_RESERVED) * SLOT,
         delay_table: 0,
         source_queues: nodes * SOURCE_QUEUE,
     }
@@ -164,7 +198,17 @@ fn shards_partition_the_sequential_pools_exactly() {
                 sum.port_vectors, expected.port_vectors,
                 "{case}: port vectors"
             );
-            assert_eq!(sum.arena, expected.arena, "{case}: arena");
+            let bounds: Vec<usize> = (0..shards).map(|s| sim.network(s).arena_bound()).collect();
+            assert_eq!(
+                bounds.iter().sum::<usize>(),
+                arena_slots(&config),
+                "{case}: arena bounds"
+            );
+            assert_eq!(
+                sum.arena,
+                bounds.iter().map(|&b| b.max(MIN_RESERVED) * SLOT).sum(),
+                "{case}: arena"
+            );
             assert_eq!(sum.delay_table, 0, "{case}: delay table without the probe");
             assert_eq!(
                 sum.source_queues, expected.source_queues,
@@ -180,12 +224,12 @@ fn shards_partition_the_sequential_pools_exactly() {
 }
 
 /// The delay table exists only while the delay probe is armed: one
-/// `DelayState` per arena slot, partitioned across shards like the arena.
+/// `DelayState` reserved per reserved arena slot, on every shard.
 #[test]
 fn the_delay_probe_arms_one_ledger_per_arena_slot() {
+    let ledger = |bound: usize| bound.max(MIN_RESERVED) * size_of::<DelayState>();
     for h in [3, 4] {
         let config = SimConfig::paper_vct(h).with_seed(3);
-        let slots = config.arena_prealloc_for(config.params.num_nodes());
         let mut whole = sequential(&config);
         assert_eq!(whole.allocated_bytes().delay_table, 0, "h={h}: probe off");
         whole.install_probes(ProbeConfig::default());
@@ -195,16 +239,21 @@ fn the_delay_probe_arms_one_ledger_per_arena_slot() {
             "h={h}: probe on, delay ledger off"
         );
         whole.install_probes(delay_probe());
-        let expected = slots * size_of::<DelayState>();
-        assert_eq!(whole.allocated_bytes().delay_table, expected, "h={h}");
+        assert_eq!(
+            whole.allocated_bytes().delay_table,
+            ledger(arena_slots(&config)),
+            "h={h}"
+        );
         for shards in 1..=4 {
             let mut sim = sharded(&config, shards);
             sim.install_probes(delay_probe());
-            assert_eq!(
-                sum_over_shards(&sim).delay_table,
-                expected,
-                "h={h}, {shards} shards"
-            );
+            for s in 0..shards {
+                assert_eq!(
+                    sim.network(s).allocated_bytes().delay_table,
+                    ledger(sim.network(s).arena_bound()),
+                    "h={h}, {shards} shards, shard {s}"
+                );
+            }
         }
     }
 }
@@ -222,10 +271,11 @@ fn paper_scale_pools_match_the_size_formula() {
     // 69 input VCs per router (one VC per injection port) of 32 bytes.
     assert_eq!(bytes.input_fabric, 2_064 * 69 * size_of::<InputVc>());
     assert_eq!(bytes.input_fabric, 4_557_312);
-    // 132 096 arena slots of a 56-byte packet and a 4-byte link (the free
-    // list, and the input VCs' packet lists).
-    assert_eq!(bytes.arena, 132_096 * 60);
-    assert_eq!(bytes.arena, 7_925_760);
+    // 1 006 arena slots per router (128h − 18, see `arena_slots`) of a
+    // 56-byte packet and a 4-byte link (the free list, and the input VCs'
+    // packet lists): reserved, resident only as far as slots are used.
+    assert_eq!(bytes.arena, 2_064 * 1_006 * SLOT);
+    assert_eq!(bytes.arena, 124_583_040);
     assert_eq!(bytes.delay_table, 0);
     // 989 phit slots (9 bytes) and 989 credit slots (1 byte) per router.
     assert_eq!(bytes.fabric_pools, 2_064 * 989 * (9 + 1));

@@ -144,8 +144,9 @@ impl RoutingVisitor for CycleLoop {
         sim.network_mut()
             .set_injection(Some(BernoulliInjection::new(load, packet_size)));
 
-        // Warm-up: source-queue high-water marks and any arena growth
-        // beyond the preallocation happen here.
+        // Warm-up: source-queue high-water marks happen here.  The arena and
+        // the delay table are reserved at their bound, so their first pushes
+        // allocate nothing.
         sim.run_cycles(WARMUP_CYCLES);
 
         let before = ALLOCS.load(Ordering::Relaxed);

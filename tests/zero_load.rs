@@ -1,0 +1,141 @@
+//! A lone packet's latency is a closed form: the zero-load oracle.
+//!
+//! Every ordered pair of distinct nodes of the h = 2 machine (72 nodes) sends
+//! one packet through an otherwise idle network, under VCT with Minimal and
+//! with OLM routing, and the packet's latency and hop count must equal what
+//! the pipeline's timing gives by hand, exactly.
+//!
+//! # The closed form
+//!
+//! From the per-cycle pipeline (ARCHITECTURE.md, "The per-cycle pipeline"):
+//! every cycle runs arrivals, injection (generation, then feeding), routing,
+//! switch and bookkeeping, in that order.
+//!
+//! * A packet queued at its source before cycle `g` (its generation cycle)
+//!   has its head phit fed into the injection buffer by cycle `g`'s feeding
+//!   pass.  The same cycle's routing phase routes the buffered head and
+//!   claims its credits, and its switch phase launches the head onto the
+//!   first link: injection costs no cycle of its own.
+//! * A phit launched at cycle `t` onto a link of latency `L` lands at cycle
+//!   `t + L`, in that cycle's arrivals phase; the routing and switch phases
+//!   that follow forward it in the same cycle.  So a router adds no cycle
+//!   either: each hop costs exactly its link's latency, local `Ll` = 10,
+//!   global `Lg` = 100, and the ejection link to the node `Lt` = 1.  The
+//!   head reaches the destination node at `g + n_l·Ll + n_g·Lg + Lt`, for a
+//!   path of `n_l` local and `n_g` global links.
+//! * Feeding moves one phit per cycle and a link carries one phit per cycle,
+//!   so in an idle network phit `k` trails the head by `k` cycles, and the
+//!   tail of a `p`-phit packet arrives `p − 1` cycles after the head.  The
+//!   node consumes phits on arrival and the tail records the delivery.
+//!
+//! Latency is delivery minus generation:
+//!
+//! `latency = n_l·Ll + n_g·Lg + Lt + (p − 1)`, and `total_hops = n_l + n_g`.
+//!
+//! With p = 8 that is 8 cycles for a pair on one router, 18 within a group,
+//! and 108, 118 or 128 between groups.  The minimal path, taken by both
+//! mechanisms at zero load, has `n_g` = 1 between groups (0 otherwise) and a
+//! local hop at each end that is not already the router holding, or landing,
+//! the one global link between the two groups.
+//!
+//! Release builds only (5 112 networks per mechanism): CI runs
+//! `cargo test --release --test zero_load`.
+
+use std::collections::BTreeMap;
+
+use dragonfly::routing::{MinimalRouting, Olm};
+use dragonfly::sim::{Network, RoutingAlgorithm, SimConfig};
+use dragonfly::topology::NodeId;
+use dragonfly::traffic::Uniform;
+
+/// The closed form above: `(latency, total_hops)` of a lone packet.
+fn closed_form(config: &SimConfig, src: NodeId, dst: NodeId) -> (u64, u64) {
+    let params = config.params;
+    let (from, to) = (params.router_of_node(src), params.router_of_node(dst));
+    let (src_group, dst_group) = (params.group_of_router(from), params.group_of_router(to));
+    let (locals, globals) = if from == to {
+        (0, 0)
+    } else if src_group == dst_group {
+        (1, 0)
+    } else {
+        let (exit, gport) = params.global_exit(src_group, dst_group);
+        let (landing, _) = params.global_neighbor(exit, gport);
+        (u64::from(from != exit) + u64::from(landing != to), 1)
+    };
+    let latency = locals * config.local_latency
+        + globals * config.global_latency
+        + config.terminal_latency
+        + config.packet_size as u64
+        - 1;
+    (latency, locals + globals)
+}
+
+/// Send one measured packet from `src` to `dst` through a fresh network and
+/// return its `(latency, total_hops)`.
+fn lone_packet<R: RoutingAlgorithm>(
+    config: &SimConfig,
+    routing: R,
+    src: NodeId,
+    dst: NodeId,
+) -> (u64, u64) {
+    let mut net = Network::with_routing(config.clone(), routing, Box::new(Uniform::new()));
+    net.enqueue(src, dst, true);
+    net.stats.record_generated(config.packet_size);
+    while !net.is_drained() {
+        assert!(net.cycle < 1_000, "{src:?} -> {dst:?}: not delivered");
+        net.step();
+    }
+    let stats = &net.stats;
+    assert_eq!(stats.measured_delivered, 1, "{src:?} -> {dst:?}");
+    (
+        stats.latency.max().unwrap() as u64,
+        stats.hops.max().unwrap() as u64,
+    )
+}
+
+/// Every ordered pair of distinct nodes, one packet each, against the
+/// closed form.  Returns how many pairs fell into each latency.
+fn all_pairs<R: RoutingAlgorithm + Clone>(routing: R) -> BTreeMap<u64, usize> {
+    let config = SimConfig::paper_vct(2);
+    let nodes = config.params.num_nodes() as u32;
+    let mut classes = BTreeMap::new();
+    for src in (0..nodes).map(NodeId) {
+        for dst in (0..nodes).map(NodeId).filter(|&dst| dst != src) {
+            let expected = closed_form(&config, src, dst);
+            let seen = lone_packet(&config, routing.clone(), src, dst);
+            assert_eq!(
+                seen,
+                expected,
+                "{} {src:?} -> {dst:?}: (latency, hops)",
+                routing.name()
+            );
+            *classes.entry(expected.0).or_insert(0) += 1;
+        }
+    }
+    classes
+}
+
+/// The latency classes of the h = 2 machine (4 routers of 2 nodes per group,
+/// 9 groups): from each node, 1 node on its router, 6 in its group, and per
+/// other group 8 nodes at 0, 1 or 2 local hops.
+fn assert_classes(classes: &BTreeMap<u64, usize>) {
+    assert_eq!(
+        classes.keys().copied().collect::<Vec<_>>(),
+        [8, 18, 108, 118, 128]
+    );
+    assert_eq!(classes[&8], 72);
+    assert_eq!(classes[&18], 72 * 6);
+    assert_eq!(classes.values().sum::<usize>(), 72 * 71);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn minimal_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(MinimalRouting::new()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn olm_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(Olm::default()));
+}
