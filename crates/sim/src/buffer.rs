@@ -25,9 +25,9 @@ pub(crate) fn unpack_port_vc(word: u32) -> Option<(u16, u8)> {
     (word != NO_PORT_VC).then_some(((word >> 8) as u16, word as u8))
 }
 
-/// The head and tail of an empty VC.  Its index half is past any arena slot
-/// (`PacketArena` never hands out index `u32::MAX`).
-const NO_PACKET: PacketId = PacketId(u64::MAX);
+/// The head and tail of an empty VC: the all-ones id, whose index is
+/// [`PacketId::INDEX_MASK`], the one index `PacketArena` never hands out.
+const NO_PACKET: PacketId = PacketId(u32::MAX);
 
 /// One input virtual channel: a FIFO of packets, counted in phits, plus the
 /// output `(flat port, VC)` granted to the packet at its head, if any.
@@ -38,7 +38,8 @@ const NO_PACKET: PacketId = PacketId(u64::MAX);
 /// every packet in between is whole: received in full, nothing sent.  The VC
 /// keeps the two ends and their counters — the head's size and phits sent,
 /// the tail's size and phits received — plus its occupancy and packed
-/// route, in 32 bytes; the packets in between are a list threaded through
+/// route, in 24 bytes (two 4-byte ids, four 2-byte counters, two 4-byte
+/// words); the packets in between are a list threaded through
 /// the [`PacketArena`]'s links (see there for why a packet is linked in one
 /// VC at most).  A body phit, sent or received, touches only this word; the
 /// arena is read or written at packet boundaries only: a head appended

@@ -1,5 +1,6 @@
 //! Simulator configuration: flow control, buffer geometry, latencies and seeds.
 
+use crate::packet::PacketId;
 use dragonfly_topology::{DragonflyParams, Port, PortKind};
 
 /// Link-level flow control discipline.
@@ -307,6 +308,21 @@ impl SimConfig {
                 "packet size must be a whole number of flits"
             );
         }
+        // A packet id names its arena slot in `PacketId::INDEX_BITS` bits,
+        // and the arena never holds more packets than the buffers bound.
+        let bound = self.params.num_routers() * crate::network::packets_per_router(self);
+        assert!(
+            bound < PacketId::INDEX_MASK as usize,
+            "h = {h} with packet_size = {}, local_buffer = {}, global_buffer = {} and \
+             injection_buffer = {} bounds {bound} packets in flight, above the {} slots a \
+             {}-bit packet index addresses",
+            self.packet_size,
+            self.local_buffer,
+            self.global_buffer,
+            self.injection_buffer,
+            PacketId::INDEX_MASK - 1,
+            PacketId::INDEX_BITS
+        );
     }
 }
 
@@ -335,6 +351,30 @@ mod tests {
         // 4h - 1 ports: h = 16 fills 63 of the 64 mask bits, h = 17 needs 67.
         SimConfig::paper_vct(16).validate();
         SimConfig::paper_vct(17).validate();
+    }
+
+    /// The arena bound of the largest machine fits the packet index: at
+    /// h = 16, 16 416 routers × 2 030 = 33 324 480 slots under VCT.
+    #[test]
+    fn the_largest_paper_machines_fit_the_packet_index() {
+        for config in [SimConfig::paper_vct(16), SimConfig::paper_wormhole(16)] {
+            config.validate();
+        }
+    }
+
+    /// One-phit packets make every buffered phit a packet: at h = 16 a
+    /// router's 16 injection, 93 local, 32 global and 48 ejection VCs bound
+    /// 34, 34, 258 and 34 packets each, 13 594 per router.
+    #[test]
+    #[should_panic(
+        expected = "h = 16 with packet_size = 1, local_buffer = 32, global_buffer = 256 and \
+                    injection_buffer = 32 bounds 223159104 packets in flight, above the \
+                    33554430 slots a 25-bit packet index addresses"
+    )]
+    fn an_arena_bound_beyond_the_packet_index_is_rejected() {
+        let mut config = SimConfig::paper_vct(16);
+        config.packet_size = 1;
+        config.validate();
     }
 
     #[test]

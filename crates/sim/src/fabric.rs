@@ -5,7 +5,7 @@
 //! per VC per cycle, so a pipeline of latency `L` needs `L + 1` slots, one per
 //! arrival cycle in flight: the thing arriving at cycle `a` sits in slot
 //! `a mod (L + 1)`, and the slot implies its arrival cycle.  A phit slot is
-//! the packet's 8-byte [`PacketId`] plus a 1-byte tag (VC, head, tail,
+//! the packet's 4-byte [`PacketId`] plus a 1-byte tag (VC, head, tail,
 //! occupied); a credit slot is a 1-byte mask of the VCs credited that cycle.
 //! [`LinkFabric`] keeps every slot of the network in three pools, indexed by
 //! link id through offset arrays:
@@ -57,7 +57,7 @@
 use crate::packet::PacketId;
 use dragonfly_topology::NodeId;
 
-/// A phit travelling on a link, as it crosses a shard boundary (16 bytes).
+/// A phit travelling on a link, as it crosses a shard boundary (12 bytes).
 ///
 /// Inside the fabric a phit is a slot; this record adds the arrival cycle
 /// the slot implies.  Arrival cycles are stored as `u32` (runs beyond
@@ -850,10 +850,10 @@ mod tests {
         // ~64k links at h = 8 each hold latency + 1 slots of both kinds: a
         // phit slot is an id and a tag byte, a credit slot one mask byte.
         // The footprint argument in the docs relies on these.
-        assert_eq!(std::mem::size_of::<PacketId>() + 1, 9);
+        assert_eq!(std::mem::size_of::<PacketId>() + 1, 5);
         assert_eq!(std::mem::size_of::<LinkCounts>(), 8);
         // The shard-boundary records.
-        assert_eq!(std::mem::size_of::<PhitInFlight>(), 16);
+        assert_eq!(std::mem::size_of::<PhitInFlight>(), 12);
         assert_eq!(std::mem::size_of::<CreditInFlight>(), 8);
     }
 
@@ -915,7 +915,7 @@ mod tests {
     }
 
     fn phit(packet: u32) -> PhitInFlight {
-        PhitInFlight::new(PacketId(packet as u64), 0, true, false)
+        PhitInFlight::new(PacketId(packet), 0, true, false)
     }
 
     fn fabric_of(specs: &[(u64, LinkEnd)]) -> LinkFabric {
@@ -1027,7 +1027,7 @@ mod tests {
         assert_eq!(f.phit_off, vec![0, 3, 8, 10]);
         assert_eq!(f.phit_ids.len(), 10);
         assert_eq!(f.credit_masks.len(), 10);
-        assert_eq!(f.pool_bytes(), 10 * 9 + 10);
+        assert_eq!(f.pool_bytes(), 10 * 5 + 10);
         assert_eq!(f.classes.len(), 3, "one class per distinct latency");
     }
 

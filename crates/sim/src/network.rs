@@ -314,17 +314,8 @@ impl<R: RoutingAlgorithm> Network<R> {
             owned.start <= owned.end && owned.end <= num_routers,
             "owned router range {owned:?} reaches beyond the {num_routers} routers"
         );
-        let ejection_capacity = (config.packet_size * 4).max(config.injection_buffer);
-
-        // Downstream capacities per output port are identical for every router.
         let h = params.h();
-        let downstream: Vec<usize> = (0..ports)
-            .map(|flat| match Port::from_flat(flat, h).kind() {
-                PortKind::Local => config.local_buffer,
-                PortKind::Global => config.global_buffer,
-                PortKind::Terminal => ejection_capacity,
-            })
-            .collect();
+        let downstream = downstream_capacities(&config);
 
         let mut routers = Vec::with_capacity(num_routers);
         let mut specs = Vec::with_capacity(num_routers * ports);
@@ -402,7 +393,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         // Worst case per router: one pending decision per input VC.
         let route_scratch_cap = ports * config.local_vcs.max(config.global_vcs);
         let inputs = InputFabric::new(&config, owned.clone());
-        let arena_bound = owned.len() * packets_per_router(&config, inputs.geometry(), &downstream);
+        let arena_bound = owned.len() * packets_per_router(&config);
         Self {
             rngs,
             config,
@@ -508,17 +499,17 @@ impl<R: RoutingAlgorithm> Network<R> {
             for _ in 0..packets_per_node {
                 let dst = self.destination(self.cycle, src, rng);
                 self.enqueue(src, dst, true);
-                self.stats.record_generated(self.config.packet_size);
             }
         }
         self.rngs = rngs;
     }
 
-    /// Queue an untagged packet from `src` to `dst`, generated this cycle, at
-    /// `src`'s source: from the next injection phase on it is fed into the
-    /// router's injection buffer, one phit per cycle, behind whatever is already
-    /// queued.  The way in for hand-built packets; burst preloading goes
-    /// through it too.
+    /// Generate an untagged packet from `src` to `dst` this cycle and queue
+    /// it at `src`'s source: from the next injection phase on it is fed into
+    /// the router's injection buffer, one phit per cycle, behind whatever is
+    /// already queued.  The generation is recorded in the statistics here, so
+    /// the packet's delivery balances it.  The way in for hand-built packets;
+    /// burst preloading goes through it too.
     pub fn enqueue(&mut self, src: NodeId, dst: NodeId, measured: bool) {
         self.push_generated(
             src,
@@ -530,6 +521,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 measured,
             },
         );
+        self.stats.record_generated(self.config.packet_size);
     }
 
     /// The one way into a source queue.
@@ -1945,10 +1937,26 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 }
 
+/// Downstream capacity in phits of each flat output port, identical for
+/// every router: the input buffer at the far end of the link, and
+/// `max(4 × packet_size, injection_buffer)` for an ejection port.
+fn downstream_capacities(config: &SimConfig) -> Vec<usize> {
+    let h = config.params.h();
+    let ejection = (config.packet_size * 4).max(config.injection_buffer);
+    (0..config.params.ports_per_router())
+        .map(|flat| match Port::from_flat(flat, h).kind() {
+            PortKind::Local => config.local_buffer,
+            PortKind::Global => config.global_buffer,
+            PortKind::Terminal => ejection,
+        })
+        .collect()
+}
+
 /// The most packets one router's buffers can hold at once, and so the
 /// arena slots each owned router reserves: `⌊c / packet_size⌋ + 2` summed
-/// over its input VCs (`inputs`) and its ejection VCs (the terminal output
-/// ports' VCs, whose downstream capacities are in `downstream`).
+/// over its input VCs ([`PortGeometry`]) and its ejection VCs (the terminal
+/// output ports' VCs, of [`downstream_capacities`]).  `SimConfig::validate`
+/// bounds the whole machine's sum by the [`PacketId`] index space.
 ///
 /// A packet holds its slot from the cycle its head phit enters the
 /// injection VC until its tail phit reaches the destination node.  Give
@@ -1979,9 +1987,11 @@ impl<R: RoutingAlgorithm> Network<R> {
 /// injection and ejection buffers, 256-phit global ones; 3 local and 2
 /// global VCs) the input side is `6h + 18(2h − 1) + 68h = 110h − 18` and
 /// the ejection side `18h`: `128h − 18` per router, 1 006 at h = 8.
-fn packets_per_router(config: &SimConfig, inputs: &PortGeometry, downstream: &[usize]) -> usize {
+pub(crate) fn packets_per_router(config: &SimConfig) -> usize {
     let packets = |capacity: usize| capacity / config.packet_size + 2;
     let h = config.params.h();
+    let inputs = PortGeometry::new(config);
+    let downstream = downstream_capacities(config);
     (0..downstream.len())
         .map(|flat| {
             let input: usize = (0..inputs.port_vcs(flat).len())
@@ -1999,13 +2009,13 @@ fn packets_per_router(config: &SimConfig, inputs: &PortGeometry, downstream: &[u
 }
 
 /// The fewest slots the arena and the delay table reserve: 32 MiB of
-/// 56-byte entries, the largest mmap threshold of glibc's `malloc`.  A
+/// `Packet`-sized entries, the largest mmap threshold of glibc's `malloc`.  A
 /// reservation that large is always a fresh mapping, resident only where
 /// written.  A smaller one is carved from the recycled heap, where its
 /// unwritten pages are pages a later network's allocations write: a sweep
 /// running one h = 2 network after another on two threads peaked at
 /// 8.2 MB of RSS with its arenas reserved at the bare bound (8 568 slots)
-/// and at 7.5 MB with this floor.  From h = 6 on the bound is larger.
+/// and at 7.5 MB with this floor.  From h = 7 on the bound is larger.
 pub const MIN_RESERVED_SLOTS: usize = (32 << 20) / std::mem::size_of::<Packet>() + 1;
 
 /// `incoming_link` of a port no link feeds (a terminal/injection port).
@@ -2110,23 +2120,23 @@ mod tests {
         use crate::router::OutputVc;
         use std::mem::size_of;
         // 142 416 input VCs, each two packet ids, four phit counters, the
-        // occupancy and the route word: 4.6 MB.
-        assert_eq!(size_of::<InputVc>(), 32);
+        // occupancy and the route word: 3.4 MB.
+        assert_eq!(size_of::<InputVc>(), 24);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
         // 2 041 296 phit pipeline slots, a packet id and a tag byte each:
-        // 18.4 MB.
-        assert_eq!(size_of::<PacketId>() + size_of::<u8>(), 9);
+        // 10.2 MB.
+        assert_eq!(size_of::<PacketId>() + size_of::<u8>(), 5);
         // 2 041 296 credit pipeline slots, a VC mask byte each: 2.0 MB.
         assert_eq!(crate::config::MAX_VCS_PER_PORT, u8::BITS as usize);
         // The records only a shard boundary carries.
-        assert_eq!(size_of::<PhitInFlight>(), 16);
+        assert_eq!(size_of::<PhitInFlight>(), 12);
         assert_eq!(size_of::<CreditInFlight>(), 8);
         // 2 064 × 1 006 = 2 076 384 arena slots of a packet and a 4-byte
-        // link: 124.6 MB reserved (the delay table, only while the delay
+        // link: 108.0 MB reserved (the delay table, only while the delay
         // probe is armed, 116.3 MB more), resident ≈ the live high-water
         // times the entry size.
-        assert_eq!(size_of::<Packet>(), 56);
+        assert_eq!(size_of::<Packet>(), 48);
         assert_eq!(size_of::<DelayState>(), 56);
     }
 
@@ -2173,7 +2183,6 @@ mod tests {
         let dst = NodeId((net.params.num_nodes() - 1) as u32);
         net.stats.begin_measurement(0);
         net.enqueue(src, dst, true);
-        net.stats.record_generated(8);
         net.run(1_000);
         assert!(net.is_drained(), "packet should be delivered");
         assert_eq!(net.stats.total_delivered, 1);
@@ -2196,11 +2205,23 @@ mod tests {
         // Nodes 0 and 1 share router 0 when h = 2.
         net.stats.begin_measurement(0);
         net.enqueue(NodeId(0), NodeId(1), true);
-        net.stats.record_generated(8);
         net.run(200);
         assert!(net.is_drained());
         assert_eq!(net.stats.hops.mean(), 0.0);
         assert!(net.stats.latency.mean() < 50.0);
+    }
+
+    /// `enqueue` records the generation itself: a hand-built packet's
+    /// delivery balances it, with nothing else to call.
+    #[test]
+    fn an_enqueued_packet_leaves_nothing_in_flight() {
+        let mut net = tiny_network();
+        net.enqueue(NodeId(0), NodeId(71), false);
+        assert_eq!(net.stats.total_generated, 1);
+        net.run(1_000);
+        assert!(net.is_drained());
+        assert_eq!(net.stats.total_delivered, 1);
+        assert_eq!(net.stats.in_flight(), 0);
     }
 
     #[test]

@@ -2,33 +2,54 @@
 
 use dragonfly_topology::{GroupId, NodeId};
 
-/// Generational handle to a packet in the simulation's packet arena.
+/// Generational handle to a packet in the simulation's packet arena, 4 bytes.
 ///
-/// The low 32 bits are the slot index, the high 32 bits the slot's generation
-/// at allocation time.  A handle is only valid while the generations match:
-/// freeing a slot bumps its generation, so stale ids (use-after-free,
-/// double-free) are caught by a single integer compare instead of an
-/// `Option` discriminant per slot.
+/// The low [`PacketId::INDEX_BITS`] bits are the slot index, the 7 bits
+/// above them the slot's generation at allocation time, truncated.  A handle
+/// is only valid while the generations match: freeing a slot bumps its
+/// generation, so stale ids (use-after-free, double-free) are caught by a
+/// single integer compare instead of an `Option` discriminant per slot, for
+/// the next 127 reuses of the slot (the 128th brings the generation back).
+///
+/// The split is fixed, so the link fabric, the delay table and the shard
+/// mailboxes decode an id without the arena.  25 index bits suffice because
+/// the buffers bound the packets in flight: `SimConfig::validate` rejects a
+/// configuration whose arena bound reaches [`PacketId::INDEX_MASK`] (at the
+/// paper's VCT setup the bound is 33.3 M slots at h = 16, the largest `h`
+/// it accepts, against 2^25 − 1 ≈ 33.6 M).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct PacketId(pub u64);
+pub struct PacketId(pub u32);
 
 impl PacketId {
-    /// Assemble a handle from a slot index and its generation.
+    /// Bits of the slot index.
+    pub const INDEX_BITS: u32 = 25;
+    /// The index bits set: the one index the arena never hands out, so the
+    /// all-ones id names no packet.
+    pub const INDEX_MASK: u32 = (1 << Self::INDEX_BITS) - 1;
+    /// Generations a slot cycles through before one repeats.
+    pub const GENERATIONS: u32 = 1 << (u32::BITS - Self::INDEX_BITS);
+
+    /// Assemble a handle from a slot index and its generation, truncated to
+    /// the generation's bits.
     #[inline]
     pub fn new(index: usize, generation: u32) -> Self {
-        Self(index as u64 | ((generation as u64) << 32))
+        debug_assert!(
+            index <= Self::INDEX_MASK as usize,
+            "slot {index} beyond the index bits"
+        );
+        Self(index as u32 | (generation & (Self::GENERATIONS - 1)) << Self::INDEX_BITS)
     }
 
     /// The raw arena slot index.
     #[inline]
     pub fn index(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
+        (self.0 & Self::INDEX_MASK) as usize
     }
 
-    /// The arena generation the handle was issued under.
+    /// The arena generation the handle was issued under (truncated).
     #[inline]
     pub fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
+        self.0 >> Self::INDEX_BITS
     }
 }
 
@@ -177,7 +198,7 @@ impl DelayState {
     }
 }
 
-/// A packet in flight: what routing and the statistics read, 56 bytes.  The
+/// A packet in flight: what routing and the statistics read, 48 bytes.  The
 /// delay ledger is not here (see [`DelayState`]).
 #[derive(Debug, Clone)]
 pub struct Packet {
@@ -232,7 +253,7 @@ const NO_LINK: u32 = u32::MAX;
 /// thread both the free slots and every input VC's packets through it.
 ///
 /// Slots are a plain `Vec<Packet>`; the authoritative generation of a slot
-/// lives *inside the slot*, as the generation half of its `id` field, so a
+/// lives *inside the slot*, as the generation bits of its `id` field, so a
 /// freed slot keeps its stale `Packet` bytes (every field is `Copy`) and is
 /// invalidated purely by bumping `slot.id`'s generation in place.
 /// `get`/`get_mut` are a bounds check plus one integer compare against memory
@@ -318,7 +339,8 @@ impl PacketArena {
             id
         } else {
             let idx = self.slots.len();
-            assert!(idx < NO_LINK as usize, "packet arena full");
+            // Index `INDEX_MASK` is never issued, so no id is all ones.
+            assert!(idx < PacketId::INDEX_MASK as usize, "packet arena full");
             let id = PacketId::new(idx, 0);
             self.slots.push(Packet::new(id, src, dst, size, gen_cycle));
             self.links.push(NO_LINK);
@@ -354,8 +376,9 @@ impl PacketArena {
         id
     }
 
-    /// Free a delivered packet's slot for reuse.  Bumping the generation half
-    /// of the slot's own `id` is what invalidates every outstanding handle.
+    /// Free a delivered packet's slot for reuse.  Bumping the generation bits
+    /// of the slot's own `id` (wrapping) is what invalidates every
+    /// outstanding handle.
     pub fn free(&mut self, id: PacketId) {
         let idx = id.index();
         assert!(self.slots[idx].id == id, "double free of packet {id:?}");
@@ -363,7 +386,7 @@ impl PacketArena {
             self.links[idx], NO_LINK,
             "packet {id:?} freed while linked into an input VC"
         );
-        self.slots[idx].id = PacketId::new(idx, id.generation().wrapping_add(1));
+        self.slots[idx].id = PacketId::new(idx, id.generation() + 1);
         self.links[idx] = self.free;
         self.free = idx as u32;
         self.live -= 1;
@@ -537,6 +560,34 @@ mod tests {
         let a = arena.alloc(NodeId(0), NodeId(1), 8, 0);
         arena.free(a);
         arena.free(a);
+    }
+
+    #[test]
+    fn packet_id_round_trips_at_the_top_of_both_fields() {
+        let id = PacketId::new(PacketId::INDEX_MASK as usize - 1, 127);
+        assert_eq!(id.index(), (1 << 25) - 2);
+        assert_eq!(id.generation(), 127);
+        assert_ne!(id, PacketId(u32::MAX), "the all-ones id is no arena slot's");
+        // A generation past the seven bits wraps without touching the index.
+        assert_eq!(PacketId::new(5, 128), PacketId::new(5, 0));
+    }
+
+    #[test]
+    fn a_slot_generation_wraps_after_128_reuses() {
+        let mut arena = PacketArena::new();
+        let first = arena.alloc(NodeId(0), NodeId(1), 8, 0);
+        let mut id = first;
+        for _ in 0..PacketId::GENERATIONS - 1 {
+            arena.free(id);
+            id = arena.alloc(NodeId(0), NodeId(1), 8, 0);
+        }
+        assert_eq!((id.index(), id.generation()), (0, 127));
+        let previous = id;
+        arena.free(previous);
+        let wrapped = arena.alloc(NodeId(0), NodeId(1), 8, 0);
+        assert_eq!(wrapped, first, "the 128th reuse brings generation 0 back");
+        let stale = std::panic::catch_unwind(|| arena.get(previous).src);
+        assert!(stale.is_err(), "a generation-127 handle must be rejected");
     }
 
     #[test]

@@ -229,7 +229,6 @@ fn hand_built_packet_decomposition_is_pinned() {
     let dst = NodeId((net.params().num_nodes() - 1) as u32);
     net.stats.begin_measurement(0);
     net.enqueue(src, dst, true);
-    net.stats.record_generated(8);
     net.run(1_000);
     assert!(net.is_drained(), "packet should be delivered");
 
@@ -283,7 +282,6 @@ fn contending_packets_decomposition_is_pinned() {
     for src in [NodeId(0), NodeId(1)] {
         assert_eq!(net.params().router_of_node(src).index(), 0);
         net.enqueue(src, dst, true);
-        net.stats.record_generated(8);
     }
     net.run(1_000);
     assert!(net.is_drained(), "both packets should be delivered");

@@ -92,7 +92,6 @@ fn watchdog_verdict_is_pinned() {
     fn enqueue_one<R: RoutingAlgorithm>(net: &mut Network<R>) {
         let dst = NodeId((net.params().num_nodes() - 1) as u32);
         net.enqueue(NodeId(0), dst, false);
-        net.stats.record_generated(8);
     }
     // Step until the watchdog fires; the cycle it fired in, if it did.
     fn firing_cycle<H: EngineHost>(host: &mut H) -> Option<u64> {

@@ -391,7 +391,7 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             })
             .collect();
         let (load, credit_load) = (0.1 + rng.next_f64() * 0.9, rng.next_f64());
-        let mut next_packet = 0u64;
+        let mut next_packet = 0u32;
         let mut buffer_phits = Vec::new();
         let mut buffer_credits = Vec::new();
         for now in 0..400u64 {

@@ -37,15 +37,15 @@ use dragonfly::traffic::Uniform;
 
 /// Bytes of a phit slot (a packet id and a tag byte) and of a credit slot (a
 /// VC mask byte), pinned by `fabric::tests::pipeline_entries_stay_compact`.
-const PHIT: usize = 9;
+const PHIT: usize = 5;
 const CREDIT: usize = 1;
 /// A source queue reserves four 24-byte entries per node.
 const SOURCE_QUEUE: usize = 4 * 24;
-/// The fewest slots an arena reserves: ⌊32 MiB / 56 B⌋ + 1, so the slab is
+/// The fewest slots an arena reserves: ⌊32 MiB / 48 B⌋ + 1, so the slab is
 /// at least 32 MiB, the size from which glibc always maps fresh memory.
-const MIN_RESERVED: usize = 599_187;
-/// Bytes of one arena slot: a 56-byte packet and its 4-byte link.
-const SLOT: usize = 56 + 4;
+const MIN_RESERVED: usize = 699_051;
+/// Bytes of one arena slot: a 48-byte packet and its 4-byte link.
+const SLOT: usize = 48 + 4;
 
 /// The delay probe alone: what arms the per-packet delay table.
 fn delay_probe() -> ProbeConfig {
@@ -58,8 +58,8 @@ fn delay_probe() -> ProbeConfig {
 /// A packet carries only what routing and the statistics read; the delay
 /// ledger lives in the delay table, which the delay probe arms.
 #[test]
-fn a_packet_is_56_bytes() {
-    assert_eq!(size_of::<Packet>(), 56);
+fn a_packet_is_48_bytes() {
+    assert_eq!(size_of::<Packet>(), 48);
     assert_eq!(size_of::<DelayState>(), 56);
 }
 
@@ -268,18 +268,18 @@ fn paper_scale_pools_match_the_size_formula() {
     let config = SimConfig::paper_vct(8);
     let bytes = sequential(&config).allocated_bytes();
     assert_eq!(bytes, whole_machine(&config));
-    // 69 input VCs per router (one VC per injection port) of 32 bytes.
+    // 69 input VCs per router (one VC per injection port) of 24 bytes.
     assert_eq!(bytes.input_fabric, 2_064 * 69 * size_of::<InputVc>());
-    assert_eq!(bytes.input_fabric, 4_557_312);
+    assert_eq!(bytes.input_fabric, 3_417_984);
     // 1 006 arena slots per router (128h − 18, see `arena_slots`) of a
-    // 56-byte packet and a 4-byte link (the free list, and the input VCs'
+    // 48-byte packet and a 4-byte link (the free list, and the input VCs'
     // packet lists): reserved, resident only as far as slots are used.
     assert_eq!(bytes.arena, 2_064 * 1_006 * SLOT);
-    assert_eq!(bytes.arena, 124_583_040);
+    assert_eq!(bytes.arena, 107_971_968);
     assert_eq!(bytes.delay_table, 0);
-    // 989 phit slots (9 bytes) and 989 credit slots (1 byte) per router.
-    assert_eq!(bytes.fabric_pools, 2_064 * 989 * (9 + 1));
-    assert_eq!(bytes.fabric_pools, 20_412_960);
+    // 989 phit slots (5 bytes) and 989 credit slots (1 byte) per router.
+    assert_eq!(bytes.fabric_pools, 2_064 * 989 * (5 + 1));
+    assert_eq!(bytes.fabric_pools, 12_247_776);
 }
 
 /// A phit handed to a network that owns neither end of the link must not

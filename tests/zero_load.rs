@@ -1,9 +1,9 @@
 //! A lone packet's latency is a closed form: the zero-load oracle.
 //!
 //! Every ordered pair of distinct nodes of the h = 2 machine (72 nodes) sends
-//! one packet through an otherwise idle network, under VCT with Minimal and
-//! with OLM routing, and the packet's latency and hop count must equal what
-//! the pipeline's timing gives by hand, exactly.
+//! one packet through an otherwise idle network, under VCT with Minimal, PB,
+//! PAR, PAR-6/2, RLM and OLM routing, and the packet's latency and hop count
+//! must equal what the pipeline's timing gives by hand, exactly.
 //!
 //! # The closed form
 //!
@@ -33,17 +33,20 @@
 //! `latency = n_l·Ll + n_g·Lg + Lt + (p − 1)`, and `total_hops = n_l + n_g`.
 //!
 //! With p = 8 that is 8 cycles for a pair on one router, 18 within a group,
-//! and 108, 118 or 128 between groups.  The minimal path, taken by both
-//! mechanisms at zero load, has `n_g` = 1 between groups (0 otherwise) and a
-//! local hop at each end that is not already the router holding, or landing,
-//! the one global link between the two groups.
+//! and 108, 118 or 128 between groups.  The minimal path, taken by every
+//! mechanism here at zero load (an adaptive one misroutes only on
+//! congestion, and an idle network has none), has `n_g` = 1 between groups
+//! (0 otherwise) and a local hop at each end that is not already the router
+//! holding, or landing, the one global link between the two groups.  No
+//! term depends on the VC count, so PAR and PAR-6/2 run with the local VCs
+//! they require and the same form.
 //!
 //! Release builds only (5 112 networks per mechanism): CI runs
 //! `cargo test --release --test zero_load`.
 
 use std::collections::BTreeMap;
 
-use dragonfly::routing::{MinimalRouting, Olm};
+use dragonfly::routing::{MinimalRouting, Olm, Par, Par62, Piggybacking, Rlm};
 use dragonfly::sim::{Network, RoutingAlgorithm, SimConfig};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
@@ -80,7 +83,6 @@ fn lone_packet<R: RoutingAlgorithm>(
 ) -> (u64, u64) {
     let mut net = Network::with_routing(config.clone(), routing, Box::new(Uniform::new()));
     net.enqueue(src, dst, true);
-    net.stats.record_generated(config.packet_size);
     while !net.is_drained() {
         assert!(net.cycle < 1_000, "{src:?} -> {dst:?}: not delivered");
         net.step();
@@ -94,9 +96,12 @@ fn lone_packet<R: RoutingAlgorithm>(
 }
 
 /// Every ordered pair of distinct nodes, one packet each, against the
-/// closed form.  Returns how many pairs fell into each latency.
+/// closed form, on the paper's h = 2 VCT machine with the local VCs the
+/// mechanism requires.  Returns how many pairs fell into each latency.
 fn all_pairs<R: RoutingAlgorithm + Clone>(routing: R) -> BTreeMap<u64, usize> {
-    let config = SimConfig::paper_vct(2);
+    let baseline = SimConfig::paper_vct(2);
+    let local_vcs = routing.required_local_vcs().max(baseline.local_vcs);
+    let config = baseline.with_local_vcs(local_vcs);
     let nodes = config.params.num_nodes() as u32;
     let mut classes = BTreeMap::new();
     for src in (0..nodes).map(NodeId) {
@@ -138,4 +143,28 @@ fn minimal_matches_the_closed_form_on_every_pair() {
 #[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
 fn olm_matches_the_closed_form_on_every_pair() {
     assert_classes(&all_pairs(Olm::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn pb_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(Piggybacking::new()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn par_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(Par::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn par62_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(Par62::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn rlm_matches_the_closed_form_on_every_pair() {
+    assert_classes(&all_pairs(Rlm::default()));
 }
