@@ -465,17 +465,26 @@ fn global_pct(spec: &ExperimentSpec) -> u32 {
     }
 }
 
-/// `rows`, if every one of them can be built at `h` (checked before any row
-/// runs, so a refused `--h` writes nothing).
-fn check_h(rows: Vec<&'static Row>, h: usize) -> Result<Vec<&'static Row>, String> {
-    match rows.iter().find(|row| h < row.min_h()) {
-        Some(row) => Err(format!(
+/// `rows`, if every one of them can be built at `args.h`: the row's smallest
+/// `h`, then every point's configuration (`SimConfig::check`).  Checked
+/// before any row runs, so a refused `--h` writes nothing.
+fn check_h(rows: Vec<&'static Row>, args: &HarnessArgs) -> Result<Vec<&'static Row>, String> {
+    let h = args.h;
+    if let Some(row) = rows.iter().find(|row| h < row.min_h()) {
+        return Err(format!(
             "row `{}` needs --h {} or more (got --h {h})",
             row.name,
             row.min_h()
-        )),
-        None => Ok(rows),
+        ));
     }
+    for row in &rows {
+        for spec in row.specs(args) {
+            spec.sim_config()
+                .check()
+                .map_err(|msg| format!("row `{}`, {}: {msg}", row.name, spec.routing.name()))?;
+        }
+    }
+    Ok(rows)
 }
 
 /// Packets per node of the 6b/9b burst.  The paper sends 1000 8-phit packets per
@@ -517,7 +526,7 @@ fn select(names: &[String]) -> Result<Vec<&'static Row>, String> {
 fn main() {
     let (args, names) = HarnessArgs::from_env_with_names();
     let rows = select(&names)
-        .and_then(|rows| check_h(rows, args.h))
+        .and_then(|rows| check_h(rows, &args))
         .unwrap_or_else(|msg| {
             eprintln!("{msg}");
             std::process::exit(2);
@@ -588,10 +597,11 @@ mod tests {
     /// builds its points at h = 1.
     #[test]
     fn rows_refuse_an_h_below_their_minimum() {
-        let err = check_h(select(&[]).unwrap(), 1).err().unwrap();
+        let h = |h: &str| HarnessArgs::parse_from(["--quick", "--h", h]).unwrap();
+        let err = check_h(select(&[]).unwrap(), &h("1")).err().unwrap();
         assert_eq!(err, "row `churn` needs --h 2 or more (got --h 1)");
-        assert!(check_h(select(&["churn".to_string()]).unwrap(), 2).is_ok());
-        let h1 = HarnessArgs::parse_from(["--quick", "--h", "1"]).unwrap();
+        assert!(check_h(select(&["churn".to_string()]).unwrap(), &h("2")).is_ok());
+        let h1 = h("1");
         for row in ROWS.iter().filter(|row| row.name != "churn") {
             assert_eq!(row.min_h(), 1, "{}", row.name);
             let _ = row.specs(&h1);

@@ -54,6 +54,14 @@ fn main() {
     } else {
         vec![4, 6, 8]
     };
+    // Every point's configuration is checked before any runs, so a refused
+    // one exits 2 with its message and writes nothing.
+    for &h in &scales {
+        if let Err(msg) = point_spec(&args, h).sim_config().check() {
+            eprintln!("h = {h}: {msg}");
+            std::process::exit(2);
+        }
+    }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

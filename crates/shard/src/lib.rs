@@ -6,10 +6,11 @@
 //! naturally partitionable: local links and ejection links never leave a
 //! group, so partitioning whole groups across shards means the **only** state
 //! crossing a shard boundary is (a) phits and credits on inter-group global
-//! links and (b) the job runtime's delivery feedback.  Both are
-//! exchanged once per cycle at a barrier, stamped with their absolute delivery
-//! cycles, so the receiving shard observes exactly the timing the sequential
-//! engine would have produced.
+//! links and (b) the job runtime's delivery feedback.  Both are exchanged
+//! once per cycle at a barrier.  Nothing exchanged carries a cycle: a phit or
+//! credit crosses at the barrier of the cycle it was launched in, and the
+//! receiving shard launches it again on its own copy of the link at that
+//! cycle, so it arrives exactly when the sequential engine's launch would.
 //!
 //! # How a sharded cycle works
 //!
@@ -20,20 +21,26 @@
 //! 1. **Compute** — run the sequential engine's five phases
 //!    ([`Network::advance_hooks`] + [`Network::step_phases`]) over the owned
 //!    routers, links and nodes.
-//! 2. **Export** — drain phits launched on transmit-side boundary links (and
-//!    credits launched on receive-side boundary links) into per-pair
-//!    mailboxes, shipping the full [`Packet`] state alongside each head phit
-//!    (and its [`DelayState`] while the delay probe is armed);
-//!    publish the shard's activity/liveness/drain flags and packet counters.
-//! 3. **Barrier** — every shard's exports and flags are now visible.
-//! 4. **Import** — append the incoming phits/credits (original arrival stamps)
-//!    to the local copies of the boundary links, adopt head packets into the
-//!    local arena, and apply remote delivery feedback to the local
-//!    [`Schedule`](dragonfly_workload::Schedule) replica.  Then
-//!    derive the *global* activity/liveness view from the published flags and
-//!    advance the deadlock watchdog and memory-telemetry peaks with it
-//!    ([`Network::apply_watchdog`]), so every shard reaches the sequential
-//!    engine's verdicts at the same cycle.
+//! 2. **Export** — take the phit launched this cycle off each transmit-side
+//!    boundary link's one-slot ring (and the credit mask off each receive-side
+//!    one's) into per-pair mailboxes, shipping the full [`Packet`] state
+//!    alongside each head phit (and its [`DelayState`] while the delay probe
+//!    is armed); publish the shard's part of the cycle's close: activity,
+//!    liveness, packets in flight and buffered phits.
+//! 3. **Barrier** — every shard's exports and tallies are now visible.
+//! 4. **Import** — launch the incoming phits and credits again on the local
+//!    copies of the boundary links, at the current cycle, with the fabric's
+//!    own launch; adopt head packets into the local arena, and apply remote
+//!    delivery feedback to the local
+//!    [`Schedule`](dragonfly_workload::Schedule) replica.  Then close the
+//!    cycle with the *global* view summed from the tallies
+//!    ([`Network::close_cycle`]: deadlock watchdog, memory-telemetry peaks),
+//!    so every shard reaches the sequential engine's verdicts at the same
+//!    cycle.
+//!
+//! Between commands each worker publishes its network's [`Status`], and the
+//! [`Driver`] a protocol loop holds merges them: the sharded [`Engine`] is the
+//! sequential one's `step`, `control` and `status`, broadcast.
 //!
 //! # Why the result is byte-identical to the sequential engine
 //!
@@ -44,10 +51,11 @@
 //!   per-link work touches disjoint state, so the partition cannot reorder
 //!   anything observable.
 //! * **Boundary timing** — a phit sent at cycle `t` on a link of latency `L`
-//!   is imported at the cycle-`t` barrier carrying its `t + L` arrival stamp;
-//!   since `L ≥ 1`, it is in the receiving link copy strictly before the
-//!   receiver's cycle-`t + L` arrival phase pops it — exactly like the
-//!   sequential engine's in-link queue.
+//!   is launched again by the receiving shard at the cycle-`t` barrier, still
+//!   cycle `t` there, so it lands in the slot of cycle `t + L` with the same
+//!   counters and high-water marks as the sequential launch; since `L ≥ 1`,
+//!   the slot is filled before the receiver's cycle-`t + L` arrival phase
+//!   drains it.  Credits go the other way alike.
 //! * **Piggybacking board** — a router only ever *reads* the congestion flags
 //!   of its own group, and the flags of a group are computed solely from the
 //!   global-output occupancies of that group's routers.  Groups are never
@@ -71,12 +79,12 @@
 //! | | state |
 //! |---|---|
 //! | partitioned (the shards' sum is the sequential network's) | the input fabric (input VCs), output ports, link rings, the packet arena, the per-packet delay table (only with the delay probe armed), source-queue reservations |
-//! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit per VC on the receiving one — it is exported at the same cycle's barrier.  The ring it *imports* into is held in full by the importing shard alone |
+//! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit mask on the receiving one — emptied at the same cycle's barrier.  The ring the other shard launches it again on is held in full by that shard alone |
 //! | full length on every shard | per-link and per-router metadata arrays, RNG streams, the `StatsCollector` and the probe recorder (the known remaining per-shard full-size state) |
 //!
 //! The shard layer's own state is sized at construction too — the packet-id
 //! translation table (one entry per receive-side boundary link and VC), the
-//! mailbox batches (one phit per boundary link, one credit per VC of it, one
+//! mailbox batches (one phit and one credit mask per boundary link, one
 //! delivery per owned node) — so the sharded cycle loop allocates nothing,
 //! like the sequential one (`tests/zero_alloc.rs` pins both).
 //! `tests/shard_memory.rs` pins the partition in bytes.
@@ -85,12 +93,12 @@
 
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sim::{
-    protocol, CreditInFlight, DelayState, Engine, EngineHost, Network, Packet, PacketId,
-    PhitInFlight, RoutingAlgorithm, SimConfig, StatsCollector,
+    protocol, Control, DelayState, Engine, EngineHost, Network, Packet, PacketId, PhitInFlight,
+    RoutingAlgorithm, SimConfig, StatsCollector, Status,
 };
 use dragonfly_stats::SimReport;
 use dragonfly_topology::{DragonflyParams, Port, PortKind, RouterId};
-use dragonfly_traffic::{BernoulliInjection, TrafficPattern};
+use dragonfly_traffic::TrafficPattern;
 use dragonfly_workload::Trace;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -138,41 +146,34 @@ type Payload = (Packet, Option<DelayState>);
 
 /// One boundary message batch between an ordered pair of shards, exchanged at
 /// the per-cycle barrier.  Every vector is reserved at what one cycle can put
-/// in it ([`Shard::batch_to`]), so filling it never allocates.
+/// in it ([`Shard::batch_to`]), so filling it never allocates.  Nothing in it
+/// carries a cycle: everything was launched at the cycle of the barrier, and
+/// the receiver launches it again at that cycle.
 struct BoundaryBatch {
     /// Phits crossing a boundary link: `(the link's slot in the receiver's
-    /// `rx_links`, phit, payload when the phit is the head)`.  Arrival stamps
-    /// are absolute cycles.
+    /// `rx_links`, phit, payload when the phit is the head)`.
     phits: Vec<(u32, PhitInFlight, Option<Payload>)>,
     /// Credits returning to the transmitting shard of a boundary link:
-    /// `(flat link index, credit)`.
-    credits: Vec<(u32, CreditInFlight)>,
+    /// `(flat link index, mask of the VCs credited)`.
+    credits: Vec<(u32, u8)>,
     /// Job ids of packets delivered on the sending shard this cycle (volume
     /// feedback for every job runtime replica).
     deliveries: Vec<u16>,
 }
 
-/// Per-shard flags and counters published each cycle (read by every worker for
-/// the global watchdog/telemetry view and by the orchestrator for the run
-/// protocols).
+/// What a shard contributes to the run-wide close of a cycle
+/// ([`Network::close_cycle`]), published before the barrier: every shard
+/// closes the cycle with the OR and the sums over all shards.
 #[derive(Default)]
-struct ShardSlot {
+struct Tally {
     /// Any phit moved on this shard this cycle.
     activity: AtomicBool,
     /// Any packet live on this shard (or exported this cycle, which covers the
     /// barrier-transit window).
     live: AtomicBool,
-    /// No packet exists anywhere on this shard (sources, buffers, links).
-    drained: AtomicBool,
-    /// The shard's watchdog fired (identical on every shard by construction).
-    deadlock: AtomicBool,
-    /// Every job of the shard's job runtime replica completed (`true` without
-    /// one).
-    all_complete: AtomicBool,
-    /// Packets generated on this shard so far.
-    generated: AtomicU64,
-    /// Packets delivered on this shard so far.
-    delivered: AtomicU64,
+    /// Packets generated minus packets delivered on this shard, wrapping (a
+    /// shard delivers packets others generated): the sum is the run's.
+    in_flight: AtomicU64,
     /// Phits stored in this shard's router buffers right now.
     buffered: AtomicU64,
 }
@@ -180,20 +181,10 @@ struct ShardSlot {
 /// Control messages broadcast from the orchestrator to every worker.
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
-    /// Advance one cycle (compute → export → barrier → import).
+    /// Advance one cycle (compute → export → barrier → import → close).
     Step,
-    /// Install/clear the global Bernoulli injection process.
-    SetInjection(Option<BernoulliInjection>),
-    /// Set whether newly generated packets are latency-tagged.
-    TagMeasured(bool),
-    /// Open the measurement window at the current cycle.
-    BeginMeasurement,
-    /// Close the measurement window at the current cycle.
-    EndMeasurement,
-    /// Preload every owned source queue with a burst.
-    PreloadBurst(u64),
-    /// Stop generation: halt the job runtime replicas and clear injection.
-    HaltGeneration,
+    /// Apply a protocol's control call to every shard.
+    Control(Control),
     /// Leave the worker loop.
     Exit,
 }
@@ -208,8 +199,10 @@ struct Conductor {
     cmd: Mutex<Cmd>,
     /// Mailboxes: `mail[from][to]` carries `from`'s boundary traffic to `to`.
     mail: Vec<Vec<Mutex<BoundaryBatch>>>,
-    /// Per-shard published flags and counters.
-    slots: Vec<ShardSlot>,
+    /// Per-shard contributions to the close of the current cycle.
+    tallies: Vec<Tally>,
+    /// Per-shard status as the last command left it (read by the orchestrator).
+    statuses: Vec<Mutex<Status>>,
 }
 
 impl Conductor {
@@ -226,18 +219,17 @@ impl Conductor {
                         .collect()
                 })
                 .collect(),
-            slots: shards.iter().map(|_| ShardSlot::default()).collect(),
+            tallies: shards.iter().map(|_| Tally::default()).collect(),
+            statuses: shards.iter().map(|s| Mutex::new(s.net.status())).collect(),
         }
     }
 }
 
 /// Orchestrator-side handle over a running worker set: the sharded
-/// [`Engine`], executing every control call by broadcasting it to the workers
-/// and answering every read from the flags and counters they publish.
+/// [`Engine`], broadcasting every step and control call to the workers and
+/// merging the statuses they publish.
 pub struct Driver {
     c: Arc<Conductor>,
-    /// Cycles stepped so far (every shard's `net.cycle`, tracked locally).
-    cycle: u64,
 }
 
 impl Driver {
@@ -247,73 +239,28 @@ impl Driver {
         self.c.outer.wait();
         self.c.outer.wait();
     }
-
-    fn sum(&self, counter: impl Fn(&ShardSlot) -> &AtomicU64) -> u64 {
-        self.c
-            .slots
-            .iter()
-            .map(|s| counter(s).load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 impl Engine for Driver {
     fn step(&mut self) {
         self.dispatch(Cmd::Step);
-        self.cycle += 1;
     }
 
-    fn set_injection(&mut self, injection: Option<BernoulliInjection>) {
-        self.dispatch(Cmd::SetInjection(injection));
+    fn control(&mut self, control: Control) {
+        self.dispatch(Cmd::Control(control));
     }
 
-    fn set_tag_measured(&mut self, tag: bool) {
-        self.dispatch(Cmd::TagMeasured(tag));
-    }
-
-    fn begin_measurement(&mut self) {
-        self.dispatch(Cmd::BeginMeasurement);
-    }
-
-    fn end_measurement(&mut self) {
-        self.dispatch(Cmd::EndMeasurement);
-    }
-
-    fn preload_burst(&mut self, packets_per_node: u64) {
-        self.dispatch(Cmd::PreloadBurst(packets_per_node));
-    }
-
-    fn halt_generation(&mut self) {
-        self.dispatch(Cmd::HaltGeneration);
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn generated(&self) -> u64 {
-        self.sum(|s| &s.generated)
-    }
-
-    fn delivered(&self) -> u64 {
-        self.sum(|s| &s.delivered)
-    }
-
-    fn deadlocked(&self) -> bool {
-        // The watchdog verdict is identical on every shard by construction.
-        self.c.slots[0].deadlock.load(Ordering::Relaxed)
-    }
-
-    fn drained(&self) -> bool {
-        self.c
-            .slots
-            .iter()
-            .all(|s| s.drained.load(Ordering::Relaxed))
-    }
-
-    fn jobs_complete(&self) -> bool {
-        // Job runtime replicas are in lockstep; shard 0 speaks for all of them.
-        self.c.slots[0].all_complete.load(Ordering::Relaxed)
+    /// Counters summed over the shards; the cycle, the watchdog verdict and
+    /// the job runtime replicas are in lockstep, so shard 0 speaks for all.
+    fn status(&self) -> Status {
+        let mut statuses = self.c.statuses.iter().map(|s| *s.lock().unwrap());
+        let first = statuses.next().expect("a sharded run has a shard");
+        statuses.fold(first, |run, shard| Status {
+            generated: run.generated + shard.generated,
+            delivered: run.delivered + shard.delivered,
+            drained: run.drained && shard.drained,
+            ..run
+        })
     }
 }
 
@@ -343,10 +290,6 @@ struct Shard<R: RoutingAlgorithm> {
     /// arena id: installed at head import, cleared at tail import (phits of
     /// different packets never interleave within one VC of a link).
     xlat: Vec<Option<PacketId>>,
-    /// Reused export scratch buffers, reserved at what one link yields per
-    /// cycle (one phit, one credit per VC).
-    phit_buf: Vec<PhitInFlight>,
-    credit_buf: Vec<CreditInFlight>,
     /// Wall-clock nanoseconds this shard spent waiting at the inner
     /// (export → import) barrier — the load-imbalance component of a sharded
     /// run's wall time.
@@ -356,52 +299,53 @@ struct Shard<R: RoutingAlgorithm> {
 impl<R: RoutingAlgorithm> Shard<R> {
     /// An empty mailbox batch for this shard's traffic to shard `to`, reserved
     /// at the most one cycle can produce: a phit per link transmitted towards
-    /// `to`, a credit per VC of every link received from it, a delivery per
-    /// owned node.
+    /// `to`, a credit mask per link received from it, a delivery per owned
+    /// node.
     fn batch_to(&self, to: usize) -> BoundaryBatch {
         let links_out = self.tx_links.iter().filter(|tx| tx.peer == to).count();
         let links_back = self.rx_links.iter().filter(|&&(_, tx)| tx == to).count();
         BoundaryBatch {
             phits: Vec::with_capacity(links_out),
-            credits: Vec::with_capacity(links_back * self.vcs),
+            credits: Vec::with_capacity(links_back),
             deliveries: Vec::with_capacity(self.net.owned_nodes().len()),
         }
     }
 
     /// One full simulation cycle of this shard (see the module docs).
     fn step(&mut self, c: &Conductor) {
-        let shards = c.slots.len();
+        let shards = c.tallies.len();
         let net = &mut self.net;
         net.advance_hooks();
         let activity = net.step_phases();
 
-        // Export: boundary phits (with packet payloads on heads) and credits.
-        let mut exported = 0usize;
+        // Export: this cycle's boundary phits (with packet payloads on heads)
+        // and credits.
+        let mut exported = false;
         for tx in &self.tx_links {
-            net.take_link_phits(tx.link, &mut self.phit_buf);
-            if self.phit_buf.is_empty() {
+            let Some(phit) = net.take_link_phit(tx.link) else {
                 continue;
+            };
+            exported = true;
+            let payload = phit.is_head().then(|| net.export_packet(phit.packet));
+            if phit.is_tail() {
+                // The receiver owns the authoritative copy from its head
+                // import on; nothing on this shard references it any more.
+                net.release_exported_packet(phit.packet);
             }
-            let mut batch = c.mail[self.id][tx.peer].lock().unwrap();
-            for phit in self.phit_buf.drain(..) {
-                exported += 1;
-                let payload = phit.is_head().then(|| net.export_packet(phit.packet));
-                if phit.is_tail() {
-                    // The receiver owns the authoritative copy from its head
-                    // import on; nothing on this shard references it any more.
-                    net.release_exported_packet(phit.packet);
-                }
-                batch.phits.push((tx.peer_slot, phit, payload));
-            }
+            c.mail[self.id][tx.peer]
+                .lock()
+                .unwrap()
+                .phits
+                .push((tx.peer_slot, phit, payload));
         }
         for &(li, src) in &self.rx_links {
-            net.take_link_credits(li, &mut self.credit_buf);
-            if self.credit_buf.is_empty() {
-                continue;
-            }
-            let mut batch = c.mail[self.id][src].lock().unwrap();
-            for credit in self.credit_buf.drain(..) {
-                batch.credits.push((li as u32, credit));
+            let credits = net.take_link_credits(li);
+            if credits != 0 {
+                c.mail[self.id][src]
+                    .lock()
+                    .unwrap()
+                    .credits
+                    .push((li as u32, credits));
             }
         }
         let deliveries = net.job_deliveries();
@@ -418,30 +362,29 @@ impl<R: RoutingAlgorithm> Shard<R> {
             net.clear_job_deliveries();
         }
 
-        // Publish this shard's flags for the global views below.  A packet
-        // whose only copy is sitting in a mailbox right now is covered by
-        // `exported > 0` on the sending side.
-        let slot = &c.slots[self.id];
-        slot.activity.store(activity, Ordering::Relaxed);
-        slot.live
-            .store(!net.is_drained() || exported > 0, Ordering::Relaxed);
-        slot.drained
-            .store(net.is_drained() && exported == 0, Ordering::Relaxed);
-        slot.generated
-            .store(net.stats.total_generated, Ordering::Relaxed);
-        slot.delivered
-            .store(net.stats.total_delivered, Ordering::Relaxed);
-        slot.buffered
+        // Publish this shard's part of the cycle's close.  A packet whose
+        // only copy is sitting in a mailbox right now is covered by
+        // `exported` on the sending side.
+        let tally = &c.tallies[self.id];
+        tally.activity.store(activity, Ordering::Relaxed);
+        tally
+            .live
+            .store(!net.is_drained() || exported, Ordering::Relaxed);
+        let (generated, delivered) = (net.stats.total_generated, net.stats.total_delivered);
+        tally
+            .in_flight
+            .store(generated.wrapping_sub(delivered), Ordering::Relaxed);
+        tally
+            .buffered
             .store(net.buffered_phits_total(), Ordering::Relaxed);
-        slot.all_complete
-            .store(net.jobs_complete(), Ordering::Relaxed);
 
         // Everyone has exported and published.
         let wait_start = std::time::Instant::now();
         c.inner.wait();
         self.barrier_wait_nanos += wait_start.elapsed().as_nanos() as u64;
 
-        // Import, in deterministic transmitter order.
+        // Import, in deterministic transmitter order: launch everything again
+        // on this shard's copies of the links, at this cycle.
         for src in 0..shards {
             if src == self.id {
                 continue;
@@ -459,8 +402,8 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 }
                 net.import_link_phit(self.rx_links[slot].0, phit);
             }
-            for (li, credit) in batch.credits.drain(..) {
-                net.import_link_credit(li as usize, credit);
+            for (li, credits) in batch.credits.drain(..) {
+                net.import_link_credits(li as usize, credits);
             }
             if !batch.deliveries.is_empty() {
                 net.apply_remote_deliveries(&batch.deliveries);
@@ -468,58 +411,32 @@ impl<R: RoutingAlgorithm> Shard<R> {
             }
         }
 
-        // Global watchdog + telemetry view (identical on every shard).
-        let mut global_activity = false;
-        let mut global_live = false;
-        let mut generated = 0u64;
-        let mut delivered = 0u64;
-        let mut buffered = 0u64;
-        for slot in &c.slots {
-            global_activity |= slot.activity.load(Ordering::Relaxed);
-            global_live |= slot.live.load(Ordering::Relaxed);
-            generated += slot.generated.load(Ordering::Relaxed);
-            delivered += slot.delivered.load(Ordering::Relaxed);
-            buffered += slot.buffered.load(Ordering::Relaxed);
+        // Close the cycle with the run-wide view (identical on every shard).
+        let (mut activity, mut live, mut in_flight, mut buffered) = (false, false, 0u64, 0u64);
+        for tally in &c.tallies {
+            activity |= tally.activity.load(Ordering::Relaxed);
+            live |= tally.live.load(Ordering::Relaxed);
+            in_flight = in_flight.wrapping_add(tally.in_flight.load(Ordering::Relaxed));
+            buffered += tally.buffered.load(Ordering::Relaxed);
         }
-        net.apply_watchdog(global_activity, global_live);
-        c.slots[self.id]
-            .deadlock
-            .store(net.deadlock_detected, Ordering::Relaxed);
-        net.note_cycle_peaks(generated - delivered, buffered);
-        net.finish_cycle();
+        net.close_cycle(activity, live, in_flight, buffered);
     }
 
-    /// The worker loop: execute broadcast commands until [`Cmd::Exit`].
+    /// The worker loop: execute broadcast commands until [`Cmd::Exit`],
+    /// publishing this shard's status after each one.
     fn worker(&mut self, c: &Conductor) {
         loop {
             c.outer.wait();
             let cmd = *c.cmd.lock().unwrap();
             match cmd {
                 Cmd::Step => self.step(c),
-                Cmd::SetInjection(injection) => self.net.set_injection(injection),
-                Cmd::TagMeasured(tag) => self.net.tag_measured = tag,
-                Cmd::BeginMeasurement => self.net.begin_measurement(),
-                Cmd::EndMeasurement => self.net.end_measurement(),
-                Cmd::PreloadBurst(packets) => self.net.preload_burst(packets),
-                Cmd::HaltGeneration => self.net.halt_generation(),
+                Cmd::Control(control) => self.net.control(control),
                 Cmd::Exit => {
                     c.outer.wait();
                     return;
                 }
             }
-            // Keep the published counters and state flags current even for
-            // control commands that change them outside a step (burst
-            // preloads in particular), and so the protocol loops never read a
-            // stale default from before the first step.
-            let slot = &c.slots[self.id];
-            slot.drained.store(self.net.is_drained(), Ordering::Relaxed);
-            slot.live.store(!self.net.is_drained(), Ordering::Relaxed);
-            slot.all_complete
-                .store(self.net.jobs_complete(), Ordering::Relaxed);
-            slot.generated
-                .store(self.net.stats.total_generated, Ordering::Relaxed);
-            slot.delivered
-                .store(self.net.stats.total_delivered, Ordering::Relaxed);
+            *c.statuses[self.id].lock().unwrap() = self.net.status();
             c.outer.wait();
         }
     }
@@ -537,7 +454,6 @@ impl<R: RoutingAlgorithm> Shard<R> {
 pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
     shards: Vec<Shard<R>>,
     packet_size: usize,
-    cycle: u64,
 }
 
 impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
@@ -622,8 +538,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
                     tx_links,
                     rx_links,
                     vcs,
-                    phit_buf: Vec::with_capacity(1),
-                    credit_buf: Vec::with_capacity(vcs),
                     barrier_wait_nanos: 0,
                 }
             })
@@ -631,7 +545,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         Self {
             shards,
             packet_size,
-            cycle: 0,
         }
     }
 
@@ -650,86 +563,14 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         &mut self.shards[shard].net
     }
 
-    /// Install `jobs` — a static workload or an arrival trace — into every shard
-    /// replica (each compiles the same placement and patterns
-    /// deterministically) and enable the delivery-feedback broadcast that
-    /// keeps the replicas' volume counters in lockstep.
-    pub fn install_jobs(&mut self, jobs: &Trace) {
-        for shard in &mut self.shards {
-            let schedule = jobs.schedule(shard.net.params(), self.packet_size);
-            shard.net.install_jobs(schedule);
-            shard.net.enable_delivery_log();
-        }
-    }
-
-    /// Spawn one scoped worker thread per shard, hand the protocol loop `f` a
-    /// [`Driver`], and tear the workers down when it returns.
-    fn with_workers<T>(&mut self, f: impl FnOnce(&mut Driver) -> T) -> T {
-        let conductor = Arc::new(Conductor::new(&self.shards));
-        let mut driver = Driver {
-            c: Arc::clone(&conductor),
-            cycle: self.cycle,
-        };
-        let out = std::thread::scope(|scope| {
-            for shard in self.shards.iter_mut() {
-                let c = &*conductor;
-                scope.spawn(move || shard.worker(c));
-            }
-            let out = f(&mut driver);
-            driver.dispatch(Cmd::Exit);
-            out
-        });
-        self.cycle = driver.cycle;
-        out
-    }
-
-    /// Install observability probes into every shard replica.
-    ///
-    /// Each replica's probe hooks only ever fire for state the shard owns
-    /// (packets are generated at owned nodes, delivered at owned destination
-    /// routers, and only owned routers hold buffered phits), so every counter
-    /// is accumulated by exactly one shard and [`Self::merged_probe`]
-    /// reproduces the sequential recorder by plain element-wise merging.
-    pub fn install_probes(&mut self, cfg: ProbeConfig) {
-        for shard in &mut self.shards {
-            shard.net.install_probes(cfg.clone());
-        }
-    }
-
     /// Read access to one shard's probe recorder (tests, diagnostics).
     pub fn probe(&self, shard: usize) -> Option<&ProbeRecorder> {
         self.shards[shard].net.probe()
     }
 
-    /// Merge the per-shard probe recorders into the run-wide recorder, exactly
-    /// like `merged_stats` merges the statistics collectors.  Returns
-    /// `None` when probes were never installed.
-    pub fn merged_probe(&self) -> Option<ProbeRecorder> {
-        let mut merged = self.shards[0].net.probe()?.clone();
-        for shard in &self.shards[1..] {
-            merged.merge(
-                shard
-                    .net
-                    .probe()
-                    .expect("probes are installed on every shard"),
-            );
-        }
-        Some(merged)
-    }
-
     /// Nanoseconds `shard` spent waiting at the inner export → import barrier.
     pub fn barrier_wait_nanos(&self, shard: usize) -> u64 {
         self.shards[shard].barrier_wait_nanos
-    }
-
-    /// Merge the per-shard collectors into the run-wide collector the reports
-    /// are built from (exact — see the module docs).
-    fn merged_stats(&self) -> StatsCollector {
-        let mut merged = self.shards[0].net.stats.clone();
-        for shard in &self.shards[1..] {
-            merged.merge(&shard.net.stats);
-        }
-        merged
     }
 
     /// Run the paper's steady-state protocol across all shards; byte-identical
@@ -749,28 +590,77 @@ impl<R: RoutingAlgorithm + Clone> EngineHost for ShardedSimulation<R> {
     type Routing = R;
     type Engine = Driver;
 
+    /// Spawn one scoped worker thread per shard, hand the protocol loop `f` a
+    /// [`Driver`], and tear the workers down when it returns.
     fn drive<T>(&mut self, f: impl FnOnce(&mut Driver) -> T) -> T {
-        self.with_workers(f)
+        let conductor = Arc::new(Conductor::new(&self.shards));
+        let mut driver = Driver {
+            c: Arc::clone(&conductor),
+        };
+        std::thread::scope(|scope| {
+            for shard in self.shards.iter_mut() {
+                let c = &*conductor;
+                scope.spawn(move || shard.worker(c));
+            }
+            let out = f(&mut driver);
+            driver.dispatch(Cmd::Exit);
+            out
+        })
     }
 
     fn replica(&self) -> &Network<R> {
         &self.shards[0].net
     }
 
+    /// The per-shard collectors merged into the run-wide collector the
+    /// reports are built from (exact — see the module docs).
     fn stats(&self) -> Cow<'_, StatsCollector> {
-        Cow::Owned(self.merged_stats())
+        let mut merged = self.shards[0].net.stats.clone();
+        for shard in &self.shards[1..] {
+            merged.merge(&shard.net.stats);
+        }
+        Cow::Owned(merged)
     }
 
+    /// Install `jobs` into every shard replica (each compiles the same
+    /// placement and patterns deterministically) and enable the
+    /// delivery-feedback broadcast that keeps the replicas' volume counters
+    /// in lockstep.
     fn install_jobs(&mut self, jobs: &Trace) {
-        ShardedSimulation::install_jobs(self, jobs);
+        for shard in &mut self.shards {
+            let schedule = jobs.schedule(shard.net.params(), self.packet_size);
+            shard.net.install_jobs(schedule);
+            shard.net.enable_delivery_log();
+        }
     }
 
+    /// Install observability probes into every shard replica.
+    ///
+    /// Each replica's probe hooks only ever fire for state the shard owns
+    /// (packets are generated at owned nodes, delivered at owned destination
+    /// routers, and only owned routers hold buffered phits), so every counter
+    /// is accumulated by exactly one shard and
+    /// [`EngineHost::collect_probe`] reproduces the sequential recorder by
+    /// plain element-wise merging.
     fn install_probes(&mut self, cfg: ProbeConfig) {
-        ShardedSimulation::install_probes(self, cfg);
+        for shard in &mut self.shards {
+            shard.net.install_probes(cfg.clone());
+        }
     }
 
+    /// The per-shard probe recorders merged into the run-wide recorder,
+    /// exactly like the statistics collectors.
     fn collect_probe(&mut self) -> Option<Box<ProbeRecorder>> {
-        self.merged_probe().map(Box::new)
+        let mut merged = self.shards[0].net.probe()?.clone();
+        for shard in &self.shards[1..] {
+            merged.merge(
+                shard
+                    .net
+                    .probe()
+                    .expect("probes are installed on every shard"),
+            );
+        }
+        Some(Box::new(merged))
     }
 }
 
@@ -904,7 +794,7 @@ mod tests {
             let report = sharded.run_steady_state(0.2, 300, 600, 900);
             assert_eq!(report, expected_report, "{shards} shards diverged");
 
-            let merged = sharded.merged_probe().unwrap();
+            let merged = sharded.collect_probe().unwrap();
             assert_eq!(merged.samples(), expected.samples());
             // Every network column is accumulated by exactly one shard, so
             // the element-wise merge reproduces the sequential samples.

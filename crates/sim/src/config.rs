@@ -3,6 +3,15 @@
 use crate::packet::PacketId;
 use dragonfly_topology::{DragonflyParams, Port, PortKind};
 
+/// Return `Err` with the formatted message unless the condition holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
 /// Link-level flow control discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowControl {
@@ -195,15 +204,15 @@ impl SimConfig {
         self.latency_for(port.kind())
     }
 
-    /// Sanity-check the configuration, panicking with a descriptive message if it is
-    /// inconsistent (e.g. VCT with buffers smaller than a packet) or beyond a
-    /// bound of the engine's packed state (each message names the field, the
-    /// value and the bound).
-    pub fn validate(&self) {
-        assert!(self.packet_size >= 1, "packet size must be positive");
+    /// Sanity-check the configuration: `Err` with a descriptive message if it
+    /// is inconsistent (e.g. VCT with buffers smaller than a packet) or beyond
+    /// a bound of the engine's packed state (each message names the field,
+    /// the value and the bound).
+    pub fn check(&self) -> Result<(), String> {
+        ensure!(self.packet_size >= 1, "packet size must be positive");
         // A packet's size and the phit counters of an input VC's head and
         // tail (`InputVc`) are `u16`.
-        assert!(
+        ensure!(
             self.packet_size <= u16::MAX as usize,
             "packet_size = {} phits exceeds the {} a u16 phit counter holds",
             self.packet_size,
@@ -215,7 +224,7 @@ impl SimConfig {
             ("local_vcs", self.local_vcs),
             ("global_vcs", self.global_vcs),
         ] {
-            assert!(
+            ensure!(
                 vcs <= MAX_VCS_PER_PORT,
                 "{field} = {vcs} exceeds the {MAX_VCS_PER_PORT} VCs a u8 credit mask holds"
             );
@@ -228,7 +237,7 @@ impl SimConfig {
             ("global_latency", self.global_latency),
             ("terminal_latency", self.terminal_latency),
         ] {
-            assert!(
+            ensure!(
                 (1..=MAX_LINK_LATENCY).contains(&cycles),
                 "{field} = {cycles} cycles is outside the 1..={MAX_LINK_LATENCY} a link's \
                  slot ring and 16-bit credit counter address"
@@ -242,14 +251,14 @@ impl SimConfig {
             // Output VCs count credits in a `u32` (the ejection side's
             // `max(4 × packet_size, injection_buffer)` is bounded with the
             // injection buffer, the packet size being a `u16`).
-            assert!(
+            ensure!(
                 phits <= u32::MAX as usize,
                 "{field} = {phits} phits exceeds the {} a u32 credit counter holds",
                 u32::MAX
             );
         }
         let ports = self.params.ports_per_router();
-        assert!(
+        ensure!(
             ports <= MAX_PORTS_PER_ROUTER,
             "h = {} gives {ports} ports per router, above the {MAX_PORTS_PER_ROUTER} \
              a per-router port mask holds (h <= {})",
@@ -263,7 +272,7 @@ impl SimConfig {
             * (0..ports)
                 .map(|flat| self.latency_for_port(Port::from_flat(flat, h)) + 1)
                 .sum::<u64>();
-        assert!(
+        ensure!(
             slots <= u32::MAX as u64,
             "h = {h} with local_latency = {}, global_latency = {} and terminal_latency = {} \
              needs {slots} link slots, above the {} a u32 pool offset addresses",
@@ -272,38 +281,38 @@ impl SimConfig {
             self.terminal_latency,
             u32::MAX
         );
-        assert!(
+        ensure!(
             self.local_vcs >= 1 && self.global_vcs >= 1,
             "need at least one VC"
         );
         if self.flow_control.is_vct() {
-            assert!(
+            ensure!(
                 self.local_buffer >= self.packet_size,
                 "VCT requires local buffers ({} phits) to hold a whole packet ({} phits)",
                 self.local_buffer,
                 self.packet_size
             );
-            assert!(
+            ensure!(
                 self.global_buffer >= self.packet_size,
                 "VCT requires global buffers to hold a whole packet"
             );
-            assert!(
+            ensure!(
                 self.injection_buffer >= self.packet_size,
                 "VCT requires injection buffers to hold a whole packet"
             );
         } else if let FlowControl::Wormhole { flit_size } = self.flow_control {
-            assert!(flit_size >= 1, "flit size must be positive");
-            assert!(
+            ensure!(flit_size >= 1, "flit size must be positive");
+            ensure!(
                 self.local_buffer >= flit_size,
                 "WH requires local buffers to hold at least one flit"
             );
-            assert!(
+            ensure!(
                 self.global_buffer >= flit_size,
                 "WH requires global buffers (global_buffer = {} phits) to hold at least one \
                  flit ({flit_size} phits)",
                 self.global_buffer
             );
-            assert!(
+            ensure!(
                 self.packet_size.is_multiple_of(flit_size),
                 "packet size must be a whole number of flits"
             );
@@ -311,7 +320,7 @@ impl SimConfig {
         // A packet id names its arena slot in `PacketId::INDEX_BITS` bits,
         // and the arena never holds more packets than the buffers bound.
         let bound = self.params.num_routers() * crate::network::packets_per_router(self);
-        assert!(
+        ensure!(
             bound < PacketId::INDEX_MASK as usize,
             "h = {h} with packet_size = {}, local_buffer = {}, global_buffer = {} and \
              injection_buffer = {} bounds {bound} packets in flight, above the {} slots a \
@@ -323,6 +332,15 @@ impl SimConfig {
             PacketId::INDEX_MASK - 1,
             PacketId::INDEX_BITS
         );
+        Ok(())
+    }
+
+    /// [`SimConfig::check`], panicking with its message (what every engine
+    /// constructor calls).
+    pub fn validate(&self) {
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
     }
 }
 
@@ -351,6 +369,19 @@ mod tests {
         // 4h - 1 ports: h = 16 fills 63 of the 64 mask bits, h = 17 needs 67.
         SimConfig::paper_vct(16).validate();
         SimConfig::paper_vct(17).validate();
+    }
+
+    /// `check` refuses with the very message `validate` panics with, so a
+    /// caller can report it instead of unwinding.
+    #[test]
+    fn check_returns_what_validate_panics_with() {
+        assert_eq!(SimConfig::paper_vct(16).check(), Ok(()));
+        let refused = SimConfig::paper_vct(17);
+        let message = std::panic::catch_unwind(|| refused.validate()).unwrap_err();
+        assert_eq!(
+            refused.check(),
+            Err(message.downcast_ref::<String>().unwrap().clone())
+        );
     }
 
     /// The arena bound of the largest machine fits the packet index: at

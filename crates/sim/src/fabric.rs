@@ -31,9 +31,15 @@
 //! set (see [`crate::active_set::ActiveSet`]) walks the pools front to back.
 //! Those are the slots of a network instance that owns both ends of the link;
 //! one partition of a sharded run keeps a ring in full only when it owns the
-//! end the ring drains at, a single slot when it only launches into the ring
-//! and exports it at the same cycle's barrier, and nothing otherwise (see
-//! [`LinkSpec`]).
+//! end the ring drains at, a single slot when it only launches into the ring,
+//! and nothing otherwise (see [`LinkSpec`]).  The single slot holds what was
+//! launched this cycle, and the cycle's barrier empties it
+//! ([`LinkFabric::take_export_phit`], [`LinkFabric::take_export_credits`]):
+//! the partition owning the draining end launches the same phit or credits
+//! on its full copy at the same cycle, with the same [`LinkFabric::send_phit`]
+//! and [`LinkFabric::send_credit`] the switch uses, so they land in the slot
+//! of the arrival cycle the launch implies.  Nothing crossing a boundary
+//! carries a timestamp.
 //!
 //! The "one per cycle" facts are checked, not assumed: writing a phit into an
 //! occupied slot, or a credit into a VC bit already set, panics in release
@@ -41,35 +47,29 @@
 //! keep each slot's arrival cycle and assert that a slot is drained at
 //! exactly that cycle.
 //!
-//! `next_due` caches the earliest arrival of a link.  A launch or import
-//! lowers it; a drain or export recomputes it by scanning the ring bytes
-//! forward from the drained slot to the next occupied one.  The arrival sweep
+//! `next_due` caches the earliest arrival of a link.  A launch lowers it; a
+//! drain recomputes it by scanning the ring bytes forward from the drained
+//! slot to the next occupied one.  An export never scans: what it takes was
+//! launched this cycle, so it arrives no earlier than anything else on the
+//! link.  The arrival sweep
 //! reads this one dense array ([`LinkFabric::due`]) and passes over a link
 //! with nothing maturing without touching its counters or pools — a 100-cycle
 //! global link carrying one packet is due in ~16 of ~116 cycles.
 //!
-//! The records that cross a shard boundary ([`PhitInFlight`],
-//! [`CreditInFlight`]) carry their arrival cycle explicitly; they are what
-//! [`LinkFabric::take_phits`] and [`LinkFabric::push_arriving_phit`] (and
-//! their credit twins) exchange.  The addressing of a link's far end
-//! ([`LinkEnd`]) is defined here too.
+//! The addressing of a link's far end ([`LinkEnd`]) is defined here too.
 
 use crate::packet::PacketId;
 use dragonfly_topology::NodeId;
 
-/// A phit travelling on a link, as it crosses a shard boundary (12 bytes).
+/// A phit as it is launched onto a link and taken off it (8 bytes).
 ///
-/// Inside the fabric a phit is a slot; this record adds the arrival cycle
-/// the slot implies.  Arrival cycles are stored as `u32` (runs beyond
-/// `u32::MAX` cycles are unsupported and debug-asserted at launch).  The
-/// packet's size is not carried: the receiver reads it from the packet at
-/// the head phit.
+/// Inside the fabric a phit is a slot, whose position implies its arrival
+/// cycle.  The packet's size is not carried: the receiver reads it from the
+/// packet at the head phit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhitInFlight {
     /// The packet it belongs to.
     pub packet: PacketId,
-    /// Cycle at which the phit reaches the far end.
-    pub arrive: u32,
     /// Virtual channel it will be stored in at the far end.
     pub vc: u8,
     flags: u8,
@@ -84,13 +84,11 @@ const TAG_FLAGS_SHIFT: u32 = 3;
 const TAG_VC: u8 = 0b111;
 
 impl PhitInFlight {
-    /// A phit of `packet` bound for `vc`, with a zero arrival stamp (the
-    /// fabric fills it in when the phit leaves a slot).
+    /// A phit of `packet` bound for `vc`.
     #[inline]
     pub fn new(packet: PacketId, vc: u8, is_head: bool, is_tail: bool) -> Self {
         Self {
             packet,
-            arrive: 0,
             vc,
             flags: ((is_head as u8) * PHIT_HEAD) | ((is_tail as u8) * PHIT_TAIL),
         }
@@ -115,24 +113,13 @@ impl PhitInFlight {
     }
 
     #[inline]
-    fn from_slot(packet: PacketId, arrive: u32, tag: u8) -> Self {
+    fn from_slot(packet: PacketId, tag: u8) -> Self {
         Self {
             packet,
-            arrive,
             vc: tag & TAG_VC,
             flags: (tag & !TAG_OCCUPIED) >> TAG_FLAGS_SHIFT,
         }
     }
-}
-
-/// A credit travelling back to the transmitter of a link, as it crosses a
-/// shard boundary (8 bytes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CreditInFlight {
-    /// Cycle at which the credit reaches the transmitter.
-    pub arrive: u32,
-    /// Virtual channel the credit belongs to.
-    pub vc: u8,
 }
 
 /// What one link delivers at one cycle: at most one phit and one credit per
@@ -141,7 +128,7 @@ pub struct CreditInFlight {
 pub struct Arrived {
     /// Bit `v` set: a credit for VC `v` reached the transmitter.
     pub credits: u8,
-    /// The phit that reached the far end, stamped with the cycle.
+    /// The phit that reached the far end.
     pub phit: Option<PhitInFlight>,
 }
 
@@ -214,8 +201,9 @@ impl LinkEnd {
 /// The two slot counts are what the network instance being built can ever
 /// hold on this link, which depends on which of the link's ends it owns (see
 /// `Network::with_owned_routers`): `latency + 1` when it owns the end a
-/// pipeline drains at, one when it only launches into the pipeline and
-/// exports it at the barrier, zero when it owns neither end.
+/// pipeline drains at; one when it only launches into the pipeline — the
+/// slot of this cycle's launch, emptied at the cycle's barrier and launched
+/// again on the owner's full copy; zero when it owns neither end.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
     /// Latency in cycles.
@@ -602,7 +590,7 @@ impl LinkFabric {
                     at,
                     "link {li}: a phit drained off its arrival cycle"
                 );
-                arrived.phit = Some(PhitInFlight::from_slot(self.phit_ids[start + pos], at, tag));
+                arrived.phit = Some(PhitInFlight::from_slot(self.phit_ids[start + pos], tag));
                 counts.set(PHITS, counts.get(PHITS) - 1);
             }
             if counts.get(PHITS) > 0 {
@@ -614,141 +602,61 @@ impl LinkFabric {
         arrived
     }
 
-    /// The window of a ring of `slots` slots on link `li` after the launches
-    /// of cycle `now`: it covers the `slots` cycles ending at
-    /// `now + latency`.  Returns the window's first cycle and its slot.
+    /// Take the phit launched on link `li` this cycle out of the one-slot
+    /// ring of an instance that owns only the link's transmitting end (a
+    /// shard boundary, at the cycle's barrier); the owner of the receiving
+    /// end launches it on its full copy at the same cycle.
+    ///
+    /// Emptied at every barrier, the slot holds only this cycle's launch (a
+    /// launch into a slot left full panics in [`LinkFabric::send_phit`]).
+    /// That launch arrives last on the link, so the credits in flight keep
+    /// `next_due` — no ring is scanned.
+    ///
+    /// # Panics
+    ///
+    /// Panics when link `li`'s phit ring is not a one-slot export ring.
     #[inline]
-    fn window(&self, li: usize, now: u64, slots: usize) -> (u32, usize) {
-        let first = (now + self.latency(li) + 1 - slots as u64) as u32;
-        (first, self.class(li).slot(first, slots))
-    }
-
-    /// Earliest arrival in link `li`'s ring `bytes[off[li]..off[li + 1]]`
-    /// after the launches of cycle `now` ([`NEVER`] when it is empty).
-    fn earliest_in(&self, li: usize, now: u64, off: &[u32], bytes: &[u8]) -> u32 {
-        let ring = &bytes[off[li] as usize..off[li + 1] as usize];
-        if ring.is_empty() {
-            return NEVER;
-        }
-        let (first, start) = self.window(li, now, ring.len());
-        earliest(ring, start, first)
-    }
-
-    /// Earliest arrival on link `li` after the launches of cycle `now`,
-    /// scanning only a ring that holds something.
-    fn earliest_on(&self, li: usize, now: u64) -> u32 {
-        let counts = self.counts[li];
-        let phits = if counts.get(PHITS) > 0 {
-            self.earliest_in(li, now, &self.phit_off, &self.phit_tags)
-        } else {
-            NEVER
-        };
-        let credits = if counts.get(CREDITS) > 0 {
-            self.earliest_in(li, now, &self.credit_off, &self.credit_masks)
-        } else {
-            NEVER
-        };
-        phits.min(credits)
-    }
-
-    /// After an export at `now` emptied one direction of link `li` whose
-    /// earliest entry arrived at `taken`, re-stamp `next_due` — with a scan
-    /// only when the exported direction held the link's earliest arrival.
-    fn restamp_after_take(&mut self, li: usize, now: u64, taken: u32) {
-        if self.next_due[li] >= taken {
-            self.next_due[li] = self.earliest_on(li, now);
-        }
-    }
-
-    /// Move every phit in flight on link `li` into `out`, stamped with its
-    /// arrival cycle (boundary-link export at the barrier of cycle `now`: the
-    /// phits continue their flight in the receiving shard's copy).
-    pub fn take_phits(&mut self, li: usize, now: u64, out: &mut Vec<PhitInFlight>) {
-        let (start, end) = (self.phit_off[li] as usize, self.phit_off[li + 1] as usize);
-        let mut left = self.counts[li].get(PHITS);
-        if left == 0 {
-            return;
-        }
-        let (first, mut pos) = self.window(li, now, end - start);
-        let mut taken = NEVER;
-        for arrive in first.. {
-            let tag = std::mem::take(&mut self.phit_tags[start + pos]);
-            if tag != 0 {
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(self.phit_stamps[start + pos], arrive);
-                taken = taken.min(arrive);
-                out.push(PhitInFlight::from_slot(
-                    self.phit_ids[start + pos],
-                    arrive,
-                    tag,
-                ));
-                left -= 1;
-                if left == 0 {
-                    break;
-                }
-            }
-            pos = if pos + 1 == end - start { 0 } else { pos + 1 };
+    pub fn take_export_phit(&mut self, li: usize) -> Option<PhitInFlight> {
+        let pos = self.phit_off[li] as usize;
+        assert_eq!(self.capacities(li).0, 1, "link {li}: no export ring");
+        let tag = std::mem::take(&mut self.phit_tags[pos]);
+        if tag == 0 {
+            return None;
         }
         self.counts[li].set(PHITS, 0);
-        self.restamp_after_take(li, now, taken);
+        self.retire_export(li);
+        Some(PhitInFlight::from_slot(self.phit_ids[pos], tag))
     }
 
-    /// Move every credit in flight on link `li` into `out`, one record per
-    /// VC bit, stamped with its arrival cycle (boundary-link export toward
-    /// the transmitting shard at the barrier of cycle `now`).
-    pub fn take_credits(&mut self, li: usize, now: u64, out: &mut Vec<CreditInFlight>) {
-        let (start, end) = (
-            self.credit_off[li] as usize,
-            self.credit_off[li + 1] as usize,
-        );
-        let mut left = self.counts[li].get(CREDITS);
-        if left == 0 {
-            return;
-        }
-        let (first, mut pos) = self.window(li, now, end - start);
-        let mut taken = NEVER;
-        for arrive in first.. {
-            let mut mask = std::mem::take(&mut self.credit_masks[start + pos]);
-            if mask != 0 {
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(self.credit_stamps[start + pos], arrive);
-                taken = taken.min(arrive);
-                left -= mask.count_ones() as usize;
-                while mask != 0 {
-                    let vc = mask.trailing_zeros() as u8;
-                    out.push(CreditInFlight { arrive, vc });
-                    mask &= mask - 1;
-                }
-                if left == 0 {
-                    break;
-                }
-            }
-            pos = if pos + 1 == end - start { 0 } else { pos + 1 };
-        }
-        self.counts[li].set(CREDITS, 0);
-        self.restamp_after_take(li, now, taken);
-    }
-
-    /// Put a phit that already carries its absolute arrival stamp into its
-    /// slot (boundary-link import from the transmitting shard).
+    /// Take the mask of credits launched on link `li` this cycle out of the
+    /// one-slot ring of an instance that owns only the link's receiving end
+    /// (bit `v` set: a credit for VC `v`; 0 when none was launched); the
+    /// owner of the transmitting end launches them on its full copy at the
+    /// same cycle.  The credit twin of [`LinkFabric::take_export_phit`].
     ///
     /// # Panics
     ///
-    /// Panics when the slot already holds a phit.
+    /// Panics when link `li`'s credit ring is not a one-slot export ring.
     #[inline]
-    pub fn push_arriving_phit(&mut self, li: usize, phit: PhitInFlight) {
-        self.put_phit(li, phit.arrive, phit);
+    pub fn take_export_credits(&mut self, li: usize) -> u8 {
+        let pos = self.credit_off[li] as usize;
+        assert_eq!(self.capacities(li).1, 1, "link {li}: no export ring");
+        let mask = std::mem::take(&mut self.credit_masks[pos]);
+        if mask != 0 {
+            self.counts[li].set(CREDITS, 0);
+            self.retire_export(li);
+        }
+        mask
     }
 
-    /// Put a credit that already carries its absolute arrival stamp into its
-    /// slot (boundary-link import from the receiving shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slot already holds a credit for the same VC.
+    /// `next_due` after an export emptied one direction of link `li`: the
+    /// other direction's earliest arrival, which it already holds, or
+    /// [`NEVER`] when nothing is left.
     #[inline]
-    pub fn push_arriving_credit(&mut self, li: usize, credit: CreditInFlight) {
-        self.put_credit(li, credit.arrive, credit.vc);
+    fn retire_export(&mut self, li: usize) {
+        if self.counts[li].is_idle() {
+            self.next_due[li] = NEVER;
+        }
     }
 
     /// Slots of link `li`'s `(phit, credit)` rings as built.
@@ -826,10 +734,22 @@ impl LinkFabric {
     /// of its two rings (the full scan the cache replaces), at the close of
     /// cycle `now`; `Err` names the first link that disagrees.
     pub fn check_next_due(&self, now: u64) -> Result<(), String> {
+        // A ring of `slots` slots covers the `slots` arrival cycles ending at
+        // `now + latency`; scan it from the first.
+        let earliest_in = |li: usize, off: &[u32], bytes: &[u8]| {
+            let ring = &bytes[off[li] as usize..off[li + 1] as usize];
+            if ring.is_empty() {
+                return NEVER;
+            }
+            let first = (now + self.latency(li) + 1 - ring.len() as u64) as u32;
+            earliest(ring, self.class(li).slot(first, ring.len()), first)
+        };
         for li in 0..self.len() {
-            let scanned = self
-                .earliest_in(li, now, &self.phit_off, &self.phit_tags)
-                .min(self.earliest_in(li, now, &self.credit_off, &self.credit_masks));
+            let scanned = earliest_in(li, &self.phit_off, &self.phit_tags).min(earliest_in(
+                li,
+                &self.credit_off,
+                &self.credit_masks,
+            ));
             let cached = self.next_due[li];
             if cached != scanned {
                 return Err(format!(
@@ -852,9 +772,8 @@ mod tests {
         // The footprint argument in the docs relies on these.
         assert_eq!(std::mem::size_of::<PacketId>() + 1, 5);
         assert_eq!(std::mem::size_of::<LinkCounts>(), 8);
-        // The shard-boundary records.
-        assert_eq!(std::mem::size_of::<PhitInFlight>(), 12);
-        assert_eq!(std::mem::size_of::<CreditInFlight>(), 8);
+        // What a drain yields and a shard boundary ships.
+        assert_eq!(std::mem::size_of::<PhitInFlight>(), 8);
     }
 
     #[test]
@@ -897,8 +816,7 @@ mod tests {
         // Through a slot's tag byte and back.
         for phit in [p, t, single] {
             assert_ne!(phit.tag(), 0, "an occupied tag is never zero");
-            let back = PhitInFlight::from_slot(phit.packet, 42, phit.tag());
-            assert_eq!(back, PhitInFlight { arrive: 42, ..phit });
+            assert_eq!(PhitInFlight::from_slot(phit.packet, phit.tag()), phit);
         }
     }
 
@@ -950,7 +868,6 @@ mod tests {
         assert_eq!(f.next_due(0), Some(15));
         let out = arrived(&mut f, 0, 15).phit.unwrap();
         assert_eq!(out.packet, PacketId(1));
-        assert_eq!(out.arrive, 15);
         assert!(f.is_idle(0));
         assert_eq!(f.next_due(0), None);
         assert!(!f.due(0, u32::MAX as u64 - 1), "an idle link is never due");
@@ -1052,80 +969,76 @@ mod tests {
         assert!(f.is_idle(0) && f.is_idle(1));
     }
 
+    /// Link 0 as its transmitting shard holds it (one phit slot to export, a
+    /// full credit ring), link 1 as its receiving shard does (the mirror
+    /// image), both of latency 5.
+    fn boundary_pair() -> LinkFabric {
+        let end = LinkEnd::Router { router: 3, port: 1 };
+        let spec = |phit_slots, credit_slots| LinkSpec {
+            latency: 5,
+            to: end,
+            phit_slots,
+            credit_slots,
+        };
+        LinkFabric::build(&[spec(1, 6), spec(6, 1)])
+    }
+
     #[test]
     fn shard_export_import_roundtrip() {
-        // Link 0 as its transmitting shard holds it (one phit slot to
-        // export, full credit ring); link 1 as its receiving shard does.
-        let end = LinkEnd::Router { router: 3, port: 1 };
-        let mut f = LinkFabric::build(&[
-            LinkSpec {
-                latency: 5,
-                to: end,
-                phit_slots: 1,
-                credit_slots: 6,
-            },
-            LinkSpec {
-                latency: 5,
-                to: end,
-                phit_slots: 6,
-                credit_slots: 1,
-            },
-        ]);
+        let mut f = boundary_pair();
         f.send_phit(0, 0, phit(1));
         f.send_credit(1, 0, 1);
         f.send_credit(1, 0, 0);
-        let (mut phits, mut credits) = (Vec::new(), Vec::new());
-        f.take_phits(0, 0, &mut phits);
-        f.take_credits(1, 0, &mut credits);
+        let shipped = f.take_export_phit(0).unwrap();
+        let mask = f.take_export_credits(1);
         assert!(f.is_idle(0) && f.is_idle(1));
         assert_eq!(f.next_due(0), None, "an exported link has nothing due");
-        assert_eq!(phits.len(), 1);
-        assert_eq!(phits[0].arrive, 5);
-        assert_eq!(
-            credits,
-            vec![
-                CreditInFlight { arrive: 5, vc: 0 },
-                CreditInFlight { arrive: 5, vc: 1 }
-            ]
-        );
-        f.push_arriving_phit(1, phits[0]);
-        for credit in credits {
-            f.push_arriving_credit(0, credit);
+        assert_eq!((shipped, mask), (phit(1), 0b11));
+        assert_eq!((f.take_export_phit(0), f.take_export_credits(1)), (None, 0));
+        // The barrier of cycle 0 launches both again on the other copies.
+        f.send_phit(1, 0, shipped);
+        for vc in 0..2 {
+            f.send_credit(0, 0, vc);
         }
         f.check_next_due(0).unwrap();
         assert_eq!(f.phits_in_flight(1), 1);
         assert_eq!(f.credits_in_flight(0), 2);
-        assert!(!f.due(1, 4) && f.due(1, 5), "imports keep their stamps");
-        assert_eq!(arrived(&mut f, 1, 5).phit.unwrap().packet, PacketId(1));
+        assert!(!f.due(1, 4) && f.due(1, 5), "a relaunch arrives on time");
+        assert_eq!(arrived(&mut f, 1, 5).phit, Some(phit(1)));
         assert_eq!(arrived(&mut f, 0, 5).credits, 0b11);
     }
 
     #[test]
     fn an_export_keeps_the_other_directions_stamp() {
         // The transmitting shard's copy: the one-slot export ring holds this
-        // cycle's launch (arriving last), the credit ring something earlier.
-        let mut f = LinkFabric::build(&[LinkSpec {
-            latency: 4,
-            to: LinkEnd::Router { router: 0, port: 0 },
-            phit_slots: 1,
-            credit_slots: 5,
-        }]);
-        f.push_arriving_credit(0, CreditInFlight { arrive: 12, vc: 1 });
+        // cycle's launch (arriving last), the credit ring earlier arrivals,
+        // relaunched at the barriers of cycles 7 and 9.
+        let mut f = boundary_pair();
+        f.send_credit(0, 7, 1);
+        f.send_credit(0, 9, 0);
         f.send_phit(0, 10, phit(1));
-        let mut out = Vec::new();
-        f.take_phits(0, 10, &mut out);
-        assert_eq!(out[0].arrive, 14);
+        assert_eq!(f.take_export_phit(0), Some(phit(1)));
         assert_eq!(f.next_due(0), Some(12));
         f.check_next_due(10).unwrap();
-        // Both directions arriving together: the stamp survives the export.
         assert_eq!(arrived(&mut f, 0, 12).credits, 0b10);
-        f.send_credit(0, 10, 0);
-        f.send_phit(0, 11, phit(2));
-        f.push_arriving_credit(0, CreditInFlight { arrive: 15, vc: 0 });
-        out.clear();
-        f.take_phits(0, 11, &mut out);
         assert_eq!(f.next_due(0), Some(14));
-        f.check_next_due(11).unwrap();
+        // Cycle 13: the export, then a credit relaunched due with the phit.
+        f.send_phit(0, 13, phit(2));
+        assert_eq!(f.take_export_phit(0), Some(phit(2)));
+        f.send_credit(0, 13, 1);
+        assert_eq!(f.next_due(0), Some(14));
+        f.check_next_due(13).unwrap();
+        assert_eq!(arrived(&mut f, 0, 14).credits, 0b01);
+        assert_eq!(f.next_due(0), Some(18));
+        f.check_next_due(14).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0: a second phit for the slot arriving at cycle 16")]
+    fn an_export_ring_left_full_panics_at_the_next_launch() {
+        let mut f = boundary_pair();
+        f.send_phit(0, 10, phit(1));
+        f.send_phit(0, 11, phit(2));
     }
 
     #[test]
@@ -1167,16 +1080,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a second phit")]
+    #[should_panic(expected = "link 1: a second phit for the slot arriving at cycle 7")]
     fn an_import_onto_an_occupied_slot_panics() {
-        let mut f = fabric_of(&[(3, LinkEnd::Node { node: NodeId(0) })]);
-        f.send_phit(0, 2, phit(1));
-        f.push_arriving_phit(
-            0,
-            PhitInFlight {
-                arrive: 5,
-                ..phit(2)
-            },
-        );
+        // The receiving shard's copy can take one launch per cycle, local or
+        // relaunched: a second one at cycle 2 finds the slot of cycle 7 full.
+        let mut f = boundary_pair();
+        f.send_phit(1, 2, phit(1));
+        f.send_phit(1, 2, phit(2));
     }
 }

@@ -67,10 +67,10 @@ pub use active_set::ActiveSet;
 pub use buffer::InputVc;
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
-pub use fabric::{Arrived, CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
+pub use fabric::{Arrived, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 pub use network::{GlobalStatusBoard, Network, PoolBytes};
 pub use packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
-pub use protocol::{sim_report, Engine, EngineHost, SimRunIdentity};
+pub use protocol::{sim_report, Control, Engine, EngineHost, SimRunIdentity, Status};
 pub use ring::RingMeta;
 pub use router::{OutputPort, OutputVc, Router};
 pub use routing_iface::{RouteChoice, RouteCtx, RouteUpdate, RouterView, RoutingAlgorithm};

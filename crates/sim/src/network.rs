@@ -3,7 +3,7 @@
 use crate::active_set::ActiveSet;
 use crate::buffer::{InputFabric, PortGeometry};
 use crate::config::SimConfig;
-use crate::fabric::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
+use crate::fabric::{LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 use crate::packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 use crate::router::Router;
 use crate::routing_iface::{RouteChoice, RouteCtx, RouterView, RoutingAlgorithm};
@@ -265,10 +265,11 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// * a pipeline is drained where it matures (phits at the receiving end,
     ///   credits at the transmitting end), and the instance owning that end
     ///   holds all `latency + 1` of its slots.  An instance owning only the
-    ///   *launching* end exports what it launched at the same cycle's barrier
-    ///   ([`Network::take_link_phits`] / [`Network::take_link_credits`]), so it
-    ///   holds one cycle's slot: one phit, or one mask of credits.  A link
-    ///   with neither end owned holds nothing;
+    ///   *launching* end hands what it launched to the owner of the other end
+    ///   at the same cycle's barrier ([`Network::take_link_phit`] /
+    ///   [`Network::take_link_credits`]), so it holds one cycle's slot: one
+    ///   phit, or one mask of credits.  A link with neither end owned holds
+    ///   nothing;
     /// * source queues reserve their slots for owned nodes only, and the
     ///   arena (and the delay table, once armed) reserves what the owned
     ///   routers' buffers can hold ([`Network::arena_bound`], at least
@@ -581,7 +582,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     pub fn step(&mut self) {
         self.advance_hooks();
         let activity = self.step_phases();
-        self.close_cycle(activity);
+        self.close_local_cycle(activity);
     }
 
     /// Advance one cycle, invoking `hook` at every phase boundary with the
@@ -596,18 +597,15 @@ impl<R: RoutingAlgorithm> Network<R> {
     pub fn step_with_phase_hook(&mut self, hook: &mut dyn FnMut(&'static str)) {
         self.advance_hooks();
         let activity = self.phases(&mut *hook);
-        self.close_cycle(activity);
+        self.close_local_cycle(activity);
         hook("done");
     }
 
-    /// The sequential tail of a cycle: watchdog, occupancy peaks, cycle count.
+    /// [`Network::close_cycle`] with this instance's own view of the run.
     #[inline]
-    fn close_cycle(&mut self, activity: bool) {
-        let live = !self.is_drained();
-        self.apply_watchdog(activity, live);
-        self.stats
-            .note_cycle_peaks(self.stats.in_flight(), self.buffered_total);
-        self.finish_cycle();
+    fn close_local_cycle(&mut self, activity: bool) {
+        let (live, in_flight) = (!self.is_drained(), self.stats.in_flight());
+        self.close_cycle(activity, live, in_flight, self.buffered_total);
     }
 
     /// Run the job runtime's lifecycle hook for the current cycle, before any
@@ -616,8 +614,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// (or switching) at cycle N injects under its new state from cycle N on.
     ///
     /// Part of the decomposed [`Network::step`] used by the sharded engine; a
-    /// sequential step is `advance_hooks` → `step_phases` → `apply_watchdog` →
-    /// `finish_cycle`.
+    /// sequential step is `advance_hooks` → `step_phases` → `close_cycle`.
     pub fn advance_hooks(&mut self) {
         if let Some(jobs) = &mut self.jobs {
             jobs.advance_to(self.cycle);
@@ -632,7 +629,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     ///
     /// Everything here is local to the routers, links and nodes this network
     /// instance owns; the deadlock watchdog — which needs run-wide knowledge in
-    /// a sharded run — is applied separately by [`Network::apply_watchdog`].
+    /// a sharded run — is applied separately by [`Network::close_cycle`].
     pub fn step_phases(&mut self) -> bool {
         self.phases(|_| {})
     }
@@ -658,24 +655,25 @@ impl<R: RoutingAlgorithm> Network<R> {
         activity || !self.active_links.is_empty()
     }
 
-    /// Advance the deadlock watchdog with run-wide knowledge: whether the cycle
-    /// made progress *anywhere* (what [`Network::step_phases`] returns) and
-    /// whether *any* packet is live anywhere.  A sequential run passes its own
-    /// activity and `!is_drained()`; a sharded run passes the OR over all
-    /// shards — every in-flight phit or credit sits in exactly one shard's
-    /// link copy, so the OR is the sequential value and every shard reaches
-    /// the same verdict at the same cycle.
-    pub fn apply_watchdog(&mut self, global_activity: bool, global_live: bool) {
+    /// Close the current cycle with run-wide knowledge (the last piece of the
+    /// decomposed [`Network::step`]): advance the deadlock watchdog with
+    /// whether the cycle made progress *anywhere* (what
+    /// [`Network::step_phases`] returns) and whether *any* packet is live
+    /// anywhere, record the run's packets in flight and buffered phits in
+    /// the memory-footprint peaks, and count the cycle.
+    ///
+    /// A sequential run passes its own values; a sharded run passes the OR
+    /// and the sums over all shards — every in-flight phit or credit sits in
+    /// exactly one shard's link copy, so they are the sequential values and
+    /// every shard reaches the same verdict and peaks at the same cycle.
+    pub fn close_cycle(&mut self, activity: bool, live: bool, in_flight: u64, buffered: u64) {
         let cycle = self.cycle;
-        if global_activity {
+        if activity {
             self.last_activity = cycle;
-        } else if global_live && cycle - self.last_activity > self.config.deadlock_threshold {
+        } else if live && cycle - self.last_activity > self.config.deadlock_threshold {
             self.deadlock_detected = true;
         }
-    }
-
-    /// Close the current cycle (the last piece of the decomposed [`Network::step`]).
-    pub fn finish_cycle(&mut self) {
+        self.stats.note_cycle_peaks(in_flight, buffered);
         self.cycle += 1;
         #[cfg(debug_assertions)]
         self.assert_due_sets_match_full_scan();
@@ -1347,10 +1345,11 @@ impl<R: RoutingAlgorithm> Network<R> {
     //
     // A sharded run partitions the groups across several `Network`s, each
     // built by `with_owned_routers` for its own range of routers.  Each steps
-    // `advance_hooks` / `step_phases` / `apply_watchdog` / `finish_cycle`
-    // under an external per-cycle barrier; global links whose two ends live in
-    // different shards exchange their phits and credits (with their absolute
-    // delivery stamps) through the methods below.
+    // `advance_hooks` / `step_phases` / `close_cycle` under an external
+    // per-cycle barrier; at the barrier, what a shard launched on a global
+    // link whose other end another shard owns is taken off its one-slot ring
+    // and launched again, at the same cycle, on the owner's full copy
+    // through the methods below.
 
     /// The routers this network instance owns (every router unless it was
     /// built as one partition of a sharded run).
@@ -1404,24 +1403,25 @@ impl<R: RoutingAlgorithm> Network<R> {
         self.fabric.credits_in_flight(li)
     }
 
-    /// Move every phit in flight on link `li` into `out`, stamped with its
-    /// arrival cycle (a transmit-side boundary link: the phits travel to
-    /// another shard at the barrier of the current cycle).
-    pub fn take_link_phits(&mut self, li: usize, out: &mut Vec<PhitInFlight>) {
-        if self.fabric.phits_in_flight(li) > 0 {
-            self.fabric.take_phits(li, self.cycle, out);
-            self.retire_link_if_idle(li);
-        }
+    /// Take the phit launched this cycle on link `li`, a transmit-side
+    /// boundary link, off its one-slot ring (at the current cycle's barrier:
+    /// the shard owning the receiving router launches it again).
+    pub fn take_link_phit(&mut self, li: usize) -> Option<PhitInFlight> {
+        let phit = self.fabric.take_export_phit(li)?;
+        self.retire_link_if_idle(li);
+        Some(phit)
     }
 
-    /// Move every credit in flight on link `li` into `out`, stamped with its
-    /// arrival cycle (a receive-side boundary link: the credits travel back
-    /// to the transmitting shard at the barrier of the current cycle).
-    pub fn take_link_credits(&mut self, li: usize, out: &mut Vec<CreditInFlight>) {
-        if self.fabric.credits_in_flight(li) > 0 {
-            self.fabric.take_credits(li, self.cycle, out);
+    /// Take the mask of credits launched this cycle on link `li`, a
+    /// receive-side boundary link, off its one-slot ring (at the current
+    /// cycle's barrier: the shard owning the transmitting router launches
+    /// them again); 0 when none was launched.
+    pub fn take_link_credits(&mut self, li: usize) -> u8 {
+        let mask = self.fabric.take_export_credits(li);
+        if mask != 0 {
             self.retire_link_if_idle(li);
         }
+        mask
     }
 
     /// An exported link has nothing left to mature: the arrival sweep would
@@ -1432,8 +1432,10 @@ impl<R: RoutingAlgorithm> Network<R> {
         }
     }
 
-    /// Deliver a phit from the transmitting shard into this shard's copy of
-    /// link `li`, into the slot of its original arrival stamp.
+    /// Launch on this shard's copy of link `li`, at the current cycle, a
+    /// phit the transmitting shard launched on its own copy this cycle
+    /// ([`Network::take_link_phit`]): it lands in the slot, and arrives at
+    /// the cycle, of the sequential engine's launch.
     ///
     /// # Panics
     ///
@@ -1447,25 +1449,30 @@ impl<R: RoutingAlgorithm> Network<R> {
              router (it owns routers {:?})",
             self.owned_routers
         );
-        self.fabric.push_arriving_phit(li, phit);
+        self.fabric.send_phit(li, self.cycle, phit);
         self.active_links.insert(li);
     }
 
-    /// Deliver a credit from the receiving shard into this shard's copy of
-    /// link `li`, into the slot of its original arrival stamp.
+    /// Launch on this shard's copy of link `li`, at the current cycle, the
+    /// credits (bit `v`: VC `v`) the receiving shard launched on its own
+    /// copy this cycle ([`Network::take_link_credits`]).
     ///
     /// # Panics
     ///
     /// Panics, naming the link, unless this instance owns the router the link
-    /// starts at (the credit's destination).
-    pub fn import_link_credit(&mut self, li: usize, credit: CreditInFlight) {
+    /// starts at (the credits' destination).
+    pub fn import_link_credits(&mut self, li: usize, mut mask: u8) {
         assert!(
             self.owns_transmitter(li),
             "link {li}: credit imported by a network that does not own the link's \
              transmitting router (it owns routers {:?})",
             self.owned_routers
         );
-        self.fabric.push_arriving_credit(li, credit);
+        while mask != 0 {
+            self.fabric
+                .send_credit(li, self.cycle, mask.trailing_zeros() as u8);
+            mask &= mask - 1;
+        }
         self.active_links.insert(li);
     }
 
@@ -1611,14 +1618,6 @@ impl<R: RoutingAlgorithm> Network<R> {
             bytes.source_queues += source.pending.capacity() * std::mem::size_of::<Generated>();
         }
         bytes
-    }
-
-    /// Update the run-wide memory-footprint peaks for the current cycle.  The
-    /// sequential [`Network::step`] feeds its own counters; a sharded run feeds
-    /// the global sums so every shard records identical peaks.
-    pub fn note_cycle_peaks(&mut self, in_flight_packets: u64, buffered_phits: u64) {
-        self.stats
-            .note_cycle_peaks(in_flight_packets, buffered_phits);
     }
 
     // ------------------------------------------------------------------
@@ -2129,9 +2128,8 @@ mod tests {
         assert_eq!(size_of::<PacketId>() + size_of::<u8>(), 5);
         // 2 041 296 credit pipeline slots, a VC mask byte each: 2.0 MB.
         assert_eq!(crate::config::MAX_VCS_PER_PORT, u8::BITS as usize);
-        // The records only a shard boundary carries.
-        assert_eq!(size_of::<PhitInFlight>(), 12);
-        assert_eq!(size_of::<CreditInFlight>(), 8);
+        // A phit as a drain yields it and a shard boundary ships it.
+        assert_eq!(size_of::<PhitInFlight>(), 8);
         // 2 064 × 1 006 = 2 076 384 arena slots of a packet and a 4-byte
         // link: 108.0 MB reserved (the delay table, only while the delay
         // probe is armed, 116.3 MB more), resident ≈ the live high-water

@@ -2,11 +2,13 @@
 //!
 //! Two traits separate *what a protocol does* from *what executes it*:
 //!
-//! * [`Engine`] is the control surface a protocol's cycle loop drives — step,
-//!   open/close the measurement window, preload a burst, and read the handful
-//!   of run-wide facts the loop conditions need.  [`Network`] implements it
-//!   directly; the sharded engine implements it by broadcasting each call to
-//!   its workers.
+//! * [`Engine`] is the control surface a protocol's cycle loop drives: it
+//!   steps, takes a [`Control`] call between cycles (set the injection,
+//!   open or close the measurement window, preload a burst, …) and answers
+//!   with a [`Status`], the handful of run-wide facts the loop conditions
+//!   read.  [`Network`] implements it directly; the sharded engine
+//!   implements it by broadcasting each step and control call to its
+//!   workers and merging the statuses they publish.
 //! * [`EngineHost`] owns an engine: it lends it out for the duration of a
 //!   protocol loop ([`EngineHost::drive`]) and afterwards exposes what the
 //!   report is assembled from — a reference [`Network`] replica (names, the
@@ -29,6 +31,42 @@ use dragonfly_traffic::{BernoulliInjection, BurstSpec};
 use dragonfly_workload::{Schedule, Trace};
 use std::borrow::Cow;
 
+/// A control call a protocol makes between cycles.
+#[derive(Debug, Clone, Copy)]
+pub enum Control {
+    /// Set (or clear) the global Bernoulli injection process.
+    Injection(Option<BernoulliInjection>),
+    /// Set whether newly generated packets are latency-tagged.
+    Tag(bool),
+    /// Open the measurement window at the current cycle.
+    BeginMeasurement,
+    /// Close the measurement window at the current cycle.
+    EndMeasurement,
+    /// Preload every source queue with this many packets (a burst).
+    Burst(u64),
+    /// Stop all packet generation: halt the job runtime (freezing its
+    /// lifecycle, keeping its destinations) and clear the Bernoulli process.
+    Halt,
+}
+
+/// The run-wide facts a protocol's loop conditions read, as the last step
+/// or control call left them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Status {
+    /// Cycles simulated so far.
+    pub cycle: u64,
+    /// Packets generated so far.
+    pub generated: u64,
+    /// Packets delivered so far.
+    pub delivered: u64,
+    /// Whether the deadlock watchdog fired.
+    pub deadlocked: bool,
+    /// Whether no packet exists anywhere (sources, buffers, links).
+    pub drained: bool,
+    /// Whether every installed job completed (`true` without a job runtime).
+    pub jobs_complete: bool,
+}
+
 /// What a protocol's cycle loop needs from whatever executes the cycles.
 pub trait Engine {
     /// Advance one cycle.
@@ -41,32 +79,11 @@ pub trait Engine {
         }
     }
 
-    /// Set (or clear) the global Bernoulli injection process.
-    fn set_injection(&mut self, injection: Option<BernoulliInjection>);
-    /// Set whether newly generated packets are latency-tagged.
-    fn set_tag_measured(&mut self, tag: bool);
-    /// Open the measurement window at the current cycle.
-    fn begin_measurement(&mut self);
-    /// Close the measurement window at the current cycle.
-    fn end_measurement(&mut self);
-    /// Preload every source queue with `packets_per_node` packets.
-    fn preload_burst(&mut self, packets_per_node: u64);
-    /// Stop all packet generation: halt the job runtime (freezing its
-    /// lifecycle, keeping its destinations) and clear the Bernoulli process.
-    fn halt_generation(&mut self);
+    /// Apply one control call at the current cycle.
+    fn control(&mut self, control: Control);
 
-    /// Cycles simulated so far.
-    fn cycle(&self) -> u64;
-    /// Packets generated so far.
-    fn generated(&self) -> u64;
-    /// Packets delivered so far.
-    fn delivered(&self) -> u64;
-    /// Whether the deadlock watchdog fired.
-    fn deadlocked(&self) -> bool;
-    /// Whether no packet exists anywhere (sources, buffers, links).
-    fn drained(&self) -> bool;
-    /// Whether every installed job completed (`true` without a job runtime).
-    fn jobs_complete(&self) -> bool;
+    /// The run as it stands.
+    fn status(&self) -> Status;
 }
 
 impl<R: RoutingAlgorithm> Engine for Network<R> {
@@ -74,52 +91,26 @@ impl<R: RoutingAlgorithm> Engine for Network<R> {
         Network::step(self);
     }
 
-    fn set_injection(&mut self, injection: Option<BernoulliInjection>) {
-        Network::set_injection(self, injection);
+    fn control(&mut self, control: Control) {
+        match control {
+            Control::Injection(injection) => self.set_injection(injection),
+            Control::Tag(tag) => self.tag_measured = tag,
+            Control::BeginMeasurement => self.stats.begin_measurement(self.cycle),
+            Control::EndMeasurement => self.stats.end_measurement(self.cycle),
+            Control::Burst(packets_per_node) => self.preload_burst(packets_per_node),
+            Control::Halt => self.halt_generation(),
+        }
     }
 
-    fn set_tag_measured(&mut self, tag: bool) {
-        self.tag_measured = tag;
-    }
-
-    fn begin_measurement(&mut self) {
-        self.stats.begin_measurement(self.cycle);
-    }
-
-    fn end_measurement(&mut self) {
-        self.stats.end_measurement(self.cycle);
-    }
-
-    fn preload_burst(&mut self, packets_per_node: u64) {
-        Network::preload_burst(self, packets_per_node);
-    }
-
-    fn halt_generation(&mut self) {
-        Network::halt_generation(self);
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn generated(&self) -> u64 {
-        self.stats.total_generated
-    }
-
-    fn delivered(&self) -> u64 {
-        self.stats.total_delivered
-    }
-
-    fn deadlocked(&self) -> bool {
-        self.deadlock_detected
-    }
-
-    fn drained(&self) -> bool {
-        self.is_drained()
-    }
-
-    fn jobs_complete(&self) -> bool {
-        self.jobs().is_none_or(Schedule::all_complete)
+    fn status(&self) -> Status {
+        Status {
+            cycle: self.cycle,
+            generated: self.stats.total_generated,
+            delivered: self.stats.total_delivered,
+            deadlocked: self.deadlock_detected,
+            drained: self.is_drained(),
+            jobs_complete: self.jobs().is_none_or(Schedule::all_complete),
+        }
     }
 }
 
@@ -189,25 +180,27 @@ fn drive_steady_state<H: EngineHost>(
         .then(|| BernoulliInjection::new(offered_load, net.config.packet_size));
     host.drive(|engine| {
         if injection.is_some() {
-            engine.set_injection(injection);
+            engine.control(Control::Injection(injection));
         }
 
-        engine.set_tag_measured(false);
+        engine.control(Control::Tag(false));
         engine.run(warmup);
 
-        engine.begin_measurement();
-        engine.set_tag_measured(true);
+        engine.control(Control::BeginMeasurement);
+        engine.control(Control::Tag(true));
         engine.run(measure);
-        engine.end_measurement();
-        engine.set_tag_measured(false);
+        engine.control(Control::EndMeasurement);
+        engine.control(Control::Tag(false));
 
         // Drain: let tagged packets finish, still under load, without extending the
         // throughput window.
-        let measured_goal = engine.generated();
-        let mut drained = 0;
-        while drained < drain && engine.delivered() < measured_goal && !engine.deadlocked() {
+        let measured_goal = engine.status().generated;
+        for _ in 0..drain {
+            let status = engine.status();
+            if status.delivered >= measured_goal || status.deadlocked {
+                break;
+            }
             engine.step();
-            drained += 1;
         }
     });
 }
@@ -334,24 +327,28 @@ pub fn run_trace<H: EngineHost>(host: &mut H, horizon: u64, drain: u64) -> Workl
     assert_eq!(net.cycle, 0, "run_trace requires a fresh simulation");
 
     let end = host.drive(|engine| {
-        engine.begin_measurement();
-        engine.set_tag_measured(true);
-        while engine.cycle() < horizon && !engine.deadlocked() {
+        engine.control(Control::BeginMeasurement);
+        engine.control(Control::Tag(true));
+        let mut status = engine.status();
+        while status.cycle < horizon && !status.deadlocked {
             engine.step();
-            if engine.jobs_complete() && engine.drained() {
+            status = engine.status();
+            if status.jobs_complete && status.drained {
                 break;
             }
         }
-        let end = engine.cycle();
-        engine.end_measurement();
-        engine.set_tag_measured(false);
+        let end = status.cycle;
+        engine.control(Control::EndMeasurement);
+        engine.control(Control::Tag(false));
 
         // Halt generation and the lifecycle, then let in-flight packets finish.
-        engine.halt_generation();
-        let mut drained = 0;
-        while drained < drain && !engine.drained() && !engine.deadlocked() {
+        engine.control(Control::Halt);
+        for _ in 0..drain {
+            let status = engine.status();
+            if status.drained || status.deadlocked {
+                break;
+            }
             engine.step();
-            drained += 1;
         }
         end
     });
@@ -450,17 +447,17 @@ pub fn run_batch<H: EngineHost>(host: &mut H, burst: BurstSpec, max_cycles: u64)
     let (total, consumption, drained) = host.drive(|engine| {
         // Burst mode preloads every packet at once: stop generation but keep
         // any jobs' destinations, so the burst drains against them.
-        engine.halt_generation();
-        engine.begin_measurement();
-        let start = engine.cycle();
-        engine.preload_burst(burst.packets_per_node());
-        let total = engine.generated();
-
-        while !engine.drained() && engine.cycle() - start < max_cycles && !engine.deadlocked() {
+        engine.control(Control::Halt);
+        engine.control(Control::BeginMeasurement);
+        engine.control(Control::Burst(burst.packets_per_node()));
+        let start = engine.status();
+        let mut status = start;
+        while !status.drained && status.cycle - start.cycle < max_cycles && !status.deadlocked {
             engine.step();
+            status = engine.status();
         }
-        engine.end_measurement();
-        (total, engine.cycle() - start, engine.drained())
+        engine.control(Control::EndMeasurement);
+        (start.generated, status.cycle - start.cycle, status.drained)
     });
 
     let net = host.replica();

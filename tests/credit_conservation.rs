@@ -34,7 +34,7 @@ use dragonfly::core::{
     TrafficKind,
 };
 use dragonfly::routing::RoutingVisitor;
-use dragonfly::sim::{Engine, EngineHost, Network, RoutingAlgorithm, Simulation};
+use dragonfly::sim::{Control, Engine, EngineHost, Network, RoutingAlgorithm, Simulation};
 use dragonfly::traffic::BernoulliInjection;
 
 /// Cycles of injection at the offered load before generation stops.
@@ -134,16 +134,20 @@ fn run_checked<H: Checked>(host: &mut H, case: &str) -> (u64, f64) {
     };
     let packet_size = host.replica().config.packet_size;
     host.drive(|engine| {
-        engine.set_injection(Some(BernoulliInjection::new(OFFERED_LOAD, packet_size)))
+        engine.control(Control::Injection(Some(BernoulliInjection::new(
+            OFFERED_LOAD,
+            packet_size,
+        ))))
     });
     for cycle in 0..LOADED_CYCLES + DRAIN_LIMIT {
         if cycle == LOADED_CYCLES {
-            host.drive(|engine| engine.halt_generation());
+            host.drive(|engine| engine.control(Control::Halt));
         }
         let (drained, delivered) = host.drive(|engine| {
             engine.step();
-            assert!(!engine.deadlocked(), "{case}: watchdog fired");
-            (engine.drained(), engine.delivered())
+            let status = engine.status();
+            assert!(!status.deadlocked, "{case}: watchdog fired");
+            (status.drained, status.delivered)
         });
         check(host, cycle);
         if drained && cycle >= LOADED_CYCLES {

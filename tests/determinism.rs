@@ -96,10 +96,12 @@ fn watchdog_verdict_is_pinned() {
     // Step until the watchdog fires; the cycle it fired in, if it did.
     fn firing_cycle<H: EngineHost>(host: &mut H) -> Option<u64> {
         host.drive(|engine| {
-            while engine.cycle() < 2_000 && !engine.deadlocked() {
+            let mut status = engine.status();
+            while status.cycle < 2_000 && !status.deadlocked {
                 engine.step();
+                status = engine.status();
             }
-            engine.deadlocked().then(|| engine.cycle() - 1)
+            status.deadlocked.then(|| status.cycle - 1)
         })
     }
 
@@ -259,7 +261,7 @@ impl dragonfly::routing::RoutingVisitor for Lockstep {
     type Output = ();
 
     fn visit<R: dragonfly::sim::RoutingAlgorithm + Clone + 'static>(self, routing: R) {
-        use dragonfly::sim::{sim_report, Engine, SimRunIdentity, Simulation};
+        use dragonfly::sim::{sim_report, Control, Engine, SimRunIdentity, Simulation};
         use dragonfly::traffic::BernoulliInjection;
 
         const CYCLES: u64 = 1_200;
@@ -281,8 +283,8 @@ impl dragonfly::routing::RoutingVisitor for Lockstep {
             let traffic = spec.traffic.build(&config.params);
             let mut sim = Simulation::with_routing(config, routing.clone(), traffic);
             let net = sim.network_mut();
-            net.begin_measurement();
-            net.set_tag_measured(true);
+            net.control(Control::BeginMeasurement);
+            net.control(Control::Tag(true));
             if burst {
                 net.preload_burst(4);
             } else {
@@ -302,7 +304,7 @@ impl dragonfly::routing::RoutingVisitor for Lockstep {
         }
         let finish = |sim: &mut Simulation<R>| {
             let net = sim.network_mut();
-            net.end_measurement();
+            net.control(Control::EndMeasurement);
             let report = sim_report(
                 &net.stats,
                 SimRunIdentity {
@@ -316,7 +318,7 @@ impl dragonfly::routing::RoutingVisitor for Lockstep {
                 },
             );
             (
-                net.cycle(),
+                net.cycle,
                 net.stats.total_generated,
                 net.stats.total_delivered,
                 report,

@@ -37,7 +37,7 @@ use dragonfly::core::{
     ShardPlan, ShardedSimulation, Trace, TrafficKind,
 };
 use dragonfly::routing::{Olm, RoutingVisitor};
-use dragonfly::sim::{Engine, EngineHost, Network, RoutingAlgorithm, Simulation};
+use dragonfly::sim::{Control, Engine, EngineHost, Network, RoutingAlgorithm, Simulation};
 use dragonfly::traffic::{BernoulliInjection, TrafficPattern, Uniform};
 use dragonfly::workload::scenarios::fragmentation_trace;
 
@@ -102,10 +102,11 @@ fn run_checked<H: Checked>(
     }
     let packet_size = spec.sim_config().packet_size;
     host.drive(|engine| match regime {
-        Regime::Steady(load) => {
-            engine.set_injection(Some(BernoulliInjection::new(load, packet_size)))
-        }
-        Regime::Burst(packets) => engine.preload_burst(packets),
+        Regime::Steady(load) => engine.control(Control::Injection(Some(BernoulliInjection::new(
+            load,
+            packet_size,
+        )))),
+        Regime::Burst(packets) => engine.control(Control::Burst(packets)),
         Regime::Jobs => {}
     });
     check(host, "after set-up");
@@ -121,8 +122,9 @@ fn run_checked<H: Checked>(
     for cycle in 0..limit {
         (counts, drained) = host.drive(|engine| {
             engine.step();
-            assert!(!engine.deadlocked(), "{case}: watchdog fired");
-            ((engine.generated(), engine.delivered()), engine.drained())
+            let status = engine.status();
+            assert!(!status.deadlocked, "{case}: watchdog fired");
+            ((status.generated, status.delivered), status.drained)
         });
         check(host, &format!("after cycle {cycle}"));
         if drained && matches!(regime, Regime::Burst(_)) {
@@ -298,7 +300,7 @@ fn due_sets_match_a_full_scan_every_cycle_sequential() {
 /// Checking between the cycles of a sharded engine means joining and
 /// respawning its workers every cycle, which a debug build makes slower
 /// still — and a debug build already asserts the very same comparison inside
-/// every shard's `finish_cycle`, in this and every other test.
+/// every shard's `close_cycle`, in this and every other test.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -341,7 +343,10 @@ fn olm_board_from_a_mid_run_probe(shards: Option<usize>) {
 fn drive_probed_late<H: Checked>(host: &mut H, case: &str) -> u64 {
     let packet_size = host.replica().config.packet_size;
     host.drive(|engine| {
-        engine.set_injection(Some(BernoulliInjection::new(0.6, packet_size)));
+        engine.control(Control::Injection(Some(BernoulliInjection::new(
+            0.6,
+            packet_size,
+        ))));
         for _ in 0..500 {
             engine.step();
         }

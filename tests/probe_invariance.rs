@@ -24,7 +24,7 @@ use dragonfly::core::{
 use dragonfly::probe::{DetectorConfig, RunManifest};
 use dragonfly::routing::MinimalRouting;
 use dragonfly::shard::{ShardPlan, ShardedSimulation};
-use dragonfly::sim::{Engine, EngineHost, SimConfig, Simulation};
+use dragonfly::sim::{Control, Engine, EngineHost, SimConfig, Simulation};
 use dragonfly::traffic::{BernoulliInjection, Uniform};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
@@ -544,7 +544,7 @@ fn dropped_samples_and_heatmap_events_agree_on_every_shard_count() {
 /// Run 500 cycles, install `probes`, run 200 more and write the file set.
 fn probe_late<H: EngineHost>(mut host: H, probes: ProbeConfig, dir: &Path) {
     host.drive(|engine| {
-        engine.set_injection(Some(BernoulliInjection::new(0.3, 8)));
+        engine.control(Control::Injection(Some(BernoulliInjection::new(0.3, 8))));
         engine.run(500);
     });
     host.install_probes(probes);

@@ -307,16 +307,18 @@ impl<T: Copy> Pipe<T> {
 
 /// The slot-per-cycle link fabric against a naive model with one
 /// `VecDeque<(arrive, item)>` per pipeline, over random sequences of
-/// launches, drains, exports and imports.  Links mix latencies; some are
+/// launches, drains, exports and relaunches.  Links mix latencies; some are
 /// whole, some are boundary pairs — the transmitting shard's copy (a
-/// one-slot phit ring it exports every cycle, a full credit ring it imports
-/// into) next to the receiving shard's (the mirror image) — exercised the
-/// way the sharded engine does it.  After every step the drained phits and
-/// credit masks, `due` and `next_due`, the in-flight counts and the
-/// high-water marks must agree.
+/// one-slot phit ring it exports every cycle, a full credit ring it
+/// relaunches into) next to the receiving shard's (the mirror image) —
+/// exercised the way the sharded engine does it: what an export takes is
+/// launched again on the other copy at the same cycle, and the model pushes
+/// it at `now + latency` like any launch.  After every step the drained
+/// phits and credit masks, `due` and `next_due`, the in-flight counts and
+/// the high-water marks must agree.
 #[test]
 fn link_fabric_slots_match_a_vecdeque_model() {
-    use dragonfly::sim::{CreditInFlight, LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
+    use dragonfly::sim::{LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
 
     #[derive(Clone, Copy, PartialEq)]
     enum Kind {
@@ -327,10 +329,6 @@ fn link_fabric_slots_match_a_vecdeque_model() {
     struct Model {
         phits: Pipe<PhitInFlight>,
         credits: Pipe<u8>,
-    }
-    fn stamped(mut phit: PhitInFlight, arrive: u64) -> PhitInFlight {
-        phit.arrive = arrive as u32;
-        phit
     }
     fn compare(f: &LinkFabric, m: &[Model], li: usize, now: u64, at: &str) {
         let model = &m[li];
@@ -392,8 +390,6 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             .collect();
         let (load, credit_load) = (0.1 + rng.next_f64() * 0.9, rng.next_f64());
         let mut next_packet = 0u32;
-        let mut buffer_phits = Vec::new();
-        let mut buffer_credits = Vec::new();
         for now in 0..400u64 {
             // Arrivals: every due link yields this cycle's slots.
             for li in 0..links.len() {
@@ -406,8 +402,11 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                 let mask = credits.iter().fold(0u8, |mask, &vc| mask | 1 << vc);
                 assert_eq!(credits.len(), mask.count_ones() as usize);
                 assert!(phits.len() <= 1, "case {case}: one phit per link per cycle");
-                let want = phits.first().map(|&p| stamped(p, now));
-                assert_eq!(got.phit, want, "case {case}, link {li}, cycle {now}: phit");
+                assert_eq!(
+                    got.phit,
+                    phits.first().copied(),
+                    "case {case}, link {li}, cycle {now}: phit"
+                );
                 assert_eq!(
                     got.credits, mask,
                     "case {case}, link {li}, cycle {now}: credits"
@@ -441,52 +440,38 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                 }
             }
             // The barrier: each boundary pair exports what was launched on
-            // its one-slot rings and imports it into the other copy.
+            // its one-slot rings and launches it again on the other copy.
             let exports = links
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| l.2 == Kind::Export);
-            for (tx, _) in exports {
+            for (tx, &(latency, _, _)) in exports {
                 let rx = tx + 1;
-                buffer_phits.clear();
-                f.take_phits(tx, now, &mut buffer_phits);
-                let want: Vec<PhitInFlight> = m[tx]
-                    .phits
-                    .queue
-                    .drain(..)
-                    .map(|(arrive, p)| stamped(p, arrive))
-                    .collect();
+                let phit = f.take_export_phit(tx);
+                let want: Vec<PhitInFlight> = m[tx].phits.queue.drain(..).map(|(_, p)| p).collect();
                 assert_eq!(
-                    buffer_phits, want,
+                    phit.into_iter().collect::<Vec<_>>(),
+                    want,
                     "case {case}, link {tx}, cycle {now}: export"
                 );
                 compare(&f, &m, tx, now, "after a phit export");
-                for &phit in &buffer_phits {
-                    f.push_arriving_phit(rx, phit);
-                    m[rx].phits.push(phit.arrive as u64, phit);
-                    compare(&f, &m, rx, now, "after a phit import");
+                if let Some(phit) = phit {
+                    f.send_phit(rx, now, phit);
+                    m[rx].phits.push(now + latency, phit);
+                    compare(&f, &m, rx, now, "after a phit relaunch");
                 }
-                buffer_credits.clear();
-                f.take_credits(rx, now, &mut buffer_credits);
-                let mut want: Vec<CreditInFlight> = m[rx]
+                let mask = f.take_export_credits(rx);
+                let want = m[rx]
                     .credits
                     .queue
                     .drain(..)
-                    .map(|(arrive, vc)| CreditInFlight {
-                        arrive: arrive as u32,
-                        vc,
-                    })
-                    .collect();
-                want.sort_by_key(|c| (c.arrive, c.vc));
-                assert_eq!(
-                    buffer_credits, want,
-                    "case {case}, link {rx}, cycle {now}: export"
-                );
+                    .fold(0u8, |mask, (_, vc)| mask | 1 << vc);
+                assert_eq!(mask, want, "case {case}, link {rx}, cycle {now}: export");
                 compare(&f, &m, rx, now, "after a credit export");
-                for &credit in &buffer_credits {
-                    f.push_arriving_credit(tx, credit);
-                    m[tx].credits.push(credit.arrive as u64, credit.vc);
-                    compare(&f, &m, tx, now, "after a credit import");
+                for vc in (0..8).filter(|vc| mask >> vc & 1 != 0) {
+                    f.send_credit(tx, now, vc);
+                    m[tx].credits.push(now + latency, vc);
+                    compare(&f, &m, tx, now, "after a credit relaunch");
                 }
             }
             for li in 0..links.len() {

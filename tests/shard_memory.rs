@@ -29,8 +29,8 @@ use std::mem::size_of;
 use dragonfly::core::{ProbeConfig, ShardPlan, ShardedSimulation};
 use dragonfly::routing::MinimalRouting;
 use dragonfly::sim::{
-    DelayState, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId, PhitInFlight,
-    PoolBytes, SimConfig,
+    DelayState, EngineHost, InputVc, LinkEnd, Network, OutputPort, OutputVc, Packet, PacketId,
+    PhitInFlight, PoolBytes, SimConfig,
 };
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;

@@ -52,7 +52,7 @@ use dragonfly::core::{
 };
 use dragonfly::probe::ProbeConfig;
 use dragonfly::routing::{Olm, RoutingVisitor};
-use dragonfly::sim::{Engine, EngineHost, RoutingAlgorithm, Simulation};
+use dragonfly::sim::{Control, Engine, EngineHost, RoutingAlgorithm, Simulation};
 use dragonfly::traffic::{BernoulliInjection, Uniform};
 
 /// Forwards to the system allocator, counting every call that can return a
@@ -275,19 +275,22 @@ fn assert_loop_allocation_free<H: EngineHost>(sim: &mut H, jobs: Option<&Trace>,
     let packet_size = sim.replica().config.packet_size;
     let (delta, delivered) = sim.drive(|engine| {
         if jobs.is_none() {
-            engine.set_injection(Some(BernoulliInjection::new(0.1, packet_size)));
+            engine.control(Control::Injection(Some(BernoulliInjection::new(
+                0.1,
+                packet_size,
+            ))));
         }
         for _ in 0..WARMUP_CYCLES {
             engine.step();
         }
         let before = ALLOCS.load(Ordering::Relaxed);
-        let delivered = engine.delivered();
+        let delivered = engine.status().delivered;
         for _ in 0..MEASURED_CYCLES {
             engine.step();
         }
         (
             ALLOCS.load(Ordering::Relaxed) - before,
-            engine.delivered() - delivered,
+            engine.status().delivered - delivered,
         )
     });
     assert!(

@@ -41,13 +41,18 @@
 //! term depends on the VC count, so PAR and PAR-6/2 run with the local VCs
 //! they require and the same form.
 //!
+//! The two-shard engine is held to the same form on a seeded sample of pairs
+//! whose packet crosses the shard boundary (the last test).
+//!
 //! Release builds only (5 112 networks per mechanism): CI runs
 //! `cargo test --release --test zero_load`.
 
 use std::collections::BTreeMap;
 
+use dragonfly::rng::Rng;
 use dragonfly::routing::{MinimalRouting, Olm, Par, Par62, Piggybacking, Rlm};
-use dragonfly::sim::{Network, RoutingAlgorithm, SimConfig};
+use dragonfly::shard::{ShardPlan, ShardedSimulation};
+use dragonfly::sim::{Engine, EngineHost, Network, RoutingAlgorithm, SimConfig, StatsCollector};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
 
@@ -83,11 +88,23 @@ fn lone_packet<R: RoutingAlgorithm>(
 ) -> (u64, u64) {
     let mut net = Network::with_routing(config.clone(), routing, Box::new(Uniform::new()));
     net.enqueue(src, dst, true);
-    while !net.is_drained() {
-        assert!(net.cycle < 1_000, "{src:?} -> {dst:?}: not delivered");
-        net.step();
+    drain(&mut net, src, dst);
+    measured(&net.stats, src, dst)
+}
+
+/// Step `engine` until its lone packet from `src` to `dst` is delivered.
+fn drain(engine: &mut impl Engine, src: NodeId, dst: NodeId) {
+    while !engine.status().drained {
+        assert!(
+            engine.status().cycle < 1_000,
+            "{src:?} -> {dst:?}: not delivered"
+        );
+        engine.step();
     }
-    let stats = &net.stats;
+}
+
+/// The `(latency, total_hops)` of the one measured packet `stats` recorded.
+fn measured(stats: &StatsCollector, src: NodeId, dst: NodeId) -> (u64, u64) {
     assert_eq!(stats.measured_delivered, 1, "{src:?} -> {dst:?}");
     (
         stats.latency.max().unwrap() as u64,
@@ -167,4 +184,55 @@ fn par62_matches_the_closed_form_on_every_pair() {
 #[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
 fn rlm_matches_the_closed_form_on_every_pair() {
     assert_classes(&all_pairs(Rlm::default()));
+}
+
+/// Ordered pairs sampled for the two-shard case.
+const BOUNDARY_PAIRS: usize = 160;
+
+/// The two-shard engine (`ShardPlan::new(2)`: groups 0–3 on shard 0, 4–8 on
+/// shard 1) against the closed form, on a seeded sample of ordered pairs
+/// whose source and destination lie in different shards, under VCT Minimal.
+/// Each such packet crosses the boundary on its global link: the sending
+/// shard launches every phit on its one-slot copy, and the receiving shard
+/// launches it again on its full copy at the same cycle's barrier (and the
+/// credits the other way), so the form holds unchanged.  A relaunch one
+/// cycle late would add a cycle to every latency here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn two_shards_match_the_closed_form_across_the_boundary() {
+    let config = SimConfig::paper_vct(2);
+    let build = || {
+        ShardedSimulation::new(
+            config.clone(),
+            ShardPlan::new(2),
+            MinimalRouting::new(),
+            || Box::new(Uniform::new()),
+        )
+    };
+    let nodes = {
+        let sim = build();
+        [sim.network(0).owned_nodes(), sim.network(1).owned_nodes()]
+    };
+    let mut rng = Rng::seed_from(0x5_4A2D);
+    let mut classes = BTreeMap::new();
+    for _ in 0..BOUNDARY_PAIRS {
+        let from = rng.gen_index(2);
+        let pick = |rng: &mut Rng, shard: usize| {
+            NodeId((nodes[shard].start + rng.gen_index(nodes[shard].len())) as u32)
+        };
+        let (src, dst) = (pick(&mut rng, from), pick(&mut rng, 1 - from));
+        let mut sim = build();
+        sim.network_mut(from).enqueue(src, dst, true);
+        sim.drive(|engine| drain(engine, src, dst));
+        let expected = closed_form(&config, src, dst);
+        assert_eq!(
+            measured(&sim.stats(), src, dst),
+            expected,
+            "two shards, {src:?} -> {dst:?}: (latency, hops)"
+        );
+        *classes.entry(expected.0).or_insert(0) += 1;
+    }
+    // Every pair is between groups, and the sample reaches all three
+    // inter-group classes.
+    assert_eq!(classes.keys().copied().collect::<Vec<_>>(), [108, 118, 128]);
 }
