@@ -20,7 +20,9 @@
 //!
 //! Without `--warmup`/`--measure` the windows are a deliberately modest
 //! 300/600/600 cycles: the study measures engine scaling, not steady-state
-//! convergence.  `--quick` shrinks to h ∈ {2, 4} for CI smoke runs.
+//! convergence.  `--quick` shrinks to h ∈ {2, 4} for CI smoke runs.  The
+//! scales are the study's own: `--h` is refused (exit 2, nothing run or
+//! written) rather than silently ignored.
 //! Points are timed one at a time (`--jobs` does not apply here: the shards
 //! themselves are the parallelism being measured).
 
@@ -49,6 +51,13 @@ fn main() {
         drain: 600,
         ..HarnessArgs::default()
     });
+    if std::env::args().skip(1).any(|arg| arg == "--h") {
+        eprintln!(
+            "shard_scaling sweeps its own scales (h = 2 and 4 with --quick, 4, 6 and 8 \
+             otherwise) and takes no --h"
+        );
+        std::process::exit(2);
+    }
     let scales: Vec<usize> = if args.quick {
         vec![2, 4]
     } else {

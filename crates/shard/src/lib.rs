@@ -30,7 +30,9 @@
 //! 3. **Barrier** — every shard's exports and tallies are now visible.
 //! 4. **Import** — launch the incoming phits and credits again on the local
 //!    copies of the boundary links, at the current cycle, with the fabric's
-//!    own launch; adopt head packets into the local arena, and apply remote
+//!    own launch; adopt head packets into the local arena (the relaunched
+//!    head carries the local id; the phits after it name no packet, as on
+//!    any link), and apply remote
 //!    delivery feedback to the local
 //!    [`Schedule`](dragonfly_workload::Schedule) replica.  Then close the
 //!    cycle with the *global* view summed from the tallies
@@ -82,11 +84,12 @@
 //! | duplicated | a boundary link's ring on the side that only launches into it: one phit on the transmitting shard, one credit mask on the receiving one — emptied at the same cycle's barrier.  The ring the other shard launches it again on is held in full by that shard alone |
 //! | full length on every shard | per-link and per-router metadata arrays, RNG streams, the `StatsCollector` and the probe recorder (the known remaining per-shard full-size state) |
 //!
-//! The shard layer's own state is sized at construction too — the packet-id
-//! translation table (one entry per receive-side boundary link and VC), the
-//! mailbox batches (one phit and one credit mask per boundary link, one
-//! delivery per owned node) — so the sharded cycle loop allocates nothing,
-//! like the sequential one (`tests/zero_alloc.rs` pins both).
+//! The shard layer's own state is sized at construction too — the export
+//! registers (the packet each VC of a transmit-side boundary link has open,
+//! freed at its tail), the mailbox batches (one phit and one credit mask per
+//! boundary link, one delivery per owned node) — so the sharded cycle loop
+//! allocates nothing, like the sequential one (`tests/zero_alloc.rs` pins
+//! both).
 //! `tests/shard_memory.rs` pins the partition in bytes.
 
 #![warn(missing_docs)]
@@ -286,10 +289,11 @@ struct Shard<R: RoutingAlgorithm> {
     rx_links: Vec<(usize, usize)>,
     /// VCs of a boundary (global) link.
     vcs: usize,
-    /// In-transit packet-id translation, `rx_links` slot × `vcs` + VC → local
-    /// arena id: installed at head import, cleared at tail import (phits of
-    /// different packets never interleave within one VC of a link).
-    xlat: Vec<Option<PacketId>>,
+    /// The packet each VC of each transmit-side boundary link has open,
+    /// `tx_links` index × `vcs` + VC: set when its head is exported, freed
+    /// when its tail is (phits of different packets never interleave within
+    /// one VC of a link, and a tail names no packet).
+    exporting: Vec<PacketId>,
     /// Wall-clock nanoseconds this shard spent waiting at the inner
     /// (export → import) barrier — the load-imbalance component of a sharded
     /// run's wall time.
@@ -321,16 +325,20 @@ impl<R: RoutingAlgorithm> Shard<R> {
         // Export: this cycle's boundary phits (with packet payloads on heads)
         // and credits.
         let mut exported = false;
-        for tx in &self.tx_links {
+        for (t, tx) in self.tx_links.iter().enumerate() {
             let Some(phit) = net.take_link_phit(tx.link) else {
                 continue;
             };
             exported = true;
-            let payload = phit.is_head().then(|| net.export_packet(phit.packet));
+            let open = &mut self.exporting[t * self.vcs + phit.vc as usize];
+            let payload = phit.head_packet().map(|id| {
+                *open = id;
+                net.export_packet(id)
+            });
             if phit.is_tail() {
                 // The receiver owns the authoritative copy from its head
                 // import on; nothing on this shard references it any more.
-                net.release_exported_packet(phit.packet);
+                net.release_exported_packet(std::mem::replace(open, PacketId::NONE));
             }
             c.mail[self.id][tx.peer]
                 .lock()
@@ -390,17 +398,17 @@ impl<R: RoutingAlgorithm> Shard<R> {
                 continue;
             }
             let mut batch = c.mail[src][self.id].lock().unwrap();
-            for (slot, mut phit, payload) in batch.phits.drain(..) {
-                let slot = slot as usize;
-                let local = &mut self.xlat[slot * self.vcs + phit.vc as usize];
-                if let Some((packet, delay)) = payload {
-                    *local = Some(net.adopt_packet(&packet, delay));
-                }
-                phit.packet = local.expect("boundary body phit without a translated head");
-                if phit.is_tail() {
-                    *local = None;
-                }
-                net.import_link_phit(self.rx_links[slot].0, phit);
+            for (slot, phit, payload) in batch.phits.drain(..) {
+                // A head is relaunched under the id of its local copy.
+                let phit = match payload {
+                    Some((packet, delay)) => PhitInFlight::head(
+                        net.adopt_packet(&packet, delay),
+                        phit.vc,
+                        phit.is_tail(),
+                    ),
+                    None => phit,
+                };
+                net.import_link_phit(self.rx_links[slot as usize].0, phit);
             }
             for (li, credits) in batch.credits.drain(..) {
                 net.import_link_credits(li as usize, credits);
@@ -534,7 +542,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
                 Shard {
                     id,
                     net,
-                    xlat: vec![None; rx_links.len() * vcs],
+                    exporting: vec![PacketId::NONE; tx_links.len() * vcs],
                     tx_links,
                     rx_links,
                     vcs,

@@ -25,10 +25,6 @@ pub(crate) fn unpack_port_vc(word: u32) -> Option<(u16, u8)> {
     (word != NO_PORT_VC).then_some(((word >> 8) as u16, word as u8))
 }
 
-/// The head and tail of an empty VC: the all-ones id, whose index is
-/// [`PacketId::INDEX_MASK`], the one index `PacketArena` never hands out.
-const NO_PACKET: PacketId = PacketId(u32::MAX);
-
 /// One input virtual channel: a FIFO of packets, counted in phits, plus the
 /// output `(flat port, VC)` granted to the packet at its head, if any.
 ///
@@ -60,8 +56,8 @@ pub struct InputVc {
 impl Default for InputVc {
     fn default() -> Self {
         Self {
-            head: NO_PACKET,
-            tail: NO_PACKET,
+            head: PacketId::NONE,
+            tail: PacketId::NONE,
             head_size: 0,
             head_sent: 0,
             tail_size: 0,
@@ -82,7 +78,7 @@ impl InputVc {
     /// True when no phit is stored and no packet is being cut through.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.head == NO_PACKET
+        self.head == PacketId::NONE
     }
 
     /// Output assignment of the head packet: `(flat output port, output VC)`.
@@ -101,7 +97,7 @@ impl InputVc {
     /// being cut through).
     #[inline]
     pub fn head(&self) -> Option<PacketId> {
-        (self.head != NO_PACKET).then_some(self.head)
+        (self.head != PacketId::NONE).then_some(self.head)
     }
 
     /// Size in phits of the head packet (0 when empty).
@@ -128,35 +124,41 @@ impl InputVc {
         received - self.head_sent
     }
 
-    /// Receive one phit of `packet`, through a buffer of `capacity` phits.
-    /// `opens` is the packet's size when this is its first phit, which
-    /// appends the packet at the tail of the FIFO (linking it behind the old
-    /// tail in `arena`), and `None` for the phits after it.
+    /// Receive one phit through a buffer of `capacity` phits.  `opens` is
+    /// the packet and its size when this is its head phit, which appends the
+    /// packet at the tail of the FIFO (linking it behind the old tail in
+    /// `arena`), and `None` for the phits after it: those carry no packet id
+    /// and continue the open tail.  `is_tail` is the phit's tail flag.
     ///
     /// Panics if the buffer would overflow (the credit scheme must prevent
-    /// this) or if a phit arrives for a packet other than the tail while the
-    /// tail is partly received.
+    /// this), or if the phits of two packets interleave within the VC: a head
+    /// must find the previous tail complete, a body or tail phit must
+    /// continue an open tail, and the tail flag must land exactly on the
+    /// tail's last phit.
     pub fn receive_phit(
         &mut self,
         arena: &mut PacketArena,
         capacity: usize,
-        packet: PacketId,
-        opens: Option<u16>,
+        opens: Option<(PacketId, u16)>,
+        is_tail: bool,
     ) {
         assert!(
             (self.occupancy as usize) < capacity,
             "VC buffer overflow: credit accounting is broken"
         );
-        if let Some(size) = opens {
-            if self.head == NO_PACKET {
+        if let Some((packet, size)) = opens {
+            assert!(
+                self.tail_received == self.tail_size,
+                "phits of different packets interleaved within one VC: a head \
+                 arrived with the tail at {} of {} phits",
+                self.tail_received,
+                self.tail_size
+            );
+            if self.head == PacketId::NONE {
                 self.head = packet;
                 self.head_size = size;
                 self.head_sent = 0;
             } else {
-                assert!(
-                    self.tail_received == self.tail_size,
-                    "phits of different packets interleaved within one VC"
-                );
                 arena.link_behind(self.tail, packet);
             }
             self.tail = packet;
@@ -164,19 +166,19 @@ impl InputVc {
             self.tail_received = 1;
         } else {
             assert!(
-                self.head != NO_PACKET,
-                "body phit arrived with no open packet"
-            );
-            assert_eq!(
-                self.tail, packet,
-                "phits of different packets interleaved within one VC"
-            );
-            assert!(
                 self.tail_received < self.tail_size,
-                "received more phits than packet size"
+                "phits of different packets interleaved within one VC: a body phit \
+                 arrived with no open tail"
             );
             self.tail_received += 1;
         }
+        assert!(
+            is_tail == (self.tail_received == self.tail_size),
+            "phits of different packets interleaved within one VC: phit {} of a \
+             {}-phit tail came with tail flag {is_tail}",
+            self.tail_received,
+            self.tail_size
+        );
         self.occupancy += 1;
     }
 
@@ -187,7 +189,7 @@ impl InputVc {
     /// in `arena` and the packet behind it, if any, becomes the head.
     /// Panics if no phit is available.
     pub fn send_phit(&mut self, arena: &mut PacketArena) -> (PacketId, bool) {
-        assert!(self.head != NO_PACKET, "send from an empty VC buffer");
+        assert!(self.head != PacketId::NONE, "send from an empty VC buffer");
         assert!(
             self.head_present() > 0,
             "no phit of the head packet is present yet"
@@ -356,13 +358,13 @@ impl InputFabric {
         router: usize,
         port: usize,
         vc: usize,
-        packet: PacketId,
-        opens: Option<u16>,
+        opens: Option<(PacketId, u16)>,
+        is_tail: bool,
     ) -> usize {
         let capacity = self.geometry.capacity(port, vc);
         let i = self.locate(router, port, vc);
         let ivc = &mut self.vcs[i];
-        ivc.receive_phit(arena, capacity, packet, opens);
+        ivc.receive_phit(arena, capacity, opens, is_tail);
         ivc.occupancy()
     }
 
@@ -431,19 +433,21 @@ mod tests {
             self.arena.alloc(NodeId(0), NodeId(1), size, 0)
         }
 
-        fn receive(&mut self, packet: PacketId, is_head: bool) {
+        /// Receive phit `i` of `packet`: its head carries the id, its last
+        /// phit the tail flag.
+        fn receive(&mut self, packet: PacketId, i: u16) {
             let size = self.arena.get(packet).size;
             self.vc.receive_phit(
                 &mut self.arena,
                 self.capacity,
-                packet,
-                is_head.then_some(size),
+                (i == 0).then_some((packet, size)),
+                i + 1 == size,
             );
         }
 
         fn receive_whole(&mut self, packet: PacketId) {
             for i in 0..self.arena.get(packet).size {
-                self.receive(packet, i == 0);
+                self.receive(packet, i);
             }
         }
 
@@ -477,7 +481,7 @@ mod tests {
     fn cut_through_send_while_receiving() {
         let mut b = fifo(8);
         let p = b.packet(4);
-        b.receive(p, true);
+        b.receive(p, 0);
         assert_eq!(b.vc.head_present(), 1);
         let (_, tail) = b.send();
         assert!(!tail);
@@ -488,8 +492,8 @@ mod tests {
             Some(p),
             "the packet stays until its tail is sent"
         );
-        for _ in 0..3 {
-            b.receive(p, false);
+        for i in 1..4 {
+            b.receive(p, i);
         }
         let tails = (0..3).filter(|_| b.send().1).count();
         assert_eq!(tails, 1);
@@ -522,9 +526,9 @@ mod tests {
         let mut arena = PacketArena::new();
         let (mut a, mut b) = (InputVc::default(), InputVc::default());
         let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
-        a.receive_phit(&mut arena, 8, p1, Some(1));
-        b.receive_phit(&mut arena, 8, p2, Some(1));
-        a.receive_phit(&mut arena, 8, p3, Some(1));
+        a.receive_phit(&mut arena, 8, Some((p1, 1)), true);
+        b.receive_phit(&mut arena, 8, Some((p2, 1)), true);
+        a.receive_phit(&mut arena, 8, Some((p3, 1)), true);
         assert_eq!(a.head(), Some(p1));
         assert_eq!(b.head(), Some(p2));
         assert_eq!((a.occupancy(), b.occupancy()), (2, 1));
@@ -545,10 +549,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "interleaved")]
     fn interleaved_packets_rejected() {
+        // The tail phit of another packet lands on the second phit of `p1`.
         let mut b = fifo(8);
         let (p1, p2) = (b.packet(4), b.packet(4));
-        b.receive(p1, true);
-        b.receive(p2, false);
+        b.receive(p1, 0);
+        b.receive(p2, 3);
     }
 
     #[test]
@@ -556,8 +561,28 @@ mod tests {
     fn a_head_behind_a_partly_received_tail_is_rejected() {
         let mut b = fifo(8);
         let (p1, p2) = (b.packet(4), b.packet(4));
-        b.receive(p1, true);
-        b.receive(p2, true);
+        b.receive(p1, 0);
+        b.receive(p2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no open tail")]
+    fn a_body_phit_with_no_open_tail_is_rejected() {
+        let mut b = fifo(8);
+        let p = b.packet(2);
+        b.receive_whole(p);
+        b.receive(p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "phit 3 of a 3-phit tail came with tail flag false")]
+    fn a_tail_without_its_flag_is_rejected() {
+        let mut b = fifo(8);
+        let p = b.packet(3);
+        b.receive(p, 0);
+        b.receive(p, 1);
+        // A body phit of some other packet lands where `p`'s tail belongs.
+        b.vc.receive_phit(&mut b.arena, b.capacity, None, false);
     }
 
     #[test]
@@ -567,11 +592,11 @@ mod tests {
         let mut arena = PacketArena::new();
         let (mut a, mut b) = (InputVc::default(), InputVc::default());
         let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
-        a.receive_phit(&mut arena, 8, p1, Some(1));
-        a.receive_phit(&mut arena, 8, p2, Some(1));
+        a.receive_phit(&mut arena, 8, Some((p1, 1)), true);
+        a.receive_phit(&mut arena, 8, Some((p2, 1)), true);
         // `p1` still heads `a`, so it cannot be a whole packet in `b`.
-        b.receive_phit(&mut arena, 8, p1, Some(1));
-        b.receive_phit(&mut arena, 8, p3, Some(1));
+        b.receive_phit(&mut arena, 8, Some((p1, 1)), true);
+        b.receive_phit(&mut arena, 8, Some((p3, 1)), true);
     }
 
     #[test]
@@ -586,7 +611,7 @@ mod tests {
     fn send_without_present_phit_panics() {
         let mut b = fifo(8);
         let p = b.packet(4);
-        b.receive(p, true);
+        b.receive(p, 0);
         let _ = b.send();
         let _ = b.send();
     }
@@ -603,8 +628,8 @@ mod tests {
     fn occupancy_tracks_present_phits_only() {
         let mut b = fifo(8);
         let p = b.packet(8);
-        b.receive(p, true);
-        b.receive(p, false);
+        b.receive(p, 0);
+        b.receive(p, 1);
         let _ = b.send();
         assert_eq!(b.vc.occupancy(), 1);
         assert_eq!(b.free_space(), 7);

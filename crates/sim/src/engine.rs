@@ -61,14 +61,6 @@ impl<R: RoutingAlgorithm> Simulation<R> {
         self.net.step();
     }
 
-    /// Advance one cycle, invoking `hook` at every phase boundary (see
-    /// [`Network::step_with_phase_hook`]).  Behaviourally identical to
-    /// [`Simulation::step`]; the zero-allocation tier uses it to attribute
-    /// allocator activity to individual phases.
-    pub fn step_with_phase_hook(&mut self, hook: &mut dyn FnMut(&'static str)) {
-        self.net.step_with_phase_hook(hook);
-    }
-
     /// Advance `cycles` cycles.
     pub fn run_cycles(&mut self, cycles: u64) {
         self.net.run(cycles);

@@ -4,11 +4,25 @@
 //! A link launches at most one phit per cycle and returns at most one credit
 //! per VC per cycle, so a pipeline of latency `L` needs `L + 1` slots, one per
 //! arrival cycle in flight: the thing arriving at cycle `a` sits in slot
-//! `a mod (L + 1)`, and the slot implies its arrival cycle.  A phit slot is
-//! the packet's 4-byte [`PacketId`] plus a 1-byte tag (VC, head, tail,
-//! occupied); a credit slot is a 1-byte mask of the VCs credited that cycle.
-//! [`LinkFabric`] keeps every slot of the network in three pools, indexed by
-//! link id through offset arrays:
+//! `a mod (L + 1)`, and the slot implies its arrival cycle.  A phit slot is a
+//! 1-byte tag (VC, head, tail, occupied); a credit slot is a 1-byte mask of
+//! the VCs credited that cycle.
+//!
+//! Only a head phit names its packet.  A body or tail phit continues the
+//! packet its VC has open at the far end (the input VC's tail, or the
+//! ejecting node's register), so its slot carries no id.  A head's
+//! [`PacketId`] waits in the link's *head FIFO*: pushed when the head is
+//! launched, popped when it drains.  Heads leave a link in launch order (one
+//! latency per link), so a FIFO is exact, and it is short: an output VC is
+//! held from a packet's head to its tail, so the heads of one VC launch at
+//! least `packet_size` cycles apart, and the `L + 1` launch cycles a ring
+//! spans carry at most `K = min(L + 1, VCs × ⌈(L + 1) / packet_size⌉)`
+//! heads ([`head_slots`]): 26 on the paper's 100-cycle global link of
+//! 2 VCs with 8-phit packets, where a slot per phit would take 101.  A head
+//! launched into a full FIFO panics, naming the link.
+//!
+//! [`LinkFabric`] keeps every slot of the network in three pools and the
+//! head ids in a fourth, indexed by link id through offset arrays:
 //!
 //! ```text
 //! to:           [u32;      links]      far end of link i, packed: router << 8
@@ -19,11 +33,14 @@
 //! next_due:     [u32;      links]      earliest arrival on link i, in either
 //!                                      direction (NEVER when idle)
 //! phit_off:     [u32;  links + 1]      link i's phit slots are
-//!                                      phit_ids/phit_tags[phit_off[i]..phit_off[i+1]]
+//!                                      phit_tags[phit_off[i]..phit_off[i+1]]
 //! credit_off:   [u32;  links + 1]
-//! phit_ids:     [PacketId; Σ phit slots]
+//! heads:   [[u32; 2];  links + 1]      link i's head FIFO: its ids are
+//!                                      head_ids[heads[i][0]..heads[i+1][0]],
+//!                                      heads[i][1] = first << 16 | length
 //! phit_tags:    [u8;       Σ phit slots]    0 = empty
 //! credit_masks: [u8;       Σ credit slots]  bit v = a credit for VC v
+//! head_ids:     [PacketId; Σ K]
 //! ```
 //!
 //! Rings are packed back to back (no power-of-two rounding), and links of
@@ -32,7 +49,8 @@
 //! Those are the slots of a network instance that owns both ends of the link;
 //! one partition of a sharded run keeps a ring in full only when it owns the
 //! end the ring drains at, a single slot when it only launches into the ring,
-//! and nothing otherwise (see [`LinkSpec`]).  The single slot holds what was
+//! and nothing otherwise (see [`LinkSpec`]); its head FIFO is sized by the
+//! same slot count (one id for one slot).  The single slot holds what was
 //! launched this cycle, and the cycle's barrier empties it
 //! ([`LinkFabric::take_export_phit`], [`LinkFabric::take_export_credits`]):
 //! the partition owning the draining end launches the same phit or credits
@@ -42,8 +60,9 @@
 //! carries a timestamp.
 //!
 //! The "one per cycle" facts are checked, not assumed: writing a phit into an
-//! occupied slot, or a credit into a VC bit already set, panics in release
-//! builds (this is what bounds the exact counters, too).  Debug builds also
+//! occupied slot, a credit into a VC bit already set, or a head into a full
+//! head FIFO panics in release builds (this is what bounds the exact
+//! counters, too).  Debug builds also
 //! keep each slot's arrival cycle and assert that a slot is drained at
 //! exactly that cycle.
 //!
@@ -61,15 +80,18 @@
 use crate::packet::PacketId;
 use dragonfly_topology::NodeId;
 
-/// A phit as it is launched onto a link and taken off it (8 bytes).
+/// A phit as it is launched onto a link and taken off it (8 bytes): its VC
+/// and head/tail flags, and on a head the packet's id.
 ///
-/// Inside the fabric a phit is a slot, whose position implies its arrival
-/// cycle.  The packet's size is not carried: the receiver reads it from the
-/// packet at the head phit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Inside the fabric a phit is a 1-byte slot, whose position implies its
+/// arrival cycle, and a head's id waits in the link's head FIFO.  A body or
+/// tail phit names no packet: the receiver continues the packet its VC has
+/// open.  The packet's size is not carried either: the receiver reads it
+/// from the packet at the head phit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhitInFlight {
-    /// The packet it belongs to.
-    pub packet: PacketId,
+    /// The packet a head phit opens; [`PacketId::NONE`] on any other phit.
+    packet: PacketId,
     /// Virtual channel it will be stored in at the far end.
     pub vc: u8,
     flags: u8,
@@ -82,16 +104,34 @@ const PHIT_TAIL: u8 = 2;
 const TAG_OCCUPIED: u8 = 0x80;
 const TAG_FLAGS_SHIFT: u32 = 3;
 const TAG_VC: u8 = 0b111;
+const TAG_HEAD: u8 = PHIT_HEAD << TAG_FLAGS_SHIFT;
 
 impl PhitInFlight {
-    /// A phit of `packet` bound for `vc`.
+    /// The head phit of `packet`, bound for `vc` (also its tail when the
+    /// packet is one phit long).
     #[inline]
-    pub fn new(packet: PacketId, vc: u8, is_head: bool, is_tail: bool) -> Self {
+    pub fn head(packet: PacketId, vc: u8, is_tail: bool) -> Self {
         Self {
             packet,
             vc,
-            flags: ((is_head as u8) * PHIT_HEAD) | ((is_tail as u8) * PHIT_TAIL),
+            flags: PHIT_HEAD | ((is_tail as u8) * PHIT_TAIL),
         }
+    }
+
+    /// A phit after the head, bound for `vc`.
+    #[inline]
+    pub fn body(vc: u8, is_tail: bool) -> Self {
+        Self {
+            packet: PacketId::NONE,
+            vc,
+            flags: (is_tail as u8) * PHIT_TAIL,
+        }
+    }
+
+    /// The packet a head phit opens; `None` for any other phit.
+    #[inline]
+    pub fn head_packet(&self) -> Option<PacketId> {
+        self.is_head().then_some(self.packet)
     }
 
     /// First phit of the packet.
@@ -112,8 +152,10 @@ impl PhitInFlight {
         TAG_OCCUPIED | self.flags << TAG_FLAGS_SHIFT | self.vc
     }
 
+    /// The phit of an occupied slot's `tag`, with the id popped off the head
+    /// FIFO when the tag is a head's ([`PacketId::NONE`] otherwise).
     #[inline]
-    fn from_slot(packet: PacketId, tag: u8) -> Self {
+    fn from_slot(tag: u8, packet: PacketId) -> Self {
         Self {
             packet,
             vc: tag & TAG_VC,
@@ -203,7 +245,9 @@ impl LinkEnd {
 /// `Network::with_owned_routers`): `latency + 1` when it owns the end a
 /// pipeline drains at; one when it only launches into the pipeline — the
 /// slot of this cycle's launch, emptied at the cycle's barrier and launched
-/// again on the owner's full copy; zero when it owns neither end.
+/// again on the owner's full copy; zero when it owns neither end.  The head
+/// FIFO follows from the phit slots, the VCs and the packet size (see
+/// [`head_slots`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkSpec {
     /// Latency in cycles.
@@ -214,6 +258,21 @@ pub struct LinkSpec {
     pub phit_slots: usize,
     /// Slots of the backward credit pipeline: `latency + 1`, 1 or 0.
     pub credit_slots: usize,
+    /// VCs the link carries (at most 8: a tag holds a VC in 3 bits).
+    pub vcs: usize,
+}
+
+/// Ids a link's head FIFO holds: at most one phit of a ring of `phit_slots`
+/// slots launched per cycle, and the heads of one VC at least `packet_size`
+/// cycles apart (an output VC is held from a packet's head to its tail), so
+/// the `phit_slots` launch cycles a ring spans carry at most
+/// `min(phit_slots, vcs × ⌈phit_slots / packet_size⌉)` heads.
+///
+/// At the paper's VCT setup (8-phit packets) that is 26 ids on a 100-cycle
+/// global link of 2 VCs, 6 on a 10-cycle local link of 3 and 2 on a 1-cycle
+/// terminal link; 1 on a one-slot export ring.
+pub fn head_slots(phit_slots: usize, vcs: usize, packet_size: usize) -> usize {
+    phit_slots.min(vcs * phit_slots.div_ceil(packet_size))
 }
 
 /// `next_due` of a link with nothing in flight.
@@ -344,9 +403,13 @@ pub struct LinkFabric {
     next_due: Vec<u32>,
     phit_off: Vec<u32>,
     credit_off: Vec<u32>,
-    phit_ids: Vec<PacketId>,
+    /// Link `i`'s head FIFO, one entry beside its offset so that a push or
+    /// pop reads one line: `[offset, first << 16 | len]`, its ids at
+    /// `head_ids[offset + first ..]` wrapping at the next link's offset.
+    heads: Vec<[u32; 2]>,
     phit_tags: Vec<u8>,
     credit_masks: Vec<u8>,
+    head_ids: Vec<PacketId>,
     /// Debug builds only: the arrival cycle each occupied slot was filled
     /// for, checked when it is drained or exported.
     #[cfg(debug_assertions)]
@@ -356,23 +419,32 @@ pub struct LinkFabric {
 }
 
 impl LinkFabric {
-    /// Build the fabric from per-link specs, materializing every slot.
+    /// Build the fabric from per-link specs for packets of `packet_size`
+    /// phits, materializing every slot.
     ///
     /// # Panics
     ///
     /// Panics when a ring has neither `latency + 1` slots nor at most one,
-    /// when the slots exceed what a `u32` offset addresses, or when the links
-    /// have more than 256 distinct latencies (a network has three, and
-    /// `SimConfig::validate` bounds the rest).
-    pub fn build(specs: &[LinkSpec]) -> Self {
+    /// when a link carries more than 8 VCs, when the slots exceed what a
+    /// `u32` offset addresses, or when the links have more than 256 distinct
+    /// latencies (a network has three, and `SimConfig::validate` bounds the
+    /// rest).
+    pub fn build(specs: &[LinkSpec], packet_size: usize) -> Self {
+        assert!(packet_size >= 1, "packet size must be at least one phit");
         let n = specs.len();
         let mut to = Vec::with_capacity(n);
         let mut latency = Vec::with_capacity(n);
         let mut classes: Vec<Latency> = Vec::new();
         let mut phit_off = Vec::with_capacity(n + 1);
         let mut credit_off = Vec::with_capacity(n + 1);
-        let (mut phits, mut credits) = (0usize, 0usize);
+        let mut fifos = Vec::with_capacity(n + 1);
+        let (mut phits, mut credits, mut heads) = (0usize, 0usize, 0usize);
         for spec in specs {
+            assert!(
+                spec.vcs <= TAG_VC as usize + 1,
+                "{} VCs on one link: a phit tag holds a VC in 3 bits",
+                spec.vcs
+            );
             let cycles = u32::try_from(spec.latency).expect("link latency beyond u32");
             let full = cycles as usize + 1;
             for slots in [spec.phit_slots, spec.credit_slots] {
@@ -392,8 +464,15 @@ impl LinkFabric {
             to.push(spec.to.pack());
             phit_off.push(phits as u32);
             credit_off.push(credits as u32);
+            fifos.push([heads as u32, 0]);
             phits += spec.phit_slots;
             credits += spec.credit_slots;
+            let fifo = head_slots(spec.phit_slots, spec.vcs, packet_size);
+            assert!(
+                fifo <= u16::MAX as usize,
+                "{fifo} head ids exceed a head FIFO's 16-bit index"
+            );
+            heads += fifo;
         }
         assert!(
             phits.max(credits) <= u32::MAX as usize,
@@ -402,6 +481,7 @@ impl LinkFabric {
         );
         phit_off.push(phits as u32);
         credit_off.push(credits as u32);
+        fifos.push([heads as u32, 0]);
         Self {
             to,
             latency,
@@ -410,9 +490,10 @@ impl LinkFabric {
             next_due: vec![NEVER; n],
             phit_off,
             credit_off,
-            phit_ids: vec![PacketId::default(); phits],
+            heads: fifos,
             phit_tags: vec![0; phits],
             credit_masks: vec![0; credits],
+            head_ids: vec![PacketId::NONE; heads],
             #[cfg(debug_assertions)]
             phit_stamps: vec![0; phits],
             #[cfg(debug_assertions)]
@@ -491,13 +572,71 @@ impl LinkFabric {
              (a link launches at most one phit per cycle)"
         );
         *tag = phit.tag();
-        self.phit_ids[pos] = phit.packet;
+        if phit.is_head() {
+            self.push_head(li, phit.packet);
+        }
         #[cfg(debug_assertions)]
         {
             self.phit_stamps[pos] = arrive;
         }
         self.counts[li].add(PHITS, PHIT_HW, 1);
         self.next_due[li] = self.next_due[li].min(arrive);
+    }
+
+    /// Append a launched head's id to link `li`'s head FIFO.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, when the FIFO is full: more heads in flight
+    /// than [`head_slots`] derives from the one-phit-per-cycle law and the
+    /// head-to-tail hold of an output VC.
+    #[inline]
+    fn push_head(&mut self, li: usize, packet: PacketId) {
+        let ([start, at], capacity) = self.head_fifo(li);
+        let (first, len) = ((at >> 16) as usize, (at & 0xFFFF) as usize);
+        assert!(
+            len < capacity,
+            "link {li}: a head launched with {len} heads in flight, all its head FIFO \
+             holds (the heads of one VC launch at least a packet apart)"
+        );
+        let mut slot = first + len;
+        if slot >= capacity {
+            slot -= capacity;
+        }
+        self.head_ids[start as usize + slot] = packet;
+        self.heads[li][1] = at + 1;
+    }
+
+    /// Link `li`'s head FIFO entry and its capacity in ids.
+    #[inline]
+    fn head_fifo(&self, li: usize) -> ([u32; 2], usize) {
+        let [here, next] = [self.heads[li], self.heads[li + 1]];
+        (here, (next[0] - here[0]) as usize)
+    }
+
+    /// Take the oldest id off link `li`'s head FIFO: heads leave a link in
+    /// the order they were launched.
+    #[inline]
+    fn pop_head(&mut self, li: usize) -> PacketId {
+        let ([start, at], capacity) = self.head_fifo(li);
+        let (first, len) = ((at >> 16) as usize, at & 0xFFFF);
+        debug_assert!(len > 0, "link {li}: a head arrived with no id in its FIFO");
+        let packet = self.head_ids[start as usize + first];
+        let next = if first + 1 == capacity { 0 } else { first + 1 };
+        self.heads[li][1] = (next as u32) << 16 | (len - 1);
+        packet
+    }
+
+    /// The phit of an occupied slot's `tag` on link `li`, its id taken off
+    /// the head FIFO when it is a head.
+    #[inline]
+    fn phit_of(&mut self, li: usize, tag: u8) -> PhitInFlight {
+        let packet = if tag & TAG_HEAD != 0 {
+            self.pop_head(li)
+        } else {
+            PacketId::NONE
+        };
+        PhitInFlight::from_slot(tag, packet)
     }
 
     #[inline]
@@ -579,10 +718,12 @@ impl LinkFabric {
         }
         if counts.get(PHITS) > 0 {
             let (start, end) = (self.phit_off[li] as usize, self.phit_off[li + 1] as usize);
-            let ring = &mut self.phit_tags[start..end];
-            debug_assert!(ring.len() > 1, "link {li}: an export ring is never drained");
-            let pos = class.slot(at, ring.len());
-            let tag = std::mem::take(&mut ring[pos]);
+            debug_assert!(
+                end - start > 1,
+                "link {li}: an export ring is never drained"
+            );
+            let pos = class.slot(at, end - start);
+            let tag = std::mem::take(&mut self.phit_tags[start + pos]);
             if tag != 0 {
                 #[cfg(debug_assertions)]
                 debug_assert_eq!(
@@ -590,11 +731,11 @@ impl LinkFabric {
                     at,
                     "link {li}: a phit drained off its arrival cycle"
                 );
-                arrived.phit = Some(PhitInFlight::from_slot(self.phit_ids[start + pos], tag));
+                arrived.phit = Some(self.phit_of(li, tag));
                 counts.set(PHITS, counts.get(PHITS) - 1);
             }
             if counts.get(PHITS) > 0 {
-                next = next.min(earliest(ring, pos, at));
+                next = next.min(earliest(&self.phit_tags[start..end], pos, at));
             }
         }
         self.counts[li] = counts;
@@ -625,7 +766,7 @@ impl LinkFabric {
         }
         self.counts[li].set(PHITS, 0);
         self.retire_export(li);
-        Some(PhitInFlight::from_slot(self.phit_ids[pos], tag))
+        Some(self.phit_of(li, tag))
     }
 
     /// Take the mask of credits launched on link `li` this cycle out of the
@@ -668,11 +809,18 @@ impl LinkFabric {
         )
     }
 
-    /// Bytes held by the slot pools (capacity × entry size).
+    /// Bytes held by the slot pools and the head FIFOs' ids (capacity ×
+    /// entry size).
     pub fn pool_bytes(&self) -> usize {
-        self.phit_ids.capacity() * std::mem::size_of::<PacketId>()
-            + self.phit_tags.capacity()
+        self.phit_tags.capacity()
             + self.credit_masks.capacity()
+            + self.head_ids.capacity() * std::mem::size_of::<PacketId>()
+    }
+
+    /// Ids link `li`'s head FIFO holds as built ([`head_slots`]).
+    #[inline]
+    pub fn head_capacity(&self, li: usize) -> usize {
+        self.head_fifo(li).1
     }
 
     /// Number of phits currently in flight on link `li` — one counter read,
@@ -730,6 +878,23 @@ impl LinkFabric {
         )
     }
 
+    /// Compare every link's head FIFO with the head tags of its phit ring (a
+    /// check's full scan): as many ids as heads in flight; `Err` names the
+    /// first link that disagrees.
+    pub fn check_head_fifos(&self) -> Result<(), String> {
+        for li in 0..self.len() {
+            let tags = &self.phit_tags[self.phit_off[li] as usize..self.phit_off[li + 1] as usize];
+            let heads = tags.iter().filter(|&&tag| tag & TAG_HEAD != 0).count();
+            let held = (self.heads[li][1] & 0xFFFF) as usize;
+            if held != heads {
+                return Err(format!(
+                    "link {li}: the head FIFO holds {held} ids but {heads} heads are in flight"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Compare every link's cached `next_due` with the earliest occupied slot
     /// of its two rings (the full scan the cache replaces), at the close of
     /// cycle `now`; `Err` names the first link that disagrees.
@@ -768,9 +933,11 @@ mod tests {
     #[test]
     fn pipeline_entries_stay_compact() {
         // ~64k links at h = 8 each hold latency + 1 slots of both kinds: a
-        // phit slot is an id and a tag byte, a credit slot one mask byte.
-        // The footprint argument in the docs relies on these.
-        assert_eq!(std::mem::size_of::<PacketId>() + 1, 5);
+        // phit slot is a tag byte, a credit slot one mask byte; a head's id
+        // waits in the link's head FIFO, 4 bytes an entry.  The footprint
+        // argument in the docs relies on these.
+        assert_eq!(std::mem::size_of::<u8>(), 1);
+        assert_eq!(std::mem::size_of::<PacketId>(), 4);
         assert_eq!(std::mem::size_of::<LinkCounts>(), 8);
         // What a drain yields and a shard boundary ships.
         assert_eq!(std::mem::size_of::<PhitInFlight>(), 8);
@@ -807,16 +974,21 @@ mod tests {
 
     #[test]
     fn phit_flags_roundtrip() {
-        let p = PhitInFlight::new(PacketId(9), 2, true, false);
+        let p = PhitInFlight::head(PacketId(9), 2, false);
         assert!(p.is_head() && !p.is_tail());
-        let t = PhitInFlight::new(PacketId(9), 2, false, true);
+        assert_eq!(p.head_packet(), Some(PacketId(9)));
+        let b = PhitInFlight::body(2, false);
+        assert!(!b.is_head() && !b.is_tail());
+        let t = PhitInFlight::body(2, true);
         assert!(!t.is_head() && t.is_tail());
-        let single = PhitInFlight::new(PacketId(9), 7, true, true);
+        assert_eq!(t.head_packet(), None, "only a head names its packet");
+        let single = PhitInFlight::head(PacketId(9), 7, true);
         assert!(single.is_head() && single.is_tail());
-        // Through a slot's tag byte and back.
-        for phit in [p, t, single] {
+        // Through a slot's tag byte (and a head's FIFO entry) and back.
+        for phit in [p, b, t, single] {
             assert_ne!(phit.tag(), 0, "an occupied tag is never zero");
-            assert_eq!(PhitInFlight::from_slot(phit.packet, phit.tag()), phit);
+            assert_eq!(phit.tag() & TAG_HEAD != 0, phit.is_head());
+            assert_eq!(PhitInFlight::from_slot(phit.tag(), phit.packet), phit);
         }
     }
 
@@ -832,10 +1004,13 @@ mod tests {
         }
     }
 
+    /// The head phit of a one-phit-per-VC packet `packet` on VC 0.
     fn phit(packet: u32) -> PhitInFlight {
-        PhitInFlight::new(PacketId(packet), 0, true, false)
+        PhitInFlight::head(PacketId(packet), 0, false)
     }
 
+    /// Whole links of one VC carrying one-phit packets: every slot may hold
+    /// a head, so a head FIFO has as many ids as its ring has slots.
     fn fabric_of(specs: &[(u64, LinkEnd)]) -> LinkFabric {
         let specs: Vec<LinkSpec> = specs
             .iter()
@@ -844,9 +1019,10 @@ mod tests {
                 to,
                 phit_slots: latency as usize + 1,
                 credit_slots: latency as usize + 1,
+                vcs: 1,
             })
             .collect();
-        LinkFabric::build(&specs)
+        LinkFabric::build(&specs, 1)
     }
 
     /// What link `li` delivers at `now` (nothing when it is not due).
@@ -857,6 +1033,7 @@ mod tests {
             Arrived::default()
         };
         f.check_next_due(now).unwrap();
+        f.check_head_fifos().unwrap();
         out
     }
 
@@ -867,7 +1044,7 @@ mod tests {
         assert!(!f.due(0, 14));
         assert_eq!(f.next_due(0), Some(15));
         let out = arrived(&mut f, 0, 15).phit.unwrap();
-        assert_eq!(out.packet, PacketId(1));
+        assert_eq!(out.head_packet(), Some(PacketId(1)));
         assert!(f.is_idle(0));
         assert_eq!(f.next_due(0), None);
         assert!(!f.due(0, u32::MAX as u64 - 1), "an idle link is never due");
@@ -879,7 +1056,7 @@ mod tests {
         let mut drained = Vec::new();
         for now in 0..=5 {
             if let Some(p) = arrived(&mut f, 0, now).phit {
-                drained.push((now, p.packet));
+                drained.push((now, p.head_packet().unwrap()));
             }
             if now < 3 {
                 f.send_phit(0, now, phit(now as u32 + 1));
@@ -935,16 +1112,29 @@ mod tests {
 
     #[test]
     fn rings_pack_back_to_back_without_rounding() {
-        // Three links, one slot per arrival cycle: offsets are the prefix sums.
-        let f = fabric_of(&[
-            (2, LinkEnd::Node { node: NodeId(0) }),
-            (4, LinkEnd::Node { node: NodeId(1) }),
-            (1, LinkEnd::Node { node: NodeId(2) }),
-        ]);
-        assert_eq!(f.phit_off, vec![0, 3, 8, 10]);
-        assert_eq!(f.phit_ids.len(), 10);
-        assert_eq!(f.credit_masks.len(), 10);
-        assert_eq!(f.pool_bytes(), 10 * 5 + 10);
+        // Three links of 2 VCs carrying 8-phit packets, one slot per arrival
+        // cycle: offsets are the prefix sums, of the slots and of the head
+        // FIFOs (`min(slots, 2 × ⌈slots / 8⌉)`: 2, 2 and 26).
+        let specs: Vec<LinkSpec> = [2u64, 4, 100]
+            .iter()
+            .enumerate()
+            .map(|(n, &latency)| LinkSpec {
+                latency,
+                to: LinkEnd::Node {
+                    node: NodeId(n as u32),
+                },
+                phit_slots: latency as usize + 1,
+                credit_slots: latency as usize + 1,
+                vcs: 2,
+            })
+            .collect();
+        let f = LinkFabric::build(&specs, 8);
+        assert_eq!(f.phit_off, vec![0, 3, 8, 109]);
+        let offsets: Vec<u32> = f.heads.iter().map(|&[offset, _]| offset).collect();
+        assert_eq!(offsets, vec![0, 2, 4, 30]);
+        assert_eq!(f.phit_tags.len(), 109);
+        assert_eq!(f.credit_masks.len(), 109);
+        assert_eq!(f.pool_bytes(), 109 + 109 + 30 * 4);
         assert_eq!(f.classes.len(), 3, "one class per distinct latency");
     }
 
@@ -958,14 +1148,14 @@ mod tests {
         // contents survive untouched.
         f.send_phit(0, 0, phit(10));
         f.send_phit(1, 0, phit(20));
-        assert_eq!(arrived(&mut f, 0, 1).phit.unwrap().packet, PacketId(10));
-        assert_eq!(arrived(&mut f, 1, 1).phit.unwrap().packet, PacketId(20));
+        assert_eq!(arrived(&mut f, 0, 1).phit, Some(phit(10)));
+        assert_eq!(arrived(&mut f, 1, 1).phit, Some(phit(20)));
         f.send_phit(0, 1, phit(11));
         f.send_phit(1, 1, phit(21));
-        assert_eq!(arrived(&mut f, 0, 2).phit.unwrap().packet, PacketId(11));
+        assert_eq!(arrived(&mut f, 0, 2).phit, Some(phit(11)));
         f.send_phit(0, 2, phit(12)); // wraps within link 0's slice
-        assert_eq!(arrived(&mut f, 1, 2).phit.unwrap().packet, PacketId(21));
-        assert_eq!(arrived(&mut f, 0, 3).phit.unwrap().packet, PacketId(12));
+        assert_eq!(arrived(&mut f, 1, 2).phit, Some(phit(21)));
+        assert_eq!(arrived(&mut f, 0, 3).phit, Some(phit(12)));
         assert!(f.is_idle(0) && f.is_idle(1));
     }
 
@@ -979,8 +1169,9 @@ mod tests {
             to: end,
             phit_slots,
             credit_slots,
+            vcs: 1,
         };
-        LinkFabric::build(&[spec(1, 6), spec(6, 1)])
+        LinkFabric::build(&[spec(1, 6), spec(6, 1)], 1)
     }
 
     #[test]
@@ -1060,6 +1251,71 @@ mod tests {
         }
         assert!(f.is_idle(0) && f.is_idle(1));
         assert_eq!(f.phit_high_water(0), 2, "draining keeps the mark");
+    }
+
+    #[test]
+    fn one_phit_packets_fill_a_head_fifo_of_latency_plus_one_ids() {
+        let mut f = fabric_of(&[(7, LinkEnd::Node { node: NodeId(0) })]);
+        assert_eq!(f.head_capacity(0), 8);
+        // A head every cycle, none drained yet: all eight slots are heads.
+        for now in 0..=7 {
+            f.send_phit(0, now, phit(now as u32));
+        }
+        assert_eq!(f.heads[0][1] & 0xFFFF, 8);
+        f.check_head_fifos().unwrap();
+        for now in 7..=14 {
+            assert_eq!(arrived(&mut f, 0, now).phit, Some(phit(now as u32 - 7)));
+        }
+        assert!(f.is_idle(0));
+    }
+
+    /// A 100-cycle global link of 2 VCs carrying 8-phit packets, launched
+    /// from cycle 0 through `last` with a phit every cycle and the heads of
+    /// each VC as close as the bound lets them: one on VC 0 every 8th cycle,
+    /// one on VC 1 the cycle after, body phits in between.
+    fn global_link_at_the_head_rate(last: u64) -> LinkFabric {
+        let spec = LinkSpec {
+            latency: 100,
+            to: LinkEnd::Router { router: 1, port: 0 },
+            phit_slots: 101,
+            credit_slots: 101,
+            vcs: 2,
+        };
+        let mut f = LinkFabric::build(&[spec], 8);
+        for now in 0..=last {
+            let phit = match now % 8 {
+                0 => PhitInFlight::head(PacketId(now as u32), 0, false),
+                1 => PhitInFlight::head(PacketId(now as u32), 1, false),
+                k => PhitInFlight::body(k as u8 % 2, k >= 6),
+            };
+            f.send_phit(0, now, phit);
+        }
+        f
+    }
+
+    #[test]
+    fn heads_at_the_maximum_rate_fill_a_global_links_26_ids() {
+        let mut f = global_link_at_the_head_rate(100);
+        assert_eq!(f.head_capacity(0), 26);
+        assert_eq!(f.heads[0][1] & 0xFFFF, 26, "13 heads of each VC in flight");
+        f.check_head_fifos().unwrap();
+        // They leave in launch order, each with its own id.
+        for now in 100..=200 {
+            let got = arrived(&mut f, 0, now).phit.unwrap();
+            let launched = now - 100;
+            let want = (launched % 8 < 2).then_some(PacketId(launched as u32));
+            assert_eq!(got.head_packet(), want, "cycle {now}");
+        }
+        assert!(f.is_idle(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0: a head launched with 26 heads in flight")]
+    fn a_head_beyond_the_fifo_bound_panics() {
+        // 26 heads are in flight by cycle 97; a 27th at cycle 100 (VC 0 only
+        // 4 cycles after its last head) breaks the law the bound rests on.
+        let mut f = global_link_at_the_head_rate(99);
+        f.send_phit(0, 100, PhitInFlight::head(PacketId(100), 0, false));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use active_set::ActiveSet;
 pub use buffer::InputVc;
 pub use config::{FlowControl, SimConfig};
 pub use engine::Simulation;
-pub use fabric::{Arrived, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
+pub use fabric::{head_slots, Arrived, LinkEnd, LinkFabric, LinkSpec, PhitInFlight};
 pub use network::{GlobalStatusBoard, Network, PoolBytes};
 pub use packet::{DelayState, Leg, Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use protocol::{sim_report, Control, Engine, EngineHost, SimRunIdentity, Status};

@@ -39,8 +39,6 @@ struct SourceQueue {
     /// Packets waiting to enter the injection buffer; the front one may be
     /// part-way in.
     pending: VecDeque<Generated>,
-    /// Arena slot of the front packet, valid while `head_phits_sent > 0`.
-    head: PacketId,
     /// Phits of the head packet already pushed into the injection buffer.
     head_phits_sent: u16,
 }
@@ -57,7 +55,6 @@ impl SourceQueue {
     fn new(owned: bool) -> Self {
         Self {
             pending: VecDeque::with_capacity(if owned { Self::RESERVED } else { 0 }),
-            head: PacketId::default(),
             head_phits_sent: 0,
         }
     }
@@ -102,10 +99,11 @@ impl GlobalStatusBoard {
 /// What a [`Network`] allocated for its pools, in bytes of capacity
 /// ([`Network::allocated_bytes`]).
 ///
-/// Over the shards of a sharded run `input_fabric`, `port_vectors` and
-/// `source_queues` sum to exactly the sequential network's values; so does
-/// `fabric_pools`, up to the one-cycle export ring each boundary link keeps
-/// on the side that launches into it (`tests/shard_memory.rs`).  `arena`
+/// Over the shards of a sharded run `input_fabric`, `port_vectors`,
+/// `ejection` and `source_queues` sum to exactly the sequential network's
+/// values; so does `fabric_pools`, up to the one-cycle export ring (and its
+/// one-id head FIFO) each boundary link keeps on the side that launches into
+/// it (`tests/shard_memory.rs`).  `arena`
 /// and `delay_table` are reserved at [`Network::arena_bound`], which the
 /// shards partition, but never below [`MIN_RESERVED_SLOTS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,8 +112,11 @@ pub struct PoolBytes {
     pub input_fabric: usize,
     /// The routers' output ports and their VCs.
     pub port_vectors: usize,
-    /// The link fabric's phit and credit pools.
+    /// The link fabric's phit and credit pools and its head FIFOs' ids.
     pub fabric_pools: usize,
+    /// The ejection registers: the packet each VC of an owned ejection link
+    /// has open, one id per owned node and VC.
+    pub ejection: usize,
     /// Packet arena slots and their links (free list and VC lists), as
     /// reserved.
     pub arena: usize,
@@ -149,6 +150,11 @@ pub struct Network<R: RoutingAlgorithm> {
     incoming_link: Vec<u32>,
     /// Phits transmitted on each link since construction (indexed like `links`).
     link_phits: Vec<u64>,
+    /// The packet each VC of each owned ejection link has open, at
+    /// `(node - first owned node) × VCs + VC`: set by its head, read and
+    /// cleared by its tail ([`PacketId::NONE`] between packets).  The body
+    /// and tail phits a node consumes name no packet (see [`LinkFabric`]).
+    ejecting: Vec<PacketId>,
     /// Per-node source queues, filled through `push_generated` only (which
     /// keeps `pending_sources` in step).
     sources: Vec<SourceQueue>,
@@ -363,6 +369,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                     to,
                     phit_slots,
                     credit_slots,
+                    vcs: config.vcs_for(port.kind()),
                 });
             }
         }
@@ -375,13 +382,14 @@ impl<R: RoutingAlgorithm> Network<R> {
                     u32::try_from(li).expect("`validate` bounds h, so a link id fits a u32");
             }
         }
-        let fabric = LinkFabric::build(&specs);
+        let fabric = LinkFabric::build(&specs, config.packet_size);
 
         let per_router = params.nodes_per_router();
         let owned_nodes = owned.start * per_router..owned.end * per_router;
         let sources = (0..num_nodes)
             .map(|n| SourceQueue::new(owned_nodes.contains(&n)))
             .collect();
+        let ejecting = vec![PacketId::NONE; owned_nodes.len() * config.vcs_for(PortKind::Terminal)];
         let stats = StatsCollector::new(64 * 1024);
         let pb_board = GlobalStatusBoard::new(params.groups(), params.global_channels_per_group());
 
@@ -404,6 +412,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             fabric,
             incoming_link,
             link_phits,
+            ejecting,
             sources,
             packets: PacketArena::with_capacity(arena_bound.max(MIN_RESERVED_SLOTS)),
             arena_bound,
@@ -739,21 +748,22 @@ impl<R: RoutingAlgorithm> Network<R> {
                 activity = true;
                 match self.fabric.end(li) {
                     LinkEnd::Router { router, port } => {
-                        // The head opens a slot of the packet's size.
-                        let opens = phit.is_head().then(|| {
+                        // The head opens a slot of the packet's size; the
+                        // phits after it continue the VC's open tail.
+                        let opens = phit.head_packet().map(|id| {
                             // Delay attribution: arrival ends this hop's link
                             // transit (first phit out → head in) and starts
                             // the wait for a grant.
-                            self.close_leg(phit.packet, Leg::LinkTransit, cycle);
-                            self.packets.get(phit.packet).size
+                            self.close_leg(id, Leg::LinkTransit, cycle);
+                            (id, self.packets.get(id).size)
                         });
                         let occupancy = self.inputs.receive_phit(
                             &mut self.packets,
                             router,
                             port,
                             phit.vc as usize,
-                            phit.packet,
                             opens,
+                            phit.is_tail(),
                         );
                         self.stats.note_vc_occupancy(occupancy);
                         self.buffered_phits[router] += 1;
@@ -761,24 +771,40 @@ impl<R: RoutingAlgorithm> Network<R> {
                         self.active_routers.insert(router);
                         self.in_occupied[router] |= 1 << port;
                     }
-                    LinkEnd::Node { node: _ } => {
+                    LinkEnd::Node { node } => {
                         // Ejection: the node consumes the phit immediately and
                         // returns the credit so the ejection VC never backs up
                         // artificially.
                         self.fabric.send_credit(li, cycle, phit.vc);
-                        if phit.is_head() {
+                        let open = self.ejection_register(node, phit.vc);
+                        if let Some(id) = phit.head_packet() {
                             // Delay attribution: the head reaching the node
                             // ends the final link transit and starts the
                             // serialization tail (head before tail, so a
                             // one-phit packet serializes in zero cycles).
-                            self.close_leg(phit.packet, Leg::LinkTransit, cycle);
+                            self.close_leg(id, Leg::LinkTransit, cycle);
+                            debug_assert_eq!(
+                                self.ejecting[open],
+                                PacketId::NONE,
+                                "link {li}: a head ejected on VC {} before the last tail",
+                                phit.vc
+                            );
+                            self.ejecting[open] = id;
                         }
                         if phit.is_tail() {
-                            self.close_leg(phit.packet, Leg::Serialization, cycle);
+                            let packet =
+                                std::mem::replace(&mut self.ejecting[open], PacketId::NONE);
+                            assert_ne!(
+                                packet,
+                                PacketId::NONE,
+                                "link {li}: a tail ejected on VC {} with no packet open",
+                                phit.vc
+                            );
+                            self.close_leg(packet, Leg::Serialization, cycle);
                             // Delivery feedback for volume-bound jobs.  Only
                             // the job tag is needed here, and the stats
                             // collector reads the packet in place — no clone.
-                            let job = self.packets.get(phit.packet).job;
+                            let job = self.packets.get(packet).job;
                             if job != UNTAGGED {
                                 if let Some(jobs) = self.jobs.as_mut() {
                                     jobs.note_delivered(job);
@@ -791,7 +817,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                             // the (owned) destination router, so in a sharded
                             // run exactly one shard records it.
                             if self.probe.is_some() {
-                                let pkt = self.packets.get(phit.packet);
+                                let pkt = self.packets.get(packet);
                                 let (src, dst, gen) = (pkt.src.0, pkt.dst.0, pkt.gen_cycle);
                                 let router = li / ports;
                                 let probe = self.probe.as_deref_mut().unwrap();
@@ -815,9 +841,9 @@ impl<R: RoutingAlgorithm> Network<R> {
                             // at the destination's ejection link (exactly one
                             // shard owns it), before the packet is freed.
                             if let Some(table) = &self.delay {
-                                let pkt = self.packets.get(phit.packet);
+                                let pkt = self.packets.get(packet);
                                 let sample = DelaySample {
-                                    components: table[phit.packet.index()].components(),
+                                    components: table[packet.index()].components(),
                                     misrouted: pkt.route.global_misrouted
                                         || pkt.route.local_misrouted_ever,
                                     job: pkt.job,
@@ -835,9 +861,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                                     .unwrap()
                                     .record_delay(&sample, latency);
                             }
-                            self.stats
-                                .record_delivery(self.packets.get(phit.packet), cycle);
-                            self.packets.free(phit.packet);
+                            self.stats.record_delivery(self.packets.get(packet), cycle);
+                            self.packets.free(packet);
                         }
                     }
                 }
@@ -979,17 +1004,20 @@ impl<R: RoutingAlgorithm> Network<R> {
             if self.inputs.free_space(router, port, 0) == 0 {
                 continue;
             }
-            let source = &mut self.sources[n];
-            let is_head = source.head_phits_sent == 0;
-            if is_head {
+            let source = &self.sources[n];
+            let sent = source.head_phits_sent;
+            // The head phit allocates the packet and carries its id; the
+            // phits after it continue the injection VC's open tail.
+            let mut opens = None;
+            if sent == 0 {
                 let generated = *source
                     .pending
                     .front()
                     .expect("a pending source has a queued packet");
-                source.head =
+                let head =
                     self.packets
                         .alloc(NodeId(n as u32), generated.dst, size, generated.gen_cycle);
-                let head = source.head;
+                opens = Some((head, size));
                 let packet = self.packets.get_mut(head);
                 packet.measured = generated.measured;
                 packet.job = generated.job;
@@ -1000,16 +1028,16 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.open_ledger(head, DelayState::generated_at(generated.gen_cycle));
                 self.close_leg(head, Leg::InjectionQueue, cycle);
             }
-            let source = &mut self.sources[n];
             let occupancy = self.inputs.receive_phit(
                 &mut self.packets,
                 router,
                 port,
                 0,
-                source.head,
-                is_head.then_some(size),
+                opens,
+                sent + 1 == size,
             );
             self.stats.note_vc_occupancy(occupancy);
+            let source = &mut self.sources[n];
             source.head_phits_sent += 1;
             activity = true;
             if source.head_phits_sent == size {
@@ -1162,8 +1190,8 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let vcs = self.routers[r].outputs[op].vcs.len();
                 let start = self.routers[r].outputs[op].rr_next;
                 let mut chosen: Option<usize> = None;
-                for k in 0..vcs {
-                    let vc = (start + k) % vcs;
+                // Round robin from `rr_next`, wrapping without a divide.
+                for vc in (start..vcs).chain(0..start) {
                     let Some((ip, ivc)) = self.routers[r].outputs[op].vcs[vc].owner() else {
                         continue;
                     };
@@ -1202,7 +1230,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 let sent_before = self.inputs.vc(r, ip, ivc).head_sent();
                 let (pid, is_tail) = self.inputs.send_phit(&mut self.packets, r, ip, ivc);
                 let output = &mut self.routers[r].outputs[op];
-                output.rr_next = (vc + 1) % vcs;
+                output.rr_next = if vc + 1 == vcs { 0 } else { vc + 1 };
                 output.vcs[vc].credits -= 1;
                 if is_tail {
                     // The packet has left: release the output VC and the
@@ -1233,11 +1261,12 @@ impl<R: RoutingAlgorithm> Network<R> {
                 if let Some(probe) = self.probe.as_deref_mut() {
                     probe.record_link_phit(cycle, r * ports + op, vc);
                 }
-                self.fabric.send_phit(
-                    r * ports + op,
-                    cycle,
-                    PhitInFlight::new(pid, vc as u8, sent_before == 0, is_tail),
-                );
+                let phit = if sent_before == 0 {
+                    PhitInFlight::head(pid, vc as u8, is_tail)
+                } else {
+                    PhitInFlight::body(vc as u8, is_tail)
+                };
+                self.fabric.send_phit(r * ports + op, cycle, phit);
                 self.active_links.insert(r * ports + op);
                 // Return a credit to the upstream transmitter of the input buffer that
                 // just freed one phit (injection ports have no upstream link).
@@ -1254,6 +1283,13 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
         }
         activity
+    }
+
+    /// Index into `ejecting` of VC `vc` of the ejection link into `node`.
+    #[inline]
+    fn ejection_register(&self, node: NodeId, vc: u8) -> usize {
+        let first = self.owned_routers.start * self.params.nodes_per_router();
+        (node.index() - first) * self.config.vcs_for(PortKind::Terminal) + vc as usize
     }
 
     /// Delay attribution: close `id`'s open leg at `cycle`, booked to `leg`
@@ -1435,7 +1471,9 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Launch on this shard's copy of link `li`, at the current cycle, a
     /// phit the transmitting shard launched on its own copy this cycle
     /// ([`Network::take_link_phit`]): it lands in the slot, and arrives at
-    /// the cycle, of the sequential engine's launch.
+    /// the cycle, of the sequential engine's launch.  A head must name the
+    /// local copy of its packet ([`Network::adopt_packet`]); the phits after
+    /// it name none.
     ///
     /// # Panics
     ///
@@ -1608,6 +1646,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             input_fabric: self.inputs.allocated_bytes(),
             port_vectors: self.routers.iter().map(Router::allocated_bytes).sum(),
             fabric_pools: self.fabric.pool_bytes(),
+            ejection: self.ejecting.capacity() * std::mem::size_of::<PacketId>(),
             arena: self.packets.allocated_bytes(),
             delay_table: self.delay.as_ref().map_or(0, |table| {
                 table.capacity() * std::mem::size_of::<DelayState>()
@@ -1826,7 +1865,8 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
         }
         // Everything before `self.cycle` has been drained.
-        self.fabric.check_next_due(self.cycle.saturating_sub(1))
+        self.fabric.check_next_due(self.cycle.saturating_sub(1))?;
+        self.fabric.check_head_fifos()
     }
 
     /// Debug-build check of the due-work structures against the full scans
@@ -2123,9 +2163,12 @@ mod tests {
         assert_eq!(size_of::<InputVc>(), 24);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
-        // 2 041 296 phit pipeline slots, a packet id and a tag byte each:
-        // 10.2 MB.
-        assert_eq!(size_of::<PacketId>() + size_of::<u8>(), 5);
+        // 2 041 296 phit pipeline slots, a tag byte each: 2.0 MB.  Only a
+        // head's id rides the link, in a head FIFO of 2, 6 or 26 ids per
+        // terminal, local or global link (`fabric::head_slots`), 314 per
+        // router: 648 096 ids, 2.6 MB; and the ejection registers, an id
+        // per node and ejection VC: 49 536 ids, 0.2 MB.
+        assert_eq!(size_of::<PacketId>(), 4);
         // 2 041 296 credit pipeline slots, a VC mask byte each: 2.0 MB.
         assert_eq!(crate::config::MAX_VCS_PER_PORT, u8::BITS as usize);
         // A phit as a drain yields it and a shard boundary ships it.

@@ -28,6 +28,9 @@ impl PacketId {
     pub const INDEX_MASK: u32 = (1 << Self::INDEX_BITS) - 1;
     /// Generations a slot cycles through before one repeats.
     pub const GENERATIONS: u32 = 1 << (u32::BITS - Self::INDEX_BITS);
+    /// The all-ones id, whose index is [`PacketId::INDEX_MASK`]: it names no
+    /// packet, so it marks an empty register or list end.
+    pub const NONE: Self = Self(u32::MAX);
 
     /// Assemble a handle from a slot index and its generation, truncated to
     /// the generation's bits.

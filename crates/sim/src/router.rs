@@ -204,7 +204,8 @@ mod tests {
         let size = config.packet_size as u16;
         let [p10, p11, p12] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), size, 0));
         for (router, vc, packet) in [(4, 0, p10), (4, 1, p11), (5, 0, p12)] {
-            let occupancy = inputs.receive_phit(&mut arena, router, flat, vc, packet, Some(size));
+            let occupancy =
+                inputs.receive_phit(&mut arena, router, flat, vc, Some((packet, size)), false);
             assert_eq!(occupancy, 1);
         }
         assert_eq!(inputs.vc(4, flat, 0).head(), Some(p10));

@@ -203,7 +203,8 @@ fn input_vc_lists_match_a_vecdeque_model() {
                     let size = 1 + rng.gen_index(80) as u16;
                     (arena.alloc(NodeId(0), NodeId(1), size, 0), size, 0)
                 });
-                vcs[0].receive_phit(&mut arena, capacity[0], id, (fed == 0).then_some(size));
+                let opens = (fed == 0).then_some((id, size));
+                vcs[0].receive_phit(&mut arena, capacity[0], opens, fed + 1 == size);
                 receive_into(&mut model[0], id, size, fed == 0);
                 source = (fed + 1 < size).then_some((id, size, fed + 1));
             } else {
@@ -228,8 +229,8 @@ fn input_vc_lists_match_a_vecdeque_model() {
                     vcs[hop].receive_phit(
                         &mut arena,
                         capacity[hop],
-                        id,
-                        (sent == 0).then_some(size),
+                        (sent == 0).then_some((id, size)),
+                        is_tail,
                     );
                     receive_into(&mut model[hop], id, size, sent == 0);
                 } else if is_tail {
@@ -316,9 +317,15 @@ impl<T: Copy> Pipe<T> {
 /// it at `now + latency` like any launch.  After every step the drained
 /// phits and credit masks, `due` and `next_due`, the in-flight counts and
 /// the high-water marks must agree.
+///
+/// Phits follow the law the head FIFOs are sized by: packets of 1..=9
+/// phits, links of 1..=8 VCs, and the heads of one VC at least a packet
+/// apart.  Launches favour heads — a head goes out whenever some VC may
+/// start one — so FIFOs fill to their bound, and every drained head's id is
+/// compared with the model's.
 #[test]
 fn link_fabric_slots_match_a_vecdeque_model() {
-    use dragonfly::sim::{LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
+    use dragonfly::sim::{head_slots, LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
 
     #[derive(Clone, Copy, PartialEq)]
     enum Kind {
@@ -349,8 +356,10 @@ fn link_fabric_slots_match_a_vecdeque_model() {
     }
 
     let mut meta = Rng::seed_from(0x5107);
-    for case in 0..24 {
+    let (mut heads_drained, mut fifos_filled) = (0, 0);
+    for case in 0..48 {
         let mut rng = Rng::seed_from(meta.next_u64());
+        let packet_size = 1 + rng.gen_index(9);
         // (latency, VCs, kind) per link; boundary pairs sit side by side.
         let mut links = Vec::new();
         for _ in 0..1 + rng.gen_index(3) {
@@ -365,7 +374,7 @@ fn link_fabric_slots_match_a_vecdeque_model() {
         }
         let specs: Vec<LinkSpec> = links
             .iter()
-            .map(|&(latency, _, kind)| {
+            .map(|&(latency, vcs, kind)| {
                 let full = latency as usize + 1;
                 let (phit_slots, credit_slots) = match kind {
                     Kind::Whole => (full, full),
@@ -377,10 +386,15 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                     to: LinkEnd::Router { router: 0, port: 0 },
                     phit_slots,
                     credit_slots,
+                    vcs,
                 }
             })
             .collect();
-        let mut f = LinkFabric::build(&specs);
+        let mut f = LinkFabric::build(&specs, packet_size);
+        for (li, spec) in specs.iter().enumerate() {
+            let want = head_slots(spec.phit_slots, spec.vcs, packet_size);
+            assert_eq!(f.head_capacity(li), want, "case {case}, link {li}");
+        }
         let mut m: Vec<Model> = links
             .iter()
             .map(|_| Model {
@@ -388,8 +402,17 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                 credits: Pipe::new(),
             })
             .collect();
-        let (load, credit_load) = (0.1 + rng.next_f64() * 0.9, rng.next_f64());
+        // Some cases launch a phit every cycle: heads at the maximum rate.
+        let load = if rng.bernoulli(0.5) {
+            1.0
+        } else {
+            0.1 + rng.next_f64() * 0.9
+        };
+        let credit_load = rng.next_f64();
         let mut next_packet = 0u32;
+        // Per link and VC: the cycle of its last head launch.
+        let mut last_head: Vec<Vec<Option<u64>>> =
+            links.iter().map(|&(_, vcs, _)| vec![None; vcs]).collect();
         for now in 0..400u64 {
             // Arrivals: every due link yields this cycle's slots.
             for li in 0..links.len() {
@@ -402,6 +425,7 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                 let mask = credits.iter().fold(0u8, |mask, &vc| mask | 1 << vc);
                 assert_eq!(credits.len(), mask.count_ones() as usize);
                 assert!(phits.len() <= 1, "case {case}: one phit per link per cycle");
+                heads_drained += phits.iter().filter(|p| p.is_head()).count();
                 assert_eq!(
                     got.phit,
                     phits.first().copied(),
@@ -417,17 +441,29 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             // links whose receiver is.
             for (li, &(latency, vcs, kind)) in links.iter().enumerate() {
                 if kind != Kind::Import && rng.bernoulli(load) {
-                    let vc = rng.gen_index(vcs) as u8;
-                    let phit = PhitInFlight::new(
-                        PacketId(next_packet),
-                        vc,
-                        rng.bernoulli(0.5),
-                        rng.bernoulli(0.5),
-                    );
-                    next_packet += 1;
+                    // A head on a random VC free to start a packet, else a
+                    // body phit on a random VC.
+                    let free: Vec<usize> = (0..vcs)
+                        .filter(|&vc| {
+                            last_head[li][vc].is_none_or(|t| now - t >= packet_size as u64)
+                        })
+                        .collect();
+                    let phit = if free.is_empty() {
+                        PhitInFlight::body(rng.gen_index(vcs) as u8, rng.bernoulli(0.5))
+                    } else {
+                        let vc = *rng.choose(&free);
+                        last_head[li][vc] = Some(now);
+                        next_packet += 1;
+                        PhitInFlight::head(PacketId(next_packet), vc as u8, packet_size == 1)
+                    };
                     f.send_phit(li, now, phit);
                     m[li].phits.push(now + latency, phit);
                     compare(&f, &m, li, now, "after a phit launch");
+                    let heads = m[li].phits.queue.iter().filter(|(_, p)| p.is_head());
+                    let capacity = f.head_capacity(li);
+                    if heads.count() == capacity && capacity < specs[li].phit_slots {
+                        fifos_filled += 1;
+                    }
                 }
                 if kind != Kind::Export {
                     for vc in 0..vcs as u8 {
@@ -479,8 +515,15 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             }
             f.check_next_due(now)
                 .unwrap_or_else(|e| panic!("case {case}, cycle {now}: {e}"));
+            f.check_head_fifos()
+                .unwrap_or_else(|e| panic!("case {case}, cycle {now}: {e}"));
         }
     }
+    assert!(heads_drained > 5_000, "only {heads_drained} heads drained");
+    assert!(
+        fifos_filled > 100,
+        "a head FIFO below its ring's slots was filled only {fifos_filled} times"
+    );
 }
 
 /// Filling a ring to capacity and wrapping it many times never corrupts FIFO

@@ -12,9 +12,9 @@
 //!
 //! * summed over the shards, every pool equals the sequential network's;
 //! * except the fabric pools, which exceed it by exactly the one-slot export
-//!   ring each boundary link keeps on its launching side — one phit slot on
-//!   the transmitting shard, one credit-mask slot on the receiving shard —
-//!   counted here from the topology;
+//!   ring each boundary link keeps on its launching side — one phit slot and
+//!   a one-id head FIFO on the transmitting shard, one credit-mask slot on
+//!   the receiving shard — counted here from the topology;
 //! * and the arena (and the delay table), reserved at each instance's arena
 //!   bound, which the shards partition exactly, but never below the
 //!   reservation floor;
@@ -35,10 +35,12 @@ use dragonfly::sim::{
 use dragonfly::topology::{Port, PortKind};
 use dragonfly::traffic::Uniform;
 
-/// Bytes of a phit slot (a packet id and a tag byte) and of a credit slot (a
-/// VC mask byte), pinned by `fabric::tests::pipeline_entries_stay_compact`.
-const PHIT: usize = 5;
+/// Bytes of a phit slot (a tag byte), of a credit slot (a VC mask byte) and
+/// of a head FIFO entry or ejection register (a packet id), pinned by
+/// `fabric::tests::pipeline_entries_stay_compact`.
+const PHIT: usize = 1;
 const CREDIT: usize = 1;
+const ID: usize = 4;
 /// A source queue reserves four 24-byte entries per node.
 const SOURCE_QUEUE: usize = 4 * 24;
 /// The fewest slots an arena reserves: ⌊32 MiB / 48 B⌋ + 1, so the slab is
@@ -120,15 +122,20 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         per_router.input_fabric += input_vcs * size_of::<InputVc>();
         per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
         // The link behind this output port: one phit slot and one credit
-        // slot per arrival cycle in flight, `latency + 1` of each.
+        // slot per arrival cycle in flight, `latency + 1` of each, and a head
+        // FIFO of one id per head those slots can hold — at most one a slot,
+        // and per VC at most one every `packet_size` slots, rounded up.
         let slots = config.latency_for(kind) as usize + 1;
-        per_router.fabric_pools += slots * (PHIT + CREDIT);
+        let heads = slots.min(vcs * slots.div_ceil(config.packet_size));
+        per_router.fabric_pools += slots * (PHIT + CREDIT) + heads * ID;
     }
     let (routers, nodes) = (params.num_routers(), params.num_nodes());
     PoolBytes {
         input_fabric: routers * per_router.input_fabric,
         port_vectors: routers * per_router.port_vectors,
         fabric_pools: routers * per_router.fabric_pools,
+        // The packet each ejection VC has open.
+        ejection: nodes * config.vcs_for(PortKind::Terminal) * ID,
         arena: arena_slots(config).max(MIN_RESERVED) * SLOT,
         delay_table: 0,
         source_queues: nodes * SOURCE_QUEUE,
@@ -143,6 +150,7 @@ fn sum_over_shards(sim: &ShardedSimulation<MinimalRouting>) -> PoolBytes {
         sum.input_fabric += bytes.input_fabric;
         sum.port_vectors += bytes.port_vectors;
         sum.fabric_pools += bytes.fabric_pools;
+        sum.ejection += bytes.ejection;
         sum.arena += bytes.arena;
         sum.delay_table += bytes.delay_table;
         sum.source_queues += bytes.source_queues;
@@ -183,7 +191,7 @@ fn shards_partition_the_sequential_pools_exactly() {
                     if shard_of(li / ports) != shard_of(router) {
                         let kind = Port::from_flat(li % ports, h).kind();
                         assert_eq!(kind, PortKind::Global, "{case}: link {li}");
-                        export_rings += PHIT + CREDIT;
+                        export_rings += PHIT + ID + CREDIT;
                         boundary += 1;
                     }
                 }
@@ -198,6 +206,7 @@ fn shards_partition_the_sequential_pools_exactly() {
                 sum.port_vectors, expected.port_vectors,
                 "{case}: port vectors"
             );
+            assert_eq!(sum.ejection, expected.ejection, "{case}: ejection");
             let bounds: Vec<usize> = (0..shards).map(|s| sim.network(s).arena_bound()).collect();
             assert_eq!(
                 bounds.iter().sum::<usize>(),
@@ -277,9 +286,13 @@ fn paper_scale_pools_match_the_size_formula() {
     assert_eq!(bytes.arena, 2_064 * 1_006 * SLOT);
     assert_eq!(bytes.arena, 107_971_968);
     assert_eq!(bytes.delay_table, 0);
-    // 989 phit slots (5 bytes) and 989 credit slots (1 byte) per router.
-    assert_eq!(bytes.fabric_pools, 2_064 * 989 * (5 + 1));
-    assert_eq!(bytes.fabric_pools, 12_247_776);
+    // 989 phit slots (a 1-byte tag) and 989 credit slots (1 byte) per
+    // router, and head FIFOs of 8 × 2 (terminal), 15 × 6 (local) and 8 × 26
+    // (global) = 314 ids of 4 bytes.
+    assert_eq!(bytes.fabric_pools, 2_064 * (989 * (1 + 1) + 314 * 4));
+    assert_eq!(bytes.fabric_pools, 6_674_976);
+    // An ejection register per node and ejection VC.
+    assert_eq!(bytes.ejection, 16_512 * 3 * 4);
 }
 
 /// A phit handed to a network that owns neither end of the link must not
@@ -300,7 +313,7 @@ fn importing_onto_a_link_with_no_owned_end_panics_with_the_link_id() {
             LinkEnd::Node { .. } => false,
         })
         .expect("shards 0 and 1 share a link");
-    let phit = PhitInFlight::new(PacketId(0), 0, true, true);
+    let phit = PhitInFlight::head(PacketId(0), 0, true);
 
     let bystander = sim.network_mut(2);
     assert!(bystander.check_due_sets().is_ok());
