@@ -1,28 +1,36 @@
 //! Input virtual-channel FIFOs, measured in phits, and the one flat fabric
 //! that holds every input VC of the network.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_PORTS_PER_ROUTER, MAX_VCS_PER_PORT};
 use crate::packet::{PacketArena, PacketId};
 use dragonfly_topology::Port;
 use std::ops::Range;
 
 /// The packed "nothing" of a `(flat port, VC)` word: no route granted, no
-/// owner.  A real pair packs to at most `0x00FF_FFFF`.
-const NO_PORT_VC: u32 = u32::MAX;
+/// owner.  A real pair packs to at most `0x3F07`.
+const NO_PORT_VC: u16 = u16::MAX;
 
-/// Pack an optional `(flat port, VC)` pair into one `u32`.
+/// Pack an optional `(flat port, VC)` pair into one `u16`: a port below
+/// [`MAX_PORTS_PER_ROUTER`] and a VC below [`MAX_VCS_PER_PORT`], the bounds
+/// `SimConfig::check` enforces.
 #[inline]
-pub(crate) fn pack_port_vc(pair: Option<(u16, u8)>) -> u32 {
+pub(crate) fn pack_port_vc(pair: Option<(u16, u8)>) -> u16 {
     match pair {
-        Some((port, vc)) => (port as u32) << 8 | vc as u32,
+        Some((port, vc)) => {
+            debug_assert!(
+                (port as usize) < MAX_PORTS_PER_ROUTER && (vc as usize) < MAX_VCS_PER_PORT,
+                "port {port} VC {vc} beyond the packed route word"
+            );
+            port << 8 | vc as u16
+        }
         None => NO_PORT_VC,
     }
 }
 
 /// Inverse of [`pack_port_vc`].
 #[inline]
-pub(crate) fn unpack_port_vc(word: u32) -> Option<(u16, u8)> {
-    (word != NO_PORT_VC).then_some(((word >> 8) as u16, word as u8))
+pub(crate) fn unpack_port_vc(word: u16) -> Option<(u16, u8)> {
+    (word != NO_PORT_VC).then_some((word >> 8, word as u8))
 }
 
 /// One input virtual channel: a FIFO of packets, counted in phits, plus the
@@ -31,26 +39,26 @@ pub(crate) fn unpack_port_vc(word: u32) -> Option<(u16, u8)> {
 /// Phits of a packet arrive in order and never interleave with another
 /// packet's inside one VC, and only the head forwards.  So only the *head*
 /// packet has sent phits, only the *tail* packet can be partly received, and
-/// every packet in between is whole: received in full, nothing sent.  The VC
-/// keeps the two ends and their counters — the head's size and phits sent,
-/// the tail's size and phits received — plus its occupancy and packed
-/// route, in 24 bytes (two 4-byte ids, four 2-byte counters, two 4-byte
-/// words); the packets in between are a list threaded through
-/// the [`PacketArena`]'s links (see there for why a packet is linked in one
-/// VC at most).  A body phit, sent or received, touches only this word; the
-/// arena is read or written at packet boundaries only: a head appended
-/// behind a tail links the two, and a tail sent unlinks the head and reads
-/// its successor's id and size.
+/// every packet in between is whole: received in full, nothing sent.  Every
+/// packet of a network is the configuration's `packet_size` phits, which the
+/// [`PortGeometry`] holds, so the VC keeps only the two ends and their
+/// counters — the head's phits sent, the tail's phits received — plus its
+/// occupancy and packed route, in 16 bytes (two 4-byte ids, four 2-byte
+/// counters: `SimConfig::check` bounds every buffer by `u16::MAX` phits, a
+/// port below 64 and a VC below 8); the packets in between are a list
+/// threaded through the [`PacketArena`]'s links (see there for why a packet
+/// is linked in one VC at most).  A body phit, sent or received, touches
+/// only this word; the arena is read or written at packet boundaries only:
+/// a head appended behind a tail links the two, and a tail sent unlinks the
+/// head and reads its successor's id.
 #[derive(Debug, Clone, Copy)]
 pub struct InputVc {
     head: PacketId,
     tail: PacketId,
-    head_size: u16,
     head_sent: u16,
-    tail_size: u16,
     tail_received: u16,
-    occupancy: u32,
-    route: u32,
+    occupancy: u16,
+    route: u16,
 }
 
 impl Default for InputVc {
@@ -58,9 +66,7 @@ impl Default for InputVc {
         Self {
             head: PacketId::NONE,
             tail: PacketId::NONE,
-            head_size: 0,
             head_sent: 0,
-            tail_size: 0,
             tail_received: 0,
             occupancy: 0,
             route: NO_PORT_VC,
@@ -100,35 +106,31 @@ impl InputVc {
         (self.head != PacketId::NONE).then_some(self.head)
     }
 
-    /// Size in phits of the head packet (0 when empty).
-    #[inline]
-    pub fn head_size(&self) -> u16 {
-        self.head_size
-    }
-
     /// Phits of the head packet forwarded so far.
     #[inline]
     pub fn head_sent(&self) -> u16 {
         self.head_sent
     }
 
-    /// Phits of the head packet present in the buffer, ready to forward.
+    /// Phits of the head packet present in the buffer, ready to forward,
+    /// for packets of `size` phits.
     #[inline]
-    pub fn head_present(&self) -> u16 {
+    pub fn head_present(&self, size: u16) -> u16 {
         // A head with a packet behind it is received in full.
         let received = if self.head == self.tail {
             self.tail_received
         } else {
-            self.head_size
+            size
         };
         received - self.head_sent
     }
 
-    /// Receive one phit through a buffer of `capacity` phits.  `opens` is
-    /// the packet and its size when this is its head phit, which appends the
-    /// packet at the tail of the FIFO (linking it behind the old tail in
-    /// `arena`), and `None` for the phits after it: those carry no packet id
-    /// and continue the open tail.  `is_tail` is the phit's tail flag.
+    /// Receive one phit of a `size`-phit packet through a buffer of
+    /// `capacity` phits.  `opens` is the packet when this is its head phit,
+    /// which appends the packet at the tail of the FIFO (linking it behind
+    /// the old tail in `arena`), and `None` for the phits after it: those
+    /// carry no packet id and continue the open tail.  `is_tail` is the
+    /// phit's tail flag.
     ///
     /// Panics if the buffer would overflow (the credit scheme must prevent
     /// this), or if the phits of two packets interleave within the VC: a head
@@ -139,72 +141,66 @@ impl InputVc {
         &mut self,
         arena: &mut PacketArena,
         capacity: usize,
-        opens: Option<(PacketId, u16)>,
+        size: u16,
+        opens: Option<PacketId>,
         is_tail: bool,
     ) {
         assert!(
             (self.occupancy as usize) < capacity,
             "VC buffer overflow: credit accounting is broken"
         );
-        if let Some((packet, size)) = opens {
-            assert!(
-                self.tail_received == self.tail_size,
-                "phits of different packets interleaved within one VC: a head \
-                 arrived with the tail at {} of {} phits",
-                self.tail_received,
-                self.tail_size
-            );
+        if let Some(packet) = opens {
             if self.head == PacketId::NONE {
                 self.head = packet;
-                self.head_size = size;
                 self.head_sent = 0;
             } else {
+                assert!(
+                    self.tail_received == size,
+                    "phits of different packets interleaved within one VC: a head \
+                     arrived with the tail at {} of {size} phits",
+                    self.tail_received
+                );
                 arena.link_behind(self.tail, packet);
             }
             self.tail = packet;
-            self.tail_size = size;
             self.tail_received = 1;
         } else {
             assert!(
-                self.tail_received < self.tail_size,
+                self.head != PacketId::NONE && self.tail_received < size,
                 "phits of different packets interleaved within one VC: a body phit \
                  arrived with no open tail"
             );
             self.tail_received += 1;
         }
         assert!(
-            is_tail == (self.tail_received == self.tail_size),
+            is_tail == (self.tail_received == size),
             "phits of different packets interleaved within one VC: phit {} of a \
-             {}-phit tail came with tail flag {is_tail}",
-            self.tail_received,
-            self.tail_size
+             {size}-phit tail came with tail flag {is_tail}",
+            self.tail_received
         );
         self.occupancy += 1;
     }
 
-    /// Forward one phit of the head packet.
+    /// Forward one phit of the head packet, of `size` phits.
     ///
     /// Returns the packet id and whether the forwarded phit was the tail
     /// (last) phit; when it is, the packet leaves the FIFO: it is unlinked
     /// in `arena` and the packet behind it, if any, becomes the head.
     /// Panics if no phit is available.
-    pub fn send_phit(&mut self, arena: &mut PacketArena) -> (PacketId, bool) {
+    pub fn send_phit(&mut self, arena: &mut PacketArena, size: u16) -> (PacketId, bool) {
         assert!(self.head != PacketId::NONE, "send from an empty VC buffer");
         assert!(
-            self.head_present() > 0,
+            self.head_present(size) > 0,
             "no phit of the head packet is present yet"
         );
         self.head_sent += 1;
         self.occupancy -= 1;
         let packet = self.head;
-        let is_tail = self.head_sent == self.head_size;
+        let is_tail = self.head_sent == size;
         if is_tail {
             self.head_sent = 0;
             match arena.take_successor(packet) {
-                Some(next) => {
-                    self.head = next;
-                    self.head_size = arena.get(next).size;
-                }
+                Some(next) => self.head = next,
                 None => {
                     debug_assert_eq!(packet, self.tail);
                     *self = Self {
@@ -219,19 +215,28 @@ impl InputVc {
 }
 
 /// The input-side shape every router shares, built once from the
-/// configuration: for each flat port its first router-local VC, and for each
-/// router-local VC its phit capacity.  A router's VCs are numbered port by
-/// port, VCs ascending.
+/// configuration: for each flat port its first router-local VC, for each
+/// router-local VC its phit capacity, and the size of every packet.  A
+/// router's VCs are numbered port by port, VCs ascending.
 #[derive(Debug, Clone)]
 pub struct PortGeometry {
     /// First router-local VC of each flat port, then the VCs per router.
     first_vc: Vec<u32>,
     capacities: Vec<u32>,
+    /// Phits of every packet (`SimConfig::packet_size`).
+    packet_size: u16,
 }
 
 impl PortGeometry {
     /// The geometry `config` dictates: `input_vcs_for(kind)` VCs of
-    /// `buffer_for(kind)` phits per port.
+    /// `buffer_for(kind)` phits per port, and packets of `packet_size`
+    /// phits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a capacity is 0 or above the `u16` an [`InputVc`]
+    /// counts its occupancy in, or the packet size above the `u16` of its
+    /// phit counters (`SimConfig::check` refuses both).
     pub fn new(config: &SimConfig) -> Self {
         let h = config.params.h();
         let ports = config.params.ports_per_router();
@@ -242,6 +247,10 @@ impl PortGeometry {
             let kind = Port::from_flat(flat, h).kind();
             let capacity = config.buffer_for(kind);
             assert!(capacity >= 1, "buffer capacity must be at least one phit");
+            assert!(
+                capacity <= u16::MAX as usize,
+                "{capacity} phits exceed a VC's 16-bit occupancy"
+            );
             capacities.extend(std::iter::repeat_n(
                 capacity as u32,
                 config.input_vcs_for(kind),
@@ -251,6 +260,8 @@ impl PortGeometry {
         Self {
             first_vc,
             capacities,
+            packet_size: u16::try_from(config.packet_size)
+                .expect("a packet size beyond a VC's 16-bit phit counters"),
         }
     }
 
@@ -358,13 +369,14 @@ impl InputFabric {
         router: usize,
         port: usize,
         vc: usize,
-        opens: Option<(PacketId, u16)>,
+        opens: Option<PacketId>,
         is_tail: bool,
     ) -> usize {
         let capacity = self.geometry.capacity(port, vc);
+        let size = self.geometry.packet_size;
         let i = self.locate(router, port, vc);
         let ivc = &mut self.vcs[i];
-        ivc.receive_phit(arena, capacity, opens, is_tail);
+        ivc.receive_phit(arena, capacity, size, opens, is_tail);
         ivc.occupancy()
     }
 
@@ -379,7 +391,7 @@ impl InputFabric {
         vc: usize,
     ) -> (PacketId, bool) {
         let i = self.locate(router, port, vc);
-        self.vcs[i].send_phit(arena)
+        self.vcs[i].send_phit(arena, self.geometry.packet_size)
     }
 
     /// Grant (`Some`) or release (`None`) the output of the head packet of
@@ -413,46 +425,53 @@ mod tests {
     use super::*;
     use dragonfly_topology::NodeId;
 
-    /// One VC of `capacity` phits and the arena its packets live in.
+    /// One VC of `capacity` phits carrying packets of `size` phits, and the
+    /// arena its packets live in.
     struct Fifo {
         vc: InputVc,
         arena: PacketArena,
         capacity: usize,
+        size: u16,
     }
 
-    fn fifo(capacity: usize) -> Fifo {
+    fn fifo(capacity: usize, size: u16) -> Fifo {
         Fifo {
             vc: InputVc::default(),
             arena: PacketArena::with_capacity(8),
             capacity,
+            size,
         }
     }
 
     impl Fifo {
-        fn packet(&mut self, size: u16) -> PacketId {
-            self.arena.alloc(NodeId(0), NodeId(1), size, 0)
+        fn packet(&mut self) -> PacketId {
+            self.arena.alloc(NodeId(0), NodeId(1), self.size, 0)
         }
 
         /// Receive phit `i` of `packet`: its head carries the id, its last
         /// phit the tail flag.
         fn receive(&mut self, packet: PacketId, i: u16) {
-            let size = self.arena.get(packet).size;
             self.vc.receive_phit(
                 &mut self.arena,
                 self.capacity,
-                (i == 0).then_some((packet, size)),
-                i + 1 == size,
+                self.size,
+                (i == 0).then_some(packet),
+                i + 1 == self.size,
             );
         }
 
         fn receive_whole(&mut self, packet: PacketId) {
-            for i in 0..self.arena.get(packet).size {
+            for i in 0..self.size {
                 self.receive(packet, i);
             }
         }
 
         fn send(&mut self) -> (PacketId, bool) {
-            self.vc.send_phit(&mut self.arena)
+            self.vc.send_phit(&mut self.arena, self.size)
+        }
+
+        fn present(&self) -> u16 {
+            self.vc.head_present(self.size)
         }
 
         fn free_space(&self) -> usize {
@@ -462,12 +481,12 @@ mod tests {
 
     #[test]
     fn receive_then_send_whole_packet() {
-        let mut b = fifo(16);
-        let p = b.packet(4);
+        let mut b = fifo(16, 4);
+        let p = b.packet();
         b.receive_whole(p);
         assert_eq!(b.vc.occupancy(), 4);
         assert_eq!(b.vc.head(), Some(p));
-        assert_eq!(b.vc.head_present(), 4);
+        assert_eq!(b.present(), 4);
         for i in 0..4 {
             let (sent, tail) = b.send();
             assert_eq!(sent, p);
@@ -479,14 +498,14 @@ mod tests {
 
     #[test]
     fn cut_through_send_while_receiving() {
-        let mut b = fifo(8);
-        let p = b.packet(4);
+        let mut b = fifo(8, 4);
+        let p = b.packet();
         b.receive(p, 0);
-        assert_eq!(b.vc.head_present(), 1);
+        assert_eq!(b.present(), 1);
         let (_, tail) = b.send();
         assert!(!tail);
         assert_eq!(b.vc.occupancy(), 0);
-        assert_eq!(b.vc.head_present(), 0);
+        assert_eq!(b.present(), 0);
         assert_eq!(
             b.vc.head(),
             Some(p),
@@ -502,11 +521,11 @@ mod tests {
 
     #[test]
     fn multiple_packets_fifo_order() {
-        let mut b = fifo(16);
-        let (p1, p2) = (b.packet(3), b.packet(2));
+        let mut b = fifo(16, 3);
+        let (p1, p2) = (b.packet(), b.packet());
         b.receive_whole(p1);
         b.receive_whole(p2);
-        assert_eq!(b.vc.occupancy(), 5);
+        assert_eq!(b.vc.occupancy(), 6);
         assert_eq!(b.arena.successor(p1), Some(p2));
         // Head is packet 1; it must drain before packet 2.
         for _ in 0..3 {
@@ -514,7 +533,8 @@ mod tests {
         }
         assert_eq!(b.arena.successor(p1), None, "a popped packet is unlinked");
         assert_eq!(b.vc.head(), Some(p2));
-        assert_eq!(b.vc.head_size(), 2);
+        assert_eq!(b.present(), 3, "a whole packet behind the head");
+        assert_eq!(b.send(), (p2, false));
         assert_eq!(b.send(), (p2, false));
         assert_eq!(b.send(), (p2, true));
         assert!(b.vc.is_empty());
@@ -526,23 +546,23 @@ mod tests {
         let mut arena = PacketArena::new();
         let (mut a, mut b) = (InputVc::default(), InputVc::default());
         let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
-        a.receive_phit(&mut arena, 8, Some((p1, 1)), true);
-        b.receive_phit(&mut arena, 8, Some((p2, 1)), true);
-        a.receive_phit(&mut arena, 8, Some((p3, 1)), true);
+        a.receive_phit(&mut arena, 8, 1, Some(p1), true);
+        b.receive_phit(&mut arena, 8, 1, Some(p2), true);
+        a.receive_phit(&mut arena, 8, 1, Some(p3), true);
         assert_eq!(a.head(), Some(p1));
         assert_eq!(b.head(), Some(p2));
         assert_eq!((a.occupancy(), b.occupancy()), (2, 1));
-        assert_eq!(b.send_phit(&mut arena), (p2, true));
+        assert_eq!(b.send_phit(&mut arena, 1), (p2, true));
         assert_eq!(a.occupancy(), 2, "sibling buffer is untouched");
-        assert_eq!(a.send_phit(&mut arena), (p1, true));
+        assert_eq!(a.send_phit(&mut arena, 1), (p1, true));
         assert_eq!(a.head(), Some(p3));
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut b = fifo(2);
-        let p = b.packet(4);
+        let mut b = fifo(2, 4);
+        let p = b.packet();
         b.receive_whole(p);
     }
 
@@ -550,8 +570,8 @@ mod tests {
     #[should_panic(expected = "interleaved")]
     fn interleaved_packets_rejected() {
         // The tail phit of another packet lands on the second phit of `p1`.
-        let mut b = fifo(8);
-        let (p1, p2) = (b.packet(4), b.packet(4));
+        let mut b = fifo(8, 4);
+        let (p1, p2) = (b.packet(), b.packet());
         b.receive(p1, 0);
         b.receive(p2, 3);
     }
@@ -559,8 +579,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "interleaved")]
     fn a_head_behind_a_partly_received_tail_is_rejected() {
-        let mut b = fifo(8);
-        let (p1, p2) = (b.packet(4), b.packet(4));
+        let mut b = fifo(8, 4);
+        let (p1, p2) = (b.packet(), b.packet());
         b.receive(p1, 0);
         b.receive(p2, 0);
     }
@@ -568,21 +588,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "no open tail")]
     fn a_body_phit_with_no_open_tail_is_rejected() {
-        let mut b = fifo(8);
-        let p = b.packet(2);
+        let mut b = fifo(8, 2);
+        let p = b.packet();
         b.receive_whole(p);
         b.receive(p, 1);
     }
 
     #[test]
+    #[should_panic(expected = "no open tail")]
+    fn a_body_phit_into_an_empty_vc_is_rejected() {
+        let mut b = fifo(8, 2);
+        b.vc.receive_phit(&mut b.arena, b.capacity, 2, None, true);
+    }
+
+    #[test]
     #[should_panic(expected = "phit 3 of a 3-phit tail came with tail flag false")]
     fn a_tail_without_its_flag_is_rejected() {
-        let mut b = fifo(8);
-        let p = b.packet(3);
+        let mut b = fifo(8, 3);
+        let p = b.packet();
         b.receive(p, 0);
         b.receive(p, 1);
         // A body phit of some other packet lands where `p`'s tail belongs.
-        b.vc.receive_phit(&mut b.arena, b.capacity, None, false);
+        b.vc.receive_phit(&mut b.arena, b.capacity, 3, None, false);
     }
 
     #[test]
@@ -592,25 +619,25 @@ mod tests {
         let mut arena = PacketArena::new();
         let (mut a, mut b) = (InputVc::default(), InputVc::default());
         let [p1, p2, p3] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), 1, 0));
-        a.receive_phit(&mut arena, 8, Some((p1, 1)), true);
-        a.receive_phit(&mut arena, 8, Some((p2, 1)), true);
+        a.receive_phit(&mut arena, 8, 1, Some(p1), true);
+        a.receive_phit(&mut arena, 8, 1, Some(p2), true);
         // `p1` still heads `a`, so it cannot be a whole packet in `b`.
-        b.receive_phit(&mut arena, 8, Some((p1, 1)), true);
-        b.receive_phit(&mut arena, 8, Some((p3, 1)), true);
+        b.receive_phit(&mut arena, 8, 1, Some(p1), true);
+        b.receive_phit(&mut arena, 8, 1, Some(p3), true);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn send_from_empty_panics() {
-        let mut b = fifo(4);
+        let mut b = fifo(4, 4);
         b.send();
     }
 
     #[test]
     #[should_panic(expected = "no phit of the head packet")]
     fn send_without_present_phit_panics() {
-        let mut b = fifo(8);
-        let p = b.packet(4);
+        let mut b = fifo(8, 4);
+        let p = b.packet();
         b.receive(p, 0);
         let _ = b.send();
         let _ = b.send();
@@ -626,14 +653,14 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_present_phits_only() {
-        let mut b = fifo(8);
-        let p = b.packet(8);
+        let mut b = fifo(8, 8);
+        let p = b.packet();
         b.receive(p, 0);
         b.receive(p, 1);
         let _ = b.send();
         assert_eq!(b.vc.occupancy(), 1);
         assert_eq!(b.free_space(), 7);
-        assert_eq!(b.vc.head_present(), 1);
+        assert_eq!(b.present(), 1);
         assert_eq!(b.vc.head_sent(), 1);
     }
 
@@ -641,7 +668,8 @@ mod tests {
     fn route_word_round_trips() {
         let mut vc = InputVc::default();
         assert_eq!(vc.route(), None);
-        for pair in [(0, 0), (63, 2), (u16::MAX, u8::MAX)] {
+        // The largest port of an h = 16 router is 62; the largest VC is 7.
+        for pair in [(0, 0), (62, 2), (63, 7)] {
             vc.set_route(Some(pair));
             assert_eq!(vc.route(), Some(pair));
         }

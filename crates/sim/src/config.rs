@@ -248,13 +248,13 @@ impl SimConfig {
             ("global_buffer", self.global_buffer),
             ("injection_buffer", self.injection_buffer),
         ] {
-            // Output VCs count credits in a `u32` (the ejection side's
-            // `max(4 × packet_size, injection_buffer)` is bounded with the
-            // injection buffer, the packet size being a `u16`).
+            // An input VC counts its occupancy in a `u16` (`InputVc`).
+            // Output VCs count credits in a `u32`: the ejection side's
+            // `max(4 × packet_size, injection_buffer)` can pass a `u16`.
             ensure!(
-                phits <= u32::MAX as usize,
-                "{field} = {phits} phits exceeds the {} a u32 credit counter holds",
-                u32::MAX
+                phits <= u16::MAX as usize,
+                "{field} = {phits} phits exceeds the {} a u16 VC occupancy holds",
+                u16::MAX
             );
         }
         let ports = self.params.ports_per_router();
@@ -525,6 +525,30 @@ mod tests {
         c.local_latency = MAX_LINK_LATENCY;
         c.terminal_latency = MAX_LINK_LATENCY;
         c.validate();
+    }
+
+    /// Every input VC counts its occupancy in 16 bits, so each buffer is
+    /// bounded by `u16::MAX` phits, named in the message.
+    #[test]
+    fn a_buffer_beyond_the_u16_occupancy_is_rejected() {
+        let with = |field: &str, phits: usize| {
+            let mut c = SimConfig::paper_vct(2);
+            *match field {
+                "local_buffer" => &mut c.local_buffer,
+                "global_buffer" => &mut c.global_buffer,
+                _ => &mut c.injection_buffer,
+            } = phits;
+            c
+        };
+        for field in ["local_buffer", "global_buffer", "injection_buffer"] {
+            assert_eq!(with(field, 65_535).check(), Ok(()), "{field} at the bound");
+            assert_eq!(
+                with(field, 65_536).check(),
+                Err(format!(
+                    "{field} = 65536 phits exceeds the 65535 a u16 VC occupancy holds"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //! [`PacketId`] waits in the link's *head FIFO*: pushed when the head is
 //! launched, popped when it drains.  Heads leave a link in launch order (one
 //! latency per link), so a FIFO is exact, and it is short: an output VC is
-//! held from a packet's head to its tail, so the heads of one VC launch at
-//! least `packet_size` cycles apart, and the `L + 1` launch cycles a ring
-//! spans carry at most `K = min(L + 1, VCs × ⌈(L + 1) / packet_size⌉)`
-//! heads ([`head_slots`]): 26 on the paper's 100-cycle global link of
-//! 2 VCs with 8-phit packets, where a slot per phit would take 101.  A head
-//! launched into a full FIFO panics, naming the link.
+//! held from a packet's head to its tail and every packet is `packet_size`
+//! phits, so on each VC every packet but the last whose head lies in the
+//! `W = L + 1` launch cycles a ring spans lies whole inside them.  That
+//! leaves room for at most `K = ⌊(W − VCs) / packet_size⌋ + VCs` heads
+//! (`W` when `W ≤ VCs`; [`head_slots`]): 14 on the paper's 100-cycle global
+//! link of 2 VCs with 8-phit packets, where a slot per phit would take 101.
+//! A head launched into a full FIFO panics, naming the link.
 //!
 //! [`LinkFabric`] keeps every slot of the network in three pools and the
 //! head ids in a fourth, indexed by link id through offset arrays:
@@ -238,7 +239,8 @@ impl LinkEnd {
     }
 }
 
-/// Construction-time description of one link.
+/// Construction-time description of one link, streamed into
+/// [`LinkFabric::build`].
 ///
 /// The two slot counts are what the network instance being built can ever
 /// hold on this link, which depends on which of the link's ends it owns (see
@@ -262,17 +264,31 @@ pub struct LinkSpec {
     pub vcs: usize,
 }
 
-/// Ids a link's head FIFO holds: at most one phit of a ring of `phit_slots`
-/// slots launched per cycle, and the heads of one VC at least `packet_size`
-/// cycles apart (an output VC is held from a packet's head to its tail), so
-/// the `phit_slots` launch cycles a ring spans carry at most
-/// `min(phit_slots, vcs × ⌈phit_slots / packet_size⌉)` heads.
+/// Ids a link's head FIFO holds: the most heads the `W = phit_slots` launch
+/// cycles a ring spans can carry, `W` when `W ≤ vcs`, else
+/// `⌊(W − vcs) / packet_size⌋ + vcs`.
 ///
-/// At the paper's VCT setup (8-phit packets) that is 26 ids on a 100-cycle
-/// global link of 2 VCs, 6 on a 10-cycle local link of 3 and 2 on a 1-cycle
+/// The link launches at most one phit per cycle, an output VC is held from
+/// a packet's head to its tail, and every packet is `packet_size` phits.
+/// Say `n_v` heads of VC `v` launch inside the window.  The next packet of
+/// a VC starts only after the previous one's tail, so every one of those
+/// packets but the last lies whole inside the window: VC `v` launches at
+/// least `(n_v − 1) × packet_size + 1` phits there.  Over the `a ≤ vcs`
+/// VCs with a head in the window, `Σ (n_v − 1) × packet_size + a ≤ W`, so
+/// `Σ n_v ≤ a + ⌊(W − a) / packet_size⌋`, which grows with `a` (one more VC
+/// adds a head and costs at most one).  At `a = min(vcs, W)` that is the
+/// bound, and it is reached: whole packets back to back, then the heads of
+/// every VC in the window's last cycles.
+///
+/// At the paper's VCT setup (8-phit packets) that is 14 ids on a 100-cycle
+/// global link of 2 VCs, 4 on a 10-cycle local link of 3 and 2 on a 1-cycle
 /// terminal link; 1 on a one-slot export ring.
 pub fn head_slots(phit_slots: usize, vcs: usize, packet_size: usize) -> usize {
-    phit_slots.min(vcs * phit_slots.div_ceil(packet_size))
+    if phit_slots <= vcs {
+        phit_slots
+    } else {
+        (phit_slots - vcs) / packet_size + vcs
+    }
 }
 
 /// `next_due` of a link with nothing in flight.
@@ -419,8 +435,9 @@ pub struct LinkFabric {
 }
 
 impl LinkFabric {
-    /// Build the fabric from per-link specs for packets of `packet_size`
-    /// phits, materializing every slot.
+    /// Build the fabric from per-link specs, link 0 first, for packets of
+    /// `packet_size` phits, materializing every slot.  The specs are taken
+    /// one at a time, so a caller can stream them without collecting.
     ///
     /// # Panics
     ///
@@ -429,8 +446,12 @@ impl LinkFabric {
     /// `u32` offset addresses, or when the links have more than 256 distinct
     /// latencies (a network has three, and `SimConfig::validate` bounds the
     /// rest).
-    pub fn build(specs: &[LinkSpec], packet_size: usize) -> Self {
+    pub fn build(
+        specs: impl IntoIterator<Item = LinkSpec, IntoIter: ExactSizeIterator>,
+        packet_size: usize,
+    ) -> Self {
         assert!(packet_size >= 1, "packet size must be at least one phit");
+        let specs = specs.into_iter();
         let n = specs.len();
         let mut to = Vec::with_capacity(n);
         let mut latency = Vec::with_capacity(n);
@@ -588,8 +609,8 @@ impl LinkFabric {
     /// # Panics
     ///
     /// Panics, naming the link, when the FIFO is full: more heads in flight
-    /// than [`head_slots`] derives from the one-phit-per-cycle law and the
-    /// head-to-tail hold of an output VC.
+    /// than [`head_slots`] derives from the one-phit-per-cycle law, the
+    /// head-to-tail hold of an output VC and the packet size.
     #[inline]
     fn push_head(&mut self, li: usize, packet: PacketId) {
         let ([start, at], capacity) = self.head_fifo(li);
@@ -597,7 +618,7 @@ impl LinkFabric {
         assert!(
             len < capacity,
             "link {li}: a head launched with {len} heads in flight, all its head FIFO \
-             holds (the heads of one VC launch at least a packet apart)"
+             holds (on each VC a packet's phits all launch before the next head)"
         );
         let mut slot = first + len;
         if slot >= capacity {
@@ -1012,17 +1033,14 @@ mod tests {
     /// Whole links of one VC carrying one-phit packets: every slot may hold
     /// a head, so a head FIFO has as many ids as its ring has slots.
     fn fabric_of(specs: &[(u64, LinkEnd)]) -> LinkFabric {
-        let specs: Vec<LinkSpec> = specs
-            .iter()
-            .map(|&(latency, to)| LinkSpec {
-                latency,
-                to,
-                phit_slots: latency as usize + 1,
-                credit_slots: latency as usize + 1,
-                vcs: 1,
-            })
-            .collect();
-        LinkFabric::build(&specs, 1)
+        let specs = specs.iter().map(|&(latency, to)| LinkSpec {
+            latency,
+            to,
+            phit_slots: latency as usize + 1,
+            credit_slots: latency as usize + 1,
+            vcs: 1,
+        });
+        LinkFabric::build(specs, 1)
     }
 
     /// What link `li` delivers at `now` (nothing when it is not due).
@@ -1114,11 +1132,11 @@ mod tests {
     fn rings_pack_back_to_back_without_rounding() {
         // Three links of 2 VCs carrying 8-phit packets, one slot per arrival
         // cycle: offsets are the prefix sums, of the slots and of the head
-        // FIFOs (`min(slots, 2 × ⌈slots / 8⌉)`: 2, 2 and 26).
-        let specs: Vec<LinkSpec> = [2u64, 4, 100]
-            .iter()
+        // FIFOs (`⌊(slots − 2) / 8⌋ + 2`: 2, 2 and 14).
+        let specs = [2u64, 4, 100]
+            .into_iter()
             .enumerate()
-            .map(|(n, &latency)| LinkSpec {
+            .map(|(n, latency)| LinkSpec {
                 latency,
                 to: LinkEnd::Node {
                     node: NodeId(n as u32),
@@ -1126,15 +1144,14 @@ mod tests {
                 phit_slots: latency as usize + 1,
                 credit_slots: latency as usize + 1,
                 vcs: 2,
-            })
-            .collect();
-        let f = LinkFabric::build(&specs, 8);
+            });
+        let f = LinkFabric::build(specs, 8);
         assert_eq!(f.phit_off, vec![0, 3, 8, 109]);
         let offsets: Vec<u32> = f.heads.iter().map(|&[offset, _]| offset).collect();
-        assert_eq!(offsets, vec![0, 2, 4, 30]);
+        assert_eq!(offsets, vec![0, 2, 4, 18]);
         assert_eq!(f.phit_tags.len(), 109);
         assert_eq!(f.credit_masks.len(), 109);
-        assert_eq!(f.pool_bytes(), 109 + 109 + 30 * 4);
+        assert_eq!(f.pool_bytes(), 109 + 109 + 18 * 4);
         assert_eq!(f.classes.len(), 3, "one class per distinct latency");
     }
 
@@ -1171,7 +1188,7 @@ mod tests {
             credit_slots,
             vcs: 1,
         };
-        LinkFabric::build(&[spec(1, 6), spec(6, 1)], 1)
+        LinkFabric::build([spec(1, 6), spec(6, 1)], 1)
     }
 
     #[test]
@@ -1269,51 +1286,106 @@ mod tests {
         assert!(f.is_idle(0));
     }
 
-    /// A 100-cycle global link of 2 VCs carrying 8-phit packets, launched
-    /// from cycle 0 through `last` with a phit every cycle and the heads of
-    /// each VC as close as the bound lets them: one on VC 0 every 8th cycle,
-    /// one on VC 1 the cycle after, body phits in between.
-    fn global_link_at_the_head_rate(last: u64) -> LinkFabric {
+    #[test]
+    fn the_head_bound_counts_whole_packets() {
+        // At most one head a slot while the VCs outnumber the slots; one
+        // packet size per head beyond the VCs' first.
+        assert_eq!(head_slots(1, 2, 8), 1, "a one-slot export ring");
+        assert_eq!(head_slots(8, 1, 1), 8, "one-phit packets: every slot");
+        // The paper's VCT links: terminal, local and global.
+        assert_eq!(head_slots(2, 3, 8), 2);
+        assert_eq!(head_slots(11, 3, 8), 4);
+        assert_eq!(head_slots(101, 2, 8), 14);
+        // Its wormhole packets: 80 phits.
+        assert_eq!(head_slots(101, 2, 80), 3);
+    }
+
+    /// A link of `latency` cycles and `vcs` VCs carrying 8-phit packets,
+    /// with `phits` launched from cycle 0 on, one a cycle.
+    fn launched(latency: u64, vcs: usize, phits: &[PhitInFlight]) -> LinkFabric {
         let spec = LinkSpec {
-            latency: 100,
+            latency,
             to: LinkEnd::Router { router: 1, port: 0 },
-            phit_slots: 101,
-            credit_slots: 101,
-            vcs: 2,
+            phit_slots: latency as usize + 1,
+            credit_slots: latency as usize + 1,
+            vcs,
         };
-        let mut f = LinkFabric::build(&[spec], 8);
-        for now in 0..=last {
-            let phit = match now % 8 {
-                0 => PhitInFlight::head(PacketId(now as u32), 0, false),
-                1 => PhitInFlight::head(PacketId(now as u32), 1, false),
-                k => PhitInFlight::body(k as u8 % 2, k >= 6),
-            };
-            f.send_phit(0, now, phit);
+        let mut f = LinkFabric::build([spec], 8);
+        for (now, &phit) in phits.iter().enumerate() {
+            f.send_phit(0, now as u64, phit);
         }
         f
     }
 
-    #[test]
-    fn heads_at_the_maximum_rate_fill_a_global_links_26_ids() {
-        let mut f = global_link_at_the_head_rate(100);
-        assert_eq!(f.head_capacity(0), 26);
-        assert_eq!(f.heads[0][1] & 0xFFFF, 26, "13 heads of each VC in flight");
-        f.check_head_fifos().unwrap();
-        // They leave in launch order, each with its own id.
-        for now in 100..=200 {
-            let got = arrived(&mut f, 0, now).phit.unwrap();
-            let launched = now - 100;
-            let want = (launched % 8 < 2).then_some(PacketId(launched as u32));
+    /// Phit `k` of an 8-phit packet on `vc`, the head naming `packet`.
+    fn nth(packet: u32, vc: u8, k: u32) -> PhitInFlight {
+        if k == 0 {
+            PhitInFlight::head(PacketId(packet), vc, false)
+        } else {
+            PhitInFlight::body(vc, k == 7)
+        }
+    }
+
+    /// The 100-cycle global link of 2 VCs at the maximum rate, cycles 0
+    /// through `last`: VC 0 on even cycles, VC 1 on odd ones, 8-phit packets
+    /// back to back on each, so a VC's heads launch 16 cycles apart and a
+    /// head's id is its launch cycle.
+    fn global_link_at_the_head_rate(last: u32) -> LinkFabric {
+        let phits: Vec<PhitInFlight> = (0..=last)
+            .map(|now| nth(now, (now % 2) as u8, now / 2 % 8))
+            .collect();
+        launched(100, 2, &phits)
+    }
+
+    /// Drain link 0 over cycles `from..=to` and check that the head launched
+    /// at each cycle `latency` before comes off with its own id.
+    fn drains_in_launch_order(f: &mut LinkFabric, from: u64, to: u64, heads: &[u64]) {
+        let latency = f.latency(0);
+        for now in from..=to {
+            let got = arrived(f, 0, now).phit.unwrap();
+            let launched = now - latency;
+            let want = heads
+                .contains(&launched)
+                .then_some(PacketId(launched as u32));
             assert_eq!(got.head_packet(), want, "cycle {now}");
         }
         assert!(f.is_idle(0));
     }
 
     #[test]
-    #[should_panic(expected = "link 0: a head launched with 26 heads in flight")]
+    fn heads_at_the_maximum_rate_fill_a_global_links_14_ids() {
+        // By cycle 100 the ring holds 101 phits: six whole packets of each
+        // VC and the first phits of a seventh, whose heads (cycles 96 and
+        // 97) straddle the window's end.
+        let mut f = global_link_at_the_head_rate(100);
+        assert_eq!(f.head_capacity(0), 14);
+        assert_eq!(f.heads[0][1] & 0xFFFF, 14, "7 heads of each VC in flight");
+        f.check_head_fifos().unwrap();
+        let heads: Vec<u64> = (0..=100).filter(|now| now / 2 % 8 == 0).collect();
+        assert_eq!(heads.len(), 14);
+        drains_in_launch_order(&mut f, 100, 200, &heads);
+    }
+
+    #[test]
+    fn heads_at_the_maximum_rate_fill_a_local_links_4_ids() {
+        // A 10-cycle local link of 3 VCs: one whole packet on VC 0 (cycles
+        // 0–7), then the heads of all three VCs (8, 9, 10), each packet
+        // straddling the window's end.
+        let mut phits: Vec<PhitInFlight> = (0..8).map(|k| nth(0, 0, k)).collect();
+        phits.extend((0..3).map(|vc| nth(8 + vc, vc as u8, 0)));
+        let mut f = launched(10, 3, &phits);
+        assert_eq!(f.head_capacity(0), 4);
+        assert_eq!(f.heads[0][1] & 0xFFFF, 4, "4 heads in flight");
+        f.check_head_fifos().unwrap();
+        drains_in_launch_order(&mut f, 10, 20, &[0, 8, 9, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0: a head launched with 14 heads in flight")]
     fn a_head_beyond_the_fifo_bound_panics() {
-        // 26 heads are in flight by cycle 97; a 27th at cycle 100 (VC 0 only
-        // 4 cycles after its last head) breaks the law the bound rests on.
+        // 14 heads are in flight by cycle 97; a 15th at cycle 100 (VC 0
+        // before the tail of the packet it opened at 96) breaks the law the
+        // bound rests on.
         let mut f = global_link_at_the_head_rate(99);
         f.send_phit(0, 100, PhitInFlight::head(PacketId(100), 0, false));
     }

@@ -16,14 +16,14 @@ use dragonfly_rng::{derive_seed, Rng};
 use dragonfly_topology::{DragonflyParams, NodeId, Port, PortKind, RouterId};
 use dragonfly_traffic::{BernoulliInjection, TrafficPattern};
 use dragonfly_workload::Schedule;
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A generated packet that has not started injecting: everything generation
-/// decided about it, in 24 bytes.  A [`Packet`] is over twice that, so the
-/// arena slot is taken only when the head phit enters the injection buffer —
-/// the backlog of a saturated source costs a queue entry per packet, and the
-/// arena holds what is in the network, which the buffers bound.
+/// decided about it, and the link to the packet queued behind it at its
+/// node, in 24 bytes.  A [`Packet`] is twice that, so the arena slot is
+/// taken only when the head phit enters the injection buffer — the backlog
+/// of a saturated source costs a record per packet, and the arena holds
+/// what is in the network, which the buffers bound.
 #[derive(Debug, Clone, Copy)]
 struct Generated {
     dst: NodeId,
@@ -31,37 +31,163 @@ struct Generated {
     job: u16,
     phase: u16,
     measured: bool,
+    /// The record behind this one in its node's queue, or in the free list
+    /// ([`NIL`] at either's end); set when [`SourceQueues::push`] files it.
+    next: u32,
 }
 
-/// Unbounded per-node source queue feeding the router's injection port.
-#[derive(Debug)]
+/// The end of a list of [`SourceQueues`] records.
+const NIL: u32 = u32::MAX;
+
+/// One owned node's queue: its first and last record, and the phits of its
+/// part-fed packet already pushed into the injection buffer (0 when none
+/// is part-fed).
+#[derive(Debug, Clone, Copy)]
 struct SourceQueue {
-    /// Packets waiting to enter the injection buffer; the front one may be
-    /// part-way in.
-    pending: VecDeque<Generated>,
-    /// Phits of the head packet already pushed into the injection buffer.
+    head: u32,
+    tail: u32,
     head_phits_sent: u16,
 }
 
-impl SourceQueue {
-    /// Slots reserved up front.  Below saturation a queue holds a packet or
-    /// two, and a node of a nearly idle machine may generate its first packet
-    /// arbitrarily late — a first-push allocation would never be "warmed up".
+/// Every owned node's unbounded source queue, feeding its router's
+/// injection port: records of one slab threaded into a list per node, with
+/// a LIFO free list through the same links (the [`PacketArena`]'s pattern).
+///
+/// A packet leaves its queue when its head phit enters the injection
+/// buffer, where it takes its arena slot; the node then feeds the rest of
+/// it, counted in `head_phits_sent`, before the next record.  Only owned
+/// nodes have a queue, at `node - base`.
+#[derive(Debug)]
+struct SourceQueues {
+    /// First owned node.
+    base: usize,
+    queues: Vec<SourceQueue>,
+    slab: Vec<Generated>,
+    /// First record of the free list.
+    free: u32,
+    /// Records in some node's queue.
+    queued: usize,
+}
+
+impl SourceQueues {
+    /// Records reserved up front per owned node.  Below saturation a queue
+    /// holds a packet or two, and a node of a nearly idle machine may
+    /// generate its first packet arbitrarily late — a first-push allocation
+    /// would never be "warmed up".
     const RESERVED: usize = 4;
 
-    /// The queue of a node this network instance injects for (`owned`), or
-    /// the placeholder of one it does not: same place in the node array,
-    /// nothing reserved.
-    fn new(owned: bool) -> Self {
-        Self {
-            pending: VecDeque::with_capacity(if owned { Self::RESERVED } else { 0 }),
+    /// Empty queues for the nodes in `owned`.
+    fn new(owned: Range<usize>) -> Self {
+        let empty = SourceQueue {
+            head: NIL,
+            tail: NIL,
             head_phits_sent: 0,
+        };
+        Self {
+            base: owned.start,
+            queues: vec![empty; owned.len()],
+            slab: Vec::with_capacity(owned.len() * Self::RESERVED),
+            free: NIL,
+            queued: 0,
         }
     }
 
-    /// True when no packet is waiting.
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+    /// Make room for `additional` more records without reallocating.
+    fn reserve(&mut self, additional: usize) {
+        self.slab.reserve_exact(additional);
+    }
+
+    /// Append `packet` to `node`'s queue.
+    fn push(&mut self, node: usize, mut packet: Generated) {
+        packet.next = NIL;
+        let at = if self.free == NIL {
+            assert!(self.slab.len() < NIL as usize, "queued packets beyond u32");
+            self.slab.push(packet);
+            (self.slab.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = self.slab[at as usize].next;
+            self.slab[at as usize] = packet;
+            at
+        };
+        let queue = &mut self.queues[node - self.base];
+        match queue.tail {
+            NIL => queue.head = at,
+            tail => self.slab[tail as usize].next = at,
+        }
+        queue.tail = at;
+        self.queued += 1;
+    }
+
+    /// Account one phit of `node`'s front packet, `size` phits long, fed
+    /// into the injection buffer: the packet itself when this is its head,
+    /// which takes it off the queue, and whether this is its tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` has nothing to feed.
+    #[inline]
+    fn feed_phit(&mut self, node: usize, size: u16) -> (Option<Generated>, bool) {
+        let queue = &mut self.queues[node - self.base];
+        let mut opened = None;
+        if queue.head_phits_sent == 0 {
+            let at = queue.head;
+            assert_ne!(
+                at, NIL,
+                "node {node}: a phit fed from an empty source queue"
+            );
+            let packet = self.slab[at as usize];
+            queue.head = packet.next;
+            if packet.next == NIL {
+                queue.tail = NIL;
+            }
+            self.slab[at as usize].next = self.free;
+            self.free = at;
+            self.queued -= 1;
+            opened = Some(packet);
+        }
+        queue.head_phits_sent += 1;
+        let is_tail = queue.head_phits_sent == size;
+        if is_tail {
+            queue.head_phits_sent = 0;
+        }
+        (opened, is_tail)
+    }
+
+    /// True when `node` has no packet queued or part-fed.
+    #[inline]
+    fn is_empty(&self, node: usize) -> bool {
+        let queue = &self.queues[node - self.base];
+        queue.head == NIL && queue.head_phits_sent == 0
+    }
+
+    /// Heap bytes of the per-node ends and the slab (capacity × size).
+    fn allocated_bytes(&self) -> usize {
+        self.queues.capacity() * std::mem::size_of::<SourceQueue>()
+            + self.slab.capacity() * std::mem::size_of::<Generated>()
+    }
+
+    /// Check that the queues and the free list partition the slab, and that
+    /// `queued` counts the queues' records; `Err` says which count is off.
+    fn check(&self) -> Result<(), String> {
+        let walk = |mut at: u32| {
+            let mut len = 0;
+            while at != NIL && len <= self.slab.len() {
+                len += 1;
+                at = self.slab[at as usize].next;
+            }
+            len
+        };
+        let queued: usize = self.queues.iter().map(|q| walk(q.head)).sum();
+        let free = walk(self.free);
+        if queued != self.queued || queued + free != self.slab.len() {
+            return Err(format!(
+                "source queues: {queued} records queued (counted {}) and {free} free of {}",
+                self.queued,
+                self.slab.len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -123,7 +249,8 @@ pub struct PoolBytes {
     /// The per-packet delay table, reserved like the arena while the delay
     /// probe is armed, nothing otherwise.
     pub delay_table: usize,
-    /// Source-queue reservations.
+    /// The owned nodes' source queues: a `(head, tail, phits fed)` triple
+    /// per node and the record pool, as reserved.
     pub source_queues: usize,
 }
 
@@ -155,9 +282,9 @@ pub struct Network<R: RoutingAlgorithm> {
     /// cleared by its tail ([`PacketId::NONE`] between packets).  The body
     /// and tail phits a node consumes name no packet (see [`LinkFabric`]).
     ejecting: Vec<PacketId>,
-    /// Per-node source queues, filled through `push_generated` only (which
-    /// keeps `pending_sources` in step).
-    sources: Vec<SourceQueue>,
+    /// The owned nodes' source queues, filled through `push_generated` only
+    /// (which keeps `pending_sources` in step).
+    sources: SourceQueues,
     /// Packet arena, reserved at `arena_bound` (at least
     /// [`MIN_RESERVED_SLOTS`]).
     pub packets: PacketArena,
@@ -276,10 +403,10 @@ impl<R: RoutingAlgorithm> Network<R> {
     ///   [`Network::take_link_credits`]), so it holds one cycle's slot: one
     ///   phit, or one mask of credits.  A link with neither end owned holds
     ///   nothing;
-    /// * source queues reserve their slots for owned nodes only, and the
-    ///   arena (and the delay table, once armed) reserves what the owned
-    ///   routers' buffers can hold ([`Network::arena_bound`], at least
-    ///   [`MIN_RESERVED_SLOTS`]).
+    /// * source queues exist for owned nodes only, their pool reserving
+    ///   records for those, and the arena (and the delay table, once armed)
+    ///   reserves what the owned routers' buffers can hold
+    ///   ([`Network::arena_bound`], at least [`MIN_RESERVED_SLOTS`]).
     ///
     /// [`Network::check_due_sets`] checks that nothing un-owned is ever
     /// scheduled; [`Network::allocated_bytes`] reports what was allocated.
@@ -324,71 +451,70 @@ impl<R: RoutingAlgorithm> Network<R> {
         let h = params.h();
         let downstream = downstream_capacities(&config);
 
-        let mut routers = Vec::with_capacity(num_routers);
-        let mut specs = Vec::with_capacity(num_routers * ports);
-        for r in 0..num_routers {
+        let routers: Vec<Router> = (0..num_routers)
+            .map(|r| {
+                let rid = RouterId(r as u32);
+                if owned.contains(&r) {
+                    Router::new(rid, &config, &downstream)
+                } else {
+                    Router::husk(rid)
+                }
+            })
+            .collect();
+
+        // One pass over the links, `li = router × ports + flat port`: each
+        // spec streams into the fabric as the reverse map — which link feeds
+        // each (router, input port)? — is filled, so no list of specs is
+        // ever held.
+        let mut incoming_link = vec![NO_LINK; num_routers * ports];
+        let specs = (0..num_routers * ports).map(|li| {
+            let (r, flat) = (li / ports, li % ports);
             let rid = RouterId(r as u32);
             let tx_owned = owned.contains(&r);
-            routers.push(if tx_owned {
-                Router::new(rid, &config, &downstream)
-            } else {
-                Router::husk(rid)
-            });
-            for flat in 0..ports {
-                let port = Port::from_flat(flat, h);
-                let latency = config.latency_for_port(port);
-                let (to, rx_owned) = match port {
-                    Port::Local(_) | Port::Global(_) => {
-                        let (nbr, back) = params.neighbor(rid, port);
-                        let end = LinkEnd::Router {
-                            router: nbr.index(),
-                            port: back.flat(h),
-                        };
-                        (end, owned.contains(&nbr.index()))
-                    }
-                    Port::Terminal(t) => {
-                        let node = params.node_of_router(rid, t);
-                        (LinkEnd::Node { node }, tx_owned)
-                    }
-                };
-                // Slots (see `LinkFabric`): a link launches at most one phit,
-                // and returns at most one credit per VC, per cycle, so each
-                // pipeline is one slot per arrival cycle in flight —
-                // `latency + 1` — in the instance that owns the end it drains
-                // at.  An instance owning only the launching end exports what
-                // it launched at the same cycle's barrier: one slot.
-                let full = latency as usize + 1;
-                let (phit_slots, credit_slots) = match (tx_owned, rx_owned) {
-                    (true, true) => (full, full),
-                    (true, false) => (1, full),
-                    (false, true) => (full, 1),
-                    (false, false) => (0, 0),
-                };
-                specs.push(LinkSpec {
-                    latency,
-                    to,
-                    phit_slots,
-                    credit_slots,
-                    vcs: config.vcs_for(port.kind()),
-                });
+            let port = Port::from_flat(flat, h);
+            let latency = config.latency_for_port(port);
+            let (to, rx_owned) = match port {
+                Port::Local(_) | Port::Global(_) => {
+                    let (nbr, back) = params.neighbor(rid, port);
+                    incoming_link[nbr.index() * ports + back.flat(h)] =
+                        u32::try_from(li).expect("`validate` bounds h, so a link id fits a u32");
+                    let end = LinkEnd::Router {
+                        router: nbr.index(),
+                        port: back.flat(h),
+                    };
+                    (end, owned.contains(&nbr.index()))
+                }
+                Port::Terminal(t) => {
+                    let node = params.node_of_router(rid, t);
+                    (LinkEnd::Node { node }, tx_owned)
+                }
+            };
+            // Slots (see `LinkFabric`): a link launches at most one phit,
+            // and returns at most one credit per VC, per cycle, so each
+            // pipeline is one slot per arrival cycle in flight —
+            // `latency + 1` — in the instance that owns the end it drains
+            // at.  An instance owning only the launching end exports what
+            // it launched at the same cycle's barrier: one slot.
+            let full = latency as usize + 1;
+            let (phit_slots, credit_slots) = match (tx_owned, rx_owned) {
+                (true, true) => (full, full),
+                (true, false) => (1, full),
+                (false, true) => (full, 1),
+                (false, false) => (0, 0),
+            };
+            LinkSpec {
+                latency,
+                to,
+                phit_slots,
+                credit_slots,
+                vcs: config.vcs_for(port.kind()),
             }
-        }
-
-        // Reverse map: which link feeds each (router, input port)?
-        let mut incoming_link = vec![NO_LINK; num_routers * ports];
-        for (li, spec) in specs.iter().enumerate() {
-            if let LinkEnd::Router { router, port } = spec.to {
-                incoming_link[router * ports + port] =
-                    u32::try_from(li).expect("`validate` bounds h, so a link id fits a u32");
-            }
-        }
-        let fabric = LinkFabric::build(&specs, config.packet_size);
+        });
+        let fabric = LinkFabric::build(specs, config.packet_size);
 
         let per_router = params.nodes_per_router();
         let owned_nodes = owned.start * per_router..owned.end * per_router;
-        let sources = (0..num_nodes)
-            .map(|n| SourceQueue::new(owned_nodes.contains(&n)))
-            .collect();
+        let sources = SourceQueues::new(owned_nodes.clone());
         let ejecting = vec![PacketId::NONE; owned_nodes.len() * config.vcs_for(PortKind::Terminal)];
         let stats = StatsCollector::new(64 * 1024);
         let pb_board = GlobalStatusBoard::new(params.groups(), params.global_channels_per_group());
@@ -502,6 +628,8 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Pre-load every owned node's source queue with `packets_per_node` packets
     /// (burst mode).
     pub fn preload_burst(&mut self, packets_per_node: u64) {
+        self.sources
+            .reserve(self.owned_nodes().len() * packets_per_node as usize);
         let mut rngs = std::mem::take(&mut self.rngs);
         for n in self.owned_nodes() {
             let src = NodeId(n as u32);
@@ -529,6 +657,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 job: UNTAGGED,
                 phase: UNTAGGED,
                 measured,
+                next: NIL,
             },
         );
         self.stats.record_generated(self.config.packet_size);
@@ -541,7 +670,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             "node {} is not owned by this network instance",
             src.index()
         );
-        self.sources[src.index()].pending.push_back(packet);
+        self.sources.push(src.index(), packet);
         self.pending_sources.insert(src.index());
     }
 
@@ -748,14 +877,13 @@ impl<R: RoutingAlgorithm> Network<R> {
                 activity = true;
                 match self.fabric.end(li) {
                     LinkEnd::Router { router, port } => {
-                        // The head opens a slot of the packet's size; the
-                        // phits after it continue the VC's open tail.
-                        let opens = phit.head_packet().map(|id| {
+                        // The head appends its packet; the phits after it
+                        // continue the VC's open tail.
+                        let opens = phit.head_packet().inspect(|&id| {
                             // Delay attribution: arrival ends this hop's link
                             // transit (first phit out → head in) and starts
                             // the wait for a grant.
                             self.close_leg(id, Leg::LinkTransit, cycle);
-                            (id, self.packets.get(id).size)
                         });
                         let occupancy = self.inputs.receive_phit(
                             &mut self.packets,
@@ -951,6 +1079,7 @@ impl<R: RoutingAlgorithm> Network<R> {
                 job,
                 phase,
                 measured: self.tag_measured,
+                next: NIL,
             },
         );
         self.stats
@@ -1004,20 +1133,15 @@ impl<R: RoutingAlgorithm> Network<R> {
             if self.inputs.free_space(router, port, 0) == 0 {
                 continue;
             }
-            let source = &self.sources[n];
-            let sent = source.head_phits_sent;
             // The head phit allocates the packet and carries its id; the
             // phits after it continue the injection VC's open tail.
+            let (opened, is_tail) = self.sources.feed_phit(n, size);
             let mut opens = None;
-            if sent == 0 {
-                let generated = *source
-                    .pending
-                    .front()
-                    .expect("a pending source has a queued packet");
+            if let Some(generated) = opened {
                 let head =
                     self.packets
                         .alloc(NodeId(n as u32), generated.dst, size, generated.gen_cycle);
-                opens = Some((head, size));
+                opens = Some(head);
                 let packet = self.packets.get_mut(head);
                 packet.measured = generated.measured;
                 packet.job = generated.job;
@@ -1028,25 +1152,14 @@ impl<R: RoutingAlgorithm> Network<R> {
                 self.open_ledger(head, DelayState::generated_at(generated.gen_cycle));
                 self.close_leg(head, Leg::InjectionQueue, cycle);
             }
-            let occupancy = self.inputs.receive_phit(
-                &mut self.packets,
-                router,
-                port,
-                0,
-                opens,
-                sent + 1 == size,
-            );
+            let occupancy =
+                self.inputs
+                    .receive_phit(&mut self.packets, router, port, 0, opens, is_tail);
             self.stats.note_vc_occupancy(occupancy);
-            let source = &mut self.sources[n];
-            source.head_phits_sent += 1;
             activity = true;
-            if source.head_phits_sent == size {
-                source.pending.pop_front();
-                source.head_phits_sent = 0;
-                if source.pending.is_empty() {
-                    // Safe mid-sweep: removal at the cursor never skips members.
-                    self.pending_sources.remove(n);
-                }
+            if is_tail && self.sources.is_empty(n) {
+                // Safe mid-sweep: removal at the cursor never skips members.
+                self.pending_sources.remove(n);
             }
             self.buffered_phits[router] += 1;
             self.buffered_total += 1;
@@ -1180,6 +1293,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         let ports = self.params.ports_per_router();
         let h = self.params.h();
         let flow_control = self.config.flow_control;
+        let size = self.config.packet_size;
         let mut activity = false;
         let mut cursor = 0;
         while let Some(r) = self.active_routers.next_at_or_after(cursor) {
@@ -1205,11 +1319,10 @@ impl<R: RoutingAlgorithm> Network<R> {
                         continue;
                     }
                     let input = self.inputs.vc(r, ip as usize, ivc as usize);
-                    if input.head_present() == 0 {
+                    if input.head_present(size as u16) == 0 {
                         continue;
                     }
                     // At a flit boundary, wormhole needs space for the whole flit.
-                    let size = input.head_size() as usize;
                     let sent = input.head_sent() as usize;
                     let fl = flow_control.flit_phits(size);
                     if fl > 1 && sent.is_multiple_of(fl) {
@@ -1603,13 +1716,11 @@ impl<R: RoutingAlgorithm> Network<R> {
     }
 
     /// Generated packets waiting at this instance's sources that hold no
-    /// arena slot yet.  A queue's front packet takes its slot with its first
-    /// phit, so a part-fed one is live in the arena and not counted here.
+    /// arena slot yet (a count, not a scan).  A packet leaves its queue for
+    /// its arena slot with its first phit, so a part-fed one is live in the
+    /// arena and not counted here.
     pub fn queued_packets(&self) -> usize {
-        self.sources
-            .iter()
-            .map(|source| source.pending.len() - usize::from(source.head_phits_sent > 0))
-            .sum()
+        self.sources.queued
     }
 
     /// Packets this instance still holds whose head has crossed a boundary
@@ -1642,7 +1753,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// The partition of a sharded run is exact in these terms: see
     /// [`PoolBytes`].
     pub fn allocated_bytes(&self) -> PoolBytes {
-        let mut bytes = PoolBytes {
+        PoolBytes {
             input_fabric: self.inputs.allocated_bytes(),
             port_vectors: self.routers.iter().map(Router::allocated_bytes).sum(),
             fabric_pools: self.fabric.pool_bytes(),
@@ -1651,12 +1762,8 @@ impl<R: RoutingAlgorithm> Network<R> {
             delay_table: self.delay.as_ref().map_or(0, |table| {
                 table.capacity() * std::mem::size_of::<DelayState>()
             }),
-            ..PoolBytes::default()
-        };
-        for source in &self.sources {
-            bytes.source_queues += source.pending.capacity() * std::mem::size_of::<Generated>();
+            source_queues: self.sources.allocated_bytes(),
         }
-        bytes
     }
 
     // ------------------------------------------------------------------
@@ -1830,20 +1937,21 @@ impl<R: RoutingAlgorithm> Network<R> {
             }
         }
         let owned_nodes = self.owned_nodes();
-        for (n, source) in self.sources.iter().enumerate() {
-            if !owned_nodes.contains(&n)
-                && (self.pending_sources.contains(n) || source.pending.capacity() != 0)
-            {
-                return Err(format!("node {n} is not owned but has a source queue"));
-            }
-            if self.pending_sources.contains(n) == source.is_empty() {
+        for n in 0..self.params.num_nodes() {
+            let pending = self.pending_sources.contains(n);
+            if !owned_nodes.contains(&n) {
+                if pending {
+                    return Err(format!("node {n} is not owned but is scheduled"));
+                }
+            } else if pending == self.sources.is_empty(n) {
                 return Err(format!(
-                    "node {n}: pending_sources membership is {} with {} packets queued",
-                    self.pending_sources.contains(n),
-                    source.pending.len()
+                    "node {n}: pending_sources membership is {pending} with its source \
+                     queue {}",
+                    if pending { "empty" } else { "holding a packet" }
                 ));
             }
         }
+        self.sources.check()?;
         for li in 0..self.fabric.len() {
             if !self.owns_transmitter(li)
                 && !self.owns_receiver(li)
@@ -2140,7 +2248,7 @@ mod tests {
     fn construction_counts() {
         let net = tiny_network();
         assert_eq!(net.routers.len(), 36);
-        assert_eq!(net.sources.len(), 72);
+        assert_eq!(net.sources.queues.len(), 72);
         assert_eq!(net.num_links(), 36 * 7);
         assert_eq!(net.routing_name(), "Minimal");
         assert_eq!(net.traffic_name(), "UN");
@@ -2149,26 +2257,33 @@ mod tests {
 
     /// The per-entry sizes the eagerly reserved state is priced in.  Each
     /// comment gives what the entry costs on the h = 8 paper machine
-    /// (2 064 routers: 69 input and 85 output VCs, 989 phit and 989 credit
-    /// pipeline slots per router; 1 006 arena slots per router, 128h − 18 by
-    /// `packets_per_router`: 6 for each of the 8 injection VCs, the 45 local
-    /// and the 24 ejection VCs, 34 for each of the 16 global VCs).
+    /// (2 064 routers of 8 nodes: 69 input and 85 output VCs, 989 phit and
+    /// 989 credit pipeline slots per router; 1 006 arena slots per router,
+    /// 128h − 18 by `packets_per_router`: 6 for each of the 8 injection VCs,
+    /// the 45 local and the 24 ejection VCs, 34 for each of the 16 global
+    /// VCs).
     #[test]
     fn hot_path_layout_is_pinned() {
         use crate::buffer::InputVc;
         use crate::router::OutputVc;
         use std::mem::size_of;
-        // 142 416 input VCs, each two packet ids, four phit counters, the
-        // occupancy and the route word: 3.4 MB.
-        assert_eq!(size_of::<InputVc>(), 24);
+        // 142 416 input VCs, each two packet ids and four 16-bit words (the
+        // head's phits sent, the tail's received, the occupancy and the
+        // packed route): 2.3 MB.
+        assert_eq!(size_of::<InputVc>(), 16);
         // 175 440 output VCs: 2.1 MB.
         assert!(size_of::<OutputVc>() <= 12);
         // 2 041 296 phit pipeline slots, a tag byte each: 2.0 MB.  Only a
-        // head's id rides the link, in a head FIFO of 2, 6 or 26 ids per
-        // terminal, local or global link (`fabric::head_slots`), 314 per
-        // router: 648 096 ids, 2.6 MB; and the ejection registers, an id
+        // head's id rides the link, in a head FIFO of 2, 4 or 14 ids per
+        // terminal, local or global link (`fabric::head_slots`), 188 per
+        // router: 388 032 ids, 1.6 MB; and the ejection registers, an id
         // per node and ejection VC: 49 536 ids, 0.2 MB.
         assert_eq!(size_of::<PacketId>(), 4);
+        // 16 512 source queues, a `(head, tail, phits fed)` triple each:
+        // 0.2 MB; and a pool of 4 queued-packet records per node, reserved
+        // (1.6 MB), resident only as far as records are used.
+        assert_eq!(size_of::<SourceQueue>(), 12);
+        assert_eq!(size_of::<Generated>(), 24);
         // 2 041 296 credit pipeline slots, a VC mask byte each: 2.0 MB.
         assert_eq!(crate::config::MAX_VCS_PER_PORT, u8::BITS as usize);
         // A phit as a drain yields it and a shard boundary ships it.

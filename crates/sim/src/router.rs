@@ -11,8 +11,9 @@ use dragonfly_topology::{Port, RouterId};
 /// One output virtual channel: the credit count of the downstream buffer and the input
 /// VC that currently owns it (a packet in transfer holds the VC from head to tail).
 ///
-/// Twelve bytes: two `u32` phit counts (`SimConfig::validate` bounds every
-/// buffer by `u32::MAX`) and the owner packed into a `u32`.
+/// Twelve bytes: two `u32` phit counts (an ejection VC faces its node with
+/// `max(4 × packet_size, injection_buffer)` phits, beyond a `u16`) and the
+/// owner packed into a `u16`.
 #[derive(Debug, Clone)]
 pub struct OutputVc {
     /// Free phits currently available in the downstream input VC buffer.
@@ -20,7 +21,7 @@ pub struct OutputVc {
     /// Capacity of the downstream buffer in phits.
     pub downstream_capacity: u32,
     /// Packed input `(flat port, VC)` owning this output VC (see [`OutputVc::owner`]).
-    owner: u32,
+    owner: u16,
 }
 
 impl OutputVc {
@@ -204,8 +205,7 @@ mod tests {
         let size = config.packet_size as u16;
         let [p10, p11, p12] = [0, 1, 2].map(|_| arena.alloc(NodeId(0), NodeId(1), size, 0));
         for (router, vc, packet) in [(4, 0, p10), (4, 1, p11), (5, 0, p12)] {
-            let occupancy =
-                inputs.receive_phit(&mut arena, router, flat, vc, Some((packet, size)), false);
+            let occupancy = inputs.receive_phit(&mut arena, router, flat, vc, Some(packet), false);
             assert_eq!(occupancy, 1);
         }
         assert_eq!(inputs.vc(4, flat, 0).head(), Some(p10));

@@ -169,8 +169,9 @@ fn ring_meta_view_matches_vecdeque_model() {
 /// path — a source feeds VC 0, each VC forwards into the next, and VC 2
 /// ejects — so a packet is cut through several VCs at once, as in the
 /// engine: the head of one VC while the tail of the next, and head = tail
-/// within one.  Sizes are 1..=80 phits and capacities 1..=96, so packets
-/// span VCs both ways.  After every move the head id, its present phits,
+/// within one.  Every packet of a case has its size, as every packet of a
+/// network has the configuration's; sizes are 1..=80 phits over the cases
+/// and capacities 1..=96, so packets span VCs both ways.  After every move the head id, its present phits,
 /// the occupancy and every interior link agree with the model, each tail
 /// sent pops the model's front, and a popped packet's link is reset.
 #[test]
@@ -186,6 +187,7 @@ fn input_vc_lists_match_a_vecdeque_model() {
     let (mut tails, mut cut_through) = (0, 0);
     for case in 0..64 {
         let capacity: [usize; VCS] = std::array::from_fn(|_| 1 + meta_rng.gen_index(96));
+        let size = 1 + meta_rng.gen_index(80) as u16;
         let mut rng = Rng::seed_from(0x1157 + case);
         let mut arena = PacketArena::with_capacity(4);
         let mut vcs = [InputVc::default(); VCS];
@@ -199,25 +201,23 @@ fn input_vc_lists_match_a_vecdeque_model() {
                 if vcs[0].occupancy() == capacity[0] {
                     continue;
                 }
-                let (id, size, fed) = *source.get_or_insert_with(|| {
-                    let size = 1 + rng.gen_index(80) as u16;
-                    (arena.alloc(NodeId(0), NodeId(1), size, 0), size, 0)
-                });
-                let opens = (fed == 0).then_some((id, size));
-                vcs[0].receive_phit(&mut arena, capacity[0], opens, fed + 1 == size);
+                let (id, size, fed) = *source
+                    .get_or_insert_with(|| (arena.alloc(NodeId(0), NodeId(1), size, 0), size, 0));
+                let opens = (fed == 0).then_some(id);
+                vcs[0].receive_phit(&mut arena, capacity[0], size, opens, fed + 1 == size);
                 receive_into(&mut model[0], id, size, fed == 0);
                 source = (fed + 1 < size).then_some((id, size, fed + 1));
             } else {
                 // VC `hop - 1` forwards one phit into VC `hop`, or ejects.
                 let from = hop - 1;
-                if vcs[from].head_present() == 0
+                if vcs[from].head_present(size) == 0
                     || (hop < VCS && vcs[hop].occupancy() == capacity[hop])
                 {
                     continue;
                 }
                 let &(id, size, received, sent) = model[from].front().unwrap();
                 cut_through += (received < size) as u32;
-                let (packet, is_tail) = vcs[from].send_phit(&mut arena);
+                let (packet, is_tail) = vcs[from].send_phit(&mut arena, size);
                 assert_eq!((packet, is_tail), (id, sent + 1 == size));
                 model[from][0].3 += 1;
                 if is_tail {
@@ -229,7 +229,8 @@ fn input_vc_lists_match_a_vecdeque_model() {
                     vcs[hop].receive_phit(
                         &mut arena,
                         capacity[hop],
-                        (sent == 0).then_some((id, size)),
+                        size,
+                        (sent == 0).then_some(id),
                         is_tail,
                     );
                     receive_into(&mut model[hop], id, size, sent == 0);
@@ -242,7 +243,10 @@ fn input_vc_lists_match_a_vecdeque_model() {
                 assert_eq!(vc.occupancy(), present as usize);
                 assert_eq!(vc.is_empty(), model.is_empty());
                 assert_eq!(vc.head(), model.front().map(|m| m.0));
-                assert_eq!(vc.head_present(), model.front().map_or(0, |m| m.2 - m.3));
+                assert_eq!(
+                    vc.head_present(size),
+                    model.front().map_or(0, |m| m.2 - m.3)
+                );
                 for pair in model.iter().collect::<Vec<_>>().windows(2) {
                     assert_eq!(arena.successor(pair[0].0), Some(pair[1].0));
                 }
@@ -319,10 +323,14 @@ impl<T: Copy> Pipe<T> {
 /// the high-water marks must agree.
 ///
 /// Phits follow the law the head FIFOs are sized by: packets of 1..=9
-/// phits, links of 1..=8 VCs, and the heads of one VC at least a packet
-/// apart.  Launches favour heads — a head goes out whenever some VC may
-/// start one — so FIFOs fill to their bound, and every drained head's id is
-/// compared with the model's.
+/// phits (each size in turn), links of 1..=8 VCs, and on each VC a packet's
+/// `packet_size` phits in order before the next head.  Half the rounds
+/// launch a phit every cycle in the pattern that reaches the bound: whole
+/// packets back to back, then a head on every VC, then the rest of those
+/// packets.  The others launch at random, favouring heads — a head goes out
+/// whenever some VC may start one.  FIFOs fill to their bound at every
+/// packet size that can, and every drained head's id is compared with the
+/// model's.
 #[test]
 fn link_fabric_slots_match_a_vecdeque_model() {
     use dragonfly::sim::{head_slots, LinkEnd, LinkFabric, LinkSpec, PacketId, PhitInFlight};
@@ -357,9 +365,11 @@ fn link_fabric_slots_match_a_vecdeque_model() {
 
     let mut meta = Rng::seed_from(0x5107);
     let (mut heads_drained, mut fifos_filled) = (0, 0);
-    for case in 0..48 {
+    let mut filled_at_size = [0usize; 10];
+    for case in 0..72 {
         let mut rng = Rng::seed_from(meta.next_u64());
-        let packet_size = 1 + rng.gen_index(9);
+        let packet_size = 1 + case % 9;
+        let packed = case / 9 % 2 == 0;
         // (latency, VCs, kind) per link; boundary pairs sit side by side.
         let mut links = Vec::new();
         for _ in 0..1 + rng.gen_index(3) {
@@ -390,7 +400,7 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                 }
             })
             .collect();
-        let mut f = LinkFabric::build(&specs, packet_size);
+        let mut f = LinkFabric::build(specs.iter().copied(), packet_size);
         for (li, spec) in specs.iter().enumerate() {
             let want = head_slots(spec.phit_slots, spec.vcs, packet_size);
             assert_eq!(f.head_capacity(li), want, "case {case}, link {li}");
@@ -403,16 +413,35 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             })
             .collect();
         // Some cases launch a phit every cycle: heads at the maximum rate.
-        let load = if rng.bernoulli(0.5) {
+        let load = if packed || rng.bernoulli(0.5) {
             1.0
         } else {
             0.1 + rng.next_f64() * 0.9
         };
         let credit_load = rng.next_f64();
         let mut next_packet = 0u32;
-        // Per link and VC: the cycle of its last head launch.
-        let mut last_head: Vec<Vec<Option<u64>>> =
-            links.iter().map(|&(_, vcs, _)| vec![None; vcs]).collect();
+        // Per link and VC: the phits of its open packet still to launch.
+        let mut left: Vec<Vec<usize>> = links.iter().map(|&(_, vcs, _)| vec![0; vcs]).collect();
+        // Per link, the packed pattern as `(VC, phit of its packet)`, one a
+        // cycle, repeated: the drain of a cycle comes before its launches,
+        // so `latency` launches are in flight, and the pattern puts
+        // `⌊(latency − VCs) / packet_size⌋` whole packets before a head on
+        // every VC.
+        let patterns: Vec<Vec<(usize, usize)>> = links
+            .iter()
+            .map(|&(latency, vcs, _)| {
+                let whole = (latency as usize).saturating_sub(vcs) / packet_size;
+                let mut pattern = Vec::new();
+                for n in 0..whole {
+                    pattern.extend((0..packet_size).map(|k| (n % vcs, k)));
+                }
+                pattern.extend((0..vcs).map(|vc| (vc, 0)));
+                for k in 1..packet_size {
+                    pattern.extend((0..vcs).map(|vc| (vc, k)));
+                }
+                pattern
+            })
+            .collect();
         for now in 0..400u64 {
             // Arrivals: every due link yields this cycle's slots.
             for li in 0..links.len() {
@@ -441,21 +470,36 @@ fn link_fabric_slots_match_a_vecdeque_model() {
             // links whose receiver is.
             for (li, &(latency, vcs, kind)) in links.iter().enumerate() {
                 if kind != Kind::Import && rng.bernoulli(load) {
-                    // A head on a random VC free to start a packet, else a
-                    // body phit on a random VC.
-                    let free: Vec<usize> = (0..vcs)
-                        .filter(|&vc| {
-                            last_head[li][vc].is_none_or(|t| now - t >= packet_size as u64)
-                        })
-                        .collect();
-                    let phit = if free.is_empty() {
-                        PhitInFlight::body(rng.gen_index(vcs) as u8, rng.bernoulli(0.5))
+                    // The pattern's next phit, or a head on a random VC free
+                    // to start a packet, else the next phit of a random
+                    // open one.
+                    let vc = if packed {
+                        let pattern = &patterns[li];
+                        pattern[now as usize % pattern.len()].0
                     } else {
-                        let vc = *rng.choose(&free);
-                        last_head[li][vc] = Some(now);
-                        next_packet += 1;
-                        PhitInFlight::head(PacketId(next_packet), vc as u8, packet_size == 1)
+                        let free: Vec<usize> = (0..vcs).filter(|&vc| left[li][vc] == 0).collect();
+                        if free.is_empty() {
+                            rng.gen_index(vcs)
+                        } else {
+                            *rng.choose(&free)
+                        }
                     };
+                    let phit = if left[li][vc] == 0 {
+                        next_packet += 1;
+                        left[li][vc] = packet_size - 1;
+                        PhitInFlight::head(PacketId(next_packet), vc as u8, packet_size == 1)
+                    } else {
+                        left[li][vc] -= 1;
+                        PhitInFlight::body(vc as u8, left[li][vc] == 0)
+                    };
+                    if packed {
+                        let k = patterns[li][now as usize % patterns[li].len()].1;
+                        assert_eq!(
+                            phit.is_head(),
+                            k == 0,
+                            "case {case}: the pattern keeps the law"
+                        );
+                    }
                     f.send_phit(li, now, phit);
                     m[li].phits.push(now + latency, phit);
                     compare(&f, &m, li, now, "after a phit launch");
@@ -463,6 +507,7 @@ fn link_fabric_slots_match_a_vecdeque_model() {
                     let capacity = f.head_capacity(li);
                     if heads.count() == capacity && capacity < specs[li].phit_slots {
                         fifos_filled += 1;
+                        filled_at_size[packet_size] += 1;
                     }
                 }
                 if kind != Kind::Export {
@@ -524,6 +569,11 @@ fn link_fabric_slots_match_a_vecdeque_model() {
         fifos_filled > 100,
         "a head FIFO below its ring's slots was filled only {fifos_filled} times"
     );
+    // One-phit packets make every slot a head (`head_slots` = the ring's
+    // slots), which a ring drained before each launch never fills.
+    for (size, &filled) in filled_at_size.iter().enumerate().skip(2) {
+        assert!(filled > 0, "no head FIFO filled with {size}-phit packets");
+    }
 }
 
 /// Filling a ring to capacity and wrapping it many times never corrupts FIFO

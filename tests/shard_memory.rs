@@ -5,7 +5,8 @@
 //! arrays keep their full length on every shard, but the pools behind them —
 //! the input fabric (every input VC), the routers' output
 //! ports, link pipelines, the packet arena, the delay table when the delay
-//! probe is armed, source-queue reservations — are sized by ownership.  This
+//! probe is armed, the source queues and their record pool — are sized by
+//! ownership.  This
 //! file pins that in
 //! bytes of requested capacity (`Network::allocated_bytes`), which is exact and
 //! repeatable where a resident-set sample is neither:
@@ -41,8 +42,10 @@ use dragonfly::traffic::Uniform;
 const PHIT: usize = 1;
 const CREDIT: usize = 1;
 const ID: usize = 4;
-/// A source queue reserves four 24-byte entries per node.
-const SOURCE_QUEUE: usize = 4 * 24;
+/// An owned node's source queue is a `(head, tail, phits fed)` triple of
+/// 12 bytes, and the record pool reserves four 24-byte records per owned
+/// node (a generated packet and its link).
+const SOURCE_QUEUE: usize = 12 + 4 * 24;
 /// The fewest slots an arena reserves: ⌊32 MiB / 48 B⌋ + 1, so the slab is
 /// at least 32 MiB, the size from which glibc always maps fresh memory.
 const MIN_RESERVED: usize = 699_051;
@@ -123,10 +126,16 @@ fn whole_machine(config: &SimConfig) -> PoolBytes {
         per_router.port_vectors += size_of::<OutputPort>() + vcs * size_of::<OutputVc>();
         // The link behind this output port: one phit slot and one credit
         // slot per arrival cycle in flight, `latency + 1` of each, and a head
-        // FIFO of one id per head those slots can hold — at most one a slot,
-        // and per VC at most one every `packet_size` slots, rounded up.
+        // FIFO of one id per head those slots can hold — one a slot while the
+        // VCs outnumber the slots, else one head per VC plus one per whole
+        // packet that fits in the slots left (every packet of a VC but the
+        // last whose head is in flight is wholly in flight).
         let slots = config.latency_for(kind) as usize + 1;
-        let heads = slots.min(vcs * slots.div_ceil(config.packet_size));
+        let heads = if slots <= vcs {
+            slots
+        } else {
+            (slots - vcs) / config.packet_size + vcs
+        };
         per_router.fabric_pools += slots * (PHIT + CREDIT) + heads * ID;
     }
     let (routers, nodes) = (params.num_routers(), params.num_nodes());
@@ -277,9 +286,10 @@ fn paper_scale_pools_match_the_size_formula() {
     let config = SimConfig::paper_vct(8);
     let bytes = sequential(&config).allocated_bytes();
     assert_eq!(bytes, whole_machine(&config));
-    // 69 input VCs per router (one VC per injection port) of 24 bytes.
+    // 69 input VCs per router (one VC per injection port) of 16 bytes.
     assert_eq!(bytes.input_fabric, 2_064 * 69 * size_of::<InputVc>());
-    assert_eq!(bytes.input_fabric, 3_417_984);
+    assert_eq!(bytes.input_fabric, 2_064 * 69 * 16);
+    assert_eq!(bytes.input_fabric, 2_278_656);
     // 1 006 arena slots per router (128h − 18, see `arena_slots`) of a
     // 48-byte packet and a 4-byte link (the free list, and the input VCs'
     // packet lists): reserved, resident only as far as slots are used.
@@ -287,12 +297,17 @@ fn paper_scale_pools_match_the_size_formula() {
     assert_eq!(bytes.arena, 107_971_968);
     assert_eq!(bytes.delay_table, 0);
     // 989 phit slots (a 1-byte tag) and 989 credit slots (1 byte) per
-    // router, and head FIFOs of 8 × 2 (terminal), 15 × 6 (local) and 8 × 26
-    // (global) = 314 ids of 4 bytes.
-    assert_eq!(bytes.fabric_pools, 2_064 * (989 * (1 + 1) + 314 * 4));
-    assert_eq!(bytes.fabric_pools, 6_674_976);
+    // router, and head FIFOs of 4-byte ids: 8 terminal links of 2 slots
+    // and 3 VCs hold 2 each; 15 local links of 11 slots and 3 VCs hold
+    // (11 − 3) / 8 + 3 = 4; 8 global links of 101 slots and 2 VCs hold
+    // (101 − 2) / 8 + 2 = 14.  8 × 2 + 15 × 4 + 8 × 14 = 188 ids.
+    assert_eq!(bytes.fabric_pools, 2_064 * (989 * 2 + 188 * 4));
+    assert_eq!(bytes.fabric_pools, 5_634_720);
     // An ejection register per node and ejection VC.
     assert_eq!(bytes.ejection, 16_512 * 3 * 4);
+    // Per node a 12-byte queue triple and 4 reserved 24-byte records.
+    assert_eq!(bytes.source_queues, 16_512 * (12 + 4 * 24));
+    assert_eq!(bytes.source_queues, 1_783_296);
 }
 
 /// A phit handed to a network that owns neither end of the link must not

@@ -2,9 +2,9 @@
 //!
 //! Every ordered pair of distinct nodes of the h = 2 machine (72 nodes) sends
 //! one packet through an otherwise idle network, under VCT with Minimal, PB,
-//! PAR, PAR-6/2, RLM and OLM routing and under wormhole with Minimal, and
-//! the packet's latency and hop count must equal what the pipeline's timing
-//! gives by hand, exactly.
+//! PAR, PAR-6/2, RLM and OLM routing and under wormhole with every one of
+//! them that runs there (OLM does not), and the packet's latency and hop
+//! count must equal what the pipeline's timing gives by hand, exactly.
 //!
 //! # The closed form
 //!
@@ -83,9 +83,11 @@
 //! ejection link.  The paper's buffers (32 local, 256 global, 320 towards a
 //! node) are all at least that, so its WH latencies are the VCT form with
 //! p = 80 (classes 80, 90, 180, 190 and 200): no stall.  The tests run that
-//! machine, one with every buffer at exactly `B` (a credit one cycle late, or
-//! a slot fewer, stalls it), and one with buffers below `B`, where the
-//! recurrence's stalls must appear cycle for cycle.
+//! machine under Minimal, PB, PAR, PAR-6/2 and RLM (each with the local VCs
+//! it requires; at zero load each takes the minimal path, as under VCT),
+//! and under Minimal one machine with every buffer at exactly `B` (a credit
+//! one cycle late, or a slot fewer, stalls it) and one with buffers below
+//! `B`, where the recurrence's stalls must appear cycle for cycle.
 //!
 //! Release builds only (5 112 networks per mechanism): CI runs
 //! `cargo test --release --test zero_load`.
@@ -93,7 +95,7 @@
 use std::collections::BTreeMap;
 
 use dragonfly::rng::Rng;
-use dragonfly::routing::{MinimalRouting, Olm, Par, Par62, Piggybacking, Rlm};
+use dragonfly::routing::{MinimalRouting, Olm, Par, Par62, Piggybacking, Rlm, RoutingKind};
 use dragonfly::shard::{ShardPlan, ShardedSimulation};
 use dragonfly::sim::{
     Engine, EngineHost, FlowControl, Network, RoutingAlgorithm, SimConfig, StatsCollector,
@@ -313,6 +315,69 @@ fn wormhole_minimal_matches_the_closed_form_on_every_pair() {
         classes.keys().copied().collect::<Vec<_>>(),
         [80, 90, 180, 190, 200]
     );
+}
+
+/// Every ordered pair on the paper's h = 2 wormhole machine with the local
+/// VCs `routing` requires, against the wormhole recurrence (stall-free at
+/// these buffers, so the VCT form with p = 80).  From each node: 1 node
+/// on its router, 6 in its group, and of the 8 other groups 2 reached by
+/// its own router's global links and 6 through a local hop, each landing
+/// on a router with 2 of the group's 8 nodes.
+fn assert_wormhole_pairs<R: RoutingAlgorithm + Clone>(routing: R) {
+    let baseline = SimConfig::paper_wormhole(2);
+    assert!(routing.supports_flow_control(baseline.flow_control));
+    let local_vcs = routing.required_local_vcs().max(baseline.local_vcs);
+    let config = baseline.with_local_vcs(local_vcs);
+    let classes = pairs_against(&config, routing, wormhole_form);
+    let sizes: Vec<(u64, usize)> = classes.into_iter().collect();
+    assert_eq!(
+        sizes,
+        [
+            (80, 72),
+            (90, 72 * 6),
+            (180, 72 * 2 * 2),
+            (190, 72 * (2 * 6 + 6 * 2)),
+            (200, 72 * 6 * 6)
+        ]
+    );
+}
+
+/// The adaptive mechanisms under wormhole are exactly the ones tested
+/// below: every mechanism but Valiant (which misroutes by design) that
+/// declares wormhole support.
+#[test]
+fn the_wormhole_slice_covers_every_adaptive_mechanism_that_runs_there() {
+    let mut covered: Vec<&str> = RoutingKind::ALL
+        .into_iter()
+        .filter(|&kind| kind != RoutingKind::Valiant && kind.supports_wormhole())
+        .map(RoutingKind::name)
+        .collect();
+    covered.sort_unstable();
+    assert_eq!(covered, ["Minimal", "PAR", "PAR-6/2", "PB", "RLM"]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn wormhole_pb_matches_the_closed_form_on_every_pair() {
+    assert_wormhole_pairs(Piggybacking::new());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn wormhole_par_matches_the_closed_form_on_every_pair() {
+    assert_wormhole_pairs(Par::default());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn wormhole_par62_matches_the_closed_form_on_every_pair() {
+    assert_wormhole_pairs(Par62::default());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release tier; run with --release")]
+fn wormhole_rlm_matches_the_closed_form_on_every_pair() {
+    assert_wormhole_pairs(Rlm::default());
 }
 
 /// Wormhole with every buffer at exactly its stall threshold `B(L)`: 29
